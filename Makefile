@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint cover bench select-bench wal-bench repair-bench membership-bench core-bench proxy-bench zone-bench reproduce reproduce-full examples clean
+.PHONY: all build test race lint loc cover bench select-bench wal-bench repair-bench membership-bench core-bench proxy-bench zone-bench reproduce reproduce-full examples clean
 
 all: build test
 
@@ -26,6 +26,15 @@ lint:
 	fi
 	$(GO) vet ./...
 	$(GO) run ./internal/tools/repolint
+
+# Non-test Go lines in the five packages ROADMAP item 4 ("collapse the
+# layers") tracks; quote the before/after in PRs that claim a reduction.
+LOC_PKGS = internal/node internal/strategy internal/wire internal/transport cmd/plsbench
+loc:
+	@for p in $(LOC_PKGS); do \
+		printf '%-20s %s\n' $$p $$(find $$p -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+	done
+	@printf '%-20s %s\n' total $$(find $(LOC_PKGS) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 
 # Coverage with the same floor CI enforces (.github/coverage-floor).
 cover:

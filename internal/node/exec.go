@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/store"
+	"repro/internal/topo"
 	"repro/internal/wire"
 )
 
@@ -13,21 +14,22 @@ import (
 // resolving the key's stored config, so a client with a stale config
 // cannot fork a key's strategy.
 //
-// The first three methods run the initial server S's role and may call
-// peers; they are invoked with no key lock held. The last three run
-// inside a store.KeyState.Update callback (key locked) and must not
-// call peers — removeOne instead returns a follow-up to run after the
-// lock is released (the RandomServer replacement search).
+// Each scheme states its placement rule — who is a legal home for an
+// entry — once, as a function of a memberView. The update protocols
+// (place/add/del) evaluate it under the live membership; plan and
+// accept evaluate it under whichever view the caller hands them, which
+// is all that distinguishes an anti-entropy repair sweep (the current
+// membership) from a join/drain rebalance (the post-change one).
+//
+// place, add and del run the initial server S's role and may call
+// peers; they are invoked with no key lock held. storeBatch, storeOne,
+// removeOne and accept run inside a store.KeyState.Update callback
+// (key locked) and must not call peers — removeOne instead returns a
+// follow-up to run after the lock is released (the RandomServer
+// replacement search).
 type executor interface {
 	// place distributes a place(k, {v1..vh}) batch to the cluster.
 	place(ctx context.Context, n *Node, m wire.Place) wire.Message
-	// placeSpread is place under the zone-spread mode
-	// (wire.Config.ZoneSpread): entry homes come from the node's
-	// attached topo.Topology so no failure domain holds every copy.
-	// Schemes whose base placement is already zone-diverse (or cannot
-	// spread) delegate to place; see exec_spread.go for the per-scheme
-	// rationale. Must follow the same RNG discipline as place.
-	placeSpread(ctx context.Context, n *Node, m wire.Place) wire.Message
 	// add runs the initial server's add(v) protocol for the key.
 	add(ctx context.Context, n *Node, ks *store.KeyState, cfg wire.Config, m wire.Add) wire.Message
 	// del runs the initial server's delete(v) protocol for the key.
@@ -41,38 +43,39 @@ type executor interface {
 	// by the caller once the key lock is released.
 	removeOne(ctx context.Context, n *Node, st *store.State, m wire.RemoveOne) func()
 
-	// repairPlan maps this node's local copy of a key onto the
-	// candidate transfers an anti-entropy sweep should offer each peer:
-	// for schemes with deterministic homes (Full, Round-y, Hash-y) the
-	// peers that must hold each entry, for subset schemes (Fixed-x,
-	// RandomServer-x) every peer as a fill-to-x candidate, and nothing
-	// for KeyPartition (a single unreplicated home has no donor).
-	// It runs with no key lock held, on a view copied out of the store,
-	// and must not consume RNG — repair plugs holes with existing
-	// entries at existing positions, it never redraws.
-	repairPlan(self int, v repairView, numServers int) []repairCandidate
+	// plan evaluates the placement rule over this node's local copy of
+	// a key under mv. push is what the rule says peers must hold:
+	// for schemes with deterministic homes (Round-y, Hash-y,
+	// MultiProbe-y, KeyPartition) each entry's other homes, for
+	// schemes where any server is a legal home (Full, Fixed-x,
+	// RandomServer-x) every peer, capped at x for the subset schemes.
+	// Targets are ranks under mv. drop lists the local entries for
+	// which this server is not a legal home under mv (every entry
+	// when mv.self < 0, the leaver); the repair sweep ignores it, the
+	// rebalance sweep releases them once a surviving copy is
+	// confirmed. plan runs with no key lock held, on a view copied out
+	// of the store, and must not consume RNG — sweeps move existing
+	// entries at existing positions, they never redraw, which is what
+	// keeps seeded lookups byte-identical across churn.
+	plan(v repairView, mv memberView) (push []repairCandidate, drop []string)
 
-	// repairAccept applies a RepairPush under the scheme's local
-	// acceptance rule (cap at x, legal Round/Hash home, partition
-	// ownership). It runs inside Update (key locked), must not call
-	// peers or consume RNG, and returns how many entries it stored.
-	repairAccept(n *Node, st *store.State, m wire.RepairPush, numServers int) int
+	// accept applies a pushed transfer under the scheme's rule
+	// evaluated at mv (cap at x, legal Round/Hash home, partition
+	// ownership) and returns how many entries it stored. It must not
+	// consume RNG.
+	accept(st *store.State, t transfer, mv memberView) int
+}
 
-	// rebalancePlan is repairPlan's membership-change analogue: given
-	// this node's post-change rank (selfRank, -1 when it is the leaver)
-	// and the transition mc, it returns the transfers to offer peers
-	// (targets in post-change rank space) plus the local entries that
-	// may be dropped once a surviving copy is confirmed. Same contract
-	// as repairPlan: no key lock held, no RNG — rebalancing moves
-	// existing entries at existing positions, it never redraws, which
-	// is what keeps seeded lookups byte-identical across churn.
-	rebalancePlan(selfRank int, v repairView, mc memberChange) ([]repairCandidate, []string)
+// memberView is the membership a placement rule is evaluated against.
+type memberView struct {
+	self int            // this server's rank among the members; -1 for a leaver
+	n    int            // member count
+	tp   *topo.Topology // zone topology for spread-mode homes; nil without one
+}
 
-	// rebalanceAccept applies a RebalancePush under the post-change
-	// membership the message self-describes (m.NewN, and selfRank is
-	// this node's rank once m.Leaving is gone). Runs inside Update,
-	// must not call peers or consume RNG; returns entries stored.
-	rebalanceAccept(n *Node, st *store.State, m wire.RebalancePush, selfRank int) int
+// view returns the live membership as this node sees it.
+func (n *Node) view() memberView {
+	return memberView{self: n.id, n: n.numServers(), tp: n.Topology()}
 }
 
 // execFor returns the executor for a scheme. Keys whose config is still
@@ -87,12 +90,10 @@ func execFor(s wire.Scheme) executor {
 		return rsExec{}
 	case wire.RoundRobin:
 		return roundExec{}
-	case wire.Hash:
-		return hashExec{}
+	case wire.Hash, wire.MultiProbe:
+		return homesExec{}
 	case wire.KeyPartition:
 		return partExec{}
-	case wire.MultiProbe:
-		return mpExec{}
 	default:
 		return fullExec{}
 	}

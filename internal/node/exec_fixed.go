@@ -57,49 +57,17 @@ func (fixedExec) removeOne(_ context.Context, _ *Node, st *store.State, m wire.R
 	return nil
 }
 
-// repairPlan: all servers share the identical first-x set, so every
-// peer is offered the local set and tops itself up to x. Survivors
-// (which saw every update) already agree, so a freshly replaced server
-// converges to the shared set from whichever peer sweeps first.
-func (fixedExec) repairPlan(self int, v repairView, numServers int) []repairCandidate {
-	return everyPeerCandidate(self, v.entries, numServers, true)
+// plan: all servers share the identical first-x set, so every peer is
+// offered the local set and tops itself up to x. Survivors (which saw
+// every update) already agree, so a freshly replaced or joined server
+// converges to the shared set from whichever peer sweeps first, and a
+// leaver's drops are trivially confirmed by the query phase.
+func (fixedExec) plan(v repairView, mv memberView) ([]repairCandidate, []string) {
+	return everyPeerPlan(v, mv, true)
 }
 
-// rebalancePlan: every post-change peer is offered the local set as a
-// fill-to-x candidate, exactly like repair. On a join this tops the
-// newcomer up to the shared first-x set (node 0 sweeps first, and all
-// Fixed sets are identical, so the joiner converges to that set); on a
-// leave the drop of the leaver's copy is safety-gated like any other,
-// which is trivially confirmed: the survivors hold the same set, so
-// the query phase vouches for every entry.
-func (fixedExec) rebalancePlan(selfRank int, v repairView, mc memberChange) ([]repairCandidate, []string) {
-	push := everyPeerCandidate(selfRank, v.entries, mc.newN, true)
-	if selfRank < 0 {
-		return push, append([]string(nil), v.entries...)
-	}
-	return push, nil
-}
-
-// rebalanceAccept: the same fill-to-x rule as repairAccept.
-func (f fixedExec) rebalanceAccept(n *Node, st *store.State, m wire.RebalancePush, _ int) int {
-	return f.repairAccept(n, st, repairPushOf(m), m.NewN)
-}
-
-// repairAccept: store missing entries while below x, the same local
-// rule storeOne applies.
-func (fixedExec) repairAccept(_ *Node, st *store.State, m wire.RepairPush, _ int) int {
-	accepted := 0
-	for _, s := range m.Entries {
-		if st.Set.Len() >= st.Cfg.X {
-			break
-		}
-		v := entry.Entry(s)
-		if !v.Valid() || st.Set.Contains(v) {
-			continue
-		}
-		if logAdd(st, v) {
-			accepted++
-		}
-	}
-	return accepted
+// accept: store missing entries while below x, the same local rule
+// storeOne applies.
+func (fixedExec) accept(st *store.State, t transfer, _ memberView) int {
+	return acceptMissing(st, t.entries, true, nil)
 }

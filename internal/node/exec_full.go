@@ -39,39 +39,14 @@ func (fullExec) removeOne(_ context.Context, _ *Node, st *store.State, m wire.Re
 	return nil
 }
 
-// repairPlan: every server must hold every entry, so every peer is
-// offered the whole local set.
-func (fullExec) repairPlan(self int, v repairView, numServers int) []repairCandidate {
-	return everyPeerCandidate(self, v.entries, numServers, false)
+// plan: every server must hold every entry, so every peer is offered
+// the whole local set (the query phase skips peers that already hold
+// it — all of them, short of a replaced server or a joiner).
+func (fullExec) plan(v repairView, mv memberView) ([]repairCandidate, []string) {
+	return everyPeerPlan(v, mv, false)
 }
 
-// repairAccept: store everything not already held.
-func (fullExec) repairAccept(_ *Node, st *store.State, m wire.RepairPush, _ int) int {
-	accepted := 0
-	for _, s := range m.Entries {
-		v := entry.Entry(s)
-		if !v.Valid() || st.Set.Contains(v) {
-			continue
-		}
-		if logAdd(st, v) {
-			accepted++
-		}
-	}
-	return accepted
-}
-
-// rebalancePlan: a joiner needs the whole set, so every post-change
-// peer is offered everything (the query phase skips peers that already
-// hold it). A leaver drops its whole copy — every survivor has one.
-func (fullExec) rebalancePlan(selfRank int, v repairView, mc memberChange) ([]repairCandidate, []string) {
-	push := everyPeerCandidate(selfRank, v.entries, mc.newN, false)
-	if selfRank < 0 {
-		return push, append([]string(nil), v.entries...)
-	}
-	return push, nil
-}
-
-// rebalanceAccept: same unconditional rule as repairAccept.
-func (f fullExec) rebalanceAccept(n *Node, st *store.State, m wire.RebalancePush, _ int) int {
-	return f.repairAccept(n, st, repairPushOf(m), m.NewN)
+// accept: store everything not already held.
+func (fullExec) accept(st *store.State, t transfer, _ memberView) int {
+	return acceptMissing(st, t.entries, false, nil)
 }

@@ -1,145 +1,6 @@
 package node
 
-import (
-	"context"
-	"hash/fnv"
-
-	"repro/internal/entry"
-	"repro/internal/store"
-	"repro/internal/wire"
-)
-
-// hashExec implements Hash-y (Secs. 3.5, 5.5): entry v lives on the y
-// servers f1(v)..fy(v), so every update touches exactly the hash-derived
-// targets and no coordinator state exists.
-type hashExec struct{}
-
-func (hashExec) place(ctx context.Context, n *Node, m wire.Place) wire.Message {
-	cfg := m.Config
-	numServers := n.numServers()
-	if err := n.broadcast(ctx, wire.StoreBatch{Key: m.Key, Config: cfg}); err != nil {
-		return wire.Ack{Err: err.Error()}
-	}
-	for _, v := range m.Entries {
-		for _, target := range HashAssign(v, cfg.Y, numServers, cfg.Seed) {
-			if err := n.callBestEffort(ctx, target, wire.StoreOne{Key: m.Key, Config: cfg, Entry: v}); err != nil {
-				return wire.Ack{Err: err.Error()}
-			}
-		}
-	}
-	return wire.Ack{}
-}
-
-func (hashExec) add(ctx context.Context, n *Node, _ *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {
-	numServers := n.numServers()
-	for _, target := range HomesFor(m.Entry, cfg, numServers, n.Topology()) {
-		if err := n.callBestEffort(ctx, target, wire.StoreOne{Key: m.Key, Config: cfg, Entry: m.Entry}); err != nil {
-			return wire.Ack{Err: err.Error()}
-		}
-	}
-	return wire.Ack{}
-}
-
-func (hashExec) del(ctx context.Context, n *Node, _ *store.KeyState, cfg wire.Config, m wire.Delete) wire.Message {
-	numServers := n.numServers()
-	for _, target := range HomesFor(m.Entry, cfg, numServers, n.Topology()) {
-		if err := n.callBestEffort(ctx, target, wire.RemoveOne{Key: m.Key, Config: cfg, Entry: m.Entry}); err != nil {
-			return wire.Ack{Err: err.Error()}
-		}
-	}
-	return wire.Ack{}
-}
-
-func (hashExec) storeBatch(_ *Node, st *store.State, entries []string) {
-	// The place broadcast carries an empty batch purely to install the
-	// config; entries arrive via hash-targeted StoreOne messages.
-	logAddMany(st, entries)
-}
-
-func (hashExec) storeOne(_ *Node, st *store.State, m wire.StoreOne) {
-	logAdd(st, entry.Entry(m.Entry))
-}
-
-func (hashExec) removeOne(_ context.Context, _ *Node, st *store.State, m wire.RemoveOne) func() {
-	logRemove(st, entry.Entry(m.Entry))
-	return nil
-}
-
-// repairPlan: entry v's homes are exactly f1(v)..fy(v) (or its spread
-// assignment under ZoneSpread), so each local entry is offered to the
-// other servers of its assignment.
-func (hashExec) repairPlan(self int, v repairView, numServers int) []repairCandidate {
-	if v.cfg.Y <= 0 {
-		return nil
-	}
-	return perEntryHomeCandidates(self, v.entries, numServers, false,
-		func(s string) ([]int, int, bool) {
-			return HomesFor(s, v.cfg, numServers, v.tp), 0, true
-		})
-}
-
-// repairAccept: store an entry only if this server really is one of
-// its homes (hash or spread, matching the planner); anything else is
-// dropped.
-func (hashExec) repairAccept(n *Node, st *store.State, m wire.RepairPush, numServers int) int {
-	accepted := 0
-	tp := n.Topology()
-	for _, s := range m.Entries {
-		v := entry.Entry(s)
-		if !v.Valid() || st.Set.Contains(v) {
-			continue
-		}
-		if !isHome(s, st.Cfg, numServers, n.id, tp) {
-			continue
-		}
-		if logAdd(st, v) {
-			accepted++
-		}
-	}
-	return accepted
-}
-
-// rebalancePlan: recompute f1(v)..fy(v) under the post-change member
-// count. This is the scheme the membership layer exists to improve on:
-// the mod-n in HashAssign remaps almost every entry when n changes, so
-// nearly the whole key space is offered and re-homed (contrast
-// mpExec.rebalancePlan).
-func (hashExec) rebalancePlan(selfRank int, v repairView, mc memberChange) ([]repairCandidate, []string) {
-	if v.cfg.Y <= 0 {
-		return nil, nil
-	}
-	push := perEntryHomeCandidates(selfRank, v.entries, mc.newN, false,
-		func(s string) ([]int, int, bool) {
-			return HomesFor(s, v.cfg, mc.newN, v.tp), 0, true
-		})
-	var drop []string
-	for _, s := range v.entries {
-		if selfRank < 0 || !isHome(s, v.cfg, mc.newN, selfRank, v.tp) {
-			drop = append(drop, s)
-		}
-	}
-	return push, drop
-}
-
-// rebalanceAccept: the repairAccept rule evaluated under the
-// post-change view the push self-describes.
-func (hashExec) rebalanceAccept(n *Node, st *store.State, m wire.RebalancePush, selfRank int) int {
-	accepted := 0
-	tp := n.Topology()
-	for _, s := range m.Entries {
-		v := entry.Entry(s)
-		if !v.Valid() || st.Set.Contains(v) {
-			continue
-		}
-		if !isHome(s, st.Cfg, m.NewN, selfRank, tp) {
-			continue
-		}
-		if logAdd(st, v) {
-			accepted++
-		}
-	}
-	return accepted
-}
+import "hash/fnv"
 
 // HashAssign returns the distinct servers f1(v)..fy(v) that Hash-y
 // assigns entry v to, in a cluster of n servers. The paper leaves the

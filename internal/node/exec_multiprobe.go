@@ -1,152 +1,9 @@
 package node
 
 import (
-	"context"
 	"hash/fnv"
 	"sort"
-
-	"repro/internal/entry"
-	"repro/internal/store"
-	"repro/internal/wire"
 )
-
-// mpExec implements MultiProbe-y, the multi-probe consistent hashing
-// strategy (arXiv:1505.00062) added for elastic clusters. Entry v lives
-// on the y servers MultiProbeAssign picks from a hash ring, so the
-// update protocol is identical in shape to Hash-y — no coordinator
-// state, every update touches exactly the assigned targets — but the
-// assignment survives membership changes: server ring points depend
-// only on (seed, id), never on n, so a join moves ~1/(n+1) of the
-// (entry, replica) pairs instead of Hash-y's near-total mod-n remap.
-type mpExec struct{}
-
-func (mpExec) place(ctx context.Context, n *Node, m wire.Place) wire.Message {
-	cfg := m.Config
-	numServers := n.numServers()
-	if err := n.broadcast(ctx, wire.StoreBatch{Key: m.Key, Config: cfg}); err != nil {
-		return wire.Ack{Err: err.Error()}
-	}
-	for _, v := range m.Entries {
-		for _, target := range MultiProbeAssign(v, cfg.Y, numServers, cfg.Seed) {
-			if err := n.callBestEffort(ctx, target, wire.StoreOne{Key: m.Key, Config: cfg, Entry: v}); err != nil {
-				return wire.Ack{Err: err.Error()}
-			}
-		}
-	}
-	return wire.Ack{}
-}
-
-func (mpExec) add(ctx context.Context, n *Node, _ *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {
-	numServers := n.numServers()
-	for _, target := range HomesFor(m.Entry, cfg, numServers, n.Topology()) {
-		if err := n.callBestEffort(ctx, target, wire.StoreOne{Key: m.Key, Config: cfg, Entry: m.Entry}); err != nil {
-			return wire.Ack{Err: err.Error()}
-		}
-	}
-	return wire.Ack{}
-}
-
-func (mpExec) del(ctx context.Context, n *Node, _ *store.KeyState, cfg wire.Config, m wire.Delete) wire.Message {
-	numServers := n.numServers()
-	for _, target := range HomesFor(m.Entry, cfg, numServers, n.Topology()) {
-		if err := n.callBestEffort(ctx, target, wire.RemoveOne{Key: m.Key, Config: cfg, Entry: m.Entry}); err != nil {
-			return wire.Ack{Err: err.Error()}
-		}
-	}
-	return wire.Ack{}
-}
-
-func (mpExec) storeBatch(_ *Node, st *store.State, entries []string) {
-	// Like Hash-y, the place broadcast installs the config; entries
-	// arrive via ring-targeted StoreOne messages.
-	logAddMany(st, entries)
-}
-
-func (mpExec) storeOne(_ *Node, st *store.State, m wire.StoreOne) {
-	logAdd(st, entry.Entry(m.Entry))
-}
-
-func (mpExec) removeOne(_ context.Context, _ *Node, st *store.State, m wire.RemoveOne) func() {
-	logRemove(st, entry.Entry(m.Entry))
-	return nil
-}
-
-// repairPlan: entry v's homes are exactly its ring assignment, so each
-// local entry is offered to the other servers of that assignment.
-func (mpExec) repairPlan(self int, v repairView, numServers int) []repairCandidate {
-	if v.cfg.Y <= 0 {
-		return nil
-	}
-	return perEntryHomeCandidates(self, v.entries, numServers, false,
-		func(s string) ([]int, int, bool) {
-			return HomesFor(s, v.cfg, numServers, v.tp), 0, true
-		})
-}
-
-// repairAccept: store an entry only if this server really is one of
-// its homes (ring or spread, matching the planner); anything else is
-// dropped.
-func (mpExec) repairAccept(n *Node, st *store.State, m wire.RepairPush, numServers int) int {
-	accepted := 0
-	tp := n.Topology()
-	for _, s := range m.Entries {
-		v := entry.Entry(s)
-		if !v.Valid() || st.Set.Contains(v) {
-			continue
-		}
-		if !isHome(s, st.Cfg, numServers, n.id, tp) {
-			continue
-		}
-		if logAdd(st, v) {
-			accepted++
-		}
-	}
-	return accepted
-}
-
-// rebalancePlan: recompute each entry's ring assignment under the
-// post-change member count; offer it to its new homes and drop the
-// local copy when this server is no longer one of them. Because ring
-// points are n-independent, for a join almost every assignment is
-// unchanged and the query phase confirms peers already hold their
-// share — the minimal-movement property the strategy exists for.
-func (mpExec) rebalancePlan(selfRank int, v repairView, mc memberChange) ([]repairCandidate, []string) {
-	if v.cfg.Y <= 0 {
-		return nil, nil
-	}
-	push := perEntryHomeCandidates(selfRank, v.entries, mc.newN, false,
-		func(s string) ([]int, int, bool) {
-			return HomesFor(s, v.cfg, mc.newN, v.tp), 0, true
-		})
-	var drop []string
-	for _, s := range v.entries {
-		if selfRank < 0 || !isHome(s, v.cfg, mc.newN, selfRank, v.tp) {
-			drop = append(drop, s)
-		}
-	}
-	return push, drop
-}
-
-// rebalanceAccept: the Hash-y rule under the post-change view — this
-// server (at its post-change rank) must be one of the entry's ring
-// homes in a cluster of NewN.
-func (mpExec) rebalanceAccept(n *Node, st *store.State, m wire.RebalancePush, selfRank int) int {
-	accepted := 0
-	tp := n.Topology()
-	for _, s := range m.Entries {
-		v := entry.Entry(s)
-		if !v.Valid() || st.Set.Contains(v) {
-			continue
-		}
-		if !isHome(s, st.Cfg, m.NewN, selfRank, tp) {
-			continue
-		}
-		if logAdd(st, v) {
-			accepted++
-		}
-	}
-	return accepted
-}
 
 // mpProbes is the number of ring probes per replica choice. The
 // multi-probe paper shows k=21 probes give a peak-to-average load of

@@ -41,66 +41,32 @@ func (partExec) removeOne(_ context.Context, _ *Node, st *store.State, m wire.Re
 	return nil
 }
 
-// repairPlan: the baseline keeps one unreplicated copy on the key's
-// home server. If the home dies its entries are gone — there is no
-// donor — so repair has nothing to plan. (This is the decay the
+// plan: the baseline keeps one unreplicated copy on the key's home
+// server. Under an unchanged membership the home plans nothing — if it
+// dies its entries are gone, there is no donor. (This is the decay the
 // paper's conclusion argues against; the repair benchmark shows it.)
-func (partExec) repairPlan(int, repairView, int) []repairCandidate {
-	return nil
-}
-
-// repairAccept: only the key's home server may store entries; pushes
-// to anyone else are dropped.
-func (partExec) repairAccept(n *Node, st *store.State, m wire.RepairPush, numServers int) int {
-	if numServers <= 0 || PartitionServer(st.Key, numServers) != n.id {
-		return 0
-	}
-	accepted := 0
-	for _, s := range m.Entries {
-		v := entry.Entry(s)
-		if !v.Valid() || st.Set.Contains(v) {
-			continue
-		}
-		if logAdd(st, v) {
-			accepted++
-		}
-	}
-	return accepted
-}
-
-// rebalancePlan: the key's home moves with the member count's mod-n,
-// so when the post-change home is some other server the whole local
-// set is offered to it, and the local copy is dropped once the move is
-// confirmed. This generalizes the baseline's total re-partition cost,
-// which the membership benchmark contrasts with MultiProbe.
-func (partExec) rebalancePlan(selfRank int, v repairView, mc memberChange) ([]repairCandidate, []string) {
-	if len(v.entries) == 0 || mc.newN <= 0 {
+// The home moves with the member count's mod-n, so when mv makes some
+// other server the home the whole local set is offered to it and
+// dropped here — the baseline's total re-partition cost, which the
+// membership benchmark contrasts with MultiProbe.
+func (partExec) plan(v repairView, mv memberView) ([]repairCandidate, []string) {
+	if len(v.entries) == 0 || mv.n <= 0 {
 		return nil, nil
 	}
-	home := PartitionServer(v.key, mc.newN)
-	if home == selfRank {
+	home := PartitionServer(v.key, mv.n)
+	if home == mv.self {
 		return nil, nil
 	}
-	push := []repairCandidate{{target: home, entries: v.entries}}
-	return push, append([]string(nil), v.entries...)
+	return []repairCandidate{{target: home, entries: v.entries}}, v.entries
 }
 
-// rebalanceAccept: only the post-change home may store entries.
-func (partExec) rebalanceAccept(_ *Node, st *store.State, m wire.RebalancePush, selfRank int) int {
-	if m.NewN <= 0 || PartitionServer(st.Key, m.NewN) != selfRank {
+// accept: only the key's home server under mv may store entries;
+// pushes to anyone else are dropped.
+func (partExec) accept(st *store.State, t transfer, mv memberView) int {
+	if mv.n <= 0 || PartitionServer(st.Key, mv.n) != mv.self {
 		return 0
 	}
-	accepted := 0
-	for _, s := range m.Entries {
-		v := entry.Entry(s)
-		if !v.Valid() || st.Set.Contains(v) {
-			continue
-		}
-		if logAdd(st, v) {
-			accepted++
-		}
-	}
-	return accepted
+	return acceptMissing(st, t.entries, false, nil)
 }
 
 // PartitionServer returns the single server responsible for a key

@@ -147,62 +147,32 @@ func (n *Node) findReplacement(ctx context.Context, key string, deleted entry.En
 	}
 }
 
-// repairPlan: there are no deterministic homes — each server keeps an
-// independent x-subset — so the repairable invariant is the subset
+// plan: there are no deterministic homes — each server keeps an
+// independent x-subset — so the maintainable invariant is the subset
 // *size*: every peer is offered the local set as refill candidates,
 // capped at x on acceptance. The refilled subset is no longer a
-// uniform draw (repair never consumes RNG; reorder/plug, never
-// redraw), trading a little sampling bias for restored cushion size —
-// the same trade the Sec. 5.3 replacement alternative makes.
-func (rsExec) repairPlan(self int, v repairView, numServers int) []repairCandidate {
-	return everyPeerCandidate(self, v.entries, numServers, true)
+// uniform draw (sweeps never consume RNG; reorder/plug, never redraw),
+// trading a little sampling bias for restored cushion size — the same
+// trade the Sec. 5.3 replacement alternative makes. A leaver drops
+// only what a survivor confirms holding or accepts: subsets are
+// independent draws, so a sole copy whose peers are all at capacity
+// has no safe home — it rides out in the leaver's escrow snapshot
+// instead of being lost.
+func (rsExec) plan(v repairView, mv memberView) ([]repairCandidate, []string) {
+	return everyPeerPlan(v, mv, true)
 }
 
-// repairAccept: adopt the pushed system count if it advances the local
-// one (a freshly replaced server starts at zero and must relearn the
-// reservoir denominator), then refill plainly while below x — the
+// accept: adopt the pushed system count if it advances the local one
+// (a freshly replaced or joined server starts at zero and must relearn
+// the reservoir denominator), then refill plainly while below x — the
 // reservoir is deliberately bypassed so no RNG draw happens.
-func (rsExec) repairAccept(_ *Node, st *store.State, m wire.RepairPush, _ int) int {
+func (rsExec) accept(st *store.State, t transfer, _ memberView) int {
 	ext := rsExtOf(st)
-	if m.HCount > ext.hCount {
-		ext.hCount = m.HCount
+	if t.hCount > ext.hCount {
+		ext.hCount = t.hCount
 		logHCount(st, ext.hCount)
 	}
-	accepted := 0
-	for _, s := range m.Entries {
-		if st.Set.Len() >= st.Cfg.X {
-			break
-		}
-		v := entry.Entry(s)
-		if !v.Valid() || st.Set.Contains(v) {
-			continue
-		}
-		if logAdd(st, v) {
-			accepted++
-		}
-	}
-	return accepted
-}
-
-// rebalancePlan: like repair, every post-change peer is a fill-to-x
-// refill candidate; a joiner builds its x-subset from whichever peers
-// sweep first (biased like repair's refill — rebalance never consumes
-// RNG). A leaver offers its subset and drops only what a survivor
-// confirms holding or accepts: subsets are independent draws, so a
-// sole copy whose peers are all at capacity has no safe home — it
-// rides out in the leaver's escrow snapshot instead of being lost.
-func (rsExec) rebalancePlan(selfRank int, v repairView, mc memberChange) ([]repairCandidate, []string) {
-	push := everyPeerCandidate(selfRank, v.entries, mc.newN, true)
-	if selfRank < 0 {
-		return push, append([]string(nil), v.entries...)
-	}
-	return push, nil
-}
-
-// rebalanceAccept: adopt the pushed system count and refill below x,
-// the repairAccept rule.
-func (r rsExec) rebalanceAccept(n *Node, st *store.State, m wire.RebalancePush, _ int) int {
-	return r.repairAccept(n, st, repairPushOf(m), m.NewN)
+	return acceptMissing(st, t.entries, true, nil)
 }
 
 // SystemCount returns the node's local estimate of the number of entries

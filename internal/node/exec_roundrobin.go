@@ -335,149 +335,67 @@ func (n *Node) handleCounterSync(m wire.CounterSync) wire.Message {
 	return n.flushAck(ks)
 }
 
-// repairPlan: the entry at position p lives on servers
-// (p mod n)..(p+y-1 mod n), so each locally held, positioned entry is
-// offered to the other servers of its window, position attached —
-// repair plugs the hole at the entry's existing position, exactly like
-// the Fig. 11 migration, never redrawing it.
-func (roundExec) repairPlan(self int, v repairView, numServers int) []repairCandidate {
-	y := v.cfg.Y
-	if y <= 0 || y > numServers {
+// window returns the servers holding round-robin position pos in a
+// cluster of n: (pos mod n)..(pos+y-1 mod n). A window wider than the
+// cluster (y > n, reachable only by draining below y) is
+// unrepresentable until the config itself is re-placed, so it has no
+// servers at all.
+func window(pos, y, n int) []int {
+	if pos < 0 || y <= 0 || y > n {
 		return nil
 	}
-	return perEntryHomeCandidates(self, v.entries, numServers, true,
-		func(s string) ([]int, int, bool) {
-			pos, ok := v.positions[s]
-			if !ok || pos < 0 {
-				return nil, 0, false
-			}
-			targets := make([]int, 0, y)
-			for j := 0; j < y; j++ {
-				targets = append(targets, (pos+j)%numServers)
-			}
-			return targets, pos, true
-		})
+	w := make([]int, y)
+	for j := range w {
+		w[j] = (pos + j) % n
+	}
+	return w
 }
 
-// repairAccept: store each entry at its pushed position, but only if
-// this server is inside the position's window — a corrupt or stale
-// push must not violate the placement invariant it exists to restore.
-func (roundExec) repairAccept(n *Node, st *store.State, m wire.RepairPush, numServers int) int {
-	if !m.HasPos || len(m.Positions) != len(m.Entries) || numServers <= 0 {
-		return 0
-	}
-	y := st.Cfg.Y
-	if y <= 0 {
-		return 0
-	}
-	accepted := 0
-	for i, s := range m.Entries {
-		v := entry.Entry(s)
-		if !v.Valid() || st.Set.Contains(v) {
-			continue
-		}
-		if m.Positions[i] > uint64(1<<31-1) {
-			continue
-		}
-		pos := int(m.Positions[i])
-		inWindow := false
-		for j := 0; j < y && j < numServers; j++ {
-			if (pos+j)%numServers == n.id {
-				inWindow = true
-				break
-			}
-		}
-		if !inWindow {
-			continue
-		}
-		logAddAt(st, v, pos)
-		accepted++
-	}
-	return accepted
+// inWindow reports whether server self holds position pos.
+func inWindow(pos, y, n, self int) bool {
+	return containsServer(window(pos, y, n), self)
 }
 
-// rebalancePlan: position p's window is re-evaluated mod the
-// post-change member count — entry copies are offered to the servers of
-// their new window at their existing positions (plug, never redraw),
-// and a copy whose new window no longer covers this server is dropped
-// once a surviving copy is confirmed. The coordinator counters are
-// re-mirrored by the sweep itself (CounterSync over the post-change
-// coordinator slots), not by the plan, which may not call peers. A
-// drain that would leave y > n keeps everything: the window invariant
-// is unrepresentable until the config itself is re-placed.
-func (roundExec) rebalancePlan(selfRank int, v repairView, mc memberChange) ([]repairCandidate, []string) {
+// plan: each locally held, positioned entry is offered to the other
+// servers of its window under mv, position attached — sweeps plug the
+// hole at the entry's existing position, exactly like the Fig. 11
+// migration, never redrawing it — and dropped when the window no
+// longer covers this server. Unpositioned stragglers stay. The
+// coordinator counters are re-mirrored by the sweep itself, not by the
+// plan, which may not call peers. When y > mv.n no window exists:
+// keep everything, offer nothing (accept likewise takes nothing).
+func (roundExec) plan(v repairView, mv memberView) ([]repairCandidate, []string) {
 	y := v.cfg.Y
-	if y <= 0 || y > mc.newN {
+	if y <= 0 || y > mv.n {
 		return nil, nil
 	}
-	push := perEntryHomeCandidates(selfRank, v.entries, mc.newN, true,
-		func(s string) ([]int, int, bool) {
-			pos, ok := v.positions[s]
-			if !ok || pos < 0 {
-				return nil, 0, false
-			}
-			targets := make([]int, 0, y)
-			for j := 0; j < y; j++ {
-				targets = append(targets, (pos+j)%mc.newN)
-			}
-			return targets, pos, true
-		})
-	var drop []string
-	for _, s := range v.entries {
+	return perEntryHomeCandidates(v.entries, mv, true, func(s string) ([]int, int, bool) {
 		pos, ok := v.positions[s]
 		if !ok || pos < 0 {
-			continue // unpositioned stragglers stay; repair owns them
+			return nil, 0, false
 		}
-		in := false
-		if selfRank >= 0 {
-			for j := 0; j < y; j++ {
-				if (pos+j)%mc.newN == selfRank {
-					in = true
-					break
-				}
-			}
-		}
-		if !in {
-			drop = append(drop, s)
-		}
-	}
-	return push, drop
+		return window(pos, y, mv.n), pos, true
+	})
 }
 
-// rebalanceAccept: repairAccept's window check evaluated at this
-// node's post-change rank against the pushed member count.
-func (roundExec) rebalanceAccept(_ *Node, st *store.State, m wire.RebalancePush, selfRank int) int {
-	if !m.HasPos || len(m.Positions) != len(m.Entries) || m.NewN <= 0 || selfRank < 0 {
+// accept: store each entry at its pushed position, but only if this
+// server is inside the position's window under mv — a corrupt or stale
+// push must not violate the placement invariant it exists to restore.
+func (roundExec) accept(st *store.State, t transfer, mv memberView) int {
+	if !t.hasPos || len(t.positions) != len(t.entries) {
 		return 0
 	}
-	y := st.Cfg.Y
-	if y <= 0 {
-		return 0
-	}
-	accepted := 0
-	for i, s := range m.Entries {
-		v := entry.Entry(s)
-		if !v.Valid() || st.Set.Contains(v) {
-			continue
+	return acceptMissing(st, t.entries, false, func(i int, v entry.Entry) bool {
+		if t.positions[i] > uint64(1<<31-1) {
+			return false
 		}
-		if m.Positions[i] > uint64(1<<31-1) {
-			continue
-		}
-		pos := int(m.Positions[i])
-		inWindow := false
-		for j := 0; j < y && j < m.NewN; j++ {
-			if (pos+j)%m.NewN == selfRank {
-				inWindow = true
-				break
-			}
-		}
-		if !inWindow {
-			continue
+		pos := int(t.positions[i])
+		if !inWindow(pos, st.Cfg.Y, mv.n, mv.self) {
+			return false
 		}
 		logAddAt(st, v, pos)
-		accepted++
-	}
-	return accepted
+		return true
+	})
 }
 
 // coordinators returns how many servers mirror the Round-y counters.

@@ -3,7 +3,6 @@ package node
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/entry"
 	"repro/internal/store"
@@ -45,14 +44,8 @@ type MembershipManager interface {
 // memberChange is a committed transition in post-change rank space.
 type memberChange struct {
 	epoch   uint64
-	oldN    int
 	newN    int
-	joined  []int // post-change slots of joiners (rank == slot)
-	leaving int   // pre-change slot of the leaver, -1 for a join
-}
-
-func changeOf(m wire.MembershipUpdate) memberChange {
-	return memberChange{epoch: m.Epoch, oldN: m.OldN, newN: m.NewN, joined: m.Joined, leaving: m.Leaving}
+	leaving int // pre-change slot of the leaver, -1 for a join
 }
 
 // slotOf maps a post-change rank to the transport slot it occupies
@@ -160,116 +153,46 @@ func (n *Node) handleMembershipUpdate(ctx context.Context, m wire.MembershipUpda
 // sweeps), planned per scheme against the post-change membership.
 func (n *Node) Rebalance(ctx context.Context, m wire.MembershipUpdate) RebalanceStats {
 	stats := RebalanceStats{Epoch: m.Epoch}
-	mc := changeOf(m)
-	selfRank := mc.rankOf(n.id)
-
-	type item struct {
-		key string
-		ks  *store.KeyState
-	}
-	var items []item
-	n.store.Range(func(key string, ks *store.KeyState) bool {
-		items = append(items, item{key, ks})
-		return true
-	})
-	sort.Slice(items, func(i, j int) bool { return items[i].key < items[j].key })
-
-	for _, it := range items {
+	mc := memberChange{epoch: m.Epoch, newN: m.NewN, leaving: m.Leaving}
+	for _, it := range n.sortedKeys() {
 		stats.Keys++
-		n.rebalanceKey(ctx, it.key, it.ks, mc, selfRank, &stats)
+		n.rebalanceKey(ctx, it.key, it.ks, mc, &stats)
 	}
 	return stats
 }
 
-// rebalanceKey moves one key's local share: query each post-change
-// target for what it is missing, push only that, then release local
-// copies the new placement no longer assigns here — but only once a
-// surviving copy is confirmed (seen on a target, or accepted by one).
-// Unconfirmed entries stay put: on a drain they ride out in the
-// leaver's final snapshot (the operator's escrow) rather than be
-// destroyed — a sole RandomServer-x copy on a leaver whose peers are
-// all at capacity is the concrete case.
-func (n *Node) rebalanceKey(ctx context.Context, key string, ks *store.KeyState, mc memberChange, selfRank int, stats *RebalanceStats) {
-	view := viewKey(n, key, ks)
-	plan, drops := execFor(view.cfg.Scheme).rebalancePlan(selfRank, view, mc)
+// rebalanceKey moves one key's local share: the scheme's plan under
+// the post-change membership, pushed like a repair sweep, then local
+// copies the new placement no longer assigns here are released — but
+// only once a surviving copy is confirmed (seen on a target, or
+// accepted by one). Unconfirmed entries stay put: on a drain they ride
+// out in the leaver's final snapshot (the operator's escrow) rather
+// than be destroyed — a sole RandomServer-x copy on a leaver whose
+// peers are all at capacity is the concrete case.
+func (n *Node) rebalanceKey(ctx context.Context, key string, ks *store.KeyState, mc memberChange, stats *RebalanceStats) {
+	mv := memberView{self: mc.rankOf(n.id), n: mc.newN, tp: n.Topology()}
+	view := viewKey(key, ks)
+	push, drops := execFor(view.cfg.Scheme).plan(view, mv)
 
 	safe := make(map[string]bool)
-	moved := false
-	for _, cand := range plan {
-		if cand.target < 0 || cand.target >= mc.newN || cand.target == selfRank {
-			continue
-		}
-		slot := mc.slotOf(cand.target)
-		reply, err := n.callReply(ctx, slot, wire.RepairQuery{Key: key, Entries: cand.entries})
-		if err != nil {
-			continue // unreachable; repair finishes the job later
-		}
-		qr, ok := reply.(wire.RepairQueryReply)
-		if !ok || qr.Err != "" || len(qr.Missing) != len(cand.entries) {
-			continue
-		}
-		stats.Queries++
-		budget := -1
-		if cand.fillToX {
-			budget = view.cfg.X - qr.Len
-		}
-		var entries []string
-		var positions []uint64
-		for i, missing := range qr.Missing {
-			if !missing {
-				safe[cand.entries[i]] = true // target already holds it
-				continue
+	x := n.transferKey(ctx, view, push, mv, mc.slotOf,
+		func(t transfer) wire.Message {
+			return wire.RebalancePush{
+				Key: key, Config: view.cfg, Entries: t.entries,
+				Positions: t.positions, HasPos: t.hasPos, HCount: t.hCount,
+				Epoch: mc.epoch, NewN: mc.newN, Leaving: mc.leaving,
 			}
-			if budget == 0 {
-				continue
-			}
-			entries = append(entries, cand.entries[i])
-			if cand.hasPos {
-				positions = append(positions, cand.positions[i])
-			}
-			if budget > 0 {
-				budget--
-			}
-		}
-		if len(entries) == 0 {
-			continue
-		}
-		push := wire.RebalancePush{
-			Key: key, Config: view.cfg, Entries: entries,
-			Positions: positions, HasPos: cand.hasPos, HCount: view.hCount,
-			Epoch: mc.epoch, NewN: mc.newN, Leaving: mc.leaving,
-		}
-		preply, err := n.callReply(ctx, slot, push)
-		if err != nil {
-			continue
-		}
-		pr, ok := preply.(wire.RepairPushReply)
-		if !ok || pr.Err != "" {
-			continue
-		}
-		stats.Pushes++
-		stats.Moved += pr.Accepted
-		if pr.Accepted > 0 {
-			moved = true
-		}
-		if pr.Accepted == len(entries) {
-			// Full acceptance: every pushed entry has a confirmed copy.
-			// (Partial acceptance doesn't say which ones landed, so none
-			// are marked; the leaver then keeps them, safely.)
-			for _, s := range entries {
-				safe[s] = true
-			}
-		}
-	}
+		}, safe)
+	stats.Queries += x.queries
+	stats.Pushes += x.pushes
+	stats.Moved += x.moved
+	moved := x.moved > 0
 
 	if len(drops) > 0 {
 		dropped := 0
 		ks.Update(func(st *store.State) {
 			for _, s := range drops {
-				if !safe[s] {
-					continue
-				}
-				if logRemove(st, entry.Entry(s)) {
+				if safe[s] && logRemove(st, entry.Entry(s)) {
 					dropped++
 				}
 			}
@@ -281,19 +204,6 @@ func (n *Node) rebalanceKey(ctx context.Context, key string, ks *store.KeyState,
 			}
 		}
 	}
-
-	// Re-mirror Round-y coordinator counters over the post-change
-	// coordinator ranks, so a counter home that shifted (or joined)
-	// learns head/tail without waiting for the next repair sweep.
-	if view.cfg.Scheme == wire.RoundRobin && (view.head > 0 || view.tail > 0) {
-		for c := 0; c < coordinators(view.cfg) && c < mc.newN; c++ {
-			if c == selfRank {
-				continue
-			}
-			_, _ = n.callReply(ctx, mc.slotOf(c), wire.CounterSync{Key: key, Head: view.head, Tail: view.tail})
-		}
-	}
-
 	if moved {
 		stats.MovedKeys++
 	}
@@ -306,9 +216,6 @@ func (n *Node) rebalanceKey(ctx context.Context, key string, ks *store.KeyState,
 // future epoch must be accepted; only pushes from an epoch this member
 // has already superseded are rejected.
 func (n *Node) handleRebalancePush(m wire.RebalancePush) wire.Message {
-	if m.HasPos && len(m.Positions) != len(m.Entries) {
-		return wire.RepairPushReply{Err: "node: rebalance push positions/entries length mismatch"}
-	}
 	if m.NewN < 1 {
 		return wire.RepairPushReply{Err: "node: rebalance push with empty cluster"}
 	}
@@ -323,42 +230,15 @@ func (n *Node) handleRebalancePush(m wire.RebalancePush) wire.Message {
 	if !compacted && m.Leaving >= 0 && n.id == m.Leaving {
 		return wire.RepairPushReply{Err: "node: rebalance push addressed to the leaver"}
 	}
-	mc := memberChange{newN: m.NewN, leaving: m.Leaving}
-	selfRank := mc.rankOf(n.id)
-	if compacted {
-		selfRank = n.id
+	mv := memberView{self: n.id, n: m.NewN, tp: n.Topology()}
+	if !compacted {
+		mv.self = memberChange{leaving: m.Leaving}.rankOf(n.id)
 	}
-	if selfRank < 0 || selfRank >= m.NewN {
-		return wire.RepairPushReply{Err: fmt.Sprintf("node: rebalance push outside membership (rank %d of %d)", selfRank, m.NewN)}
+	if mv.self < 0 || mv.self >= m.NewN {
+		return wire.RepairPushReply{Err: fmt.Sprintf("node: rebalance push outside membership (rank %d of %d)", mv.self, m.NewN)}
 	}
-	if _, ok := n.store.Get(m.Key); !ok {
-		// Same rule as repair: key state may only be created under a
-		// config that would have been accepted at Place time — validated
-		// against the post-change size, which is the world the push
-		// describes.
-		if err := m.Config.Validate(m.NewN); err != nil {
-			return wire.RepairPushReply{Err: "node: rebalance push: " + err.Error()}
-		}
-	}
-	ks := n.store.GetOrCreate(m.Key, m.Config)
-	accepted := 0
-	ks.Update(func(st *store.State) {
-		accepted = execFor(st.Cfg.Scheme).rebalanceAccept(n, st, m, selfRank)
-	})
-	if err := ks.WaitDurable(); err != nil {
-		return wire.RepairPushReply{Err: "node: wal: " + err.Error()}
-	}
-	return wire.RepairPushReply{Accepted: accepted}
-}
-
-// repairPushOf reprojects a RebalancePush onto the RepairPush payload
-// shape, for the executors whose acceptance rule is membership-blind
-// (Full, Fixed-x, RandomServer-x) and shared with repair verbatim.
-func repairPushOf(m wire.RebalancePush) wire.RepairPush {
-	return wire.RepairPush{
-		Key: m.Key, Config: m.Config, Entries: m.Entries,
-		Positions: m.Positions, HasPos: m.HasPos, HCount: m.HCount,
-	}
+	t := transfer{entries: m.Entries, positions: m.Positions, hasPos: m.HasPos, hCount: m.HCount}
+	return n.acceptPush("rebalance", m.Key, m.Config, t, mv)
 }
 
 // handleJoin admits a new member on behalf of a remote joiner; the

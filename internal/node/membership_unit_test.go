@@ -11,14 +11,14 @@ import (
 // transport slot. Every rank must round-trip through its slot, and the
 // leaver must map to no rank at all.
 func TestMemberChangeRankMapping(t *testing.T) {
-	join := memberChange{oldN: 5, newN: 6, joined: []int{5}, leaving: -1}
+	join := memberChange{newN: 6, leaving: -1}
 	for r := 0; r < 6; r++ {
 		if join.slotOf(r) != r || join.rankOf(r) != r {
 			t.Errorf("join: rank %d maps slot %d rank %d, want identity", r, join.slotOf(r), join.rankOf(r))
 		}
 	}
 
-	leave := memberChange{oldN: 5, newN: 4, leaving: 2}
+	leave := memberChange{newN: 4, leaving: 2}
 	wantSlots := []int{0, 1, 3, 4}
 	for r, want := range wantSlots {
 		if got := leave.slotOf(r); got != want {

@@ -12,8 +12,9 @@
 //   - internal/store owns all per-key state, sharded under striped
 //     locks with copy-on-write snapshots, so traffic on different keys
 //     never serializes and partial_lookup reads never block writers.
-//   - One executor per placement strategy (exec_*.go) implements the
-//     protocol of its Sec. 5 subsection against that store.
+//   - One executor per placement rule (exec_*.go; Hash-y and
+//     MultiProbe-y share one) implements the protocol of its Sec. 5
+//     subsection against that store.
 //
 // A Node is transport-agnostic: it consumes a transport.Caller for peer
 // traffic and implements transport.Handler, so the same code runs under
@@ -207,9 +208,6 @@ func (n *Node) handlePlace(ctx context.Context, m wire.Place) wire.Message {
 	}
 	if err := m.Config.Validate(numServers); err != nil {
 		return wire.Ack{Err: err.Error()}
-	}
-	if m.Config.ZoneSpread {
-		return execFor(m.Config.Scheme).placeSpread(ctx, n, m)
 	}
 	return execFor(m.Config.Scheme).place(ctx, n, m)
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/entry"
 	"repro/internal/store"
 	"repro/internal/telemetry"
-	"repro/internal/topo"
 	"repro/internal/wire"
 )
 
@@ -19,7 +18,7 @@ import (
 // achieved-t decays under sustained churn. The Repairer is a per-node
 // background sweeper that walks the store's copy-on-write snapshots,
 // plans which peers must hold which of its local entries (per scheme;
-// see executor.repairPlan), and re-replicates what is missing — the
+// see executor.plan), and re-replicates what is missing — the
 // Round-y hole-plugging idea generalized to every strategy.
 //
 // Two disciplines keep repair invisible when it is not needed:
@@ -157,18 +156,7 @@ func (r *Repairer) SweepOnce(ctx context.Context) RepairStats {
 	}
 	dead := r.opt.Health.PresumedDead()
 
-	type item struct {
-		key string
-		ks  *store.KeyState
-	}
-	var items []item
-	r.n.store.Range(func(key string, ks *store.KeyState) bool {
-		items = append(items, item{key, ks})
-		return true
-	})
-	sort.Slice(items, func(i, j int) bool { return items[i].key < items[j].key })
-
-	for _, it := range items {
+	for _, it := range r.n.sortedKeys() {
 		stats.Keys++
 		r.sweepKey(ctx, it.key, it.ks, dead, &stats)
 	}
@@ -180,12 +168,30 @@ func (r *Repairer) SweepOnce(ctx context.Context) RepairStats {
 	return stats
 }
 
+// keyRef is one store key with its state.
+type keyRef struct {
+	key string
+	ks  *store.KeyState
+}
+
+// sortedKeys lists the node's keys in sorted order: the store's shard
+// iteration order is unspecified, and both sweeps must walk keys
+// deterministically.
+func (n *Node) sortedKeys() []keyRef {
+	var items []keyRef
+	n.store.Range(func(key string, ks *store.KeyState) bool {
+		items = append(items, keyRef{key, ks})
+		return true
+	})
+	sort.Slice(items, func(i, j int) bool { return items[i].key < items[j].key })
+	return items
+}
+
 // repairView is a copy of one key's local state, taken under the key
 // lock and then planned against with no lock held.
 type repairView struct {
 	key       string
 	cfg       wire.Config
-	tp        *topo.Topology // node's zone topology (nil without one)
 	entries   []string       // local set, internal order
 	positions map[string]int // Round-y positions
 	hCount    int            // RandomServer-x system size
@@ -205,10 +211,9 @@ type repairCandidate struct {
 	fillToX   bool
 }
 
-// viewKey snapshots one key's state for planning, carrying the node's
-// topology so spread-mode home computations see the same one.
-func viewKey(n *Node, key string, ks *store.KeyState) repairView {
-	v := repairView{key: key, tp: n.Topology()}
+// viewKey snapshots one key's state for planning.
+func viewKey(key string, ks *store.KeyState) repairView {
+	v := repairView{key: key}
 	ks.View(func(st *store.State) {
 		v.cfg = st.Cfg
 		members := st.Set.Members()
@@ -230,38 +235,56 @@ func viewKey(n *Node, key string, ks *store.KeyState) repairView {
 	return v
 }
 
-// everyPeerCandidate offers the whole local set to every other server:
-// the plan shape of the schemes where any server is a legal home
-// (Full unconditionally; Fixed-x and RandomServer-x capped at x via
-// fillToX).
-func everyPeerCandidate(self int, entries []string, numServers int, fillToX bool) []repairCandidate {
-	if len(entries) == 0 || numServers <= 1 {
-		return nil
-	}
-	out := make([]repairCandidate, 0, numServers-1)
-	for t := 0; t < numServers; t++ {
-		if t == self {
-			continue
-		}
-		out = append(out, repairCandidate{target: t, entries: entries, fillToX: fillToX})
-	}
-	return out
+// transfer is the payload a sweep pushes to one peer: the
+// scheme-independent part of a RepairPush or RebalancePush.
+type transfer struct {
+	entries   []string
+	positions []uint64 // Round-y positions, parallel to entries when hasPos
+	hasPos    bool
+	hCount    int // sender's RandomServer-x system count
 }
 
-// perEntryHomeCandidates groups entries by their deterministic homes
-// (Round-y windows, Hash-y assignments), excluding self; targets come
-// out in ascending id order and entries in local set order, so plans
-// are deterministic.
-func perEntryHomeCandidates(self int, entries []string, numServers int, hasPos bool,
-	homes func(s string) (targets []int, pos int, ok bool)) []repairCandidate {
+// everyPeerPlan is the plan of the schemes where any server is a legal
+// home (Full unconditionally; Fixed-x and RandomServer-x capped at x
+// via fillToX): the whole local set is offered to every other member,
+// and nothing is ever dropped except by a leaver, which has no place in
+// the view at all.
+func everyPeerPlan(v repairView, mv memberView, fillToX bool) (push []repairCandidate, drop []string) {
+	if mv.self < 0 {
+		drop = v.entries
+	}
+	if len(v.entries) == 0 || mv.n <= 1 {
+		return nil, drop
+	}
+	push = make([]repairCandidate, 0, mv.n-1)
+	for t := 0; t < mv.n; t++ {
+		if t != mv.self {
+			push = append(push, repairCandidate{target: t, entries: v.entries, fillToX: fillToX})
+		}
+	}
+	return push, drop
+}
+
+// perEntryHomeCandidates is the plan of the schemes with deterministic
+// per-entry homes (Round-y windows, Hash-y/MultiProbe-y assignments):
+// entries are grouped by their homes under mv, excluding self, and an
+// entry whose homes do not include self is a drop. Entries homes cannot
+// place (ok false) are neither offered nor dropped. Targets come out in
+// ascending rank order and entries in local set order, so plans are
+// deterministic.
+func perEntryHomeCandidates(entries []string, mv memberView, hasPos bool,
+	homes func(s string) (targets []int, pos int, ok bool)) (push []repairCandidate, drop []string) {
 	byTarget := make(map[int]*repairCandidate)
 	for _, s := range entries {
 		targets, pos, ok := homes(s)
 		if !ok {
 			continue
 		}
+		if !containsServer(targets, mv.self) {
+			drop = append(drop, s)
+		}
 		for _, t := range targets {
-			if t == self || t < 0 || t >= numServers {
+			if t == mv.self || t < 0 || t >= mv.n {
 				continue
 			}
 			c := byTarget[t]
@@ -280,33 +303,72 @@ func perEntryHomeCandidates(self int, entries []string, numServers int, hasPos b
 		order = append(order, t)
 	}
 	sort.Ints(order)
-	out := make([]repairCandidate, 0, len(order))
+	push = make([]repairCandidate, 0, len(order))
 	for _, t := range order {
-		out = append(out, *byTarget[t])
+		push = append(push, *byTarget[t])
 	}
-	return out
+	return push, drop
 }
 
-// sweepKey repairs one key: plan per scheme, query each live target
-// for what it is missing, push only that. For Round-y it additionally
-// re-mirrors the coordinator counters (adopt-if-advance on receipt),
-// so a freshly replaced coordinator relearns head/tail.
-func (r *Repairer) sweepKey(ctx context.Context, key string, ks *store.KeyState, dead []bool, stats *RepairStats) {
-	n := r.n
-	numServers := n.numServers()
-	if numServers <= 1 {
-		return
-	}
-	view := viewKey(n, key, ks)
-	isDead := func(server int) bool {
-		return server < len(dead) && dead[server]
-	}
-	repaired := false
-	for _, cand := range execFor(view.cfg.Scheme).repairPlan(n.id, view, numServers) {
-		if cand.target < 0 || cand.target >= numServers || isDead(cand.target) {
+// acceptMissing is the skeleton of every acceptance rule: walk the
+// pushed entries, skip invalid ones and ones already held, and store
+// the rest — stopping at the key's x when capX (subset schemes), and
+// through admit when the scheme vets or positions each entry (nil
+// stores unconditionally). It returns how many entries were stored.
+// Stores go through logAdd/logAddAt, so accepted entries are WAL-logged
+// like any other mutation.
+func acceptMissing(st *store.State, entries []string, capX bool, admit func(i int, v entry.Entry) bool) int {
+	accepted := 0
+	for i, s := range entries {
+		if capX && st.Set.Len() >= st.Cfg.X {
+			break
+		}
+		v := entry.Entry(s)
+		if !v.Valid() || st.Set.Contains(v) {
 			continue
 		}
-		reply, err := n.callReply(ctx, cand.target, wire.RepairQuery{Key: key, Entries: cand.entries})
+		if admit != nil {
+			if admit(i, v) {
+				accepted++
+			}
+		} else if logAdd(st, v) {
+			accepted++
+		}
+	}
+	return accepted
+}
+
+// exchange tallies one key's query/push traffic.
+type exchange struct {
+	queries, pushes int
+	offered         int // entries found missing on a target and pushed
+	moved           int // entries receivers accepted
+}
+
+// transferKey runs the two-phase exchange both sweeps share for one
+// key: query each planned target for what it is missing, push only
+// that (subset schemes only top the receiver up to x), then, for
+// Round-y, re-mirror the coordinator counters over the view's
+// coordinator ranks (adopt-if-advance on receipt) so a replaced,
+// shifted or joined counter home relearns head/tail. Targets are ranks
+// under mv; slotOf maps a rank to the transport slot to call, or -1 to
+// skip it (presumed dead). wrap dresses a transfer as the sweep's push
+// message. When confirmed is non-nil it collects the entries known to
+// have a copy on some target: seen there by the query, or part of a
+// push accepted in full (partial acceptance doesn't say which ones
+// landed, so none are marked).
+func (n *Node) transferKey(ctx context.Context, v repairView, plan []repairCandidate, mv memberView,
+	slotOf func(rank int) int, wrap func(transfer) wire.Message, confirmed map[string]bool) exchange {
+	var x exchange
+	for _, cand := range plan {
+		if cand.target < 0 || cand.target >= mv.n || cand.target == mv.self {
+			continue
+		}
+		slot := slotOf(cand.target)
+		if slot < 0 {
+			continue
+		}
+		reply, err := n.callReply(ctx, slot, wire.RepairQuery{Key: v.key, Entries: cand.entries})
 		if err != nil {
 			continue // unreachable now; a later sweep retries
 		}
@@ -314,39 +376,35 @@ func (r *Repairer) sweepKey(ctx context.Context, key string, ks *store.KeyState,
 		if !ok || qr.Err != "" || len(qr.Missing) != len(cand.entries) {
 			continue
 		}
-		stats.Queries++
-		// Subset schemes only top the receiver up to x; deterministic
-		// homes push every missing entry.
-		budget := -1
+		x.queries++
+		budget := -1 // deterministic homes push every missing entry
 		if cand.fillToX {
-			budget = view.cfg.X - qr.Len
-			if budget <= 0 {
-				continue
-			}
+			budget = max(v.cfg.X-qr.Len, 0)
 		}
-		var entries []string
-		var positions []uint64
+		t := transfer{hasPos: cand.hasPos, hCount: v.hCount}
 		for i, missing := range qr.Missing {
-			if !missing || budget == 0 {
+			if !missing {
+				if confirmed != nil {
+					confirmed[cand.entries[i]] = true
+				}
 				continue
 			}
-			entries = append(entries, cand.entries[i])
+			if budget == 0 {
+				continue
+			}
+			t.entries = append(t.entries, cand.entries[i])
 			if cand.hasPos {
-				positions = append(positions, cand.positions[i])
+				t.positions = append(t.positions, cand.positions[i])
 			}
 			if budget > 0 {
 				budget--
 			}
 		}
-		if len(entries) == 0 {
+		if len(t.entries) == 0 {
 			continue
 		}
-		stats.UnderReplicated += len(entries)
-		push := wire.RepairPush{
-			Key: key, Config: view.cfg, Entries: entries,
-			Positions: positions, HasPos: cand.hasPos, HCount: view.hCount,
-		}
-		preply, err := n.callReply(ctx, cand.target, push)
+		x.offered += len(t.entries)
+		preply, err := n.callReply(ctx, slot, wrap(t))
 		if err != nil {
 			continue
 		}
@@ -354,22 +412,83 @@ func (r *Repairer) sweepKey(ctx context.Context, key string, ks *store.KeyState,
 		if !ok || pr.Err != "" {
 			continue
 		}
-		stats.Pushes++
-		stats.Moved += pr.Accepted
-		if pr.Accepted > 0 {
-			repaired = true
-		}
-	}
-	if view.cfg.Scheme == wire.RoundRobin && (view.head > 0 || view.tail > 0) {
-		for c := 0; c < coordinators(view.cfg) && c < numServers; c++ {
-			if c == n.id || isDead(c) {
-				continue
+		x.pushes++
+		x.moved += pr.Accepted
+		if confirmed != nil && pr.Accepted == len(t.entries) {
+			for _, s := range t.entries {
+				confirmed[s] = true
 			}
-			// Best-effort, adopt-if-advance on the receiver.
-			_, _ = n.callReply(ctx, c, wire.CounterSync{Key: key, Head: view.head, Tail: view.tail})
 		}
 	}
-	if repaired {
+	if v.cfg.Scheme == wire.RoundRobin && (v.head > 0 || v.tail > 0) {
+		for c := 0; c < coordinators(v.cfg) && c < mv.n; c++ {
+			if slot := slotOf(c); c != mv.self && slot >= 0 {
+				// Best-effort, adopt-if-advance on the receiver.
+				_, _ = n.callReply(ctx, slot, wire.CounterSync{Key: v.key, Head: v.head, Tail: v.tail})
+			}
+		}
+	}
+	return x
+}
+
+// acceptPush applies phase two of either sweep under the key's stored
+// scheme (the receiver's config wins, as everywhere else): each entry
+// passes the scheme's acceptance rule evaluated at mv or is dropped.
+// Accepted entries are WAL-logged through the same helpers as the
+// update protocols, and the reply waits for durability like any other
+// mutation ack. what names the sweep in error replies.
+func (n *Node) acceptPush(what, key string, cfg wire.Config, t transfer, mv memberView) wire.Message {
+	if t.hasPos && len(t.positions) != len(t.entries) {
+		return wire.RepairPushReply{Err: "node: " + what + " push positions/entries length mismatch"}
+	}
+	if _, ok := n.store.Get(key); !ok {
+		// A push may only create key state under a config that would
+		// have been accepted at Place time in the cluster mv describes;
+		// a corrupt or hostile config must not poison the store.
+		if err := cfg.Validate(mv.n); err != nil {
+			return wire.RepairPushReply{Err: "node: " + what + " push: " + err.Error()}
+		}
+	}
+	ks := n.store.GetOrCreate(key, cfg)
+	accepted := 0
+	ks.Update(func(st *store.State) {
+		accepted = execFor(st.Cfg.Scheme).accept(st, t, mv)
+	})
+	if err := ks.WaitDurable(); err != nil {
+		return wire.RepairPushReply{Err: "node: wal: " + err.Error()}
+	}
+	return wire.RepairPushReply{Accepted: accepted}
+}
+
+// sweepKey repairs one key: the scheme's plan under the live
+// membership, with presumed-dead targets skipped and drops ignored —
+// repair restores missing copies, it never releases one.
+func (r *Repairer) sweepKey(ctx context.Context, key string, ks *store.KeyState, dead []bool, stats *RepairStats) {
+	n := r.n
+	mv := n.view()
+	if mv.n <= 1 {
+		return
+	}
+	view := viewKey(key, ks)
+	push, _ := execFor(view.cfg.Scheme).plan(view, mv)
+	x := n.transferKey(ctx, view, push, mv,
+		func(rank int) int {
+			if rank < len(dead) && dead[rank] {
+				return -1
+			}
+			return rank
+		},
+		func(t transfer) wire.Message {
+			return wire.RepairPush{
+				Key: key, Config: view.cfg, Entries: t.entries,
+				Positions: t.positions, HasPos: t.hasPos, HCount: t.hCount,
+			}
+		}, nil)
+	stats.Queries += x.queries
+	stats.Pushes += x.pushes
+	stats.Moved += x.moved
+	stats.UnderReplicated += x.offered
+	if x.moved > 0 {
 		stats.RepairedKeys++
 	}
 }
@@ -398,31 +517,9 @@ func (n *Node) handleRepairQuery(m wire.RepairQuery) wire.Message {
 	return reply
 }
 
-// handleRepairPush applies phase two under the key's stored scheme
-// (the receiver's config wins, as everywhere else): each entry passes
-// the scheme's acceptance rule or is dropped. Accepted entries are
-// WAL-logged through the same helpers as the update protocols, and the
-// reply waits for durability like any other mutation ack.
+// handleRepairPush applies a repair transfer under the live
+// membership.
 func (n *Node) handleRepairPush(m wire.RepairPush) wire.Message {
-	if m.HasPos && len(m.Positions) != len(m.Entries) {
-		return wire.RepairPushReply{Err: "node: repair push positions/entries length mismatch"}
-	}
-	numServers := n.numServers()
-	if _, ok := n.store.Get(m.Key); !ok {
-		// A push may only create key state under a config that would
-		// have been accepted at Place time; a corrupt or hostile config
-		// must not poison the store.
-		if err := m.Config.Validate(numServers); err != nil {
-			return wire.RepairPushReply{Err: "node: repair push: " + err.Error()}
-		}
-	}
-	ks := n.store.GetOrCreate(m.Key, m.Config)
-	accepted := 0
-	ks.Update(func(st *store.State) {
-		accepted = execFor(st.Cfg.Scheme).repairAccept(n, st, m, numServers)
-	})
-	if err := ks.WaitDurable(); err != nil {
-		return wire.RepairPushReply{Err: "node: wal: " + err.Error()}
-	}
-	return wire.RepairPushReply{Accepted: accepted}
+	t := transfer{entries: m.Entries, positions: m.Positions, hasPos: m.HasPos, hCount: m.HCount}
+	return n.acceptPush("repair", m.Key, m.Config, t, n.view())
 }

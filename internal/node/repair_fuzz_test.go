@@ -26,10 +26,11 @@ func FuzzRepairPlan(f *testing.F) {
 	f.Add(uint8(3), uint8(1), uint8(9), uint8(0), uint8(2), uint64(0), "", []byte(nil), false, uint16(0))
 	f.Add(uint8(4), uint8(0), uint8(3), uint8(3), uint8(7), ^uint64(0), "v1,,v2", []byte{255, 0, 31}, true, uint16(65535))
 	f.Add(uint8(9), uint8(8), uint8(0), uint8(2), uint8(3), uint64(42), "zzzz", []byte{7}, false, uint16(1))
+	f.Add(uint8(6), uint8(3), uint8(1), uint8(0), uint8(0), uint64(0x5eed), "m1,m2", []byte{4, 4}, true, uint16(12))
 
 	schemes := []wire.Scheme{
 		wire.FullReplication, wire.Fixed, wire.RandomServer,
-		wire.RoundRobin, wire.Hash, wire.KeyPartition,
+		wire.RoundRobin, wire.Hash, wire.KeyPartition, wire.MultiProbe,
 	}
 	f.Fuzz(func(t *testing.T, schemeByte, rx, ry, coords, target uint8,
 		seed uint64, blob string, posBlob []byte, hasPos bool, hcount uint16) {
@@ -42,7 +43,7 @@ func FuzzRepairPlan(f *testing.F) {
 		case wire.RoundRobin:
 			cfg.Y = 1 + int(ry)%n
 			cfg.Coordinators = int(coords) % 3
-		case wire.Hash:
+		case wire.Hash, wire.MultiProbe:
 			cfg.Y = 1 + int(ry)%n
 			cfg.Seed = seed
 		}
