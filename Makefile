@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint loc cover bench select-bench wal-bench repair-bench membership-bench core-bench proxy-bench zone-bench reproduce reproduce-full examples clean
+.PHONY: all build test race lint loc cover bench e2e-bench select-bench repair-bench membership-bench zone-bench reproduce reproduce-full examples clean
 
 all: build test
 
@@ -49,14 +49,17 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem
 
+# The repository's one performance benchmark (BENCHMARK.json): four
+# end-to-end workloads over a real loopback cluster, with a per-layer
+# budget; see bench/README.md.
+e2e-bench:
+	$(GO) run ./bench
+
+# The four targets below are scenario reports: efficacy, not speed.
+
 # Failure-aware selector on/off comparison under chaos (BENCH_select.json).
 select-bench:
 	$(GO) run ./cmd/plsbench -select-bench BENCH_select.json
-
-# Durability overhead: acked-mutation throughput at each WAL sync
-# policy vs. the volatile baseline (BENCH_wal.json).
-wal-bench:
-	$(GO) run ./cmd/plsbench -wal-bench BENCH_wal.json
 
 # Anti-entropy churn benchmark: achieved-t retention under seeded
 # kill/replace churn, repair on vs. off (BENCH_repair.json).
@@ -68,18 +71,6 @@ repair-bench:
 # (BENCH_membership.json).
 membership-bench:
 	$(GO) run ./cmd/plsbench -membership-bench BENCH_membership.json
-
-# Hot-path sweep: full-stack lookup throughput across GOMAXPROCS with
-# per-layer toggles — mux vs serialized transport, epoch vs rlock
-# store reads, codec allocations per op (BENCH_core.json).
-core-bench:
-	$(GO) run ./cmd/plsbench -core-bench BENCH_core.json
-
-# Front-tier sweep: open-loop Zipf load against the cluster directly
-# vs through plsproxy — latency-under-load curves, saturation points,
-# hot-key p99, cache hit rate (BENCH_proxy.json).
-proxy-bench:
-	$(GO) run ./cmd/plsbench -proxy-bench BENCH_proxy.json
 
 # Zone placement comparison: spread on vs off on a rack/DC/region
 # topology — availability under every single-zone partition, partition

@@ -1,33 +1,26 @@
 // Command plsbench regenerates every table and figure of the paper's
-// evaluation section.
+// evaluation section, and the four scenario reports that measure
+// efficacy (not speed; the performance benchmark is bench/, declared by
+// BENCHMARK.json).
 //
 // Usage:
 //
 //	plsbench [-exp table1|fig4|...|table2|all] [-fidelity quick|default|full]
 //	         [-format text|md] [-seed N]
-//	plsbench -node-bench BENCH_node.json [-node-bench-window 2s]
 //	plsbench -select-bench BENCH_select.json [-select-bench-rounds 15]
-//	plsbench -wal-bench BENCH_wal.json [-wal-bench-window 2s]
 //	plsbench -repair-bench BENCH_repair.json [-repair-bench-rounds 8]
 //	plsbench -membership-bench BENCH_membership.json [-membership-bench-rounds 6]
-//	plsbench -core-bench BENCH_core.json [-core-bench-window 2s]
-//	plsbench -proxy-bench BENCH_proxy.json [-proxy-bench-window 1500ms]
 //	plsbench -zone-bench BENCH_zone.json
 //
-// The second form skips the paper experiments and instead measures one
-// node's lookup throughput under the sharded store versus a
-// coarse-lock baseline, plus LookupBatch amortization, writing the
-// numbers as machine-readable JSON. The third form compares the
-// failure-aware selector on vs. off over an identical seeded chaos
-// workload: servers contacted per lookup and tail latency. The fourth
-// form measures acked-mutation throughput at each durability level
-// (volatile, fsync=never/batch/always): the cost of crash safety and
-// how much of it group commit recovers. The fifth form runs the
-// kill/replace churn loop with anti-entropy repair on vs. off and
-// reports the achieved-t retention curve per scheme. The sixth form
-// drives join/drain rounds through every placement scheme — entries
-// moved, rebalance wall time, availability during churn — and compares
-// Hash-y against multi-probe consistent hashing on placement load skew.
+// The second form compares the failure-aware selector on vs. off over
+// an identical seeded chaos workload: servers contacted per lookup and
+// tail latency. The third form runs the kill/replace churn loop with
+// anti-entropy repair on vs. off and reports the achieved-t retention
+// curve per scheme. The fourth form drives join/drain rounds through
+// every placement scheme — entries moved, rebalance wall time,
+// availability during churn — and compares Hash-y against multi-probe
+// consistent hashing on placement load skew. The fifth form compares
+// zone-spread placement on vs. off on a rack/DC/region topology.
 //
 // At -fidelity full the runner approaches the paper's stated fidelity
 // (5000 runs per data point) and can take many minutes; default keeps
@@ -64,44 +57,24 @@ func run() error {
 		updates  = flag.Int("updates", 0, "override: update events per dynamic run")
 		out      = flag.String("out", "", "also write the rendered tables to this file (e.g. results/availability.md)")
 		telOut   = flag.String("telemetry-out", "", "write a telemetry snapshot (per-experiment runs/durations, runtime stats) as JSON to this file")
-		nodeOut  = flag.String("node-bench", "", "run the node lock micro-benchmark instead of experiments and write BENCH_node.json-style output to this file")
-		nodeWin  = flag.Duration("node-bench-window", 2*time.Second, "measurement window per node-bench configuration")
 		selOut   = flag.String("select-bench", "", "run the selector on/off comparison under chaos instead of experiments and write BENCH_select.json-style output to this file")
 		selRnds  = flag.Int("select-bench-rounds", 15, "passes over the working set per select-bench arm")
-		walOut   = flag.String("wal-bench", "", "run the durability overhead micro-benchmark instead of experiments and write BENCH_wal.json-style output to this file")
-		walWin   = flag.Duration("wal-bench-window", 2*time.Second, "measurement window per wal-bench durability level")
 		repOut   = flag.String("repair-bench", "", "run the anti-entropy churn benchmark instead of experiments and write BENCH_repair.json-style output to this file")
 		repRnds  = flag.Int("repair-bench-rounds", 8, "kill/replace rounds per repair-bench arm")
 		memOut   = flag.String("membership-bench", "", "run the join/drain churn benchmark instead of experiments and write BENCH_membership.json-style output to this file")
 		memRnds  = flag.Int("membership-bench-rounds", 6, "join+drain rounds per membership-bench scheme")
-		coreOut  = flag.String("core-bench", "", "run the hot-path GOMAXPROCS sweep with per-layer toggles instead of experiments and write BENCH_core.json-style output to this file")
-		coreWin  = flag.Duration("core-bench-window", 2*time.Second, "measurement window per core-bench arm")
-		proxyOut = flag.String("proxy-bench", "", "run the open-loop Zipf direct-vs-proxy load sweep instead of experiments and write BENCH_proxy.json-style output to this file")
-		proxyWin = flag.Duration("proxy-bench-window", 1500*time.Millisecond, "measurement window per proxy-bench rate point")
 		zoneOut  = flag.String("zone-bench", "", "run the zone-spread on/off availability comparison instead of experiments and write BENCH_zone.json-style output to this file")
 	)
 	flag.Parse()
 
-	if *nodeOut != "" {
-		return runNodeBench(*nodeOut, *nodeWin)
-	}
 	if *selOut != "" {
 		return runSelectBench(*selOut, *selRnds)
-	}
-	if *walOut != "" {
-		return runWALBench(*walOut, *walWin)
 	}
 	if *repOut != "" {
 		return runRepairBench(*repOut, *repRnds)
 	}
 	if *memOut != "" {
 		return runMembershipBench(*memOut, *memRnds)
-	}
-	if *coreOut != "" {
-		return runCoreBench(*coreOut, *coreWin)
-	}
-	if *proxyOut != "" {
-		return runProxyBench(*proxyOut, *proxyWin)
 	}
 	if *zoneOut != "" {
 		return runZoneBench(*zoneOut)

@@ -3,7 +3,6 @@ package node_test
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -42,23 +41,11 @@ func benchCluster(b *testing.B, h int) transport.Caller {
 
 func benchKey(k int) string { return fmt.Sprintf("bench-k%d", k) }
 
-// serialCaller serializes every call behind one mutex: the coarse-lock
-// baseline the store refactor replaced, kept so benchmarks (and
-// BENCH_node.json) can report the speedup against it on any machine.
-type serialCaller struct {
-	mu    sync.Mutex
-	inner transport.Caller
-}
-
-func (s *serialCaller) NumServers() int { return s.inner.NumServers() }
-
-func (s *serialCaller) Call(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inner.Call(ctx, server, msg)
-}
-
-func runParallelLookups(b *testing.B, c transport.Caller) {
+// BenchmarkNodeParallelLookup measures multi-core partial-lookup
+// throughput of one node across many keys: the workload the sharded
+// store with copy-on-write snapshots is built for.
+func BenchmarkNodeParallelLookup(b *testing.B) {
+	c := benchCluster(b, 200)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -75,20 +62,6 @@ func runParallelLookups(b *testing.B, c transport.Caller) {
 			k++
 		}
 	})
-}
-
-// BenchmarkNodeParallelLookup measures multi-core partial-lookup
-// throughput of one node across many keys: the workload the sharded
-// store with copy-on-write snapshots is built for.
-func BenchmarkNodeParallelLookup(b *testing.B) {
-	runParallelLookups(b, benchCluster(b, 200))
-}
-
-// BenchmarkNodeParallelLookupCoarse is the same workload forced through
-// a single global lock — the pre-refactor node architecture — so every
-// run reports the sharded-vs-coarse scaling side by side.
-func BenchmarkNodeParallelLookupCoarse(b *testing.B) {
-	runParallelLookups(b, &serialCaller{inner: benchCluster(b, 200)})
 }
 
 // BenchmarkNodeParallelMixed interleaves lookups with adds and deletes

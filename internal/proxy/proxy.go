@@ -8,7 +8,7 @@
 // profitable.
 //
 // The proxy speaks the ordinary wire protocol behind transport.Server
-// (frame v1 and v2 both), so any client of a plsd node can point at a
+// (multiplexed frames), so any client of a plsd node can point at a
 // plsproxy unchanged. Lookups flow cache → singleflight →
 // core.Service (which fans probes to the nodes over the multiplexed
 // transport through the selector stack); updates flow straight through

@@ -194,7 +194,7 @@ func fillErrs(errs []error, idxs []int, err error) {
 }
 
 // coordinatorCount clamps the configured Round-y coordinator count to
-// the cluster size, matching sendUpdate's routing.
+// [1, n], the servers single and batched updates try in order.
 func coordinatorCount(cfg wire.Config, n int) int {
 	coords := cfg.Coordinators
 	if coords < 1 {
@@ -288,7 +288,7 @@ func (d *Driver) PartialLookupBatch(ctx context.Context, c transport.Caller, key
 		}
 		fillErrs(errs, nil, ErrNoLiveServers)
 		return results, errs
-	default: // RandomServer, Hash, RoundRobin: shared random walk.
+	default: // RandomServer, Hash, MultiProbe, RoundRobin: shared random walk.
 		pending := make([]int, len(keys))
 		for i := range pending {
 			pending[i] = i

@@ -1,9 +1,11 @@
-// Package strategy implements the client side of the five partial-lookup
-// placement strategies (Sec. 3 and Sec. 5 of the paper): routing place /
-// add / delete requests to an initial server, and the per-scheme lookup
-// sequencing — single-probe for the replicated schemes, random probing
-// for RandomServer-x and Hash-y, and the deterministic s, s+y, s+2y, ...
-// walk for Round-Robin-y with random fallback under failures.
+// Package strategy implements the client side of the seven placement
+// strategies — the paper's five partial-lookup schemes (Sec. 3 and
+// Sec. 5) plus the KeyPartition baseline and MultiProbe-y: routing
+// place / add / delete requests to an initial server, and the
+// per-scheme lookup sequencing — single-probe for the replicated
+// schemes and KeyPartition, random probing for RandomServer-x, Hash-y
+// and MultiProbe-y, and the deterministic s, s+y, s+2y, ... walk for
+// Round-Robin-y with random fallback under failures.
 package strategy
 
 import (
@@ -166,13 +168,7 @@ func (d *Driver) sendUpdate(ctx context.Context, c transport.Caller, msg wire.Me
 		return d.callAck(ctx, c, node.PartitionServer(key, c.NumServers()), msg)
 	}
 	if d.cfg.Scheme == wire.RoundRobin {
-		coords := d.cfg.Coordinators
-		if coords < 1 {
-			coords = 1
-		}
-		if coords > c.NumServers() {
-			coords = c.NumServers()
-		}
+		coords := coordinatorCount(d.cfg, c.NumServers())
 		var lastErr error
 		for server := 0; server < coords; server++ {
 			err := d.callAck(ctx, c, server, msg)

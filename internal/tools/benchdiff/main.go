@@ -1,28 +1,20 @@
-// Command benchdiff guards the performance trajectory: it compares a
-// freshly generated plsbench JSON report against a checked-in baseline
-// and exits non-zero when any throughput metric regressed by more than
-// the threshold (default 25%). Improvements and small noise pass; the
-// gate only catches real cliffs, so it is safe on shared CI runners.
+// Command benchdiff guards the zone-placement efficacy trajectory: it
+// compares a freshly generated BENCH_zone.json against the checked-in
+// baseline and exits non-zero when any gated fraction fell by more than
+// the threshold (default 25%). Improvements and small noise pass.
+// Performance is not gated here: bench/ with BENCHMARK.json is the
+// repository's one performance benchmark.
 //
 // Usage:
 //
 //	go run ./internal/tools/benchdiff [-threshold 0.25] baseline.json current.json [baseline2.json current2.json ...]
 //
-// The report kind is sniffed from its fields — BENCH_node.json
-// (sharded/coarse lookup ops_per_sec, batch keys_per_sec),
-// BENCH_wal.json (volatile plus per-fsync-policy acked-mutation
-// ops_per_sec), BENCH_core.json (full-stack lookup ops_per_sec per
-// swept GOMAXPROCS, plus the mux-transport and epoch-store toggle
-// arms), BENCH_proxy.json (direct and proxy-arm saturation rates
-// from the open-loop sweep), and BENCH_zone.json (zone-spread on/off
-// availability and partition-survival fractions) are understood. Only
-// bigger-is-better metrics are gated — latency
-// percentiles and allocation counts in the reports are informational
-// here (allocations have their own hard gates in internal/wire's
-// tests). Refresh a baseline by regenerating the report on a quiet
-// machine and committing it over the old one:
+// Gated per arm (zone-spread on/off): availability under every
+// single-zone partition and the partition-survival fraction. Both are
+// bigger-is-better. Refresh the baseline by regenerating the report
+// and committing it over the old one:
 //
-//	go run ./cmd/plsbench -node-bench results/baselines/BENCH_node.json
+//	go run ./cmd/plsbench -zone-bench results/baselines/BENCH_zone.json
 package main
 
 import (
@@ -32,7 +24,7 @@ import (
 	"os"
 )
 
-// metric is one throughput number extracted from a report, keyed by a
+// metric is one gated number extracted from a report, keyed by a
 // stable human-readable name so baseline and current line up even if
 // JSON ordering changes.
 type metric struct {
@@ -40,60 +32,9 @@ type metric struct {
 	value float64
 }
 
-// nodeReport mirrors the throughput-bearing subset of BENCH_node.json.
-type nodeReport struct {
-	Sharded struct {
-		OpsPerSec float64 `json:"ops_per_sec"`
-	} `json:"sharded"`
-	Coarse struct {
-		OpsPerSec float64 `json:"ops_per_sec"`
-	} `json:"coarse"`
-	Batch struct {
-		KeysPerSec float64 `json:"keys_per_sec"`
-	} `json:"batch"`
-}
-
-// walReport mirrors the throughput-bearing subset of BENCH_wal.json.
-type walReport struct {
-	Volatile struct {
-		OpsPerSec float64 `json:"ops_per_sec"`
-	} `json:"volatile"`
-	Arms []struct {
-		Policy    string  `json:"policy"`
-		OpsPerSec float64 `json:"ops_per_sec"`
-	} `json:"arms"`
-}
-
-// coreReport mirrors the throughput-bearing subset of BENCH_core.json.
-type coreReport struct {
-	Scaling []struct {
-		GOMAXPROCS int     `json:"gomaxprocs"`
-		OpsPerSec  float64 `json:"ops_per_sec"`
-	} `json:"scaling"`
-	TransportMux struct {
-		OpsPerSec float64 `json:"ops_per_sec"`
-	} `json:"transport_mux"`
-	StoreEpoch struct {
-		OpsPerSec float64 `json:"ops_per_sec"`
-	} `json:"store_epoch"`
-}
-
-// proxyReport mirrors the throughput-bearing subset of
-// BENCH_proxy.json.
-type proxyReport struct {
-	DirectSaturationOps float64 `json:"direct_saturation_ops"`
-	ProxySaturationOps  float64 `json:"proxy_saturation_ops"`
-	Proxy               []struct {
-		OfferedPerSec  float64 `json:"offered_per_sec"`
-		AchievedPerSec float64 `json:"achieved_per_sec"`
-	} `json:"proxy"`
-}
-
-// zoneReport mirrors the gated subset of BENCH_zone.json. Availability
-// and satisfied fractions are "throughput-shaped" for the gate's
-// purposes: bigger is better and a drop past the threshold is a
-// regression (the spread arm's 1.0 additionally hard-fails inside the
-// bench itself).
+// zoneReport mirrors the gated subset of BENCH_zone.json. A drop past
+// the threshold in either fraction is a regression (the spread arm's
+// 1.0 additionally hard-fails inside the bench itself).
 type zoneReport struct {
 	Arms []struct {
 		Spread                 bool    `json:"spread"`
@@ -102,85 +43,33 @@ type zoneReport struct {
 	} `json:"zone_arms"`
 }
 
-// extract sniffs the report kind from its top-level fields and returns
-// its throughput metrics. Unknown shapes are an error, not a silent
-// pass: a renamed field must not disarm the gate.
+// extract returns the gated metrics of the zone report at path. Any
+// other shape is an error, not a silent pass: a renamed field must not
+// disarm the gate.
 func extract(path string) ([]metric, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var probe map[string]json.RawMessage
-	if err := json.Unmarshal(data, &probe); err != nil {
+	var r zoneReport
+	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	switch {
-	case probe["sharded"] != nil:
-		var r nodeReport
-		if err := json.Unmarshal(data, &r); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return []metric{
-			{"node.sharded.ops_per_sec", r.Sharded.OpsPerSec},
-			{"node.coarse.ops_per_sec", r.Coarse.OpsPerSec},
-			{"node.batch.keys_per_sec", r.Batch.KeysPerSec},
-		}, nil
-	case probe["scaling"] != nil:
-		var r coreReport
-		if err := json.Unmarshal(data, &r); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		var ms []metric
-		for _, p := range r.Scaling {
-			ms = append(ms, metric{fmt.Sprintf("core.p%d.ops_per_sec", p.GOMAXPROCS), p.OpsPerSec})
+	if len(r.Arms) == 0 {
+		return nil, fmt.Errorf("%s: unrecognized report shape (want BENCH_zone.json's zone_arms)", path)
+	}
+	var ms []metric
+	for _, a := range r.Arms {
+		name := "nospread"
+		if a.Spread {
+			name = "spread"
 		}
 		ms = append(ms,
-			metric{"core.transport_mux.ops_per_sec", r.TransportMux.OpsPerSec},
-			metric{"core.store_epoch.ops_per_sec", r.StoreEpoch.OpsPerSec},
+			metric{"zone." + name + ".availability", a.Availability},
+			metric{"zone." + name + ".partition_satisfied_frac", a.PartitionSatisfiedFrac},
 		)
-		return ms, nil
-	case probe["proxy_saturation_ops"] != nil:
-		var r proxyReport
-		if err := json.Unmarshal(data, &r); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		ms := []metric{
-			{"proxy.direct_saturation_ops", r.DirectSaturationOps},
-			{"proxy.proxy_saturation_ops", r.ProxySaturationOps},
-		}
-		if n := len(r.Proxy); n > 0 {
-			ms = append(ms, metric{"proxy.top_rate_achieved_per_sec", r.Proxy[n-1].AchievedPerSec})
-		}
-		return ms, nil
-	case probe["zone_arms"] != nil:
-		var r zoneReport
-		if err := json.Unmarshal(data, &r); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		var ms []metric
-		for _, a := range r.Arms {
-			name := "nospread"
-			if a.Spread {
-				name = "spread"
-			}
-			ms = append(ms,
-				metric{"zone." + name + ".availability", a.Availability},
-				metric{"zone." + name + ".partition_satisfied_frac", a.PartitionSatisfiedFrac},
-			)
-		}
-		return ms, nil
-	case probe["volatile"] != nil:
-		var r walReport
-		if err := json.Unmarshal(data, &r); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		ms := []metric{{"wal.volatile.ops_per_sec", r.Volatile.OpsPerSec}}
-		for _, a := range r.Arms {
-			ms = append(ms, metric{"wal." + a.Policy + ".ops_per_sec", a.OpsPerSec})
-		}
-		return ms, nil
 	}
-	return nil, fmt.Errorf("%s: unrecognized report shape (want BENCH_node.json, BENCH_wal.json, BENCH_core.json, BENCH_proxy.json, or BENCH_zone.json fields)", path)
+	return ms, nil
 }
 
 // diff compares current against baseline metrics by name and returns
@@ -216,7 +105,7 @@ func diff(baseline, current []metric, threshold float64) int {
 }
 
 func main() {
-	threshold := flag.Float64("threshold", 0.25, "maximum tolerated fractional throughput drop vs baseline")
+	threshold := flag.Float64("threshold", 0.25, "maximum tolerated fractional drop vs baseline")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 || len(args)%2 != 0 {

@@ -1,51 +1,89 @@
 package transport
 
 import (
-	"bytes"
-	"strings"
+	"context"
+	"encoding/binary"
+	"net"
+	"os"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
 
-// TestFrameZeroLengthBoundary pins the agreement between the two frame
-// ends at the empty-payload boundary: ReadFrame rejects a zero-length
-// frame, and the writing side refuses to produce one, so no message can
-// be emitted that the peer will drop the connection over.
-func TestFrameZeroLengthBoundary(t *testing.T) {
-	if err := writeRawFrame(&bytes.Buffer{}, nil); err == nil {
-		t.Fatal("writeRawFrame accepted a zero-length payload")
-	}
-	if err := writeRawFrame(&bytes.Buffer{}, []byte{}); err == nil {
-		t.Fatal("writeRawFrame accepted an empty payload")
-	}
+// countingHandler counts the requests that reach the handler.
+type countingHandler struct{ calls atomic.Int64 }
 
-	// A hand-built zero-length frame must be rejected by the reader.
-	_, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0}))
-	if err == nil || !strings.Contains(err.Error(), "bad frame length") {
-		t.Fatalf("ReadFrame on zero-length frame: err = %v, want bad frame length", err)
+func (h *countingHandler) Handle(context.Context, wire.Message) wire.Message {
+	h.calls.Add(1)
+	return wire.Ack{}
+}
+
+// v1Frame frames msg in the retired v1 layout: a length prefix and the
+// bare encoded message, no marker, no request id.
+func v1Frame(msg wire.Message) []byte {
+	payload := wire.Encode(msg)
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
+// TestServerCutsOffMalformedFrames: a connection whose first frame is
+// not a well-formed frame — the bare-payload layout of the retired
+// frame v1, a zero-length prefix, a prefix over wire.MaxFrameBody — is
+// closed without the handler ever running.
+func TestServerCutsOffMalformedFrames(t *testing.T) {
+	prefix := func(n uint32) []byte { return binary.BigEndian.AppendUint32(nil, n) }
+	cases := []struct {
+		name  string
+		bytes []byte
+	}{
+		{"v1 frame", v1Frame(wire.Ping{})},
+		{"unknown leading byte", append(prefix(3), 0xEE, 1, 2)},
+		{"zero-length prefix", prefix(0)},
+		{"prefix over MaxFrameBody", prefix(wire.MaxFrameBody + 1)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := &countingHandler{}
+			addr, _ := startHandler(t, h)
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(tc.bytes); err != nil {
+				t.Fatalf("Write: %v", err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			n, err := conn.Read(make([]byte, 64))
+			if err == nil || os.IsTimeout(err) {
+				t.Fatalf("Read = %d bytes, %v; want the server to close the connection", n, err)
+			}
+			if got := h.calls.Load(); got != 0 {
+				t.Fatalf("handler ran %d times on a malformed frame", got)
+			}
+		})
 	}
 }
 
-// TestFrameMinimumPayloadRoundTrip round-trips the smallest message the
-// codec can produce (Ping encodes to exactly one byte — the kind), the
-// frame closest to the zero-length boundary.
-func TestFrameMinimumPayloadRoundTrip(t *testing.T) {
-	if got := len(wire.Encode(wire.Ping{})); got != 1 {
-		t.Fatalf("Ping encodes to %d bytes, want 1 (test premise)", got)
+// TestClientFailsConnOnMalformedReply: a reply that is not a
+// well-formed frame fails the connection and the call waiting on it.
+func TestClientFailsConnOnMalformedReply(t *testing.T) {
+	client := NewClient([]string{"pipe:unused"}, WithMuxConns(1), WithTimeout(5*time.Second))
+	defer client.Close()
+	mc, far := plantPipeConn(t, client)
+	defer far.Close()
+	go func() {
+		// Swallow the request, answer in the retired v1 layout.
+		if _, err := far.Read(make([]byte, 256)); err != nil {
+			return
+		}
+		_, _ = far.Write(v1Frame(wire.Ack{}))
+	}()
+	if _, err := client.Call(context.Background(), 0, wire.Ping{}); err == nil {
+		t.Fatal("call succeeded on a v1-framed reply")
 	}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, wire.Ping{}); err != nil {
-		t.Fatalf("WriteFrame(Ping): %v", err)
-	}
-	if buf.Len() != 5 { // 4-byte header + 1-byte payload
-		t.Fatalf("framed Ping is %d bytes, want 5", buf.Len())
-	}
-	msg, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatalf("ReadFrame: %v", err)
-	}
-	if _, ok := msg.(wire.Ping); !ok {
-		t.Fatalf("round trip returned %T, want wire.Ping", msg)
+	if mc.alive() {
+		t.Fatal("connection survived a malformed reply")
 	}
 }

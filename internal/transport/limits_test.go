@@ -3,27 +3,147 @@ package transport
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
 
-// TestWriteFrameRejectsOversizedPayload: a message larger than the
-// codec limit must be refused at the sender, not silently truncated.
-func TestWriteFrameRejectsOversizedPayload(t *testing.T) {
-	huge := wire.LookupReply{Entries: make([]string, 0, 1)}
-	// Build a payload just over MaxPayload using one giant string is
-	// impossible (strings are capped at 64k by the codec), so use many
-	// entries.
-	n := (wire.MaxPayload / 1024) + 64
+// hugeReply is a message whose frame is over wire.MaxFrameBody. One
+// giant string is impossible (the codec caps strings at 64k), so it
+// carries many entries.
+func hugeReply() wire.LookupReply {
 	body := strings.Repeat("x", 1020)
-	for i := 0; i < n; i++ {
-		huge.Entries = append(huge.Entries, body)
+	entries := make([]string, wire.MaxPayload/1024+64)
+	for i := range entries {
+		entries[i] = body
 	}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, huge); err == nil {
-		t.Fatal("oversized frame accepted")
+	return wire.LookupReply{Entries: entries}
+}
+
+// gatedEcho holds Lookup "slow" until release closes, signalling
+// started first; it answers Lookup "huge" with hugeReply.
+type gatedEcho struct {
+	started chan struct{}
+	release chan struct{}
+}
+
+func (h gatedEcho) Handle(_ context.Context, msg wire.Message) wire.Message {
+	m, ok := msg.(wire.Lookup)
+	switch {
+	case ok && m.Key == "slow":
+		h.started <- struct{}{}
+		<-h.release
+		return wire.LookupReply{Entries: []string{m.Key}}
+	case ok && m.Key == "huge":
+		return hugeReply()
+	}
+	return wire.Ack{}
+}
+
+// withCallInFlight starts a gatedEcho server and a one-connection
+// client, parks a "slow" call in the handler, runs during, and then
+// requires the parked call — which shared the connection with whatever
+// during sent — to complete with its real reply.
+func withCallInFlight(t *testing.T, during func(c *Client)) {
+	t.Helper()
+	h := gatedEcho{started: make(chan struct{}, 1), release: make(chan struct{})}
+	addr, _ := startHandler(t, h)
+	client := NewClient([]string{addr}, WithMuxConns(1), WithTimeout(5*time.Second))
+	defer client.Close()
+	// Runs before the server closes, which waits for the parked handler
+	// — also when during fails the test.
+	var once sync.Once
+	release := func() { once.Do(func() { close(h.release) }) }
+	defer release()
+
+	type result struct {
+		reply wire.Message
+		err   error
+	}
+	inFlight := make(chan result, 1)
+	go func() {
+		reply, err := client.Call(context.Background(), 0, wire.Lookup{Key: "slow", T: 1})
+		inFlight <- result{reply, err}
+	}()
+	<-h.started
+
+	during(client)
+
+	release()
+	res := <-inFlight
+	if res.err != nil {
+		t.Fatalf("call in flight on the same connection failed: %v", res.err)
+	}
+	if lr, ok := res.reply.(wire.LookupReply); !ok || len(lr.Entries) != 1 || lr.Entries[0] != "slow" {
+		t.Fatalf("in-flight reply = %#v", res.reply)
+	}
+}
+
+// TestCallRefusesOversizedRequest: a request over the frame limit is
+// refused at the sender as the message's fault — not ErrServerDown, so
+// nothing fails over or retries — and is never written: the server
+// would drop the connection over it, failing every call in flight.
+func TestCallRefusesOversizedRequest(t *testing.T) {
+	withCallInFlight(t, func(c *Client) {
+		_, err := c.Call(context.Background(), 0, hugeReply())
+		if !errors.Is(err, wire.ErrOversized) || errors.Is(err, ErrServerDown) {
+			t.Fatalf("oversized request: err = %v, want wire.ErrOversized and not ErrServerDown", err)
+		}
+	})
+}
+
+// TestServerAnswersOversizedReplyWithError: a handler reply over the
+// frame limit reaches the caller as an error reply, not as a frame the
+// client must hang up over.
+func TestServerAnswersOversizedReplyWithError(t *testing.T) {
+	withCallInFlight(t, func(c *Client) {
+		reply, err := c.Call(context.Background(), 0, wire.Lookup{Key: "huge", T: 1})
+		if err != nil {
+			t.Fatalf("call with an oversized reply: %v", err)
+		}
+		if ack, ok := reply.(wire.Ack); !ok || !strings.Contains(ack.Err, "oversized") {
+			t.Fatalf("reply = %#v, want an Ack naming the oversized reply", reply)
+		}
+	})
+}
+
+// TestLargeFrameBuffersAreNotRetained: one large frame must not pin its
+// buffer afterwards — neither in the frame pool nor in a connection's
+// frame reader.
+func TestLargeFrameBuffersAreNotRetained(t *testing.T) {
+	// The pool may drop any buffer, so only the passing direction is
+	// deterministic: a grown buffer never comes back. Two gets reach
+	// both places a put can land (the P-private slot and the shared
+	// list's head).
+	for i := 0; i < 64; i++ {
+		big := make([]byte, 0, 4*maxRetainedBuf)
+		putFrameBuf(&big)
+		a, b := getFrameBuf(), getFrameBuf()
+		if cap(*a) > maxRetainedBuf || cap(*b) > maxRetainedBuf {
+			t.Fatalf("pool handed back a %d/%d-byte buffer, retention bound is %d", cap(*a), cap(*b), maxRetainedBuf)
+		}
+		putFrameBuf(a)
+		putFrameBuf(b)
+	}
+
+	large := wire.LookupReply{Entries: make([]string, 4*maxRetainedBuf/8)}
+	for i := range large.Entries {
+		large.Entries[i] = "entry-xx"
+	}
+	stream := wire.AppendFrameV2(nil, 1, large)
+	stream = wire.AppendFrameV2(stream, 2, wire.Ping{})
+	fr := newFrameReader(bytes.NewReader(stream))
+	for id := uint64(1); id <= 2; id++ {
+		if fb, err := fr.next(); err != nil || fb.ID != id {
+			t.Fatalf("frame %d: got id %d, %v", id, fb.ID, err)
+		}
+	}
+	if cap(fr.body) > maxRetainedBuf {
+		t.Fatalf("reader kept a %d-byte body after a large frame, retention bound is %d", cap(fr.body), maxRetainedBuf)
 	}
 }
 

@@ -1,12 +1,9 @@
 package transport
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -323,6 +320,9 @@ func (mc *muxConn) writeLoop() {
 			mc.drainWriteQueue()
 			return
 		}
+		if cap(*scratch) > maxRetainedBuf {
+			*scratch = nil // grown for a large frame; regrown on demand
+		}
 	}
 }
 
@@ -343,38 +343,15 @@ func (mc *muxConn) drainWriteQueue() {
 // readLoop demultiplexes tagged replies into pending channels until the
 // connection errors out.
 func (mc *muxConn) readLoop() {
-	br := bufio.NewReaderSize(mc.conn, 32<<10)
-	var hdr [4]byte
-	var body []byte
+	fr := newFrameReader(mc.conn)
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			mc.fail(fmt.Errorf("transport: read: %w", err))
-			return
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n == 0 || n > wire.MaxFrameBody {
-			mc.fail(fmt.Errorf("transport: bad frame length %d", n))
-			return
-		}
-		if cap(body) < int(n) {
-			body = make([]byte, n)
-		}
-		body = body[:n]
-		if _, err := io.ReadFull(br, body); err != nil {
-			mc.fail(fmt.Errorf("transport: read frame payload: %w", err))
-			return
-		}
-		fb, err := wire.ParseFrameBody(body)
+		fb, err := fr.next()
 		if err != nil {
-			mc.fail(fmt.Errorf("transport: parse frame: %w", err))
+			mc.fail(err)
 			return
 		}
-		if fb.Version != 2 {
-			mc.fail(fmt.Errorf("%w: server replied v%d on a multiplexed conn",
-				wire.ErrFrameVersion, fb.Version))
-			return
-		}
-		// Decode copies into a fresh arena, so body is reusable next loop.
+		// Decode copies into a fresh arena, so the reader's buffer is
+		// reusable next loop.
 		msg, err := wire.Decode(fb.Payload)
 		if err != nil {
 			mc.fail(fmt.Errorf("transport: decode frame: %w", err))
@@ -499,8 +476,13 @@ func (c *Client) Call(ctx context.Context, server int, msg wire.Message) (wire.M
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrServerDown, err)
 	}
-	buf := getFrameBuf()
-	*buf = wire.AppendFrameV2((*buf)[:0], id, msg)
+	buf, err := encodeFrame(id, msg)
+	if err != nil {
+		// The message's fault, not the server's: reported as is, with
+		// the connection and the calls in flight on it left alone.
+		mc.deregister(id)
+		return nil, err
+	}
 	timer := time.NewTimer(c.timeout)
 	defer timer.Stop()
 	if err := mc.enqueue(ctx, timer.C, buf); err != nil {

@@ -14,84 +14,82 @@ import (
 	"repro/internal/wire"
 )
 
-// Frame format: 4-byte big-endian body length, then the frame body.
-// Two body layouts exist (wire.ParseFrameBody classifies them by the
-// leading byte):
-//
-//	v1: the payload produced by wire.Encode — one request in flight
-//	    per connection, replies matched by order.
-//	v2: wire.FrameV2Marker, an 8-byte request id, then the payload —
-//	    multiplexed, replies matched by id.
-//
-// WriteFrame/ReadFrame below speak v1; they remain the compatibility
-// surface (and the unit of the frame tests). The multiplexed client in
-// mux.go and the server's v2 arm frame with wire.AppendFrameV2.
+// Frame format: a 4-byte big-endian body length, then the body
+// wire.AppendFrameV2 lays out — marker, 8-byte request id, encoded
+// message. The Server and the multiplexed Client in mux.go write frames
+// with encodeFrame and read them with a frameReader, so both ends
+// enforce the same bounds.
 
-// WriteFrame writes one framed message to w.
-func WriteFrame(w io.Writer, msg wire.Message) error {
-	return writeRawFrame(w, wire.Encode(msg))
+// maxRetainedBuf bounds the capacity of a buffer kept across frames: a
+// connection's read buffer and the pooled encode buffers. A frame may
+// be as large as wire.MaxFrameBody, but one such frame must not pin
+// that much memory per connection and per pool slot afterwards.
+const maxRetainedBuf = 64 << 10
+
+// frameReader reads frames off one connection into a reused buffer.
+type frameReader struct {
+	br   *bufio.Reader
+	hdr  [4]byte
+	body []byte
 }
 
-// writeRawFrame frames an encoded payload. It enforces the same bounds
-// ReadFrame does — in particular it rejects zero-length payloads, which
-// the reading side treats as a framing error (wire.Encode always emits
-// at least the kind byte, so a well-formed message can never hit this).
-func writeRawFrame(w io.Writer, payload []byte) error {
-	if len(payload) == 0 {
-		return errors.New("transport: refusing to write zero-length frame")
-	}
-	if len(payload) > wire.MaxPayload {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(payload))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("transport: write frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("transport: write frame payload: %w", err)
-	}
-	return nil
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, 32<<10)}
 }
 
-// ReadFrame reads one framed message from r.
-func ReadFrame(r io.Reader) (wire.Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// next reads one frame. The returned payload aliases the reader's
+// buffer and is valid until the following call.
+func (fr *frameReader) next() (wire.FrameBody, error) {
+	if cap(fr.body) > maxRetainedBuf {
+		fr.body = nil // before the wait for the next frame, however long
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > wire.MaxPayload {
-		return nil, fmt.Errorf("transport: bad frame length %d", n)
+	if _, err := io.ReadFull(fr.br, fr.hdr[:]); err != nil {
+		return wire.FrameBody{}, fmt.Errorf("transport: read: %w", err)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("transport: read frame payload: %w", err)
+	n := binary.BigEndian.Uint32(fr.hdr[:])
+	if n == 0 || n > wire.MaxFrameBody {
+		return wire.FrameBody{}, fmt.Errorf("transport: bad frame length %d", n)
 	}
-	msg, err := wire.Decode(payload)
+	if cap(fr.body) < int(n) {
+		fr.body = make([]byte, n)
+	}
+	fr.body = fr.body[:n]
+	if _, err := io.ReadFull(fr.br, fr.body); err != nil {
+		return wire.FrameBody{}, fmt.Errorf("transport: read frame body: %w", err)
+	}
+	fb, err := wire.ParseFrameBody(fr.body)
 	if err != nil {
-		return nil, fmt.Errorf("transport: decode frame: %w", err)
+		return wire.FrameBody{}, fmt.Errorf("transport: parse frame: %w", err)
 	}
-	return msg, nil
+	return fb, nil
 }
 
-// maxInflightPerConn bounds the handler goroutines a single v2
-// connection may have running at once. The bound is per connection, not
-// global: it stops one pipelining peer from monopolizing the scheduler
-// while leaving unrelated connections untouched.
+// encodeFrame encodes msg as one frame into a pooled buffer. A frame
+// the peer's frameReader would refuse — and drop the connection over,
+// failing every other call in flight on it — is refused here instead,
+// with an error matching wire.ErrOversized.
+func encodeFrame(id uint64, msg wire.Message) (*[]byte, error) {
+	buf := getFrameBuf()
+	*buf = wire.AppendFrameV2((*buf)[:0], id, msg)
+	if n := len(*buf) - 4; n > wire.MaxFrameBody {
+		putFrameBuf(buf)
+		return nil, fmt.Errorf("transport: %w: %T frame body of %d bytes exceeds %d",
+			wire.ErrOversized, msg, n, wire.MaxFrameBody)
+	}
+	return buf, nil
+}
+
+// maxInflightPerConn bounds the handler goroutines a single connection
+// may have running at once. The bound is per connection, not global: it
+// stops one pipelining peer from monopolizing the scheduler while
+// leaving unrelated connections untouched.
 const maxInflightPerConn = 256
 
-// Server accepts TCP connections and serves a Handler. The frame
-// version is sticky per connection, fixed by the first frame:
-//
-//   - v1 connections are served serially — one request frame in, one
-//     reply frame out, in order — exactly as before multiplexing.
-//   - v2 connections dispatch every request frame to its own handler
-//     goroutine (bounded by maxInflightPerConn) and tag each reply with
-//     the id of the request it answers, so replies may overtake slow
-//     requests instead of queueing behind them.
-//
-// A peer that switches versions mid-stream is cut off as malformed.
+// Server accepts TCP connections and serves a Handler. Every request
+// frame is dispatched to its own handler goroutine (bounded by
+// maxInflightPerConn) and each reply is tagged with the id of the
+// request it answers, so replies may overtake slow requests instead of
+// queueing behind them. A peer that sends a malformed frame is cut off.
 type Server struct {
 	handler Handler
 
@@ -156,64 +154,29 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
-	// v2 dispatch state. inflight must drain before the deferred
-	// conn.Close above runs (defers are LIFO): a read-deadline kick from
-	// Shutdown breaks the read loop, but handlers already running still
-	// get their replies written — the same started-implies-replied
-	// guarantee the serial loop gave for free.
+	// inflight must drain before the deferred conn.Close above runs
+	// (defers are LIFO): a read-deadline kick from Shutdown breaks the
+	// read loop, but handlers already running still get their replies
+	// written.
 	var (
 		wmu      sync.Mutex
 		inflight sync.WaitGroup
-		sem      chan struct{}
+		sem      = make(chan struct{}, maxInflightPerConn)
 	)
 	defer inflight.Wait()
 
-	br := bufio.NewReaderSize(conn, 32<<10)
-	version := 0
-	var hdr [4]byte
-	var body []byte
+	fr := newFrameReader(conn)
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n == 0 || n > wire.MaxFrameBody {
-			return
-		}
-		if cap(body) < int(n) {
-			body = make([]byte, n)
-		}
-		body = body[:n]
-		if _, err := io.ReadFull(br, body); err != nil {
-			return
-		}
-		fb, err := wire.ParseFrameBody(body)
+		fb, err := fr.next()
 		if err != nil {
 			return
 		}
-		if version == 0 {
-			version = fb.Version
-			if version == 2 {
-				sem = make(chan struct{}, maxInflightPerConn)
-			}
-		} else if version != fb.Version {
-			return // mixed-version peer: cut off, never half-interpreted
-		}
-		// Decode copies into a fresh arena, so body is free for reuse
-		// the moment it returns — even while handlers still run.
+		// Decode copies into a fresh arena, so the reader's buffer is
+		// free for reuse the moment it returns — even while handlers
+		// still run.
 		msg, err := wire.Decode(fb.Payload)
 		if err != nil {
 			return
-		}
-		if version == 1 {
-			reply := s.handler.Handle(context.Background(), msg)
-			if reply == nil {
-				reply = wire.Ack{}
-			}
-			if err := WriteFrame(conn, reply); err != nil {
-				return
-			}
-			continue
 		}
 		sem <- struct{}{}
 		inflight.Add(1)
@@ -224,8 +187,12 @@ func (s *Server) serveConn(conn net.Conn) {
 			if reply == nil {
 				reply = wire.Ack{}
 			}
-			buf := getFrameBuf()
-			*buf = wire.AppendFrameV2((*buf)[:0], id, reply)
+			buf, err := encodeFrame(id, reply)
+			if err != nil {
+				// Answer with an error the caller can read; a short Ack
+				// always fits, so its encode error is not checked.
+				buf, _ = encodeFrame(id, wire.Ack{Err: err.Error()})
+			}
 			wmu.Lock()
 			_, werr := conn.Write(*buf)
 			wmu.Unlock()
@@ -311,7 +278,7 @@ func (s *Server) Close() error {
 }
 
 // getFrameBuf and putFrameBuf pool frame-encoding scratch buffers
-// shared by the server's v2 write path and the multiplexed client.
+// shared by the server's write path and the multiplexed client.
 var framePool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
@@ -322,8 +289,8 @@ var framePool = sync.Pool{
 func getFrameBuf() *[]byte { return framePool.Get().(*[]byte) }
 
 func putFrameBuf(b *[]byte) {
-	if cap(*b) > wire.MaxFrameBody+4 {
-		return // oversized one-off; let the GC take it
+	if cap(*b) > maxRetainedBuf {
+		return // grown for a large one-off; let the GC take it
 	}
 	framePool.Put(b)
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -21,42 +22,44 @@ func TestFrameRoundTrip(t *testing.T) {
 		wire.LookupReply{Entries: []string{"a", "b"}},
 	}
 	var buf bytes.Buffer
-	for _, m := range msgs {
-		if err := WriteFrame(&buf, m); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
-		}
-	}
-	for _, want := range msgs {
-		got, err := ReadFrame(&buf)
+	for i, m := range msgs {
+		frame, err := encodeFrame(uint64(i+1), m)
 		if err != nil {
-			t.Fatalf("ReadFrame: %v", err)
+			t.Fatalf("encodeFrame: %v", err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("frame round trip: got %#v, want %#v", got, want)
+		buf.Write(*frame)
+		putFrameBuf(frame)
+	}
+	fr := newFrameReader(&buf)
+	for i, want := range msgs {
+		fb, err := fr.next()
+		if err != nil {
+			t.Fatalf("next: %v", err)
+		}
+		got, err := wire.Decode(fb.Payload)
+		if err != nil {
+			t.Fatalf("Decode: %v", err)
+		}
+		if fb.ID != uint64(i+1) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame round trip: got id %d %#v, want id %d %#v", fb.ID, got, i+1, want)
 		}
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
-		t.Fatalf("ReadFrame on empty = %v, want EOF", err)
+	if _, err := fr.next(); !errors.Is(err, io.EOF) {
+		t.Fatalf("next on empty = %v, want EOF", err)
 	}
 }
 
-func TestReadFrameRejectsBadLength(t *testing.T) {
-	// Zero length.
-	if _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0})); err == nil {
-		t.Fatal("zero-length frame accepted")
-	}
-	// Over the payload limit.
-	if _, err := ReadFrame(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF})); err == nil {
-		t.Fatal("oversized frame accepted")
-	}
-	// Truncated payload.
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, wire.Lookup{Key: "abcdef", T: 1}); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()[:buf.Len()-2]
-	if _, err := ReadFrame(bytes.NewReader(data)); err == nil {
-		t.Fatal("truncated payload accepted")
+func TestFrameReaderRejectsBadFrames(t *testing.T) {
+	frame := wire.AppendFrameV2(nil, 1, wire.Lookup{Key: "abcdef", T: 1})
+	for name, data := range map[string][]byte{
+		"zero length":       {0, 0, 0, 0},
+		"over MaxFrameBody": binary.BigEndian.AppendUint32(nil, wire.MaxFrameBody+1),
+		"truncated body":    frame[:len(frame)-2],
+		"retired v1 layout": v1Frame(wire.Lookup{Key: "abcdef", T: 1}),
+	} {
+		if _, err := newFrameReader(bytes.NewReader(data)).next(); err == nil {
+			t.Errorf("%s: frame accepted", name)
+		}
 	}
 }
 
@@ -76,7 +79,13 @@ func (lookupEcho) Handle(_ context.Context, msg wire.Message) wire.Message {
 
 func startServer(t *testing.T) (addr string, srv *Server) {
 	t.Helper()
-	srv = NewServer(lookupEcho{})
+	return startHandler(t, lookupEcho{})
+}
+
+// startHandler serves h on a loopback port until the test ends.
+func startHandler(t *testing.T, h Handler) (addr string, srv *Server) {
+	t.Helper()
+	srv = NewServer(h)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)

@@ -236,22 +236,12 @@ func Decode(data []byte) (Message, error) {
 	// data.
 	arena := make([]byte, len(data))
 	copy(arena, data)
-	return DecodeOwned(arena)
+	return decode(arena)
 }
 
-// DecodeOwned parses a message like Decode but takes ownership of data:
-// decoded string fields alias it directly, with no arena copy. The
-// caller must not modify data after the call. It is the zero-copy path
-// for callers that read each message into a fresh buffer — the framed
-// TCP transport and the WAL replayer qualify; callers with a reused
-// read buffer must use Decode.
-func DecodeOwned(data []byte) (Message, error) {
-	if len(data) == 0 {
-		return nil, ErrTruncated
-	}
-	if len(data) > MaxPayload {
-		return nil, ErrOversized
-	}
+// decode parses the non-empty arena Decode copied; decoded string
+// fields alias it.
+func decode(data []byte) (Message, error) {
 	d := decoder{buf: data[1:]}
 	kind := Kind(data[0])
 	var (
@@ -820,9 +810,8 @@ func (d *decoder) str() (string, error) {
 
 // view reinterprets b as a string without copying. Decoded strings may
 // be retained indefinitely (entry sets store them), so this is sound
-// only because every decode runs over an immutable buffer the decoder's
-// entry point owns: Decode copies the input into a private arena first,
-// and DecodeOwned transfers ownership by contract.
+// only because every decode runs over an immutable buffer the decoder
+// owns: Decode copies the input into a private arena first.
 func view(b []byte) string {
 	if len(b) == 0 {
 		return ""

@@ -50,6 +50,19 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	writeSeed(decodeDir, "seed-truncated",
 		fmt.Sprintf("[]byte(%s)", strconv.Quote(string(Encode(Place{Key: "k"}))[:3])))
 
+	// FuzzMuxFrame: the accepted bodies, then the must-reject ones (the
+	// retired v1 layout, version skew, truncated headers).
+	muxDir := filepath.Join("testdata", "fuzz", "FuzzMuxFrame")
+	if err := os.RemoveAll(muxDir); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range acceptedFrameSeeds() {
+		writeSeed(muxDir, "seed-accept-"+s.name, fmt.Sprintf("[]byte(%s)", strconv.Quote(string(s.body))))
+	}
+	for _, s := range rejectedFrameSeeds() {
+		writeSeed(muxDir, "seed-reject-"+s.name, fmt.Sprintf("[]byte(%s)", strconv.Quote(string(s.body))))
+	}
+
 	configDir := filepath.Join("testdata", "fuzz", "FuzzConfigRoundTrip")
 	for i, cfg := range []Config{
 		{Scheme: FullReplication},

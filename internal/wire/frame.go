@@ -7,52 +7,44 @@ import (
 )
 
 // Frame format. A frame is a 4-byte big-endian length prefix followed
-// by the frame body; the length counts only the body. Two body layouts
-// exist (see DESIGN.md §12):
+// by the frame body; the length counts only the body. There is one body
+// layout (see DESIGN.md §12):
 //
-//	v1:  [kind byte][fields...]                      — one in-flight
-//	     request per connection, replies matched by order.
-//	v2:  [0xF2][8-byte BE request id][kind byte][fields...]
-//	     — multiplexed: many in-flight requests per connection, each
-//	     reply tagged with the id of the request it answers.
+//	[0xF2][8-byte BE request id][kind byte][fields...]
 //
-// The encoded message payload is byte-identical between versions; v2
-// only prepends the marker and request id. The marker 0xF2 can never
-// open a v1 body, because a v1 body always starts with a message kind
-// and kinds are small integers — so a single leading byte classifies
-// every frame. A connection speaks exactly one version: the first
-// frame fixes it, and a peer that switches versions mid-stream is
-// rejected as malformed (ErrFrameVersion), never half-interpreted.
+// Frames are multiplexed: many requests are in flight per connection,
+// and each reply is tagged with the id of the request it answers. The
+// marker 0xF2 is not a message kind (kinds are small integers), so a
+// body that opens with anything else — in particular a bare encoded
+// message, the layout of the retired frame v1 — is rejected with
+// ErrFrameVersion, never half-interpreted.
 
 const (
-	// FrameV2Marker opens a v2 (multiplexed) frame body.
+	// FrameV2Marker opens every frame body.
 	FrameV2Marker = 0xF2
-	// FrameV2Overhead is the v2 header size inside the body: the
-	// marker byte plus the 8-byte request id.
+	// FrameV2Overhead is the header size inside the body: the marker
+	// byte plus the 8-byte request id.
 	FrameV2Overhead = 9
-	// MaxFrameBody bounds a frame body: the payload cap plus the v2
+	// MaxFrameBody bounds a frame body: the payload cap plus the
 	// header.
 	MaxFrameBody = MaxPayload + FrameV2Overhead
 )
 
-// ErrFrameVersion reports a frame whose leading byte is neither a
-// known message kind (v1) nor the v2 marker, or a version switch on a
-// connection that already fixed its version.
+// ErrFrameVersion reports a frame body that does not open with
+// FrameV2Marker.
 var ErrFrameVersion = errors.New("wire: unsupported frame version")
 
-// FrameBody is a classified frame body.
+// FrameBody is a parsed frame body.
 type FrameBody struct {
-	// Version is 1 or 2.
-	Version int
-	// ID is the request id tagging a v2 frame; zero for v1.
+	// ID is the request id tagging the frame.
 	ID uint64
 	// Payload is the encoded message, aliasing the input body.
 	Payload []byte
 }
 
-// ParseFrameBody classifies one frame body (the bytes after the length
-// prefix) without decoding the message payload. It never panics on
-// malformed input.
+// ParseFrameBody splits one frame body (the bytes after the length
+// prefix) into request id and payload without decoding the payload. It
+// never panics on malformed input.
 func ParseFrameBody(body []byte) (FrameBody, error) {
 	if len(body) == 0 {
 		return FrameBody{}, ErrTruncated
@@ -60,28 +52,19 @@ func ParseFrameBody(body []byte) (FrameBody, error) {
 	if len(body) > MaxFrameBody {
 		return FrameBody{}, ErrOversized
 	}
-	if body[0] == FrameV2Marker {
-		if len(body) < FrameV2Overhead+1 {
-			return FrameBody{}, fmt.Errorf("%w: %d-byte v2 frame body", ErrTruncated, len(body))
-		}
-		return FrameBody{
-			Version: 2,
-			ID:      binary.BigEndian.Uint64(body[1 : 1+8]),
-			Payload: body[FrameV2Overhead:],
-		}, nil
-	}
-	if !Kind(body[0]).known() {
+	if body[0] != FrameV2Marker {
 		return FrameBody{}, fmt.Errorf("%w: leading byte %#x", ErrFrameVersion, body[0])
 	}
-	return FrameBody{Version: 1, Payload: body}, nil
+	if len(body) < FrameV2Overhead+1 {
+		return FrameBody{}, fmt.Errorf("%w: %d-byte frame body", ErrTruncated, len(body))
+	}
+	return FrameBody{
+		ID:      binary.BigEndian.Uint64(body[1:FrameV2Overhead]),
+		Payload: body[FrameV2Overhead:],
+	}, nil
 }
 
-// known reports whether k is a defined message kind. It bounds the v1
-// arm of frame classification; Decode re-checks, so a kind added there
-// but not here fails closed.
-func (k Kind) known() bool { return k >= KindPlace && k <= KindRebalancePush }
-
-// AppendFrameV2 appends one complete v2 frame — length prefix, marker,
+// AppendFrameV2 appends one complete frame — length prefix, marker,
 // request id, and msg's encoding — to dst and returns the extended
 // slice. Like AppendEncode it allocates nothing when dst has capacity.
 func AppendFrameV2(dst []byte, id uint64, msg Message) []byte {
@@ -89,16 +72,6 @@ func AppendFrameV2(dst []byte, id uint64, msg Message) []byte {
 	dst = append(dst, 0, 0, 0, 0)
 	dst = append(dst, FrameV2Marker)
 	dst = binary.BigEndian.AppendUint64(dst, id)
-	dst = AppendEncode(dst, msg)
-	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
-	return dst
-}
-
-// AppendFrameV1 appends one complete v1 frame (length prefix and msg's
-// encoding) to dst and returns the extended slice.
-func AppendFrameV1(dst []byte, msg Message) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
 	dst = AppendEncode(dst, msg)
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst
