@@ -27,14 +27,18 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./internal/tools/repolint
 
-# Non-test Go lines in the five packages ROADMAP item 4 ("collapse the
-# layers") tracks; quote the before/after in PRs that claim a reduction.
+# Non-test Go lines, in two groups with a total each: the five packages
+# ROADMAP item 4 ("collapse the layers") tracks, then the four a request
+# crosses client-side (item 4 "Drivers"); quote the before/after in PRs
+# that claim a reduction.
 LOC_PKGS = internal/node internal/strategy internal/wire internal/transport cmd/plsbench
+LOC_REQUEST_PKGS = internal/strategy internal/core internal/proxy internal/selector
+loc_lines = find $(1) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 loc:
-	@for p in $(LOC_PKGS); do \
-		printf '%-20s %s\n' $$p $$(find $$p -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
-	done
-	@printf '%-20s %s\n' total $$(find $(LOC_PKGS) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+	@for p in $(LOC_PKGS); do printf '%-20s %s\n' $$p $$($(call loc_lines,$$p)); done
+	@printf '%-20s %s\n\n' total $$($(call loc_lines,$(LOC_PKGS)))
+	@for p in $(LOC_REQUEST_PKGS); do printf '%-20s %s\n' $$p $$($(call loc_lines,$$p)); done
+	@printf '%-20s %s\n' total $$($(call loc_lines,$(LOC_REQUEST_PKGS)))
 
 # Coverage with the same floor CI enforces (.github/coverage-floor).
 cover:

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -235,69 +236,105 @@ func (s *Service) SetKeyConfig(key string, cfg Config) error {
 	return nil
 }
 
-// driverFor returns (creating if needed) the driver for a key's config.
-func (s *Service) driverFor(key string) *strategy.Driver {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.driverForConfigLocked(s.configForLocked(key))
+// Batch item types, re-exported so API consumers need only this package.
+type (
+	// PlaceItem is one key's place operation inside a batch.
+	PlaceItem = strategy.PlaceItem
+	// AddItem is one key's add operation inside a batch.
+	AddItem = strategy.AddItem
+)
+
+// LookupOutcome is one key's result inside a PartialLookupBatch reply.
+type LookupOutcome struct {
+	Result strategy.Result
+	Err    error
 }
 
-func (s *Service) driverForConfigLocked(cfg Config) *strategy.Driver {
-	d, ok := s.drivers[cfg]
-	if !ok {
-		d = strategy.MustNew(cfg, s.rng.Split())
-		if s.selector != nil {
-			d.SetSelector(s.selector)
-		}
-		s.drivers[cfg] = d
-	}
-	return d
-}
-
-// Place sets the complete entry set for a key: place(k, {v1..vh}).
+// Place sets the complete entry set for a key: place(k, {v1..vh}). It
+// is a PlaceBatch of one.
 func (s *Service) Place(ctx context.Context, key string, entries []Entry) error {
-	for _, v := range entries {
-		if !v.Valid() {
-			return fmt.Errorf("core: place %q: invalid empty entry", key)
-		}
-	}
-	err := s.driverFor(key).Place(ctx, s.caller, key, entries)
-	s.fireUpdateHook(key)
-	return err
+	return s.PlaceBatch(ctx, []PlaceItem{{Key: key, Entries: entries}})[0]
 }
 
-// fireUpdateHook notifies the update hook after an update's acks are
-// observed (see WithUpdateHook).
-func (s *Service) fireUpdateHook(key string) {
-	if s.updateHook != nil {
-		s.updateHook(key)
-	}
-}
-
-// Add inserts one entry: add(k, v).
+// Add inserts one entry: add(k, v). It is an AddBatch of one.
 func (s *Service) Add(ctx context.Context, key string, v Entry) error {
-	if !v.Valid() {
-		return fmt.Errorf("core: add %q: invalid empty entry", key)
-	}
-	err := s.driverFor(key).Add(ctx, s.caller, key, v)
-	s.fireUpdateHook(key)
-	return err
+	return s.AddBatch(ctx, []AddItem{{Key: key, Entry: v}})[0]
 }
 
 // Delete removes one entry: delete(k, v).
 func (s *Service) Delete(ctx context.Context, key string, v Entry) error {
-	if !v.Valid() {
-		return fmt.Errorf("core: delete %q: invalid empty entry", key)
+	return s.update("delete", []string{key}, func(int) bool { return v.Valid() },
+		func(d *strategy.Driver, _ []int) []error {
+			return []error{d.Delete(ctx, s.caller, key, v)}
+		})[0]
+}
+
+// PlaceBatch executes place(k, {v1..vh}) for many keys in one call,
+// batching keys that share a strategy configuration into single wire
+// envelopes — one round trip then serves every key sharing a route. It
+// returns one error slot per item (nil on success); per-item failures
+// do not abort the rest of the batch.
+func (s *Service) PlaceBatch(ctx context.Context, items []PlaceItem) []error {
+	keys := make([]string, len(items))
+	for i, it := range items {
+		keys[i] = it.Key
 	}
-	err := s.driverFor(key).Delete(ctx, s.caller, key, v)
-	s.fireUpdateHook(key)
-	return err
+	valid := func(i int) bool {
+		for _, v := range items[i].Entries {
+			if !v.Valid() {
+				return false
+			}
+		}
+		return true
+	}
+	return s.update("place", keys, valid, func(d *strategy.Driver, idxs []int) []error {
+		return d.PlaceBatch(ctx, s.caller, pick(items, idxs))
+	})
+}
+
+// AddBatch executes add(k, v) for many keys in one call; see PlaceBatch
+// for batching and error semantics.
+func (s *Service) AddBatch(ctx context.Context, items []AddItem) []error {
+	keys := make([]string, len(items))
+	for i, it := range items {
+		keys[i] = it.Key
+	}
+	valid := func(i int) bool { return items[i].Entry.Valid() }
+	return s.update("add", keys, valid, func(d *strategy.Driver, idxs []int) []error {
+		return d.AddBatch(ctx, s.caller, pick(items, idxs))
+	})
+}
+
+// update is the one path behind Place, Add and Delete, single or
+// batched: reject items carrying an empty entry, hand each strategy
+// configuration's share of the rest to its driver through send, and
+// fire the update hook per key — only after every group's acks landed,
+// so a stale cached answer never outlives an acked update.
+func (s *Service) update(op string, keys []string, valid func(i int) bool, send func(d *strategy.Driver, idxs []int) []error) []error {
+	errs := make([]error, len(keys))
+	for i, key := range keys {
+		if !valid(i) {
+			errs[i] = fmt.Errorf("core: %s %q: invalid empty entry", op, key)
+		}
+	}
+	for _, g := range s.groupByConfig(keys, errs) {
+		for j, err := range send(g.driver, g.idxs) {
+			errs[g.idxs[j]] = err
+		}
+	}
+	if s.updateHook != nil {
+		for _, key := range keys {
+			s.updateHook(key)
+		}
+	}
+	return errs
 }
 
 // PartialLookup retrieves at least t entries for key when possible:
-// partial_lookup(k, t). Fewer than t entries in the result is not an
-// error — check Result.Satisfied(t) — because a thin answer is an
-// expected condition under deletes and failures (Sec. 5.2).
+// partial_lookup(k, t), a PartialLookupBatch of one. Fewer than t
+// entries in the result is not an error — check Result.Satisfied(t) —
+// because a thin answer is an expected condition under deletes and
+// failures (Sec. 5.2).
 //
 // Under a LookupPolicy with a Timeout (or a caller-supplied deadline),
 // a lookup that runs out of time before gathering t entries returns
@@ -305,33 +342,99 @@ func (s *Service) Delete(ctx context.Context, key string, v Entry) error {
 // callers can distinguish "the system holds fewer than t entries" from
 // "the deadline cut the probe sequence short".
 func (s *Service) PartialLookup(ctx context.Context, key string, t int) (strategy.Result, error) {
+	o := s.PartialLookupBatch(ctx, []string{key}, t)[0]
+	return o.Result, o.Err
+}
+
+// PartialLookupBatch executes partial_lookup(k, t) for many keys in one
+// call. Keys sharing a strategy configuration share probe round trips.
+// The reply is per key, parallel to keys; see PartialLookup for what an
+// unsatisfied Result and a *PartialError mean.
+func (s *Service) PartialLookupBatch(ctx context.Context, keys []string, t int) []LookupOutcome {
+	out := make([]LookupOutcome, len(keys))
 	var start time.Time
 	if s.metrics != nil {
 		start = time.Now()
 	}
-	res, err := s.partialLookup(ctx, key, t)
-	if s.metrics != nil {
-		s.metrics.RecordLookup(len(res.Entries), t, res.Contacted, time.Since(start),
-			errors.Is(err, ErrPartialResult))
-	}
-	return res, err
-}
-
-func (s *Service) partialLookup(ctx context.Context, key string, t int) (strategy.Result, error) {
 	if s.policy.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.policy.Timeout)
 		defer cancel()
 	}
-	res, err := s.driverFor(key).PartialLookup(ctx, s.lookupCaller, key, t)
-	if ctx.Err() != nil && (err != nil || !res.Satisfied(t)) {
-		cause := err
-		if cause == nil {
-			cause = ctx.Err()
+	for _, g := range s.groupByConfig(keys, nil) {
+		results, errs := g.driver.PartialLookupBatch(ctx, s.lookupCaller, pick(keys, g.idxs), t)
+		for j, i := range g.idxs {
+			res, err := results[j], errs[j]
+			if ctx.Err() != nil && (err != nil || !res.Satisfied(t)) {
+				cause := err
+				if cause == nil {
+					cause = ctx.Err()
+				}
+				err = &PartialError{Key: keys[i], Got: len(res.Entries), Want: t, Cause: cause}
+			}
+			out[i] = LookupOutcome{Result: res, Err: err}
 		}
-		return res, &PartialError{Key: key, Got: len(res.Entries), Want: t, Cause: cause}
 	}
-	return res, err
+	if s.metrics != nil {
+		elapsed := time.Since(start)
+		for _, o := range out {
+			s.metrics.RecordLookup(len(o.Result.Entries), t, o.Result.Contacted, elapsed,
+				errors.Is(o.Err, ErrPartialResult))
+		}
+	}
+	return out
+}
+
+// configGroup is the share of a request one strategy configuration
+// manages: its driver plus the indexes of the keys it covers, in input
+// order.
+type configGroup struct {
+	cfg    Config
+	driver *strategy.Driver
+	idxs   []int
+}
+
+// groupByConfig partitions key indexes by the config managing each key,
+// preserving first-appearance order so requests consume driver
+// randomness deterministically. Indexes whose errs slot is already set
+// (failed validation; lookups pass nil) are skipped.
+func (s *Service) groupByConfig(keys []string, errs []error) []configGroup {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var groups []configGroup
+	for i, key := range keys {
+		if errs != nil && errs[i] != nil {
+			continue
+		}
+		cfg := s.configForLocked(key)
+		gi := slices.IndexFunc(groups, func(g configGroup) bool { return g.cfg == cfg })
+		if gi < 0 {
+			gi = len(groups)
+			groups = append(groups, configGroup{cfg: cfg, driver: s.driverForConfigLocked(cfg)})
+		}
+		groups[gi].idxs = append(groups[gi].idxs, i)
+	}
+	return groups
+}
+
+// driverForConfigLocked returns (creating if needed) a config's driver.
+func (s *Service) driverForConfigLocked(cfg Config) *strategy.Driver {
+	d, ok := s.drivers[cfg]
+	if !ok {
+		d = strategy.MustNew(cfg, s.rng.Split())
+		d.SetSelector(s.selector)
+		s.drivers[cfg] = d
+	}
+	return d
+}
+
+// pick returns the items at idxs, in that order.
+func pick[T any](items []T, idxs []int) []T {
+	sub := make([]T, len(idxs))
+	for j, i := range idxs {
+		sub[j] = items[i]
+	}
+	return sub
 }
 
 // CostFunc scores an entry for a preference-aware lookup; lower is

@@ -163,31 +163,30 @@ func (p *Proxy) Flush() {
 	p.mu.Unlock()
 }
 
-// Handle implements transport.Handler: the client-facing dispatch.
+// Handle implements transport.Handler: the client-facing dispatch. A
+// standalone Lookup, Place, Add or Delete is served as the one-item
+// case of the batched path and answered in its standalone reply shape.
 func (p *Proxy) Handle(ctx context.Context, msg wire.Message) wire.Message {
 	switch m := msg.(type) {
 	case wire.Ping:
 		return wire.Ack{}
 	case wire.Lookup:
-		return p.lookup(ctx, m.Key, m.T)
+		return p.lookupBatch(ctx, []wire.Lookup{m})[0]
 	case wire.LookupBatch:
-		return p.lookupBatch(ctx, m)
+		return wire.LookupBatchReply{Replies: p.lookupBatch(ctx, m.Items)}
 	case wire.Place:
-		return p.update(m.Key, m.Config, func() error {
-			return p.svc.Place(ctx, m.Key, toEntries(m.Entries))
-		})
-	case wire.Add:
-		return p.update(m.Key, m.Config, func() error {
-			return p.svc.Add(ctx, m.Key, entry.Entry(m.Entry))
-		})
-	case wire.Delete:
-		return p.update(m.Key, m.Config, func() error {
-			return p.svc.Delete(ctx, m.Key, entry.Entry(m.Entry))
-		})
+		return standalone(update(ctx, p, []wire.Place{m}, splitPlace, p.svc.PlaceBatch))
 	case wire.PlaceBatch:
-		return p.placeBatch(ctx, m)
+		return update(ctx, p, m.Items, splitPlace, p.svc.PlaceBatch)
+	case wire.Add:
+		return standalone(update(ctx, p, []wire.Add{m}, splitAdd, p.svc.AddBatch))
 	case wire.AddBatch:
-		return p.addBatch(ctx, m)
+		return update(ctx, p, m.Items, splitAdd, p.svc.AddBatch)
+	case wire.Delete:
+		// The wire has no delete envelope, so a delete is always one item.
+		return standalone(update(ctx, p, []wire.Delete{m}, splitDelete, func(ctx context.Context, _ []wire.Delete) []error {
+			return []error{p.svc.Delete(ctx, m.Key, entry.Entry(m.Entry))}
+		}))
 	case wire.MembershipUpdate:
 		return p.membership(m)
 	case wire.Join, wire.Leave:
@@ -199,30 +198,64 @@ func (p *Proxy) Handle(ctx context.Context, msg wire.Message) wire.Message {
 	}
 }
 
-// lookup serves one partial lookup: result cache, then singleflight,
-// then the backing service.
-func (p *Proxy) lookup(ctx context.Context, key string, t int) wire.LookupReply {
-	fk := flightKey{key: key, t: t}
+// lookupBatch serves partial lookups, one reply per item: result-cache
+// hits answer immediately, in-flight duplicates (within the request or
+// against concurrent clients) join as followers, and the remaining
+// misses lead flights through the backing service — one
+// PartialLookupBatch per distinct t.
+func (p *Proxy) lookupBatch(ctx context.Context, items []wire.Lookup) []wire.LookupReply {
+	replies := make([]wire.LookupReply, len(items))
+	type waiter struct {
+		idx int
+		fk  flightKey
+		f   *flight
+	}
+	var followers, leaders []waiter
+
 	p.mu.Lock()
-	if entries, ok, expired := p.cache.get(fk, p.opt.Now()); ok {
-		p.mu.Unlock()
-		p.opt.Metrics.RecordLookup(true, false)
-		return wire.LookupReply{Entries: entries}
-	} else if f, live := p.flights[fk]; live {
-		p.mu.Unlock()
-		p.opt.Metrics.RecordLookup(false, expired)
-		p.opt.Metrics.RecordFlight(true)
-		return waitFlight(ctx, f)
-	} else {
+	now := p.opt.Now()
+	for i, it := range items {
+		fk := flightKey{key: it.Key, t: it.T}
+		entries, ok, expired := p.cache.get(fk, now)
+		p.opt.Metrics.RecordLookup(ok, expired)
+		if ok {
+			replies[i] = wire.LookupReply{Entries: entries}
+			continue
+		}
+		f, live := p.flights[fk]
+		p.opt.Metrics.RecordFlight(live)
+		if live {
+			followers = append(followers, waiter{idx: i, f: f})
+			continue
+		}
 		f = &flight{done: make(chan struct{})}
 		p.flights[fk] = f
-		p.mu.Unlock()
-		p.opt.Metrics.RecordLookup(false, expired)
-		p.opt.Metrics.RecordFlight(false)
-
-		res, err := p.svc.PartialLookup(ctx, key, t)
-		return p.finishFlight(fk, f, res.Entries, err)
+		leaders = append(leaders, waiter{idx: i, fk: fk, f: f})
 	}
+	p.mu.Unlock()
+
+	// Lead the flights, grouped by t in first-appearance order.
+	for len(leaders) > 0 {
+		t := leaders[0].fk.t
+		var group, rest []waiter
+		var keys []string
+		for _, ld := range leaders {
+			if ld.fk.t != t {
+				rest = append(rest, ld)
+				continue
+			}
+			group = append(group, ld)
+			keys = append(keys, ld.fk.key)
+		}
+		for j, o := range p.svc.PartialLookupBatch(ctx, keys, t) {
+			replies[group[j].idx] = p.finishFlight(group[j].fk, group[j].f, o.Result.Entries, o.Err)
+		}
+		leaders = rest
+	}
+	for _, fo := range followers {
+		replies[fo.idx] = waitFlight(ctx, fo.f)
+	}
+	return replies
 }
 
 // finishFlight completes a leader's flight: cache the answer if no
@@ -261,125 +294,28 @@ func waitFlight(ctx context.Context, f *flight) wire.LookupReply {
 	}
 }
 
-// lookupBatch serves a batched lookup: cache hits answer immediately,
-// in-flight duplicates (within the batch or against concurrent
-// clients) join as followers, and the remaining misses go to the
-// backing service in one PartialLookupBatch per distinct t.
-func (p *Proxy) lookupBatch(ctx context.Context, lb wire.LookupBatch) wire.LookupBatchReply {
-	replies := make([]wire.LookupReply, len(lb.Items))
-	type follower struct {
-		idx int
-		f   *flight
-	}
-	type leader struct {
-		idx int
-		fk  flightKey
-		f   *flight
-	}
-	var followers []follower
-	var leaders []leader
-	byT := make(map[int][]int) // t -> indexes into leaders, first-appearance order
-	var tOrder []int
-
-	p.mu.Lock()
-	now := p.opt.Now()
-	for i, it := range lb.Items {
-		fk := flightKey{key: it.Key, t: it.T}
-		if entries, ok, expired := p.cache.get(fk, now); ok {
-			replies[i] = wire.LookupReply{Entries: entries}
-			p.opt.Metrics.RecordLookup(true, false)
-			continue
-		} else {
-			p.opt.Metrics.RecordLookup(false, expired)
-		}
-		if f, live := p.flights[fk]; live {
-			followers = append(followers, follower{idx: i, f: f})
-			p.opt.Metrics.RecordFlight(true)
-			continue
-		}
-		f := &flight{done: make(chan struct{})}
-		p.flights[fk] = f
-		if _, seen := byT[it.T]; !seen {
-			tOrder = append(tOrder, it.T)
-		}
-		byT[it.T] = append(byT[it.T], len(leaders))
-		leaders = append(leaders, leader{idx: i, fk: fk, f: f})
-		p.opt.Metrics.RecordFlight(false)
-	}
-	p.mu.Unlock()
-
-	for _, t := range tOrder {
-		li := byT[t]
-		keys := make([]string, len(li))
-		for j, l := range li {
-			keys[j] = leaders[l].fk.key
-		}
-		outcomes := p.svc.PartialLookupBatch(ctx, keys, t)
-		for j, l := range li {
-			ld := leaders[l]
-			replies[ld.idx] = p.finishFlight(ld.fk, ld.f, outcomes[j].Result.Entries, outcomes[j].Err)
-		}
-	}
-	for _, fo := range followers {
-		replies[fo.idx] = waitFlight(ctx, fo.f)
-	}
-	return wire.LookupBatchReply{Replies: replies}
-}
-
-// update pins the carried config (clients ship it with every update,
-// exactly as they do toward a node) and runs one update through the
-// backing service, invalidating the key only after the call — and with
-// it the servers' acks — has completed.
-func (p *Proxy) update(key string, cfg wire.Config, op func() error) wire.Ack {
-	if cfg.Scheme.Valid() {
-		if err := p.svc.SetKeyConfig(key, cfg); err != nil {
-			return wire.Ack{Err: err.Error()}
-		}
-	}
-	err := op()
-	p.InvalidateKey(key)
-	p.opt.Metrics.RecordUpdate()
-	if err != nil {
-		return wire.Ack{Err: err.Error()}
-	}
-	return wire.Ack{}
-}
-
-// placeBatch proxies a PlaceBatch envelope through the service's
-// batched path, invalidating each key after the acks.
-func (p *Proxy) placeBatch(ctx context.Context, pb wire.PlaceBatch) wire.BatchAck {
-	items := make([]core.PlaceItem, len(pb.Items))
-	for i, it := range pb.Items {
-		if it.Config.Scheme.Valid() {
-			if err := p.svc.SetKeyConfig(it.Key, it.Config); err != nil {
+// update is the one path for client updates, standalone or batched:
+// split names each message's key, the config it carries and the item
+// run takes. The carried config is pinned first (clients ship it with
+// every update, exactly as they do toward a node), then the items run
+// through the backing service, and each key is invalidated only after
+// that call — and with it the servers' acks — has completed.
+func update[M, I any](ctx context.Context, p *Proxy, msgs []M, split func(M) (string, wire.Config, I), run func(context.Context, []I) []error) wire.BatchAck {
+	keys := make([]string, len(msgs))
+	items := make([]I, len(msgs))
+	for i, m := range msgs {
+		var cfg wire.Config
+		keys[i], cfg, items[i] = split(m)
+		if cfg.Scheme.Valid() {
+			if err := p.svc.SetKeyConfig(keys[i], cfg); err != nil {
 				return wire.BatchAck{Err: err.Error()}
 			}
 		}
-		items[i] = core.PlaceItem{Key: it.Key, Entries: toEntries(it.Entries)}
 	}
-	errs := p.svc.PlaceBatch(ctx, items)
-	return p.finishBatch(pb.Items, errs)
-}
-
-// addBatch proxies an AddBatch envelope; see placeBatch.
-func (p *Proxy) addBatch(ctx context.Context, ab wire.AddBatch) wire.BatchAck {
-	items := make([]core.AddItem, len(ab.Items))
-	for i, it := range ab.Items {
-		if it.Config.Scheme.Valid() {
-			if err := p.svc.SetKeyConfig(it.Key, it.Config); err != nil {
-				return wire.BatchAck{Err: err.Error()}
-			}
-		}
-		items[i] = core.AddItem{Key: it.Key, Entry: entry.Entry(it.Entry)}
-	}
-	errs := p.svc.AddBatch(ctx, items)
-	return p.finishBatch2(ab.Items, errs)
-}
-
-func (p *Proxy) finishBatch(items []wire.Place, errs []error) wire.BatchAck {
-	out := wire.BatchAck{Errs: make([]string, len(items))}
-	for i, it := range items {
-		p.InvalidateKey(it.Key)
+	errs := run(ctx, items)
+	out := wire.BatchAck{Errs: make([]string, len(msgs))}
+	for i, key := range keys {
+		p.InvalidateKey(key)
 		p.opt.Metrics.RecordUpdate()
 		if errs[i] != nil {
 			out.Errs[i] = errs[i].Error()
@@ -388,16 +324,23 @@ func (p *Proxy) finishBatch(items []wire.Place, errs []error) wire.BatchAck {
 	return out
 }
 
-func (p *Proxy) finishBatch2(items []wire.Add, errs []error) wire.BatchAck {
-	out := wire.BatchAck{Errs: make([]string, len(items))}
-	for i, it := range items {
-		p.InvalidateKey(it.Key)
-		p.opt.Metrics.RecordUpdate()
-		if errs[i] != nil {
-			out.Errs[i] = errs[i].Error()
-		}
+func splitPlace(m wire.Place) (string, wire.Config, core.PlaceItem) {
+	return m.Key, m.Config, core.PlaceItem{Key: m.Key, Entries: toEntries(m.Entries)}
+}
+
+func splitAdd(m wire.Add) (string, wire.Config, core.AddItem) {
+	return m.Key, m.Config, core.AddItem{Key: m.Key, Entry: entry.Entry(m.Entry)}
+}
+
+func splitDelete(m wire.Delete) (string, wire.Config, wire.Delete) { return m.Key, m.Config, m }
+
+// standalone is the reply to a standalone update: the Ack form of its
+// one-item BatchAck.
+func standalone(b wire.BatchAck) wire.Ack {
+	if b.Err != "" {
+		return wire.Ack{Err: b.Err}
 	}
-	return out
+	return wire.Ack{Err: b.Errs[0]}
 }
 
 // membership applies a MembershipUpdate notification: every cached

@@ -291,35 +291,21 @@ const (
 	tierOpen     = 5 // failing; skipped until everything better is exhausted
 )
 
-// Order reorders the driver's seeded permutation base for one key's
-// lookup: cached answering servers first (largest recorded answers
-// leading), then healthy servers, slow servers, half-open trials,
-// negative-cached servers, and open servers last. Servers keep base's
-// relative order inside each tier, and a cold selector returns base
-// untouched — seeded runs only deviate once real signal exists. The
-// returned slice is freshly allocated; base is never mutated.
+// Order is OrderMulti for one key.
 func (s *Selector) Order(key string, base []int) []int {
-	if s == nil {
-		return base
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.coldLocked() {
-		return base
-	}
-	pos, neg := s.cache.routes(key)
-	if len(pos) > 0 {
-		s.opt.Metrics.RecordHit()
-	} else {
-		s.opt.Metrics.RecordMiss()
-	}
-	return s.orderLocked(base, pos, neg)
+	return s.OrderMulti([]string{key}, base)
 }
 
-// OrderMulti is Order for a batched lookup's pending key set: positive
-// cache votes are pooled across the keys (a server's vote is its
-// recorded answer size, summed), and a server is negative only if every
-// pending key cached it negative.
+// OrderMulti reorders the driver's seeded permutation base for the
+// lookup of keys: cached answering servers first (largest recorded
+// answers leading), then healthy servers, slow servers, half-open
+// trials, negative-cached servers, and open servers last. Cache votes
+// are pooled across the keys: a server's positive vote is its recorded
+// answer size, summed, and a server is negative only if every cached
+// key recorded it empty. Servers keep base's relative order inside each
+// tier, and a cold selector returns base untouched — seeded runs only
+// deviate once real signal exists. The returned slice is freshly
+// allocated; base is never mutated.
 func (s *Selector) OrderMulti(keys []string, base []int) []int {
 	if s == nil {
 		return base
@@ -329,36 +315,36 @@ func (s *Selector) OrderMulti(keys []string, base []int) []int {
 	if s.coldLocked() {
 		return base
 	}
-	votes := make(map[int]int)
-	negCount := make(map[int]int)
+	votes := make([]int, len(s.servers))
+	empties := make([]int, len(s.servers))
 	cachedKeys := 0
 	for _, key := range keys {
-		pos, neg := s.cache.routes(key)
-		if len(pos) > 0 || len(neg) > 0 {
-			cachedKeys++
+		kr := s.cache.touch(key, false)
+		if kr == nil || len(kr.pos)+len(kr.neg) == 0 {
+			continue
 		}
-		for _, p := range pos {
+		cachedKeys++
+		for _, p := range kr.pos {
 			votes[p.server] += p.entries
 		}
-		for _, sv := range neg {
-			negCount[sv]++
+		for _, sv := range kr.neg {
+			empties[sv]++
 		}
 	}
-	if len(votes) > 0 {
+	var pos []posEntry
+	var neg []int
+	for sv, v := range votes {
+		if v > 0 {
+			pos = append(pos, posEntry{server: sv, entries: v})
+		} else if cachedKeys > 0 && empties[sv] == cachedKeys {
+			neg = append(neg, sv)
+		}
+	}
+	sortPos(pos)
+	if len(pos) > 0 {
 		s.opt.Metrics.RecordHit()
 	} else {
 		s.opt.Metrics.RecordMiss()
-	}
-	pos := make([]posEntry, 0, len(votes))
-	for sv, v := range votes {
-		pos = append(pos, posEntry{server: sv, entries: v})
-	}
-	sortPos(pos)
-	var neg []int
-	for sv, c := range negCount {
-		if _, alsoPos := votes[sv]; !alsoPos && cachedKeys > 0 && c == cachedKeys {
-			neg = append(neg, sv)
-		}
 	}
 	return s.orderLocked(base, pos, neg)
 }
@@ -655,16 +641,6 @@ func (c *routeCache) record(key string, server, entries int) {
 	if len(kr.pos) > c.perKey {
 		kr.pos = kr.pos[:c.perKey]
 	}
-}
-
-// routes returns copies of the key's positive (sorted, best first) and
-// negative routes; nils when the key is uncached.
-func (c *routeCache) routes(key string) ([]posEntry, []int) {
-	kr := c.touch(key, false)
-	if kr == nil {
-		return nil, nil
-	}
-	return append([]posEntry(nil), kr.pos...), append([]int(nil), kr.neg...)
 }
 
 func (c *routeCache) invalidate(key string) bool {

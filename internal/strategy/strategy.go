@@ -1,11 +1,14 @@
 // Package strategy implements the client side of the seven placement
 // strategies — the paper's five partial-lookup schemes (Sec. 3 and
 // Sec. 5) plus the KeyPartition baseline and MultiProbe-y: routing
-// place / add / delete requests to an initial server, and the
-// per-scheme lookup sequencing — single-probe for the replicated
-// schemes and KeyPartition, random probing for RandomServer-x, Hash-y
-// and MultiProbe-y, and the deterministic s, s+y, s+2y, ... walk for
-// Round-Robin-y with random fallback under failures.
+// place / add / delete requests to an initial server (this file), and
+// the per-scheme lookup sequencing (lookup.go).
+//
+// Every operation is written once, for many keys that share the
+// driver's configuration; the one-key methods are one-item calls of the
+// many-key ones. Each item is executed server-side exactly as its
+// standalone message would be, so batching changes cost, never
+// placement — and a batch of one travels as that standalone message.
 package strategy
 
 import (
@@ -26,23 +29,9 @@ import (
 // down, so the lookup or update could not be serviced at all.
 var ErrNoLiveServers = errors.New("strategy: no live servers")
 
-// Result is the outcome of one partial lookup.
-type Result struct {
-	// Entries are the distinct entries retrieved, in retrieval order.
-	Entries []entry.Entry
-	// Contacted is the number of servers that processed a probe: the
-	// paper's client lookup cost (Sec. 4.2).
-	Contacted int
-}
-
-// Satisfied reports whether the lookup met its target answer size: the
-// paper considers a lookup failed "if it retrieves less than t entries"
-// (Sec. 4.4).
-func (r Result) Satisfied(t int) bool { return len(r.Entries) >= t }
-
-// Driver executes one key's strategy against a cluster. Driver is safe
-// for concurrent use: its only mutable state is the RNG, which is
-// guarded so a core.Service can share one driver across goroutines.
+// Driver executes one strategy configuration against a cluster. Driver
+// is safe for concurrent use: its only mutable state is the RNG, which
+// is guarded so a core.Service can share one driver across goroutines.
 type Driver struct {
 	cfg wire.Config
 	// sel, when non-nil, reorders the seeded visiting permutations by
@@ -59,28 +48,6 @@ func (d *Driver) perm(n int) []int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.rng.Perm(n)
-}
-
-// orderFor is the selector-aware visiting order for one key's lookup:
-// the usual seeded permutation, reordered so cached answering servers
-// lead and demoted servers trail. With no selector — or a cold one —
-// it is exactly perm, so seeded runs are byte-identical.
-func (d *Driver) orderFor(key string, n int) []int {
-	p := d.perm(n)
-	if d.sel == nil {
-		return p
-	}
-	return d.sel.Order(key, p)
-}
-
-// orderGlobal is the selector-aware order for traffic with no single
-// key (update routing, batch envelope delivery): health-weighted only.
-func (d *Driver) orderGlobal(n int) []int {
-	p := d.perm(n)
-	if d.sel == nil {
-		return p
-	}
-	return d.sel.OrderGlobal(p)
 }
 
 // SetSelector attaches the adaptive selection subsystem. Call it once,
@@ -112,339 +79,220 @@ func MustNew(cfg wire.Config, rng *stats.RNG) *Driver {
 // Config returns the driver's strategy configuration.
 func (d *Driver) Config() wire.Config { return d.cfg }
 
-// Place executes place(k, entries): send the batch to an initial server
-// (random, or server 0 for Round-y whose coordinator lives there) which
-// distributes it per the scheme.
+// PlaceItem is one key's place operation inside a batch.
+type PlaceItem struct {
+	Key     string
+	Entries []entry.Entry
+}
+
+// AddItem is one key's add operation inside a batch.
+type AddItem struct {
+	Key   string
+	Entry entry.Entry
+}
+
+// Place executes place(k, entries): a PlaceBatch of one.
 func (d *Driver) Place(ctx context.Context, c transport.Caller, key string, entries []entry.Entry) error {
+	return d.PlaceBatch(ctx, c, []PlaceItem{{Key: key, Entries: entries}})[0]
+}
+
+// Add executes add(k, v): an AddBatch of one.
+func (d *Driver) Add(ctx context.Context, c transport.Caller, key string, v entry.Entry) error {
+	return d.AddBatch(ctx, c, []AddItem{{Key: key, Entry: v}})[0]
+}
+
+// Delete executes delete(k, v). The wire has no delete envelope, so a
+// delete is always the one-item case of the shared update path.
+func (d *Driver) Delete(ctx context.Context, c transport.Caller, key string, v entry.Entry) error {
+	errs := update(ctx, d, c, []string{key}, []wire.Delete{{Key: key, Config: d.cfg, Entry: string(v)}}, nil)
+	// Deletes shift which servers hold entries; drop stale negatives so
+	// probing re-learns the layout — after the ack, never before.
+	d.sel.InvalidateNegatives(key)
+	return errs[0]
+}
+
+// PlaceBatch executes many place operations: each item is sent to an
+// initial server (see update), which distributes it per the scheme.
+// It returns one error slot per item, nil on success.
+func (d *Driver) PlaceBatch(ctx context.Context, c transport.Caller, items []PlaceItem) []error {
 	if err := d.cfg.Validate(c.NumServers()); err != nil {
-		return err
+		errs := make([]error, len(items))
+		for i := range errs {
+			errs[i] = err
+		}
+		return errs
 	}
-	msg := wire.Place{Key: key, Config: d.cfg, Entries: toStrings(entries)}
-	err := d.sendUpdate(ctx, c, msg)
+	keys := make([]string, len(items))
+	msgs := make([]wire.Place, len(items))
+	for i, it := range items {
+		keys[i] = it.Key
+		msgs[i] = wire.Place{Key: it.Key, Config: d.cfg, Entries: toStrings(it.Entries)}
+	}
+	errs := update(ctx, d, c, keys, msgs, func(sub []wire.Place) wire.Message { return wire.PlaceBatch{Items: sub} })
 	// A place rewrites the key's whole layout: any cached route is void.
 	// Invalidate AFTER the server acks (and conservatively on error —
 	// the update may have partially landed): invalidating before the
 	// send opens a window where a concurrent lookup re-caches the old
 	// layout and the stale route outlives the acked update.
-	d.sel.Invalidate(key)
-	return err
-}
-
-// Add executes add(k, v).
-func (d *Driver) Add(ctx context.Context, c transport.Caller, key string, v entry.Entry) error {
-	err := d.sendUpdate(ctx, c, wire.Add{Key: key, Config: d.cfg, Entry: string(v)})
-	// The new entry may land on a server the cache marked empty; drop
-	// negatives only after the ack (see Place for the ordering rationale).
-	d.sel.InvalidateNegatives(key)
-	return err
-}
-
-// Delete executes delete(k, v).
-func (d *Driver) Delete(ctx context.Context, c transport.Caller, key string, v entry.Entry) error {
-	err := d.sendUpdate(ctx, c, wire.Delete{Key: key, Config: d.cfg, Entry: string(v)})
-	// Deletes shift which servers hold entries; drop stale negatives so
-	// probing re-learns the layout — after the ack, never before.
-	d.sel.InvalidateNegatives(key)
-	return err
-}
-
-// sendUpdate routes an update to its initial server: a random live
-// server, except Round-y updates which must reach a coordinator
-// (server 0 in the paper's base scheme, Sec. 5.4; with replicated
-// coordinators — footnote 1 — the lowest-numbered live one).
-func (d *Driver) sendUpdate(ctx context.Context, c transport.Caller, msg wire.Message) error {
-	if d.cfg.Scheme == wire.KeyPartition {
-		// Traditional hashing: the client knows the responsible
-		// server and contacts it directly; no other server can help.
-		key := ""
-		switch m := msg.(type) {
-		case wire.Place:
-			key = m.Key
-		case wire.Add:
-			key = m.Key
-		case wire.Delete:
-			key = m.Key
-		}
-		return d.callAck(ctx, c, node.PartitionServer(key, c.NumServers()), msg)
+	for _, key := range keys {
+		d.sel.Invalidate(key)
 	}
-	if d.cfg.Scheme == wire.RoundRobin {
-		coords := coordinatorCount(d.cfg, c.NumServers())
-		var lastErr error
-		for server := 0; server < coords; server++ {
-			err := d.callAck(ctx, c, server, msg)
-			if err == nil {
-				return nil
-			}
-			if !errors.Is(err, transport.ErrServerDown) {
-				return err
-			}
-			lastErr = err
+	return errs
+}
+
+// AddBatch executes many add operations; see PlaceBatch for routing and
+// error semantics. Unlike a place it does not validate the driver's
+// config against the cluster: the node's stored config wins for adds
+// and deletes (node.handleAdd), so the client's copy is not the judge.
+func (d *Driver) AddBatch(ctx context.Context, c transport.Caller, items []AddItem) []error {
+	keys := make([]string, len(items))
+	msgs := make([]wire.Add, len(items))
+	for i, it := range items {
+		keys[i] = it.Key
+		msgs[i] = wire.Add{Key: it.Key, Config: d.cfg, Entry: string(it.Entry)}
+	}
+	errs := update(ctx, d, c, keys, msgs, func(sub []wire.Add) wire.Message { return wire.AddBatch{Items: sub} })
+	// The new entry may land on a server the cache marked empty; drop
+	// negatives only after the ack (see PlaceBatch for the ordering).
+	for _, key := range keys {
+		d.sel.InvalidateNegatives(key)
+	}
+	return errs
+}
+
+// update routes the standalone update messages msgs (msgs[i] is for
+// keys[i]) to their initial servers and delivers them, one error slot
+// per message. The initial-server rule per scheme: KeyPartition's
+// client knows each key's responsible server and contacts it directly
+// (no other server can help), so the items fan out per distinct home;
+// Round-y updates must reach a coordinator (server 0 in the paper's
+// base scheme, Sec. 5.4; with replicated coordinators — footnote 1 —
+// the lowest-numbered live one); every other scheme takes a random live
+// server, health-weighted when a selector is attached.
+func update[T wire.Message](ctx context.Context, d *Driver, c transport.Caller, keys []string, msgs []T, wrap func([]T) wire.Message) []error {
+	errs := make([]error, len(msgs))
+	n := c.NumServers()
+	switch d.cfg.Scheme {
+	case wire.KeyPartition:
+		for _, g := range groupByHome(keys, n) {
+			deliver(ctx, c, []int{g.server}, msgs, g.idxs, wrap, errs)
 		}
-		return fmt.Errorf("%w: all Round-y coordinators down: %v", ErrNoLiveServers, lastErr)
+	case wire.RoundRobin:
+		coords := make([]int, min(max(d.cfg.Coordinators, 1), n))
+		for i := range coords {
+			coords[i] = i
+		}
+		deliver(ctx, c, coords, msgs, allIndexes(len(msgs)), wrap, errs)
+	default:
+		deliver(ctx, c, d.sel.OrderGlobal(d.perm(n)), msgs, allIndexes(len(msgs)), wrap, errs)
+	}
+	return errs
+}
+
+// deliver sends the messages at idxs to the first server of route that
+// is up and scatters the per-item outcomes into errs. It is the one
+// place an update's envelope is chosen: one item travels as its
+// standalone message, more are wrapped into their batch envelope.
+func deliver[T wire.Message](ctx context.Context, c transport.Caller, route []int, msgs []T, idxs []int, wrap func([]T) wire.Message, errs []error) {
+	var msg wire.Message
+	if len(idxs) == 1 {
+		msg = msgs[idxs[0]]
+	} else {
+		sub := make([]T, len(idxs))
+		for j, i := range idxs {
+			sub[j] = msgs[i]
+		}
+		msg = wrap(sub)
+	}
+	fail := func(err error) {
+		for _, i := range idxs {
+			errs[i] = err
+		}
 	}
 	var lastErr error
-	for _, server := range d.orderGlobal(c.NumServers()) {
-		err := d.callAck(ctx, c, server, msg)
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, transport.ErrServerDown) {
-			return err
-		}
-		lastErr = err
-	}
-	return fmt.Errorf("%w: %v", ErrNoLiveServers, lastErr)
-}
-
-func (d *Driver) callAck(ctx context.Context, c transport.Caller, server int, msg wire.Message) error {
-	reply, err := c.Call(ctx, server, msg)
-	if err != nil {
-		return err
-	}
-	ack, ok := reply.(wire.Ack)
-	if !ok {
-		return fmt.Errorf("strategy: unexpected reply %T from server %d", reply, server)
-	}
-	if ack.Err != "" {
-		return fmt.Errorf("strategy: server %d: %s", server, ack.Err)
-	}
-	return nil
-}
-
-// PartialLookup executes partial_lookup(k, t), probing servers per the
-// scheme until at least t distinct entries are retrieved or every
-// server has been tried. Retrieving fewer than t entries is not an
-// error (check Result.Satisfied); an error means no server could be
-// reached at all or the configuration is unusable.
-func (d *Driver) PartialLookup(ctx context.Context, c transport.Caller, key string, t int) (Result, error) {
-	if t <= 0 {
-		return Result{}, fmt.Errorf("strategy: partial lookup requires t > 0, got %d", t)
-	}
-	switch d.cfg.Scheme {
-	case wire.FullReplication, wire.Fixed:
-		return d.lookupSingle(ctx, c, key, t)
-	case wire.RoundRobin:
-		return d.lookupRoundRobin(ctx, c, key, t)
-	case wire.KeyPartition:
-		return d.lookupPartition(ctx, c, key, t)
-	default: // RandomServer, Hash, MultiProbe
-		return d.lookupRandomOrder(ctx, c, key, t)
-	}
-}
-
-// lookupPartition contacts the single server the key hashes to — the
-// traditional hashing baseline of Fig. 1. There is no failover: if
-// that server is down, the key is unreachable ("if S2 is down ...",
-// Sec. 1 — the weakness partial lookups remove).
-func (d *Driver) lookupPartition(ctx context.Context, c transport.Caller, key string, t int) (Result, error) {
-	var res Result
-	server := node.PartitionServer(key, c.NumServers())
-	got, err := d.probe(ctx, c, server, key, t)
-	if errors.Is(err, transport.ErrServerDown) {
-		return res, fmt.Errorf("%w: partition server %d for key %q", ErrNoLiveServers, server, key)
-	}
-	if err != nil {
-		return res, err
-	}
-	res.Contacted = 1
-	seen := make(map[entry.Entry]struct{}, len(got))
-	res.Entries = entry.Dedup(nil, seen, got)
-	return res, nil
-}
-
-// lookupSingle contacts one live server chosen at random — the Full
-// Replication / Fixed-x rule, where every server is identical so there
-// is never a reason to probe a second one.
-func (d *Driver) lookupSingle(ctx context.Context, c transport.Caller, key string, t int) (Result, error) {
-	var res Result
-	for _, server := range d.orderFor(key, c.NumServers()) {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		got, err := d.probe(ctx, c, server, key, t)
+	for _, server := range route {
+		reply, err := c.Call(ctx, server, msg)
 		if errors.Is(err, transport.ErrServerDown) {
+			lastErr = err
 			continue
 		}
 		if err != nil {
-			return res, err
+			fail(err)
+			return
 		}
-		res.Contacted = 1
-		seen := make(map[entry.Entry]struct{}, len(got))
-		res.Entries = entry.Dedup(nil, seen, got)
-		return res, nil
+		var outcomes []string
+		switch ack := reply.(type) {
+		case wire.Ack:
+			outcomes = []string{ack.Err}
+		case wire.BatchAck:
+			if ack.Err != "" {
+				fail(fmt.Errorf("strategy: server %d: %s", server, ack.Err))
+				return
+			}
+			outcomes = ack.Errs
+		default:
+			fail(fmt.Errorf("strategy: unexpected reply %T from server %d", reply, server))
+			return
+		}
+		if len(outcomes) != len(idxs) {
+			fail(fmt.Errorf("strategy: server %d returned %d outcomes for %d items", server, len(outcomes), len(idxs)))
+			return
+		}
+		for j, i := range idxs {
+			if outcomes[j] != "" {
+				errs[i] = fmt.Errorf("strategy: server %d: %s", server, outcomes[j])
+			}
+		}
+		return
 	}
-	return res, ErrNoLiveServers
+	fail(fmt.Errorf("%w: %w", ErrNoLiveServers, lastErr))
 }
 
-// lookupRandomOrder contacts live servers in uniformly random order,
-// merging distinct entries until the target is met — the RandomServer-x
-// and Hash-y rule.
-func (d *Driver) lookupRandomOrder(ctx context.Context, c transport.Caller, key string, t int) (Result, error) {
-	var res Result
-	seen := make(map[entry.Entry]struct{}, seenSizeHint(t))
-	reached := false
-	for _, server := range d.orderFor(key, c.NumServers()) {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		got, err := d.probe(ctx, c, server, key, t)
-		if errors.Is(err, transport.ErrServerDown) {
-			continue
-		}
-		if err != nil {
-			return res, err
-		}
-		reached = true
-		res.Contacted++
-		res.Entries = entry.Dedup(res.Entries, seen, got)
-		if len(res.Entries) >= t {
-			return res, nil
-		}
-	}
-	if !reached {
-		return res, ErrNoLiveServers
-	}
-	return res, nil
+// homeGroup is the items of a KeyPartition batch that share a home
+// server.
+type homeGroup struct {
+	server int
+	idxs   []int
 }
 
-// lookupRoundRobin starts at a random live server s and then walks the
-// deterministic sequence s+y, s+2y, ... which maximizes new entries per
-// probe (Sec. 3.4). If the walk hits a failed server or revisits one,
-// it falls back to random order over the untried servers, as the paper
-// prescribes ("if there are any server failures, choose random servers
-// instead").
-func (d *Driver) lookupRoundRobin(ctx context.Context, c transport.Caller, key string, t int) (Result, error) {
-	var res Result
-	n := c.NumServers()
-	y := d.cfg.Y
-	seen := make(map[entry.Entry]struct{}, seenSizeHint(t))
-	tried := make([]bool, n)
-	reached := false
-
-	probeServer := func(server int) (done bool, err error) {
-		if err := ctx.Err(); err != nil {
-			return false, err
+// groupByHome partitions key indexes by KeyPartition home server, in
+// first-appearance order.
+func groupByHome(keys []string, n int) []homeGroup {
+	var groups []homeGroup
+	at := make(map[int]int)
+	for i, key := range keys {
+		server := node.PartitionServer(key, n)
+		gi, ok := at[server]
+		if !ok {
+			gi = len(groups)
+			at[server] = gi
+			groups = append(groups, homeGroup{server: server})
 		}
-		tried[server] = true
-		got, err := d.probe(ctx, c, server, key, t)
-		if errors.Is(err, transport.ErrServerDown) {
-			return false, nil
-		}
-		if err != nil {
-			return false, err
-		}
-		reached = true
-		res.Contacted++
-		res.Entries = entry.Dedup(res.Entries, seen, got)
-		return len(res.Entries) >= t, nil
+		groups[gi].idxs = append(groups[gi].idxs, i)
 	}
-
-	// Find a random live starting server (scoreboard-weighted, cached
-	// servers first, when a selector is attached).
-	start := -1
-	for _, server := range d.orderFor(key, n) {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		tried[server] = true
-		got, err := d.probe(ctx, c, server, key, t)
-		if errors.Is(err, transport.ErrServerDown) {
-			continue
-		}
-		if err != nil {
-			return res, err
-		}
-		reached = true
-		res.Contacted++
-		res.Entries = entry.Dedup(res.Entries, seen, got)
-		start = server
-		break
-	}
-	if start == -1 {
-		return res, ErrNoLiveServers
-	}
-	if len(res.Entries) >= t {
-		return res, nil
-	}
-
-	// Deterministic walk from the start until it would revisit a server
-	// or hits a failure.
-	for step := 1; step < n; step++ {
-		server := (start + step*y) % n
-		if tried[server] {
-			break
-		}
-		wasReached := res.Contacted
-		done, err := probeServer(server)
-		if err != nil {
-			return res, err
-		}
-		if done {
-			return res, nil
-		}
-		if res.Contacted == wasReached {
-			break // server was down: abandon the deterministic sequence
-		}
-	}
-
-	// Random fallback over whatever remains untried.
-	for _, server := range d.orderFor(key, n) {
-		if tried[server] {
-			continue
-		}
-		done, err := probeServer(server)
-		if err != nil {
-			return res, err
-		}
-		if done {
-			return res, nil
-		}
-	}
-	if !reached {
-		return res, ErrNoLiveServers
-	}
-	return res, nil
+	return groups
 }
 
-// probe asks one server for up to t entries of key.
-func (d *Driver) probe(ctx context.Context, c transport.Caller, server int, key string, t int) ([]entry.Entry, error) {
-	reply, err := c.Call(ctx, server, wire.Lookup{Key: key, T: t})
-	if err != nil {
-		return nil, err
+func allIndexes(n int) []int {
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
 	}
-	lr, ok := reply.(wire.LookupReply)
-	if !ok {
-		return nil, fmt.Errorf("strategy: unexpected lookup reply %T from server %d", reply, server)
-	}
-	if lr.Err != "" {
-		return nil, fmt.Errorf("strategy: server %d: %s", server, lr.Err)
-	}
-	out := make([]entry.Entry, len(lr.Entries))
-	for i, s := range lr.Entries {
-		out[i] = entry.Entry(s)
-	}
-	// Feed the routing cache: this server answers this key with this
-	// many entries (zero is a negative verdict).
-	d.sel.RecordAnswer(key, server, len(out))
-	return out, nil
-}
-
-// seenSizeHint bounds the size hint for per-lookup dedup maps. t
-// arrives off the wire, so a hostile or corrupted value must not
-// translate into an arbitrarily large up-front allocation; the map
-// still grows past the hint if a lookup really returns that much.
-func seenSizeHint(t int) int {
-	const max = 1 << 10
-	if t > max {
-		return max
-	}
-	return t
+	return all
 }
 
 func toStrings(entries []entry.Entry) []string {
 	out := make([]string, len(entries))
 	for i, v := range entries {
 		out[i] = string(v)
+	}
+	return out
+}
+
+func toEntries(ss []string) []entry.Entry {
+	out := make([]entry.Entry, len(ss))
+	for i, s := range ss {
+		out[i] = entry.Entry(s)
 	}
 	return out
 }
