@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint loc cover bench e2e-bench select-bench repair-bench membership-bench zone-bench reproduce reproduce-full examples clean
+.PHONY: all build test race lint loc cover bench e2e-bench e2e-pair select-bench repair-bench membership-bench zone-bench reproduce reproduce-full examples clean
 
 all: build test
 
@@ -58,6 +58,17 @@ bench:
 # budget; see bench/README.md.
 e2e-bench:
 	$(GO) run ./bench
+
+# The paired protocol a claimed gain needs (bench/README.md): ./bench
+# built at PARENT and from the working tree into a temp dir, the two
+# alternated PAIRS times per workload, both medians per workload and
+# metric printed. make e2e-pair PARENT=HEAD~1 [PAIRS=10] [SEED=1]
+# [WORKLOADS=read_direct_uniform,write_durable]
+PAIRS ?= 10
+SEED ?= 1
+e2e-pair:
+	@test -n "$(PARENT)" || { echo "usage: make e2e-pair PARENT=<rev> [PAIRS=10] [SEED=1] [WORKLOADS=a,b]"; exit 2; }
+	$(GO) run ./internal/tools/benchpair -parent $(PARENT) -pairs $(PAIRS) -seed $(SEED) -workloads "$(WORKLOADS)"
 
 # The four targets below are scenario reports: efficacy, not speed.
 

@@ -73,7 +73,7 @@ func run() error {
 		y        = flag.Int("y", 1, "y parameter (round, hash)")
 		seed     = flag.Uint64("hash-seed", 0, "hash family seed (hash scheme)")
 		timeout  = flag.Duration("timeout", 5*time.Second, "RPC timeout")
-		muxConns = flag.Int("mux-conns", transport.DefaultMuxConns, "multiplexed TCP connections per server; requests are pipelined over them")
+		muxConns = flag.Int("mux-conns", transport.DefaultMuxConns, "multiplexed TCP connections per server; calls spread over them round-robin and pipeline on each, every caller writing its own frames")
 
 		// Lookup resilience policy (see core.LookupPolicy).
 		lookupTimeout = flag.Duration("lookup-timeout", 0, "end-to-end deadline for one lookup (0 = none)")

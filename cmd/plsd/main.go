@@ -49,7 +49,7 @@ func run() error {
 		seed     = flag.Uint64("seed", 0, "RNG seed for answer sampling (0 = derived from time)")
 		timeout  = flag.Duration("peer-timeout", 5*time.Second, "peer RPC timeout")
 		retries  = flag.Int("peer-retries", 1, "attempts per peer RPC before reporting the peer down")
-		muxConns = flag.Int("mux-conns", transport.DefaultMuxConns, "multiplexed TCP connections per peer; requests are pipelined over them")
+		muxConns = flag.Int("mux-conns", transport.DefaultMuxConns, "multiplexed TCP connections per peer; calls spread over them round-robin and pipeline on each, every caller writing its own frames")
 		selObs   = flag.Bool("peer-selector", true, "score peer health (EWMA latency, failure streaks) and expose it via the admin endpoint")
 
 		// Dynamic membership. A daemon started with -join asks the given
@@ -237,6 +237,7 @@ func run() error {
 	}
 
 	srv := transport.NewServer(nd)
+	srv.Instrument(telemetry.NewServerMetrics(reg, "server"))
 	bound, err := srv.Listen(bind)
 	if err != nil {
 		return err

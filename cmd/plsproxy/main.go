@@ -63,7 +63,7 @@ func run() error {
 		seed     = flag.Uint64("seed", 0, "RNG seed for probe-order sampling (0 = derived from time)")
 
 		timeout     = flag.Duration("timeout", 5*time.Second, "backend RPC timeout")
-		muxConns    = flag.Int("mux-conns", transport.DefaultMuxConns, "multiplexed TCP connections per server; requests are pipelined over them")
+		muxConns    = flag.Int("mux-conns", transport.DefaultMuxConns, "multiplexed TCP connections per server; calls spread over them round-robin and pipeline on each, every caller writing its own frames")
 		retries     = flag.Int("retries", 1, "attempts per probe before failing over to the next server")
 		backoff     = flag.Duration("backoff", 50*time.Millisecond, "delay before the first retry (doubles per retry)")
 		hedgeAfter  = flag.Duration("hedge-after", 0, "send a second identical probe after this latency (0 = off)")
@@ -163,6 +163,7 @@ func run() error {
 	reg.NewGaugeFunc("proxy.member_epoch", func() int64 { return int64(px.MemberEpoch()) })
 
 	srv := transport.NewServer(px)
+	srv.Instrument(telemetry.NewServerMetrics(reg, "server"))
 	bound, err := srv.Listen(*listen)
 	if err != nil {
 		return err

@@ -10,6 +10,7 @@ package entry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -304,18 +305,37 @@ func Union(sets ...*Set) int {
 	return len(seen)
 }
 
-// Dedup appends to dst the entries of src not already present in seen,
-// recording them in seen. It returns the extended dst. Clients use it to
-// merge answers from multiple servers during a partial lookup.
-func Dedup(dst []Entry, seen map[Entry]struct{}, src []Entry) []Entry {
+// dedupScanMax is the merged-set size up to which Dedup finds a
+// duplicate by scanning dst: a partial lookup's answer is a dozen or so
+// short strings, which a scan beats a map on without allocating one.
+const dedupScanMax = 32
+
+// Dedup appends to dst, whose entries are distinct, the entries of src
+// not already in it, and returns the extended dst. Clients use it to
+// merge answers from multiple servers during a partial lookup. seen is
+// nil until dst outgrows dedupScanMax; from then on it is the set of
+// dst's entries, and the caller passes the returned one back in.
+func Dedup(dst []Entry, seen map[Entry]struct{}, src []Entry) ([]Entry, map[Entry]struct{}) {
 	for _, v := range src {
-		if _, ok := seen[v]; ok {
-			continue
+		if seen == nil && len(dst) >= dedupScanMax {
+			seen = make(map[Entry]struct{}, 2*len(dst))
+			for _, have := range dst {
+				seen[have] = struct{}{}
+			}
 		}
-		seen[v] = struct{}{}
+		if seen == nil {
+			if slices.Contains(dst, v) {
+				continue
+			}
+		} else {
+			if _, ok := seen[v]; ok {
+				continue
+			}
+			seen[v] = struct{}{}
+		}
 		dst = append(dst, v)
 	}
-	return dst
+	return dst, seen
 }
 
 // Synthetic returns h synthetic entries "v1".."vh" for tests, examples,

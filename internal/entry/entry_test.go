@@ -3,6 +3,7 @@ package entry
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -226,11 +227,41 @@ func TestUnion(t *testing.T) {
 }
 
 func TestDedup(t *testing.T) {
-	seen := make(map[Entry]struct{})
-	out := Dedup(nil, seen, []Entry{"a", "b", "a"})
-	out = Dedup(out, seen, []Entry{"b", "c"})
+	out, seen := Dedup(nil, nil, []Entry{"a", "b", "a"})
+	out, seen = Dedup(out, seen, []Entry{"b", "c"})
 	if len(out) != 3 || out[0] != "a" || out[1] != "b" || out[2] != "c" {
 		t.Fatalf("Dedup = %v, want [a b c]", out)
+	}
+	if seen != nil {
+		t.Fatalf("Dedup built a map for %d entries", len(out))
+	}
+}
+
+// TestDedupPastScanMax: the result is the same — first occurrences, in
+// order — on either side of the switch from scanning to the map, also
+// when one call crosses it.
+func TestDedupPastScanMax(t *testing.T) {
+	src := append(Synthetic(3*dedupScanMax), Synthetic(3*dedupScanMax)...)
+	var want []Entry
+	have := make(map[Entry]bool)
+	for _, v := range src {
+		if !have[v] {
+			have[v] = true
+			want = append(want, v)
+		}
+	}
+	for _, chunk := range []int{1, 7, dedupScanMax, len(src)} {
+		var out []Entry
+		var seen map[Entry]struct{}
+		for i := 0; i < len(src); i += chunk {
+			out, seen = Dedup(out, seen, src[i:min(i+chunk, len(src))])
+		}
+		if !slices.Equal(out, want) {
+			t.Fatalf("chunks of %d: Dedup = %v, want %v", chunk, out, want)
+		}
+		if seen == nil {
+			t.Fatalf("chunks of %d: no map after %d entries", chunk, len(out))
+		}
 	}
 }
 

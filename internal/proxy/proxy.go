@@ -174,6 +174,10 @@ func (p *Proxy) Handle(ctx context.Context, msg wire.Message) wire.Message {
 		return p.lookupBatch(ctx, []wire.Lookup{m})[0]
 	case wire.LookupBatch:
 		return wire.LookupBatchReply{Replies: p.lookupBatch(ctx, m.Items)}
+	}
+	// Everything else waits on the backend or on the owner's callback.
+	transport.Detach(ctx)
+	switch m := msg.(type) {
 	case wire.Place:
 		return standalone(update(ctx, p, []wire.Place{m}, splitPlace, p.svc.PlaceBatch))
 	case wire.PlaceBatch:
@@ -233,6 +237,11 @@ func (p *Proxy) lookupBatch(ctx context.Context, items []wire.Lookup) []wire.Loo
 		leaders = append(leaders, waiter{idx: i, fk: fk, f: f})
 	}
 	p.mu.Unlock()
+	if len(leaders)+len(followers) > 0 {
+		// Cache hits were answered where the request was read; flights
+		// wait on the backend.
+		transport.Detach(ctx)
+	}
 
 	// Lead the flights, grouped by t in first-appearance order.
 	for len(leaders) > 0 {

@@ -629,3 +629,63 @@ func toStrings(es []core.Entry) []string {
 	}
 	return out
 }
+
+// TestMissDoesNotDelayHitOnTheSameConn: behind transport.Server a cache
+// hit is answered on the connection's reader, and a miss — which leads
+// a flight through the backend — detaches first, so a miss held open by
+// a blocked backend does not delay a hit sent behind it on the same
+// connection. A follower of that flight detaches too.
+func TestMissDoesNotDelayHitOnTheSameConn(t *testing.T) {
+	rig := newRig(t, time.Minute, 0)
+	place(t, rig.p, "hot", "a", "b", "c")
+	place(t, rig.p, "cold", "x", "y", "z")
+	lookup(t, rig.p, "hot", 2) // fill the cache
+
+	sm := telemetry.NewServerMetrics(telemetry.NewRegistry(), "server")
+	srv := transport.NewServer(rig.p)
+	srv.Instrument(sm)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer srv.Close()
+	client := transport.NewClient([]string{addr}, transport.WithMuxConns(1), transport.WithTimeout(5*time.Second))
+	defer client.Close()
+
+	rig.gc.arm()
+	defer rig.gc.release()
+	misses := make(chan error, 2)
+	for i := 0; i < 2; i++ { // a leader and its follower
+		go func() {
+			reply, err := client.Call(context.Background(), 0, wire.Lookup{Key: "cold", T: 2})
+			if lr, ok := reply.(wire.LookupReply); err == nil && (!ok || lr.Err != "" || len(lr.Entries) < 2) {
+				err = fmt.Errorf("miss answered %#v", reply)
+			}
+			misses <- err
+		}()
+	}
+	// Both misses are inside the proxy: one leading, one coalesced.
+	for deadline := time.Now().Add(5 * time.Second); rig.m.Coalesced.Value() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second miss never joined the first one's flight")
+		}
+	}
+
+	reply, err := client.Call(context.Background(), 0, wire.Lookup{Key: "hot", T: 2})
+	if lr, ok := reply.(wire.LookupReply); err != nil || !ok || len(lr.Entries) < 2 {
+		t.Fatalf("hit behind a held miss: %#v, %v", reply, err)
+	}
+	if sm.Inline.Value() != 1 || sm.Detached.Value() != 0 {
+		t.Fatalf("inline %d detached %d after the hit alone returned, want 1 and 0", sm.Inline.Value(), sm.Detached.Value())
+	}
+
+	rig.gc.release()
+	for i := 0; i < 2; i++ {
+		if err := <-misses; err != nil {
+			t.Errorf("held miss: %v", err)
+		}
+	}
+	if sm.Detached.Value() != 2 {
+		t.Errorf("detached %d, want the leader and the follower", sm.Detached.Value())
+	}
+}

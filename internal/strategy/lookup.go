@@ -122,7 +122,7 @@ type lookup struct {
 
 	results []Result
 	errs    []error
-	seen    []map[entry.Entry]struct{} // per-key dedup set, made on first answer
+	seen    []map[entry.Entry]struct{} // per-key dedup set; nil while the answer is small (entry.Dedup)
 	pending []int                      // indexes into keys
 	tried   []bool                     // per server: probed, whatever the outcome
 	reached bool                       // some server answered
@@ -172,12 +172,9 @@ func (l *lookup) visit(server int) bool {
 	l.reached = true
 	still := l.pending[:0]
 	for j, i := range l.pending {
-		if l.seen[i] == nil {
-			l.seen[i] = make(map[entry.Entry]struct{}, seenSizeHint(l.t))
-		}
 		res := &l.results[i]
 		res.Contacted++
-		res.Entries = entry.Dedup(res.Entries, l.seen[i], toEntries(replies[j].Entries))
+		res.Entries, l.seen[i] = entry.Dedup(res.Entries, l.seen[i], toEntries(replies[j].Entries))
 		if len(res.Entries) < l.t {
 			still = append(still, i)
 		}
@@ -232,9 +229,3 @@ func (d *Driver) probe(ctx context.Context, c transport.Caller, server int, keys
 	}
 	return replies, nil
 }
-
-// seenSizeHint bounds the size hint for per-lookup dedup maps. t
-// arrives off the wire, so a hostile or corrupted value must not
-// translate into an arbitrarily large up-front allocation; the map
-// still grows past the hint if a lookup really returns that much.
-func seenSizeHint(t int) int { return min(t, 1<<10) }

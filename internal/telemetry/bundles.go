@@ -33,6 +33,18 @@ type TransportMetrics struct {
 	// DialErrors counts dials that failed per server; each also counts
 	// in Errors so fault assertions need only one counter.
 	DialErrors *CounterVec
+	// Frames counts frames written to sockets and Writes the write
+	// syscalls that carried them, on whichever side owns the bundle:
+	// request frames for a transport.Client, reply frames for a
+	// transport.Server. Frames / Writes is the batching factor.
+	Frames *Counter
+	Writes *Counter
+	// Inline counts requests a transport.Server answered on the
+	// connection's reader goroutine, Detached those whose handler
+	// detached to wait. Inline / (Inline + Detached) is the inline
+	// fraction.
+	Inline   *Counter
+	Detached *Counter
 }
 
 // NewTransportMetrics registers transport metrics for n servers under
@@ -46,6 +58,20 @@ func NewTransportMetrics(r *Registry, prefix string, n int) *TransportMetrics {
 		Reuses:      r.NewCounterVec(prefix+".conn_reuse.lookup", n),
 		MaintReuses: r.NewCounterVec(prefix+".conn_reuse.maintenance", n),
 		DialErrors:  r.NewCounterVec(prefix+".dial_errors", n),
+		Frames:      r.NewCounter(prefix + ".frames_written"),
+		Writes:      r.NewCounter(prefix + ".writes"),
+	}
+}
+
+// NewServerMetrics registers under prefix the counters a
+// transport.Server records — reply frames, writes, requests handled
+// inline and detached — and leaves the caller-side metrics unset.
+func NewServerMetrics(r *Registry, prefix string) *TransportMetrics {
+	return &TransportMetrics{
+		Frames:   r.NewCounter(prefix + ".frames_written"),
+		Writes:   r.NewCounter(prefix + ".writes"),
+		Inline:   r.NewCounter(prefix + ".handled_inline"),
+		Detached: r.NewCounter(prefix + ".handled_detached"),
 	}
 }
 
@@ -87,6 +113,28 @@ func (m *TransportMetrics) RecordReuse(server int, maintenance bool) {
 		return
 	}
 	m.Reuses.At(server).Inc()
+}
+
+// RecordWrite records one write syscall that carried frames frames.
+func (m *TransportMetrics) RecordWrite(frames int) {
+	if m == nil {
+		return
+	}
+	m.Frames.Add(int64(frames))
+	m.Writes.Inc()
+}
+
+// RecordHandled records one request a server answered, inline on the
+// connection's reader or after its handler detached.
+func (m *TransportMetrics) RecordHandled(detached bool) {
+	if m == nil {
+		return
+	}
+	if detached {
+		m.Detached.Inc()
+		return
+	}
+	m.Inline.Inc()
 }
 
 // LookupMetrics groups the client lookup path metrics recorded by

@@ -83,7 +83,7 @@ func TestClientFailsConnOnMalformedReply(t *testing.T) {
 	if _, err := client.Call(context.Background(), 0, wire.Ping{}); err == nil {
 		t.Fatal("call succeeded on a v1-framed reply")
 	}
-	if mc.alive() {
+	if !mc.dead.Load() {
 		t.Fatal("connection survived a malformed reply")
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -31,10 +33,11 @@ type gatedEcho struct {
 	release chan struct{}
 }
 
-func (h gatedEcho) Handle(_ context.Context, msg wire.Message) wire.Message {
+func (h gatedEcho) Handle(ctx context.Context, msg wire.Message) wire.Message {
 	m, ok := msg.(wire.Lookup)
 	switch {
 	case ok && m.Key == "slow":
+		Detach(ctx)
 		h.started <- struct{}{}
 		<-h.release
 		return wire.LookupReply{Entries: []string{m.Key}}
@@ -112,34 +115,38 @@ func TestServerAnswersOversizedReplyWithError(t *testing.T) {
 }
 
 // TestLargeFrameBuffersAreNotRetained: one large frame must not pin its
-// buffer afterwards — neither in the frame pool nor in a connection's
-// frame reader.
+// buffer afterwards — neither in a connection's write buffers, server
+// or client side, nor in its frame reader.
 func TestLargeFrameBuffersAreNotRetained(t *testing.T) {
-	// The pool may drop any buffer, so only the passing direction is
-	// deterministic: a grown buffer never comes back. Two gets reach
-	// both places a put can land (the P-private slot and the shared
-	// list's head).
-	for i := 0; i < 64; i++ {
-		big := make([]byte, 0, 4*maxRetainedBuf)
-		putFrameBuf(&big)
-		a, b := getFrameBuf(), getFrameBuf()
-		if cap(*a) > maxRetainedBuf || cap(*b) > maxRetainedBuf {
-			t.Fatalf("pool handed back a %d/%d-byte buffer, retention bound is %d", cap(*a), cap(*b), maxRetainedBuf)
-		}
-		putFrameBuf(a)
-		putFrameBuf(b)
+	near, far := net.Pipe()
+	defer near.Close()
+	defer far.Close()
+	go io.Copy(io.Discard, far)
+
+	sc := &serverConn{s: NewServer(nil), conn: near, out: make([]byte, 4*maxRetainedBuf)}
+	sc.flush()
+	if cap(sc.out) > maxRetainedBuf {
+		t.Fatalf("server kept a %d-byte out-buffer after a large reply, retention bound is %d", cap(sc.out), maxRetainedBuf)
 	}
 
 	large := wire.LookupReply{Entries: make([]string, 4*maxRetainedBuf/8)}
 	for i := range large.Entries {
 		large.Entries[i] = "entry-xx"
 	}
+	mc := newMuxConn(near, time.Second, nil)
+	if _, err := mc.send(make(chan muxResult, 1), large); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if cap(mc.wbuf) > maxRetainedBuf || cap(mc.spare) > maxRetainedBuf {
+		t.Fatalf("client kept %d/%d-byte write buffers after a large request, retention bound is %d", cap(mc.wbuf), cap(mc.spare), maxRetainedBuf)
+	}
+
 	stream := wire.AppendFrameV2(nil, 1, large)
 	stream = wire.AppendFrameV2(stream, 2, wire.Ping{})
 	fr := newFrameReader(bytes.NewReader(stream))
 	for id := uint64(1); id <= 2; id++ {
-		if fb, err := fr.next(); err != nil || fb.ID != id {
-			t.Fatalf("frame %d: got id %d, %v", id, fb.ID, err)
+		if got, _, err := fr.next(); err != nil || got != id {
+			t.Fatalf("frame %d: got id %d, %v", id, got, err)
 		}
 	}
 	if cap(fr.body) > maxRetainedBuf {

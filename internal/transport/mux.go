@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,20 +17,22 @@ import (
 // Client is a Caller over TCP using multiplexed connections: a small
 // fixed set of connections per server (WithMuxConns), each carrying
 // many requests in flight at once. Every request frame is tagged with a
-// connection-local id; a writer goroutine coalesces queued frames into
-// single writes, and a demux reader routes each tagged reply to the
-// call that issued it. Compared with the old checkout/checkin pool this
-// removes the conn-per-concurrent-call scaling (and the dial storms a
-// cold pool produced under load) while keeping the property the pool
-// existed for: nested RPC chains — the Round-Robin delete protocol has
-// a server call itself — cannot deadlock, because the server dispatches
-// v2 frames concurrently instead of serializing per connection.
+// connection-local id. The calling goroutine appends its frame to the
+// connection's write buffer and, unless another caller is already
+// writing, writes the buffer out itself — its own frame and whatever
+// was appended meanwhile — so there is no writer goroutine to wake; one
+// reader goroutine per connection routes each tagged reply straight to
+// the call waiting for it. Nested RPC chains — the Round-Robin delete
+// protocol has a server call itself — cannot deadlock, because a Server
+// handler that waits on a peer has detached from its connection's
+// reader first (see Handler).
 //
 // Failure taxonomy, which the Retry middleware leans on:
 //
-//   - Dial and connection-level failures (reset, EOF, write error)
-//     close the connection and report ErrServerDown; the next call
-//     dials afresh.
+//   - Dial and connection-level failures (reset, EOF, write error, a
+//     write the peer does not drain within the per-call timeout) close
+//     the connection and report ErrServerDown; the next call dials
+//     afresh. The caller whose write timed out sees ErrRequestTimeout.
 //   - A request that exceeds the per-call timeout reports an error
 //     matching both ErrRequestTimeout and ErrServerDown, but leaves
 //     the connection open: the reply may simply be slow, and a retry
@@ -48,8 +51,9 @@ type Client struct {
 var _ Caller = (*Client)(nil)
 
 // DefaultMuxConns is the default number of multiplexed connections per
-// server. Two keeps a spare lane so one saturated writer never idles a
-// whole peer; -mux-conns raises it for many-core clients.
+// server. Calls spread over them round-robin, so with two a connection
+// that is stalled or being redialed holds up only half the calls to its
+// peer; -mux-conns raises it for many-core clients.
 const DefaultMuxConns = 2
 
 // ErrRequestTimeout reports a request that got no reply within the
@@ -113,9 +117,8 @@ func NewClient(addrs []string, opts ...ClientOption) *Client {
 	for _, opt := range opts {
 		opt(c)
 	}
-	c.peers = make([]*peer, len(addrs))
-	for i, addr := range addrs {
-		c.peers[i] = newPeer(addr, c.muxConns)
+	for _, addr := range addrs {
+		c.AddServer(addr)
 	}
 	return c
 }
@@ -124,15 +127,21 @@ func NewClient(addrs []string, opts ...ClientOption) *Client {
 type peer struct {
 	addr  string
 	rr    atomic.Uint64
-	slots []*connSlot
+	slots []connSlot
 }
 
-func newPeer(addr string, n int) *peer {
-	p := &peer{addr: addr, slots: make([]*connSlot, n)}
+// close tears down the peer's live connections.
+func (p *peer) close() {
 	for i := range p.slots {
-		p.slots[i] = &connSlot{}
+		slot := &p.slots[i]
+		slot.mu.Lock()
+		mc := slot.mc
+		slot.mc = nil
+		slot.mu.Unlock()
+		if mc != nil {
+			mc.fail(errors.New("transport: client closed"))
+		}
 	}
-	return p
 }
 
 // connSlot holds one lazily-dialed multiplexed connection. The slot
@@ -143,201 +152,141 @@ type connSlot struct {
 	mc *muxConn
 }
 
-// close tears down the slot's connection if one is live.
-func (s *connSlot) close() {
-	s.mu.Lock()
-	mc := s.mc
-	s.mc = nil
-	s.mu.Unlock()
-	if mc != nil {
-		mc.fail(errors.New("transport: client closed"))
-	}
-}
-
 // muxResult carries one demuxed reply to the call waiting on it.
 type muxResult struct {
 	msg wire.Message
 	err error
 }
 
-// muxConn is one multiplexed connection: a writer goroutine draining a
-// frame queue, a reader goroutine demultiplexing tagged replies into
-// the pending map, and an id counter shared by all calls on the conn.
+// waiter is what one call blocks on: the channel its reply arrives on
+// and its timeout timer. Only the call that received on ch recycles its
+// waiter — nothing can send to that channel again, its registration
+// having been removed before the one send. A call that timed out or was
+// cancelled may still get a late send, so its waiter is dropped.
+type waiter struct {
+	ch    chan muxResult
+	timer *time.Timer
+}
+
+var waiterPool = sync.Pool{
+	New: func() any { return &waiter{ch: make(chan muxResult, 1)} },
+}
+
+// muxConn is one multiplexed connection: a write buffer its callers
+// flush themselves, and a reader goroutine that routes tagged replies
+// to the calls registered in pending.
 type muxConn struct {
-	conn   net.Conn
-	nextID atomic.Uint64
+	conn    net.Conn
+	timeout time.Duration
+	metrics *telemetry.TransportMetrics
+	dead    atomic.Bool // set under mu; read without it by checkout
 
-	writeCh chan *[]byte
-	// done closes when the connection dies, releasing the writer
-	// goroutine and any enqueuer blocked on a full write queue.
-	done chan struct{}
-
-	pmu     sync.Mutex
-	pending map[uint64]chan muxResult
-	dead    bool
+	mu      sync.Mutex
 	deadErr error
+	nextID  uint64
+	pending map[uint64]chan muxResult
+	// Callers append frames to wbuf; the one that finds no flush in
+	// progress writes wbuf out, and spare is the buffer it swaps in for
+	// callers arriving during that write.
+	wbuf     []byte
+	wframes  int
+	spare    []byte
+	flushing bool
 }
 
-// dialMux dials addr and starts the connection's writer and reader.
-func dialMux(ctx context.Context, addr string, timeout time.Duration) (*muxConn, error) {
-	var d net.Dialer
-	dialCtx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	conn, err := d.DialContext(dialCtx, "tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return newMuxConn(conn), nil
-}
-
-// newMuxConn wraps an established connection with the writer and demux
-// reader goroutines. Split from dialMux so tests can drive a muxConn
-// over an in-memory pipe.
-func newMuxConn(conn net.Conn) *muxConn {
-	mc := &muxConn{
-		conn:    conn,
-		writeCh: make(chan *[]byte, 64),
-		done:    make(chan struct{}),
-		pending: make(map[uint64]chan muxResult),
-	}
-	go mc.writeLoop()
+// newMuxConn wraps an established connection and starts its demux
+// reader; tests drive one over an in-memory pipe.
+func newMuxConn(conn net.Conn, timeout time.Duration, m *telemetry.TransportMetrics) *muxConn {
+	mc := &muxConn{conn: conn, timeout: timeout, metrics: m, pending: make(map[uint64]chan muxResult)}
 	go mc.readLoop()
 	return mc
 }
 
-// register files a reply channel under a fresh id, failing if the
-// connection already died.
-func (mc *muxConn) register(id uint64, ch chan muxResult) error {
-	mc.pmu.Lock()
-	defer mc.pmu.Unlock()
-	if mc.dead {
-		return mc.deadErr
+// deliver hands a call its result without ever blocking the demux loop:
+// each registration's channel is buffered for the single send it can
+// receive (the registration is removed under mu first).
+func deliver(ch chan muxResult, res muxResult) {
+	select {
+	case ch <- res:
+	default:
 	}
-	mc.pending[id] = ch
-	return nil
 }
 
 // deregister abandons a request (timeout or cancellation). A reply
 // arriving later finds no channel and is dropped by the demux loop.
 func (mc *muxConn) deregister(id uint64) {
-	mc.pmu.Lock()
+	mc.mu.Lock()
 	delete(mc.pending, id)
-	mc.pmu.Unlock()
-}
-
-// alive reports whether the connection can still carry requests.
-func (mc *muxConn) alive() bool {
-	mc.pmu.Lock()
-	defer mc.pmu.Unlock()
-	return !mc.dead
+	mc.mu.Unlock()
 }
 
 // fail marks the connection dead, closes it, and delivers err to every
 // pending call. Idempotent: only the first error sticks.
 func (mc *muxConn) fail(err error) {
-	mc.pmu.Lock()
-	if mc.dead {
-		mc.pmu.Unlock()
+	mc.mu.Lock()
+	if mc.dead.Load() {
+		mc.mu.Unlock()
 		return
 	}
-	mc.dead = true
+	mc.dead.Store(true)
 	mc.deadErr = err
 	pending := mc.pending
 	mc.pending = nil
-	mc.pmu.Unlock()
-	close(mc.done)
+	mc.mu.Unlock()
 	mc.conn.Close()
 	for _, ch := range pending {
-		// Non-blocking for the same reason as the demux loop: one
-		// buffered slot per registration, at most one send ever happens.
-		select {
-		case ch <- muxResult{err: err}:
-		default:
-		}
+		deliver(ch, muxResult{err: err})
 	}
 }
 
-// errEnqueueStalled reports a frame that could not even reach the write
-// queue within the per-call timeout: the writer goroutine is wedged on a
-// conn.Write the peer is not draining, with the queue full behind it.
-// Call maps it to requestTimeoutError (the connection itself may still
-// recover once the peer reads).
-var errEnqueueStalled = errors.New("transport: write queue stalled")
-
-// enqueue hands one encoded frame to the writer goroutine. The buffer
-// is returned to the frame pool after the write — or immediately, on
-// any path that fails to queue it. A full queue does not block
-// indefinitely: the caller's context and per-call timer are honored, so
-// a cancelled or timed-out call always returns (and can deregister its
-// pending id) even while the writer is stuck on a stalled peer.
-func (mc *muxConn) enqueue(ctx context.Context, timeout <-chan time.Time, buf *[]byte) error {
-	select {
-	case mc.writeCh <- buf:
-		return nil
-	case <-mc.done:
-		putFrameBuf(buf)
-		mc.pmu.Lock()
-		err := mc.deadErr
-		mc.pmu.Unlock()
-		return err
-	case <-ctx.Done():
-		putFrameBuf(buf)
-		return ctx.Err()
-	case <-timeout:
-		putFrameBuf(buf)
-		return errEnqueueStalled
+// send registers ch under a fresh request id and appends msg's frame to
+// the write buffer. Unless another caller is flushing already (that one
+// will carry the frame), it then writes the buffer out until it is
+// empty: this caller's frame and every frame appended while it was in
+// write. Each write runs under a deadline of the per-call timeout; a
+// peer that does not drain the socket for that long has failed, and so
+// has the connection — part of a frame may be out. That error matches
+// os.ErrDeadlineExceeded. An id is never left registered on an error.
+func (mc *muxConn) send(ch chan muxResult, msg wire.Message) (id uint64, err error) {
+	mc.mu.Lock()
+	if mc.dead.Load() {
+		defer mc.mu.Unlock()
+		return 0, mc.deadErr
 	}
-}
-
-// writeLoop drains queued frames, coalescing everything immediately
-// available into one buffer so a pipelined burst costs one syscall. It
-// exits when the connection dies, recycling any frames still queued.
-func (mc *muxConn) writeLoop() {
-	scratch := getFrameBuf()
-	defer putFrameBuf(scratch)
-	for {
-		var first *[]byte
-		select {
-		case first = <-mc.writeCh:
-		case <-mc.done:
-			mc.drainWriteQueue()
-			return
-		}
-		*scratch = append((*scratch)[:0], *first...)
-		putFrameBuf(first)
-	coalesce:
-		for {
-			select {
-			case next := <-mc.writeCh:
-				*scratch = append(*scratch, *next...)
-				putFrameBuf(next)
-			default:
-				break coalesce
-			}
-		}
-		if _, err := mc.conn.Write(*scratch); err != nil {
-			mc.fail(fmt.Errorf("transport: write: %w", err))
-			mc.drainWriteQueue()
-			return
-		}
-		if cap(*scratch) > maxRetainedBuf {
-			*scratch = nil // grown for a large frame; regrown on demand
-		}
+	mc.nextID++
+	id = mc.nextID
+	if mc.wbuf, err = appendFrame(mc.wbuf, id, msg); err != nil {
+		mc.mu.Unlock()
+		return 0, err
 	}
-}
-
-// drainWriteQueue recycles frames queued behind a dead connection.
-// After fail() no new frames enter (enqueue selects on done), so a
-// single non-blocking sweep empties the queue.
-func (mc *muxConn) drainWriteQueue() {
-	for {
-		select {
-		case buf := <-mc.writeCh:
-			putFrameBuf(buf)
-		default:
-			return
-		}
+	mc.pending[id] = ch
+	mc.wframes++
+	if mc.flushing {
+		mc.mu.Unlock()
+		return id, nil
 	}
+	mc.flushing = true
+	for len(mc.wbuf) > 0 && err == nil {
+		buf, frames := mc.wbuf, mc.wframes
+		mc.wbuf, mc.wframes = mc.spare[:0], 0
+		mc.mu.Unlock()
+		mc.metrics.RecordWrite(frames)
+		if err = mc.conn.SetWriteDeadline(time.Now().Add(mc.timeout)); err == nil {
+			_, err = mc.conn.Write(buf)
+		}
+		if cap(buf) > maxRetainedBuf {
+			buf = nil // grown for a large frame; regrown on demand
+		}
+		mc.mu.Lock()
+		mc.spare = buf
+	}
+	mc.flushing = false
+	mc.mu.Unlock()
+	if err != nil {
+		err = fmt.Errorf("transport: write: %w", err)
+		mc.fail(err)
+	}
+	return id, err
 }
 
 // readLoop demultiplexes tagged replies into pending channels until the
@@ -345,32 +294,17 @@ func (mc *muxConn) drainWriteQueue() {
 func (mc *muxConn) readLoop() {
 	fr := newFrameReader(mc.conn)
 	for {
-		fb, err := fr.next()
+		id, msg, err := fr.next()
 		if err != nil {
 			mc.fail(err)
 			return
 		}
-		// Decode copies into a fresh arena, so the reader's buffer is
-		// reusable next loop.
-		msg, err := wire.Decode(fb.Payload)
-		if err != nil {
-			mc.fail(fmt.Errorf("transport: decode frame: %w", err))
-			return
-		}
-		mc.pmu.Lock()
-		ch, ok := mc.pending[fb.ID]
+		mc.mu.Lock()
+		ch, ok := mc.pending[id]
+		delete(mc.pending, id)
+		mc.mu.Unlock()
 		if ok {
-			delete(mc.pending, fb.ID)
-		}
-		mc.pmu.Unlock()
-		if ok {
-			// Non-blocking: each id's channel is buffered for the single
-			// reply it can receive (registration is deleted under pmu before
-			// any send), so a stuck receiver can never wedge the demux loop.
-			select {
-			case ch <- muxResult{msg: msg}:
-			default:
-			}
+			deliver(ch, muxResult{msg: msg})
 		}
 		// Unknown id: the call timed out or was cancelled and
 		// deregistered itself; the late reply is dropped.
@@ -401,7 +335,7 @@ func (c *Client) Addrs() []string {
 func (c *Client) AddServer(addr string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.peers = append(c.peers, newPeer(addr, c.muxConns))
+	c.peers = append(c.peers, &peer{addr: addr, slots: make([]connSlot, c.muxConns)})
 	return len(c.peers) - 1
 }
 
@@ -416,49 +350,38 @@ func (c *Client) RemoveServer(server int) {
 	p := c.peers[server]
 	c.peers = append(c.peers[:server], c.peers[server+1:]...)
 	c.mu.Unlock()
-	for _, slot := range p.slots {
-		slot.close()
-	}
+	p.close()
 }
 
-// peerFor resolves a server id to its peer.
-func (c *Client) peerFor(server int) (*peer, error) {
+// checkout picks the next of the server's connection slots round-robin
+// and returns its connection, dialing one when the slot is empty or its
+// connection has died (a stale dead connection is replaced rather than
+// failing the call).
+func (c *Client) checkout(ctx context.Context, server int, maintenance bool) (*muxConn, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if server < 0 || server >= len(c.peers) {
+		defer c.mu.Unlock()
 		return nil, fmt.Errorf("transport: server %d out of range [0,%d)", server, len(c.peers))
 	}
-	return c.peers[server], nil
-}
-
-// checkout picks the peer's next connection slot round-robin and
-// registers ch under a fresh request id on the slot's connection,
-// dialing one when the slot is empty or its connection has died (a
-// stale dead connection falls through to the dial arm rather than
-// failing the call). Returns the connection and the registered id.
-func (c *Client) checkout(ctx context.Context, server int, p *peer, maintenance bool, ch chan muxResult) (*muxConn, uint64, error) {
-	slot := p.slots[p.rr.Add(1)%uint64(len(p.slots))]
+	p := c.peers[server]
+	c.mu.Unlock()
+	slot := &p.slots[p.rr.Add(1)%uint64(len(p.slots))]
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
-	if slot.mc != nil {
-		id := slot.mc.nextID.Add(1)
-		if err := slot.mc.register(id, ch); err == nil {
-			c.metrics.RecordReuse(server, maintenance)
-			return slot.mc, id, nil
-		}
+	if slot.mc != nil && !slot.mc.dead.Load() {
+		c.metrics.RecordReuse(server, maintenance)
+		return slot.mc, nil
 	}
-	mc, err := dialMux(ctx, p.addr, c.timeout)
+	var d net.Dialer
+	dialCtx, cancel := context.WithTimeout(ctx, c.timeout)
+	defer cancel()
+	conn, err := d.DialContext(dialCtx, "tcp", p.addr)
 	c.metrics.RecordDial(server, err != nil)
 	if err != nil {
-		return nil, 0, err
+		return nil, fmt.Errorf("%w: %v", ErrServerDown, err)
 	}
-	slot.mc = mc
-	id := mc.nextID.Add(1)
-	if err := mc.register(id, ch); err != nil {
-		// The fresh connection died before carrying a single request.
-		return nil, 0, err
-	}
-	return mc, id, nil
+	slot.mc = newMuxConn(conn, c.timeout, c.metrics)
+	return slot.mc, nil
 }
 
 // Call sends msg to server i over a multiplexed connection and waits
@@ -467,53 +390,57 @@ func (c *Client) checkout(ctx context.Context, server int, p *peer, maintenance 
 // the in-process transport; see the type comment for the full failure
 // taxonomy.
 func (c *Client) Call(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
-	p, err := c.peerFor(server)
+	mc, err := c.checkout(ctx, server, wire.MaintenanceKind(msg.Kind()))
 	if err != nil {
 		return nil, err
 	}
-	ch := make(chan muxResult, 1)
-	mc, id, err := c.checkout(ctx, server, p, wire.MaintenanceKind(msg.Kind()), ch)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrServerDown, err)
+	w := waiterPool.Get().(*waiter)
+	if w.timer == nil {
+		w.timer = time.NewTimer(c.timeout)
+	} else {
+		w.timer.Reset(c.timeout) // stopped and drained when it was recycled
 	}
-	buf, err := encodeFrame(id, msg)
+	id, err := mc.send(w.ch, msg)
 	if err != nil {
-		// The message's fault, not the server's: reported as is, with
-		// the connection and the calls in flight on it left alone.
-		mc.deregister(id)
-		return nil, err
-	}
-	timer := time.NewTimer(c.timeout)
-	defer timer.Stop()
-	if err := mc.enqueue(ctx, timer.C, buf); err != nil {
-		// Every enqueue failure abandons the registration before
-		// returning; a late reply for the id is dropped by the demux loop.
-		mc.deregister(id)
+		w.timer.Stop()
 		switch {
-		case err == errEnqueueStalled:
-			return nil, &requestTimeoutError{server: server, d: c.timeout}
-		case ctx.Err() != nil && err == ctx.Err():
-			// The caller's deadline, not the server's fault: reported
-			// unwrapped so policy layers never retry it.
+		case errors.Is(err, wire.ErrOversized):
+			// The message's fault, not the server's: reported as is, with
+			// the connection and the calls in flight on it left alone.
 			return nil, err
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			return nil, &requestTimeoutError{server: server, d: c.timeout}
 		default:
 			return nil, fmt.Errorf("%w: %v", ErrServerDown, err)
 		}
 	}
 	select {
-	case res := <-ch:
+	case res := <-w.ch:
+		// Stop, and drain without blocking if it fired meanwhile: that
+		// leaves the timer's channel empty for the next Reset under the
+		// timer semantics before and after Go 1.23 alike.
+		if !w.timer.Stop() {
+			select {
+			case <-w.timer.C:
+			default:
+			}
+		}
+		waiterPool.Put(w)
 		if res.err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrServerDown, res.err)
 		}
 		return res.msg, nil
-	case <-timer.C:
+	case <-w.timer.C:
 		// Request-level timeout: abandon the id but keep the connection —
 		// a late reply is dropped by the demux loop, and a retry reuses
 		// the warm connection instead of dialing.
 		mc.deregister(id)
 		return nil, &requestTimeoutError{server: server, d: c.timeout}
 	case <-ctx.Done():
+		// The caller's deadline, not the server's fault: reported
+		// unwrapped so policy layers never retry it.
 		mc.deregister(id)
+		w.timer.Stop()
 		return nil, ctx.Err()
 	}
 }
@@ -526,9 +453,7 @@ func (c *Client) Close() error {
 	peers := append([]*peer(nil), c.peers...)
 	c.mu.Unlock()
 	for _, p := range peers {
-		for _, slot := range p.slots {
-			slot.close()
-		}
+		p.close()
 	}
 	return nil
 }

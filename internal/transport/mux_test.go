@@ -17,8 +17,8 @@ import (
 // across 4 servers while one server drains mid-run: every call must
 // either succeed with the reply for its own request (no cross-wiring of
 // ids) or fail with ErrServerDown on the draining server. Run under
-// -race this is the concurrency gate for the demux maps, the writer
-// coalescing loop, and the server's per-frame dispatch.
+// -race this is the concurrency gate for the demux maps, the callers'
+// shared write buffer, and the server's inline dispatch.
 func TestMuxStress(t *testing.T) {
 	const (
 		peers      = 4
@@ -91,9 +91,10 @@ type stallOnceEcho struct {
 	stalled atomic.Bool
 }
 
-func (h *stallOnceEcho) Handle(_ context.Context, msg wire.Message) wire.Message {
+func (h *stallOnceEcho) Handle(ctx context.Context, msg wire.Message) wire.Message {
 	if m, ok := msg.(wire.Lookup); ok {
 		if h.stalled.CompareAndSwap(false, true) {
+			Detach(ctx)
 			time.Sleep(h.stall)
 		}
 		return wire.LookupReply{Entries: []string{m.Key}}
@@ -236,14 +237,14 @@ func TestMuxPipelinesOnOneConn(t *testing.T) {
 }
 
 // plantPipeConn backs server 0 of a client with an in-memory pipe whose
-// far side never reads or writes: the writer goroutine wedges on its
-// first conn.Write, the write queue fills behind it, and later enqueues
-// must rely on ctx/timer arms to escape. Returns the planted muxConn
-// and the far end (close it to release the wedged writer).
+// far side never reads or writes: the first caller wedges in conn.Write
+// until its write deadline, later callers queue their frames behind it
+// and must rely on their ctx/timer arms to escape. Returns the planted
+// muxConn and the far end (close it to release the wedged write).
 func plantPipeConn(t *testing.T, c *Client) (*muxConn, net.Conn) {
 	t.Helper()
 	near, far := net.Pipe()
-	mc := newMuxConn(near)
+	mc := newMuxConn(near, c.timeout, c.metrics)
 	c.mu.Lock()
 	c.peers[0].slots[0].mc = mc
 	c.mu.Unlock()
@@ -251,14 +252,15 @@ func plantPipeConn(t *testing.T, c *Client) (*muxConn, net.Conn) {
 }
 
 // TestCancelDuringEnqueueReleasesRegistration is the -race regression
-// for the leaked pending-request bug: with the writer stuck on a peer
-// that never reads and the write queue full, a cancelled Call used to
-// block forever inside enqueue — holding its registration, invisible to
-// timeout and cancellation alike. Now every call must return promptly
-// with its context error (unwrapped, per the failure taxonomy) or a
-// timeout, and the pending map must drain to empty.
+// for the leaked pending-request bug: with a write stuck on a peer that
+// never reads, a cancelled Call used to block forever behind it —
+// holding its registration, invisible to timeout and cancellation
+// alike. Every call queued behind the stuck write must return promptly
+// with its context error (unwrapped, per the failure taxonomy); the one
+// caller inside conn.Write returns when its write deadline passes, with
+// the timeout taxonomy; and the pending map must drain to empty.
 func TestCancelDuringEnqueueReleasesRegistration(t *testing.T) {
-	client := NewClient([]string{"pipe:unused"}, WithMuxConns(1), WithTimeout(2*time.Second))
+	client := NewClient([]string{"pipe:unused"}, WithMuxConns(1), WithTimeout(time.Second))
 	defer client.Close()
 	mc, far := plantPipeConn(t, client)
 	defer far.Close()
@@ -289,7 +291,7 @@ func TestCancelDuringEnqueueReleasesRegistration(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("calls did not return: enqueue ignored cancellation with the write queue full")
+		t.Fatal("calls did not return: a call queued behind a stuck write ignored cancellation")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancelled calls took %v to return", elapsed)
@@ -302,18 +304,18 @@ func TestCancelDuringEnqueueReleasesRegistration(t *testing.T) {
 			t.Fatalf("call %d error %v; want context.Canceled or the timeout taxonomy", g, err)
 		}
 	}
-	mc.pmu.Lock()
+	mc.mu.Lock()
 	leaked := len(mc.pending)
-	mc.pmu.Unlock()
+	mc.mu.Unlock()
 	if leaked != 0 {
 		t.Fatalf("%d pending registrations leaked after every call returned", leaked)
 	}
 }
 
-// TestEnqueueStallMapsToRequestTimeout: when the write queue cannot
-// accept a frame within the per-call timeout (and the caller's context
-// stays live), the call must fail like a request timeout — matching
-// both ErrRequestTimeout and ErrServerDown so retry policies treat the
+// TestEnqueueStallMapsToRequestTimeout: when a frame cannot be written
+// within the per-call timeout (and the caller's context stays live),
+// the call must fail like a request timeout — matching both
+// ErrRequestTimeout and ErrServerDown so retry policies treat the
 // stalled peer as failed — and must release its registration.
 func TestEnqueueStallMapsToRequestTimeout(t *testing.T) {
 	client := NewClient([]string{"pipe:unused"}, WithMuxConns(1), WithTimeout(200*time.Millisecond))
@@ -321,25 +323,13 @@ func TestEnqueueStallMapsToRequestTimeout(t *testing.T) {
 	mc, far := plantPipeConn(t, client)
 	defer far.Close()
 
-	// Wedge the writer and fill the queue: one frame in conn.Write,
-	// cap(writeCh) more queued behind it.
-	for i := 0; i < cap(mc.writeCh)+1; i++ {
-		buf := getFrameBuf()
-		*buf = wire.AppendFrameV2((*buf)[:0], uint64(i)+1000, wire.Ping{})
-		select {
-		case mc.writeCh <- buf:
-		default:
-			putFrameBuf(buf)
-		}
-	}
-
 	_, err := client.Call(context.Background(), 0, wire.Lookup{Key: "stalled", T: 1})
 	if !errors.Is(err, ErrRequestTimeout) || !errors.Is(err, ErrServerDown) {
-		t.Fatalf("stalled enqueue returned %v; want the request-timeout taxonomy", err)
+		t.Fatalf("stalled write returned %v; want the request-timeout taxonomy", err)
 	}
-	mc.pmu.Lock()
+	mc.mu.Lock()
 	leaked := len(mc.pending)
-	mc.pmu.Unlock()
+	mc.mu.Unlock()
 	if leaked != 0 {
 		t.Fatalf("%d pending registrations leaked after a stalled call", leaked)
 	}

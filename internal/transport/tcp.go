@@ -11,19 +11,20 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
 // Frame format: a 4-byte big-endian body length, then the body
 // wire.AppendFrameV2 lays out — marker, 8-byte request id, encoded
 // message. The Server and the multiplexed Client in mux.go write frames
-// with encodeFrame and read them with a frameReader, so both ends
+// with appendFrame and read them with a frameReader, so both ends
 // enforce the same bounds.
 
 // maxRetainedBuf bounds the capacity of a buffer kept across frames: a
-// connection's read buffer and the pooled encode buffers. A frame may
-// be as large as wire.MaxFrameBody, but one such frame must not pin
-// that much memory per connection and per pool slot afterwards.
+// connection's read buffer and its write buffers. A frame may be as
+// large as wire.MaxFrameBody, but one such frame must not pin that much
+// memory per connection afterwards.
 const maxRetainedBuf = 64 << 10
 
 // frameReader reads frames off one connection into a reused buffer.
@@ -37,61 +38,95 @@ func newFrameReader(r io.Reader) *frameReader {
 	return &frameReader{br: bufio.NewReaderSize(r, 32<<10)}
 }
 
-// next reads one frame. The returned payload aliases the reader's
-// buffer and is valid until the following call.
-func (fr *frameReader) next() (wire.FrameBody, error) {
+// buffered reports whether a complete frame is already in the read
+// buffer, so that next will return it without touching the connection.
+func (fr *frameReader) buffered() bool {
+	if fr.br.Buffered() < len(fr.hdr) {
+		return false
+	}
+	hdr, _ := fr.br.Peek(len(fr.hdr))
+	return uint32(fr.br.Buffered()-len(fr.hdr)) >= binary.BigEndian.Uint32(hdr)
+}
+
+// next reads one frame and returns its request id and decoded message.
+// Decode copies into a fresh arena, so the message does not alias the
+// reader's buffer: that is free for the next frame at once, whoever
+// reads it.
+func (fr *frameReader) next() (uint64, wire.Message, error) {
 	if cap(fr.body) > maxRetainedBuf {
 		fr.body = nil // before the wait for the next frame, however long
 	}
 	if _, err := io.ReadFull(fr.br, fr.hdr[:]); err != nil {
-		return wire.FrameBody{}, fmt.Errorf("transport: read: %w", err)
+		return 0, nil, fmt.Errorf("transport: read: %w", err)
 	}
 	n := binary.BigEndian.Uint32(fr.hdr[:])
 	if n == 0 || n > wire.MaxFrameBody {
-		return wire.FrameBody{}, fmt.Errorf("transport: bad frame length %d", n)
+		return 0, nil, fmt.Errorf("transport: bad frame length %d", n)
 	}
 	if cap(fr.body) < int(n) {
 		fr.body = make([]byte, n)
 	}
 	fr.body = fr.body[:n]
 	if _, err := io.ReadFull(fr.br, fr.body); err != nil {
-		return wire.FrameBody{}, fmt.Errorf("transport: read frame body: %w", err)
+		return 0, nil, fmt.Errorf("transport: read frame body: %w", err)
 	}
 	fb, err := wire.ParseFrameBody(fr.body)
 	if err != nil {
-		return wire.FrameBody{}, fmt.Errorf("transport: parse frame: %w", err)
+		return 0, nil, fmt.Errorf("transport: parse frame: %w", err)
 	}
-	return fb, nil
+	msg, err := wire.Decode(fb.Payload)
+	if err != nil {
+		return 0, nil, fmt.Errorf("transport: decode frame: %w", err)
+	}
+	return fb.ID, msg, nil
 }
 
-// encodeFrame encodes msg as one frame into a pooled buffer. A frame
-// the peer's frameReader would refuse — and drop the connection over,
-// failing every other call in flight on it — is refused here instead,
-// with an error matching wire.ErrOversized.
-func encodeFrame(id uint64, msg wire.Message) (*[]byte, error) {
-	buf := getFrameBuf()
-	*buf = wire.AppendFrameV2((*buf)[:0], id, msg)
-	if n := len(*buf) - 4; n > wire.MaxFrameBody {
-		putFrameBuf(buf)
-		return nil, fmt.Errorf("transport: %w: %T frame body of %d bytes exceeds %d",
+// appendFrame appends msg to buf as one frame. A frame the peer's
+// frameReader would refuse — and drop the connection over, failing
+// every other call in flight on it — is refused here instead: buf comes
+// back as it was, with an error matching wire.ErrOversized.
+func appendFrame(buf []byte, id uint64, msg wire.Message) ([]byte, error) {
+	start := len(buf)
+	buf = wire.AppendFrameV2(buf, id, msg)
+	if n := len(buf) - start - 4; n > wire.MaxFrameBody {
+		return buf[:start], fmt.Errorf("transport: %w: %T frame body of %d bytes exceeds %d",
 			wire.ErrOversized, msg, n, wire.MaxFrameBody)
 	}
 	return buf, nil
 }
 
-// maxInflightPerConn bounds the handler goroutines a single connection
+// appendReply appends the reply frame for request id. An oversized
+// reply is answered with an error the caller can read; a short Ack
+// always fits, so its encode error is not checked.
+func appendReply(buf []byte, id uint64, reply wire.Message) []byte {
+	if reply == nil {
+		reply = wire.Ack{}
+	}
+	buf, err := appendFrame(buf, id, reply)
+	if err != nil {
+		buf, _ = appendFrame(buf, id, wire.Ack{Err: err.Error()})
+	}
+	return buf
+}
+
+// maxInflightPerConn bounds the detached handlers a single connection
 // may have running at once. The bound is per connection, not global: it
 // stops one pipelining peer from monopolizing the scheduler while
 // leaving unrelated connections untouched.
 const maxInflightPerConn = 256
 
-// Server accepts TCP connections and serves a Handler. Every request
-// frame is dispatched to its own handler goroutine (bounded by
-// maxInflightPerConn) and each reply is tagged with the id of the
-// request it answers, so replies may overtake slow requests instead of
-// queueing behind them. A peer that sends a malformed frame is cut off.
+// Server accepts TCP connections and serves a Handler under one rule:
+// the goroutine that has the bytes does the work. Each connection has
+// one reader goroutine, which runs Handle itself and appends the reply
+// to the connection's out-buffer; the buffer is written once no further
+// complete request is buffered behind it, and always before the reader
+// blocks in read, so k pipelined requests cost one write and no
+// goroutine start. A handler that has to wait detaches (see Handler);
+// replies carry the id of the request they answer, so they overtake
+// slow requests. A peer that sends a malformed frame is cut off.
 type Server struct {
 	handler Handler
+	metrics *telemetry.TransportMetrics
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -104,6 +139,10 @@ type Server struct {
 func NewServer(h Handler) *Server {
 	return &Server{handler: h, conns: make(map[net.Conn]struct{})}
 }
+
+// Instrument records requests handled inline and detached, reply frames
+// and writes into m. Call it before Listen.
+func (s *Server) Instrument(m *telemetry.TransportMetrics) { s.metrics = m }
 
 // Listen binds to addr (e.g. "127.0.0.1:0") and begins accepting
 // connections in a background goroutine, returning the bound address.
@@ -132,78 +171,133 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return // listener closed
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
+		if !s.serveConn(conn) {
 			conn.Close()
 			return
 		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
 	}
 }
 
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-
-	// inflight must drain before the deferred conn.Close above runs
-	// (defers are LIFO): a read-deadline kick from Shutdown breaks the
-	// read loop, but handlers already running still get their replies
-	// written.
-	var (
-		wmu      sync.Mutex
-		inflight sync.WaitGroup
-		sem      = make(chan struct{}, maxInflightPerConn)
-	)
-	defer inflight.Wait()
-
-	fr := newFrameReader(conn)
-	for {
-		fb, err := fr.next()
-		if err != nil {
-			return
-		}
-		// Decode copies into a fresh arena, so the reader's buffer is
-		// free for reuse the moment it returns — even while handlers
-		// still run.
-		msg, err := wire.Decode(fb.Payload)
-		if err != nil {
-			return
-		}
-		sem <- struct{}{}
-		inflight.Add(1)
-		go func(id uint64, msg wire.Message) {
-			defer inflight.Done()
-			defer func() { <-sem }()
-			reply := s.handler.Handle(context.Background(), msg)
-			if reply == nil {
-				reply = wire.Ack{}
-			}
-			buf, err := encodeFrame(id, reply)
-			if err != nil {
-				// Answer with an error the caller can read; a short Ack
-				// always fits, so its encode error is not checked.
-				buf, _ = encodeFrame(id, wire.Ack{Err: err.Error()})
-			}
-			wmu.Lock()
-			_, werr := conn.Write(*buf)
-			wmu.Unlock()
-			putFrameBuf(buf)
-			if werr != nil {
-				// The peer is gone; the read loop will notice too. Replies
-				// already written stay valid, this one is lost with the conn.
-				conn.Close()
-			}
-		}(fb.ID, msg)
+// serveConn starts a reader for an accepted connection, unless the
+// server has closed.
+func (s *Server) serveConn(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
 	}
+	s.conns[conn] = struct{}{}
+	s.wg.Add(1)
+	c := &serverConn{s: s, conn: conn, fr: newFrameReader(conn), sem: make(chan struct{}, maxInflightPerConn)}
+	go c.readLoop()
+	return true
+}
+
+// serverConn is one accepted connection. fr, out and outFrames belong
+// to the connection's current reader goroutine and change hands only in
+// Detach; the rest is shared with the detached handlers.
+type serverConn struct {
+	s    *Server
+	conn net.Conn
+
+	fr        *frameReader
+	out       []byte // replies the reader has encoded and not yet written
+	outFrames int
+
+	sem  chan struct{} // one slot per detached handler
+	wmu  sync.Mutex    // guards conn.Write and hbuf
+	hbuf []byte        // where a detached handler encodes its reply
+}
+
+// connReader is what Detach finds in a handler's ctx: the reader
+// goroutine the handler runs on.
+type connReader struct {
+	c        *serverConn
+	detached bool
+}
+
+type detachKey struct{}
+
+// Detach tells the Server that the calling handler is about to wait;
+// Handler states the contract. While every handler slot is out the
+// connection goes unread, as backpressure.
+func Detach(ctx context.Context) {
+	r, ok := ctx.Value(detachKey{}).(*connReader)
+	if !ok || r.detached {
+		return
+	}
+	r.detached = true
+	r.c.flush()
+	r.c.sem <- struct{}{}
+	go r.c.readLoop()
+}
+
+// readLoop is the connection's reader. It serves requests until the
+// connection is finished, which it then closes, or until one of them
+// detaches: then this goroutine owes that one reply and leaves.
+func (c *serverConn) readLoop() {
+	r := &connReader{c: c}
+	ctx := context.WithValue(context.Background(), detachKey{}, r) // once per reader, not per request
+	for {
+		// Written before the reader can block — whenever next would have
+		// to touch the connection (no frame, a header, half a body) — and
+		// when a long pipeline has queued a buffer's worth.
+		if len(c.out) >= maxRetainedBuf || !c.fr.buffered() {
+			c.flush()
+		}
+		id, msg, err := c.fr.next()
+		if err != nil {
+			break
+		}
+		reply := c.s.handler.Handle(ctx, msg)
+		c.s.metrics.RecordHandled(r.detached)
+		if r.detached {
+			c.wmu.Lock()
+			c.hbuf = appendReply(c.hbuf[:0], id, reply)
+			c.hbuf = c.write(c.hbuf, 1)
+			c.wmu.Unlock()
+			<-c.sem
+			return
+		}
+		c.out = appendReply(c.out, id, reply)
+		c.outFrames++
+	}
+	// A read error, or Shutdown's read-deadline kick, ends the reading;
+	// handlers already out still get their replies written, which taking
+	// every slot waits for.
+	c.flush()
+	for i := 0; i < cap(c.sem); i++ {
+		c.sem <- struct{}{}
+	}
+	c.conn.Close()
+	c.s.mu.Lock()
+	delete(c.s.conns, c.conn)
+	c.s.mu.Unlock()
+	c.s.wg.Done()
+}
+
+// flush writes the replies the reader has queued.
+func (c *serverConn) flush() {
+	if len(c.out) > 0 {
+		c.wmu.Lock()
+		c.out, c.outFrames = c.write(c.out, c.outFrames), 0
+		c.wmu.Unlock()
+	}
+}
+
+// write sends buf, which carries frames replies, with wmu held, and
+// returns it emptied for reuse — or nil, if it grew for a large reply.
+func (c *serverConn) write(buf []byte, frames int) []byte {
+	c.s.metrics.RecordWrite(frames)
+	if _, err := c.conn.Write(buf); err != nil {
+		// The peer is gone; the reader will notice too. Replies already
+		// written stay valid, these are lost with the conn.
+		c.conn.Close()
+	}
+	if cap(buf) > maxRetainedBuf {
+		return nil
+	}
+	return buf[:0]
 }
 
 // Shutdown stops the server gracefully: the listener closes (no new
@@ -218,24 +312,10 @@ func (s *Server) serveConn(conn net.Conn) {
 // the converse: any reply the server has started processing is
 // delivered before the process moves on to flushing durable state.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ln := s.listener
-	for conn := range s.conns {
-		// Expire reads only: a goroutine blocked waiting for the next
-		// request fails out immediately, while one mid-handle still
-		// writes its reply (writes carry no deadline here).
-		_ = conn.SetReadDeadline(time.Now())
-	}
-	s.mu.Unlock()
-	var lnErr error
-	if ln != nil {
-		lnErr = ln.Close()
-	}
+	// Expire reads only: a reader waiting for the next request fails out
+	// immediately, while a handler still writes its reply (writes carry
+	// no deadline here).
+	lnErr := s.stop(func(conn net.Conn) { _ = conn.SetReadDeadline(time.Now()) })
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -245,11 +325,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-done:
 		return lnErr
 	case <-ctx.Done():
-		s.mu.Lock()
-		for conn := range s.conns {
-			conn.Close()
-		}
-		s.mu.Unlock()
+		s.stop(func(conn net.Conn) { conn.Close() })
 		s.wg.Wait()
 		return ctx.Err()
 	}
@@ -258,39 +334,23 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Close stops accepting, closes all connections, and waits for the
 // serving goroutines to finish.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ln := s.listener
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
+	err := s.stop(func(conn net.Conn) { conn.Close() })
 	s.wg.Wait()
 	return err
 }
 
-// getFrameBuf and putFrameBuf pool frame-encoding scratch buffers
-// shared by the server's write path and the multiplexed client.
-var framePool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-func getFrameBuf() *[]byte { return framePool.Get().(*[]byte) }
-
-func putFrameBuf(b *[]byte) {
-	if cap(*b) > maxRetainedBuf {
-		return // grown for a large one-off; let the GC take it
+// stop applies kick to every open connection and, the first time, marks
+// the server closed and closes its listener.
+func (s *Server) stop(kick func(net.Conn)) error {
+	s.mu.Lock()
+	ln := s.listener
+	s.closed, s.listener = true, nil
+	for conn := range s.conns {
+		kick(conn)
 	}
-	framePool.Put(b)
+	s.mu.Unlock()
+	if ln == nil {
+		return nil
+	}
+	return ln.Close()
 }

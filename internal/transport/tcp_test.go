@@ -21,30 +21,24 @@ func TestFrameRoundTrip(t *testing.T) {
 		wire.Lookup{Key: "k", T: 12},
 		wire.LookupReply{Entries: []string{"a", "b"}},
 	}
-	var buf bytes.Buffer
+	var stream []byte
 	for i, m := range msgs {
-		frame, err := encodeFrame(uint64(i+1), m)
-		if err != nil {
-			t.Fatalf("encodeFrame: %v", err)
+		var err error
+		if stream, err = appendFrame(stream, uint64(i+1), m); err != nil {
+			t.Fatalf("appendFrame: %v", err)
 		}
-		buf.Write(*frame)
-		putFrameBuf(frame)
 	}
-	fr := newFrameReader(&buf)
+	fr := newFrameReader(bytes.NewReader(stream))
 	for i, want := range msgs {
-		fb, err := fr.next()
+		id, got, err := fr.next()
 		if err != nil {
 			t.Fatalf("next: %v", err)
 		}
-		got, err := wire.Decode(fb.Payload)
-		if err != nil {
-			t.Fatalf("Decode: %v", err)
-		}
-		if fb.ID != uint64(i+1) || !reflect.DeepEqual(got, want) {
-			t.Fatalf("frame round trip: got id %d %#v, want id %d %#v", fb.ID, got, i+1, want)
+		if id != uint64(i+1) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame round trip: got id %d %#v, want id %d %#v", id, got, i+1, want)
 		}
 	}
-	if _, err := fr.next(); !errors.Is(err, io.EOF) {
+	if _, _, err := fr.next(); !errors.Is(err, io.EOF) {
 		t.Fatalf("next on empty = %v, want EOF", err)
 	}
 }
@@ -57,7 +51,7 @@ func TestFrameReaderRejectsBadFrames(t *testing.T) {
 		"truncated body":    frame[:len(frame)-2],
 		"retired v1 layout": v1Frame(wire.Lookup{Key: "abcdef", T: 1}),
 	} {
-		if _, err := newFrameReader(bytes.NewReader(data)).next(); err == nil {
+		if _, _, err := newFrameReader(bytes.NewReader(data)).next(); err == nil {
 			t.Errorf("%s: frame accepted", name)
 		}
 	}
@@ -258,17 +252,19 @@ func TestClientContextDeadline(t *testing.T) {
 }
 
 // slowEcho delays each reply so a shutdown can race an in-flight
-// request deterministically.
+// request deterministically. It detaches before it waits, as the
+// Handler contract asks.
 type slowEcho struct {
 	delay   time.Duration
 	started chan struct{}
 }
 
-func (h slowEcho) Handle(_ context.Context, msg wire.Message) wire.Message {
+func (h slowEcho) Handle(ctx context.Context, msg wire.Message) wire.Message {
 	m, ok := msg.(wire.Lookup)
 	if !ok {
 		return wire.Ack{} // priming Pings reply instantly, no signal
 	}
+	Detach(ctx)
 	if h.started != nil {
 		h.started <- struct{}{}
 	}

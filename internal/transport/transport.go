@@ -39,7 +39,20 @@ type Caller interface {
 }
 
 // Handler processes one message at a server and produces a reply.
-// *node.Node implements it.
+// *node.Node and *proxy.Proxy implement it.
+//
+// Behind a Server, Handle runs on the goroutine that read the request,
+// and nothing else on that connection is read or answered until it
+// returns. A handler that answers from memory just returns. One about
+// to wait — on a peer, the WAL, another request — first calls
+// Detach(ctx), on that goroutine: the replies queued so far are
+// written, a fresh reader takes over the connection, and the caller
+// carries on as this request's own goroutine, its reply written when
+// Handle returns. At most maxInflightPerConn handlers per connection
+// are detached at once; Detach blocks for a slot beyond that, and does
+// nothing when repeated. The capability rides ctx, so it reaches a
+// handler through wrappers and derived contexts; a ctx no Server issued
+// (Inproc's, a test's) carries none, and Detach does nothing there.
 type Handler interface {
 	Handle(ctx context.Context, msg wire.Message) wire.Message
 }
