@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint loc cover bench e2e-bench e2e-pair select-bench repair-bench membership-bench zone-bench reproduce reproduce-full examples clean
+.PHONY: all build test race lint loc cover bench e2e-bench e2e-pair reproduce reproduce-full examples clean
 
 all: build test
 
@@ -27,11 +27,12 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./internal/tools/repolint
 
-# Non-test Go lines, in two groups with a total each: the five packages
-# ROADMAP item 4 ("collapse the layers") tracks, then the four a request
-# crosses client-side (item 4 "Drivers"); quote the before/after in PRs
-# that claim a reduction.
-LOC_PKGS = internal/node internal/strategy internal/wire internal/transport cmd/plsbench
+# Non-test Go lines, in two groups with a total each: the packages
+# ROADMAP item 4 ("collapse the layers") tracked plus internal/bench,
+# where cmd/plsbench's scenarios moved; then the four a request crosses
+# client-side (item 4 "Drivers"); quote the before/after in PRs that
+# claim a reduction.
+LOC_PKGS = internal/node internal/strategy internal/wire internal/transport cmd/plsbench internal/bench
 LOC_REQUEST_PKGS = internal/strategy internal/core internal/proxy internal/selector
 loc_lines = find $(1) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 loc:
@@ -70,30 +71,9 @@ e2e-pair:
 	@test -n "$(PARENT)" || { echo "usage: make e2e-pair PARENT=<rev> [PAIRS=10] [SEED=1] [WORKLOADS=a,b]"; exit 2; }
 	$(GO) run ./internal/tools/benchpair -parent $(PARENT) -pairs $(PAIRS) -seed $(SEED) -workloads "$(WORKLOADS)"
 
-# The four targets below are scenario reports: efficacy, not speed.
-
-# Failure-aware selector on/off comparison under chaos (BENCH_select.json).
-select-bench:
-	$(GO) run ./cmd/plsbench -select-bench BENCH_select.json
-
-# Anti-entropy churn benchmark: achieved-t retention under seeded
-# kill/replace churn, repair on vs. off (BENCH_repair.json).
-repair-bench:
-	$(GO) run ./cmd/plsbench -repair-bench BENCH_repair.json
-
-# Dynamic membership benchmark: entries moved and availability under
-# join/drain churn per scheme, plus Hash-y vs multi-probe load skew
-# (BENCH_membership.json).
-membership-bench:
-	$(GO) run ./cmd/plsbench -membership-bench BENCH_membership.json
-
-# Zone placement comparison: spread on vs off on a rack/DC/region
-# topology — availability under every single-zone partition, partition
-# survival lookups, cross-DC hop cost (BENCH_zone.json).
-zone-bench:
-	$(GO) run ./cmd/plsbench -zone-bench BENCH_zone.json
-
-# Regenerate every table and figure at interactive fidelity (~2 min).
+# Regenerate every table and figure, and the ext-* efficacy experiments
+# (selector, repair, membership, zone placement on vs. off), at
+# interactive fidelity (~2 min).
 reproduce:
 	$(GO) run ./cmd/plsbench -exp everything
 

@@ -1,26 +1,12 @@
-// Command plsbench regenerates every table and figure of the paper's
-// evaluation section, and the four scenario reports that measure
-// efficacy (not speed; the performance benchmark is bench/, declared by
-// BENCHMARK.json).
+// Command plsbench renders the experiments of internal/bench: every
+// table and figure of the paper's evaluation section, and the extension
+// experiments (ext-*) that measure efficacy — not speed; the
+// performance benchmark is bench/, declared by BENCHMARK.json.
 //
 // Usage:
 //
-//	plsbench [-exp table1|fig4|...|table2|all] [-fidelity quick|default|full]
-//	         [-format text|md] [-seed N]
-//	plsbench -select-bench BENCH_select.json [-select-bench-rounds 15]
-//	plsbench -repair-bench BENCH_repair.json [-repair-bench-rounds 8]
-//	plsbench -membership-bench BENCH_membership.json [-membership-bench-rounds 6]
-//	plsbench -zone-bench BENCH_zone.json
-//
-// The second form compares the failure-aware selector on vs. off over
-// an identical seeded chaos workload: servers contacted per lookup and
-// tail latency. The third form runs the kill/replace churn loop with
-// anti-entropy repair on vs. off and reports the achieved-t retention
-// curve per scheme. The fourth form drives join/drain rounds through
-// every placement scheme — entries moved, rebalance wall time,
-// availability during churn — and compares Hash-y against multi-probe
-// consistent hashing on placement load skew. The fifth form compares
-// zone-spread placement on vs. off on a rack/DC/region topology.
+//	plsbench [-exp table1|fig4|...|table2|ext-...|all|ext|everything]
+//	         [-fidelity quick|default|full] [-format text|md|csv] [-seed N]
 //
 // At -fidelity full the runner approaches the paper's stated fidelity
 // (5000 runs per data point) and can take many minutes; default keeps
@@ -40,45 +26,26 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "plsbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("plsbench", flag.ExitOnError)
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table1, fig4..fig14, table2, ext-rsreplace, ext-overlay), or all | ext | everything")
-		fidelity = flag.String("fidelity", "default", "simulation fidelity: quick, default, or full")
-		format   = flag.String("format", "text", "output format: text, md, or csv")
-		seed     = flag.Uint64("seed", 1, "master random seed")
-		runs     = flag.Int("runs", 0, "override: placements averaged per data point")
-		lookups  = flag.Int("lookups", 0, "override: lookups per placement")
-		updates  = flag.Int("updates", 0, "override: update events per dynamic run")
-		out      = flag.String("out", "", "also write the rendered tables to this file (e.g. results/availability.md)")
-		telOut   = flag.String("telemetry-out", "", "write a telemetry snapshot (per-experiment runs/durations, runtime stats) as JSON to this file")
-		selOut   = flag.String("select-bench", "", "run the selector on/off comparison under chaos instead of experiments and write BENCH_select.json-style output to this file")
-		selRnds  = flag.Int("select-bench-rounds", 15, "passes over the working set per select-bench arm")
-		repOut   = flag.String("repair-bench", "", "run the anti-entropy churn benchmark instead of experiments and write BENCH_repair.json-style output to this file")
-		repRnds  = flag.Int("repair-bench-rounds", 8, "kill/replace rounds per repair-bench arm")
-		memOut   = flag.String("membership-bench", "", "run the join/drain churn benchmark instead of experiments and write BENCH_membership.json-style output to this file")
-		memRnds  = flag.Int("membership-bench-rounds", 6, "join+drain rounds per membership-bench scheme")
-		zoneOut  = flag.String("zone-bench", "", "run the zone-spread on/off availability comparison instead of experiments and write BENCH_zone.json-style output to this file")
+		exp      = fs.String("exp", "all", "experiment id (table1, fig4..fig14, table2, ext-...), or all | ext | everything")
+		fidelity = fs.String("fidelity", "default", "simulation fidelity: quick, default, or full")
+		format   = fs.String("format", "text", "output format: text, md, or csv")
+		seed     = fs.Uint64("seed", 1, "master random seed")
+		runs     = fs.Int("runs", 0, "override: placements averaged per data point")
+		lookups  = fs.Int("lookups", 0, "override: lookups per placement")
+		updates  = fs.Int("updates", 0, "override: update events per dynamic run")
+		out      = fs.String("out", "", "also write the rendered tables to this file (e.g. results/availability.md)")
+		telOut   = fs.String("telemetry-out", "", "write a telemetry snapshot (per-experiment runs/durations, runtime stats) as JSON to this file")
 	)
-	flag.Parse()
-
-	if *selOut != "" {
-		return runSelectBench(*selOut, *selRnds)
-	}
-	if *repOut != "" {
-		return runRepairBench(*repOut, *repRnds)
-	}
-	if *memOut != "" {
-		return runMembershipBench(*memOut, *memRnds)
-	}
-	if *zoneOut != "" {
-		return runZoneBench(*zoneOut)
-	}
+	fs.Parse(args) // ExitOnError: Parse does not return an error
 
 	var fid bench.Fidelity
 	switch *fidelity {
@@ -99,6 +66,20 @@ func run() error {
 	}
 	if *updates > 0 {
 		fid.Updates = *updates
+	}
+
+	var render func(*bench.Table) string
+	switch *format {
+	case "text":
+		render = (*bench.Table).String
+	case "md":
+		render = (*bench.Table).Markdown
+	case "csv":
+		render = func(t *bench.Table) string {
+			return fmt.Sprintf("# %s — %s\n%s", t.ID, t.Title, t.CSV())
+		}
+	default:
+		return fmt.Errorf("unknown format %q", *format)
 	}
 
 	var experiments []bench.Experiment
@@ -153,15 +134,7 @@ func run() error {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		expCount.Inc()
-		var rendered string
-		switch *format {
-		case "md":
-			rendered = table.Markdown()
-		case "csv":
-			rendered = fmt.Sprintf("# %s — %s\n%s", table.ID, table.Title, table.CSV())
-		default:
-			rendered = table.String()
-		}
+		rendered := render(table)
 		fmt.Println(rendered)
 		archive.WriteString(rendered)
 		archive.WriteByte('\n')

@@ -1,14 +1,19 @@
 // Package bench contains one experiment runner per table and figure in
 // the paper's evaluation (Table 1; Figs. 4, 6, 7, 9, 12, 13, 14;
-// Table 2). The runners are shared by cmd/plsbench (human/markdown
-// output, paper fidelity) and the repository's testing.B benchmarks
-// (reduced fidelity). Each returns a Table whose rows are the same
-// series the paper plots.
+// Table 2), plus the extension experiments (ext-*): the paper's
+// qualitative claims quantified, and seeded on/off scenarios for the
+// subsystems built on top of it. The runners are shared by cmd/plsbench
+// (human/markdown output, paper fidelity) and the repository's
+// testing.B benchmarks (reduced fidelity). Each returns a Table; a
+// paper runner's rows are the same series the paper plots. This is the
+// home of efficacy numbers, not speed: the performance benchmark is the
+// top-level bench/ directory.
 package bench
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -43,10 +48,11 @@ var (
 )
 
 // Row is one data point: a label (usually the x-axis value) and one
-// value per column. CIs, when present, holds the 95% confidence
-// half-width of each value (the paper reports its own precision this
-// way: "for the 95% confidence level, the intervals is always smaller
-// than 0.1% of the sampled mean", Sec. 6.1).
+// value per column; a NaN value renders as an empty cell, for a column
+// that does not apply to the row. CIs, when present, holds the 95%
+// confidence half-width of each value (the paper reports its own
+// precision this way: "for the 95% confidence level, the intervals is
+// always smaller than 0.1% of the sampled mean", Sec. 6.1).
 type Row struct {
 	Label  string
 	Values []float64
@@ -199,7 +205,7 @@ func (t *Table) CSV() string {
 		b.WriteString(csvEscape(r.Label))
 		for j := range t.Columns {
 			b.WriteByte(',')
-			if j < len(r.Values) {
+			if j < len(r.Values) && !math.IsNaN(r.Values[j]) {
 				b.WriteString(strconv.FormatFloat(r.Values[j], 'g', -1, 64))
 			}
 		}
@@ -217,6 +223,8 @@ func csvEscape(s string) string {
 
 func formatValue(v float64) string {
 	switch {
+	case math.IsNaN(v):
+		return ""
 	case v == float64(int64(v)) && v < 1e15 && v > -1e15:
 		return fmt.Sprintf("%d", int64(v))
 	case v >= 100:

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -267,14 +268,15 @@ func TestTableRendering(t *testing.T) {
 	}
 	tbl.AddRow("1", 1.5, 2)
 	tbl.AddRow("2", 0.001, 1e6)
+	tbl.AddRow("3", math.NaN(), 7) // a column that does not apply to the row
 	text := tbl.String()
-	for _, want := range []string{"fig0", "demo", "a note", "1.5000"} {
+	for _, want := range []string{"fig0", "demo", "a note", "1.5000", "3                  7\n"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("text output missing %q:\n%s", want, text)
 		}
 	}
 	md := tbl.Markdown()
-	for _, want := range []string{"### fig0", "| x | a | b |", "|---|---|---|"} {
+	for _, want := range []string{"### fig0", "| x | a | b |", "|---|---|---|", "| 3 |  | 7 |"} {
 		if !strings.Contains(md, want) {
 			t.Errorf("markdown output missing %q:\n%s", want, md)
 		}
@@ -330,8 +332,9 @@ func TestTableCSV(t *testing.T) {
 		Columns: []string{"a", `quo"te`},
 	}
 	tbl.AddRow("1", 1.5, 2)
+	tbl.AddRow("2", math.NaN(), 3)
 	got := tbl.CSV()
-	want := "\"t, value\",a,\"quo\"\"te\"\n1,1.5,2\n"
+	want := "\"t, value\",a,\"quo\"\"te\"\n1,1.5,2\n2,,3\n"
 	if got != want {
 		t.Fatalf("CSV = %q, want %q", got, want)
 	}

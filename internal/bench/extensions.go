@@ -16,7 +16,10 @@ import (
 
 // ExtensionExperiments returns runners for the paper's Sec. 5.3 and
 // Sec. 7 variations, which the paper discusses qualitatively but does
-// not plot; these quantify its claims.
+// not plot; these quantify its claims. The last four are seeded on/off
+// scenarios for subsystems built on top of the paper (selector, repair,
+// live membership, zone-spread placement): fixed-size, so they ignore
+// the Fidelity.
 func ExtensionExperiments() []Experiment {
 	return []Experiment{
 		{ID: "ext-rsreplace", Title: "RandomServer cushion vs. active replacement (Sec. 5.3 alternative)", Run: ExtRSReplacement},
@@ -25,6 +28,10 @@ func ExtensionExperiments() []Experiment {
 		{ID: "ext-optimaly", Title: "Hash-y adaptive vs. pinned y policy", Run: ExtOptimalYPolicy},
 		{ID: "ext-hotspot", Title: "Hot-key load: partial lookup vs. traditional key hashing", Run: ExtHotSpot},
 		{ID: "ext-availability", Title: "Achieved-t rate under churn, drops, and a resilient lookup policy", Run: ExtAvailability},
+		{ID: "ext-select", Title: "Failure-aware selector on vs. off under chaos", Run: ExtSelect},
+		{ID: "ext-repair", Title: "Achieved-t under kill/replace churn, repair on vs. off", Run: ExtRepair},
+		{ID: "ext-membership", Title: "Entries moved and availability per join/drain; placement load skew", Run: ExtMembership},
+		{ID: "ext-zone", Title: "Zone-spread placement on vs. off under single-zone partitions", Run: ExtZone},
 	}
 }
 

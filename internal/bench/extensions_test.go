@@ -61,7 +61,7 @@ func TestExtOverlayTradeoffShape(t *testing.T) {
 
 func TestExtensionRegistry(t *testing.T) {
 	exts := ExtensionExperiments()
-	if len(exts) != 6 {
+	if len(exts) != 10 {
 		t.Fatalf("extensions = %d", len(exts))
 	}
 	for _, e := range exts {
@@ -135,6 +135,113 @@ func TestExtHotSpotConfirmsConclusion(t *testing.T) {
 	for _, scheme := range []string{"FullReplication", "Round-2"} {
 		if shares[scheme] > 20 {
 			t.Errorf("%s hottest-server share %v%%, want near 10%%", scheme, shares[scheme])
+		}
+	}
+}
+
+// rowsByLabel indexes a table's rows for the on/off scenario tests.
+func rowsByLabel(tbl *Table) map[string][]float64 {
+	rows := map[string][]float64{}
+	for _, row := range tbl.Rows {
+		rows[row.Label] = row.Values
+	}
+	return rows
+}
+
+func TestExtSelectLowersLookupCost(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sleeps through ~4s of injected latency")
+	}
+	tbl, err := ExtSelect(Fidelity{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Columns: Lookups, Satisfied, Contacted/lookup, Mean us, P99 us,
+	// Cache hits, Cache misses, Demotions. The us columns are wall clock
+	// and stay unasserted.
+	rows := rowsByLabel(tbl)
+	off, on := rows["off"], rows["on"]
+	if on[1] != off[1] || on[1] != on[0] {
+		t.Errorf("satisfied on %v / off %v of %v lookups, want all in both arms", on[1], off[1], on[0])
+	}
+	if on[2] >= off[2] {
+		t.Errorf("contacted per lookup %v with the selector, %v without: no saving", on[2], off[2])
+	}
+	if on[7] < 1 {
+		t.Errorf("demotions = %v: the drop-prone servers were never demoted", on[7])
+	}
+}
+
+func TestExtRepairHoldsAchievedT(t *testing.T) {
+	tbl, err := ExtRepair(Fidelity{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Columns: Lookups, Satisfied, Achieved/t, Last round achieved/t,
+	// Sweeps, Entries moved.
+	rows := rowsByLabel(tbl)
+	for scheme, moved := range map[string]float64{"RandomServer-16": 1536, "Hash-3": 1056} {
+		on, off := rows[scheme+" on"], rows[scheme+" off"]
+		if on[2] < 0.99 {
+			t.Errorf("%s: achieved/t %v with repair on, want >= 0.99", scheme, on[2])
+		}
+		if off[2] >= on[2] || off[3] >= on[3] {
+			t.Errorf("%s: repair off (%v, last round %v) not below on (%v, %v)", scheme, off[2], off[3], on[2], on[3])
+		}
+		if on[5] != moved || off[5] != 0 {
+			t.Errorf("%s: entries moved on %v / off %v, want %v / 0", scheme, on[5], off[5], moved)
+		}
+	}
+}
+
+func TestExtMembershipAvailabilityAndSkew(t *testing.T) {
+	tbl, err := ExtMembership(Fidelity{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Columns: Moved on join, Moved on drain, Churn lookups,
+	// Availability, Home skew max/mean.
+	if len(tbl.Rows) != 10 {
+		t.Fatalf("rows = %d, want 7 schemes + 3 home-skew rows", len(tbl.Rows))
+	}
+	for _, row := range tbl.Rows[:7] {
+		if row.Values[3] != 1 {
+			t.Errorf("%s: availability %v during churn, want 1", row.Label, row.Values[3])
+		}
+	}
+	rows := rowsByLabel(tbl)
+	// Consistent hashing's point: a join moves a fraction of what
+	// rehashing mod n moves.
+	if mp, hash := rows["MultiProbe-3"][0], rows["Hash-3"][0]; mp >= hash {
+		t.Errorf("moved on join: MultiProbe %v not below Hash %v", mp, hash)
+	}
+	// Multi-probe's extra probes buy balance the one-point ring lacks;
+	// Hash-y stays the best balanced.
+	hash, ring, mp := rows["Hash-2 homes"][4], rows["SingleProbeRing-2 homes"][4], rows["MultiProbe-2 homes"][4]
+	if !(hash < mp && mp < ring) || mp > 1.15 {
+		t.Errorf("home skew Hash %v, MultiProbe %v, single-probe ring %v: want Hash < MultiProbe < ring and MultiProbe <= 1.15", hash, mp, ring)
+	}
+}
+
+func TestExtZoneSpreadSurvivesAnyZone(t *testing.T) {
+	tbl, err := ExtZone(Fidelity{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Columns: Availability, Entries at risk, Keys fully lost,
+	// Worst-zone availability, Satisfied, Contacted/lookup, Cross-DC hop
+	// frac, Partition satisfied, Partition achieved.
+	rows := rowsByLabel(tbl)
+	plain, spread := rows["plain"], rows["spread"]
+	if spread[0] != 1 || spread[1] != 0 || spread[2] != 0 || spread[3] != 1 {
+		t.Errorf("spread: availability %v, %v entries at risk, %v keys lost, worst zone %v; want 1, 0, 0, 1", spread[0], spread[1], spread[2], spread[3])
+	}
+	if plain[0] >= 1 || plain[3] >= plain[0] {
+		t.Errorf("plain: availability %v (worst zone %v) shows no loss — the comparison is vacuous", plain[0], plain[3])
+	}
+	for label, row := range rows {
+		if row[4] != 1 || row[7] != 1 {
+			t.Errorf("%s: satisfied %v healthy, %v with a zone cut off; want every lookup satisfied", label, row[4], row[7])
 		}
 	}
 }

@@ -37,7 +37,7 @@ type homesExec struct{}
 // copies of an entry can collapse into one failure domain (mod-n
 // hashing and ring points are both zone-blind; for MultiProbe-y spread
 // trades the ring's minimal movement for that diversity, the trade the
-// zone-bench measures). The other five keep their base placement
+// ext-zone measures). The other five keep their base placement
 // under the flag: Full, Fixed-x and RandomServer-x put copies on every
 // server, hence in every zone (and steering RandomServer's RNG-driven
 // sampling through the topology would break the seeded-stream

@@ -8,7 +8,7 @@ import (
 // mpProbes is the number of ring probes per replica choice. The
 // multi-probe paper shows k=21 probes give a peak-to-average load of
 // ~1.1 with O(n) space — no virtual nodes — which is the configuration
-// benchmarked against Hash-y in plsbench -membership-bench.
+// benchmarked against Hash-y in plsbench -exp ext-membership.
 const mpProbes = 21
 
 // MultiProbeAssign returns the distinct servers multi-probe consistent

@@ -128,7 +128,7 @@ func TestSpreadAssignSpansZones(t *testing.T) {
 				}
 				seen[h] = true
 			}
-			// The guarantee the zone-bench availability rides on: with
+			// The guarantee the ext-zone availability rides on: with
 			// >= 2 regions and y >= 2, no single zone at any depth holds
 			// every copy.
 			for depth := 1; depth <= 3; depth++ {

@@ -79,7 +79,7 @@ type Chaos struct {
 	// Zone state. With tp nil all of it is inert: no extra locking of
 	// note, no RNG draws, no counters — topology-free runs stay
 	// byte-identical. With tp set but a zero latency profile, calls are
-	// counted per distance tier (the zone-bench hop gauges) and zone
+	// counted per distance tier (the ext-zone hop gauges) and zone
 	// partitions apply, but no delay is injected and no randomness is
 	// consumed.
 	tp         *topo.Topology
