@@ -51,6 +51,12 @@ type Cluster struct {
 	// drained member's number, so double-join detection stays simple.
 	nextAddr int
 
+	// localBase[i] is what slot i's share of the message meter differs
+	// by from its current node's LocalDeliveries count: plus the
+	// deliveries of nodes Replace swapped out of the slot, minus those
+	// made before the last ResetMessages (see Messages).
+	localBase []int64
+
 	// topo, when set, is the zone topology shared by the chaos layer
 	// and every node. Membership operations keep it in step with the
 	// member count (Grow/Compact), and Replace re-attaches it to the
@@ -65,10 +71,11 @@ func New(n int, rng *stats.RNG) *Cluster {
 		panic("cluster: New requires n > 0")
 	}
 	c := &Cluster{
-		tr:       transport.NewInproc(n),
-		nodes:    make([]*node.Node, n),
-		addrs:    make([]string, n),
-		nextAddr: n,
+		tr:        transport.NewInproc(n),
+		nodes:     make([]*node.Node, n),
+		addrs:     make([]string, n),
+		localBase: make([]int64, n),
+		nextAddr:  n,
 	}
 	for i := 0; i < n; i++ {
 		c.nodes[i] = node.New(i, rng.Split())
@@ -207,6 +214,7 @@ func (c *Cluster) Replace(i int, rng *stats.RNG) *node.Node {
 	// shared instance, or its spread-mode home computations diverge
 	// from the rest of the cluster (regression-tested in zone_test.go).
 	nd.SetTopology(c.topo)
+	c.localBase[i] += c.nodes[i].LocalDeliveries()
 	c.nodes[i] = nd
 	c.tr.Bind(i, nd)
 	c.tr.SetDown(i, false)
@@ -297,16 +305,43 @@ func (c *Cluster) TotalStorage(key string) int {
 }
 
 // Messages returns the total number of messages processed by all
-// servers: the paper's update-overhead metric (Sec. 6.4).
-func (c *Cluster) Messages() int64 { return c.tr.TotalProcessed() }
+// servers: the paper's update-overhead metric (Sec. 6.4). A message a
+// server addressed to itself never crossed the transport (a node
+// handles it in process) but was processed all the same, so each
+// server's in-process deliveries are added to what the transport
+// counted.
+func (c *Cluster) Messages() int64 {
+	total := c.tr.TotalProcessed()
+	for i := range c.nodes {
+		total += c.localDeliveries(i)
+	}
+	return total
+}
 
 // ProcessedBy returns the number of messages processed by one server,
 // for per-server load analyses (hot-spot experiments).
-func (c *Cluster) ProcessedBy(server int) int64 { return c.tr.Processed(server) }
+func (c *Cluster) ProcessedBy(server int) int64 {
+	if server < 0 || server >= len(c.nodes) {
+		return 0
+	}
+	return c.tr.Processed(server) + c.localDeliveries(server)
+}
+
+// localDeliveries is slot i's share of the meter the transport cannot
+// see: the in-process deliveries of its node, and of the nodes it has
+// replaced, since the last reset.
+func (c *Cluster) localDeliveries(i int) int64 {
+	return c.localBase[i] + c.nodes[i].LocalDeliveries()
+}
 
 // ResetMessages zeroes the message counters (e.g. after placement, so
 // an experiment counts update traffic only).
-func (c *Cluster) ResetMessages() { c.tr.ResetCounters() }
+func (c *Cluster) ResetMessages() {
+	c.tr.ResetCounters()
+	for i, nd := range c.nodes {
+		c.localBase[i] = -nd.LocalDeliveries()
+	}
+}
 
 // MemberEpoch returns the number of committed membership transitions.
 func (c *Cluster) MemberEpoch() uint64 { return c.memberEpoch.Load() }
@@ -358,6 +393,7 @@ func (c *Cluster) JoinAddr(ctx context.Context, addr string, rng *stats.RNG) (*n
 	c.tr.Add(nd)
 	c.nodes = append(c.nodes, nd)
 	c.addrs = append(c.addrs, addr)
+	c.localBase = append(c.localBase, 0)
 	c.nextAddr++
 
 	m := wire.MembershipUpdate{
@@ -421,6 +457,7 @@ func (c *Cluster) Drain(ctx context.Context, i int) (*node.Node, error) {
 	}
 	c.nodes = append(c.nodes[:i], c.nodes[i+1:]...)
 	c.addrs = append(c.addrs[:i], c.addrs[i+1:]...)
+	c.localBase = append(c.localBase[:i], c.localBase[i+1:]...)
 	for s := i; s < len(c.nodes); s++ {
 		c.nodes[s].SetID(s)
 		c.nodes[s].Attach(c.chaos.Origin(s))

@@ -3,6 +3,8 @@ package cluster_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -101,6 +103,76 @@ func TestClusterMessageCounters(t *testing.T) {
 	cl.TotalStorage("k")
 	if cl.Messages() != 0 {
 		t.Fatal("snapshot perturbed message counters")
+	}
+}
+
+// TestMessageCountersFollowSlotsAcrossReplaceAndDrain: a server's
+// processed count is what the transport delivered to its slot plus what
+// its node delivered to itself in process, and both halves stay with
+// the slot when the node is replaced and move with it when a lower slot
+// is drained away.
+func TestMessageCountersFollowSlotsAcrossReplaceAndDrain(t *testing.T) {
+	cl := cluster.New(4, stats.NewRNG(3))
+	placeFull(t, cl, 3)
+	// Server 0 took the client's Place and its own share of the
+	// broadcast; servers 1..3 their shares.
+	perServer := func() []int64 {
+		out := make([]int64, cl.N())
+		for i := range out {
+			out[i] = cl.ProcessedBy(i)
+		}
+		return out
+	}
+	if got, want := perServer(), []int64{2, 1, 1, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ProcessedBy after place = %v, want %v", got, want)
+	}
+	if local := cl.Node(0).LocalDeliveries(); local != 1 {
+		t.Fatalf("server 0 delivered %d messages to itself, want its share of the broadcast", local)
+	}
+
+	// Ten more broadcasts from server 3: each is the client's Add, one
+	// message to each other server and one server 3 keeps in process.
+	for i := 0; i < 10; i++ {
+		reply, err := cl.Caller().Call(context.Background(), 3, wire.Add{
+			Key: "k", Config: wire.Config{Scheme: wire.FullReplication}, Entry: fmt.Sprintf("w%d", i),
+		})
+		if ack, ok := reply.(wire.Ack); err != nil || !ok || ack.Err != "" {
+			t.Fatalf("add: %#v, %v", reply, err)
+		}
+	}
+	want := []int64{12, 11, 11, 21}
+	if got := perServer(); !reflect.DeepEqual(got, want) || cl.Messages() != 55 {
+		t.Fatalf("after ten adds: ProcessedBy %v, Messages %d, want %v and 55", got, cl.Messages(), want)
+	}
+
+	// A replacement node starts from zero; the slot's count does not.
+	cl.Replace(3, stats.NewRNG(9))
+	if got := perServer(); !reflect.DeepEqual(got, want) || cl.Messages() != 55 {
+		t.Fatalf("after Replace(3): ProcessedBy %v, Messages %d, want %v and 55", got, cl.Messages(), want)
+	}
+
+	// Slot 1 drained: slots 2 and 3 are 1 and 2 now and bring their counts
+	// along, the replaced node's share included. The drain's own handful
+	// of messages lands on top, so what a slot carried over is a floor —
+	// one that slot 2 misses by ten if the replaced node's share stays
+	// behind at index 3.
+	if _, err := cl.Drain(context.Background(), 1); err != nil {
+		t.Fatalf("Drain(1): %v", err)
+	}
+	for s, carried := range []int64{want[0], want[2], want[3]} {
+		if got := cl.ProcessedBy(s); got < carried || got > carried+8 {
+			t.Errorf("slot %d processed %d after the drain, carried over %d", s, got, carried)
+		}
+	}
+
+	cl.ResetMessages()
+	if got := cl.Messages(); got != 0 {
+		t.Fatalf("Messages after ResetMessages = %d, want 0", got)
+	}
+	for i, p := range perServer() {
+		if p != 0 {
+			t.Errorf("ProcessedBy(%d) after ResetMessages = %d, want 0", i, p)
+		}
 	}
 }
 

@@ -117,47 +117,17 @@ func TestOnlyLocalKindsRunOnTheReader(t *testing.T) {
 // reader its reply needs.
 func TestNestedPeerCallsOverOneConnPerPeer(t *testing.T) {
 	const n = 3
-	nodes := make([]*Node, n)
-	addrs := make([]string, n)
-	for i := range nodes {
-		nodes[i] = New(i, stats.NewRNG(uint64(i)+1))
-		srv := transport.NewServer(nodes[i])
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("Listen %d: %v", i, err)
-		}
-		defer srv.Close()
-		addrs[i] = addr
-	}
-	dial := func() *transport.Client {
-		return transport.NewClient(addrs, transport.WithMuxConns(1), transport.WithTimeout(5*time.Second))
-	}
-	for _, nd := range nodes {
-		pc := dial()
-		defer pc.Close()
-		nd.Attach(pc)
-	}
-	client := dial()
-	defer client.Close()
-
-	ctx := context.Background()
+	lc := newLoopCluster(t, n, nil, 0)
 	cfg := wire.Config{Scheme: wire.RoundRobin, Y: 2}
 	entries := []string{"v1", "v2", "v3", "v4", "v5", "v6", "v7"}
-	mustAck := func(server int, msg wire.Message) {
-		t.Helper()
-		reply, err := client.Call(ctx, server, msg)
-		if ack, ok := reply.(wire.Ack); err != nil || !ok || ack.Err != "" {
-			t.Fatalf("%T to server %d: %#v, %v", msg, server, reply, err)
-		}
-	}
-	mustAck(0, wire.Place{Key: "k", Config: cfg, Entries: entries})
+	lc.mustAck(0, wire.Place{Key: "k", Config: cfg, Entries: entries})
 	// Enough deletes for the head position to pass every server.
 	const deletes = n + 1
 	for _, v := range entries[:deletes] {
-		mustAck(0, wire.Delete{Key: "k", Config: cfg, Entry: v})
+		lc.mustAck(0, wire.Delete{Key: "k", Config: cfg, Entry: v})
 	}
 	for s := 0; s < n; s++ {
-		reply, err := client.Call(ctx, s, wire.Dump{Key: "k"})
+		reply, err := lc.client.Call(context.Background(), s, wire.Dump{Key: "k"})
 		if err != nil {
 			t.Fatalf("Dump %d: %v", s, err)
 		}

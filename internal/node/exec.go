@@ -75,7 +75,7 @@ type memberView struct {
 
 // view returns the live membership as this node sees it.
 func (n *Node) view() memberView {
-	return memberView{self: n.id, n: n.numServers(), tp: n.Topology()}
+	return memberView{self: n.ID(), n: n.numServers(), tp: n.Topology()}
 }
 
 // execFor returns the executor for a scheme. Keys whose config is still

@@ -112,7 +112,7 @@ func (n *Node) findReplacement(ctx context.Context, key string, deleted entry.En
 	numServers := n.numServers()
 	order := n.rng.Perm(numServers)
 	for _, peer := range order {
-		if peer == n.id {
+		if peer == n.ID() {
 			continue
 		}
 		reply, err := n.callReply(ctx, peer, wire.Lookup{Key: key, T: x})

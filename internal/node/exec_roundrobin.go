@@ -67,7 +67,7 @@ func (roundExec) place(ctx context.Context, n *Node, m wire.Place) wire.Message 
 	// 0..Coordinators-1 (footnote 1 generalization; the paper's base
 	// scheme is Coordinators=1, i.e. "server 1"). The client driver
 	// routes Round-y placement to a live coordinator.
-	if n.id >= coordinators(cfg) {
+	if n.ID() >= coordinators(cfg) {
 		return wire.Ack{Err: "node: Round-y place must be sent to a coordinator"}
 	}
 	// Initialize per-key state everywhere (empty batch carries the
@@ -96,7 +96,7 @@ func (roundExec) place(ctx context.Context, n *Node, m wire.Place) wire.Message 
 }
 
 func (roundExec) add(ctx context.Context, n *Node, ks *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {
-	if n.id >= coordinators(cfg) {
+	if n.ID() >= coordinators(cfg) {
 		return wire.Ack{Err: "node: Round-y add must be sent to a coordinator"}
 	}
 	numServers := n.numServers()
@@ -119,7 +119,7 @@ func (roundExec) add(ctx context.Context, n *Node, ks *store.KeyState, cfg wire.
 }
 
 func (roundExec) del(ctx context.Context, n *Node, ks *store.KeyState, cfg wire.Config, m wire.Delete) wire.Message {
-	if n.id >= coordinators(cfg) {
+	if n.ID() >= coordinators(cfg) {
 		return wire.Ack{Err: "node: Round-y delete must be sent to a coordinator"}
 	}
 	numServers := n.numServers()
@@ -191,7 +191,7 @@ func (n *Node) handleRoundRemove(ctx context.Context, m wire.RoundRemove) wire.M
 	)
 	ks.Update(func(st *store.State) {
 		ext := roundExtOf(st)
-		if n.id == m.HeadServer {
+		if n.ID() == m.HeadServer {
 			// Choose the replacement: the local entry at position head.
 			// If v itself sits at the head position, the hole is at the
 			// head and no migration is needed (found stays false).
@@ -285,7 +285,7 @@ func (n *Node) handleMigrate(ctx context.Context, m wire.Migrate) wire.Message {
 		// (servers head .. head+y-1, i.e. this server onward).
 		numServers := n.numServers()
 		for i := 0; i < cfg.Y; i++ {
-			target := (n.id + i) % numServers
+			target := (n.ID() + i) % numServers
 			if err := n.callBestEffort(ctx, target, wire.RemoveAt{Key: m.Key, Entry: string(replacement), Pos: headPos}); err != nil {
 				return wire.MigrateReply{Err: err.Error()}
 			}
@@ -411,7 +411,7 @@ func coordinators(cfg wire.Config) int {
 // from the next successful sync they receive).
 func (n *Node) mirrorCounters(ctx context.Context, key string, cfg wire.Config, head, tail int) {
 	for c := 0; c < coordinators(cfg); c++ {
-		if c == n.id {
+		if c == n.ID() {
 			continue
 		}
 		// Errors (including down replicas) are intentionally dropped.

@@ -170,7 +170,7 @@ func (n *Node) Rebalance(ctx context.Context, m wire.MembershipUpdate) Rebalance
 // than be destroyed — a sole RandomServer-x copy on a leaver whose
 // peers are all at capacity is the concrete case.
 func (n *Node) rebalanceKey(ctx context.Context, key string, ks *store.KeyState, mc memberChange, stats *RebalanceStats) {
-	mv := memberView{self: mc.rankOf(n.id), n: mc.newN, tp: n.Topology()}
+	mv := memberView{self: mc.rankOf(n.ID()), n: mc.newN, tp: n.Topology()}
 	view := viewKey(key, ks)
 	push, drops := execFor(view.cfg.Scheme).plan(view, mv)
 
@@ -227,12 +227,12 @@ func (n *Node) handleRebalancePush(m wire.RebalancePush) wire.Message {
 	// mis-rank us (or mistake us for the departed leaver) when a slower
 	// member's same-epoch push arrives after our renumbering.
 	compacted := m.Epoch > 0 && m.Epoch == n.compactedEpoch.Load()
-	if !compacted && m.Leaving >= 0 && n.id == m.Leaving {
+	if !compacted && m.Leaving >= 0 && n.ID() == m.Leaving {
 		return wire.RepairPushReply{Err: "node: rebalance push addressed to the leaver"}
 	}
-	mv := memberView{self: n.id, n: m.NewN, tp: n.Topology()}
+	mv := memberView{self: n.ID(), n: m.NewN, tp: n.Topology()}
 	if !compacted {
-		mv.self = memberChange{leaving: m.Leaving}.rankOf(n.id)
+		mv.self = memberChange{leaving: m.Leaving}.rankOf(n.ID())
 	}
 	if mv.self < 0 || mv.self >= m.NewN {
 		return wire.RepairPushReply{Err: fmt.Sprintf("node: rebalance push outside membership (rank %d of %d)", mv.self, m.NewN)}
@@ -310,7 +310,7 @@ func (n *Node) OnMembershipApplied(hook func(wire.MembershipUpdate)) {
 // (a drain removes the leaver's slot, shifting higher ids down).
 func (n *Node) SetID(id int) {
 	n.peersMu.Lock()
-	n.id = id
+	n.id.Store(int64(id))
 	n.peersMu.Unlock()
 }
 

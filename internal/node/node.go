@@ -40,7 +40,10 @@ import (
 // Node is one lookup server. Create it with New, then Attach the peer
 // caller before serving traffic.
 type Node struct {
-	id int
+	// id is the server's slot. SetID rewrites it, under peersMu, when a
+	// drain compacts the slots; request paths load it on its own, and
+	// callReply together with peers under that lock.
+	id atomic.Int64
 
 	// metrics, when set via Instrument, records per-op throughput.
 	// Atomic so instrumentation can be attached to a serving node.
@@ -73,6 +76,10 @@ type Node struct {
 	// the same topology or spread assignments diverge (DESIGN.md §14).
 	topol atomic.Pointer[topo.Topology]
 
+	// localDeliveries counts the peer messages this node addressed to
+	// itself and handled in process (see callReply).
+	localDeliveries atomic.Int64
+
 	peersMu     sync.RWMutex
 	peers       transport.Caller
 	membership  MembershipManager
@@ -85,15 +92,22 @@ var _ transport.Handler = (*Node)(nil)
 // New returns a node with the given id, seeded deterministically from
 // seed (each node should get a distinct seed; see stats.RNG.Split).
 func New(id int, rng *stats.RNG) *Node {
-	return &Node{
-		id:    id,
+	n := &Node{
 		rng:   lockedRNG{rng: rng},
 		store: store.New(),
 	}
+	n.id.Store(int64(id))
+	return n
 }
 
 // Attach wires the peer caller the node uses for broadcasts and
 // migrations. It must be called before the node serves traffic.
+//
+// The caller carries the messages addressed to other servers only: one
+// the node addresses to itself is handled in process (see callReply)
+// and never reaches peers, so whatever wraps it — Chaos faults and
+// hop counters, the peer.* metrics, a selector's latency scoreboard, a
+// retry layer — does not see or touch this server's messages to itself.
 func (n *Node) Attach(peers transport.Caller) {
 	n.peersMu.Lock()
 	defer n.peersMu.Unlock()
@@ -101,7 +115,7 @@ func (n *Node) Attach(peers transport.Caller) {
 }
 
 // ID returns the node's server id.
-func (n *Node) ID() int { return n.id }
+func (n *Node) ID() int { return int(n.id.Load()) }
 
 // SetTopology attaches (or, with nil, detaches) the cluster's shared
 // zone topology. Safe to call on a serving node; spread-mode homes are
@@ -126,21 +140,22 @@ func (n *Node) recordOp(msg wire.Message) {
 	if m == nil {
 		return
 	}
+	id := n.ID()
 	switch mm := msg.(type) {
 	case wire.Place:
-		m.Places.At(n.id).Inc()
+		m.Places.At(id).Inc()
 	case wire.Add:
-		m.Adds.At(n.id).Inc()
+		m.Adds.At(id).Inc()
 	case wire.Delete:
-		m.Deletes.At(n.id).Inc()
+		m.Deletes.At(id).Inc()
 	case wire.Lookup:
-		m.Lookups.At(n.id).Inc()
+		m.Lookups.At(id).Inc()
 	case wire.PlaceBatch:
-		m.Places.At(n.id).Add(int64(len(mm.Items)))
+		m.Places.At(id).Add(int64(len(mm.Items)))
 	case wire.AddBatch:
-		m.Adds.At(n.id).Add(int64(len(mm.Items)))
+		m.Adds.At(id).Add(int64(len(mm.Items)))
 	case wire.LookupBatch:
-		m.Lookups.At(n.id).Add(int64(len(mm.Items)))
+		m.Lookups.At(id).Add(int64(len(mm.Items)))
 	}
 }
 
@@ -206,7 +221,7 @@ func (n *Node) Handle(ctx context.Context, msg wire.Message) wire.Message {
 	case wire.Ping:
 		return wire.Ack{}
 	default:
-		return wire.Ack{Err: fmt.Sprintf("node %d: unexpected message kind %d", n.id, msg.Kind())}
+		return wire.Ack{Err: fmt.Sprintf("node %d: unexpected message kind %d", n.ID(), msg.Kind())}
 	}
 }
 
@@ -431,15 +446,43 @@ func (n *Node) call(ctx context.Context, server int, msg wire.Message) error {
 	return nil
 }
 
+// callReply sends msg to one server and returns its reply. A message
+// the node addresses to itself does not leave the process: Handle runs
+// on the calling goroutine with the caller's ctx — cancellation carries,
+// and transport.Detach finds the request already detached — and returns
+// the same reply, durability wait included. It is still a processed
+// message in the paper's cost model (Sec. 6.4 counts a broadcast's
+// message to the sender), counted in LocalDeliveries where no transport
+// sees it. id and peers are read together under the lock SetID and
+// Attach write them under. A host that compacts its slot view in place
+// (cluster.Drain, plsd's postSweep) still does that and SetID in two
+// steps: an update overlapping them can address one message by the
+// wrong numbering, which is the repair sweep's to mend, as it was.
 func (n *Node) callReply(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
 	n.peersMu.RLock()
-	peers := n.peers
+	self, peers := n.ID(), n.peers
 	n.peersMu.RUnlock()
 	if peers == nil {
-		return nil, fmt.Errorf("node %d: no peer caller attached", n.id)
+		return nil, fmt.Errorf("node %d: no peer caller attached", self)
 	}
-	return peers.Call(ctx, server, msg)
+	if server != self {
+		return peers.Call(ctx, server, msg)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err // as every Caller abandons a cancelled request
+	}
+	n.localDeliveries.Add(1)
+	if m := n.metrics.Load(); m != nil {
+		m.LocalDeliveries.At(self).Inc()
+	}
+	return n.Handle(ctx, msg), nil
 }
+
+// LocalDeliveries returns how many peer messages the node has handled
+// in process because it had addressed them to itself. A host that
+// meters processed messages at its transport (cluster.Cluster) adds
+// them in.
+func (n *Node) LocalDeliveries() int64 { return n.localDeliveries.Load() }
 
 // broadcast sends msg to every server, including this one (the paper's
 // cost model charges a broadcast n processed messages). Down servers

@@ -142,10 +142,10 @@ func TestPlanAcceptUnderUnchangedView(t *testing.T) {
 				view := viewKey("k", ks)
 				push, drop := exec.plan(view, nd.view())
 				if len(drop) != 0 {
-					t.Errorf("node %d drops %v under its own membership", nd.id, drop)
+					t.Errorf("node %d drops %v under its own membership", nd.ID(), drop)
 				}
-				if got, want := offers(push), wantOffers(nd.id, n, view, nd.Topology()); !reflect.DeepEqual(got, want) {
-					t.Errorf("node %d plan\n got %v\nwant %v", nd.id, got, want)
+				if got, want := offers(push), wantOffers(nd.ID(), n, view, nd.Topology()); !reflect.DeepEqual(got, want) {
+					t.Errorf("node %d plan\n got %v\nwant %v", nd.ID(), got, want)
 				}
 			}
 
@@ -258,10 +258,10 @@ func TestRoundWindowWiderThanCluster(t *testing.T) {
 		for self := -1; self < 2; self++ {
 			push, drop := roundExec{}.plan(view, memberView{self: self, n: 2})
 			if len(push) != 0 || len(drop) != 0 {
-				t.Errorf("node %d as rank %d of 2 with y=3: push %v drop %v, want neither", nd.id, self, push, drop)
+				t.Errorf("node %d as rank %d of 2 with y=3: push %v drop %v, want neither", nd.ID(), self, push, drop)
 			}
 		}
-		if nd.id >= 2 {
+		if nd.ID() >= 2 {
 			continue
 		}
 		// Drains later this node is one of two survivors; a peer's
@@ -271,10 +271,10 @@ func TestRoundWindowWiderThanCluster(t *testing.T) {
 			NewN: 2, Leaving: 3,
 		})
 		if pr, ok := reply.(wire.RepairPushReply); !ok || pr.Err != "" || pr.Accepted != 0 {
-			t.Errorf("node %d accepted into a window wider than the cluster: %+v", nd.id, reply)
+			t.Errorf("node %d accepted into a window wider than the cluster: %+v", nd.ID(), reply)
 		}
 		if nd.LocalLen("k") != before {
-			t.Errorf("node %d set changed: %d -> %d", nd.id, before, nd.LocalLen("k"))
+			t.Errorf("node %d set changed: %d -> %d", nd.ID(), before, nd.LocalLen("k"))
 		}
 	}
 }

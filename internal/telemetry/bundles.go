@@ -45,6 +45,10 @@ type TransportMetrics struct {
 	// fraction.
 	Inline   *Counter
 	Detached *Counter
+	// ReadersStarted counts the goroutines a transport.Server started
+	// to read connections: one per accepted connection, and one per
+	// Detach that found no goroutine parked to take over.
+	ReadersStarted *Counter
 }
 
 // NewTransportMetrics registers transport metrics for n servers under
@@ -72,6 +76,8 @@ func NewServerMetrics(r *Registry, prefix string) *TransportMetrics {
 		Writes:   r.NewCounter(prefix + ".writes"),
 		Inline:   r.NewCounter(prefix + ".handled_inline"),
 		Detached: r.NewCounter(prefix + ".handled_detached"),
+
+		ReadersStarted: r.NewCounter(prefix + ".readers_started"),
 	}
 }
 
@@ -135,6 +141,15 @@ func (m *TransportMetrics) RecordHandled(detached bool) {
 		return
 	}
 	m.Inline.Inc()
+}
+
+// RecordReaderStart records one goroutine a server started to read a
+// connection.
+func (m *TransportMetrics) RecordReaderStart() {
+	if m == nil {
+		return
+	}
+	m.ReadersStarted.Inc()
 }
 
 // LookupMetrics groups the client lookup path metrics recorded by
@@ -303,6 +318,10 @@ type NodeMetrics struct {
 	Adds    *CounterVec
 	Deletes *CounterVec
 	Lookups *CounterVec
+	// LocalDeliveries counts the peer messages a server addressed to
+	// itself and handled in process, which its peer transport's Calls
+	// never sees: an update's messages are peer calls plus these.
+	LocalDeliveries *CounterVec
 }
 
 // NewNodeMetrics registers per-op node metrics for n servers under
@@ -313,6 +332,8 @@ func NewNodeMetrics(r *Registry, n int) *NodeMetrics {
 		Adds:    r.NewCounterVec("node.add", n),
 		Deletes: r.NewCounterVec("node.delete", n),
 		Lookups: r.NewCounterVec("node.lookup", n),
+
+		LocalDeliveries: r.NewCounterVec("node.local_deliveries", n),
 	}
 }
 

@@ -115,6 +115,11 @@ func appendReply(buf []byte, id uint64, reply wire.Message) []byte {
 // leaving unrelated connections untouched.
 const maxInflightPerConn = 256
 
+// maxParkedPerConn bounds the goroutines a connection keeps parked
+// between detached requests (see serverConn.park): the concurrency a
+// peer sustains, not its bursts, is what reuse has to cover.
+const maxParkedPerConn = 8
+
 // Server accepts TCP connections and serves a Handler under one rule:
 // the goroutine that has the bytes does the work. Each connection has
 // one reader goroutine, which runs Handle itself and appends the reply
@@ -123,7 +128,11 @@ const maxInflightPerConn = 256
 // blocks in read, so k pipelined requests cost one write and no
 // goroutine start. A handler that has to wait detaches (see Handler);
 // replies carry the id of the request they answer, so they overtake
-// slow requests. A peer that sends a malformed frame is cut off.
+// slow requests. A goroutine that has finished a detached request parks
+// on its connection, and the next Detach hands the reading to a parked
+// goroutine — whose stack has already grown to a request's depth —
+// before it would start a new one. A peer that sends a malformed frame
+// is cut off.
 type Server struct {
 	handler Handler
 	metrics *telemetry.TransportMetrics
@@ -140,8 +149,9 @@ func NewServer(h Handler) *Server {
 	return &Server{handler: h, conns: make(map[net.Conn]struct{})}
 }
 
-// Instrument records requests handled inline and detached, reply frames
-// and writes into m. Call it before Listen.
+// Instrument records requests handled inline and detached, reader
+// goroutines started, reply frames and writes into m. Call it before
+// Listen.
 func (s *Server) Instrument(m *telemetry.TransportMetrics) { s.metrics = m }
 
 // Listen binds to addr (e.g. "127.0.0.1:0") and begins accepting
@@ -187,9 +197,14 @@ func (s *Server) serveConn(conn net.Conn) bool {
 		return false
 	}
 	s.conns[conn] = struct{}{}
-	s.wg.Add(1)
-	c := &serverConn{s: s, conn: conn, fr: newFrameReader(conn), sem: make(chan struct{}, maxInflightPerConn)}
-	go c.readLoop()
+	c := &serverConn{
+		s: s, conn: conn, fr: newFrameReader(conn),
+		sem:    make(chan struct{}, maxInflightPerConn),
+		parked: make(chan struct{}, maxParkedPerConn),
+		wake:   make(chan struct{}, 1),
+		done:   make(chan struct{}),
+	}
+	c.startReader()
 	return true
 }
 
@@ -207,6 +222,14 @@ type serverConn struct {
 	sem  chan struct{} // one slot per detached handler
 	wmu  sync.Mutex    // guards conn.Write and hbuf
 	hbuf []byte        // where a detached handler encodes its reply
+
+	// parked holds one token per goroutine that has offered to read the
+	// connection next (see park) and has not been taken up. wake hands
+	// one of them the reading; only the reader detaches, so at most one
+	// hand-over is pending. done is closed when the connection ends.
+	parked chan struct{}
+	wake   chan struct{}
+	done   chan struct{}
 }
 
 // connReader is what Detach finds in a handler's ctx: the reader
@@ -227,17 +250,58 @@ func Detach(ctx context.Context) {
 		return
 	}
 	r.detached = true
-	r.c.flush()
-	r.c.sem <- struct{}{}
-	go r.c.readLoop()
+	c := r.c
+	c.flush()
+	c.sem <- struct{}{}
+	select {
+	case <-c.parked:
+		c.wake <- struct{}{}
+	default:
+		c.startReader()
+	}
 }
 
-// readLoop is the connection's reader. It serves requests until the
-// connection is finished, which it then closes, or until one of them
-// detaches: then this goroutine owes that one reply and leaves.
+// startReader starts a goroutine that takes over the reading. The
+// caller is on a goroutine s.wg already counts (or holds s.mu with the
+// server open), so the Add cannot race a Wait at zero.
+func (c *serverConn) startReader() {
+	c.s.wg.Add(1)
+	c.s.metrics.RecordReaderStart()
+	go c.readLoop()
+}
+
+// readLoop is the life of one of the connection's goroutines: it reads
+// and serves until a request detaches, finishes that request, and then
+// parks until a later Detach hands it the reading again. It leaves when
+// the connection ends or enough others are parked already.
 func (c *serverConn) readLoop() {
+	defer c.s.wg.Done()
 	r := &connReader{c: c}
-	ctx := context.WithValue(context.Background(), detachKey{}, r) // once per reader, not per request
+	ctx := context.WithValue(context.Background(), detachKey{}, r) // once per goroutine, not per request
+	for c.serve(ctx, r) {
+		r.detached = false
+	}
+}
+
+// park offers the calling goroutine, which is finishing a detached
+// request, as a later reader, unless maxParkedPerConn have offered
+// already. The offer is made before the reply is written: a client that
+// sends its next request on seeing this reply finds the offer standing.
+func (c *serverConn) park() bool {
+	select {
+	case c.parked <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+// serve reads and serves requests as the connection's reader. It
+// returns true when a request detached, this goroutine finished it and
+// was then handed the reading again; false when the goroutine is to
+// exit — nobody needs it parked, or the connection is finished, which
+// the reader that finds it so then closes.
+func (c *serverConn) serve(ctx context.Context, r *connReader) bool {
 	for {
 		// Written before the reader can block — whenever next would have
 		// to touch the connection (no frame, a header, half a body) — and
@@ -252,28 +316,39 @@ func (c *serverConn) readLoop() {
 		reply := c.s.handler.Handle(ctx, msg)
 		c.s.metrics.RecordHandled(r.detached)
 		if r.detached {
+			parked := c.park()
 			c.wmu.Lock()
 			c.hbuf = appendReply(c.hbuf[:0], id, reply)
 			c.hbuf = c.write(c.hbuf, 1)
 			c.wmu.Unlock()
 			<-c.sem
-			return
+			if !parked {
+				return false
+			}
+			select {
+			case <-c.wake:
+				return true
+			case <-c.done:
+				return false
+			}
 		}
 		c.out = appendReply(c.out, id, reply)
 		c.outFrames++
 	}
 	// A read error, or Shutdown's read-deadline kick, ends the reading;
 	// handlers already out still get their replies written, which taking
-	// every slot waits for.
+	// every slot waits for. No handler is left to detach after that, so
+	// nothing is sent on wake again and the parked goroutines can go.
 	c.flush()
 	for i := 0; i < cap(c.sem); i++ {
 		c.sem <- struct{}{}
 	}
+	close(c.done)
 	c.conn.Close()
 	c.s.mu.Lock()
 	delete(c.s.conns, c.conn)
 	c.s.mu.Unlock()
-	c.s.wg.Done()
+	return false
 }
 
 // flush writes the replies the reader has queued.

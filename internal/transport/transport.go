@@ -46,13 +46,15 @@ type Caller interface {
 // returns. A handler that answers from memory just returns. One about
 // to wait — on a peer, the WAL, another request — first calls
 // Detach(ctx), on that goroutine: the replies queued so far are
-// written, a fresh reader takes over the connection, and the caller
-// carries on as this request's own goroutine, its reply written when
-// Handle returns. At most maxInflightPerConn handlers per connection
-// are detached at once; Detach blocks for a slot beyond that, and does
-// nothing when repeated. The capability rides ctx, so it reaches a
-// handler through wrappers and derived contexts; a ctx no Server issued
-// (Inproc's, a test's) carries none, and Detach does nothing there.
+// written, another goroutine takes over the reading — one parked on
+// the connection since it finished an earlier request, or else a new
+// one — and the caller carries on as this request's own goroutine, its
+// reply written when Handle returns. At most maxInflightPerConn
+// handlers per connection are detached at once; Detach blocks for a
+// slot beyond that, and does nothing when repeated. The capability
+// rides ctx, so it reaches a handler through wrappers and derived
+// contexts; a ctx no Server issued (Inproc's, a test's) carries none,
+// and Detach does nothing there.
 type Handler interface {
 	Handle(ctx context.Context, msg wire.Message) wire.Message
 }
