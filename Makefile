@@ -30,7 +30,8 @@ lint:
 # Non-test Go lines, in two groups with a total each: the packages
 # ROADMAP item 4 ("collapse the layers") tracked plus internal/bench,
 # where cmd/plsbench's scenarios moved; then the four a request crosses
-# client-side (item 4 "Drivers"); quote the before/after in PRs that
+# client-side (item 4 "Drivers"); last, alone, the store and its WAL
+# (ROADMAP item 3: "down, not up"); quote the before/after in PRs that
 # claim a reduction.
 LOC_PKGS = internal/node internal/strategy internal/wire internal/transport cmd/plsbench internal/bench
 LOC_REQUEST_PKGS = internal/strategy internal/core internal/proxy internal/selector
@@ -39,7 +40,8 @@ loc:
 	@for p in $(LOC_PKGS); do printf '%-20s %s\n' $$p $$($(call loc_lines,$$p)); done
 	@printf '%-20s %s\n\n' total $$($(call loc_lines,$(LOC_PKGS)))
 	@for p in $(LOC_REQUEST_PKGS); do printf '%-20s %s\n' $$p $$($(call loc_lines,$$p)); done
-	@printf '%-20s %s\n' total $$($(call loc_lines,$(LOC_REQUEST_PKGS)))
+	@printf '%-20s %s\n\n' total $$($(call loc_lines,$(LOC_REQUEST_PKGS)))
+	@printf '%-20s %s\n' internal/store $$($(call loc_lines,internal/store))
 
 # Coverage with the same floor CI enforces (.github/coverage-floor).
 cover:

@@ -89,9 +89,9 @@ type daemon struct {
 }
 
 // startCluster launches one plsd per address, each with its own data
-// dir and a deterministic per-node seed, and waits until all answer
-// pings.
-func startCluster(t *testing.T, bin string, addrs, dirs []string) []*daemon {
+// dir, a deterministic per-node seed and the given -fsync policy, and
+// waits until all answer pings.
+func startCluster(t *testing.T, bin, fsync string, addrs, dirs []string) []*daemon {
 	t.Helper()
 	peers := strings.Join(addrs, ",")
 	ds := make([]*daemon, len(addrs))
@@ -101,7 +101,7 @@ func startCluster(t *testing.T, bin string, addrs, dirs []string) []*daemon {
 			"-peers", peers,
 			"-seed", strconv.FormatUint(crashSeed+uint64(i), 10),
 			"-data-dir", dirs[i],
-			"-fsync", "batch",
+			"-fsync", fsync,
 			"-snapshot-interval", "0",
 			"-peer-selector=false",
 		)
@@ -236,12 +236,19 @@ func unionDump(t *testing.T, client *transport.Client, key string) map[string]bo
 	return got
 }
 
+// TestCrashRecoveryEndToEnd holds the contract under every sync policy:
+// a SIGKILL spares the page cache, so "never" must recover too.
 func TestCrashRecoveryEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs real daemons")
 	}
 	bin := buildPlsd(t)
+	for _, fsync := range []string{"batch", "always", "never"} {
+		t.Run(fsync, func(t *testing.T) { crashRecovery(t, bin, fsync) })
+	}
+}
 
+func crashRecovery(t *testing.T, bin, fsync string) {
 	// Two independent arms with identical seeds and workloads. Arm A is
 	// SIGKILLed mid-stream (no flush, no final snapshot: the WAL tail is
 	// all recovery has); arm B shuts down gracefully.
@@ -251,14 +258,14 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		for i := range dirs {
 			dirs[i] = filepath.Join(t.TempDir(), fmt.Sprintf("%s-%d", name, i))
 		}
-		ds := startCluster(t, bin, addrs, dirs)
+		ds := startCluster(t, bin, fsync, addrs, dirs)
 		client := transport.NewClient(addrs, transport.WithTimeout(2*time.Second))
 		defer client.Close()
 		expect := crashWorkload(t, client)
 		for _, d := range ds {
 			stop(d)
 		}
-		restarted := startCluster(t, bin, addrs, dirs)
+		restarted := startCluster(t, bin, fsync, addrs, dirs)
 		return expect, nil, addrs, restarted
 	}
 

@@ -133,7 +133,7 @@ func TestMembershipScaleOutScaleInEndToEnd(t *testing.T) {
 	for i := range dirs {
 		dirs[i] = filepath.Join(t.TempDir(), fmt.Sprintf("member-%d", i))
 	}
-	base := startCluster(t, bin, addrs[:3], dirs[:3])
+	base := startCluster(t, bin, "batch", addrs[:3], dirs[:3])
 
 	client3 := transport.NewClient(addrs[:3], transport.WithTimeout(2*time.Second))
 	defer client3.Close()

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/stats"
@@ -324,5 +325,30 @@ func TestSnapshotPrunesSegments(t *testing.T) {
 		if len(snaps) > 2 {
 			t.Errorf("node %d has %d snapshots, want <= 2", i, len(snaps))
 		}
+	}
+}
+
+// TestDurableNodeOwnsNoGoroutine: the WAL is committed by whoever waits
+// on it, so a durable node without a snapshot interval runs nothing of
+// its own — neither while open nor, leaked, after Close. (Goroutines of
+// earlier tests may still be exiting, so only a rise is a failure.)
+func TestDurableNodeOwnsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	nd := New(0, stats.NewRNG(1))
+	d, err := nd.OpenDurability(t.TempDir(), store.SyncBatch, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply := nd.Handle(context.Background(), wire.StoreOne{Key: "k", Config: wire.Config{Scheme: wire.Hash, Y: 1}, Entry: "v"}); reply != (wire.Ack{}) {
+		t.Fatalf("durable StoreOne: %+v", reply)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("%d goroutines with the log open, %d before", got, before)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("%d goroutines after Close, %d before", got, before)
 	}
 }

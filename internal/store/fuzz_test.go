@@ -28,7 +28,7 @@ func walSeedSegment(stripe int, n int) []byte {
 		default:
 			rec = wire.WalConfig{Key: "k", Config: wire.Config{Scheme: wire.RoundRobin, X: 1, Y: 4}}
 		}
-		buf = appendFrame(buf, uint64(i+1), wire.Encode(rec))
+		buf = appendFrame(buf, uint64(i+1), rec)
 	}
 	return buf
 }

@@ -59,14 +59,14 @@ func WriteSnapshot(dir string, gen uint64, emit func(write func(wire.SnapKey) er
 	var buf []byte
 	write := func(sk wire.SnapKey) error {
 		keys++
-		buf = appendFrame(buf[:0], keys, wire.Encode(sk))
+		buf = appendFrame(buf[:0], keys, sk)
 		_, werr := f.Write(buf)
 		return werr
 	}
 	if err := emit(write); err != nil {
 		return fail(fmt.Errorf("store: write snapshot keys: %w", err))
 	}
-	buf = appendFrame(buf[:0], keys+1, wire.Encode(wire.SnapFooter{Keys: keys}))
+	buf = appendFrame(buf[:0], keys+1, wire.SnapFooter{Keys: keys})
 	if _, err := f.Write(buf); err != nil {
 		return fail(fmt.Errorf("store: write snapshot footer: %w", err))
 	}

@@ -14,15 +14,17 @@
 //     therefore one atomic load plus a map lookup, never a lock.
 //   - Within a key, mutations run under the KeyState mutex, while
 //     partial_lookup reads sample an immutable entry-set snapshot
-//     published with one atomic load. Snapshots are published eagerly
-//     but on demand: a key nobody reads invalidates cheaply on write
-//     (one nil store — write-heavy WAL workloads pay nothing), and
-//     after the first read the writers republish a fresh clone on every
-//     mutation, so steady-state reads never take the key lock either.
+//     published with one atomic load. Snapshots are cloned for
+//     readers, not for writers: a mutation republishes a fresh clone
+//     only if a reader consumed the previous one, and otherwise just
+//     invalidates (one nil store — a run of writes with no lookup in
+//     between pays no clone), leaving the next reader to rebuild under
+//     the key lock. A key that is read between its writes therefore
+//     never sends a reader to the key lock.
 //
 // Lookup-heavy workloads — the paper's whole premise — therefore pay
-// the clone once per write, not once per read, and an idle key costs
-// nothing.
+// the clone at most once per write, not once per read, and an idle key
+// costs nothing.
 //
 // The store is strategy-agnostic: scheme-specific state (RandomServer
 // counters, Round-Robin positions and migrations) lives behind the
@@ -95,44 +97,50 @@ type KeyState struct {
 	// mutation has invalidated it and no reader has demanded one since.
 	// Readers treat a loaded snapshot as immutable.
 	snap atomic.Pointer[entry.Set]
-	// snapDemand latches once the first reader asks for this key's
-	// snapshot. From then on Update republishes a fresh snapshot instead
-	// of invalidating, keeping the read path lock-free in steady state;
-	// keys that are only ever written never pay the per-update clone.
-	snapDemand atomic.Bool
+	// snapRead records that a reader consumed the published snapshot
+	// since the last Update. Update clears it and republishes a fresh
+	// clone if it was set, and only invalidates otherwise. Readers set
+	// it only when it is clear, so the hot read path stays loads.
+	snapRead atomic.Bool
 
 	// Durability plumbing, nil/zero on volatile stores. stripe is the
 	// shard index, which doubles as the WAL stripe so per-key record
 	// order matches append order. lastLSN (under mu) is the global WAL
 	// sequence of the key's most recent logged record; snapshots save
-	// it and replay skips records at or below it.
+	// it and replay skips records at or below it. walErr (under mu) is
+	// the first Append failure: the key's state has then moved past the
+	// log, so WaitDurable returns it from there on.
 	wal     *WAL
 	stripe  int
 	lastLSN uint64
+	walErr  error
 }
 
 // Update runs f with the key locked and publishes the next read
-// snapshot afterwards — a fresh clone when readers have demanded
-// snapshots before (so lookups stay lock-free across writes), a cheap
-// invalidation otherwise. All mutations — entry-set changes, config
-// adoption, extension-state updates — go through here. Records the
-// callback queued via State.Log are appended to the WAL before the key
-// unlocks, so the log's per-stripe order matches application order
-// exactly.
+// snapshot afterwards — a fresh clone when a reader consumed the
+// previous one (so a key read between writes keeps its lookups
+// lock-free), a cheap invalidation otherwise. All mutations — entry-set
+// changes, config adoption, extension-state updates — go through here.
+// Records the callback queued via State.Log are appended to the WAL
+// before the key unlocks, so the log's per-stripe order matches
+// application order exactly.
 func (k *KeyState) Update(f func(*State)) {
 	k.mu.Lock()
 	f(&k.st)
 	if len(k.st.recs) > 0 {
 		if k.wal != nil {
-			// Append errors poison the WAL; WaitDurable surfaces them
-			// before any ack, so a failing disk never acks writes.
+			// WaitDurable surfaces a failed append before any ack, so
+			// neither a failing disk nor a closed log acks writes.
 			if seq, err := k.wal.Append(k.stripe, k.st.recs...); err == nil {
 				k.lastLSN = seq
+			} else if k.walErr == nil {
+				k.walErr = err
 			}
 		}
 		k.st.recs = k.st.recs[:0]
 	}
-	if k.snapDemand.Load() {
+	if k.snapRead.Load() {
+		k.snapRead.Store(false)
 		k.snap.Store(k.st.Set.Clone())
 	} else {
 		k.snap.Store(nil)
@@ -179,38 +187,43 @@ func (k *KeyState) SetLSN(lsn uint64) {
 }
 
 // WaitDurable blocks until the key's last logged mutation is durable
-// per the WAL's sync policy. Handlers call it between applying a
-// mutation and acknowledging it; on a volatile store it returns nil
-// immediately.
+// per the WAL's sync policy (under SyncBatch the caller itself commits
+// the key's stripe if nobody has yet), or returns why a mutation of the
+// key could not be logged. Handlers call it between applying a mutation
+// and acknowledging it; on a volatile store it returns nil immediately.
 func (k *KeyState) WaitDurable() error {
 	if k.wal == nil {
 		return nil
 	}
 	k.mu.Lock()
-	lsn := k.lastLSN
+	lsn, err := k.lastLSN, k.walErr
 	k.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	return k.wal.WaitDurable(k.stripe, lsn)
 }
 
 // Snapshot returns an immutable view of the key's entry set, building
-// and publishing it if none is current. The steady-state path is a
-// single atomic load — the first read latches snapDemand, after which
-// every Update republishes eagerly and readers never reach the key
-// lock. Callers must not mutate the returned set.
+// and publishing it if none is current, and marks it read so the next
+// Update republishes instead of invalidating. While reads fall between
+// the key's writes the path is two atomic loads; the first reader after
+// a run of unread writes rebuilds under the key lock. Callers must not
+// mutate the returned set.
 func (k *KeyState) Snapshot() *entry.Set {
-	if s := k.snap.Load(); s != nil {
-		return s
-	}
-	k.snapDemand.Store(true)
-	k.mu.Lock()
-	// Re-check under the lock: another reader or a concurrent Update may
-	// have republished.
 	s := k.snap.Load()
 	if s == nil {
-		s = k.st.Set.Clone()
-		k.snap.Store(s)
+		k.mu.Lock()
+		// Re-check under the lock: another reader may have republished.
+		if s = k.snap.Load(); s == nil {
+			s = k.st.Set.Clone()
+			k.snap.Store(s)
+		}
+		k.mu.Unlock()
 	}
-	k.mu.Unlock()
+	if !k.snapRead.Load() {
+		k.snapRead.Store(true)
+	}
 	return s
 }
 

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -202,22 +203,79 @@ func TestConcurrentSameKey(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEpochReadsAfterDemand pins the demand-latched publication rule:
-// once any reader has taken a snapshot, every subsequent Update
-// publishes a fresh one eagerly, so steady-state readers stay on the
-// atomic-load fast path across writes.
+// TestSnapshotAfterUnreadUpdates: an Update whose predecessor's
+// snapshot nobody read only invalidates, and the next reader rebuilds —
+// it must see every write of the run, not a snapshot from before it.
+func TestSnapshotAfterUnreadUpdates(t *testing.T) {
+	s := store.New()
+	ks := s.GetOrCreate("k", wire.Config{Scheme: wire.FullReplication})
+	ks.Update(func(st *store.State) { st.Set.Add("a") })
+	read := ks.Snapshot() // consumed: the next Update republishes
+	for _, e := range []entry.Entry{"b", "c", "d"} {
+		ks.Update(func(st *store.State) { st.Set.Add(e) }) // "c" and "d" follow an unread snapshot
+	}
+	snap := ks.Snapshot()
+	if snap.Len() != 4 || !snap.Contains("d") {
+		t.Fatalf("snapshot after unread updates has %d entries, want a..d", snap.Len())
+	}
+	if read.Len() != 1 {
+		t.Fatalf("the earlier snapshot changed under its reader: %d entries", read.Len())
+	}
+	if ks.Snapshot() != snap {
+		t.Fatal("rebuilt snapshot not reused between writes")
+	}
+}
+
+// TestUpdateAfterWALCloseIsNotAcked: a mutation the closed log refused
+// must fail the key's durability wait, not ride on the sequence of the
+// key's last logged record.
+func TestUpdateAfterWALCloseIsNotAcked(t *testing.T) {
+	w, err := store.OpenWAL(t.TempDir(), store.Stripes(), store.SyncBatch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	s := store.New()
+	s.AttachWAL(w)
+	ks := s.GetOrCreate("k", wire.Config{Scheme: wire.FullReplication})
+	add := func(e string) {
+		ks.Update(func(st *store.State) {
+			st.Set.Add(entry.Entry(e))
+			st.Log(wire.WalStore{Key: "k", Entry: e})
+		})
+	}
+	add("logged")
+	if err := ks.WaitDurable(); err != nil {
+		t.Fatalf("WaitDurable before Close: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	add("never logged")
+	if err := ks.WaitDurable(); !errors.Is(err, store.ErrWALClosed) {
+		t.Fatalf("WaitDurable after an update on a closed log = %v, want ErrWALClosed", err)
+	}
+}
+
+// TestEpochReadsAfterDemand pins the read-driven publication rule: an
+// Update that follows a read publishes the next snapshot eagerly, so a
+// key that is read between its writes keeps its readers on the
+// atomic-load fast path.
 func TestEpochReadsAfterDemand(t *testing.T) {
 	s := store.New()
 	ks := s.GetOrCreate("k", wire.Config{Scheme: wire.FullReplication})
 	ks.Update(func(st *store.State) { st.Set.Add("a") })
 
-	// First read latches demand.
+	// The first read builds the snapshot and marks it read.
 	if got := ks.Snapshot().Len(); got != 1 {
 		t.Fatalf("first snapshot has %d entries, want 1", got)
 	}
-	// Every write now publishes the next epoch immediately: each read
-	// observes the write that preceded it, and consecutive reads with
-	// no intervening write return the identical epoch.
+	// Every write that follows a read publishes the next epoch
+	// immediately: each read observes the write that preceded it, and
+	// consecutive reads with no intervening write return the identical
+	// epoch.
 	for i := 0; i < 5; i++ {
 		ks.Update(func(st *store.State) { st.Set.Add(entry.Entry(fmt.Sprintf("e%d", i))) })
 		snap := ks.Snapshot()

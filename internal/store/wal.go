@@ -23,6 +23,8 @@ import (
 // each store shard appends to its own segment files, so per-key record
 // order matches application order (appends happen under the key lock)
 // while unrelated keys never serialize on the log's in-memory state.
+// The log owns no goroutine: whoever needs a record durable writes and
+// fsyncs its stripe (see SyncBatch).
 //
 // On-disk layout, under <data-dir>/wal/:
 //
@@ -55,6 +57,9 @@ const (
 	walHeaderSize   = 8 + 4 + 8
 	walFrameHeader  = 4 + 4 + 8
 	walMaxRecordLen = wire.MaxPayload
+	// maxRetainedBuf bounds the stripe buffer kept across commits (the
+	// transport's retention cap): one oversized batch is not pinned.
+	maxRetainedBuf = 64 << 10
 )
 
 var walCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -68,11 +73,12 @@ var (
 type SyncPolicy uint8
 
 const (
-	// SyncBatch is group commit: appenders enqueue records and block
-	// until a committer goroutine has written and fsynced them; all
-	// records that accumulate while one fsync is in flight share the
-	// next one. Durable against OS crash and power loss, at a fraction
-	// of SyncAlways's fsync count under concurrency.
+	// SyncBatch is group commit by the waiters themselves: Append
+	// frames records into the stripe's buffer, and the first WaitDurable
+	// caller that finds its record not yet durable writes and fsyncs
+	// the whole buffer; every record that accumulated behind it shares
+	// that fsync, and their waiters return without I/O. Durable against
+	// OS crash and power loss, with at most SyncAlways's fsync count.
 	SyncBatch SyncPolicy = iota
 	// SyncAlways fsyncs inline on every append.
 	SyncAlways
@@ -112,33 +118,29 @@ func (p SyncPolicy) String() string {
 // WAL is a striped write-ahead log rooted at a data directory. Open it
 // with OpenWAL, recover existing records with Replay, then Start it for
 // appending. All methods are safe for concurrent use once started.
+//
+// Under SyncBatch a record nobody waits for becomes durable at the next
+// commit of its stripe, at rotation (every snapshot) or at Close; a
+// record whose WaitDurable returned nil is durable, always.
 type WAL struct {
 	dir     string // the wal/ subdirectory
 	policy  SyncPolicy
 	metrics *telemetry.WALMetrics
 	stripes []*walStripe
-	seq     atomic.Uint64 // last assigned global sequence; 0 = none
-
-	commitMu   sync.Mutex
-	commitCond *sync.Cond
-	closed     bool
-	sticky     error // first write/sync failure; poisons the log
-
-	kick chan struct{}
-	done chan struct{}
-	wg   sync.WaitGroup
+	seq     atomic.Uint64         // last assigned global sequence; 0 = none
+	sticky  atomic.Pointer[error] // first write/sync failure; poisons the log
 }
 
 type walStripe struct {
 	id int
 
 	mu      sync.Mutex
-	f       *os.File
+	f       *os.File // active segment; nil before Start and after Close
 	path    string
 	wrote   bool   // any record appended to the active segment
-	buf     []byte // frames awaiting the committer (SyncBatch only)
-	pending uint64 // last sequence framed into buf
-	synced  uint64 // last sequence durable per policy (commitMu for batch)
+	buf     []byte // frames not yet written to f
+	pending uint64 // last sequence appended
+	synced  uint64 // last sequence written and fsynced
 }
 
 // OpenWAL prepares a WAL under dir with the given stripe count and
@@ -157,10 +159,7 @@ func OpenWAL(dir string, stripes int, policy SyncPolicy, metrics *telemetry.WALM
 		policy:  policy,
 		metrics: metrics,
 		stripes: make([]*walStripe, stripes),
-		kick:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
 	}
-	w.commitCond = sync.NewCond(&w.commitMu)
 	for i := range w.stripes {
 		w.stripes[i] = &walStripe{id: i}
 	}
@@ -203,7 +202,7 @@ func (w *WAL) Replay(fn func(stripe int, seq uint64, msg wire.Message) error) (R
 	maxSeq := w.seq.Load()
 	for stripe, files := range segs {
 		stripeOK := true
-		for i, path := range files {
+		for _, path := range files {
 			if !stripeOK {
 				// A corrupt segment invalidates everything after it in
 				// this stripe: count and drop the remainder.
@@ -211,7 +210,6 @@ func (w *WAL) Replay(fn func(stripe int, seq uint64, msg wire.Message) error) (R
 				if statErr == nil {
 					stats.TruncatedBytes += fi.Size()
 				}
-				_ = i
 				continue
 			}
 			valid, n, segErr := replaySegmentFile(path, stripe, func(seq uint64, msg wire.Message) error {
@@ -299,16 +297,17 @@ func parseFrame(data []byte) (seq uint64, payload []byte, n int, ok bool) {
 	return seq, data[16:n], n, true
 }
 
-// appendFrame encodes one frame onto buf.
-func appendFrame(buf []byte, seq uint64, payload []byte) []byte {
-	var hdr [walFrameHeader]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint64(hdr[8:16], seq)
-	crc := crc32.Checksum(hdr[8:16], walCRC)
-	crc = crc32.Update(crc, walCRC, payload)
-	binary.BigEndian.PutUint32(hdr[4:8], crc)
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+// appendFrame encodes msg onto buf as one frame: the payload is encoded
+// in place behind a blank header, which is then filled in.
+func appendFrame(buf []byte, seq uint64, msg wire.Message) []byte {
+	start := len(buf)
+	buf = append(buf, make([]byte, walFrameHeader)...)
+	buf = wire.AppendEncode(buf, msg)
+	frame := buf[start:]
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(frame)-walFrameHeader))
+	binary.BigEndian.PutUint64(frame[8:16], seq)
+	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(frame[8:], walCRC))
+	return buf
 }
 
 // listSegments returns each stripe's segment files sorted by first
@@ -345,22 +344,14 @@ func (w *WAL) listSegments() (map[int][]string, error) {
 }
 
 // Start opens a fresh active segment per stripe (starting after the
-// highest replayed sequence) and, under SyncBatch, launches the group
-// committer. Appends are accepted once Start returns.
+// highest replayed sequence). Appends are accepted once Start returns.
 func (w *WAL) Start() error {
 	for _, s := range w.stripes {
 		if err := w.openSegment(s); err != nil {
 			return err
 		}
 	}
-	if err := syncDir(w.dir); err != nil {
-		return err
-	}
-	if w.policy == SyncBatch {
-		w.wg.Add(1)
-		go w.commitLoop()
-	}
-	return nil
+	return syncDir(w.dir)
 }
 
 // openSegment creates and headers a new active segment for s. Callers
@@ -403,9 +394,10 @@ func (w *WAL) openSegment(s *walStripe) error {
 
 // Append logs recs for a stripe and returns the global sequence of the
 // last record. Under SyncAlways the records are durable when Append
-// returns; under SyncBatch callers pass the sequence to WaitDurable
-// before acknowledging; under SyncNever the records are in the OS page
-// cache. Record order within a stripe follows Append order.
+// returns; under SyncBatch they sit framed in the stripe's buffer and
+// callers pass the sequence to WaitDurable before acknowledging; under
+// SyncNever the records are in the OS page cache. Record order within a
+// stripe follows Append order.
 func (w *WAL) Append(stripe int, recs ...wire.Message) (uint64, error) {
 	if len(recs) == 0 {
 		return 0, nil
@@ -416,197 +408,108 @@ func (w *WAL) Append(stripe int, recs ...wire.Message) (uint64, error) {
 	if s.f == nil {
 		return 0, ErrWALClosed
 	}
-	var frames []byte
-	var last uint64
-	var payloadBytes int64
+	start := len(s.buf)
 	for _, rec := range recs {
-		payload := wire.Encode(rec)
-		last = w.seq.Add(1)
-		frames = appendFrame(frames, last, payload)
-		payloadBytes += int64(len(payload))
+		s.pending = w.seq.Add(1)
+		s.buf = appendFrame(s.buf, s.pending, rec)
 	}
-	w.metrics.RecordAppend(len(recs), payloadBytes)
+	w.metrics.RecordAppend(len(recs), int64(len(s.buf)-start-len(recs)*walFrameHeader))
 	s.wrote = true
 	switch w.policy {
 	case SyncBatch:
-		s.buf = append(s.buf, frames...)
-		s.pending = last
-		select {
-		case w.kick <- struct{}{}:
-		default:
-		}
-		return last, nil
+		return s.pending, nil
 	case SyncAlways:
-		if _, err := s.f.Write(frames); err != nil {
-			w.poison(err)
-			return last, err
-		}
-		t0 := time.Now()
-		if err := s.f.Sync(); err != nil {
-			w.poison(err)
-			return last, err
-		}
-		w.metrics.RecordFsync(time.Since(t0))
-		s.synced = last
-		return last, nil
+		return s.pending, w.flushStripeLocked(s)
 	default: // SyncNever
-		if _, err := s.f.Write(frames); err != nil {
-			w.poison(err)
-			return last, err
-		}
-		s.synced = last
-		return last, nil
+		return s.pending, w.writeStripeLocked(s)
 	}
 }
 
 // WaitDurable blocks until the record with the given sequence on the
 // given stripe is durable per the sync policy, returning any sticky
-// write error. Under SyncAlways and SyncNever Append already satisfied
-// the policy, so this only surfaces errors.
+// write error. Under SyncBatch the caller commits: if no earlier
+// caller's commit covered seq, it writes and fsyncs everything the
+// stripe has buffered. Under SyncAlways and SyncNever Append already
+// satisfied the policy, so this only surfaces errors.
 func (w *WAL) WaitDurable(stripe int, seq uint64) error {
-	if seq == 0 {
-		return w.Err()
-	}
-	if w.policy != SyncBatch {
+	if seq == 0 || w.policy != SyncBatch {
 		return w.Err()
 	}
 	s := w.stripes[stripe]
-	w.commitMu.Lock()
-	defer w.commitMu.Unlock()
-	for s.synced < seq && w.sticky == nil && !w.closed {
-		w.commitCond.Wait()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Checked under the stripe lock: a commit that failed to cover seq
+	// poisoned the log before it released the stripe.
+	if err := w.Err(); err != nil {
+		return err
 	}
-	if w.sticky != nil {
-		return w.sticky
+	if s.synced >= seq {
+		return nil
 	}
-	if w.closed && s.synced < seq {
+	if s.f == nil {
 		return ErrWALClosed
 	}
-	return nil
-}
-
-// commitLoop is the SyncBatch group committer: whatever accumulated in
-// a stripe's buffer while the previous fsync was in flight commits
-// under a single new fsync.
-func (w *WAL) commitLoop() {
-	defer w.wg.Done()
-	for {
-		select {
-		case <-w.kick:
-			w.commitPending()
-		case <-w.done:
-			w.commitPending()
-			return
-		}
-	}
-}
-
-// commitPending flushes every stripe's pending buffer. Dirty stripes
-// commit concurrently: each stripe is its own file, so their fsyncs
-// don't serialize — a sequential sweep would cap group commit at one
-// fsync stream and forfeit exactly the parallelism SyncAlways gets for
-// free from independent key locks.
-func (w *WAL) commitPending() {
-	var wg sync.WaitGroup
-	for _, s := range w.stripes {
-		s.mu.Lock()
-		dirty := len(s.buf) > 0 && s.f != nil
-		s.mu.Unlock()
-		if !dirty {
-			continue
-		}
-		wg.Add(1)
-		go func(s *walStripe) {
-			defer wg.Done()
-			w.commitStripe(s)
-		}(s)
-	}
-	wg.Wait()
-}
-
-// commitStripe writes and fsyncs one stripe's accumulated buffer.
-func (w *WAL) commitStripe(s *walStripe) {
-	s.mu.Lock()
-	if len(s.buf) == 0 || s.f == nil {
-		s.mu.Unlock()
-		return
-	}
-	buf := s.buf
-	last := s.pending
-	s.buf = nil
-	f := s.f
-	// Hold the stripe lock across write+sync: rotation must not
-	// close the file under the committer, and appenders only ever
-	// grow the buffer we already took.
-	var err error
-	if _, werr := f.Write(buf); werr != nil {
-		err = werr
-	} else {
-		t0 := time.Now()
-		if serr := f.Sync(); serr != nil {
-			err = serr
-		} else {
-			w.metrics.RecordFsync(time.Since(t0))
-		}
-	}
-	s.mu.Unlock()
-	w.commitMu.Lock()
-	if err != nil {
-		if w.sticky == nil {
-			w.sticky = err
-		}
-	} else {
-		s.synced = last
-	}
-	w.commitCond.Broadcast()
-	w.commitMu.Unlock()
+	return w.flushStripeLocked(s)
 }
 
 // poison records the first write failure; later WaitDurable calls
 // return it, so no ack can claim durability past a failing disk.
 func (w *WAL) poison(err error) {
-	w.commitMu.Lock()
-	if w.sticky == nil {
-		w.sticky = err
-	}
-	w.commitCond.Broadcast()
-	w.commitMu.Unlock()
+	w.sticky.CompareAndSwap(nil, &err)
 }
 
 // Err returns the sticky write error, if any.
 func (w *WAL) Err() error {
-	w.commitMu.Lock()
-	defer w.commitMu.Unlock()
-	return w.sticky
+	if p := w.sticky.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
-// SyncAll flushes and fsyncs every stripe's pending records. Used by
-// graceful shutdown and before snapshots.
+// SyncAll commits every open stripe: a barrier for a caller that wants
+// everything appended so far on disk without rotating or closing. The
+// request path never needs it — waiters commit their own stripes, and
+// Rotate and Close commit each stripe as they reach it.
 func (w *WAL) SyncAll() error {
 	var firstErr error
 	for _, s := range w.stripes {
 		s.mu.Lock()
-		err := w.flushStripeLocked(s)
-		s.mu.Unlock()
-		if err != nil && firstErr == nil {
-			firstErr = err
+		if s.f != nil {
+			if err := w.flushStripeLocked(s); err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
+		s.mu.Unlock()
 	}
 	return firstErr
 }
 
-// flushStripeLocked writes any buffered frames and fsyncs the active
-// segment. Callers hold s.mu.
-func (w *WAL) flushStripeLocked(s *walStripe) error {
-	if s.f == nil {
+// writeStripeLocked hands the stripe's buffered frames to the OS. The
+// buffer is emptied whatever the outcome (a failed write poisons the
+// log, so its records can never be acked) and kept for the next commit
+// unless one large batch grew it. Callers hold s.mu, which keeps
+// rotation from closing the file under the write.
+func (w *WAL) writeStripeLocked(s *walStripe) error {
+	if len(s.buf) == 0 {
 		return nil
 	}
-	if len(s.buf) > 0 {
-		if _, err := s.f.Write(s.buf); err != nil {
-			w.poison(err)
-			return err
-		}
+	_, err := s.f.Write(s.buf)
+	s.buf = s.buf[:0]
+	if cap(s.buf) > maxRetainedBuf {
 		s.buf = nil
+	}
+	if err != nil {
+		w.poison(err)
+	}
+	return err
+}
+
+// flushStripeLocked commits the stripe: it writes any buffered frames
+// and fsyncs the active segment. Callers hold s.mu and have checked
+// that the stripe is open.
+func (w *WAL) flushStripeLocked(s *walStripe) error {
+	if err := w.writeStripeLocked(s); err != nil {
+		return err
 	}
 	t0 := time.Now()
 	if err := s.f.Sync(); err != nil {
@@ -614,16 +517,7 @@ func (w *WAL) flushStripeLocked(s *walStripe) error {
 		return err
 	}
 	w.metrics.RecordFsync(time.Since(t0))
-	last := s.pending
-	if last == 0 {
-		last = s.synced
-	}
-	w.commitMu.Lock()
-	if last > s.synced {
-		s.synced = last
-	}
-	w.commitCond.Broadcast()
-	w.commitMu.Unlock()
+	s.synced = s.pending
 	return nil
 }
 
@@ -636,7 +530,7 @@ func (w *WAL) Rotate() error {
 		s.mu.Lock()
 		// An untouched active segment (header only) is already "fresh":
 		// sealing it would recreate a file with the same start sequence.
-		if !s.wrote {
+		if !s.wrote || s.f == nil {
 			s.mu.Unlock()
 			continue
 		}
@@ -644,11 +538,9 @@ func (w *WAL) Rotate() error {
 			s.mu.Unlock()
 			return err
 		}
-		if s.f != nil {
-			if err := s.f.Close(); err != nil {
-				s.mu.Unlock()
-				return fmt.Errorf("store: close sealed WAL segment: %w", err)
-			}
+		if err := s.f.Close(); err != nil {
+			s.mu.Unlock()
+			return fmt.Errorf("store: close sealed WAL segment: %w", err)
 		}
 		if err := w.openSegment(s); err != nil {
 			s.mu.Unlock()
@@ -689,34 +581,25 @@ func (w *WAL) PruneSealed() error {
 	return syncDir(w.dir)
 }
 
-// Close flushes pending records, stops the committer, and closes the
-// segment files. Records appended after Close fail with ErrWALClosed.
+// Close commits every stripe's pending records and closes the segment
+// files, each under its stripe lock: a record is either covered by
+// Close or its Append fails with ErrWALClosed. Safe to call twice.
 func (w *WAL) Close() error {
-	w.commitMu.Lock()
-	if w.closed {
-		w.commitMu.Unlock()
-		return nil
-	}
-	w.closed = true
-	w.commitMu.Unlock()
-	if w.policy == SyncBatch {
-		close(w.done)
-		w.wg.Wait()
-	}
-	err := w.SyncAll()
+	var err error
 	for _, s := range w.stripes {
 		s.mu.Lock()
 		if s.f != nil {
-			if cerr := s.f.Close(); cerr != nil && err == nil {
-				err = cerr
+			ferr := w.flushStripeLocked(s)
+			if cerr := s.f.Close(); ferr == nil {
+				ferr = cerr
 			}
 			s.f = nil
+			if err == nil {
+				err = ferr
+			}
 		}
 		s.mu.Unlock()
 	}
-	w.commitMu.Lock()
-	w.commitCond.Broadcast()
-	w.commitMu.Unlock()
 	return err
 }
 

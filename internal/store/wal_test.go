@@ -2,13 +2,16 @@ package store
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -283,42 +286,194 @@ func TestWALCorruptionInvalidatesLaterSegments(t *testing.T) {
 	}
 }
 
-func TestWALGroupCommitConcurrentAppends(t *testing.T) {
-	dir := t.TempDir()
-	w := mustOpen(t, dir, SyncBatch)
-	mustStart(t, w)
-	const writers = 8
-	const per = 25
+// ackedWriters runs writers goroutines, writer g on stripe g%stripes,
+// each appending and waiting until per records are acked or a call
+// fails, and returns every sequence WaitDurable acked.
+func ackedWriters(w *WAL, writers, stripes, per int) map[uint64]bool {
+	var mu sync.Mutex
+	acked := make(map[uint64]bool)
 	var wg sync.WaitGroup
-	errs := make(chan error, writers)
 	for g := 0; g < writers; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func(stripe int) {
 			defer wg.Done()
-			stripe := g % 4
 			for i := 0; i < per; i++ {
 				seq, err := w.Append(stripe, wire.WalStore{Key: "k", Entry: "v"})
 				if err == nil {
 					err = w.WaitDurable(stripe, seq)
 				}
 				if err != nil {
-					errs <- err
 					return
 				}
+				mu.Lock()
+				acked[seq] = true
+				mu.Unlock()
 			}
-		}(g)
+		}(g % stripes)
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
+	return acked
+}
+
+// mustReplayAcked reopens the log in dir and fails unless every acked
+// sequence is replayed; it returns how many records the log holds.
+func mustReplayAcked(t *testing.T, dir string, acked map[uint64]bool) int {
+	t.Helper()
+	got, _ := replayAll(t, mustOpen(t, dir, SyncBatch))
+	onDisk := make(map[uint64]bool, len(got))
+	for _, r := range got {
+		onDisk[r.seq] = true
+	}
+	for seq := range acked {
+		if !onDisk[seq] {
+			t.Errorf("acked sequence %d missing after reopen", seq)
+		}
+	}
+	return len(got)
+}
+
+// TestWALGroupCommitConcurrentAppends: the waiters commit. Whether the
+// writers share one stripe or spread over all of them, every acked
+// record survives a reopen and no fsync was spent on nothing.
+func TestWALGroupCommitConcurrentAppends(t *testing.T) {
+	const writers, per = 8, 25
+	for _, stripes := range []int{1, 4} {
+		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
+			dir := t.TempDir()
+			m := telemetry.NewWALMetrics(telemetry.NewRegistry())
+			w, err := OpenWAL(dir, 4, SyncBatch, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustStart(t, w)
+			acked := ackedWriters(w, writers, stripes, per)
+			if err := w.Err(); err != nil || len(acked) != writers*per {
+				t.Fatalf("acked %d of %d records, Err = %v", len(acked), writers*per, err)
+			}
+			if f, r := m.Fsyncs.Value(), m.Records.Value(); f == 0 || f > r {
+				t.Errorf("%d fsyncs for %d records, want 1..records", f, r)
+			}
+			w.Close()
+			if n := mustReplayAcked(t, dir, acked); n != writers*per {
+				t.Fatalf("replayed %d records, want %d", n, writers*per)
+			}
+		})
+	}
+}
+
+// TestWALCoveredWaiterDoesNoIO is the group commit itself: the first
+// waiter commits everything its stripe has buffered, and the waiters
+// it covered return without a write or an fsync of their own.
+func TestWALCoveredWaiterDoesNoIO(t *testing.T) {
+	m := telemetry.NewWALMetrics(telemetry.NewRegistry())
+	w, err := OpenWAL(t.TempDir(), 4, SyncBatch, m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	w.Close()
+	mustStart(t, w)
+	defer w.Close()
+	var seqs []uint64
+	for i := 0; i < 5; i++ {
+		seq, err := w.Append(2, wire.WalStore{Key: "k", Entry: "v"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, seq)
+	}
+	if m.Fsyncs.Value() != 0 {
+		t.Fatalf("%d fsyncs before anyone waited", m.Fsyncs.Value())
+	}
+	for i := len(seqs) - 1; i >= 0; i-- {
+		if err := w.WaitDurable(2, seqs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Fsyncs.Value(); got != 1 {
+			t.Fatalf("%d fsyncs after waiting on record %d, want 1", got, i)
+		}
+	}
+}
 
-	w2 := mustOpen(t, dir, SyncBatch)
-	got, _ := replayAll(t, w2)
-	if len(got) != writers*per {
-		t.Fatalf("replayed %d records, want %d", len(got), writers*per)
+// TestWALCommitFailurePoisons: a commit that cannot reach the disk is
+// reported to the waiter that ran it and to every later waiter on any
+// stripe — no ack past a failing disk.
+func TestWALCommitFailurePoisons(t *testing.T) {
+	w := mustOpen(t, t.TempDir(), SyncBatch)
+	mustStart(t, w)
+	defer w.Close()
+	first, err := w.Append(1, wire.WalStore{Key: "k", Entry: "covered"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := w.Append(3, wire.WalStore{Key: "j", Entry: "elsewhere"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.stripes[1].mu.Lock()
+	w.stripes[1].f.Close() // the disk goes away under stripe 1
+	w.stripes[1].mu.Unlock()
+	second, err := w.Append(1, wire.WalStore{Key: "k", Entry: "same batch"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WaitDurable(1, second); err == nil {
+		t.Fatal("the committing waiter was acked over a closed file")
+	}
+	if err := w.WaitDurable(1, first); err == nil {
+		t.Fatal("a waiter the failed commit should have covered was acked")
+	}
+	if err := w.WaitDurable(3, other); err == nil {
+		t.Fatal("a waiter on a healthy stripe was acked by a poisoned log")
+	}
+	if w.Err() == nil {
+		t.Fatal("Err is nil after a failed commit")
+	}
+}
+
+// TestWALWaitDurableRacingClose: Close commits each stripe as it closes
+// it, so a record is either covered by Close or refused; an ack never
+// names a record the reopened log lacks.
+func TestWALWaitDurableRacingClose(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, dir, SyncBatch)
+	mustStart(t, w)
+	done := make(chan map[uint64]bool)
+	go func() { done <- ackedWriters(w, 8, 4, 1<<30) }() // until Close stops them
+	for w.LastSeq() < 200 {
+		runtime.Gosched()
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	acked := <-done
+	if len(acked) == 0 {
+		t.Fatal("nothing was acked before Close")
+	}
+	mustReplayAcked(t, dir, acked)
+}
+
+// TestWALRotateConcurrentWithWaiters: rotation seals a segment under
+// the same stripe lock a committing waiter holds, so no record falls
+// between the sealed file and the fresh one.
+func TestWALRotateConcurrentWithWaiters(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, dir, SyncBatch)
+	mustStart(t, w)
+	done := make(chan map[uint64]bool)
+	go func() { done <- ackedWriters(w, 8, 4, 100) }()
+	for i := 0; i < 20; i++ {
+		if err := w.Rotate(); err != nil {
+			t.Error(err)
+		}
+	}
+	acked := <-done
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(acked) != 800 {
+		t.Fatalf("acked %d records, want 800", len(acked))
+	}
+	if n := mustReplayAcked(t, dir, acked); n != 800 {
+		t.Fatalf("replayed %d records, want 800", n)
 	}
 }
 
@@ -566,8 +721,9 @@ func TestNextSnapshotGen(t *testing.T) {
 // TestFrameRoundTrip exercises the frame codec directly, including the
 // header layout constants.
 func TestFrameRoundTrip(t *testing.T) {
-	payload := []byte("hello, frames")
-	buf := appendFrame(nil, 42, payload)
+	msg := wire.WalStore{Key: "hello", Entry: "frames"}
+	payload := wire.Encode(msg)
+	buf := appendFrame(nil, 42, msg)
 	if len(buf) != walFrameHeader+len(payload) {
 		t.Fatalf("frame length %d, want %d", len(buf), walFrameHeader+len(payload))
 	}
