@@ -312,11 +312,15 @@ const dedupScanMax = 32
 
 // Dedup appends to dst, whose entries are distinct, the entries of src
 // not already in it, and returns the extended dst. Clients use it to
-// merge answers from multiple servers during a partial lookup. seen is
-// nil until dst outgrows dedupScanMax; from then on it is the set of
-// dst's entries, and the caller passes the returned one back in.
-func Dedup(dst []Entry, seen map[Entry]struct{}, src []Entry) ([]Entry, map[Entry]struct{}) {
-	for _, v := range src {
+// merge answers from multiple servers during a partial lookup; src is
+// any string-typed list, so a reply's []string merges without a
+// converted copy. dst is grown once per call, to hold all of src.
+// seen is nil until dst outgrows dedupScanMax; from then on it is the
+// set of dst's entries, and the caller passes the returned one back in.
+func Dedup[S ~string](dst []Entry, seen map[Entry]struct{}, src []S) ([]Entry, map[Entry]struct{}) {
+	dst = slices.Grow(dst, len(src))
+	for _, s := range src {
+		v := Entry(s)
 		if seen == nil && len(dst) >= dedupScanMax {
 			seen = make(map[Entry]struct{}, 2*len(dst))
 			for _, have := range dst {

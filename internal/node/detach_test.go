@@ -34,8 +34,8 @@ func everyKind(t *testing.T) []wire.Message {
 		}
 		msgs = append(msgs, msg)
 	}
-	if len(msgs) < int(wire.KindRebalancePush) {
-		t.Fatalf("found %d kinds, the wire has at least %d", len(msgs), wire.KindRebalancePush)
+	if len(msgs) < int(wire.KindStoreBatches) {
+		t.Fatalf("found %d kinds, the wire has at least %d", len(msgs), wire.KindStoreBatches)
 	}
 	return msgs
 }

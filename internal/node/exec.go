@@ -21,15 +21,17 @@ import (
 // is all that distinguishes an anti-entropy repair sweep (the current
 // membership) from a join/drain rebalance (the post-change one).
 //
-// place, add and del run the initial server S's role and may call
-// peers; they are invoked with no key lock held. storeBatch, storeOne,
+// add and del run the initial server S's role and may call peers; they
+// are invoked with no key lock held. place only decides — the shell
+// sends (see Node.place). storeBatch, storeOne,
 // removeOne and accept run inside a store.KeyState.Update callback
 // (key locked) and must not call peers — removeOne instead returns a
 // follow-up to run after the lock is released (the RandomServer
 // replacement search).
 type executor interface {
-	// place distributes a place(k, {v1..vh}) batch to the cluster.
-	place(ctx context.Context, n *Node, m wire.Place) wire.Message
+	// place says how place(k, {v1..vh}) reaches the cluster: always as
+	// one StoreBatch, whose receivers select (storeBatch).
+	place(n *Node, m wire.Place) (placePlan, error)
 	// add runs the initial server's add(v) protocol for the key.
 	add(ctx context.Context, n *Node, ks *store.KeyState, cfg wire.Config, m wire.Add) wire.Message
 	// del runs the initial server's delete(v) protocol for the key.
@@ -65,6 +67,17 @@ type executor interface {
 	// consume RNG.
 	accept(st *store.State, t transfer, mv memberView) int
 }
+
+// placePlan is an executor's answer to one place: share goes to server
+// target, or to every server, and once those have acked the shell runs
+// after, if there is one, for the operation's reply.
+type placePlan struct {
+	share  wire.StoreBatch
+	target int // a server id, or everyServer
+	after  func(ctx context.Context) wire.Message
+}
+
+const everyServer = -1
 
 // memberView is the membership a placement rule is evaluated against.
 type memberView struct {

@@ -14,13 +14,12 @@ import (
 // cluster needs to hear about the update at all.
 type fixedExec struct{}
 
-func (fixedExec) place(ctx context.Context, n *Node, m wire.Place) wire.Message {
+func (fixedExec) place(_ *Node, m wire.Place) (placePlan, error) {
 	// Broadcast only the first x entries (Sec. 3.2).
-	entries := m.Entries
-	if len(entries) > m.Config.X {
-		entries = entries[:m.Config.X]
+	if len(m.Entries) > m.Config.X {
+		m.Entries = m.Entries[:m.Config.X]
 	}
-	return n.ackBroadcast(ctx, wire.StoreBatch{Key: m.Key, Config: m.Config, Entries: entries})
+	return placePlan{share: wire.StoreBatch(m), target: everyServer}, nil
 }
 
 func (fixedExec) add(ctx context.Context, n *Node, ks *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {

@@ -14,8 +14,8 @@ import (
 // executor for keys whose config is still schemeless.
 type fullExec struct{}
 
-func (fullExec) place(ctx context.Context, n *Node, m wire.Place) wire.Message {
-	return n.ackBroadcast(ctx, wire.StoreBatch{Key: m.Key, Config: m.Config, Entries: m.Entries})
+func (fullExec) place(_ *Node, m wire.Place) (placePlan, error) {
+	return placePlan{share: wire.StoreBatch(m), target: everyServer}, nil
 }
 
 func (fullExec) add(ctx context.Context, n *Node, _ *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {

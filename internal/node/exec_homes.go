@@ -2,6 +2,7 @@ package node
 
 import (
 	"context"
+	"strings"
 
 	"repro/internal/entry"
 	"repro/internal/store"
@@ -81,22 +82,10 @@ func containsServer(homes []int, id int) bool {
 	return false
 }
 
-// place installs the config everywhere with an empty broadcast, then
-// hands each entry to its homes.
-func (homesExec) place(ctx context.Context, n *Node, m wire.Place) wire.Message {
-	cfg := m.Config
-	mv := n.view()
-	if err := n.broadcast(ctx, wire.StoreBatch{Key: m.Key, Config: cfg}); err != nil {
-		return wire.Ack{Err: err.Error()}
-	}
-	for _, v := range m.Entries {
-		for _, target := range HomesFor(v, cfg, mv.n, mv.tp) {
-			if err := n.callBestEffort(ctx, target, wire.StoreOne{Key: m.Key, Config: cfg, Entry: v}); err != nil {
-				return wire.Ack{Err: err.Error()}
-			}
-		}
-	}
-	return wire.Ack{}
+// place broadcasts the whole list; each server keeps the entries it is
+// a home of.
+func (homesExec) place(_ *Node, m wire.Place) (placePlan, error) {
+	return placePlan{share: wire.StoreBatch(m), target: everyServer}, nil
 }
 
 func (homesExec) add(ctx context.Context, n *Node, _ *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {
@@ -119,10 +108,15 @@ func (homesExec) del(ctx context.Context, n *Node, _ *store.KeyState, cfg wire.C
 	return wire.Ack{}
 }
 
-func (homesExec) storeBatch(_ *Node, st *store.State, entries []string) {
-	// The place broadcast carries an empty batch purely to install the
-	// config; entries arrive via home-targeted StoreOne messages.
-	logAddMany(st, entries)
+// storeBatch keeps this server's share of a placed list, by the rule
+// accept evaluates, copied out of the message as Round-y's is.
+func (homesExec) storeBatch(n *Node, st *store.State, entries []string) {
+	mv := n.view()
+	for _, v := range entries {
+		if isHome(v, st.Cfg, mv.n, mv.self, mv.tp) {
+			logAdd(st, entry.Entry(strings.Clone(v)))
+		}
+	}
 }
 
 func (homesExec) storeOne(_ *Node, st *store.State, m wire.StoreOne) {

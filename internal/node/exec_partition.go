@@ -15,9 +15,8 @@ import (
 // paper's conclusion contrasts against exactly this design.
 type partExec struct{}
 
-func (partExec) place(ctx context.Context, n *Node, m wire.Place) wire.Message {
-	target := PartitionServer(m.Key, n.numServers())
-	return n.ackCall(ctx, target, wire.StoreBatch{Key: m.Key, Config: m.Config, Entries: m.Entries})
+func (partExec) place(n *Node, m wire.Place) (placePlan, error) {
+	return placePlan{share: wire.StoreBatch(m), target: PartitionServer(m.Key, n.numServers())}, nil
 }
 
 func (partExec) add(ctx context.Context, n *Node, _ *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {

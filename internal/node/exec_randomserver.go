@@ -31,9 +31,9 @@ func rsExtOf(st *store.State) *rsExt {
 	return ext
 }
 
-func (rsExec) place(ctx context.Context, n *Node, m wire.Place) wire.Message {
+func (rsExec) place(_ *Node, m wire.Place) (placePlan, error) {
 	// Broadcast the full list; receivers sample their local x-subset.
-	return n.ackBroadcast(ctx, wire.StoreBatch{Key: m.Key, Config: m.Config, Entries: m.Entries})
+	return placePlan{share: wire.StoreBatch(m), target: everyServer}, nil
 }
 
 func (rsExec) add(ctx context.Context, n *Node, _ *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/entry"
 	"repro/internal/store"
@@ -60,39 +61,30 @@ func roundExtOf(st *store.State) *roundExt {
 	return ext
 }
 
-func (roundExec) place(ctx context.Context, n *Node, m wire.Place) wire.Message {
+func (roundExec) place(n *Node, m wire.Place) (placePlan, error) {
 	cfg := m.Config
-	numServers := n.numServers()
 	// The coordinator counters (head/tail, Sec. 5.4) live on servers
 	// 0..Coordinators-1 (footnote 1 generalization; the paper's base
 	// scheme is Coordinators=1, i.e. "server 1"). The client driver
 	// routes Round-y placement to a live coordinator.
 	if n.ID() >= coordinators(cfg) {
-		return wire.Ack{Err: "node: Round-y place must be sent to a coordinator"}
+		return placePlan{}, errors.New("node: Round-y place must be sent to a coordinator")
 	}
-	// Initialize per-key state everywhere (empty batch carries the
-	// config), then hand entry v_i to servers (i mod n)..(i+y-1 mod n).
-	if err := n.broadcast(ctx, wire.StoreBatch{Key: m.Key, Config: cfg}); err != nil {
-		return wire.Ack{Err: err.Error()}
+	// One broadcast resets the key everywhere and carries the whole
+	// list; each server keeps the positions whose window covers it.
+	// Positions [head, tail) are live once that is acked.
+	after := func(ctx context.Context) wire.Message {
+		ks := n.store.GetOrCreate(m.Key, cfg)
+		ks.Update(func(st *store.State) {
+			ext := roundExtOf(st)
+			ext.head = 0
+			ext.tail = len(m.Entries)
+			logCounters(st, ext.head, ext.tail)
+		})
+		n.mirrorCounters(ctx, m.Key, cfg, 0, len(m.Entries))
+		return n.flushAck(ks)
 	}
-	for i, v := range m.Entries {
-		for j := 0; j < cfg.Y; j++ {
-			target := (i + j) % numServers
-			if err := n.callBestEffort(ctx, target, wire.StoreOne{Key: m.Key, Config: cfg, Entry: v, Pos: i}); err != nil {
-				return wire.Ack{Err: err.Error()}
-			}
-		}
-	}
-	// Positions [head, tail) are live.
-	ks := n.store.GetOrCreate(m.Key, cfg)
-	ks.Update(func(st *store.State) {
-		ext := roundExtOf(st)
-		ext.head = 0
-		ext.tail = len(m.Entries)
-		logCounters(st, ext.head, ext.tail)
-	})
-	n.mirrorCounters(ctx, m.Key, cfg, 0, len(m.Entries))
-	return n.flushAck(ks)
+	return placePlan{share: wire.StoreBatch(m), target: everyServer, after: after}, nil
 }
 
 func (roundExec) add(ctx context.Context, n *Node, ks *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {
@@ -151,10 +143,17 @@ func (roundExec) del(ctx context.Context, n *Node, ks *store.KeyState, cfg wire.
 	return n.flushAck(ks)
 }
 
-func (roundExec) storeBatch(_ *Node, st *store.State, entries []string) {
-	// The place broadcast carries an empty batch purely to install the
-	// config; entries arrive via positioned StoreOne messages.
-	logAddMany(st, entries)
+// storeBatch keeps this server's share of a placed list: entry v_i
+// lives on servers (i mod n)..(i+y-1 mod n), the rule accept evaluates.
+// The share is y/n of a list whose strings all view one decoded message
+// (wire.Decode), so what is kept is copied out of it.
+func (roundExec) storeBatch(n *Node, st *store.State, entries []string) {
+	mv := n.view()
+	for i, v := range entries {
+		if inWindow(i, st.Cfg.Y, mv.n, mv.self) {
+			logAddAt(st, entry.Entry(strings.Clone(v)), i)
+		}
+	}
 }
 
 func (roundExec) storeOne(_ *Node, st *store.State, m wire.StoreOne) {
@@ -351,9 +350,12 @@ func window(pos, y, n int) []int {
 	return w
 }
 
-// inWindow reports whether server self holds position pos.
+// inWindow reports whether server self is one of window(pos, y, n).
 func inWindow(pos, y, n, self int) bool {
-	return containsServer(window(pos, y, n), self)
+	if pos < 0 || y <= 0 || y > n || self < 0 || self >= n {
+		return false
+	}
+	return (self-pos%n+n)%n < y
 }
 
 // plan: each locally held, positioned entry is offered to the other

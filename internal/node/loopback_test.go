@@ -180,15 +180,7 @@ func (lc *loopCluster) dumpState(dirs []string) string {
 	lc.t.Helper()
 	var b strings.Builder
 	for i, nd := range lc.nodes {
-		state := captureState(nd)
-		keys := make([]string, 0, len(state))
-		for k := range state {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "node %d state %+v\n", i, state[k])
-		}
+		writeStates(&b, i, nd)
 		if err := lc.durs[i].WAL().Close(); err != nil {
 			lc.t.Fatalf("close WAL %d: %v", i, err)
 		}
@@ -229,7 +221,29 @@ func TestSelfDeliveryMatchesAllRemoteRun(t *testing.T) {
 	for i, msg := range msgs {
 		lc.mustAck(servers[i], msg)
 	}
-	got := lc.dumpState(dirs)
+	checkGolden(t, golden, lc.dumpState(dirs), "the all-remote run")
+}
+
+// writeStates renders every key state nd holds as snapshots serialize
+// it, in key order, and returns the keys.
+func writeStates(b *strings.Builder, i int, nd *Node) []string {
+	state := captureState(nd)
+	keys := make([]string, 0, len(state))
+	for k := range state {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(b, "node %d state %+v\n", i, state[k])
+	}
+	return keys
+}
+
+// checkGolden compares got with the golden file and names the first
+// line at which it differs from what reference, the code that wrote the
+// golden, left behind. NODE_GEN_GOLDEN=1 rewrites the file from got.
+func checkGolden(t *testing.T, golden, got, reference string) {
+	t.Helper()
 	if os.Getenv("NODE_GEN_GOLDEN") != "" {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -244,9 +258,9 @@ func TestSelfDeliveryMatchesAllRemoteRun(t *testing.T) {
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {
-				t.Fatalf("state differs from the all-remote run at line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
+				t.Fatalf("state differs from %s at line %d:\n got %s\nwant %s", reference, i+1, gl[i], wl[i])
 			}
 		}
-		t.Fatalf("state differs from the all-remote run: %d lines, want %d", len(gl), len(wl))
+		t.Fatalf("state differs from %s: %d lines, want %d", reference, len(gl), len(wl))
 	}
 }

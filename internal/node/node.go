@@ -192,6 +192,8 @@ func (n *Node) Handle(ctx context.Context, msg wire.Message) wire.Message {
 		return n.handleLookupBatch(m)
 	case wire.StoreBatch:
 		return n.handleStoreBatch(m)
+	case wire.StoreBatches:
+		return n.handleStoreBatches(m)
 	case wire.StoreOne:
 		return n.handleStoreOne(m)
 	case wire.RemoveOne:
@@ -226,16 +228,9 @@ func (n *Node) Handle(ctx context.Context, msg wire.Message) wire.Message {
 }
 
 // handlePlace implements the initial server S's role in
-// place(v1..vh): distribute entries to all servers per the scheme.
+// place(v1..vh): a PlaceBatch of one (see place).
 func (n *Node) handlePlace(ctx context.Context, m wire.Place) wire.Message {
-	numServers := n.numServers()
-	if numServers == 0 {
-		return wire.Ack{Err: "node: no peer caller attached"}
-	}
-	if err := m.Config.Validate(numServers); err != nil {
-		return wire.Ack{Err: err.Error()}
-	}
-	return execFor(m.Config.Scheme).place(ctx, n, m)
+	return wire.Ack{Err: n.place(ctx, []wire.Place{m})[0]}
 }
 
 // handleAdd implements the initial server S's role in add(v) (Sec. 5).
@@ -298,10 +293,26 @@ func (n *Node) handleLookup(m wire.Lookup) wire.Message {
 	return wire.LookupReply{Entries: out}
 }
 
+// errEmptyPlaceEntry refuses a placed list with an empty entry, which
+// the entry set cannot hold, before anything is stored or reset.
+const errEmptyPlaceEntry = "node: place with empty entry"
+
+func allValid(entries []string) bool {
+	for _, v := range entries {
+		if !entry.Entry(v).Valid() {
+			return false
+		}
+	}
+	return true
+}
+
 // handleStoreBatch applies a place broadcast: the receiver resets the
 // key (config, entry set, strategy state) and stores the
 // scheme-dependent local selection of the batch.
 func (n *Node) handleStoreBatch(m wire.StoreBatch) wire.Message {
+	if !allValid(m.Entries) {
+		return wire.Ack{Err: errEmptyPlaceEntry}
+	}
 	ks := n.store.GetOrCreate(m.Key, m.Config)
 	ks.Update(func(st *store.State) {
 		// The reset record precedes the executor's own records in the

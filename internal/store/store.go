@@ -33,6 +33,7 @@ package store
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -116,6 +117,10 @@ type KeyState struct {
 	walErr  error
 }
 
+// maxKeptRecs bounds the record slice a key keeps between updates: an
+// add or a delete logs one or two records.
+const maxKeptRecs = 4
+
 // Update runs f with the key locked and publishes the next read
 // snapshot afterwards — a fresh clone when a reader consumed the
 // previous one (so a key read between writes keeps its lookups
@@ -137,7 +142,13 @@ func (k *KeyState) Update(f func(*State)) {
 				k.walErr = err
 			}
 		}
+		// Keep the array for the next update, but not the records in
+		// it, and not the array a place grew to a record per entry.
+		clear(k.st.recs)
 		k.st.recs = k.st.recs[:0]
+		if cap(k.st.recs) > maxKeptRecs {
+			k.st.recs = nil
+		}
 	}
 	if k.snapRead.Load() {
 		k.snapRead.Store(false)
@@ -336,6 +347,9 @@ func (s *Store) GetOrCreate(key string, cfg wire.Config) *KeyState {
 		sh.mu.Lock()
 		ks, ok = sh.load()[key]
 		if !ok {
+			// The key outlives the message that first named it, whose
+			// strings all view one decoded buffer (wire.Decode).
+			key = strings.Clone(key)
 			ks = &KeyState{
 				st:     State{Key: key, Cfg: cfg, Set: entry.NewSet(0), logging: s.wal != nil},
 				wal:    s.wal,

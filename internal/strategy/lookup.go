@@ -174,7 +174,7 @@ func (l *lookup) visit(server int) bool {
 	for j, i := range l.pending {
 		res := &l.results[i]
 		res.Contacted++
-		res.Entries, l.seen[i] = entry.Dedup(res.Entries, l.seen[i], toEntries(replies[j].Entries))
+		res.Entries, l.seen[i] = entry.Dedup(res.Entries, l.seen[i], replies[j].Entries)
 		if len(res.Entries) < l.t {
 			still = append(still, i)
 		}

@@ -288,11 +288,3 @@ func toStrings(entries []entry.Entry) []string {
 	}
 	return out
 }
-
-func toEntries(ss []string) []entry.Entry {
-	out := make([]entry.Entry, len(ss))
-	for i, s := range ss {
-		out[i] = entry.Entry(s)
-	}
-	return out
-}

@@ -104,12 +104,9 @@ func AppendEncode(dst []byte, msg Message) []byte {
 		e.strs(m.Entries)
 		e.str(m.Err)
 	case PlaceBatch:
-		e.uvarint(uint64(len(m.Items)))
-		for _, it := range m.Items {
-			e.str(it.Key)
-			e.config(it.Config)
-			e.strs(it.Entries)
-		}
+		encodePlaces(&e, m.Items)
+	case StoreBatches:
+		encodePlaces(&e, m.Items)
 	case AddBatch:
 		e.uvarint(uint64(len(m.Items)))
 		for _, it := range m.Items {
@@ -395,21 +392,11 @@ func decode(data []byte) (Message, error) {
 		msg = m
 	case KindPlaceBatch:
 		var m PlaceBatch
-		var n int
-		if n, err = d.batchLen(); err == nil && n > 0 {
-			m.Items = make([]Place, 0, min(n, 1024))
-			for i := 0; i < n && err == nil; i++ {
-				var it Place
-				it.Key, err = d.str()
-				if err == nil {
-					it.Config, err = d.config()
-				}
-				if err == nil {
-					it.Entries, err = d.strs()
-				}
-				m.Items = append(m.Items, it)
-			}
-		}
+		m.Items, err = decodePlaces[Place](&d)
+		msg = m
+	case KindStoreBatches:
+		var m StoreBatches
+		m.Items, err = decodePlaces[StoreBatch](&d)
 		msg = m
 	case KindAddBatch:
 		var m AddBatch
@@ -817,6 +804,39 @@ func view(b []byte) string {
 		return ""
 	}
 	return unsafe.String(&b[0], len(b))
+}
+
+// encodePlaces writes the items of a PlaceBatch or a StoreBatches, which
+// share one layout: a count, then key, config and entry list per item.
+func encodePlaces[T Place | StoreBatch](e *encoder, items []T) {
+	e.uvarint(uint64(len(items)))
+	for _, item := range items {
+		it := Place(item)
+		e.str(it.Key)
+		e.config(it.Config)
+		e.strs(it.Entries)
+	}
+}
+
+// decodePlaces reads what encodePlaces wrote.
+func decodePlaces[T Place | StoreBatch](d *decoder) ([]T, error) {
+	n, err := d.batchLen()
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	items := make([]T, 0, min(n, 1024))
+	for i := 0; i < n && err == nil; i++ {
+		var it Place
+		it.Key, err = d.str()
+		if err == nil {
+			it.Config, err = d.config()
+		}
+		if err == nil {
+			it.Entries, err = d.strs()
+		}
+		items = append(items, T(it))
+	}
+	return items, err
 }
 
 // batchLen reads and bounds the item count of a batch envelope.

@@ -85,6 +85,12 @@ func allMessages() []Message {
 			Epoch: 4, NewN: 6, Leaving: -1,
 		},
 		RebalancePush{Key: "k", Config: cfg, Entries: []string{"v1"}, Epoch: 5, NewN: 5, Leaving: 2},
+		// Appended, as every later kind must be: the checked-in fuzz
+		// seeds are named by position in this list.
+		StoreBatches{Items: []StoreBatch{
+			{Key: "a", Config: cfg, Entries: []string{"v1", "v2"}},
+			{Key: "b", Config: cfg},
+		}},
 	}
 }
 

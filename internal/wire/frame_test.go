@@ -21,6 +21,10 @@ func acceptedFrameSeeds() []frameSeed {
 		{"lookup", AppendFrameV2(nil, 7, Lookup{Key: "song/abc", T: 5})[4:]},
 		{"maxid-lookupreply", AppendFrameV2(nil, ^uint64(0), LookupReply{Entries: []string{"v1", "v2", "v3"}})[4:]},
 		{"min-ping", AppendFrameV2(nil, 99, Ping{})[4:]},
+		{"storebatches", AppendFrameV2(nil, 3, StoreBatches{Items: []StoreBatch{
+			{Key: "a", Config: Config{Scheme: RoundRobin, Y: 2}, Entries: []string{"v1", "v2"}},
+			{Key: "b", Config: Config{Scheme: Hash, Y: 2, Seed: 7}},
+		}})[4:]},
 	}
 }
 

@@ -215,6 +215,7 @@ const (
 	KindLeave
 	KindMembershipUpdate
 	KindRebalancePush
+	KindStoreBatches
 )
 
 // MaintenanceKind reports whether k belongs to the background
@@ -265,17 +266,28 @@ type Lookup struct {
 	T   int
 }
 
-// StoreBatch is the server-to-server broadcast carrying the full entry
-// list of a place operation (Full Replication, Fixed-x, RandomServer-x).
-// Each receiver applies its scheme-specific local selection rule.
+// StoreBatch is the server-to-server message of a place operation under
+// every scheme: it carries the entry list (Fixed-x: its first x) to
+// every server (KeyPartition: to the key's one server), and each
+// receiver resets the key and keeps what its scheme's rule gives it —
+// everything, a random x-subset, the Round-y positions whose window
+// covers it, the entries it is a Hash-y or MultiProbe-y home of.
 type StoreBatch struct {
 	Key     string
 	Config  Config
 	Entries []string
 }
 
-// StoreOne instructs a server to store a single entry (Round-y and
-// Hash-y placement; add broadcasts for the replicated schemes).
+// StoreBatches carries the StoreBatch messages one PlaceBatch has for
+// one server in a single envelope, answered by a BatchAck with one
+// outcome per item. A server's single share travels as a bare
+// StoreBatch.
+type StoreBatches struct {
+	Items []StoreBatch
+}
+
+// StoreOne instructs a server to store a single entry: the per-copy
+// message of add under every scheme. Placement does not use it.
 // Config is included so that receivers can lazily initialize per-key
 // state when an add precedes any place. Pos is the entry's round-robin
 // sequence position (meaningful for Round-y only): the entry at
@@ -394,7 +406,7 @@ type DumpReply struct {
 	Err     string
 }
 
-// BatchAck is the reply to PlaceBatch and AddBatch: Errs[i] is the
+// BatchAck is the reply to PlaceBatch, AddBatch and StoreBatches: Errs[i] is the
 // per-item outcome ("" on success), always len(Items) long. Err reports
 // an envelope-level failure (e.g. a malformed batch) instead.
 type BatchAck struct {
@@ -661,3 +673,4 @@ func (Join) Kind() Kind             { return KindJoin }
 func (Leave) Kind() Kind            { return KindLeave }
 func (MembershipUpdate) Kind() Kind { return KindMembershipUpdate }
 func (RebalancePush) Kind() Kind    { return KindRebalancePush }
+func (StoreBatches) Kind() Kind     { return KindStoreBatches }

@@ -113,7 +113,7 @@ func TestMessageKinds(t *testing.T) {
 		Place{}, Add{}, Delete{}, Lookup{}, StoreBatch{}, StoreOne{},
 		RemoveOne{}, RoundRemove{}, Migrate{}, Dump{}, Ping{}, Ack{},
 		LookupReply{}, MigrateReply{}, DumpReply{},
-		PlaceBatch{}, AddBatch{}, LookupBatch{}, BatchAck{}, LookupBatchReply{},
+		PlaceBatch{}, AddBatch{}, LookupBatch{}, BatchAck{}, LookupBatchReply{}, StoreBatches{},
 	}
 	seen := make(map[Kind]bool)
 	for _, m := range msgs {
