@@ -13,11 +13,15 @@
 //
 // Clients speak the ordinary wire protocol to the proxy exactly as
 // they would to a plsd server (plsctl just needs -servers pointed at
-// the proxy). Updates routed through the proxy invalidate its cached
-// answers for the touched keys only after the cluster acks, so a
-// cached answer never outlives an acknowledged update by more than
-// -cache-ttl; point plsctl at the cluster directly if you update
-// behind the proxy's back and cannot tolerate that staleness bound.
+// the proxy). An update routed through the proxy reaches its cached
+// answers only after the cluster acks, and costs them only what it made
+// wrong: a delete takes its entry out of the key's cached answers (one
+// left with fewer than its t entries is dropped), a place drops them,
+// and an add leaves them — any t live entries answer a partial lookup,
+// so an answer cached before an add stays right and is served, without
+// the new entry, until its -cache-ttl runs out. Updates made behind the
+// proxy's back are bounded by -cache-ttl alone; point plsctl at the
+// cluster directly if you cannot tolerate that.
 // See docs/OPERATIONS.md for the sizing and staleness runbook.
 package main
 
@@ -54,7 +58,7 @@ func run() error {
 		admin   = flag.String("admin", "", "admin/debug HTTP listen address serving /metrics, /healthz, and /debug/pprof/ (empty = disabled)")
 
 		cacheEntries = flag.Int("cache-entries", 4096, "max cached partial-lookup answers (each (key, t) pair is one entry)")
-		cacheTTL     = flag.Duration("cache-ttl", 2*time.Second, "result cache TTL; the staleness bound for updates the proxy does not see (0 = cache off, coalescing stays on)")
+		cacheTTL     = flag.Duration("cache-ttl", 2*time.Second, "result cache TTL: how long an answer cached before an add, or before an update the proxy does not see, may still be served (0 = cache off, coalescing stays on)")
 
 		scheme   = flag.String("scheme", "round", "default placement scheme for keys whose updates arrive without one: full, fixed, randomserver, round, hash, multiprobe, partition")
 		x        = flag.Int("x", 0, "x parameter (fixed, randomserver)")
@@ -85,82 +89,23 @@ func run() error {
 	}
 
 	reg := telemetry.NewRegistry()
-	tm := telemetry.NewTransportMetrics(reg, "backend", len(addrs))
-	pm := telemetry.NewProxyMetrics(reg)
-	lm := telemetry.NewLookupMetrics(reg)
 	telemetry.RegisterRuntimeMetrics(reg)
-
-	client := transport.NewClient(addrs,
-		transport.WithTimeout(*timeout),
-		transport.WithMuxConns(*muxConns),
-		transport.WithClientMetrics(tm))
-	defer client.Close()
-	var caller transport.Caller = client
-	var sel *selector.Selector
-	if *useSelector {
-		sel = selector.New(len(addrs), selector.Options{
-			Metrics: telemetry.NewSelectorMetrics(reg),
-		})
-	}
-	caller = transport.Instrument(caller, tm)
-
-	// The proxy is constructed after the service, but the service's
-	// update hook must reach it: late-bind through a pointer. The hook
-	// is belt and braces — every update path through Handle already
-	// invalidates — but it also covers programmatic updates if this
-	// service is ever driven directly.
-	var px *proxy.Proxy
-	opts := []core.Option{
-		core.WithSeed(rngSeed),
-		core.WithDefaultConfig(core.Config(cfg)),
-		core.WithLookupMetrics(lm),
-		core.WithLookupPolicy(core.LookupPolicy{
-			Timeout:     *timeout,
-			MaxAttempts: *retries,
-			BaseBackoff: *backoff,
-			MaxBackoff:  time.Second,
-			Jitter:      0.5,
-			HedgeAfter:  *hedgeAfter,
-		}),
-		core.WithUpdateHook(func(key string) {
-			if px != nil {
-				px.InvalidateKey(key)
-			}
-		}),
-	}
-	if sel != nil {
-		opts = append(opts, core.WithSelector(sel))
-	}
-	svc, err := core.NewService(caller, opts...)
+	px, client, err := newProxy(reg, addrs, frontOptions{
+		cfg:          core.Config(cfg),
+		seed:         rngSeed,
+		cacheEntries: *cacheEntries,
+		cacheTTL:     *cacheTTL,
+		timeout:      *timeout,
+		muxConns:     *muxConns,
+		retries:      *retries,
+		backoff:      *backoff,
+		hedgeAfter:   *hedgeAfter,
+		selector:     *useSelector,
+	})
 	if err != nil {
 		return err
 	}
-	px = proxy.New(svc, proxy.Options{
-		CacheEntries: *cacheEntries,
-		TTL:          *cacheTTL,
-		Metrics:      pm,
-		Maintenance:  client,
-		// A committed membership change renumbers the backend: track the
-		// new member list in the transport view and selector. The proxy
-		// flushed its cache before this fires.
-		OnMembership: func(m wire.MembershipUpdate) {
-			if m.Leaving >= 0 {
-				if sel != nil {
-					sel.Resize(m.NewN)
-				}
-				client.RemoveServer(m.Leaving)
-				return
-			}
-			for client.NumServers() < m.NewN && len(m.Addrs) == m.NewN {
-				client.AddServer(m.Addrs[client.NumServers()])
-			}
-			if sel != nil {
-				sel.Resize(m.NewN)
-			}
-		},
-	})
-	reg.NewGaugeFunc("proxy.cache_entries", func() int64 { return int64(px.CacheLen()) })
-	reg.NewGaugeFunc("proxy.member_epoch", func() int64 { return int64(px.MemberEpoch()) })
+	defer client.Close()
 
 	srv := transport.NewServer(px)
 	srv.Instrument(telemetry.NewServerMetrics(reg, "server"))
@@ -190,4 +135,81 @@ func run() error {
 	<-sig
 	fmt.Println("plsproxy: shutting down")
 	return nil
+}
+
+// frontOptions is what the flags say about the front tier.
+type frontOptions struct {
+	cfg          core.Config
+	seed         uint64
+	cacheEntries int
+	cacheTTL     time.Duration
+	timeout      time.Duration
+	muxConns     int
+	retries      int
+	backoff      time.Duration
+	hedgeAfter   time.Duration
+	selector     bool
+}
+
+// newProxy wires the front tier over the servers at addrs: backend
+// client, selector, core service and the proxy on top, every layer
+// instrumented into reg. The caller closes the returned client.
+func newProxy(reg *telemetry.Registry, addrs []string, o frontOptions) (*proxy.Proxy, *transport.Client, error) {
+	tm := telemetry.NewTransportMetrics(reg, "backend", len(addrs))
+	client := transport.NewClient(addrs,
+		transport.WithTimeout(o.timeout),
+		transport.WithMuxConns(o.muxConns),
+		transport.WithClientMetrics(tm))
+	opts := []core.Option{
+		core.WithSeed(o.seed),
+		core.WithDefaultConfig(o.cfg),
+		core.WithLookupMetrics(telemetry.NewLookupMetrics(reg)),
+		core.WithLookupPolicy(core.LookupPolicy{
+			Timeout:     o.timeout,
+			MaxAttempts: o.retries,
+			BaseBackoff: o.backoff,
+			MaxBackoff:  time.Second,
+			Jitter:      0.5,
+			HedgeAfter:  o.hedgeAfter,
+		}),
+	}
+	var sel *selector.Selector
+	if o.selector {
+		sel = selector.New(len(addrs), selector.Options{
+			Metrics: telemetry.NewSelectorMetrics(reg),
+		})
+		opts = append(opts, core.WithSelector(sel))
+	}
+	svc, err := core.NewService(transport.Instrument(client, tm), opts...)
+	if err != nil {
+		client.Close()
+		return nil, nil, err
+	}
+	px := proxy.New(svc, proxy.Options{
+		CacheEntries: o.cacheEntries,
+		TTL:          o.cacheTTL,
+		Metrics:      telemetry.NewProxyMetrics(reg),
+		Maintenance:  client,
+		// A committed membership change renumbers the backend: track the
+		// new member list in the transport view and selector. The proxy
+		// flushed its cache before this fires.
+		OnMembership: func(m wire.MembershipUpdate) {
+			if m.Leaving >= 0 {
+				if sel != nil {
+					sel.Resize(m.NewN)
+				}
+				client.RemoveServer(m.Leaving)
+				return
+			}
+			for client.NumServers() < m.NewN && len(m.Addrs) == m.NewN {
+				client.AddServer(m.Addrs[client.NumServers()])
+			}
+			if sel != nil {
+				sel.Resize(m.NewN)
+			}
+		},
+	})
+	reg.NewGaugeFunc("proxy.cache_entries", func() int64 { return int64(px.CacheLen()) })
+	reg.NewGaugeFunc("proxy.member_epoch", func() int64 { return int64(px.MemberEpoch()) })
+	return px, client, nil
 }

@@ -81,11 +81,6 @@ type Service struct {
 	// wrapped by a policyCaller adding retries/hedging per probe.
 	lookupCaller transport.Caller
 
-	// updateHook, when set, is called with a key after an update
-	// (Place/Add/Delete, single or batched) for it has completed — its
-	// acks observed, success or failure. See WithUpdateHook.
-	updateHook func(key string)
-
 	mu      sync.Mutex
 	rng     *stats.RNG
 	perKey  map[string]Config
@@ -145,19 +140,6 @@ func WithLookupMetrics(m *telemetry.LookupMetrics) Option {
 // enabling it never perturbs a fault-free seeded run's first probes.
 func WithSelector(sel *selector.Selector) Option {
 	return func(s *Service) { s.selector = sel }
-}
-
-// WithUpdateHook installs a callback fired once per key after an
-// update for that key finishes: only after the servers' acks have been
-// observed (or the update failed — conservatively, a failed update may
-// still have partially landed), never while the update is in flight.
-// Result-cache layers (the plsproxy front tier) hang their
-// invalidation here; the ordering guarantee is what makes "a stale
-// cached answer never outlives an acked delete" hold. The hook runs
-// synchronously on the updating goroutine and must not call back into
-// the Service.
-func WithUpdateHook(hook func(key string)) Option {
-	return func(s *Service) { s.updateHook = hook }
 }
 
 // NewService returns a service over the given transport.
@@ -306,10 +288,8 @@ func (s *Service) AddBatch(ctx context.Context, items []AddItem) []error {
 }
 
 // update is the one path behind Place, Add and Delete, single or
-// batched: reject items carrying an empty entry, hand each strategy
-// configuration's share of the rest to its driver through send, and
-// fire the update hook per key — only after every group's acks landed,
-// so a stale cached answer never outlives an acked update.
+// batched: reject items carrying an empty entry and hand each strategy
+// configuration's share of the rest to its driver through send.
 func (s *Service) update(op string, keys []string, valid func(i int) bool, send func(d *strategy.Driver, idxs []int) []error) []error {
 	errs := make([]error, len(keys))
 	for i, key := range keys {
@@ -320,11 +300,6 @@ func (s *Service) update(op string, keys []string, valid func(i int) bool, send 
 	for _, g := range s.groupByConfig(keys, errs) {
 		for j, err := range send(g.driver, g.idxs) {
 			errs[g.idxs[j]] = err
-		}
-	}
-	if s.updateHook != nil {
-		for _, key := range keys {
-			s.updateHook(key)
 		}
 	}
 	return errs

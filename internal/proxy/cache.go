@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"container/list"
+	"slices"
 	"time"
 )
 
@@ -14,7 +15,10 @@ type cacheEntry struct {
 
 // resultCache is the bounded LRU+TTL answer cache. It is guarded by
 // the owning Proxy's mutex. Keys index a per-key map of t variants so
-// an update invalidates every cached answer size for its key at once.
+// an update reaches every cached answer size for its key at once. A
+// cached entries slice is shared with replies being encoded outside
+// that mutex and with a flight's followers: it is replaced, never
+// written to.
 type resultCache struct {
 	max   int
 	lru   *list.List // of *cacheEntry, front = most recent
@@ -69,20 +73,50 @@ func (c *resultCache) put(fk flightKey, entries []string, expires time.Time) {
 	}
 }
 
-// invalidateKey drops every t variant cached for key, returning how
-// many entries were removed.
-func (c *resultCache) invalidateKey(key string) int {
+// dropKey drops every t variant cached for key (a place rewrote the
+// key's entries wholesale), returning how many answers were removed.
+func (c *resultCache) dropKey(key string) int {
 	byT := c.byKey[key]
-	if len(byT) == 0 {
-		return 0
-	}
-	n := 0
 	for _, el := range byT {
 		c.lru.Remove(el)
-		n++
 	}
 	delete(c.byKey, key)
-	return n
+	return len(byT)
+}
+
+// dropThin drops key's thin answers — fewer entries than their t,
+// because the key held fewer when it was probed — which an add can make
+// satisfiable; an answer that has its t entries still has t live ones
+// after an add.
+func (c *resultCache) dropThin(key string) (dropped int) {
+	for _, el := range c.byKey[key] {
+		if ce := el.Value.(*cacheEntry); len(ce.entries) < ce.fk.t {
+			c.remove(el)
+			dropped++
+		}
+	}
+	return dropped
+}
+
+// removeEntry takes a deleted entry out of key's answers that hold it:
+// the rest of such an answer is still live, so it stays (patched, as a
+// new slice) unless the removal leaves it thin, and then it is dropped.
+func (c *resultCache) removeEntry(key, entry string) (patched, dropped int) {
+	for _, el := range c.byKey[key] {
+		ce := el.Value.(*cacheEntry)
+		if !slices.Contains(ce.entries, entry) {
+			continue
+		}
+		rest := slices.DeleteFunc(slices.Clone(ce.entries), func(e string) bool { return e == entry })
+		if len(rest) < ce.fk.t {
+			c.remove(el)
+			dropped++
+			continue
+		}
+		ce.entries = rest
+		patched++
+	}
+	return patched, dropped
 }
 
 // flush empties the cache.

@@ -12,9 +12,15 @@
 // plsproxy unchanged. Lookups flow cache → singleflight →
 // core.Service (which fans probes to the nodes over the multiplexed
 // transport through the selector stack); updates flow straight through
-// to the service and invalidate the affected key only after the
-// servers' acks are observed, so a stale cached answer never outlives
-// an acked delete. Membership-epoch changes flush the whole cache:
+// to the service and, only after the servers' acks are observed, are
+// applied to the key's cached answers. The paper's contract is "any t
+// live entries", so an update costs a cached answer only what it made
+// wrong: an add leaves every answer that has its t entries, a
+// delete(k, v) takes v out of the answers that hold it (dropping one
+// only if that leaves it short of t), and a place drops the key's
+// answers. A cached answer therefore never holds an entry whose delete
+// was acked; an added entry may take up to the TTL to show in an answer
+// cached before it. Membership-epoch changes flush the whole cache:
 // cached answers were computed against the old placement.
 package proxy
 
@@ -38,9 +44,11 @@ type Options struct {
 	// (key, t) answers are evicted beyond this many. Default 4096.
 	CacheEntries int
 	// TTL is how long a cached answer may be served; it is the proxy's
-	// staleness bound for updates that bypass this proxy (updates
-	// through the proxy invalidate immediately). Zero disables the
-	// result cache entirely — singleflight coalescing still applies.
+	// staleness bound for updates that bypass this proxy, and for how
+	// long an answer cached before an add through the proxy can go
+	// without the added entry (a delete or place through the proxy
+	// reaches the cached answers as soon as it is acked). Zero disables
+	// the result cache entirely — singleflight coalescing still applies.
 	TTL time.Duration
 	// Metrics receives cache, coalescing, and invalidation counters;
 	// nil records nothing.
@@ -75,11 +83,11 @@ type flightKey struct {
 }
 
 // flight is one in-flight backend lookup. The leader fills entries/err
-// and closes done; followers read after done. An invalidation racing
-// the flight removes it from the flights map — the leader then skips
-// the cache fill (stale-fill guard) and lookups arriving after the
-// invalidation start a fresh flight, so a follower can never be handed
-// an answer older than an update acked before it asked.
+// and closes done; followers read after done. An update acked while
+// the flight is out removes it from the flights map — the leader then
+// skips the cache fill (stale-fill guard) and lookups arriving after
+// the ack start a fresh flight, so a follower can never be handed an
+// answer older than an update acked before it asked.
 type flight struct {
 	done    chan struct{}
 	entries []string
@@ -132,26 +140,56 @@ func (p *Proxy) MemberEpoch() uint64 {
 	return p.epoch
 }
 
-// InvalidateKey drops every cached answer for key and detaches the
-// key's in-flight lookups from the fill path: their leaders will still
-// answer the callers that already joined (those asked before the
-// update completed — returning the pre-update answer to them is
-// linearizable), but the result is not cached and lookups arriving
-// from now on probe afresh. Exposed so core.WithUpdateHook can feed
-// the proxy invalidations for updates that do not flow through Handle.
-func (p *Proxy) InvalidateKey(key string) {
+// change is what one acked update did to its key, as far as a cached
+// answer can tell: which operation ran and, for a delete, on which
+// entry.
+type change struct {
+	op    wire.Kind // KindPlace, KindAdd or KindDelete
+	key   string
+	entry string
+}
+
+// settle applies an acked update to the key's cached answers — place
+// drops them, add drops only the thin ones, delete takes its entry out
+// of those that hold it — and detaches the key's in-flight lookups
+// from the fill path: their leaders still answer the callers that
+// already joined (those asked before the update completed — returning
+// the pre-update answer to them is linearizable), but the result is
+// not cached and lookups arriving from now on probe afresh. Cache and
+// flights change under one hold of the lock, so no flight can fill in
+// a pre-update answer between the two.
+func (p *Proxy) settle(ch change) {
+	var patched, dropped int
 	p.mu.Lock()
-	dropped := p.cache.invalidateKey(key)
+	switch ch.op {
+	case wire.KindAdd:
+		dropped = p.cache.dropThin(ch.key)
+	case wire.KindDelete:
+		patched, dropped = p.cache.removeEntry(ch.key, ch.entry)
+	default:
+		dropped = p.cache.dropKey(ch.key)
+	}
 	for fk := range p.flights {
-		if fk.key == key {
+		if fk.key == ch.key {
 			delete(p.flights, fk)
 			dropped++
 		}
 	}
 	p.mu.Unlock()
+	if patched > 0 {
+		p.opt.Metrics.RecordPatch()
+	}
 	if dropped > 0 {
 		p.opt.Metrics.RecordInvalidation()
 	}
+}
+
+// InvalidateKey drops every cached answer for key and detaches the
+// key's in-flight lookups, as an acked place does: for updates that
+// reached the cluster some other way and whose effect on the key is
+// not known.
+func (p *Proxy) InvalidateKey(key string) {
+	p.settle(change{op: wire.KindPlace, key: key})
 }
 
 // Flush drops the whole result cache and detaches every in-flight
@@ -268,8 +306,10 @@ func (p *Proxy) lookupBatch(ctx context.Context, items []wire.Lookup) []wire.Loo
 }
 
 // finishFlight completes a leader's flight: cache the answer if no
-// invalidation detached the flight mid-probe, publish it to followers,
-// and build the reply.
+// update detached the flight mid-probe, publish it to followers, and
+// build the reply. An answer with fewer than t entries is cached like
+// any other: it keeps a hot key that holds fewer than t entries off the
+// cluster, and the next add to the key drops it.
 func (p *Proxy) finishFlight(fk flightKey, f *flight, got []entry.Entry, err error) wire.LookupReply {
 	entries := toStrings(got)
 	errStr := ""
@@ -283,8 +323,8 @@ func (p *Proxy) finishFlight(fk flightKey, f *flight, got []entry.Entry, err err
 			p.cache.put(fk, entries, p.opt.Now().Add(p.opt.TTL))
 		}
 	} else if err == nil {
-		// An update invalidated the key while we probed: the answer may
-		// predate the acked update, so it must not enter the cache.
+		// An update to the key was acked while we probed: the answer may
+		// predate it, so it must not enter the cache.
 		p.opt.Metrics.RecordStaleFill()
 	}
 	p.mu.Unlock()
@@ -304,27 +344,29 @@ func waitFlight(ctx context.Context, f *flight) wire.LookupReply {
 }
 
 // update is the one path for client updates, standalone or batched:
-// split names each message's key, the config it carries and the item
-// run takes. The carried config is pinned first (clients ship it with
-// every update, exactly as they do toward a node), then the items run
-// through the backing service, and each key is invalidated only after
-// that call — and with it the servers' acks — has completed.
-func update[M, I any](ctx context.Context, p *Proxy, msgs []M, split func(M) (string, wire.Config, I), run func(context.Context, []I) []error) wire.BatchAck {
-	keys := make([]string, len(msgs))
+// split names the change each message makes, the config it carries and
+// the item run takes. The carried config is pinned first (clients ship
+// it with every update, exactly as they do toward a node), then the
+// items run through the backing service, and each change is settled on
+// the cache only after that call — and with it the servers' acks — has
+// completed. A failed update may have landed in part and settles like
+// an acked one: every rule only ever removes from the cache.
+func update[M, I any](ctx context.Context, p *Proxy, msgs []M, split func(M) (change, wire.Config, I), run func(context.Context, []I) []error) wire.BatchAck {
+	changes := make([]change, len(msgs))
 	items := make([]I, len(msgs))
 	for i, m := range msgs {
 		var cfg wire.Config
-		keys[i], cfg, items[i] = split(m)
+		changes[i], cfg, items[i] = split(m)
 		if cfg.Scheme.Valid() {
-			if err := p.svc.SetKeyConfig(keys[i], cfg); err != nil {
+			if err := p.svc.SetKeyConfig(changes[i].key, cfg); err != nil {
 				return wire.BatchAck{Err: err.Error()}
 			}
 		}
 	}
 	errs := run(ctx, items)
 	out := wire.BatchAck{Errs: make([]string, len(msgs))}
-	for i, key := range keys {
-		p.InvalidateKey(key)
+	for i, ch := range changes {
+		p.settle(ch)
 		p.opt.Metrics.RecordUpdate()
 		if errs[i] != nil {
 			out.Errs[i] = errs[i].Error()
@@ -333,15 +375,17 @@ func update[M, I any](ctx context.Context, p *Proxy, msgs []M, split func(M) (st
 	return out
 }
 
-func splitPlace(m wire.Place) (string, wire.Config, core.PlaceItem) {
-	return m.Key, m.Config, core.PlaceItem{Key: m.Key, Entries: toEntries(m.Entries)}
+func splitPlace(m wire.Place) (change, wire.Config, core.PlaceItem) {
+	return change{op: wire.KindPlace, key: m.Key}, m.Config, core.PlaceItem{Key: m.Key, Entries: toEntries(m.Entries)}
 }
 
-func splitAdd(m wire.Add) (string, wire.Config, core.AddItem) {
-	return m.Key, m.Config, core.AddItem{Key: m.Key, Entry: entry.Entry(m.Entry)}
+func splitAdd(m wire.Add) (change, wire.Config, core.AddItem) {
+	return change{op: wire.KindAdd, key: m.Key}, m.Config, core.AddItem{Key: m.Key, Entry: entry.Entry(m.Entry)}
 }
 
-func splitDelete(m wire.Delete) (string, wire.Config, wire.Delete) { return m.Key, m.Config, m }
+func splitDelete(m wire.Delete) (change, wire.Config, wire.Delete) {
+	return change{op: wire.KindDelete, key: m.Key, entry: m.Entry}, m.Config, m
+}
 
 // standalone is the reply to a standalone update: the Ack form of its
 // one-item BatchAck.

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -205,67 +207,226 @@ func TestSingleflightCollapsesDuplicates(t *testing.T) {
 	}
 }
 
-// Invalidation: add, delete, and place through the proxy each drop the
-// key's cached answers — after their acks — so the next lookup sees
-// the new data immediately rather than waiting out the TTL.
+// What an acked update does to a cached answer, rule by rule. The key
+// holds eight entries under Round-Robin-1 on four servers, two per
+// server and no entry twice, so any lookup for 3 or 4 entries probes
+// two servers and caches exactly four entries: one to spare at t=3,
+// none at t=4. The TTL is long enough that only the update explains a
+// changed answer.
 func TestUpdatesInvalidateCachedAnswers(t *testing.T) {
-	rig := newRig(t, time.Hour, 0) // TTL long enough that only invalidation explains a refresh
-	ctx := context.Background()
-	cfg := wire.Config{Scheme: wire.RandomServer, X: 4}
+	cfg := wire.Config{Scheme: wire.RoundRobin, Y: 1}
+	base := []string{"e0", "e1", "e2", "e3", "e4", "e5", "e6", "e7"}
+	without := func(entries []string, v string) []string {
+		return slices.DeleteFunc(slices.Clone(entries), func(e string) bool { return e == v })
+	}
+	notIn := func(cached []string) string {
+		for _, e := range base {
+			if !slices.Contains(cached, e) {
+				return e
+			}
+		}
+		panic("the cached answer holds every entry")
+	}
+	cases := []struct {
+		name   string
+		t      int
+		update func(cached []string) wire.Message
+		// want is the answer served from the cache after the update; nil
+		// says the update dropped the cached answer.
+		want    func(cached []string) []string
+		patched int64
+	}{
+		{
+			name:   "add keeps",
+			t:      3,
+			update: func([]string) wire.Message { return wire.Add{Key: "k", Config: cfg, Entry: "new"} },
+			want:   func(cached []string) []string { return cached },
+		},
+		{
+			name: "AddBatch keeps",
+			t:    3,
+			update: func([]string) wire.Message {
+				return wire.AddBatch{Items: []wire.Add{{Key: "k", Config: cfg, Entry: "new"}}}
+			},
+			want: func(cached []string) []string { return cached },
+		},
+		{
+			name:    "delete of a held entry patches",
+			t:       3,
+			update:  func(cached []string) wire.Message { return wire.Delete{Key: "k", Config: cfg, Entry: cached[1]} },
+			want:    func(cached []string) []string { return without(cached, cached[1]) },
+			patched: 1,
+		},
+		{
+			name:   "delete that leaves fewer than t drops",
+			t:      4,
+			update: func(cached []string) wire.Message { return wire.Delete{Key: "k", Config: cfg, Entry: cached[1]} },
+		},
+		{
+			name:   "delete of an entry not held keeps",
+			t:      3,
+			update: func(cached []string) wire.Message { return wire.Delete{Key: "k", Config: cfg, Entry: notIn(cached)} },
+			want:   func(cached []string) []string { return cached },
+		},
+		{
+			name: "place drops",
+			t:    3,
+			update: func([]string) wire.Message {
+				return wire.Place{Key: "k", Config: cfg, Entries: []string{"p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7"}}
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rig := newRig(t, time.Hour, 0)
+			ctx := context.Background()
+			if a := rig.p.Handle(ctx, wire.Place{Key: "k", Config: cfg, Entries: base}).(wire.Ack); a.Err != "" {
+				t.Fatal(a.Err)
+			}
+			cached := lookup(t, rig.p, "k", tc.t).Entries
+			if len(cached) != 4 || rig.p.CacheLen() != 1 {
+				t.Fatalf("cached answer %v, cache len %d; want four entries in one answer", cached, rig.p.CacheLen())
+			}
+			before := slices.Clone(cached)
 
-	ack := rig.p.Handle(ctx, wire.Place{Key: "k", Config: cfg, Entries: []string{"a"}})
-	if a := ack.(wire.Ack); a.Err != "" {
+			msg := tc.update(cached)
+			switch r := rig.p.Handle(ctx, msg).(type) {
+			case wire.Ack:
+				if r.Err != "" {
+					t.Fatal(r.Err)
+				}
+			case wire.BatchAck:
+				if r.Err != "" || r.Errs[0] != "" {
+					t.Fatalf("%+v", r)
+				}
+			}
+			if !slices.Equal(cached, before) {
+				t.Fatalf("the reply handed out before the update changed: %v, was %v", cached, before)
+			}
+
+			kept := tc.want != nil
+			if got := rig.p.CacheLen() == 1; got != kept {
+				t.Fatalf("answer cached after the update: %v, want %v", got, kept)
+			}
+			if got := rig.m.Invalidations.Value() == 0; got != kept {
+				t.Fatalf("invalidations = %d with the answer kept: %v", rig.m.Invalidations.Value(), kept)
+			}
+			if got := rig.m.AnswersPatched.Value(); got != tc.patched {
+				t.Fatalf("answers patched = %d, want %d", got, tc.patched)
+			}
+
+			hits := rig.m.CacheHits.Value()
+			after := lookup(t, rig.p, "k", tc.t)
+			if after.Err != "" || len(after.Entries) < tc.t {
+				t.Fatalf("lookup after the update: %+v", after)
+			}
+			if got := rig.m.CacheHits.Value() == hits+1; got != kept {
+				t.Fatalf("lookup after the update hit the cache: %v, want %v", got, kept)
+			}
+			if kept {
+				if want := tc.want(before); !slices.Equal(after.Entries, want) {
+					t.Fatalf("cached answer after the update = %v, want %v", after.Entries, want)
+				}
+				return
+			}
+			switch u := msg.(type) {
+			case wire.Delete:
+				if slices.Contains(after.Entries, u.Entry) {
+					t.Fatalf("lookup after the acked delete of %q = %v", u.Entry, after.Entries)
+				}
+			case wire.Place:
+				if !slices.Contains(u.Entries, after.Entries[0]) {
+					t.Fatalf("lookup after the place = %v, want the new entries", after.Entries)
+				}
+			}
+		})
+	}
+}
+
+// A thin answer — fewer than t entries, because the key held fewer — is
+// cached like any other, which keeps a hot key that cannot satisfy its
+// lookups off the cluster. It is also the one answer an add can make
+// wrong: with the new entry the key may have its t.
+func TestThinAnswerDoesNotSurviveAnAdd(t *testing.T) {
+	rig := newRig(t, time.Hour, 0)
+	ctx := context.Background()
+	cfg := wire.Config{Scheme: wire.RandomServer, X: 4} // every server holds every entry
+	if a := rig.p.Handle(ctx, wire.Place{Key: "k", Config: cfg, Entries: []string{"a"}}).(wire.Ack); a.Err != "" {
 		t.Fatal(a.Err)
 	}
-	if got := lookup(t, rig.p, "k", 1).Entries; !reflect.DeepEqual(got, []string{"a"}) {
-		t.Fatalf("lookup = %v", got)
+	if got := lookup(t, rig.p, "k", 1).Entries; !slices.Equal(got, []string{"a"}) {
+		t.Fatalf("lookup(k, 1) = %v", got)
 	}
-	if rig.p.CacheLen() != 1 {
-		t.Fatalf("cache len = %d", rig.p.CacheLen())
+	if got := lookup(t, rig.p, "k", 2); got.Err != "" || !slices.Equal(got.Entries, []string{"a"}) {
+		t.Fatalf("thin lookup(k, 2) = %+v", got)
+	}
+	lookup(t, rig.p, "k", 2)
+	if rig.p.CacheLen() != 2 || rig.m.CacheHits.Value() != 1 {
+		t.Fatalf("cache len %d, hits %d: the thin answer was not cached and served", rig.p.CacheLen(), rig.m.CacheHits.Value())
 	}
 
-	// Add: the cached one-entry answer is stale the moment the add acks.
 	if a := rig.p.Handle(ctx, wire.Add{Key: "k", Config: cfg, Entry: "b"}).(wire.Ack); a.Err != "" {
 		t.Fatal(a.Err)
 	}
-	if rig.p.CacheLen() != 0 {
-		t.Fatalf("cache survived an acked add")
+	if rig.p.CacheLen() != 1 || rig.m.Invalidations.Value() != 1 {
+		t.Fatalf("cache len %d, invalidations %d: want the thin answer dropped and the satisfied one kept",
+			rig.p.CacheLen(), rig.m.Invalidations.Value())
 	}
-	got := lookup(t, rig.p, "k", 2).Entries
-	if len(got) != 2 {
-		t.Fatalf("post-add lookup = %v, want both entries", got)
+	if got := lookup(t, rig.p, "k", 2).Entries; len(got) != 2 {
+		t.Fatalf("lookup(k, 2) after the add = %v, want both entries", got)
 	}
+	if got := lookup(t, rig.p, "k", 1).Entries; !slices.Equal(got, []string{"a"}) || rig.m.CacheHits.Value() != 2 {
+		t.Fatalf("lookup(k, 1) after the add = %v (hits %d), want the cached [a]", got, rig.m.CacheHits.Value())
+	}
+}
 
-	// Delete: with X=4 on 4 servers every server holds both entries, so
-	// any probe sees the delete as soon as it is acked.
-	if a := rig.p.Handle(ctx, wire.Delete{Key: "k", Config: cfg, Entry: "b"}).(wire.Ack); a.Err != "" {
+// A cached entries slice is shared with every reply it was served in,
+// and those are encoded outside the proxy's lock: a delete has to
+// install a new slice. Readers keep encoding replies while the delete
+// lands, which is what puts a write to the old slice in front of the
+// race detector.
+func TestPatchedAnswerIsCopyOnWrite(t *testing.T) {
+	rig := newRig(t, time.Hour, 0)
+	ctx := context.Background()
+	cfg := wire.Config{Scheme: wire.RoundRobin, Y: 1}
+	entries := []string{"e0", "e1", "e2", "e3", "e4", "e5", "e6", "e7"}
+	if a := rig.p.Handle(ctx, wire.Place{Key: "k", Config: cfg, Entries: entries}).(wire.Ack); a.Err != "" {
 		t.Fatal(a.Err)
 	}
-	if rig.p.CacheLen() != 0 {
-		t.Fatalf("cache survived an acked delete")
-	}
-	if got := lookup(t, rig.p, "k", 1).Entries; !reflect.DeepEqual(got, []string{"a"}) {
-		t.Fatalf("post-delete lookup = %v, want [a]: the acked delete outlived a stale answer", got)
-	}
-
-	// Place: rewrites the layout wholesale.
-	if a := rig.p.Handle(ctx, wire.Place{Key: "k", Config: cfg, Entries: []string{"x", "y"}}).(wire.Ack); a.Err != "" {
-		t.Fatal(a.Err)
-	}
-	got = lookup(t, rig.p, "k", 2).Entries
-	if len(got) != 2 || got[0] == "a" {
-		t.Fatalf("post-place lookup = %v, want the new layout", got)
-	}
-	if rig.m.Invalidations.Value() == 0 {
-		t.Fatal("no invalidations recorded")
+	held := lookup(t, rig.p, "k", 3)
+	before := slices.Clone(held.Entries)
+	if len(before) != 4 {
+		t.Fatalf("cached answer %v, want four entries", before)
 	}
 
-	// Batch envelopes invalidate too.
-	if ba := rig.p.Handle(ctx, wire.AddBatch{Items: []wire.Add{{Key: "k", Config: cfg, Entry: "z"}}}).(wire.BatchAck); ba.Err != "" || ba.Errs[0] != "" {
-		t.Fatalf("add batch: %+v", ba)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				wire.Encode(held)
+				wire.Encode(rig.p.Handle(ctx, wire.Lookup{Key: "k", T: 3}))
+			}
+		}()
 	}
-	if rig.p.CacheLen() != 0 {
-		t.Fatalf("cache survived an acked batch add")
+	ack := rig.p.Handle(ctx, wire.Delete{Key: "k", Config: cfg, Entry: before[0]}).(wire.Ack)
+	stop.Store(true)
+	wg.Wait()
+	if ack.Err != "" {
+		t.Fatal(ack.Err)
+	}
+
+	if !slices.Equal(held.Entries, before) {
+		t.Fatalf("reply obtained before the delete is now %v, was %v", held.Entries, before)
+	}
+	if got := lookup(t, rig.p, "k", 3).Entries; !slices.Equal(got, before[1:]) {
+		t.Fatalf("cached answer after the delete = %v, want %v", got, before[1:])
+	}
+	if rig.m.AnswersPatched.Value() != 1 || rig.m.CacheMisses.Value() != 1 {
+		t.Fatalf("patched %d, misses %d: want the one cold miss and the answer patched in place",
+			rig.m.AnswersPatched.Value(), rig.m.CacheMisses.Value())
 	}
 }
 

@@ -419,8 +419,9 @@ func (m *WALMetrics) RecordSnapshot(d time.Duration, bytes int64, at time.Time) 
 }
 
 // ProxyMetrics instruments the plsproxy front tier (internal/proxy):
-// result-cache effectiveness, singleflight coalescing, and the
-// invalidation feed. All record methods are nil-receiver safe.
+// result-cache effectiveness, singleflight coalescing, and what
+// updates did to cached answers. All record methods are nil-receiver
+// safe.
 type ProxyMetrics struct {
 	// Lookups counts client lookups terminated by the proxy (batch
 	// items each count). CacheHits answered straight from the result
@@ -436,14 +437,17 @@ type ProxyMetrics struct {
 	// is the hot-key collapse ratio.
 	Coalesced *Counter
 	Flights   *Counter
-	// Invalidations counts per-key cache invalidations fired by
-	// add/delete/place acks; EpochFlushes counts whole-cache flushes on
-	// membership-epoch changes. StaleFills counts completed flights
-	// whose result was discarded instead of cached because an
-	// invalidation raced the flight (the stale-fill guard).
-	Invalidations *Counter
-	EpochFlushes  *Counter
-	StaleFills    *Counter
+	// Invalidations counts acked updates that dropped a cached answer
+	// of their key or detached one of its in-flight lookups;
+	// AnswersPatched counts deletes that took their entry out of a
+	// cached answer which then stayed. EpochFlushes counts whole-cache
+	// flushes on membership-epoch changes. StaleFills counts completed
+	// flights whose result was discarded instead of cached because an
+	// update was acked while the flight was out (the stale-fill guard).
+	Invalidations  *Counter
+	AnswersPatched *Counter
+	EpochFlushes   *Counter
+	StaleFills     *Counter
 	// Updates counts add/delete/place operations proxied through to the
 	// backing service.
 	Updates *Counter
@@ -452,16 +456,17 @@ type ProxyMetrics struct {
 // NewProxyMetrics registers proxy metrics under "proxy.".
 func NewProxyMetrics(r *Registry) *ProxyMetrics {
 	return &ProxyMetrics{
-		Lookups:       r.NewCounter("proxy.lookups"),
-		CacheHits:     r.NewCounter("proxy.cache_hits"),
-		CacheMisses:   r.NewCounter("proxy.cache_misses"),
-		CacheExpired:  r.NewCounter("proxy.cache_expired"),
-		Coalesced:     r.NewCounter("proxy.coalesced"),
-		Flights:       r.NewCounter("proxy.flights"),
-		Invalidations: r.NewCounter("proxy.invalidations"),
-		EpochFlushes:  r.NewCounter("proxy.epoch_flushes"),
-		StaleFills:    r.NewCounter("proxy.stale_fills"),
-		Updates:       r.NewCounter("proxy.updates"),
+		Lookups:        r.NewCounter("proxy.lookups"),
+		CacheHits:      r.NewCounter("proxy.cache_hits"),
+		CacheMisses:    r.NewCounter("proxy.cache_misses"),
+		CacheExpired:   r.NewCounter("proxy.cache_expired"),
+		Coalesced:      r.NewCounter("proxy.coalesced"),
+		Flights:        r.NewCounter("proxy.flights"),
+		Invalidations:  r.NewCounter("proxy.invalidations"),
+		AnswersPatched: r.NewCounter("proxy.answers_patched"),
+		EpochFlushes:   r.NewCounter("proxy.epoch_flushes"),
+		StaleFills:     r.NewCounter("proxy.stale_fills"),
+		Updates:        r.NewCounter("proxy.updates"),
 	}
 }
 
@@ -494,12 +499,22 @@ func (m *ProxyMetrics) RecordFlight(coalesced bool) {
 	m.Flights.Inc()
 }
 
-// RecordInvalidation counts one per-key invalidation.
+// RecordInvalidation counts one update that dropped an answer or
+// detached a flight.
 func (m *ProxyMetrics) RecordInvalidation() {
 	if m == nil {
 		return
 	}
 	m.Invalidations.Inc()
+}
+
+// RecordPatch counts one delete that took its entry out of a cached
+// answer in place.
+func (m *ProxyMetrics) RecordPatch() {
+	if m == nil {
+		return
+	}
+	m.AnswersPatched.Inc()
 }
 
 // RecordEpochFlush counts one whole-cache membership flush.
