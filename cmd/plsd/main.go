@@ -110,7 +110,6 @@ func run() error {
 	// counters and latency histograms on outgoing peer traffic, runtime
 	// gauges — all served by the -admin endpoint and expvar.
 	reg := telemetry.NewRegistry()
-	tm := telemetry.NewTransportMetrics(reg, "peer", len(addrs))
 	nm := telemetry.NewNodeMetrics(reg, len(addrs))
 
 	nd := node.New(*id, stats.NewRNG(rngSeed))
@@ -150,68 +149,15 @@ func run() error {
 			*dataDir, rs.SnapshotGen, rs.SnapshotKeys, rs.Replayed, rs.Skipped, rs.WAL.TruncatedBytes)
 	}
 
-	peerClient := transport.NewClient(addrs,
-		transport.WithTimeout(*timeout),
-		transport.WithMuxConns(*muxConns),
-		transport.WithClientMetrics(tm))
+	peerCaller, peerClient, sel := newPeerCaller(reg, addrs, *id, tp, peerOptions{
+		timeout:   *timeout,
+		retries:   *retries,
+		muxConns:  *muxConns,
+		selector:  *selObs,
+		chaos:     transport.Faults{Latency: *chaosLatency, Jitter: *chaosJitter, DropRate: *chaosDrop},
+		chaosSeed: *chaosSeed,
+	})
 	defer peerClient.Close()
-	var peerCaller transport.Caller = peerClient
-	if *chaosDrop > 0 || *chaosLatency > 0 || *chaosJitter > 0 {
-		chaos := transport.NewChaos(peerClient, stats.NewRNG(*chaosSeed))
-		for i := range addrs {
-			chaos.SetFaults(i, transport.Faults{
-				Latency:  *chaosLatency,
-				Jitter:   *chaosJitter,
-				DropRate: *chaosDrop,
-			})
-		}
-		peerCaller = chaos.Origin(*id)
-	}
-	var sel *selector.Selector
-	if *selObs {
-		// Scoreboard on the raw (post-chaos) peer path, below the retry
-		// layer so every attempt is scored. The daemon's forwarding fan-out
-		// is fixed by key placement, so the scoreboard is observe-only
-		// here: it feeds the admin health gauges, selector counters, and
-		// the repair daemon's presumed-dead classification.
-		sel = selector.New(len(addrs), selector.Options{
-			Metrics: telemetry.NewSelectorMetrics(reg),
-		})
-		if tp != nil {
-			// Nearest-zone-first peer preference from this daemon's own
-			// rack; repair pushes and future orderings go to same-zone
-			// healthy peers before crossing a DC boundary.
-			sel.SetTopology(tp, tp.ZoneOf(*id))
-		}
-		peerCaller = selector.Observe(peerCaller, sel)
-		// Membership can resize the selector at runtime, so the vector
-		// closures bounds-check against the live health slice.
-		reg.NewGaugeVecFunc("selector.consec_failures", len(addrs), func(i int) int64 {
-			if h := sel.Health(); i < len(h) {
-				return int64(h[i].ConsecFails)
-			}
-			return 0
-		})
-		reg.NewGaugeVecFunc("selector.open", len(addrs), func(i int) int64 {
-			if h := sel.Health(); i < len(h) && h[i].Open {
-				return 1
-			}
-			return 0
-		})
-		reg.NewGaugeVecFunc("selector.ewma_ns", len(addrs), func(i int) int64 {
-			if h := sel.Health(); i < len(h) {
-				return int64(h[i].EWMA)
-			}
-			return 0
-		})
-	}
-	if *retries > 1 {
-		peerCaller = transport.NewRetry(peerCaller, *retries, 25*time.Millisecond)
-	}
-	// The instrument layer sits on top so every attempt — including
-	// chaos-injected drops and retry attempts — lands in the per-server
-	// counters.
-	peerCaller = transport.Instrument(peerCaller, tm)
 	nd.Attach(peerCaller)
 
 	// Dynamic membership: this daemon can coordinate joins and drains
@@ -315,4 +261,79 @@ func run() error {
 		fmt.Println("plsd: durable state flushed")
 	}
 	return nil
+}
+
+// peerOptions carries the flags that shape outgoing peer traffic.
+type peerOptions struct {
+	timeout   time.Duration
+	retries   int
+	muxConns  int
+	selector  bool
+	chaos     transport.Faults
+	chaosSeed uint64
+}
+
+// newPeerCaller wires the path node id's messages take to the servers at
+// addrs, bottom up: mux client, chaos injection, the peer.* counters,
+// the observe-only health scoreboard, retries. Counters and scoreboard
+// sit below the retry layer, so every attempt — an injected drop, a
+// retry — is one call in peer.calls and one sample for the selector,
+// and peer.latency holds no back-off sleep. The caller closes the
+// returned client; the selector is nil when o.selector is false.
+func newPeerCaller(reg *telemetry.Registry, addrs []string, id int, tp *topo.Topology, o peerOptions) (transport.Caller, *transport.Client, *selector.Selector) {
+	tm := telemetry.NewTransportMetrics(reg, "peer", len(addrs))
+	client := transport.NewClient(addrs,
+		transport.WithTimeout(o.timeout),
+		transport.WithMuxConns(o.muxConns),
+		transport.WithClientMetrics(tm))
+	var caller transport.Caller = client
+	if o.chaos.DropRate > 0 || o.chaos.Latency > 0 || o.chaos.Jitter > 0 {
+		chaos := transport.NewChaos(client, stats.NewRNG(o.chaosSeed))
+		for i := range addrs {
+			chaos.SetFaults(i, o.chaos)
+		}
+		caller = chaos.Origin(id)
+	}
+	caller = transport.Instrument(caller, tm)
+	var sel *selector.Selector
+	if o.selector {
+		// The daemon's forwarding fan-out is fixed by key placement, so
+		// the scoreboard is observe-only here: it feeds the admin health
+		// gauges, selector counters, and the repair daemon's
+		// presumed-dead classification.
+		sel = selector.New(len(addrs), selector.Options{
+			Metrics: telemetry.NewSelectorMetrics(reg),
+		})
+		if tp != nil {
+			// Nearest-zone-first peer preference from this daemon's own
+			// rack; repair pushes and future orderings go to same-zone
+			// healthy peers before crossing a DC boundary.
+			sel.SetTopology(tp, tp.ZoneOf(id))
+		}
+		caller = selector.Observe(caller, sel)
+		// Membership can resize the selector at runtime, so the vector
+		// closures bounds-check against the live health slice.
+		reg.NewGaugeVecFunc("selector.consec_failures", len(addrs), func(i int) int64 {
+			if h := sel.Health(); i < len(h) {
+				return int64(h[i].ConsecFails)
+			}
+			return 0
+		})
+		reg.NewGaugeVecFunc("selector.open", len(addrs), func(i int) int64 {
+			if h := sel.Health(); i < len(h) && h[i].Open {
+				return 1
+			}
+			return 0
+		})
+		reg.NewGaugeVecFunc("selector.ewma_ns", len(addrs), func(i int) int64 {
+			if h := sel.Health(); i < len(h) {
+				return int64(h[i].EWMA)
+			}
+			return 0
+		})
+	}
+	if o.retries > 1 {
+		caller = transport.NewRetry(caller, o.retries, 25*time.Millisecond)
+	}
+	return caller, client, sel
 }

@@ -56,13 +56,10 @@ type LookupPolicy struct {
 	// strategy's probe order. Values below 1 mean 1 (no retries).
 	MaxAttempts int
 	// BaseBackoff is the delay before the first retry; each further
-	// retry multiplies it by Multiplier, capped at MaxBackoff.
+	// retry doubles it, capped at MaxBackoff.
 	BaseBackoff time.Duration
 	// MaxBackoff caps the per-retry delay. Zero means no cap.
 	MaxBackoff time.Duration
-	// Multiplier is the exponential backoff factor; values at or below
-	// 1 disable growth. Zero means the default of 2.
-	Multiplier float64
 	// Jitter randomizes each backoff delay within [(1-Jitter)·d, d],
 	// de-synchronizing retry storms. It is clamped to [0, 1].
 	Jitter float64
@@ -90,7 +87,7 @@ func (p LookupPolicy) attempts() int {
 // Backoff returns the delay to wait after the given failed attempt
 // (1-based), with u in [0, 1) supplying the jitter draw. It is a pure
 // function so retry schedules are reproducible and testable: the
-// un-jittered delay grows exponentially from BaseBackoff, caps at
+// un-jittered delay doubles from BaseBackoff, caps at
 // MaxBackoff, and jitter only ever shortens a delay (by at most
 // Jitter·delay), so the jittered value stays within
 // [(1-Jitter)·delay, delay].
@@ -98,17 +95,10 @@ func (p LookupPolicy) Backoff(attempt int, u float64) time.Duration {
 	if p.BaseBackoff <= 0 || attempt < 1 {
 		return 0
 	}
-	mult := p.Multiplier
-	if mult == 0 {
-		mult = 2
-	}
-	if mult < 1 {
-		mult = 1
-	}
 	d := float64(p.BaseBackoff)
 	maxB := float64(p.MaxBackoff)
 	for i := 1; i < attempt; i++ {
-		d *= mult
+		d *= 2
 		if maxB > 0 && d >= maxB {
 			d = maxB
 			break

@@ -123,7 +123,6 @@ func TestPolicyBackoffProperties(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		pol := core.LookupPolicy{
 			BaseBackoff: time.Duration(1+rng.IntN(100)) * time.Millisecond,
-			Multiplier:  1 + 2*rng.Float64(),
 			Jitter:      rng.Float64(),
 		}
 		pol.MaxBackoff = pol.BaseBackoff * time.Duration(1+rng.IntN(100))

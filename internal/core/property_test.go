@@ -123,12 +123,11 @@ func TestPropertyPlacementInvariants(t *testing.T) {
 // is the un-jittered (u=0) delay for the same attempt, and delays never
 // go negative or exceed the cap.
 func TestPropertyBackoffJitterBounds(t *testing.T) {
-	check := func(baseRaw uint16, maxRaw uint16, multRaw, jitterRaw, uRaw uint8, attemptRaw uint8) bool {
+	check := func(baseRaw uint16, maxRaw uint16, jitterRaw, uRaw uint8, attemptRaw uint8) bool {
 		p := core.LookupPolicy{
 			BaseBackoff: time.Duration(baseRaw) * time.Microsecond,
 			MaxBackoff:  time.Duration(maxRaw) * 4 * time.Microsecond,
-			Multiplier:  float64(multRaw%40)/10 + 0.5, // 0.5 .. 4.4
-			Jitter:      float64(jitterRaw) / 255,     // 0 .. 1
+			Jitter:      float64(jitterRaw) / 255, // 0 .. 1
 		}
 		attempt := 1 + int(attemptRaw%12)
 		u := float64(uRaw) / 256 // [0, 1)

@@ -199,9 +199,9 @@ func (d *Durability) Close() error {
 
 // applyWALRecord applies one replayed record to the store, reporting
 // whether it was applied (false = at or below the key's snapshot
-// cutoff). It mirrors exactly what the live mutation paths do to key
-// state — any drift between the two breaks recovery equivalence, which
-// TestRecoveryEquivalence pins down.
+// cutoff). An entry record goes through the helper that logged it
+// (wal_log.go): no WAL is attached during replay, so the helper only
+// mutates, and the live and the recovered state cannot drift apart.
 func (n *Node) applyWALRecord(seq uint64, msg wire.Message) (bool, error) {
 	var key string
 	var cfg wire.Config
@@ -238,23 +238,15 @@ func (n *Node) applyWALRecord(seq uint64, msg wire.Message) (bool, error) {
 			st.Set.Clear()
 			st.Ext = nil
 		case wire.WalStore:
-			v := entry.Entry(m.Entry)
 			if m.HasPos {
-				st.Set.Add(v)
-				roundExtOf(st).positions[v] = m.Pos
+				logAddAt(st, entry.Entry(m.Entry), m.Pos)
 			} else {
-				st.Set.Add(v)
+				logAdd(st, entry.Entry(m.Entry))
 			}
 		case wire.WalStoreMany:
-			for _, v := range m.Entries {
-				st.Set.Add(entry.Entry(v))
-			}
+			logAddMany(st, m.Entries)
 		case wire.WalRemove:
-			v := entry.Entry(m.Entry)
-			if ext, ok := st.Ext.(*roundExt); ok {
-				delete(ext.positions, v)
-			}
-			st.Set.Remove(v)
+			logRemove(st, entry.Entry(m.Entry))
 		case wire.WalCounters:
 			ext := roundExtOf(st)
 			ext.head, ext.tail = m.Head, m.Tail

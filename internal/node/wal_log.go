@@ -17,7 +17,8 @@ import (
 // All helpers must run inside a KeyState.Update callback; they mutate
 // the live state and queue the matching record, which Update appends
 // to the WAL before the key unlocks. On a volatile store State.Log is
-// a no-op and only the mutation happens.
+// a no-op and only the mutation happens; replay, which runs before the
+// WAL is attached, applies entry records through them for that reason.
 
 // logAdd inserts v into the key's entry set, logging the insertion.
 // It reports whether v was newly added.

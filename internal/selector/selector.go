@@ -24,28 +24,31 @@ import (
 	"repro/internal/topo"
 )
 
-// Options tune a Selector. The zero value of every field selects the
-// documented default.
+// The scoreboard's parameters. No daemon, tool or benchmark ever chose
+// another value, so they are constants, not options.
+const (
+	// ewmaAlpha is the EWMA smoothing factor for per-server latency.
+	ewmaAlpha = 0.25
+	// defaultFailThreshold is how many consecutive failures open
+	// (demote) a server.
+	defaultFailThreshold = 3
+	// probeAfter is how long an open server waits before the selector
+	// grants one half-open trial probe.
+	probeAfter = time.Second
+	// slowFactor demotes a healthy server behind its healthy peers when
+	// its EWMA latency exceeds slowFactor times the best healthy EWMA.
+	slowFactor = 2
+	// cacheKeys bounds the routing cache: least-recently-used keys are
+	// evicted beyond this many.
+	cacheKeys = 4096
+	// cacheServersPerKey bounds how many answering servers are
+	// remembered per key (the largest answers win).
+	cacheServersPerKey = 4
+)
+
+// Options attach a Selector to its surroundings; the zero value is a
+// working selector that records no metrics.
 type Options struct {
-	// Alpha is the EWMA smoothing factor for per-server latency, in
-	// (0, 1]. Default 0.25.
-	Alpha float64
-	// FailThreshold is how many consecutive failures open (demote) a
-	// server. Default 3.
-	FailThreshold int
-	// ProbeAfter is how long an open server waits before the selector
-	// grants one half-open trial probe. Default 1s.
-	ProbeAfter time.Duration
-	// SlowFactor demotes a healthy server behind its healthy peers when
-	// its EWMA latency exceeds SlowFactor times the best healthy EWMA.
-	// Default 2.
-	SlowFactor float64
-	// CacheKeys bounds the routing cache: least-recently-used keys are
-	// evicted beyond this many. Default 4096.
-	CacheKeys int
-	// CacheServersPerKey bounds how many answering servers are
-	// remembered per key (the largest answers win). Default 4.
-	CacheServersPerKey int
 	// Metrics receives cache hit/miss, demotion, and half-open probe
 	// counters; nil records nothing.
 	Metrics *telemetry.SelectorMetrics
@@ -55,24 +58,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Alpha <= 0 || o.Alpha > 1 {
-		o.Alpha = 0.25
-	}
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = 3
-	}
-	if o.ProbeAfter <= 0 {
-		o.ProbeAfter = time.Second
-	}
-	if o.SlowFactor <= 1 {
-		o.SlowFactor = 2
-	}
-	if o.CacheKeys <= 0 {
-		o.CacheKeys = 4096
-	}
-	if o.CacheServersPerKey <= 0 {
-		o.CacheServersPerKey = 4
-	}
 	if o.Now == nil {
 		o.Now = time.Now
 	}
@@ -84,7 +69,7 @@ type serverState struct {
 	ewma        float64 // nanoseconds; meaningful only when samples > 0
 	samples     int64
 	consecFails int
-	open        bool // demoted after FailThreshold consecutive failures
+	open        bool // demoted after failThreshold consecutive failures
 	lastFail    time.Time
 	probing     bool // a half-open trial has been granted and not resolved
 	probedAt    time.Time
@@ -94,6 +79,9 @@ type serverState struct {
 // of a client (or the peer path of a server daemon).
 type Selector struct {
 	opt Options
+	// failThreshold is defaultFailThreshold; a field so that in-package
+	// tests can open a circuit in fewer steps.
+	failThreshold int
 
 	mu           sync.Mutex
 	servers      []serverState
@@ -117,11 +105,11 @@ func New(n int, opt Options) *Selector {
 	if n <= 0 {
 		panic(fmt.Sprintf("selector: New requires n > 0, got %d", n))
 	}
-	o := opt.withDefaults()
 	return &Selector{
-		opt:     o,
-		servers: make([]serverState, n),
-		cache:   newRouteCache(o.CacheKeys, o.CacheServersPerKey),
+		opt:           opt.withDefaults(),
+		failThreshold: defaultFailThreshold,
+		servers:       make([]serverState, n),
+		cache:         newRouteCache(),
 	}
 }
 
@@ -183,7 +171,7 @@ func (s *Selector) Resize(n int) {
 	} else {
 		s.servers = make([]serverState, n)
 	}
-	s.cache = newRouteCache(s.opt.CacheKeys, s.opt.CacheServersPerKey)
+	s.cache = newRouteCache()
 	s.recomputeDistsLocked()
 	s.failures++
 }
@@ -206,14 +194,14 @@ func (s *Selector) RecordSuccess(server int, d time.Duration) {
 	if st.samples == 0 {
 		st.ewma = float64(d)
 	} else {
-		st.ewma = s.opt.Alpha*float64(d) + (1-s.opt.Alpha)*st.ewma
+		st.ewma = ewmaAlpha*float64(d) + (1-ewmaAlpha)*st.ewma
 	}
 	st.samples++
 	s.observations++
 }
 
 // RecordFailure feeds one server-attributable failure (a call matching
-// transport.ErrServerDown) into the scoreboard. Crossing FailThreshold
+// transport.ErrServerDown) into the scoreboard. Crossing failThreshold
 // consecutive failures demotes the server to the back of every order
 // until a half-open probe succeeds.
 func (s *Selector) RecordFailure(server int) {
@@ -229,7 +217,7 @@ func (s *Selector) RecordFailure(server int) {
 	st.consecFails++
 	st.lastFail = s.opt.Now()
 	st.probing = false
-	if !st.open && st.consecFails >= s.opt.FailThreshold {
+	if !st.open && st.consecFails >= s.failThreshold {
 		st.open = true
 		s.opt.Metrics.RecordDemotion()
 	}
@@ -404,7 +392,7 @@ func (s *Selector) orderLocked(base []int, pos []posEntry, neg []int) []int {
 		if inNeg[server] {
 			return tierNegative
 		}
-		if st.samples > 0 && bestEwma > 0 && st.ewma > s.opt.SlowFactor*bestEwma {
+		if st.samples > 0 && bestEwma > 0 && st.ewma > slowFactor*bestEwma {
 			return tierSlow
 		}
 		return tierHealthy
@@ -441,12 +429,12 @@ func (s *Selector) orderLocked(base []int, pos []posEntry, neg []int) []int {
 }
 
 // grantProbeLocked decides whether an open server gets a half-open
-// trial: one probe per ProbeAfter window since the last failure.
+// trial: one probe per probeAfter window since the last failure.
 func (s *Selector) grantProbeLocked(st *serverState, now time.Time) bool {
-	if now.Sub(st.lastFail) < s.opt.ProbeAfter {
+	if now.Sub(st.lastFail) < probeAfter {
 		return false
 	}
-	if st.probing && now.Sub(st.probedAt) < s.opt.ProbeAfter {
+	if st.probing && now.Sub(st.probedAt) < probeAfter {
 		return false // an earlier grant is still outstanding
 	}
 	st.probing = true
@@ -485,7 +473,7 @@ func (s *Selector) Health() []ServerHealth {
 }
 
 // PresumedDead classifies each server for the anti-entropy repair
-// daemon: true means the circuit is open (FailThreshold consecutive
+// daemon: true means the circuit is open (failThreshold consecutive
 // server-down failures without a successful probe since), so repair
 // planning should neither query nor push to it. The slice is a copy.
 // Together with FailureEpoch this satisfies the node.RepairHealth
@@ -582,10 +570,10 @@ type keyRoutes struct {
 	neg []int
 }
 
-func newRouteCache(maxKeys, perKey int) *routeCache {
+func newRouteCache() *routeCache {
 	return &routeCache{
-		maxKeys: maxKeys,
-		perKey:  perKey,
+		maxKeys: cacheKeys,
+		perKey:  cacheServersPerKey,
 		entries: make(map[string]*list.Element),
 		lru:     list.New(),
 	}

@@ -152,10 +152,8 @@ func TestFailureStreakOpensAndHalfOpenRecovers(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := telemetry.NewSelectorMetrics(reg)
 	s := New(4, Options{
-		FailThreshold: 3,
-		ProbeAfter:    time.Second,
-		Metrics:       m,
-		Now:           func() time.Time { return now },
+		Metrics: m,
+		Now:     func() time.Time { return now },
 	})
 	s.RecordFailure(1)
 	s.RecordFailure(1)
@@ -198,7 +196,7 @@ func TestFailureStreakOpensAndHalfOpenRecovers(t *testing.T) {
 }
 
 func TestSlowServerSortsBehindFastPeers(t *testing.T) {
-	s := New(3, Options{SlowFactor: 2})
+	s := New(3, Options{})
 	s.RecordSuccess(0, time.Millisecond)
 	s.RecordSuccess(2, 10*time.Millisecond) // 10x the best: slow tier
 	got := s.Order("k", base(3))
@@ -213,7 +211,8 @@ func TestSlowServerSortsBehindFastPeers(t *testing.T) {
 }
 
 func TestRouteCacheLRUBound(t *testing.T) {
-	s := New(2, Options{CacheKeys: 3})
+	s := New(2, Options{})
+	s.cache.maxKeys = 3
 	for i := 0; i < 5; i++ {
 		s.RecordAnswer(fmt.Sprintf("k%d", i), 1, 2)
 	}
@@ -232,7 +231,8 @@ func TestRouteCacheLRUBound(t *testing.T) {
 }
 
 func TestCachePerKeyServerBound(t *testing.T) {
-	s := New(8, Options{CacheServersPerKey: 2})
+	s := New(8, Options{})
+	s.cache.perKey = 2
 	s.RecordAnswer("k", 0, 1)
 	s.RecordAnswer("k", 1, 5)
 	s.RecordAnswer("k", 2, 3)
@@ -343,7 +343,8 @@ func (c *scriptCaller) Call(ctx context.Context, server int, _ wire.Message) (wi
 }
 
 func TestObserveFeedsScoreboard(t *testing.T) {
-	s := New(3, Options{FailThreshold: 2})
+	s := New(3, Options{})
+	s.failThreshold = 2
 	obs := Observe(&scriptCaller{n: 3, down: map[int]bool{1: true}}, s)
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
@@ -380,7 +381,8 @@ func TestObserveFeedsScoreboard(t *testing.T) {
 // presumed dead, and the failure epoch advances monotonically on every
 // recorded failure so converged sweeps can be skipped.
 func TestPresumedDeadAndFailureEpoch(t *testing.T) {
-	s := New(4, Options{FailThreshold: 2})
+	s := New(4, Options{})
+	s.failThreshold = 2
 	if got := s.FailureEpoch(); got != 0 {
 		t.Fatalf("cold FailureEpoch = %d, want 0", got)
 	}

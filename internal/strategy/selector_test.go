@@ -82,7 +82,7 @@ func TestSelectorStopsProbingOpenServer(t *testing.T) {
 	ctx := context.Background()
 	rng := stats.NewRNG(5)
 	cl := cluster.New(n, rng.Split())
-	sel := selector.New(n, selector.Options{FailThreshold: 3})
+	sel := selector.New(n, selector.Options{})
 	drv := strategy.MustNew(wire.Config{Scheme: wire.Hash, Y: 3, Seed: 7}, rng.Split())
 	drv.SetSelector(sel)
 	cc := &countingCaller{inner: cl.Caller(), calls: make([]int, n)}

@@ -30,8 +30,9 @@ type TransportMetrics struct {
 	Dials       *CounterVec
 	Reuses      *CounterVec
 	MaintReuses *CounterVec
-	// DialErrors counts dials that failed per server; each also counts
-	// in Errors so fault assertions need only one counter.
+	// DialErrors counts dials that failed per server. The call that
+	// needed the connection fails with it and is counted in Errors where
+	// calls are counted (transport.Instrument), once.
 	DialErrors *CounterVec
 	// Frames counts frames written to sockets and Writes the write
 	// syscalls that carried them, on whichever side owns the bundle:
@@ -93,9 +94,8 @@ func (m *TransportMetrics) RecordCall(server int, d time.Duration, failed bool) 
 	}
 }
 
-// RecordDial records a connection checkout that had to dial. Failed
-// dials count against both DialErrors and the per-server Errors
-// counter: a dial failure is a failed interaction with that server.
+// RecordDial records a connection checkout that had to dial, and
+// whether the dial failed.
 func (m *TransportMetrics) RecordDial(server int, failed bool) {
 	if m == nil {
 		return
@@ -103,7 +103,6 @@ func (m *TransportMetrics) RecordDial(server int, failed bool) {
 	m.Dials.At(server).Inc()
 	if failed {
 		m.DialErrors.At(server).Inc()
-		m.Errors.At(server).Inc()
 	}
 }
 

@@ -148,17 +148,23 @@ func TestClientSplitsReuseByTrafficClass(t *testing.T) {
 	}
 }
 
-func TestClientDialFailureCountsAsServerError(t *testing.T) {
-	// Reserve an address and close it so nothing listens there.
+// refusedAddr reserves an address and closes it so nothing listens there.
+func refusedAddr(t *testing.T) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
+	defer ln.Close()
+	return ln.Addr().String()
+}
 
+// TestClientDialFailureCountsAsServerError: the bare client charges a
+// refused connection to the server's dial counters; the error counter
+// belongs to whoever counts calls (Instrument, below).
+func TestClientDialFailureCountsAsServerError(t *testing.T) {
 	tm := newTransportMetrics(1)
-	client := NewClient([]string{addr},
+	client := NewClient([]string{refusedAddr(t)},
 		WithTimeout(200*time.Millisecond),
 		WithClientMetrics(tm))
 	defer client.Close()
@@ -173,18 +179,20 @@ func TestClientDialFailureCountsAsServerError(t *testing.T) {
 	if got := tm.DialErrors.At(0).Value(); got != 1 {
 		t.Fatalf("dial errors = %d, want 1", got)
 	}
-	if got := tm.Errors.At(0).Value(); got != 1 {
-		t.Fatalf("errors = %d, want 1 (dial failure must count against the server)", got)
+	if got := tm.Errors.At(0).Value(); got != 0 {
+		t.Fatalf("errors = %d, want 0 (no call was counted at this level)", got)
 	}
 }
 
 // TestInstrumentAndClientDoNotDoubleCount wires the full production
 // stack — Instrument over a metered Client — and checks the two layers
-// keep disjoint responsibilities on a shared metrics bundle.
+// keep disjoint responsibilities on a shared metrics bundle, for calls
+// that succeed (server 0) and for one whose dial is refused (server 1).
 func TestInstrumentAndClientDoNotDoubleCount(t *testing.T) {
 	addr, _ := startServer(t)
-	tm := newTransportMetrics(1)
-	client := NewClient([]string{addr}, WithClientMetrics(tm))
+	tm := newTransportMetrics(2)
+	client := NewClient([]string{addr, refusedAddr(t)},
+		WithTimeout(200*time.Millisecond), WithClientMetrics(tm))
 	defer client.Close()
 	caller := Instrument(client, tm)
 	ctx := context.Background()
@@ -205,6 +213,13 @@ func TestInstrumentAndClientDoNotDoubleCount(t *testing.T) {
 	}
 	if got := tm.Errors.At(0).Value(); got != 0 {
 		t.Fatalf("errors = %d, want 0", got)
+	}
+
+	if _, err := caller.Call(ctx, 1, wire.Ping{}); !errors.Is(err, ErrServerDown) {
+		t.Fatalf("Call to dead addr = %v, want ErrServerDown", err)
+	}
+	if c, e, d := tm.Calls.At(1).Value(), tm.Errors.At(1).Value(), tm.DialErrors.At(1).Value(); c != 1 || e != 1 || d != 1 {
+		t.Fatalf("refused dial: calls %d, errors %d, dial_errors %d, want 1, 1, 1 (one failed call is one error)", c, e, d)
 	}
 }
 

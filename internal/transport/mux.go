@@ -100,9 +100,9 @@ func WithMuxConns(n int) ClientOption {
 
 // WithClientMetrics records the client's connection behavior into m:
 // fresh dials vs. live-connection reuse per server (reuse split by
-// lookup vs. maintenance traffic), with failed dials counting against
-// the per-server error counter. Call-level metrics (calls, latency,
-// call errors) belong to the Instrument middleware, which composes
+// lookup vs. maintenance traffic) and failed dials (dial_errors).
+// Call-level metrics (calls, latency, errors — the call a failed dial
+// fails included) belong to the Instrument middleware, which composes
 // over the Client without double counting.
 func WithClientMetrics(m *telemetry.TransportMetrics) ClientOption {
 	return func(c *Client) { c.metrics = m }

@@ -237,432 +237,150 @@ func Decode(data []byte) (Message, error) {
 }
 
 // decode parses the non-empty arena Decode copied; decoded string
-// fields alias it.
+// fields alias it. Each kind is one literal whose fields are read in
+// the order AppendEncode writes them (Go evaluates the calls as
+// written); the decoder keeps the first error, checked once at the end.
 func decode(data []byte) (Message, error) {
 	d := decoder{buf: data[1:]}
-	kind := Kind(data[0])
-	var (
-		msg Message
-		err error
-	)
-	switch kind {
+	var msg Message
+	switch kind := Kind(data[0]); kind {
 	case KindPlace:
-		var m Place
-		m.Key, err = d.str()
-		if err == nil {
-			m.Config, err = d.config()
-		}
-		if err == nil {
-			m.Entries, err = d.strs()
-		}
-		msg = m
+		msg = d.place()
 	case KindAdd:
-		var m Add
-		m.Key, err = d.str()
-		if err == nil {
-			m.Config, err = d.config()
-		}
-		if err == nil {
-			m.Entry, err = d.str()
-		}
-		msg = m
+		msg = d.add()
 	case KindDelete:
-		var m Delete
-		m.Key, err = d.str()
-		if err == nil {
-			m.Config, err = d.config()
-		}
-		if err == nil {
-			m.Entry, err = d.str()
-		}
-		msg = m
+		msg = Delete{Key: d.str(), Config: d.config(), Entry: d.str()}
 	case KindLookup:
-		var m Lookup
-		m.Key, err = d.str()
-		if err == nil {
-			m.T, err = d.intval()
-		}
-		msg = m
+		msg = d.lookup()
 	case KindStoreBatch:
-		var m StoreBatch
-		m.Key, err = d.str()
-		if err == nil {
-			m.Config, err = d.config()
-		}
-		if err == nil {
-			m.Entries, err = d.strs()
-		}
-		msg = m
+		msg = StoreBatch(d.place())
 	case KindStoreOne:
-		var m StoreOne
-		m.Key, err = d.str()
-		if err == nil {
-			m.Config, err = d.config()
-		}
-		if err == nil {
-			m.Entry, err = d.str()
-		}
-		if err == nil {
-			m.Pos, err = d.intval()
-		}
-		msg = m
+		msg = StoreOne{Key: d.str(), Config: d.config(), Entry: d.str(), Pos: d.intval()}
 	case KindRemoveOne:
-		var m RemoveOne
-		m.Key, err = d.str()
-		if err == nil {
-			m.Config, err = d.config()
-		}
-		if err == nil {
-			m.Entry, err = d.str()
-		}
-		msg = m
+		msg = RemoveOne{Key: d.str(), Config: d.config(), Entry: d.str()}
 	case KindRoundRemove:
-		var m RoundRemove
-		m.Key, err = d.str()
-		if err == nil {
-			m.Entry, err = d.str()
-		}
-		if err == nil {
-			m.HeadServer, err = d.intval()
-		}
-		if err == nil {
-			m.HeadPos, err = d.intval()
-		}
-		msg = m
+		msg = RoundRemove{Key: d.str(), Entry: d.str(), HeadServer: d.intval(), HeadPos: d.intval()}
 	case KindRemoveAt:
-		var m RemoveAt
-		m.Key, err = d.str()
-		if err == nil {
-			m.Entry, err = d.str()
-		}
-		if err == nil {
-			m.Pos, err = d.intval()
-		}
-		msg = m
+		msg = RemoveAt{Key: d.str(), Entry: d.str(), Pos: d.intval()}
 	case KindCounterSync:
-		var m CounterSync
-		m.Key, err = d.str()
-		if err == nil {
-			m.Head, err = d.intval()
-		}
-		if err == nil {
-			m.Tail, err = d.intval()
-		}
-		msg = m
+		msg = CounterSync{Key: d.str(), Head: d.intval(), Tail: d.intval()}
 	case KindMigrate:
-		var m Migrate
-		m.Key, err = d.str()
-		if err == nil {
-			m.Entry, err = d.str()
-		}
-		msg = m
+		msg = Migrate{Key: d.str(), Entry: d.str()}
 	case KindDump:
-		var m Dump
-		m.Key, err = d.str()
-		msg = m
+		msg = Dump{Key: d.str()}
 	case KindPing:
 		msg = Ping{}
 	case KindAck:
-		var m Ack
-		m.Err, err = d.str()
-		msg = m
+		msg = Ack{Err: d.str()}
 	case KindLookupReply:
-		var m LookupReply
-		m.Entries, err = d.strs()
-		if err == nil {
-			m.Err, err = d.str()
-		}
-		msg = m
+		msg = d.lookupReply()
 	case KindMigrateReply:
-		var m MigrateReply
-		m.Replacement, err = d.str()
-		if err == nil {
-			m.Found, err = d.boolval()
-		}
-		if err == nil {
-			m.Err, err = d.str()
-		}
-		msg = m
+		msg = MigrateReply{Replacement: d.str(), Found: d.boolval(), Err: d.str()}
 	case KindDumpReply:
-		var m DumpReply
-		m.Entries, err = d.strs()
-		if err == nil {
-			m.Err, err = d.str()
-		}
-		msg = m
+		msg = DumpReply{Entries: d.strs(), Err: d.str()}
 	case KindPlaceBatch:
 		var m PlaceBatch
-		m.Items, err = decodePlaces[Place](&d)
+		if n := d.listLen(); n > 0 {
+			m.Items = make([]Place, 0, min(n, 1024))
+			for i := 0; i < n && d.err == nil; i++ {
+				m.Items = append(m.Items, d.place())
+			}
+		}
 		msg = m
 	case KindStoreBatches:
 		var m StoreBatches
-		m.Items, err = decodePlaces[StoreBatch](&d)
+		if n := d.listLen(); n > 0 {
+			m.Items = make([]StoreBatch, 0, min(n, 1024))
+			for i := 0; i < n && d.err == nil; i++ {
+				m.Items = append(m.Items, StoreBatch(d.place()))
+			}
+		}
 		msg = m
 	case KindAddBatch:
 		var m AddBatch
-		var n int
-		if n, err = d.batchLen(); err == nil && n > 0 {
+		if n := d.listLen(); n > 0 {
 			m.Items = make([]Add, 0, min(n, 1024))
-			for i := 0; i < n && err == nil; i++ {
-				var it Add
-				it.Key, err = d.str()
-				if err == nil {
-					it.Config, err = d.config()
-				}
-				if err == nil {
-					it.Entry, err = d.str()
-				}
-				m.Items = append(m.Items, it)
+			for i := 0; i < n && d.err == nil; i++ {
+				m.Items = append(m.Items, d.add())
 			}
 		}
 		msg = m
 	case KindLookupBatch:
 		var m LookupBatch
-		var n int
-		if n, err = d.batchLen(); err == nil && n > 0 {
+		if n := d.listLen(); n > 0 {
 			m.Items = make([]Lookup, 0, min(n, 1024))
-			for i := 0; i < n && err == nil; i++ {
-				var it Lookup
-				it.Key, err = d.str()
-				if err == nil {
-					it.T, err = d.intval()
-				}
-				m.Items = append(m.Items, it)
+			for i := 0; i < n && d.err == nil; i++ {
+				m.Items = append(m.Items, d.lookup())
 			}
 		}
 		msg = m
 	case KindBatchAck:
-		var m BatchAck
-		m.Errs, err = d.strs()
-		if err == nil {
-			m.Err, err = d.str()
-		}
-		msg = m
+		msg = BatchAck{Errs: d.strs(), Err: d.str()}
 	case KindLookupBatchReply:
 		var m LookupBatchReply
-		var n int
-		if n, err = d.batchLen(); err == nil && n > 0 {
+		if n := d.listLen(); n > 0 {
 			m.Replies = make([]LookupReply, 0, min(n, 1024))
-			for i := 0; i < n && err == nil; i++ {
-				var r LookupReply
-				r.Entries, err = d.strs()
-				if err == nil {
-					r.Err, err = d.str()
-				}
-				m.Replies = append(m.Replies, r)
+			for i := 0; i < n && d.err == nil; i++ {
+				m.Replies = append(m.Replies, d.lookupReply())
 			}
 		}
-		if err == nil {
-			m.Err, err = d.str()
-		}
+		m.Err = d.str()
 		msg = m
 	case KindWalReset:
-		var m WalReset
-		m.Key, err = d.str()
-		if err == nil {
-			m.Config, err = d.config()
-		}
-		msg = m
+		msg = WalReset{Key: d.str(), Config: d.config()}
 	case KindWalConfig:
-		var m WalConfig
-		m.Key, err = d.str()
-		if err == nil {
-			m.Config, err = d.config()
-		}
-		msg = m
+		msg = WalConfig{Key: d.str(), Config: d.config()}
 	case KindWalStore:
-		var m WalStore
-		m.Key, err = d.str()
-		if err == nil {
-			m.Entry, err = d.str()
-		}
-		if err == nil {
-			m.Pos, err = d.intval()
-		}
-		if err == nil {
-			m.HasPos, err = d.boolval()
-		}
-		msg = m
+		msg = WalStore{Key: d.str(), Entry: d.str(), Pos: d.intval(), HasPos: d.boolval()}
 	case KindWalStoreMany:
-		var m WalStoreMany
-		m.Key, err = d.str()
-		if err == nil {
-			m.Entries, err = d.strs()
-		}
-		msg = m
+		msg = WalStoreMany{Key: d.str(), Entries: d.strs()}
 	case KindWalRemove:
-		var m WalRemove
-		m.Key, err = d.str()
-		if err == nil {
-			m.Entry, err = d.str()
-		}
-		msg = m
+		msg = WalRemove{Key: d.str(), Entry: d.str()}
 	case KindWalCounters:
-		var m WalCounters
-		m.Key, err = d.str()
-		if err == nil {
-			m.Head, err = d.intval()
-		}
-		if err == nil {
-			m.Tail, err = d.intval()
-		}
-		msg = m
+		msg = WalCounters{Key: d.str(), Head: d.intval(), Tail: d.intval()}
 	case KindWalHCount:
-		var m WalHCount
-		m.Key, err = d.str()
-		if err == nil {
-			m.HCount, err = d.intval()
-		}
-		msg = m
+		msg = WalHCount{Key: d.str(), HCount: d.intval()}
 	case KindSnapKey:
-		var m SnapKey
-		m.Key, err = d.str()
-		if err == nil {
-			m.Config, err = d.config()
+		msg = SnapKey{
+			Key: d.str(), Config: d.config(), LSN: d.uvarint(),
+			Entries: d.strs(), Seqs: d.uints(), NextSeq: d.uvarint(),
+			ExtKind: d.byteval(), Head: d.intval(), Tail: d.intval(),
+			PosEntries: d.strs(), Positions: d.uints(), HCount: d.intval(),
 		}
-		if err == nil {
-			m.LSN, err = d.uvarint()
-		}
-		if err == nil {
-			m.Entries, err = d.strs()
-		}
-		if err == nil {
-			m.Seqs, err = d.uints()
-		}
-		if err == nil {
-			m.NextSeq, err = d.uvarint()
-		}
-		if err == nil {
-			m.ExtKind, err = d.byteval()
-		}
-		if err == nil {
-			m.Head, err = d.intval()
-		}
-		if err == nil {
-			m.Tail, err = d.intval()
-		}
-		if err == nil {
-			m.PosEntries, err = d.strs()
-		}
-		if err == nil {
-			m.Positions, err = d.uints()
-		}
-		if err == nil {
-			m.HCount, err = d.intval()
-		}
-		msg = m
 	case KindSnapFooter:
-		var m SnapFooter
-		m.Keys, err = d.uvarint()
-		msg = m
+		msg = SnapFooter{Keys: d.uvarint()}
 	case KindRepairQuery:
-		var m RepairQuery
-		m.Key, err = d.str()
-		if err == nil {
-			m.Entries, err = d.strs()
-		}
-		msg = m
+		msg = RepairQuery{Key: d.str(), Entries: d.strs()}
 	case KindRepairQueryReply:
-		var m RepairQueryReply
-		m.Missing, err = d.bools()
-		if err == nil {
-			m.Len, err = d.intval()
-		}
-		if err == nil {
-			m.HCount, err = d.intval()
-		}
-		if err == nil {
-			m.Err, err = d.str()
-		}
-		msg = m
+		msg = RepairQueryReply{Missing: d.bools(), Len: d.intval(), HCount: d.intval(), Err: d.str()}
 	case KindRepairPush:
-		var m RepairPush
-		m.Key, err = d.str()
-		if err == nil {
-			m.Config, err = d.config()
+		msg = RepairPush{
+			Key: d.str(), Config: d.config(), Entries: d.strs(),
+			Positions: d.uints(), HasPos: d.boolval(), HCount: d.intval(),
 		}
-		if err == nil {
-			m.Entries, err = d.strs()
-		}
-		if err == nil {
-			m.Positions, err = d.uints()
-		}
-		if err == nil {
-			m.HasPos, err = d.boolval()
-		}
-		if err == nil {
-			m.HCount, err = d.intval()
-		}
-		msg = m
 	case KindRepairPushReply:
-		var m RepairPushReply
-		m.Accepted, err = d.intval()
-		if err == nil {
-			m.Err, err = d.str()
-		}
-		msg = m
+		msg = RepairPushReply{Accepted: d.intval(), Err: d.str()}
 	case KindJoin:
-		var m Join
-		m.Addr, err = d.str()
-		msg = m
+		msg = Join{Addr: d.str()}
 	case KindLeave:
-		var m Leave
-		m.Server, err = d.intval()
-		msg = m
+		msg = Leave{Server: d.intval()}
 	case KindMembershipUpdate:
-		var m MembershipUpdate
-		m.Epoch, err = d.uvarint()
-		if err == nil {
-			m.OldN, err = d.intval()
+		// Leaving travels shifted by one (see AppendEncode).
+		msg = MembershipUpdate{
+			Epoch: d.uvarint(), OldN: d.intval(), NewN: d.intval(),
+			Joined: d.ints(), Leaving: d.intval() - 1, Addrs: d.strs(),
 		}
-		if err == nil {
-			m.NewN, err = d.intval()
-		}
-		if err == nil {
-			m.Joined, err = d.ints()
-		}
-		if err == nil {
-			m.Leaving, err = d.intval()
-			m.Leaving--
-		}
-		if err == nil {
-			m.Addrs, err = d.strs()
-		}
-		msg = m
 	case KindRebalancePush:
-		var m RebalancePush
-		m.Key, err = d.str()
-		if err == nil {
-			m.Config, err = d.config()
+		msg = RebalancePush{
+			Key: d.str(), Config: d.config(), Entries: d.strs(),
+			Positions: d.uints(), HasPos: d.boolval(), HCount: d.intval(),
+			Epoch: d.uvarint(), NewN: d.intval(), Leaving: d.intval() - 1,
 		}
-		if err == nil {
-			m.Entries, err = d.strs()
-		}
-		if err == nil {
-			m.Positions, err = d.uints()
-		}
-		if err == nil {
-			m.HasPos, err = d.boolval()
-		}
-		if err == nil {
-			m.HCount, err = d.intval()
-		}
-		if err == nil {
-			m.Epoch, err = d.uvarint()
-		}
-		if err == nil {
-			m.NewN, err = d.intval()
-		}
-		if err == nil {
-			m.Leaving, err = d.intval()
-			m.Leaving--
-		}
-		msg = m
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknown, kind)
 	}
-	if err != nil {
-		return nil, err
+	if d.err != nil {
+		return nil, d.err
 	}
 	if len(d.buf) != 0 {
 		return nil, ErrTrailing
@@ -731,68 +449,87 @@ func (e *encoder) config(c Config) {
 	e.bool(c.ZoneSpread)
 }
 
-type decoder struct {
-	buf []byte
+// encodePlaces writes the items of a PlaceBatch or a StoreBatches, which
+// share one layout: a count, then key, config and entry list per item.
+func encodePlaces[T Place | StoreBatch](e *encoder, items []T) {
+	e.uvarint(uint64(len(items)))
+	for _, item := range items {
+		it := Place(item)
+		e.str(it.Key)
+		e.config(it.Config)
+		e.strs(it.Entries)
+	}
 }
 
-func (d *decoder) byteval() (byte, error) {
+// decoder reads fields off the front of buf. Its error is sticky: the
+// first malformed field sets err and empties buf, and every read after
+// it returns the zero value, so a message's fields can be read in one
+// expression and err checked once. Loops over a decoded count must stop
+// on err themselves — a hostile count is bounded by maxSliceLen, not by
+// the bytes that follow it.
+type decoder struct {
+	buf []byte
+	err error
+}
+
+// fail records err unless an earlier read already failed.
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.buf = nil
+}
+
+func (d *decoder) byteval() byte {
 	if len(d.buf) < 1 {
-		return 0, ErrTruncated
+		d.fail(ErrTruncated)
+		return 0
 	}
 	b := d.buf[0]
 	d.buf = d.buf[1:]
-	return b, nil
+	return b
 }
 
-func (d *decoder) boolval() (bool, error) {
-	b, err := d.byteval()
-	if err != nil {
-		return false, err
+func (d *decoder) boolval() bool {
+	b := d.byteval()
+	if b > 1 {
+		d.fail(ErrBadMessage)
 	}
-	switch b {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	default:
-		return false, ErrBadMessage
-	}
+	return b == 1
 }
 
-func (d *decoder) uvarint() (uint64, error) {
+func (d *decoder) uvarint() uint64 {
 	v, n := binary.Uvarint(d.buf)
 	if n <= 0 {
-		return 0, ErrBadVarint
+		d.fail(ErrBadVarint)
+		return 0
 	}
 	d.buf = d.buf[n:]
-	return v, nil
+	return v
 }
 
-func (d *decoder) intval() (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
+func (d *decoder) intval() int {
+	v := d.uvarint()
 	if v > math.MaxInt32 {
-		return 0, ErrOversized
+		d.fail(ErrOversized)
+		return 0
 	}
-	return int(v), nil
+	return int(v)
 }
 
-func (d *decoder) str() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
+func (d *decoder) str() string {
+	n := d.uvarint()
 	if n > maxStringLen {
-		return "", ErrOversized
+		d.fail(ErrOversized)
+		return ""
 	}
 	if uint64(len(d.buf)) < n {
-		return "", ErrTruncated
+		d.fail(ErrTruncated)
+		return ""
 	}
 	s := view(d.buf[:n])
 	d.buf = d.buf[n:]
-	return s, nil
+	return s
 }
 
 // view reinterprets b as a string without copying. Decoded strings may
@@ -806,163 +543,90 @@ func view(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// encodePlaces writes the items of a PlaceBatch or a StoreBatches, which
-// share one layout: a count, then key, config and entry list per item.
-func encodePlaces[T Place | StoreBatch](e *encoder, items []T) {
-	e.uvarint(uint64(len(items)))
-	for _, item := range items {
-		it := Place(item)
-		e.str(it.Key)
-		e.config(it.Config)
-		e.strs(it.Entries)
-	}
-}
-
-// decodePlaces reads what encodePlaces wrote.
-func decodePlaces[T Place | StoreBatch](d *decoder) ([]T, error) {
-	n, err := d.batchLen()
-	if err != nil || n == 0 {
-		return nil, err
-	}
-	items := make([]T, 0, min(n, 1024))
-	for i := 0; i < n && err == nil; i++ {
-		var it Place
-		it.Key, err = d.str()
-		if err == nil {
-			it.Config, err = d.config()
-		}
-		if err == nil {
-			it.Entries, err = d.strs()
-		}
-		items = append(items, T(it))
-	}
-	return items, err
-}
-
-// batchLen reads and bounds the item count of a batch envelope.
-func (d *decoder) batchLen() (int, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
+// listLen reads and bounds the element count of a list or a batch.
+func (d *decoder) listLen() int {
+	n := d.uvarint()
 	if n > maxSliceLen {
-		return 0, ErrOversized
+		d.fail(ErrOversized)
+		return 0
 	}
-	return int(n), nil
+	return int(n)
 }
 
-func (d *decoder) bools() ([]bool, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxSliceLen {
-		return nil, ErrOversized
-	}
+// The list readers are concrete loops: a shared one taking the element
+// reader as a func value makes the decoder escape to the heap, one more
+// allocation on every Decode.
+
+func (d *decoder) bools() []bool {
+	n := d.listLen()
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
-	out := make([]bool, 0, min(int(n), 1024))
-	for i := uint64(0); i < n; i++ {
-		v, err := d.boolval()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
+	out := make([]bool, 0, min(n, 1024))
+	for i := 0; i < n && d.err == nil; i++ {
+		out = append(out, d.boolval())
 	}
-	return out, nil
+	return out
 }
 
-func (d *decoder) uints() ([]uint64, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxSliceLen {
-		return nil, ErrOversized
-	}
+func (d *decoder) uints() []uint64 {
+	n := d.listLen()
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
-	out := make([]uint64, 0, min(int(n), 1024))
-	for i := uint64(0); i < n; i++ {
-		v, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
+	out := make([]uint64, 0, min(n, 1024))
+	for i := 0; i < n && d.err == nil; i++ {
+		out = append(out, d.uvarint())
 	}
-	return out, nil
+	return out
 }
 
-func (d *decoder) ints() ([]int, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxSliceLen {
-		return nil, ErrOversized
-	}
+func (d *decoder) ints() []int {
+	n := d.listLen()
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
-	out := make([]int, 0, min(int(n), 1024))
-	for i := uint64(0); i < n; i++ {
-		v, err := d.intval()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
+	out := make([]int, 0, min(n, 1024))
+	for i := 0; i < n && d.err == nil; i++ {
+		out = append(out, d.intval())
 	}
-	return out, nil
+	return out
 }
 
-func (d *decoder) strs() ([]string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxSliceLen {
-		return nil, ErrOversized
-	}
+func (d *decoder) strs() []string {
+	n := d.listLen()
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
-	out := make([]string, 0, min(int(n), 1024))
-	for i := uint64(0); i < n; i++ {
-		s, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
+	out := make([]string, 0, min(n, 1024))
+	for i := 0; i < n && d.err == nil; i++ {
+		out = append(out, d.str())
 	}
-	return out, nil
+	return out
 }
 
-func (d *decoder) config() (Config, error) {
-	var c Config
-	b, err := d.byteval()
-	if err != nil {
-		return c, err
+func (d *decoder) config() Config {
+	return Config{
+		Scheme: Scheme(d.byteval()), X: d.intval(), Y: d.intval(), Seed: d.uvarint(),
+		RSReplace: d.boolval(), Coordinators: d.intval(), ZoneSpread: d.boolval(),
 	}
-	c.Scheme = Scheme(b)
-	if c.X, err = d.intval(); err != nil {
-		return c, err
-	}
-	if c.Y, err = d.intval(); err != nil {
-		return c, err
-	}
-	if c.Seed, err = d.uvarint(); err != nil {
-		return c, err
-	}
-	if c.RSReplace, err = d.boolval(); err != nil {
-		return c, err
-	}
-	if c.Coordinators, err = d.intval(); err != nil {
-		return c, err
-	}
-	if c.ZoneSpread, err = d.boolval(); err != nil {
-		return c, err
-	}
-	return c, nil
+}
+
+// place reads the layout Place and StoreBatch share, alone or as a batch
+// item; add, lookup and lookupReply likewise serve the message and the
+// item of its batch.
+func (d *decoder) place() Place {
+	return Place{Key: d.str(), Config: d.config(), Entries: d.strs()}
+}
+
+func (d *decoder) add() Add {
+	return Add{Key: d.str(), Config: d.config(), Entry: d.str()}
+}
+
+func (d *decoder) lookup() Lookup {
+	return Lookup{Key: d.str(), T: d.intval()}
+}
+
+func (d *decoder) lookupReply() LookupReply {
+	return LookupReply{Entries: d.strs(), Err: d.str()}
 }
