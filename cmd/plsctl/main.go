@@ -246,19 +246,15 @@ func run() error {
 
 	switch verb {
 	case "place":
-		entries := make([]core.Entry, 0, len(args)-2)
-		for _, v := range args[2:] {
-			entries = append(entries, core.Entry(v))
-		}
-		if err := svc.Place(ctx, key, entries); err != nil {
+		if err := svc.Place(ctx, key, args[2:]); err != nil {
 			return err
 		}
-		fmt.Printf("placed %d entries for %q with %v\n", len(entries), key, cfg)
+		fmt.Printf("placed %d entries for %q with %v\n", len(args)-2, key, cfg)
 	case "add":
 		if len(args) != 3 {
 			return fmt.Errorf("usage: add KEY ENTRY")
 		}
-		if err := svc.Add(ctx, key, core.Entry(args[2])); err != nil {
+		if err := svc.Add(ctx, key, args[2]); err != nil {
 			return err
 		}
 		fmt.Printf("added %q to %q\n", args[2], key)
@@ -266,7 +262,7 @@ func run() error {
 		if len(args) != 3 {
 			return fmt.Errorf("usage: delete KEY ENTRY")
 		}
-		if err := svc.Delete(ctx, key, core.Entry(args[2])); err != nil {
+		if err := svc.Delete(ctx, key, args[2]); err != nil {
 			return err
 		}
 		fmt.Printf("deleted %q from %q\n", args[2], key)
@@ -303,7 +299,7 @@ func run() error {
 			var entries []core.Entry
 			for _, v := range strings.Split(list, ",") {
 				if v != "" {
-					entries = append(entries, core.Entry(v))
+					entries = append(entries, v)
 				}
 			}
 			items = append(items, core.PlaceItem{Key: k, Entries: entries})
@@ -326,7 +322,7 @@ func run() error {
 			if !ok || k == "" || v == "" {
 				return fmt.Errorf("madd: spec %q is not KEY=ENTRY", spec)
 			}
-			items = append(items, core.AddItem{Key: k, Entry: core.Entry(v)})
+			items = append(items, core.AddItem{Key: k, Entry: v})
 		}
 		failed := 0
 		for i, err := range svc.AddBatch(ctx, items) {

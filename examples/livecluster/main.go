@@ -65,7 +65,7 @@ func main() {
 	entries := make([]core.Entry, 0, 40)
 	latRng := stats.NewRNG(99)
 	for i := 0; i < 40; i++ {
-		peer := core.Entry(fmt.Sprintf("peer-%02d:6881", i))
+		peer := fmt.Sprintf("peer-%02d:6881", i)
 		entries = append(entries, peer)
 		latency[peer] = 5 + 295*latRng.Float64() // 5..300 ms
 	}

@@ -58,7 +58,7 @@ func main() {
 			p := rng.IntN(numPeers)
 			if !seen[p] {
 				seen[p] = true
-				entries = append(entries, core.Entry(fmt.Sprintf("peer-%03d:6881", p)))
+				entries = append(entries, fmt.Sprintf("peer-%03d:6881", p))
 			}
 		}
 		if err := svc.Place(ctx, songs[i], entries); err != nil {
@@ -144,7 +144,7 @@ func main() {
 		len(hotCounts), minC, maxC, float64(maxC)/float64(minC))
 
 	// Churn: a peer goes offline — remove it from every song it served.
-	gone := core.Entry("peer-007:6881")
+	gone := "peer-007:6881"
 	removed := 0
 	for _, song := range songs {
 		if err := svc.Delete(ctx, song, gone); err != nil {

@@ -73,7 +73,7 @@ func main() {
 	for _, cat := range categories {
 		urls := make([]core.Entry, len(stream.Initial))
 		for i, v := range stream.Initial {
-			urls[i] = core.Entry("http://" + string(v) + ".example.com")
+			urls[i] = "http://" + v + ".example.com"
 		}
 		if err := svc.Place(ctx, cat, urls); err != nil {
 			log.Fatalf("place %s: %v", cat, err)
@@ -86,7 +86,7 @@ func main() {
 	failTime, totalTime := 0.0, 0.0
 	node0 := cl.Node(0)
 	err = sim.ReplayTimed(stream.Events, func(ev sim.Event) error {
-		url := core.Entry("http://" + string(ev.Entry) + ".example.com")
+		url := "http://" + ev.Entry + ".example.com"
 		for _, cat := range categories {
 			var err error
 			if ev.Kind == sim.EventAdd {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/entry"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -154,11 +153,11 @@ func NewUpdateLoop(scheme string, h, n, budget int) (func(entry string) error, f
 	last := ""
 	update := func(name string) error {
 		ctx := context.Background()
-		if err := inst.driver.Add(ctx, inst.cluster.Caller(), inst.key, entry.Entry(name)); err != nil {
+		if err := inst.driver.Add(ctx, inst.cluster.Caller(), inst.key, name); err != nil {
 			return err
 		}
 		if last != "" {
-			if err := inst.driver.Delete(ctx, inst.cluster.Caller(), inst.key, entry.Entry(last)); err != nil {
+			if err := inst.driver.Delete(ctx, inst.cluster.Caller(), inst.key, last); err != nil {
 				return err
 			}
 		}

@@ -99,7 +99,7 @@ func availabilityRun(rng *stats.RNG, cfg wire.Config, policy core.LookupPolicy, 
 	}
 	entries := make([]core.Entry, canonicalH)
 	for i := range entries {
-		entries[i] = core.Entry(fmt.Sprintf("v%03d", i))
+		entries[i] = fmt.Sprintf("v%03d", i)
 	}
 	if err := svc.Place(context.Background(), "k", entries); err != nil {
 		return 0, err

@@ -61,7 +61,7 @@ func ExtHotSpot(fid Fidelity, seed uint64) (*Table, error) {
 				keys[k] = fmt.Sprintf("key-%03d", k)
 				es := make([]entry.Entry, perKey)
 				for i := range es {
-					es[i] = entry.Entry(fmt.Sprintf("%s/e%d", keys[k], i))
+					es[i] = fmt.Sprintf("%s/e%d", keys[k], i)
 				}
 				if err := drv.Place(ctx, cl.Caller(), keys[k], es); err != nil {
 					return nil, err

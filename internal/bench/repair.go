@@ -104,7 +104,7 @@ func ExtRepair(_ Fidelity, seed uint64) (*Table, error) {
 func numberedEntries(n int) []core.Entry {
 	entries := make([]core.Entry, n)
 	for i := range entries {
-		entries[i] = core.Entry(fmt.Sprintf("e%02d", i))
+		entries[i] = fmt.Sprintf("e%02d", i)
 	}
 	return entries
 }

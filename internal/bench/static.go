@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/entry"
 	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/strategy"
@@ -222,21 +221,4 @@ func Fig9Unfairness(fid Fidelity, seed uint64) (*Table, error) {
 		t.AddRowCI(fmt.Sprintf("%d", budget), summaries...)
 	}
 	return t, nil
-}
-
-// coverageUniverse is a helper for tests: the distinct entries present
-// in a snapshot.
-func coverageUniverse(sets []*entry.Set) []entry.Entry {
-	seen := make(map[entry.Entry]struct{})
-	var out []entry.Entry
-	for _, s := range sets {
-		for i := 0; i < s.Len(); i++ {
-			v := s.At(i)
-			if _, ok := seen[v]; !ok {
-				seen[v] = struct{}{}
-				out = append(out, v)
-			}
-		}
-	}
-	return out
 }

@@ -111,13 +111,13 @@ func Table2Summary(fid Fidelity, seed uint64) (*Table, error) {
 			}
 			live := make(map[string]bool, canonicalH)
 			for _, v := range dr.stream.Initial {
-				live[string(v)] = true
+				live[v] = true
 			}
 			for _, ev := range dr.stream.Events {
 				if err := dr.apply(ev); err != nil {
 					return nil, err
 				}
-				live[string(ev.Entry)] = ev.Kind == sim.EventAdd
+				live[ev.Entry] = ev.Kind == sim.EventAdd
 			}
 			universe := coverageUniverseFromLive(live)
 			u, err := metrics.MeasureUnfairnessDebiased(func() (strategy.Result, error) {
@@ -239,7 +239,7 @@ func coverageUniverseFromLive(live map[string]bool) []entry.Entry {
 	var out []entry.Entry
 	for v, alive := range live {
 		if alive {
-			out = append(out, entry.Entry(v))
+			out = append(out, v)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

@@ -102,7 +102,7 @@ func zoneArm(cfg wire.Config, seed uint64) (row []float64, zones string, err err
 	for k := 0; k < zoneKeys; k++ {
 		entries := make([]entry.Entry, zonePerKey)
 		for i := range entries {
-			entries[i] = entry.Entry(value(k, i))
+			entries[i] = value(k, i)
 		}
 		if err := drv.Place(ctxB(), cl.Caller(), key(k), entries); err != nil {
 			return nil, "", fmt.Errorf("place %s: %w", key(k), err)

@@ -245,7 +245,7 @@ func (s *Service) Add(ctx context.Context, key string, v Entry) error {
 
 // Delete removes one entry: delete(k, v).
 func (s *Service) Delete(ctx context.Context, key string, v Entry) error {
-	return s.update("delete", []string{key}, func(int) bool { return v.Valid() },
+	return s.update("delete", []string{key}, func(int) bool { return entry.Valid(v) },
 		func(d *strategy.Driver, _ []int) []error {
 			return []error{d.Delete(ctx, s.caller, key, v)}
 		})[0]
@@ -263,7 +263,7 @@ func (s *Service) PlaceBatch(ctx context.Context, items []PlaceItem) []error {
 	}
 	valid := func(i int) bool {
 		for _, v := range items[i].Entries {
-			if !v.Valid() {
+			if !entry.Valid(v) {
 				return false
 			}
 		}
@@ -281,7 +281,7 @@ func (s *Service) AddBatch(ctx context.Context, items []AddItem) []error {
 	for i, it := range items {
 		keys[i] = it.Key
 	}
-	valid := func(i int) bool { return items[i].Entry.Valid() }
+	valid := func(i int) bool { return entry.Valid(items[i].Entry) }
 	return s.update("add", keys, valid, func(d *strategy.Driver, idxs []int) []error {
 		return d.AddBatch(ctx, s.caller, pick(items, idxs))
 	})

@@ -15,12 +15,14 @@ import (
 	"strings"
 )
 
-// Entry is a single value associated with a key in the lookup service.
-// The empty string is not a valid entry.
-type Entry string
+// Entry is a single value associated with a key in the lookup service:
+// an opaque non-empty string. Entry is the name signatures use for it,
+// not a second type, so a []Entry is the []string a wire message carries.
+type Entry = string
 
-// Valid reports whether e may be stored in a Set.
-func (e Entry) Valid() bool { return e != "" }
+// Valid reports whether v may be stored in a Set: any string but the
+// empty one.
+func Valid(v Entry) bool { return v != "" }
 
 // Sampler is the source of randomness Set needs for uniform sampling.
 // *stats.RNG satisfies it; so does *rand.Rand from math/rand.
@@ -70,7 +72,7 @@ func (s *Set) Contains(v Entry) bool {
 // Adding an invalid entry panics: it indicates a caller bug, not an
 // environmental failure.
 func (s *Set) Add(v Entry) bool {
-	if !v.Valid() {
+	if !Valid(v) {
 		panic("entry: Add called with invalid (empty) entry")
 	}
 	if s.index == nil {
@@ -132,37 +134,6 @@ func (s *Set) Oldest(skip func(Entry) bool) (Entry, bool) {
 	return s.members[best], true
 }
 
-// Sample returns min(t, Len) distinct members chosen uniformly at random.
-// This is the paper's server-side answer rule: "each contacted server
-// returns t randomly selected entries stored on the server or all the
-// entries if the total is less than t".
-//
-// The returned slice is freshly allocated. Sample does not mutate the set:
-// it performs a partial Fisher-Yates shuffle over a scratch copy of the
-// member indices.
-func (s *Set) Sample(r Sampler, t int) []Entry {
-	if t <= 0 || s.Len() == 0 {
-		return nil
-	}
-	n := s.Len()
-	if t >= n {
-		out := make([]Entry, n)
-		copy(out, s.members)
-		return out
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	out := make([]Entry, t)
-	for i := 0; i < t; i++ {
-		j := i + r.IntN(n-i)
-		idx[i], idx[j] = idx[j], idx[i]
-		out[i] = s.members[idx[i]]
-	}
-	return out
-}
-
 // SampleScratch holds the reusable buffers SampleInto samples through.
 // A zero value is ready; buffers grow to the largest set sampled and
 // are reused across calls. Not safe for concurrent use — pool one per
@@ -172,11 +143,15 @@ type SampleScratch struct {
 	out []Entry
 }
 
-// SampleInto is Sample using sc's buffers instead of fresh allocations.
-// It draws from r in exactly the same order as Sample for the same set
-// and t, so the two are interchangeable under a seeded RNG. The
-// returned slice aliases sc and is valid only until the next SampleInto
-// with the same scratch; callers copy what they keep.
+// SampleInto returns min(t, Len) distinct members chosen uniformly at
+// random. This is the paper's server-side answer rule: "each contacted
+// server returns t randomly selected entries stored on the server or
+// all the entries if the total is less than t".
+//
+// It does not mutate the set: it performs a partial Fisher-Yates
+// shuffle over sc's copy of the member indices. The returned slice
+// aliases sc and is valid only until the next SampleInto with the same
+// scratch; callers copy what they keep.
 func (s *Set) SampleInto(r Sampler, t int, sc *SampleScratch) []Entry {
 	if t <= 0 || s.Len() == 0 {
 		return nil
@@ -204,6 +179,12 @@ func (s *Set) SampleInto(r Sampler, t int, sc *SampleScratch) []Entry {
 		sc.out[i] = s.members[sc.idx[i]]
 	}
 	return sc.out
+}
+
+// Sample is SampleInto through a scratch of its own: the returned slice
+// is freshly allocated, and the draws from r are the same.
+func (s *Set) Sample(r Sampler, t int) []Entry {
+	return slices.Clone(s.SampleInto(r, t, new(SampleScratch)))
 }
 
 // Members returns a copy of the member slice in internal order.
@@ -249,7 +230,7 @@ func RestoreSet(members []Entry, seqs []uint64, nextSeq uint64) (*Set, error) {
 	}
 	s := NewSet(len(members))
 	for i, v := range members {
-		if !v.Valid() {
+		if !Valid(v) {
 			return nil, fmt.Errorf("entry: restore with invalid entry at %d", i)
 		}
 		if _, dup := s.index[v]; dup {
@@ -285,7 +266,7 @@ func (s *Set) String() string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(string(m))
+		b.WriteString(m)
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -312,15 +293,13 @@ const dedupScanMax = 32
 
 // Dedup appends to dst, whose entries are distinct, the entries of src
 // not already in it, and returns the extended dst. Clients use it to
-// merge answers from multiple servers during a partial lookup; src is
-// any string-typed list, so a reply's []string merges without a
-// converted copy. dst is grown once per call, to hold all of src.
+// merge answers from multiple servers during a partial lookup. dst is
+// grown once per call, to hold all of src.
 // seen is nil until dst outgrows dedupScanMax; from then on it is the
 // set of dst's entries, and the caller passes the returned one back in.
-func Dedup[S ~string](dst []Entry, seen map[Entry]struct{}, src []S) ([]Entry, map[Entry]struct{}) {
+func Dedup(dst []Entry, seen map[Entry]struct{}, src []Entry) ([]Entry, map[Entry]struct{}) {
 	dst = slices.Grow(dst, len(src))
-	for _, s := range src {
-		v := Entry(s)
+	for _, v := range src {
 		if seen == nil && len(dst) >= dedupScanMax {
 			seen = make(map[Entry]struct{}, 2*len(dst))
 			for _, have := range dst {
@@ -347,7 +326,7 @@ func Dedup[S ~string](dst []Entry, seen map[Entry]struct{}, src []S) ([]Entry, m
 func Synthetic(h int) []Entry {
 	out := make([]Entry, h)
 	for i := range out {
-		out[i] = Entry(fmt.Sprintf("v%d", i+1))
+		out[i] = fmt.Sprintf("v%d", i+1)
 	}
 	return out
 }

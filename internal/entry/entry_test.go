@@ -179,6 +179,37 @@ func TestSetSampleUniform(t *testing.T) {
 	}
 }
 
+// One scratch serves sets of different sizes in turn, as a pooled one
+// does on a node: each answer is what a scratch of its own gives for
+// the same draws, whatever the buffers held before, and the answers
+// cloned out earlier are not touched by later calls.
+func TestSampleIntoReusesScratchAcrossSets(t *testing.T) {
+	sets := make([]*Set, 0, 4)
+	for _, n := range []int{12, 3, 30, 7} {
+		s := NewSet(n)
+		for _, v := range Synthetic(n) {
+			s.Add(fmt.Sprintf("%d/%s", n, v))
+		}
+		sets = append(sets, s)
+	}
+	shared, fresh := stats.NewRNG(9), stats.NewRNG(9)
+	var sc SampleScratch
+	var kept, want [][]Entry
+	for round := 0; round < 3; round++ {
+		for _, s := range sets {
+			for _, tt := range []int{2, 5, 40} {
+				kept = append(kept, slices.Clone(s.SampleInto(shared, tt, &sc)))
+				want = append(want, s.Sample(fresh, tt))
+			}
+		}
+	}
+	for i := range kept {
+		if !slices.Equal(kept[i], want[i]) {
+			t.Fatalf("answer %d through the shared scratch = %v, want %v", i, kept[i], want[i])
+		}
+	}
+}
+
 func TestSetClone(t *testing.T) {
 	s := NewSet(3)
 	s.Add("a")
@@ -358,10 +389,10 @@ func TestSetQuickSampleProperties(t *testing.T) {
 }
 
 func TestEntryValid(t *testing.T) {
-	if Entry("").Valid() {
+	if Valid("") {
 		t.Fatal("empty entry reported valid")
 	}
-	if !Entry("x").Valid() {
+	if !Valid("x") {
 		t.Fatal("non-empty entry reported invalid")
 	}
 }

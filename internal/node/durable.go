@@ -239,14 +239,14 @@ func (n *Node) applyWALRecord(seq uint64, msg wire.Message) (bool, error) {
 			st.Ext = nil
 		case wire.WalStore:
 			if m.HasPos {
-				logAddAt(st, entry.Entry(m.Entry), m.Pos)
+				logAddAt(st, m.Entry, m.Pos)
 			} else {
-				logAdd(st, entry.Entry(m.Entry))
+				logAdd(st, m.Entry)
 			}
 		case wire.WalStoreMany:
 			logAddMany(st, m.Entries)
 		case wire.WalRemove:
-			logRemove(st, entry.Entry(m.Entry))
+			logRemove(st, m.Entry)
 		case wire.WalCounters:
 			ext := roundExtOf(st)
 			ext.head, ext.tail = m.Head, m.Tail
@@ -268,7 +268,7 @@ func snapKeyOf(key string, st *store.State, lsn uint64) wire.SnapKey {
 		Key:     key,
 		Config:  st.Cfg,
 		LSN:     lsn,
-		Entries: entriesToStrings(members),
+		Entries: members,
 		Seqs:    seqs,
 		NextSeq: next,
 	}
@@ -278,13 +278,13 @@ func snapKeyOf(key string, st *store.State, lsn uint64) wire.SnapKey {
 		sk.Head, sk.Tail = ext.head, ext.tail
 		pe := make([]string, 0, len(ext.positions))
 		for e := range ext.positions {
-			pe = append(pe, string(e))
+			pe = append(pe, e)
 		}
 		sort.Strings(pe)
 		sk.PosEntries = pe
 		sk.Positions = make([]uint64, len(pe))
 		for i, e := range pe {
-			sk.Positions[i] = uint64(ext.positions[entry.Entry(e)])
+			sk.Positions[i] = uint64(ext.positions[e])
 		}
 	case *rsExt:
 		sk.ExtKind = wire.SnapExtRS
@@ -297,7 +297,7 @@ func snapKeyOf(key string, st *store.State, lsn uint64) wire.SnapKey {
 // invariants so a corrupt-but-CRC-clean snapshot cannot install
 // inconsistent state.
 func stateFromSnapKey(sk wire.SnapKey) (store.State, error) {
-	set, err := entry.RestoreSet(stringsToEntries(sk.Entries), sk.Seqs, sk.NextSeq)
+	set, err := entry.RestoreSet(sk.Entries, sk.Seqs, sk.NextSeq)
 	if err != nil {
 		return store.State{}, fmt.Errorf("key %q: %w", sk.Key, err)
 	}
@@ -315,7 +315,7 @@ func stateFromSnapKey(sk wire.SnapKey) (store.State, error) {
 			migrations: make(map[entry.Entry]*migration),
 		}
 		for i, e := range sk.PosEntries {
-			ext.positions[entry.Entry(e)] = int(sk.Positions[i])
+			ext.positions[e] = int(sk.Positions[i])
 		}
 		st.Ext = ext
 	case wire.SnapExtRS:
@@ -324,20 +324,4 @@ func stateFromSnapKey(sk wire.SnapKey) (store.State, error) {
 		return store.State{}, fmt.Errorf("key %q: unknown ext kind %d", sk.Key, sk.ExtKind)
 	}
 	return st, nil
-}
-
-func entriesToStrings(in []entry.Entry) []string {
-	out := make([]string, len(in))
-	for i, v := range in {
-		out[i] = string(v)
-	}
-	return out
-}
-
-func stringsToEntries(in []string) []entry.Entry {
-	out := make([]entry.Entry, len(in))
-	for i, v := range in {
-		out[i] = entry.Entry(v)
-	}
-	return out
 }

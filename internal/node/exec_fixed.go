@@ -3,7 +3,6 @@ package node
 import (
 	"context"
 
-	"repro/internal/entry"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -33,7 +32,7 @@ func (fixedExec) add(ctx context.Context, n *Node, ks *store.KeyState, cfg wire.
 func (fixedExec) del(ctx context.Context, n *Node, ks *store.KeyState, cfg wire.Config, m wire.Delete) wire.Message {
 	// Selective broadcast: only when v is stored locally (Sec. 5.2).
 	stored := false
-	ks.View(func(st *store.State) { stored = st.Set.Contains(entry.Entry(m.Entry)) })
+	ks.View(func(st *store.State) { stored = st.Set.Contains(m.Entry) })
 	if !stored {
 		return wire.Ack{}
 	}
@@ -47,12 +46,12 @@ func (fixedExec) storeBatch(_ *Node, st *store.State, entries []string) {
 
 func (fixedExec) storeOne(_ *Node, st *store.State, m wire.StoreOne) {
 	if st.Set.Len() < st.Cfg.X {
-		logAdd(st, entry.Entry(m.Entry))
+		logAdd(st, m.Entry)
 	}
 }
 
 func (fixedExec) removeOne(_ context.Context, _ *Node, st *store.State, m wire.RemoveOne) func() {
-	logRemove(st, entry.Entry(m.Entry))
+	logRemove(st, m.Entry)
 	return nil
 }
 

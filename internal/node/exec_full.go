@@ -3,7 +3,6 @@ package node
 import (
 	"context"
 
-	"repro/internal/entry"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -31,11 +30,11 @@ func (fullExec) storeBatch(_ *Node, st *store.State, entries []string) {
 }
 
 func (fullExec) storeOne(_ *Node, st *store.State, m wire.StoreOne) {
-	logAdd(st, entry.Entry(m.Entry))
+	logAdd(st, m.Entry)
 }
 
 func (fullExec) removeOne(_ context.Context, _ *Node, st *store.State, m wire.RemoveOne) func() {
-	logRemove(st, entry.Entry(m.Entry))
+	logRemove(st, m.Entry)
 	return nil
 }
 

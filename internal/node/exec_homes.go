@@ -114,17 +114,17 @@ func (homesExec) storeBatch(n *Node, st *store.State, entries []string) {
 	mv := n.view()
 	for _, v := range entries {
 		if isHome(v, st.Cfg, mv.n, mv.self, mv.tp) {
-			logAdd(st, entry.Entry(strings.Clone(v)))
+			logAdd(st, strings.Clone(v))
 		}
 	}
 }
 
 func (homesExec) storeOne(_ *Node, st *store.State, m wire.StoreOne) {
-	logAdd(st, entry.Entry(m.Entry))
+	logAdd(st, m.Entry)
 }
 
 func (homesExec) removeOne(_ context.Context, _ *Node, st *store.State, m wire.RemoveOne) func() {
-	logRemove(st, entry.Entry(m.Entry))
+	logRemove(st, m.Entry)
 	return nil
 }
 

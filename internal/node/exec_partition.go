@@ -4,7 +4,6 @@ import (
 	"context"
 	"hash/fnv"
 
-	"repro/internal/entry"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -32,11 +31,11 @@ func (partExec) storeBatch(_ *Node, st *store.State, entries []string) {
 }
 
 func (partExec) storeOne(_ *Node, st *store.State, m wire.StoreOne) {
-	logAdd(st, entry.Entry(m.Entry))
+	logAdd(st, m.Entry)
 }
 
 func (partExec) removeOne(_ context.Context, _ *Node, st *store.State, m wire.RemoveOne) func() {
-	logRemove(st, entry.Entry(m.Entry))
+	logRemove(st, m.Entry)
 	return nil
 }
 

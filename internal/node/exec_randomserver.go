@@ -71,7 +71,7 @@ func (rsExec) storeOne(n *Node, st *store.State, m wire.StoreOne) {
 	ext := rsExtOf(st)
 	ext.hCount++
 	logHCount(st, ext.hCount)
-	v := entry.Entry(m.Entry)
+	v := m.Entry
 	switch {
 	case st.Set.Contains(v):
 		// Duplicate add; nothing to do.
@@ -94,7 +94,7 @@ func (rsExec) removeOne(ctx context.Context, n *Node, st *store.State, m wire.Re
 		ext.hCount--
 	}
 	logHCount(st, ext.hCount)
-	v := entry.Entry(m.Entry)
+	v := m.Entry
 	had := logRemove(st, v)
 	if !had || !st.Cfg.RSReplace {
 		return nil
@@ -129,8 +129,7 @@ func (n *Node) findReplacement(ctx context.Context, key string, deleted entry.En
 		}
 		done := false
 		ks.Update(func(st *store.State) {
-			for _, cand := range lr.Entries {
-				v := entry.Entry(cand)
+			for _, v := range lr.Entries {
 				if v == deleted || st.Set.Contains(v) {
 					continue
 				}

@@ -151,17 +151,17 @@ func (roundExec) storeBatch(n *Node, st *store.State, entries []string) {
 	mv := n.view()
 	for i, v := range entries {
 		if inWindow(i, st.Cfg.Y, mv.n, mv.self) {
-			logAddAt(st, entry.Entry(strings.Clone(v)), i)
+			logAddAt(st, strings.Clone(v), i)
 		}
 	}
 }
 
 func (roundExec) storeOne(_ *Node, st *store.State, m wire.StoreOne) {
-	logAddAt(st, entry.Entry(m.Entry), m.Pos)
+	logAddAt(st, m.Entry, m.Pos)
 }
 
 func (roundExec) removeOne(_ context.Context, _ *Node, st *store.State, m wire.RemoveOne) func() {
-	logRemove(st, entry.Entry(m.Entry))
+	logRemove(st, m.Entry)
 	return nil
 }
 
@@ -178,7 +178,7 @@ func (roundExec) removeOne(_ context.Context, _ *Node, st *store.State, m wire.R
 // retire the wrong copies (the paper's pseudocode leaves this implicit
 // in its "plug the hole" picture, Fig. 10).
 func (n *Node) handleRoundRemove(ctx context.Context, m wire.RoundRemove) wire.Message {
-	v := entry.Entry(m.Entry)
+	v := m.Entry
 	ks, ok := n.store.Get(m.Key)
 	if !ok {
 		return wire.Ack{}
@@ -229,12 +229,11 @@ func (n *Node) handleRoundRemove(ctx context.Context, m wire.RoundRemove) wire.M
 		return wire.Ack{Err: mr.Err}
 	}
 	if mr.Found && mr.Replacement != m.Entry {
-		u := entry.Entry(mr.Replacement)
 		ks.Update(func(st *store.State) {
 			if hadPos {
-				logAddAt(st, u, holePos)
+				logAddAt(st, mr.Replacement, holePos)
 			} else {
-				logAdd(st, u)
+				logAdd(st, mr.Replacement)
 			}
 		})
 	}
@@ -247,7 +246,7 @@ func (n *Node) handleRoundRemove(ctx context.Context, m wire.RoundRemove) wire.M
 // copies that just migrated into the hole survive even when the head
 // range overlaps the hole range.
 func (n *Node) handleMigrate(ctx context.Context, m wire.Migrate) wire.Message {
-	v := entry.Entry(m.Entry)
+	v := m.Entry
 	ks, ok := n.store.Get(m.Key)
 	if !ok {
 		return wire.MigrateReply{Err: "node: migrate for unknown key"}
@@ -285,19 +284,19 @@ func (n *Node) handleMigrate(ctx context.Context, m wire.Migrate) wire.Message {
 		numServers := n.numServers()
 		for i := 0; i < cfg.Y; i++ {
 			target := (n.ID() + i) % numServers
-			if err := n.callBestEffort(ctx, target, wire.RemoveAt{Key: m.Key, Entry: string(replacement), Pos: headPos}); err != nil {
+			if err := n.callBestEffort(ctx, target, wire.RemoveAt{Key: m.Key, Entry: replacement, Pos: headPos}); err != nil {
 				return wire.MigrateReply{Err: err.Error()}
 			}
 		}
 	}
-	return wire.MigrateReply{Replacement: string(replacement), Found: found}
+	return wire.MigrateReply{Replacement: replacement, Found: found}
 }
 
 // handleRemoveAt retires one original copy of a migrated replacement:
 // the entry is deleted only if it still occupies the given round-robin
 // position.
 func (n *Node) handleRemoveAt(m wire.RemoveAt) wire.Message {
-	v := entry.Entry(m.Entry)
+	v := m.Entry
 	ks, ok := n.store.Get(m.Key)
 	if !ok {
 		return wire.Ack{}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/entry"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -192,7 +191,7 @@ func (n *Node) rebalanceKey(ctx context.Context, key string, ks *store.KeyState,
 		dropped := 0
 		ks.Update(func(st *store.State) {
 			for _, s := range drops {
-				if safe[s] && logRemove(st, entry.Entry(s)) {
+				if safe[s] && logRemove(st, s) {
 					dropped++
 				}
 			}

@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/entry"
@@ -238,7 +239,7 @@ func (n *Node) handlePlace(ctx context.Context, m wire.Place) wire.Message {
 // one riding on the message, so a client with a stale config cannot
 // fork the key's strategy.
 func (n *Node) handleAdd(ctx context.Context, m wire.Add) wire.Message {
-	if !entry.Entry(m.Entry).Valid() {
+	if !entry.Valid(m.Entry) {
 		return wire.Ack{Err: "node: add with empty entry"}
 	}
 	if n.numServers() == 0 {
@@ -279,16 +280,11 @@ func (n *Node) handleLookup(m wire.Lookup) wire.Message {
 	if !ok {
 		return wire.LookupReply{}
 	}
-	// SampleInto draws from the node RNG in exactly the order Sample
-	// did, so seeded goldens are unchanged; the scratch buffers just
-	// stop each lookup from allocating an index permutation. The reply
-	// slice is still fresh — it outlives the scratch's reuse.
+	// The scratch buffers stop each lookup from allocating an index
+	// permutation. The reply slice is a fresh copy — it outlives the
+	// scratch's reuse.
 	sc := sampleScratchPool.Get().(*entry.SampleScratch)
-	sample := ks.Snapshot().SampleInto(&n.rng, m.T, sc)
-	out := make([]string, len(sample))
-	for i, v := range sample {
-		out[i] = string(v)
-	}
+	out := slices.Clone(ks.Snapshot().SampleInto(&n.rng, m.T, sc))
 	sampleScratchPool.Put(sc)
 	return wire.LookupReply{Entries: out}
 }
@@ -299,7 +295,7 @@ const errEmptyPlaceEntry = "node: place with empty entry"
 
 func allValid(entries []string) bool {
 	for _, v := range entries {
-		if !entry.Entry(v).Valid() {
+		if !entry.Valid(v) {
 			return false
 		}
 	}
@@ -332,7 +328,7 @@ func (n *Node) handleStoreBatch(m wire.StoreBatch) wire.Message {
 // handleStoreOne applies a single-entry store under the key's
 // scheme-specific local rule.
 func (n *Node) handleStoreOne(m wire.StoreOne) wire.Message {
-	if !entry.Entry(m.Entry).Valid() {
+	if !entry.Valid(m.Entry) {
 		return wire.Ack{Err: "node: store with empty entry"}
 	}
 	ks := n.store.GetOrCreate(m.Key, m.Config)
@@ -363,12 +359,7 @@ func (n *Node) handleDump(m wire.Dump) wire.Message {
 	if !ok {
 		return wire.DumpReply{}
 	}
-	members := ks.Snapshot().Members()
-	out := make([]string, len(members))
-	for i, v := range members {
-		out[i] = string(v)
-	}
-	return wire.DumpReply{Entries: out}
+	return wire.DumpReply{Entries: ks.Snapshot().Members()}
 }
 
 // LocalSet returns a copy of the node's entry set for a key, for metric

@@ -2,6 +2,7 @@ package node
 
 import (
 	"context"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -216,17 +217,10 @@ func viewKey(key string, ks *store.KeyState) repairView {
 	v := repairView{key: key}
 	ks.View(func(st *store.State) {
 		v.cfg = st.Cfg
-		members := st.Set.Members()
-		v.entries = make([]string, len(members))
-		for i, m := range members {
-			v.entries[i] = string(m)
-		}
+		v.entries = st.Set.Members()
 		switch ext := st.Ext.(type) {
 		case *roundExt:
-			v.positions = make(map[string]int, len(ext.positions))
-			for e, p := range ext.positions {
-				v.positions[string(e)] = p
-			}
+			v.positions = maps.Clone(ext.positions)
 			v.head, v.tail = ext.head, ext.tail
 		case *rsExt:
 			v.hCount = ext.hCount
@@ -319,12 +313,11 @@ func perEntryHomeCandidates(entries []string, mv memberView, hasPos bool,
 // like any other mutation.
 func acceptMissing(st *store.State, entries []string, capX bool, admit func(i int, v entry.Entry) bool) int {
 	accepted := 0
-	for i, s := range entries {
+	for i, v := range entries {
 		if capX && st.Set.Len() >= st.Cfg.X {
 			break
 		}
-		v := entry.Entry(s)
-		if !v.Valid() || st.Set.Contains(v) {
+		if !entry.Valid(v) || st.Set.Contains(v) {
 			continue
 		}
 		if admit != nil {
@@ -507,7 +500,7 @@ func (n *Node) handleRepairQuery(m wire.RepairQuery) wire.Message {
 	}
 	ks.View(func(st *store.State) {
 		for i, s := range m.Entries {
-			reply.Missing[i] = !st.Set.Contains(entry.Entry(s))
+			reply.Missing[i] = !st.Set.Contains(s)
 		}
 		reply.Len = st.Set.Len()
 		if ext, ok := st.Ext.(*rsExt); ok {

@@ -108,7 +108,7 @@ func TestNodeConcurrentStress(t *testing.T) {
 			}
 		}
 		for _, v := range set.Members() {
-			if !entry.Entry(v).Valid() {
+			if !entry.Valid(v) {
 				t.Fatalf("key %d stores invalid entry", k)
 			}
 		}

@@ -27,7 +27,7 @@ func logAdd(st *store.State, v entry.Entry) bool {
 		return false
 	}
 	if st.Logging() {
-		st.Log(wire.WalStore{Key: st.Key, Entry: string(v)})
+		st.Log(wire.WalStore{Key: st.Key, Entry: v})
 	}
 	return true
 }
@@ -37,7 +37,7 @@ func logAddAt(st *store.State, v entry.Entry, pos int) {
 	st.Set.Add(v)
 	roundExtOf(st).positions[v] = pos
 	if st.Logging() {
-		st.Log(wire.WalStore{Key: st.Key, Entry: string(v), Pos: pos, HasPos: true})
+		st.Log(wire.WalStore{Key: st.Key, Entry: v, Pos: pos, HasPos: true})
 	}
 }
 
@@ -52,7 +52,7 @@ func logRemove(st *store.State, v entry.Entry) bool {
 		return false
 	}
 	if st.Logging() {
-		st.Log(wire.WalRemove{Key: st.Key, Entry: string(v)})
+		st.Log(wire.WalRemove{Key: st.Key, Entry: v})
 	}
 	return true
 }
@@ -60,7 +60,7 @@ func logRemove(st *store.State, v entry.Entry) bool {
 // logAddMany inserts a batch in order, logging it as one record.
 func logAddMany(st *store.State, entries []string) {
 	for _, v := range entries {
-		st.Set.Add(entry.Entry(v))
+		st.Set.Add(v)
 	}
 	if st.Logging() && len(entries) > 0 {
 		st.Log(wire.WalStoreMany{Key: st.Key, Entries: append([]string(nil), entries...)})

@@ -145,7 +145,7 @@ func (v View) Check(live *entry.Set) []error {
 		case wire.Hash, wire.MultiProbe:
 			for _, m := range sv.Set.Members() {
 				home := false
-				for _, t := range node.HomesFor(string(m), cfg, n, v.Topology) {
+				for _, t := range node.HomesFor(m, cfg, n, v.Topology) {
 					if t == i {
 						home = true
 						break
@@ -256,7 +256,7 @@ func (v View) CheckCoverage(live *entry.Set) []error {
 	case wire.Hash, wire.MultiProbe:
 		for _, m := range live.Members() {
 			stored := false
-			for _, t := range node.HomesFor(string(m), cfg, n, v.Topology) {
+			for _, t := range node.HomesFor(m, cfg, n, v.Topology) {
 				sv := v.Servers[t]
 				if !sv.Alive {
 					continue

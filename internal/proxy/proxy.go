@@ -192,15 +192,6 @@ func (p *Proxy) InvalidateKey(key string) {
 	p.settle(change{op: wire.KindPlace, key: key})
 }
 
-// Flush drops the whole result cache and detaches every in-flight
-// lookup from the fill path (membership changes; operator action).
-func (p *Proxy) Flush() {
-	p.mu.Lock()
-	p.cache.flush()
-	p.flights = make(map[flightKey]*flight)
-	p.mu.Unlock()
-}
-
 // Handle implements transport.Handler: the client-facing dispatch. A
 // standalone Lookup, Place, Add or Delete is served as the one-item
 // case of the batched path and answered in its standalone reply shape.
@@ -227,7 +218,7 @@ func (p *Proxy) Handle(ctx context.Context, msg wire.Message) wire.Message {
 	case wire.Delete:
 		// The wire has no delete envelope, so a delete is always one item.
 		return standalone(update(ctx, p, []wire.Delete{m}, splitDelete, func(ctx context.Context, _ []wire.Delete) []error {
-			return []error{p.svc.Delete(ctx, m.Key, entry.Entry(m.Entry))}
+			return []error{p.svc.Delete(ctx, m.Key, m.Entry)}
 		}))
 	case wire.MembershipUpdate:
 		return p.membership(m)
@@ -310,8 +301,7 @@ func (p *Proxy) lookupBatch(ctx context.Context, items []wire.Lookup) []wire.Loo
 // build the reply. An answer with fewer than t entries is cached like
 // any other: it keeps a hot key that holds fewer than t entries off the
 // cluster, and the next add to the key drops it.
-func (p *Proxy) finishFlight(fk flightKey, f *flight, got []entry.Entry, err error) wire.LookupReply {
-	entries := toStrings(got)
+func (p *Proxy) finishFlight(fk flightKey, f *flight, entries []entry.Entry, err error) wire.LookupReply {
 	errStr := ""
 	if err != nil {
 		errStr = err.Error()
@@ -376,11 +366,11 @@ func update[M, I any](ctx context.Context, p *Proxy, msgs []M, split func(M) (ch
 }
 
 func splitPlace(m wire.Place) (change, wire.Config, core.PlaceItem) {
-	return change{op: wire.KindPlace, key: m.Key}, m.Config, core.PlaceItem{Key: m.Key, Entries: toEntries(m.Entries)}
+	return change{op: wire.KindPlace, key: m.Key}, m.Config, core.PlaceItem{Key: m.Key, Entries: m.Entries}
 }
 
 func splitAdd(m wire.Add) (change, wire.Config, core.AddItem) {
-	return change{op: wire.KindAdd, key: m.Key}, m.Config, core.AddItem{Key: m.Key, Entry: entry.Entry(m.Entry)}
+	return change{op: wire.KindAdd, key: m.Key}, m.Config, core.AddItem{Key: m.Key, Entry: m.Entry}
 }
 
 func splitDelete(m wire.Delete) (change, wire.Config, wire.Delete) {
@@ -449,20 +439,4 @@ func (p *Proxy) forwardMaintenance(ctx context.Context, msg wire.Message) wire.M
 		}
 	}
 	return reply
-}
-
-func toStrings(entries []entry.Entry) []string {
-	out := make([]string, len(entries))
-	for i, v := range entries {
-		out[i] = string(v)
-	}
-	return out
-}
-
-func toEntries(ss []string) []entry.Entry {
-	out := make([]entry.Entry, len(ss))
-	for i, s := range ss {
-		out[i] = entry.Entry(s)
-	}
-	return out
 }

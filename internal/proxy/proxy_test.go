@@ -430,6 +430,45 @@ func TestPatchedAnswerIsCopyOnWrite(t *testing.T) {
 	}
 }
 
+// A miss caches the driver's answer itself, not a copy of it, and sends
+// the same slice in the reply. A reply taken from Handle shares it by
+// design (TestPatchedAnswerIsCopyOnWrite), so the receiver here is where
+// plsproxy's are, across the transport: what it does to the reply it
+// decoded must not reach the answer the next hit serves.
+func TestOverwritingAMissReplyDoesNotChangeTheNextHit(t *testing.T) {
+	rig := newRig(t, time.Hour, 0)
+	place(t, rig.p, "k", "a", "b", "c")
+	srv := transport.NewServer(rig.p)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer srv.Close()
+	client := transport.NewClient([]string{addr}, transport.WithTimeout(5*time.Second))
+	defer client.Close()
+	ask := func() []string {
+		t.Helper()
+		reply, err := client.Call(context.Background(), 0, wire.Lookup{Key: "k", T: 2})
+		lr, ok := reply.(wire.LookupReply)
+		if err != nil || !ok || lr.Err != "" || len(lr.Entries) < 2 {
+			t.Fatalf("lookup: %#v, %v", reply, err)
+		}
+		return lr.Entries
+	}
+
+	miss := ask()
+	want := slices.Clone(miss)
+	for i := range miss {
+		miss[i] = "overwritten"
+	}
+	if hit := ask(); !slices.Equal(hit, want) {
+		t.Fatalf("hit served %v after the miss's receiver overwrote its reply, want %v", hit, want)
+	}
+	if rig.m.CacheMisses.Value() != 1 || rig.m.CacheHits.Value() != 1 {
+		t.Fatalf("misses %d, hits %d: want one of each", rig.m.CacheMisses.Value(), rig.m.CacheHits.Value())
+	}
+}
+
 // The stale-fill guard: an invalidation racing an in-flight lookup
 // must keep that flight's answer out of the cache. Followers that
 // joined before the update completed still get the pre-update answer
@@ -646,7 +685,7 @@ func TestColdPathByteIdentity(t *testing.T) {
 				for j := range entries {
 					entries[j] = fmt.Sprintf("v%d-%d", i, j)
 				}
-				if err := direct.Place(ctx, key, toEntries(entries)); err != nil {
+				if err := direct.Place(ctx, key, entries); err != nil {
 					t.Fatal(err)
 				}
 				ack := p.Handle(ctx, wire.Place{Key: key, Config: cfg, Entries: entries})
@@ -665,7 +704,7 @@ func TestColdPathByteIdentity(t *testing.T) {
 					if got.Err != "" {
 						t.Fatal(got.Err)
 					}
-					if !reflect.DeepEqual(got.Entries, toStrings(want.Entries)) {
+					if !reflect.DeepEqual(got.Entries, want.Entries) {
 						t.Fatalf("round %d key %s: proxy %v != direct %v", round, key, got.Entries, want.Entries)
 					}
 				}
@@ -773,22 +812,6 @@ func newSeededService(t *testing.T, cfg wire.Config) *core.Service {
 		t.Fatal(err)
 	}
 	return svc
-}
-
-func toEntries(ss []string) []core.Entry {
-	out := make([]core.Entry, len(ss))
-	for i, s := range ss {
-		out[i] = core.Entry(s)
-	}
-	return out
-}
-
-func toStrings(es []core.Entry) []string {
-	out := make([]string, len(es))
-	for i, e := range es {
-		out[i] = string(e)
-	}
-	return out
 }
 
 // TestMissDoesNotDelayHitOnTheSameConn: behind transport.Server a cache

@@ -15,8 +15,10 @@
 package selector
 
 import (
+	"cmp"
 	"container/list"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -409,8 +411,7 @@ func (s *Selector) orderLocked(base []int, pos []posEntry, neg []int) []int {
 	}
 	// The cached tier orders by recorded answer size (rank in pos), not
 	// base order: the fattest known answer is the cheapest first probe.
-	cached := byTier[tierCached]
-	sortByRank(cached, inPos)
+	slices.SortFunc(byTier[tierCached], func(a, b int) int { return cmp.Compare(inPos[a], inPos[b]) })
 	// Zone ordering: within every other tier, nearest zone first (the
 	// cached tier's recorded-answer ranking wins over distance — a known
 	// fat answer beats a near empty one). Stable, so equidistant servers
@@ -514,28 +515,11 @@ type posEntry struct {
 }
 
 // sortPos orders positive entries by answer size descending, server id
-// ascending for determinism. Insertion sort: lists are at most a few
-// entries long.
+// ascending for determinism.
 func sortPos(pos []posEntry) {
-	for i := 1; i < len(pos); i++ {
-		for j := i; j > 0; j-- {
-			a, b := pos[j-1], pos[j]
-			if a.entries > b.entries || (a.entries == b.entries && a.server < b.server) {
-				break
-			}
-			pos[j-1], pos[j] = b, a
-		}
-	}
-}
-
-// sortByRank orders servers by their rank in the positive list
-// (insertion sort over a handful of entries).
-func sortByRank(servers []int, rank map[int]int) {
-	for i := 1; i < len(servers); i++ {
-		for j := i; j > 0 && rank[servers[j]] < rank[servers[j-1]]; j-- {
-			servers[j], servers[j-1] = servers[j-1], servers[j]
-		}
-	}
+	slices.SortFunc(pos, func(a, b posEntry) int {
+		return cmp.Or(cmp.Compare(b.entries, a.entries), cmp.Compare(a.server, b.server))
+	})
 }
 
 // sortByDist stably orders servers by zone distance ascending. Ids
@@ -548,11 +532,7 @@ func sortByDist(servers []int, dists []int) {
 		}
 		return dists[sv]
 	}
-	for i := 1; i < len(servers); i++ {
-		for j := i; j > 0 && d(servers[j]) < d(servers[j-1]); j-- {
-			servers[j], servers[j-1] = servers[j-1], servers[j]
-		}
-	}
+	slices.SortStableFunc(servers, func(a, b int) int { return cmp.Compare(d(a), d(b)) })
 }
 
 // routeCache is the bounded per-key routing cache: an LRU over keys,
@@ -604,16 +584,13 @@ func (c *routeCache) record(key string, server, entries int) {
 	kr := c.touch(key, true)
 	if entries <= 0 {
 		// Negative: server answered but held nothing for this key.
-		kr.pos = removePos(kr.pos, server)
-		for _, sv := range kr.neg {
-			if sv == server {
-				return
-			}
+		kr.pos = slices.DeleteFunc(kr.pos, func(p posEntry) bool { return p.server == server })
+		if !slices.Contains(kr.neg, server) {
+			kr.neg = append(kr.neg, server)
 		}
-		kr.neg = append(kr.neg, server)
 		return
 	}
-	kr.neg = removeInt(kr.neg, server)
+	kr.neg = slices.DeleteFunc(kr.neg, func(sv int) bool { return sv == server })
 	found := false
 	for i := range kr.pos {
 		if kr.pos[i].server == server {
@@ -648,22 +625,4 @@ func (c *routeCache) invalidateNegatives(key string) bool {
 	}
 	kr.neg = nil
 	return true
-}
-
-func removePos(pos []posEntry, server int) []posEntry {
-	for i := range pos {
-		if pos[i].server == server {
-			return append(pos[:i], pos[i+1:]...)
-		}
-	}
-	return pos
-}
-
-func removeInt(xs []int, x int) []int {
-	for i := range xs {
-		if xs[i] == x {
-			return append(xs[:i], xs[i+1:]...)
-		}
-	}
-	return xs
 }

@@ -127,7 +127,7 @@ func Generate(rng *stats.RNG, cfg StreamConfig) (Stream, error) {
 	nextID := 0
 	newEntry := func() entry.Entry {
 		nextID++
-		return entry.Entry(fmt.Sprintf("e%d", nextID))
+		return fmt.Sprintf("e%d", nextID)
 	}
 
 	s.Initial = make([]entry.Entry, cfg.SteadyState)

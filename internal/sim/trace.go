@@ -11,6 +11,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/entry"
@@ -135,7 +136,7 @@ func GenerateTrace(rng *stats.RNG, cfg TraceConfig) (Trace, error) {
 	nextID := 0
 	newEntry := func() entry.Entry {
 		nextID++
-		return entry.Entry(fmt.Sprintf("e%d", nextID))
+		return fmt.Sprintf("e%d", nextID)
 	}
 
 	live := make([][]entry.Entry, cfg.Keys)
@@ -145,7 +146,7 @@ func GenerateTrace(rng *stats.RNG, cfg TraceConfig) (Trace, error) {
 		for i := range tr.Initial[k] {
 			tr.Initial[k][i] = newEntry()
 		}
-		live[k] = append([]entry.Entry(nil), tr.Initial[k]...)
+		live[k] = slices.Clone(tr.Initial[k])
 	}
 
 	zipf := NewZipf(cfg.Keys, cfg.ZipfS)

@@ -466,24 +466,6 @@ func (w *WAL) Err() error {
 	return nil
 }
 
-// SyncAll commits every open stripe: a barrier for a caller that wants
-// everything appended so far on disk without rotating or closing. The
-// request path never needs it — waiters commit their own stripes, and
-// Rotate and Close commit each stripe as they reach it.
-func (w *WAL) SyncAll() error {
-	var firstErr error
-	for _, s := range w.stripes {
-		s.mu.Lock()
-		if s.f != nil {
-			if err := w.flushStripeLocked(s); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		s.mu.Unlock()
-	}
-	return firstErr
-}
-
 // writeStripeLocked hands the stripe's buffered frames to the OS. The
 // buffer is emptied whatever the outcome (a failed write poisons the
 // log, so its records can never be acked) and kept for the next commit

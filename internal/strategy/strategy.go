@@ -104,7 +104,7 @@ func (d *Driver) Add(ctx context.Context, c transport.Caller, key string, v entr
 // Delete executes delete(k, v). The wire has no delete envelope, so a
 // delete is always the one-item case of the shared update path.
 func (d *Driver) Delete(ctx context.Context, c transport.Caller, key string, v entry.Entry) error {
-	errs := update(ctx, d, c, []string{key}, []wire.Delete{{Key: key, Config: d.cfg, Entry: string(v)}}, nil)
+	errs := update(ctx, d, c, []string{key}, []wire.Delete{{Key: key, Config: d.cfg, Entry: v}}, nil)
 	// Deletes shift which servers hold entries; drop stale negatives so
 	// probing re-learns the layout — after the ack, never before.
 	d.sel.InvalidateNegatives(key)
@@ -126,7 +126,7 @@ func (d *Driver) PlaceBatch(ctx context.Context, c transport.Caller, items []Pla
 	msgs := make([]wire.Place, len(items))
 	for i, it := range items {
 		keys[i] = it.Key
-		msgs[i] = wire.Place{Key: it.Key, Config: d.cfg, Entries: toStrings(it.Entries)}
+		msgs[i] = wire.Place{Key: it.Key, Config: d.cfg, Entries: it.Entries}
 	}
 	errs := update(ctx, d, c, keys, msgs, func(sub []wire.Place) wire.Message { return wire.PlaceBatch{Items: sub} })
 	// A place rewrites the key's whole layout: any cached route is void.
@@ -149,7 +149,7 @@ func (d *Driver) AddBatch(ctx context.Context, c transport.Caller, items []AddIt
 	msgs := make([]wire.Add, len(items))
 	for i, it := range items {
 		keys[i] = it.Key
-		msgs[i] = wire.Add{Key: it.Key, Config: d.cfg, Entry: string(it.Entry)}
+		msgs[i] = wire.Add{Key: it.Key, Config: d.cfg, Entry: it.Entry}
 	}
 	errs := update(ctx, d, c, keys, msgs, func(sub []wire.Add) wire.Message { return wire.AddBatch{Items: sub} })
 	// The new entry may land on a server the cache marked empty; drop
@@ -279,12 +279,4 @@ func allIndexes(n int) []int {
 		all[i] = i
 	}
 	return all
-}
-
-func toStrings(entries []entry.Entry) []string {
-	out := make([]string, len(entries))
-	for i, v := range entries {
-		out[i] = string(v)
-	}
-	return out
 }

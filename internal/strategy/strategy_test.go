@@ -3,6 +3,7 @@ package strategy_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -208,6 +209,50 @@ func TestLookupUnknownKey(t *testing.T) {
 	// Every server is probed before giving up.
 	if res.Contacted != 4 {
 		t.Fatalf("contacted %d, want 4", res.Contacted)
+	}
+}
+
+// Place hands the caller's entry list to the wire as it is, and the
+// in-process transport hands the message to the nodes un-encoded: no
+// server may write to that list, or keep it in place of its own copy.
+func TestPlaceNeitherWritesNorKeepsTheCallersSlice(t *testing.T) {
+	for _, cfg := range []wire.Config{
+		{Scheme: wire.FullReplication},
+		{Scheme: wire.Fixed, X: 12},
+		{Scheme: wire.RandomServer, X: 12},
+		{Scheme: wire.RoundRobin, Y: 2},
+		{Scheme: wire.Hash, Y: 2, Seed: 42},
+		{Scheme: wire.MultiProbe, Y: 2, Seed: 42},
+		{Scheme: wire.KeyPartition},
+	} {
+		t.Run(cfg.String(), func(t *testing.T) {
+			rng := stats.NewRNG(23)
+			cl := cluster.New(5, rng.Split())
+			drv := strategy.MustNew(cfg, rng.Split())
+			entries := entry.Synthetic(20)
+			placed := slices.Clone(entries)
+			if err := drv.Place(context.Background(), cl.Caller(), "k", entries); err != nil {
+				t.Fatalf("Place: %v", err)
+			}
+			if !slices.Equal(entries, placed) {
+				t.Fatalf("Place left the caller's list as %v, was %v", entries, placed)
+			}
+			if cl.TotalStorage("k") == 0 {
+				t.Fatal("nothing stored")
+			}
+			before := make([][]entry.Entry, cl.N())
+			for i, set := range cl.Snapshot("k") {
+				before[i] = set.Members()
+			}
+			for i := range entries {
+				entries[i] = "overwritten"
+			}
+			for i, set := range cl.Snapshot("k") {
+				if got := set.Members(); !slices.Equal(got, before[i]) {
+					t.Fatalf("server %d holds %v after the caller overwrote its list, held %v", i, got, before[i])
+				}
+			}
+		})
 	}
 }
 
