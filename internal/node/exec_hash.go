@@ -1,6 +1,9 @@
 package node
 
-import "hash/fnv"
+import (
+	"hash/fnv"
+	"slices"
+)
 
 // HashAssign returns the distinct servers f1(v)..fy(v) that Hash-y
 // assigns entry v to, in a cluster of n servers. The paper leaves the
@@ -17,13 +20,10 @@ func HashAssign(v string, y, n int, seed uint64) []int {
 	h := fnv.New64a()
 	h.Write([]byte(v))
 	base := h.Sum64() ^ seed
-	targets := make([]int, 0, y)
-	seen := make(map[int]bool, y)
+	targets := make([]int, 0, min(y, n))
 	for i := 0; i < y; i++ {
 		z := mix64(base + uint64(i+1)*0x9e3779b97f4a7c15)
-		target := int(z % uint64(n))
-		if !seen[target] {
-			seen[target] = true
+		if target := int(z % uint64(n)); !slices.Contains(targets, target) {
 			targets = append(targets, target)
 		}
 	}

@@ -339,18 +339,38 @@ func (s *Selector) OrderMulti(keys []string, base []int) []int {
 	return s.orderLocked(base, pos, neg)
 }
 
-// OrderGlobal reorders base by scoreboard health only (no key, no
-// cache): update routing and batch envelope delivery use it.
-func (s *Selector) OrderGlobal(base []int) []int {
-	if s == nil {
-		return base
+// OrderGlobal reorders base by scoreboard health (no key, no cache) for
+// update routing. prefer names the servers that can take the update
+// without forwarding it (an entry's homes), the way OrderMulti takes
+// cached answers: those whose circuit is closed lead, in the order
+// health gives them, and one whose circuit is open or half-open keeps
+// its place at the back. A nil or cold selector moves prefer's servers
+// to the front of base in place, in base's order, and returns base.
+func (s *Selector) OrderGlobal(base, prefer []int) []int {
+	if s != nil {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if !s.coldLocked() {
+			return lead(s.orderLocked(base, nil, nil), prefer, s.servers)
+		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.coldLocked() {
-		return base
+	return lead(base, prefer, nil)
+}
+
+// lead moves the servers of order that are in prefer, bar those with an
+// open circuit on servers, to the front of order in place, keeping the
+// relative order of both groups.
+func lead(order, prefer []int, servers []serverState) []int {
+	k := 0
+	for i, sv := range order {
+		if !slices.Contains(prefer, sv) || sv >= 0 && sv < len(servers) && servers[sv].open {
+			continue
+		}
+		copy(order[k+1:i+1], order[k:i])
+		order[k] = sv
+		k++
 	}
-	return s.orderLocked(base, nil, nil)
+	return order
 }
 
 // coldLocked reports whether ordering has no signal to act on: nothing

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -31,7 +32,7 @@ func TestColdSelectorIsIdentity(t *testing.T) {
 	for _, got := range [][]int{
 		s.Order("k", in),
 		s.OrderMulti([]string{"a", "b"}, in),
-		s.OrderGlobal(in),
+		s.OrderGlobal(in, nil),
 	} {
 		if !reflect.DeepEqual(got, in) {
 			t.Fatalf("cold order = %v, want %v", got, in)
@@ -40,6 +41,41 @@ func TestColdSelectorIsIdentity(t *testing.T) {
 	var nilSel *Selector
 	if got := nilSel.Order("k", in); !reflect.DeepEqual(got, in) {
 		t.Fatalf("nil selector order = %v, want %v", got, in)
+	}
+}
+
+// OrderGlobal's preferred servers (an update's homes) lead: in base's
+// order on a nil or cold selector, in health order on a warm one, where
+// a preferred server with an open or half-open circuit stays at the back.
+func TestOrderGlobalPrefersHealthyServers(t *testing.T) {
+	in := []int{5, 2, 0, 4, 1, 3}
+	var nilSel *Selector
+	for _, s := range []*Selector{nilSel, New(6, Options{})} {
+		if got, want := s.OrderGlobal(slices.Clone(in), []int{4, 2}), []int{2, 4, 5, 0, 1, 3}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("cold order = %v, want %v", got, want)
+		}
+	}
+
+	now := time.Unix(1000, 0)
+	s := New(6, Options{Now: func() time.Time { return now }})
+	for i := 0; i < defaultFailThreshold; i++ {
+		s.RecordFailure(4)
+	}
+	s.RecordSuccess(0, time.Millisecond)
+	s.RecordSuccess(2, 10*time.Millisecond) // slow: behind 0 in health order
+	// By health alone: 5 0 1 3 healthy, 2 slow, 4 open.
+	if got, want := s.OrderGlobal(in, nil), []int{5, 0, 1, 3, 2, 4}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+	if got, want := s.OrderGlobal(in, []int{2, 0}), []int{0, 2, 5, 1, 3, 4}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("order preferring 2 and 0 = %v, want %v (ties in health order)", got, want)
+	}
+	if got, want := s.OrderGlobal(in, []int{4, 2}), []int{2, 5, 0, 1, 3, 4}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("order preferring open 4 = %v, want %v", got, want)
+	}
+	now = now.Add(2 * probeAfter) // 4 is granted a half-open trial: still not a leader
+	if got, want := s.OrderGlobal(in, []int{4}), []int{5, 0, 1, 3, 2, 4}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("order preferring half-open 4 = %v, want %v", got, want)
 	}
 }
 

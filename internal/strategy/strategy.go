@@ -104,7 +104,7 @@ func (d *Driver) Add(ctx context.Context, c transport.Caller, key string, v entr
 // Delete executes delete(k, v). The wire has no delete envelope, so a
 // delete is always the one-item case of the shared update path.
 func (d *Driver) Delete(ctx context.Context, c transport.Caller, key string, v entry.Entry) error {
-	errs := update(ctx, d, c, []string{key}, []wire.Delete{{Key: key, Config: d.cfg, Entry: v}}, nil)
+	errs := update(ctx, d, c, []string{key}, []wire.Delete{{Key: key, Config: d.cfg, Entry: v}}, nil, d.homes(v, c.NumServers()))
 	// Deletes shift which servers hold entries; drop stale negatives so
 	// probing re-learns the layout — after the ack, never before.
 	d.sel.InvalidateNegatives(key)
@@ -128,7 +128,7 @@ func (d *Driver) PlaceBatch(ctx context.Context, c transport.Caller, items []Pla
 		keys[i] = it.Key
 		msgs[i] = wire.Place{Key: it.Key, Config: d.cfg, Entries: it.Entries}
 	}
-	errs := update(ctx, d, c, keys, msgs, func(sub []wire.Place) wire.Message { return wire.PlaceBatch{Items: sub} })
+	errs := update(ctx, d, c, keys, msgs, func(sub []wire.Place) wire.Message { return wire.PlaceBatch{Items: sub} }, nil)
 	// A place rewrites the key's whole layout: any cached route is void.
 	// Invalidate AFTER the server acks (and conservatively on error —
 	// the update may have partially landed): invalidating before the
@@ -151,7 +151,11 @@ func (d *Driver) AddBatch(ctx context.Context, c transport.Caller, items []AddIt
 		keys[i] = it.Key
 		msgs[i] = wire.Add{Key: it.Key, Config: d.cfg, Entry: it.Entry}
 	}
-	errs := update(ctx, d, c, keys, msgs, func(sub []wire.Add) wire.Message { return wire.AddBatch{Items: sub} })
+	var prefer []int
+	if len(items) == 1 {
+		prefer = d.homes(items[0].Entry, c.NumServers())
+	}
+	errs := update(ctx, d, c, keys, msgs, func(sub []wire.Add) wire.Message { return wire.AddBatch{Items: sub} }, prefer)
 	// The new entry may land on a server the cache marked empty; drop
 	// negatives only after the ack (see PlaceBatch for the ordering).
 	for _, key := range keys {
@@ -162,14 +166,27 @@ func (d *Driver) AddBatch(ctx context.Context, c transport.Caller, items []AddIt
 
 // update routes the standalone update messages msgs (msgs[i] is for
 // keys[i]) to their initial servers and delivers them, one error slot
-// per message. The initial-server rule per scheme: KeyPartition's
-// client knows each key's responsible server and contacts it directly
-// (no other server can help), so the items fan out per distinct home;
-// Round-y updates must reach a coordinator (server 0 in the paper's
-// base scheme, Sec. 5.4; with replicated coordinators — footnote 1 —
-// the lowest-numbered live one); every other scheme takes a random live
-// server, health-weighted when a selector is attached.
-func update[T wire.Message](ctx context.Context, d *Driver, c transport.Caller, keys []string, msgs []T, wrap func([]T) wire.Message) []error {
+// per message. The initial-server rule per scheme:
+//
+//   - KeyPartition: each key's responsible server, contacted directly
+//     (no other server can help), so the items fan out per distinct home.
+//   - Round-y: a coordinator (server 0 in the paper's base scheme,
+//     Sec. 5.4; with replicated coordinators — footnote 1 — the
+//     lowest-numbered live one).
+//   - Hash-y/MultiProbe-y add or delete of one item: a home of the
+//     entry, which stores its own copy without a peer round trip; then a
+//     random live server. A ZoneSpread config starts at a random one: its
+//     homes depend on a topology the client does not have.
+//   - Every other scheme, a multi-item batch and a Hash-y/MultiProbe-y
+//     place (which reaches every server anyway): a random live server.
+//
+// The random order is the seeded permutation, drawn for every update
+// whichever server leads, and health-weighted when a selector is
+// attached; prefer (see Driver.homes) names the servers to lead it.
+// Homes are a hint: the server recomputes them from its own view, so a
+// wrong guess (a stale n mid-join or mid-drain) costs the forwarding hop
+// the update would have paid anyway.
+func update[T wire.Message](ctx context.Context, d *Driver, c transport.Caller, keys []string, msgs []T, wrap func([]T) wire.Message, prefer []int) []error {
 	errs := make([]error, len(msgs))
 	n := c.NumServers()
 	switch d.cfg.Scheme {
@@ -184,9 +201,21 @@ func update[T wire.Message](ctx context.Context, d *Driver, c transport.Caller, 
 		}
 		deliver(ctx, c, coords, msgs, allIndexes(len(msgs)), wrap, errs)
 	default:
-		deliver(ctx, c, d.sel.OrderGlobal(d.perm(n)), msgs, allIndexes(len(msgs)), wrap, errs)
+		deliver(ctx, c, d.sel.OrderGlobal(d.perm(n), prefer), msgs, allIndexes(len(msgs)), wrap, errs)
 	}
 	return errs
+}
+
+// homes returns entry v's homes under the client's view of n servers:
+// where a Hash-y or MultiProbe-y add or delete of v should start
+// (node.HomesFor is nil for every other scheme). It is nil for a
+// ZoneSpread config, whose homes depend on a topology the client does
+// not have.
+func (d *Driver) homes(v string, n int) []int {
+	if d.cfg.ZoneSpread {
+		return nil
+	}
+	return node.HomesFor(v, d.cfg, n, nil)
 }
 
 // deliver sends the messages at idxs to the first server of route that
@@ -243,6 +272,10 @@ func deliver[T wire.Message](ctx context.Context, c transport.Caller, route []in
 				errs[i] = fmt.Errorf("strategy: server %d: %s", server, outcomes[j])
 			}
 		}
+		return
+	}
+	if lastErr == nil { // an empty route: no server to try
+		fail(ErrNoLiveServers)
 		return
 	}
 	fail(fmt.Errorf("%w: %w", ErrNoLiveServers, lastErr))

@@ -7,7 +7,8 @@
 // BENCHMARK.json fixes and tracing off. Every run is printed as it
 // finishes; the summary gives, per workload and end-to-end metric, both
 // medians and quartiles, the change's median relative to the parent's,
-// the parent's IQR relative to its median, and the pairs the change won.
+// the parent's IQR relative to its median, the pairs the change won, and
+// whether that is a claimable gain by the guide's rule (claim).
 //
 // Usage (make e2e-pair PARENT=<rev> [PAIRS=10] [SEED=1] [WORKLOADS=a,b]):
 //
@@ -125,8 +126,8 @@ func run(parent string, pairs int, seed uint64, only string) error {
 		}
 	}
 
-	fmt.Printf("\n%d pairs, seed %d, %d s per run; quartiles as [q1 q3]; 'better' is the change's median against the parent's, signed so that positive is an improvement\n", pairs, seed, sp.RunSeconds)
-	fmt.Printf("%-20s %-18s %30s %30s %8s %10s %6s\n", "workload", "metric", "parent median [q1 q3]", "change median [q1 q3]", "better", "parent iqr", "wins")
+	fmt.Printf("\n%d pairs, seed %d, %d s per run; quartiles as [q1 q3]; 'better' is the change's median against the parent's, signed so that positive is an improvement; 'claim' is yes when the change won at least 9/10 of at least ten pairs and its median is better by more than the parent's IQR\n", pairs, seed, sp.RunSeconds)
+	fmt.Printf("%-20s %-18s %30s %30s %8s %10s %6s %5s\n", "workload", "metric", "parent median [q1 q3]", "change median [q1 q3]", "better", "parent iqr", "wins", "claim")
 	for _, w := range sp.Workloads {
 		for _, m := range sp.EndToEnd {
 			both, ok := values[w.Name][m.Name]
@@ -145,13 +146,31 @@ func run(parent string, pairs int, seed uint64, only string) error {
 				}
 			}
 			pq, cq := quartiles(p), quartiles(c)
-			fmt.Printf("%-20s %-18s %30s %30s %+7.1f%% %9.1f%% %3d/%d\n", w.Name, m.Name,
+			fmt.Printf("%-20s %-18s %30s %30s %+7.1f%% %9.1f%% %3d/%d %5s\n", w.Name, m.Name,
 				fmt.Sprintf("%.5g [%.5g %.5g]", pq[1], pq[0], pq[2]),
 				fmt.Sprintf("%.5g [%.5g %.5g]", cq[1], cq[0], cq[2]),
-				100*sign*(cq[1]-pq[1])/pq[1], 100*(pq[2]-pq[0])/pq[1], wins, len(p))
+				100*sign*(cq[1]-pq[1])/pq[1], 100*(pq[2]-pq[0])/pq[1], wins, len(p),
+				claim(wins, len(p), sign*(cq[1]-pq[1]), pq[2]-pq[0]))
 		}
 	}
 	return nil
+}
+
+// claim applies the choosing-metrics rule for claiming a gain: with at
+// least ten pairs run (fewer is "n/a"), the change won at least nine
+// tenths of them (ties count for neither) and its median is better than
+// the parent's by more than the parent's IQR. gain is the median
+// difference signed so that positive is better. The rule that failed
+// operations must not rise needs no check here: a run with any failed
+// operation stops benchpair (see bench).
+func claim(wins, pairs int, gain, parentIQR float64) string {
+	if pairs < 10 {
+		return "n/a"
+	}
+	if 10*wins >= 9*pairs && gain > parentIQR {
+		return "yes"
+	}
+	return "no"
 }
 
 // sh runs a shell command in dir, passing its output through.
