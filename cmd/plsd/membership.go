@@ -27,8 +27,10 @@ import (
 //     pre-compaction slot space while the leaver is still attached.
 //
 // Membership operations must be serialized through one coordinator at
-// a time; the mutex protects this daemon, and the epoch check on every
-// member rejects stale double-commits from operator error.
+// a time; the mutex protects this daemon. A second coordinator that
+// picks the same epoch is refused by every member that committed the
+// first (node.ErrMembershipConflict), so the two cannot diverge
+// silently; a replayed update acks as a no-op.
 type membershipController struct {
 	mu     sync.Mutex
 	nd     *node.Node
@@ -200,8 +202,8 @@ func (c *membershipController) commit(ctx context.Context, update wire.Membershi
 	}
 	// Local commit last, through the same handler every remote member
 	// runs (epoch CAS, hooks, sweep).
-	if reply := c.nd.Handle(ctx, update); replyErr(reply) != "" {
-		return fmt.Errorf("local commit: %s", replyErr(reply))
+	if err := node.MembershipAckErr(c.nd.Handle(ctx, update)); err != nil {
+		return fmt.Errorf("local commit: %w", err)
 	}
 	return nil
 }
@@ -213,17 +215,7 @@ func (c *membershipController) callUpdate(ctx context.Context, server int, updat
 	if err != nil {
 		return err
 	}
-	if e := replyErr(reply); e != "" {
-		return fmt.Errorf("%s", e)
-	}
-	return nil
-}
-
-func replyErr(m wire.Message) string {
-	if ack, ok := m.(wire.Ack); ok {
-		return ack.Err
-	}
-	return ""
+	return node.MembershipAckErr(reply)
 }
 
 // joinCluster runs the joiner side of plsd -join: ask the coordinator

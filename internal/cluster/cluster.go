@@ -489,8 +489,8 @@ func (c *Cluster) broadcastUpdate(ctx context.Context, m wire.MembershipUpdate, 
 			}
 			return
 		}
-		if ack, ok := reply.(wire.Ack); ok && ack.Err != "" && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: membership update to %d: %s", target, ack.Err)
+		if err := node.MembershipAckErr(reply); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("cluster: membership update to %d: %w", target, err)
 		}
 	}
 	for _, t := range first {

@@ -1,5 +1,5 @@
 // Package entry defines the Entry type managed by a partial lookup service
-// and Set, an indexed set of entries supporting O(1) insertion, removal,
+// and Set, a set of entries supporting cheap insertion, removal,
 // membership tests, and uniform random sampling.
 //
 // Entries are opaque byte strings: the location of a resource (an IP
@@ -10,6 +10,7 @@ package entry
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -35,38 +36,51 @@ type Sampler interface {
 // for use. Set is not safe for concurrent use; callers (e.g. a server
 // node) serialize access.
 //
-// Internally a Set keeps a dense slice of its members plus an index map,
-// so insertion, removal, membership and uniform sampling are all O(1).
-// Each member also carries a monotonically increasing sequence number
-// recording insertion order, which the Round-Robin strategy uses to find
-// the oldest entry at a server ("head" entry, Fig. 10 of the paper).
+// Internally a Set keeps a dense slice of its members, so sampling is
+// O(1) per draw. Up to scanMax members, membership is a scan of that
+// slice, which beats a map on a server's few short entries and costs no
+// allocation; a set that outgrows scanMax builds an index map once and
+// keeps it. Each member also carries a monotonically increasing
+// sequence number recording insertion order, which the Round-Robin
+// strategy uses to find the oldest entry at a server ("head" entry,
+// Fig. 10 of the paper).
 type Set struct {
 	members []Entry
 	seqs    []uint64 // seqs[i] is the insertion sequence of members[i]
+	// index, when not nil, maps each member to its slot. It is never nil
+	// while the set holds more than scanMax members.
 	index   map[Entry]int
 	nextSeq uint64
 }
 
 // NewSet returns a set pre-sized for n members.
 func NewSet(n int) *Set {
-	return &Set{
+	s := &Set{
 		members: make([]Entry, 0, n),
 		seqs:    make([]uint64, 0, n),
-		index:   make(map[Entry]int, n),
 	}
+	if n > scanMax {
+		s.index = make(map[Entry]int, n)
+	}
+	return s
 }
 
 // Len returns the number of members.
 func (s *Set) Len() int { return len(s.members) }
 
-// Contains reports whether v is a member.
-func (s *Set) Contains(v Entry) bool {
+// find returns v's slot in members, or -1.
+func (s *Set) find(v Entry) int {
 	if s.index == nil {
-		return false
+		return slices.Index(s.members, v)
 	}
-	_, ok := s.index[v]
-	return ok
+	if i, ok := s.index[v]; ok {
+		return i
+	}
+	return -1
 }
+
+// Contains reports whether v is a member.
+func (s *Set) Contains(v Entry) bool { return s.find(v) >= 0 }
 
 // Add inserts v and reports whether it was not already present.
 // Adding an invalid entry panics: it indicates a caller bug, not an
@@ -75,36 +89,46 @@ func (s *Set) Add(v Entry) bool {
 	if !Valid(v) {
 		panic("entry: Add called with invalid (empty) entry")
 	}
-	if s.index == nil {
-		s.index = make(map[Entry]int)
-	}
-	if _, ok := s.index[v]; ok {
+	if s.find(v) >= 0 {
 		return false
 	}
-	s.index[v] = len(s.members)
-	s.members = append(s.members, v)
-	s.seqs = append(s.seqs, s.nextSeq)
+	s.push(v, s.nextSeq)
 	s.nextSeq++
 	return true
 }
 
+// push appends v, a non-member, with insertion sequence seq, building
+// the index when the set outgrows scanMax.
+func (s *Set) push(v Entry, seq uint64) {
+	if s.index == nil && len(s.members) >= scanMax {
+		s.index = make(map[Entry]int, 2*len(s.members))
+		for i, m := range s.members {
+			s.index[m] = i
+		}
+	}
+	if s.index != nil {
+		s.index[v] = len(s.members)
+	}
+	s.members = append(s.members, v)
+	s.seqs = append(s.seqs, seq)
+}
+
 // Remove deletes v and reports whether it was present.
 func (s *Set) Remove(v Entry) bool {
-	if s.index == nil {
-		return false
-	}
-	i, ok := s.index[v]
-	if !ok {
+	i := s.find(v)
+	if i < 0 {
 		return false
 	}
 	last := len(s.members) - 1
 	moved := s.members[last]
 	s.members[i] = moved
 	s.seqs[i] = s.seqs[last]
-	s.index[moved] = i
 	s.members = s.members[:last]
 	s.seqs = s.seqs[:last]
-	delete(s.index, v)
+	if s.index != nil {
+		s.index[moved] = i
+		delete(s.index, v)
+	}
 	return true
 }
 
@@ -196,13 +220,14 @@ func (s *Set) Members() []Entry {
 
 // Clone returns a deep copy of the set, preserving insertion sequences.
 func (s *Set) Clone() *Set {
-	c := NewSet(s.Len())
-	c.members = append(c.members[:0], s.members...)
-	c.seqs = append(c.seqs[:0], s.seqs...)
-	for v, i := range s.index {
-		c.index[v] = i
+	c := &Set{
+		members: slices.Clone(s.members),
+		seqs:    slices.Clone(s.seqs),
+		nextSeq: s.nextSeq,
 	}
-	c.nextSeq = s.nextSeq
+	if len(s.members) > scanMax {
+		c.index = maps.Clone(s.index)
+	}
 	return c
 }
 
@@ -233,15 +258,13 @@ func RestoreSet(members []Entry, seqs []uint64, nextSeq uint64) (*Set, error) {
 		if !Valid(v) {
 			return nil, fmt.Errorf("entry: restore with invalid entry at %d", i)
 		}
-		if _, dup := s.index[v]; dup {
+		if s.find(v) >= 0 {
 			return nil, fmt.Errorf("entry: restore with duplicate entry %q", v)
 		}
 		if seqs[i] >= nextSeq {
 			return nil, fmt.Errorf("entry: restore seq %d >= nextSeq %d", seqs[i], nextSeq)
 		}
-		s.index[v] = i
-		s.members = append(s.members, v)
-		s.seqs = append(s.seqs, seqs[i])
+		s.push(v, seqs[i])
 	}
 	s.nextSeq = nextSeq
 	return s, nil
@@ -251,9 +274,7 @@ func RestoreSet(members []Entry, seqs []uint64, nextSeq uint64) (*Set, error) {
 func (s *Set) Clear() {
 	s.members = s.members[:0]
 	s.seqs = s.seqs[:0]
-	for k := range s.index {
-		delete(s.index, k)
-	}
+	clear(s.index)
 }
 
 // String renders the set sorted, for test failure messages.
@@ -286,21 +307,22 @@ func Union(sets ...*Set) int {
 	return len(seen)
 }
 
-// dedupScanMax is the merged-set size up to which Dedup finds a
-// duplicate by scanning dst: a partial lookup's answer is a dozen or so
-// short strings, which a scan beats a map on without allocating one.
-const dedupScanMax = 32
+// scanMax is the size up to which a Set, and Dedup's merged answer,
+// find a member by scanning: a server's share of a key and a partial
+// lookup's answer are a dozen or so short strings, which a scan beats a
+// map on without allocating one.
+const scanMax = 32
 
 // Dedup appends to dst, whose entries are distinct, the entries of src
 // not already in it, and returns the extended dst. Clients use it to
 // merge answers from multiple servers during a partial lookup. dst is
 // grown once per call, to hold all of src.
-// seen is nil until dst outgrows dedupScanMax; from then on it is the
-// set of dst's entries, and the caller passes the returned one back in.
+// seen is nil until dst outgrows scanMax; from then on it is the set of
+// dst's entries, and the caller passes the returned one back in.
 func Dedup(dst []Entry, seen map[Entry]struct{}, src []Entry) ([]Entry, map[Entry]struct{}) {
 	dst = slices.Grow(dst, len(src))
 	for _, v := range src {
-		if seen == nil && len(dst) >= dedupScanMax {
+		if seen == nil && len(dst) >= scanMax {
 			seen = make(map[Entry]struct{}, 2*len(dst))
 			for _, have := range dst {
 				seen[have] = struct{}{}

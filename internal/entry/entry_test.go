@@ -272,7 +272,7 @@ func TestDedup(t *testing.T) {
 // order — on either side of the switch from scanning to the map, also
 // when one call crosses it.
 func TestDedupPastScanMax(t *testing.T) {
-	src := append(Synthetic(3*dedupScanMax), Synthetic(3*dedupScanMax)...)
+	src := append(Synthetic(3*scanMax), Synthetic(3*scanMax)...)
 	var want []Entry
 	have := make(map[Entry]bool)
 	for _, v := range src {
@@ -281,7 +281,7 @@ func TestDedupPastScanMax(t *testing.T) {
 			want = append(want, v)
 		}
 	}
-	for _, chunk := range []int{1, 7, dedupScanMax, len(src)} {
+	for _, chunk := range []int{1, 7, scanMax, len(src)} {
 		var out []Entry
 		var seen map[Entry]struct{}
 		for i := 0; i < len(src); i += chunk {

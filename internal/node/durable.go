@@ -309,10 +309,9 @@ func stateFromSnapKey(sk wire.SnapKey) (store.State, error) {
 			return store.State{}, fmt.Errorf("key %q: %d position entries but %d positions", sk.Key, len(sk.PosEntries), len(sk.Positions))
 		}
 		ext := &roundExt{
-			head:       sk.Head,
-			tail:       sk.Tail,
-			positions:  make(map[entry.Entry]int, len(sk.PosEntries)),
-			migrations: make(map[entry.Entry]*migration),
+			head:      sk.Head,
+			tail:      sk.Tail,
+			positions: make(map[entry.Entry]int, len(sk.PosEntries)),
 		}
 		for i, e := range sk.PosEntries {
 			ext.positions[e] = int(sk.Positions[i])

@@ -36,7 +36,8 @@ type roundExt struct {
 
 	// migrations tracks in-flight Fig. 11 migrations at the head
 	// server: per deleted entry, the replacement R[v], its position,
-	// and the count M[v] of migrate requests serviced so far.
+	// and the count M[v] of migrate requests serviced so far. Only a
+	// delete's head server writes it, so it is nil until then.
 	migrations map[entry.Entry]*migration
 }
 
@@ -52,10 +53,7 @@ type migration struct {
 func roundExtOf(st *store.State) *roundExt {
 	ext, ok := st.Ext.(*roundExt)
 	if !ok {
-		ext = &roundExt{
-			positions:  make(map[entry.Entry]int),
-			migrations: make(map[entry.Entry]*migration),
-		}
+		ext = &roundExt{positions: make(map[entry.Entry]int)}
 		st.Ext = ext
 	}
 	return ext
@@ -201,6 +199,9 @@ func (n *Node) handleRoundRemove(ctx context.Context, m wire.RoundRemove) wire.M
 					u, found = e, true
 					break
 				}
+			}
+			if ext.migrations == nil {
+				ext.migrations = make(map[entry.Entry]*migration)
 			}
 			ext.migrations[v] = &migration{replacement: u, found: found, headPos: m.HeadPos}
 		}

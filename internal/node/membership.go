@@ -2,7 +2,10 @@ package node
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -112,23 +115,56 @@ type RebalanceStats struct {
 	Dropped int
 }
 
+// ErrMembershipConflict refuses a membership update whose epoch this
+// member has already committed to a different transition: two
+// coordinators chose the same next epoch. MembershipAckErr recovers it
+// from the refusal's Ack, across the wire too.
+var ErrMembershipConflict = errors.New("node: membership conflict")
+
+// sameTransition reports whether a and b commit the same change.
+func sameTransition(a, b wire.MembershipUpdate) bool {
+	return a.OldN == b.OldN && a.NewN == b.NewN && a.Leaving == b.Leaving &&
+		slices.Equal(a.Joined, b.Joined) && slices.Equal(a.Addrs, b.Addrs)
+}
+
+// MembershipAckErr returns the error a member's reply to a
+// MembershipUpdate carries: nil for a clean ack, one that errors.Is
+// matches to ErrMembershipConflict for a conflict refusal.
+func MembershipAckErr(reply wire.Message) error {
+	ack, ok := reply.(wire.Ack)
+	if !ok || ack.Err == "" {
+		return nil
+	}
+	if rest, ok := strings.CutPrefix(ack.Err, ErrMembershipConflict.Error()); ok {
+		return fmt.Errorf("%w%s", ErrMembershipConflict, rest)
+	}
+	return errors.New(ack.Err)
+}
+
 // handleMembershipUpdate commits a transition on this member: adopt
-// the epoch (at-or-below the current one is a replayed broadcast and
-// acks as a no-op), let the host adjust its transport view, then sweep
-// every key synchronously — the Ack tells the coordinator this member
-// has finished moving its share.
+// the epoch, let the host adjust its transport view, then sweep every
+// key synchronously — the Ack tells the coordinator this member has
+// finished moving its share. An update below the current epoch, or the
+// committed transition again, is a replayed broadcast and acks as a
+// no-op; a different transition under the current epoch is refused
+// with ErrMembershipConflict.
 func (n *Node) handleMembershipUpdate(ctx context.Context, m wire.MembershipUpdate) wire.Message {
 	if err := validateMembershipUpdate(m); err != nil {
 		return wire.Ack{Err: err.Error()}
 	}
 	for {
-		cur := n.memberEpoch.Load()
-		if m.Epoch <= cur {
-			return wire.Ack{} // already applied (double join, re-broadcast)
+		cur := n.applied.Load()
+		if m.Epoch > epochOf(cur) {
+			if n.applied.CompareAndSwap(cur, &m) {
+				break
+			}
+			continue
 		}
-		if n.memberEpoch.CompareAndSwap(cur, m.Epoch) {
-			break
+		if cur != nil && m.Epoch == cur.Epoch && !sameTransition(m, *cur) {
+			return wire.Ack{Err: fmt.Sprintf("%v: epoch %d committed oldN=%d newN=%d leaving=%d joined=%v, refused oldN=%d newN=%d leaving=%d joined=%v",
+				ErrMembershipConflict, m.Epoch, cur.OldN, cur.NewN, cur.Leaving, cur.Joined, m.OldN, m.NewN, m.Leaving, m.Joined)}
 		}
+		return wire.Ack{} // already applied (double join, re-broadcast)
 	}
 	n.peersMu.RLock()
 	hook := n.memberHook
@@ -218,7 +254,7 @@ func (n *Node) handleRebalancePush(m wire.RebalancePush) wire.Message {
 	if m.NewN < 1 {
 		return wire.RepairPushReply{Err: "node: rebalance push with empty cluster"}
 	}
-	if cur := n.memberEpoch.Load(); m.Epoch < cur {
+	if cur := n.MemberEpoch(); m.Epoch < cur {
 		return wire.RepairPushReply{Err: fmt.Sprintf("node: stale rebalance push (epoch %d < %d)", m.Epoch, cur)}
 	}
 	// Once the host has compacted this epoch's transition, our id is
@@ -322,7 +358,15 @@ func (n *Node) MarkCompacted(epoch uint64) {
 }
 
 // MemberEpoch returns the last membership epoch this node committed.
-func (n *Node) MemberEpoch() uint64 { return n.memberEpoch.Load() }
+func (n *Node) MemberEpoch() uint64 { return epochOf(n.applied.Load()) }
+
+// epochOf is the epoch of a committed update, 0 before the first.
+func epochOf(m *wire.MembershipUpdate) uint64 {
+	if m == nil {
+		return 0
+	}
+	return m.Epoch
+}
 
 // LastRebalance returns the stats of the node's most recent rebalance
 // sweep, or false if it has never rebalanced.

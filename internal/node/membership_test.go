@@ -2,6 +2,7 @@ package node_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -480,6 +481,52 @@ func TestDoubleJoinSameAddressRejected(t *testing.T) {
 	if h.cl.N() != n {
 		t.Fatalf("N = %d after wire leave, want %d", h.cl.N(), n)
 	}
+}
+
+// Two coordinators read epoch e and each commit a different transition
+// under e+1. The cluster's drain of server 4 reaches the members first;
+// a second coordinator's drain of server 2 under the same epoch is then
+// refused by every member with ErrMembershipConflict — matched on the
+// reply and on its wire round trip — and moves nothing, while the
+// winner's own re-broadcast still acks.
+func TestConflictingTransitionsUnderOneEpoch(t *testing.T) {
+	ctx := context.Background()
+	cfg := wire.Config{Scheme: wire.Hash, Y: 3, Seed: 2}
+	h := newHarness(t, 5, 71)
+	live := h.workload(cfg, 12)
+	addrs, epoch := h.cl.Addrs(), h.cl.MemberEpoch()
+
+	if _, err := h.cl.Drain(ctx, 4); err != nil {
+		t.Fatalf("Drain(4): %v", err)
+	}
+	won := wire.MembershipUpdate{Epoch: epoch + 1, OldN: 5, NewN: 4, Leaving: 4, Addrs: h.cl.Addrs()}
+	lost := wire.MembershipUpdate{Epoch: epoch + 1, OldN: 5, NewN: 4, Leaving: 2,
+		Addrs: append(append([]string(nil), addrs[:2]...), addrs[3:]...)}
+	before := clusterSnapshot(h.cl, "k")
+
+	for s := 0; s < h.cl.N(); s++ {
+		reply := h.call(s, lost)
+		if err := node.MembershipAckErr(reply); !errors.Is(err, node.ErrMembershipConflict) {
+			t.Fatalf("member %d answered the conflicting update with %v, want ErrMembershipConflict", s, err)
+		}
+		wired, err := wire.Decode(wire.Encode(reply))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := node.MembershipAckErr(wired); !errors.Is(err, node.ErrMembershipConflict) {
+			t.Fatalf("member %d's refusal after a wire round trip is %v, want ErrMembershipConflict", s, err)
+		}
+		h.mustAck(s, won)
+		if got := h.cl.Node(s).MemberEpoch(); got != won.Epoch {
+			t.Fatalf("member %d at epoch %d, want %d", s, got, won.Epoch)
+		}
+	}
+	if after := clusterSnapshot(h.cl, "k"); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the refused transition moved entries:\n got %+v\nwant %+v", after, before)
+	}
+	v := plstest.Observe(h.cl, "k", cfg)
+	plstest.Assert(t, "after the refused transition", v.Check(live))
+	plstest.Assert(t, "after the refused transition, coverage", v.CheckCoverage(live))
 }
 
 // Drain refusals: out-of-range slots, down members (a corpse cannot

@@ -60,9 +60,9 @@ type Node struct {
 	// store owns all per-key state; see package store.
 	store *store.Store
 
-	// memberEpoch is the last committed membership epoch; updates at or
-	// below it are replays and ack as no-ops (see membership.go).
-	memberEpoch   atomic.Uint64
+	// applied is the last committed membership update, nil before the
+	// first; its Epoch is the member epoch (see membership.go).
+	applied       atomic.Pointer[wire.MembershipUpdate]
 	lastRebalance atomic.Pointer[RebalanceStats]
 	// compactedEpoch is the last epoch whose slot compaction the host
 	// has applied (the leaver removed, this node renumbered). At that

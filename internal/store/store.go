@@ -7,11 +7,12 @@
 // that independence, and its read path is epoch-based — a lookup takes
 // no lock at all:
 //
-//   - Keys hash over a fixed array of shards. Each shard's key→state
-//     map is immutable once published, held behind an atomic.Pointer;
-//     key creation (rare: once per key's lifetime) clones the shard map
-//     under the shard writer lock and publishes the successor. Get is
-//     therefore one atomic load plus a map lookup, never a lock.
+//   - Keys hash over a fixed array of shards. A shard publishes an
+//     immutable settled key→state map behind an atomic.Pointer and keeps
+//     the keys created since, under its mutex, in a young map it merges
+//     into the next settled map geometrically. Creating a key is one
+//     map insert whatever the store holds, and Get on a settled key is
+//     one atomic load plus a map lookup, never a lock.
 //   - Within a key, mutations run under the KeyState mutex, while
 //     partial_lookup reads sample an immutable entry-set snapshot
 //     published with one atomic load. Snapshots are cloned for
@@ -33,6 +34,7 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,7 +46,7 @@ import (
 // numShards is the stripe width. A fixed power of two keeps the shard
 // index a mask operation; 64 stripes keep the collision probability
 // negligible for any realistic GOMAXPROCS without bloating an idle
-// store (a shard is one mutex and one small map).
+// store (a shard is one mutex and two small maps).
 const numShards = 64
 
 // State is the mutable per-key view passed to Update and View
@@ -254,33 +256,93 @@ func (k *KeyState) Len() int {
 	return n
 }
 
-// shard holds one stripe's key→state map. The map value behind keys is
+// shard holds one stripe's key→state map in two parts. settled is
 // immutable once published: lookups load it with one atomic operation
-// and index it without locking. Writers (key creation only — the paper
-// has no key deletion, so maps only grow) serialize on mu, clone the
-// current map, and publish the successor. Key creation is a once-per-
-// key-lifetime event, so the O(shard) clone amortizes to nothing
-// against the lock-free loads it buys every read.
+// and index it without locking. young holds the keys created since the
+// last merge, under mu, so creating a key is one map insert. A merge
+// publishes settled ∪ young as the next settled map; it runs once the
+// operations that had to take mu (creations, and lookups that found
+// their key young) reach the size of settled, so its copy costs O(1)
+// per such operation, and a young key that keeps being read settles.
+// Keys are never deleted (the paper has none), so maps only grow.
 type shard struct {
-	mu   sync.Mutex // serializes writers; readers never take it
-	keys atomic.Pointer[map[string]*KeyState]
+	settled atomic.Pointer[map[string]*KeyState]
+	// nyoung is len(young), stored under mu, so a lookup that misses
+	// settled skips the lock while nothing is young.
+	nyoung atomic.Int64
+
+	mu        sync.Mutex
+	young     map[string]*KeyState
+	lockedOps int // operations that took mu since the last merge
 }
 
-// load returns the shard's current key map for lock-free reading.
-func (sh *shard) load() map[string]*KeyState {
-	return *sh.keys.Load()
+// loadSettled looks key up in the settled map, without locking.
+func (sh *shard) loadSettled(key string) (*KeyState, bool) {
+	ks, ok := (*sh.settled.Load())[key]
+	return ks, ok
 }
 
-// publishWith clones the current map, applies add, and publishes the
-// successor. Callers hold sh.mu.
-func (sh *shard) publishWith(key string, ks *KeyState) {
-	cur := sh.load()
-	next := make(map[string]*KeyState, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
+// getYoung is Get's path for a key that is not settled: it may be young.
+func (sh *shard) getYoung(key string) (*KeyState, bool) {
+	sh.mu.Lock()
+	ks, ok := sh.findLocked(key)
+	sh.tick()
+	sh.mu.Unlock()
+	return ks, ok
+}
+
+// findLocked looks key up in both maps. Callers hold sh.mu.
+func (sh *shard) findLocked(key string) (*KeyState, bool) {
+	if ks, ok := sh.young[key]; ok {
+		return ks, true
 	}
-	next[key] = ks
-	sh.keys.Store(&next)
+	return sh.loadSettled(key)
+}
+
+// addLocked inserts a new key. Callers hold sh.mu and have checked the
+// key is absent.
+func (sh *shard) addLocked(key string, ks *KeyState) {
+	if sh.young == nil {
+		sh.young = make(map[string]*KeyState)
+	}
+	sh.young[key] = ks
+	sh.nyoung.Store(int64(len(sh.young)))
+	sh.tick()
+}
+
+// tick counts one operation that took mu and merges once they reach
+// the size of settled. Callers hold sh.mu.
+func (sh *shard) tick() {
+	sh.lockedOps++
+	if sh.lockedOps >= len(*sh.settled.Load()) {
+		sh.mergeLocked()
+	}
+}
+
+// mergeLocked publishes settled ∪ young as the next settled map.
+// Callers hold sh.mu.
+func (sh *shard) mergeLocked() {
+	sh.lockedOps = 0
+	if len(sh.young) == 0 {
+		return
+	}
+	cur := *sh.settled.Load()
+	next := make(map[string]*KeyState, len(cur)+len(sh.young))
+	maps.Copy(next, cur)
+	maps.Copy(next, sh.young)
+	sh.settled.Store(&next)
+	sh.nyoung.Store(0)
+	sh.young = nil
+}
+
+// all merges the shard and returns its whole key map, immutable, for
+// iteration without the lock.
+func (sh *shard) all() map[string]*KeyState {
+	sh.mu.Lock()
+	sh.mergeLocked()
+	m := *sh.settled.Load()
+	sh.mu.Unlock()
+	return m
 }
 
 // Store is a sharded per-key state store. The zero value is not usable;
@@ -300,7 +362,7 @@ func New() *Store {
 	s := &Store{}
 	for i := range s.shards {
 		empty := make(map[string]*KeyState)
-		s.shards[i].keys.Store(&empty)
+		s.shards[i].settled.Store(&empty)
 	}
 	return s
 }
@@ -327,10 +389,20 @@ func (s *Store) shardFor(key string) *shard {
 }
 
 // Get returns the state for key, or (nil, false) if the key is unknown.
-// It is lock-free: one atomic load of the shard's published map.
+// For a settled key, and for an absent one while its shard has no young
+// keys, it is lock-free: atomic loads and a lookup in the published map.
 func (s *Store) Get(key string) (*KeyState, bool) {
-	ks, ok := s.shardFor(key).load()[key]
-	return ks, ok
+	sh := s.shardFor(key)
+	m := sh.settled.Load()
+	if ks, ok := (*m)[key]; ok {
+		return ks, true
+	}
+	// Absent, unless it is young or a merge settled it since m: a merge
+	// publishes settled before it zeroes nyoung.
+	if sh.nyoung.Load() == 0 && sh.settled.Load() == m {
+		return nil, false
+	}
+	return sh.getYoung(key)
 }
 
 // GetOrCreate returns the state for key, creating it on first sight
@@ -342,11 +414,12 @@ func (s *Store) Get(key string) (*KeyState, bool) {
 func (s *Store) GetOrCreate(key string, cfg wire.Config) *KeyState {
 	idx := shardIndex(key)
 	sh := &s.shards[idx]
-	ks, ok := sh.load()[key]
+	ks, ok := sh.loadSettled(key)
 	if !ok {
 		sh.mu.Lock()
-		ks, ok = sh.load()[key]
-		if !ok {
+		if ks, ok = sh.findLocked(key); ok {
+			sh.tick()
+		} else {
 			// The key outlives the message that first named it, whose
 			// strings all view one decoded buffer (wire.Decode).
 			key = strings.Clone(key)
@@ -355,7 +428,7 @@ func (s *Store) GetOrCreate(key string, cfg wire.Config) *KeyState {
 				wal:    s.wal,
 				stripe: idx,
 			}
-			sh.publishWith(key, ks)
+			sh.addLocked(key, ks)
 			s.keyCount.Add(1)
 		}
 		sh.mu.Unlock()
@@ -393,7 +466,8 @@ func (s *Store) AttachWAL(w *WAL) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for _, ks := range sh.load() {
+		sh.mergeLocked()
+		for _, ks := range *sh.settled.Load() {
 			ks.mu.Lock()
 			ks.wal = w
 			ks.stripe = i
@@ -415,11 +489,11 @@ func (s *Store) Install(key string, st State, lsn uint64) (*KeyState, error) {
 	st.logging = s.wal != nil
 	ks := &KeyState{st: st, wal: s.wal, stripe: idx, lastLSN: lsn}
 	sh.mu.Lock()
-	if _, dup := sh.load()[key]; dup {
+	if _, dup := sh.findLocked(key); dup {
 		sh.mu.Unlock()
 		return nil, fmt.Errorf("store: install of existing key %q", key)
 	}
-	sh.publishWith(key, ks)
+	sh.addLocked(key, ks)
 	s.keyCount.Add(1)
 	sh.mu.Unlock()
 	return ks, nil
@@ -437,7 +511,7 @@ func (s *Store) Keys() int { return int(s.keyCount.Load()) }
 func (s *Store) EntryCount() int {
 	total := 0
 	for i := range s.shards {
-		for _, ks := range s.shards[i].load() {
+		for _, ks := range s.shards[i].all() {
 			total += ks.Len()
 		}
 	}
@@ -445,12 +519,13 @@ func (s *Store) EntryCount() int {
 }
 
 // Range calls f for every key until f returns false. The iteration
-// order is unspecified. Each shard's published map is immutable, so f
-// iterates it with no lock held and may call Update/View/Snapshot
-// freely; keys created while Range runs may or may not be visited.
+// order is unspecified. Range merges each shard and iterates the map it
+// publishes, which is immutable, so f runs with no lock held and may
+// call Update/View/Snapshot (or create keys) freely; keys created while
+// Range runs may or may not be visited.
 func (s *Store) Range(f func(key string, ks *KeyState) bool) {
 	for i := range s.shards {
-		for k, ks := range s.shards[i].load() {
+		for k, ks := range s.shards[i].all() {
 			if !f(k, ks) {
 				return
 			}
