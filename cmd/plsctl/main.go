@@ -78,8 +78,7 @@ func run() error {
 		// Lookup resilience policy (see core.LookupPolicy).
 		lookupTimeout = flag.Duration("lookup-timeout", 0, "end-to-end deadline for one lookup (0 = none)")
 		retries       = flag.Int("retries", 1, "attempts per probe before failing over to the next server")
-		backoff       = flag.Duration("backoff", 50*time.Millisecond, "delay before the first retry (doubles per retry)")
-		maxBackoff    = flag.Duration("max-backoff", time.Second, "cap on the per-retry delay")
+		backoff       = flag.Duration("backoff", 50*time.Millisecond, "delay before the first retry (doubles per retry up to 1s, less up to half at random)")
 		hedgeAfter    = flag.Duration("hedge-after", 0, "send a second identical probe after this latency (0 = off)")
 		useSelector   = flag.Bool("selector", false, "adapt probe order to observed server health and cached per-key routes (multi-key verbs benefit most)")
 
@@ -220,12 +219,8 @@ func run() error {
 		core.WithDefaultConfig(cfg),
 		core.WithLookupMetrics(lm),
 		core.WithLookupPolicy(core.LookupPolicy{
-			Timeout:     *lookupTimeout,
-			MaxAttempts: *retries,
-			BaseBackoff: *backoff,
-			MaxBackoff:  *maxBackoff,
-			Jitter:      0.5,
-			HedgeAfter:  *hedgeAfter,
+			Timeout: *lookupTimeout,
+			Retry:   transport.RetryPolicy{Attempts: *retries, Backoff: *backoff, HedgeAfter: *hedgeAfter},
 		}),
 	}
 	if *useSelector {

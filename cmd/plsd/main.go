@@ -333,7 +333,10 @@ func newPeerCaller(reg *telemetry.Registry, addrs []string, id int, tp *topo.Top
 		})
 	}
 	if o.retries > 1 {
-		caller = transport.NewRetry(caller, o.retries, 25*time.Millisecond)
+		// Jitter is seeded from the node id. No HedgeAfter: peer updates
+		// are not requests to duplicate.
+		caller = transport.NewRetry(caller, transport.RetryPolicy{Attempts: o.retries, Backoff: 25 * time.Millisecond},
+			stats.NewRNG(uint64(id)), nil)
 	}
 	return caller, client, sel
 }

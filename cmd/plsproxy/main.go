@@ -69,7 +69,7 @@ func run() error {
 		timeout     = flag.Duration("timeout", 5*time.Second, "backend RPC timeout")
 		muxConns    = flag.Int("mux-conns", transport.DefaultMuxConns, "multiplexed TCP connections per server; calls spread over them round-robin and pipeline on each, every caller writing its own frames")
 		retries     = flag.Int("retries", 1, "attempts per probe before failing over to the next server")
-		backoff     = flag.Duration("backoff", 50*time.Millisecond, "delay before the first retry (doubles per retry)")
+		backoff     = flag.Duration("backoff", 50*time.Millisecond, "delay before the first retry (doubles per retry up to 1s, less up to half at random)")
 		hedgeAfter  = flag.Duration("hedge-after", 0, "send a second identical probe after this latency (0 = off)")
 		useSelector = flag.Bool("selector", true, "adapt probe order to observed server health and cached per-key routes")
 	)
@@ -165,12 +165,8 @@ func newProxy(reg *telemetry.Registry, addrs []string, o frontOptions) (*proxy.P
 		core.WithDefaultConfig(o.cfg),
 		core.WithLookupMetrics(telemetry.NewLookupMetrics(reg)),
 		core.WithLookupPolicy(core.LookupPolicy{
-			Timeout:     o.timeout,
-			MaxAttempts: o.retries,
-			BaseBackoff: o.backoff,
-			MaxBackoff:  time.Second,
-			Jitter:      0.5,
-			HedgeAfter:  o.hedgeAfter,
+			Timeout: o.timeout,
+			Retry:   transport.RetryPolicy{Attempts: o.retries, Backoff: o.backoff, HedgeAfter: o.hedgeAfter},
 		}),
 	}
 	var sel *selector.Selector

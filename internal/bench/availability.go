@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/strategy"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -36,11 +37,8 @@ func ExtAvailability(fid Fidelity, seed uint64) (*Table, error) {
 		churnEvery = 10   // lookups between fail/recover rotations
 	)
 	policy := core.LookupPolicy{
-		Timeout:     250 * time.Millisecond,
-		MaxAttempts: 3,
-		BaseBackoff: 200 * time.Microsecond,
-		MaxBackoff:  2 * time.Millisecond,
-		Jitter:      0.5,
+		Timeout: 250 * time.Millisecond,
+		Retry:   transport.RetryPolicy{Attempts: 3, Backoff: 200 * time.Microsecond},
 	}
 	configs := []wire.Config{
 		{Scheme: wire.FullReplication},
@@ -57,8 +55,8 @@ func ExtAvailability(fid Fidelity, seed uint64) (*Table, error) {
 			"Full sat%", "Fixed sat%", "RandomServer sat%", "Round sat%", "Hash sat%",
 		},
 		Notes: []string{
-			fmt.Sprintf("lookup policy: %v deadline, %d attempts/probe, backoff %v..%v with 50%% jitter",
-				policy.Timeout, policy.MaxAttempts, policy.BaseBackoff, policy.MaxBackoff),
+			fmt.Sprintf("lookup policy: %v deadline, %d attempts/probe, backoff %v then %v, each cut by up to 50%% jitter",
+				policy.Timeout, policy.Retry.Attempts, policy.Retry.Backoff, 2*policy.Retry.Backoff),
 			fmt.Sprintf("churn: the failed set rotates every %d lookups; drops are injected by the chaos transport", churnEvery),
 		},
 	}

@@ -78,7 +78,7 @@ type Service struct {
 	selector *selector.Selector
 	// lookupCaller is the transport lookups probe through: the raw
 	// caller, possibly observed by the selector scoreboard, possibly
-	// wrapped by a policyCaller adding retries/hedging per probe.
+	// wrapped by a transport.Retry adding retries/hedging per probe.
 	lookupCaller transport.Caller
 
 	mu      sync.Mutex
@@ -116,7 +116,8 @@ func WithSeed(seed uint64) Option {
 
 // WithLookupPolicy installs the resilience policy for the lookup path:
 // per-lookup deadline, bounded per-probe retries with exponential
-// backoff and jitter, and optional hedged requests. The zero policy
+// backoff and jitter, and optional hedged requests (transport.Retry
+// applies all but the deadline). The zero policy
 // (the default) keeps the original single-attempt, no-deadline path.
 func WithLookupPolicy(p LookupPolicy) Option {
 	return func(s *Service) { s.policy = p }
@@ -174,16 +175,15 @@ func NewService(caller transport.Caller, opts ...Option) (*Service, error) {
 	}
 	// Lookup transport chain, bottom-up: raw caller → selector observe
 	// hook (scores every attempt) → retry/hedging policy (each attempt
-	// it issues is scored individually).
+	// it issues is scored individually). The jitter RNG is split off only
+	// when the policy retries or hedges, so a single-attempt service's
+	// driver streams stay as they were.
 	s.lookupCaller = selector.Observe(s.caller, s.selector)
-	if s.policy.active() {
-		s.lookupCaller = &policyCaller{inner: s.lookupCaller, pol: s.policy, m: s.metrics, rng: s.rng.Split()}
+	if r := s.policy.Retry; r.Attempts > 1 || r.HedgeAfter > 0 {
+		s.lookupCaller = transport.NewRetry(s.lookupCaller, r, s.rng.Split(), s.metrics)
 	}
 	return s, nil
 }
-
-// Policy returns the service's lookup resilience policy.
-func (s *Service) Policy() LookupPolicy { return s.policy }
 
 // ConfigFor returns the configuration that manages key.
 func (s *Service) ConfigFor(key string) Config {

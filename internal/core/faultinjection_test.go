@@ -19,11 +19,8 @@ import (
 // under: a hard per-lookup deadline, three attempts per probe with a
 // short jittered backoff, and failover left to the strategy drivers.
 var resilientPolicy = core.LookupPolicy{
-	Timeout:     2 * time.Second,
-	MaxAttempts: 3,
-	BaseBackoff: 500 * time.Microsecond,
-	MaxBackoff:  5 * time.Millisecond,
-	Jitter:      0.5,
+	Timeout: 2 * time.Second,
+	Retry:   transport.RetryPolicy{Attempts: 3, Backoff: 500 * time.Microsecond},
 }
 
 // faultSchemes pairs every placement scheme with a t that its coverage

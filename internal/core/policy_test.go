@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/stats"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -79,9 +78,9 @@ func policyService(t *testing.T, caller transport.Caller, pol core.LookupPolicy)
 }
 
 // TestPolicyAttemptBudget checks the retry count property over a range
-// of budgets: a server that always drops is tried exactly MaxAttempts
+// of budgets: a server that always drops is tried exactly Attempts
 // times per probe, and a server that recovers after f failures is
-// called exactly min(f+1, MaxAttempts) times.
+// called exactly min(f+1, Attempts) times.
 func TestPolicyAttemptBudget(t *testing.T) {
 	for _, maxAttempts := range []int{1, 2, 3, 5, 8} {
 		for _, failures := range []int{0, 1, 2, 4, 10} {
@@ -92,8 +91,7 @@ func TestPolicyAttemptBudget(t *testing.T) {
 				return okReply("a")
 			})
 			svc := policyService(t, caller, core.LookupPolicy{
-				MaxAttempts: maxAttempts,
-				BaseBackoff: 10 * time.Microsecond,
+				Retry: transport.RetryPolicy{Attempts: maxAttempts, Backoff: 10 * time.Microsecond},
 			})
 			res, err := svc.PartialLookup(context.Background(), "k", 1)
 			want := failures + 1
@@ -114,49 +112,6 @@ func TestPolicyAttemptBudget(t *testing.T) {
 	}
 }
 
-// TestPolicyBackoffProperties fuzzes policy shapes and asserts the
-// backoff invariants: the un-jittered schedule is nondecreasing and
-// capped at MaxBackoff, and every jittered delay stays within
-// [(1-Jitter)·d, d] of its un-jittered value d.
-func TestPolicyBackoffProperties(t *testing.T) {
-	rng := stats.NewRNG(42)
-	for trial := 0; trial < 500; trial++ {
-		pol := core.LookupPolicy{
-			BaseBackoff: time.Duration(1+rng.IntN(100)) * time.Millisecond,
-			Jitter:      rng.Float64(),
-		}
-		pol.MaxBackoff = pol.BaseBackoff * time.Duration(1+rng.IntN(100))
-		prev := time.Duration(0)
-		for attempt := 1; attempt <= 12; attempt++ {
-			base := pol.Backoff(attempt, 0)
-			if base < prev {
-				t.Fatalf("trial %d: un-jittered backoff decreased: attempt %d: %v < %v (policy %+v)",
-					trial, attempt, base, prev, pol)
-			}
-			if base > pol.MaxBackoff {
-				t.Fatalf("trial %d: attempt %d backoff %v exceeds cap %v", trial, attempt, base, pol.MaxBackoff)
-			}
-			prev = base
-			for draw := 0; draw < 8; draw++ {
-				u := rng.Float64()
-				d := pol.Backoff(attempt, u)
-				lo := time.Duration((1 - pol.Jitter) * float64(base))
-				if d < lo-time.Nanosecond || d > base {
-					t.Fatalf("trial %d: attempt %d u=%.3f: backoff %v outside [%v, %v]",
-						trial, attempt, u, d, lo, base)
-				}
-			}
-		}
-	}
-	// The zero policy never sleeps.
-	var zero core.LookupPolicy
-	for attempt := 0; attempt <= 4; attempt++ {
-		if d := zero.Backoff(attempt, 0.5); d != 0 {
-			t.Fatalf("zero policy backoff(%d) = %v, want 0", attempt, d)
-		}
-	}
-}
-
 // TestPolicyCancelStopsRetries checks that a cancelled context halts
 // the retry loop immediately: no further attempts are issued and the
 // lookup returns promptly even though the backoff schedule would have
@@ -166,8 +121,8 @@ func TestPolicyCancelStopsRetries(t *testing.T) {
 		return nil, downErr(server)
 	})
 	svc := policyService(t, caller, core.LookupPolicy{
-		MaxAttempts: 100,
-		BaseBackoff: time.Minute, // the first backoff alone would exceed any test timeout
+		// The first backoff alone (at the 1s cap) outlasts the cancel.
+		Retry: transport.RetryPolicy{Attempts: 100, Backoff: time.Minute},
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -243,7 +198,7 @@ func TestPolicyHedgingCutsTailLatency(t *testing.T) {
 		return okReply("fast")
 	})
 	defer close(release)
-	svc := policyService(t, caller, core.LookupPolicy{HedgeAfter: 15 * time.Millisecond})
+	svc := policyService(t, caller, core.LookupPolicy{Retry: transport.RetryPolicy{HedgeAfter: 15 * time.Millisecond}})
 	start := time.Now()
 	res, err := svc.PartialLookup(context.Background(), "k", 1)
 	elapsed := time.Since(start)

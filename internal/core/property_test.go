@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -113,44 +112,6 @@ func TestPropertyPlacementInvariants(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPropertyBackoffJitterBounds checks the LookupPolicy contract that
-// jitter only ever shortens a delay: for any policy and any jitter draw
-// u in [0, 1), the jittered backoff lands in [(1-Jitter)·d, d] where d
-// is the un-jittered (u=0) delay for the same attempt, and delays never
-// go negative or exceed the cap.
-func TestPropertyBackoffJitterBounds(t *testing.T) {
-	check := func(baseRaw uint16, maxRaw uint16, jitterRaw, uRaw uint8, attemptRaw uint8) bool {
-		p := core.LookupPolicy{
-			BaseBackoff: time.Duration(baseRaw) * time.Microsecond,
-			MaxBackoff:  time.Duration(maxRaw) * 4 * time.Microsecond,
-			Jitter:      float64(jitterRaw) / 255, // 0 .. 1
-		}
-		attempt := 1 + int(attemptRaw%12)
-		u := float64(uRaw) / 256 // [0, 1)
-
-		unjittered := p.Backoff(attempt, 0)
-		jittered := p.Backoff(attempt, u)
-		if unjittered < 0 || jittered < 0 {
-			t.Logf("negative delay: %v / %v (%+v attempt=%d)", unjittered, jittered, p, attempt)
-			return false
-		}
-		if p.MaxBackoff > 0 && unjittered > p.MaxBackoff {
-			t.Logf("delay %v above cap %v (%+v attempt=%d)", unjittered, p.MaxBackoff, p, attempt)
-			return false
-		}
-		lo := time.Duration((1 - p.Jitter) * float64(unjittered))
-		if jittered > unjittered || jittered < lo {
-			t.Logf("jittered %v outside [%v, %v] (%+v attempt=%d u=%v)",
-				jittered, lo, unjittered, p, attempt, u)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 )
 
 // instrumentedService builds a cluster with telemetry enabled and a
@@ -47,7 +48,7 @@ func TestLookupTelemetryMatchesInjectedFaults(t *testing.T) {
 	const maxAttempts = 3
 	svc, cl, tm, lm := instrumentedService(t, 3,
 		core.WithDefaultConfig(core.Config{Scheme: core.RoundRobin, Y: 1}),
-		core.WithLookupPolicy(core.LookupPolicy{MaxAttempts: maxAttempts}))
+		core.WithLookupPolicy(core.LookupPolicy{Retry: transport.RetryPolicy{Attempts: maxAttempts}}))
 	placeEntries(t, svc, "k", 9) // 3 entries per server under RoundRobin-1
 	callsAfterPlace := tm.Calls.Values()
 
@@ -108,7 +109,7 @@ func TestLookupTelemetryMatchesInjectedFaults(t *testing.T) {
 func TestLookupTelemetryHedges(t *testing.T) {
 	svc, cl, _, lm := instrumentedService(t, 2,
 		core.WithDefaultConfig(core.Config{Scheme: core.FullReplication}),
-		core.WithLookupPolicy(core.LookupPolicy{HedgeAfter: 2 * time.Millisecond}))
+		core.WithLookupPolicy(core.LookupPolicy{Retry: transport.RetryPolicy{HedgeAfter: 2 * time.Millisecond}}))
 	placeEntries(t, svc, "k", 4)
 	for i := 0; i < 2; i++ {
 		cl.SetLatency(i, 30*time.Millisecond, 0)

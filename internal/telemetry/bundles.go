@@ -152,7 +152,8 @@ func (m *TransportMetrics) RecordReaderStart() {
 }
 
 // LookupMetrics groups the client lookup path metrics recorded by
-// core.Service and core.LookupPolicy.
+// core.Service and, for the retries and hedges of its lookups, the
+// transport.Retry it wraps them in.
 type LookupMetrics struct {
 	// Lookups counts PartialLookup invocations; Satisfied those that
 	// met their target t, Unsatisfied those that returned thin answers,

@@ -196,7 +196,7 @@ func TestRetryMiddleware(t *testing.T) {
 	tr := NewInproc(1)
 	tr.Bind(0, ackOnlyHandler{})
 	ch := NewChaos(tr, stats.NewRNG(3))
-	r := NewRetry(ch, 4, time.Millisecond)
+	r := newRetry(ch, 4, time.Millisecond)
 
 	// Heavy drops: a single attempt fails often, four attempts rarely.
 	ch.SetDropRate(0, 0.6)

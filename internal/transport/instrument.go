@@ -12,9 +12,8 @@ import (
 // every call attempt, its latency, and its outcome into per-server
 // counters and histograms. It composes with Chaos (wrap the chaos layer
 // to count injected faults as the per-server errors they simulate) and
-// with the retry/hedging policy above it (each attempt the policy
-// issues is a distinct recorded call, because each costs the network
-// and the server).
+// with Retry above it (each attempt or hedge Retry issues is a distinct
+// recorded call, because each costs the network and the server).
 //
 // The recording path is allocation-free, so instrumenting a transport
 // does not perturb the latencies it measures.

@@ -135,7 +135,7 @@ func TestRetryTimeoutReusesMuxConn(t *testing.T) {
 
 	// Through Retry: the call succeeds on the same connection the
 	// timed-out request left warm (the handler only stalls once).
-	caller := NewRetry(client, 3, time.Millisecond)
+	caller := newRetry(client, 3, time.Millisecond)
 	reply, err := caller.Call(context.Background(), 0, wire.Lookup{Key: "fast", T: 1})
 	if err != nil {
 		t.Fatalf("retried call: %v", err)
@@ -167,7 +167,7 @@ func TestRetryConnErrorRedials(t *testing.T) {
 		WithMuxConns(1),
 		WithClientMetrics(tm))
 	defer client.Close()
-	caller := NewRetry(client, 4, time.Millisecond)
+	caller := newRetry(client, 4, time.Millisecond)
 
 	if _, err := caller.Call(context.Background(), 0, wire.Ping{}); err != nil {
 		t.Fatalf("priming call: %v", err)
