@@ -21,10 +21,11 @@ import (
 // strategy, the outcome and config-group slices in core, the pooled
 // vote slices in selector), 29 since the merge of a small answer scans
 // it instead of building a map (entry.Dedup), 24 since the merge grows
-// the answer once per reply and reads the reply's strings in place. The
-// ceiling leaves slack for compiler wobble and still trips on anything
-// that starts allocating per server or per entry.
-const lookupAllocCeiling = 26
+// the answer once per reply and reads the reply's strings in place, 16
+// since the selector orders in reused buffers and allocates only the
+// order. The ceiling leaves slack for compiler wobble and still trips on
+// anything that starts allocating per server or per entry.
+const lookupAllocCeiling = 18
 
 func TestPartialLookupAllocCeiling(t *testing.T) {
 	const n = 4

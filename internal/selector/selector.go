@@ -16,7 +16,6 @@ package selector
 
 import (
 	"cmp"
-	"container/list"
 	"fmt"
 	"slices"
 	"sync"
@@ -40,12 +39,6 @@ const (
 	// slowFactor demotes a healthy server behind its healthy peers when
 	// its EWMA latency exceeds slowFactor times the best healthy EWMA.
 	slowFactor = 2
-	// cacheKeys bounds the routing cache: least-recently-used keys are
-	// evicted beyond this many.
-	cacheKeys = 4096
-	// cacheServersPerKey bounds how many answering servers are
-	// remembered per key (the largest answers win).
-	cacheServersPerKey = 4
 )
 
 // Options attach a Selector to its surroundings; the zero value is a
@@ -89,7 +82,15 @@ type Selector struct {
 	servers      []serverState
 	observations int64 // outcomes recorded; 0 and an empty cache = cold
 	failures     uint64
-	cache        *routeCache
+	cache        routeCache
+
+	// Scratch for building orders, reused under mu so that an order
+	// allocates nothing but itself. pos pools a lookup's cached answers;
+	// posIdx holds, per server, 1 + its index in pos (0: not in pos) and
+	// is all zero between calls; tiers holds each base position's tier.
+	pos    []posEntry
+	posIdx []int
+	tiers  []uint8
 
 	// Zone awareness (SetTopology): with a topology and a client zone,
 	// servers inside each tier are additionally ordered nearest zone
@@ -111,7 +112,6 @@ func New(n int, opt Options) *Selector {
 		opt:           opt.withDefaults(),
 		failThreshold: defaultFailThreshold,
 		servers:       make([]serverState, n),
-		cache:         newRouteCache(),
 	}
 }
 
@@ -173,7 +173,7 @@ func (s *Selector) Resize(n int) {
 	} else {
 		s.servers = make([]serverState, n)
 	}
-	s.cache = newRouteCache()
+	s.cache = routeCache{}
 	s.recomputeDistsLocked()
 	s.failures++
 }
@@ -294,8 +294,9 @@ func (s *Selector) Order(key string, base []int) []int {
 // answer size, summed, and a server is negative only if every cached
 // key recorded it empty. Servers keep base's relative order inside each
 // tier, and a cold selector returns base untouched — seeded runs only
-// deviate once real signal exists. The returned slice is freshly
-// allocated; base is never mutated.
+// deviate once real signal exists. base is never mutated. A nil or cold
+// selector returns base itself, so a caller that will modify the order
+// must own base; any other order is a new slice the caller owns.
 func (s *Selector) OrderMulti(keys []string, base []int) []int {
 	if s == nil {
 		return base
@@ -305,38 +306,52 @@ func (s *Selector) OrderMulti(keys []string, base []int) []int {
 	if s.coldLocked() {
 		return base
 	}
-	votes := make([]int, len(s.servers))
-	empties := make([]int, len(s.servers))
+	if len(s.posIdx) < len(s.servers) {
+		s.posIdx = make([]int, len(s.servers))
+	}
+	pos := s.pos[:0]
+	var neg serverBits
 	cachedKeys := 0
 	for _, key := range keys {
-		kr := s.cache.touch(key, false)
-		if kr == nil || len(kr.pos)+len(kr.neg) == 0 {
+		sl := s.cache.touch(key, false)
+		if sl == nil || sl.empty() {
 			continue
 		}
+		if cachedKeys == 0 {
+			neg = sl.neg
+		} else {
+			for i := range neg {
+				neg[i] &= sl.neg[i]
+			}
+		}
 		cachedKeys++
-		for _, p := range kr.pos {
-			votes[p.server] += p.entries
-		}
-		for _, sv := range kr.neg {
-			empties[sv]++
-		}
-	}
-	var pos []posEntry
-	var neg []int
-	for sv, v := range votes {
-		if v > 0 {
-			pos = append(pos, posEntry{server: sv, entries: v})
-		} else if cachedKeys > 0 && empties[sv] == cachedKeys {
-			neg = append(neg, sv)
+		for _, r := range sl.pos {
+			if r.entries == 0 {
+				break
+			}
+			sv := int(r.server)
+			if s.posIdx[sv] == 0 {
+				pos = append(pos, posEntry{server: sv})
+				s.posIdx[sv] = len(pos)
+			}
+			pos[s.posIdx[sv]-1].entries += int(r.entries)
 		}
 	}
 	sortPos(pos)
+	for i, p := range pos {
+		s.posIdx[p.server] = i + 1
+	}
 	if len(pos) > 0 {
 		s.opt.Metrics.RecordHit()
 	} else {
 		s.opt.Metrics.RecordMiss()
 	}
-	return s.orderLocked(base, pos, neg)
+	order := s.orderLocked(base, neg)
+	for _, p := range pos {
+		s.posIdx[p.server] = 0
+	}
+	s.pos = pos
+	return order
 }
 
 // OrderGlobal reorders base by scoreboard health (no key, no cache) for
@@ -351,7 +366,7 @@ func (s *Selector) OrderGlobal(base, prefer []int) []int {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if !s.coldLocked() {
-			return lead(s.orderLocked(base, nil, nil), prefer, s.servers)
+			return lead(s.orderLocked(base, serverBits{}), prefer, s.servers)
 		}
 	}
 	return lead(base, prefer, nil)
@@ -380,9 +395,10 @@ func (s *Selector) coldLocked() bool {
 	return s.observations == 0 && s.cache.len() == 0 && s.dists == nil
 }
 
-// orderLocked builds the tiered order. pos is sorted by recorded answer
-// size descending; neg lists servers cached negative for the key(s).
-func (s *Selector) orderLocked(base []int, pos []posEntry, neg []int) []int {
+// orderLocked builds the tiered order. The cached tier is the servers
+// with a posIdx, ranked by it; neg holds the servers cached negative for
+// the key(s).
+func (s *Selector) orderLocked(base []int, neg serverBits) []int {
 	now := s.opt.Now()
 	bestEwma := 0.0
 	for i := range s.servers {
@@ -391,16 +407,16 @@ func (s *Selector) orderLocked(base []int, pos []posEntry, neg []int) []int {
 			bestEwma = st.ewma
 		}
 	}
-	inPos := make(map[int]int, len(pos)) // server -> rank in pos
-	for rank, p := range pos {
-		inPos[p.server] = rank
+	rank := func(server int) int {
+		if server < len(s.posIdx) {
+			return s.posIdx[server]
+		}
+		return 0
 	}
-	inNeg := make(map[int]bool, len(neg))
-	for _, sv := range neg {
-		inNeg[sv] = true
-	}
-
-	tierOf := func(server int) int {
+	tierOf := func(server int) uint8 {
+		if server < 0 || server >= len(s.servers) {
+			return tierHealthy
+		}
 		st := &s.servers[server]
 		if st.open {
 			if s.grantProbeLocked(st, now) {
@@ -408,10 +424,10 @@ func (s *Selector) orderLocked(base []int, pos []posEntry, neg []int) []int {
 			}
 			return tierOpen
 		}
-		if _, ok := inPos[server]; ok {
+		if rank(server) > 0 {
 			return tierCached
 		}
-		if inNeg[server] {
+		if neg.has(server) {
 			return tierNegative
 		}
 		if st.samples > 0 && bestEwma > 0 && st.ewma > slowFactor*bestEwma {
@@ -420,31 +436,37 @@ func (s *Selector) orderLocked(base []int, pos []posEntry, neg []int) []int {
 		return tierHealthy
 	}
 
-	byTier := make([][]int, tierOpen+1)
-	for _, server := range base {
-		if server < 0 || server >= len(s.servers) {
-			byTier[tierHealthy] = append(byTier[tierHealthy], server)
-			continue
-		}
-		t := tierOf(server)
-		byTier[t] = append(byTier[t], server)
+	// A counting sort by tier, stable, so servers keep base's relative
+	// order inside each tier: tier t is out[start[t]:start[t+1]].
+	if cap(s.tiers) < len(base) {
+		s.tiers = make([]uint8, len(base))
+	}
+	tiers := s.tiers[:len(base)]
+	var start [tierOpen + 2]int
+	for i, server := range base {
+		tiers[i] = tierOf(server)
+		start[tiers[i]+1]++
+	}
+	for t := 1; t < len(start); t++ {
+		start[t] += start[t-1]
+	}
+	out := make([]int, len(base))
+	next := start
+	for i, server := range base {
+		out[next[tiers[i]]] = server
+		next[tiers[i]]++
 	}
 	// The cached tier orders by recorded answer size (rank in pos), not
 	// base order: the fattest known answer is the cheapest first probe.
-	slices.SortFunc(byTier[tierCached], func(a, b int) int { return cmp.Compare(inPos[a], inPos[b]) })
+	slices.SortFunc(out[:start[tierHealthy]], func(a, b int) int { return cmp.Compare(rank(a), rank(b)) })
 	// Zone ordering: within every other tier, nearest zone first (the
 	// cached tier's recorded-answer ranking wins over distance — a known
 	// fat answer beats a near empty one). Stable, so equidistant servers
 	// keep base's relative order.
 	if s.dists != nil {
 		for t := tierHealthy; t <= tierOpen; t++ {
-			sortByDist(byTier[t], s.dists)
+			sortByDist(out[start[t]:start[t+1]], s.dists)
 		}
-	}
-
-	out := make([]int, 0, len(base))
-	for _, tier := range byTier {
-		out = append(out, tier...)
 	}
 	return out
 }
@@ -553,96 +575,4 @@ func sortByDist(servers []int, dists []int) {
 		return dists[sv]
 	}
 	slices.SortStableFunc(servers, func(a, b int) int { return cmp.Compare(d(a), d(b)) })
-}
-
-// routeCache is the bounded per-key routing cache: an LRU over keys,
-// each remembering which servers answered (and how fully) and which
-// answered empty. It is guarded by the owning Selector's mutex.
-type routeCache struct {
-	maxKeys, perKey int
-	entries         map[string]*list.Element
-	lru             *list.List // of *keyRoutes, front = most recent
-}
-
-type keyRoutes struct {
-	key string
-	pos []posEntry // sorted by entries descending, length <= perKey
-	neg []int
-}
-
-func newRouteCache() *routeCache {
-	return &routeCache{
-		maxKeys: cacheKeys,
-		perKey:  cacheServersPerKey,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
-	}
-}
-
-func (c *routeCache) len() int { return c.lru.Len() }
-
-// touch returns the key's routes, creating and front-moving as needed.
-func (c *routeCache) touch(key string, create bool) *keyRoutes {
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		return el.Value.(*keyRoutes)
-	}
-	if !create {
-		return nil
-	}
-	kr := &keyRoutes{key: key}
-	c.entries[key] = c.lru.PushFront(kr)
-	for c.lru.Len() > c.maxKeys {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*keyRoutes).key)
-	}
-	return kr
-}
-
-func (c *routeCache) record(key string, server, entries int) {
-	kr := c.touch(key, true)
-	if entries <= 0 {
-		// Negative: server answered but held nothing for this key.
-		kr.pos = slices.DeleteFunc(kr.pos, func(p posEntry) bool { return p.server == server })
-		if !slices.Contains(kr.neg, server) {
-			kr.neg = append(kr.neg, server)
-		}
-		return
-	}
-	kr.neg = slices.DeleteFunc(kr.neg, func(sv int) bool { return sv == server })
-	found := false
-	for i := range kr.pos {
-		if kr.pos[i].server == server {
-			kr.pos[i].entries = entries
-			found = true
-			break
-		}
-	}
-	if !found {
-		kr.pos = append(kr.pos, posEntry{server: server, entries: entries})
-	}
-	sortPos(kr.pos)
-	if len(kr.pos) > c.perKey {
-		kr.pos = kr.pos[:c.perKey]
-	}
-}
-
-func (c *routeCache) invalidate(key string) bool {
-	el, ok := c.entries[key]
-	if !ok {
-		return false
-	}
-	c.lru.Remove(el)
-	delete(c.entries, key)
-	return true
-}
-
-func (c *routeCache) invalidateNegatives(key string) bool {
-	kr := c.touch(key, false)
-	if kr == nil || len(kr.neg) == 0 {
-		return false
-	}
-	kr.neg = nil
-	return true
 }

@@ -1,11 +1,15 @@
 package selector
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -246,38 +250,240 @@ func TestSlowServerSortsBehindFastPeers(t *testing.T) {
 	}
 }
 
+// keysInOneSet returns n distinct keys whose hashes share a set of the
+// routing cache.
+func keysInOneSet(n int) []string {
+	bySet := map[uint64][]string{}
+	for i := 0; ; i++ {
+		k := fmt.Sprintf("k%d", i)
+		set := keyHash(k) >> setShift
+		if bySet[set] = append(bySet[set], k); len(bySet[set]) == n {
+			return bySet[set]
+		}
+	}
+}
+
+// A set holds cacheWays keys. One more evicts the set's least recently
+// used key, and an order for a key counts as a use.
 func TestRouteCacheLRUBound(t *testing.T) {
 	s := New(2, Options{})
-	s.cache.maxKeys = 3
-	for i := 0; i < 5; i++ {
-		s.RecordAnswer(fmt.Sprintf("k%d", i), 1, 2)
+	keys := keysInOneSet(cacheWays + 2)
+	for _, k := range keys[:cacheWays] {
+		s.RecordAnswer(k, 1, 2)
 	}
-	if got := s.CachedKeys(); got != 3 {
-		t.Fatalf("cached keys = %d, want 3", got)
+	s.Order(keys[0], base(2)) // keys[1] is now the least recently used
+	s.RecordAnswer(keys[cacheWays], 1, 2)
+	s.RecordAnswer(keys[cacheWays+1], 1, 2)
+	if got := s.CachedKeys(); got != cacheWays {
+		t.Fatalf("cached keys = %d, want %d", got, cacheWays)
 	}
-	// The oldest keys were evicted: their order is identity again even
-	// though the cache is warm.
-	if got := s.Order("k0", base(2)); !reflect.DeepEqual(got, base(2)) {
-		t.Fatalf("evicted key order = %v, want identity", got)
+	// The two least recently used keys were evicted: their order is
+	// identity again even though the cache is warm.
+	for _, k := range keys[1:3] {
+		if got := s.Order(k, base(2)); !reflect.DeepEqual(got, base(2)) {
+			t.Fatalf("evicted key %s order = %v, want identity", k, got)
+		}
 	}
-	// The newest survived.
-	if got := s.Order("k4", base(2)); !reflect.DeepEqual(got, []int{1, 0}) {
-		t.Fatalf("fresh key order = %v, want cached first", got)
+	// The used and the newest keys survived.
+	for _, k := range []string{keys[0], keys[3], keys[cacheWays+1]} {
+		if got := s.Order(k, base(2)); !reflect.DeepEqual(got, []int{1, 0}) {
+			t.Fatalf("kept key %s order = %v, want cached first", k, got)
+		}
 	}
 }
 
 func TestCachePerKeyServerBound(t *testing.T) {
 	s := New(8, Options{})
-	s.cache.perKey = 2
-	s.RecordAnswer("k", 0, 1)
-	s.RecordAnswer("k", 1, 5)
-	s.RecordAnswer("k", 2, 3)
-	got := s.Order("k", base(8))
-	// Only the two largest answers are remembered: 1 (5 entries) then
-	// 2 (3 entries); server 0 fell off the bounded list.
-	if got[0] != 1 || got[1] != 2 {
-		t.Fatalf("order = %v, want servers 1,2 first", got)
+	for server, entries := range []int{1, 5, 3, 4, 2} {
+		s.RecordAnswer("k", server, entries)
 	}
+	// Only the four largest answers are remembered: 1 (5 entries), 3, 2
+	// and 4; server 0 fell off the bounded list.
+	want := []int{1, 3, 2, 4, 0, 5, 6, 7}
+	if got := s.Order("k", base(8)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+	// An answer smaller than every remembered one is not kept...
+	s.RecordAnswer("k", 5, 1)
+	if got := s.Order("k", base(8)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("order after a small answer = %v, want %v", got, want)
+	}
+	// ...and a new answer from a remembered server re-ranks it.
+	s.RecordAnswer("k", 4, 9)
+	if got, want := s.Order("k", base(8)), []int{4, 1, 3, 2, 0, 5, 6, 7}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("order after a re-answer = %v, want %v", got, want)
+	}
+}
+
+// What a slot cannot hold, it forgets rather than misreads: an empty
+// answer from a server at or beyond negWidth, any answer from a server
+// id wider than a route, and answer sizes beyond math.MaxUint16, which
+// saturate (equal sizes rank by server id).
+func TestSlotForgetsWhatItCannotHold(t *testing.T) {
+	const n = 1 << 17
+	s := New(n, Options{})
+	s.RecordAnswer("neg", negWidth, 0)
+	s.RecordAnswer("wide", math.MaxUint16+1, 3)
+	if got := s.CachedKeys(); got != 1 {
+		t.Fatalf("cached keys = %d, want 1 (the negative's slot, empty)", got)
+	}
+	in := []int{negWidth, math.MaxUint16 + 1, 0}
+	for _, k := range []string{"neg", "wide"} {
+		if got := s.Order(k, in); !reflect.DeepEqual(got, in) {
+			t.Fatalf("order for %q = %v, want %v", k, got, in)
+		}
+	}
+	s.RecordAnswer("big", 9, 80000)
+	s.RecordAnswer("big", 7, 70000)
+	if got := s.Order("big", []int{0, 9, 7}); !reflect.DeepEqual(got, []int{7, 9, 0}) {
+		t.Fatalf("order = %v, want saturated sizes ranked by server id", got)
+	}
+}
+
+// An order on a warm cache allocates only itself, and recording or
+// invalidating a route allocates nothing once the table exists.
+func TestOrderAndRecordAllocations(t *testing.T) {
+	s := New(4, Options{Metrics: telemetry.NewSelectorMetrics(telemetry.NewRegistry())})
+	for server := 0; server < 4; server++ {
+		s.RecordAnswer("a", server, server)
+		s.RecordAnswer("b", server, 3-server)
+	}
+	s.RecordSuccess(1, time.Millisecond)
+	keys, in := []string{"a", "b"}, base(4)
+	for name, f := range map[string]func(){
+		"OrderMulti": func() { s.OrderMulti(keys, in) },
+		"Order":      func() { s.Order("a", in) },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs > 1 {
+			t.Errorf("%s: %.1f allocs/op, want <= 1", name, allocs)
+		}
+	}
+	for name, f := range map[string]func(){
+		"RecordAnswer":        func() { s.RecordAnswer("a", 2, 7) },
+		"InvalidateNegatives": func() { s.RecordAnswer("b", 3, 0); s.InvalidateNegatives("b") },
+		"Invalidate":          func() { s.RecordAnswer("c", 1, 3); s.Invalidate("c") },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", name, allocs)
+		}
+	}
+}
+
+// listLRU is the layout of the routing cache the slot table replaced: a
+// list of per-key records, most recent first, a map from key to list
+// element, and per-key answer slices grown by append.
+type listLRU struct {
+	entries map[string]*list.Element
+	lru     *list.List
+}
+
+type listRoutes struct {
+	key string
+	pos []posEntry
+	neg []int
+}
+
+func (c *listLRU) record(key string, server, entries int) {
+	el, ok := c.entries[key]
+	if !ok {
+		el = c.lru.PushFront(&listRoutes{key: key})
+		c.entries[key] = el
+	}
+	kr := el.Value.(*listRoutes)
+	if entries <= 0 {
+		kr.neg = append(kr.neg, server)
+		return
+	}
+	kr.pos = append(kr.pos, posEntry{server: server, entries: entries})
+}
+
+// heapGrowth runs build and returns the live heap bytes what it built
+// holds — a lower bound: a collection may also free older garbage — and
+// every byte build allocated, an upper bound. Each reading follows two
+// collections, the second emptying what sync.Pools kept through the
+// first.
+func heapGrowth(build func() any) (live, allocated uint64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	kept := build()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(kept)
+	return after.HeapAlloc - before.HeapAlloc, after.TotalAlloc - before.TotalAlloc
+}
+
+// The slot table costs no more bytes than the list-and-map LRU it
+// replaced did when full — 4 096 keys, each answered by three servers
+// and empty on a fourth — and holds 4× the keys. Key strings, which the
+// LRU kept and the table does not, are excluded from both.
+func TestRouteCacheFootprint(t *testing.T) {
+	keys := make([]string, 4096)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%05d", i)
+	}
+	fill := func(record func(key string, server, entries int)) {
+		for _, k := range keys {
+			record(k, 0, 8)
+			record(k, 1, 7)
+			record(k, 2, 6)
+			record(k, 3, 0)
+		}
+	}
+	lru, _ := heapGrowth(func() any {
+		c := &listLRU{entries: map[string]*list.Element{}, lru: list.New()}
+		fill(c.record)
+		return c
+	})
+	_, table := heapGrowth(func() any {
+		s := New(4, Options{})
+		fill(s.RecordAnswer)
+		return s
+	})
+	t.Logf("4 096 keys: list-and-map LRU %d B live, selector with slot table %d B allocated (%d slots)", lru, table, cacheSlots)
+	if table > lru || table > cacheBytes {
+		t.Errorf("selector allocated %d B, want <= the LRU's %d B and the %d B budget", table, lru, cacheBytes)
+	}
+	if cacheSlots < 4*len(keys) {
+		t.Errorf("capacity %d keys, want >= %d", cacheSlots, 4*len(keys))
+	}
+}
+
+// One Selector serves every driver of a process: orders, answers and
+// invalidations from many goroutines share its table and its scratch
+// buffers under its lock, and every order stays the caller's own
+// permutation of base (run with -race).
+func TestConcurrentOrdersAndRecords(t *testing.T) {
+	const n = 6
+	s := New(n, Options{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				k := fmt.Sprintf("k%d", i%50)
+				s.RecordAnswer(k, (g+i)%n, i%5)
+				order := s.OrderMulti([]string{k, fmt.Sprintf("k%d", (i+g)%50)}, base(n))
+				sorted := slices.Clone(order)
+				if slices.Sort(sorted); !slices.Equal(sorted, base(n)) {
+					t.Errorf("order %v is not a permutation of %v", order, base(n))
+					return
+				}
+				switch i % 7 {
+				case 0:
+					s.Invalidate(k)
+				case 1:
+					s.InvalidateNegatives(k)
+				case 2:
+					s.RecordSuccess(g, time.Duration(1+i%3)*time.Millisecond)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestOrderMultiPoolsVotes(t *testing.T) {
