@@ -30,10 +30,9 @@ lint:
 # Non-test Go lines, in three groups with a total each: the packages
 # the previous roadmap's "collapse the layers" tracked plus
 # internal/bench, where cmd/plsbench's scenarios moved; then the four a
-# request crosses client-side; then, alone, the store and its WAL
-# (ROADMAP item 3: "down, not up"); last the whole repository, the
-# number ROADMAP item 5 tracks. Quote the before/after in PRs that claim
-# a reduction.
+# request crosses client-side; then, each alone, the store and its WAL
+# and the telemetry layer; last the whole repository. Quote the
+# before/after in PRs that claim a reduction.
 LOC_PKGS = internal/node internal/strategy internal/wire internal/transport cmd/plsbench internal/bench
 LOC_REQUEST_PKGS = internal/strategy internal/core internal/proxy internal/selector
 loc_lines = find $(1) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
@@ -42,7 +41,8 @@ loc:
 	@printf '%-20s %s\n\n' total $$($(call loc_lines,$(LOC_PKGS)))
 	@for p in $(LOC_REQUEST_PKGS); do printf '%-20s %s\n' $$p $$($(call loc_lines,$$p)); done
 	@printf '%-20s %s\n\n' total $$($(call loc_lines,$(LOC_REQUEST_PKGS)))
-	@printf '%-20s %s\n\n' internal/store $$($(call loc_lines,internal/store))
+	@printf '%-20s %s\n' internal/store $$($(call loc_lines,internal/store))
+	@printf '%-20s %s\n\n' internal/telemetry $$($(call loc_lines,internal/telemetry))
 	@printf '%-20s %s\n' 'whole repo' $$($(call loc_lines,.))
 
 # Coverage with the same floor CI enforces (.github/coverage-floor).

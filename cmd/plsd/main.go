@@ -311,26 +311,26 @@ func newPeerCaller(reg *telemetry.Registry, addrs []string, id int, tp *topo.Top
 			sel.SetTopology(tp, tp.ZoneOf(id))
 		}
 		caller = selector.Observe(caller, sel)
-		// Membership can resize the selector at runtime, so the vector
-		// closures bounds-check against the live health slice.
-		reg.NewGaugeVecFunc("selector.consec_failures", len(addrs), func(i int) int64 {
-			if h := sel.Health(); i < len(h) {
-				return int64(h[i].ConsecFails)
+		// One Health copy per vector per snapshot; membership resizes
+		// the selector, and the vectors with it.
+		health := func(f func(selector.ServerHealth) int64) func() []int64 {
+			return func() []int64 {
+				h := sel.Health()
+				out := make([]int64, len(h))
+				for i := range h {
+					out[i] = f(h[i])
+				}
+				return out
 			}
-			return 0
-		})
-		reg.NewGaugeVecFunc("selector.open", len(addrs), func(i int) int64 {
-			if h := sel.Health(); i < len(h) && h[i].Open {
+		}
+		reg.NewGaugeVecFunc("selector.consec_failures", health(func(h selector.ServerHealth) int64 { return int64(h.ConsecFails) }))
+		reg.NewGaugeVecFunc("selector.open", health(func(h selector.ServerHealth) int64 {
+			if h.Open {
 				return 1
 			}
 			return 0
-		})
-		reg.NewGaugeVecFunc("selector.ewma_ns", len(addrs), func(i int) int64 {
-			if h := sel.Health(); i < len(h) {
-				return int64(h[i].EWMA)
-			}
-			return 0
-		})
+		}))
+		reg.NewGaugeVecFunc("selector.ewma_ns", health(func(h selector.ServerHealth) int64 { return int64(h.EWMA) }))
 	}
 	if o.retries > 1 {
 		// Jitter is seeded from the node id. No HedgeAfter: peer updates

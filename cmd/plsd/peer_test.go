@@ -39,3 +39,24 @@ func TestPeerCountersRecordEveryAttempt(t *testing.T) {
 		t.Errorf("selector saw %d consecutive failures, want 3", got)
 	}
 }
+
+// TestSelectorHealthGaugesFollowMembership: the selector.* health
+// vectors take their length from the selector at each snapshot, so a
+// joiner shows once membership resizes the selector.
+func TestSelectorHealthGaugesFollowMembership(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	_, client, sel := newPeerCaller(reg, []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"}, 0, nil, peerOptions{
+		timeout:  200 * time.Millisecond,
+		muxConns: 1,
+		selector: true,
+	})
+	defer client.Close()
+
+	sel.Resize(4)
+	per := reg.Snapshot().PerServer
+	for _, name := range []string{"selector.consec_failures", "selector.open", "selector.ewma_ns"} {
+		if got := len(per[name]); got != 4 {
+			t.Errorf("%s has %d values after Resize(4), want 4", name, got)
+		}
+	}
+}

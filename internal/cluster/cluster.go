@@ -118,21 +118,18 @@ func (c *Cluster) EnableTelemetry(reg *telemetry.Registry) *telemetry.TransportM
 	for _, nd := range c.nodes {
 		nd.Instrument(c.nm)
 	}
-	// The gauge vectors are sized at instrumentation time; after a drain
-	// the cluster may be smaller, so the closures bounds-check (a joiner
-	// beyond the original size reports through the discard lane).
-	reg.NewGaugeVecFunc("node.entries", n, func(i int) int64 {
-		if i >= len(c.nodes) {
-			return 0
+	// The gauge vectors cover the current members, joiners included.
+	perNode := func(f func(*node.Node) int) func() []int64 {
+		return func() []int64 {
+			out := make([]int64, len(c.nodes))
+			for i, nd := range c.nodes {
+				out[i] = int64(f(nd))
+			}
+			return out
 		}
-		return int64(c.nodes[i].EntryCount())
-	})
-	reg.NewGaugeVecFunc("node.keys", n, func(i int) int64 {
-		if i >= len(c.nodes) {
-			return 0
-		}
-		return int64(c.nodes[i].KeyCount())
-	})
+	}
+	reg.NewGaugeVecFunc("node.entries", perNode((*node.Node).EntryCount))
+	reg.NewGaugeVecFunc("node.keys", perNode((*node.Node).KeyCount))
 	return c.tm
 }
 

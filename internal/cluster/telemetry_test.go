@@ -87,3 +87,29 @@ func TestClusterTelemetry(t *testing.T) {
 		t.Fatalf("transport.calls = %v, want traffic on server 1", calls)
 	}
 }
+
+// The per-server entry and key gauges report the current members: a
+// joiner appears in them, and a drained server leaves them.
+func TestEntryGaugesFollowMembership(t *testing.T) {
+	cl := cluster.New(3, stats.NewRNG(11))
+	reg := telemetry.NewRegistry()
+	cl.EnableTelemetry(reg)
+	ctx := context.Background()
+	placeFull(t, cl, 5)
+	lens := func() (int, int) {
+		per := reg.Snapshot().PerServer
+		return len(per["node.entries"]), len(per["node.keys"])
+	}
+	if _, err := cl.Join(ctx, stats.NewRNG(12)); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	if e, k := lens(); e != 4 || k != 4 {
+		t.Fatalf("after a join: %d entry and %d key gauges, want 4 each", e, k)
+	}
+	if _, err := cl.Drain(ctx, 0); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if e, k := lens(); e != 3 || k != 3 {
+		t.Fatalf("after a drain: %d entry and %d key gauges, want 3 each", e, k)
+	}
+}

@@ -350,11 +350,21 @@ func (s *Service) PartialLookupBatch(ctx context.Context, keys []string, t int) 
 			out[i] = LookupOutcome{Result: res, Err: err}
 		}
 	}
-	if s.metrics != nil {
+	if m := s.metrics; m != nil {
 		elapsed := time.Since(start)
 		for _, o := range out {
-			s.metrics.RecordLookup(len(o.Result.Entries), t, o.Result.Contacted, elapsed,
-				errors.Is(o.Err, ErrPartialResult))
+			m.Lookups.Inc()
+			m.AchievedT.Observe(int64(len(o.Result.Entries)))
+			m.Probes.Observe(int64(o.Result.Contacted))
+			m.Latency.ObserveDuration(elapsed)
+			if o.Result.Satisfied(t) {
+				m.Satisfied.Inc()
+			} else {
+				m.Unsatisfied.Inc()
+			}
+			if errors.Is(o.Err, ErrPartialResult) {
+				m.DeadlineExpired.Inc()
+			}
 		}
 	}
 	return out

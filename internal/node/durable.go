@@ -61,6 +61,9 @@ type RecoveryStats struct {
 // fresh compacting snapshot, and prunes now-covered log segments.
 // snapInterval > 0 starts a background snapshotter; metrics may be nil.
 func (n *Node) OpenDurability(dataDir string, policy store.SyncPolicy, snapInterval time.Duration, metrics *telemetry.WALMetrics) (*Durability, error) {
+	if metrics == nil {
+		metrics = &telemetry.WALMetrics{}
+	}
 	d := &Durability{n: n, dataDir: dataDir, metrics: metrics, stop: make(chan struct{})}
 
 	// 1. Newest valid snapshot → full key states with replay cutoffs.
@@ -175,7 +178,11 @@ func (d *Durability) SnapshotNow() error {
 	if err != nil {
 		return err
 	}
-	d.metrics.RecordSnapshot(time.Since(start), size, time.Now())
+	end := time.Now()
+	d.metrics.Snapshots.Inc()
+	d.metrics.SnapshotDuration.ObserveDuration(end.Sub(start))
+	d.metrics.SnapshotBytes.Set(size)
+	d.metrics.LastSnapshot.Set(end.UnixNano())
 	if err := d.wal.PruneSealed(); err != nil {
 		return err
 	}

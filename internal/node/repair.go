@@ -103,6 +103,9 @@ func NewRepairer(n *Node, opt RepairOptions) *Repairer {
 	if opt.Interval <= 0 {
 		opt.Interval = 30 * time.Second
 	}
+	if opt.Metrics == nil {
+		opt.Metrics = &telemetry.RepairMetrics{}
+	}
 	return &Repairer{n: n, opt: opt}
 }
 
@@ -149,10 +152,12 @@ func (r *Repairer) SweepOnce(ctx context.Context) RepairStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var stats RepairStats
+	m := r.opt.Metrics
+	m.Sweeps.Inc()
 	epoch := r.opt.Health.FailureEpoch()
 	if epoch == r.sweptEpoch {
 		stats.Skipped = true
-		r.opt.Metrics.RecordSweep(true)
+		m.SweepsSkipped.Inc()
 		return stats
 	}
 	dead := r.opt.Health.PresumedDead()
@@ -164,8 +169,11 @@ func (r *Repairer) SweepOnce(ctx context.Context) RepairStats {
 	// Converged at this epoch: until the health picture changes again,
 	// further sweeps are free.
 	r.sweptEpoch = epoch
-	r.opt.Metrics.RecordSweep(false)
-	r.opt.Metrics.RecordSweepResult(stats.RepairedKeys, stats.Moved, stats.Queries, stats.Pushes, stats.UnderReplicated)
+	m.KeysRepaired.Add(int64(stats.RepairedKeys))
+	m.EntriesMoved.Add(int64(stats.Moved))
+	m.Queries.Add(int64(stats.Queries))
+	m.Pushes.Add(int64(stats.Pushes))
+	m.UnderReplicated.Set(int64(stats.UnderReplicated))
 	return stats
 }
 

@@ -71,6 +71,9 @@ func (o Options) withDefaults() Options {
 	if o.Now == nil {
 		o.Now = time.Now
 	}
+	if o.Metrics == nil {
+		o.Metrics = &telemetry.ProxyMetrics{}
+	}
 	return o
 }
 
@@ -177,10 +180,10 @@ func (p *Proxy) settle(ch change) {
 	}
 	p.mu.Unlock()
 	if patched > 0 {
-		p.opt.Metrics.RecordPatch()
+		p.opt.Metrics.AnswersPatched.Inc()
 	}
 	if dropped > 0 {
-		p.opt.Metrics.RecordInvalidation()
+		p.opt.Metrics.Invalidations.Inc()
 	}
 }
 
@@ -245,22 +248,29 @@ func (p *Proxy) lookupBatch(ctx context.Context, items []wire.Lookup) []wire.Loo
 	}
 	var followers, leaders []waiter
 
+	m := p.opt.Metrics
 	p.mu.Lock()
 	now := p.opt.Now()
 	for i, it := range items {
 		fk := flightKey{key: it.Key, t: it.T}
 		entries, ok, expired := p.cache.get(fk, now)
-		p.opt.Metrics.RecordLookup(ok, expired)
+		m.Lookups.Inc()
 		if ok {
+			m.CacheHits.Inc()
 			replies[i] = wire.LookupReply{Entries: entries}
 			continue
 		}
+		if expired {
+			m.CacheExpired.Inc() // an expired entry is a miss too
+		}
+		m.CacheMisses.Inc()
 		f, live := p.flights[fk]
-		p.opt.Metrics.RecordFlight(live)
 		if live {
+			m.Coalesced.Inc()
 			followers = append(followers, waiter{idx: i, f: f})
 			continue
 		}
+		m.Flights.Inc()
 		f = &flight{done: make(chan struct{})}
 		p.flights[fk] = f
 		leaders = append(leaders, waiter{idx: i, fk: fk, f: f})
@@ -315,7 +325,7 @@ func (p *Proxy) finishFlight(fk flightKey, f *flight, entries []entry.Entry, err
 	} else if err == nil {
 		// An update to the key was acked while we probed: the answer may
 		// predate it, so it must not enter the cache.
-		p.opt.Metrics.RecordStaleFill()
+		p.opt.Metrics.StaleFills.Inc()
 	}
 	p.mu.Unlock()
 	f.entries, f.err = entries, errStr
@@ -357,7 +367,7 @@ func update[M, I any](ctx context.Context, p *Proxy, msgs []M, split func(M) (ch
 	out := wire.BatchAck{Errs: make([]string, len(msgs))}
 	for i, ch := range changes {
 		p.settle(ch)
-		p.opt.Metrics.RecordUpdate()
+		p.opt.Metrics.Updates.Inc()
 		if errs[i] != nil {
 			out.Errs[i] = errs[i].Error()
 		}
@@ -400,7 +410,7 @@ func (p *Proxy) membership(m wire.MembershipUpdate) wire.Message {
 	p.cache.flush()
 	p.flights = make(map[flightKey]*flight)
 	p.mu.Unlock()
-	p.opt.Metrics.RecordEpochFlush()
+	p.opt.Metrics.EpochFlushes.Inc()
 	if p.opt.OnMembership != nil {
 		p.opt.OnMembership(m)
 	}

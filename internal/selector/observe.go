@@ -41,8 +41,10 @@ func Observe(inner transport.Caller, sel *Selector) transport.Caller {
 // NumServers returns the inner transport's cluster size.
 func (o *Observed) NumServers() int { return o.inner.NumServers() }
 
-// Call delegates to the inner transport, scoring the attempt.
+// Call delegates to the inner transport, scoring the attempt. A call to
+// an open server that is due a half-open trial is that trial.
 func (o *Observed) Call(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
+	o.sel.startTrial(server)
 	start := time.Now()
 	reply, err := o.inner.Call(ctx, server, msg)
 	switch {

@@ -56,6 +56,9 @@ func (o Options) withDefaults() Options {
 	if o.Now == nil {
 		o.Now = time.Now
 	}
+	if o.Metrics == nil {
+		o.Metrics = &telemetry.SelectorMetrics{}
+	}
 	return o
 }
 
@@ -66,7 +69,7 @@ type serverState struct {
 	consecFails int
 	open        bool // demoted after failThreshold consecutive failures
 	lastFail    time.Time
-	probing     bool // a half-open trial has been granted and not resolved
+	probing     bool // a half-open trial call is out and not resolved
 	probedAt    time.Time
 }
 
@@ -221,7 +224,7 @@ func (s *Selector) RecordFailure(server int) {
 	st.probing = false
 	if !st.open && st.consecFails >= s.failThreshold {
 		st.open = true
-		s.opt.Metrics.RecordDemotion()
+		s.opt.Metrics.Demotions.Inc()
 	}
 	s.observations++
 	s.failures++
@@ -252,7 +255,7 @@ func (s *Selector) Invalidate(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.cache.invalidate(key) {
-		s.opt.Metrics.RecordInvalidation()
+		s.opt.Metrics.Invalidations.Inc()
 	}
 }
 
@@ -267,7 +270,7 @@ func (s *Selector) InvalidateNegatives(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.cache.invalidateNegatives(key) {
-		s.opt.Metrics.RecordInvalidation()
+		s.opt.Metrics.Invalidations.Inc()
 	}
 }
 
@@ -276,7 +279,7 @@ const (
 	tierCached   = 0 // cache says this server answered the key with entries
 	tierHealthy  = 1 // no adverse signal
 	tierSlow     = 2 // healthy but EWMA far behind the best healthy peer
-	tierHalfOpen = 3 // open, but granted one recovery trial
+	tierHalfOpen = 3 // open, but due one recovery trial
 	tierNegative = 4 // cache says the server answered this key empty
 	tierOpen     = 5 // failing; skipped until everything better is exhausted
 )
@@ -342,9 +345,9 @@ func (s *Selector) OrderMulti(keys []string, base []int) []int {
 		s.posIdx[p.server] = i + 1
 	}
 	if len(pos) > 0 {
-		s.opt.Metrics.RecordHit()
+		s.opt.Metrics.CacheHits.Inc()
 	} else {
-		s.opt.Metrics.RecordMiss()
+		s.opt.Metrics.CacheMisses.Inc()
 	}
 	order := s.orderLocked(base, neg)
 	for _, p := range pos {
@@ -397,7 +400,9 @@ func (s *Selector) coldLocked() bool {
 
 // orderLocked builds the tiered order. The cached tier is the servers
 // with a posIdx, ranked by it; neg holds the servers cached negative for
-// the key(s).
+// the key(s). It reads the scoreboard and changes nothing in it: a
+// half-open trial is spent by the call that reaches the server
+// (startTrial), not by an order that may never get that far.
 func (s *Selector) orderLocked(base []int, neg serverBits) []int {
 	now := s.opt.Now()
 	bestEwma := 0.0
@@ -419,7 +424,7 @@ func (s *Selector) orderLocked(base []int, neg serverBits) []int {
 		}
 		st := &s.servers[server]
 		if st.open {
-			if s.grantProbeLocked(st, now) {
+			if trialDue(st, now) {
 				return tierHalfOpen
 			}
 			return tierOpen
@@ -471,19 +476,29 @@ func (s *Selector) orderLocked(base []int, neg serverBits) []int {
 	return out
 }
 
-// grantProbeLocked decides whether an open server gets a half-open
-// trial: one probe per probeAfter window since the last failure.
-func (s *Selector) grantProbeLocked(st *serverState, now time.Time) bool {
-	if now.Sub(st.lastFail) < probeAfter {
-		return false
+// trialDue reports whether an open server is due a half-open trial: one
+// per probeAfter window since its last failure, and none while an
+// earlier trial is out (for up to another window).
+func trialDue(st *serverState, now time.Time) bool {
+	return now.Sub(st.lastFail) >= probeAfter && (!st.probing || now.Sub(st.probedAt) >= probeAfter)
+}
+
+// startTrial runs as a call leaves for server (Observed.Call). If the
+// server is open and due a trial, this call is that trial: it is
+// counted, and orders put the server back behind everything until the
+// call's outcome is recorded.
+func (s *Selector) startTrial(server int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if server < 0 || server >= len(s.servers) || !s.servers[server].open {
+		return
 	}
-	if st.probing && now.Sub(st.probedAt) < probeAfter {
-		return false // an earlier grant is still outstanding
+	st := &s.servers[server]
+	if now := s.opt.Now(); trialDue(st, now) {
+		st.probing = true
+		st.probedAt = now
+		s.opt.Metrics.HalfOpenProbes.Inc()
 	}
-	st.probing = true
-	st.probedAt = now
-	s.opt.Metrics.RecordHalfOpenProbe()
-	return true
 }
 
 // ServerHealth is one server's scoreboard snapshot.

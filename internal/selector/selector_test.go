@@ -211,28 +211,90 @@ func TestFailureStreakOpensAndHalfOpenRecovers(t *testing.T) {
 		t.Fatalf("health = %+v, want open with 3 fails", h)
 	}
 
-	// Before ProbeAfter: still fully demoted, no trial granted.
+	// Before ProbeAfter a call to the open server is no trial.
+	inner := &scriptCaller{n: 4, down: map[int]bool{1: true}}
+	obs := Observe(inner, s)
+	ctx := context.Background()
+	if _, err := obs.Call(ctx, 1, wire.Ack{}); !errors.Is(err, transport.ErrServerDown) {
+		t.Fatalf("want ErrServerDown, got %v", err)
+	}
 	if m.HalfOpenProbes.Value() != 0 {
 		t.Fatalf("probe granted too early")
 	}
-	// After ProbeAfter the server gets one half-open trial; it sorts
-	// ahead of nothing but is no longer unconditionally last...
+	// After ProbeAfter orders offer it a trial but do not spend one...
 	now = now.Add(2 * time.Second)
 	_ = s.Order("k", base(4))
+	if m.HalfOpenProbes.Value() != 0 {
+		t.Fatalf("an order spent the trial: half-open probes = %d, want 0", m.HalfOpenProbes.Value())
+	}
+	// ...the call that reaches the server does, and its success closes
+	// the server entirely.
+	inner.down[1] = false
+	if _, err := obs.Call(ctx, 1, wire.Ack{}); err != nil {
+		t.Fatal(err)
+	}
 	if m.HalfOpenProbes.Value() != 1 {
 		t.Fatalf("half-open probes = %d, want 1", m.HalfOpenProbes.Value())
 	}
-	// ...and a second order inside the window does not grant another.
-	_ = s.Order("k", base(4))
-	if m.HalfOpenProbes.Value() != 1 {
-		t.Fatalf("second trial granted inside the window")
-	}
-
-	// A success closes the server entirely.
-	s.RecordSuccess(1, time.Millisecond)
 	if h := s.Health()[1]; h.Open || h.ConsecFails != 0 {
 		t.Fatalf("health after success = %+v, want closed", h)
 	}
+}
+
+// A half-open trial is spent by the call that reaches the open server,
+// not by an order: a lookup that reaches t before the back of its order
+// never sends the trial, so it must neither be counted nor keep the
+// next order from offering the server.
+func TestHalfOpenTrialIsSpentBySendNotByOrder(t *testing.T) {
+	now := time.Unix(1000, 0)
+	m := telemetry.NewSelectorMetrics(telemetry.NewRegistry())
+	s := New(4, Options{Metrics: m, Now: func() time.Time { return now }})
+	for i := 0; i < 3; i++ {
+		s.RecordFailure(3)
+	}
+	s.RecordAnswer("k", 0, 8)
+	s.RecordAnswer("k", 1, 8)
+	s.RecordAnswer("k", 2, 0) // negative: behind a half-open server, ahead of an open one
+	now = now.Add(2 * time.Second)
+	halfOpen, open := []int{0, 1, 3, 2}, []int{0, 1, 2, 3}
+	for i := 0; i < 2; i++ {
+		if got := s.Order("k", base(4)); !reflect.DeepEqual(got, halfOpen) {
+			t.Fatalf("order %d = %v, want %v: server 3 offered its trial", i, got, halfOpen)
+		}
+		if got := m.HalfOpenProbes.Value(); got != 0 {
+			t.Fatalf("after order %d: half-open probes = %d, want 0 (no call reached server 3)", i, got)
+		}
+	}
+
+	// The call that reaches server 3 is the trial: counted once, and
+	// while it is out, orders put server 3 back behind everything.
+	inner := &hookCaller{n: 4, call: func(server int) {
+		if got := m.HalfOpenProbes.Value(); got != 1 {
+			t.Errorf("during the trial: half-open probes = %d, want 1", got)
+		}
+		if got := s.Order("k", base(4)); !reflect.DeepEqual(got, open) {
+			t.Errorf("order during the trial = %v, want %v", got, open)
+		}
+	}}
+	if _, err := Observe(inner, s).Call(context.Background(), 3, wire.Ack{}); err != nil {
+		t.Fatal(err)
+	}
+	if h := s.Health()[3]; h.Open {
+		t.Fatalf("successful trial left server 3 open: %+v", h)
+	}
+}
+
+// hookCaller answers every call after running call with its server.
+type hookCaller struct {
+	n    int
+	call func(server int)
+}
+
+func (c *hookCaller) NumServers() int { return c.n }
+
+func (c *hookCaller) Call(_ context.Context, server int, _ wire.Message) (wire.Message, error) {
+	c.call(server)
+	return wire.Ack{}, nil
 }
 
 func TestSlowServerSortsBehindFastPeers(t *testing.T) {
@@ -479,6 +541,10 @@ func TestConcurrentOrdersAndRecords(t *testing.T) {
 					s.InvalidateNegatives(k)
 				case 2:
 					s.RecordSuccess(g, time.Duration(1+i%3)*time.Millisecond)
+				case 3:
+					s.RecordFailure(g)
+				case 4:
+					s.startTrial(g)
 				}
 			}
 		}(g)

@@ -150,6 +150,9 @@ func OpenWAL(dir string, stripes int, policy SyncPolicy, metrics *telemetry.WALM
 	if stripes <= 0 {
 		return nil, fmt.Errorf("store: OpenWAL with %d stripes", stripes)
 	}
+	if metrics == nil {
+		metrics = &telemetry.WALMetrics{}
+	}
 	wdir := filepath.Join(dir, walDirName)
 	if err := os.MkdirAll(wdir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create WAL dir: %w", err)
@@ -413,7 +416,8 @@ func (w *WAL) Append(stripe int, recs ...wire.Message) (uint64, error) {
 		s.pending = w.seq.Add(1)
 		s.buf = appendFrame(s.buf, s.pending, rec)
 	}
-	w.metrics.RecordAppend(len(recs), int64(len(s.buf)-start-len(recs)*walFrameHeader))
+	w.metrics.Records.Add(int64(len(recs)))
+	w.metrics.Bytes.Add(int64(len(s.buf) - start - len(recs)*walFrameHeader))
 	s.wrote = true
 	switch w.policy {
 	case SyncBatch:
@@ -498,7 +502,8 @@ func (w *WAL) flushStripeLocked(s *walStripe) error {
 		w.poison(err)
 		return err
 	}
-	w.metrics.RecordFsync(time.Since(t0))
+	w.metrics.Fsyncs.Inc()
+	w.metrics.FsyncLatency.ObserveDuration(time.Since(t0))
 	s.synced = s.pending
 	return nil
 }

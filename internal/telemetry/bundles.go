@@ -8,8 +8,7 @@ import (
 // TransportMetrics groups the per-server metrics recorded on the call
 // path: every call, its latency, and its outcome, plus the TCP client's
 // connection behavior (fresh dials vs. reuse of live multiplexed
-// connections, and dial failures). All methods are nil-receiver safe so
-// call sites need no branching.
+// connections, and dial failures).
 type TransportMetrics struct {
 	// Calls counts attempts delivered to each server (retries and
 	// hedges each count: they cost the network and the server).
@@ -82,75 +81,6 @@ func NewServerMetrics(r *Registry, prefix string) *TransportMetrics {
 	}
 }
 
-// RecordCall records one completed call attempt against a server.
-func (m *TransportMetrics) RecordCall(server int, d time.Duration, failed bool) {
-	if m == nil {
-		return
-	}
-	m.Calls.At(server).Inc()
-	m.Latency.At(server).ObserveDuration(d)
-	if failed {
-		m.Errors.At(server).Inc()
-	}
-}
-
-// RecordDial records a connection checkout that had to dial, and
-// whether the dial failed.
-func (m *TransportMetrics) RecordDial(server int, failed bool) {
-	if m == nil {
-		return
-	}
-	m.Dials.At(server).Inc()
-	if failed {
-		m.DialErrors.At(server).Inc()
-	}
-}
-
-// RecordReuse records a checkout served by a live multiplexed
-// connection; maintenance classifies the request as background repair
-// or membership traffic rather than lookup-path traffic.
-func (m *TransportMetrics) RecordReuse(server int, maintenance bool) {
-	if m == nil {
-		return
-	}
-	if maintenance {
-		m.MaintReuses.At(server).Inc()
-		return
-	}
-	m.Reuses.At(server).Inc()
-}
-
-// RecordWrite records one write syscall that carried frames frames.
-func (m *TransportMetrics) RecordWrite(frames int) {
-	if m == nil {
-		return
-	}
-	m.Frames.Add(int64(frames))
-	m.Writes.Inc()
-}
-
-// RecordHandled records one request a server answered, inline on the
-// connection's reader or after its handler detached.
-func (m *TransportMetrics) RecordHandled(detached bool) {
-	if m == nil {
-		return
-	}
-	if detached {
-		m.Detached.Inc()
-		return
-	}
-	m.Inline.Inc()
-}
-
-// RecordReaderStart records one goroutine a server started to read a
-// connection.
-func (m *TransportMetrics) RecordReaderStart() {
-	if m == nil {
-		return
-	}
-	m.ReadersStarted.Inc()
-}
-
 // LookupMetrics groups the client lookup path metrics recorded by
 // core.Service and, for the retries and hedges of its lookups, the
 // transport.Retry it wraps them in.
@@ -194,56 +124,9 @@ func NewLookupMetrics(r *Registry) *LookupMetrics {
 	}
 }
 
-// RecordLookup records the outcome of one PartialLookup: the answer
-// size achieved, probes issued, latency, and whether the deadline cut
-// it short.
-func (m *LookupMetrics) RecordLookup(achieved, target, probes int, d time.Duration, deadlineExpired bool) {
-	if m == nil {
-		return
-	}
-	m.Lookups.Inc()
-	m.AchievedT.Observe(int64(achieved))
-	m.Probes.Observe(int64(probes))
-	m.Latency.ObserveDuration(d)
-	if achieved >= target {
-		m.Satisfied.Inc()
-	} else {
-		m.Unsatisfied.Inc()
-	}
-	if deadlineExpired {
-		m.DeadlineExpired.Inc()
-	}
-}
-
-// RecordRetry counts one retry attempt beyond a probe's first try.
-func (m *LookupMetrics) RecordRetry() {
-	if m == nil {
-		return
-	}
-	m.Retries.Inc()
-}
-
-// RecordHedgeFired counts one hedged duplicate launched.
-func (m *LookupMetrics) RecordHedgeFired() {
-	if m == nil {
-		return
-	}
-	m.HedgesFired.Inc()
-}
-
-// RecordHedgeWon counts a hedge whose reply won the race against the
-// original request. Every won hedge was also fired, so HedgesWon is a
-// subset of HedgesFired.
-func (m *LookupMetrics) RecordHedgeWon() {
-	if m == nil {
-		return
-	}
-	m.HedgesWon.Inc()
-}
-
 // SelectorMetrics groups the counters recorded by the failure-aware
 // server selector (internal/selector): routing-cache effectiveness and
-// scoreboard interventions. All record methods are nil-receiver safe.
+// scoreboard interventions.
 type SelectorMetrics struct {
 	// CacheHits counts lookup orders that led with at least one cached
 	// answering server; CacheMisses counts orders built with no cached
@@ -253,7 +136,8 @@ type SelectorMetrics struct {
 	// Demotions counts servers opened (pushed behind all others) after
 	// crossing the consecutive-failure threshold.
 	Demotions *Counter
-	// HalfOpenProbes counts recovery trials granted to open servers.
+	// HalfOpenProbes counts recovery trials: calls sent to an open
+	// server whose probe window had elapsed.
 	HalfOpenProbes *Counter
 	// Invalidations counts routing-cache entries dropped by updates
 	// (place invalidates the key; add/delete invalidate its negatives).
@@ -269,46 +153,6 @@ func NewSelectorMetrics(r *Registry) *SelectorMetrics {
 		HalfOpenProbes: r.NewCounter("selector.half_open_probes"),
 		Invalidations:  r.NewCounter("selector.invalidations"),
 	}
-}
-
-// RecordHit counts one order built from a cached route.
-func (m *SelectorMetrics) RecordHit() {
-	if m == nil {
-		return
-	}
-	m.CacheHits.Inc()
-}
-
-// RecordMiss counts one order built with no cached route.
-func (m *SelectorMetrics) RecordMiss() {
-	if m == nil {
-		return
-	}
-	m.CacheMisses.Inc()
-}
-
-// RecordDemotion counts one server opened by its failure streak.
-func (m *SelectorMetrics) RecordDemotion() {
-	if m == nil {
-		return
-	}
-	m.Demotions.Inc()
-}
-
-// RecordHalfOpenProbe counts one recovery trial granted.
-func (m *SelectorMetrics) RecordHalfOpenProbe() {
-	if m == nil {
-		return
-	}
-	m.HalfOpenProbes.Inc()
-}
-
-// RecordInvalidation counts one routing-cache invalidation by an update.
-func (m *SelectorMetrics) RecordInvalidation() {
-	if m == nil {
-		return
-	}
-	m.Invalidations.Inc()
 }
 
 // NodeMetrics groups the per-server operation throughput counters
@@ -340,8 +184,7 @@ func NewNodeMetrics(r *Registry, n int) *NodeMetrics {
 // WALMetrics groups the durability-layer metrics recorded by the
 // write-ahead log and snapshotter (internal/store, node recovery): the
 // fsync latency distribution, bytes and records appended, and snapshot
-// cadence. All record methods are nil-receiver safe, so the volatile
-// (no -data-dir) configuration pays nothing.
+// cadence.
 type WALMetrics struct {
 	// FsyncLatency is the distribution of fsync(2) calls on WAL
 	// stripe files; under the batch policy one observation covers a
@@ -358,9 +201,9 @@ type WALMetrics struct {
 	SnapshotDuration *Histogram
 	Snapshots        *Counter
 	SnapshotBytes    *Gauge
-	// lastSnapshot holds the unix-nano completion time of the newest
+	// LastSnapshot holds the unix-nano completion time of the newest
 	// snapshot, feeding the wal.snapshot_age_ns gauge.
-	lastSnapshot *Gauge
+	LastSnapshot *Gauge
 }
 
 // NewWALMetrics registers WAL metrics under "wal.", including a
@@ -375,11 +218,11 @@ func NewWALMetrics(r *Registry) *WALMetrics {
 		SnapshotDuration: r.NewDurationHistogram("wal.snapshot_duration", DefaultLatencyBuckets),
 		Snapshots:        r.NewCounter("wal.snapshots"),
 		SnapshotBytes:    r.NewGauge("wal.snapshot_bytes"),
-		lastSnapshot:     r.NewGauge("wal.last_snapshot_unixns"),
+		LastSnapshot:     r.NewGauge("wal.last_snapshot_unixns"),
 	}
-	m.lastSnapshot.Set(-1)
+	m.LastSnapshot.Set(-1)
 	r.NewGaugeFunc("wal.snapshot_age_ns", func() int64 {
-		at := m.lastSnapshot.Value()
+		at := m.LastSnapshot.Value()
 		if at < 0 {
 			return -1
 		}
@@ -388,40 +231,9 @@ func NewWALMetrics(r *Registry) *WALMetrics {
 	return m
 }
 
-// RecordAppend counts records and payload bytes handed to the WAL.
-func (m *WALMetrics) RecordAppend(records int, bytes int64) {
-	if m == nil {
-		return
-	}
-	m.Records.Add(int64(records))
-	m.Bytes.Add(bytes)
-}
-
-// RecordFsync records one fsync call and its latency.
-func (m *WALMetrics) RecordFsync(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.Fsyncs.Inc()
-	m.FsyncLatency.ObserveDuration(d)
-}
-
-// RecordSnapshot records one completed snapshot pass: its duration,
-// the file size written, and the completion time for the age gauge.
-func (m *WALMetrics) RecordSnapshot(d time.Duration, bytes int64, at time.Time) {
-	if m == nil {
-		return
-	}
-	m.Snapshots.Inc()
-	m.SnapshotDuration.ObserveDuration(d)
-	m.SnapshotBytes.Set(bytes)
-	m.lastSnapshot.Set(at.UnixNano())
-}
-
 // ProxyMetrics instruments the plsproxy front tier (internal/proxy):
 // result-cache effectiveness, singleflight coalescing, and what
-// updates did to cached answers. All record methods are nil-receiver
-// safe.
+// updates did to cached answers.
 type ProxyMetrics struct {
 	// Lookups counts client lookups terminated by the proxy (batch
 	// items each count). CacheHits answered straight from the result
@@ -468,78 +280,6 @@ func NewProxyMetrics(r *Registry) *ProxyMetrics {
 		StaleFills:     r.NewCounter("proxy.stale_fills"),
 		Updates:        r.NewCounter("proxy.updates"),
 	}
-}
-
-// RecordLookup records one proxied lookup's cache outcome.
-func (m *ProxyMetrics) RecordLookup(hit, expired bool) {
-	if m == nil {
-		return
-	}
-	m.Lookups.Inc()
-	if hit {
-		m.CacheHits.Inc()
-		return
-	}
-	if expired {
-		m.CacheExpired.Inc()
-	}
-	m.CacheMisses.Inc()
-}
-
-// RecordFlight counts one flight flown by a leader (coalesced=false)
-// or joined by a follower (coalesced=true).
-func (m *ProxyMetrics) RecordFlight(coalesced bool) {
-	if m == nil {
-		return
-	}
-	if coalesced {
-		m.Coalesced.Inc()
-		return
-	}
-	m.Flights.Inc()
-}
-
-// RecordInvalidation counts one update that dropped an answer or
-// detached a flight.
-func (m *ProxyMetrics) RecordInvalidation() {
-	if m == nil {
-		return
-	}
-	m.Invalidations.Inc()
-}
-
-// RecordPatch counts one delete that took its entry out of a cached
-// answer in place.
-func (m *ProxyMetrics) RecordPatch() {
-	if m == nil {
-		return
-	}
-	m.AnswersPatched.Inc()
-}
-
-// RecordEpochFlush counts one whole-cache membership flush.
-func (m *ProxyMetrics) RecordEpochFlush() {
-	if m == nil {
-		return
-	}
-	m.EpochFlushes.Inc()
-}
-
-// RecordStaleFill counts one flight result discarded by the
-// stale-fill guard.
-func (m *ProxyMetrics) RecordStaleFill() {
-	if m == nil {
-		return
-	}
-	m.StaleFills.Inc()
-}
-
-// RecordUpdate counts one proxied update operation.
-func (m *ProxyMetrics) RecordUpdate() {
-	if m == nil {
-		return
-	}
-	m.Updates.Inc()
 }
 
 // RegisterRuntimeMetrics adds Go runtime gauges (goroutines, heap
@@ -596,30 +336,4 @@ func NewRepairMetrics(r *Registry) *RepairMetrics {
 		Pushes:          r.NewCounter("repair.pushes"),
 		UnderReplicated: r.NewGauge("repair.under_replicated"),
 	}
-}
-
-// RecordSweep counts one sweep attempt (skipped = the epoch gate
-// short-circuited it before any wire traffic).
-func (m *RepairMetrics) RecordSweep(skipped bool) {
-	if m == nil {
-		return
-	}
-	m.Sweeps.Add(1)
-	if skipped {
-		m.SweepsSkipped.Add(1)
-	}
-}
-
-// RecordSweepResult folds one completed sweep's outcome into the
-// counters and sets the under-replication gauge to the deficit this
-// sweep observed.
-func (m *RepairMetrics) RecordSweepResult(keysRepaired, moved, queries, pushes, underReplicated int) {
-	if m == nil {
-		return
-	}
-	m.KeysRepaired.Add(int64(keysRepaired))
-	m.EntriesMoved.Add(int64(moved))
-	m.Queries.Add(int64(queries))
-	m.Pushes.Add(int64(pushes))
-	m.UnderReplicated.Set(int64(underReplicated))
 }

@@ -9,6 +9,13 @@
 // measurements. The Registry mutex guards only registration and
 // snapshotting, which are rare.
 //
+// Every recording method does nothing on a nil receiver, and a vector's
+// At returns nil when the vector is nil or the index out of range. A
+// bundle (TransportMetrics, SelectorMetrics, …) is a struct of these
+// primitives, so a zero bundle records nothing: a component that takes
+// an optional bundle substitutes the zero one once, when it is built,
+// and its call sites record through the fields without a branch.
+//
 // Metrics map onto the paper's evaluation metrics (Sec. 4) as their
 // live, operational analogues: per-server entry gauges give storage
 // cost and load skew (the unfairness input, Eq. 1), the probes-per-
@@ -32,11 +39,19 @@ type Counter struct {
 }
 
 // Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() {
+	if c != nil {
+		c.v.Add(1)
+	}
+}
 
 // Add adds n (negative deltas are a caller bug but are not rejected on
 // the hot path).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c *Counter) Add(n int64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
@@ -47,10 +62,11 @@ type Gauge struct {
 }
 
 // Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the gauge by a delta.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
+func (g *Gauge) Set(n int64) {
+	if g != nil {
+		g.v.Store(n)
+	}
+}
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -83,6 +99,9 @@ func newHistogram(bounds []int64, unit string) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
+	if h == nil {
+		return
+	}
 	// Binary search for the first bound >= v; the overflow bucket is
 	// len(bounds).
 	i, j := 0, len(h.bounds)
@@ -164,28 +183,18 @@ var DefaultCountBuckets = []int64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 9
 // CounterVec is a dense vector of counters indexed by server id,
 // pre-allocated so the hot path never touches a map.
 type CounterVec struct {
-	cs      []Counter
-	discard Counter // sink for out-of-range ids (e.g. transport.ClientOrigin)
+	cs []Counter
 }
 
-// NewCounterVecStandalone returns an unregistered vector, for tests and
-// ad-hoc aggregation. Registered vectors come from Registry.NewCounterVec.
-func NewCounterVecStandalone(n int) *CounterVec {
-	return &CounterVec{cs: make([]Counter, n)}
-}
-
-// At returns the counter for index i. Out-of-range indices return a
-// shared discard counter, so callers on the hot path need no bounds
-// branching of their own.
+// At returns the counter for index i, or nil — which records nothing —
+// for an index out of range (e.g. transport.ClientOrigin) or a nil
+// vector, so callers on the hot path need no branching of their own.
 func (v *CounterVec) At(i int) *Counter {
-	if i < 0 || i >= len(v.cs) {
-		return &v.discard
+	if v == nil || i < 0 || i >= len(v.cs) {
+		return nil
 	}
 	return &v.cs[i]
 }
-
-// Len returns the vector length.
-func (v *CounterVec) Len() int { return len(v.cs) }
 
 // Values returns a copy of the per-index counts.
 func (v *CounterVec) Values() []int64 {
@@ -196,118 +205,60 @@ func (v *CounterVec) Values() []int64 {
 	return out
 }
 
-// Total returns the sum over all indices.
-func (v *CounterVec) Total() int64 {
-	var t int64
-	for i := range v.cs {
-		t += v.cs[i].Value()
-	}
-	return t
-}
-
 // HistogramVec is a dense vector of histograms indexed by server id.
 type HistogramVec struct {
-	hs      []*Histogram
-	discard *Histogram
+	hs []*Histogram
 }
 
-func newHistogramVec(n int, bounds []int64, unit string) *HistogramVec {
-	v := &HistogramVec{hs: make([]*Histogram, n), discard: newHistogram(bounds, unit)}
-	for i := range v.hs {
-		v.hs[i] = newHistogram(bounds, unit)
-	}
-	return v
-}
-
-// At returns the histogram for index i (a discard histogram when out of
-// range).
+// At returns the histogram for index i, or nil when out of range or
+// for a nil vector.
 func (v *HistogramVec) At(i int) *Histogram {
-	if i < 0 || i >= len(v.hs) {
-		return v.discard
+	if v == nil || i < 0 || i >= len(v.hs) {
+		return nil
 	}
 	return v.hs[i]
-}
-
-// Len returns the vector length.
-func (v *HistogramVec) Len() int { return len(v.hs) }
-
-// gaugeVecFunc evaluates a per-index gauge at snapshot time.
-type gaugeVecFunc struct {
-	n  int
-	fn func(i int) int64
 }
 
 // Registry names and snapshots a set of metrics. All New* methods panic
 // on duplicate names — metric names are static program identifiers, so
 // a collision is a programming error, not a runtime condition.
 type Registry struct {
-	mu            sync.Mutex
-	counters      map[string]*Counter
-	gauges        map[string]*Gauge
-	gaugeFuncs    map[string]func() int64
-	histograms    map[string]*Histogram
-	counterVecs   map[string]*CounterVec
-	histogramVecs map[string]*HistogramVec
-	gaugeVecFuncs map[string]gaugeVecFunc
+	mu sync.Mutex
+	// metrics maps each name to its metric: a *Counter, *Gauge,
+	// *Histogram, *CounterVec or *HistogramVec, or a gauge function
+	// (func() int64, or func() []int64 for a per-server vector).
+	metrics map[string]any
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters:      make(map[string]*Counter),
-		gauges:        make(map[string]*Gauge),
-		gaugeFuncs:    make(map[string]func() int64),
-		histograms:    make(map[string]*Histogram),
-		counterVecs:   make(map[string]*CounterVec),
-		histogramVecs: make(map[string]*HistogramVec),
-		gaugeVecFuncs: make(map[string]gaugeVecFunc),
-	}
+	return &Registry{metrics: make(map[string]any)}
 }
 
-func (r *Registry) checkName(name string) {
+// register adds m under name.
+func (r *Registry) register(name string, m any) {
 	if name == "" {
 		panic("telemetry: empty metric name")
 	}
-	if _, ok := r.counters[name]; ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.metrics[name]; dup {
 		panic(fmt.Sprintf("telemetry: duplicate metric %q", name))
 	}
-	if _, ok := r.gauges[name]; ok {
-		panic(fmt.Sprintf("telemetry: duplicate metric %q", name))
-	}
-	if _, ok := r.gaugeFuncs[name]; ok {
-		panic(fmt.Sprintf("telemetry: duplicate metric %q", name))
-	}
-	if _, ok := r.histograms[name]; ok {
-		panic(fmt.Sprintf("telemetry: duplicate metric %q", name))
-	}
-	if _, ok := r.counterVecs[name]; ok {
-		panic(fmt.Sprintf("telemetry: duplicate metric %q", name))
-	}
-	if _, ok := r.histogramVecs[name]; ok {
-		panic(fmt.Sprintf("telemetry: duplicate metric %q", name))
-	}
-	if _, ok := r.gaugeVecFuncs[name]; ok {
-		panic(fmt.Sprintf("telemetry: duplicate metric %q", name))
-	}
+	r.metrics[name] = m
 }
 
 // NewCounter registers and returns a counter.
 func (r *Registry) NewCounter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkName(name)
 	c := &Counter{}
-	r.counters[name] = c
+	r.register(name, c)
 	return c
 }
 
 // NewGauge registers and returns a settable gauge.
 func (r *Registry) NewGauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkName(name)
 	g := &Gauge{}
-	r.gauges[name] = g
+	r.register(name, g)
 	return g
 }
 
@@ -317,66 +268,52 @@ func (r *Registry) NewGaugeFunc(name string, fn func() int64) {
 	if fn == nil {
 		panic("telemetry: nil gauge func")
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkName(name)
-	r.gaugeFuncs[name] = fn
+	r.register(name, fn)
 }
 
 // NewHistogram registers and returns a value histogram with the given
 // bucket upper bounds.
 func (r *Registry) NewHistogram(name string, bounds []int64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkName(name)
 	h := newHistogram(bounds, "")
-	r.histograms[name] = h
+	r.register(name, h)
 	return h
 }
 
 // NewDurationHistogram registers and returns a histogram of durations in
 // nanoseconds; snapshots carry unit "ns" so formatters render durations.
 func (r *Registry) NewDurationHistogram(name string, bounds []int64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkName(name)
 	h := newHistogram(bounds, "ns")
-	r.histograms[name] = h
+	r.register(name, h)
 	return h
 }
 
 // NewCounterVec registers and returns a per-server counter vector of
 // length n.
 func (r *Registry) NewCounterVec(name string, n int) *CounterVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkName(name)
-	v := NewCounterVecStandalone(n)
-	r.counterVecs[name] = v
+	v := &CounterVec{cs: make([]Counter, n)}
+	r.register(name, v)
 	return v
 }
 
 // NewDurationHistogramVec registers and returns a per-server vector of
 // duration histograms.
 func (r *Registry) NewDurationHistogramVec(name string, n int, bounds []int64) *HistogramVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkName(name)
-	v := newHistogramVec(n, bounds, "ns")
-	r.histogramVecs[name] = v
+	v := &HistogramVec{hs: make([]*Histogram, n)}
+	for i := range v.hs {
+		v.hs[i] = newHistogram(bounds, "ns")
+	}
+	r.register(name, v)
 	return v
 }
 
-// NewGaugeVecFunc registers a per-server gauge vector evaluated at
-// snapshot time: fn(i) is called for each index in [0, n).
-func (r *Registry) NewGaugeVecFunc(name string, n int, fn func(i int) int64) {
+// NewGaugeVecFunc registers a per-server gauge vector evaluated once per
+// snapshot: fn returns the whole vector, so its length follows whatever
+// fn reads (a membership change resizes it).
+func (r *Registry) NewGaugeVecFunc(name string, fn func() []int64) {
 	if fn == nil {
 		panic("telemetry: nil gauge vec func")
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkName(name)
-	r.gaugeVecFuncs[name] = gaugeVecFunc{n: n, fn: fn}
+	r.register(name, fn)
 }
 
 // Snapshot captures every registered metric. It is safe to call
@@ -386,51 +323,38 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := Snapshot{TakenAt: time.Now().UTC()}
-	if len(r.counters) > 0 {
-		s.Counters = make(map[string]int64, len(r.counters))
-		for name, c := range r.counters {
-			s.Counters[name] = c.Value()
-		}
-	}
-	if len(r.gauges)+len(r.gaugeFuncs) > 0 {
-		s.Gauges = make(map[string]int64, len(r.gauges)+len(r.gaugeFuncs))
-		for name, g := range r.gauges {
-			s.Gauges[name] = g.Value()
-		}
-		for name, fn := range r.gaugeFuncs {
-			s.Gauges[name] = fn()
-		}
-	}
-	if len(r.histograms) > 0 {
-		s.Histograms = make(map[string]HistogramSnapshot, len(r.histograms))
-		for name, h := range r.histograms {
-			s.Histograms[name] = h.snapshot()
-		}
-	}
-	if len(r.counterVecs)+len(r.gaugeVecFuncs) > 0 {
-		s.PerServer = make(map[string][]int64, len(r.counterVecs)+len(r.gaugeVecFuncs))
-		for name, v := range r.counterVecs {
-			s.PerServer[name] = v.Values()
-		}
-		for name, gv := range r.gaugeVecFuncs {
-			vals := make([]int64, gv.n)
-			for i := range vals {
-				vals[i] = gv.fn(i)
-			}
-			s.PerServer[name] = vals
-		}
-	}
-	if len(r.histogramVecs) > 0 {
-		s.PerServerHistograms = make(map[string][]HistogramSnapshot, len(r.histogramVecs))
-		for name, v := range r.histogramVecs {
-			hs := make([]HistogramSnapshot, len(v.hs))
-			for i, h := range v.hs {
+	for name, m := range r.metrics {
+		switch m := m.(type) {
+		case *Counter:
+			put(&s.Counters, name, m.Value())
+		case *Gauge:
+			put(&s.Gauges, name, m.Value())
+		case func() int64:
+			put(&s.Gauges, name, m())
+		case *Histogram:
+			put(&s.Histograms, name, m.snapshot())
+		case *CounterVec:
+			put(&s.PerServer, name, m.Values())
+		case func() []int64:
+			put(&s.PerServer, name, m())
+		case *HistogramVec:
+			hs := make([]HistogramSnapshot, len(m.hs))
+			for i, h := range m.hs {
 				hs[i] = h.snapshot()
 			}
-			s.PerServerHistograms[name] = hs
+			put(&s.PerServerHistograms, name, hs)
 		}
 	}
 	return s
+}
+
+// put sets (*m)[name], making the map on first use so that a snapshot
+// section with no metrics stays nil and is omitted from the JSON.
+func put[V any](m *map[string]V, name string, v V) {
+	if *m == nil {
+		*m = make(map[string]V)
+	}
+	(*m)[name] = v
 }
 
 // expvarPublished tracks names already handed to expvar, which panics

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,8 +18,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 	g := reg.NewGauge("g")
-	g.Set(10)
-	g.Add(-3)
+	g.Set(7)
 	if got := g.Value(); got != 7 {
 		t.Fatalf("gauge = %d, want 7", got)
 	}
@@ -85,12 +85,8 @@ func TestCounterVecOutOfRangeDiscards(t *testing.T) {
 	v.At(-1).Inc() // e.g. transport.ClientOrigin
 	v.At(99).Inc()
 	v.At(1).Inc()
-	if got := v.Total(); got != 1 {
-		t.Fatalf("total = %d, want 1 (out-of-range discarded)", got)
-	}
-	vals := v.Values()
-	if len(vals) != 3 || vals[1] != 1 {
-		t.Fatalf("values = %v", vals)
+	if vals := v.Values(); !slices.Equal(vals, []int64{0, 1, 0}) {
+		t.Fatalf("values = %v, want [0 1 0] (out-of-range discarded)", vals)
 	}
 }
 
@@ -136,11 +132,8 @@ func TestConcurrentRecordingExact(t *testing.T) {
 	if got := c.Value(); got != total {
 		t.Fatalf("counter = %d, want %d", got, total)
 	}
-	if got := vec.Total(); got != total {
-		t.Fatalf("vec total = %d, want %d", got, total)
-	}
-	for i := 0; i < 4; i++ {
-		if got := vec.At(i).Value(); got != total/4 {
+	for i, got := range vec.Values() {
+		if got != total/4 {
 			t.Fatalf("vec[%d] = %d, want %d", i, got, total/4)
 		}
 	}
@@ -157,15 +150,14 @@ func TestConcurrentRecordingExact(t *testing.T) {
 }
 
 // TestHotPathZeroAllocs asserts the acceptance criterion: recording a
-// call adds zero allocations.
+// call adds zero allocations, into registered metrics and through a
+// zero bundle alike.
 func TestHotPathZeroAllocs(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.NewCounter("c")
 	g := reg.NewGauge("g")
 	h := reg.NewDurationHistogram("h", DefaultLatencyBuckets)
 	vec := reg.NewCounterVec("vec", 8)
-	tm := NewTransportMetrics(reg, "t", 8)
-	lm := NewLookupMetrics(reg)
 
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
@@ -175,19 +167,47 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("primitive hot path allocates %v per op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(1000, func() {
-		tm.RecordCall(3, 250*time.Microsecond, true)
-		tm.RecordDial(3, false)
-		tm.RecordReuse(3, false)
-		tm.RecordReuse(3, true)
-	}); n != 0 {
-		t.Fatalf("transport recording allocates %v per op, want 0", n)
+	for _, b := range []struct {
+		name string
+		tm   *TransportMetrics
+		lm   *LookupMetrics
+	}{
+		{"registered", NewTransportMetrics(reg, "t", 8), NewLookupMetrics(reg)},
+		{"zero", &TransportMetrics{}, &LookupMetrics{}},
+	} {
+		if n := testing.AllocsPerRun(1000, func() {
+			b.tm.Calls.At(3).Inc()
+			b.tm.Latency.At(3).ObserveDuration(250 * time.Microsecond)
+			b.tm.Errors.At(3).Inc()
+			b.tm.Reuses.At(3).Inc()
+			b.tm.Frames.Add(2)
+			b.tm.Writes.Inc()
+		}); n != 0 {
+			t.Fatalf("%s transport bundle allocates %v per op, want 0", b.name, n)
+		}
+		if n := testing.AllocsPerRun(1000, func() {
+			b.lm.Lookups.Inc()
+			b.lm.Probes.Observe(2)
+			b.lm.Latency.ObserveDuration(time.Millisecond)
+			b.lm.Retries.Inc()
+		}); n != 0 {
+			t.Fatalf("%s lookup bundle allocates %v per op, want 0", b.name, n)
+		}
 	}
-	if n := testing.AllocsPerRun(1000, func() {
-		lm.RecordLookup(5, 5, 2, time.Millisecond, false)
-		lm.RecordRetry()
-	}); n != 0 {
-		t.Fatalf("lookup recording allocates %v per op, want 0", n)
+}
+
+// A zero bundle records nothing and never panics: every primitive is
+// nil-receiver safe, and a nil vector hands out nil elements.
+func TestZeroBundleRecordsNothing(t *testing.T) {
+	var tm TransportMetrics
+	tm.Calls.At(1).Inc()
+	tm.Latency.At(1).Observe(5)
+	tm.Frames.Add(3)
+	var wm WALMetrics
+	wm.SnapshotBytes.Set(7)
+	wm.LastSnapshot.Set(1)
+	if tm.Calls.At(1) != nil || tm.Latency.At(1) != nil {
+		t.Fatal("a nil vector must hand out nil elements")
 	}
 }
 
@@ -203,7 +223,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	vec := reg.NewCounterVec("per", 3)
 	vec.At(0).Add(2)
 	vec.At(2).Add(5)
-	reg.NewGaugeVecFunc("gv", 2, func(i int) int64 { return int64(10 * i) })
+	reg.NewGaugeVecFunc("gv", func() []int64 { return []int64{0, 10} })
 
 	snap := reg.Snapshot()
 	data, err := snap.MarshalIndent()

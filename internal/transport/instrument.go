@@ -44,6 +44,10 @@ func (t *Instrumented) NumServers() int { return t.inner.NumServers() }
 func (t *Instrumented) Call(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
 	start := time.Now()
 	reply, err := t.inner.Call(ctx, server, msg)
-	t.m.RecordCall(server, time.Since(start), err != nil)
+	t.m.Calls.At(server).Inc()
+	t.m.Latency.At(server).ObserveDuration(time.Since(start))
+	if err != nil {
+		t.m.Errors.At(server).Inc()
+	}
 	return reply, err
 }

@@ -105,13 +105,18 @@ func WithMuxConns(n int) ClientOption {
 // fails included) belong to the Instrument middleware, which composes
 // over the Client without double counting.
 func WithClientMetrics(m *telemetry.TransportMetrics) ClientOption {
-	return func(c *Client) { c.metrics = m }
+	return func(c *Client) {
+		if m != nil {
+			c.metrics = m
+		}
+	}
 }
 
 // NewClient returns a Caller that treats addrs[i] as server i.
 func NewClient(addrs []string, opts ...ClientOption) *Client {
 	c := &Client{
 		timeout:  5 * time.Second,
+		metrics:  &telemetry.TransportMetrics{},
 		muxConns: DefaultMuxConns,
 	}
 	for _, opt := range opts {
@@ -195,8 +200,12 @@ type muxConn struct {
 }
 
 // newMuxConn wraps an established connection and starts its demux
-// reader; tests drive one over an in-memory pipe.
+// reader; tests drive one over an in-memory pipe. A nil m records
+// nothing.
 func newMuxConn(conn net.Conn, timeout time.Duration, m *telemetry.TransportMetrics) *muxConn {
+	if m == nil {
+		m = &telemetry.TransportMetrics{}
+	}
 	mc := &muxConn{conn: conn, timeout: timeout, metrics: m, pending: make(map[uint64]chan muxResult)}
 	go mc.readLoop()
 	return mc
@@ -270,7 +279,8 @@ func (mc *muxConn) send(ch chan muxResult, msg wire.Message) (id uint64, err err
 		buf, frames := mc.wbuf, mc.wframes
 		mc.wbuf, mc.wframes = mc.spare[:0], 0
 		mc.mu.Unlock()
-		mc.metrics.RecordWrite(frames)
+		mc.metrics.Frames.Add(int64(frames))
+		mc.metrics.Writes.Inc()
 		if err = mc.conn.SetWriteDeadline(time.Now().Add(mc.timeout)); err == nil {
 			_, err = mc.conn.Write(buf)
 		}
@@ -369,15 +379,20 @@ func (c *Client) checkout(ctx context.Context, server int, maintenance bool) (*m
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
 	if slot.mc != nil && !slot.mc.dead.Load() {
-		c.metrics.RecordReuse(server, maintenance)
+		if maintenance {
+			c.metrics.MaintReuses.At(server).Inc()
+		} else {
+			c.metrics.Reuses.At(server).Inc()
+		}
 		return slot.mc, nil
 	}
 	var d net.Dialer
 	dialCtx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 	conn, err := d.DialContext(dialCtx, "tcp", p.addr)
-	c.metrics.RecordDial(server, err != nil)
+	c.metrics.Dials.At(server).Inc()
 	if err != nil {
+		c.metrics.DialErrors.At(server).Inc()
 		return nil, fmt.Errorf("%w: %v", ErrServerDown, err)
 	}
 	slot.mc = newMuxConn(conn, c.timeout, c.metrics)

@@ -30,7 +30,7 @@ import (
 type Retry struct {
 	inner Caller
 	pol   RetryPolicy
-	m     *telemetry.LookupMetrics // nil records nothing
+	m     *telemetry.LookupMetrics
 
 	mu  sync.Mutex
 	rng *stats.RNG
@@ -84,6 +84,9 @@ func backoff(base time.Duration, a int, u float64) time.Duration {
 // counts retries and hedges under lookup.retries, lookup.hedges_fired
 // and lookup.hedges_won.
 func NewRetry(inner Caller, pol RetryPolicy, rng *stats.RNG, m *telemetry.LookupMetrics) *Retry {
+	if m == nil {
+		m = &telemetry.LookupMetrics{}
+	}
 	return &Retry{inner: inner, pol: pol, m: m, rng: rng}
 }
 
@@ -101,7 +104,7 @@ func (r *Retry) Call(ctx context.Context, server int, msg wire.Message) (wire.Me
 			return nil, err
 		}
 		if a > 1 {
-			r.m.RecordRetry()
+			r.m.Retries.Inc()
 		}
 		reply, err := r.attempt(ctx, server, msg)
 		if err == nil {
@@ -151,14 +154,14 @@ func (r *Retry) attempt(ctx context.Context, server int, msg wire.Message) (wire
 			received++
 			if o.err == nil {
 				if o.hedged {
-					r.m.RecordHedgeWon()
+					r.m.HedgesWon.Inc()
 				}
 				return o.reply, nil
 			}
 			lastErr = o.err
 		case <-hedge.C:
 			if inFlight == 1 {
-				r.m.RecordHedgeFired()
+				r.m.HedgesFired.Inc()
 				launch(true)
 				inFlight = 2
 			}

@@ -146,13 +146,17 @@ type Server struct {
 
 // NewServer returns a server for the given handler.
 func NewServer(h Handler) *Server {
-	return &Server{handler: h, conns: make(map[net.Conn]struct{})}
+	return &Server{handler: h, metrics: &telemetry.TransportMetrics{}, conns: make(map[net.Conn]struct{})}
 }
 
 // Instrument records requests handled inline and detached, reader
 // goroutines started, reply frames and writes into m. Call it before
 // Listen.
-func (s *Server) Instrument(m *telemetry.TransportMetrics) { s.metrics = m }
+func (s *Server) Instrument(m *telemetry.TransportMetrics) {
+	if m != nil {
+		s.metrics = m
+	}
+}
 
 // Listen binds to addr (e.g. "127.0.0.1:0") and begins accepting
 // connections in a background goroutine, returning the bound address.
@@ -266,7 +270,7 @@ func Detach(ctx context.Context) {
 // server open), so the Add cannot race a Wait at zero.
 func (c *serverConn) startReader() {
 	c.s.wg.Add(1)
-	c.s.metrics.RecordReaderStart()
+	c.s.metrics.ReadersStarted.Inc()
 	go c.readLoop()
 }
 
@@ -314,8 +318,8 @@ func (c *serverConn) serve(ctx context.Context, r *connReader) bool {
 			break
 		}
 		reply := c.s.handler.Handle(ctx, msg)
-		c.s.metrics.RecordHandled(r.detached)
 		if r.detached {
+			c.s.metrics.Detached.Inc()
 			parked := c.park()
 			c.wmu.Lock()
 			c.hbuf = appendReply(c.hbuf[:0], id, reply)
@@ -332,6 +336,7 @@ func (c *serverConn) serve(ctx context.Context, r *connReader) bool {
 				return false
 			}
 		}
+		c.s.metrics.Inline.Inc()
 		c.out = appendReply(c.out, id, reply)
 		c.outFrames++
 	}
@@ -363,7 +368,8 @@ func (c *serverConn) flush() {
 // write sends buf, which carries frames replies, with wmu held, and
 // returns it emptied for reuse — or nil, if it grew for a large reply.
 func (c *serverConn) write(buf []byte, frames int) []byte {
-	c.s.metrics.RecordWrite(frames)
+	c.s.metrics.Frames.Add(int64(frames))
+	c.s.metrics.Writes.Inc()
 	if _, err := c.conn.Write(buf); err != nil {
 		// The peer is gone; the reader will notice too. Replies already
 		// written stay valid, these are lost with the conn.
