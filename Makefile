@@ -67,13 +67,14 @@ e2e-bench:
 # The paired protocol a claimed gain needs (bench/README.md): ./bench
 # built at PARENT and from the working tree into a temp dir, the two
 # alternated PAIRS times per workload, both medians per workload and
-# metric printed. make e2e-pair PARENT=HEAD~1 [PAIRS=10] [SEED=1]
-# [WORKLOADS=read_direct_uniform,write_durable]
+# metric printed, and written as JSON to OUT when it is set.
+# make e2e-pair PARENT=HEAD~1 [PAIRS=10] [SEED=1]
+# [WORKLOADS=read_direct_uniform,write_durable] [OUT=results/trajectory/BENCH_prN.json]
 PAIRS ?= 10
 SEED ?= 1
 e2e-pair:
-	@test -n "$(PARENT)" || { echo "usage: make e2e-pair PARENT=<rev> [PAIRS=10] [SEED=1] [WORKLOADS=a,b]"; exit 2; }
-	$(GO) run ./internal/tools/benchpair -parent $(PARENT) -pairs $(PAIRS) -seed $(SEED) -workloads "$(WORKLOADS)"
+	@test -n "$(PARENT)" || { echo "usage: make e2e-pair PARENT=<rev> [PAIRS=10] [SEED=1] [WORKLOADS=a,b] [OUT=FILE]"; exit 2; }
+	$(GO) run ./internal/tools/benchpair -parent $(PARENT) -pairs $(PAIRS) -seed $(SEED) -workloads "$(WORKLOADS)" -out "$(OUT)"
 
 # Regenerate every table and figure, and the ext-* efficacy experiments
 # (selector, repair, membership, zone placement on vs. off), at

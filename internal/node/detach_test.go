@@ -59,16 +59,16 @@ func (h parkAfter) Handle(ctx context.Context, msg wire.Message) wire.Message {
 }
 
 // TestOnlyLocalKindsRunOnTheReader: for every wire kind outside the
-// node's local allowlist, a handler parked inside that kind does not
-// delay a Ping sent behind it on the same connection — the capability
-// to detach reaching the node through a wrapper, as bench's tracing
-// handler wraps it. The allowlist itself is pinned, so that a kind
-// added later is detached unless someone decides otherwise here.
+// allowlist wire.ServedInline, a handler parked inside that kind does
+// not delay a Ping sent behind it on the same connection — the
+// capability to detach reaching the node through a wrapper, as bench's
+// tracing handler wraps it. The allowlist itself is pinned, so that a
+// kind added later is detached unless someone decides otherwise here.
 func TestOnlyLocalKindsRunOnTheReader(t *testing.T) {
 	local := map[wire.Kind]bool{wire.KindLookup: true, wire.KindLookupBatch: true, wire.KindPing: true}
 	for k := 0; k < 256; k++ {
-		if got := servedLocally(wire.Kind(k)); got != local[wire.Kind(k)] {
-			t.Errorf("servedLocally(%d) = %v, want %v", k, got, local[wire.Kind(k)])
+		if got := wire.ServedInline(wire.Kind(k)); got != local[wire.Kind(k)] {
+			t.Errorf("wire.ServedInline(%d) = %v, want %v", k, got, local[wire.Kind(k)])
 		}
 	}
 

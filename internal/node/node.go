@@ -160,19 +160,12 @@ func (n *Node) recordOp(msg wire.Message) {
 	}
 }
 
-// servedLocally lists the kinds Handle answers from this node's memory
-// alone — no peer call, no WAL wait — and may therefore run on a
-// connection's reader goroutine. Every other kind, one added later
-// included, detaches first.
-func servedLocally(k wire.Kind) bool {
-	return k == wire.KindLookup || k == wire.KindLookupBatch || k == wire.KindPing
-}
-
 // Handle implements transport.Handler, dispatching one protocol message.
-// Nested peer calls (broadcasts, migrations) are issued with no key
-// lock held, so self-directed messages re-enter Handle safely.
+// Kinds outside wire.ServedInline detach first. Nested peer calls
+// (broadcasts, migrations) are issued with no key lock held, so
+// self-directed messages re-enter Handle safely.
 func (n *Node) Handle(ctx context.Context, msg wire.Message) wire.Message {
-	if !servedLocally(msg.Kind()) {
+	if !wire.ServedInline(msg.Kind()) {
 		transport.Detach(ctx)
 	}
 	n.recordOp(msg)

@@ -8,11 +8,13 @@
 // finishes; the summary gives, per workload and end-to-end metric, both
 // medians and quartiles, the change's median relative to the parent's,
 // the parent's IQR relative to its median, the pairs the change won, and
-// whether that is a claimable gain by the guide's rule (claim).
+// whether that is a claimable gain by the guide's rule (claim). With
+// -out, the summary is also written to FILE as JSON, with both
+// revisions, the seed, the pairs and the machine's CPU count.
 //
-// Usage (make e2e-pair PARENT=<rev> [PAIRS=10] [SEED=1] [WORKLOADS=a,b]):
+// Usage (make e2e-pair PARENT=<rev> [PAIRS=10] [SEED=1] [WORKLOADS=a,b] [OUT=FILE]):
 //
-//	go run ./internal/tools/benchpair -parent <rev> [-pairs 10] [-seed 1] [-workloads a,b]
+//	go run ./internal/tools/benchpair -parent <rev> [-pairs 10] [-seed 1] [-workloads a,b] [-out FILE]
 //
 // Run it from the repository root, on a machine doing nothing else.
 package main
@@ -24,6 +26,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 )
@@ -53,18 +56,59 @@ func main() {
 	pairs := flag.Int("pairs", 10, "parent/change pairs per workload")
 	seed := flag.Uint64("seed", 1, "workload seed, the same on both sides")
 	only := flag.String("workloads", "", "comma-separated workload names (default: all in BENCHMARK.json)")
+	out := flag.String("out", "", "also write the summary to this file as JSON")
 	flag.Parse()
 	if *parent == "" || *pairs < 1 || flag.NArg() > 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*parent, *pairs, *seed, *only); err != nil {
+	if err := run(*parent, *pairs, *seed, *only, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "benchpair:", err)
 		os.Exit(1)
 	}
 }
 
-func run(parent string, pairs int, seed uint64, only string) error {
+// summary is what -out writes: the run's identity and its summary rows.
+type summary struct {
+	Parent     string `json:"parent"` // commit
+	Change     string `json:"change"` // commit, "+dirty" when the working tree differs from it
+	Seed       uint64 `json:"seed"`
+	Pairs      int    `json:"pairs"`
+	RunSeconds int    `json:"run_seconds"`
+	NumCPU     int    `json:"num_cpu"`
+	Rows       []row  `json:"metrics"`
+}
+
+// row summarises one workload and end-to-end metric over the pairs.
+type row struct {
+	Workload     string  `json:"workload"`
+	Metric       string  `json:"metric"`
+	Better       string  `json:"better"`
+	ParentQ1     float64 `json:"parent_q1"`
+	ParentMedian float64 `json:"parent_median"`
+	ParentQ3     float64 `json:"parent_q3"`
+	ChangeQ1     float64 `json:"change_q1"`
+	ChangeMedian float64 `json:"change_median"`
+	ChangeQ3     float64 `json:"change_q3"`
+	ParentIQR    float64 `json:"parent_iqr"`
+	Wins         int     `json:"wins"`
+	Claim        string  `json:"claim"`
+}
+
+// gain is the change's median against the parent's, signed so that
+// positive is an improvement.
+func (r row) gain() float64 { return improvement(r.Better, r.ParentMedian, r.ChangeMedian) }
+
+// improvement is to − from for a metric whose better direction is
+// better, signed so that positive is an improvement.
+func improvement(better string, from, to float64) float64 {
+	if better == "lower" {
+		return from - to
+	}
+	return to - from
+}
+
+func run(parent string, pairs int, seed uint64, only, out string) error {
 	var sp spec
 	data, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
@@ -87,6 +131,18 @@ func run(parent string, pairs int, seed uint64, only string) error {
 	}
 	if err := sh(".", "git archive "+parent+" | tar -x -C "+parentDir); err != nil {
 		return fmt.Errorf("unpack %s: %w", parent, err)
+	}
+	sum := summary{Seed: seed, Pairs: pairs, RunSeconds: sp.RunSeconds, NumCPU: runtime.NumCPU()}
+	if sum.Parent, err = git("rev-parse", parent); err != nil {
+		return err
+	}
+	if sum.Change, err = git("rev-parse", "HEAD"); err != nil {
+		return err
+	}
+	if status, err := git("status", "--porcelain", "--untracked-files=no"); err != nil {
+		return err
+	} else if status != "" {
+		sum.Change += "+dirty"
 	}
 	sides := []struct{ name, dir, bin string }{
 		{"parent", parentDir, filepath.Join(tmp, "bench-parent")},
@@ -128,6 +184,24 @@ func run(parent string, pairs int, seed uint64, only string) error {
 
 	fmt.Printf("\n%d pairs, seed %d, %d s per run; quartiles as [q1 q3]; 'better' is the change's median against the parent's, signed so that positive is an improvement; 'claim' is yes when the change won at least 9/10 of at least ten pairs and its median is better by more than the parent's IQR\n", pairs, seed, sp.RunSeconds)
 	fmt.Printf("%-20s %-18s %30s %30s %8s %10s %6s %5s\n", "workload", "metric", "parent median [q1 q3]", "change median [q1 q3]", "better", "parent iqr", "wins", "claim")
+	sum.Rows = summarize(sp, values, pairs)
+	for _, r := range sum.Rows {
+		fmt.Printf("%-20s %-18s %30s %30s %+7.1f%% %9.1f%% %3d/%d %5s\n", r.Workload, r.Metric,
+			fmt.Sprintf("%.5g [%.5g %.5g]", r.ParentMedian, r.ParentQ1, r.ParentQ3),
+			fmt.Sprintf("%.5g [%.5g %.5g]", r.ChangeMedian, r.ChangeQ1, r.ChangeQ3),
+			100*r.gain()/r.ParentMedian, 100*r.ParentIQR/r.ParentMedian, r.Wins, pairs, r.Claim)
+	}
+	if out == "" {
+		return nil
+	}
+	return writeSummary(out, sum)
+}
+
+// summarize computes one row per workload and end-to-end metric that
+// has values, in BENCHMARK.json's order; values[workload][metric][side]
+// holds one value per pair, the parent's at side 0.
+func summarize(sp spec, values map[string]map[string][2][]float64, pairs int) []row {
+	var rows []row
 	for _, w := range sp.Workloads {
 		for _, m := range sp.EndToEnd {
 			both, ok := values[w.Name][m.Name]
@@ -135,25 +209,40 @@ func run(parent string, pairs int, seed uint64, only string) error {
 				continue
 			}
 			p, c := both[0], both[1]
-			sign := 1.0
-			if m.Better == "lower" {
-				sign = -1
-			}
-			wins := 0
+			pq, cq := quartiles(p), quartiles(c)
+			r := row{Workload: w.Name, Metric: m.Name, Better: m.Better,
+				ParentQ1: pq[0], ParentMedian: pq[1], ParentQ3: pq[2],
+				ChangeQ1: cq[0], ChangeMedian: cq[1], ChangeQ3: cq[2],
+				ParentIQR: pq[2] - pq[0]}
 			for i := range p {
-				if sign*(c[i]-p[i]) > 0 {
-					wins++
+				if improvement(m.Better, p[i], c[i]) > 0 {
+					r.Wins++
 				}
 			}
-			pq, cq := quartiles(p), quartiles(c)
-			fmt.Printf("%-20s %-18s %30s %30s %+7.1f%% %9.1f%% %3d/%d %5s\n", w.Name, m.Name,
-				fmt.Sprintf("%.5g [%.5g %.5g]", pq[1], pq[0], pq[2]),
-				fmt.Sprintf("%.5g [%.5g %.5g]", cq[1], cq[0], cq[2]),
-				100*sign*(cq[1]-pq[1])/pq[1], 100*(pq[2]-pq[0])/pq[1], wins, len(p),
-				claim(wins, len(p), sign*(cq[1]-pq[1]), pq[2]-pq[0]))
+			r.Claim = claim(r.Wins, pairs, r.gain(), r.ParentIQR)
+			rows = append(rows, r)
 		}
 	}
-	return nil
+	return rows
+}
+
+// writeSummary writes s to path as indented JSON.
+func writeSummary(path string, s summary) error {
+	data, err := json.MarshalIndent(s, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// git runs a git command in the current directory and returns its
+// output, trimmed.
+func git(args ...string) (string, error) {
+	out, err := exec.Command("git", args...).Output()
+	if err != nil {
+		return "", fmt.Errorf("git %s: %w", strings.Join(args, " "), err)
+	}
+	return strings.TrimSpace(string(out)), nil
 }
 
 // claim applies the choosing-metrics rule for claiming a gain: with at

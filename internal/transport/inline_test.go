@@ -208,8 +208,8 @@ func TestConcurrentCallsShareWrites(t *testing.T) {
 	tm := newTransportMetrics(1)
 	client := NewClient([]string{"pipe:unused"}, WithMuxConns(1), WithTimeout(5*time.Second), WithClientMetrics(tm))
 	defer client.Close()
-	mc := newMuxConn(held, client.timeout, client.metrics)
-	client.peers[0].slots[0].mc = mc
+	mc := client.newMuxConn(held)
+	client.servers()[0].slots[0].mc = mc
 
 	var wg sync.WaitGroup
 	errs := make(chan error, n)

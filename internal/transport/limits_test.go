@@ -133,7 +133,7 @@ func TestLargeFrameBuffersAreNotRetained(t *testing.T) {
 	for i := range large.Entries {
 		large.Entries[i] = "entry-xx"
 	}
-	mc := newMuxConn(near, time.Second, nil)
+	mc := NewClient(nil, WithTimeout(time.Second)).newMuxConn(near)
 	if _, err := mc.send(make(chan muxResult, 1), large); err != nil {
 		t.Fatalf("send: %v", err)
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,7 +24,9 @@ import (
 // writing, writes the buffer out itself — its own frame and whatever
 // was appended meanwhile — so there is no writer goroutine to wake; one
 // reader goroutine per connection routes each tagged reply straight to
-// the call waiting for it. Nested RPC chains — the Round-Robin delete
+// the call waiting for it. A lookup's writer that finds callers woken
+// by their replies and not yet returned lets them join its write first
+// (see muxConn.send). Nested RPC chains — the Round-Robin delete
 // protocol has a server call itself — cannot deadlock, because a Server
 // handler that waits on a peer has detached from its connection's
 // reader first (see Handler).
@@ -44,8 +48,15 @@ type Client struct {
 	metrics  *telemetry.TransportMetrics
 	muxConns int
 
+	// peers is an immutable server list that calls load without a lock;
+	// AddServer and RemoveServer publish a replacement under mu.
 	mu    sync.Mutex
-	peers []*peer
+	peers atomic.Pointer[[]*peer]
+
+	// woken counts calls whose reply or error a demux reader or a failing
+	// connection has claimed and whose Call has not returned yet: callers
+	// that are runnable and about to send again.
+	woken atomic.Int64
 }
 
 var _ Caller = (*Client)(nil)
@@ -184,7 +195,8 @@ type muxConn struct {
 	conn    net.Conn
 	timeout time.Duration
 	metrics *telemetry.TransportMetrics
-	dead    atomic.Bool // set under mu; read without it by checkout
+	woken   *atomic.Int64 // the client's count; a claim adds to it under mu
+	dead    atomic.Bool   // set under mu; read without it by checkout
 
 	mu      sync.Mutex
 	deadErr error
@@ -199,14 +211,11 @@ type muxConn struct {
 	flushing bool
 }
 
-// newMuxConn wraps an established connection and starts its demux
-// reader; tests drive one over an in-memory pipe. A nil m records
-// nothing.
-func newMuxConn(conn net.Conn, timeout time.Duration, m *telemetry.TransportMetrics) *muxConn {
-	if m == nil {
-		m = &telemetry.TransportMetrics{}
-	}
-	mc := &muxConn{conn: conn, timeout: timeout, metrics: m, pending: make(map[uint64]chan muxResult)}
+// newMuxConn wraps an established connection to one of c's servers and
+// starts its demux reader; tests drive one over an in-memory pipe.
+func (c *Client) newMuxConn(conn net.Conn) *muxConn {
+	mc := &muxConn{conn: conn, timeout: c.timeout, metrics: c.metrics, woken: &c.woken,
+		pending: make(map[uint64]chan muxResult)}
 	go mc.readLoop()
 	return mc
 }
@@ -221,16 +230,23 @@ func deliver(ch chan muxResult, res muxResult) {
 	}
 }
 
-// deregister abandons a request (timeout or cancellation). A reply
-// arriving later finds no channel and is dropped by the demux loop.
-func (mc *muxConn) deregister(id uint64) {
+// abandon gives up on request id (timeout, cancellation, a failed
+// write). A reply arriving later finds no channel and is dropped by the
+// demux loop; a reply or error claimed already is nobody's to receive,
+// so its claim is settled here.
+func (mc *muxConn) abandon(id uint64) {
 	mc.mu.Lock()
+	_, registered := mc.pending[id]
 	delete(mc.pending, id)
 	mc.mu.Unlock()
+	if !registered {
+		mc.woken.Add(-1)
+	}
 }
 
 // fail marks the connection dead, closes it, and delivers err to every
-// pending call. Idempotent: only the first error sticks.
+// pending call, claiming them all. Idempotent: only the first error
+// sticks.
 func (mc *muxConn) fail(err error) {
 	mc.mu.Lock()
 	if mc.dead.Load() {
@@ -241,6 +257,7 @@ func (mc *muxConn) fail(err error) {
 	mc.deadErr = err
 	pending := mc.pending
 	mc.pending = nil
+	mc.woken.Add(int64(len(pending)))
 	mc.mu.Unlock()
 	mc.conn.Close()
 	for _, ch := range pending {
@@ -252,10 +269,16 @@ func (mc *muxConn) fail(err error) {
 // the write buffer. Unless another caller is flushing already (that one
 // will carry the frame), it then writes the buffer out until it is
 // empty: this caller's frame and every frame appended while it was in
-// write. Each write runs under a deadline of the per-call timeout; a
-// peer that does not drain the socket for that long has failed, and so
-// has the connection — part of a frame may be out. That error matches
-// os.ErrDeadlineExceeded. An id is never left registered on an error.
+// write. A kind the server answers inline (wire.ServedInline) first
+// yields one scheduling round when the client has woken callers: they
+// are about to send again, and their frames join this write, which the
+// server then reads and answers in one go. Other kinds do not wait:
+// they are answered one write per reply, on peer and WAL chains where
+// the round is latency. Each write runs under a deadline of the
+// per-call timeout; a peer that does not drain the socket for that long
+// has failed, and so has the connection — part of a frame may be out.
+// That error matches os.ErrDeadlineExceeded. An id is never left
+// registered on an error; a nonzero one was claimed by the failure.
 func (mc *muxConn) send(ch chan muxResult, msg wire.Message) (id uint64, err error) {
 	mc.mu.Lock()
 	if mc.dead.Load() {
@@ -275,6 +298,11 @@ func (mc *muxConn) send(ch chan muxResult, msg wire.Message) (id uint64, err err
 		return id, nil
 	}
 	mc.flushing = true
+	if wire.ServedInline(msg.Kind()) && mc.woken.Load() > 0 {
+		mc.mu.Unlock()
+		runtime.Gosched()
+		mc.mu.Lock()
+	}
 	for len(mc.wbuf) > 0 && err == nil {
 		buf, frames := mc.wbuf, mc.wframes
 		mc.wbuf, mc.wframes = mc.spare[:0], 0
@@ -311,7 +339,10 @@ func (mc *muxConn) readLoop() {
 		}
 		mc.mu.Lock()
 		ch, ok := mc.pending[id]
-		delete(mc.pending, id)
+		if ok {
+			delete(mc.pending, id)
+			mc.woken.Add(1)
+		}
 		mc.mu.Unlock()
 		if ok {
 			deliver(ch, muxResult{msg: msg})
@@ -321,19 +352,22 @@ func (mc *muxConn) readLoop() {
 	}
 }
 
-// NumServers returns the number of configured addresses.
-func (c *Client) NumServers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.peers)
+// servers returns the published server list, which nobody modifies.
+func (c *Client) servers() []*peer {
+	if p := c.peers.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
+
+// NumServers returns the number of configured addresses.
+func (c *Client) NumServers() int { return len(c.servers()) }
 
 // Addrs returns a copy of the configured address list.
 func (c *Client) Addrs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	addrs := make([]string, len(c.peers))
-	for i, p := range c.peers {
+	peers := c.servers()
+	addrs := make([]string, len(peers))
+	for i, p := range peers {
 		addrs[i] = p.addr
 	}
 	return addrs
@@ -345,22 +379,24 @@ func (c *Client) Addrs() []string {
 func (c *Client) AddServer(addr string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.peers = append(c.peers, &peer{addr: addr, slots: make([]connSlot, c.muxConns)})
-	return len(c.peers) - 1
+	peers := append(slices.Clip(c.servers()), &peer{addr: addr, slots: make([]connSlot, c.muxConns)})
+	c.peers.Store(&peers)
+	return len(peers) - 1
 }
 
 // RemoveServer deletes one server's address and connections, shifting
 // higher ids down by one.
 func (c *Client) RemoveServer(server int) {
 	c.mu.Lock()
-	if server < 0 || server >= len(c.peers) {
+	old := c.servers()
+	if server < 0 || server >= len(old) {
 		c.mu.Unlock()
 		return
 	}
-	p := c.peers[server]
-	c.peers = append(c.peers[:server], c.peers[server+1:]...)
+	peers := slices.Delete(slices.Clone(old), server, server+1)
+	c.peers.Store(&peers)
 	c.mu.Unlock()
-	p.close()
+	old[server].close()
 }
 
 // checkout picks the next of the server's connection slots round-robin
@@ -368,13 +404,11 @@ func (c *Client) RemoveServer(server int) {
 // connection has died (a stale dead connection is replaced rather than
 // failing the call).
 func (c *Client) checkout(ctx context.Context, server int, maintenance bool) (*muxConn, error) {
-	c.mu.Lock()
-	if server < 0 || server >= len(c.peers) {
-		defer c.mu.Unlock()
-		return nil, fmt.Errorf("transport: server %d out of range [0,%d)", server, len(c.peers))
+	peers := c.servers()
+	if server < 0 || server >= len(peers) {
+		return nil, fmt.Errorf("transport: server %d out of range [0,%d)", server, len(peers))
 	}
-	p := c.peers[server]
-	c.mu.Unlock()
+	p := peers[server]
 	slot := &p.slots[p.rr.Add(1)%uint64(len(p.slots))]
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
@@ -395,7 +429,7 @@ func (c *Client) checkout(ctx context.Context, server int, maintenance bool) (*m
 		c.metrics.DialErrors.At(server).Inc()
 		return nil, fmt.Errorf("%w: %v", ErrServerDown, err)
 	}
-	slot.mc = newMuxConn(conn, c.timeout, c.metrics)
+	slot.mc = c.newMuxConn(conn)
 	return slot.mc, nil
 }
 
@@ -418,6 +452,9 @@ func (c *Client) Call(ctx context.Context, server int, msg wire.Message) (wire.M
 	id, err := mc.send(w.ch, msg)
 	if err != nil {
 		w.timer.Stop()
+		if id != 0 {
+			mc.abandon(id) // claimed by the failure its write met
+		}
 		switch {
 		case errors.Is(err, wire.ErrOversized):
 			// The message's fault, not the server's: reported as is, with
@@ -431,6 +468,7 @@ func (c *Client) Call(ctx context.Context, server int, msg wire.Message) (wire.M
 	}
 	select {
 	case res := <-w.ch:
+		c.woken.Add(-1)
 		// Stop, and drain without blocking if it fired meanwhile: that
 		// leaves the timer's channel empty for the next Reset under the
 		// timer semantics before and after Go 1.23 alike.
@@ -449,12 +487,12 @@ func (c *Client) Call(ctx context.Context, server int, msg wire.Message) (wire.M
 		// Request-level timeout: abandon the id but keep the connection —
 		// a late reply is dropped by the demux loop, and a retry reuses
 		// the warm connection instead of dialing.
-		mc.deregister(id)
+		mc.abandon(id)
 		return nil, &requestTimeoutError{server: server, d: c.timeout}
 	case <-ctx.Done():
 		// The caller's deadline, not the server's fault: reported
 		// unwrapped so policy layers never retry it.
-		mc.deregister(id)
+		mc.abandon(id)
 		w.timer.Stop()
 		return nil, ctx.Err()
 	}
@@ -464,10 +502,7 @@ func (c *Client) Call(ctx context.Context, server int, msg wire.Message) (wire.M
 // calls dial afresh, which dynamic membership and restart flows rely
 // on.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	peers := append([]*peer(nil), c.peers...)
-	c.mu.Unlock()
-	for _, p := range peers {
+	for _, p := range c.servers() {
 		p.close()
 	}
 	return nil

@@ -244,10 +244,8 @@ func TestMuxPipelinesOnOneConn(t *testing.T) {
 func plantPipeConn(t *testing.T, c *Client) (*muxConn, net.Conn) {
 	t.Helper()
 	near, far := net.Pipe()
-	mc := newMuxConn(near, c.timeout, c.metrics)
-	c.mu.Lock()
-	c.peers[0].slots[0].mc = mc
-	c.mu.Unlock()
+	mc := c.newMuxConn(near)
+	c.servers()[0].slots[0].mc = mc
 	return mc, far
 }
 
