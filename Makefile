@@ -30,8 +30,9 @@ lint:
 # Non-test Go lines, in three groups with a total each: the packages
 # the previous roadmap's "collapse the layers" tracked plus
 # internal/bench, where cmd/plsbench's scenarios moved; then the four a
-# request crosses client-side; then, each alone, the store and its WAL
-# and the telemetry layer; last the whole repository. Quote the
+# request crosses client-side; then, each alone, the store and its WAL,
+# the telemetry layer, and the two membership hosts (the simulator's
+# cluster and the daemon); last the whole repository. Quote the
 # before/after in PRs that claim a reduction.
 LOC_PKGS = internal/node internal/strategy internal/wire internal/transport cmd/plsbench internal/bench
 LOC_REQUEST_PKGS = internal/strategy internal/core internal/proxy internal/selector
@@ -42,7 +43,9 @@ loc:
 	@for p in $(LOC_REQUEST_PKGS); do printf '%-20s %s\n' $$p $$($(call loc_lines,$$p)); done
 	@printf '%-20s %s\n\n' total $$($(call loc_lines,$(LOC_REQUEST_PKGS)))
 	@printf '%-20s %s\n' internal/store $$($(call loc_lines,internal/store))
-	@printf '%-20s %s\n\n' internal/telemetry $$($(call loc_lines,internal/telemetry))
+	@printf '%-20s %s\n' internal/telemetry $$($(call loc_lines,internal/telemetry))
+	@printf '%-20s %s\n' internal/cluster $$($(call loc_lines,internal/cluster))
+	@printf '%-20s %s\n\n' cmd/plsd $$($(call loc_lines,cmd/plsd))
 	@printf '%-20s %s\n' 'whole repo' $$($(call loc_lines,.))
 
 # Coverage with the same floor CI enforces (.github/coverage-floor).

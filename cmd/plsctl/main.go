@@ -131,6 +131,12 @@ func run() error {
 	if *clientZone != "" && tp == nil {
 		return fmt.Errorf("-client-zone requires -topology")
 	}
+	// Membership verbs commit a cluster-wide rebalance — every member
+	// sweeps every key synchronously before the reply — so they use their
+	// own generously-timed client rather than the data-path one.
+	if verb == "join" || verb == "drain" {
+		return runMembership(addrs, verb, key, *viaProxy)
+	}
 	if *viaProxy {
 		// Front-tier mode: the strategy layer lives in the proxy, so ship
 		// the raw wire request and print whatever comes back. The local
@@ -142,46 +148,6 @@ func run() error {
 		}
 		cfg.ZoneSpread = *zoneSpread
 		return runProxy(addrs, cfg, *timeout, *muxConns, verb, args)
-	}
-	// Membership verbs commit a cluster-wide rebalance — every member
-	// sweeps every key synchronously before the ack — so they use their
-	// own generously-timed client rather than the data-path one.
-	switch verb {
-	case "join":
-		reply, err := membershipCall(addrs, 0, wire.Join{Addr: key})
-		if err != nil {
-			return err
-		}
-		switch r := reply.(type) {
-		case wire.MembershipUpdate:
-			fmt.Printf("joined %s as server %d: cluster now %d members at epoch %d\n", key, r.NewN-1, r.NewN, r.Epoch)
-			return nil
-		case wire.Ack:
-			return fmt.Errorf("join %s: %s", key, r.Err)
-		default:
-			return fmt.Errorf("join %s: unexpected reply %T", key, reply)
-		}
-	case "drain":
-		idx, err := strconv.Atoi(key)
-		if err != nil {
-			return fmt.Errorf("usage: drain INDEX (got %q)", key)
-		}
-		// Coordinate from a survivor when one exists; draining the
-		// coordinator itself also works (it commits last), this just
-		// keeps the ack path independent of the leaver's shutdown.
-		coordinator := 0
-		if idx == 0 && len(addrs) > 1 {
-			coordinator = 1
-		}
-		reply, err := membershipCall(addrs, coordinator, wire.Leave{Server: idx})
-		if err != nil {
-			return err
-		}
-		if ack, ok := reply.(wire.Ack); !ok || ack.Err != "" {
-			return fmt.Errorf("drain %d: %v", idx, reply)
-		}
-		fmt.Printf("drained server %d: entries rebalanced onto the %d survivors\n", idx, len(addrs)-1)
-		return nil
 	}
 	reg := telemetry.NewRegistry()
 	tm := telemetry.NewTransportMetrics(reg, "transport", len(addrs))
@@ -475,48 +441,54 @@ func runProxy(addrs []string, cfg wire.Config, timeout time.Duration, muxConns i
 			fmt.Printf("%s: %d entries via proxy (%s) %v\n", items[i].Key, len(r.Entries), status, r.Entries)
 		}
 		return nil
-	case "join":
-		reply, err := call(wire.Join{Addr: args[1]}, 2*time.Minute)
-		if err != nil {
-			return err
-		}
-		switch r := reply.(type) {
-		case wire.MembershipUpdate:
-			fmt.Printf("joined %s as server %d via proxy: cluster now %d members at epoch %d\n",
-				args[1], r.NewN-1, r.NewN, r.Epoch)
-			return nil
-		default:
-			return fmt.Errorf("join %s: %v", args[1], reply)
-		}
-	case "drain":
-		idx, err := strconv.Atoi(args[1])
-		if err != nil {
-			return fmt.Errorf("usage: drain INDEX (got %q)", args[1])
-		}
-		reply, err := call(wire.Leave{Server: idx}, 2*time.Minute)
-		if err != nil {
-			return err
-		}
-		if ack, ok := reply.(wire.Ack); !ok || ack.Err != "" {
-			return fmt.Errorf("drain %d: %v", idx, reply)
-		}
-		fmt.Printf("drained server %d via proxy\n", idx)
-		return nil
 	default:
 		return fmt.Errorf("verb %q is not available through -proxy (the proxy serves place|add|delete|lookup|mlookup|join|drain)", verb)
 	}
 }
 
-// membershipCall sends one membership message (wire.Join or wire.Leave)
-// to the chosen coordinator over a dedicated client. The coordinator
-// only acks once every member has finished its rebalance sweep, so the
-// deadline is minutes, not the data-path -timeout.
-func membershipCall(addrs []string, coordinator int, msg wire.Message) (wire.Message, error) {
+// runMembership sends a join or drain to one coordinator — through
+// -proxy, to the proxy, which forwards it — and prints the update the
+// coordinator committed. The coordinator replies only once every member
+// has finished its rebalance sweep, so the deadline is minutes, not the
+// data-path -timeout.
+func runMembership(addrs []string, verb, arg string, viaProxy bool) error {
+	var msg wire.Message = wire.Join{Addr: arg}
+	coordinator := 0
+	if verb == "drain" {
+		idx, err := strconv.Atoi(arg)
+		if err != nil {
+			return fmt.Errorf("usage: drain INDEX (got %q)", arg)
+		}
+		msg = wire.Leave{Server: idx}
+		// Coordinate from a survivor when one exists; a leaver can
+		// coordinate its own drain too, this just keeps the reply path
+		// independent of its shutdown.
+		if idx == 0 && len(addrs) > 1 && !viaProxy {
+			coordinator = 1
+		}
+	}
 	client := transport.NewClient(addrs, transport.WithTimeout(2*time.Minute))
 	defer client.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	return client.Call(ctx, coordinator, msg)
+	reply, err := client.Call(ctx, coordinator, msg)
+	if err != nil {
+		return err
+	}
+	m, ok := reply.(wire.MembershipUpdate)
+	if !ok {
+		if ack, isAck := reply.(wire.Ack); isAck {
+			return fmt.Errorf("%s %s: %s", verb, arg, ack.Err)
+		}
+		return fmt.Errorf("%s %s: unexpected reply %T", verb, arg, reply)
+	}
+	if m.Leaving >= 0 {
+		fmt.Printf("drained server %d: cluster now %d members at epoch %d (-servers %s)\n",
+			m.Leaving, m.NewN, m.Epoch, strings.Join(m.Addrs, ","))
+	} else {
+		fmt.Printf("joined %s as server %d: cluster now %d members at epoch %d\n", arg, m.OldN, m.NewN, m.Epoch)
+	}
+	return nil
 }
 
 // runStats fetches a node's telemetry snapshot from its admin endpoint

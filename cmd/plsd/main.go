@@ -20,10 +20,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
+	"repro/internal/cliutil"
 	"repro/internal/node"
 	"repro/internal/selector"
 	"repro/internal/stats"
@@ -31,6 +31,7 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/topo"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -50,7 +51,6 @@ func run() error {
 		timeout  = flag.Duration("peer-timeout", 5*time.Second, "peer RPC timeout")
 		retries  = flag.Int("peer-retries", 1, "attempts per peer RPC before reporting the peer down")
 		muxConns = flag.Int("mux-conns", transport.DefaultMuxConns, "multiplexed TCP connections per peer; calls spread over them round-robin and pipeline on each, every caller writing its own frames")
-		selObs   = flag.Bool("peer-selector", true, "score peer health (EWMA latency, failure streaks) and expose it via the admin endpoint")
 
 		// Dynamic membership. A daemon started with -join asks the given
 		// member to admit it once it is listening (its own entry must
@@ -68,8 +68,8 @@ func run() error {
 
 		// Anti-entropy repair: background sweeps that re-replicate
 		// entries lost to dead peers, restoring each scheme's
-		// replication invariant. Driven by the selector scoreboard
-		// (open circuits = presumed dead), so it requires -peer-selector.
+		// replication invariant. Driven by the peer selector's
+		// scoreboard (open circuits = presumed dead).
 		repairInterval = flag.Duration("repair-interval", 30*time.Second, "interval between anti-entropy repair sweeps")
 		repairOff      = flag.Bool("repair-off", false, "disable the anti-entropy repair daemon")
 
@@ -90,9 +90,9 @@ func run() error {
 	)
 	flag.Parse()
 
-	addrs := strings.Split(*peers, ",")
-	for i := range addrs {
-		addrs[i] = strings.TrimSpace(addrs[i])
+	addrs, err := cliutil.ParseServerList(*peers)
+	if err != nil {
+		return fmt.Errorf("-peers: %w", err)
 	}
 	if *id < 0 || *id >= len(addrs) {
 		return fmt.Errorf("-id %d out of range for %d peers", *id, len(addrs))
@@ -153,7 +153,6 @@ func run() error {
 		timeout:   *timeout,
 		retries:   *retries,
 		muxConns:  *muxConns,
-		selector:  *selObs,
 		chaos:     transport.Faults{Latency: *chaosLatency, Jitter: *chaosJitter, DropRate: *chaosDrop},
 		chaosSeed: *chaosSeed,
 	})
@@ -163,23 +162,19 @@ func run() error {
 	// Dynamic membership: this daemon can coordinate joins and drains
 	// (wire.Join / wire.Leave land on any member) and applies committed
 	// updates to its own transport view and selector.
-	mc := newMembershipController(nd, peerClient, sel, tp)
+	host := newMembershipHost(nd, peerClient, sel, tp)
 
 	// Anti-entropy repair: sweeps are epoch-gated on the selector's
 	// failure counter, so a healthy cluster pays nothing for this loop.
 	var repairer *node.Repairer
 	if !*repairOff {
-		if sel == nil {
-			fmt.Println("plsd: repair daemon disabled: -peer-selector=false leaves it without a health source (pass -repair-off to silence this)")
-		} else {
-			repairer = node.NewRepairer(nd, node.RepairOptions{
-				Interval: *repairInterval,
-				Health:   sel,
-				Metrics:  telemetry.NewRepairMetrics(reg),
-			})
-			repairer.Start()
-			fmt.Printf("plsd: anti-entropy repair sweeping every %v\n", *repairInterval)
-		}
+		repairer = node.NewRepairer(nd, node.RepairOptions{
+			Interval: *repairInterval,
+			Health:   sel,
+			Metrics:  telemetry.NewRepairMetrics(reg),
+		})
+		repairer.Start()
+		fmt.Printf("plsd: anti-entropy repair sweeping every %v\n", *repairInterval)
 	}
 
 	srv := transport.NewServer(nd)
@@ -227,17 +222,17 @@ func run() error {
 	drained := false
 	select {
 	case <-sig:
-	case <-mc.drained:
+	case <-host.drained:
 		// A drain coordinated elsewhere (plsctl drain) already moved our
 		// entries; fall through to the normal shutdown path.
 		drained = true
 	}
 	if *drainOnShutdown && !drained {
-		// Hand our entries to the survivors before exiting. Coordinated
-		// locally: survivors commit first, then our own sweep pushes.
+		// Hand our entries to the survivors before exiting, coordinated
+		// here: our own sweep pushes first, then the survivors commit.
 		fmt.Println("plsd: draining out of the cluster before shutdown")
-		if err := mc.Leave(context.Background(), nd.ID()); err != nil {
-			fmt.Fprintln(os.Stderr, "plsd: drain-on-shutdown:", err)
+		if ack, ok := nd.Handle(context.Background(), wire.Leave{Server: nd.ID()}).(wire.Ack); ok {
+			fmt.Fprintln(os.Stderr, "plsd: drain-on-shutdown:", ack.Err)
 		}
 	}
 	// Graceful shutdown: stop accepting and drain in-flight requests
@@ -268,7 +263,6 @@ type peerOptions struct {
 	timeout   time.Duration
 	retries   int
 	muxConns  int
-	selector  bool
 	chaos     transport.Faults
 	chaosSeed uint64
 }
@@ -279,7 +273,7 @@ type peerOptions struct {
 // sit below the retry layer, so every attempt — an injected drop, a
 // retry — is one call in peer.calls and one sample for the selector,
 // and peer.latency holds no back-off sleep. The caller closes the
-// returned client; the selector is nil when o.selector is false.
+// returned client.
 func newPeerCaller(reg *telemetry.Registry, addrs []string, id int, tp *topo.Topology, o peerOptions) (transport.Caller, *transport.Client, *selector.Selector) {
 	tm := telemetry.NewTransportMetrics(reg, "peer", len(addrs))
 	client := transport.NewClient(addrs,
@@ -295,43 +289,40 @@ func newPeerCaller(reg *telemetry.Registry, addrs []string, id int, tp *topo.Top
 		caller = chaos.Origin(id)
 	}
 	caller = transport.Instrument(caller, tm)
-	var sel *selector.Selector
-	if o.selector {
-		// The daemon's forwarding fan-out is fixed by key placement, so
-		// the scoreboard is observe-only here: it feeds the admin health
-		// gauges, selector counters, and the repair daemon's
-		// presumed-dead classification.
-		sel = selector.New(len(addrs), selector.Options{
-			Metrics: telemetry.NewSelectorMetrics(reg),
-		})
-		if tp != nil {
-			// Nearest-zone-first peer preference from this daemon's own
-			// rack; repair pushes and future orderings go to same-zone
-			// healthy peers before crossing a DC boundary.
-			sel.SetTopology(tp, tp.ZoneOf(id))
-		}
-		caller = selector.Observe(caller, sel)
-		// One Health copy per vector per snapshot; membership resizes
-		// the selector, and the vectors with it.
-		health := func(f func(selector.ServerHealth) int64) func() []int64 {
-			return func() []int64 {
-				h := sel.Health()
-				out := make([]int64, len(h))
-				for i := range h {
-					out[i] = f(h[i])
-				}
-				return out
-			}
-		}
-		reg.NewGaugeVecFunc("selector.consec_failures", health(func(h selector.ServerHealth) int64 { return int64(h.ConsecFails) }))
-		reg.NewGaugeVecFunc("selector.open", health(func(h selector.ServerHealth) int64 {
-			if h.Open {
-				return 1
-			}
-			return 0
-		}))
-		reg.NewGaugeVecFunc("selector.ewma_ns", health(func(h selector.ServerHealth) int64 { return int64(h.EWMA) }))
+	// The daemon's forwarding fan-out is fixed by key placement, so
+	// the scoreboard is observe-only here: it feeds the admin health
+	// gauges, selector counters, and the repair daemon's
+	// presumed-dead classification.
+	sel := selector.New(len(addrs), selector.Options{
+		Metrics: telemetry.NewSelectorMetrics(reg),
+	})
+	if tp != nil {
+		// Nearest-zone-first peer preference from this daemon's own
+		// rack; repair pushes and future orderings go to same-zone
+		// healthy peers before crossing a DC boundary.
+		sel.SetTopology(tp, tp.ZoneOf(id))
 	}
+	caller = selector.Observe(caller, sel)
+	// One Health copy per vector per snapshot; membership resizes
+	// the selector, and the vectors with it.
+	health := func(f func(selector.ServerHealth) int64) func() []int64 {
+		return func() []int64 {
+			h := sel.Health()
+			out := make([]int64, len(h))
+			for i := range h {
+				out[i] = f(h[i])
+			}
+			return out
+		}
+	}
+	reg.NewGaugeVecFunc("selector.consec_failures", health(func(h selector.ServerHealth) int64 { return int64(h.ConsecFails) }))
+	reg.NewGaugeVecFunc("selector.open", health(func(h selector.ServerHealth) int64 {
+		if h.Open {
+			return 1
+		}
+		return 0
+	}))
+	reg.NewGaugeVecFunc("selector.ewma_ns", health(func(h selector.ServerHealth) int64 { return int64(h.EWMA) }))
 	if o.retries > 1 {
 		// Jitter is seeded from the node id. No HedgeAfter: peer updates
 		// are not requests to duplicate.

@@ -39,7 +39,7 @@ func startJoiner(t *testing.T, bin string, allAddrs []string, dir, coordinator s
 		"-data-dir", dir,
 		"-fsync", "batch",
 		"-snapshot-interval", "0",
-		"-peer-selector=false",
+		"-repair-off",
 		"-join", coordinator,
 	)
 	buf := new(syncBuffer)
@@ -192,8 +192,8 @@ func TestMembershipScaleOutScaleInEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Leave(1): %v", err)
 	}
-	if ack, ok := reply.(wire.Ack); !ok || ack.Err != "" {
-		t.Fatalf("Leave(1) reply: %+v", reply)
+	if up, ok := reply.(wire.MembershipUpdate); !ok || up.Leaving != 1 || up.NewN != 3 || up.Epoch != 2 {
+		t.Fatalf("Leave(1) reply: %+v, want the committed update draining slot 1 at epoch 2", reply)
 	}
 
 	// The drained daemon must shut itself down gracefully.

@@ -22,7 +22,6 @@ func TestPeerCountersRecordEveryAttempt(t *testing.T) {
 		timeout:  200 * time.Millisecond,
 		retries:  3,
 		muxConns: 1,
-		selector: true,
 	})
 	defer client.Close()
 
@@ -48,7 +47,6 @@ func TestSelectorHealthGaugesFollowMembership(t *testing.T) {
 	_, client, sel := newPeerCaller(reg, []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"}, 0, nil, peerOptions{
 		timeout:  200 * time.Millisecond,
 		muxConns: 1,
-		selector: true,
 	})
 	defer client.Close()
 

@@ -45,7 +45,7 @@ func main() {
 
 func run() error {
 	var (
-		scheme   = flag.String("scheme", "round", "strategy: full, fixed, randomserver, round, hash, partition")
+		scheme   = flag.String("scheme", "round", "strategy: full, fixed, randomserver, round, hash, multiprobe, partition")
 		x        = flag.Int("x", 0, "x parameter (fixed, randomserver)")
 		y        = flag.Int("y", 1, "y parameter (round, hash)")
 		n        = flag.Int("servers", 10, "number of servers")

@@ -44,9 +44,13 @@ type Cluster struct {
 	// clusters.
 	epoch atomic.Uint64
 
-	// memberEpoch counts committed membership transitions (Join/Drain);
-	// it rides on every MembershipUpdate so members can discard replays.
-	memberEpoch atomic.Uint64
+	// last is the membership update the last successful Join or Drain
+	// committed (zero before the first); Replace hands it to the fresh
+	// node.
+	last wire.MembershipUpdate
+	// joining is the node JoinAddr is admitting, until the first
+	// member's grow step binds it (see host).
+	joining *node.Node
 	// nextAddr numbers synthetic joiner addresses; it never reuses a
 	// drained member's number, so double-join detection stays simple.
 	nextAddr int
@@ -79,6 +83,7 @@ func New(n int, rng *stats.RNG) *Cluster {
 	}
 	for i := 0; i < n; i++ {
 		c.nodes[i] = node.New(i, rng.Split())
+		c.nodes[i].SetHost(host{c})
 		c.addrs[i] = fmt.Sprintf("sim://%d", i)
 	}
 	// The chaos RNG splits after the node RNGs so node seeds (and every
@@ -200,8 +205,14 @@ func (c *Cluster) RecoverAll() {
 // cluster's own seed stream (split once per node at New, then once for
 // chaos) is never perturbed and golden seeds stay valid. The new node
 // is bound and marked up; anti-entropy repair is what re-populates it.
+// It takes the slot's committed membership epoch, so it can coordinate
+// the next change.
 func (c *Cluster) Replace(i int, rng *stats.RNG) *node.Node {
 	nd := node.New(i, rng)
+	nd.SetHost(host{c})
+	if c.last.Epoch > 0 {
+		nd.Handle(context.Background(), c.last) // an empty node has nothing to sweep
+	}
 	nd.Attach(c.chaos.Origin(i))
 	if c.nm != nil {
 		nd.Instrument(c.nm)
@@ -341,7 +352,7 @@ func (c *Cluster) ResetMessages() {
 }
 
 // MemberEpoch returns the number of committed membership transitions.
-func (c *Cluster) MemberEpoch() uint64 { return c.memberEpoch.Load() }
+func (c *Cluster) MemberEpoch() uint64 { return c.last.Epoch }
 
 // Addrs returns a copy of the current member address list.
 func (c *Cluster) Addrs() []string { return append([]string(nil), c.addrs...) }
@@ -353,99 +364,55 @@ func (c *Cluster) Join(ctx context.Context, rng *stats.RNG) (*node.Node, error) 
 }
 
 // JoinAddr admits a new server at addr into the running cluster: the
-// node takes the next slot, every member (new one included) receives
-// the committed MembershipUpdate in ascending slot order, and each
-// rebalances its share of every key synchronously before acking — when
-// JoinAddr returns, the cluster satisfies every scheme's placement
-// invariant at the new size. Down members are skipped and simply miss
-// the update, the paper's fault model; the anti-entropy sweep fixes
-// them after recovery (the failure epoch is advanced here for exactly
-// that reason). The caller supplies the joiner's RNG, as with Replace,
-// so the cluster's own seed stream is never perturbed.
+// highest slot coordinates the join (see node.Host), the new node takes
+// the next slot, every member (new one included) commits the update in
+// ascending slot order, and each rebalances its share of every key
+// synchronously before acking — when JoinAddr returns, the cluster
+// satisfies every scheme's placement invariant at the new size. A down
+// member fails the join there; the node is returned if it was bound. The
+// caller supplies the joiner's RNG, as with Replace, so the cluster's
+// own seed stream is never perturbed.
 //
 // Membership operations are orchestration-plane: they must not run
 // concurrently with each other (they may run alongside lookups, which
 // never block on rebalance).
 func (c *Cluster) JoinAddr(ctx context.Context, addr string, rng *stats.RNG) (*node.Node, error) {
-	for _, a := range c.addrs {
-		if a == addr {
-			return nil, fmt.Errorf("cluster: %s is already a member", addr)
-		}
-	}
-	oldN := len(c.nodes)
-	nd := node.New(oldN, rng)
-	nd.Attach(c.chaos.Origin(oldN))
+	nd := node.New(len(c.nodes), rng)
+	nd.SetHost(host{c})
+	nd.Attach(c.chaos.Origin(len(c.nodes)))
 	if c.nm != nil {
 		nd.Instrument(c.nm)
 	}
-	c.chaos.Grow(1)
-	if c.topo != nil {
-		// Keep the topology in step with the member count: the joiner
-		// goes to the least-populated rack, and spread assignments stay
-		// suspended (base fallback) only for the instant the counts
-		// disagree.
-		c.topo.Grow(1)
-		nd.SetTopology(c.topo)
+	c.joining = nd
+	err := c.change(ctx, len(c.nodes)-1, wire.Join{Addr: addr})
+	if c.joining != nil {
+		c.joining = nil
+		return nil, err
 	}
-	c.tr.Add(nd)
-	c.nodes = append(c.nodes, nd)
-	c.addrs = append(c.addrs, addr)
-	c.localBase = append(c.localBase, 0)
-	c.nextAddr++
-
-	m := wire.MembershipUpdate{
-		Epoch:   c.memberEpoch.Add(1),
-		OldN:    oldN,
-		NewN:    oldN + 1,
-		Joined:  []int{oldN},
-		Leaving: -1,
-		Addrs:   c.Addrs(),
-	}
-	err := c.broadcastUpdate(ctx, m, nil)
 	// New failure picture (one more member): epoch-gated repair must
-	// rescan, and it is also what finishes the job for any member that
-	// was down during the broadcast.
+	// rescan.
 	c.epoch.Add(1)
 	return nd, err
 }
 
-// Drain removes server i gracefully: the leaver rebalances first
-// (handing its share to the surviving homes and dropping only copies
-// with a confirmed survivor), then every survivor in ascending order,
-// and only after every ack is the slot physically compacted — higher
-// ids shift down by one and the affected nodes are renumbered. The
-// drained node is returned still holding whatever could not be safely
-// handed off (its final snapshot is the operator's escrow; see
-// docs/OPERATIONS.md). Draining a down member is refused: a corpse
-// cannot push its entries, that is what Replace + repair are for.
+// Drain removes server i gracefully: the highest other slot coordinates,
+// the leaver rebalances first (handing its share to the surviving homes
+// and dropping only copies with a confirmed survivor), then every
+// survivor in ascending order, and only after every ack is the slot
+// physically compacted — higher ids shift down by one and the affected
+// nodes are renumbered. The drained node is returned still holding
+// whatever could not be safely handed off (its final snapshot is the
+// operator's escrow; see docs/OPERATIONS.md). A down leaver fails the
+// drain before anyone commits: a corpse cannot push its entries, that is
+// what Replace + repair are for.
 func (c *Cluster) Drain(ctx context.Context, i int) (*node.Node, error) {
-	n := len(c.nodes)
-	if i < 0 || i >= n {
-		return nil, fmt.Errorf("cluster: drain of server %d out of range [0,%d)", i, n)
+	coord := len(c.nodes) - 1
+	if coord == i && coord > 0 {
+		coord--
 	}
-	if n == 1 {
-		return nil, fmt.Errorf("cluster: refusing to drain the last member")
+	if err := c.change(ctx, coord, wire.Leave{Server: i}); err != nil {
+		return nil, err
 	}
-	if c.tr.Down(i) {
-		return nil, fmt.Errorf("cluster: refusing to drain down server %d (use Replace)", i)
-	}
-	survivors := make([]string, 0, n-1)
-	for s, a := range c.addrs {
-		if s != i {
-			survivors = append(survivors, a)
-		}
-	}
-	m := wire.MembershipUpdate{
-		Epoch:   c.memberEpoch.Add(1),
-		OldN:    n,
-		NewN:    n - 1,
-		Leaving: i,
-		Addrs:   survivors,
-	}
-	// The leaver sweeps first — its pushes are what move the data — so
-	// it leads the broadcast order.
-	err := c.broadcastUpdate(ctx, m, []int{i})
-
 	leaver := c.nodes[i]
 	c.tr.Remove(i)
 	c.chaos.Compact(i)
@@ -459,74 +426,59 @@ func (c *Cluster) Drain(ctx context.Context, i int) (*node.Node, error) {
 		c.nodes[s].SetID(s)
 		c.nodes[s].Attach(c.chaos.Origin(s))
 	}
-	for _, nd := range c.nodes {
-		nd.MarkCompacted(m.Epoch)
-	}
 	c.epoch.Add(1)
-	return leaver, err
+	return leaver, nil
 }
 
-// broadcastUpdate delivers a MembershipUpdate to every member, first
-// in listed order, then the rest ascending, skipping down members (the
-// paper's fault model: down servers lose updates) and collecting the
-// first error. Delivery goes through the cluster caller so membership
-// traffic is counted and chaos-faulted like any other.
-func (c *Cluster) broadcastUpdate(ctx context.Context, m wire.MembershipUpdate, first []int) error {
-	sent := make(map[int]bool, len(c.nodes))
-	var firstErr error
-	deliver := func(target int) {
-		if sent[target] || c.tr.Down(target) {
-			return
-		}
-		sent[target] = true
-		reply, err := c.caller.Call(ctx, target, m)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: membership update to %d: %w", target, err)
-			}
-			return
-		}
-		if err := node.MembershipAckErr(reply); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: membership update to %d: %w", target, err)
-		}
+// change sends a Join or Leave through the cluster caller to member
+// coord, which coordinates it, and records the update it committed.
+func (c *Cluster) change(ctx context.Context, coord int, msg wire.Message) error {
+	reply, err := c.caller.Call(ctx, coord, msg)
+	if err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
-	for _, t := range first {
-		deliver(t)
+	m, ok := reply.(wire.MembershipUpdate)
+	if !ok {
+		ack, _ := reply.(wire.Ack)
+		return fmt.Errorf("cluster: %s", ack.Err)
 	}
-	for t := 0; t < len(c.nodes); t++ {
-		deliver(t)
+	c.last = m
+	return nil
+}
+
+// host is every member's node.Host: the members share the cluster's
+// one view. Join and Leave reach a simulated cluster through JoinAddr
+// and Drain, which stage the joiner and compact the view; one sent to a
+// member directly would leave that view behind.
+type host struct{ c *Cluster }
+
+func (h host) Members() []string { return h.c.Addrs() }
+
+// Grow binds the joiner JoinAddr staged, in the first member's grow
+// step, so every member's sweep can address its slot.
+func (h host) Grow(m wire.MembershipUpdate) {
+	c, nd := h.c, h.c.joining
+	if nd == nil || len(c.nodes) >= m.NewN {
+		return
 	}
-	return firstErr
-}
-
-// Manager adapts the cluster to the node.MembershipManager contract so
-// simulations can serve wire-level Join/Leave frames (the TCP daemon
-// has its own controller). Each admitted joiner's RNG is minted by
-// mint, keeping seed management in the caller's hands.
-func (c *Cluster) Manager(mint func() *stats.RNG) node.MembershipManager {
-	return clusterManager{c: c, mint: mint}
-}
-
-type clusterManager struct {
-	c    *Cluster
-	mint func() *stats.RNG
-}
-
-func (m clusterManager) Join(ctx context.Context, addr string) (wire.MembershipUpdate, error) {
-	if _, err := m.c.JoinAddr(ctx, addr, m.mint()); err != nil {
-		return wire.MembershipUpdate{}, err
+	c.joining = nil
+	c.chaos.Grow(1)
+	if c.topo != nil {
+		// Keep the topology in step with the member count: the joiner
+		// goes to the least-populated rack, and spread assignments stay
+		// suspended (base fallback) only for the instant the counts
+		// disagree.
+		c.topo.Grow(1)
+		nd.SetTopology(c.topo)
 	}
-	return wire.MembershipUpdate{
-		Epoch:   m.c.MemberEpoch(),
-		OldN:    len(m.c.nodes) - 1,
-		NewN:    len(m.c.nodes),
-		Joined:  []int{len(m.c.nodes) - 1},
-		Leaving: -1,
-		Addrs:   m.c.Addrs(),
-	}, nil
+	c.tr.Add(nd)
+	c.nodes = append(c.nodes, nd)
+	c.addrs = append(c.addrs, m.Addrs[len(c.addrs)])
+	c.localBase = append(c.localBase, 0)
+	c.nextAddr++
 }
 
-func (m clusterManager) Leave(ctx context.Context, server int) error {
-	_, err := m.c.Drain(ctx, server)
-	return err
-}
+// Compact does nothing: a member still sweeping addresses the shared
+// view in pre-change slots, so Drain compacts it once every member has
+// acked.
+func (host) Compact(wire.MembershipUpdate) {}

@@ -26,21 +26,35 @@ import (
 //     recovers to a state the next sweep completes from.
 //
 // Rank space: plans are computed against the post-change membership.
-// During a drain the leaver is still physically attached (its slot is
-// compacted only after every member acked), so a post-change rank r
-// maps to transport slot r when r < leaving and r+1 otherwise; during
-// a join ranks and slots coincide. memberChange carries the mapping.
+// During a drain the leaver is still physically attached (a member's
+// view drops its slot only after that member's own sweep), so a
+// post-change rank r maps to transport slot r when r < leaving and r+1
+// otherwise; during a join ranks and slots coincide. memberChange
+// carries the mapping.
 
-// MembershipManager serves cluster-level join/drain requests arriving
-// over the wire (KindJoin / KindLeave). The host that owns the member
-// list — cluster.Cluster in simulations, the plsd daemon's controller
-// on TCP — installs one on its node via SetMembership.
-type MembershipManager interface {
-	// Join admits the server at addr and returns the committed update
-	// (its Addrs give the joiner the full member list).
-	Join(ctx context.Context, addr string) (wire.MembershipUpdate, error)
-	// Leave drains the given server and removes it from the cluster.
-	Leave(ctx context.Context, server int) error
+// Host owns a node's view of the member list: cluster.Cluster in
+// simulations, the plsd daemon on TCP. A node that receives a wire.Join
+// or wire.Leave coordinates the change from its host's member list, and
+// every node calls its host around its own sweep of a committed update.
+// Install one with SetHost.
+type Host interface {
+	// Members returns the current member addresses, in slot order.
+	Members() []string
+	// Grow runs before this node's rebalance sweep for m: a join's new
+	// slots must be addressable by then.
+	Grow(m wire.MembershipUpdate)
+	// Compact runs after this node's sweep for m, before it acks. The
+	// sweep addresses peers in pre-change slots, so a host with a
+	// transport view of its own drops a drain's slot, and renumbers the
+	// node with SetID, only here.
+	Compact(m wire.MembershipUpdate)
+}
+
+// transition is the membership update a node committed last; swept
+// closes once its rebalance sweep has finished.
+type transition struct {
+	update wire.MembershipUpdate
+	swept  chan struct{}
 }
 
 // memberChange is a committed transition in post-change rank space.
@@ -115,15 +129,18 @@ type RebalanceStats struct {
 	Dropped int
 }
 
-// ErrMembershipConflict refuses a membership update whose epoch this
-// member has already committed to a different transition: two
-// coordinators chose the same next epoch. MembershipAckErr recovers it
-// from the refusal's Ack, across the wire too.
+// ErrMembershipConflict refuses a membership update that does not
+// follow this member's committed one: a different transition under the
+// committed epoch (two coordinators chose the same next epoch), or any
+// transition under an older epoch (a coordinator behind the cluster,
+// such as a restarted daemon, whose members' epochs live only in
+// memory). MembershipAckErr recovers it from the refusal's Ack, across
+// the wire too.
 var ErrMembershipConflict = errors.New("node: membership conflict")
 
 // sameTransition reports whether a and b commit the same change.
 func sameTransition(a, b wire.MembershipUpdate) bool {
-	return a.OldN == b.OldN && a.NewN == b.NewN && a.Leaving == b.Leaving &&
+	return a.Epoch == b.Epoch && a.OldN == b.OldN && a.NewN == b.NewN && a.Leaving == b.Leaving &&
 		slices.Equal(a.Joined, b.Joined) && slices.Equal(a.Addrs, b.Addrs)
 }
 
@@ -142,44 +159,50 @@ func MembershipAckErr(reply wire.Message) error {
 }
 
 // handleMembershipUpdate commits a transition on this member: adopt
-// the epoch, let the host adjust its transport view, then sweep every
-// key synchronously — the Ack tells the coordinator this member has
-// finished moving its share. An update below the current epoch, or the
-// committed transition again, is a replayed broadcast and acks as a
-// no-op; a different transition under the current epoch is refused
-// with ErrMembershipConflict.
+// the epoch, let the host grow its transport view, sweep every key
+// synchronously, let the host compact — the Ack tells the coordinator
+// this member has finished moving its share. The committed transition
+// again (a coordinator's retry, a double join) acks once that first
+// sweep has finished; anything else at or below the committed epoch is
+// refused with ErrMembershipConflict.
 func (n *Node) handleMembershipUpdate(ctx context.Context, m wire.MembershipUpdate) wire.Message {
 	if err := validateMembershipUpdate(m); err != nil {
 		return wire.Ack{Err: err.Error()}
 	}
+	next := &transition{update: m, swept: make(chan struct{})}
 	for {
 		cur := n.applied.Load()
-		if m.Epoch > epochOf(cur) {
-			if n.applied.CompareAndSwap(cur, &m) {
+		if cur == nil && m.Epoch == 0 {
+			return wire.Ack{} // epoch 0 is the empty history
+		}
+		if cur == nil || m.Epoch > cur.update.Epoch {
+			if n.applied.CompareAndSwap(cur, next) {
 				break
 			}
 			continue
 		}
-		if cur != nil && m.Epoch == cur.Epoch && !sameTransition(m, *cur) {
-			return wire.Ack{Err: fmt.Sprintf("%v: epoch %d committed oldN=%d newN=%d leaving=%d joined=%v, refused oldN=%d newN=%d leaving=%d joined=%v",
-				ErrMembershipConflict, m.Epoch, cur.OldN, cur.NewN, cur.Leaving, cur.Joined, m.OldN, m.NewN, m.Leaving, m.Joined)}
+		c := cur.update
+		if !sameTransition(m, c) {
+			return wire.Ack{Err: fmt.Sprintf("%v: committed epoch %d oldN=%d newN=%d leaving=%d joined=%v, refused epoch %d oldN=%d newN=%d leaving=%d joined=%v",
+				ErrMembershipConflict, c.Epoch, c.OldN, c.NewN, c.Leaving, c.Joined, m.Epoch, m.OldN, m.NewN, m.Leaving, m.Joined)}
 		}
-		return wire.Ack{} // already applied (double join, re-broadcast)
+		select {
+		case <-cur.swept:
+			return wire.Ack{}
+		case <-ctx.Done():
+			return wire.Ack{Err: "node: membership replay: " + ctx.Err().Error()}
+		}
 	}
-	n.peersMu.RLock()
-	hook := n.memberHook
-	n.peersMu.RUnlock()
-	if hook != nil {
-		hook(m)
+	host := n.host()
+	if host != nil {
+		host.Grow(m)
 	}
 	stats := n.Rebalance(ctx, m)
 	n.lastRebalance.Store(&stats)
-	n.peersMu.RLock()
-	applied := n.appliedHook
-	n.peersMu.RUnlock()
-	if applied != nil {
-		applied(m)
+	if host != nil {
+		host.Compact(m)
 	}
+	close(next.swept)
 	return wire.Ack{}
 }
 
@@ -276,96 +299,126 @@ func (n *Node) handleRebalancePush(m wire.RebalancePush) wire.Message {
 	return n.acceptPush("rebalance", m.Key, m.Config, t, mv)
 }
 
-// handleJoin admits a new member on behalf of a remote joiner; the
-// reply is the committed MembershipUpdate (whose Addrs carry the full
-// post-join member list), or an error Ack when no manager is
-// installed or admission failed.
+// handleJoin coordinates admitting the server at m.Addr into the next
+// slot; the reply is the committed update, whose Addrs give the joiner
+// the full member list.
 func (n *Node) handleJoin(ctx context.Context, m wire.Join) wire.Message {
-	n.peersMu.RLock()
-	mgr := n.membership
-	n.peersMu.RUnlock()
-	if mgr == nil {
-		return wire.Ack{Err: "node: no membership manager installed"}
-	}
-	if m.Addr == "" {
-		return wire.Ack{Err: "node: join with empty address"}
-	}
-	update, err := mgr.Join(ctx, m.Addr)
-	if err != nil {
-		return wire.Ack{Err: "node: join: " + err.Error()}
-	}
-	return update
+	return n.coordinate(ctx, "join", func(addrs []string) (wire.MembershipUpdate, error) {
+		switch {
+		case m.Addr == "":
+			return wire.MembershipUpdate{}, errors.New("empty address")
+		case slices.Contains(addrs, m.Addr):
+			return wire.MembershipUpdate{}, fmt.Errorf("address %q is already a member", m.Addr)
+		}
+		oldN := len(addrs)
+		return wire.MembershipUpdate{OldN: oldN, NewN: oldN + 1, Joined: []int{oldN}, Leaving: -1,
+			Addrs: append(slices.Clip(addrs), m.Addr)}, nil
+	})
 }
 
-// handleLeave drains a member on behalf of a remote operator.
+// handleLeave coordinates draining member m.Server out of the cluster;
+// the reply is the committed update.
 func (n *Node) handleLeave(ctx context.Context, m wire.Leave) wire.Message {
+	return n.coordinate(ctx, "leave", func(addrs []string) (wire.MembershipUpdate, error) {
+		oldN := len(addrs)
+		switch {
+		case m.Server < 0 || m.Server >= oldN:
+			return wire.MembershipUpdate{}, fmt.Errorf("server %d out of range (cluster size %d)", m.Server, oldN)
+		case oldN == 1:
+			return wire.MembershipUpdate{}, errors.New("refusing to drain the last member")
+		}
+		return wire.MembershipUpdate{OldN: oldN, NewN: oldN - 1, Leaving: m.Server,
+			Addrs: slices.Delete(slices.Clone(addrs), m.Server, m.Server+1)}, nil
+	})
+}
+
+// coordinate builds a transition from the host's member list under this
+// node's committed epoch + 1, commits it, and replies with it — or with
+// an error Ack. One change at a time is coordinated per node; a second
+// coordinator that picks the same epoch is refused by every member that
+// committed the first (ErrMembershipConflict).
+func (n *Node) coordinate(ctx context.Context, op string, build func(addrs []string) (wire.MembershipUpdate, error)) wire.Message {
+	host := n.host()
+	if host == nil {
+		return wire.Ack{Err: "node: no membership host installed"}
+	}
+	n.coordinating.Lock()
+	defer n.coordinating.Unlock()
+	m, err := build(host.Members())
+	if err == nil {
+		m.Epoch = n.MemberEpoch() + 1
+		err = n.commit(ctx, m)
+	}
+	if err != nil {
+		return wire.Ack{Err: "node: " + op + ": " + err.Error()}
+	}
+	return m
+}
+
+// commit delivers m to every member in one order and stops at the first
+// that does not ack. The leaver goes first: its handoff must land while
+// every view still addresses its slot, and a leaver that cannot sweep
+// stops the change before anyone else commits. The other pre-change
+// members follow in ascending slot order, this node last among them —
+// on a drain its own commit may compact its view, which would
+// mis-address any slot contacted afterwards — and a joiner comes last:
+// this node's commit grows its view to address it.
+func (n *Node) commit(ctx context.Context, m wire.MembershipUpdate) error {
+	self := n.ID()
+	order := make([]int, 0, m.OldN+len(m.Joined))
+	if m.Leaving >= 0 {
+		order = append(order, m.Leaving)
+	}
+	for s := 0; s < m.OldN; s++ {
+		if s != self && s != m.Leaving {
+			order = append(order, s)
+		}
+	}
+	if self != m.Leaving {
+		order = append(order, self)
+	}
+	for _, s := range append(order, m.Joined...) {
+		reply, err := n.callReply(ctx, s, m)
+		if err == nil {
+			err = MembershipAckErr(reply)
+		}
+		if err != nil {
+			return fmt.Errorf("member %d: %w", s, err)
+		}
+	}
+	return nil
+}
+
+// SetHost installs the node's membership host (see Host).
+func (n *Node) SetHost(h Host) {
+	n.peersMu.Lock()
+	n.memberHost = h
+	n.peersMu.Unlock()
+}
+
+func (n *Node) host() Host {
 	n.peersMu.RLock()
-	mgr := n.membership
-	n.peersMu.RUnlock()
-	if mgr == nil {
-		return wire.Ack{Err: "node: no membership manager installed"}
-	}
-	if err := mgr.Leave(ctx, m.Server); err != nil {
-		return wire.Ack{Err: "node: leave: " + err.Error()}
-	}
-	return wire.Ack{}
+	defer n.peersMu.RUnlock()
+	return n.memberHost
 }
 
-// SetMembership installs the host's membership manager, making this
-// node able to serve Join/Leave requests from the wire.
-func (n *Node) SetMembership(m MembershipManager) {
-	n.peersMu.Lock()
-	n.membership = m
-	n.peersMu.Unlock()
-}
-
-// OnMembershipChange installs a hook run when a MembershipUpdate
-// commits on this node, before its rebalance sweep — the host's chance
-// to resize its transport view (the plsd daemon re-points its client
-// at the new address list here) so the sweep sees the new topology.
-func (n *Node) OnMembershipChange(hook func(wire.MembershipUpdate)) {
-	n.peersMu.Lock()
-	n.memberHook = hook
-	n.peersMu.Unlock()
-}
-
-// OnMembershipApplied installs a hook run after this node's rebalance
-// sweep for a committed update finishes, just before it acks. The
-// sweep addresses peers in pre-compaction slot space (the leaver still
-// attached), so a host that owns its own transport view — the plsd
-// daemon — must wait until here to drop the leaver's slot, renumber
-// itself, and, if it is the leaver, begin its own shutdown.
-func (n *Node) OnMembershipApplied(hook func(wire.MembershipUpdate)) {
-	n.peersMu.Lock()
-	n.appliedHook = hook
-	n.peersMu.Unlock()
-}
-
-// SetID renumbers the node after the host compacts transport slots
-// (a drain removes the leaver's slot, shifting higher ids down).
+// SetID renumbers the node after its host compacted a drain's slot away
+// (higher ids shift down by one). From then on, same-epoch rebalance
+// pushes still in flight from slower members treat this node's id as a
+// post-change rank (see handleRebalancePush).
 func (n *Node) SetID(id int) {
 	n.peersMu.Lock()
 	n.id.Store(int64(id))
+	n.compactedEpoch.Store(n.MemberEpoch())
 	n.peersMu.Unlock()
 }
 
-// MarkCompacted records that the host has applied the given epoch's
-// slot compaction to its transport view (and renumbered this node via
-// SetID). From here on, same-epoch rebalance pushes treat this node's
-// id as already being in post-change rank space.
-func (n *Node) MarkCompacted(epoch uint64) {
-	n.compactedEpoch.Store(epoch)
-}
-
 // MemberEpoch returns the last membership epoch this node committed.
-func (n *Node) MemberEpoch() uint64 { return epochOf(n.applied.Load()) }
-
-// epochOf is the epoch of a committed update, 0 before the first.
-func epochOf(m *wire.MembershipUpdate) uint64 {
-	if m == nil {
-		return 0
+func (n *Node) MemberEpoch() uint64 {
+	if t := n.applied.Load(); t != nil {
+		return t.update.Epoch
 	}
-	return m.Epoch
+	return 0
 }
 
 // LastRebalance returns the stats of the node's most recent rebalance

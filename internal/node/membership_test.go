@@ -7,10 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -444,8 +446,8 @@ func TestDrainSoleHolderKeyPartition(t *testing.T) {
 
 // Double admission of one address must be rejected without perturbing
 // the member list or the epoch — through the cluster API and through
-// the wire-level Join handler alike. The wire path also exercises
-// Leave end to end.
+// the wire-level Join handler of any member alike. The wire path also
+// exercises Leave end to end: both replies are the committed update.
 func TestDoubleJoinSameAddressRejected(t *testing.T) {
 	ctx := context.Background()
 	cfg := wire.Config{Scheme: wire.FullReplication}
@@ -464,22 +466,33 @@ func TestDoubleJoinSameAddressRejected(t *testing.T) {
 			n, h.cl.N(), epoch, h.cl.MemberEpoch())
 	}
 
-	// Wire path: node 0 serves Join/Leave once a manager is installed.
-	h.cl.Node(0).SetMembership(h.cl.Manager(func() *stats.RNG { return stats.NewRNG(3) }))
-	if reply := h.call(0, wire.Join{Addr: "sim://joiner"}); func() bool {
-		ack, ok := reply.(wire.Ack)
-		return !ok || ack.Err == ""
-	}() {
-		t.Fatalf("wire double join reply %+v, want error Ack", reply)
+	// Wire path: every member coordinates Join/Leave itself.
+	for s := 0; s < n; s++ {
+		if reply := h.call(s, wire.Join{Addr: "sim://joiner"}); func() bool {
+			ack, ok := reply.(wire.Ack)
+			return !ok || ack.Err == ""
+		}() {
+			t.Fatalf("wire double join via %d replied %+v, want error Ack", s, reply)
+		}
 	}
-	reply := h.call(0, wire.Join{Addr: "sim://other"})
-	update, ok := reply.(wire.MembershipUpdate)
-	if !ok || update.NewN != n+1 || len(update.Addrs) != n+1 {
-		t.Fatalf("wire join reply %+v, want committed update to n=%d", reply, n+1)
+	if h.cl.N() != n || h.cl.MemberEpoch() != epoch {
+		t.Fatalf("refused wire join perturbed the cluster: n %d→%d, epoch %d→%d",
+			n, h.cl.N(), epoch, h.cl.MemberEpoch())
 	}
-	h.mustAck(0, wire.Leave{Server: n})
-	if h.cl.N() != n {
-		t.Fatalf("N = %d after wire leave, want %d", h.cl.N(), n)
+	// cluster.JoinAddr and Drain send wire.Join and wire.Leave to the
+	// highest surviving slot and return once it replied with the update.
+	if _, err := h.cl.JoinAddr(ctx, "sim://other", stats.NewRNG(3)); err != nil {
+		t.Fatalf("join of a new address: %v", err)
+	}
+	if _, err := h.cl.Drain(ctx, n); err != nil {
+		t.Fatalf("drain of the new member: %v", err)
+	}
+	if h.cl.N() != n || h.cl.MemberEpoch() != epoch+2 {
+		t.Fatalf("after join+drain: N = %d, epoch %d; want %d and %d", h.cl.N(), h.cl.MemberEpoch(), n, epoch+2)
+	}
+	reply := h.call(0, wire.Leave{Server: n})
+	if ack, ok := reply.(wire.Ack); !ok || !strings.Contains(ack.Err, "out of range") {
+		t.Fatalf("wire leave of a drained slot replied %+v, want an out-of-range refusal", reply)
 	}
 }
 
@@ -617,5 +630,128 @@ func TestMembershipChurnSoak(t *testing.T) {
 				t.Errorf("repair after soak moved %d entries; churn left holes", s.Moved)
 			}
 		})
+	}
+}
+
+// A coordinator behind the cluster — a restarted daemon, whose members'
+// epochs live only in memory — proposes an epoch the members have
+// already passed. Every member refuses it with ErrMembershipConflict
+// instead of acking it as a replay while the coordinator's own view
+// moves on, and it moves nothing; the committed transition itself still
+// replays cleanly.
+func TestOlderEpochConflictRefused(t *testing.T) {
+	ctx := context.Background()
+	cfg := wire.Config{Scheme: wire.Hash, Y: 3, Seed: 2}
+	h := newHarness(t, 4, 72)
+	live := h.workload(cfg, 12)
+	for i := 0; i < 2; i++ {
+		if _, err := h.cl.Join(ctx, stats.NewRNG(uint64(910+i))); err != nil {
+			t.Fatalf("join %d: %v", i, err)
+		}
+	}
+	addrs := h.cl.Addrs()
+	stale := wire.MembershipUpdate{Epoch: 1, OldN: 6, NewN: 5, Leaving: 1,
+		Addrs: slices.Delete(slices.Clone(addrs), 1, 2)}
+	committed := wire.MembershipUpdate{Epoch: 2, OldN: 5, NewN: 6, Joined: []int{5}, Leaving: -1, Addrs: addrs}
+	before := clusterSnapshot(h.cl, "k")
+	for s := 0; s < h.cl.N(); s++ {
+		if err := node.MembershipAckErr(h.call(s, stale)); !errors.Is(err, node.ErrMembershipConflict) {
+			t.Fatalf("member %d answered an epoch-1 drain at epoch 2 with %v, want ErrMembershipConflict", s, err)
+		}
+		h.mustAck(s, committed)
+		if got := h.cl.Node(s).MemberEpoch(); got != 2 {
+			t.Fatalf("member %d at epoch %d, want 2", s, got)
+		}
+	}
+	if after := clusterSnapshot(h.cl, "k"); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the refused transition moved entries:\n got %+v\nwant %+v", after, before)
+	}
+	v := plstest.Observe(h.cl, "k", cfg)
+	plstest.Assert(t, "after the refused transition", v.Check(live))
+	plstest.Assert(t, "after the refused transition, coverage", v.CheckCoverage(live))
+}
+
+// blockingHost holds its node's sweep in Grow until release closes.
+type blockingHost struct{ entered, release chan struct{} }
+
+func (blockingHost) Members() []string { return nil }
+func (h blockingHost) Grow(wire.MembershipUpdate) {
+	close(h.entered)
+	<-h.release
+}
+func (blockingHost) Compact(wire.MembershipUpdate) {}
+
+// A coordinator's retry can deliver the update a member is still
+// sweeping. The duplicate acks only once that sweep has finished, so a
+// member never acks before it has moved its share; a duplicate whose
+// caller gives up returns an error, not an ack.
+func TestReplayAcksAfterSweep(t *testing.T) {
+	nd := node.New(0, stats.NewRNG(1))
+	host := blockingHost{entered: make(chan struct{}), release: make(chan struct{})}
+	nd.SetHost(host)
+	m := wire.MembershipUpdate{Epoch: 1, OldN: 1, NewN: 2, Joined: []int{1}, Leaving: -1}
+	first, dup := make(chan wire.Message, 1), make(chan wire.Message, 1)
+	go func() { first <- nd.Handle(context.Background(), m) }()
+	<-host.entered
+	go func() { dup <- nd.Handle(context.Background(), m) }()
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := node.MembershipAckErr(nd.Handle(cancelled, m)); err == nil {
+		t.Fatal("a cancelled duplicate acked while the first delivery was still sweeping")
+	}
+	select {
+	case r := <-dup:
+		t.Fatalf("duplicate replied %+v while the first delivery was still sweeping", r)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(host.release)
+	for name, ch := range map[string]chan wire.Message{"first delivery": first, "duplicate": dup} {
+		if err := node.MembershipAckErr(<-ch); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// Replace hands the fresh node its slot's committed epoch, so a
+// replaced highest slot still coordinates the next join at the
+// cluster's epoch + 1 instead of proposing one every member refuses.
+func TestJoinCoordinatedByReplacedNode(t *testing.T) {
+	ctx := context.Background()
+	h := newHarness(t, 4, 73)
+	if _, err := h.cl.Join(ctx, stats.NewRNG(920)); err != nil {
+		t.Fatalf("first join: %v", err)
+	}
+	last := h.cl.N() - 1
+	h.cl.Fail(last)
+	if got := h.cl.Replace(last, stats.NewRNG(921)).MemberEpoch(); got != 1 {
+		t.Fatalf("replacement node at epoch %d, want its slot's 1", got)
+	}
+	if _, err := h.cl.Join(ctx, stats.NewRNG(922)); err != nil {
+		t.Fatalf("join coordinated by the replaced node: %v", err)
+	}
+	for s := 0; s < h.cl.N(); s++ {
+		if got := h.cl.Node(s).MemberEpoch(); got != 2 {
+			t.Errorf("member %d at epoch %d, want 2", s, got)
+		}
+	}
+}
+
+// A down member fails a join or a drain at that member: the coordinator
+// stops there instead of skipping it.
+func TestMembershipFailsAtDownMember(t *testing.T) {
+	ctx := context.Background()
+	h := newHarness(t, 4, 74)
+	h.cl.Fail(1)
+	if _, err := h.cl.Join(ctx, stats.NewRNG(930)); err == nil || !strings.Contains(err.Error(), "member 1") {
+		t.Errorf("join with member 1 down: %v, want a failure at member 1", err)
+	}
+	h = newHarness(t, 4, 75)
+	h.cl.Fail(2)
+	if _, err := h.cl.Drain(ctx, 0); err == nil || !strings.Contains(err.Error(), "member 2") {
+		t.Errorf("drain with member 2 down: %v, want a failure at member 2", err)
+	}
+	if h.cl.N() != 4 {
+		t.Errorf("a failed drain compacted the cluster to %d members", h.cl.N())
 	}
 }

@@ -60,16 +60,20 @@ type Node struct {
 	// store owns all per-key state; see package store.
 	store *store.Store
 
-	// applied is the last committed membership update, nil before the
-	// first; its Epoch is the member epoch (see membership.go).
-	applied       atomic.Pointer[wire.MembershipUpdate]
+	// applied is the last committed membership transition, nil before
+	// the first; its update's Epoch is the member epoch (see
+	// membership.go).
+	applied       atomic.Pointer[transition]
 	lastRebalance atomic.Pointer[RebalanceStats]
-	// compactedEpoch is the last epoch whose slot compaction the host
-	// has applied (the leaver removed, this node renumbered). At that
-	// point the node's id IS its post-change rank, and same-epoch
+	// compactedEpoch is the member epoch at this node's last SetID: its
+	// host has compacted that transition (the leaver removed, this node
+	// renumbered), so its id IS its post-change rank, and same-epoch
 	// rebalance pushes still in flight from slower members must not be
 	// mapped through rankOf again (see handleRebalancePush).
 	compactedEpoch atomic.Uint64
+	// coordinating serializes the membership changes this node
+	// coordinates (see coordinate).
+	coordinating sync.Mutex
 
 	// topol, when set, is the cluster's shared zone topology; the
 	// zone-spread placement mode (wire.Config.ZoneSpread) resolves
@@ -81,11 +85,9 @@ type Node struct {
 	// itself and handled in process (see callReply).
 	localDeliveries atomic.Int64
 
-	peersMu     sync.RWMutex
-	peers       transport.Caller
-	membership  MembershipManager
-	memberHook  func(wire.MembershipUpdate)
-	appliedHook func(wire.MembershipUpdate)
+	peersMu    sync.RWMutex
+	peers      transport.Caller
+	memberHost Host
 }
 
 var _ transport.Handler = (*Node)(nil)
@@ -450,7 +452,7 @@ func (n *Node) call(ctx context.Context, server int, msg wire.Message) error {
 // message to the sender), counted in LocalDeliveries where no transport
 // sees it. id and peers are read together under the lock SetID and
 // Attach write them under. A host that compacts its slot view in place
-// (cluster.Drain, plsd's postSweep) still does that and SetID in two
+// (cluster.Drain, plsd's Compact) still does that and SetID in two
 // steps: an update overlapping them can address one message by the
 // wrong numbering, which is the repair sweep's to mend, as it was.
 func (n *Node) callReply(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {

@@ -241,7 +241,7 @@ func (o slotOrigin) Call(ctx context.Context, server int, msg wire.Message) (wir
 
 // compact removes slot leaving and then renumbers the nodes above it,
 // in the two steps a host takes after a drain (cluster.Drain, plsd's
-// postSweep).
+// host Compact).
 func (t *slotTable) compact(leaving int) {
 	t.mu.Lock()
 	t.nodes = append(t.nodes[:leaving:leaving], t.nodes[leaving+1:]...)

@@ -428,25 +428,11 @@ func (p *Proxy) forwardMaintenance(ctx context.Context, msg wire.Message) wire.M
 		return wire.Ack{Err: fmt.Sprintf("proxy: forwarding %T: %v", msg, err)}
 	}
 	// A membership change the proxy itself forwarded must not leave its
-	// own view behind. A Join replies with the committed
-	// MembershipUpdate, which applies directly; a drain's reply is a
-	// bare Ack, so the proxy synthesizes the update it already knows
-	// (the leaver's slot, n shrinking by one) — the epoch-gated
-	// membership handler keeps either path idempotent against a later
-	// re-broadcast of the same change.
-	switch r := reply.(type) {
-	case wire.MembershipUpdate:
-		p.membership(r)
-	case wire.Ack:
-		if lv, ok := msg.(wire.Leave); ok && r.Err == "" {
-			n := p.opt.Maintenance.NumServers()
-			p.mu.Lock()
-			next := p.epoch + 1
-			p.mu.Unlock()
-			p.membership(wire.MembershipUpdate{
-				Epoch: next, OldN: n, NewN: n - 1, Leaving: lv.Server,
-			})
-		}
+	// own view behind: the coordinator answers Join and Leave alike with
+	// the update it committed, which applies here directly (the
+	// epoch-gated handler keeps a later re-broadcast idempotent).
+	if m, ok := reply.(wire.MembershipUpdate); ok {
+		p.membership(m)
 	}
 	return reply
 }

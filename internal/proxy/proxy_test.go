@@ -557,11 +557,13 @@ func TestMembershipEpochFlushesCache(t *testing.T) {
 }
 
 // fakeCoordinator stands in for the cluster's membership coordinator:
-// Join commits and replies with the MembershipUpdate, Leave commits
-// and replies with a bare Ack (as plsd does).
+// Join and Leave commit and reply with the MembershipUpdate, at the
+// epoch after the coordinator's own — which need not follow the
+// proxy's.
 type fakeCoordinator struct {
-	mu sync.Mutex
-	n  int
+	mu    sync.Mutex
+	n     int
+	epoch uint64
 }
 
 func (f *fakeCoordinator) NumServers() int {
@@ -582,23 +584,24 @@ func (f *fakeCoordinator) setN(n int) {
 func (f *fakeCoordinator) Call(_ context.Context, _ int, msg wire.Message) (wire.Message, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	switch msg.(type) {
+	switch m := msg.(type) {
 	case wire.Join:
+		f.epoch++
 		return wire.MembershipUpdate{
-			Epoch: 1, OldN: f.n, NewN: f.n + 1,
+			Epoch: f.epoch, OldN: f.n, NewN: f.n + 1,
 			Joined: []int{f.n}, Leaving: -1,
 		}, nil
 	case wire.Leave:
-		return wire.Ack{}, nil
+		f.epoch++
+		return wire.MembershipUpdate{Epoch: f.epoch, OldN: f.n, NewN: f.n - 1, Leaving: m.Server}, nil
 	}
 	return wire.Ack{Err: "fakeCoordinator: unexpected kind"}, nil
 }
 
 // A membership operation routed through the proxy must update the
-// proxy's own view: a forwarded Join applies the coordinator's
-// MembershipUpdate reply, and a forwarded drain (whose reply is a bare
-// Ack) synthesizes the equivalent update. Both flush the cache and
-// fire the owner's callback.
+// proxy's own view: a forwarded Join or drain applies the coordinator's
+// MembershipUpdate reply — its epoch, not the proxy's next one. Both
+// flush the cache and fire the owner's callback.
 func TestForwardedMaintenanceUpdatesProxyView(t *testing.T) {
 	rig := newRig(t, time.Hour, 0)
 	coord := &fakeCoordinator{n: 4}
@@ -638,14 +641,18 @@ func TestForwardedMaintenanceUpdatesProxyView(t *testing.T) {
 	if rig.p.CacheLen() != 1 {
 		t.Fatalf("cache len = %d, want 1", rig.p.CacheLen())
 	}
-	if a := rig.p.Handle(ctx, wire.Leave{Server: 2}).(wire.Ack); a.Err != "" {
-		t.Fatal(a.Err)
+	// The coordinator committed a change the proxy never saw: its drain
+	// lands at epoch 3, not at the proxy's epoch + 1.
+	coord.epoch++
+	reply = rig.p.Handle(ctx, wire.Leave{Server: 2})
+	if up, ok := reply.(wire.MembershipUpdate); !ok || up.Epoch != 3 {
+		t.Fatalf("drain reply = %#v, want MembershipUpdate at epoch 3", reply)
 	}
 	if rig.p.CacheLen() != 0 {
 		t.Fatal("cache survived a forwarded drain")
 	}
-	if rig.p.MemberEpoch() != 2 {
-		t.Fatalf("member epoch = %d, want 2", rig.p.MemberEpoch())
+	if rig.p.MemberEpoch() != 3 {
+		t.Fatalf("member epoch = %d, want the coordinator's 3", rig.p.MemberEpoch())
 	}
 	if len(notified) != 2 || notified[1].Leaving != 2 || notified[1].NewN != 4 {
 		t.Fatalf("drain callback saw %v", notified)

@@ -589,10 +589,9 @@ type RepairPushReply struct {
 
 // Join announces a new server to any existing member, which acts as
 // the membership coordinator for this change: it assigns the next
-// slot, installs the new member list, and broadcasts the matching
-// MembershipUpdate. The reply is that MembershipUpdate (carrying the
-// joiner's slot as the sole Joined element and the full address list)
-// or an Ack with Err.
+// slot and commits the matching MembershipUpdate on every member. The
+// reply is that MembershipUpdate (carrying the joiner's slot as the
+// sole Joined element and the full address list) or an Ack with Err.
 type Join struct {
 	Addr string
 }
@@ -601,18 +600,18 @@ type Join struct {
 // the leaver's entries onto the surviving members before the slot is
 // retired (contrast with kill/replace churn, where the entries are
 // lost and anti-entropy repair re-replicates from surviving copies).
-// The reply is an Ack once the handoff completed.
+// Like Join, any member coordinates it, and the reply is the committed
+// MembershipUpdate once the handoff completed, or an Ack with Err.
 type Leave struct {
 	Server int
 }
 
-// MembershipUpdate is the coordinator's broadcast announcing one
-// member-list change. Epoch is the post-change version; receivers
-// treat an epoch at or below their own as already applied (double
-// joins and replayed broadcasts are no-ops). Joined lists slots added
-// at this epoch; Leaving is the slot draining out, -1 if none. Addrs
-// is the post-change member address list for TCP deployments (empty
-// under the in-process transport). Handling the update runs the
+// MembershipUpdate is the coordinator's commit of one member-list
+// change, sent to every member. Epoch is the post-change version; a
+// receiver acks its committed update again as a replay and refuses any
+// other at or below its epoch. Joined lists slots added at this epoch;
+// Leaving is the slot draining out, -1 if none. Addrs is the
+// post-change member address list. Handling the update runs the
 // receiver's rebalance sweep; the Ack reply means the sweep finished.
 type MembershipUpdate struct {
 	Epoch   uint64
