@@ -23,7 +23,7 @@ import (
 // justify the diff in the commit.
 func TestGoldenTablesByteIdentical(t *testing.T) {
 	fid := Fidelity{Runs: 4, Lookups: 100, Updates: 400}
-	for _, id := range []string{"table1", "fig6", "ext-repair", "ext-membership", "ext-zone"} {
+	for _, id := range []string{"table1", "fig6", "fig12", "fig13", "fig14", "table2", "ext-rsreplace", "ext-optimaly", "ext-repair", "ext-membership", "ext-zone"} {
 		t.Run(id, func(t *testing.T) {
 			exp, err := Find(id)
 			if err != nil {
