@@ -27,21 +27,24 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./internal/tools/repolint
 
-# Non-test Go lines, in three groups with a total each: the packages
-# the previous roadmap's "collapse the layers" tracked plus
-# internal/bench, where cmd/plsbench's scenarios moved; then the four a
-# request crosses client-side; then, each alone, the store and its WAL,
-# the telemetry layer, and the two membership hosts (the simulator's
+# Non-test Go lines, in groups with a total each: the four packages the
+# previous roadmap's "collapse the layers" tracked; the paper
+# reproduction toolchain (plsbench, its experiments and the simulator,
+# metric and overlay packages they run on); the four packages a request
+# crosses client-side; then, each alone, the store and its WAL, the
+# telemetry layer, and the two membership hosts (the simulator's
 # cluster and the daemon); last the whole repository. Quote the
 # before/after in PRs that claim a reduction.
-LOC_PKGS = internal/node internal/strategy internal/wire internal/transport cmd/plsbench internal/bench
+LOC_PKGS = internal/node internal/strategy internal/wire internal/transport
+LOC_REPRO_PKGS = cmd/plsbench internal/bench internal/sim internal/metrics internal/overlay
 LOC_REQUEST_PKGS = internal/strategy internal/core internal/proxy internal/selector
 loc_lines = find $(1) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+loc_group = for p in $(1); do printf '%-20s %s\n' $$p $$($(call loc_lines,$$p)); done; \
+	printf '%-20s %s\n\n' total $$($(call loc_lines,$(1)))
 loc:
-	@for p in $(LOC_PKGS); do printf '%-20s %s\n' $$p $$($(call loc_lines,$$p)); done
-	@printf '%-20s %s\n\n' total $$($(call loc_lines,$(LOC_PKGS)))
-	@for p in $(LOC_REQUEST_PKGS); do printf '%-20s %s\n' $$p $$($(call loc_lines,$$p)); done
-	@printf '%-20s %s\n\n' total $$($(call loc_lines,$(LOC_REQUEST_PKGS)))
+	@$(call loc_group,$(LOC_PKGS))
+	@$(call loc_group,$(LOC_REPRO_PKGS))
+	@$(call loc_group,$(LOC_REQUEST_PKGS))
 	@printf '%-20s %s\n' internal/store $$($(call loc_lines,internal/store))
 	@printf '%-20s %s\n' internal/telemetry $$($(call loc_lines,internal/telemetry))
 	@printf '%-20s %s\n' internal/cluster $$($(call loc_lines,internal/cluster))

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/wire"
 )
 
 // metricName makes a column label usable as a benchmark metric unit
@@ -179,17 +180,20 @@ func BenchmarkAblationCushionLifetime(b *testing.B) {
 	}
 }
 
+// opsSchemes are the schemes the raw-operation benchmarks cover, each
+// at a storage budget of 200 for 100 entries on 10 servers.
+var opsSchemes = []wire.Scheme{wire.FullReplication, wire.Fixed, wire.RandomServer, wire.RoundRobin, wire.Hash}
+
 // BenchmarkOpsPlaceLookup measures raw operation throughput of the
 // in-process cluster for each strategy — the library-level cost a user
 // pays per partial lookup.
 func BenchmarkOpsPlaceLookup(b *testing.B) {
-	for _, scheme := range []string{"full", "fixed", "randomserver", "round", "hash"} {
-		b.Run(scheme, func(b *testing.B) {
-			lookup, cleanup, err := bench.NewLookupLoop(scheme, 100, 10, 200)
+	for _, scheme := range opsSchemes {
+		b.Run(scheme.String(), func(b *testing.B) {
+			lookup, err := bench.NewLookupLoop(scheme, 100, 10, 200)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer cleanup()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := lookup(15); err != nil {
@@ -202,13 +206,12 @@ func BenchmarkOpsPlaceLookup(b *testing.B) {
 
 // BenchmarkOpsUpdate measures add+delete throughput per strategy.
 func BenchmarkOpsUpdate(b *testing.B) {
-	for _, scheme := range []string{"full", "fixed", "randomserver", "round", "hash"} {
-		b.Run(scheme, func(b *testing.B) {
-			update, cleanup, err := bench.NewUpdateLoop(scheme, 100, 10, 200)
+	for _, scheme := range opsSchemes {
+		b.Run(scheme.String(), func(b *testing.B) {
+			update, err := bench.NewUpdateLoop(scheme, 100, 10, 200)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer cleanup()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := update(fmt.Sprintf("bench-e%d", i)); err != nil {

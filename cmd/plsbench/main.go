@@ -12,13 +12,15 @@
 // (5000 runs per data point) and can take many minutes; default keeps
 // each experiment in the seconds-to-a-minute range with the same curve
 // shapes.
+//
+// The tables go to stdout and progress lines to stderr, so
+// `plsbench -exp everything > results.txt` archives every table.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -42,7 +44,6 @@ func run(args []string) error {
 		runs     = fs.Int("runs", 0, "override: placements averaged per data point")
 		lookups  = fs.Int("lookups", 0, "override: lookups per placement")
 		updates  = fs.Int("updates", 0, "override: update events per dynamic run")
-		out      = fs.String("out", "", "also write the rendered tables to this file (e.g. results/availability.md)")
 		telOut   = fs.String("telemetry-out", "", "write a telemetry snapshot (per-experiment runs/durations, runtime stats) as JSON to this file")
 	)
 	fs.Parse(args) // ExitOnError: Parse does not return an error
@@ -121,7 +122,6 @@ func run(args []string) error {
 		return nil
 	}
 
-	var archive strings.Builder
 	for _, e := range experiments {
 		start := time.Now()
 		table, err := e.Run(fid, *seed)
@@ -134,17 +134,8 @@ func run(args []string) error {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		expCount.Inc()
-		rendered := render(table)
-		fmt.Println(rendered)
-		archive.WriteString(rendered)
-		archive.WriteByte('\n')
+		fmt.Println(render(table))
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
-	}
-	if *out != "" {
-		if err := os.WriteFile(*out, []byte(archive.String()), 0o644); err != nil {
-			return fmt.Errorf("write -out file: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "[wrote %s]\n", *out)
 	}
 	return writeTelemetry()
 }

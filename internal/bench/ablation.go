@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/metrics"
@@ -95,7 +94,7 @@ func AblationCushionLifetime(fid Fidelity, seed uint64) (map[int][2]float64, err
 			cfg := wire.Config{Scheme: wire.Fixed, X: strategy.CushionedFixedX(target, b)}
 			var frac stats.Summary
 			for run := 0; run < fid.Runs; run++ {
-				dr, err := newDynamicRun(rng, cfg, canonicalN, sim.StreamConfig{
+				dr, err := newDynamicRun(rng, cfg, sim.StreamConfig{
 					MeanArrivalGap: gapT,
 					SteadyState:    steady,
 					Lifetime:       stats.NewExponential(float64(life)),
@@ -104,21 +103,8 @@ func AblationCushionLifetime(fid Fidelity, seed uint64) (map[int][2]float64, err
 				if err != nil {
 					return nil, err
 				}
-				node0 := dr.cluster.Node(0)
-				failTime, total := 0.0, 0.0
-				err = sim.ReplayTimed(dr.stream.Events, dr.apply, func(from, to float64) error {
-					d := to - from
-					total += d
-					if node0.LocalLen(dr.key) < target {
-						failTime += d
-					}
-					return nil
-				})
-				if err != nil {
+				if err := dr.replayThin(target, &frac); err != nil {
 					return nil, err
-				}
-				if total > 0 {
-					frac.Observe(100 * failTime / total)
 				}
 			}
 			vals[bi] = frac.Mean()
@@ -128,62 +114,44 @@ func AblationCushionLifetime(fid Fidelity, seed uint64) (map[int][2]float64, err
 	return out, nil
 }
 
-// NewLookupLoop builds a placed instance for the named scheme and
-// returns a closure performing one partial lookup per call, for raw
-// throughput benchmarks. The budget derives x/y as in the paper.
-func NewLookupLoop(scheme string, h, n, budget int) (func(t int) error, func(), error) {
+// NewLookupLoop builds a placed instance for scheme and returns a
+// closure performing one partial lookup per call, for raw throughput
+// benchmarks. The budget derives x/y as in the paper.
+func NewLookupLoop(scheme wire.Scheme, h, n, budget int) (func(t int) error, error) {
 	inst, err := loopInstance(scheme, h, n, budget)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	lookup := func(t int) error {
+	return func(t int) error {
 		_, err := inst.lookup(t)
 		return err
-	}
-	return lookup, func() {}, nil
+	}, nil
 }
 
 // NewUpdateLoop builds a placed instance and returns a closure that
 // adds a fresh entry and deletes an old one per call.
-func NewUpdateLoop(scheme string, h, n, budget int) (func(entry string) error, func(), error) {
+func NewUpdateLoop(scheme wire.Scheme, h, n, budget int) (func(entry string) error, error) {
 	inst, err := loopInstance(scheme, h, n, budget)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	last := ""
-	update := func(name string) error {
-		ctx := context.Background()
-		if err := inst.driver.Add(ctx, inst.cluster.Caller(), inst.key, name); err != nil {
+	return func(name string) error {
+		if err := inst.driver.Add(ctxB(), inst.cluster.Caller(), inst.key, name); err != nil {
 			return err
 		}
 		if last != "" {
-			if err := inst.driver.Delete(ctx, inst.cluster.Caller(), inst.key, last); err != nil {
+			if err := inst.driver.Delete(ctxB(), inst.cluster.Caller(), inst.key, last); err != nil {
 				return err
 			}
 		}
 		last = name
 		return nil
-	}
-	return update, func() {}, nil
+	}, nil
 }
 
-func loopInstance(scheme string, h, n, budget int) (*instance, error) {
-	var sch wire.Scheme
-	switch scheme {
-	case "full":
-		sch = wire.FullReplication
-	case "fixed":
-		sch = wire.Fixed
-	case "randomserver":
-		sch = wire.RandomServer
-	case "round":
-		sch = wire.RoundRobin
-	case "hash":
-		sch = wire.Hash
-	default:
-		return nil, fmt.Errorf("bench: unknown scheme %q", scheme)
-	}
-	cfg, err := strategy.ConfigForBudget(sch, budget, h, n)
+func loopInstance(scheme wire.Scheme, h, n, budget int) (*instance, error) {
+	cfg, err := strategy.ConfigForBudget(scheme, budget, h, n)
 	if err != nil {
 		return nil, err
 	}

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/entry"
+	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/strategy"
 	"repro/internal/wire"
@@ -237,7 +238,7 @@ func formatValue(v float64) string {
 }
 
 // instance is one freshly placed cluster + driver, the unit the static
-// experiments repeat per run.
+// experiments repeat per run (a dynamicRun is one with a stream).
 type instance struct {
 	cluster *cluster.Cluster
 	driver  *strategy.Driver
@@ -254,18 +255,19 @@ func newInstance(rng *stats.RNG, cfg wire.Config, h, n int) (*instance, error) {
 	if cfg.Scheme == wire.Hash && cfg.Seed == 0 {
 		cfg.Seed = rng.Uint64()
 	}
+	return place(rng, cfg, n, entry.Synthetic(h))
+}
+
+// place builds a cluster of n servers and a driver for cfg, each from a
+// fresh split of rng, and places entries under cfg.
+func place(rng *stats.RNG, cfg wire.Config, n int, entries []entry.Entry) (*instance, error) {
 	cl := cluster.New(n, rng.Split())
 	drv, err := strategy.New(cfg, rng.Split())
 	if err != nil {
 		return nil, err
 	}
-	inst := &instance{
-		cluster: cl,
-		driver:  drv,
-		entries: entry.Synthetic(h),
-		key:     "k",
-	}
-	if err := drv.Place(context.Background(), cl.Caller(), inst.key, inst.entries); err != nil {
+	inst := &instance{cluster: cl, driver: drv, entries: entries, key: "k"}
+	if err := drv.Place(ctxB(), cl.Caller(), inst.key, entries); err != nil {
 		return nil, fmt.Errorf("bench: place %v: %w", cfg, err)
 	}
 	return inst, nil
@@ -273,7 +275,23 @@ func newInstance(rng *stats.RNG, cfg wire.Config, h, n int) (*instance, error) {
 
 // lookup runs one partial lookup against the instance.
 func (in *instance) lookup(t int) (strategy.Result, error) {
-	return in.driver.PartialLookup(context.Background(), in.cluster.Caller(), in.key, t)
+	return in.driver.PartialLookup(ctxB(), in.cluster.Caller(), in.key, t)
+}
+
+// lookupCost measures the instance's lookup cost at target t over
+// lookups lookups (Sec. 4.2).
+func (in *instance) lookupCost(t, lookups int) (metrics.LookupCostResult, error) {
+	return metrics.MeasureLookupCost(func() (strategy.Result, error) {
+		return in.lookup(t)
+	}, t, lookups)
+}
+
+// unfairness measures the instance's de-biased unfairness (Eq. 1) at
+// target t over lookups lookups, against universe.
+func (in *instance) unfairness(universe []entry.Entry, t, lookups int) (float64, error) {
+	return metrics.MeasureUnfairnessDebiased(func() (strategy.Result, error) {
+		return in.lookup(t)
+	}, universe, t, lookups)
 }
 
 // ctxB is shorthand for context.Background in experiment bodies.

@@ -1,58 +1,115 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/entry"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/strategy"
 	"repro/internal/wire"
 )
 
-// dynamicRun wires one strategy over a fresh cluster and replays a
-// generated update stream through it.
+// churnGap is Sec. 6.1's mean time between adds.
+const churnGap = 10.0
+
+// dynamicRun is an instance that replays a generated update stream
+// through its driver. live holds the entries the stream has left alive
+// so far: the universe an unfairness measurement is taken over.
 type dynamicRun struct {
-	cluster *cluster.Cluster
-	driver  *strategy.Driver
-	stream  sim.Stream
-	key     string
+	*instance
+	stream sim.Stream
+	live   *entry.Set
 }
 
-func newDynamicRun(rng *stats.RNG, cfg wire.Config, n int, streamCfg sim.StreamConfig) (*dynamicRun, error) {
+// newChurnRun sets up the Sec. 6.1 run the dynamic experiments share:
+// adds arrive as a Poisson process with mean gap churnGap, and entry
+// lifetimes of the given kind ("exp" or "zipf", sim.DefaultLifetime)
+// hold the population near steady entries over updates events.
+func newChurnRun(rng *stats.RNG, cfg wire.Config, lifetime string, steady, updates int) (*dynamicRun, error) {
+	lt, err := sim.DefaultLifetime(lifetime, churnGap, steady)
+	if err != nil {
+		return nil, err
+	}
+	return newDynamicRun(rng, cfg, sim.StreamConfig{
+		MeanArrivalGap: churnGap,
+		SteadyState:    steady,
+		Lifetime:       lt,
+		Updates:        updates,
+	})
+}
+
+// newDynamicRun generates a stream from sc and places its initial
+// population under cfg on canonicalN servers. Like newInstance, a
+// Hash-y run draws a fresh hash family first.
+func newDynamicRun(rng *stats.RNG, cfg wire.Config, sc sim.StreamConfig) (*dynamicRun, error) {
 	if cfg.Scheme == wire.Hash && cfg.Seed == 0 {
 		cfg.Seed = rng.Uint64()
 	}
-	stream, err := sim.Generate(rng.Split(), streamCfg)
+	stream, err := sim.Generate(rng.Split(), sc)
 	if err != nil {
 		return nil, err
 	}
-	cl := cluster.New(n, rng.Split())
-	drv, err := strategy.New(cfg, rng.Split())
+	return startDynamicRun(rng, cfg, stream)
+}
+
+// startDynamicRun places stream's initial population under cfg on a
+// fresh cluster of canonicalN servers.
+func startDynamicRun(rng *stats.RNG, cfg wire.Config, stream sim.Stream) (*dynamicRun, error) {
+	inst, err := place(rng, cfg, canonicalN, stream.Initial)
 	if err != nil {
 		return nil, err
 	}
-	r := &dynamicRun{cluster: cl, driver: drv, stream: stream, key: "k"}
-	if err := drv.Place(context.Background(), cl.Caller(), r.key, stream.Initial); err != nil {
-		return nil, fmt.Errorf("bench: dynamic place %v: %w", cfg, err)
+	live := entry.NewSet(len(stream.Initial))
+	for _, v := range stream.Initial {
+		live.Add(v)
 	}
-	return r, nil
+	return &dynamicRun{instance: inst, stream: stream, live: live}, nil
 }
 
 // apply consumes one update event through the client driver.
 func (r *dynamicRun) apply(ev sim.Event) error {
-	ctx := context.Background()
 	switch ev.Kind {
 	case sim.EventAdd:
-		return r.driver.Add(ctx, r.cluster.Caller(), r.key, ev.Entry)
+		r.live.Add(ev.Entry)
+		return r.driver.Add(ctxB(), r.cluster.Caller(), r.key, ev.Entry)
 	case sim.EventDelete:
-		return r.driver.Delete(ctx, r.cluster.Caller(), r.key, ev.Entry)
+		r.live.Remove(ev.Entry)
+		return r.driver.Delete(ctxB(), r.cluster.Caller(), r.key, ev.Entry)
 	default:
 		return fmt.Errorf("bench: unknown event kind %v", ev.Kind)
 	}
+}
+
+// replay applies the whole stream and returns the messages the servers
+// processed doing it (placement traffic excluded).
+func (r *dynamicRun) replay() (int64, error) {
+	r.cluster.ResetMessages()
+	if err := sim.Replay(r.stream.Events, r.apply); err != nil {
+		return 0, err
+	}
+	return r.cluster.Messages(), nil
+}
+
+// replayThin applies the whole stream and records in frac the
+// percentage of simulated time during which server 0 held fewer than t
+// entries. Every Fixed-x server holds the identical set, so for Fixed-x
+// that is exactly the time a lookup for t fails (Sec. 6.2).
+func (r *dynamicRun) replayThin(t int, frac *stats.Summary) error {
+	node0 := r.cluster.Node(0)
+	thin, total := 0.0, 0.0
+	err := sim.ReplayTimed(r.stream.Events, r.apply, func(from, to float64) error {
+		d := to - from
+		total += d
+		if node0.LocalLen(r.key) < t {
+			thin += d
+		}
+		return nil
+	})
+	if err == nil && total > 0 {
+		frac.Observe(100 * thin / total)
+	}
+	return err
 }
 
 // Fig12Cushion reproduces Figure 12: the percentage of execution time
@@ -68,7 +125,6 @@ func Fig12Cushion(fid Fidelity, seed uint64) (*Table, error) {
 	const (
 		target = 15
 		steady = 100
-		gap    = 10.0
 	)
 	t := &Table{
 		ID:      "fig12",
@@ -82,37 +138,15 @@ func Fig12Cushion(fid Fidelity, seed uint64) (*Table, error) {
 	for b := 0; b <= 7; b++ {
 		cfg := wire.Config{Scheme: wire.Fixed, X: strategy.CushionedFixedX(target, b)}
 		summaries := make([]*stats.Summary, 0, 2)
-		for _, kind := range []string{"exp", "zipf"} {
-			lifetime, err := sim.DefaultLifetime(kind, gap, steady)
-			if err != nil {
-				return nil, err
-			}
+		for _, lifetime := range []string{"exp", "zipf"} {
 			frac := &stats.Summary{}
 			for run := 0; run < fid.Runs; run++ {
-				dr, err := newDynamicRun(rng, cfg, canonicalN, sim.StreamConfig{
-					MeanArrivalGap: gap,
-					SteadyState:    steady,
-					Lifetime:       lifetime,
-					Updates:        fid.Updates,
-				})
+				dr, err := newChurnRun(rng, cfg, lifetime, steady, fid.Updates)
 				if err != nil {
 					return nil, err
 				}
-				node0 := dr.cluster.Node(0)
-				failTime, total := 0.0, 0.0
-				err = sim.ReplayTimed(dr.stream.Events, dr.apply, func(from, to float64) error {
-					d := to - from
-					total += d
-					if node0.LocalLen(dr.key) < target {
-						failTime += d
-					}
-					return nil
-				})
-				if err != nil {
+				if err := dr.replayThin(target, frac); err != nil {
 					return nil, err
-				}
-				if total > 0 {
-					frac.Observe(100 * failTime / total)
 				}
 			}
 			summaries = append(summaries, frac)
@@ -137,7 +171,6 @@ func Fig13Deterioration(fid Fidelity, seed uint64) (*Table, error) {
 	const (
 		target     = 1
 		steady     = 100
-		gap        = 10.0
 		maxUpdates = 4000
 		step       = 250
 	)
@@ -152,74 +185,37 @@ func Fig13Deterioration(fid Fidelity, seed uint64) (*Table, error) {
 		},
 	}
 	numCheckpoints := maxUpdates/step + 1
-	rsAt := make([]stats.Summary, numCheckpoints)
-	fixedAt := make([]stats.Summary, numCheckpoints)
-
-	fixedCfg := wire.Config{Scheme: wire.Fixed, X: 20}
+	// at[0] is RandomServer-20's series, at[1] the Fixed-20 reference's.
+	at := [2][]stats.Summary{make([]stats.Summary, numCheckpoints), make([]stats.Summary, numCheckpoints)}
 	for run := 0; run < fid.Runs; run++ {
-		lifetime, err := sim.DefaultLifetime("exp", gap, steady)
+		// Both runs replay the one stream.
+		rs, err := newChurnRun(rng, cfg, "exp", steady, maxUpdates)
 		if err != nil {
 			return nil, err
 		}
-		stream, err := sim.Generate(rng.Split(), sim.StreamConfig{
-			MeanArrivalGap: gap,
-			SteadyState:    steady,
-			Lifetime:       lifetime,
-			Updates:        maxUpdates,
-		})
+		fixed, err := startDynamicRun(rng, wire.Config{Scheme: wire.Fixed, X: 20}, rs.stream)
 		if err != nil {
 			return nil, err
 		}
-		runs := make([]*dynamicRun, 0, 2)
-		for _, c := range []wire.Config{cfg, fixedCfg} {
-			cl := cluster.New(canonicalN, rng.Split())
-			drv, err := strategy.New(c, rng.Split())
-			if err != nil {
-				return nil, err
-			}
-			dr := &dynamicRun{cluster: cl, driver: drv, stream: stream, key: "k"}
-			if err := drv.Place(context.Background(), cl.Caller(), dr.key, stream.Initial); err != nil {
-				return nil, err
-			}
-			runs = append(runs, dr)
-		}
-
-		// Track the live universe alongside the replay.
-		live := entry.NewSet(steady)
-		for _, v := range stream.Initial {
-			live.Add(v)
-		}
+		runs := []*dynamicRun{rs, fixed}
 		measure := func(checkpoint int) error {
-			universe := live.Members()
 			for i, dr := range runs {
-				u, err := metrics.MeasureUnfairnessDebiased(func() (strategy.Result, error) {
-					return dr.driver.PartialLookup(context.Background(), dr.cluster.Caller(), dr.key, target)
-				}, universe, target, fid.Lookups)
+				u, err := dr.unfairness(dr.live.Members(), target, fid.Lookups)
 				if err != nil {
 					return err
 				}
-				if i == 0 {
-					rsAt[checkpoint].Observe(u)
-				} else {
-					fixedAt[checkpoint].Observe(u)
-				}
+				at[i][checkpoint].Observe(u)
 			}
 			return nil
 		}
 		if err := measure(0); err != nil {
 			return nil, err
 		}
-		for i, ev := range stream.Events {
+		for i, ev := range rs.stream.Events {
 			for _, dr := range runs {
 				if err := dr.apply(ev); err != nil {
 					return nil, err
 				}
-			}
-			switch ev.Kind {
-			case sim.EventAdd:
-				live.Add(ev.Entry)
-			case sim.EventDelete:
-				live.Remove(ev.Entry)
 			}
 			if (i+1)%step == 0 {
 				if err := measure((i + 1) / step); err != nil {
@@ -229,7 +225,7 @@ func Fig13Deterioration(fid Fidelity, seed uint64) (*Table, error) {
 		}
 	}
 	for i := 0; i < numCheckpoints; i++ {
-		t.AddRow(fmt.Sprintf("%d", i*step), rsAt[i].Mean(), fixedAt[i].Mean())
+		t.AddRow(fmt.Sprintf("%d", i*step), at[0][i].Mean(), at[1][i].Mean())
 	}
 	return t, nil
 }
@@ -242,10 +238,7 @@ func Fig13Deterioration(fid Fidelity, seed uint64) (*Table, error) {
 // the paper's focus on update overhead.
 func Fig14UpdateOverhead(fid Fidelity, seed uint64) (*Table, error) {
 	rng := stats.NewRNG(seed)
-	const (
-		target = 40
-		gap    = 10.0
-	)
+	const target = 40
 	t := &Table{
 		ID:      "fig14",
 		Title:   fmt.Sprintf("Update overhead vs. steady-state entries (t=%d, %d servers, %d updates)", target, canonicalN, fid.Updates),
@@ -262,26 +255,17 @@ func Fig14UpdateOverhead(fid Fidelity, seed uint64) (*Table, error) {
 		hashCfg := wire.Config{Scheme: wire.Hash, Y: y}
 		summaries := make([]*stats.Summary, 0, 3)
 		for _, cfg := range []wire.Config{fixedCfg, hashCfg} {
-			lifetime, err := sim.DefaultLifetime("exp", gap, h)
-			if err != nil {
-				return nil, err
-			}
 			msgs := &stats.Summary{}
 			for run := 0; run < fid.Runs; run++ {
-				dr, err := newDynamicRun(rng, cfg, canonicalN, sim.StreamConfig{
-					MeanArrivalGap: gap,
-					SteadyState:    h,
-					Lifetime:       lifetime,
-					Updates:        fid.Updates,
-				})
+				dr, err := newChurnRun(rng, cfg, "exp", h, fid.Updates)
 				if err != nil {
 					return nil, err
 				}
-				dr.cluster.ResetMessages()
-				if err := sim.Replay(dr.stream.Events, dr.apply); err != nil {
+				m, err := dr.replay()
+				if err != nil {
 					return nil, err
 				}
-				msgs.Observe(float64(dr.cluster.Messages()))
+				msgs.Observe(float64(m))
 			}
 			summaries = append(summaries, msgs)
 		}

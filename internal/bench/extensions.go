@@ -1,16 +1,11 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/entry"
-	"repro/internal/metrics"
 	"repro/internal/overlay"
-	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/strategy"
 	"repro/internal/wire"
 )
 
@@ -32,6 +27,7 @@ func ExtensionExperiments() []Experiment {
 		{ID: "ext-repair", Title: "Achieved-t under kill/replace churn, repair on vs. off", Run: ExtRepair},
 		{ID: "ext-membership", Title: "Entries moved and availability per join/drain; placement load skew", Run: ExtMembership},
 		{ID: "ext-zone", Title: "Zone-spread placement on vs. off under single-zone partitions", Run: ExtZone},
+		{ID: "ext-trace", Title: "Zipf trace on 10 000 emulated servers with a region partitioned halfway", Run: ExtTrace},
 	}
 }
 
@@ -43,10 +39,7 @@ func ExtensionExperiments() []Experiment {
 // checkpoints.
 func ExtRSReplacement(fid Fidelity, seed uint64) (*Table, error) {
 	rng := stats.NewRNG(seed)
-	const (
-		steady = 100
-		gap    = 10.0
-	)
+	const steady = 100
 	updates := min(fid.Updates, 4000)
 	cushionCfg := wire.Config{Scheme: wire.RandomServer, X: 20}
 	replaceCfg := wire.Config{Scheme: wire.RandomServer, X: 20, RSReplace: true}
@@ -63,40 +56,17 @@ func ExtRSReplacement(fid Fidelity, seed uint64) (*Table, error) {
 	for _, cfg := range []wire.Config{cushionCfg, replaceCfg} {
 		var unfair, storage, msgs stats.Summary
 		for run := 0; run < max(1, fid.Runs/4); run++ {
-			lifetime, err := sim.DefaultLifetime("exp", gap, steady)
+			dr, err := newChurnRun(rng, cfg, "exp", steady, updates)
 			if err != nil {
 				return nil, err
 			}
-			dr, err := newDynamicRun(rng, cfg, canonicalN, sim.StreamConfig{
-				MeanArrivalGap: gap,
-				SteadyState:    steady,
-				Lifetime:       lifetime,
-				Updates:        updates,
-			})
+			m, err := dr.replay()
 			if err != nil {
 				return nil, err
 			}
-			live := entry.NewSet(steady)
-			for _, v := range dr.stream.Initial {
-				live.Add(v)
-			}
-			dr.cluster.ResetMessages()
-			for _, ev := range dr.stream.Events {
-				if err := dr.apply(ev); err != nil {
-					return nil, err
-				}
-				switch ev.Kind {
-				case sim.EventAdd:
-					live.Add(ev.Entry)
-				case sim.EventDelete:
-					live.Remove(ev.Entry)
-				}
-			}
-			msgs.Observe(float64(dr.cluster.Messages()) / float64(updates))
+			msgs.Observe(float64(m) / float64(updates))
 			storage.Observe(float64(dr.cluster.TotalStorage(dr.key)))
-			u, err := metrics.MeasureUnfairnessDebiased(func() (strategy.Result, error) {
-				return dr.driver.PartialLookup(context.Background(), dr.cluster.Caller(), dr.key, 1)
-			}, live.Members(), 1, fid.Lookups)
+			u, err := dr.unfairness(dr.live.Members(), 1, fid.Lookups)
 			if err != nil {
 				return nil, err
 			}
@@ -142,16 +112,11 @@ func ExtOverlayTradeoff(fid Fidelity, seed uint64) (*Table, error) {
 		if y > n {
 			y = n
 		}
-		cfg := wire.Config{Scheme: wire.RoundRobin, Y: y}
-		cl := cluster.New(n, rng.Split())
-		drv, err := strategy.New(cfg, rng.Split())
+		inst, err := place(rng, wire.Config{Scheme: wire.RoundRobin, Y: y}, n, entry.Synthetic(h))
 		if err != nil {
 			return nil, err
 		}
-		ctx := context.Background()
-		if err := drv.Place(ctx, cl.Caller(), "k", entry.Synthetic(h)); err != nil {
-			return nil, err
-		}
+		cl, drv, ctx := inst.cluster, inst.driver, ctxB()
 
 		// Update cost: one add through the coordinator (y stores) plus
 		// the client request; Round-y deletes broadcast. We measure an

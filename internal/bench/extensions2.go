@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/strategy"
 	"repro/internal/wire"
@@ -51,9 +49,7 @@ func ExtRandomFailures(fid Fidelity, seed uint64) (*Table, error) {
 				for _, s := range rng.SampleInts(canonicalN, failed) {
 					inst.cluster.Fail(s)
 				}
-				lc, err := metrics.MeasureLookupCost(func() (strategy.Result, error) {
-					return inst.lookup(target)
-				}, target, max(1, fid.Lookups/5))
+				lc, err := inst.lookupCost(target, max(1, fid.Lookups/5))
 				if err != nil {
 					return nil, err
 				}
@@ -75,10 +71,7 @@ func ExtRandomFailures(fid Fidelity, seed uint64) (*Table, error) {
 // break points.
 func ExtOptimalYPolicy(fid Fidelity, seed uint64) (*Table, error) {
 	rng := stats.NewRNG(seed)
-	const (
-		target = 40
-		gap    = 10.0
-	)
+	const target = 40
 	t := &Table{
 		ID:     "ext-optimaly",
 		Title:  fmt.Sprintf("Hash-y policy ablation: adaptive y vs. pinned y (t=%d, %d updates)", target, fid.Updates),
@@ -102,27 +95,16 @@ func ExtOptimalYPolicy(fid Fidelity, seed uint64) (*Table, error) {
 		for pi, cfg := range policies {
 			var msgsS, costS stats.Summary
 			for run := 0; run < max(1, fid.Runs/4); run++ {
-				lifetime, err := sim.DefaultLifetime("exp", gap, h)
+				dr, err := newChurnRun(rng, cfg, "exp", h, fid.Updates)
 				if err != nil {
 					return nil, err
 				}
-				dr, err := newDynamicRun(rng, cfg, canonicalN, sim.StreamConfig{
-					MeanArrivalGap: gap,
-					SteadyState:    h,
-					Lifetime:       lifetime,
-					Updates:        fid.Updates,
-				})
+				m, err := dr.replay()
 				if err != nil {
 					return nil, err
 				}
-				dr.cluster.ResetMessages()
-				if err := sim.Replay(dr.stream.Events, dr.apply); err != nil {
-					return nil, err
-				}
-				msgsS.Observe(float64(dr.cluster.Messages()) / float64(fid.Updates))
-				lc, err := metrics.MeasureLookupCost(func() (strategy.Result, error) {
-					return dr.driver.PartialLookup(ctxB(), dr.cluster.Caller(), dr.key, target)
-				}, target, max(1, fid.Lookups/5))
+				msgsS.Observe(float64(m) / float64(fid.Updates))
+				lc, err := dr.lookupCost(target, max(1, fid.Lookups/5))
 				if err != nil {
 					return nil, err
 				}

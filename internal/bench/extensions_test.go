@@ -61,7 +61,7 @@ func TestExtOverlayTradeoffShape(t *testing.T) {
 
 func TestExtensionRegistry(t *testing.T) {
 	exts := ExtensionExperiments()
-	if len(exts) != 10 {
+	if len(exts) != 11 {
 		t.Fatalf("extensions = %d", len(exts))
 	}
 	for _, e := range exts {
@@ -243,5 +243,30 @@ func TestExtZoneSpreadSurvivesAnyZone(t *testing.T) {
 		if row[4] != 1 || row[7] != 1 {
 			t.Errorf("%s: satisfied %v healthy, %v with a zone cut off; want every lookup satisfied", label, row[4], row[7])
 		}
+	}
+}
+
+// ext-trace cannot be pinned to a golden (its selector orders servers by
+// wall-clock latency), so its claim is checked on a smaller tree of the
+// same shape: with zone-spread placement every lookup reaches t, before
+// and after region r1 is cut off, and none finds every server gone.
+func TestExtTraceSpreadSurvivesRegionPartition(t *testing.T) {
+	small := traceScenario{servers: 240, topology: "4x3x4", keys: 20, perKey: 30, ops: 200}
+	tbl, err := small.run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows) != 2 {
+		t.Fatalf("rows = %d, want steady and partitioned", len(tbl.Rows))
+	}
+	// Columns: Lookups, Updates, Satisfied %, Unreachable, ...
+	for _, row := range tbl.Rows {
+		lookups, satisfied, unreachable := row.Values[0], row.Values[2], row.Values[3]
+		if lookups == 0 || satisfied != 100 || unreachable != 0 {
+			t.Errorf("%s: %v lookups, %v%% satisfied, %v unreachable; want every lookup satisfied", row.Label, lookups, satisfied, unreachable)
+		}
+	}
+	if msgs := tbl.Rows[1].Values[6]; msgs == 0 {
+		t.Errorf("partitioned phase counted no messages")
 	}
 }

@@ -11,10 +11,12 @@ import (
 // checked-in goldens. With repair disabled (the experiment default) the
 // anti-entropy machinery must be invisible: not one RNG draw, placement
 // decision, or lookup sample may shift, so the rendered CSVs stay
-// byte-identical release over release. The three on/off scenarios whose
-// every column is seeded (ext-select reports wall-clock latency and is
-// not among them) are pinned the same way, so a change that moves an
-// efficacy number the docs quote shows up as a diff. Regenerate
+// byte-identical release over release. The Sec. 6 churn runs (fig12,
+// fig13, fig14, table2, and ext-rsreplace and ext-optimaly built on
+// them) and the three on/off scenarios whose every column is seeded
+// are pinned the same way, so a change that moves a number the docs
+// quote shows up as a diff. ext-select and ext-trace are not among
+// them: their selectors order servers by wall-clock latency. Regenerate
 // deliberately with
 //
 //	BENCH_GEN_GOLDEN=1 go test ./internal/bench -run TestGoldenTables

@@ -85,9 +85,7 @@ func Fig4LookupCost(fid Fidelity, seed uint64) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				res, err := metrics.MeasureLookupCost(func() (strategy.Result, error) {
-					return inst.lookup(target)
-				}, target, fid.Lookups)
+				res, err := inst.lookupCost(target, fid.Lookups)
 				if err != nil {
 					return nil, err
 				}
@@ -208,9 +206,7 @@ func Fig9Unfairness(fid Fidelity, seed uint64) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				u, err := metrics.MeasureUnfairnessDebiased(func() (strategy.Result, error) {
-					return inst.lookup(target)
-				}, inst.entries, target, fid.Lookups)
+				u, err := inst.unfairness(inst.entries, target, fid.Lookups)
 				if err != nil {
 					return nil, err
 				}

@@ -1,15 +1,12 @@
 package bench
 
 import (
-	"context"
 	"fmt"
+	"slices"
 	"sort"
 
-	"repro/internal/entry"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/strategy"
 	"repro/internal/wire"
 )
 
@@ -71,16 +68,12 @@ func Table2Summary(fid Fidelity, seed uint64) (*Table, error) {
 			snap := inst.cluster.Snapshot(inst.key)
 			cov.Observe(float64(metrics.Coverage(snap)))
 			ft.Observe(float64(metrics.FaultToleranceGreedy(snap, 20)))
-			lc, err := metrics.MeasureLookupCost(func() (strategy.Result, error) {
-				return inst.lookup(20)
-			}, 20, fid.Lookups)
+			lc, err := inst.lookupCost(20, fid.Lookups)
 			if err != nil {
 				return nil, err
 			}
 			cost.Observe(lc.MeanContacted)
-			u, err := metrics.MeasureUnfairnessDebiased(func() (strategy.Result, error) {
-				return inst.lookup(1)
-			}, inst.entries, 1, fid.Lookups)
+			u, err := inst.unfairness(inst.entries, 1, fid.Lookups)
 			if err != nil {
 				return nil, err
 			}
@@ -96,33 +89,18 @@ func Table2Summary(fid Fidelity, seed uint64) (*Table, error) {
 	for i, cfg := range configs {
 		var fair stats.Summary
 		for run := 0; run < max(1, fid.Runs/4); run++ {
-			lifetime, err := sim.DefaultLifetime("exp", 10, canonicalH)
+			dr, err := newChurnRun(rng, cfg, "exp", canonicalH, min(fid.Updates, 2000))
 			if err != nil {
 				return nil, err
 			}
-			dr, err := newDynamicRun(rng, cfg, canonicalN, sim.StreamConfig{
-				MeanArrivalGap: 10,
-				SteadyState:    canonicalH,
-				Lifetime:       lifetime,
-				Updates:        min(fid.Updates, 2000),
-			})
-			if err != nil {
+			if _, err := dr.replay(); err != nil {
 				return nil, err
 			}
-			live := make(map[string]bool, canonicalH)
-			for _, v := range dr.stream.Initial {
-				live[v] = true
-			}
-			for _, ev := range dr.stream.Events {
-				if err := dr.apply(ev); err != nil {
-					return nil, err
-				}
-				live[ev.Entry] = ev.Kind == sim.EventAdd
-			}
-			universe := coverageUniverseFromLive(live)
-			u, err := metrics.MeasureUnfairnessDebiased(func() (strategy.Result, error) {
-				return dr.driver.PartialLookup(context.Background(), dr.cluster.Caller(), dr.key, 1)
-			}, universe, 1, fid.Lookups)
+			// Sorted: the universe's order feeds a float sum, and the
+			// golden pins this table's values.
+			universe := dr.live.Members()
+			slices.Sort(universe)
+			u, err := dr.unfairness(universe, 1, fid.Lookups)
 			if err != nil {
 				return nil, err
 			}
@@ -137,24 +115,15 @@ func Table2Summary(fid Fidelity, seed uint64) (*Table, error) {
 		for i, cfg := range configs {
 			var msgs stats.Summary
 			for run := 0; run < max(1, fid.Runs/4); run++ {
-				lifetime, err := sim.DefaultLifetime("exp", 10, h)
+				dr, err := newChurnRun(rng, cfg, "exp", h, min(fid.Updates, 2000))
 				if err != nil {
 					return nil, err
 				}
-				dr, err := newDynamicRun(rng, cfg, canonicalN, sim.StreamConfig{
-					MeanArrivalGap: 10,
-					SteadyState:    h,
-					Lifetime:       lifetime,
-					Updates:        min(fid.Updates, 2000),
-				})
+				m, err := dr.replay()
 				if err != nil {
 					return nil, err
 				}
-				dr.cluster.ResetMessages()
-				if err := sim.Replay(dr.stream.Events, dr.apply); err != nil {
-					return nil, err
-				}
-				msgs.Observe(float64(dr.cluster.Messages()) / float64(len(dr.stream.Events)))
+				msgs.Observe(float64(m) / float64(len(dr.stream.Events)))
 			}
 			raw[i][7+hi] = msgs.Mean()
 		}
@@ -233,15 +202,4 @@ func withinTolerance(a, b, tol float64) bool {
 		return true
 	}
 	return diff/scale <= tol
-}
-
-func coverageUniverseFromLive(live map[string]bool) []entry.Entry {
-	var out []entry.Entry
-	for v, alive := range live {
-		if alive {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -1,5 +1,5 @@
 // Package cliutil holds flag-parsing helpers shared by the plsd,
-// plsctl, plssim, and plsbench command-line tools.
+// plsctl and plsproxy command-line tools.
 package cliutil
 
 import (

@@ -11,8 +11,8 @@ import (
 )
 
 // Snapshot is a point-in-time copy of a Registry, the unit served by
-// the admin endpoint's /metrics, written by plsbench/plssim
-// -telemetry-out, and pretty-printed by plsctl stats.
+// the admin endpoint's /metrics, written by plsbench -telemetry-out,
+// and pretty-printed by plsctl stats.
 type Snapshot struct {
 	TakenAt             time.Time                      `json:"taken_at"`
 	Counters            map[string]int64               `json:"counters,omitempty"`
