@@ -33,11 +33,14 @@ lint:
 # metric and overlay packages they run on); the four packages a request
 # crosses client-side; then, each alone, the store and its WAL, the
 # telemetry layer, and the two membership hosts (the simulator's
-# cluster and the daemon); last the whole repository. Quote the
-# before/after in PRs that claim a reduction.
+# cluster and the daemon); the whole repository; last the flags each
+# binary defines, counted from its -h output so that the flags it
+# registers through internal/cliutil count too. Quote the before/after
+# in PRs that claim a reduction.
 LOC_PKGS = internal/node internal/strategy internal/wire internal/transport
 LOC_REPRO_PKGS = cmd/plsbench internal/bench internal/sim internal/metrics internal/overlay
 LOC_REQUEST_PKGS = internal/strategy internal/core internal/proxy internal/selector
+LOC_FLAG_CMDS = plsctl plsd plsproxy
 loc_lines = find $(1) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 loc_group = for p in $(1); do printf '%-20s %s\n' $$p $$($(call loc_lines,$$p)); done; \
 	printf '%-20s %s\n\n' total $$($(call loc_lines,$(1)))
@@ -49,7 +52,11 @@ loc:
 	@printf '%-20s %s\n' internal/telemetry $$($(call loc_lines,internal/telemetry))
 	@printf '%-20s %s\n' internal/cluster $$($(call loc_lines,internal/cluster))
 	@printf '%-20s %s\n\n' cmd/plsd $$($(call loc_lines,cmd/plsd))
-	@printf '%-20s %s\n' 'whole repo' $$($(call loc_lines,.))
+	@printf '%-20s %s\n\n' 'whole repo' $$($(call loc_lines,.))
+	@total=0; for c in $(LOC_FLAG_CMDS); do \
+		n=$$($(GO) run ./cmd/$$c -h 2>&1 | grep -c '^  -'); total=$$((total + n)); \
+		printf '%-20s %s\n' "cmd/$$c flags" $$n; \
+	done; printf '%-20s %s\n' 'flags total' $$total
 
 # Coverage with the same floor CI enforces (.github/coverage-floor).
 cover:

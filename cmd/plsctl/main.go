@@ -28,8 +28,8 @@
 // with (the service is symmetric: any client carrying the same config
 // can update the key). That includes -zone-spread: a key placed with
 // zone-spread on a -topology cluster must be updated with the same
-// flags. -client-zone plus -selector orders probes nearest-zone-first
-// (see DESIGN.md §14).
+// flags. -client-zone orders probes nearest-zone-first (see DESIGN.md
+// §14).
 //
 // stats fetches /metrics from a plsd -admin endpoint (host:port or a
 // full URL) and pretty-prints the snapshot; -stats-json dumps the raw
@@ -50,8 +50,6 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
-	"repro/internal/selector"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
 	"repro/internal/transport"
@@ -66,34 +64,17 @@ func main() {
 }
 
 func run() error {
+	cf := cliutil.RegisterClientFlags(flag.CommandLine)
 	var (
-		servers  = flag.String("servers", "127.0.0.1:7001", "comma-separated server addresses")
-		scheme   = flag.String("scheme", "round", "placement scheme: full, fixed, randomserver, round, hash, multiprobe, partition")
-		x        = flag.Int("x", 0, "x parameter (fixed, randomserver)")
-		y        = flag.Int("y", 1, "y parameter (round, hash)")
-		seed     = flag.Uint64("hash-seed", 0, "hash family seed (hash scheme)")
-		timeout  = flag.Duration("timeout", 5*time.Second, "RPC timeout")
-		muxConns = flag.Int("mux-conns", transport.DefaultMuxConns, "multiplexed TCP connections per server; calls spread over them round-robin and pipeline on each, every caller writing its own frames")
-
-		// Lookup resilience policy (see core.LookupPolicy).
+		servers       = flag.String("servers", "127.0.0.1:7001", "comma-separated server addresses")
+		muxConns      = flag.Int("mux-conns", transport.DefaultMuxConns, "multiplexed TCP connections per server; calls spread over them round-robin and pipeline on each, every caller writing its own frames")
 		lookupTimeout = flag.Duration("lookup-timeout", 0, "end-to-end deadline for one lookup (0 = none)")
-		retries       = flag.Int("retries", 1, "attempts per probe before failing over to the next server")
-		backoff       = flag.Duration("backoff", 50*time.Millisecond, "delay before the first retry (doubles per retry up to 1s, less up to half at random)")
-		hedgeAfter    = flag.Duration("hedge-after", 0, "send a second identical probe after this latency (0 = off)")
-		useSelector   = flag.Bool("selector", false, "adapt probe order to observed server health and cached per-key routes (multi-key verbs benefit most)")
 
 		// Zone topology (must match the -topology every plsd was started
 		// with; see the OPERATIONS.md zone runbook).
 		topoSpec   = flag.String("topology", "", "zone topology spec matching the cluster's (RxDxK, rack=ids list, or @file); empty = flat")
 		zoneSpread = flag.Bool("zone-spread", false, "request zone-spread placement for updates (requires -topology)")
-		clientZone = flag.String("client-zone", "", "this client's zone path (e.g. r0/d1/k0); with -selector, probes prefer nearby servers")
-
-		// Client-side chaos injection, for exercising the resilience
-		// path against a real plsd cluster.
-		chaosDrop    = flag.Float64("chaos-drop", 0, "probability a call is dropped before it is sent")
-		chaosLatency = flag.Duration("chaos-latency", 0, "fixed latency added to every call")
-		chaosJitter  = flag.Duration("chaos-jitter", 0, "uniform extra latency in [0, jitter)")
-		chaosSeed    = flag.Uint64("chaos-seed", 1, "RNG seed for the injected fault schedule")
+		clientZone = flag.String("client-zone", "", "this client's zone path (e.g. r0/d1/k0); probes prefer nearby servers (requires -topology)")
 
 		// Client-side telemetry.
 		showTelemetry = flag.Bool("telemetry", false, "print this client's telemetry snapshot to stderr after the command")
@@ -119,17 +100,33 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// Argument checks shared by the cluster and -proxy paths.
+	switch {
+	case (verb == "add" || verb == "delete") && len(args) != 3:
+		return fmt.Errorf("usage: %s KEY ENTRY", verb)
+	case verb == "lookup" && len(args) != 3:
+		return fmt.Errorf("usage: lookup KEY T")
+	case verb == "mlookup" && len(args) < 3:
+		return fmt.Errorf("usage: mlookup T KEY [KEY...]")
+	}
+	var t int // lookup's and mlookup's target answer size
+	if tArg := args[1]; verb == "lookup" || verb == "mlookup" {
+		if verb == "lookup" {
+			tArg = args[2]
+		}
+		if t, err = strconv.Atoi(tArg); err != nil {
+			return fmt.Errorf("bad target answer size %q: %w", tArg, err)
+		}
+	}
+
 	var tp *topo.Topology
 	if *topoSpec != "" {
 		if tp, err = topo.Parse(*topoSpec, len(addrs)); err != nil {
 			return fmt.Errorf("-topology: %w", err)
 		}
 	}
-	if *zoneSpread && tp == nil {
-		return fmt.Errorf("-zone-spread requires -topology")
-	}
-	if *clientZone != "" && tp == nil {
-		return fmt.Errorf("-client-zone requires -topology")
+	if tp == nil && (*zoneSpread || *clientZone != "") {
+		return fmt.Errorf("-zone-spread and -client-zone require -topology")
 	}
 	// Membership verbs commit a cluster-wide rebalance — every member
 	// sweeps every key synchronously before the reply — so they use their
@@ -137,72 +134,37 @@ func run() error {
 	if verb == "join" || verb == "drain" {
 		return runMembership(addrs, verb, key, *viaProxy)
 	}
+	cfg, err := cf.Config()
+	if err != nil {
+		return err
+	}
+	cfg.ZoneSpread = *zoneSpread
 	if *viaProxy {
 		// Front-tier mode: the strategy layer lives in the proxy, so ship
 		// the raw wire request and print whatever comes back. The local
 		// config flags still travel with updates — the proxy needs them to
 		// place keys — but lookups are config-free.
-		cfg, err := cliutil.ParseScheme(*scheme, *x, *y, *seed)
-		if err != nil {
-			return err
-		}
-		cfg.ZoneSpread = *zoneSpread
-		return runProxy(addrs, cfg, *timeout, *muxConns, verb, args)
+		return runProxy(addrs, cfg, cf.Timeout, *muxConns, verb, args, t)
 	}
 	reg := telemetry.NewRegistry()
-	tm := telemetry.NewTransportMetrics(reg, "transport", len(addrs))
-	lm := telemetry.NewLookupMetrics(reg)
-	client := transport.NewClient(addrs,
-		transport.WithTimeout(*timeout),
-		transport.WithMuxConns(*muxConns),
-		transport.WithClientMetrics(tm))
-	defer client.Close()
-	var caller transport.Caller = client
-	if *chaosDrop > 0 || *chaosLatency > 0 || *chaosJitter > 0 {
-		chaos := transport.NewChaos(client, stats.NewRNG(*chaosSeed))
-		for i := range addrs {
-			chaos.SetFaults(i, transport.Faults{
-				Latency:  *chaosLatency,
-				Jitter:   *chaosJitter,
-				DropRate: *chaosDrop,
-			})
-		}
-		caller = chaos
+	st, err := cf.NewStack(reg, addrs, cliutil.StackOptions{
+		Metrics:       "transport",
+		Seed:          1, // core's default
+		Config:        cfg,
+		LookupTimeout: *lookupTimeout,
+		MuxConns:      *muxConns,
+		Topology:      tp,
+		ClientZone:    *clientZone,
+	})
+	if err != nil {
+		return err
 	}
-	// Instrument above the chaos layer, so injected faults count as the
-	// per-server errors they simulate.
-	caller = transport.Instrument(caller, tm)
+	defer st.Client.Close()
 	if *showTelemetry {
 		defer func() { reg.Snapshot().Format(os.Stderr) }()
 	}
-
-	cfg, err := cliutil.ParseScheme(*scheme, *x, *y, *seed)
-	if err != nil {
-		return err
-	}
-	cfg.ZoneSpread = *zoneSpread
-	opts := []core.Option{
-		core.WithDefaultConfig(cfg),
-		core.WithLookupMetrics(lm),
-		core.WithLookupPolicy(core.LookupPolicy{
-			Timeout: *lookupTimeout,
-			Retry:   transport.RetryPolicy{Attempts: *retries, Backoff: *backoff, HedgeAfter: *hedgeAfter},
-		}),
-	}
-	if *useSelector {
-		sel := selector.New(len(addrs), selector.Options{
-			Metrics: telemetry.NewSelectorMetrics(reg),
-		})
-		if tp != nil && *clientZone != "" {
-			sel.SetTopology(tp, *clientZone)
-		}
-		opts = append(opts, core.WithSelector(sel))
-	}
-	svc, err := core.NewService(caller, opts...)
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout*2)
+	svc := st.Service
+	ctx, cancel := context.WithTimeout(context.Background(), cf.Timeout*2)
 	defer cancel()
 
 	switch verb {
@@ -212,41 +174,26 @@ func run() error {
 		}
 		fmt.Printf("placed %d entries for %q with %v\n", len(args)-2, key, cfg)
 	case "add":
-		if len(args) != 3 {
-			return fmt.Errorf("usage: add KEY ENTRY")
-		}
 		if err := svc.Add(ctx, key, args[2]); err != nil {
 			return err
 		}
 		fmt.Printf("added %q to %q\n", args[2], key)
 	case "delete":
-		if len(args) != 3 {
-			return fmt.Errorf("usage: delete KEY ENTRY")
-		}
 		if err := svc.Delete(ctx, key, args[2]); err != nil {
 			return err
 		}
 		fmt.Printf("deleted %q from %q\n", args[2], key)
 	case "lookup":
-		if len(args) != 3 {
-			return fmt.Errorf("usage: lookup KEY T")
-		}
-		t, err := strconv.Atoi(args[2])
-		if err != nil {
-			return fmt.Errorf("bad target answer size %q: %w", args[2], err)
-		}
 		res, err := svc.PartialLookup(ctx, key, t)
 		if err != nil && !errors.Is(err, core.ErrPartialResult) {
 			return err
 		}
-		status := "satisfied"
+		st := status(len(res.Entries), t)
 		if err != nil {
-			status = "PARTIAL (deadline)"
-		} else if !res.Satisfied(t) {
-			status = "UNSATISFIED"
+			st = "PARTIAL (deadline)"
 		}
 		fmt.Printf("partial_lookup(%q, %d): %d entries from %d servers (%s)\n",
-			key, t, len(res.Entries), res.Contacted, status)
+			key, t, len(res.Entries), res.Contacted, st)
 		for _, v := range res.Entries {
 			fmt.Println(" ", v)
 		}
@@ -265,45 +212,26 @@ func run() error {
 			}
 			items = append(items, core.PlaceItem{Key: k, Entries: entries})
 		}
-		failed := 0
-		for i, err := range svc.PlaceBatch(ctx, items) {
-			if err != nil {
-				failed++
-				fmt.Fprintf(os.Stderr, "  %s: %v\n", items[i].Key, err)
-			}
-		}
-		if failed > 0 {
-			return fmt.Errorf("mplace: %d of %d keys failed", failed, len(items))
+		if err := batchErr("mplace", args[1:], svc.PlaceBatch(ctx, items)); err != nil {
+			return err
 		}
 		fmt.Printf("placed %d keys with %v (batched)\n", len(items), cfg)
 	case "madd":
 		items := make([]core.AddItem, 0, len(args)-1)
+		keys := make(map[string]bool)
 		for _, spec := range args[1:] {
 			k, v, ok := strings.Cut(spec, "=")
 			if !ok || k == "" || v == "" {
 				return fmt.Errorf("madd: spec %q is not KEY=ENTRY", spec)
 			}
 			items = append(items, core.AddItem{Key: k, Entry: v})
+			keys[k] = true
 		}
-		failed := 0
-		for i, err := range svc.AddBatch(ctx, items) {
-			if err != nil {
-				failed++
-				fmt.Fprintf(os.Stderr, "  %s: %v\n", items[i].Key, err)
-			}
+		if err := batchErr("madd", args[1:], svc.AddBatch(ctx, items)); err != nil {
+			return err
 		}
-		if failed > 0 {
-			return fmt.Errorf("madd: %d of %d adds failed", failed, len(items))
-		}
-		fmt.Printf("added %d entries across %d keys (batched)\n", len(items), len(items))
+		fmt.Printf("added %d entries across %d keys (batched)\n", len(items), len(keys))
 	case "mlookup":
-		if len(args) < 3 {
-			return fmt.Errorf("usage: mlookup T KEY [KEY...]")
-		}
-		t, err := strconv.Atoi(args[1])
-		if err != nil {
-			return fmt.Errorf("bad target answer size %q: %w", args[1], err)
-		}
 		keys := args[2:]
 		for i, o := range svc.PartialLookupBatch(ctx, keys, t) {
 			switch {
@@ -313,17 +241,13 @@ func run() error {
 			case o.Err != nil:
 				fmt.Printf("%s: ERROR %v\n", keys[i], o.Err)
 			default:
-				status := "satisfied"
-				if !o.Result.Satisfied(t) {
-					status = "UNSATISFIED"
-				}
 				fmt.Printf("%s: %d entries from %d servers (%s) %v\n",
-					keys[i], len(o.Result.Entries), o.Result.Contacted, status, o.Result.Entries)
+					keys[i], len(o.Result.Entries), o.Result.Contacted, status(len(o.Result.Entries), t), o.Result.Entries)
 			}
 		}
 	case "dump":
 		for i := range addrs {
-			reply, err := client.Call(ctx, i, wire.Dump{Key: key})
+			reply, err := st.Client.Call(ctx, i, wire.Dump{Key: key})
 			if err != nil {
 				fmt.Printf("server %d (%s): DOWN (%v)\n", i, addrs[i], err)
 				continue
@@ -344,18 +268,15 @@ func run() error {
 // runProxy drives one verb against a plsproxy front tier with raw wire
 // messages. The proxy owns routing, coalescing, and the result cache;
 // this side is a dumb pipe plus pretty-printing.
-func runProxy(addrs []string, cfg wire.Config, timeout time.Duration, muxConns int, verb string, args []string) error {
+func runProxy(addrs []string, cfg wire.Config, timeout time.Duration, muxConns int, verb string, args []string, t int) error {
 	client := transport.NewClient(addrs,
 		transport.WithTimeout(timeout),
 		transport.WithMuxConns(muxConns))
 	defer client.Close()
-	call := func(msg wire.Message, deadline time.Duration) (wire.Message, error) {
-		ctx, cancel := context.WithTimeout(context.Background(), deadline)
-		defer cancel()
-		return client.Call(ctx, 0, msg)
-	}
+	ctx, cancel := context.WithTimeout(context.Background(), timeout*2)
+	defer cancel()
 	ackCall := func(msg wire.Message, what string) error {
-		reply, err := call(msg, timeout*2)
+		reply, err := client.Call(ctx, 0, msg)
 		if err != nil {
 			return err
 		}
@@ -373,26 +294,13 @@ func runProxy(addrs []string, cfg wire.Config, timeout time.Duration, muxConns i
 		return ackCall(wire.Place{Key: args[1], Config: cfg, Entries: args[2:]},
 			fmt.Sprintf("place %q (%d entries)", args[1], len(args)-2))
 	case "add":
-		if len(args) != 3 {
-			return fmt.Errorf("usage: add KEY ENTRY")
-		}
 		return ackCall(wire.Add{Key: args[1], Config: cfg, Entry: args[2]},
 			fmt.Sprintf("add %q to %q", args[2], args[1]))
 	case "delete":
-		if len(args) != 3 {
-			return fmt.Errorf("usage: delete KEY ENTRY")
-		}
 		return ackCall(wire.Delete{Key: args[1], Config: cfg, Entry: args[2]},
 			fmt.Sprintf("delete %q from %q", args[2], args[1]))
 	case "lookup":
-		if len(args) != 3 {
-			return fmt.Errorf("usage: lookup KEY T")
-		}
-		t, err := strconv.Atoi(args[2])
-		if err != nil {
-			return fmt.Errorf("bad target answer size %q: %w", args[2], err)
-		}
-		reply, err := call(wire.Lookup{Key: args[1], T: t}, timeout*2)
+		reply, err := client.Call(ctx, 0, wire.Lookup{Key: args[1], T: t})
 		if err != nil {
 			return err
 		}
@@ -400,28 +308,17 @@ func runProxy(addrs []string, cfg wire.Config, timeout time.Duration, muxConns i
 		if !ok || lr.Err != "" {
 			return fmt.Errorf("lookup %q: %v", args[1], reply)
 		}
-		status := "satisfied"
-		if len(lr.Entries) < t {
-			status = "UNSATISFIED"
-		}
-		fmt.Printf("partial_lookup(%q, %d): %d entries via proxy (%s)\n", args[1], t, len(lr.Entries), status)
+		fmt.Printf("partial_lookup(%q, %d): %d entries via proxy (%s)\n", args[1], t, len(lr.Entries), status(len(lr.Entries), t))
 		for _, v := range lr.Entries {
 			fmt.Println(" ", v)
 		}
 		return nil
 	case "mlookup":
-		if len(args) < 3 {
-			return fmt.Errorf("usage: mlookup T KEY [KEY...]")
-		}
-		t, err := strconv.Atoi(args[1])
-		if err != nil {
-			return fmt.Errorf("bad target answer size %q: %w", args[1], err)
-		}
 		items := make([]wire.Lookup, 0, len(args)-2)
 		for _, k := range args[2:] {
 			items = append(items, wire.Lookup{Key: k, T: t})
 		}
-		reply, err := call(wire.LookupBatch{Items: items}, timeout*2)
+		reply, err := client.Call(ctx, 0, wire.LookupBatch{Items: items})
 		if err != nil {
 			return err
 		}
@@ -434,11 +331,7 @@ func runProxy(addrs []string, cfg wire.Config, timeout time.Duration, muxConns i
 				fmt.Printf("%s: ERROR %s\n", items[i].Key, r.Err)
 				continue
 			}
-			status := "satisfied"
-			if len(r.Entries) < t {
-				status = "UNSATISFIED"
-			}
-			fmt.Printf("%s: %d entries via proxy (%s) %v\n", items[i].Key, len(r.Entries), status, r.Entries)
+			fmt.Printf("%s: %d entries via proxy (%s) %v\n", items[i].Key, len(r.Entries), status(len(r.Entries), t), r.Entries)
 		}
 		return nil
 	default:
@@ -446,11 +339,34 @@ func runProxy(addrs []string, cfg wire.Config, timeout time.Duration, muxConns i
 	}
 }
 
+// status names how a lookup for t entries that returned n ended.
+func status(n, t int) string {
+	if n < t {
+		return "UNSATISFIED"
+	}
+	return "satisfied"
+}
+
+// batchErr reports each failed item of a batch verb, keyed by its
+// command-line spec, and fails the verb if any did.
+func batchErr(verb string, specs []string, errs []error) error {
+	failed := 0
+	for i, err := range errs {
+		if err != nil {
+			failed++
+			fmt.Fprintf(os.Stderr, "  %s: %v\n", specs[i], err)
+		}
+	}
+	if failed > 0 {
+		return fmt.Errorf("%s: %d of %d items failed", verb, failed, len(errs))
+	}
+	return nil
+}
+
 // runMembership sends a join or drain to one coordinator — through
 // -proxy, to the proxy, which forwards it — and prints the update the
-// coordinator committed. The coordinator replies only once every member
-// has finished its rebalance sweep, so the deadline is minutes, not the
-// data-path -timeout.
+// coordinator committed. Its deadline is minutes, not the data-path
+// -timeout.
 func runMembership(addrs []string, verb, arg string, viaProxy bool) error {
 	var msg wire.Message = wire.Join{Addr: arg}
 	coordinator := 0
@@ -467,20 +383,9 @@ func runMembership(addrs []string, verb, arg string, viaProxy bool) error {
 			coordinator = 1
 		}
 	}
-	client := transport.NewClient(addrs, transport.WithTimeout(2*time.Minute))
-	defer client.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	reply, err := client.Call(ctx, coordinator, msg)
+	m, err := cliutil.CommitMembership(context.Background(), addrs[coordinator], msg, 2*time.Minute)
 	if err != nil {
-		return err
-	}
-	m, ok := reply.(wire.MembershipUpdate)
-	if !ok {
-		if ack, isAck := reply.(wire.Ack); isAck {
-			return fmt.Errorf("%s %s: %s", verb, arg, ack.Err)
-		}
-		return fmt.Errorf("%s %s: unexpected reply %T", verb, arg, reply)
+		return fmt.Errorf("%s %s: %w", verb, arg, err)
 	}
 	if m.Leaving >= 0 {
 		fmt.Printf("drained server %d: cluster now %d members at epoch %d (-servers %s)\n",

@@ -103,7 +103,7 @@ func startCluster(t *testing.T, bin, fsync string, addrs, dirs []string) []*daem
 			"-data-dir", dirs[i],
 			"-fsync", fsync,
 			"-snapshot-interval", "0",
-			"-repair-off",
+			"-repair-interval", "0",
 		)
 		buf := new(syncBuffer)
 		cmd.Stdout = buf

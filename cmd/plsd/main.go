@@ -16,8 +16,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -70,8 +68,7 @@ func run() error {
 		// entries lost to dead peers, restoring each scheme's
 		// replication invariant. Driven by the peer selector's
 		// scoreboard (open circuits = presumed dead).
-		repairInterval = flag.Duration("repair-interval", 30*time.Second, "interval between anti-entropy repair sweeps")
-		repairOff      = flag.Bool("repair-off", false, "disable the anti-entropy repair daemon")
+		repairInterval = flag.Duration("repair-interval", 30*time.Second, "interval between anti-entropy repair sweeps (0 = no repair)")
 
 		// Durability. With -data-dir unset the node is volatile, exactly
 		// as before this layer existed.
@@ -79,16 +76,11 @@ func run() error {
 		fsyncPolicy  = flag.String("fsync", "batch", "WAL sync policy: always (fsync per mutation), batch (group commit), never (OS flush only)")
 		snapInterval = flag.Duration("snapshot-interval", 5*time.Minute, "interval between compacting snapshots (0 = only at startup and shutdown)")
 		drainWait    = flag.Duration("drain-timeout", 10*time.Second, "max time to let in-flight requests finish at shutdown")
-
-		// Chaos injection on outgoing peer traffic, for fault-tolerance
-		// drills against a live cluster (same middleware the simulator
-		// uses; see internal/transport.Chaos).
-		chaosDrop    = flag.Float64("chaos-drop", 0, "probability an outgoing peer call is dropped")
-		chaosLatency = flag.Duration("chaos-latency", 0, "fixed latency added to every outgoing peer call")
-		chaosJitter  = flag.Duration("chaos-jitter", 0, "uniform extra peer-call latency in [0, jitter)")
-		chaosSeed    = flag.Uint64("chaos-seed", 1, "RNG seed for the injected fault schedule")
 	)
 	flag.Parse()
+	if *repairInterval < 0 {
+		return fmt.Errorf("-repair-interval %v is negative (0 = no repair)", *repairInterval)
+	}
 
 	addrs, err := cliutil.ParseServerList(*peers)
 	if err != nil {
@@ -150,11 +142,9 @@ func run() error {
 	}
 
 	peerCaller, peerClient, sel := newPeerCaller(reg, addrs, *id, tp, peerOptions{
-		timeout:   *timeout,
-		retries:   *retries,
-		muxConns:  *muxConns,
-		chaos:     transport.Faults{Latency: *chaosLatency, Jitter: *chaosJitter, DropRate: *chaosDrop},
-		chaosSeed: *chaosSeed,
+		timeout:  *timeout,
+		retries:  *retries,
+		muxConns: *muxConns,
 	})
 	defer peerClient.Close()
 	nd.Attach(peerCaller)
@@ -167,7 +157,7 @@ func run() error {
 	// Anti-entropy repair: sweeps are epoch-gated on the selector's
 	// failure counter, so a healthy cluster pays nothing for this loop.
 	var repairer *node.Repairer
-	if !*repairOff {
+	if *repairInterval > 0 {
 		repairer = node.NewRepairer(nd, node.RepairOptions{
 			Interval: *repairInterval,
 			Health:   sel,
@@ -193,28 +183,20 @@ func run() error {
 		if *id != len(addrs)-1 {
 			return fmt.Errorf("-join requires this daemon to be the last -peers entry (got -id %d of %d)", *id, len(addrs))
 		}
-		update, err := joinCluster(context.Background(), *joinVia, addrs[*id], *timeout)
+		update, err := cliutil.CommitMembership(context.Background(), *joinVia, wire.Join{Addr: addrs[*id]}, *timeout)
 		if err != nil {
-			return err
+			return fmt.Errorf("join via %s: %w", *joinVia, err)
 		}
 		fmt.Printf("plsd: joined as server %d/%d at epoch %d\n", *id, update.NewN, update.Epoch)
 	}
 
 	if *admin != "" {
 		reg.PublishExpvar("pls")
-		adminLn, err := net.Listen("tcp", *admin)
+		stop, err := cliutil.ServeAdmin(reg, *admin, "plsd")
 		if err != nil {
-			return fmt.Errorf("admin listen %s: %w", *admin, err)
+			return err
 		}
-		defer adminLn.Close()
-		adminSrv := &http.Server{Handler: telemetry.AdminHandler(reg, nil)}
-		go func() {
-			// Serve returns ErrServerClosed-like errors once the
-			// listener closes at shutdown; nothing to report then.
-			_ = adminSrv.Serve(adminLn)
-		}()
-		defer adminSrv.Close()
-		fmt.Printf("plsd: admin endpoint on http://%s (/metrics, /healthz, /debug/pprof/)\n", adminLn.Addr())
+		defer stop()
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -260,35 +242,24 @@ func run() error {
 
 // peerOptions carries the flags that shape outgoing peer traffic.
 type peerOptions struct {
-	timeout   time.Duration
-	retries   int
-	muxConns  int
-	chaos     transport.Faults
-	chaosSeed uint64
+	timeout  time.Duration
+	retries  int
+	muxConns int
 }
 
 // newPeerCaller wires the path node id's messages take to the servers at
-// addrs, bottom up: mux client, chaos injection, the peer.* counters,
-// the observe-only health scoreboard, retries. Counters and scoreboard
-// sit below the retry layer, so every attempt — an injected drop, a
-// retry — is one call in peer.calls and one sample for the selector,
-// and peer.latency holds no back-off sleep. The caller closes the
-// returned client.
+// addrs, bottom up: mux client, the peer.* counters, the observe-only
+// health scoreboard, retries. Counters and scoreboard sit below the
+// retry layer, so every attempt is one call in peer.calls and one
+// sample for the selector, and peer.latency holds no back-off sleep.
+// The caller closes the returned client.
 func newPeerCaller(reg *telemetry.Registry, addrs []string, id int, tp *topo.Topology, o peerOptions) (transport.Caller, *transport.Client, *selector.Selector) {
 	tm := telemetry.NewTransportMetrics(reg, "peer", len(addrs))
 	client := transport.NewClient(addrs,
 		transport.WithTimeout(o.timeout),
 		transport.WithMuxConns(o.muxConns),
 		transport.WithClientMetrics(tm))
-	var caller transport.Caller = client
-	if o.chaos.DropRate > 0 || o.chaos.Latency > 0 || o.chaos.Jitter > 0 {
-		chaos := transport.NewChaos(client, stats.NewRNG(o.chaosSeed))
-		for i := range addrs {
-			chaos.SetFaults(i, o.chaos)
-		}
-		caller = chaos.Origin(id)
-	}
-	caller = transport.Instrument(caller, tm)
+	caller := transport.Instrument(client, tm)
 	// The daemon's forwarding fan-out is fixed by key placement, so
 	// the scoreboard is observe-only here: it feeds the admin health
 	// gauges, selector counters, and the repair daemon's

@@ -1,11 +1,8 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/node"
 	"repro/internal/selector"
@@ -94,26 +91,4 @@ func (h *membershipHost) Compact(m wire.MembershipUpdate) {
 	if id := h.nd.ID(); id > m.Leaving {
 		h.nd.SetID(id - 1)
 	}
-}
-
-// joinCluster runs the joiner side of plsd -join: ask the coordinator
-// to admit our advertised address and return the committed member
-// list. The local server must already be listening — the coordinator's
-// commit sweeps push entries at us before this returns.
-func joinCluster(ctx context.Context, coordinator, selfAddr string, timeout time.Duration) (wire.MembershipUpdate, error) {
-	boot := transport.NewClient([]string{coordinator}, transport.WithTimeout(timeout))
-	defer boot.Close()
-	cctx, cancel := context.WithTimeout(ctx, 2*time.Minute)
-	defer cancel()
-	reply, err := boot.Call(cctx, 0, wire.Join{Addr: selfAddr})
-	m, ok := reply.(wire.MembershipUpdate)
-	if ack, isAck := reply.(wire.Ack); isAck {
-		err = errors.New(ack.Err)
-	} else if err == nil && !ok {
-		err = fmt.Errorf("unexpected reply %T", reply)
-	}
-	if err != nil {
-		return m, fmt.Errorf("join via %s: %w", coordinator, err)
-	}
-	return m, nil
 }

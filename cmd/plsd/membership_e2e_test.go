@@ -39,7 +39,7 @@ func startJoiner(t *testing.T, bin string, allAddrs []string, dir, coordinator s
 		"-data-dir", dir,
 		"-fsync", "batch",
 		"-snapshot-interval", "0",
-		"-repair-off",
+		"-repair-interval", "0",
 		"-join", coordinator,
 	)
 	buf := new(syncBuffer)

@@ -28,8 +28,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -38,7 +36,6 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/proxy"
-	"repro/internal/selector"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -52,26 +49,16 @@ func main() {
 }
 
 func run() error {
+	cf := cliutil.RegisterClientFlags(flag.CommandLine)
 	var (
-		listen  = flag.String("listen", "127.0.0.1:7100", "client-facing listen address")
-		servers = flag.String("servers", "127.0.0.1:7001", "comma-separated plsd server addresses")
-		admin   = flag.String("admin", "", "admin/debug HTTP listen address serving /metrics, /healthz, and /debug/pprof/ (empty = disabled)")
+		listen   = flag.String("listen", "127.0.0.1:7100", "client-facing listen address")
+		servers  = flag.String("servers", "127.0.0.1:7001", "comma-separated plsd server addresses")
+		admin    = flag.String("admin", "", "admin/debug HTTP listen address serving /metrics, /healthz, and /debug/pprof/ (empty = disabled)")
+		seed     = flag.Uint64("seed", 0, "RNG seed for probe-order sampling (0 = derived from time)")
+		muxConns = flag.Int("mux-conns", transport.DefaultMuxConns, "multiplexed TCP connections per server; calls spread over them round-robin and pipeline on each, every caller writing its own frames")
 
 		cacheEntries = flag.Int("cache-entries", 4096, "max cached partial-lookup answers (each (key, t) pair is one entry)")
 		cacheTTL     = flag.Duration("cache-ttl", 2*time.Second, "result cache TTL: how long an answer cached before an add, or before an update the proxy does not see, may still be served (0 = cache off, coalescing stays on)")
-
-		scheme   = flag.String("scheme", "round", "default placement scheme for keys whose updates arrive without one: full, fixed, randomserver, round, hash, multiprobe, partition")
-		x        = flag.Int("x", 0, "x parameter (fixed, randomserver)")
-		y        = flag.Int("y", 1, "y parameter (round, hash)")
-		hashSeed = flag.Uint64("hash-seed", 0, "hash family seed (hash scheme)")
-		seed     = flag.Uint64("seed", 0, "RNG seed for probe-order sampling (0 = derived from time)")
-
-		timeout     = flag.Duration("timeout", 5*time.Second, "backend RPC timeout")
-		muxConns    = flag.Int("mux-conns", transport.DefaultMuxConns, "multiplexed TCP connections per server; calls spread over them round-robin and pipeline on each, every caller writing its own frames")
-		retries     = flag.Int("retries", 1, "attempts per probe before failing over to the next server")
-		backoff     = flag.Duration("backoff", 50*time.Millisecond, "delay before the first retry (doubles per retry up to 1s, less up to half at random)")
-		hedgeAfter  = flag.Duration("hedge-after", 0, "send a second identical probe after this latency (0 = off)")
-		useSelector = flag.Bool("selector", true, "adapt probe order to observed server health and cached per-key routes")
 	)
 	flag.Parse()
 
@@ -79,7 +66,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cfg, err := cliutil.ParseScheme(*scheme, *x, *y, *hashSeed)
+	cfg, err := cf.Config()
 	if err != nil {
 		return err
 	}
@@ -91,16 +78,15 @@ func run() error {
 	reg := telemetry.NewRegistry()
 	telemetry.RegisterRuntimeMetrics(reg)
 	px, client, err := newProxy(reg, addrs, frontOptions{
-		cfg:          core.Config(cfg),
+		cfg:          cfg,
 		seed:         rngSeed,
 		cacheEntries: *cacheEntries,
 		cacheTTL:     *cacheTTL,
-		timeout:      *timeout,
+		timeout:      cf.Timeout,
 		muxConns:     *muxConns,
-		retries:      *retries,
-		backoff:      *backoff,
-		hedgeAfter:   *hedgeAfter,
-		selector:     *useSelector,
+		retries:      cf.Retries,
+		backoff:      cf.Backoff,
+		hedgeAfter:   cf.HedgeAfter,
 	})
 	if err != nil {
 		return err
@@ -119,15 +105,11 @@ func run() error {
 
 	if *admin != "" {
 		reg.PublishExpvar("plsproxy")
-		adminLn, err := net.Listen("tcp", *admin)
+		stop, err := cliutil.ServeAdmin(reg, *admin, "plsproxy")
 		if err != nil {
-			return fmt.Errorf("admin listen %s: %w", *admin, err)
+			return err
 		}
-		defer adminLn.Close()
-		adminSrv := &http.Server{Handler: telemetry.AdminHandler(reg, nil)}
-		go func() { _ = adminSrv.Serve(adminLn) }()
-		defer adminSrv.Close()
-		fmt.Printf("plsproxy: admin endpoint on http://%s (/metrics, /healthz, /debug/pprof/)\n", adminLn.Addr())
+		defer stop()
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -148,40 +130,25 @@ type frontOptions struct {
 	retries      int
 	backoff      time.Duration
 	hedgeAfter   time.Duration
-	selector     bool
 }
 
-// newProxy wires the front tier over the servers at addrs: backend
-// client, selector, core service and the proxy on top, every layer
-// instrumented into reg. The caller closes the returned client.
+// newProxy puts the proxy on a client stack over the servers at addrs,
+// every layer instrumented into reg. The caller closes the returned
+// client.
 func newProxy(reg *telemetry.Registry, addrs []string, o frontOptions) (*proxy.Proxy, *transport.Client, error) {
-	tm := telemetry.NewTransportMetrics(reg, "backend", len(addrs))
-	client := transport.NewClient(addrs,
-		transport.WithTimeout(o.timeout),
-		transport.WithMuxConns(o.muxConns),
-		transport.WithClientMetrics(tm))
-	opts := []core.Option{
-		core.WithSeed(o.seed),
-		core.WithDefaultConfig(o.cfg),
-		core.WithLookupMetrics(telemetry.NewLookupMetrics(reg)),
-		core.WithLookupPolicy(core.LookupPolicy{
-			Timeout: o.timeout,
-			Retry:   transport.RetryPolicy{Attempts: o.retries, Backoff: o.backoff, HedgeAfter: o.hedgeAfter},
-		}),
-	}
-	var sel *selector.Selector
-	if o.selector {
-		sel = selector.New(len(addrs), selector.Options{
-			Metrics: telemetry.NewSelectorMetrics(reg),
-		})
-		opts = append(opts, core.WithSelector(sel))
-	}
-	svc, err := core.NewService(transport.Instrument(client, tm), opts...)
+	cf := cliutil.ClientFlags{Timeout: o.timeout, Retries: o.retries, Backoff: o.backoff, HedgeAfter: o.hedgeAfter}
+	st, err := cf.NewStack(reg, addrs, cliutil.StackOptions{
+		Metrics:       "backend",
+		Seed:          o.seed,
+		Config:        o.cfg,
+		LookupTimeout: o.timeout,
+		MuxConns:      o.muxConns,
+	})
 	if err != nil {
-		client.Close()
 		return nil, nil, err
 	}
-	px := proxy.New(svc, proxy.Options{
+	client, sel := st.Client, st.Selector
+	px := proxy.New(st.Service, proxy.Options{
 		CacheEntries: o.cacheEntries,
 		TTL:          o.cacheTTL,
 		Metrics:      telemetry.NewProxyMetrics(reg),
@@ -191,18 +158,14 @@ func newProxy(reg *telemetry.Registry, addrs []string, o frontOptions) (*proxy.P
 		// flushed its cache before this fires.
 		OnMembership: func(m wire.MembershipUpdate) {
 			if m.Leaving >= 0 {
-				if sel != nil {
-					sel.Resize(m.NewN)
-				}
+				sel.Resize(m.NewN)
 				client.RemoveServer(m.Leaving)
 				return
 			}
 			for client.NumServers() < m.NewN && len(m.Addrs) == m.NewN {
 				client.AddServer(m.Addrs[client.NumServers()])
 			}
-			if sel != nil {
-				sel.Resize(m.NewN)
-			}
+			sel.Resize(m.NewN)
 		},
 	})
 	reg.NewGaugeFunc("proxy.cache_entries", func() int64 { return int64(px.CacheLen()) })

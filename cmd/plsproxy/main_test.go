@@ -51,7 +51,6 @@ func TestAddThroughTheWiredProxyKeepsCachedAnswers(t *testing.T) {
 		timeout:      5 * time.Second,
 		muxConns:     1,
 		retries:      1,
-		selector:     true,
 	})
 	if err != nil {
 		t.Fatal(err)

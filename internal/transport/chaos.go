@@ -135,13 +135,6 @@ func (o *originCaller) Call(ctx context.Context, server int, msg wire.Message) (
 	return o.chaos.call(ctx, o.origin, server, msg)
 }
 
-// SetFaults installs the fault profile for calls targeting one server.
-func (c *Chaos) SetFaults(server int, f Faults) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.faults[server] = f
-}
-
 // SetLatency sets the latency distribution for calls to one server:
 // a fixed base plus uniform jitter in [0, jitter).
 func (c *Chaos) SetLatency(server int, base, jitter time.Duration) {
