@@ -144,13 +144,26 @@ func (c *routeCache) touch(key string, create bool) *slot {
 	return &set[0]
 }
 
-// record notes that server answered key with entries entries; zero is a
-// negative verdict. A server id beyond a route's width is not recorded.
-func (c *routeCache) record(key string, server, entries int) {
-	if server > math.MaxUint16 {
-		return
+// routable is the number of server ids a route can name: a slot
+// records nothing from a server at or beyond it.
+const routable = math.MaxUint16 + 1
+
+// peek returns the key's slot, or nil, leaving its set's order alone.
+func (c *routeCache) peek(key string) *slot {
+	if c.slots == nil {
+		return nil
 	}
-	sl := c.touch(key, true)
+	set, i, ok := c.find(keyHash(key))
+	if !ok {
+		return nil
+	}
+	return &set[i]
+}
+
+// record notes that server answered the slot's key with entries
+// entries; zero is a negative verdict. server must fit a route
+// (routable).
+func (sl *slot) record(server, entries int) {
 	sl.dropPos(uint16(server))
 	if entries <= 0 {
 		sl.neg.add(server)
@@ -166,6 +179,24 @@ func (c *routeCache) record(key string, server, entries int) {
 		sl.pos[i] = sl.pos[i-1]
 	}
 	sl.pos[i] = r
+}
+
+// full reports whether the slot holds cacheServersPerKey routes, so
+// that recording another one drops the smallest.
+func (sl *slot) full() bool { return sl.pos[len(sl.pos)-1].entries != 0 }
+
+// holds reports whether the slot holds an answer, positive or negative,
+// from server.
+func (sl *slot) holds(server int) bool {
+	if sl.neg.has(server) {
+		return true
+	}
+	for _, r := range sl.pos {
+		if r.entries != 0 && int(r.server) == server {
+			return true
+		}
+	}
+	return false
 }
 
 // dropPos forgets server's answer, if the slot holds one.

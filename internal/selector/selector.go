@@ -240,10 +240,65 @@ func (s *Selector) RecordAnswer(key string, server int, entries int) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if server < 0 || server >= len(s.servers) {
+	if server < 0 || server >= min(len(s.servers), routable) {
 		return
 	}
-	s.cache.record(key, server, entries)
+	s.cache.touch(key, true).record(server, entries)
+}
+
+// RecordDerived feeds the routing cache routes a lookup derived instead
+// of measured: counts[server] > 0 is the number of entries the lookup
+// of key received that are homed on server, a lower bound on what
+// server would answer. Each is recorded only where the cache holds no
+// answer for server, positive or negative, so a derived route never
+// overrides a measured one and is never a negative; the server's next
+// real answer overwrites it. Nor does a derived route take the place of
+// another route: once the slot holds cacheServersPerKey routes, nothing
+// more is derived. A slow server gets none, so that it is not lifted
+// into the cached tier ahead of healthy servers it was never compared
+// with. A selector that orders by zone records none: zone distance, not
+// routes, orders its uncached tiers.
+func (s *Selector) RecordDerived(key string, counts []int) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.dists != nil {
+		return
+	}
+	limit := s.slowLimitLocked()
+	var sl *slot
+	for server, c := range counts[:min(len(counts), len(s.servers), routable)] {
+		if c <= 0 || s.servers[server].slowerThan(limit) {
+			continue
+		}
+		if sl == nil {
+			sl = s.cache.touch(key, true)
+		}
+		if sl.full() {
+			return
+		}
+		if !sl.holds(server) {
+			sl.record(server, c)
+		}
+	}
+}
+
+// derivableLocked reports whether RecordDerived could record a route in
+// sl: the slot has room for one, and some server that is not slow has
+// no answer in it.
+func (s *Selector) derivableLocked(sl *slot) bool {
+	if sl.full() {
+		return false
+	}
+	limit := s.slowLimitLocked()
+	for server := range s.servers[:min(len(s.servers), routable)] {
+		if !sl.holds(server) && !s.servers[server].slowerThan(limit) {
+			return true
+		}
+	}
+	return false
 }
 
 // Invalidate drops the whole routing-cache entry for a key (a place
@@ -289,6 +344,61 @@ func (s *Selector) Order(key string, base []int) []int {
 	return s.OrderMulti([]string{key}, base)
 }
 
+// Routes is what the routing cache held for one key when OrderRoutes
+// built its order: the order's cached tier, with each server's recorded
+// answer size, and whether a derived route could be added to it.
+type Routes struct {
+	tier     [cacheServersPerKey]route // largest answer first; unused ones (entries 0) trail
+	complete bool
+}
+
+// Cached returns the i-th server of the order's cached tier and the
+// size of its recorded answer; ok is false past the tier's end.
+func (r *Routes) Cached(i int) (server, entries int, ok bool) {
+	if i >= len(r.tier) || r.tier[i].entries == 0 {
+		return 0, 0, false
+	}
+	return int(r.tier[i].server), int(r.tier[i].entries), true
+}
+
+// Complete reports whether there was nothing to derive for the key
+// (see RecordDerived): the key's slot had no room for another route,
+// every server that is not slow had an answer in it, or the selector
+// derives no routes.
+func (r *Routes) Complete() bool { return r.complete }
+
+// OrderRoutes is Order, plus the key's routes read under the same lock.
+// A nil selector, and one that orders by zone, report an empty cached
+// tier and nothing to derive: the lookup keeps their order as it is.
+func (s *Selector) OrderRoutes(key string, base []int) ([]int, Routes) {
+	if s == nil {
+		return base, Routes{complete: true}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	order := s.orderKeysLocked([]string{key}, base)
+	if s.dists != nil {
+		return order, Routes{complete: true}
+	}
+	var r Routes
+	sl := s.cache.peek(key)
+	if sl == nil {
+		return order, r
+	}
+	k := 0
+	for _, rt := range sl.pos {
+		if rt.entries == 0 {
+			break
+		}
+		if int(rt.server) < len(s.servers) && !s.servers[rt.server].open {
+			r.tier[k] = rt
+			k++
+		}
+	}
+	r.complete = !s.derivableLocked(sl)
+	return order, r
+}
+
 // OrderMulti reorders the driver's seeded permutation base for the
 // lookup of keys: cached answering servers first (largest recorded
 // answers leading), then healthy servers, slow servers, half-open
@@ -306,6 +416,11 @@ func (s *Selector) OrderMulti(keys []string, base []int) []int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.orderKeysLocked(keys, base)
+}
+
+// orderKeysLocked is OrderMulti under s.mu.
+func (s *Selector) orderKeysLocked(keys []string, base []int) []int {
 	if s.coldLocked() {
 		return base
 	}
@@ -405,13 +520,7 @@ func (s *Selector) coldLocked() bool {
 // (startTrial), not by an order that may never get that far.
 func (s *Selector) orderLocked(base []int, neg serverBits) []int {
 	now := s.opt.Now()
-	bestEwma := 0.0
-	for i := range s.servers {
-		st := &s.servers[i]
-		if !st.open && st.samples > 0 && (bestEwma == 0 || st.ewma < bestEwma) {
-			bestEwma = st.ewma
-		}
-	}
+	limit := s.slowLimitLocked()
 	rank := func(server int) int {
 		if server < len(s.posIdx) {
 			return s.posIdx[server]
@@ -435,7 +544,7 @@ func (s *Selector) orderLocked(base []int, neg serverBits) []int {
 		if neg.has(server) {
 			return tierNegative
 		}
-		if st.samples > 0 && bestEwma > 0 && st.ewma > slowFactor*bestEwma {
+		if st.slowerThan(limit) {
 			return tierSlow
 		}
 		return tierHealthy
@@ -474,6 +583,26 @@ func (s *Selector) orderLocked(base []int, neg serverBits) []int {
 		}
 	}
 	return out
+}
+
+// slowLimitLocked returns the EWMA latency past which a closed server
+// is slow (tierSlow): slowFactor times the best closed server's, or 0
+// while no closed server has a sample.
+func (s *Selector) slowLimitLocked() float64 {
+	best := 0.0
+	for i := range s.servers {
+		st := &s.servers[i]
+		if !st.open && st.samples > 0 && (best == 0 || st.ewma < best) {
+			best = st.ewma
+		}
+	}
+	return slowFactor * best
+}
+
+// slowerThan reports whether st's EWMA latency is past limit, a
+// slowLimitLocked result.
+func (st *serverState) slowerThan(limit float64) bool {
+	return limit > 0 && st.samples > 0 && st.ewma > limit
 }
 
 // trialDue reports whether an open server is due a half-open trial: one

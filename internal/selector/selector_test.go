@@ -377,6 +377,51 @@ func TestCachePerKeyServerBound(t *testing.T) {
 	}
 }
 
+// Derived routes fill a slot's free routes and nothing else, at any n:
+// they never push a measured route out, they skip a slow server, and
+// once nothing more can be derived the key's routes say so (Complete),
+// so a lookup stops hashing entries.
+func TestSelectorDerivedRoutesKeepMeasuredOnes(t *testing.T) {
+	const n = 8
+	s := New(n, Options{})
+	for server := 0; server < n; server++ {
+		s.RecordSuccess(server, time.Millisecond)
+	}
+	s.RecordSuccess(3, 10*time.Millisecond) // slow: past twice the best EWMA
+	s.RecordAnswer("k", 0, 2)
+	s.RecordAnswer("k", 1, 1)
+	s.RecordAnswer("k", 2, 0)
+	if _, r := s.OrderRoutes("k", base(n)); r.Complete() {
+		t.Fatalf("two routes of four and five unknown servers: Complete, want more to derive")
+	}
+	// Server 2 is negative, 3 slow; 4 and 5 take the two free routes,
+	// in order of size, and 6 and 7 find no room.
+	s.RecordDerived("k", []int{9, 9, 9, 9, 5, 3, 9, 9})
+	want := []int{4, 5, 0, 1, 6, 7, 3, 2}
+	if got := s.Order("k", base(n)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+	_, r := s.OrderRoutes("k", base(n))
+	if !r.Complete() {
+		t.Fatalf("a full slot: not Complete, want nothing more to derive")
+	}
+	for i, wantServer := range []int{4, 5, 0, 1} {
+		if server, _, ok := r.Cached(i); !ok || server != wantServer {
+			t.Fatalf("cached tier %d = %d (%v), want %d", i, server, ok, wantServer)
+		}
+	}
+	// Only slow servers left unknown: nothing to derive either.
+	s.Invalidate("k")
+	for server := 0; server < n; server++ {
+		if server != 3 {
+			s.RecordAnswer("k", server, 0)
+		}
+	}
+	if _, r := s.OrderRoutes("k", base(n)); !r.Complete() {
+		t.Fatalf("every server known but the slow one: not Complete")
+	}
+}
+
 // What a slot cannot hold, it forgets rather than misreads: an empty
 // answer from a server at or beyond negWidth, any answer from a server
 // id wider than a route, and answer sizes beyond math.MaxUint16, which

@@ -6,6 +6,8 @@ import (
 	"fmt"
 
 	"repro/internal/entry"
+	"repro/internal/node"
+	"repro/internal/selector"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -50,6 +52,9 @@ func (d *Driver) PartialLookup(ctx context.Context, c transport.Caller, key stri
 //     probe a second one.
 //   - RandomServer-x, Hash-y and MultiProbe-y contact live servers in
 //     random order, merging distinct entries, until no key is pending.
+//     A one-key Hash-y lookup (no zone spread) probes next the cached
+//     server expected to add the most entries, and hands the homes of
+//     what it received to the routing cache (hashWalk).
 //   - Round-y starts at the first live server s of a random order and
 //     then walks the deterministic sequence s+y, s+2y, ... which
 //     maximizes new entries per probe (Sec. 3.4). If the walk hits a
@@ -65,14 +70,20 @@ func (d *Driver) PartialLookup(ctx context.Context, c transport.Caller, key stri
 // once it has signal. The second Round-y order is drawn only when the
 // fallback is reached, so the RNG advances exactly as the probes do.
 func (d *Driver) PartialLookupBatch(ctx context.Context, c transport.Caller, keys []string, t int) ([]Result, []error) {
-	n := c.NumServers()
+	n, k := c.NumServers(), len(keys)
+	ints := make([]int, k+n) // pending, then homed: one allocation
 	l := &lookup{
 		d: d, ctx: ctx, c: c, keys: keys, t: t,
-		results: make([]Result, len(keys)),
-		errs:    make([]error, len(keys)),
-		seen:    make([]map[entry.Entry]struct{}, len(keys)),
-		pending: allIndexes(len(keys)),
-		tried:   make([]bool, n),
+		pending: ints[:k:k],
+		homed:   ints[k:],
+	}
+	if k == 1 {
+		l.results, l.errs = l.oneResult[:], l.oneErr[:]
+	} else {
+		l.results, l.errs = make([]Result, k), make([]error, k)
+	}
+	for i := range l.pending {
+		l.pending[i] = i
 	}
 	if t <= 0 {
 		l.fail(fmt.Errorf("strategy: partial lookup requires t > 0, got %d", t))
@@ -94,7 +105,7 @@ func (d *Driver) PartialLookupBatch(ctx context.Context, c transport.Caller, key
 	case wire.RoundRobin:
 		if s := l.walk(order(), true); s >= 0 {
 			for step := 1; step < n && len(l.pending) > 0; step++ {
-				if next := (s + step*d.cfg.Y) % n; l.tried[next] || !l.visit(next) {
+				if next := (s + step*d.cfg.Y) % n; l.tried(next) || !l.visit(next) {
 					break
 				}
 			}
@@ -102,7 +113,13 @@ func (d *Driver) PartialLookupBatch(ctx context.Context, c transport.Caller, key
 				l.walk(order(), false)
 			}
 		}
-	default: // RandomServer, Hash, MultiProbe
+	case wire.Hash:
+		if len(keys) == 1 && !d.cfg.ZoneSpread { // zone-spread homes need a topology the client does not have
+			l.hashWalk(d.sel.OrderRoutes(keys[0], d.perm(n)))
+		} else {
+			l.walk(order(), false)
+		}
+	default: // RandomServer, MultiProbe
 		l.walk(order(), false)
 	}
 	if !l.reached {
@@ -122,11 +139,27 @@ type lookup struct {
 
 	results []Result
 	errs    []error
-	seen    []map[entry.Entry]struct{} // per-key dedup set; nil while the answer is small (entry.Dedup)
+	seen    []map[entry.Entry]struct{} // per-key dedup set; nil while every answer is small (entry.Dedup)
 	pending []int                      // indexes into keys
-	tried   []bool                     // per server: probed, whatever the outcome
 	reached bool                       // some server answered
+
+	// homed holds, per server, -1 once it is probed (whatever the
+	// outcome), else the number of received entries homed on it. Only a
+	// one-key Hash-y lookup counts homes, and only the entries before
+	// counted (countHomes).
+	homed   []int
+	counted int
+
+	// A one-key lookup's probe, built once, the replies to it, and its
+	// results and errs.
+	one       wire.Message
+	oneReply  [1]wire.LookupReply
+	oneResult [1]Result
+	oneErr    [1]error
 }
+
+// tried reports whether server has been probed.
+func (l *lookup) tried(server int) bool { return l.homed[server] < 0 }
 
 // fail ends the lookup of every pending key with err; keys that already
 // hold t entries are not touched.
@@ -145,7 +178,7 @@ func (l *lookup) walk(order []int, first bool) int {
 		if len(l.pending) == 0 {
 			break
 		}
-		if !l.tried[server] && l.visit(server) && first {
+		if !l.tried(server) && l.visit(server) && first {
 			return server
 		}
 	}
@@ -157,12 +190,12 @@ func (l *lookup) walk(order []int, first bool) int {
 // server answered; a down server only counts as tried, any other
 // failure — an expired context included — fails the pending keys.
 func (l *lookup) visit(server int) bool {
-	l.tried[server] = true
+	l.homed[server] = -1
 	if err := l.ctx.Err(); err != nil {
 		l.fail(err)
 		return false
 	}
-	replies, err := l.d.probe(l.ctx, l.c, server, l.keys, l.pending, l.t)
+	replies, err := l.probe(server)
 	if err != nil {
 		if !errors.Is(err, transport.ErrServerDown) {
 			l.fail(err)
@@ -174,7 +207,16 @@ func (l *lookup) visit(server int) bool {
 	for j, i := range l.pending {
 		res := &l.results[i]
 		res.Contacted++
-		res.Entries, l.seen[i] = entry.Dedup(res.Entries, l.seen[i], replies[j].Entries)
+		var seen map[entry.Entry]struct{}
+		if l.seen != nil {
+			seen = l.seen[i]
+		}
+		if res.Entries, seen = entry.Dedup(res.Entries, seen, replies[j].Entries); seen != nil {
+			if l.seen == nil {
+				l.seen = make([]map[entry.Entry]struct{}, len(l.keys))
+			}
+			l.seen[i] = seen
+		}
 		if len(res.Entries) < l.t {
 			still = append(still, i)
 		}
@@ -183,29 +225,105 @@ func (l *lookup) visit(server int) bool {
 	return true
 }
 
-// probe asks one server for up to t entries of each key at idxs and
-// returns one reply per index. It is the one place a lookup's envelope
-// is chosen: one key travels as a standalone Lookup, more as a
-// LookupBatch.
-func (d *Driver) probe(ctx context.Context, c transport.Caller, server int, keys []string, idxs []int, t int) ([]wire.LookupReply, error) {
+// hashWalk is the walk of a one-key Hash-y lookup. Each probe goes to
+// the untried server of the order's cached tier expected to add the
+// most entries — its recorded answer less the received entries homed on
+// it, which that answer would repeat — and, while none is expected to
+// add any, to the next untried server of the order; the first probe is
+// the order's first server either way. A lookup that ends with the
+// cache short of some server's answer hands the received entries' homes
+// to the selector as derived routes (Selector.RecordDerived), so that
+// the key's next lookup knows every server it can.
+func (l *lookup) hashWalk(order []int, routes selector.Routes) {
+	next := 0
+	for len(l.pending) > 0 {
+		server := l.bestCached(&routes)
+		if server < 0 {
+			for next < len(order) && l.tried(order[next]) {
+				next++
+			}
+			if next == len(order) {
+				break
+			}
+			server = order[next]
+		}
+		l.visit(server)
+	}
+	if !routes.Complete() {
+		l.countHomes()
+		l.d.sel.RecordDerived(l.keys[0], l.homed)
+	}
+}
+
+// bestCached returns the untried server of routes' cached tier expected
+// to add the most entries, the first of the tier among equals, or -1
+// when none is expected to add any.
+func (l *lookup) bestCached(routes *selector.Routes) int {
+	best, most := -1, 0
+	for i := 0; ; i++ {
+		server, entries, ok := routes.Cached(i)
+		if !ok {
+			return best
+		}
+		if server >= len(l.homed) || l.tried(server) {
+			continue
+		}
+		l.countHomes()
+		if gain := entries - l.homed[server]; gain > most {
+			best, most = server, gain
+		}
+	}
+}
+
+// countHomes adds the homes of the received entries that are not
+// counted yet to every unprobed server's homed count. The homes are
+// node.HashAssign's under the client's n, the rule Driver.homes routes
+// updates by.
+func (l *lookup) countHomes() {
+	entries := l.results[0].Entries
+	var buf [4]int
+	for _, v := range entries[l.counted:] {
+		for _, server := range node.AppendHashHomes(buf[:0], v, l.d.cfg.Y, len(l.homed), l.d.cfg.Seed) {
+			if l.homed[server] >= 0 {
+				l.homed[server]++
+			}
+		}
+	}
+	l.counted = len(entries)
+}
+
+// probe asks one server for up to t entries of each pending key and
+// returns one reply per pending key. It is the one place a lookup's
+// envelope is chosen: one key travels as a standalone Lookup, more as a
+// LookupBatch. A one-key lookup builds its Lookup once and sends it to
+// every server it probes.
+func (l *lookup) probe(server int) ([]wire.LookupReply, error) {
+	keys, idxs, t := l.keys, l.pending, l.t
 	var msg wire.Message
-	if len(idxs) == 1 {
+	switch {
+	case len(keys) == 1:
+		if l.one == nil {
+			l.one = wire.Lookup{Key: keys[0], T: t}
+		}
+		msg = l.one
+	case len(idxs) == 1:
 		msg = wire.Lookup{Key: keys[idxs[0]], T: t}
-	} else {
+	default:
 		items := make([]wire.Lookup, len(idxs))
 		for j, i := range idxs {
 			items[j] = wire.Lookup{Key: keys[i], T: t}
 		}
 		msg = wire.LookupBatch{Items: items}
 	}
-	reply, err := c.Call(ctx, server, msg)
+	reply, err := l.c.Call(l.ctx, server, msg)
 	if err != nil {
 		return nil, err
 	}
 	var replies []wire.LookupReply
 	switch r := reply.(type) {
 	case wire.LookupReply:
-		replies = []wire.LookupReply{r}
+		l.oneReply[0] = r
+		replies = l.oneReply[:]
 	case wire.LookupBatchReply:
 		if r.Err != "" {
 			return nil, fmt.Errorf("strategy: server %d: %s", server, r.Err)
@@ -225,7 +343,7 @@ func (d *Driver) probe(ctx context.Context, c transport.Caller, server int, keys
 	// Feed the routing cache: this server answers each key with this
 	// many entries (zero is a negative verdict).
 	for j, i := range idxs {
-		d.sel.RecordAnswer(keys[i], server, len(replies[j].Entries))
+		l.d.sel.RecordAnswer(keys[i], server, len(replies[j].Entries))
 	}
 	return replies, nil
 }

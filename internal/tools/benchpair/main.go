@@ -10,7 +10,8 @@
 // the parent's IQR relative to its median, the pairs the change won, and
 // whether that is a claimable gain by the guide's rule (claim). With
 // -out, the summary is also written to FILE as JSON, with both
-// revisions, the seed, the pairs and the machine's CPU count.
+// revisions, the seed, the pairs, the machine's CPU count, GOMAXPROCS
+// and the Go toolchain that built both sides.
 //
 // Usage (make e2e-pair PARENT=<rev> [PAIRS=10] [SEED=1] [WORKLOADS=a,b] [OUT=FILE]):
 //
@@ -76,6 +77,8 @@ type summary struct {
 	Pairs      int    `json:"pairs"`
 	RunSeconds int    `json:"run_seconds"`
 	NumCPU     int    `json:"num_cpu"`
+	GoVersion  string `json:"go_version"` // the toolchain that built both sides
+	GOMAXPROCS int    `json:"gomaxprocs"`
 	Rows       []row  `json:"metrics"`
 }
 
@@ -132,7 +135,10 @@ func run(parent string, pairs int, seed uint64, only, out string) error {
 	if err := sh(".", "git archive "+parent+" | tar -x -C "+parentDir); err != nil {
 		return fmt.Errorf("unpack %s: %w", parent, err)
 	}
-	sum := summary{Seed: seed, Pairs: pairs, RunSeconds: sp.RunSeconds, NumCPU: runtime.NumCPU()}
+	sum := summary{
+		Seed: seed, Pairs: pairs, RunSeconds: sp.RunSeconds,
+		NumCPU: runtime.NumCPU(), GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+	}
 	if sum.Parent, err = git("rev-parse", parent); err != nil {
 		return err
 	}

@@ -62,7 +62,8 @@ func TestWriteSummary(t *testing.T) {
 		t.Fatalf("summarize:\n got %+v\nwant %+v", rows, want)
 	}
 
-	s := summary{Parent: "p", Change: "c+dirty", Seed: 3, Pairs: len(parent), RunSeconds: 10, NumCPU: 2, Rows: rows}
+	s := summary{Parent: "p", Change: "c+dirty", Seed: 3, Pairs: len(parent), RunSeconds: 10, NumCPU: 2,
+		GoVersion: "go1.24.0", GOMAXPROCS: 2, Rows: rows}
 	path := filepath.Join(t.TempDir(), "BENCH.json")
 	if err := writeSummary(path, s); err != nil {
 		t.Fatalf("writeSummary: %v", err)
@@ -82,7 +83,7 @@ func TestWriteSummary(t *testing.T) {
 	if err := json.Unmarshal(data, &raw); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"parent", "change", "seed", "pairs", "num_cpu", "metrics"} {
+	for _, key := range []string{"parent", "change", "seed", "pairs", "num_cpu", "go_version", "gomaxprocs", "metrics"} {
 		if _, ok := raw[key]; !ok {
 			t.Errorf("summary file has no %q", key)
 		}
