@@ -29,16 +29,15 @@ lint:
 
 # Non-test Go lines, in groups with a total each: the four packages the
 # previous roadmap's "collapse the layers" tracked; the paper
-# reproduction toolchain (plsbench, its experiments and the simulator,
-# metric and overlay packages they run on); the four packages a request
-# crosses client-side; then, each alone, the store and its WAL, the
-# telemetry layer, and the two membership hosts (the simulator's
-# cluster and the daemon); the whole repository; last the flags each
-# binary defines, counted from its -h output so that the flags it
-# registers through internal/cliutil count too. Quote the before/after
-# in PRs that claim a reduction.
+# reproduction toolchain (plsbench and the experiments it renders); the
+# four packages a request crosses client-side; then, each alone, the
+# store and its WAL, the telemetry layer, and the two membership hosts
+# (the simulator's cluster and the daemon); the whole repository; last
+# the flags each binary defines, counted from its -h output so that the
+# flags it registers through internal/cliutil count too. Quote the
+# before/after in PRs that claim a reduction.
 LOC_PKGS = internal/node internal/strategy internal/wire internal/transport
-LOC_REPRO_PKGS = cmd/plsbench internal/bench internal/sim internal/metrics internal/overlay
+LOC_REPRO_PKGS = cmd/plsbench internal/experiments
 LOC_REQUEST_PKGS = internal/strategy internal/core internal/proxy internal/selector
 LOC_FLAG_CMDS = plsctl plsd plsproxy
 loc_lines = find $(1) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l

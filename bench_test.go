@@ -12,7 +12,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bench"
+	"repro/internal/experiments"
 	"repro/internal/wire"
 )
 
@@ -24,17 +24,17 @@ func metricName(parts ...string) string {
 
 // benchFidelity keeps each table/figure regeneration fast enough for a
 // benchmark loop while preserving curve shapes.
-var benchFidelity = bench.Fidelity{Runs: 10, Lookups: 200, Updates: 1000}
+var benchFidelity = experiments.Fidelity{Runs: 10, Lookups: 200, Updates: 1000}
 
 // runExperiment executes one registered experiment b.N times and
 // reports selected row values as custom benchmark metrics.
-func runExperiment(b *testing.B, id string, report func(*bench.Table, *testing.B)) {
+func runExperiment(b *testing.B, id string, report func(*experiments.Table, *testing.B)) {
 	b.Helper()
-	exp, err := bench.Find(id)
+	exp, err := experiments.Find(id)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var tbl *bench.Table
+	var tbl *experiments.Table
 	for i := 0; i < b.N; i++ {
 		tbl, err = exp.Run(benchFidelity, uint64(i+1))
 		if err != nil {
@@ -47,7 +47,7 @@ func runExperiment(b *testing.B, id string, report func(*bench.Table, *testing.B
 }
 
 // value looks up a row by label and returns its col-th value.
-func value(tbl *bench.Table, label string, col int) float64 {
+func value(tbl *experiments.Table, label string, col int) float64 {
 	for _, row := range tbl.Rows {
 		if row.Label == label {
 			return row.Values[col]
@@ -59,7 +59,7 @@ func value(tbl *bench.Table, label string, col int) float64 {
 // BenchmarkTable1Storage regenerates Table 1 (storage cost, h=100,
 // n=10). Metrics: measured storage per strategy.
 func BenchmarkTable1Storage(b *testing.B) {
-	runExperiment(b, "table1", func(tbl *bench.Table, b *testing.B) {
+	runExperiment(b, "table1", func(tbl *experiments.Table, b *testing.B) {
 		for _, row := range tbl.Rows {
 			b.ReportMetric(row.Values[1], row.Label+"/entries")
 		}
@@ -69,7 +69,7 @@ func BenchmarkTable1Storage(b *testing.B) {
 // BenchmarkFig4LookupCost regenerates Figure 4 (lookup cost vs target
 // answer size). Metrics: cost at t=35 per strategy.
 func BenchmarkFig4LookupCost(b *testing.B) {
-	runExperiment(b, "fig4", func(tbl *bench.Table, b *testing.B) {
+	runExperiment(b, "fig4", func(tbl *experiments.Table, b *testing.B) {
 		for col, name := range tbl.Columns {
 			b.ReportMetric(value(tbl, "35", col), name+"/servers@t35")
 		}
@@ -79,7 +79,7 @@ func BenchmarkFig4LookupCost(b *testing.B) {
 // BenchmarkFig6Coverage regenerates Figure 6 (coverage vs storage).
 // Metrics: coverage at budget 200 per strategy family.
 func BenchmarkFig6Coverage(b *testing.B) {
-	runExperiment(b, "fig6", func(tbl *bench.Table, b *testing.B) {
+	runExperiment(b, "fig6", func(tbl *experiments.Table, b *testing.B) {
 		for col, name := range tbl.Columns[:3] {
 			b.ReportMetric(value(tbl, "200", col), name+"/coverage@200")
 		}
@@ -89,7 +89,7 @@ func BenchmarkFig6Coverage(b *testing.B) {
 // BenchmarkFig7FaultTolerance regenerates Figure 7 (fault tolerance vs
 // target answer size). Metrics: tolerated failures at t=30.
 func BenchmarkFig7FaultTolerance(b *testing.B) {
-	runExperiment(b, "fig7", func(tbl *bench.Table, b *testing.B) {
+	runExperiment(b, "fig7", func(tbl *experiments.Table, b *testing.B) {
 		for col, name := range tbl.Columns {
 			b.ReportMetric(value(tbl, "30", col), name+"/failures@t30")
 		}
@@ -99,7 +99,7 @@ func BenchmarkFig7FaultTolerance(b *testing.B) {
 // BenchmarkFig9Unfairness regenerates Figure 9 (unfairness vs storage,
 // t=35). Metrics: unfairness at budgets 100 and 1000.
 func BenchmarkFig9Unfairness(b *testing.B) {
-	runExperiment(b, "fig9", func(tbl *bench.Table, b *testing.B) {
+	runExperiment(b, "fig9", func(tbl *experiments.Table, b *testing.B) {
 		for col, name := range tbl.Columns {
 			b.ReportMetric(value(tbl, "100", col), name+"/U@100")
 			b.ReportMetric(value(tbl, "1000", col), name+"/U@1000")
@@ -110,7 +110,7 @@ func BenchmarkFig9Unfairness(b *testing.B) {
 // BenchmarkFig12Cushion regenerates Figure 12 (Fixed-x failure rate vs
 // cushion). Metrics: failure percentage at cushions 0 and 4.
 func BenchmarkFig12Cushion(b *testing.B) {
-	runExperiment(b, "fig12", func(tbl *bench.Table, b *testing.B) {
+	runExperiment(b, "fig12", func(tbl *experiments.Table, b *testing.B) {
 		for col, name := range tbl.Columns {
 			b.ReportMetric(value(tbl, "0", col), metricName(name, "fail%@b0"))
 			b.ReportMetric(value(tbl, "4", col), metricName(name, "fail%@b4"))
@@ -121,7 +121,7 @@ func BenchmarkFig12Cushion(b *testing.B) {
 // BenchmarkFig13Deterioration regenerates Figure 13 (RandomServer
 // unfairness vs updates). Metrics: unfairness at 0 and 4000 updates.
 func BenchmarkFig13Deterioration(b *testing.B) {
-	runExperiment(b, "fig13", func(tbl *bench.Table, b *testing.B) {
+	runExperiment(b, "fig13", func(tbl *experiments.Table, b *testing.B) {
 		b.ReportMetric(value(tbl, "0", 0), "randomServer/U@0")
 		b.ReportMetric(value(tbl, "4000", 0), "randomServer/U@4000")
 	})
@@ -130,7 +130,7 @@ func BenchmarkFig13Deterioration(b *testing.B) {
 // BenchmarkFig14UpdateOverhead regenerates Figure 14 (update overhead,
 // Fixed-50 vs Hash-y). Metrics: messages at h=100 and h=300.
 func BenchmarkFig14UpdateOverhead(b *testing.B) {
-	runExperiment(b, "fig14", func(tbl *bench.Table, b *testing.B) {
+	runExperiment(b, "fig14", func(tbl *experiments.Table, b *testing.B) {
 		for _, h := range []string{"100", "300"} {
 			b.ReportMetric(value(tbl, h, 0), "fixed50/msgs@h"+h)
 			b.ReportMetric(value(tbl, h, 1), "hashY/msgs@h"+h)
@@ -148,12 +148,12 @@ func BenchmarkTable2Summary(b *testing.B) {
 // canonical placements (DESIGN.md ablation): it reports how often and
 // how far greedy overestimates the true tolerance.
 func BenchmarkAblationGreedyVsExactFT(b *testing.B) {
-	gap, err := bench.AblationGreedyVsExact(benchFidelity, 1)
+	gap, err := experiments.AblationGreedyVsExact(benchFidelity, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if gap, err = bench.AblationGreedyVsExact(benchFidelity, uint64(i+1)); err != nil {
+		if gap, err = experiments.AblationGreedyVsExact(benchFidelity, uint64(i+1)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func BenchmarkAblationCushionLifetime(b *testing.B) {
 	var rows map[int][2]float64
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = bench.AblationCushionLifetime(benchFidelity, uint64(i+1))
+		rows, err = experiments.AblationCushionLifetime(benchFidelity, uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +190,7 @@ var opsSchemes = []wire.Scheme{wire.FullReplication, wire.Fixed, wire.RandomServ
 func BenchmarkOpsPlaceLookup(b *testing.B) {
 	for _, scheme := range opsSchemes {
 		b.Run(scheme.String(), func(b *testing.B) {
-			lookup, err := bench.NewLookupLoop(scheme, 100, 10, 200)
+			lookup, err := experiments.NewLookupLoop(scheme, 100, 10, 200)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -208,7 +208,7 @@ func BenchmarkOpsPlaceLookup(b *testing.B) {
 func BenchmarkOpsUpdate(b *testing.B) {
 	for _, scheme := range opsSchemes {
 		b.Run(scheme.String(), func(b *testing.B) {
-			update, err := bench.NewUpdateLoop(scheme, 100, 10, 200)
+			update, err := experiments.NewUpdateLoop(scheme, 100, 10, 200)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,4 +1,4 @@
-// Command plsbench renders the experiments of internal/bench: every
+// Command plsbench renders the experiments of internal/experiments: every
 // table and figure of the paper's evaluation section, and the extension
 // experiments (ext-*) that measure efficacy — not speed; the
 // performance benchmark is bench/, declared by BENCHMARK.json.
@@ -23,7 +23,7 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/bench"
+	"repro/internal/experiments"
 	"repro/internal/telemetry"
 )
 
@@ -48,14 +48,14 @@ func run(args []string) error {
 	)
 	fs.Parse(args) // ExitOnError: Parse does not return an error
 
-	var fid bench.Fidelity
+	var fid experiments.Fidelity
 	switch *fidelity {
 	case "quick":
-		fid = bench.Quick
+		fid = experiments.Quick
 	case "default":
-		fid = bench.Default
+		fid = experiments.Default
 	case "full":
-		fid = bench.Paper
+		fid = experiments.Paper
 	default:
 		return fmt.Errorf("unknown fidelity %q", *fidelity)
 	}
@@ -69,34 +69,34 @@ func run(args []string) error {
 		fid.Updates = *updates
 	}
 
-	var render func(*bench.Table) string
+	var render func(*experiments.Table) string
 	switch *format {
 	case "text":
-		render = (*bench.Table).String
+		render = (*experiments.Table).String
 	case "md":
-		render = (*bench.Table).Markdown
+		render = (*experiments.Table).Markdown
 	case "csv":
-		render = func(t *bench.Table) string {
+		render = func(t *experiments.Table) string {
 			return fmt.Sprintf("# %s — %s\n%s", t.ID, t.Title, t.CSV())
 		}
 	default:
 		return fmt.Errorf("unknown format %q", *format)
 	}
 
-	var experiments []bench.Experiment
+	var selected []experiments.Experiment
 	switch *exp {
 	case "all":
-		experiments = bench.Experiments()
+		selected = experiments.Experiments()
 	case "ext":
-		experiments = bench.ExtensionExperiments()
+		selected = experiments.ExtensionExperiments()
 	case "everything":
-		experiments = append(bench.Experiments(), bench.ExtensionExperiments()...)
+		selected = append(experiments.Experiments(), experiments.ExtensionExperiments()...)
 	default:
-		e, err := bench.Find(*exp)
+		e, err := experiments.Find(*exp)
 		if err != nil {
 			return err
 		}
-		experiments = []bench.Experiment{e}
+		selected = []experiments.Experiment{e}
 	}
 
 	// Telemetry over the harness itself: experiments completed, wall
@@ -122,7 +122,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	for _, e := range experiments {
+	for _, e := range selected {
 		start := time.Now()
 		table, err := e.Run(fid, *seed)
 		expDuration.ObserveDuration(time.Since(start))

@@ -13,7 +13,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/entry"
-	"repro/internal/metrics"
 	"repro/internal/stats"
 )
 
@@ -56,7 +55,7 @@ func main() {
 		fmt.Printf("%-18s %8d %9d %9d %8d\n",
 			svc.ConfigFor(key).String(),
 			cl.TotalStorage(key),
-			metrics.Coverage(cl.Snapshot(key)),
+			entry.Union(cl.Snapshot(key)...),
 			res.Contacted,
 			len(res.Entries))
 	}

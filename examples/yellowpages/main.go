@@ -23,7 +23,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/sim"
+	"repro/internal/experiments"
 	"repro/internal/stats"
 )
 
@@ -56,11 +56,11 @@ func main() {
 
 	// Two categories with identical content and churn, managed by the
 	// two strategies.
-	lifetime, err := sim.DefaultLifetime("exp", 10, steady)
+	lifetime, err := experiments.DefaultLifetime("exp", 10, steady)
 	if err != nil {
 		log.Fatal(err)
 	}
-	stream, err := sim.Generate(rng.Split(), sim.StreamConfig{
+	stream, err := experiments.Generate(rng.Split(), experiments.StreamConfig{
 		MeanArrivalGap: 10,
 		SteadyState:    steady,
 		Lifetime:       lifetime,
@@ -85,11 +85,11 @@ func main() {
 	// fraction of time the Fixed-x category would fail a t=10 query.
 	failTime, totalTime := 0.0, 0.0
 	node0 := cl.Node(0)
-	err = sim.ReplayTimed(stream.Events, func(ev sim.Event) error {
+	err = experiments.ReplayTimed(stream.Events, func(ev experiments.Event) error {
 		url := "http://" + ev.Entry + ".example.com"
 		for _, cat := range categories {
 			var err error
-			if ev.Kind == sim.EventAdd {
+			if ev.Kind == experiments.OpAdd {
 				err = svc.Add(ctx, cat, url)
 			} else {
 				err = svc.Delete(ctx, cat, url)

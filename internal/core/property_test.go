@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/entry"
-	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/strategy"
 )
@@ -67,7 +66,7 @@ func TestPropertyPlacementInvariants(t *testing.T) {
 		}
 
 		// Coverage guarantees.
-		cov := metrics.Coverage(cl.Snapshot("k"))
+		cov := entry.Union(cl.Snapshot("k")...)
 		switch cfg.Scheme {
 		case core.RoundRobin, core.Hash, core.FullReplication:
 			if cov != h {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/entry"
-	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/strategy"
 )
@@ -83,7 +82,7 @@ func TestScaleLargeCluster(t *testing.T) {
 
 			// Coverage stays near complete for the covering schemes.
 			if cfg.Scheme == core.RoundRobin || cfg.Scheme == core.Hash {
-				if cov := metrics.Coverage(snap); cov != 1000 {
+				if cov := entry.Union(snap...); cov != 1000 {
 					t.Fatalf("coverage = %d, want 1000 (500 old + 500 new)", cov)
 				}
 			}

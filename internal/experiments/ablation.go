@@ -1,10 +1,8 @@
-package bench
+package experiments
 
 import (
 	"fmt"
 
-	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/strategy"
 	"repro/internal/wire"
@@ -50,10 +48,10 @@ func AblationGreedyVsExact(fid Fidelity, seed uint64) (GreedyExactGap, error) {
 			}
 			snap := inst.cluster.Snapshot(inst.key)
 			for _, target := range []int{5, 10, 15} {
-				greedy := metrics.FaultToleranceGreedy(snap, target)
-				exact := metrics.FaultToleranceExact(snap, target)
+				greedy := faultToleranceGreedy(snap, target)
+				exact := faultToleranceExact(snap, target)
 				if greedy < exact {
-					return gap, fmt.Errorf("bench: greedy %d below exact %d (%v, t=%d)", greedy, exact, cfg, target)
+					return gap, fmt.Errorf("experiments: greedy %d below exact %d (%v, t=%d)", greedy, exact, cfg, target)
 				}
 				d := float64(greedy - exact)
 				sum += d
@@ -94,7 +92,7 @@ func AblationCushionLifetime(fid Fidelity, seed uint64) (map[int][2]float64, err
 			cfg := wire.Config{Scheme: wire.Fixed, X: strategy.CushionedFixedX(target, b)}
 			var frac stats.Summary
 			for run := 0; run < fid.Runs; run++ {
-				dr, err := newDynamicRun(rng, cfg, sim.StreamConfig{
+				dr, err := newDynamicRun(rng, cfg, StreamConfig{
 					MeanArrivalGap: gapT,
 					SteadyState:    steady,
 					Lifetime:       stats.NewExponential(float64(life)),

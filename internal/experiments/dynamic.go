@@ -1,10 +1,9 @@
-package bench
+package experiments
 
 import (
 	"fmt"
 
 	"repro/internal/entry"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/strategy"
 	"repro/internal/wire"
@@ -18,20 +17,20 @@ const churnGap = 10.0
 // so far: the universe an unfairness measurement is taken over.
 type dynamicRun struct {
 	*instance
-	stream sim.Stream
+	stream Stream
 	live   *entry.Set
 }
 
 // newChurnRun sets up the Sec. 6.1 run the dynamic experiments share:
 // adds arrive as a Poisson process with mean gap churnGap, and entry
-// lifetimes of the given kind ("exp" or "zipf", sim.DefaultLifetime)
+// lifetimes of the given kind ("exp" or "zipf", DefaultLifetime)
 // hold the population near steady entries over updates events.
 func newChurnRun(rng *stats.RNG, cfg wire.Config, lifetime string, steady, updates int) (*dynamicRun, error) {
-	lt, err := sim.DefaultLifetime(lifetime, churnGap, steady)
+	lt, err := DefaultLifetime(lifetime, churnGap, steady)
 	if err != nil {
 		return nil, err
 	}
-	return newDynamicRun(rng, cfg, sim.StreamConfig{
+	return newDynamicRun(rng, cfg, StreamConfig{
 		MeanArrivalGap: churnGap,
 		SteadyState:    steady,
 		Lifetime:       lt,
@@ -42,11 +41,11 @@ func newChurnRun(rng *stats.RNG, cfg wire.Config, lifetime string, steady, updat
 // newDynamicRun generates a stream from sc and places its initial
 // population under cfg on canonicalN servers. Like newInstance, a
 // Hash-y run draws a fresh hash family first.
-func newDynamicRun(rng *stats.RNG, cfg wire.Config, sc sim.StreamConfig) (*dynamicRun, error) {
+func newDynamicRun(rng *stats.RNG, cfg wire.Config, sc StreamConfig) (*dynamicRun, error) {
 	if cfg.Scheme == wire.Hash && cfg.Seed == 0 {
 		cfg.Seed = rng.Uint64()
 	}
-	stream, err := sim.Generate(rng.Split(), sc)
+	stream, err := Generate(rng.Split(), sc)
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +54,7 @@ func newDynamicRun(rng *stats.RNG, cfg wire.Config, sc sim.StreamConfig) (*dynam
 
 // startDynamicRun places stream's initial population under cfg on a
 // fresh cluster of canonicalN servers.
-func startDynamicRun(rng *stats.RNG, cfg wire.Config, stream sim.Stream) (*dynamicRun, error) {
+func startDynamicRun(rng *stats.RNG, cfg wire.Config, stream Stream) (*dynamicRun, error) {
 	inst, err := place(rng, cfg, canonicalN, stream.Initial)
 	if err != nil {
 		return nil, err
@@ -68,16 +67,16 @@ func startDynamicRun(rng *stats.RNG, cfg wire.Config, stream sim.Stream) (*dynam
 }
 
 // apply consumes one update event through the client driver.
-func (r *dynamicRun) apply(ev sim.Event) error {
+func (r *dynamicRun) apply(ev Event) error {
 	switch ev.Kind {
-	case sim.EventAdd:
+	case OpAdd:
 		r.live.Add(ev.Entry)
 		return r.driver.Add(ctxB(), r.cluster.Caller(), r.key, ev.Entry)
-	case sim.EventDelete:
+	case OpDelete:
 		r.live.Remove(ev.Entry)
 		return r.driver.Delete(ctxB(), r.cluster.Caller(), r.key, ev.Entry)
 	default:
-		return fmt.Errorf("bench: unknown event kind %v", ev.Kind)
+		return fmt.Errorf("experiments: unknown event kind %v", ev.Kind)
 	}
 }
 
@@ -85,7 +84,7 @@ func (r *dynamicRun) apply(ev sim.Event) error {
 // processed doing it (placement traffic excluded).
 func (r *dynamicRun) replay() (int64, error) {
 	r.cluster.ResetMessages()
-	if err := sim.Replay(r.stream.Events, r.apply); err != nil {
+	if err := ReplayTimed(r.stream.Events, r.apply, nil); err != nil {
 		return 0, err
 	}
 	return r.cluster.Messages(), nil
@@ -98,7 +97,7 @@ func (r *dynamicRun) replay() (int64, error) {
 func (r *dynamicRun) replayThin(t int, frac *stats.Summary) error {
 	node0 := r.cluster.Node(0)
 	thin, total := 0.0, 0.0
-	err := sim.ReplayTimed(r.stream.Events, r.apply, func(from, to float64) error {
+	err := ReplayTimed(r.stream.Events, r.apply, func(from, to float64) error {
 		d := to - from
 		total += d
 		if node0.LocalLen(r.key) < t {

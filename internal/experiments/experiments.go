@@ -1,14 +1,16 @@
-// Package bench contains one experiment runner per table and figure in
-// the paper's evaluation (Table 1; Figs. 4, 6, 7, 9, 12, 13, 14;
-// Table 2), plus the extension experiments (ext-*): the paper's
-// qualitative claims quantified, and seeded on/off scenarios for the
-// subsystems built on top of it. The runners are shared by cmd/plsbench
-// (human/markdown output, paper fidelity) and the repository's
-// testing.B benchmarks (reduced fidelity). Each returns a Table; a
-// paper runner's rows are the same series the paper plots. This is the
-// home of efficacy numbers, not speed: the performance benchmark is the
-// top-level bench/ directory.
-package bench
+// Package experiments reproduces the paper's evaluation: one runner per
+// table and figure (Table 1; Figs. 4, 6, 7, 9, 12, 13, 14; Table 2),
+// plus the extension experiments (ext-*): the paper's qualitative
+// claims quantified, and seeded on/off scenarios for the subsystems
+// built on top of it. Beside the runners live what they run on: the
+// Sec. 4 metrics, the Sec. 6.1 update-stream simulation, the
+// multi-key trace generator, and the Sec. 7.2 overlay. The runners
+// are shared by cmd/plsbench (human/markdown output, paper fidelity)
+// and the repository's testing.B benchmarks (reduced fidelity). Each
+// returns a Table; a paper runner's rows are the same series the paper
+// plots. This is the home of efficacy numbers, not speed: the
+// performance benchmark is the top-level bench/ directory.
+package experiments
 
 import (
 	"context"
@@ -19,7 +21,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/entry"
-	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/strategy"
 	"repro/internal/wire"
@@ -268,7 +269,7 @@ func place(rng *stats.RNG, cfg wire.Config, n int, entries []entry.Entry) (*inst
 	}
 	inst := &instance{cluster: cl, driver: drv, entries: entries, key: "k"}
 	if err := drv.Place(ctxB(), cl.Caller(), inst.key, entries); err != nil {
-		return nil, fmt.Errorf("bench: place %v: %w", cfg, err)
+		return nil, fmt.Errorf("experiments: place %v: %w", cfg, err)
 	}
 	return inst, nil
 }
@@ -280,8 +281,8 @@ func (in *instance) lookup(t int) (strategy.Result, error) {
 
 // lookupCost measures the instance's lookup cost at target t over
 // lookups lookups (Sec. 4.2).
-func (in *instance) lookupCost(t, lookups int) (metrics.LookupCostResult, error) {
-	return metrics.MeasureLookupCost(func() (strategy.Result, error) {
+func (in *instance) lookupCost(t, lookups int) (lookupCostResult, error) {
+	return measureLookupCost(func() (strategy.Result, error) {
 		return in.lookup(t)
 	}, t, lookups)
 }
@@ -289,7 +290,7 @@ func (in *instance) lookupCost(t, lookups int) (metrics.LookupCostResult, error)
 // unfairness measures the instance's de-biased unfairness (Eq. 1) at
 // target t over lookups lookups, against universe.
 func (in *instance) unfairness(universe []entry.Entry, t, lookups int) (float64, error) {
-	return metrics.MeasureUnfairnessDebiased(func() (strategy.Result, error) {
+	return measureUnfairnessDebiased(func() (strategy.Result, error) {
 		return in.lookup(t)
 	}, universe, t, lookups)
 }

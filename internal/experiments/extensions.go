@@ -1,10 +1,8 @@
-package bench
+package experiments
 
 import (
 	"fmt"
 
-	"repro/internal/entry"
-	"repro/internal/overlay"
 	"repro/internal/stats"
 	"repro/internal/wire"
 )
@@ -73,88 +71,6 @@ func ExtRSReplacement(fid Fidelity, seed uint64) (*Table, error) {
 			unfair.Observe(u)
 		}
 		t.AddRow(cfg.String(), unfair.Mean(), storage.Mean(), msgs.Mean())
-	}
-	return t, nil
-}
-
-// ExtOverlayTradeoff measures the Sec. 7.2 tradeoff in choosing the
-// hop-count limit d on an overlay of 120 participants: a small d
-// keeps client-to-server distances short (cheap lookups) but requires
-// many server replicas to cover everyone (expensive updates, since a
-// place/add broadcast reaches every server); a large d needs few
-// servers but pushes clients farther away.
-func ExtOverlayTradeoff(fid Fidelity, seed uint64) (*Table, error) {
-	rng := stats.NewRNG(seed)
-	const (
-		participants = 120
-		h            = 60
-		target       = 5
-	)
-	t := &Table{
-		ID:      "ext-overlay",
-		Title:   fmt.Sprintf("Hop-limit tradeoff on a %d-participant overlay (Round-2, %d entries, t=%d)", participants, h, target),
-		XLabel:  "d",
-		Columns: []string{"Servers", "MeanHops", "UpdateMsgs", "Satisfied%", "ProbesPerLookup"},
-		Notes: []string{
-			"small d: short client-server distance but many servers (update broadcasts grow);",
-			"large d: few servers but distant clients (Sec. 7.2)",
-		},
-	}
-	g := overlay.NewRandom(participants, participants/2, rng.Split())
-	for d := 1; d <= 5; d++ {
-		serverNodes := overlay.GreedyPlacement(g, d)
-		n := len(serverNodes)
-		meanHops, err := overlay.MeanServerDistance(g, serverNodes)
-		if err != nil {
-			return nil, err
-		}
-		y := 2
-		if y > n {
-			y = n
-		}
-		inst, err := place(rng, wire.Config{Scheme: wire.RoundRobin, Y: y}, n, entry.Synthetic(h))
-		if err != nil {
-			return nil, err
-		}
-		cl, drv, ctx := inst.cluster, inst.driver, ctxB()
-
-		// Update cost: one add through the coordinator (y stores) plus
-		// the client request; Round-y deletes broadcast. We measure an
-		// add+delete pair.
-		cl.ResetMessages()
-		if err := drv.Add(ctx, cl.Caller(), "k", "probe-entry"); err != nil {
-			return nil, err
-		}
-		if err := drv.Delete(ctx, cl.Caller(), "k", "probe-entry"); err != nil {
-			return nil, err
-		}
-		updateMsgs := float64(cl.Messages()) / 2
-
-		// Lookup behavior from hop-limited clients spread around the
-		// overlay.
-		satisfied, probes, lookups := 0, 0, 0
-		for c := 0; c < min(fid.Runs*2, participants); c++ {
-			client := rng.IntN(participants)
-			rc, err := overlay.Restrict(cl.Caller(), g, client, serverNodes, d)
-			if err != nil {
-				return nil, err
-			}
-			res, err := drv.PartialLookup(ctx, rc, "k", target)
-			if err != nil {
-				continue // client with no reachable server
-			}
-			lookups++
-			probes += res.Contacted
-			if res.Satisfied(target) {
-				satisfied++
-			}
-		}
-		satPct, probeAvg := 0.0, 0.0
-		if lookups > 0 {
-			satPct = 100 * float64(satisfied) / float64(lookups)
-			probeAvg = float64(probes) / float64(lookups)
-		}
-		t.AddRow(fmt.Sprintf("%d", d), float64(n), meanHops, updateMsgs, satPct, probeAvg)
 	}
 	return t, nil
 }

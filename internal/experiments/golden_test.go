@@ -1,4 +1,4 @@
-package bench
+package experiments
 
 import (
 	"fmt"
@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -25,7 +24,7 @@ import (
 // ext-availability, whose lookups run against a wall-clock deadline.
 // Regenerate deliberately with
 //
-//	BENCH_GEN_GOLDEN=1 go test ./internal/bench -run TestGolden
+//	BENCH_GEN_GOLDEN=1 go test ./internal/experiments -run TestGolden
 //
 // after any change that intentionally alters experiment output, and
 // justify the diff in the commit.
@@ -53,7 +52,7 @@ func TestGoldenTablesByteIdentical(t *testing.T) {
 // TestGoldenTraceStream pins ext-trace's op stream, which its table
 // cannot pin: every op's kind, key and entry of a small seeded trace.
 func TestGoldenTraceStream(t *testing.T) {
-	tr, err := sim.GenerateTrace(stats.NewRNG(1), sim.TraceConfig{
+	tr, err := generateTrace(stats.NewRNG(1), traceConfig{
 		Keys: 20, EntriesPerKey: 3, Ops: 300, ZipfS: 0.99, LookupFrac: 0.6,
 	})
 	if err != nil {
@@ -61,8 +60,8 @@ func TestGoldenTraceStream(t *testing.T) {
 	}
 	var b strings.Builder
 	for _, op := range tr.Ops {
-		fmt.Fprintf(&b, "%s %s", op.Kind, sim.KeyName(op.Key))
-		if op.Kind != sim.OpLookup {
+		fmt.Fprintf(&b, "%s %s", op.Kind, keyName(op.Key))
+		if op.Kind != OpLookup {
 			fmt.Fprintf(&b, " %s", op.Entry)
 		}
 		b.WriteByte('\n')

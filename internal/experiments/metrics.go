@@ -1,10 +1,11 @@
-// Package metrics computes the paper's five evaluation metrics
-// (Sec. 4) over placements and lookup streams: storage cost, client
-// lookup cost, maximum coverage, worst-case fault tolerance (the greedy
-// heuristic of Appendix A plus an exact brute force for validation),
-// and unfairness (the coefficient of variation of per-entry return
-// probabilities, Eq. 1).
-package metrics
+package experiments
+
+// The paper's five evaluation metrics (Sec. 4) over placements and
+// lookup streams: storage cost, client lookup cost, maximum coverage
+// (entry.Union), worst-case fault tolerance (the greedy heuristic of
+// Appendix A plus an exact brute force for validation), and unfairness
+// (the coefficient of variation of per-entry return probabilities,
+// Eq. 1).
 
 import (
 	"math"
@@ -15,19 +16,15 @@ import (
 	"repro/internal/strategy"
 )
 
-// StorageCost returns the combined number of entries stored across the
+// storageCost returns the combined number of entries stored across the
 // given per-server sets (Sec. 4.1; entries are assumed equal-sized).
-func StorageCost(sets []*entry.Set) int {
+func storageCost(sets []*entry.Set) int {
 	total := 0
 	for _, s := range sets {
 		total += s.Len()
 	}
 	return total
 }
-
-// Coverage returns the maximum coverage of a placement: the number of
-// distinct entries retrievable by contacting every server (Sec. 4.3).
-func Coverage(sets []*entry.Set) int { return entry.Union(sets...) }
 
 // frequencies returns, for each distinct entry, the number of servers
 // storing it.
@@ -41,7 +38,7 @@ func frequencies(sets []*entry.Set) map[entry.Entry]int {
 	return f
 }
 
-// FaultToleranceGreedy estimates the worst-case fault tolerance of a
+// faultToleranceGreedy estimates the worst-case fault tolerance of a
 // placement for target answer size t: the maximum number of server
 // failures, chosen adversarially, after which a partial lookup of size
 // t still succeeds. Finding the true minimum failure set is equivalent
@@ -52,7 +49,7 @@ func frequencies(sets []*entry.Set) map[entry.Entry]int {
 //
 // It returns 0 when the placement cannot satisfy t even with every
 // server operational.
-func FaultToleranceGreedy(sets []*entry.Set, t int) int {
+func faultToleranceGreedy(sets []*entry.Set, t int) int {
 	n := len(sets)
 	alive := make([]bool, n)
 	for i := range alive {
@@ -99,15 +96,15 @@ func FaultToleranceGreedy(sets []*entry.Set, t int) int {
 	return tolerated
 }
 
-// FaultToleranceExact computes the exact worst-case fault tolerance by
+// faultToleranceExact computes the exact worst-case fault tolerance by
 // enumerating failure subsets. It is exponential in the number of
 // servers (capped at 20) and exists to validate the greedy heuristic on
 // small instances. It returns 0 when the placement cannot satisfy t
 // with all servers up.
-func FaultToleranceExact(sets []*entry.Set, t int) int {
+func faultToleranceExact(sets []*entry.Set, t int) int {
 	n := len(sets)
 	if n > 20 {
-		panic("metrics: FaultToleranceExact supports at most 20 servers")
+		panic("experiments: faultToleranceExact supports at most 20 servers")
 	}
 	full := coverageOfMask(sets, (1<<n)-1)
 	if full < t {
@@ -132,24 +129,21 @@ func FaultToleranceExact(sets []*entry.Set, t int) int {
 }
 
 func coverageOfMask(sets []*entry.Set, aliveMask int) int {
-	seen := make(map[entry.Entry]struct{})
+	alive := make([]*entry.Set, 0, len(sets))
 	for i, s := range sets {
-		if aliveMask&(1<<i) == 0 {
-			continue
-		}
-		for j := 0; j < s.Len(); j++ {
-			seen[s.At(j)] = struct{}{}
+		if aliveMask&(1<<i) != 0 {
+			alive = append(alive, s)
 		}
 	}
-	return len(seen)
+	return entry.Union(alive...)
 }
 
-// LookupFunc performs one partial lookup and reports its result; the
+// lookupFunc performs one partial lookup and reports its result; the
 // measurement helpers below drive it repeatedly.
-type LookupFunc func() (strategy.Result, error)
+type lookupFunc func() (strategy.Result, error)
 
-// LookupCostResult aggregates a lookup-cost measurement (Sec. 4.2).
-type LookupCostResult struct {
+// lookupCostResult aggregates a lookup-cost measurement (Sec. 4.2).
+type lookupCostResult struct {
 	// MeanContacted is the average number of servers contacted per
 	// lookup: the paper's client lookup cost.
 	MeanContacted float64
@@ -160,40 +154,40 @@ type LookupCostResult struct {
 	SatisfiedFraction float64
 }
 
-// MeasureLookupCost runs m lookups with target t and averages the
+// measureLookupCost runs m lookups with target t and averages the
 // number of servers contacted.
-func MeasureLookupCost(lookup LookupFunc, t, m int) (LookupCostResult, error) {
+func measureLookupCost(lookup lookupFunc, t, m int) (lookupCostResult, error) {
 	var contacted stats.Summary
 	satisfied := 0
 	for i := 0; i < m; i++ {
 		res, err := lookup()
 		if err != nil {
-			return LookupCostResult{}, err
+			return lookupCostResult{}, err
 		}
 		contacted.Observe(float64(res.Contacted))
 		if res.Satisfied(t) {
 			satisfied++
 		}
 	}
-	return LookupCostResult{
+	return lookupCostResult{
 		MeanContacted:     contacted.Mean(),
 		CI95:              contacted.CI95(),
 		SatisfiedFraction: float64(satisfied) / float64(m),
 	}, nil
 }
 
-// MeasureUnfairness estimates the unfairness U_I of one placement
+// measureUnfairness estimates the unfairness U_I of one placement
 // instance (Eq. 1, Sec. 4.5) from m random lookups with target t:
 // the coefficient of variation of each entry's empirical return
 // probability around the ideal t/h, where h = len(universe) is the
 // number of entries in the system (entries never returned contribute
 // probability zero, as the paper's coverage argument requires).
-func MeasureUnfairness(lookup LookupFunc, universe []entry.Entry, t, m int) (float64, error) {
+func measureUnfairness(lookup lookupFunc, universe []entry.Entry, t, m int) (float64, error) {
 	counts, err := collectReturnCounts(lookup, t, m, len(universe))
 	if err != nil {
 		return 0, err
 	}
-	return UnfairnessFromCounts(counts, universe, t, m), nil
+	return unfairnessFromCounts(counts, universe, t, m), nil
 }
 
 // collectReturnCounts tallies how often each entry is among the first t
@@ -201,7 +195,7 @@ func MeasureUnfairness(lookup LookupFunc, universe []entry.Entry, t, m int) (flo
 // ("until the total number of distinct entries returned is more than
 // t"); Eq. 1's ideal probability t/h assumes the client consumes
 // exactly t of them, so the tally is capped at t per lookup.
-func collectReturnCounts(lookup LookupFunc, t, m, sizeHint int) (map[entry.Entry]int, error) {
+func collectReturnCounts(lookup lookupFunc, t, m, sizeHint int) (map[entry.Entry]int, error) {
 	counts := make(map[entry.Entry]int, sizeHint)
 	for i := 0; i < m; i++ {
 		res, err := lookup()
@@ -219,8 +213,8 @@ func collectReturnCounts(lookup LookupFunc, t, m, sizeHint int) (map[entry.Entry
 	return counts, nil
 }
 
-// UnfairnessFromCounts computes Eq. 1 from pre-aggregated return counts.
-func UnfairnessFromCounts(counts map[entry.Entry]int, universe []entry.Entry, t, m int) float64 {
+// unfairnessFromCounts computes Eq. 1 from pre-aggregated return counts.
+func unfairnessFromCounts(counts map[entry.Entry]int, universe []entry.Entry, t, m int) float64 {
 	h := len(universe)
 	if h == 0 || t <= 0 || m <= 0 {
 		return 0
@@ -233,7 +227,7 @@ func UnfairnessFromCounts(counts map[entry.Entry]int, universe []entry.Entry, t,
 	return stats.CoV(probs, ideal)
 }
 
-// MeasureUnfairnessDebiased is MeasureUnfairness with the finite-sample
+// measureUnfairnessDebiased is measureUnfairness with the finite-sample
 // bias removed. The plug-in estimator of Eq. 1 is inflated by sampling
 // noise: E[(p̂_j − ideal)²] = (p_j − ideal)² + Var(p̂_j), which puts a
 // floor of √((1−p)/(m·p)) under any measured unfairness — visible in
@@ -241,17 +235,17 @@ func UnfairnessFromCounts(counts map[entry.Entry]int, universe []entry.Entry, t,
 // the noise floor of its 10000-lookup runs. Subtracting the estimated
 // binomial variance p̂(1−p̂)/(m−1) per entry removes the floor, so
 // reduced-fidelity runs report the same levels as paper-fidelity ones.
-func MeasureUnfairnessDebiased(lookup LookupFunc, universe []entry.Entry, t, m int) (float64, error) {
+func measureUnfairnessDebiased(lookup lookupFunc, universe []entry.Entry, t, m int) (float64, error) {
 	counts, err := collectReturnCounts(lookup, t, m, len(universe))
 	if err != nil {
 		return 0, err
 	}
-	return UnfairnessFromCountsDebiased(counts, universe, t, m), nil
+	return unfairnessFromCountsDebiased(counts, universe, t, m), nil
 }
 
-// UnfairnessFromCountsDebiased computes the de-biased Eq. 1 estimate
-// from pre-aggregated return counts. See MeasureUnfairnessDebiased.
-func UnfairnessFromCountsDebiased(counts map[entry.Entry]int, universe []entry.Entry, t, m int) float64 {
+// unfairnessFromCountsDebiased computes the de-biased Eq. 1 estimate
+// from pre-aggregated return counts. See measureUnfairnessDebiased.
+func unfairnessFromCountsDebiased(counts map[entry.Entry]int, universe []entry.Entry, t, m int) float64 {
 	h := len(universe)
 	if h == 0 || t <= 0 || m <= 1 {
 		return 0
@@ -269,13 +263,13 @@ func UnfairnessFromCountsDebiased(counts map[entry.Entry]int, universe []entry.E
 	return math.Sqrt(sum/float64(h)) / ideal
 }
 
-// ExactUnfairness computes U_I analytically for a placement where a
+// exactUnfairness computes U_I analytically for a placement where a
 // client contacts exactly one uniformly random server and receives t
 // uniform entries from its local set (the single-probe regime of Full
 // Replication and Fixed-x, and of any placement whose every server
 // holds at least t entries). Entry j's return probability is then
 // (1/n)·Σ_S min(t,|V_S|)/|V_S| over servers S storing j.
-func ExactUnfairness(sets []*entry.Set, universe []entry.Entry, t int) float64 {
+func exactUnfairness(sets []*entry.Set, universe []entry.Entry, t int) float64 {
 	h := len(universe)
 	n := len(sets)
 	if h == 0 || t <= 0 || n == 0 {

@@ -1,4 +1,4 @@
-package metrics
+package experiments
 
 import (
 	"fmt"
@@ -24,11 +24,11 @@ func makeSets(servers ...[]string) []*entry.Set {
 
 func TestStorageCostAndCoverage(t *testing.T) {
 	sets := makeSets([]string{"a", "b"}, []string{"b", "c"}, nil)
-	if got := StorageCost(sets); got != 4 {
-		t.Fatalf("StorageCost = %d, want 4", got)
+	if got := storageCost(sets); got != 4 {
+		t.Fatalf("storageCost = %d, want 4", got)
 	}
-	if got := Coverage(sets); got != 3 {
-		t.Fatalf("Coverage = %d, want 3", got)
+	if got := entry.Union(sets...); got != 3 {
+		t.Fatalf("entry.Union = %d, want 3", got)
 	}
 }
 
@@ -42,10 +42,10 @@ func TestCoverageFig5(t *testing.T) {
 	placement2 := makeSets(
 		[]string{"v1", "v2"}, []string{"v2", "v3"}, []string{"v4", "v5"},
 	)
-	if got := Coverage(placement1); got != 2 {
+	if got := entry.Union(placement1...); got != 2 {
 		t.Fatalf("placement 1 coverage = %d, want 2", got)
 	}
-	if got := Coverage(placement2); got != 5 {
+	if got := entry.Union(placement2...); got != 5 {
 		t.Fatalf("placement 2 coverage = %d, want 5", got)
 	}
 }
@@ -57,10 +57,10 @@ func TestFaultToleranceFullReplication(t *testing.T) {
 		[]string{"a", "b", "c"}, []string{"a", "b", "c"},
 	)
 	for _, tol := range []struct{ t, want int }{{1, 3}, {3, 3}, {4, 0}} {
-		if got := FaultToleranceGreedy(sets, tol.t); got != tol.want {
+		if got := faultToleranceGreedy(sets, tol.t); got != tol.want {
 			t.Errorf("greedy t=%d: %d, want %d", tol.t, got, tol.want)
 		}
-		if got := FaultToleranceExact(sets, tol.t); got != tol.want {
+		if got := faultToleranceExact(sets, tol.t); got != tol.want {
 			t.Errorf("exact t=%d: %d, want %d", tol.t, got, tol.want)
 		}
 	}
@@ -75,10 +75,10 @@ func TestFaultToleranceSingleCopies(t *testing.T) {
 		[]string{"a", "b"}, []string{"c", "d"}, []string{"e", "f"},
 	)
 	for _, tol := range []struct{ t, want int }{{2, 2}, {3, 1}, {5, 0}} {
-		if got := FaultToleranceExact(sets, tol.t); got != tol.want {
+		if got := faultToleranceExact(sets, tol.t); got != tol.want {
 			t.Errorf("exact t=%d: %d, want %d", tol.t, got, tol.want)
 		}
-		if got := FaultToleranceGreedy(sets, tol.t); got != tol.want {
+		if got := faultToleranceGreedy(sets, tol.t); got != tol.want {
 			t.Errorf("greedy t=%d: %d, want %d", tol.t, got, tol.want)
 		}
 	}
@@ -86,10 +86,10 @@ func TestFaultToleranceSingleCopies(t *testing.T) {
 
 func TestFaultToleranceUnsatisfiable(t *testing.T) {
 	sets := makeSets([]string{"a"}, []string{"a"})
-	if got := FaultToleranceGreedy(sets, 2); got != 0 {
+	if got := faultToleranceGreedy(sets, 2); got != 0 {
 		t.Fatalf("unsatisfiable greedy = %d, want 0", got)
 	}
-	if got := FaultToleranceExact(sets, 2); got != 0 {
+	if got := faultToleranceExact(sets, 2); got != 0 {
 		t.Fatalf("unsatisfiable exact = %d, want 0", got)
 	}
 }
@@ -113,8 +113,8 @@ func TestGreedyVersusExactRandomPlacements(t *testing.T) {
 		}
 		sets := makeSets(servers...)
 		target := 1 + rng.IntN(h)
-		exact := FaultToleranceExact(sets, target)
-		greedy := FaultToleranceGreedy(sets, target)
+		exact := faultToleranceExact(sets, target)
+		greedy := faultToleranceGreedy(sets, target)
 		// The exact adversary is optimal: it needs at most as many
 		// failures as the greedy one finds, so exact tolerance <=
 		// greedy tolerance.
@@ -133,19 +133,19 @@ func TestUnfairnessFromCountsFixedExample(t *testing.T) {
 	// entry always returned, unfairness exactly 1.
 	universe := []entry.Entry{"v1", "v2"}
 	counts := map[entry.Entry]int{"v1": 1000}
-	if got := UnfairnessFromCounts(counts, universe, 1, 1000); math.Abs(got-1) > 1e-9 {
+	if got := unfairnessFromCounts(counts, universe, 1, 1000); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("unfairness = %v, want 1", got)
 	}
 	// Perfectly fair: ~0.
 	counts = map[entry.Entry]int{"v1": 500, "v2": 500}
-	if got := UnfairnessFromCounts(counts, universe, 1, 1000); got != 0 {
+	if got := unfairnessFromCounts(counts, universe, 1, 1000); got != 0 {
 		t.Fatalf("fair unfairness = %v, want 0", got)
 	}
 	// Degenerate inputs.
-	if UnfairnessFromCounts(nil, nil, 1, 10) != 0 {
+	if unfairnessFromCounts(nil, nil, 1, 10) != 0 {
 		t.Fatal("empty universe not 0")
 	}
-	if UnfairnessFromCounts(counts, universe, 0, 10) != 0 {
+	if unfairnessFromCounts(counts, universe, 0, 10) != 0 {
 		t.Fatal("t=0 not 0")
 	}
 }
@@ -159,7 +159,7 @@ func TestExactUnfairness(t *testing.T) {
 		first20[i] = string(universe[i])
 	}
 	sets := makeSets(first20, first20, first20)
-	if got := ExactUnfairness(sets, universe, 1); math.Abs(got-2) > 1e-9 {
+	if got := exactUnfairness(sets, universe, 1); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("Fixed-20 exact unfairness = %v, want 2", got)
 	}
 	// Full replication is perfectly fair for any t.
@@ -169,7 +169,7 @@ func TestExactUnfairness(t *testing.T) {
 	}
 	sets = makeSets(all, all)
 	for _, target := range []int{1, 35, 100} {
-		if got := ExactUnfairness(sets, universe, target); math.Abs(got) > 1e-9 {
+		if got := exactUnfairness(sets, universe, target); math.Abs(got) > 1e-9 {
 			t.Fatalf("full replication t=%d unfairness = %v, want 0", target, got)
 		}
 	}
@@ -192,7 +192,7 @@ func TestMeasureLookupCostAndUnfairness(t *testing.T) {
 		}
 		return strategy.Result{Entries: sample, Contacted: 2}, nil
 	}
-	cost, err := MeasureLookupCost(lookup, 3, 500)
+	cost, err := measureLookupCost(lookup, 3, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +204,11 @@ func TestMeasureLookupCostAndUnfairness(t *testing.T) {
 	}
 	// A uniform strategy's de-biased unfairness should be near zero,
 	// far below the plug-in estimator's noise floor.
-	plain, err := MeasureUnfairness(lookup, universe, 3, 2000)
+	plain, err := measureUnfairness(lookup, universe, 3, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	debiased, err := MeasureUnfairnessDebiased(lookup, universe, 3, 2000)
+	debiased, err := measureUnfairnessDebiased(lookup, universe, 3, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,13 +222,13 @@ func TestMeasureLookupCostAndUnfairness(t *testing.T) {
 
 func TestMeasureLookupCostPropagatesError(t *testing.T) {
 	fail := func() (strategy.Result, error) { return strategy.Result{}, fmt.Errorf("boom") }
-	if _, err := MeasureLookupCost(fail, 1, 3); err == nil {
+	if _, err := measureLookupCost(fail, 1, 3); err == nil {
 		t.Fatal("error not propagated")
 	}
-	if _, err := MeasureUnfairness(fail, entry.Synthetic(2), 1, 3); err == nil {
+	if _, err := measureUnfairness(fail, entry.Synthetic(2), 1, 3); err == nil {
 		t.Fatal("error not propagated")
 	}
-	if _, err := MeasureUnfairnessDebiased(fail, entry.Synthetic(2), 1, 3); err == nil {
+	if _, err := measureUnfairnessDebiased(fail, entry.Synthetic(2), 1, 3); err == nil {
 		t.Fatal("error not propagated")
 	}
 }
@@ -243,7 +243,7 @@ func TestFaultToleranceExactPanicsOnLargeN(t *testing.T) {
 			t.Fatal("exact with n=21 did not panic")
 		}
 	}()
-	FaultToleranceExact(sets, 1)
+	faultToleranceExact(sets, 1)
 }
 
 // TestFig8InstanceEnumeration reproduces the paper's Fig. 8 example:
@@ -262,7 +262,7 @@ func TestFig8InstanceEnumeration(t *testing.T) {
 	wantU := []float64{1, 0, 0, 1}
 	sum := 0.0
 	for i, inst := range instances {
-		got := ExactUnfairness(makeSets(inst...), universe, 1)
+		got := exactUnfairness(makeSets(inst...), universe, 1)
 		if math.Abs(got-wantU[i]) > 1e-12 {
 			t.Fatalf("instance %d unfairness = %v, want %v", i+1, got, wantU[i])
 		}
@@ -276,8 +276,7 @@ func TestFig8InstanceEnumeration(t *testing.T) {
 // TestFig8ViaSimulation checks that real RandomServer-1 placements
 // average to the same 1/2 over many instances.
 func TestFig8ViaSimulation(t *testing.T) {
-	// Importing cluster here would be circular through bench; instead
-	// enumerate by the placement rule directly: each server draws a
+	// Enumerate by the placement rule directly: each server draws a
 	// uniform 1-subset independently.
 	rng := stats.NewRNG(88)
 	universe := []entry.Entry{"v1", "v2"}
@@ -289,7 +288,7 @@ func TestFig8ViaSimulation(t *testing.T) {
 			}
 			return []string{"v2"}
 		}
-		sum.Observe(ExactUnfairness(makeSets(pick(), pick()), universe, 1))
+		sum.Observe(exactUnfairness(makeSets(pick(), pick()), universe, 1))
 	}
 	if got := sum.Mean(); got < 0.45 || got > 0.55 {
 		t.Fatalf("simulated RandomServer-1 unfairness = %v, want ~0.5", got)

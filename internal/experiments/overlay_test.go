@@ -1,4 +1,4 @@
-package overlay_test
+package experiments
 
 import (
 	"context"
@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/entry"
-	"repro/internal/overlay"
 	"repro/internal/stats"
 	"repro/internal/strategy"
 	"repro/internal/transport"
@@ -15,7 +14,7 @@ import (
 )
 
 func TestGraphBasics(t *testing.T) {
-	g := overlay.NewGraph(4)
+	g := newGraph(4)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(0, 1) // idempotent
@@ -39,7 +38,7 @@ func TestGraphBasics(t *testing.T) {
 
 func TestRingConnectivityAndDiameter(t *testing.T) {
 	rng := stats.NewRNG(1)
-	g := overlay.NewRing(20, 0, rng)
+	g := newRing(20, 0, rng)
 	dist := g.Hops(0)
 	for p, h := range dist {
 		if h < 0 {
@@ -55,7 +54,7 @@ func TestRingConnectivityAndDiameter(t *testing.T) {
 		}
 	}
 	// Shortcuts only shrink distances.
-	g2 := overlay.NewRing(20, 15, stats.NewRNG(2))
+	g2 := newRing(20, 15, stats.NewRNG(2))
 	d2 := g2.Hops(0)
 	for p := range d2 {
 		if d2[p] > dist[p] {
@@ -66,7 +65,7 @@ func TestRingConnectivityAndDiameter(t *testing.T) {
 
 func TestRandomGraphConnected(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
-		g := overlay.NewRandom(50, 10, stats.NewRNG(seed))
+		g := newRandom(50, 10, stats.NewRNG(seed))
 		for p, h := range g.Hops(0) {
 			if h < 0 {
 				t.Fatalf("seed %d: participant %d unreachable", seed, p)
@@ -76,7 +75,7 @@ func TestRandomGraphConnected(t *testing.T) {
 }
 
 func TestCoveredAndUncovered(t *testing.T) {
-	g := overlay.NewRing(10, 0, stats.NewRNG(1))
+	g := newRing(10, 0, stats.NewRNG(1))
 	// One server at 0 with d=2 covers {8,9,0,1,2}.
 	covered := g.Covered([]int{0}, 2)
 	wantCovered := map[int]bool{8: true, 9: true, 0: true, 1: true, 2: true}
@@ -93,9 +92,9 @@ func TestCoveredAndUncovered(t *testing.T) {
 
 func TestGreedyPlacementCoversEveryone(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
-		g := overlay.NewRandom(60, 20, stats.NewRNG(seed))
+		g := newRandom(60, 20, stats.NewRNG(seed))
 		for _, d := range []int{1, 2, 3} {
-			servers := overlay.GreedyPlacement(g, d)
+			servers := greedyPlacement(g, d)
 			if len(servers) == 0 {
 				t.Fatalf("no servers placed for d=%d", d)
 			}
@@ -105,8 +104,8 @@ func TestGreedyPlacementCoversEveryone(t *testing.T) {
 		}
 		// Larger d needs no more servers than smaller d (greedy is a
 		// heuristic, but on these graphs monotonicity holds broadly).
-		s1 := len(overlay.GreedyPlacement(g, 1))
-		s3 := len(overlay.GreedyPlacement(g, 3))
+		s1 := len(greedyPlacement(g, 1))
+		s3 := len(greedyPlacement(g, 3))
 		if s3 > s1 {
 			t.Fatalf("d=3 needed %d servers, d=1 needed %d", s3, s1)
 		}
@@ -116,24 +115,24 @@ func TestGreedyPlacementCoversEveryone(t *testing.T) {
 func TestGreedyPlacementRingExact(t *testing.T) {
 	// On a plain 12-ring with d=1, each server covers 3 nodes: the
 	// greedy solution needs exactly 4 servers.
-	g := overlay.NewRing(12, 0, stats.NewRNG(1))
-	servers := overlay.GreedyPlacement(g, 1)
+	g := newRing(12, 0, stats.NewRNG(1))
+	servers := greedyPlacement(g, 1)
 	if len(servers) != 4 {
 		t.Fatalf("ring d=1 placement = %v (%d servers), want 4", servers, len(servers))
 	}
 }
 
 func TestMeanServerDistance(t *testing.T) {
-	g := overlay.NewRing(8, 0, stats.NewRNG(1))
+	g := newRing(8, 0, stats.NewRNG(1))
 	// Servers at 0 and 4: distances are 0,1,2,1,0,1,2,1 → mean 1.
-	mean, err := overlay.MeanServerDistance(g, []int{0, 4})
+	mean, err := meanServerDistance(g, []int{0, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mean != 1 {
 		t.Fatalf("mean distance = %v, want 1", mean)
 	}
-	if _, err := overlay.MeanServerDistance(g, nil); err == nil {
+	if _, err := meanServerDistance(g, nil); err == nil {
 		t.Fatal("no servers accepted")
 	}
 }
@@ -143,11 +142,11 @@ func TestRestrictedCallerEnforcesHopLimit(t *testing.T) {
 	// 0, 2, 5, 8. A client at participant 1 with d=1 reaches servers
 	// at participants 0 and 2 only.
 	rng := stats.NewRNG(3)
-	g := overlay.NewRing(10, 0, rng.Split())
+	g := newRing(10, 0, rng.Split())
 	cl := cluster.New(4, rng.Split())
 	serverNodes := []int{0, 2, 5, 8}
 
-	rc, err := overlay.Restrict(cl.Caller(), g, 1, serverNodes, 1)
+	rc, err := restrict(cl.Caller(), g, 1, serverNodes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +171,7 @@ func TestStrategyUnderRestrictedReachability(t *testing.T) {
 	// look up through a hop-limited client: the driver must satisfy t
 	// using only reachable servers.
 	rng := stats.NewRNG(4)
-	g := overlay.NewRing(12, 3, rng.Split())
+	g := newRing(12, 3, rng.Split())
 	cl := cluster.New(6, rng.Split())
 	serverNodes := []int{0, 2, 4, 6, 8, 10}
 
@@ -182,7 +181,7 @@ func TestStrategyUnderRestrictedReachability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rc, err := overlay.Restrict(cl.Caller(), g, 1, serverNodes, 2)
+	rc, err := restrict(cl.Caller(), g, 1, serverNodes, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,15 +202,15 @@ func TestStrategyUnderRestrictedReachability(t *testing.T) {
 
 func TestRestrictValidation(t *testing.T) {
 	rng := stats.NewRNG(5)
-	g := overlay.NewRing(5, 0, rng.Split())
+	g := newRing(5, 0, rng.Split())
 	cl := cluster.New(2, rng.Split())
-	if _, err := overlay.Restrict(cl.Caller(), g, 0, []int{0}, 1); err == nil {
+	if _, err := restrict(cl.Caller(), g, 0, []int{0}, 1); err == nil {
 		t.Fatal("mismatched server list accepted")
 	}
-	if _, err := overlay.Restrict(cl.Caller(), g, 9, []int{0, 1}, 1); err == nil {
+	if _, err := restrict(cl.Caller(), g, 9, []int{0, 1}, 1); err == nil {
 		t.Fatal("out-of-graph client accepted")
 	}
-	if _, err := overlay.Restrict(cl.Caller(), g, 0, []int{0, 99}, 1); err == nil {
+	if _, err := restrict(cl.Caller(), g, 0, []int{0, 99}, 1); err == nil {
 		t.Fatal("out-of-graph server host accepted")
 	}
 }

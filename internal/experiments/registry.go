@@ -1,4 +1,4 @@
-package bench
+package experiments
 
 import "fmt"
 
@@ -40,5 +40,5 @@ func Find(id string) (Experiment, error) {
 			return e, nil
 		}
 	}
-	return Experiment{}, fmt.Errorf("bench: unknown experiment %q", id)
+	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q", id)
 }

@@ -1,9 +1,9 @@
-package bench
+package experiments
 
 import (
 	"fmt"
 
-	"repro/internal/metrics"
+	"repro/internal/entry"
 	"repro/internal/stats"
 	"repro/internal/strategy"
 	"repro/internal/wire"
@@ -133,7 +133,7 @@ func Fig6Coverage(fid Fidelity, seed uint64) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			rs.Observe(float64(metrics.Coverage(inst.cluster.Snapshot(inst.key))))
+			rs.Observe(float64(entry.Union(inst.cluster.Snapshot(inst.key)...)))
 		}
 		analytic := strategy.ExpectedCoverage(cfg, canonicalH, canonicalN)
 		t.AddRow(fmt.Sprintf("%d", budget), roundHash, fixed, rs.Mean(), analytic)
@@ -170,7 +170,7 @@ func Fig7FaultTolerance(fid Fidelity, seed uint64) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				ft.Observe(float64(metrics.FaultToleranceGreedy(inst.cluster.Snapshot(inst.key), target)))
+				ft.Observe(float64(faultToleranceGreedy(inst.cluster.Snapshot(inst.key), target)))
 			}
 			values = append(values, ft.Mean())
 		}

@@ -1,9 +1,10 @@
-// Package sim provides the discrete-time event-driven simulation of
-// Sec. 6.1: synthetic update streams with Poisson add arrivals and
-// lifetime-scheduled deletes, generated in advance and replayed against
-// a service, plus a time-weighted observer for steady-state measures
-// such as the Fixed-x lookup failure rate of Fig. 12.
-package sim
+package experiments
+
+// The discrete-time simulation of Sec. 6.1: synthetic update streams
+// with Poisson add arrivals and lifetime-scheduled deletes, generated
+// in advance and replayed against a service, with a time-weighted
+// observer for steady-state measures such as the Fixed-x lookup
+// failure rate of Fig. 12.
 
 import (
 	"container/heap"
@@ -13,31 +14,35 @@ import (
 	"repro/internal/stats"
 )
 
-// EventKind discriminates update events.
-type EventKind int
+// OpKind discriminates the operations of an update stream (add and
+// delete) and of a trace (lookup, add and delete).
+type OpKind int
 
-// Update event kinds.
+// Operation kinds.
 const (
-	EventAdd EventKind = iota + 1
-	EventDelete
+	OpLookup OpKind = iota + 1
+	OpAdd
+	OpDelete
 )
 
 // String names the kind.
-func (k EventKind) String() string {
+func (k OpKind) String() string {
 	switch k {
-	case EventAdd:
+	case OpLookup:
+		return "lookup"
+	case OpAdd:
 		return "add"
-	case EventDelete:
+	case OpDelete:
 		return "delete"
 	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
+		return fmt.Sprintf("OpKind(%d)", int(k))
 	}
 }
 
-// Event is one timestamped update.
+// Event is one timestamped update: Kind is OpAdd or OpDelete.
 type Event struct {
 	Time  float64
-	Kind  EventKind
+	Kind  OpKind
 	Entry entry.Entry
 }
 
@@ -60,16 +65,16 @@ type StreamConfig struct {
 // validate checks the config.
 func (c StreamConfig) validate() error {
 	if c.MeanArrivalGap <= 0 {
-		return fmt.Errorf("sim: MeanArrivalGap must be > 0, got %g", c.MeanArrivalGap)
+		return fmt.Errorf("experiments: MeanArrivalGap must be > 0, got %g", c.MeanArrivalGap)
 	}
 	if c.SteadyState <= 0 {
-		return fmt.Errorf("sim: SteadyState must be > 0, got %d", c.SteadyState)
+		return fmt.Errorf("experiments: SteadyState must be > 0, got %d", c.SteadyState)
 	}
 	if c.Lifetime == nil {
-		return fmt.Errorf("sim: Lifetime distribution is required")
+		return fmt.Errorf("experiments: Lifetime distribution is required")
 	}
 	if c.Updates < 0 {
-		return fmt.Errorf("sim: Updates must be >= 0, got %d", c.Updates)
+		return fmt.Errorf("experiments: Updates must be >= 0, got %d", c.Updates)
 	}
 	return nil
 }
@@ -86,8 +91,17 @@ func DefaultLifetime(kind string, meanArrivalGap float64, steadyState int) (stat
 	case "zipf":
 		return stats.NewZipfLifetimeWithMean(mean), nil
 	default:
-		return nil, fmt.Errorf("sim: unknown lifetime kind %q (want exp or zipf)", kind)
+		return nil, fmt.Errorf("experiments: unknown lifetime kind %q (want exp or zipf)", kind)
 	}
+}
+
+// entryNames issues the generators' entry names "e1", "e2", ...: unique
+// within one stream or trace.
+type entryNames int
+
+func (n *entryNames) next() entry.Entry {
+	*n++
+	return fmt.Sprintf("e%d", int(*n))
 }
 
 // Stream is a generated update stream: the initial steady-state
@@ -124,17 +138,13 @@ func Generate(rng *stats.RNG, cfg StreamConfig) (Stream, error) {
 	}
 	var s Stream
 	var h eventHeap
-	nextID := 0
-	newEntry := func() entry.Entry {
-		nextID++
-		return fmt.Sprintf("e%d", nextID)
-	}
+	var names entryNames
 
 	s.Initial = make([]entry.Entry, cfg.SteadyState)
 	for i := range s.Initial {
-		v := newEntry()
+		v := names.next()
 		s.Initial[i] = v
-		heap.Push(&h, Event{Time: cfg.Lifetime.Sample(rng), Kind: EventDelete, Entry: v})
+		heap.Push(&h, Event{Time: cfg.Lifetime.Sample(rng), Kind: OpDelete, Entry: v})
 	}
 
 	arrivals := stats.NewPoissonProcess(cfg.MeanArrivalGap)
@@ -142,10 +152,10 @@ func Generate(rng *stats.RNG, cfg StreamConfig) (Stream, error) {
 	s.Events = make([]Event, 0, cfg.Updates)
 	for len(s.Events) < cfg.Updates {
 		if h.Len() == 0 || nextAdd < h[0].Time {
-			v := newEntry()
-			ev := Event{Time: nextAdd, Kind: EventAdd, Entry: v}
+			v := names.next()
+			ev := Event{Time: nextAdd, Kind: OpAdd, Entry: v}
 			s.Events = append(s.Events, ev)
-			heap.Push(&h, Event{Time: nextAdd + cfg.Lifetime.Sample(rng), Kind: EventDelete, Entry: v})
+			heap.Push(&h, Event{Time: nextAdd + cfg.Lifetime.Sample(rng), Kind: OpDelete, Entry: v})
 			nextAdd += arrivals.NextGap(rng)
 			continue
 		}
@@ -154,37 +164,21 @@ func Generate(rng *stats.RNG, cfg StreamConfig) (Stream, error) {
 	return s, nil
 }
 
-// Apply consumes one update event.
-type Apply func(Event) error
-
-// Observe is called once per inter-event interval [from, to) during a
-// timed replay; system state is constant on the interval, so a
-// time-weighted measure accumulates duration·indicator here.
-type Observe func(from, to float64) error
-
-// Replay feeds every event to apply in time order.
-func Replay(events []Event, apply Apply) error {
-	for _, ev := range events {
-		if err := apply(ev); err != nil {
-			return fmt.Errorf("sim: apply %s(%s) at t=%.3f: %w", ev.Kind, ev.Entry, ev.Time, err)
-		}
-	}
-	return nil
-}
-
-// ReplayTimed feeds events to apply and invokes observe for each
-// interval between consecutive events (and the interval from time zero
-// to the first event), enabling time-weighted steady-state measures.
-func ReplayTimed(events []Event, apply Apply, observe Observe) error {
+// ReplayTimed feeds every event to apply in time order. Unless observe
+// is nil, it is called once per interval between consecutive events
+// (and the interval from time zero to the first event): system state
+// is constant on the interval, so a time-weighted steady-state measure
+// accumulates duration·indicator there.
+func ReplayTimed(events []Event, apply func(Event) error, observe func(from, to float64) error) error {
 	prev := 0.0
 	for _, ev := range events {
 		if observe != nil && ev.Time > prev {
 			if err := observe(prev, ev.Time); err != nil {
-				return fmt.Errorf("sim: observe [%.3f,%.3f): %w", prev, ev.Time, err)
+				return fmt.Errorf("experiments: observe [%.3f,%.3f): %w", prev, ev.Time, err)
 			}
 		}
 		if err := apply(ev); err != nil {
-			return fmt.Errorf("sim: apply %s(%s) at t=%.3f: %w", ev.Kind, ev.Entry, ev.Time, err)
+			return fmt.Errorf("experiments: apply %s(%s) at t=%.3f: %w", ev.Kind, ev.Entry, ev.Time, err)
 		}
 		if ev.Time > prev {
 			prev = ev.Time
@@ -201,9 +195,9 @@ func (s Stream) Population() []int {
 	out := make([]int, len(s.Events))
 	for i, ev := range s.Events {
 		switch ev.Kind {
-		case EventAdd:
+		case OpAdd:
 			count++
-		case EventDelete:
+		case OpDelete:
 			count--
 		}
 		out[i] = count

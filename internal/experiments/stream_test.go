@@ -1,4 +1,4 @@
-package sim
+package experiments
 
 import (
 	"fmt"
@@ -43,7 +43,7 @@ func TestGenerateBasicShape(t *testing.T) {
 		if ev.Time < 0 {
 			t.Fatalf("negative event time %v", ev.Time)
 		}
-		if ev.Kind != EventAdd && ev.Kind != EventDelete {
+		if ev.Kind != OpAdd && ev.Kind != OpDelete {
 			t.Fatalf("event %d has kind %v", i, ev.Kind)
 		}
 		if ev.Entry == "" {
@@ -67,12 +67,12 @@ func TestGenerateDeleteMatchesPriorAdd(t *testing.T) {
 	}
 	for i, ev := range s.Events {
 		switch ev.Kind {
-		case EventAdd:
+		case OpAdd:
 			if live[ev.Entry] {
 				t.Fatalf("event %d adds already-live %s", i, ev.Entry)
 			}
 			live[ev.Entry] = true
-		case EventDelete:
+		case OpDelete:
 			if !live[ev.Entry] {
 				t.Fatalf("event %d deletes non-live %s", i, ev.Entry)
 			}
@@ -150,10 +150,10 @@ func TestReplayAppliesAllInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []Event
-	err = Replay(s.Events, func(ev Event) error {
+	err = ReplayTimed(s.Events, func(ev Event) error {
 		got = append(got, ev)
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +165,13 @@ func TestReplayAppliesAllInOrder(t *testing.T) {
 func TestReplayStopsOnError(t *testing.T) {
 	s, _ := Generate(stats.NewRNG(6), defaultConfig(t, 50))
 	count := 0
-	err := Replay(s.Events, func(Event) error {
+	err := ReplayTimed(s.Events, func(Event) error {
 		count++
 		if count == 10 {
 			return fmt.Errorf("stop here")
 		}
 		return nil
-	})
+	}, nil)
 	if err == nil || count != 10 {
 		t.Fatalf("err=%v count=%d, want error at event 10", err, count)
 	}
@@ -179,10 +179,10 @@ func TestReplayStopsOnError(t *testing.T) {
 
 func TestReplayTimedIntervalAccounting(t *testing.T) {
 	events := []Event{
-		{Time: 1.0, Kind: EventAdd, Entry: "a"},
-		{Time: 2.5, Kind: EventAdd, Entry: "b"},
-		{Time: 2.5, Kind: EventDelete, Entry: "a"}, // simultaneous: zero-width interval skipped
-		{Time: 4.0, Kind: EventDelete, Entry: "b"},
+		{Time: 1.0, Kind: OpAdd, Entry: "a"},
+		{Time: 2.5, Kind: OpAdd, Entry: "b"},
+		{Time: 2.5, Kind: OpDelete, Entry: "a"}, // simultaneous: zero-width interval skipped
+		{Time: 4.0, Kind: OpDelete, Entry: "b"},
 	}
 	var intervals [][2]float64
 	applied := 0
@@ -216,17 +216,17 @@ func TestReplayTimedIntervalAccounting(t *testing.T) {
 }
 
 func TestReplayTimedNilObserver(t *testing.T) {
-	events := []Event{{Time: 1, Kind: EventAdd, Entry: "a"}}
+	events := []Event{{Time: 1, Kind: OpAdd, Entry: "a"}}
 	if err := ReplayTimed(events, func(Event) error { return nil }, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestEventKindString(t *testing.T) {
-	if EventAdd.String() != "add" || EventDelete.String() != "delete" {
+	if OpAdd.String() != "add" || OpDelete.String() != "delete" {
 		t.Fatal("kind strings wrong")
 	}
-	if EventKind(9).String() == "" {
+	if OpKind(9).String() == "" {
 		t.Fatal("unknown kind empty")
 	}
 }

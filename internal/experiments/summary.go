@@ -1,11 +1,11 @@
-package bench
+package experiments
 
 import (
 	"fmt"
 	"slices"
 	"sort"
 
-	"repro/internal/metrics"
+	"repro/internal/entry"
 	"repro/internal/stats"
 	"repro/internal/wire"
 )
@@ -66,8 +66,8 @@ func Table2Summary(fid Fidelity, seed uint64) (*Table, error) {
 				return nil, err
 			}
 			snap := inst.cluster.Snapshot(inst.key)
-			cov.Observe(float64(metrics.Coverage(snap)))
-			ft.Observe(float64(metrics.FaultToleranceGreedy(snap, 20)))
+			cov.Observe(float64(entry.Union(snap...)))
+			ft.Observe(float64(faultToleranceGreedy(snap, 20)))
 			lc, err := inst.lookupCost(20, fid.Lookups)
 			if err != nil {
 				return nil, err

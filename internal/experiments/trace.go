@@ -1,16 +1,124 @@
-package bench
+package experiments
+
+// Trace-driven workloads (YCSB-style): a keyspace with Zipf-distributed
+// popularity, an initial per-key population, and a mixed stream of
+// lookup/add/delete operations. Where the Sec. 6.1 stream exercises one
+// key's steady-state churn in depth, a trace exercises breadth — many
+// keys, skewed access, the regime the 10k-node scale target cares
+// about, where route caches and zone-aware ordering either pay off on
+// the hot keys or don't. ext-trace replays one.
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
+	"repro/internal/entry"
 	"repro/internal/selector"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/strategy"
 	"repro/internal/topo"
 	"repro/internal/wire"
 )
+
+// traceOp is one operation against one key. Entry is set for add and
+// delete ops only.
+type traceOp struct {
+	Kind  OpKind
+	Key   int // index into the keyspace; key name is "k<Key>"
+	Entry entry.Entry
+}
+
+// traceConfig parameterizes a trace.
+type traceConfig struct {
+	// Keys is the keyspace size.
+	Keys int
+	// EntriesPerKey is the initial population placed for every key.
+	EntriesPerKey int
+	// Ops is the number of operations to generate.
+	Ops int
+	// ZipfS is the popularity exponent: key rank i is drawn with weight
+	// 1/i^s. YCSB's default skew is 0.99; 0 means uniform.
+	ZipfS float64
+	// LookupFrac is the fraction of ops that are lookups; the remainder
+	// splits evenly between adds and deletes (a delete against an empty
+	// key becomes an add, so the population never goes negative).
+	LookupFrac float64
+}
+
+func (c traceConfig) validate() error {
+	if c.Keys <= 0 {
+		return fmt.Errorf("experiments: trace Keys must be > 0, got %d", c.Keys)
+	}
+	if c.EntriesPerKey < 0 {
+		return fmt.Errorf("experiments: trace EntriesPerKey must be >= 0, got %d", c.EntriesPerKey)
+	}
+	if c.Ops < 0 {
+		return fmt.Errorf("experiments: trace Ops must be >= 0, got %d", c.Ops)
+	}
+	if c.ZipfS < 0 {
+		return fmt.Errorf("experiments: trace ZipfS must be >= 0, got %g", c.ZipfS)
+	}
+	if c.LookupFrac < 0 || c.LookupFrac > 1 {
+		return fmt.Errorf("experiments: trace LookupFrac must be in [0,1], got %g", c.LookupFrac)
+	}
+	return nil
+}
+
+// keyName returns the service key for keyspace index i.
+func keyName(i int) string { return fmt.Sprintf("k%d", i) }
+
+// trace is a generated workload: the initial population of every key
+// (placed before the clock starts) and the operation stream.
+type trace struct {
+	Initial [][]entry.Entry
+	Ops     []traceOp
+}
+
+// generateTrace builds a trace. Entry names are globally unique
+// ("e<id>") so cross-key collisions cannot mask placement bugs.
+// Deletes target a uniformly random live entry of the drawn key;
+// the generator tracks the live population so the stream is always
+// applicable (no delete of an absent entry).
+func generateTrace(rng *stats.RNG, cfg traceConfig) (trace, error) {
+	if err := cfg.validate(); err != nil {
+		return trace{}, err
+	}
+	var tr trace
+	var names entryNames
+
+	live := make([][]entry.Entry, cfg.Keys)
+	tr.Initial = make([][]entry.Entry, cfg.Keys)
+	for k := range tr.Initial {
+		tr.Initial[k] = make([]entry.Entry, cfg.EntriesPerKey)
+		for i := range tr.Initial[k] {
+			tr.Initial[k][i] = names.next()
+		}
+		live[k] = slices.Clone(tr.Initial[k])
+	}
+
+	zipf := stats.NewZipf(cfg.Keys, cfg.ZipfS)
+	tr.Ops = make([]traceOp, 0, cfg.Ops)
+	for len(tr.Ops) < cfg.Ops {
+		k := zipf.Sample(rng) - 1
+		u := rng.Float64()
+		switch {
+		case u < cfg.LookupFrac:
+			tr.Ops = append(tr.Ops, traceOp{Kind: OpLookup, Key: k})
+		case u < cfg.LookupFrac+(1-cfg.LookupFrac)/2 || len(live[k]) == 0:
+			v := names.next()
+			live[k] = append(live[k], v)
+			tr.Ops = append(tr.Ops, traceOp{Kind: OpAdd, Key: k, Entry: v})
+		default:
+			i := rng.IntN(len(live[k]))
+			v := live[k][i]
+			live[k][i] = live[k][len(live[k])-1]
+			live[k] = live[k][:len(live[k])-1]
+			tr.Ops = append(tr.Ops, traceOp{Kind: OpDelete, Key: k, Entry: v})
+		}
+	}
+	return tr, nil
+}
 
 // traceScenario sizes ext-trace's cluster and workload. The rest of the
 // scenario is fixed: Hash-3 with zone-spread placement, a client in
@@ -52,7 +160,7 @@ func ExtTrace(_ Fidelity, seed uint64) (*Table, error) {
 func (sc traceScenario) run(seed uint64) (*Table, error) {
 	rng := stats.NewRNG(seed)
 	cfg := wire.Config{Scheme: wire.Hash, Y: traceY, Seed: rng.Uint64(), ZoneSpread: true}
-	tr, err := sim.GenerateTrace(rng.Split(), sim.TraceConfig{
+	tr, err := generateTrace(rng.Split(), traceConfig{
 		Keys:          sc.keys,
 		EntriesPerKey: sc.perKey,
 		Ops:           sc.ops,
@@ -80,8 +188,8 @@ func (sc traceScenario) run(seed uint64) (*Table, error) {
 	drv.SetSelector(sel)
 	caller := selector.Observe(cl.Caller(), sel)
 	for k, initial := range tr.Initial {
-		if err := drv.Place(ctxB(), caller, sim.KeyName(k), initial); err != nil {
-			return nil, fmt.Errorf("ext-trace: place %s: %w", sim.KeyName(k), err)
+		if err := drv.Place(ctxB(), caller, keyName(k), initial); err != nil {
+			return nil, fmt.Errorf("ext-trace: place %s: %w", keyName(k), err)
 		}
 	}
 
@@ -100,14 +208,14 @@ func (sc traceScenario) run(seed uint64) (*Table, error) {
 	}
 	// phase replays ops and adds their row, counting messages and hops
 	// from its first op on.
-	phase := func(name string, ops []sim.TraceOp) {
+	phase := func(name string, ops []traceOp) {
 		cl.ResetMessages()
 		cl.Chaos().ResetZoneCalls()
 		var lookups, satisfied, unreachable, updates, updateErrs int
 		var achieved, contacted stats.Summary
 		for _, op := range ops {
-			key := sim.KeyName(op.Key)
-			if op.Kind == sim.OpLookup {
+			key := keyName(op.Key)
+			if op.Kind == OpLookup {
 				lookups++
 				res, err := drv.PartialLookup(ctxB(), caller, key, traceTarget)
 				if err != nil {
@@ -123,7 +231,7 @@ func (sc traceScenario) run(seed uint64) (*Table, error) {
 			}
 			updates++
 			update := drv.Add
-			if op.Kind == sim.OpDelete {
+			if op.Kind == OpDelete {
 				update = drv.Delete
 			}
 			if err := update(ctxB(), caller, key, op.Entry); err != nil {

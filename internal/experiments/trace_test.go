@@ -1,4 +1,4 @@
-package sim
+package experiments
 
 import (
 	"testing"
@@ -8,8 +8,8 @@ import (
 )
 
 func TestGenerateTraceShape(t *testing.T) {
-	cfg := TraceConfig{Keys: 10, EntriesPerKey: 20, Ops: 500, ZipfS: 0.99, LookupFrac: 0.6}
-	tr, err := GenerateTrace(stats.NewRNG(1), cfg)
+	cfg := traceConfig{Keys: 10, EntriesPerKey: 20, Ops: 500, ZipfS: 0.99, LookupFrac: 0.6}
+	tr, err := generateTrace(stats.NewRNG(1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +67,12 @@ func TestGenerateTraceShape(t *testing.T) {
 }
 
 func TestGenerateTraceDeterministic(t *testing.T) {
-	cfg := TraceConfig{Keys: 5, EntriesPerKey: 10, Ops: 200, ZipfS: 1.1, LookupFrac: 0.5}
-	a, err := GenerateTrace(stats.NewRNG(7), cfg)
+	cfg := traceConfig{Keys: 5, EntriesPerKey: 10, Ops: 200, ZipfS: 1.1, LookupFrac: 0.5}
+	a, err := generateTrace(stats.NewRNG(7), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GenerateTrace(stats.NewRNG(7), cfg)
+	b, err := generateTrace(stats.NewRNG(7), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,19 +88,19 @@ func TestGenerateTraceDeterministic(t *testing.T) {
 
 func TestZipfSkewAndUniform(t *testing.T) {
 	rng := stats.NewRNG(3)
-	z := NewZipf(100, 0.99)
+	z := stats.NewZipf(100, 0.99)
 	counts := make([]int, 100)
 	for i := 0; i < 20000; i++ {
-		counts[z.Sample(rng)]++
+		counts[z.Sample(rng)-1]++
 	}
 	if counts[0] <= counts[50] || counts[0] <= counts[99] {
 		t.Fatalf("zipf head not dominant: head=%d mid=%d tail=%d", counts[0], counts[50], counts[99])
 	}
 	// s=0 degenerates to uniform: head and tail within a loose factor.
-	u := NewZipf(100, 0)
+	u := stats.NewZipf(100, 0)
 	counts = make([]int, 100)
 	for i := 0; i < 20000; i++ {
-		counts[u.Sample(rng)]++
+		counts[u.Sample(rng)-1]++
 	}
 	if counts[0] > 3*counts[99]+30 {
 		t.Fatalf("s=0 not uniform-ish: head=%d tail=%d", counts[0], counts[99])
