@@ -67,7 +67,6 @@ func run() error {
 	cf := cliutil.RegisterClientFlags(flag.CommandLine)
 	var (
 		servers       = flag.String("servers", "127.0.0.1:7001", "comma-separated server addresses")
-		muxConns      = flag.Int("mux-conns", transport.DefaultMuxConns, "multiplexed TCP connections per server; calls spread over them round-robin and pipeline on each, every caller writing its own frames")
 		lookupTimeout = flag.Duration("lookup-timeout", 0, "end-to-end deadline for one lookup (0 = none)")
 
 		// Zone topology (must match the -topology every plsd was started
@@ -144,7 +143,7 @@ func run() error {
 		// the raw wire request and print whatever comes back. The local
 		// config flags still travel with updates — the proxy needs them to
 		// place keys — but lookups are config-free.
-		return runProxy(addrs, cfg, cf.Timeout, *muxConns, verb, args, t)
+		return runProxy(addrs, cfg, cf.Timeout, verb, args, t)
 	}
 	reg := telemetry.NewRegistry()
 	st, err := cf.NewStack(reg, addrs, cliutil.StackOptions{
@@ -152,7 +151,6 @@ func run() error {
 		Seed:          1, // core's default
 		Config:        cfg,
 		LookupTimeout: *lookupTimeout,
-		MuxConns:      *muxConns,
 		Topology:      tp,
 		ClientZone:    *clientZone,
 	})
@@ -268,10 +266,8 @@ func run() error {
 // runProxy drives one verb against a plsproxy front tier with raw wire
 // messages. The proxy owns routing, coalescing, and the result cache;
 // this side is a dumb pipe plus pretty-printing.
-func runProxy(addrs []string, cfg wire.Config, timeout time.Duration, muxConns int, verb string, args []string, t int) error {
-	client := transport.NewClient(addrs,
-		transport.WithTimeout(timeout),
-		transport.WithMuxConns(muxConns))
+func runProxy(addrs []string, cfg wire.Config, timeout time.Duration, verb string, args []string, t int) error {
+	client := transport.NewClient(addrs, transport.WithTimeout(timeout))
 	defer client.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), timeout*2)
 	defer cancel()

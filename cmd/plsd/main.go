@@ -41,14 +41,13 @@ func main() {
 
 func run() error {
 	var (
-		id       = flag.Int("id", 0, "this server's index into the peer list")
-		peers    = flag.String("peers", "127.0.0.1:7001", "comma-separated ordered list of all server addresses (including this one)")
-		listen   = flag.String("listen", "", "listen address (default: the peer entry for -id)")
-		admin    = flag.String("admin", "", "admin/debug HTTP listen address serving /metrics, /healthz, and /debug/pprof/ (empty = disabled)")
-		seed     = flag.Uint64("seed", 0, "RNG seed for answer sampling (0 = derived from time)")
-		timeout  = flag.Duration("peer-timeout", 5*time.Second, "peer RPC timeout")
-		retries  = flag.Int("peer-retries", 1, "attempts per peer RPC before reporting the peer down")
-		muxConns = flag.Int("mux-conns", transport.DefaultMuxConns, "multiplexed TCP connections per peer; calls spread over them round-robin and pipeline on each, every caller writing its own frames")
+		id      = flag.Int("id", 0, "this server's index into the peer list")
+		peers   = flag.String("peers", "127.0.0.1:7001", "comma-separated ordered list of all server addresses (including this one)")
+		listen  = flag.String("listen", "", "listen address (default: the peer entry for -id)")
+		admin   = flag.String("admin", "", "admin/debug HTTP listen address serving /metrics, /healthz, and /debug/pprof/ (empty = disabled)")
+		seed    = flag.Uint64("seed", 0, "RNG seed for answer sampling (0 = derived from time)")
+		timeout = flag.Duration("peer-timeout", 5*time.Second, "peer RPC timeout")
+		retries = flag.Int("peer-retries", 1, "attempts per peer RPC before reporting the peer down")
 
 		// Dynamic membership. A daemon started with -join asks the given
 		// member to admit it once it is listening (its own entry must
@@ -142,9 +141,8 @@ func run() error {
 	}
 
 	peerCaller, peerClient, sel := newPeerCaller(reg, addrs, *id, tp, peerOptions{
-		timeout:  *timeout,
-		retries:  *retries,
-		muxConns: *muxConns,
+		timeout: *timeout,
+		retries: *retries,
 	})
 	defer peerClient.Close()
 	nd.Attach(peerCaller)
@@ -242,9 +240,8 @@ func run() error {
 
 // peerOptions carries the flags that shape outgoing peer traffic.
 type peerOptions struct {
-	timeout  time.Duration
-	retries  int
-	muxConns int
+	timeout time.Duration
+	retries int
 }
 
 // newPeerCaller wires the path node id's messages take to the servers at
@@ -257,7 +254,6 @@ func newPeerCaller(reg *telemetry.Registry, addrs []string, id int, tp *topo.Top
 	tm := telemetry.NewTransportMetrics(reg, "peer", len(addrs))
 	client := transport.NewClient(addrs,
 		transport.WithTimeout(o.timeout),
-		transport.WithMuxConns(o.muxConns),
 		transport.WithClientMetrics(tm))
 	caller := transport.Instrument(client, tm)
 	// The daemon's forwarding fan-out is fixed by key placement, so

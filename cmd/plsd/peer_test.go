@@ -19,9 +19,8 @@ import (
 func TestPeerCountersRecordEveryAttempt(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	caller, client, sel := newPeerCaller(reg, freeAddrs(t, 1), 0, nil, peerOptions{
-		timeout:  200 * time.Millisecond,
-		retries:  3,
-		muxConns: 1,
+		timeout: 200 * time.Millisecond,
+		retries: 3,
 	})
 	defer client.Close()
 
@@ -45,8 +44,7 @@ func TestPeerCountersRecordEveryAttempt(t *testing.T) {
 func TestSelectorHealthGaugesFollowMembership(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	_, client, sel := newPeerCaller(reg, []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"}, 0, nil, peerOptions{
-		timeout:  200 * time.Millisecond,
-		muxConns: 1,
+		timeout: 200 * time.Millisecond,
 	})
 	defer client.Close()
 

@@ -51,11 +51,10 @@ func main() {
 func run() error {
 	cf := cliutil.RegisterClientFlags(flag.CommandLine)
 	var (
-		listen   = flag.String("listen", "127.0.0.1:7100", "client-facing listen address")
-		servers  = flag.String("servers", "127.0.0.1:7001", "comma-separated plsd server addresses")
-		admin    = flag.String("admin", "", "admin/debug HTTP listen address serving /metrics, /healthz, and /debug/pprof/ (empty = disabled)")
-		seed     = flag.Uint64("seed", 0, "RNG seed for probe-order sampling (0 = derived from time)")
-		muxConns = flag.Int("mux-conns", transport.DefaultMuxConns, "multiplexed TCP connections per server; calls spread over them round-robin and pipeline on each, every caller writing its own frames")
+		listen  = flag.String("listen", "127.0.0.1:7100", "client-facing listen address")
+		servers = flag.String("servers", "127.0.0.1:7001", "comma-separated plsd server addresses")
+		admin   = flag.String("admin", "", "admin/debug HTTP listen address serving /metrics, /healthz, and /debug/pprof/ (empty = disabled)")
+		seed    = flag.Uint64("seed", 0, "RNG seed for probe-order sampling (0 = derived from time)")
 
 		cacheEntries = flag.Int("cache-entries", 4096, "max cached partial-lookup answers (each (key, t) pair is one entry)")
 		cacheTTL     = flag.Duration("cache-ttl", 2*time.Second, "result cache TTL: how long an answer cached before an add, or before an update the proxy does not see, may still be served (0 = cache off, coalescing stays on)")
@@ -83,7 +82,6 @@ func run() error {
 		cacheEntries: *cacheEntries,
 		cacheTTL:     *cacheTTL,
 		timeout:      cf.Timeout,
-		muxConns:     *muxConns,
 		retries:      cf.Retries,
 		backoff:      cf.Backoff,
 		hedgeAfter:   cf.HedgeAfter,
@@ -126,7 +124,6 @@ type frontOptions struct {
 	cacheEntries int
 	cacheTTL     time.Duration
 	timeout      time.Duration
-	muxConns     int
 	retries      int
 	backoff      time.Duration
 	hedgeAfter   time.Duration
@@ -142,7 +139,6 @@ func newProxy(reg *telemetry.Registry, addrs []string, o frontOptions) (*proxy.P
 		Seed:          o.seed,
 		Config:        o.cfg,
 		LookupTimeout: o.timeout,
-		MuxConns:      o.muxConns,
 	})
 	if err != nil {
 		return nil, nil, err

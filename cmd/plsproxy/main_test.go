@@ -49,7 +49,6 @@ func TestAddThroughTheWiredProxyKeepsCachedAnswers(t *testing.T) {
 		cacheEntries: 16,
 		cacheTTL:     time.Hour,
 		timeout:      5 * time.Second,
-		muxConns:     1,
 		retries:      1,
 	})
 	if err != nil {

@@ -108,7 +108,6 @@ type StackOptions struct {
 	Seed          uint64 // probe-order seed
 	Config        wire.Config
 	LookupTimeout time.Duration // per lookup, end to end; 0 = none
-	MuxConns      int
 	// With both set, probes prefer the servers nearest ClientZone.
 	Topology   *topo.Topology
 	ClientZone string
@@ -130,7 +129,6 @@ func (f *ClientFlags) NewStack(reg *telemetry.Registry, addrs []string, o StackO
 	tm := telemetry.NewTransportMetrics(reg, o.Metrics, len(addrs))
 	client := transport.NewClient(addrs,
 		transport.WithTimeout(f.Timeout),
-		transport.WithMuxConns(o.MuxConns),
 		transport.WithClientMetrics(tm))
 	sel := selector.New(len(addrs), selector.Options{Metrics: telemetry.NewSelectorMetrics(reg)})
 	sel.SetTopology(o.Topology, o.ClientZone)

@@ -59,7 +59,7 @@ func newStack(t *testing.T, cf *ClientFlags, addrs []string, tp *topo.Topology, 
 	}
 	reg := telemetry.NewRegistry()
 	st, err := cf.NewStack(reg, addrs, StackOptions{
-		Metrics: "transport", Seed: 1, Config: cfg, MuxConns: 1, Topology: tp, ClientZone: zone,
+		Metrics: "transport", Seed: 1, Config: cfg, Topology: tp, ClientZone: zone,
 	})
 	if err != nil {
 		t.Fatal(err)

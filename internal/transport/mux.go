@@ -62,10 +62,10 @@ type Client struct {
 var _ Caller = (*Client)(nil)
 
 // DefaultMuxConns is the default number of multiplexed connections per
-// server. Calls spread over them round-robin, so with two a connection
-// that is stalled or being redialed holds up only half the calls to its
-// peer; -mux-conns raises it for many-core clients.
-const DefaultMuxConns = 2
+// server: one, the configuration the benchmark measures. Concurrent
+// calls pipeline on it, and the more of them share a connection the
+// fewer write syscalls they cost at both ends.
+const DefaultMuxConns = 1
 
 // ErrRequestTimeout reports a request that got no reply within the
 // per-call timeout while its connection stayed healthy. It matches
@@ -99,7 +99,8 @@ func WithTimeout(d time.Duration) ClientOption {
 }
 
 // WithMuxConns sets the multiplexed connections kept per server
-// (default DefaultMuxConns). Values below 1 mean 1.
+// (default DefaultMuxConns); calls spread over them round-robin. Values
+// below 1 mean 1. No binary sets it; bench/'s cluster pins it to 1.
 func WithMuxConns(n int) ClientOption {
 	return func(c *Client) {
 		if n < 1 {
