@@ -9,7 +9,12 @@
 //   - every link anchor — in-page (#section) or cross-file
 //     (FILE.md#section) — matches a heading in the target file, using
 //     GitHub's heading-to-anchor slug rules, so section links don't rot
-//     as headings are reworded.
+//     as headings are reworded;
+//   - every repo-root package path a Markdown file names, internal/<x>
+//     or cmd/<x>, is a directory that exists, so docs don't keep naming
+//     a package after it is merged or deleted. CHANGES.md and ROADMAP.md
+//     record history, ISSUE.md describes the change under way and
+//     SNIPPETS.md quotes other repositories, so they are exempt.
 //
 // Usage: go run ./internal/tools/repolint [root]
 //
@@ -37,6 +42,7 @@ func main() {
 	var problems []string
 	problems = append(problems, checkPackageDocs(root)...)
 	problems = append(problems, checkMarkdownLinks(root)...)
+	problems = append(problems, checkStalePaths(root)...)
 	if len(problems) > 0 {
 		sort.Strings(problems)
 		for _, p := range problems {
@@ -102,10 +108,9 @@ func checkPackageDocs(root string) []string {
 // checked.
 var mdLink = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)(?:\s+"[^"]*")?\)`)
 
-// checkMarkdownLinks verifies every relative link target in every
-// tracked Markdown file points at an existing file or directory.
-func checkMarkdownLinks(root string) []string {
-	var problems []string
+// walkMarkdown calls fn with the path and content of every Markdown
+// file under root.
+func walkMarkdown(root string, fn func(path string, data []byte)) {
 	_ = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return nil
@@ -119,10 +124,18 @@ func checkMarkdownLinks(root string) []string {
 		if !strings.HasSuffix(strings.ToLower(path), ".md") {
 			return nil
 		}
-		data, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return nil
+		if data, rerr := os.ReadFile(path); rerr == nil {
+			fn(path, data)
 		}
+		return nil
+	})
+}
+
+// checkMarkdownLinks verifies every relative link target in every
+// tracked Markdown file points at an existing file or directory.
+func checkMarkdownLinks(root string) []string {
+	var problems []string
+	walkMarkdown(root, func(path string, data []byte) {
 		slugs := newSlugCache()
 		for i, line := range strings.Split(string(data), "\n") {
 			for _, m := range mdLink.FindAllStringSubmatch(line, -1) {
@@ -132,7 +145,34 @@ func checkMarkdownLinks(root string) []string {
 				}
 			}
 		}
-		return nil
+	})
+	return problems
+}
+
+// pkgPath matches a repo-root package path, internal/<x> or cmd/<x>,
+// that does not continue a longer path: ./internal/x counts, but
+// another repository's labs/kademlia/cmd/cli does not.
+var pkgPath = regexp.MustCompile(`(?:^|[^\w./-]|\./)((?:internal|cmd)/[\w-]+)`)
+
+// pathExempt lists the Markdown files, relative to the root, that may
+// name packages which no longer exist (see the package doc).
+var pathExempt = map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true, "SNIPPETS.md": true}
+
+// checkStalePaths reports every internal/<x> or cmd/<x> a Markdown
+// file names for which root has no such directory.
+func checkStalePaths(root string) []string {
+	var problems []string
+	walkMarkdown(root, func(path string, data []byte) {
+		if rel, err := filepath.Rel(root, path); err == nil && pathExempt[filepath.ToSlash(rel)] {
+			return
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, m := range pkgPath.FindAllStringSubmatch(line, -1) {
+				if st, err := os.Stat(filepath.Join(root, m[1])); err != nil || !st.IsDir() {
+					problems = append(problems, fmt.Sprintf("%s:%d: %s: no such package directory", path, i+1, m[1]))
+				}
+			}
+		}
 	})
 	return problems
 }
