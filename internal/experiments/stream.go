@@ -187,10 +187,10 @@ func ReplayTimed(events []Event, apply func(Event) error, observe func(from, to 
 	return nil
 }
 
-// Population replays the stream's population arithmetic only (no
+// population replays the stream's population arithmetic only (no
 // service), returning the entry count after every event — a cheap way
 // for tests to verify the generator holds its steady state.
-func (s Stream) Population() []int {
+func (s Stream) population() []int {
 	count := len(s.Initial)
 	out := make([]int, len(s.Events))
 	for i, ev := range s.Events {

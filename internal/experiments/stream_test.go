@@ -95,7 +95,7 @@ func TestGenerateSteadyState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pops := s.Population()
+		pops := s.population()
 		sum := 0
 		for _, p := range pops {
 			sum += p
