@@ -13,12 +13,11 @@
 //   - every repo-root package path a Markdown file names, internal/<x>
 //     or cmd/<x>, is a directory that exists, so docs don't keep naming
 //     a package after it is merged or deleted. CHANGES.md and ROADMAP.md
-//     record history and SNIPPETS.md quotes other repositories, so they
-//     are exempt, as is every file named in $REPOLINT_EXEMPT
-//     (comma-separated, relative to root), e.g. a plan for a change
-//     that removes a package.
+//     record history, ISSUE.md describes a change under way (which may
+//     remove the packages it names) and SNIPPETS.md quotes other
+//     repositories, so they are exempt.
 //
-// Usage: [REPOLINT_EXEMPT=a.md,b.md] go run ./internal/tools/repolint [root]
+// Usage: go run ./internal/tools/repolint [root]
 //
 // It exits non-zero listing every violation; CI and `make lint` run it.
 package main
@@ -158,16 +157,11 @@ var pkgPath = regexp.MustCompile(`(?:^|[^\w./-]|\./)((?:internal|cmd)/[\w-]+)`)
 
 // pathExempt lists the Markdown files, relative to the root, that may
 // name packages which no longer exist (see the package doc).
-var pathExempt = map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "SNIPPETS.md": true}
+var pathExempt = map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "SNIPPETS.md": true, "ISSUE.md": true}
 
 // checkStalePaths reports every internal/<x> or cmd/<x> a Markdown
 // file names for which root has no such directory.
 func checkStalePaths(root string) []string {
-	for _, name := range strings.Split(os.Getenv("REPOLINT_EXEMPT"), ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			pathExempt[filepath.ToSlash(name)] = true
-		}
-	}
 	var problems []string
 	walkMarkdown(root, func(path string, data []byte) {
 		if rel, err := filepath.Rel(root, path); err == nil && pathExempt[filepath.ToSlash(rel)] {

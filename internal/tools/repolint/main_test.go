@@ -9,7 +9,7 @@ import (
 
 // TestCheckStalePaths: a doc naming a package directory that exists
 // passes, one naming a directory that does not is reported, and the
-// history files may name either.
+// exempt files may name either.
 func TestCheckStalePaths(t *testing.T) {
 	root := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(root, "internal", "live"), 0o755); err != nil {
@@ -22,6 +22,7 @@ func TestCheckStalePaths(t *testing.T) {
 	}
 	write("README.md", "Run `go test ./internal/live`.\nThe runners live in internal/gone.\n")
 	write("CHANGES.md", "internal/gone folded into internal/live.\n")
+	write("ISSUE.md", "Fold internal/gone into internal/live.\n")
 
 	problems := checkStalePaths(root)
 	if len(problems) != 1 || !strings.Contains(problems[0], "README.md:2: internal/gone") {
