@@ -29,7 +29,7 @@
 // can update the key). That includes -zone-spread: a key placed with
 // zone-spread on a -topology cluster must be updated with the same
 // flags. -client-zone orders probes nearest-zone-first (see DESIGN.md
-// §14).
+// §3, "Zone distance").
 //
 // stats fetches /metrics from a plsd -admin endpoint (host:port or a
 // full URL) and pretty-prints the snapshot; -stats-json dumps the raw

@@ -60,7 +60,8 @@ func run() error {
 		// (it is cluster-shared state, like the peer list): it feeds
 		// zone-spread home computation for ZoneSpread configs and orders
 		// this daemon's peer preferences nearest-zone-first. See
-		// DESIGN.md §14 and the OPERATIONS.md zone runbook.
+		// DESIGN.md §6, "Zone-spread placement", and the OPERATIONS.md
+		// zone runbook.
 		topoSpec = flag.String("topology", "", "zone topology spec: RxDxK (e.g. 3x2x2), explicit rack=ids list, or @file; empty = flat cluster")
 
 		// Anti-entropy repair: background sweeps that re-replicate

@@ -10,7 +10,8 @@ import (
 
 // GreedyExactGap summarizes how the Appendix A greedy fault-tolerance
 // heuristic compares to the exact (exponential) minimum on small
-// random placements — the validation ablation called out in DESIGN.md.
+// random placements — the validation ablation in EXPERIMENTS.md,
+// "Ablations".
 type GreedyExactGap struct {
 	// MeanGap is the average (greedy - exact) tolerance; greedy can
 	// only overestimate the adversary's difficulty, so the gap is

@@ -86,7 +86,7 @@ func TestOnlyLocalKindsRunOnTheReader(t *testing.T) {
 				t.Fatalf("Listen: %v", err)
 			}
 			defer srv.Close()
-			client := transport.NewClient([]string{addr}, transport.WithMuxConns(1), transport.WithTimeout(5*time.Second))
+			client := transport.NewClient([]string{addr}, transport.WithTimeout(5*time.Second))
 			defer client.Close()
 
 			done := make(chan error, 1)

@@ -7,7 +7,7 @@ import "slices"
 // hash family abstract; we hash the entry once with FNV-1a and derive
 // each f_i by a SplitMix64 finalizer over (hash + seed + i·φ) — raw FNV
 // bits are too structured for short keys like "v17" to behave as
-// independent uniform functions (documented substitution in DESIGN.md).
+// independent uniform functions (a substitution; see DESIGN.md §1).
 // seed selects the family; experiments draw a fresh one per run to
 // average over families, as the paper's simulations do.
 func HashAssign(v string, y, n int, seed uint64) []int {

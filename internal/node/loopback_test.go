@@ -105,7 +105,7 @@ func newLoopCluster(t *testing.T, n int, dirs []string, policy store.SyncPolicy)
 		lc.durs = append(lc.durs, d)
 	}
 	dial := func() *transport.Client {
-		c := transport.NewClient(addrs, transport.WithMuxConns(1), transport.WithTimeout(10*time.Second))
+		c := transport.NewClient(addrs, transport.WithTimeout(10*time.Second))
 		t.Cleanup(func() { c.Close() })
 		return c
 	}

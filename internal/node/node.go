@@ -78,7 +78,8 @@ type Node struct {
 	// topol, when set, is the cluster's shared zone topology; the
 	// zone-spread placement mode (wire.Config.ZoneSpread) resolves
 	// entry homes through it. Like Config.Seed, every member must hold
-	// the same topology or spread assignments diverge (DESIGN.md §14).
+	// the same topology or spread assignments diverge (DESIGN.md §6,
+	// "Zone-spread placement").
 	topol atomic.Pointer[topo.Topology]
 
 	// localDeliveries counts the peer messages this node addressed to

@@ -840,7 +840,7 @@ func TestMissDoesNotDelayHitOnTheSameConn(t *testing.T) {
 		t.Fatalf("Listen: %v", err)
 	}
 	defer srv.Close()
-	client := transport.NewClient([]string{addr}, transport.WithMuxConns(1), transport.WithTimeout(5*time.Second))
+	client := transport.NewClient([]string{addr}, transport.WithTimeout(5*time.Second))
 	defer client.Close()
 
 	rig.gc.arm()

@@ -21,7 +21,7 @@
 // cost and load skew (the unfairness input, Eq. 1), the probes-per-
 // lookup histogram is the client lookup cost (Sec. 4.2), and the
 // achieved-t histogram tracks satisfaction under failures (Sec. 4.4).
-// See DESIGN.md, "Runtime telemetry".
+// See docs/OPERATIONS.md, "What the metrics measure".
 package telemetry
 
 import (

@@ -15,7 +15,9 @@
 //     a package after it is merged or deleted. CHANGES.md and ROADMAP.md
 //     record history, ISSUE.md describes a change under way (which may
 //     remove the packages it names) and SNIPPETS.md quotes other
-//     repositories, so they are exempt.
+//     repositories, so they are exempt;
+//   - DESIGN.md is at most 600 lines, so a change that adds to it
+//     removes at least as much.
 //
 // Usage: go run ./internal/tools/repolint [root]
 //
@@ -44,6 +46,7 @@ func main() {
 	problems = append(problems, checkPackageDocs(root)...)
 	problems = append(problems, checkMarkdownLinks(root)...)
 	problems = append(problems, checkStalePaths(root)...)
+	problems = append(problems, checkDesignLength(root)...)
 	if len(problems) > 0 {
 		sort.Strings(problems)
 		for _, p := range problems {
@@ -176,6 +179,22 @@ func checkStalePaths(root string) []string {
 		}
 	})
 	return problems
+}
+
+// designMaxLines caps DESIGN.md's length (see the package doc).
+const designMaxLines = 600
+
+// checkDesignLength reports a DESIGN.md at root longer than
+// designMaxLines, counting lines as wc -l does.
+func checkDesignLength(root string) []string {
+	data, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
+	if err != nil {
+		return nil
+	}
+	if n := strings.Count(string(data), "\n"); n > designMaxLines {
+		return []string{fmt.Sprintf("DESIGN.md: %d lines, over the %d-line cap", n, designMaxLines)}
+	}
+	return nil
 }
 
 // badLink resolves one link target relative to the Markdown file it

@@ -29,3 +29,20 @@ func TestCheckStalePaths(t *testing.T) {
 		t.Fatalf("problems = %q, want one for internal/gone on README.md:2", problems)
 	}
 }
+
+// TestCheckDesignLength: a DESIGN.md of 600 lines passes and one of
+// 601 is reported.
+func TestCheckDesignLength(t *testing.T) {
+	root := t.TempDir()
+	for _, tc := range []struct {
+		lines, problems int
+	}{{600, 0}, {601, 1}} {
+		text := strings.Repeat("line\n", tc.lines)
+		if err := os.WriteFile(filepath.Join(root, "DESIGN.md"), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if problems := checkDesignLength(root); len(problems) != tc.problems {
+			t.Fatalf("%d lines: problems = %q, want %d", tc.lines, problems, tc.problems)
+		}
+	}
+}

@@ -571,7 +571,7 @@ func (t *Topology) String() string {
 
 // Spec serializes the topology as an explicit-assignment Parse spec,
 // with racks in declaration order — the cluster-wide config every
-// member must agree on (see DESIGN.md §14).
+// member must agree on (see DESIGN.md §6, "Zone-spread placement").
 func (t *Topology) Spec() string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

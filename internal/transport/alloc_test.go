@@ -26,7 +26,7 @@ type fixedReply struct{ reply wire.LookupReply }
 func (h fixedReply) Handle(context.Context, wire.Message) wire.Message { return h.reply }
 
 func TestCallAllocCeiling(t *testing.T) {
-	client := NewClient([]string{"pipe:unused"}, WithMuxConns(1), WithTimeout(5*time.Second))
+	client := NewClient([]string{"pipe:unused"}, WithTimeout(5*time.Second))
 	defer client.Close()
 	_, far := plantPipeConn(t, client)
 	srv := NewServer(fixedReply{wire.LookupReply{Entries: make([]string, 12)}})

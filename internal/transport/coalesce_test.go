@@ -35,7 +35,7 @@ func newScriptedPeer(t *testing.T, opts ...ClientOption) (*Client, *scriptedPeer
 		t.Fatalf("Listen: %v", err)
 	}
 	defer ln.Close()
-	client := NewClient([]string{ln.Addr().String()}, append([]ClientOption{WithMuxConns(1)}, opts...)...)
+	client := NewClient([]string{ln.Addr().String()}, opts...)
 	t.Cleanup(func() { client.Close() })
 	primed := make(chan error, 1)
 	go func() {
@@ -248,11 +248,11 @@ func TestWokenCountSettles(t *testing.T) {
 	})
 
 	t.Run("own write fails", func(t *testing.T) {
-		client := NewClient([]string{"pipe:unused"}, WithMuxConns(1), WithTimeout(time.Second))
+		client := NewClient([]string{"pipe:unused"}, WithTimeout(time.Second))
 		defer client.Close()
 		near, far := net.Pipe()
 		defer far.Close()
-		client.servers()[0].slots[0].mc = client.newMuxConn(brokenWrites{near})
+		client.servers()[0].mc = client.newMuxConn(brokenWrites{near})
 		if err := <-call(client, context.Background()); !errors.Is(err, ErrServerDown) {
 			t.Fatalf("call on a closed pipe = %v, want ErrServerDown", err)
 		}
@@ -347,8 +347,8 @@ func BenchmarkMuxConcurrentLookups(b *testing.B) {
 	defer client.Close()
 	ctx := context.Background()
 	lookup := wire.Lookup{Key: "k", T: 1}
-	for i := 0; i < servers*DefaultMuxConns; i++ { // dial every connection
-		if _, err := client.Call(ctx, i%servers, lookup); err != nil {
+	for i := 0; i < servers; i++ { // dial every connection
+		if _, err := client.Call(ctx, i, lookup); err != nil {
 			b.Fatalf("warm-up call: %v", err)
 		}
 	}

@@ -69,7 +69,7 @@ func TestServerCutsOffMalformedFrames(t *testing.T) {
 // TestClientFailsConnOnMalformedReply: a reply that is not a
 // well-formed frame fails the connection and the call waiting on it.
 func TestClientFailsConnOnMalformedReply(t *testing.T) {
-	client := NewClient([]string{"pipe:unused"}, WithMuxConns(1), WithTimeout(5*time.Second))
+	client := NewClient([]string{"pipe:unused"}, WithTimeout(5*time.Second))
 	defer client.Close()
 	mc, far := plantPipeConn(t, client)
 	defer far.Close()

@@ -206,10 +206,10 @@ func TestConcurrentCallsShareWrites(t *testing.T) {
 	}
 	held := &countingConn{Conn: near, hold: make(chan struct{})}
 	tm := newTransportMetrics(1)
-	client := NewClient([]string{"pipe:unused"}, WithMuxConns(1), WithTimeout(5*time.Second), WithClientMetrics(tm))
+	client := NewClient([]string{"pipe:unused"}, WithTimeout(5*time.Second), WithClientMetrics(tm))
 	defer client.Close()
 	mc := client.newMuxConn(held)
-	client.servers()[0].slots[0].mc = mc
+	client.servers()[0].mc = mc
 
 	var wg sync.WaitGroup
 	errs := make(chan error, n)

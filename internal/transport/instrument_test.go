@@ -97,13 +97,13 @@ func TestClientRecordsDialsAndReuse(t *testing.T) {
 		}
 	}
 
-	// Round-robin over the conn set dials each slot once, then every
-	// call reuses a live multiplexed connection.
-	if got := tm.Dials.At(0).Value(); got != DefaultMuxConns {
-		t.Fatalf("dials = %d, want %d", got, DefaultMuxConns)
+	// The first call dials the server's one connection; every later
+	// call reuses it.
+	if got := tm.Dials.At(0).Value(); got != 1 {
+		t.Fatalf("dials = %d, want 1", got)
 	}
-	if got := tm.Reuses.At(0).Value(); got != calls-DefaultMuxConns {
-		t.Fatalf("lookup reuses = %d, want %d", got, calls-DefaultMuxConns)
+	if got := tm.Reuses.At(0).Value(); got != calls-1 {
+		t.Fatalf("lookup reuses = %d, want %d", got, calls-1)
 	}
 	if got := tm.MaintReuses.At(0).Value(); got != 0 {
 		t.Fatalf("maintenance reuses = %d, want 0 (Pings are lookup-class)", got)
@@ -119,7 +119,7 @@ func TestClientRecordsDialsAndReuse(t *testing.T) {
 func TestClientSplitsReuseByTrafficClass(t *testing.T) {
 	addr, _ := startServer(t)
 	tm := newTransportMetrics(1)
-	client := NewClient([]string{addr}, WithMuxConns(1), WithClientMetrics(tm))
+	client := NewClient([]string{addr}, WithClientMetrics(tm))
 	defer client.Close()
 	ctx := context.Background()
 

@@ -55,7 +55,7 @@ func withCallInFlight(t *testing.T, during func(c *Client)) {
 	t.Helper()
 	h := gatedEcho{started: make(chan struct{}, 1), release: make(chan struct{})}
 	addr, _ := startHandler(t, h)
-	client := NewClient([]string{addr}, WithMuxConns(1), WithTimeout(5*time.Second))
+	client := NewClient([]string{addr}, WithTimeout(5*time.Second))
 	defer client.Close()
 	// Runs before the server closes, which waits for the parked handler
 	// — also when during fails the test.

@@ -16,20 +16,19 @@ import (
 	"repro/internal/wire"
 )
 
-// Client is a Caller over TCP using multiplexed connections: a small
-// fixed set of connections per server (WithMuxConns), each carrying
-// many requests in flight at once. Every request frame is tagged with a
-// connection-local id. The calling goroutine appends its frame to the
-// connection's write buffer and, unless another caller is already
-// writing, writes the buffer out itself — its own frame and whatever
-// was appended meanwhile — so there is no writer goroutine to wake; one
-// reader goroutine per connection routes each tagged reply straight to
-// the call waiting for it. A lookup's writer that finds callers woken
-// by their replies and not yet returned lets them join its write first
-// (see muxConn.send). Nested RPC chains — the Round-Robin delete
-// protocol has a server call itself — cannot deadlock, because a Server
-// handler that waits on a peer has detached from its connection's
-// reader first (see Handler).
+// Client is a Caller over TCP using one multiplexed connection per
+// server, dialed on first use and carrying many requests in flight at
+// once. Every request frame is tagged with a connection-local id. The
+// calling goroutine appends its frame to the connection's write buffer
+// and, unless another caller is already writing, writes the buffer out
+// itself — its own frame and whatever was appended meanwhile — so there
+// is no writer goroutine to wake; the connection's one reader goroutine
+// routes each tagged reply straight to the call waiting for it. A
+// lookup's writer that finds callers woken by their replies and not yet
+// returned lets them join its write first (see muxConn.send). Nested
+// RPC chains — the Round-Robin delete protocol has a server call
+// itself — cannot deadlock, because a Server handler that waits on a
+// peer has detached from its connection's reader first (see Handler).
 //
 // Failure taxonomy, which the Retry middleware leans on:
 //
@@ -44,9 +43,8 @@ import (
 //   - Context cancellation reports ctx.Err() unwrapped; it is the
 //     caller's deadline, not the server's fault, and is never retried.
 type Client struct {
-	timeout  time.Duration
-	metrics  *telemetry.TransportMetrics
-	muxConns int
+	timeout time.Duration
+	metrics *telemetry.TransportMetrics
 
 	// peers is an immutable server list that calls load without a lock;
 	// AddServer and RemoveServer publish a replacement under mu.
@@ -60,12 +58,6 @@ type Client struct {
 }
 
 var _ Caller = (*Client)(nil)
-
-// DefaultMuxConns is the default number of multiplexed connections per
-// server: one, the configuration the benchmark measures. Concurrent
-// calls pipeline on it, and the more of them share a connection the
-// fewer write syscalls they cost at both ends.
-const DefaultMuxConns = 1
 
 // ErrRequestTimeout reports a request that got no reply within the
 // per-call timeout while its connection stayed healthy. It matches
@@ -98,16 +90,10 @@ func WithTimeout(d time.Duration) ClientOption {
 	return func(c *Client) { c.timeout = d }
 }
 
-// WithMuxConns sets the multiplexed connections kept per server
-// (default DefaultMuxConns); calls spread over them round-robin. Values
-// below 1 mean 1. No binary sets it; bench/'s cluster pins it to 1.
+// WithMuxConns is a no-op: the client keeps one connection per server
+// whatever n is. It remains only for bench/'s cluster, which passes 1.
 func WithMuxConns(n int) ClientOption {
-	return func(c *Client) {
-		if n < 1 {
-			n = 1
-		}
-		c.muxConns = n
-	}
+	return func(*Client) {}
 }
 
 // WithClientMetrics records the client's connection behavior into m:
@@ -127,9 +113,8 @@ func WithClientMetrics(m *telemetry.TransportMetrics) ClientOption {
 // NewClient returns a Caller that treats addrs[i] as server i.
 func NewClient(addrs []string, opts ...ClientOption) *Client {
 	c := &Client{
-		timeout:  5 * time.Second,
-		metrics:  &telemetry.TransportMetrics{},
-		muxConns: DefaultMuxConns,
+		timeout: 5 * time.Second,
+		metrics: &telemetry.TransportMetrics{},
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -140,33 +125,24 @@ func NewClient(addrs []string, opts ...ClientOption) *Client {
 	return c
 }
 
-// peer is one server's address and its fixed set of connection slots.
+// peer is one server's address and its lazily dialed connection. The
+// mutex covers dialing, so concurrent cold calls wait for one dial
+// instead of racing their own.
 type peer struct {
-	addr  string
-	rr    atomic.Uint64
-	slots []connSlot
+	addr string
+	mu   sync.Mutex
+	mc   *muxConn
 }
 
-// close tears down the peer's live connections.
+// close tears down the peer's connection, if it has one.
 func (p *peer) close() {
-	for i := range p.slots {
-		slot := &p.slots[i]
-		slot.mu.Lock()
-		mc := slot.mc
-		slot.mc = nil
-		slot.mu.Unlock()
-		if mc != nil {
-			mc.fail(errors.New("transport: client closed"))
-		}
+	p.mu.Lock()
+	mc := p.mc
+	p.mc = nil
+	p.mu.Unlock()
+	if mc != nil {
+		mc.fail(errors.New("transport: client closed"))
 	}
-}
-
-// connSlot holds one lazily-dialed multiplexed connection. The slot
-// mutex covers dialing, so concurrent calls on the same slot wait for
-// one dial instead of racing their own.
-type connSlot struct {
-	mu sync.Mutex
-	mc *muxConn
 }
 
 // muxResult carries one demuxed reply to the call waiting on it.
@@ -380,12 +356,12 @@ func (c *Client) Addrs() []string {
 func (c *Client) AddServer(addr string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	peers := append(slices.Clip(c.servers()), &peer{addr: addr, slots: make([]connSlot, c.muxConns)})
+	peers := append(slices.Clip(c.servers()), &peer{addr: addr})
 	c.peers.Store(&peers)
 	return len(peers) - 1
 }
 
-// RemoveServer deletes one server's address and connections, shifting
+// RemoveServer deletes one server's address and connection, shifting
 // higher ids down by one.
 func (c *Client) RemoveServer(server int) {
 	c.mu.Lock()
@@ -400,26 +376,24 @@ func (c *Client) RemoveServer(server int) {
 	old[server].close()
 }
 
-// checkout picks the next of the server's connection slots round-robin
-// and returns its connection, dialing one when the slot is empty or its
-// connection has died (a stale dead connection is replaced rather than
-// failing the call).
+// checkout returns the server's connection, dialing one when it has
+// none or its connection has died (a stale dead connection is replaced
+// rather than failing the call).
 func (c *Client) checkout(ctx context.Context, server int, maintenance bool) (*muxConn, error) {
 	peers := c.servers()
 	if server < 0 || server >= len(peers) {
 		return nil, fmt.Errorf("transport: server %d out of range [0,%d)", server, len(peers))
 	}
 	p := peers[server]
-	slot := &p.slots[p.rr.Add(1)%uint64(len(p.slots))]
-	slot.mu.Lock()
-	defer slot.mu.Unlock()
-	if slot.mc != nil && !slot.mc.dead.Load() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.mc != nil && !p.mc.dead.Load() {
 		if maintenance {
 			c.metrics.MaintReuses.At(server).Inc()
 		} else {
 			c.metrics.Reuses.At(server).Inc()
 		}
-		return slot.mc, nil
+		return p.mc, nil
 	}
 	var d net.Dialer
 	dialCtx, cancel := context.WithTimeout(ctx, c.timeout)
@@ -430,8 +404,8 @@ func (c *Client) checkout(ctx context.Context, server int, maintenance bool) (*m
 		c.metrics.DialErrors.At(server).Inc()
 		return nil, fmt.Errorf("%w: %v", ErrServerDown, err)
 	}
-	slot.mc = c.newMuxConn(conn)
-	return slot.mc, nil
+	p.mc = c.newMuxConn(conn)
+	return p.mc, nil
 }
 
 // Call sends msg to server i over a multiplexed connection and waits
@@ -499,7 +473,7 @@ func (c *Client) Call(ctx context.Context, server int, msg wire.Message) (wire.M
 	}
 }
 
-// Close tears down every connection. The client stays usable: later
+// Close tears down every server's connection. The client stays usable: later
 // calls dial afresh, which dynamic membership and restart flows rely
 // on.
 func (c *Client) Close() error {

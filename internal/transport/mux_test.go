@@ -117,7 +117,6 @@ func TestRetryTimeoutReusesMuxConn(t *testing.T) {
 	tm := newTransportMetrics(1)
 	client := NewClient([]string{addr},
 		WithTimeout(100*time.Millisecond),
-		WithMuxConns(1),
 		WithClientMetrics(tm))
 	defer client.Close()
 
@@ -164,7 +163,6 @@ func TestRetryConnErrorRedials(t *testing.T) {
 	tm := newTransportMetrics(1)
 	client := NewClient([]string{addr},
 		WithTimeout(time.Second),
-		WithMuxConns(1),
 		WithClientMetrics(tm))
 	defer client.Close()
 	caller := newRetry(client, 4, time.Millisecond)
@@ -205,7 +203,7 @@ func TestMuxPipelinesOnOneConn(t *testing.T) {
 	}
 	defer srv.Close()
 
-	client := NewClient([]string{addr}, WithMuxConns(1), WithTimeout(5*time.Second))
+	client := NewClient([]string{addr}, WithTimeout(5*time.Second))
 	defer client.Close()
 
 	// Prime the single connection so both calls share it.
@@ -245,7 +243,7 @@ func plantPipeConn(t *testing.T, c *Client) (*muxConn, net.Conn) {
 	t.Helper()
 	near, far := net.Pipe()
 	mc := c.newMuxConn(near)
-	c.servers()[0].slots[0].mc = mc
+	c.servers()[0].mc = mc
 	return mc, far
 }
 
@@ -258,7 +256,7 @@ func plantPipeConn(t *testing.T, c *Client) (*muxConn, net.Conn) {
 // caller inside conn.Write returns when its write deadline passes, with
 // the timeout taxonomy; and the pending map must drain to empty.
 func TestCancelDuringEnqueueReleasesRegistration(t *testing.T) {
-	client := NewClient([]string{"pipe:unused"}, WithMuxConns(1), WithTimeout(time.Second))
+	client := NewClient([]string{"pipe:unused"}, WithTimeout(time.Second))
 	defer client.Close()
 	mc, far := plantPipeConn(t, client)
 	defer far.Close()
@@ -316,7 +314,7 @@ func TestCancelDuringEnqueueReleasesRegistration(t *testing.T) {
 // ErrRequestTimeout and ErrServerDown so retry policies treat the
 // stalled peer as failed — and must release its registration.
 func TestEnqueueStallMapsToRequestTimeout(t *testing.T) {
-	client := NewClient([]string{"pipe:unused"}, WithMuxConns(1), WithTimeout(200*time.Millisecond))
+	client := NewClient([]string{"pipe:unused"}, WithTimeout(200*time.Millisecond))
 	defer client.Close()
 	mc, far := plantPipeConn(t, client)
 	defer far.Close()

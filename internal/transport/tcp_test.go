@@ -172,9 +172,13 @@ func TestClientServerStopAndRestart(t *testing.T) {
 	}
 }
 
+// TestClientConcurrentCalls also pins that cold calls racing to one
+// server share a single dial: the server's connection is dialed once,
+// however many goroutines find it missing at the same time.
 func TestClientConcurrentCalls(t *testing.T) {
 	addr, _ := startServer(t)
-	client := NewClient([]string{addr, addr})
+	tm := newTransportMetrics(2)
+	client := NewClient([]string{addr, addr}, WithClientMetrics(tm))
 	defer client.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 200)
@@ -195,6 +199,11 @@ func TestClientConcurrentCalls(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatalf("concurrent Call: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if got := tm.Dials.At(i).Value(); got != 1 {
+			t.Fatalf("server %d dials = %d, want 1", i, got)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // Frame format. A frame is a 4-byte big-endian length prefix followed
 // by the frame body; the length counts only the body. There is one body
-// layout (see DESIGN.md §12):
+// layout (see DESIGN.md §5, "Frame layout"):
 //
 //	[0xF2][8-byte BE request id][kind byte][fields...]
 //

@@ -102,8 +102,8 @@ type Config struct {
 	// the cluster's shared topo.Topology instead of the scheme's base
 	// assignment, so no single zone holds every copy of an entry.
 	// Servers without an attached topology ignore the flag and fall
-	// back to base placement; see DESIGN.md §14 for the consistency
-	// contract.
+	// back to base placement; see DESIGN.md §6, "Zone-spread
+	// placement", for the consistency contract.
 	ZoneSpread bool
 }
 
@@ -432,7 +432,7 @@ type LookupBatchReply struct {
 
 // WAL record messages. These never cross the network: they are the
 // durability records a node appends to its write-ahead log (see
-// internal/store and DESIGN.md §9). They reuse the wire codec so the
+// internal/store and DESIGN.md §7). They reuse the wire codec so the
 // WAL format shares the codec's bounds checks and fuzz coverage.
 //
 // Records describe the *outcome* of a mutation, not its input: a
@@ -585,7 +585,8 @@ type RepairPushReply struct {
 // monotone epoch; every change (one join or one graceful leave) bumps
 // it exactly once and is announced to every member as a
 // MembershipUpdate, whose receipt triggers that member's synchronous
-// rebalance sweep (see internal/node membership.go and DESIGN.md §11).
+// rebalance sweep (see internal/node membership.go and DESIGN.md §6,
+// "Membership").
 
 // Join announces a new server to any existing member, which acts as
 // the membership coordinator for this change: it assigns the next
