@@ -99,10 +99,8 @@ reproduce-full:
 	$(GO) run ./cmd/plsbench -exp everything -fidelity full
 
 examples:
-	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/musicshare
 	$(GO) run ./examples/yellowpages
-	$(GO) run ./examples/livecluster
 
 clean:
 	$(GO) clean ./...

@@ -5,45 +5,25 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/node"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
-
-// startNodes serves n lookup servers on loopback TCP, attached to each
-// other as a plsd cluster is, and returns their addresses.
-func startNodes(t *testing.T, n int) []string {
-	t.Helper()
-	nodes := make([]*node.Node, n)
-	addrs := make([]string, n)
-	for i := range nodes {
-		nodes[i] = node.New(i, stats.NewRNG(uint64(i)+1))
-		srv := transport.NewServer(nodes[i])
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		addrs[i] = addr
-	}
-	for _, nd := range nodes {
-		peers := transport.NewClient(addrs, transport.WithTimeout(5*time.Second))
-		t.Cleanup(func() { peers.Close() })
-		nd.Attach(peers)
-	}
-	return addrs
-}
 
 // The binary's wiring must leave the cache to the proxy's own update
 // path: an add through it costs a cached answer nothing, and a delete
 // of an entry the answer holds patches it. (A per-key hook on the
 // service, which plsproxy once installed, flushed the key on both.)
 func TestAddThroughTheWiredProxyKeepsCachedAnswers(t *testing.T) {
+	cl, err := cluster.NewWired(3, stats.NewRNG(1), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
 	reg := telemetry.NewRegistry()
-	px, client, err := newProxy(reg, startNodes(t, 3), frontOptions{
+	px, client, err := newProxy(reg, cl.Addrs(), frontOptions{
 		cfg:          core.Config{Scheme: core.RoundRobin, Y: 1},
 		seed:         1,
 		cacheEntries: 16,

@@ -5,39 +5,13 @@ import (
 	"flag"
 	"net"
 	"testing"
-	"time"
 
-	"repro/internal/node"
+	"repro/internal/cluster"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
-
-// startNodes serves n lookup servers on loopback TCP, attached to each
-// other as a plsd cluster is, and returns their addresses.
-func startNodes(t *testing.T, n int) []string {
-	t.Helper()
-	nodes := make([]*node.Node, n)
-	addrs := make([]string, n)
-	for i := range nodes {
-		nodes[i] = node.New(i, stats.NewRNG(uint64(i)+1))
-		srv := transport.NewServer(nodes[i])
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		addrs[i] = addr
-	}
-	for _, nd := range nodes {
-		peers := transport.NewClient(addrs, transport.WithTimeout(5*time.Second))
-		t.Cleanup(func() { peers.Close() })
-		nd.Attach(peers)
-	}
-	return addrs
-}
 
 // parseClientFlags parses args as a binary's shared client flags.
 func parseClientFlags(t *testing.T, args ...string) *ClientFlags {
@@ -89,7 +63,12 @@ func firstProbe(t *testing.T, addrs []string, tp *topo.Topology, zone string) in
 // A client zone orders probes nearest-zone-first with no flag beyond
 // -topology and -client-zone: the stack's selector is always on.
 func TestStackProbesClientZoneFirst(t *testing.T) {
-	addrs := startNodes(t, 3)
+	cl, err := cluster.NewWired(3, stats.NewRNG(1), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	addrs := cl.Addrs()
 	tp, err := topo.Parse("3x1x1", len(addrs))
 	if err != nil {
 		t.Fatal(err)

@@ -12,57 +12,13 @@ import (
 	"repro/internal/wire"
 )
 
-// TestClusterChaosDelegation checks the fault-control surface the
-// cluster exposes — drop rates, latency, partitions — all of which
-// delegate to the chaos layer every call already flows through.
-func TestClusterChaosDelegation(t *testing.T) {
-	cl := cluster.New(3, stats.NewRNG(21))
-	ctx := context.Background()
-
-	// Certain drop: the call fails as if the server were down, without
-	// marking the node down.
-	cl.SetDropRate(1, 1)
-	_, err := cl.Caller().Call(ctx, 1, wire.Ping{})
-	if !errors.Is(err, transport.ErrServerDown) {
-		t.Fatalf("dropped call: err = %v, want ErrServerDown match", err)
-	}
-	if !cl.Alive(1) {
-		t.Fatal("drop rate must not mark the node down")
-	}
-	cl.SetDropRate(1, 0)
-	if _, err := cl.Caller().Call(ctx, 1, wire.Ping{}); err != nil {
-		t.Fatalf("after clearing drop rate: %v", err)
-	}
-
-	// Injected latency is observable on the call path.
-	cl.SetLatency(2, 30*time.Millisecond, 0)
-	start := time.Now()
-	if _, err := cl.Caller().Call(ctx, 2, wire.Ping{}); err != nil {
-		t.Fatalf("latency call: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
-		t.Fatalf("latency not injected: call took %v", elapsed)
-	}
-	cl.SetLatency(2, 0, 0)
-
-	// Client-side partition, then heal.
-	cl.Partition(transport.ClientOrigin, 0)
-	if _, err := cl.Caller().Call(ctx, 0, wire.Ping{}); !errors.Is(err, transport.ErrServerDown) {
-		t.Fatalf("partitioned call: err = %v, want ErrServerDown match", err)
-	}
-	cl.Heal(transport.ClientOrigin, 0)
-	if _, err := cl.Caller().Call(ctx, 0, wire.Ping{}); err != nil {
-		t.Fatalf("healed call: %v", err)
-	}
-}
-
 // TestClusterPeerPartition cuts the link between two servers and checks
 // that each node's origin-aware view of the transport honors the cut in
 // both directions while third parties stay connected.
 func TestClusterPeerPartition(t *testing.T) {
 	cl := cluster.New(3, stats.NewRNG(22))
 	ctx := context.Background()
-	cl.Partition(0, 1)
+	cl.Chaos().Partition(0, 1)
 
 	from0 := cl.Chaos().Origin(0)
 	from2 := cl.Chaos().Origin(2)
@@ -75,7 +31,7 @@ func TestClusterPeerPartition(t *testing.T) {
 	if _, err := cl.Caller().Call(ctx, 1, wire.Ping{}); err != nil {
 		t.Fatalf("client->1 should be open: %v", err)
 	}
-	cl.HealAll()
+	cl.Chaos().HealAll()
 	if _, err := from0.Call(ctx, 1, wire.Ping{}); err != nil {
 		t.Fatalf("after HealAll: %v", err)
 	}
@@ -119,7 +75,7 @@ func TestClusterRestartSlowStart(t *testing.T) {
 func TestClusterChaosDeterministic(t *testing.T) {
 	trace := func(seed uint64) []bool {
 		cl := cluster.New(2, stats.NewRNG(seed))
-		cl.SetDropRate(0, 0.4)
+		cl.Chaos().SetDropRate(0, 0.4)
 		out := make([]bool, 100)
 		for i := range out {
 			_, err := cl.Caller().Call(context.Background(), 0, wire.Ping{})

@@ -1,19 +1,20 @@
-// Package cluster assembles n lookup server nodes over the in-process
-// transport, with failure injection and metric snapshots. It is the
-// substrate every simulation and benchmark runs on; the TCP deployment
-// path (cmd/plsd + transport.Client) shares the same node code.
-//
-// All traffic — client probes and server-to-server peer messages —
-// flows through a transport.Chaos middleware, so simulations can
-// inject latency, message drops, slow restarts, and pairwise
-// partitions in addition to the binary up/down failures of Fail and
-// Recover. With no faults configured the chaos layer is a transparent
+// Package cluster assembles n lookup server nodes with failure
+// injection and metric snapshots: the substrate every simulation runs
+// on. New calls the nodes in process. NewWired puts each behind a
+// transport.Server on loopback, optionally with a WAL, and slot i of
+// the in-process transport forwards over one mux client to server i.
+// Either way all traffic, client probes and peer messages alike, flows
+// through a transport.Chaos middleware, so fault injection, the message
+// meter, the topology and membership are one code path in both modes.
+// With no faults configured the chaos layer is a transparent
 // pass-through consuming no randomness, so seeded runs are unchanged.
 package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,12 +27,20 @@ import (
 	"repro/internal/wire"
 )
 
-// Cluster is a set of n in-process lookup servers.
+// Cluster is a set of n lookup servers.
 type Cluster struct {
 	tr    *transport.Inproc
 	chaos *transport.Chaos
 	nodes []*node.Node
-	addrs []string // synthetic member addresses (sim://i), unique per member
+	// wired holds the servers and the mux client of a cluster NewWired
+	// built; nil in process.
+	wired *wired
+
+	// mu guards the member view the nodes read through host, from their
+	// servers' goroutines in a wired cluster: addrs, and what Grow
+	// appends.
+	mu    sync.Mutex
+	addrs []string // member addresses: sim://i in process, unique per member
 
 	// caller is what clients probe through: the chaos middleware, or —
 	// after EnableTelemetry — an instrumented wrapper over it.
@@ -48,9 +57,9 @@ type Cluster struct {
 	// committed (zero before the first); Replace hands it to the fresh
 	// node.
 	last wire.MembershipUpdate
-	// joining is the node JoinAddr is admitting, until the first
-	// member's grow step binds it (see host).
-	joining *node.Node
+	// joining is the node Join is admitting, until the first member's
+	// grow step binds it (see host).
+	joining atomic.Pointer[node.Node]
 	// nextAddr numbers synthetic joiner addresses; it never reuses a
 	// drained member's number, so double-join detection stays simple.
 	nextAddr int
@@ -110,8 +119,10 @@ func (c *Cluster) Caller() transport.Caller { return c.caller }
 // chaos-injected faults), and latency histograms; each node counts its
 // per-op throughput; and per-server entry/key gauges expose live
 // storage and load skew (the runtime analogue of the paper's
-// unfairness input, Eq. 1). Call it before issuing traffic; it returns
-// the transport metrics for white-box assertions in tests.
+// unfairness input, Eq. 1). In a wired cluster reg also shows the
+// servers' counts under "server.", summed across them. Call it before
+// issuing traffic; it returns the transport metrics for white-box
+// assertions in tests.
 func (c *Cluster) EnableTelemetry(reg *telemetry.Registry) *telemetry.TransportMetrics {
 	if c.tm != nil {
 		return c.tm // already instrumented
@@ -122,6 +133,17 @@ func (c *Cluster) EnableTelemetry(reg *telemetry.Registry) *telemetry.TransportM
 	c.nm = telemetry.NewNodeMetrics(reg, n)
 	for _, nd := range c.nodes {
 		nd.Instrument(c.nm)
+	}
+	if w := c.wired; w != nil {
+		// A server takes its metrics before it listens, so the servers
+		// have counted into w.metrics from the start; reg reads them.
+		for name, n := range map[string]*telemetry.Counter{
+			"handled_inline": w.metrics.Inline, "handled_detached": w.metrics.Detached,
+			"frames_written": w.metrics.Frames, "writes": w.metrics.Writes,
+			"readers_started": w.metrics.ReadersStarted,
+		} {
+			reg.NewGaugeFunc("server."+name, n.Value)
+		}
 	}
 	// The gauge vectors cover the current members, joiners included.
 	perNode := func(f func(*node.Node) int) func() []int64 {
@@ -138,8 +160,8 @@ func (c *Cluster) EnableTelemetry(reg *telemetry.Registry) *telemetry.TransportM
 	return c.tm
 }
 
-// Chaos returns the fault-injection middleware all traffic traverses,
-// for scenarios beyond the convenience methods below.
+// Chaos returns the fault-injection middleware all traffic traverses:
+// latency, drops and partitions are set there.
 func (c *Cluster) Chaos() *transport.Chaos { return c.chaos }
 
 // SetTopology attaches a zone topology to the whole cluster: the chaos
@@ -190,32 +212,21 @@ func (c *Cluster) Restart(i, slowCalls int, extra time.Duration) {
 	c.epoch.Add(1)
 }
 
-// RecoverAll brings every server back.
-func (c *Cluster) RecoverAll() {
-	for i := range c.nodes {
-		c.tr.SetDown(i, false)
-	}
-	c.epoch.Add(1)
-}
-
 // Replace tears server i down permanently and installs a fresh, empty
 // node in its place — the kill/replace churn of a real deployment,
 // where a dead machine is swapped for a blank one and everything it
-// stored is lost. The caller supplies the new node's RNG so the
-// cluster's own seed stream (split once per node at New, then once for
-// chaos) is never perturbed and golden seeds stay valid. The new node
-// is bound and marked up; anti-entropy repair is what re-populates it.
-// It takes the slot's committed membership epoch, so it can coordinate
-// the next change.
+// stored is lost. In a wired cluster the new node serves at the dead
+// one's address, with a fresh data directory (a failure to open its log
+// is Close's error). The caller supplies the
+// new node's RNG so the cluster's own seed stream (split once per node
+// at New, then once for chaos) is never perturbed and golden seeds stay
+// valid. The new node is bound and marked up; anti-entropy repair is
+// what re-populates it. It takes the slot's committed membership epoch,
+// so it can coordinate the next change.
 func (c *Cluster) Replace(i int, rng *stats.RNG) *node.Node {
-	nd := node.New(i, rng)
-	nd.SetHost(host{c})
+	nd := c.newNode(i, rng)
 	if c.last.Epoch > 0 {
 		nd.Handle(context.Background(), c.last) // an empty node has nothing to sweep
-	}
-	nd.Attach(c.chaos.Origin(i))
-	if c.nm != nil {
-		nd.Instrument(c.nm)
 	}
 	// The topology is keyed by server id, so the replacement inherits
 	// the dead server's zone — but the fresh node must re-learn the
@@ -224,7 +235,10 @@ func (c *Cluster) Replace(i int, rng *stats.RNG) *node.Node {
 	nd.SetTopology(c.topo)
 	c.localBase[i] += c.nodes[i].LocalDeliveries()
 	c.nodes[i] = nd
-	c.tr.Bind(i, nd)
+	if w := c.wired; w != nil {
+		w.err = errors.Join(w.err, w.open(w.members[i], nd)) // Close reports it
+	}
+	c.tr.Bind(i, c.handler(i))
 	c.tr.SetDown(i, false)
 	c.epoch.Add(1)
 	return nd
@@ -252,28 +266,6 @@ func (h Health) PresumedDead() []bool {
 // FailureEpoch returns the failure-transition counter.
 func (h Health) FailureEpoch() uint64 { return h.c.epoch.Load() }
 
-// SetLatency injects a latency distribution (base plus uniform jitter
-// in [0, jitter)) on every call delivered to server i.
-func (c *Cluster) SetLatency(i int, base, jitter time.Duration) {
-	c.chaos.SetLatency(i, base, jitter)
-}
-
-// SetDropRate makes calls to server i fail with probability p before
-// delivery; such failures match transport.ErrServerDown, so clients
-// fail over (or retry, under a retrying lookup policy).
-func (c *Cluster) SetDropRate(i int, p float64) { c.chaos.SetDropRate(i, p) }
-
-// Partition severs the link between a and b in both directions; either
-// may be transport.ClientOrigin to cut clients off from a server.
-func (c *Cluster) Partition(a, b int) { c.chaos.Partition(a, b) }
-
-// Heal removes the partition between a and b.
-func (c *Cluster) Heal(a, b int) { c.chaos.Heal(a, b) }
-
-// HealAll removes every partition (it does not clear latency or drop
-// profiles; use the setters with zero values for that).
-func (c *Cluster) HealAll() { c.chaos.HealAll() }
-
 // Alive reports whether server i is operational.
 func (c *Cluster) Alive(i int) bool { return !c.tr.Down(i) }
 
@@ -287,17 +279,6 @@ func (c *Cluster) Snapshot(key string) []*entry.Set {
 	out := make([]*entry.Set, len(c.nodes))
 	for i, nd := range c.nodes {
 		out[i] = nd.LocalSet(key)
-	}
-	return out
-}
-
-// AliveSnapshot returns the local sets of operational servers only.
-func (c *Cluster) AliveSnapshot(key string) []*entry.Set {
-	out := make([]*entry.Set, 0, len(c.nodes))
-	for i, nd := range c.nodes {
-		if c.Alive(i) {
-			out = append(out, nd.LocalSet(key))
-		}
 	}
 	return out
 }
@@ -354,13 +335,17 @@ func (c *Cluster) ResetMessages() {
 // MemberEpoch returns the number of committed membership transitions.
 func (c *Cluster) MemberEpoch() uint64 { return c.last.Epoch }
 
-// Addrs returns a copy of the current member address list.
-func (c *Cluster) Addrs() []string { return append([]string(nil), c.addrs...) }
+// Addrs returns a copy of the current member address list: in a wired
+// cluster the servers' real addresses.
+func (c *Cluster) Addrs() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]string(nil), c.addrs...)
+}
 
 // Join admits a new server with a synthesized address. See JoinAddr.
 func (c *Cluster) Join(ctx context.Context, rng *stats.RNG) (*node.Node, error) {
-	addr := fmt.Sprintf("sim://%d", c.nextAddr)
-	return c.JoinAddr(ctx, addr, rng)
+	return c.JoinAddr(ctx, fmt.Sprintf("sim://%d", c.nextAddr), rng)
 }
 
 // JoinAddr admits a new server at addr into the running cluster: the
@@ -375,18 +360,22 @@ func (c *Cluster) Join(ctx context.Context, rng *stats.RNG) (*node.Node, error) 
 //
 // Membership operations are orchestration-plane: they must not run
 // concurrently with each other (they may run alongside lookups, which
-// never block on rebalance).
+// never block on rebalance). In a wired cluster the joiner listens on an
+// address of its own, which it joins with instead of addr.
 func (c *Cluster) JoinAddr(ctx context.Context, addr string, rng *stats.RNG) (*node.Node, error) {
-	nd := node.New(len(c.nodes), rng)
-	nd.SetHost(host{c})
-	nd.Attach(c.chaos.Origin(len(c.nodes)))
-	if c.nm != nil {
-		nd.Instrument(c.nm)
+	nd := c.newNode(len(c.nodes), rng)
+	if c.wired != nil {
+		var err error
+		if addr, err = c.wired.serve(nd); err != nil {
+			return nil, err
+		}
 	}
-	c.joining = nd
+	c.joining.Store(nd)
 	err := c.change(ctx, len(c.nodes)-1, wire.Join{Addr: addr})
-	if c.joining != nil {
-		c.joining = nil
+	if c.joining.Swap(nil) != nil {
+		if c.wired != nil {
+			c.wired.remove(len(c.wired.members) - 1)
+		}
 		return nil, err
 	}
 	// New failure picture (one more member): epoch-gated repair must
@@ -419,12 +408,18 @@ func (c *Cluster) Drain(ctx context.Context, i int) (*node.Node, error) {
 	if c.topo != nil {
 		c.topo.Compact(i)
 	}
+	if c.wired != nil {
+		c.wired.remove(i)
+	}
+	c.mu.Lock()
 	c.nodes = append(c.nodes[:i], c.nodes[i+1:]...)
 	c.addrs = append(c.addrs[:i], c.addrs[i+1:]...)
 	c.localBase = append(c.localBase[:i], c.localBase[i+1:]...)
+	c.mu.Unlock()
 	for s := i; s < len(c.nodes); s++ {
 		c.nodes[s].SetID(s)
 		c.nodes[s].Attach(c.chaos.Origin(s))
+		c.tr.Bind(s, c.handler(s))
 	}
 	c.epoch.Add(1)
 	return leaver, nil
@@ -446,10 +441,31 @@ func (c *Cluster) change(ctx context.Context, coord int, msg wire.Message) error
 	return nil
 }
 
+// newNode returns a node for slot i that reaches its peers through the
+// chaos layer, as every member does.
+func (c *Cluster) newNode(i int, rng *stats.RNG) *node.Node {
+	nd := node.New(i, rng)
+	nd.SetHost(host{c})
+	nd.Attach(c.chaos.Origin(i))
+	if c.nm != nil {
+		nd.Instrument(c.nm)
+	}
+	return nd
+}
+
+// handler is what slot i of the in-process transport delivers to: its
+// node, or in a wired cluster the forwarder to its server.
+func (c *Cluster) handler(i int) transport.Handler {
+	if c.wired != nil {
+		return forward{c.wired.client, i}
+	}
+	return c.nodes[i]
+}
+
 // host is every member's node.Host: the members share the cluster's
-// one view. Join and Leave reach a simulated cluster through JoinAddr
-// and Drain, which stage the joiner and compact the view; one sent to a
-// member directly would leave that view behind.
+// one view. Join and Leave reach a cluster through Join and Drain,
+// which stage the joiner and compact the view; one sent to a member
+// directly would leave that view behind.
 type host struct{ c *Cluster }
 
 func (h host) Members() []string { return h.c.Addrs() }
@@ -457,11 +473,13 @@ func (h host) Members() []string { return h.c.Addrs() }
 // Grow binds the joiner JoinAddr staged, in the first member's grow
 // step, so every member's sweep can address its slot.
 func (h host) Grow(m wire.MembershipUpdate) {
-	c, nd := h.c, h.c.joining
+	c := h.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	nd := c.joining.Load()
 	if nd == nil || len(c.nodes) >= m.NewN {
 		return
 	}
-	c.joining = nil
 	c.chaos.Grow(1)
 	if c.topo != nil {
 		// Keep the topology in step with the member count: the joiner
@@ -471,11 +489,12 @@ func (h host) Grow(m wire.MembershipUpdate) {
 		c.topo.Grow(1)
 		nd.SetTopology(c.topo)
 	}
-	c.tr.Add(nd)
 	c.nodes = append(c.nodes, nd)
+	c.tr.Add(c.handler(len(c.nodes) - 1))
 	c.addrs = append(c.addrs, m.Addrs[len(c.addrs)])
 	c.localBase = append(c.localBase, 0)
 	c.nextAddr++
+	c.joining.Store(nil) // last, so the joiner's Swap sees the rest
 }
 
 // Compact does nothing: a member still sweeping addresses the shared

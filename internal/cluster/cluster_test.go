@@ -67,23 +67,13 @@ func TestClusterFailureInjection(t *testing.T) {
 	if !errors.Is(err, transport.ErrServerDown) {
 		t.Fatalf("call to failed server = %v", err)
 	}
-	// Failed server state is frozen and visible in Snapshot but not
-	// AliveSnapshot.
-	if len(cl.AliveSnapshot("k")) != 2 {
-		t.Fatal("AliveSnapshot wrong length")
-	}
+	// Failed server state is frozen and visible in Snapshot.
 	if len(cl.Snapshot("k")) != 3 {
 		t.Fatal("Snapshot wrong length")
 	}
 	cl.Recover(1)
 	if cl.AliveCount() != 3 {
 		t.Fatal("Recover did not restore")
-	}
-	cl.Fail(0)
-	cl.Fail(2)
-	cl.RecoverAll()
-	if cl.AliveCount() != 3 {
-		t.Fatal("RecoverAll did not restore")
 	}
 }
 

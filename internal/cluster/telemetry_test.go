@@ -71,7 +71,7 @@ func TestClusterTelemetry(t *testing.T) {
 
 	// A chaos-injected drop shows up as a per-server transport error in
 	// the next snapshot.
-	cl.SetDropRate(1, 1)
+	cl.Chaos().SetDropRate(1, 1)
 	if _, err := cl.Caller().Call(ctx, 1, wire.Ping{}); !errors.Is(err, transport.ErrServerDown) {
 		t.Fatalf("dropped call err = %v, want ErrServerDown", err)
 	}

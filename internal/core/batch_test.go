@@ -163,12 +163,8 @@ func TestLookupBatchSurvivesFailures(t *testing.T) {
 // TestBatchOverTCP runs the batch envelopes over real sockets: the
 // codec, framing, and server dispatch must carry them end to end.
 func TestBatchOverTCP(t *testing.T) {
-	client := startTCPCluster(t, 4)
-	svc, err := core.NewService(client, core.WithSeed(5),
+	svc, _ := newWiredService(t, 4, core.WithSeed(5),
 		core.WithDefaultConfig(core.Config{Scheme: core.RandomServer, X: 10}))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
 	keys := make([]string, 8)
 	items := make([]core.PlaceItem, len(keys))

@@ -14,7 +14,23 @@ import (
 
 func newService(t *testing.T, n int, opts ...core.Option) (*core.Service, *cluster.Cluster) {
 	t.Helper()
-	cl := cluster.New(n, stats.NewRNG(7))
+	return serve(t, cluster.New(n, stats.NewRNG(7)), opts...)
+}
+
+// newWiredService is newService over a wired cluster built from the
+// same seed, which the test closes: every call crosses a socket.
+func newWiredService(t *testing.T, n int, opts ...core.Option) (*core.Service, *cluster.Cluster) {
+	t.Helper()
+	cl, err := cluster.NewWired(n, stats.NewRNG(7), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return serve(t, cl, opts...)
+}
+
+func serve(t *testing.T, cl *cluster.Cluster, opts ...core.Option) (*core.Service, *cluster.Cluster) {
+	t.Helper()
 	svc, err := core.NewService(cl.Caller(), append([]core.Option{core.WithSeed(3)}, opts...)...)
 	if err != nil {
 		t.Fatalf("NewService: %v", err)

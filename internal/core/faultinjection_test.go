@@ -131,7 +131,7 @@ func TestFaultInjectionSlowBeyondDeadline(t *testing.T) {
 		t.Run(tc.cfg.String(), func(t *testing.T) {
 			cl, svc := faultService(t, tc.cfg, pol, 12)
 			for i := 0; i < cl.N(); i++ {
-				cl.SetLatency(i, 300*time.Millisecond, 0)
+				cl.Chaos().SetLatency(i, 300*time.Millisecond, 0)
 			}
 			res, err, _ := lookupWithin(t, svc, "k", tc.t, time.Second)
 			if !errors.Is(err, core.ErrPartialResult) {
@@ -164,7 +164,7 @@ func TestFaultInjectionPartitionedClient(t *testing.T) {
 				t.Fatalf("err = %v, want ErrNoLiveServers", err)
 			}
 			// Healing the cuts restores the lookup path.
-			cl.HealAll()
+			cl.Chaos().HealAll()
 			res, err, _ := lookupWithin(t, svc, "k", tc.t, resilientPolicy.Timeout)
 			if err != nil || !res.Satisfied(tc.t) {
 				t.Fatalf("after HealAll: err=%v entries=%d want>=%d", err, len(res.Entries), tc.t)
@@ -194,7 +194,7 @@ func TestFaultInjectionKillRecoverMidStream(t *testing.T) {
 				cl.Fail(s)
 			}
 			for i := 0; i < cl.N(); i++ {
-				cl.SetDropRate(i, 0.2)
+				cl.Chaos().SetDropRate(i, 0.2)
 			}
 			for i := 0; i < 5; i++ {
 				res, err, _ = lookupWithin(t, svc, "k", tc.t, pol.Timeout+200*time.Millisecond)
@@ -209,7 +209,7 @@ func TestFaultInjectionKillRecoverMidStream(t *testing.T) {
 			}
 
 			for i := 0; i < cl.N(); i++ {
-				cl.SetDropRate(i, 0)
+				cl.Chaos().SetDropRate(i, 0)
 			}
 			for _, s := range []int{1, 5, 9} {
 				cl.Restart(s, 2, 5*time.Millisecond)
@@ -232,7 +232,7 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 		cl, svc := faultService(t, core.Config{Scheme: core.RandomServer, X: 20}, pol, seed)
 		cl.Fail(3)
 		for i := 0; i < cl.N(); i++ {
-			cl.SetDropRate(i, 0.3)
+			cl.Chaos().SetDropRate(i, 0.3)
 		}
 		out := ""
 		for i := 0; i < 10; i++ {

@@ -46,8 +46,8 @@ func retryLookupTrace(t *testing.T) string {
 		if err := svc.Place(context.Background(), "k", entry.Synthetic(40)); err != nil {
 			t.Fatalf("Place(%v): %v", tc.cfg, err)
 		}
-		cl.SetDropRate(2, 0.3)
-		cl.SetDropRate(5, 0.3)
+		cl.Chaos().SetDropRate(2, 0.3)
+		cl.Chaos().SetDropRate(5, 0.3)
 		for i := 0; i < 67; i++ {
 			before := lm.Retries.Value()
 			res, err := svc.PartialLookup(context.Background(), "k", tc.target)

@@ -3,144 +3,92 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/entry"
-	"repro/internal/node"
-	"repro/internal/stats"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// startTCPCluster boots n lookup daemons on loopback sockets, wires
-// their peer clients, and returns a client caller for the whole
-// cluster — the same deployment shape as cmd/plsd.
-func startTCPCluster(t *testing.T, n int) *transport.Client {
+// schemes is one configuration of each placement scheme.
+var schemes = []core.Config{
+	{Scheme: core.FullReplication}, {Scheme: core.Fixed, X: 10}, {Scheme: core.RandomServer, X: 10},
+	{Scheme: core.RoundRobin, Y: 2}, {Scheme: core.Hash, Y: 2, Seed: 77},
+	{Scheme: core.MultiProbe, Y: 2, Seed: 77}, {Scheme: core.KeyPartition},
+}
+
+// churn places 30 entries under "k", then adds five and deletes five
+// of the placed ones.
+func churn(t *testing.T, svc *core.Service) {
 	t.Helper()
-	nodes := make([]*node.Node, n)
-	servers := make([]*transport.Server, n)
-	addrs := make([]string, n)
-	rng := stats.NewRNG(42)
-	for i := 0; i < n; i++ {
-		nodes[i] = node.New(i, rng.Split())
-		servers[i] = transport.NewServer(nodes[i])
-		addr, err := servers[i].Listen("127.0.0.1:0")
+	ctx := context.Background()
+	placed := entry.Synthetic(30)
+	if err := svc.Place(ctx, "k", placed); err != nil {
+		t.Fatalf("Place: %v", err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := svc.Add(ctx, "k", core.Entry(fmt.Sprintf("tcp-added-%d", i))); err != nil {
+			t.Fatalf("Add: %v", err)
+		}
+		if err := svc.Delete(ctx, "k", placed[i]); err != nil {
+			t.Fatalf("Delete: %v", err)
+		}
+	}
+}
+
+// dumps returns every server's entries for "k", in its order.
+func dumps(t *testing.T, cl *cluster.Cluster) [][]string {
+	t.Helper()
+	out := make([][]string, cl.N())
+	for s := range out {
+		reply, err := cl.Caller().Call(context.Background(), s, wire.Dump{Key: "k"})
 		if err != nil {
-			t.Fatalf("listen %d: %v", i, err)
+			t.Fatalf("Dump %d: %v", s, err)
 		}
-		addrs[i] = addr
+		out[s] = reply.(wire.DumpReply).Entries
 	}
-	// Each node dials all peers (including itself) over TCP.
-	peerClients := make([]*transport.Client, n)
-	for i := 0; i < n; i++ {
-		peerClients[i] = transport.NewClient(addrs)
-		nodes[i].Attach(peerClients[i])
-	}
-	client := transport.NewClient(addrs)
-	t.Cleanup(func() {
-		client.Close()
-		for i := 0; i < n; i++ {
-			peerClients[i].Close()
-			servers[i].Close()
-		}
-	})
-	return client
+	return out
 }
 
 // TestTCPClusterAllSchemes runs the full protocol suite over real
-// sockets: place, partial lookups, adds, deletes — including the
-// Round-Robin migration, which exercises server-to-server RPC chains
-// (client → coordinator → holders → head server → holders).
+// sockets: place, adds, deletes — including the Round-Robin migration,
+// which exercises server-to-server RPC chains (client → coordinator →
+// holders → head server → holders) — and a partial lookup after them.
 func TestTCPClusterAllSchemes(t *testing.T) {
-	configs := []core.Config{
-		{Scheme: core.FullReplication},
-		{Scheme: core.Fixed, X: 10},
-		{Scheme: core.RandomServer, X: 10},
-		{Scheme: core.RoundRobin, Y: 2},
-		{Scheme: core.Hash, Y: 2, Seed: 77},
-	}
-	for _, cfg := range configs {
+	for _, cfg := range schemes {
 		t.Run(cfg.String(), func(t *testing.T) {
-			client := startTCPCluster(t, 4)
-			svc, err := core.NewService(client, core.WithSeed(5), core.WithDefaultConfig(cfg))
-			if err != nil {
-				t.Fatal(err)
+			svc, cl := newWiredService(t, 4, core.WithSeed(5), core.WithDefaultConfig(cfg))
+			churn(t, svc)
+			res, err := svc.PartialLookup(context.Background(), "k", 8)
+			if err != nil || !res.Satisfied(8) {
+				t.Fatalf("lookup after churn: %d entries, %v; want >= 8", len(res.Entries), err)
 			}
-			ctx := context.Background()
-			if err := svc.Place(ctx, "k", entry.Synthetic(30)); err != nil {
-				t.Fatalf("Place over TCP: %v", err)
-			}
-			res, err := svc.PartialLookup(ctx, "k", 8)
-			if err != nil {
-				t.Fatalf("PartialLookup over TCP: %v", err)
-			}
-			if !res.Satisfied(8) {
-				t.Fatalf("lookup got %d entries, want >= 8", len(res.Entries))
-			}
-			for i := 0; i < 5; i++ {
-				if err := svc.Add(ctx, "k", core.Entry(fmt.Sprintf("tcp-added-%d", i))); err != nil {
-					t.Fatalf("Add over TCP: %v", err)
-				}
-				if err := svc.Delete(ctx, "k", entry.Synthetic(30)[i]); err != nil {
-					t.Fatalf("Delete over TCP: %v", err)
-				}
-			}
-			res, err = svc.PartialLookup(ctx, "k", 8)
-			if err != nil {
-				t.Fatalf("PartialLookup after churn: %v", err)
-			}
-			if !res.Satisfied(8) {
-				t.Fatalf("post-churn lookup got %d entries", len(res.Entries))
-			}
-			// Deleted entries must be gone from every server (verified
-			// via Dump RPCs).
-			for s := 0; s < 4; s++ {
-				reply, err := client.Call(ctx, s, wire.Dump{Key: "k"})
-				if err != nil {
-					t.Fatalf("Dump: %v", err)
-				}
-				for _, e := range reply.(wire.DumpReply).Entries {
-					if e == "v1" {
-						t.Fatalf("server %d still holds deleted v1", s)
-					}
+			for s, es := range dumps(t, cl) {
+				if slices.Contains(es, "v1") {
+					t.Fatalf("server %d still holds deleted v1", s)
 				}
 			}
 		})
 	}
 }
 
-// TestTCPAndInprocAgree verifies the two transports produce identical
-// placements for a deterministic scheme: what the simulator computes
-// is what a real deployment stores.
+// TestTCPAndInprocAgree: the wire changes nothing. Under every scheme,
+// a wired and an in-process cluster built from one seed hold, server by
+// server, the same entries in the same order after the same seeded
+// place, adds and deletes.
 func TestTCPAndInprocAgree(t *testing.T) {
-	// Round-Robin placement is fully deterministic given the entry
-	// order, so the layouts must match entry-for-entry.
-	client := startTCPCluster(t, 4)
-	cfg := core.Config{Scheme: core.RoundRobin, Y: 2}
-	svc, err := core.NewService(client, core.WithDefaultConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	entries := entry.Synthetic(12)
-	if err := svc.Place(ctx, "k", entries); err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 4; s++ {
-		reply, err := client.Call(ctx, s, wire.Dump{Key: "k"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make(map[string]bool)
-		for _, e := range reply.(wire.DumpReply).Entries {
-			got[e] = true
-		}
-		for i, v := range entries {
-			want := i%4 == s || (i+1)%4 == s
-			if got[string(v)] != want {
-				t.Fatalf("server %d entry %s = %v, want %v", s, v, got[string(v)], want)
+	for _, cfg := range schemes {
+		t.Run(cfg.String(), func(t *testing.T) {
+			inproc, cl := newService(t, 5, core.WithDefaultConfig(cfg))
+			churn(t, inproc)
+			wired, wcl := newWiredService(t, 5, core.WithDefaultConfig(cfg))
+			churn(t, wired)
+			if got, want := dumps(t, wcl), dumps(t, cl); !reflect.DeepEqual(got, want) {
+				t.Fatalf("wired servers hold %q, in process %q", got, want)
 			}
-		}
+		})
 	}
 }

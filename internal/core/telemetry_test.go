@@ -55,8 +55,8 @@ func TestLookupTelemetryMatchesInjectedFaults(t *testing.T) {
 	// Servers 0 and 1 drop every call; only server 2 answers. A t=9
 	// lookup needs all three servers, so both dead servers are probed —
 	// each probe burns the full attempt budget before failing over.
-	cl.SetDropRate(0, 1)
-	cl.SetDropRate(1, 1)
+	cl.Chaos().SetDropRate(0, 1)
+	cl.Chaos().SetDropRate(1, 1)
 	res, err := svc.PartialLookup(context.Background(), "k", 9)
 	if err != nil {
 		t.Fatalf("PartialLookup: %v", err)
@@ -89,8 +89,8 @@ func TestLookupTelemetryMatchesInjectedFaults(t *testing.T) {
 	}
 
 	// Heal and look up again: satisfied, no new retries or errors.
-	cl.SetDropRate(0, 0)
-	cl.SetDropRate(1, 0)
+	cl.Chaos().SetDropRate(0, 0)
+	cl.Chaos().SetDropRate(1, 0)
 	res, err = svc.PartialLookup(context.Background(), "k", 9)
 	if err != nil || !res.Satisfied(9) {
 		t.Fatalf("healed lookup: %d entries, err=%v", len(res.Entries), err)
@@ -112,7 +112,7 @@ func TestLookupTelemetryHedges(t *testing.T) {
 		core.WithLookupPolicy(core.LookupPolicy{Retry: transport.RetryPolicy{HedgeAfter: 2 * time.Millisecond}}))
 	placeEntries(t, svc, "k", 4)
 	for i := 0; i < 2; i++ {
-		cl.SetLatency(i, 30*time.Millisecond, 0)
+		cl.Chaos().SetLatency(i, 30*time.Millisecond, 0)
 	}
 
 	const lookups = 3
@@ -145,7 +145,7 @@ func TestLookupTelemetryDeadlineExpired(t *testing.T) {
 		core.WithLookupPolicy(core.LookupPolicy{Timeout: 5 * time.Millisecond}))
 	placeEntries(t, svc, "k", 4)
 	for i := 0; i < 2; i++ {
-		cl.SetLatency(i, 200*time.Millisecond, 0)
+		cl.Chaos().SetLatency(i, 200*time.Millisecond, 0)
 	}
 
 	_, err := svc.PartialLookup(context.Background(), "k", 4)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/strategy"
@@ -87,7 +86,7 @@ func availabilityRun(rng *stats.RNG, cfg wire.Config, policy core.LookupPolicy, 
 	if cfg.Scheme == wire.Hash && cfg.Seed == 0 {
 		cfg.Seed = rng.Uint64()
 	}
-	cl := cluster.New(canonicalN, rng.Split())
+	cl := newCluster(canonicalN, rng.Split())
 	svc, err := core.NewService(cl.Caller(),
 		core.WithDefaultConfig(cfg),
 		core.WithSeed(rng.Uint64()),
@@ -103,7 +102,7 @@ func availabilityRun(rng *stats.RNG, cfg wire.Config, policy core.LookupPolicy, 
 		return 0, err
 	}
 	for i := 0; i < canonicalN; i++ {
-		cl.SetDropRate(i, dropRate)
+		cl.Chaos().SetDropRate(i, dropRate)
 	}
 	failedSet := rng.SampleInts(canonicalN, k)
 	for _, s := range failedSet {

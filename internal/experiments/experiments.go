@@ -259,10 +259,14 @@ func newInstance(rng *stats.RNG, cfg wire.Config, h, n int) (*instance, error) {
 	return place(rng, cfg, n, entry.Synthetic(h))
 }
 
+// newCluster builds every experiment's cluster. The goldens' wired arm
+// swaps in wired clusters (golden_test.go); nothing else changes it.
+var newCluster = cluster.New
+
 // place builds a cluster of n servers and a driver for cfg, each from a
 // fresh split of rng, and places entries under cfg.
 func place(rng *stats.RNG, cfg wire.Config, n int, entries []entry.Entry) (*instance, error) {
-	cl := cluster.New(n, rng.Split())
+	cl := newCluster(n, rng.Split())
 	drv, err := strategy.New(cfg, rng.Split())
 	if err != nil {
 		return nil, err

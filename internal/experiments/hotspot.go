@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/entry"
 	"repro/internal/stats"
 	"repro/internal/strategy"
@@ -50,7 +49,7 @@ func ExtHotSpot(fid Fidelity, seed uint64) (*Table, error) {
 			if runCfg.Scheme == wire.Hash {
 				runCfg.Seed = rng.Uint64()
 			}
-			cl := cluster.New(canonicalN, rng.Split())
+			cl := newCluster(canonicalN, rng.Split())
 			drv, err := strategy.New(runCfg, rng.Split())
 			if err != nil {
 				return nil, err

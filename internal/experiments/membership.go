@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/node"
 	"repro/internal/stats"
@@ -64,7 +63,7 @@ func ExtMembership(_ Fidelity, seed uint64) (*Table, error) {
 	} {
 		// -seed 1 is the scenario the docs quote (RNG seed 77).
 		rng := stats.NewRNG(seed + 76)
-		cl := cluster.New(servers, rng.Split())
+		cl := newCluster(servers, rng.Split())
 		svc, err := core.NewService(cl.Caller(),
 			core.WithSeed(rng.Uint64()),
 			core.WithDefaultConfig(cfg))

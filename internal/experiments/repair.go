@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/node"
 	"repro/internal/stats"
@@ -47,7 +46,7 @@ func ExtRepair(_ Fidelity, seed uint64) (*Table, error) {
 		for _, on := range []bool{true, false} {
 			// -seed 1 is the scenario the docs quote (RNG seed 21).
 			rng := stats.NewRNG(seed + 20)
-			cl := cluster.New(servers, rng.Split())
+			cl := newCluster(servers, rng.Split())
 			svc, err := core.NewService(cl.Caller(),
 				core.WithSeed(rng.Uint64()),
 				core.WithDefaultConfig(cfg))

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/entry"
 	"repro/internal/selector"
@@ -47,7 +46,7 @@ func ExtSelect(_ Fidelity, seed uint64) (*Table, error) {
 	for _, on := range []bool{false, true} {
 		// -seed 1 is the scenario the docs quote (RNG seed 7).
 		rng := stats.NewRNG(seed + 6)
-		cl := cluster.New(servers, rng.Split())
+		cl := newCluster(servers, rng.Split())
 		opts := []core.Option{
 			core.WithSeed(rng.Uint64()),
 			core.WithDefaultConfig(core.Config{Scheme: core.Hash, Y: 2, Seed: 99}),
@@ -74,11 +73,11 @@ func ExtSelect(_ Fidelity, seed uint64) (*Table, error) {
 		// the shape a selector exists for: probing them costs time and
 		// rarely pays.
 		for i := 0; i < servers; i++ {
-			cl.SetLatency(i, time.Duration(i%4)*200*time.Microsecond+100*time.Microsecond, 100*time.Microsecond)
+			cl.Chaos().SetLatency(i, time.Duration(i%4)*200*time.Microsecond+100*time.Microsecond, 100*time.Microsecond)
 		}
 		for _, i := range dropServers {
-			cl.SetLatency(i, 900*time.Microsecond, 200*time.Microsecond)
-			cl.SetDropRate(i, dropRate)
+			cl.Chaos().SetLatency(i, 900*time.Microsecond, 200*time.Microsecond)
+			cl.Chaos().SetDropRate(i, dropRate)
 		}
 
 		var lats []time.Duration

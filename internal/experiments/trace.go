@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/cluster"
 	"repro/internal/entry"
 	"repro/internal/selector"
 	"repro/internal/stats"
@@ -170,7 +169,7 @@ func (sc traceScenario) run(seed uint64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl := cluster.New(sc.servers, rng.Split())
+	cl := newCluster(sc.servers, rng.Split())
 	tp, err := topo.Parse(sc.topology, sc.servers)
 	if err != nil {
 		return nil, err

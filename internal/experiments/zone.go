@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/entry"
 	"repro/internal/node"
 	"repro/internal/selector"
@@ -80,7 +79,7 @@ func ExtZone(_ Fidelity, seed uint64) (*Table, error) {
 // and the zone it partitioned.
 func zoneArm(cfg wire.Config, seed uint64) (row []float64, zones string, err error) {
 	rng := stats.NewRNG(seed)
-	cl := cluster.New(zoneServers, rng.Split())
+	cl := newCluster(zoneServers, rng.Split())
 	tp, err := topo.Parse(zoneTopo, zoneServers)
 	if err != nil {
 		return nil, "", err

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/entry"
@@ -18,7 +17,7 @@ import (
 	"repro/internal/wire"
 )
 
-// kindLog records the kind of every peer call the nodes of a socket
+// kindLog records the kind of every peer call the nodes of a wired
 // cluster make. A node never calls itself through its peer caller, so
 // every call logged crossed a socket.
 type kindLog struct {
@@ -46,34 +45,6 @@ func (c kindLogger) Call(ctx context.Context, server int, msg wire.Message) (wir
 	return c.Caller.Call(ctx, server, msg)
 }
 
-// socketCluster is n nodes behind loopback TCP servers whose peer calls
-// are logged, and a client of all of them.
-func socketCluster(t *testing.T, n int) ([]*node.Node, *transport.Client, *kindLog) {
-	t.Helper()
-	nodes := make([]*node.Node, n)
-	addrs := make([]string, n)
-	for i := range nodes {
-		nodes[i] = node.New(i, stats.NewRNG(uint64(i)+1))
-		srv := transport.NewServer(nodes[i])
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("Listen %d: %v", i, err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		addrs[i] = addr
-	}
-	dial := func() *transport.Client {
-		c := transport.NewClient(addrs, transport.WithTimeout(10*time.Second))
-		t.Cleanup(func() { c.Close() })
-		return c
-	}
-	log := &kindLog{}
-	for _, nd := range nodes {
-		nd.Attach(kindLogger{Caller: dial(), log: log})
-	}
-	return nodes, dial(), log
-}
-
 // TestUpdatesStartAtAHome counts the round trip that starting a Hash-y
 // update at a home of its entry saves. Over real sockets a Hash-2 add or
 // delete sent through strategy.Driver reaches a home first, which stores
@@ -88,13 +59,21 @@ func TestUpdatesStartAtAHome(t *testing.T) {
 		const n = 4
 		cfg := wire.Config{Scheme: wire.Hash, Y: 2, Seed: 7}
 		for _, warm := range []bool{false, true} {
-			nodes, client, log := socketCluster(t, n)
+			cl, err := cluster.NewWired(n, stats.NewRNG(1), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			log := &kindLog{}
+			for i := 0; i < n; i++ {
+				cl.Node(i).Attach(kindLogger{Caller: cl.Chaos().Origin(i), log: log})
+			}
 			drv := strategy.MustNew(cfg, stats.NewRNG(3))
-			caller := transport.Caller(client)
+			caller := cl.Caller()
 			if warm {
 				sel := selector.New(n, selector.Options{})
 				drv.SetSelector(sel)
-				caller = selector.Observe(client, sel)
+				caller = selector.Observe(caller, sel)
 			}
 			ctx := context.Background()
 			if err := drv.Place(ctx, caller, "k", []string{"a", "b", "c"}); err != nil {
@@ -121,8 +100,8 @@ func TestUpdatesStartAtAHome(t *testing.T) {
 					if got := log.take(); !slices.Equal(got, want) {
 						t.Fatalf("selector %v: %s of %s (homes %v) made peer calls of kinds %v, want %v", warm, op.name, v, homes, got, want)
 					}
-					for s, nd := range nodes {
-						if got, want := nd.LocalSet("k").Contains(v), op.name == "add" && slices.Contains(homes, s); got != want {
+					for s := 0; s < n; s++ {
+						if got, want := cl.Node(s).LocalSet("k").Contains(v), op.name == "add" && slices.Contains(homes, s); got != want {
 							t.Fatalf("selector %v: after %s of %s server %d holds it: %v, want %v", warm, op.name, v, s, got, want)
 						}
 					}
