@@ -745,3 +745,58 @@ func TestFrameRoundTrip(t *testing.T) {
 		buf[i] ^= 1
 	}
 }
+
+// walCommitPer is how many logged updates each BenchmarkWALCommit
+// writer applies and awaits per iteration.
+const walCommitPer = 100
+
+// BenchmarkWALCommit measures group commit on the disk under
+// b.TempDir(): writers goroutines each apply and await walCommitPer
+// logged updates on their own keys, the way a durable node's handlers
+// do (Update logs, WaitDurable acks). records/fsync is how many records
+// one fsync covered; on a real disk 8 writers should reach 3 or more.
+// The benchmark reports the figure and does not gate on it.
+func BenchmarkWALCommit(b *testing.B) {
+	for _, writers := range []int{1, 8} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			m := telemetry.NewWALMetrics(telemetry.NewRegistry())
+			w, err := OpenWAL(b.TempDir(), Stripes(), SyncBatch, m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := w.Start(); err != nil {
+				b.Fatal(err)
+			}
+			defer w.Close()
+			s := New()
+			s.AttachWAL(w)
+			keys := make([]*KeyState, writers*walCommitPer)
+			for i := range keys {
+				keys[i] = s.GetOrCreate(fmt.Sprintf("key-%d", i), wire.Config{Scheme: wire.FullReplication})
+			}
+			records, fsyncs := m.Records.Value(), m.Fsyncs.Value()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for g := 0; g < writers; g++ {
+					wg.Add(1)
+					go func(mine []*KeyState) {
+						defer wg.Done()
+						for _, ks := range mine {
+							ks.Update(func(st *State) { st.Log(wire.WalStore{Key: st.Key, Entry: "v"}) })
+							if err := ks.WaitDurable(); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}(keys[g*walCommitPer : (g+1)*walCommitPer])
+				}
+				wg.Wait()
+			}
+			b.StopTimer()
+			records, fsyncs = m.Records.Value()-records, m.Fsyncs.Value()-fsyncs
+			b.ReportMetric(float64(records)/float64(fsyncs), "records/fsync")
+			b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
+		})
+	}
+}
