@@ -156,9 +156,9 @@ func checkGolden(t *testing.T, name, got string) {
 
 // wireClusters has the experiments build wired clusters until t and
 // its subtests end, durable ones with a data directory each. A durable
-// node holds a file per WAL stripe it has written, so the durable arm
-// runs one experiment at a time and closes each cluster when that
-// builds the next; volatile ones are closed at the end.
+// node holds its log's segment open, so the durable arm runs one
+// experiment at a time and closes each cluster when that builds the
+// next; volatile ones are closed at the end.
 func wireClusters(t *testing.T, durable bool) {
 	root := ""
 	if durable {

@@ -12,8 +12,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Durability wires a node's store to on-disk state: a striped WAL for
-// every acknowledged mutation plus periodic compacting snapshots.
+// Durability wires a node's store to on-disk state: one WAL for every
+// acknowledged mutation plus periodic compacting snapshots.
 // Open it with OpenDurability before the node serves traffic.
 //
 // Recovery invariant: WAL records describe mutation outcomes (see
@@ -73,7 +73,9 @@ func (n *Node) OpenDurability(dataDir string, policy store.SyncPolicy, snapInter
 	}
 	d.stats.SnapshotGen = gen
 	d.stats.SnapshotKeys = len(keys)
+	var lsn uint64 // the newest sequence the snapshot holds
 	for _, sk := range keys {
+		lsn = max(lsn, sk.LSN)
 		st, err := stateFromSnapKey(sk)
 		if err != nil {
 			return nil, fmt.Errorf("node: snapshot gen %d: %w", gen, err)
@@ -84,13 +86,14 @@ func (n *Node) OpenDurability(dataDir string, policy store.SyncPolicy, snapInter
 	}
 
 	// 2. WAL tail. The store has no WAL attached yet, so replayed
-	// mutations are not re-logged.
-	wal, err := store.OpenWAL(dataDir, store.Stripes(), policy, metrics)
+	// mutations are not re-logged. New records number past the
+	// snapshot's even when the segments it covered are gone.
+	wal, err := store.OpenWAL(dataDir, 1, policy, metrics)
 	if err != nil {
 		return nil, err
 	}
 	d.wal = wal
-	d.stats.WAL, err = wal.Replay(func(stripe int, seq uint64, msg wire.Message) error {
+	d.stats.WAL, err = wal.Replay(lsn, func(seq uint64, msg wire.Message) error {
 		applied, err := n.applyWALRecord(seq, msg)
 		if err != nil {
 			return err
@@ -150,7 +153,7 @@ func (d *Durability) snapshotLoop(interval time.Duration) {
 // segments cover everything below the snapshot's view, persist every
 // key's state, then prune sealed segments and stale generations.
 // Concurrent mutations during the write are safe — they land in the
-// active segments with sequences above the per-key cutoffs, so replay
+// active segment with sequences above the per-key cutoffs, so replay
 // applies them on top of the snapshot.
 func (d *Durability) SnapshotNow() error {
 	d.mu.Lock()

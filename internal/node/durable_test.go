@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/stats"
@@ -234,6 +235,27 @@ func TestRecoveryGracefulCloseLeavesNoTail(t *testing.T) {
 			t.Errorf("node %d loaded no snapshot keys", i)
 		}
 	}
+	rc.rerunThenCrash(11, dirs, "k", cfg)
+}
+
+// rerunThenCrash drives the workload on key once more, abandons the
+// cluster as a crash would, and checks that a restart recovers every
+// node's state. After a restart whose log held no record, new records
+// must still number past the snapshot's cutoffs, or replay would skip
+// them as already covered.
+func (dc *durCluster) rerunThenCrash(seed uint64, dirs []string, key string, cfg wire.Config) {
+	dc.t.Helper()
+	dc.runWorkload(key, cfg)
+	want := make([]map[string]wire.SnapKey, len(dc.nodes))
+	for i, nd := range dc.nodes {
+		want[i] = captureState(nd)
+	}
+	rc := newDurCluster(dc.t, len(dc.nodes), seed, dirs, store.SyncBatch)
+	for i, nd := range rc.nodes {
+		if got := captureState(nd); !reflect.DeepEqual(got, want[i]) {
+			dc.t.Errorf("node %d lost writes acked after a restart:\n got %#v\nwant %#v", i, got, want[i])
+		}
+	}
 }
 
 // TestRecoverySnapshotWithoutWAL: a data dir holding only a snapshot
@@ -264,6 +286,7 @@ func TestRecoverySnapshotWithoutWAL(t *testing.T) {
 			t.Errorf("node %d state diverged recovering from snapshot alone", i)
 		}
 	}
+	rc.rerunThenCrash(13, dirs, "k", cfg)
 }
 
 // TestDurableMatchesVolatile pins the no-perturbation property: a
@@ -315,8 +338,8 @@ func TestSnapshotPrunesSegments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(segs) != store.Stripes() {
-			t.Errorf("node %d has %d segments after snapshots, want %d (active only)", i, len(segs), store.Stripes())
+		if len(segs) != 1 {
+			t.Errorf("node %d has %d segments after snapshots, want 1 (the active one)", i, len(segs))
 		}
 		snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
 		if err != nil {
@@ -350,5 +373,56 @@ func TestDurableNodeOwnsNoGoroutine(t *testing.T) {
 	}
 	if got := runtime.NumGoroutine(); got > before {
 		t.Errorf("%d goroutines after Close, %d before", got, before)
+	}
+}
+
+// TestDurableNodeKeepsOneLog: a node's log is one segment set, so after
+// OpenDurability and a write wal/ holds exactly the active segment.
+func TestDurableNodeKeepsOneLog(t *testing.T) {
+	dir := t.TempDir()
+	nd := New(0, stats.NewRNG(1))
+	d, err := nd.OpenDurability(dir, store.SyncBatch, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if reply := nd.Handle(context.Background(), wire.StoreOne{Key: "k", Config: wire.Config{Scheme: wire.Hash, Y: 1}, Entry: "v"}); reply != (wire.Ack{}) {
+		t.Fatalf("durable StoreOne: %+v", reply)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 1 {
+		t.Fatalf("wal/ holds %v, want one active segment", segs)
+	}
+}
+
+// TestOpenDurabilityRefusesOldLog: a data dir holding the segment sets
+// an earlier version wrote, one per lock shard (wal/s<NN>-*.wal), is
+// refused with an error naming one of them, before any record of the
+// directory is replayed.
+func TestOpenDurabilityRefusesOldLog(t *testing.T) {
+	dir := t.TempDir()
+	nd := New(0, stats.NewRNG(1))
+	if _, err := nd.OpenDurability(dir, store.SyncBatch, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if reply := nd.Handle(context.Background(), wire.StoreOne{Key: "k", Config: wire.Config{Scheme: wire.Hash, Y: 1}, Entry: "v"}); reply != (wire.Ack{}) {
+		t.Fatalf("durable StoreOne: %+v", reply)
+	}
+	// Crash, leaving the record in the log alone, beside an old segment:
+	// magic, shard 7, first sequence 1, no record.
+	old := filepath.Join(dir, "wal", "s07-00000000000000000001.wal")
+	hdr := append([]byte("plswal01"), 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 1)
+	if err := os.WriteFile(old, hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rn := New(0, stats.NewRNG(1))
+	if _, err := rn.OpenDurability(dir, store.SyncBatch, 0, nil); err == nil || !strings.Contains(err.Error(), old) {
+		t.Fatalf("OpenDurability over an old log: %v, want an error naming %s", err, old)
+	}
+	if rn.store.Keys() != 0 {
+		t.Fatalf("the refused open replayed %d keys", rn.store.Keys())
 	}
 }

@@ -184,22 +184,15 @@ func (lc *loopCluster) dumpState(dirs []string) string {
 		if err := lc.durs[i].WAL().Close(); err != nil {
 			lc.t.Fatalf("close WAL %d: %v", i, err)
 		}
-		wal, err := store.OpenWAL(dirs[i], store.Stripes(), store.SyncAlways, nil)
+		wal, err := store.OpenWAL(dirs[i], 1, store.SyncAlways, nil)
 		if err != nil {
 			lc.t.Fatalf("reopen WAL %d: %v", i, err)
 		}
-		records := make(map[uint64]string)
-		if _, err := wal.Replay(func(stripe int, seq uint64, msg wire.Message) error {
-			records[seq] = fmt.Sprintf("node %d wal seq %d stripe %d %T%+v\n", i, seq, stripe, msg, msg)
+		if _, err := wal.Replay(0, func(seq uint64, msg wire.Message) error {
+			fmt.Fprintf(&b, "node %d wal seq %d %T%+v\n", i, seq, msg, msg)
 			return nil
 		}); err != nil {
 			lc.t.Fatalf("replay WAL %d: %v", i, err)
-		}
-		// Replay walks the stripes in no fixed order; sequence numbers are
-		// global to a node's log.
-		for seq := uint64(1); len(records) > 0; seq++ {
-			b.WriteString(records[seq])
-			delete(records, seq)
 		}
 	}
 	return b.String()

@@ -9,7 +9,7 @@
 //
 //   - Node (this file) is the transport-facing shell: message dispatch,
 //     peer calls, and telemetry. It owns no key state.
-//   - internal/store owns all per-key state, sharded under striped
+//   - internal/store owns all per-key state, sharded under per-shard
 //     locks with copy-on-write snapshots, so traffic on different keys
 //     never serializes and partial_lookup reads never block writers.
 //   - One executor per placement rule (exec_*.go; Hash-y and

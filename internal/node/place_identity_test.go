@@ -89,7 +89,7 @@ func (lc *loopCluster) dumpPlaced(dirs []string) string {
 		if err := lc.durs[i].WAL().Close(); err != nil {
 			lc.t.Fatalf("close WAL %d: %v", i, err)
 		}
-		wal, err := store.OpenWAL(dirs[i], store.Stripes(), store.SyncAlways, nil)
+		wal, err := store.OpenWAL(dirs[i], 1, store.SyncAlways, nil)
 		if err != nil {
 			lc.t.Fatalf("reopen WAL %d: %v", i, err)
 		}
@@ -98,7 +98,7 @@ func (lc *loopCluster) dumpPlaced(dirs []string) string {
 			text string
 		}
 		byKey := make(map[string][]record)
-		if _, err := wal.Replay(func(_ int, seq uint64, msg wire.Message) error {
+		if _, err := wal.Replay(0, func(seq uint64, msg wire.Message) error {
 			key := reflect.ValueOf(msg).FieldByName("Key").String()
 			byKey[key] = append(byKey[key], record{seq, fmt.Sprintf("%T%+v", msg, msg)})
 			return nil

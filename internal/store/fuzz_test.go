@@ -11,11 +11,10 @@ import (
 
 // walSeedSegment builds a well-formed segment image for the fuzz seed
 // corpus: header plus n valid frames.
-func walSeedSegment(stripe int, n int) []byte {
+func walSeedSegment(n int) []byte {
 	buf := make([]byte, walHeaderSize)
 	copy(buf[:8], walMagic)
-	binary.BigEndian.PutUint32(buf[8:12], uint32(stripe))
-	binary.BigEndian.PutUint64(buf[12:20], 1)
+	binary.BigEndian.PutUint64(buf[8:16], 1)
 	for i := 0; i < n; i++ {
 		var rec wire.Message
 		switch i % 4 {
@@ -38,7 +37,7 @@ func walSeedSegment(stripe int, n int) []byte {
 // The seed corpus covers a clean segment, a torn tail, a mid-file
 // corruption, bad magic, and an empty file.
 func FuzzWALReplay(f *testing.F) {
-	clean := walSeedSegment(0, 6)
+	clean := walSeedSegment(6)
 	f.Add(clean)
 	f.Add(clean[:len(clean)-5])                  // torn final frame
 	mid := append([]byte(nil), clean...)         // mid-file corruption
@@ -46,15 +45,15 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(mid)                                   //
 	f.Add([]byte("plswal99 not a real segment")) // wrong magic version
 	f.Add([]byte{})                              // empty file
-	f.Add(walSeedSegment(0, 0))                  // header only
+	f.Add(walSeedSegment(0))                     // header only
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		path := filepath.Join(dir, "s00-00000000000000000001.wal")
+		path := filepath.Join(dir, "00000000000000000001.wal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		valid, invalid, err := replaySegmentFile(path, 0, func(seq uint64, msg wire.Message) error {
+		valid, invalid, err := replaySegmentFile(path, func(seq uint64, msg wire.Message) error {
 			if msg == nil {
 				t.Fatal("replay yielded nil message")
 			}

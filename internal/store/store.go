@@ -1,6 +1,6 @@
 // Package store owns all per-key server state for a lookup node: a
-// sharded, striped-lock key→state map with copy-on-write entry-set
-// snapshots for the read path.
+// sharded key→state map with copy-on-write entry-set snapshots for the
+// read path.
 //
 // The paper's server is a per-key state machine (Secs. 5.2–5.5): no
 // operation ever touches two keys' state. The store exploits exactly
@@ -43,10 +43,10 @@ import (
 	"repro/internal/wire"
 )
 
-// numShards is the stripe width. A fixed power of two keeps the shard
-// index a mask operation; 64 stripes keep the collision probability
-// negligible for any realistic GOMAXPROCS without bloating an idle
-// store (a shard is one mutex and two small maps).
+// numShards is the number of lock shards. A fixed power of two keeps
+// the shard index a mask operation; 64 shards keep the collision
+// probability negligible for any realistic GOMAXPROCS without bloating
+// an idle store (a shard is one mutex and two small maps).
 const numShards = 64
 
 // State is the mutable per-key view passed to Update and View
@@ -106,15 +106,12 @@ type KeyState struct {
 	// it only when it is clear, so the hot read path stays loads.
 	snapRead atomic.Bool
 
-	// Durability plumbing, nil/zero on volatile stores. stripe is the
-	// shard index, which doubles as the WAL stripe so per-key record
-	// order matches append order. lastLSN (under mu) is the global WAL
-	// sequence of the key's most recent logged record; snapshots save
-	// it and replay skips records at or below it. walErr (under mu) is
-	// the first Append failure: the key's state has then moved past the
-	// log, so WaitDurable returns it from there on.
+	// Durability plumbing, nil/zero on volatile stores. lastLSN (under
+	// mu) is the WAL sequence of the key's most recent logged record;
+	// snapshots save it and replay skips records at or below it. walErr
+	// (under mu) is the first Append failure: the key's state has then
+	// moved past the log, so WaitDurable returns it from there on.
 	wal     *WAL
-	stripe  int
 	lastLSN uint64
 	walErr  error
 }
@@ -129,7 +126,7 @@ const maxKeptRecs = 4
 // lock-free), a cheap invalidation otherwise. All mutations — entry-set
 // changes, config adoption, extension-state updates — go through here.
 // Records the callback queued via State.Log are appended to the WAL
-// before the key unlocks, so the log's per-stripe order matches
+// before the key unlocks, so the log's order of a key's records matches
 // application order exactly.
 func (k *KeyState) Update(f func(*State)) {
 	k.mu.Lock()
@@ -138,7 +135,7 @@ func (k *KeyState) Update(f func(*State)) {
 		if k.wal != nil {
 			// WaitDurable surfaces a failed append before any ack, so
 			// neither a failing disk nor a closed log acks writes.
-			if seq, err := k.wal.Append(k.stripe, k.st.recs...); err == nil {
+			if seq, err := k.wal.Append(0, k.st.recs...); err == nil {
 				k.lastLSN = seq
 			} else if k.walErr == nil {
 				k.walErr = err
@@ -201,8 +198,8 @@ func (k *KeyState) SetLSN(lsn uint64) {
 
 // WaitDurable blocks until the key's last logged mutation is durable
 // per the WAL's sync policy (under SyncBatch the caller itself commits
-// the key's stripe if nobody has yet), or returns why a mutation of the
-// key could not be logged. Handlers call it between applying a mutation
+// the log if no commit has covered it yet), or returns why a mutation
+// of the key could not be logged. Handlers call it between applying a mutation
 // and acknowledging it; on a volatile store it returns nil immediately.
 func (k *KeyState) WaitDurable() error {
 	if k.wal == nil {
@@ -214,7 +211,7 @@ func (k *KeyState) WaitDurable() error {
 	if err != nil {
 		return err
 	}
-	return k.wal.WaitDurable(k.stripe, lsn)
+	return k.wal.WaitDurable(0, lsn)
 }
 
 // Snapshot returns an immutable view of the key's entry set, building
@@ -256,7 +253,7 @@ func (k *KeyState) Len() int {
 	return n
 }
 
-// shard holds one stripe's key→state map in two parts. settled is
+// shard holds one lock shard's key→state map in two parts. settled is
 // immutable once published: lookups load it with one atomic operation
 // and index it without locking. young holds the keys created since the
 // last merge, under mu, so creating a key is one map insert. A merge
@@ -350,7 +347,7 @@ func (sh *shard) all() map[string]*KeyState {
 type Store struct {
 	shards [numShards]shard
 	// wal, when set via AttachWAL, makes every key durable: mutations
-	// logged through State.Log are appended to the key's stripe.
+	// logged through State.Log are appended to it.
 	wal *WAL
 	// keyCount tracks the total number of keys across shards, so the
 	// node.keys gauge needs no shard sweep.
@@ -367,10 +364,7 @@ func New() *Store {
 	return s
 }
 
-// shardIndex hashes key to its shard (and WAL stripe). The hash is
-// FNV-1a, chosen over a seeded maphash deliberately: the key→stripe
-// mapping must be identical across process restarts so replay routes
-// records back to the right stripe's keys.
+// shardIndex hashes key to its shard with FNV-1a.
 func shardIndex(key string) int {
 	const (
 		offset64 = 14695981039346656037
@@ -412,8 +406,7 @@ func (s *Store) Get(key string) (*KeyState, bool) {
 // not created here; executors initialize Ext lazily inside their Update
 // callbacks.
 func (s *Store) GetOrCreate(key string, cfg wire.Config) *KeyState {
-	idx := shardIndex(key)
-	sh := &s.shards[idx]
+	sh := s.shardFor(key)
 	ks, ok := sh.loadSettled(key)
 	if !ok {
 		sh.mu.Lock()
@@ -424,9 +417,8 @@ func (s *Store) GetOrCreate(key string, cfg wire.Config) *KeyState {
 			// strings all view one decoded buffer (wire.Decode).
 			key = strings.Clone(key)
 			ks = &KeyState{
-				st:     State{Key: key, Cfg: cfg, Set: entry.NewSet(0), logging: s.wal != nil},
-				wal:    s.wal,
-				stripe: idx,
+				st:  State{Key: key, Cfg: cfg, Set: entry.NewSet(0), logging: s.wal != nil},
+				wal: s.wal,
 			}
 			sh.addLocked(key, ks)
 			s.keyCount.Add(1)
@@ -470,7 +462,6 @@ func (s *Store) AttachWAL(w *WAL) {
 		for _, ks := range *sh.settled.Load() {
 			ks.mu.Lock()
 			ks.wal = w
-			ks.stripe = i
 			ks.st.logging = true
 			ks.mu.Unlock()
 		}
@@ -483,11 +474,10 @@ func (s *Store) AttachWAL(w *WAL) {
 // key already exists — duplicate keys in a snapshot indicate
 // corruption the caller must surface, not merge.
 func (s *Store) Install(key string, st State, lsn uint64) (*KeyState, error) {
-	idx := shardIndex(key)
-	sh := &s.shards[idx]
+	sh := s.shardFor(key)
 	st.Key = key
 	st.logging = s.wal != nil
-	ks := &KeyState{st: st, wal: s.wal, stripe: idx, lastLSN: lsn}
+	ks := &KeyState{st: st, wal: s.wal, lastLSN: lsn}
 	sh.mu.Lock()
 	if _, dup := sh.findLocked(key); dup {
 		sh.mu.Unlock()
@@ -499,9 +489,9 @@ func (s *Store) Install(key string, st State, lsn uint64) (*KeyState, error) {
 	return ks, nil
 }
 
-// Stripes returns the store's stripe count — the WAL must be opened
-// with the same number.
-func Stripes() int { return numShards }
+// Stripes returns 1, all OpenWAL's stripes accepts. It and the stripe
+// parameters of Append and WaitDurable remain only for bench/.
+func Stripes() int { return 1 }
 
 // Keys returns the number of keys the store holds state for.
 func (s *Store) Keys() int { return int(s.keyCount.Load()) }

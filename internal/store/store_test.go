@@ -230,7 +230,7 @@ func TestSnapshotAfterUnreadUpdates(t *testing.T) {
 // must fail the key's durability wait, not ride on the sequence of the
 // key's last logged record.
 func TestUpdateAfterWALCloseIsNotAcked(t *testing.T) {
-	w, err := store.OpenWAL(t.TempDir(), store.Stripes(), store.SyncBatch, nil)
+	w, err := store.OpenWAL(t.TempDir(), 1, store.SyncBatch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

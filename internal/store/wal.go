@@ -7,7 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,45 +19,42 @@ import (
 
 // The write-ahead log. Every acknowledged mutation is appended as a
 // CRC-checked, length-prefixed record before the ack leaves the node,
-// so a crash loses at most unacknowledged work. The log is striped:
-// each store shard appends to its own segment files, so per-key record
-// order matches application order (appends happen under the key lock)
-// while unrelated keys never serialize on the log's in-memory state.
-// The log owns no goroutine: whoever needs a record durable writes and
-// fsyncs its stripe (see SyncBatch).
+// so a crash loses at most unacknowledged work. A node keeps one log:
+// appends frame records into one buffer under a short lock, in
+// sequence order (each key appends under its key lock, so per-key
+// record order matches application order), and commits write and
+// fsync that buffer with the lock released. The log owns no goroutine:
+// whoever needs a record durable commits (see SyncBatch).
 //
 // On-disk layout, under <data-dir>/wal/:
 //
-//	s<stripe>-<firstseq>.wal
+//	<firstseq>.wal
 //
-// Each segment starts with a 20-byte header (8-byte magic "plswal01",
-// 4-byte big-endian stripe id, 8-byte first sequence number) followed
-// by frames:
+// Each segment starts with a 16-byte header (8-byte magic "plswal02",
+// 8-byte big-endian first sequence number) followed by frames:
 //
 //	[4-byte payload length][4-byte CRC32-C][8-byte sequence][payload]
 //
 // The CRC covers the sequence and the payload, so a torn or corrupted
 // record is detected whichever bytes were lost. Payloads are
 // wire-encoded Wal* messages (see internal/wire), sharing the protocol
-// codec's bounds checks and fuzz coverage.
-//
-// Sequence numbers are global across stripes and strictly increasing,
-// which keeps snapshot replay cutoffs comparable even if a key's
-// stripe assignment were ever to change between generations.
+// codec's bounds checks and fuzz coverage. Sequence numbers strictly
+// increase through the segments, which replay reads in order.
 
 // walMagic identifies WAL segment files; the trailing digits version
-// the format.
-const walMagic = "plswal01"
+// the format (earlier versions wrote "plswal01" segments, a set per
+// lock shard).
+const walMagic = "plswal02"
 
 // snapMagic identifies snapshot files (see snapshot.go).
 const snapMagic = "plssnp01"
 
 const (
 	walDirName      = "wal"
-	walHeaderSize   = 8 + 4 + 8
+	walHeaderSize   = 8 + 8
 	walFrameHeader  = 4 + 4 + 8
 	walMaxRecordLen = wire.MaxPayload
-	// maxRetainedBuf bounds the stripe buffer kept across commits (the
+	// maxRetainedBuf bounds the append buffer kept across commits (the
 	// transport's retention cap): one oversized batch is not pinned.
 	maxRetainedBuf = 64 << 10
 )
@@ -74,16 +71,19 @@ type SyncPolicy uint8
 
 const (
 	// SyncBatch is group commit by the waiters themselves: Append
-	// frames records into the stripe's buffer, and the first WaitDurable
-	// caller that finds its record not yet durable writes and fsyncs
-	// the whole buffer; every record that accumulated behind it shares
-	// that fsync, and their waiters return without I/O. Durable against
-	// OS crash and power loss, with at most SyncAlways's fsync count.
+	// frames records into the log's buffer, and a WaitDurable caller
+	// that finds its record not yet durable writes and fsyncs the whole
+	// buffer; every record that accumulated behind it shares that
+	// fsync, and their waiters return without I/O. Records appended
+	// while a commit runs wait for the next one. Durable against OS
+	// crash and power loss, with at most SyncAlways's fsync count.
 	SyncBatch SyncPolicy = iota
-	// SyncAlways fsyncs inline on every append.
+	// SyncAlways commits before Append returns, through the same path
+	// (appends that arrive together share an fsync).
 	SyncAlways
-	// SyncNever writes records to the OS on every append but never
-	// fsyncs: durable against process crash (kill -9) but not OS crash.
+	// SyncNever writes records to the OS before Append returns but
+	// fsyncs only at rotation and Close: durable against process crash
+	// (kill -9) but not OS crash.
 	SyncNever
 )
 
@@ -115,40 +115,50 @@ func (p SyncPolicy) String() string {
 	}
 }
 
-// WAL is a striped write-ahead log rooted at a data directory. Open it
+// WAL is a node's write-ahead log, rooted at a data directory. Open it
 // with OpenWAL, recover existing records with Replay, then Start it for
 // appending. All methods are safe for concurrent use once started.
 //
 // Under SyncBatch a record nobody waits for becomes durable at the next
-// commit of its stripe, at rotation (every snapshot) or at Close; a
-// record whose WaitDurable returned nil is durable, always.
+// commit, at rotation (every snapshot) or at Close; a record whose
+// WaitDurable returned nil is durable, always.
 type WAL struct {
 	dir     string // the wal/ subdirectory
 	policy  SyncPolicy
 	metrics *telemetry.WALMetrics
-	stripes []*walStripe
-	seq     atomic.Uint64         // last assigned global sequence; 0 = none
+	seq     atomic.Uint64         // last assigned sequence; 0 = none
+	durable atomic.Uint64         // last sequence a successful commit covered
 	sticky  atomic.Pointer[error] // first write/sync failure; poisons the log
+
+	// The commit token (committing, below) admits one commit at a
+	// time; Start, Rotate and Close take it too, so none of them swaps
+	// the file under a commit. Its holder owns these fields.
+	f     *os.File // active segment; nil before Start and after Close
+	path  string
+	first uint64 // first sequence the active segment may hold
+	spare []byte // the buffer the last commit wrote, empty, for the next swap
+	// commitHook, when set (tests only), runs inside each commit after
+	// it took the buffer and before it writes.
+	commitHook func()
+
+	// mu guards the fields below; nobody holds it across I/O.
+	mu sync.Mutex
+	// released is broadcast whenever the token is given back, so every
+	// waiter a commit covered returns at once, and one of the others
+	// takes the token for the next commit.
+	released   sync.Cond
+	committing bool   // the commit token is taken
+	open       bool   // between Start and Close: Append accepts records
+	buf        []byte // frames no commit has taken yet, in sequence order
 }
 
-type walStripe struct {
-	id int
-
-	mu      sync.Mutex
-	f       *os.File // active segment; nil before Start and after Close
-	path    string
-	wrote   bool   // any record appended to the active segment
-	buf     []byte // frames not yet written to f
-	pending uint64 // last sequence appended
-	synced  uint64 // last sequence written and fsynced
-}
-
-// OpenWAL prepares a WAL under dir with the given stripe count and
-// policy. No segment files are opened yet: call Replay to recover
-// what's on disk, then Start to begin appending. metrics may be nil.
+// OpenWAL prepares a WAL under dir with the given policy. No segment
+// file is opened yet: call Replay to recover what's on disk, then Start
+// to begin appending. stripes must be 1, what Stripes returns; it
+// remains only for the benchmark harness. metrics may be nil.
 func OpenWAL(dir string, stripes int, policy SyncPolicy, metrics *telemetry.WALMetrics) (*WAL, error) {
-	if stripes <= 0 {
-		return nil, fmt.Errorf("store: OpenWAL with %d stripes", stripes)
+	if stripes != Stripes() {
+		return nil, fmt.Errorf("store: OpenWAL with %d stripes (the log is one per node: pass 1)", stripes)
 	}
 	if metrics == nil {
 		metrics = &telemetry.WALMetrics{}
@@ -157,86 +167,70 @@ func OpenWAL(dir string, stripes int, policy SyncPolicy, metrics *telemetry.WALM
 	if err := os.MkdirAll(wdir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create WAL dir: %w", err)
 	}
-	w := &WAL{
-		dir:     wdir,
-		policy:  policy,
-		metrics: metrics,
-		stripes: make([]*walStripe, stripes),
-	}
-	for i := range w.stripes {
-		w.stripes[i] = &walStripe{id: i}
-	}
+	w := &WAL{dir: wdir, policy: policy, metrics: metrics}
+	w.released.L = &w.mu
 	return w, nil
 }
-
-// Policy returns the log's sync policy.
-func (w *WAL) Policy() SyncPolicy { return w.policy }
-
-// LastSeq returns the last assigned global sequence number (0 before
-// any record, including replayed ones).
-func (w *WAL) LastSeq() uint64 { return w.seq.Load() }
 
 // ReplayStats reports what a Replay pass found on disk.
 type ReplayStats struct {
 	// Segments and Records are the valid segment files and records read.
 	Segments int
 	Records  int
-	// TruncatedBytes counts bytes dropped from segment tails because a
-	// record was torn (partially written) or failed its CRC. Everything
-	// after the first bad frame of a stripe is dropped: a record is only
-	// acknowledged once durable, so a torn tail is unacknowledged work.
+	// TruncatedBytes counts the bytes dropped from the first bad frame
+	// on — a record that was torn (partially written) or failed its CRC
+	// — to the end of the log, later segments included: a record is
+	// only acknowledged once durable, so a torn tail is unacknowledged
+	// work, and replaying past a gap would build state that misses
+	// mutations.
 	TruncatedBytes int64
 	// TruncatedSegments counts files physically truncated to their valid
-	// prefix.
+	// prefix, or removed because they followed the bad frame.
 	TruncatedSegments int
 }
 
-// Replay reads every segment on disk in sequence order and calls fn for
-// each record. A torn or CRC-failed final record is truncated away; a
-// corrupt record earlier in a stripe stops that stripe's replay there
-// (later records of the stripe are dropped and counted). Replay must
-// run before Start.
-func (w *WAL) Replay(fn func(stripe int, seq uint64, msg wire.Message) error) (ReplayStats, error) {
+// Replay reads the log in one ordered pass and calls fn for each
+// record. The first torn or CRC-failed record ends the log: its segment
+// is truncated before it and later segments are removed. Sequence
+// numbering resumes past the highest of floor and every replayed
+// record; the caller passes as floor the newest sequence it already
+// holds state for (a snapshot's), since pruned segments no longer say.
+// Replay must run before Start.
+func (w *WAL) Replay(floor uint64, fn func(seq uint64, msg wire.Message) error) (ReplayStats, error) {
 	var stats ReplayStats
 	segs, err := w.listSegments()
 	if err != nil {
 		return stats, err
 	}
-	maxSeq := w.seq.Load()
-	for stripe, files := range segs {
-		stripeOK := true
-		for _, path := range files {
-			if !stripeOK {
-				// A corrupt segment invalidates everything after it in
-				// this stripe: count and drop the remainder.
-				fi, statErr := os.Stat(path)
-				if statErr == nil {
-					stats.TruncatedBytes += fi.Size()
-				}
-				continue
-			}
-			valid, n, segErr := replaySegmentFile(path, stripe, func(seq uint64, msg wire.Message) error {
-				if seq > maxSeq {
-					maxSeq = seq
-				}
-				stats.Records++
-				return fn(stripe, seq, msg)
-			})
-			if segErr != nil {
-				return stats, segErr
-			}
-			stats.Segments++
-			if n > 0 {
-				// Invalid suffix: truncate the file to its valid prefix
-				// so future replays see a clean log, and stop the stripe.
-				stats.TruncatedBytes += n
-				stats.TruncatedSegments++
-				if err := os.Truncate(path, valid); err != nil {
-					return stats, fmt.Errorf("store: truncate torn WAL %s: %w", path, err)
-				}
-				stripeOK = false
-			}
+	maxSeq := max(w.seq.Load(), floor)
+	for i, path := range segs {
+		valid, bad, err := replaySegmentFile(path, func(seq uint64, msg wire.Message) error {
+			maxSeq = max(maxSeq, seq)
+			stats.Records++
+			return fn(seq, msg)
+		})
+		if err != nil {
+			return stats, err
 		}
+		stats.Segments++
+		if bad == 0 {
+			continue
+		}
+		stats.TruncatedBytes += bad
+		stats.TruncatedSegments++
+		if err := os.Truncate(path, valid); err != nil {
+			return stats, fmt.Errorf("store: truncate torn WAL %s: %w", path, err)
+		}
+		for _, later := range segs[i+1:] {
+			if fi, err := os.Stat(later); err == nil {
+				stats.TruncatedBytes += fi.Size()
+			}
+			if err := os.Remove(later); err != nil {
+				return stats, fmt.Errorf("store: drop WAL segment past a bad record: %w", err)
+			}
+			stats.TruncatedSegments++
+		}
+		break
 	}
 	w.seq.Store(maxSeq)
 	return stats, nil
@@ -247,16 +241,13 @@ func (w *WAL) Replay(fn func(stripe int, seq uint64, msg wire.Message) error) (R
 // bytes are invalid (0 when the whole file parses). An unreadable or
 // header-less file is reported as an error; malformed frames are data
 // loss, not I/O errors, and are reported via the invalid-suffix length.
-func replaySegmentFile(path string, stripe int, fn func(seq uint64, msg wire.Message) error) (validEnd int64, invalid int64, err error) {
+func replaySegmentFile(path string, fn func(seq uint64, msg wire.Message) error) (validEnd int64, invalid int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("store: read WAL segment: %w", err)
 	}
 	if len(data) < walHeaderSize || string(data[:8]) != walMagic {
 		return 0, 0, fmt.Errorf("store: %s: not a WAL segment", path)
-	}
-	if got := int(binary.BigEndian.Uint32(data[8:12])); got != stripe {
-		return 0, 0, fmt.Errorf("store: %s: header stripe %d does not match filename stripe %d", path, got, stripe)
 	}
 	off := int64(walHeaderSize)
 	rest := data[walHeaderSize:]
@@ -313,55 +304,49 @@ func appendFrame(buf []byte, seq uint64, msg wire.Message) []byte {
 	return buf
 }
 
-// listSegments returns each stripe's segment files sorted by first
-// sequence number.
-func (w *WAL) listSegments() (map[int][]string, error) {
+// listSegments returns the segment files sorted by first sequence:
+// ReadDir sorts by name, and the names are fixed-width numbers. Any
+// other *.wal file — above all the s<NN>-<firstseq>.wal segments
+// earlier versions wrote, a set per lock shard — is refused before
+// anything is replayed: docs/OPERATIONS.md says how to upgrade.
+func (w *WAL) listSegments() ([]string, error) {
 	ents, err := os.ReadDir(w.dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: list WAL dir: %w", err)
 	}
-	type seg struct {
-		first uint64
-		path  string
-	}
-	byStripe := make(map[int][]seg)
+	var segs []string
 	for _, e := range ents {
-		name := e.Name()
-		var stripe int
-		var first uint64
-		if _, err := fmt.Sscanf(name, "s%d-%d.wal", &stripe, &first); err != nil || !strings.HasSuffix(name, ".wal") {
+		base, ok := strings.CutSuffix(e.Name(), ".wal")
+		if !ok {
 			continue
 		}
-		byStripe[stripe] = append(byStripe[stripe], seg{first, filepath.Join(w.dir, name)})
-	}
-	out := make(map[int][]string, len(byStripe))
-	for stripe, segs := range byStripe {
-		sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
-		paths := make([]string, len(segs))
-		for i, s := range segs {
-			paths[i] = s.path
+		path := filepath.Join(w.dir, e.Name())
+		if _, err := strconv.ParseUint(base, 10, 64); err != nil || len(base) != 20 {
+			return nil, fmt.Errorf("store: %s is not a segment of this WAL format (an older version's log must be retired first: see docs/OPERATIONS.md)", path)
 		}
-		out[stripe] = paths
+		segs = append(segs, path)
 	}
-	return out, nil
+	return segs, nil
 }
 
-// Start opens a fresh active segment per stripe (starting after the
-// highest replayed sequence). Appends are accepted once Start returns.
+// Start opens a fresh active segment after the highest replayed
+// sequence. Appends are accepted once Start returns.
 func (w *WAL) Start() error {
-	for _, s := range w.stripes {
-		if err := w.openSegment(s); err != nil {
-			return err
-		}
+	w.takeToken(0)
+	defer w.releaseToken()
+	if err := w.openSegment(w.seq.Load() + 1); err != nil {
+		return err
 	}
+	w.mu.Lock()
+	w.open = true
+	w.mu.Unlock()
 	return syncDir(w.dir)
 }
 
-// openSegment creates and headers a new active segment for s. Callers
-// hold no stripe lock (Start) or the stripe lock (rotate).
-func (w *WAL) openSegment(s *walStripe) error {
-	first := w.seq.Load() + 1
-	path := filepath.Join(w.dir, fmt.Sprintf("s%02d-%020d.wal", s.id, first))
+// openSegment creates and headers the active segment whose records
+// start at first. Callers hold the commit token.
+func (w *WAL) openSegment(first uint64) error {
+	path := filepath.Join(w.dir, fmt.Sprintf("%020d.wal", first))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if os.IsExist(err) {
 		// A crash between rotation and the first append leaves a
@@ -378,8 +363,7 @@ func (w *WAL) openSegment(s *walStripe) error {
 	}
 	var hdr [walHeaderSize]byte
 	copy(hdr[:8], walMagic)
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(s.id))
-	binary.BigEndian.PutUint64(hdr[12:20], first)
+	binary.BigEndian.PutUint64(hdr[8:16], first)
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
 		return fmt.Errorf("store: write WAL header: %w", err)
@@ -390,70 +374,95 @@ func (w *WAL) openSegment(s *walStripe) error {
 			return fmt.Errorf("store: sync WAL header: %w", err)
 		}
 	}
-	s.f = f
-	s.path = path
+	w.f, w.path, w.first = f, path, first
 	return nil
 }
 
-// Append logs recs for a stripe and returns the global sequence of the
-// last record. Under SyncAlways the records are durable when Append
-// returns; under SyncBatch they sit framed in the stripe's buffer and
-// callers pass the sequence to WaitDurable before acknowledging; under
-// SyncNever the records are in the OS page cache. Record order within a
-// stripe follows Append order.
+// Append logs recs and returns the sequence of the last one. It holds
+// only the buffer lock, never across I/O, unless the policy makes it
+// commit: under SyncAlways the records are durable when Append
+// returns, under SyncNever they are in the OS page cache, and under
+// SyncBatch they sit framed in the buffer and callers pass the sequence
+// to WaitDurable before acknowledging. Record order in the log follows
+// Append order. The stripe argument is ignored; it remains for the
+// benchmark harness, as Stripes does.
 func (w *WAL) Append(stripe int, recs ...wire.Message) (uint64, error) {
 	if len(recs) == 0 {
 		return 0, nil
 	}
-	s := w.stripes[stripe]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
+	w.mu.Lock()
+	if !w.open {
+		w.mu.Unlock()
 		return 0, ErrWALClosed
 	}
-	start := len(s.buf)
+	start := len(w.buf)
+	var seq uint64
 	for _, rec := range recs {
-		s.pending = w.seq.Add(1)
-		s.buf = appendFrame(s.buf, s.pending, rec)
+		seq = w.seq.Add(1)
+		w.buf = appendFrame(w.buf, seq, rec)
 	}
+	payload := len(w.buf) - start - len(recs)*walFrameHeader
+	w.mu.Unlock()
 	w.metrics.Records.Add(int64(len(recs)))
-	w.metrics.Bytes.Add(int64(len(s.buf) - start - len(recs)*walFrameHeader))
-	s.wrote = true
-	switch w.policy {
-	case SyncBatch:
-		return s.pending, nil
-	case SyncAlways:
-		return s.pending, w.flushStripeLocked(s)
-	default: // SyncNever
-		return s.pending, w.writeStripeLocked(s)
+	w.metrics.Bytes.Add(int64(payload))
+	if w.policy == SyncBatch {
+		return seq, nil
 	}
+	return seq, w.commitTo(seq)
 }
 
-// WaitDurable blocks until the record with the given sequence on the
-// given stripe is durable per the sync policy, returning any sticky
-// write error. Under SyncBatch the caller commits: if no earlier
-// caller's commit covered seq, it writes and fsyncs everything the
-// stripe has buffered. Under SyncAlways and SyncNever Append already
-// satisfied the policy, so this only surfaces errors.
+// WaitDurable blocks until the record with the given sequence is
+// durable per the sync policy, returning any sticky write error. Under
+// SyncBatch the caller commits: if no earlier commit covered seq, it
+// waits out the commit in flight, if any, and then writes and fsyncs
+// everything buffered. Under SyncAlways and SyncNever Append already
+// satisfied the policy, so this only surfaces errors. The stripe
+// argument is ignored, as Append's is.
 func (w *WAL) WaitDurable(stripe int, seq uint64) error {
 	if seq == 0 || w.policy != SyncBatch {
 		return w.Err()
 	}
-	s := w.stripes[stripe]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Checked under the stripe lock: a commit that failed to cover seq
-	// poisoned the log before it released the stripe.
-	if err := w.Err(); err != nil {
+	return w.commitTo(seq)
+}
+
+// commitTo returns once a commit covered seq, running one itself if
+// none has. A covered record costs two atomic loads and no I/O.
+func (w *WAL) commitTo(seq uint64) error {
+	if err := w.Err(); err != nil || w.durable.Load() >= seq {
 		return err
 	}
-	if s.synced >= seq {
-		return nil
+	if !w.takeToken(seq) {
+		return w.Err()
 	}
-	if s.f == nil {
-		return ErrWALClosed
+	defer w.releaseToken()
+	_, err := w.commitLocked(w.policy != SyncNever)
+	return err
+}
+
+// takeToken waits until no commit is under way and takes the commit
+// token. Waiting to commit record seq (seq > 0), it gives up instead,
+// returning false, once the commit under way covered seq or failed and
+// poisoned the log.
+func (w *WAL) takeToken(seq uint64) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	settled := func() bool { return seq > 0 && (w.durable.Load() >= seq || w.Err() != nil) }
+	for w.committing && !settled() {
+		w.released.Wait()
 	}
-	return w.flushStripeLocked(s)
+	if settled() {
+		return false
+	}
+	w.committing = true
+	return true
+}
+
+// releaseToken gives the commit token back and wakes every waiter.
+func (w *WAL) releaseToken() {
+	w.mu.Lock()
+	w.committing = false
+	w.released.Broadcast()
+	w.mu.Unlock()
 }
 
 // poison records the first write failure; later WaitDurable calls
@@ -470,123 +479,104 @@ func (w *WAL) Err() error {
 	return nil
 }
 
-// writeStripeLocked hands the stripe's buffered frames to the OS. The
-// buffer is emptied whatever the outcome (a failed write poisons the
-// log, so its records can never be acked) and kept for the next commit
-// unless one large batch grew it. Callers hold s.mu, which keeps
-// rotation from closing the file under the write.
-func (w *WAL) writeStripeLocked(s *walStripe) error {
-	if len(s.buf) == 0 {
-		return nil
+// commitLocked takes every buffered frame, swapping in the spare
+// buffer, then writes them to the active segment and fsyncs it if
+// fsync is set, with the buffer lock released so appends go on
+// meanwhile. It returns the last sequence it covered. A failed write or
+// fsync poisons the log, so none of the taken records can be acked.
+// Callers hold the commit token.
+func (w *WAL) commitLocked(fsync bool) (uint64, error) {
+	if w.f == nil {
+		return 0, ErrWALClosed
 	}
-	_, err := s.f.Write(s.buf)
-	s.buf = s.buf[:0]
-	if cap(s.buf) > maxRetainedBuf {
-		s.buf = nil
+	w.mu.Lock()
+	buf, upto := w.buf, w.seq.Load()
+	w.buf, w.spare = w.spare, nil
+	w.mu.Unlock()
+	if w.commitHook != nil {
+		w.commitHook()
+	}
+	_, err := w.f.Write(buf)
+	if cap(buf) <= maxRetainedBuf {
+		w.spare = buf[:0]
+	}
+	if t0 := time.Now(); err == nil && fsync {
+		if err = w.f.Sync(); err == nil {
+			w.metrics.Fsyncs.Inc()
+			w.metrics.FsyncLatency.ObserveDuration(time.Since(t0))
+		}
 	}
 	if err != nil {
 		w.poison(err)
+		return upto, err
 	}
-	return err
+	w.durable.Store(upto)
+	return upto, nil
 }
 
-// flushStripeLocked commits the stripe: it writes any buffered frames
-// and fsyncs the active segment. Callers hold s.mu and have checked
-// that the stripe is open.
-func (w *WAL) flushStripeLocked(s *walStripe) error {
-	if err := w.writeStripeLocked(s); err != nil {
-		return err
-	}
-	t0 := time.Now()
-	if err := s.f.Sync(); err != nil {
-		w.poison(err)
-		return err
-	}
-	w.metrics.Fsyncs.Inc()
-	w.metrics.FsyncLatency.ObserveDuration(time.Since(t0))
-	s.synced = s.pending
-	return nil
-}
-
-// Rotate seals every stripe's active segment (flushing it first) and
-// opens fresh ones. The snapshotter rotates before observing state, so
-// everything the sealed segments hold is covered by the snapshot and
-// PruneSealed may delete them once the snapshot is durable.
+// Rotate seals the active segment (committing it first) and opens a
+// fresh one, after any commit in flight. The snapshotter rotates before
+// observing state, so everything the sealed segments hold is covered by
+// the snapshot and PruneSealed may delete them once it is durable.
 func (w *WAL) Rotate() error {
-	for _, s := range w.stripes {
-		s.mu.Lock()
-		// An untouched active segment (header only) is already "fresh":
-		// sealing it would recreate a file with the same start sequence.
-		if !s.wrote || s.f == nil {
-			s.mu.Unlock()
-			continue
-		}
-		if err := w.flushStripeLocked(s); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		if err := s.f.Close(); err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("store: close sealed WAL segment: %w", err)
-		}
-		if err := w.openSegment(s); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		s.wrote = false
-		s.mu.Unlock()
+	w.takeToken(0)
+	defer w.releaseToken()
+	// A segment that holds no record yet is already fresh: sealing it
+	// would recreate a file with the same first sequence.
+	if w.f == nil || w.seq.Load() < w.first {
+		return nil
+	}
+	upto, err := w.commitLocked(true)
+	if err != nil {
+		return err
+	}
+	if err := w.f.Close(); err != nil {
+		return fmt.Errorf("store: close sealed WAL segment: %w", err)
+	}
+	if err := w.openSegment(upto + 1); err != nil {
+		return err
 	}
 	return syncDir(w.dir)
 }
 
-// PruneSealed deletes every segment file that is not a stripe's active
-// segment. Call only after a snapshot covering the sealed segments is
-// durable.
+// PruneSealed deletes every segment file but the active one. Call only
+// after a snapshot covering the sealed segments is durable.
 func (w *WAL) PruneSealed() error {
-	active := make(map[string]bool, len(w.stripes))
-	for _, s := range w.stripes {
-		s.mu.Lock()
-		if s.path != "" {
-			active[s.path] = true
-		}
-		s.mu.Unlock()
-	}
+	w.takeToken(0)
+	active := w.path
+	w.releaseToken()
 	segs, err := w.listSegments()
 	if err != nil {
 		return err
 	}
-	for _, files := range segs {
-		for _, path := range files {
-			if active[path] {
-				continue
-			}
-			if err := os.Remove(path); err != nil {
-				return fmt.Errorf("store: prune WAL segment: %w", err)
-			}
+	for _, path := range segs {
+		if path == active {
+			continue
+		}
+		if err := os.Remove(path); err != nil {
+			return fmt.Errorf("store: prune WAL segment: %w", err)
 		}
 	}
 	return syncDir(w.dir)
 }
 
-// Close commits every stripe's pending records and closes the segment
-// files, each under its stripe lock: a record is either covered by
-// Close or its Append fails with ErrWALClosed. Safe to call twice.
+// Close waits out any commit in flight, commits every pending record
+// and closes the active segment: a record is either covered by Close or
+// its Append fails with ErrWALClosed. Safe to call twice.
 func (w *WAL) Close() error {
-	var err error
-	for _, s := range w.stripes {
-		s.mu.Lock()
-		if s.f != nil {
-			ferr := w.flushStripeLocked(s)
-			if cerr := s.f.Close(); ferr == nil {
-				ferr = cerr
-			}
-			s.f = nil
-			if err == nil {
-				err = ferr
-			}
-		}
-		s.mu.Unlock()
+	w.takeToken(0)
+	defer w.releaseToken()
+	w.mu.Lock()
+	w.open = false
+	w.mu.Unlock()
+	if w.f == nil {
+		return nil
 	}
+	_, err := w.commitLocked(true)
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	w.f = nil
 	return err
 }
 

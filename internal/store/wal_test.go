@@ -7,9 +7,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -17,16 +17,15 @@ import (
 
 // replayAll collects every record a Replay pass yields.
 type replayed struct {
-	stripe int
-	seq    uint64
-	msg    wire.Message
+	seq uint64
+	msg wire.Message
 }
 
 func replayAll(t *testing.T, w *WAL) ([]replayed, ReplayStats) {
 	t.Helper()
 	var out []replayed
-	stats, err := w.Replay(func(stripe int, seq uint64, msg wire.Message) error {
-		out = append(out, replayed{stripe, seq, msg})
+	stats, err := w.Replay(0, func(seq uint64, msg wire.Message) error {
+		out = append(out, replayed{seq, msg})
 		return nil
 	})
 	if err != nil {
@@ -35,18 +34,20 @@ func replayAll(t *testing.T, w *WAL) ([]replayed, ReplayStats) {
 	return out, stats
 }
 
-func mustOpen(t *testing.T, dir string, policy SyncPolicy) *WAL {
-	t.Helper()
-	w, err := OpenWAL(dir, 4, policy, nil)
+// mustOpen opens the log under dir with its own metrics, which tests
+// read through w.metrics.
+func mustOpen(tb testing.TB, dir string, policy SyncPolicy) *WAL {
+	tb.Helper()
+	w, err := OpenWAL(dir, 1, policy, telemetry.NewWALMetrics(telemetry.NewRegistry()))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return w
 }
 
 func mustStart(t *testing.T, w *WAL) {
 	t.Helper()
-	if _, err := w.Replay(func(int, uint64, wire.Message) error { return nil }); err != nil {
+	if _, err := w.Replay(0, func(uint64, wire.Message) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Start(); err != nil {
@@ -70,11 +71,11 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 			}
 			var lastSeq uint64
 			for i, rec := range recs {
-				seq, err := w.Append(i%4, rec)
+				seq, err := w.Append(0, rec)
 				if err != nil {
 					t.Fatalf("Append(%d): %v", i, err)
 				}
-				if err := w.WaitDurable(i%4, seq); err != nil {
+				if err := w.WaitDurable(0, seq); err != nil {
 					t.Fatalf("WaitDurable(%d): %v", i, err)
 				}
 				if seq <= lastSeq {
@@ -91,19 +92,12 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 			if stats.Records != len(recs) || stats.TruncatedBytes != 0 {
 				t.Fatalf("stats = %+v, want %d records, no truncation", stats, len(recs))
 			}
-			if w2.LastSeq() != lastSeq {
-				t.Fatalf("LastSeq after replay = %d, want %d", w2.LastSeq(), lastSeq)
+			if w2.seq.Load() != lastSeq {
+				t.Fatalf("last sequence after replay = %d, want %d", w2.seq.Load(), lastSeq)
 			}
 			for i, rec := range recs {
-				found := false
-				for _, r := range got {
-					if r.stripe == i%4 && reflect.DeepEqual(r.msg, rec) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Errorf("record %d (%T) not replayed on stripe %d", i, rec, i%4)
+				if !reflect.DeepEqual(got[i].msg, rec) {
+					t.Errorf("record %d replayed as %#v, want %#v", i, got[i].msg, rec)
 				}
 			}
 			// A fresh segment after replay continues the sequence.
@@ -119,12 +113,14 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWALReplayOrderWithinStripe(t *testing.T) {
+// TestWALReplayOrder: replay yields records in sequence order, across
+// rotations.
+func TestWALReplayOrder(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, SyncNever)
 	mustStart(t, w)
 	for i := 0; i < 20; i++ {
-		if _, err := w.Append(1, wire.WalStore{Key: "k", Entry: "stored"}); err != nil {
+		if _, err := w.Append(0, wire.WalStore{Key: "k", Entry: "stored"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,23 +129,21 @@ func TestWALReplayOrderWithinStripe(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := w.Append(1, wire.WalRemove{Key: "k", Entry: "x"}); err != nil {
+		if _, err := w.Append(0, wire.WalRemove{Key: "j", Entry: "x"}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	w.Close()
 
 	w2 := mustOpen(t, dir, SyncNever)
-	got, _ := replayAll(t, w2)
-	var prev uint64
-	for _, r := range got {
-		if r.seq <= prev {
-			t.Fatalf("out-of-order replay: seq %d after %d", r.seq, prev)
-		}
-		prev = r.seq
+	got, stats := replayAll(t, w2)
+	if len(got) != 40 || stats.Segments != 2 {
+		t.Fatalf("replayed %d records from %d segments, want 40 from 2", len(got), stats.Segments)
 	}
-	if len(got) != 40 {
-		t.Fatalf("replayed %d records, want 40", len(got))
+	for i, r := range got {
+		if r.seq != uint64(i+1) {
+			t.Fatalf("replayed record %d has seq %d, want %d", i, r.seq, i+1)
+		}
 	}
 }
 
@@ -161,13 +155,13 @@ func TestWALTornTailTruncated(t *testing.T) {
 	w := mustOpen(t, dir, SyncNever)
 	mustStart(t, w)
 	for i := 0; i < 5; i++ {
-		if _, err := w.Append(2, wire.WalStore{Key: "k", Entry: "v"}); err != nil {
+		if _, err := w.Append(0, wire.WalStore{Key: "k", Entry: "v"}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	w.Close()
 
-	path := onlySegment(t, dir, 2)
+	path := onlySegment(t, dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +190,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 
 // TestWALCRCCorruptionMidFile flips a byte in the middle of a segment:
 // replay keeps records before the damage and drops everything after,
-// on that stripe only.
+// whichever key it belongs to.
 func TestWALCRCCorruptionMidFile(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, SyncNever)
@@ -206,12 +200,12 @@ func TestWALCRCCorruptionMidFile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := w.Append(1, wire.WalStore{Key: "other", Entry: "survivor"}); err != nil {
+	if _, err := w.Append(0, wire.WalStore{Key: "other", Entry: "after"}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
 
-	path := onlySegment(t, dir, 0)
+	path := onlySegment(t, dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -224,20 +218,13 @@ func TestWALCRCCorruptionMidFile(t *testing.T) {
 
 	w2 := mustOpen(t, dir, SyncNever)
 	got, stats := replayAll(t, w2)
-	var stripe0, stripe1 int
+	if len(got) >= 10 || len(got) == 0 {
+		t.Fatalf("replayed %d records, want 0 < n < 10 after mid-file corruption", len(got))
+	}
 	for _, r := range got {
-		switch r.stripe {
-		case 0:
-			stripe0++
-		case 1:
-			stripe1++
+		if r.msg.(wire.WalStore).Key != "k" {
+			t.Fatalf("replayed %#v, which follows the damage", r.msg)
 		}
-	}
-	if stripe0 >= 10 || stripe0 == 0 {
-		t.Fatalf("stripe 0 replayed %d records, want 0 < n < 10 after mid-file corruption", stripe0)
-	}
-	if stripe1 != 1 {
-		t.Fatalf("stripe 1 replayed %d records, want 1 (unaffected by stripe 0 damage)", stripe1)
 	}
 	if stats.TruncatedBytes == 0 {
 		t.Fatalf("stats = %+v, want dropped bytes reported", stats)
@@ -245,8 +232,9 @@ func TestWALCRCCorruptionMidFile(t *testing.T) {
 }
 
 // TestWALCorruptionInvalidatesLaterSegments: damage in an older sealed
-// segment must drop newer segments of the same stripe too — replaying
-// past a gap would build state missing intermediate mutations.
+// segment must drop newer segments too — replaying past a gap would
+// build state missing intermediate mutations — and removes them, so a
+// later replay cannot pick them up behind a fresh segment.
 func TestWALCorruptionInvalidatesLaterSegments(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, SyncNever)
@@ -263,9 +251,9 @@ func TestWALCorruptionInvalidatesLaterSegments(t *testing.T) {
 	w.Close()
 
 	// Corrupt the first (sealed) segment's only record.
-	segs := stripeSegments(t, dir, 0)
+	segs := segments(t, dir)
 	if len(segs) != 2 {
-		t.Fatalf("stripe 0 has %d segments, want 2", len(segs))
+		t.Fatalf("%d segments, want 2", len(segs))
 	}
 	data, err := os.ReadFile(segs[0])
 	if err != nil {
@@ -281,26 +269,29 @@ func TestWALCorruptionInvalidatesLaterSegments(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("replayed %d records, want 0 (gap must not be skipped)", len(got))
 	}
-	if stats.TruncatedBytes == 0 {
-		t.Fatalf("stats = %+v, want dropped bytes from the later segment", stats)
+	if stats.TruncatedBytes == 0 || stats.TruncatedSegments != 2 {
+		t.Fatalf("stats = %+v, want dropped bytes from both segments", stats)
+	}
+	if left := segments(t, dir); len(left) != 1 || left[0] != segs[0] {
+		t.Fatalf("segments after replay = %v, want only %s", left, segs[0])
 	}
 }
 
-// ackedWriters runs writers goroutines, writer g on stripe g%stripes,
-// each appending and waiting until per records are acked or a call
-// fails, and returns every sequence WaitDurable acked.
-func ackedWriters(w *WAL, writers, stripes, per int) map[uint64]bool {
+// ackedWriters runs writers goroutines, each appending and waiting
+// until per records are acked or a call fails, and returns every
+// sequence WaitDurable acked.
+func ackedWriters(w *WAL, writers, per int) map[uint64]bool {
 	var mu sync.Mutex
 	acked := make(map[uint64]bool)
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
 		wg.Add(1)
-		go func(stripe int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				seq, err := w.Append(stripe, wire.WalStore{Key: "k", Entry: "v"})
+				seq, err := w.Append(0, wire.WalStore{Key: "k", Entry: "v"})
 				if err == nil {
-					err = w.WaitDurable(stripe, seq)
+					err = w.WaitDurable(0, seq)
 				}
 				if err != nil {
 					return
@@ -309,7 +300,7 @@ func ackedWriters(w *WAL, writers, stripes, per int) map[uint64]bool {
 				acked[seq] = true
 				mu.Unlock()
 			}
-		}(g % stripes)
+		}()
 	}
 	wg.Wait()
 	return acked
@@ -332,26 +323,22 @@ func mustReplayAcked(t *testing.T, dir string, acked map[uint64]bool) int {
 	return len(got)
 }
 
-// TestWALGroupCommitConcurrentAppends: the waiters commit. Whether the
-// writers share one stripe or spread over all of them, every acked
-// record survives a reopen and no fsync was spent on nothing.
+// TestWALGroupCommitConcurrentAppends: the committers share one log.
+// Under every policy each acked record survives a reopen, and no fsync
+// was spent on nothing.
 func TestWALGroupCommitConcurrentAppends(t *testing.T) {
 	const writers, per = 8, 25
-	for _, stripes := range []int{1, 4} {
-		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncBatch, SyncAlways, SyncNever} {
+		t.Run(policy.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			m := telemetry.NewWALMetrics(telemetry.NewRegistry())
-			w, err := OpenWAL(dir, 4, SyncBatch, m)
-			if err != nil {
-				t.Fatal(err)
-			}
+			w := mustOpen(t, dir, policy)
 			mustStart(t, w)
-			acked := ackedWriters(w, writers, stripes, per)
+			acked := ackedWriters(w, writers, per)
 			if err := w.Err(); err != nil || len(acked) != writers*per {
 				t.Fatalf("acked %d of %d records, Err = %v", len(acked), writers*per, err)
 			}
-			if f, r := m.Fsyncs.Value(), m.Records.Value(); f == 0 || f > r {
-				t.Errorf("%d fsyncs for %d records, want 1..records", f, r)
+			if f, r := w.metrics.Fsyncs.Value(), w.metrics.Records.Value(); f > r || (f == 0) != (policy == SyncNever) {
+				t.Errorf("%d fsyncs for %d records under %s, want 1..records (none under never)", f, r, policy)
 			}
 			w.Close()
 			if n := mustReplayAcked(t, dir, acked); n != writers*per {
@@ -362,19 +349,16 @@ func TestWALGroupCommitConcurrentAppends(t *testing.T) {
 }
 
 // TestWALCoveredWaiterDoesNoIO is the group commit itself: the first
-// waiter commits everything its stripe has buffered, and the waiters
-// it covered return without a write or an fsync of their own.
+// waiter commits everything the log has buffered, and the waiters it
+// covered return without a write or an fsync of their own.
 func TestWALCoveredWaiterDoesNoIO(t *testing.T) {
-	m := telemetry.NewWALMetrics(telemetry.NewRegistry())
-	w, err := OpenWAL(t.TempDir(), 4, SyncBatch, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := mustOpen(t, t.TempDir(), SyncBatch)
+	m := w.metrics
 	mustStart(t, w)
 	defer w.Close()
 	var seqs []uint64
 	for i := 0; i < 5; i++ {
-		seq, err := w.Append(2, wire.WalStore{Key: "k", Entry: "v"})
+		seq, err := w.Append(0, wire.WalStore{Key: "k", Entry: "v"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +368,7 @@ func TestWALCoveredWaiterDoesNoIO(t *testing.T) {
 		t.Fatalf("%d fsyncs before anyone waited", m.Fsyncs.Value())
 	}
 	for i := len(seqs) - 1; i >= 0; i-- {
-		if err := w.WaitDurable(2, seqs[i]); err != nil {
+		if err := w.WaitDurable(0, seqs[i]); err != nil {
 			t.Fatal(err)
 		}
 		if got := m.Fsyncs.Value(); got != 1 {
@@ -393,52 +377,139 @@ func TestWALCoveredWaiterDoesNoIO(t *testing.T) {
 	}
 }
 
+// TestWALAppendDuringCommit pins the commit protocol, holding each
+// commit inside its write until the test lets it go. A commit writes
+// and fsyncs with the buffer lock released, so an Append on another key
+// returns while a commit is held; that record, which the held commit
+// did not take, is acked only after a later commit; and every waiter
+// the held commit covered returns when it ends, not behind that later
+// commit.
+func TestWALAppendDuringCommit(t *testing.T) {
+	w := mustOpen(t, t.TempDir(), SyncBatch)
+	mustStart(t, w)
+	defer w.Close()
+	entered, gate := make(chan struct{}, 4), make(chan struct{})
+	w.commitHook = func() { entered <- struct{}{}; <-gate }
+	defer close(gate) // lets any later commit, Close's included, through
+	var first uint64
+	within := func(what string, c <-chan error) {
+		t.Helper()
+		select {
+		case err := <-c:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: still blocked", what)
+		}
+	}
+	wait := func(seq uint64) <-chan error {
+		c := make(chan error, 1)
+		go func() { c <- w.WaitDurable(0, seq) }()
+		return c
+	}
+	var covered []<-chan error // waiters the held commit covers
+	coverFirst := func(n int) {
+		for range n {
+			covered = append(covered, wait(first))
+			runtime.Gosched()
+		}
+	}
+
+	var err error
+	first, err = w.Append(0, wire.WalStore{Key: "k", Entry: "v"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstDone := wait(first)
+	<-entered
+	appended := make(chan error, 1)
+	var second uint64
+	go func() {
+		var err error
+		second, err = w.Append(0, wire.WalStore{Key: "j", Entry: "w"})
+		appended <- err
+	}()
+	within("Append on another key during a commit", appended)
+	coverFirst(4)
+	secondDone := wait(second)
+	select {
+	case err := <-secondDone:
+		t.Fatalf("WaitDurable on a record the held commit did not take returned %v during that commit", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	coverFirst(4)
+
+	gate <- struct{}{} // the first commit ends; the second one starts
+	<-entered
+	within("the committing waiter, once its commit ended", firstDone)
+	for _, c := range covered {
+		within("a waiter the ended commit covered, during the next commit", c)
+	}
+	gate <- struct{}{}
+	within("the waiter on the second record", secondDone)
+	if got := w.metrics.Fsyncs.Value(); got != 2 {
+		t.Fatalf("%d fsyncs, want 2: the held commit and a later one for the second record", got)
+	}
+}
+
+// TestOpenWALTakesOneStripe: the stripes parameter survives only for
+// the benchmark harness, and any value but Stripes() is refused.
+func TestOpenWALTakesOneStripe(t *testing.T) {
+	if _, err := OpenWAL(t.TempDir(), 64, SyncBatch, nil); err == nil {
+		t.Fatal("OpenWAL accepted 64 stripes")
+	}
+	if Stripes() != 1 {
+		t.Fatalf("Stripes() = %d, want 1", Stripes())
+	}
+}
+
 // TestWALCommitFailurePoisons: a commit that cannot reach the disk is
-// reported to the waiter that ran it and to every later waiter on any
-// stripe — no ack past a failing disk.
+// reported to the waiter that ran it and to every later waiter, on any
+// key, also one appended after the failure — no ack past a failing disk.
 func TestWALCommitFailurePoisons(t *testing.T) {
 	w := mustOpen(t, t.TempDir(), SyncBatch)
 	mustStart(t, w)
 	defer w.Close()
-	first, err := w.Append(1, wire.WalStore{Key: "k", Entry: "covered"})
+	first, err := w.Append(0, wire.WalStore{Key: "k", Entry: "covered"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := w.Append(3, wire.WalStore{Key: "j", Entry: "elsewhere"})
+	w.takeToken(0)
+	w.f.Close() // the disk goes away
+	w.releaseToken()
+	second, err := w.Append(0, wire.WalStore{Key: "k", Entry: "same batch"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.stripes[1].mu.Lock()
-	w.stripes[1].f.Close() // the disk goes away under stripe 1
-	w.stripes[1].mu.Unlock()
-	second, err := w.Append(1, wire.WalStore{Key: "k", Entry: "same batch"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WaitDurable(1, second); err == nil {
+	if err := w.WaitDurable(0, second); err == nil {
 		t.Fatal("the committing waiter was acked over a closed file")
 	}
-	if err := w.WaitDurable(1, first); err == nil {
+	if err := w.WaitDurable(0, first); err == nil {
 		t.Fatal("a waiter the failed commit should have covered was acked")
 	}
-	if err := w.WaitDurable(3, other); err == nil {
-		t.Fatal("a waiter on a healthy stripe was acked by a poisoned log")
+	later, err := w.Append(0, wire.WalStore{Key: "j", Entry: "elsewhere"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WaitDurable(0, later); err == nil {
+		t.Fatal("a later record on another key was acked by a poisoned log")
 	}
 	if w.Err() == nil {
 		t.Fatal("Err is nil after a failed commit")
 	}
 }
 
-// TestWALWaitDurableRacingClose: Close commits each stripe as it closes
-// it, so a record is either covered by Close or refused; an ack never
-// names a record the reopened log lacks.
+// TestWALWaitDurableRacingClose: Close commits what is buffered as it
+// closes the log, so a record is either covered by Close or refused; an
+// ack never names a record the reopened log lacks.
 func TestWALWaitDurableRacingClose(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, SyncBatch)
 	mustStart(t, w)
 	done := make(chan map[uint64]bool)
-	go func() { done <- ackedWriters(w, 8, 4, 1<<30) }() // until Close stops them
-	for w.LastSeq() < 200 {
+	go func() { done <- ackedWriters(w, 8, 1<<30) }() // until Close stops them
+	for w.seq.Load() < 200 {
 		runtime.Gosched()
 	}
 	if err := w.Close(); err != nil {
@@ -451,15 +522,15 @@ func TestWALWaitDurableRacingClose(t *testing.T) {
 	mustReplayAcked(t, dir, acked)
 }
 
-// TestWALRotateConcurrentWithWaiters: rotation seals a segment under
-// the same stripe lock a committing waiter holds, so no record falls
+// TestWALRotateConcurrentWithWaiters: rotation seals a segment behind
+// the same commit lock a committing waiter holds, so no record falls
 // between the sealed file and the fresh one.
 func TestWALRotateConcurrentWithWaiters(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, SyncBatch)
 	mustStart(t, w)
 	done := make(chan map[uint64]bool)
-	go func() { done <- ackedWriters(w, 8, 4, 100) }()
+	go func() { done <- ackedWriters(w, 8, 100) }()
 	for i := 0; i < 20; i++ {
 		if err := w.Rotate(); err != nil {
 			t.Error(err)
@@ -533,32 +604,25 @@ func TestParseSyncPolicy(t *testing.T) {
 	}
 }
 
-// onlySegment returns the single segment file of a stripe.
-func onlySegment(t *testing.T, dir string, stripe int) string {
+// onlySegment returns the log's single segment file.
+func onlySegment(t *testing.T, dir string) string {
 	t.Helper()
-	segs := stripeSegments(t, dir, stripe)
+	segs := segments(t, dir)
 	if len(segs) != 1 {
-		t.Fatalf("stripe %d has %d segments, want 1", stripe, len(segs))
+		t.Fatalf("%d segments, want 1", len(segs))
 	}
 	return segs[0]
 }
 
-// stripeSegments lists a stripe's segment files sorted by name (which
-// sorts by first sequence, thanks to zero padding).
-func stripeSegments(t *testing.T, dir string, stripe int) []string {
+// segments lists the log's segment files sorted by name (which sorts
+// by first sequence, thanks to zero padding).
+func segments(t *testing.T, dir string) []string {
 	t.Helper()
-	pattern := filepath.Join(dir, walDirName, "*.wal")
-	all, err := filepath.Glob(pattern)
+	segs, err := filepath.Glob(filepath.Join(dir, walDirName, "*.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []string
-	for _, p := range all {
-		if strings.HasPrefix(filepath.Base(p), "s0"+string(rune('0'+stripe))+"-") {
-			out = append(out, p)
-		}
-	}
-	return out
+	return segs
 }
 
 func TestSnapshotWriteLoadRoundTrip(t *testing.T) {
@@ -759,11 +823,8 @@ const walCommitPer = 100
 func BenchmarkWALCommit(b *testing.B) {
 	for _, writers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
-			m := telemetry.NewWALMetrics(telemetry.NewRegistry())
-			w, err := OpenWAL(b.TempDir(), Stripes(), SyncBatch, m)
-			if err != nil {
-				b.Fatal(err)
-			}
+			w := mustOpen(b, b.TempDir(), SyncBatch)
+			m := w.metrics
 			if err := w.Start(); err != nil {
 				b.Fatal(err)
 			}

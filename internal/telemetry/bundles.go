@@ -187,8 +187,8 @@ func NewNodeMetrics(r *Registry, n int) *NodeMetrics {
 // cadence.
 type WALMetrics struct {
 	// FsyncLatency is the distribution of fsync(2) calls on WAL
-	// stripe files; under the batch policy one observation covers a
-	// whole group commit.
+	// segments; under the batch policy one observation covers a whole
+	// group commit.
 	FsyncLatency *Histogram
 	// Bytes and Records count WAL payload bytes and records appended.
 	Bytes   *Counter
