@@ -53,17 +53,14 @@ func TestClusterRestartSlowStart(t *testing.T) {
 	if !cl.Alive(0) {
 		t.Fatal("Restart did not revive the node")
 	}
-	for call := 0; call < 3; call++ {
-		start := time.Now()
+	clock := cl.Chaos().Clock()
+	for call, want := range []time.Duration{30 * time.Millisecond, 30 * time.Millisecond, 0} {
+		start := clock.Now()
 		if _, err := cl.Caller().Call(ctx, 0, wire.Ping{}); err != nil {
 			t.Fatalf("call %d after restart: %v", call, err)
 		}
-		elapsed := time.Since(start)
-		if call < 2 && elapsed < 25*time.Millisecond {
-			t.Fatalf("call %d finished in %v, want slow-start penalty", call, elapsed)
-		}
-		if call == 2 && elapsed > 20*time.Millisecond {
-			t.Fatalf("call %d took %v, slow-start did not expire", call, elapsed)
+		if elapsed := clock.Now().Sub(start); elapsed != want {
+			t.Fatalf("call %d took %v, want %v: two slow-start calls, then none", call, elapsed, want)
 		}
 	}
 }

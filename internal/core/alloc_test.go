@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -42,11 +41,14 @@ import (
 const lookupAllocCeiling = 18
 
 // probeLog records the servers a service calls, into a slice whose
-// capacity the test sizes so that recording allocates nothing.
+// capacity the test sizes so that recording allocates nothing. It runs
+// on the cluster's virtual clock, so every call scores the same latency.
 type probeLog struct {
 	transport.Caller
 	probed []int
 }
+
+func (c *probeLog) Clock() *transport.Clock { return transport.ClockOf(c.Caller) }
 
 func (c *probeLog) Call(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
 	c.probed = append(c.probed, server)
@@ -89,21 +91,12 @@ func TestPartialLookupAllocCeiling(t *testing.T) {
 	// the servers that lookup did not probe get derived routes, and
 	// measures the next lookup, whose cached tier holds them. No server
 	// holds 12 of the 16 entries, so every lookup needs a second probe.
-	// Before each run every server's latency score is set to the same
-	// value: the scoreboard times in-proc calls by the wall clock, and a
-	// server that happens to score slow gets no derived route, which
-	// would change the probes, and so the count, from run to run.
 	placeEntries(t, svc, "d", 16)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as AllocsPerRun does
 	const runs = 200
 	var mallocs uint64
 	var ms runtime.MemStats
 	for i := 0; i < runs; i++ {
-		for server := 0; server < n; server++ {
-			for range 40 { // 0.75^40 of the old score is left
-				sel.RecordSuccess(server, time.Microsecond)
-			}
-		}
 		sel.Invalidate("d")
 		log.probed = log.probed[:0]
 		lookupKey("d", 12)

@@ -185,6 +185,9 @@ func NewService(caller transport.Caller, opts ...Option) (*Service, error) {
 	return s, nil
 }
 
+// Clock returns the clock lookups and deadlines run on, the caller's.
+func (s *Service) Clock() *transport.Clock { return transport.ClockOf(s.caller) }
+
 // ConfigFor returns the configuration that manages key.
 func (s *Service) ConfigFor(key string) Config {
 	s.mu.Lock()
@@ -327,13 +330,14 @@ func (s *Service) PartialLookup(ctx context.Context, key string, t int) (strateg
 // unsatisfied Result and a *PartialError mean.
 func (s *Service) PartialLookupBatch(ctx context.Context, keys []string, t int) []LookupOutcome {
 	out := make([]LookupOutcome, len(keys))
+	clock := s.Clock()
 	var start time.Time
 	if s.metrics != nil {
-		start = time.Now()
+		start = clock.Now()
 	}
 	if s.policy.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.policy.Timeout)
+		ctx, cancel = clock.WithTimeout(ctx, s.policy.Timeout)
 		defer cancel()
 	}
 	for _, g := range s.groupByConfig(keys, nil) {
@@ -351,7 +355,7 @@ func (s *Service) PartialLookupBatch(ctx context.Context, keys []string, t int) 
 		}
 	}
 	if m := s.metrics; m != nil {
-		elapsed := time.Since(start)
+		elapsed := clock.Now().Sub(start)
 		for _, o := range out {
 			m.Lookups.Inc()
 			m.AchievedT.Observe(int64(len(o.Result.Entries)))

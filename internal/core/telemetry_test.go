@@ -12,6 +12,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // instrumentedService builds a cluster with telemetry enabled and a
@@ -105,14 +106,19 @@ func TestLookupTelemetryMatchesInjectedFaults(t *testing.T) {
 
 // TestLookupTelemetryHedges checks that a slow server makes the policy
 // fire exactly one hedge per probe, and that won hedges stay a subset
-// of fired ones.
+// of fired ones. Hedging runs on the wall clock (DESIGN §5), so the
+// servers are scripted ones that really take 30ms to answer.
 func TestLookupTelemetryHedges(t *testing.T) {
-	svc, cl, _, lm := instrumentedService(t, 2,
+	caller := newScriptedCaller(2, func(int, int) (wire.Message, error) {
+		time.Sleep(30 * time.Millisecond)
+		return okReply("v0", "v1", "v2", "v3")
+	})
+	lm := telemetry.NewLookupMetrics(telemetry.NewRegistry())
+	svc, err := core.NewService(caller, core.WithSeed(3), core.WithLookupMetrics(lm),
 		core.WithDefaultConfig(core.Config{Scheme: core.FullReplication}),
 		core.WithLookupPolicy(core.LookupPolicy{Retry: transport.RetryPolicy{HedgeAfter: 2 * time.Millisecond}}))
-	placeEntries(t, svc, "k", 4)
-	for i := 0; i < 2; i++ {
-		cl.Chaos().SetLatency(i, 30*time.Millisecond, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	const lookups = 3

@@ -18,12 +18,11 @@ import (
 // decision, or lookup sample may shift, so the rendered CSVs stay
 // byte-identical release over release. The static figures, the Sec. 6
 // churn runs (fig12, fig13, fig14, table2, and ext-rsreplace and
-// ext-optimaly built on them), the overlay, failure and hot-spot
-// extensions, and the three on/off scenarios whose every column is
-// seeded are all pinned, so a change that moves a number the docs
-// quote shows up as a diff. ext-select and ext-trace are not among
-// them: their selectors order servers by wall-clock latency; nor is
-// ext-availability, whose lookups run against a wall-clock deadline.
+// ext-optimaly built on them) and every extension are pinned, so a
+// change that moves a number the docs quote shows up as a diff. The
+// in-process cluster's virtual clock (DESIGN §1) pins the ones that
+// time lookups too: ext-select, ext-availability and ext-trace, the
+// last on traceSmall, as its 10 000-server run is CPU-bound at ~8 s.
 // Regenerate deliberately with
 //
 //	BENCH_GEN_GOLDEN=1 go test ./internal/experiments -run TestGolden
@@ -35,20 +34,19 @@ func TestGoldenTablesByteIdentical(t *testing.T) {
 	for _, id := range []string{
 		"table1", "fig4", "fig6", "fig7", "fig9", "fig12", "fig13", "fig14", "table2",
 		"ext-rsreplace", "ext-overlay", "ext-failures", "ext-optimaly", "ext-hotspot",
-		"ext-repair", "ext-membership", "ext-zone",
+		"ext-repair", "ext-membership", "ext-zone", "ext-select", "ext-availability",
 	} {
 		t.Run(id, func(t *testing.T) {
-			exp, err := Find(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tbl, err := exp.Run(fid, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, fmt.Sprintf("golden-%s.csv", id), tbl.CSV())
+			checkGolden(t, fmt.Sprintf("golden-%s.csv", id), render(t, id, fid))
 		})
 	}
+	t.Run("ext-trace", func(t *testing.T) {
+		tbl, err := traceSmall.run(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "golden-ext-trace.csv", tbl.CSV())
+	})
 
 	// The wired arm: the wire changes nothing (DESIGN §1). The paper's
 	// tables, ext-membership's Join and Drain and ext-repair's Replace
@@ -110,26 +108,6 @@ func render(t *testing.T, id string, fid Fidelity) string {
 		t.Fatal(err)
 	}
 	return tbl.CSV()
-}
-
-// TestGoldenTraceStream pins ext-trace's op stream, which its table
-// cannot pin: every op's kind, key and entry of a small seeded trace.
-func TestGoldenTraceStream(t *testing.T) {
-	tr, err := generateTrace(stats.NewRNG(1), traceConfig{
-		Keys: 20, EntriesPerKey: 3, Ops: 300, ZipfS: 0.99, LookupFrac: 0.6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	for _, op := range tr.Ops {
-		fmt.Fprintf(&b, "%s %s", op.Kind, keyName(op.Key))
-		if op.Kind != OpLookup {
-			fmt.Fprintf(&b, " %s", op.Entry)
-		}
-		b.WriteByte('\n')
-	}
-	checkGolden(t, "golden-trace-stream.txt", b.String())
 }
 
 // checkGolden compares got with testdata/name, or writes it there when

@@ -148,10 +148,10 @@ const (
 // against a large emulated cluster on a region/DC/rack tree, and cuts
 // one region off halfway through. It reports one row per phase: lookup
 // quality, message cost and the zone distance of every delivered call.
-// The selector orders servers by observed latency, so the contacted and
-// hop columns move from run to run; ext-trace is the repository's
-// scale check for topologies far beyond a hand-sized cluster, and it
-// ignores the Fidelity.
+// The selector orders servers by their latency on the cluster's virtual
+// clock, so every column reproduces from the seed; ext-trace is the
+// repository's scale check for topologies far beyond a hand-sized
+// cluster, and it ignores the Fidelity.
 func ExtTrace(_ Fidelity, seed uint64) (*Table, error) {
 	return traceAtScale.run(seed)
 }
@@ -200,9 +200,6 @@ func (sc traceScenario) run(seed uint64) (*Table, error) {
 		Columns: []string{
 			"Lookups", "Updates", "Satisfied %", "Unreachable", "Achieved", "Contacted", "Messages",
 			"Same-rack hops", "Same-DC hops", "Same-region hops", "Cross-region hops",
-		},
-		Notes: []string{
-			"contacted and hop columns follow the selector's observed latencies and do not reproduce exactly",
 		},
 	}
 	// phase replays ops and adds their row, counting messages and hops

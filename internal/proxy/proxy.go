@@ -49,12 +49,11 @@ type Options struct {
 	// without the added entry (a delete or place through the proxy
 	// reaches the cached answers as soon as it is acked). Zero disables
 	// the result cache entirely — singleflight coalescing still applies.
+	// It runs on the service's Clock.
 	TTL time.Duration
 	// Metrics receives cache, coalescing, and invalidation counters;
 	// nil records nothing.
 	Metrics *telemetry.ProxyMetrics
-	// Now overrides the clock for TTL expiry (tests). Default time.Now.
-	Now func() time.Time
 	// Maintenance, when set, is where Join and Leave requests forward
 	// (server 0 must be a membership coordinator). Nil rejects them.
 	Maintenance transport.Caller
@@ -67,9 +66,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 4096
-	}
-	if o.Now == nil {
-		o.Now = time.Now
 	}
 	if o.Metrics == nil {
 		o.Metrics = &telemetry.ProxyMetrics{}
@@ -250,7 +246,7 @@ func (p *Proxy) lookupBatch(ctx context.Context, items []wire.Lookup) []wire.Loo
 
 	m := p.opt.Metrics
 	p.mu.Lock()
-	now := p.opt.Now()
+	now := p.svc.Clock().Now()
 	for i, it := range items {
 		fk := flightKey{key: it.Key, t: it.T}
 		entries, ok, expired := p.cache.get(fk, now)
@@ -320,7 +316,7 @@ func (p *Proxy) finishFlight(fk flightKey, f *flight, entries []entry.Entry, err
 	if p.flights[fk] == f {
 		delete(p.flights, fk)
 		if err == nil && p.opt.TTL > 0 {
-			p.cache.put(fk, entries, p.opt.Now().Add(p.opt.TTL))
+			p.cache.put(fk, entries, p.svc.Clock().Now().Add(p.opt.TTL))
 		}
 	} else if err == nil {
 		// An update to the key was acked while we probed: the answer may

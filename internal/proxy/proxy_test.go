@@ -29,6 +29,8 @@ type gatedCaller struct {
 
 func (g *gatedCaller) NumServers() int { return g.inner.NumServers() }
 
+func (g *gatedCaller) Clock() *transport.Clock { return transport.ClockOf(g.inner) }
+
 func (g *gatedCaller) Call(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
 	k := msg.Kind()
 	if k == wire.KindLookup || k == wire.KindLookupBatch {
@@ -59,29 +61,21 @@ func (g *gatedCaller) release() {
 }
 
 type testRig struct {
-	p   *proxy.Proxy
-	m   *telemetry.ProxyMetrics
-	gc  *gatedCaller
-	now time.Time
-	mu  sync.Mutex
+	p  *proxy.Proxy
+	m  *telemetry.ProxyMetrics
+	gc *gatedCaller
 }
 
-func (r *testRig) clock() time.Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.now
-}
-
+// advance moves the cluster's virtual clock, which the proxy's TTL
+// reads, d forward.
 func (r *testRig) advance(d time.Duration) {
-	r.mu.Lock()
-	r.now = r.now.Add(d)
-	r.mu.Unlock()
+	_ = transport.ClockOf(r.gc).Sleep(context.Background(), d)
 }
 
 func newRig(t *testing.T, ttl time.Duration, entries int, opts ...core.Option) *testRig {
 	t.Helper()
 	cl := cluster.New(4, stats.NewRNG(7))
-	rig := &testRig{gc: &gatedCaller{inner: cl.Caller()}, now: time.Unix(1000, 0)}
+	rig := &testRig{gc: &gatedCaller{inner: cl.Caller()}}
 	reg := telemetry.NewRegistry()
 	rig.m = telemetry.NewProxyMetrics(reg)
 	opts = append([]core.Option{
@@ -96,7 +90,6 @@ func newRig(t *testing.T, ttl time.Duration, entries int, opts ...core.Option) *
 		CacheEntries: entries,
 		TTL:          ttl,
 		Metrics:      rig.m,
-		Now:          rig.clock,
 	})
 	return rig
 }
@@ -517,7 +510,6 @@ func TestMembershipEpochFlushesCache(t *testing.T) {
 	rig.p = proxy.New(rig.p.Service(), proxy.Options{
 		TTL:     time.Hour,
 		Metrics: rig.m,
-		Now:     rig.clock,
 		OnMembership: func(m wire.MembershipUpdate) {
 			notified = append(notified, m.Epoch)
 		},
@@ -609,7 +601,6 @@ func TestForwardedMaintenanceUpdatesProxyView(t *testing.T) {
 	rig.p = proxy.New(rig.p.Service(), proxy.Options{
 		TTL:         time.Hour,
 		Metrics:     rig.m,
-		Now:         rig.clock,
 		Maintenance: coord,
 		OnMembership: func(m wire.MembershipUpdate) {
 			notified = append(notified, m)

@@ -3,7 +3,6 @@ package selector
 import (
 	"context"
 	"errors"
-	"time"
 
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -21,13 +20,15 @@ import (
 // later attempt succeeded.
 type Observed struct {
 	inner transport.Caller
+	clock *transport.Clock
 	sel   *Selector
 }
 
 var _ transport.Caller = (*Observed)(nil)
 
-// Observe wraps inner so every call outcome is recorded into sel. A nil
-// selector returns inner unchanged.
+// Observe wraps inner so every call outcome is recorded into sel, and
+// sel runs on inner's clock if that is virtual (transport.ClockOf). A
+// nil selector returns inner unchanged.
 func Observe(inner transport.Caller, sel *Selector) transport.Caller {
 	if inner == nil {
 		panic("selector: Observe requires an inner Caller")
@@ -35,21 +36,30 @@ func Observe(inner transport.Caller, sel *Selector) transport.Caller {
 	if sel == nil {
 		return inner
 	}
-	return &Observed{inner: inner, sel: sel}
+	clock := transport.ClockOf(inner)
+	if clock != nil {
+		sel.mu.Lock()
+		sel.clock = clock
+		sel.mu.Unlock()
+	}
+	return &Observed{inner: inner, clock: clock, sel: sel}
 }
 
 // NumServers returns the inner transport's cluster size.
 func (o *Observed) NumServers() int { return o.inner.NumServers() }
 
+// Clock returns the clock calls are timed by, inner's.
+func (o *Observed) Clock() *transport.Clock { return o.clock }
+
 // Call delegates to the inner transport, scoring the attempt. A call to
 // an open server that is due a half-open trial is that trial.
 func (o *Observed) Call(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
 	o.sel.startTrial(server)
-	start := time.Now()
+	start := o.clock.Now()
 	reply, err := o.inner.Call(ctx, server, msg)
 	switch {
 	case err == nil:
-		o.sel.RecordSuccess(server, time.Since(start))
+		o.sel.RecordSuccess(server, o.clock.Now().Sub(start))
 	case errors.Is(err, transport.ErrServerDown):
 		o.sel.RecordFailure(server)
 	}

@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/telemetry"
 	"repro/internal/topo"
+	"repro/internal/transport"
 )
 
 // The scoreboard's parameters. No daemon, tool or benchmark ever chose
@@ -47,15 +48,9 @@ type Options struct {
 	// Metrics receives cache hit/miss, demotion, and half-open probe
 	// counters; nil records nothing.
 	Metrics *telemetry.SelectorMetrics
-	// Now overrides the clock for half-open timing (tests). Default
-	// time.Now.
-	Now func() time.Time
 }
 
 func (o Options) withDefaults() Options {
-	if o.Now == nil {
-		o.Now = time.Now
-	}
 	if o.Metrics == nil {
 		o.Metrics = &telemetry.SelectorMetrics{}
 	}
@@ -82,6 +77,7 @@ type Selector struct {
 	failThreshold int
 
 	mu           sync.Mutex
+	clock        *transport.Clock // times circuits; set by Observe
 	servers      []serverState
 	observations int64 // outcomes recorded; 0 and an empty cache = cold
 	failures     uint64
@@ -220,7 +216,7 @@ func (s *Selector) RecordFailure(server int) {
 	}
 	st := &s.servers[server]
 	st.consecFails++
-	st.lastFail = s.opt.Now()
+	st.lastFail = s.clock.Now()
 	st.probing = false
 	if !st.open && st.consecFails >= s.failThreshold {
 		st.open = true
@@ -519,7 +515,7 @@ func (s *Selector) coldLocked() bool {
 // half-open trial is spent by the call that reaches the server
 // (startTrial), not by an order that may never get that far.
 func (s *Selector) orderLocked(base []int, neg serverBits) []int {
-	now := s.opt.Now()
+	now := s.clock.Now()
 	limit := s.slowLimitLocked()
 	rank := func(server int) int {
 		if server < len(s.posIdx) {
@@ -623,7 +619,7 @@ func (s *Selector) startTrial(server int) {
 		return
 	}
 	st := &s.servers[server]
-	if now := s.opt.Now(); trialDue(st, now) {
+	if now := s.clock.Now(); trialDue(st, now) {
 		st.probing = true
 		st.probedAt = now
 		s.opt.Metrics.HalfOpenProbes.Inc()

@@ -60,8 +60,8 @@ func TestOrderGlobalPrefersHealthyServers(t *testing.T) {
 		}
 	}
 
-	now := time.Unix(1000, 0)
-	s := New(6, Options{Now: func() time.Time { return now }})
+	s := New(6, Options{})
+	s.clock = transport.NewClock()
 	for i := 0; i < defaultFailThreshold; i++ {
 		s.RecordFailure(4)
 	}
@@ -77,7 +77,7 @@ func TestOrderGlobalPrefersHealthyServers(t *testing.T) {
 	if got, want := s.OrderGlobal(in, []int{4, 2}), []int{2, 5, 0, 1, 3, 4}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("order preferring open 4 = %v, want %v", got, want)
 	}
-	now = now.Add(2 * probeAfter) // 4 is granted a half-open trial: still not a leader
+	_ = s.clock.Sleep(context.Background(), 2*probeAfter) // 4 is granted a half-open trial: still not a leader
 	if got, want := s.OrderGlobal(in, []int{4}), []int{5, 0, 1, 3, 2, 4}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("order preferring half-open 4 = %v, want %v", got, want)
 	}
@@ -188,13 +188,10 @@ func TestNegativeEntriesDemoteAndInvalidate(t *testing.T) {
 }
 
 func TestFailureStreakOpensAndHalfOpenRecovers(t *testing.T) {
-	now := time.Unix(1000, 0)
 	reg := telemetry.NewRegistry()
 	m := telemetry.NewSelectorMetrics(reg)
-	s := New(4, Options{
-		Metrics: m,
-		Now:     func() time.Time { return now },
-	})
+	s := New(4, Options{Metrics: m})
+	s.clock = transport.NewClock()
 	s.RecordFailure(1)
 	s.RecordFailure(1)
 	if got := s.Order("k", base(4)); !reflect.DeepEqual(got, base(4)) {
@@ -222,7 +219,7 @@ func TestFailureStreakOpensAndHalfOpenRecovers(t *testing.T) {
 		t.Fatalf("probe granted too early")
 	}
 	// After ProbeAfter orders offer it a trial but do not spend one...
-	now = now.Add(2 * time.Second)
+	_ = s.clock.Sleep(ctx, 2*time.Second)
 	_ = s.Order("k", base(4))
 	if m.HalfOpenProbes.Value() != 0 {
 		t.Fatalf("an order spent the trial: half-open probes = %d, want 0", m.HalfOpenProbes.Value())
@@ -246,16 +243,16 @@ func TestFailureStreakOpensAndHalfOpenRecovers(t *testing.T) {
 // never sends the trial, so it must neither be counted nor keep the
 // next order from offering the server.
 func TestHalfOpenTrialIsSpentBySendNotByOrder(t *testing.T) {
-	now := time.Unix(1000, 0)
 	m := telemetry.NewSelectorMetrics(telemetry.NewRegistry())
-	s := New(4, Options{Metrics: m, Now: func() time.Time { return now }})
+	s := New(4, Options{Metrics: m})
+	s.clock = transport.NewClock()
 	for i := 0; i < 3; i++ {
 		s.RecordFailure(3)
 	}
 	s.RecordAnswer("k", 0, 8)
 	s.RecordAnswer("k", 1, 8)
 	s.RecordAnswer("k", 2, 0) // negative: behind a half-open server, ahead of an open one
-	now = now.Add(2 * time.Second)
+	_ = s.clock.Sleep(context.Background(), 2*time.Second)
 	halfOpen, open := []int{0, 1, 3, 2}, []int{0, 1, 2, 3}
 	for i := 0; i < 2; i++ {
 		if got := s.Order("k", base(4)); !reflect.DeepEqual(got, halfOpen) {

@@ -88,8 +88,10 @@ func TestSelectorDerivedRouteKeepsTiers(t *testing.T) {
 	ctx := context.Background()
 	rng := stats.NewRNG(4)
 	cl := cluster.New(n, rng.Split())
-	now := time.Unix(0, 0) // a fixed clock: no half-open trial falls due
-	sel := selector.New(n, selector.Options{Now: func() time.Time { return now }})
+	sel := selector.New(n, selector.Options{})
+	// The cluster's virtual clock, which nothing here advances: no
+	// half-open trial falls due.
+	selector.Observe(cl.Caller(), sel)
 	drv := strategy.MustNew(cfg, rng.Split())
 	drv.SetSelector(sel)
 	log := &callLog{inner: cl.Caller()}

@@ -169,8 +169,8 @@ func TestSelectorCacheReducesContacted(t *testing.T) {
 // workload, so a warm selector steers every key's lookup, not just the
 // keys it saw last. The shape is the bench's: n = 4, 6 000 keys, even
 // keys Round-2 and odd keys Hash-2, 16 entries each, t = 12, every
-// driver sharing one selector. No selector.Observe: no wall clock
-// enters, so the mean is a pure function of the seeds. A 4 096-key LRU
+// driver sharing one selector. No selector.Observe: only the route
+// cache steers, and the mean is a pure function of the seeds. A 4 096-key LRU
 // averages 2.077 here, a cache that keeps every key 2.032.
 func TestSelectorRouteCacheHoldsTheBenchKeySet(t *testing.T) {
 	const n, keys, h, target, lookups, bound = 4, 6000, 16, 12, 12000, 2.04

@@ -54,8 +54,8 @@ type Profile [NumDistances]LinkProfile
 
 // DefaultProfile is a conventional datacenter latency ladder: free
 // within a rack, 0.2ms across racks, 1ms across DCs, 30ms across
-// regions. Benchmarks that only count cross-zone hops use the zero
-// Profile instead so wall-clock stays bounded.
+// regions. Experiments that only count cross-zone hops use the zero
+// Profile instead, which adds no latency and draws no randomness.
 func DefaultProfile() Profile {
 	return Profile{
 		DistSameRack:    {},

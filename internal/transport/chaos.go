@@ -8,7 +8,8 @@
 //
 // All randomness comes from one seeded stats.RNG, so a fault schedule
 // is fully reproducible: two Chaos instances with equal seeds over
-// equal call sequences inject exactly the same faults.
+// equal call sequences inject exactly the same faults. Latency is
+// virtual: a call advances the Chaos's Clock instead of sleeping.
 package transport
 
 import (
@@ -68,6 +69,7 @@ type Faults struct {
 // partitions can tell callers apart.
 type Chaos struct {
 	inner Caller
+	clock *Clock
 
 	mu        sync.Mutex
 	rng       *stats.RNG
@@ -102,6 +104,7 @@ func NewChaos(inner Caller, rng *stats.RNG) *Chaos {
 	}
 	return &Chaos{
 		inner:     inner,
+		clock:     NewClock(),
 		rng:       rng,
 		faults:    make([]Faults, inner.NumServers()),
 		slowLeft:  make([]int, inner.NumServers()),
@@ -113,6 +116,9 @@ func NewChaos(inner Caller, rng *stats.RNG) *Chaos {
 
 // NumServers returns the inner transport's cluster size.
 func (c *Chaos) NumServers() int { return c.inner.NumServers() }
+
+// Clock returns the virtual clock the injected latency advances.
+func (c *Chaos) Clock() *Clock { return c.clock }
 
 // Call delivers msg as client traffic (origin ClientOrigin).
 func (c *Chaos) Call(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
@@ -398,7 +404,7 @@ func (c *Chaos) call(ctx context.Context, origin, server int, msg wire.Message) 
 	c.mu.Unlock()
 
 	if delay > 0 {
-		if err := sleepCtx(ctx, delay); err != nil {
+		if err := c.clock.Sleep(ctx, delay); err != nil {
 			return nil, err
 		}
 	}
@@ -406,19 +412,4 @@ func (c *Chaos) call(ctx context.Context, origin, server int, msg wire.Message) 
 		return nil, &injectedError{server: server, reason: "drop"}
 	}
 	return c.inner.Call(ctx, server, msg)
-}
-
-// sleepCtx waits for d or until ctx is done, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-timer.C:
-		return nil
-	}
 }

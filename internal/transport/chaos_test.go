@@ -95,23 +95,28 @@ func TestChaosDropMatchesServerDown(t *testing.T) {
 func TestChaosLatencyAndDeadline(t *testing.T) {
 	ch, tr := newChaosPair(t, 1, 1)
 	ch.SetLatency(0, 30*time.Millisecond, 0)
+	clock := ch.Clock()
 
-	start := time.Now()
+	start := clock.Now()
 	if _, err := ch.Call(context.Background(), 0, wire.Ping{}); err != nil {
 		t.Fatalf("Call: %v", err)
 	}
-	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
-		t.Fatalf("latency not injected: call took %v", elapsed)
+	if elapsed := clock.Now().Sub(start); elapsed != 30*time.Millisecond {
+		t.Fatalf("call took %v of virtual time, want the injected 30ms", elapsed)
 	}
 
 	// A deadline shorter than the injected latency must abort the call
-	// before it reaches the server.
+	// at the deadline, before it reaches the server.
 	tr.ResetCounters()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	ctx, cancel := clock.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
+	start = clock.Now()
 	_, err := ch.Call(ctx, 0, wire.Ping{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	if elapsed := clock.Now().Sub(start); elapsed != 5*time.Millisecond {
+		t.Fatalf("deadline-aborted call took %v, want the 5ms deadline", elapsed)
 	}
 	if got := tr.TotalProcessed(); got != 0 {
 		t.Fatalf("deadline-aborted call reached the server (processed=%d)", got)
@@ -155,17 +160,13 @@ func TestChaosPartition(t *testing.T) {
 func TestChaosSlowStart(t *testing.T) {
 	ch, _ := newChaosPair(t, 1, 1)
 	ch.SlowStart(0, 2, 25*time.Millisecond)
-	for call := 0; call < 3; call++ {
-		start := time.Now()
+	for call, want := range []time.Duration{25 * time.Millisecond, 25 * time.Millisecond, 0} {
+		start := ch.Clock().Now()
 		if _, err := ch.Call(context.Background(), 0, wire.Ping{}); err != nil {
 			t.Fatalf("call %d: %v", call, err)
 		}
-		elapsed := time.Since(start)
-		if call < 2 && elapsed < 20*time.Millisecond {
-			t.Fatalf("call %d finished in %v, want slow-start penalty", call, elapsed)
-		}
-		if call == 2 && elapsed > 15*time.Millisecond {
-			t.Fatalf("call %d took %v, slow-start did not expire", call, elapsed)
+		if elapsed := ch.Clock().Now().Sub(start); elapsed != want {
+			t.Fatalf("call %d took %v, want %v: two slow-start calls, then none", call, elapsed, want)
 		}
 	}
 }

@@ -97,19 +97,20 @@ func TestChaosZoneLatencyProfile(t *testing.T) {
 	})
 	ch.SetClientZone(tp.ZoneOf(0))
 
-	start := time.Now()
+	clock := ch.Clock()
+	start := clock.Now()
 	if _, err := ch.Call(ctx, 0, wire.Ping{}); err != nil { // same rack
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > 20*time.Millisecond {
+	if elapsed := clock.Now().Sub(start); elapsed != 0 {
 		t.Fatalf("same-rack call took %v, want no injected link latency", elapsed)
 	}
-	start = time.Now()
+	start = clock.Now()
 	if _, err := ch.Call(ctx, 4, wire.Ping{}); err != nil { // server 4 lives in r1
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed < 35*time.Millisecond {
-		t.Fatalf("cross-region call took %v, want >= 40ms link latency", elapsed)
+	if elapsed := clock.Now().Sub(start); elapsed != 40*time.Millisecond {
+		t.Fatalf("cross-region call took %v, want the 40ms link latency", elapsed)
 	}
 	calls := ch.ZoneCalls()
 	if calls[topo.DistSameRack] != 1 || calls[topo.DistCrossRegion] != 1 {

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -19,6 +18,7 @@ import (
 // does not perturb the latencies it measures.
 type Instrumented struct {
 	inner Caller
+	clock *Clock
 	m     *telemetry.TransportMetrics
 }
 
@@ -33,19 +33,22 @@ func Instrument(inner Caller, m *telemetry.TransportMetrics) Caller {
 	if m == nil {
 		return inner
 	}
-	return &Instrumented{inner: inner, m: m}
+	return &Instrumented{inner: inner, clock: ClockOf(inner), m: m}
 }
 
 // NumServers returns the inner transport's cluster size.
 func (t *Instrumented) NumServers() int { return t.inner.NumServers() }
 
+// Clock returns the clock calls are timed by, inner's.
+func (t *Instrumented) Clock() *Clock { return t.clock }
+
 // Call delegates to the inner transport, timing the attempt and
 // recording its outcome against the target server.
 func (t *Instrumented) Call(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
-	start := time.Now()
+	start := t.clock.Now()
 	reply, err := t.inner.Call(ctx, server, msg)
 	t.m.Calls.At(server).Inc()
-	t.m.Latency.At(server).ObserveDuration(time.Since(start))
+	t.m.Latency.At(server).ObserveDuration(t.clock.Now().Sub(start))
 	if err != nil {
 		t.m.Errors.At(server).Inc()
 	}

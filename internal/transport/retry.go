@@ -24,9 +24,10 @@ import (
 //
 // The wait after failed attempt a is base·2^(a−1), capped at 1 s, then
 // shortened by a random share of up to half so callers that failed
-// together do not retry together. With HedgeAfter set, an attempt
-// not answered within that threshold is duplicated to the same server
-// and the first reply wins.
+// together do not retry together; it runs on inner's Clock. With
+// HedgeAfter set, an attempt not answered within that threshold (on the
+// wall clock, DESIGN §5) is duplicated to the same server and the first
+// reply wins.
 type Retry struct {
 	inner Caller
 	pol   RetryPolicy
@@ -113,7 +114,7 @@ func (r *Retry) Call(ctx context.Context, server int, msg wire.Message) (wire.Me
 		if !errors.Is(err, ErrServerDown) || a >= r.pol.Attempts {
 			return nil, err
 		}
-		if err := sleepCtx(ctx, backoff(r.pol.Backoff, a, r.unit())); err != nil {
+		if err := ClockOf(r.inner).Sleep(ctx, backoff(r.pol.Backoff, a, r.unit())); err != nil {
 			return nil, err
 		}
 	}
