@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint loc cover bench e2e-bench e2e-pair reproduce reproduce-full examples clean
+.PHONY: all build test race lint loc cover bench e2e-bench e2e-pair reproduce reproduce-full clean
 
 all: build test
 
@@ -97,10 +97,6 @@ reproduce:
 # Paper fidelity: 5000 runs per data point (hours of CPU).
 reproduce-full:
 	$(GO) run ./cmd/plsbench -exp everything -fidelity full
-
-examples:
-	$(GO) run ./examples/musicshare
-	$(GO) run ./examples/yellowpages
 
 clean:
 	$(GO) clean ./...

@@ -141,7 +141,7 @@ func run() error {
 			*dataDir, rs.SnapshotGen, rs.SnapshotKeys, rs.Replayed, rs.Skipped, rs.WAL.TruncatedBytes)
 	}
 
-	peerCaller, peerClient, sel := newPeerCaller(reg, addrs, *id, tp, peerOptions{
+	peerCaller, peerClient, sel := newPeerCaller(reg, addrs, *id, peerOptions{
 		timeout: *timeout,
 		retries: *retries,
 	})
@@ -251,7 +251,7 @@ type peerOptions struct {
 // retry layer, so every attempt is one call in peer.calls and one
 // sample for the selector, and peer.latency holds no back-off sleep.
 // The caller closes the returned client.
-func newPeerCaller(reg *telemetry.Registry, addrs []string, id int, tp *topo.Topology, o peerOptions) (transport.Caller, *transport.Client, *selector.Selector) {
+func newPeerCaller(reg *telemetry.Registry, addrs []string, id int, o peerOptions) (transport.Caller, *transport.Client, *selector.Selector) {
 	tm := telemetry.NewTransportMetrics(reg, "peer", len(addrs))
 	client := transport.NewClient(addrs,
 		transport.WithTimeout(o.timeout),
@@ -264,12 +264,6 @@ func newPeerCaller(reg *telemetry.Registry, addrs []string, id int, tp *topo.Top
 	sel := selector.New(len(addrs), selector.Options{
 		Metrics: telemetry.NewSelectorMetrics(reg),
 	})
-	if tp != nil {
-		// Nearest-zone-first peer preference from this daemon's own
-		// rack; repair pushes and future orderings go to same-zone
-		// healthy peers before crossing a DC boundary.
-		sel.SetTopology(tp, tp.ZoneOf(id))
-	}
 	caller = selector.Observe(caller, sel)
 	// One Health copy per vector per snapshot; membership resizes
 	// the selector, and the vectors with it.

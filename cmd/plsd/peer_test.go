@@ -18,7 +18,7 @@ import (
 // them.
 func TestPeerCountersRecordEveryAttempt(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	caller, client, sel := newPeerCaller(reg, freeAddrs(t, 1), 0, nil, peerOptions{
+	caller, client, sel := newPeerCaller(reg, freeAddrs(t, 1), 0, peerOptions{
 		timeout: 200 * time.Millisecond,
 		retries: 3,
 	})
@@ -43,7 +43,7 @@ func TestPeerCountersRecordEveryAttempt(t *testing.T) {
 // joiner shows once membership resizes the selector.
 func TestSelectorHealthGaugesFollowMembership(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	_, client, sel := newPeerCaller(reg, []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"}, 0, nil, peerOptions{
+	_, client, sel := newPeerCaller(reg, []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"}, 0, peerOptions{
 		timeout: 200 * time.Millisecond,
 	})
 	defer client.Close()

@@ -3,10 +3,13 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/entry"
+	"repro/internal/experiments"
 	"repro/internal/stats"
 	"repro/internal/strategy"
 )
@@ -198,4 +201,166 @@ func Example_strategies() {
 	//   Round-2            satisfied=true (contacted 1 live servers)
 	//   Hash-2             satisfied=true (contacted 1 live servers)
 	//   KeyPartition       UNAVAILABLE: strategy: no live servers: partition server 7
+}
+
+// Example_musicShare is the paper's motivating workload: a Napster-style
+// service where a song title maps to the peers holding a copy, under
+// Round-2. Popular songs have more replicas and draw most lookups
+// (Zipf), and a client wants any three peers. A peer that goes offline
+// is deleted from every song it served, and lookups carry on without
+// it. The hot-key load this spreads is measured by ext-hotspot, the
+// fairness over a song's replicas by fig9.
+func Example_musicShare() {
+	ctx := context.Background()
+	rng := stats.NewRNG(2024)
+	cl := cluster.New(10, rng.Split())
+	svc, err := core.NewService(cl.Caller(),
+		core.WithSeed(5),
+		core.WithDefaultConfig(core.Config{Scheme: core.RoundRobin, Y: 2}))
+	if err != nil {
+		panic(err)
+	}
+
+	// Song i is held by 5 + (40-i)/4 of 100 peers.
+	const gone = "peer-07:6881"
+	songs := make([]string, 40)
+	served := 0
+	for i := range songs {
+		songs[i] = fmt.Sprintf("song-%02d", i)
+		var peers []core.Entry
+		for _, p := range rng.Perm(100)[:5+(len(songs)-i)/4] {
+			peers = append(peers, fmt.Sprintf("peer-%02d:6881", p))
+		}
+		if slices.Contains(peers, gone) {
+			served++
+		}
+		if err := svc.Place(ctx, songs[i], peers); err != nil {
+			panic(err)
+		}
+	}
+	lookup := func(song string) strategy.Result {
+		res, err := svc.PartialLookup(ctx, song, 3)
+		if err != nil {
+			panic(err)
+		}
+		return res
+	}
+	popularity := stats.NewZipf(len(songs), 1.1)
+	satisfied := 0
+	for q := 0; q < 1000; q++ {
+		if lookup(songs[popularity.Sample(rng)-1]).Satisfied(3) {
+			satisfied++
+		}
+	}
+	fmt.Println("lookups satisfied:", satisfied, "of 1000")
+
+	for _, song := range songs {
+		if err := svc.Delete(ctx, song, gone); err != nil {
+			panic(err)
+		}
+	}
+	returned := 0
+	for _, song := range songs {
+		if slices.Contains(lookup(song).Entries, gone) {
+			returned++
+		}
+	}
+	fmt.Printf("%s, on %d songs, went offline; lookups returning it: %d\n", gone, served, returned)
+	fmt.Println("partial_lookup(song-00, 3):", lookup(songs[0]).Entries)
+	// Output:
+	// lookups satisfied: 1000 of 1000
+	// peer-07:6881, on 5 songs, went offline; lookups returning it: 0
+	// partial_lookup(song-00, 3): [peer-92:6881 peer-28:6881 peer-43:6881]
+}
+
+// Example_yellowPages is the paper's second workload: categories map to
+// the URLs of sites in them, and sites appear and die. A classifier
+// manages the high-churn category under Fixed-x with a cushion
+// (x = t + b, Sec. 5.2) and the reference category under Round-2; both
+// replay the same Poisson churn (Sec. 6.1) through the same interface,
+// then keep answering after four of ten servers fail. The cushion's
+// failure time is measured by fig12, the update overhead by fig14.
+func Example_yellowPages() {
+	ctx := context.Background()
+	rng := stats.NewRNG(7)
+	cl := cluster.New(10, rng.Split())
+	const target, cushion = 10, 4
+	svc, err := core.NewService(cl.Caller(),
+		core.WithSeed(3),
+		core.WithClassifier(func(key string) (core.Config, bool) {
+			if strings.HasPrefix(key, "churn/") {
+				return core.Config{Scheme: core.Fixed, X: target + cushion}, true
+			}
+			return core.Config{Scheme: core.RoundRobin, Y: 2}, true
+		}))
+	if err != nil {
+		panic(err)
+	}
+
+	lifetime, err := experiments.DefaultLifetime("exp", 10, 50)
+	if err != nil {
+		panic(err)
+	}
+	stream, err := experiments.Generate(rng.Split(), experiments.StreamConfig{
+		MeanArrivalGap: 10, SteadyState: 50, Lifetime: lifetime, Updates: 1000,
+	})
+	if err != nil {
+		panic(err)
+	}
+	categories := []string{"churn/news", "stable/news"}
+	url := func(v core.Entry) core.Entry { return "http://" + v + ".example.com" }
+	for _, cat := range categories {
+		urls := make([]core.Entry, len(stream.Initial))
+		for i, v := range stream.Initial {
+			urls[i] = url(v)
+		}
+		if err := svc.Place(ctx, cat, urls); err != nil {
+			panic(err)
+		}
+	}
+	for _, ev := range stream.Events {
+		for _, cat := range categories {
+			update := svc.Add
+			if ev.Kind == experiments.OpDelete {
+				update = svc.Delete
+			}
+			if err := update(ctx, cat, url(ev.Entry)); err != nil {
+				panic(err)
+			}
+		}
+	}
+	fmt.Printf("after %d updates:\n", len(stream.Events))
+	for _, cat := range categories {
+		res, err := svc.PartialLookup(ctx, cat, target)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("  %-12s %-8s storage %3d, partial_lookup(%d): %d URLs from %d server(s)\n",
+			cat, svc.ConfigFor(cat), cl.TotalStorage(cat), target, len(res.Entries), res.Contacted)
+	}
+
+	for _, s := range []int{1, 4, 6, 9} {
+		cl.Fail(s)
+	}
+	fmt.Println("after failing servers 1, 4, 6, 9:")
+	for _, cat := range categories {
+		ok := 0
+		for q := 0; q < 100; q++ {
+			res, err := svc.PartialLookup(ctx, cat, target)
+			if err != nil {
+				panic(err)
+			}
+			if res.Satisfied(target) {
+				ok++
+			}
+		}
+		fmt.Printf("  %-12s %3d/100 satisfied\n", cat, ok)
+	}
+	// Output:
+	// after 1000 updates:
+	//   churn/news   Fixed-14 storage 140, partial_lookup(10): 10 URLs from 1 server(s)
+	//   stable/news  Round-2  storage  72, partial_lookup(10): 15 URLs from 2 server(s)
+	// after failing servers 1, 4, 6, 9:
+	//   churn/news   100/100 satisfied
+	//   stable/news  100/100 satisfied
 }

@@ -61,11 +61,11 @@ type executor interface {
 	// keeps seeded lookups byte-identical across churn.
 	plan(v repairView, mv memberView) (push []repairCandidate, drop []string)
 
-	// accept applies a pushed transfer under the scheme's rule
+	// accept applies a push's entries under the scheme's rule
 	// evaluated at mv (cap at x, legal Round/Hash home, partition
 	// ownership) and returns how many entries it stored. It must not
 	// consume RNG.
-	accept(st *store.State, t transfer, mv memberView) int
+	accept(st *store.State, p wire.RepairPush, mv memberView) int
 }
 
 // placePlan is an executor's answer to one place: share goes to server

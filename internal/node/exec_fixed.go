@@ -66,6 +66,6 @@ func (fixedExec) plan(v repairView, mv memberView) ([]repairCandidate, []string)
 
 // accept: store missing entries while below x, the same local rule
 // storeOne applies.
-func (fixedExec) accept(st *store.State, t transfer, _ memberView) int {
-	return acceptMissing(st, t.entries, true, nil)
+func (fixedExec) accept(st *store.State, p wire.RepairPush, _ memberView) int {
+	return acceptMissing(st, p.Entries, true, nil)
 }

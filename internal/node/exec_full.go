@@ -46,6 +46,6 @@ func (fullExec) plan(v repairView, mv memberView) ([]repairCandidate, []string) 
 }
 
 // accept: store everything not already held.
-func (fullExec) accept(st *store.State, t transfer, _ memberView) int {
-	return acceptMissing(st, t.entries, false, nil)
+func (fullExec) accept(st *store.State, p wire.RepairPush, _ memberView) int {
+	return acceptMissing(st, p.Entries, false, nil)
 }

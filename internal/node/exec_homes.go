@@ -147,8 +147,8 @@ func (homesExec) plan(v repairView, mv memberView) ([]repairCandidate, []string)
 
 // accept: store an entry only if this server really is one of its
 // homes under mv, matching the planner; anything else is dropped.
-func (homesExec) accept(st *store.State, t transfer, mv memberView) int {
-	return acceptMissing(st, t.entries, false, func(i int, v entry.Entry) bool {
-		return isHome(t.entries[i], st.Cfg, mv.n, mv.self, mv.tp) && logAdd(st, v)
+func (homesExec) accept(st *store.State, p wire.RepairPush, mv memberView) int {
+	return acceptMissing(st, p.Entries, false, func(i int, v entry.Entry) bool {
+		return isHome(p.Entries[i], st.Cfg, mv.n, mv.self, mv.tp) && logAdd(st, v)
 	})
 }

@@ -60,11 +60,11 @@ func (partExec) plan(v repairView, mv memberView) ([]repairCandidate, []string) 
 
 // accept: only the key's home server under mv may store entries;
 // pushes to anyone else are dropped.
-func (partExec) accept(st *store.State, t transfer, mv memberView) int {
+func (partExec) accept(st *store.State, p wire.RepairPush, mv memberView) int {
 	if mv.n <= 0 || PartitionServer(st.Key, mv.n) != mv.self {
 		return 0
 	}
-	return acceptMissing(st, t.entries, false, nil)
+	return acceptMissing(st, p.Entries, false, nil)
 }
 
 // PartitionServer returns the single server responsible for a key

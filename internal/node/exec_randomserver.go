@@ -165,13 +165,13 @@ func (rsExec) plan(v repairView, mv memberView) ([]repairCandidate, []string) {
 // (a freshly replaced or joined server starts at zero and must relearn
 // the reservoir denominator), then refill plainly while below x — the
 // reservoir is deliberately bypassed so no RNG draw happens.
-func (rsExec) accept(st *store.State, t transfer, _ memberView) int {
+func (rsExec) accept(st *store.State, p wire.RepairPush, _ memberView) int {
 	ext := rsExtOf(st)
-	if t.hCount > ext.hCount {
-		ext.hCount = t.hCount
+	if p.HCount > ext.hCount {
+		ext.hCount = p.HCount
 		logHCount(st, ext.hCount)
 	}
-	return acceptMissing(st, t.entries, true, nil)
+	return acceptMissing(st, p.Entries, true, nil)
 }
 
 // SystemCount returns the node's local estimate of the number of entries

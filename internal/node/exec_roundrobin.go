@@ -383,15 +383,15 @@ func (roundExec) plan(v repairView, mv memberView) ([]repairCandidate, []string)
 // accept: store each entry at its pushed position, but only if this
 // server is inside the position's window under mv — a corrupt or stale
 // push must not violate the placement invariant it exists to restore.
-func (roundExec) accept(st *store.State, t transfer, mv memberView) int {
-	if !t.hasPos || len(t.positions) != len(t.entries) {
+func (roundExec) accept(st *store.State, p wire.RepairPush, mv memberView) int {
+	if !p.HasPos || len(p.Positions) != len(p.Entries) {
 		return 0
 	}
-	return acceptMissing(st, t.entries, false, func(i int, v entry.Entry) bool {
-		if t.positions[i] > uint64(1<<31-1) {
+	return acceptMissing(st, p.Entries, false, func(i int, v entry.Entry) bool {
+		if p.Positions[i] > uint64(1<<31-1) {
 			return false
 		}
-		pos := int(t.positions[i])
+		pos := int(p.Positions[i])
 		if !inWindow(pos, st.Cfg.Y, mv.n, mv.self) {
 			return false
 		}

@@ -233,14 +233,10 @@ func (n *Node) rebalanceKey(ctx context.Context, key string, ks *store.KeyState,
 	push, drops := execFor(view.cfg.Scheme).plan(view, mv)
 
 	safe := make(map[string]bool)
-	x := n.transferKey(ctx, view, push, mv, mc.slotOf,
-		func(t transfer) wire.Message {
-			return wire.RebalancePush{
-				Key: key, Config: view.cfg, Entries: t.entries,
-				Positions: t.positions, HasPos: t.hasPos, HCount: t.hCount,
-				Epoch: mc.epoch, NewN: mc.newN, Leaving: mc.leaving,
-			}
-		}, safe)
+	x := n.transferKey(ctx, view, push, mv, mc.slotOf, wire.RepairPush{
+		Key: key, Config: view.cfg, HCount: view.hCount,
+		Epoch: mc.epoch, NewN: mc.newN, Leaving: mc.leaving,
+	}, safe)
 	stats.Queries += x.queries
 	stats.Pushes += x.pushes
 	stats.Moved += x.moved
@@ -265,38 +261,6 @@ func (n *Node) rebalanceKey(ctx context.Context, key string, ks *store.KeyState,
 	if moved {
 		stats.MovedKeys++
 	}
-}
-
-// handleRebalancePush applies one transfer under the post-change view
-// the push self-describes. The epoch ordering is deliberately loose in
-// the forward direction: during a broadcast, members that already
-// swept push to members that have not yet seen their own update, so a
-// future epoch must be accepted; only pushes from an epoch this member
-// has already superseded are rejected.
-func (n *Node) handleRebalancePush(m wire.RebalancePush) wire.Message {
-	if m.NewN < 1 {
-		return wire.RepairPushReply{Err: "node: rebalance push with empty cluster"}
-	}
-	if cur := n.MemberEpoch(); m.Epoch < cur {
-		return wire.RepairPushReply{Err: fmt.Sprintf("node: stale rebalance push (epoch %d < %d)", m.Epoch, cur)}
-	}
-	// Once the host has compacted this epoch's transition, our id is
-	// already a post-change rank: mapping it through rankOf again would
-	// mis-rank us (or mistake us for the departed leaver) when a slower
-	// member's same-epoch push arrives after our renumbering.
-	compacted := m.Epoch > 0 && m.Epoch == n.compactedEpoch.Load()
-	if !compacted && m.Leaving >= 0 && n.ID() == m.Leaving {
-		return wire.RepairPushReply{Err: "node: rebalance push addressed to the leaver"}
-	}
-	mv := memberView{self: n.ID(), n: m.NewN, tp: n.Topology()}
-	if !compacted {
-		mv.self = memberChange{leaving: m.Leaving}.rankOf(n.ID())
-	}
-	if mv.self < 0 || mv.self >= m.NewN {
-		return wire.RepairPushReply{Err: fmt.Sprintf("node: rebalance push outside membership (rank %d of %d)", mv.self, m.NewN)}
-	}
-	t := transfer{entries: m.Entries, positions: m.Positions, hasPos: m.HasPos, hCount: m.HCount}
-	return n.acceptPush("rebalance", m.Key, m.Config, t, mv)
 }
 
 // handleJoin coordinates admitting the server at m.Addr into the next
@@ -405,7 +369,7 @@ func (n *Node) host() Host {
 // SetID renumbers the node after its host compacted a drain's slot away
 // (higher ids shift down by one). From then on, same-epoch rebalance
 // pushes still in flight from slower members treat this node's id as a
-// post-change rank (see handleRebalancePush).
+// post-change rank (see handleRepairPush).
 func (n *Node) SetID(id int) {
 	n.peersMu.Lock()
 	n.id.Store(int64(id))

@@ -11,7 +11,7 @@ import (
 )
 
 // FuzzRebalanceAccept throws corrupt membership-transfer traffic at a
-// live cluster: RebalancePush frames with arbitrary transition claims
+// live cluster: RepairPush frames with arbitrary transition claims
 // (hostile NewN/Leaving/Epoch), oversized positions, colliding keys,
 // and invalid configs land on a placed cluster, then a real join runs
 // the rebalance planner over whatever the rogue frames left behind.
@@ -71,15 +71,16 @@ func FuzzRebalanceAccept(f *testing.F) {
 
 		tgt := int(target) % n
 		// Hostile transition claims under the true config: NewN ranges
-		// over invalid (-1, 0) and mismatched sizes, Leaving over the
-		// whole int8 range.
-		h.cl.Node(tgt).Handle(ctx, wire.RebalancePush{
+		// over invalid (-1), none (0: a repair push under the live
+		// membership) and mismatched sizes, Leaving over the whole int8
+		// range.
+		h.cl.Node(tgt).Handle(ctx, wire.RepairPush{
 			Key: "k", Config: cfg, Entries: entries,
 			Positions: positions, HasPos: hasPos, HCount: int(hcount),
 			Epoch: epoch, NewN: int(newN8)%7 - 1, Leaving: int(leaving8),
 		})
 		// A push addressed to the transition's own leaver must bounce.
-		reply := h.cl.Node(tgt).Handle(ctx, wire.RebalancePush{
+		reply := h.cl.Node(tgt).Handle(ctx, wire.RepairPush{
 			Key: "k", Config: cfg, Entries: entries,
 			Positions: positions, HasPos: hasPos,
 			Epoch: epoch, NewN: n, Leaving: tgt,
@@ -89,7 +90,7 @@ func FuzzRebalanceAccept(f *testing.F) {
 		}
 		// Hostile config on a fresh key: invalid configs may not create
 		// key state (validated against the claimed post-change size).
-		h.cl.Node(tgt).Handle(ctx, wire.RebalancePush{
+		h.cl.Node(tgt).Handle(ctx, wire.RepairPush{
 			Key: "k2",
 			Config: wire.Config{
 				Scheme: wire.Scheme(schemeByte), X: int(rx) - 4, Y: int(ry) - 4,

@@ -69,7 +69,7 @@ type Node struct {
 	// host has compacted that transition (the leaver removed, this node
 	// renumbered), so its id IS its post-change rank, and same-epoch
 	// rebalance pushes still in flight from slower members must not be
-	// mapped through rankOf again (see handleRebalancePush).
+	// mapped through rankOf again (see handleRepairPush).
 	compactedEpoch atomic.Uint64
 	// coordinating serializes the membership changes this node
 	// coordinates (see coordinate).
@@ -215,8 +215,6 @@ func (n *Node) Handle(ctx context.Context, msg wire.Message) wire.Message {
 		return n.handleLeave(ctx, m)
 	case wire.MembershipUpdate:
 		return n.handleMembershipUpdate(ctx, m)
-	case wire.RebalancePush:
-		return n.handleRebalancePush(m)
 	case wire.Ping:
 		return wire.Ack{}
 	default:

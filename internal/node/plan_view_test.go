@@ -123,8 +123,9 @@ func wantOffers(self, n int, v repairView, tp *topo.Topology) []string {
 // "rebalance is repair under a different view": on a healthy placed
 // cluster the plan under the live membership offers exactly what the
 // scheme's rule says peers hold and drops nothing, and a transfer is
-// accepted identically whether it arrives as a RepairPush (view =
-// (id, n)) or as a RebalancePush describing the identity transition.
+// accepted identically whether it arrives as a RepairPush without a
+// transition (view = (id, n)) or as one carrying the identity
+// transition.
 func TestPlanAcceptUnderUnchangedView(t *testing.T) {
 	ctx := context.Background()
 	for i, tc := range viewCases() {
@@ -172,7 +173,7 @@ func TestPlanAcceptUnderUnchangedView(t *testing.T) {
 						Key: "k", Config: view.cfg, Entries: c.entries,
 						Positions: c.positions, HasPos: c.hasPos, HCount: view.hCount,
 					})
-					rb := blankB.Handle(ctx, wire.RebalancePush{
+					rb := blankB.Handle(ctx, wire.RepairPush{
 						Key: "k", Config: view.cfg, Entries: c.entries,
 						Positions: c.positions, HasPos: c.hasPos, HCount: view.hCount,
 						NewN: n, Leaving: -1,
@@ -266,7 +267,7 @@ func TestRoundWindowWiderThanCluster(t *testing.T) {
 		}
 		// Drains later this node is one of two survivors; a peer's
 		// positioned push lands in no window.
-		reply := nd.Handle(context.Background(), wire.RebalancePush{
+		reply := nd.Handle(context.Background(), wire.RepairPush{
 			Key: "k", Config: cfg, Entries: []string{"late"}, Positions: []uint64{0}, HasPos: true,
 			NewN: 2, Leaving: 3,
 		})

@@ -2,6 +2,7 @@ package node
 
 import (
 	"context"
+	"fmt"
 	"maps"
 	"sort"
 	"sync"
@@ -237,15 +238,6 @@ func viewKey(key string, ks *store.KeyState) repairView {
 	return v
 }
 
-// transfer is the payload a sweep pushes to one peer: the
-// scheme-independent part of a RepairPush or RebalancePush.
-type transfer struct {
-	entries   []string
-	positions []uint64 // Round-y positions, parallel to entries when hasPos
-	hasPos    bool
-	hCount    int // sender's RandomServer-x system count
-}
-
 // everyPeerPlan is the plan of the schemes where any server is a legal
 // home (Full unconditionally; Fixed-x and RandomServer-x capped at x
 // via fillToX): the whole local set is offered to every other member,
@@ -353,13 +345,14 @@ type exchange struct {
 // coordinator ranks (adopt-if-advance on receipt) so a replaced,
 // shifted or joined counter home relearns head/tail. Targets are ranks
 // under mv; slotOf maps a rank to the transport slot to call, or -1 to
-// skip it (presumed dead). wrap dresses a transfer as the sweep's push
-// message. When confirmed is non-nil it collects the entries known to
-// have a copy on some target: seen there by the query, or part of a
-// push accepted in full (partial acceptance doesn't say which ones
-// landed, so none are marked).
+// skip it (presumed dead). push is the sweep's message with its key,
+// config, HCount and transition set; each target gets a copy carrying
+// the entries it is missing. When confirmed is non-nil it collects the
+// entries known to have a copy on some target: seen there by the
+// query, or part of a push accepted in full (partial acceptance doesn't
+// say which ones landed, so none are marked).
 func (n *Node) transferKey(ctx context.Context, v repairView, plan []repairCandidate, mv memberView,
-	slotOf func(rank int) int, wrap func(transfer) wire.Message, confirmed map[string]bool) exchange {
+	slotOf func(rank int) int, push wire.RepairPush, confirmed map[string]bool) exchange {
 	var x exchange
 	for _, cand := range plan {
 		if cand.target < 0 || cand.target >= mv.n || cand.target == mv.self {
@@ -382,7 +375,8 @@ func (n *Node) transferKey(ctx context.Context, v repairView, plan []repairCandi
 		if cand.fillToX {
 			budget = max(v.cfg.X-qr.Len, 0)
 		}
-		t := transfer{hasPos: cand.hasPos, hCount: v.hCount}
+		p := push
+		p.HasPos = cand.hasPos
 		for i, missing := range qr.Missing {
 			if !missing {
 				if confirmed != nil {
@@ -393,19 +387,19 @@ func (n *Node) transferKey(ctx context.Context, v repairView, plan []repairCandi
 			if budget == 0 {
 				continue
 			}
-			t.entries = append(t.entries, cand.entries[i])
+			p.Entries = append(p.Entries, cand.entries[i])
 			if cand.hasPos {
-				t.positions = append(t.positions, cand.positions[i])
+				p.Positions = append(p.Positions, cand.positions[i])
 			}
 			if budget > 0 {
 				budget--
 			}
 		}
-		if len(t.entries) == 0 {
+		if len(p.Entries) == 0 {
 			continue
 		}
-		x.offered += len(t.entries)
-		preply, err := n.callReply(ctx, slot, wrap(t))
+		x.offered += len(p.Entries)
+		preply, err := n.callReply(ctx, slot, p)
 		if err != nil {
 			continue
 		}
@@ -415,8 +409,8 @@ func (n *Node) transferKey(ctx context.Context, v repairView, plan []repairCandi
 		}
 		x.pushes++
 		x.moved += pr.Accepted
-		if confirmed != nil && pr.Accepted == len(t.entries) {
-			for _, s := range t.entries {
+		if confirmed != nil && pr.Accepted == len(p.Entries) {
+			for _, s := range p.Entries {
 				confirmed[s] = true
 			}
 		}
@@ -438,22 +432,22 @@ func (n *Node) transferKey(ctx context.Context, v repairView, plan []repairCandi
 // Accepted entries are WAL-logged through the same helpers as the
 // update protocols, and the reply waits for durability like any other
 // mutation ack. what names the sweep in error replies.
-func (n *Node) acceptPush(what, key string, cfg wire.Config, t transfer, mv memberView) wire.Message {
-	if t.hasPos && len(t.positions) != len(t.entries) {
+func (n *Node) acceptPush(what string, m wire.RepairPush, mv memberView) wire.Message {
+	if m.HasPos && len(m.Positions) != len(m.Entries) {
 		return wire.RepairPushReply{Err: "node: " + what + " push positions/entries length mismatch"}
 	}
-	if _, ok := n.store.Get(key); !ok {
+	if _, ok := n.store.Get(m.Key); !ok {
 		// A push may only create key state under a config that would
 		// have been accepted at Place time in the cluster mv describes;
 		// a corrupt or hostile config must not poison the store.
-		if err := cfg.Validate(mv.n); err != nil {
+		if err := m.Config.Validate(mv.n); err != nil {
 			return wire.RepairPushReply{Err: "node: " + what + " push: " + err.Error()}
 		}
 	}
-	ks := n.store.GetOrCreate(key, cfg)
+	ks := n.store.GetOrCreate(m.Key, m.Config)
 	accepted := 0
 	ks.Update(func(st *store.State) {
-		accepted = execFor(st.Cfg.Scheme).accept(st, t, mv)
+		accepted = execFor(st.Cfg.Scheme).accept(st, m, mv)
 	})
 	if err := ks.WaitDurable(); err != nil {
 		return wire.RepairPushReply{Err: "node: wal: " + err.Error()}
@@ -479,12 +473,7 @@ func (r *Repairer) sweepKey(ctx context.Context, key string, ks *store.KeyState,
 			}
 			return rank
 		},
-		func(t transfer) wire.Message {
-			return wire.RepairPush{
-				Key: key, Config: view.cfg, Entries: t.entries,
-				Positions: t.positions, HasPos: t.hasPos, HCount: t.hCount,
-			}
-		}, nil)
+		wire.RepairPush{Key: key, Config: view.cfg, HCount: view.hCount}, nil)
 	stats.Queries += x.queries
 	stats.Pushes += x.pushes
 	stats.Moved += x.moved
@@ -518,9 +507,34 @@ func (n *Node) handleRepairQuery(m wire.RepairQuery) wire.Message {
 	return reply
 }
 
-// handleRepairPush applies a repair transfer under the live
-// membership.
+// handleRepairPush applies one sweep's push. A repair push (NewN == 0)
+// is accepted under the live membership, a rebalance push under the
+// post-change view its transition self-describes. The epoch ordering is
+// deliberately loose in the forward direction: during a broadcast,
+// members that already swept push to members that have not yet seen
+// their own update, so a future epoch must be accepted; only pushes
+// from an epoch this member has already superseded are rejected.
 func (n *Node) handleRepairPush(m wire.RepairPush) wire.Message {
-	t := transfer{entries: m.Entries, positions: m.Positions, hasPos: m.HasPos, hCount: m.HCount}
-	return n.acceptPush("repair", m.Key, m.Config, t, n.view())
+	if m.NewN == 0 {
+		return n.acceptPush("repair", m, n.view())
+	}
+	if cur := n.MemberEpoch(); m.Epoch < cur {
+		return wire.RepairPushReply{Err: fmt.Sprintf("node: stale rebalance push (epoch %d < %d)", m.Epoch, cur)}
+	}
+	// Once the host has compacted this epoch's transition, our id is
+	// already a post-change rank: mapping it through rankOf again would
+	// mis-rank us (or mistake us for the departed leaver) when a slower
+	// member's same-epoch push arrives after our renumbering.
+	compacted := m.Epoch > 0 && m.Epoch == n.compactedEpoch.Load()
+	if !compacted && m.Leaving >= 0 && n.ID() == m.Leaving {
+		return wire.RepairPushReply{Err: "node: rebalance push addressed to the leaver"}
+	}
+	mv := memberView{self: n.ID(), n: m.NewN, tp: n.Topology()}
+	if !compacted {
+		mv.self = memberChange{leaving: m.Leaving}.rankOf(n.ID())
+	}
+	if mv.self < 0 || mv.self >= m.NewN {
+		return wire.RepairPushReply{Err: fmt.Sprintf("node: rebalance push outside membership (rank %d of %d)", mv.self, m.NewN)}
+	}
+	return n.acceptPush("rebalance", m, mv)
 }

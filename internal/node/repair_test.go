@@ -3,6 +3,7 @@ package node_test
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -229,6 +230,41 @@ func TestRepairPushAcceptanceRules(t *testing.T) {
 		}
 		if got := h.cl.Node(2).LocalSet("k").Len(); got != 3 {
 			t.Fatalf("server 2 len = %d, want 3", got)
+		}
+	})
+
+	// A push carrying a transition is refused when its epoch is stale,
+	// when it is addressed to the leaver, or when the receiver has no
+	// rank in it; one without a transition is repair, whatever the
+	// receiver's epoch.
+	t.Run("rebalance-refusals", func(t *testing.T) {
+		h := newHarness(t, 4, 19)
+		cfg := wire.Config{Scheme: wire.FullReplication}
+		h.place(0, cfg, entry.Synthetic(3))
+		if _, err := h.cl.Join(ctx, stats.NewRNG(1)); err != nil {
+			t.Fatalf("Join: %v", err)
+		}
+		nd := h.cl.Node(3) // at epoch 1, rank 3 of 5
+		for _, c := range []struct {
+			name, want string
+			m          wire.RepairPush
+		}{
+			{"stale", "stale rebalance push", wire.RepairPush{Epoch: 0, NewN: 5, Leaving: -1}},
+			{"to-the-leaver", "rebalance push addressed to the leaver", wire.RepairPush{Epoch: 2, NewN: 4, Leaving: 3}},
+			{"outside-membership", "rebalance push outside membership", wire.RepairPush{Epoch: 2, NewN: 3, Leaving: -1}},
+		} {
+			c.m.Key, c.m.Config, c.m.Entries = "k", cfg, []string{"w-" + c.name}
+			pr, ok := nd.Handle(ctx, c.m).(wire.RepairPushReply)
+			if !ok || !strings.Contains(pr.Err, c.want) {
+				t.Errorf("%s: reply %+v, want %q", c.name, pr, c.want)
+			}
+			if nd.LocalSet("k").Contains("w-" + c.name) {
+				t.Errorf("%s: refused push stored its entry", c.name)
+			}
+		}
+		reply := nd.Handle(ctx, wire.RepairPush{Key: "k", Config: cfg, Entries: []string{"w-repair"}})
+		if pr := reply.(wire.RepairPushReply); pr.Err != "" || pr.Accepted != 1 {
+			t.Fatalf("repair push after a join: %+v", pr)
 		}
 	})
 }

@@ -16,6 +16,9 @@
 //     record history, ISSUE.md describes a change under way (which may
 //     remove the packages it names) and SNIPPETS.md quotes other
 //     repositories, so they are exempt;
+//   - every `make <target>` a Markdown file names, outside the same
+//     exempt files, is a target the root Makefile defines, so docs
+//     don't keep naming a target after it is deleted;
 //   - DESIGN.md is at most 600 lines, so a change that adds to it
 //     removes at least as much.
 //
@@ -46,6 +49,7 @@ func main() {
 	problems = append(problems, checkPackageDocs(root)...)
 	problems = append(problems, checkMarkdownLinks(root)...)
 	problems = append(problems, checkStalePaths(root)...)
+	problems = append(problems, checkMakeTargets(root)...)
 	problems = append(problems, checkDesignLength(root)...)
 	if len(problems) > 0 {
 		sort.Strings(problems)
@@ -174,6 +178,39 @@ func checkStalePaths(root string) []string {
 			for _, m := range pkgPath.FindAllStringSubmatch(line, -1) {
 				if st, err := os.Stat(filepath.Join(root, m[1])); err != nil || !st.IsDir() {
 					problems = append(problems, fmt.Sprintf("%s:%d: %s: no such package directory", path, i+1, m[1]))
+				}
+			}
+		}
+	})
+	return problems
+}
+
+var (
+	// makeRef matches a make invocation quoted in Markdown: `make <target>`.
+	makeRef = regexp.MustCompile("`make ([\\w.-]+)")
+	// makeRule matches a rule line of a Makefile, "<target>:" at the
+	// start of a line, and not a ":=" assignment.
+	makeRule = regexp.MustCompile(`(?m)^([\w.-]+)\s*:([^=]|$)`)
+)
+
+// checkMakeTargets reports every `make <target>` a Markdown file names
+// for which the root Makefile defines no rule. A missing Makefile
+// defines none.
+func checkMakeTargets(root string) []string {
+	makefile, _ := os.ReadFile(filepath.Join(root, "Makefile"))
+	targets := map[string]bool{}
+	for _, m := range makeRule.FindAllStringSubmatch(string(makefile), -1) {
+		targets[m[1]] = true
+	}
+	var problems []string
+	walkMarkdown(root, func(path string, data []byte) {
+		if rel, err := filepath.Rel(root, path); err == nil && pathExempt[filepath.ToSlash(rel)] {
+			return
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, m := range makeRef.FindAllStringSubmatch(line, -1) {
+				if !targets[m[1]] {
+					problems = append(problems, fmt.Sprintf("%s:%d: make %s: no such Makefile target", path, i+1, m[1]))
 				}
 			}
 		}

@@ -30,6 +30,27 @@ func TestCheckStalePaths(t *testing.T) {
 	}
 }
 
+// TestCheckMakeTargets: a doc naming a target the Makefile defines
+// passes, one naming a target it does not is reported, and the exempt
+// files may name either.
+func TestCheckMakeTargets(t *testing.T) {
+	root := t.TempDir()
+	write := func(name, text string) {
+		if err := os.WriteFile(filepath.Join(root, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("Makefile", "GO ?= go\nFLAGS := -v\n\nlive: build\n\t$(GO) test ./...\n\nbuild:\n\t$(GO) build ./...\n")
+	write("README.md", "Run `make live` or `make build GO=go1.22`.\nRun `make gone`, or `make FLAGS`.\n")
+	write("ROADMAP.md", "`make gone` is retired.\n")
+
+	problems := checkMakeTargets(root)
+	if len(problems) != 2 || !strings.Contains(problems[0], "README.md:2: make gone") ||
+		!strings.Contains(problems[1], "README.md:2: make FLAGS") {
+		t.Fatalf("problems = %q, want make gone and make FLAGS on README.md:2", problems)
+	}
+}
+
 // TestCheckDesignLength: a DESIGN.md of 600 lines passes and one of
 // 601 is reported.
 func TestCheckDesignLength(t *testing.T) {

@@ -184,6 +184,11 @@ func AppendEncode(dst []byte, msg Message) []byte {
 		e.uints(m.Positions)
 		e.bool(m.HasPos)
 		e.uvarint(uint64(m.HCount))
+		e.uvarint(m.Epoch)
+		e.uvarint(uint64(m.NewN))
+		// Leaving is -1 when the transition is a pure join; shifted by
+		// one like MembershipUpdate's.
+		e.uvarint(uint64(m.Leaving + 1))
 	case RepairPushReply:
 		e.uvarint(uint64(m.Accepted))
 		e.str(m.Err)
@@ -200,16 +205,6 @@ func AppendEncode(dst []byte, msg Message) []byte {
 		// the wire value stays a uvarint.
 		e.uvarint(uint64(m.Leaving + 1))
 		e.strs(m.Addrs)
-	case RebalancePush:
-		e.str(m.Key)
-		e.config(m.Config)
-		e.strs(m.Entries)
-		e.uints(m.Positions)
-		e.bool(m.HasPos)
-		e.uvarint(uint64(m.HCount))
-		e.uvarint(m.Epoch)
-		e.uvarint(uint64(m.NewN))
-		e.uvarint(uint64(m.Leaving + 1))
 	default:
 		panic(fmt.Sprintf("wire: Encode called with unregistered message type %T", msg))
 	}
@@ -357,6 +352,7 @@ func decode(data []byte) (Message, error) {
 		msg = RepairPush{
 			Key: d.str(), Config: d.config(), Entries: d.strs(),
 			Positions: d.uints(), HasPos: d.boolval(), HCount: d.intval(),
+			Epoch: d.uvarint(), NewN: d.intval(), Leaving: d.intval() - 1,
 		}
 	case KindRepairPushReply:
 		msg = RepairPushReply{Accepted: d.intval(), Err: d.str()}
@@ -369,12 +365,6 @@ func decode(data []byte) (Message, error) {
 		msg = MembershipUpdate{
 			Epoch: d.uvarint(), OldN: d.intval(), NewN: d.intval(),
 			Joined: d.ints(), Leaving: d.intval() - 1, Addrs: d.strs(),
-		}
-	case KindRebalancePush:
-		msg = RebalancePush{
-			Key: d.str(), Config: d.config(), Entries: d.strs(),
-			Positions: d.uints(), HasPos: d.boolval(), HCount: d.intval(),
-			Epoch: d.uvarint(), NewN: d.intval(), Leaving: d.intval() - 1,
 		}
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknown, kind)

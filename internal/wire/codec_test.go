@@ -79,12 +79,12 @@ func allMessages() []Message {
 			Addrs: []string{"a:1", "b:2", "c:3", "d:4", "e:5", "f:6"},
 		},
 		MembershipUpdate{Epoch: 5, OldN: 6, NewN: 5, Leaving: 2},
-		RebalancePush{
+		RepairPush{
 			Key: "k", Config: cfg, Entries: []string{"v1", "v2"},
 			Positions: []uint64{0, 3}, HasPos: true, HCount: 9,
 			Epoch: 4, NewN: 6, Leaving: -1,
 		},
-		RebalancePush{Key: "k", Config: cfg, Entries: []string{"v1"}, Epoch: 5, NewN: 5, Leaving: 2},
+		RepairPush{Key: "k", Config: cfg, Entries: []string{"v1"}, Epoch: 5, NewN: 5, Leaving: 2},
 		// Appended, as every later kind must be: the checked-in fuzz
 		// seeds are named by position in this list.
 		StoreBatches{Items: []StoreBatch{
@@ -120,6 +120,25 @@ func TestDecodeRejectsUnknownKind(t *testing.T) {
 	}
 	if _, err := Decode([]byte{0x00}); !errors.Is(err, ErrUnknown) {
 		t.Fatalf("Decode(kind 0) = %v, want ErrUnknown", err)
+	}
+}
+
+// TestRetiredKindStaysUnknown: the byte between MembershipUpdate and
+// StoreBatches belonged to the retired rebalance push. It stays
+// reserved, so a peer still sending that kind is refused rather than
+// misread as whatever a later kind might reuse the number for.
+func TestRetiredKindStaysUnknown(t *testing.T) {
+	const retired = 39
+	if KindMembershipUpdate != retired-1 || KindStoreBatches != retired+1 {
+		t.Fatalf("kinds renumbered: MembershipUpdate %d, StoreBatches %d", KindMembershipUpdate, KindStoreBatches)
+	}
+	push := Encode(RepairPush{Key: "k", Entries: []string{"v1"}, Epoch: 5, NewN: 5, Leaving: 2})
+	push[0] = retired
+	if _, err := Decode(push); !errors.Is(err, ErrUnknown) {
+		t.Fatalf("Decode(retired kind) = %v, want ErrUnknown", err)
+	}
+	if MaintenanceKind(retired) {
+		t.Error("the retired kind still counts as maintenance")
 	}
 }
 

@@ -214,17 +214,17 @@ const (
 	KindJoin
 	KindLeave
 	KindMembershipUpdate
-	KindRebalancePush
+	_ // retired: RebalancePush, now a RepairPush carrying its transition
 	KindStoreBatches
 )
 
 // MaintenanceKind reports whether k belongs to the background
-// maintenance protocols — anti-entropy repair and dynamic membership
-// (join/leave/rebalance) — rather than the request path. The transport
-// uses it to split connection-reuse telemetry by traffic class.
+// maintenance protocols rather than the request path: the repair query
+// and push that both sweeps (anti-entropy repair and rebalance) send,
+// and the membership kinds (join/leave/update). The transport uses it
+// to split connection-reuse telemetry by traffic class.
 func MaintenanceKind(k Kind) bool {
-	return (k >= KindRepairQuery && k <= KindRepairPushReply) ||
-		(k >= KindJoin && k <= KindRebalancePush)
+	return k >= KindRepairQuery && k <= KindMembershipUpdate
 }
 
 // ServedInline lists the kinds a server answers from memory alone — no
@@ -557,13 +557,20 @@ type RepairQueryReply struct {
 	Err     string
 }
 
-// RepairPush is phase two of an anti-entropy sweep: the sweeper
-// re-replicates entries the peer reported missing. Config rides along
-// so a freshly replaced, empty server adopts the key's scheme. For
-// Round-y, HasPos is set and Positions carries each entry's original
-// position in parallel with Entries — repair plugs holes at existing
-// positions, it never redraws them. HCount propagates the
-// RandomServer-x reservoir denominator (adopt-if-greater on receipt).
+// RepairPush is phase two of both maintenance sweeps: the sweeper
+// sends entries the peer reported missing. Config rides along so a
+// freshly replaced, empty server adopts the key's scheme. For Round-y,
+// HasPos is set and Positions carries each entry's original position in
+// parallel with Entries — a sweep plugs holes at existing positions, it
+// never redraws them. HCount propagates the RandomServer-x reservoir
+// denominator (adopt-if-greater on receipt).
+//
+// NewN == 0 marks an anti-entropy repair push, accepted under the
+// receiver's live membership. A rebalance sweep sets the membership
+// transition it moves entries for — Epoch, NewN and Leaving (the
+// draining slot, -1 if none) — so the receiver validates homes and
+// windows under the post-change cluster size and derives its own
+// post-change rank without global state.
 type RepairPush struct {
 	Key       string
 	Config    Config
@@ -571,6 +578,9 @@ type RepairPush struct {
 	Positions []uint64
 	HasPos    bool
 	HCount    int
+	Epoch     uint64
+	NewN      int
+	Leaving   int
 }
 
 // RepairPushReply reports how many pushed entries the peer accepted
@@ -623,25 +633,6 @@ type MembershipUpdate struct {
 	Addrs   []string
 }
 
-// RebalancePush transfers entries whose placement changed with the
-// member list, phase two of a rebalance sweep (phase one reuses
-// RepairQuery so converged keys cost one message). It carries the same
-// payload as RepairPush plus the membership transition itself — NewN
-// and Leaving — so the receiver can validate homes and windows under
-// the post-change cluster size and derive its own post-change rank
-// without global state. The reply is a RepairPushReply.
-type RebalancePush struct {
-	Key       string
-	Config    Config
-	Entries   []string
-	Positions []uint64
-	HasPos    bool
-	HCount    int
-	Epoch     uint64
-	NewN      int
-	Leaving   int
-}
-
 // Kind implementations.
 
 func (Place) Kind() Kind            { return KindPlace }
@@ -682,5 +673,4 @@ func (RepairPushReply) Kind() Kind  { return KindRepairPushReply }
 func (Join) Kind() Kind             { return KindJoin }
 func (Leave) Kind() Kind            { return KindLeave }
 func (MembershipUpdate) Kind() Kind { return KindMembershipUpdate }
-func (RebalancePush) Kind() Kind    { return KindRebalancePush }
 func (StoreBatches) Kind() Kind     { return KindStoreBatches }
