@@ -6,7 +6,7 @@
 // Usage:
 //
 //	plsbench [-exp table1|fig4|...|table2|ext-...|all|ext|everything]
-//	         [-fidelity quick|default|full] [-format text|md|csv] [-seed N]
+//	         [-fidelity quick|default|high|full] [-format text|md|csv] [-seed N]
 //
 // At -fidelity full the runner approaches the paper's stated fidelity
 // (5000 runs per data point) and can take many minutes; default keeps
@@ -38,12 +38,9 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("plsbench", flag.ExitOnError)
 	var (
 		exp      = fs.String("exp", "all", "experiment id (table1, fig4..fig14, table2, ext-...), or all | ext | everything")
-		fidelity = fs.String("fidelity", "default", "simulation fidelity: quick, default, or full")
+		fidelity = fs.String("fidelity", "default", "simulation fidelity: quick, default, high, or full")
 		format   = fs.String("format", "text", "output format: text, md, or csv")
 		seed     = fs.Uint64("seed", 1, "master random seed")
-		runs     = fs.Int("runs", 0, "override: placements averaged per data point")
-		lookups  = fs.Int("lookups", 0, "override: lookups per placement")
-		updates  = fs.Int("updates", 0, "override: update events per dynamic run")
 		telOut   = fs.String("telemetry-out", "", "write a telemetry snapshot (per-experiment runs/durations, runtime stats) as JSON to this file")
 	)
 	fs.Parse(args) // ExitOnError: Parse does not return an error
@@ -54,19 +51,12 @@ func run(args []string) error {
 		fid = experiments.Quick
 	case "default":
 		fid = experiments.Default
+	case "high":
+		fid = experiments.High
 	case "full":
 		fid = experiments.Paper
 	default:
 		return fmt.Errorf("unknown fidelity %q", *fidelity)
-	}
-	if *runs > 0 {
-		fid.Runs = *runs
-	}
-	if *lookups > 0 {
-		fid.Lookups = *lookups
-	}
-	if *updates > 0 {
-		fid.Updates = *updates
 	}
 
 	var render func(*experiments.Table) string

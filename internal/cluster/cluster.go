@@ -2,12 +2,13 @@
 // injection and metric snapshots: the substrate every simulation runs
 // on. New calls the nodes in process. NewWired puts each behind a
 // transport.Server on loopback, optionally with a WAL, and slot i of
-// the in-process transport forwards over one mux client to server i.
+// the in-process network forwards over one mux client to server i.
 // Either way all traffic, client probes and peer messages alike, flows
-// through a transport.Chaos middleware, so fault injection, the message
-// meter, the topology and membership are one code path in both modes.
-// With no faults configured the chaos layer is a transparent
-// pass-through consuming no randomness, so seeded runs are unchanged.
+// through one transport.Chaos, so fault injection, the topology and
+// membership are one code path in both modes, and each node counts
+// the messages it handles: the paper's meter. With no faults
+// configured the network consumes no randomness, so seeded runs are
+// unchanged.
 package cluster
 
 import (
@@ -29,7 +30,6 @@ import (
 
 // Cluster is a set of n lookup servers.
 type Cluster struct {
-	tr    *transport.Inproc
 	chaos *transport.Chaos
 	nodes []*node.Node
 	// wired holds the servers and the mux client of a cluster NewWired
@@ -42,8 +42,8 @@ type Cluster struct {
 	mu    sync.Mutex
 	addrs []string // member addresses: sim://i in process, unique per member
 
-	// caller is what clients probe through: the chaos middleware, or —
-	// after EnableTelemetry — an instrumented wrapper over it.
+	// caller is what clients probe through: the network, or — after
+	// EnableTelemetry — an instrumented wrapper over it.
 	caller transport.Caller
 	tm     *telemetry.TransportMetrics
 	nm     *telemetry.NodeMetrics
@@ -64,16 +64,16 @@ type Cluster struct {
 	// drained member's number, so double-join detection stays simple.
 	nextAddr int
 
-	// localBase[i] is what slot i's share of the message meter differs
-	// by from its current node's LocalDeliveries count: plus the
-	// deliveries of nodes Replace swapped out of the slot, minus those
-	// made before the last ResetMessages (see Messages).
-	localBase []int64
+	// base[i] is what slot i's share of the message meter differs by
+	// from its current node's Handled count: plus what the nodes Replace
+	// swapped out of the slot handled, minus what was handled before the
+	// last ResetMessages (see Messages).
+	base []int64
 
-	// topo, when set, is the zone topology shared by the chaos layer
-	// and every node. Membership operations keep it in step with the
-	// member count (Grow/Compact), and Replace re-attaches it to the
-	// fresh node so the replacement keeps the dead server's zone.
+	// topo, when set, is the zone topology shared by the network and
+	// every node. Membership operations keep it in step with the member
+	// count (Grow/Compact), and Replace re-attaches it to the fresh node
+	// so the replacement keeps the dead server's zone.
 	topo *topo.Topology
 }
 
@@ -84,11 +84,10 @@ func New(n int, rng *stats.RNG) *Cluster {
 		panic("cluster: New requires n > 0")
 	}
 	c := &Cluster{
-		tr:        transport.NewInproc(n),
-		nodes:     make([]*node.Node, n),
-		addrs:     make([]string, n),
-		localBase: make([]int64, n),
-		nextAddr:  n,
+		nodes:    make([]*node.Node, n),
+		addrs:    make([]string, n),
+		base:     make([]int64, n),
+		nextAddr: n,
 	}
 	for i := 0; i < n; i++ {
 		c.nodes[i] = node.New(i, rng.Split())
@@ -97,10 +96,10 @@ func New(n int, rng *stats.RNG) *Cluster {
 	}
 	// The chaos RNG splits after the node RNGs so node seeds (and every
 	// golden value derived from them) match the pre-chaos layout.
-	c.chaos = transport.NewChaos(c.tr, rng.Split())
+	c.chaos = transport.NewChaos(n, rng.Split())
 	for i := 0; i < n; i++ {
 		c.nodes[i].Attach(c.chaos.Origin(i))
-		c.tr.Bind(i, c.nodes[i])
+		c.chaos.Bind(i, c.nodes[i])
 	}
 	c.caller = c.chaos
 	return c
@@ -110,8 +109,8 @@ func New(n int, rng *stats.RNG) *Cluster {
 func (c *Cluster) N() int { return len(c.nodes) }
 
 // Caller returns the transport clients reach the servers through (the
-// chaos middleware over the in-process transport, instrumented once
-// EnableTelemetry has run); strategy drivers consume it.
+// in-process network, instrumented once EnableTelemetry has run);
+// strategy drivers consume it.
 func (c *Cluster) Caller() transport.Caller { return c.caller }
 
 // EnableTelemetry instruments the cluster into reg: client traffic
@@ -160,8 +159,8 @@ func (c *Cluster) EnableTelemetry(reg *telemetry.Registry) *telemetry.TransportM
 	return c.tm
 }
 
-// Chaos returns the fault-injection middleware all traffic traverses:
-// latency, drops and partitions are set there.
+// Chaos returns the in-process network all traffic traverses: latency,
+// drops and partitions are set there.
 func (c *Cluster) Chaos() *transport.Chaos { return c.chaos }
 
 // SetTopology attaches a zone topology to the whole cluster: the chaos
@@ -191,7 +190,7 @@ func (c *Cluster) Node(i int) *node.Node { return c.nodes[i] }
 // Fail marks server i as failed: subsequent calls to it return
 // transport.ErrServerDown.
 func (c *Cluster) Fail(i int) {
-	c.tr.SetDown(i, true)
+	c.chaos.SetDown(i, true)
 	c.epoch.Add(1)
 }
 
@@ -199,7 +198,7 @@ func (c *Cluster) Fail(i int) {
 // failed; the paper's strategies do not re-synchronize recovered
 // servers.
 func (c *Cluster) Recover(i int) {
-	c.tr.SetDown(i, false)
+	c.chaos.SetDown(i, false)
 	c.epoch.Add(1)
 }
 
@@ -208,7 +207,7 @@ func (c *Cluster) Recover(i int) {
 // up but cold after a restart.
 func (c *Cluster) Restart(i, slowCalls int, extra time.Duration) {
 	c.chaos.SlowStart(i, slowCalls, extra)
-	c.tr.SetDown(i, false)
+	c.chaos.SetDown(i, false)
 	c.epoch.Add(1)
 }
 
@@ -225,21 +224,22 @@ func (c *Cluster) Restart(i, slowCalls int, extra time.Duration) {
 // so it can coordinate the next change.
 func (c *Cluster) Replace(i int, rng *stats.RNG) *node.Node {
 	nd := c.newNode(i, rng)
+	c.base[i] += c.nodes[i].Handled()
 	if c.last.Epoch > 0 {
 		nd.Handle(context.Background(), c.last) // an empty node has nothing to sweep
+		c.base[i]--                             // adopting the epoch is not traffic
 	}
 	// The topology is keyed by server id, so the replacement inherits
 	// the dead server's zone — but the fresh node must re-learn the
 	// shared instance, or its spread-mode home computations diverge
 	// from the rest of the cluster (regression-tested in zone_test.go).
 	nd.SetTopology(c.topo)
-	c.localBase[i] += c.nodes[i].LocalDeliveries()
 	c.nodes[i] = nd
 	if w := c.wired; w != nil {
 		w.err = errors.Join(w.err, w.open(w.members[i], nd)) // Close reports it
 	}
-	c.tr.Bind(i, c.handler(i))
-	c.tr.SetDown(i, false)
+	c.chaos.Bind(i, c.handler(i))
+	c.chaos.SetDown(i, false)
 	c.epoch.Add(1)
 	return nd
 }
@@ -258,7 +258,7 @@ func (c *Cluster) Health() Health { return Health{c} }
 func (h Health) PresumedDead() []bool {
 	out := make([]bool, h.c.N())
 	for i := range out {
-		out[i] = h.c.tr.Down(i)
+		out[i] = h.c.chaos.Down(i)
 	}
 	return out
 }
@@ -267,10 +267,10 @@ func (h Health) PresumedDead() []bool {
 func (h Health) FailureEpoch() uint64 { return h.c.epoch.Load() }
 
 // Alive reports whether server i is operational.
-func (c *Cluster) Alive(i int) bool { return !c.tr.Down(i) }
+func (c *Cluster) Alive(i int) bool { return !c.chaos.Down(i) }
 
 // AliveCount returns the number of operational servers.
-func (c *Cluster) AliveCount() int { return c.N() - c.tr.DownCount() }
+func (c *Cluster) AliveCount() int { return c.N() - c.chaos.DownCount() }
 
 // Snapshot returns a copy of each server's local entry set for a key
 // (including failed servers' frozen state). Snapshots bypass the
@@ -294,41 +294,31 @@ func (c *Cluster) TotalStorage(key string) int {
 }
 
 // Messages returns the total number of messages processed by all
-// servers: the paper's update-overhead metric (Sec. 6.4). A message a
-// server addressed to itself never crossed the transport (a node
-// handles it in process) but was processed all the same, so each
-// server's in-process deliveries are added to what the transport
-// counted.
+// servers: the paper's update-overhead metric (Sec. 6.4), summed over
+// what each node handled, a message it sent itself included.
 func (c *Cluster) Messages() int64 {
-	total := c.tr.TotalProcessed()
+	var total int64
 	for i := range c.nodes {
-		total += c.localDeliveries(i)
+		total += c.ProcessedBy(i)
 	}
 	return total
 }
 
-// ProcessedBy returns the number of messages processed by one server,
-// for per-server load analyses (hot-spot experiments).
+// ProcessedBy returns the number of messages slot server has processed
+// since the last reset, by its node and by those it replaced, for
+// per-server load analyses (hot-spot experiments).
 func (c *Cluster) ProcessedBy(server int) int64 {
 	if server < 0 || server >= len(c.nodes) {
 		return 0
 	}
-	return c.tr.Processed(server) + c.localDeliveries(server)
-}
-
-// localDeliveries is slot i's share of the meter the transport cannot
-// see: the in-process deliveries of its node, and of the nodes it has
-// replaced, since the last reset.
-func (c *Cluster) localDeliveries(i int) int64 {
-	return c.localBase[i] + c.nodes[i].LocalDeliveries()
+	return c.base[server] + c.nodes[server].Handled()
 }
 
 // ResetMessages zeroes the message counters (e.g. after placement, so
 // an experiment counts update traffic only).
 func (c *Cluster) ResetMessages() {
-	c.tr.ResetCounters()
 	for i, nd := range c.nodes {
-		c.localBase[i] = -nd.LocalDeliveries()
+		c.base[i] = -nd.Handled()
 	}
 }
 
@@ -403,8 +393,7 @@ func (c *Cluster) Drain(ctx context.Context, i int) (*node.Node, error) {
 		return nil, err
 	}
 	leaver := c.nodes[i]
-	c.tr.Remove(i)
-	c.chaos.Compact(i)
+	c.chaos.Remove(i)
 	if c.topo != nil {
 		c.topo.Compact(i)
 	}
@@ -414,12 +403,12 @@ func (c *Cluster) Drain(ctx context.Context, i int) (*node.Node, error) {
 	c.mu.Lock()
 	c.nodes = append(c.nodes[:i], c.nodes[i+1:]...)
 	c.addrs = append(c.addrs[:i], c.addrs[i+1:]...)
-	c.localBase = append(c.localBase[:i], c.localBase[i+1:]...)
+	c.base = append(c.base[:i], c.base[i+1:]...)
 	c.mu.Unlock()
 	for s := i; s < len(c.nodes); s++ {
 		c.nodes[s].SetID(s)
 		c.nodes[s].Attach(c.chaos.Origin(s))
-		c.tr.Bind(s, c.handler(s))
+		c.chaos.Bind(s, c.handler(s))
 	}
 	c.epoch.Add(1)
 	return leaver, nil
@@ -442,7 +431,7 @@ func (c *Cluster) change(ctx context.Context, coord int, msg wire.Message) error
 }
 
 // newNode returns a node for slot i that reaches its peers through the
-// chaos layer, as every member does.
+// network, as every member does.
 func (c *Cluster) newNode(i int, rng *stats.RNG) *node.Node {
 	nd := node.New(i, rng)
 	nd.SetHost(host{c})
@@ -453,7 +442,7 @@ func (c *Cluster) newNode(i int, rng *stats.RNG) *node.Node {
 	return nd
 }
 
-// handler is what slot i of the in-process transport delivers to: its
+// handler is what slot i of the in-process network delivers to: its
 // node, or in a wired cluster the forwarder to its server.
 func (c *Cluster) handler(i int) transport.Handler {
 	if c.wired != nil {
@@ -480,7 +469,6 @@ func (h host) Grow(m wire.MembershipUpdate) {
 	if nd == nil || len(c.nodes) >= m.NewN {
 		return
 	}
-	c.chaos.Grow(1)
 	if c.topo != nil {
 		// Keep the topology in step with the member count: the joiner
 		// goes to the least-populated rack, and spread assignments stay
@@ -490,9 +478,9 @@ func (h host) Grow(m wire.MembershipUpdate) {
 		nd.SetTopology(c.topo)
 	}
 	c.nodes = append(c.nodes, nd)
-	c.tr.Add(c.handler(len(c.nodes) - 1))
+	c.chaos.Add(c.handler(len(c.nodes) - 1))
 	c.addrs = append(c.addrs, m.Addrs[len(c.addrs)])
-	c.localBase = append(c.localBase, 0)
+	c.base = append(c.base, 0)
 	c.nextAddr++
 	c.joining.Store(nil) // last, so the joiner's Swap sees the rest
 }

@@ -97,10 +97,10 @@ func TestClusterMessageCounters(t *testing.T) {
 }
 
 // TestMessageCountersFollowSlotsAcrossReplaceAndDrain: a server's
-// processed count is what the transport delivered to its slot plus what
-// its node delivered to itself in process, and both halves stay with
-// the slot when the node is replaced and move with it when a lower slot
-// is drained away.
+// processed count is what its node handled, a message it delivered to
+// itself in process included, and what the nodes it replaced handled;
+// the count stays with the slot when the node is replaced and moves
+// with it when a lower slot is drained away.
 func TestMessageCountersFollowSlotsAcrossReplaceAndDrain(t *testing.T) {
 	cl := cluster.New(4, stats.NewRNG(3))
 	placeFull(t, cl, 3)
@@ -194,4 +194,70 @@ func TestClusterNewPanicsOnZero(t *testing.T) {
 		}
 	}()
 	cluster.New(0, stats.NewRNG(1))
+}
+
+// TestMeterCountsWhatNodesHandle, in process and wired: a message a
+// node addresses to itself counts once, and one the network drops,
+// partitions away or addresses to a down server counts zero, because
+// only a node's Handle counts; a replacement's adoption of the member
+// epoch counts zero too.
+func TestMeterCountsWhatNodesHandle(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		new  func(*testing.T) *cluster.Cluster
+	}{
+		{"in-process", func(*testing.T) *cluster.Cluster { return cluster.New(3, stats.NewRNG(5)) }},
+		{"wired", func(t *testing.T) *cluster.Cluster { return newWired(t, 3, stats.NewRNG(5)) }},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			cl := mode.new(t)
+			ctx := context.Background()
+			perServer := func() []int64 {
+				out := make([]int64, cl.N())
+				for i := range out {
+					out[i] = cl.ProcessedBy(i)
+				}
+				return out
+			}
+			// The client's Place, and server 0's broadcast: one message
+			// to each server, its own share handled in process.
+			placeFull(t, cl, 2)
+			if got, want := perServer(), []int64{2, 1, 1}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("after place: ProcessedBy %v, want %v", got, want)
+			}
+			if local := cl.Node(0).LocalDeliveries(); local != 1 {
+				t.Fatalf("server 0 delivered %d messages to itself, want 1", local)
+			}
+
+			cl.ResetMessages()
+			cl.Chaos().SetDropRate(1, 1)
+			cl.Chaos().Partition(transport.ClientOrigin, 2)
+			for _, s := range []int{1, 2} {
+				if _, err := cl.Caller().Call(ctx, s, wire.Ping{}); !errors.Is(err, transport.ErrInjected) {
+					t.Fatalf("call to server %d = %v, want an injected fault", s, err)
+				}
+			}
+			cl.Chaos().SetDropRate(1, 0)
+			cl.Fail(1)
+			if _, err := cl.Caller().Call(ctx, 1, wire.Ping{}); !errors.Is(err, transport.ErrServerDown) {
+				t.Fatalf("call to down server 1 = %v, want ErrServerDown", err)
+			}
+			if got := cl.Messages(); got != 0 {
+				t.Fatalf("dropped, partitioned and down-target calls counted %d messages, want 0 (ProcessedBy %v)", got, perServer())
+			}
+
+			// A replacement adopts the committed member epoch by a direct
+			// Handle, which is not traffic.
+			cl.Recover(1)
+			cl.Chaos().HealAll()
+			if _, err := cl.Join(ctx, stats.NewRNG(6)); err != nil {
+				t.Fatalf("Join: %v", err)
+			}
+			cl.ResetMessages()
+			cl.Replace(1, stats.NewRNG(7))
+			if got := cl.Messages(); got != 0 {
+				t.Fatalf("Replace after a join counted %d messages, want 0", got)
+			}
+		})
+	}
 }

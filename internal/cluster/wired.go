@@ -40,9 +40,9 @@ func (m *member) Handle(ctx context.Context, msg wire.Message) wire.Message {
 	return m.nd.Load().Handle(ctx, msg)
 }
 
-// forward is slot i's handler on a wired cluster's in-process
-// transport, past the chaos layer and the meter: it carries the call to
-// server i, and a failed one back as an Ack (Handle returns no error).
+// forward is slot i's handler on a wired cluster's in-process network,
+// past its faults: it carries the call to server i, whose node counts
+// it, and a failed one back as an Ack (Handle returns no error).
 type forward struct {
 	client *transport.Client
 	slot   int
@@ -74,7 +74,7 @@ func NewWired(n int, rng *stats.RNG, dataDir string) (*Cluster, error) {
 			return nil, errors.Join(err, c.Close())
 		}
 		c.addrs[i] = addr
-		c.tr.Bind(i, c.handler(i))
+		c.chaos.Bind(i, c.handler(i))
 	}
 	return c, nil
 }

@@ -43,7 +43,7 @@ func placeEntries(t *testing.T, svc *core.Service, key string, h int) {
 }
 
 // TestLookupTelemetryMatchesInjectedFaults is the e2e acceptance test:
-// run lookups through the chaos middleware and check the retry and
+// run lookups through the in-process network and check the retry and
 // per-server error counters exactly match the injected fault schedule.
 func TestLookupTelemetryMatchesInjectedFaults(t *testing.T) {
 	const maxAttempts = 3

@@ -45,6 +45,9 @@ var (
 	Quick = Fidelity{Runs: 20, Lookups: 200, Updates: 2000}
 	// Default balances runtime and precision for interactive use.
 	Default = Fidelity{Runs: 200, Lookups: 1000, Updates: 10000}
+	// High renders results/results-high.md: tighter intervals than
+	// Default at several times its runtime.
+	High = Fidelity{Runs: 1000, Lookups: 3000, Updates: 20000}
 	// Paper approaches the paper's stated fidelity (minutes of CPU).
 	Paper = Fidelity{Runs: 5000, Lookups: 5000, Updates: 10000}
 )

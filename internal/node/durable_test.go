@@ -23,7 +23,7 @@ type durCluster struct {
 	t     *testing.T
 	nodes []*Node
 	durs  []*Durability
-	tr    *transport.Inproc
+	tr    *transport.Chaos
 }
 
 // newDurCluster builds n nodes seeded from one root seed. dirs[i], when
@@ -33,7 +33,7 @@ type durCluster struct {
 func newDurCluster(t *testing.T, n int, seed uint64, dirs []string, policy store.SyncPolicy) *durCluster {
 	t.Helper()
 	rng := stats.NewRNG(seed)
-	dc := &durCluster{t: t, tr: transport.NewInproc(n)}
+	dc := &durCluster{t: t, tr: transport.NewChaos(n, stats.NewRNG(seed))}
 	for i := 0; i < n; i++ {
 		nd := New(i, rng.Split())
 		var d *Durability

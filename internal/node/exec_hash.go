@@ -1,6 +1,10 @@
 package node
 
-import "slices"
+import (
+	"slices"
+
+	"repro/internal/stats"
+)
 
 // HashAssign returns the distinct servers f1(v)..fy(v) that Hash-y
 // assigns entry v to, in a cluster of n servers. The paper leaves the
@@ -37,7 +41,7 @@ func AppendHashHomes(dst []int, v string, y, n int, seed uint64) []int {
 	base := h ^ seed
 	start := len(dst)
 	for i := 0; i < y; i++ {
-		z := mix64(base + uint64(i+1)*0x9e3779b97f4a7c15)
+		z := stats.Mix64(base + uint64(i+1)*0x9e3779b97f4a7c15)
 		if target := int(z % uint64(n)); !slices.Contains(dst[start:], target) {
 			dst = append(dst, target)
 		}

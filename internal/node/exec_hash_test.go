@@ -5,6 +5,8 @@ import (
 	"hash/fnv"
 	"slices"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // hashAssignRef is HashAssign as it was written before it ran on every
@@ -20,7 +22,7 @@ func hashAssignRef(v string, y, n int, seed uint64) []int {
 	targets := make([]int, 0, y)
 	seen := make(map[int]bool, y)
 	for i := 0; i < y; i++ {
-		z := mix64(base + uint64(i+1)*0x9e3779b97f4a7c15)
+		z := stats.Mix64(base + uint64(i+1)*0x9e3779b97f4a7c15)
 		target := int(z % uint64(n))
 		if !seen[target] {
 			seen[target] = true

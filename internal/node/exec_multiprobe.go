@@ -3,6 +3,8 @@ package node
 import (
 	"hash/fnv"
 	"sort"
+
+	"repro/internal/stats"
 )
 
 // mpProbes is the number of ring probes per replica choice. The
@@ -34,7 +36,7 @@ func MultiProbeAssign(v string, y, n int, seed uint64) []int {
 
 	points := make([]uint64, n)
 	for i := range points {
-		points[i] = mix64(seed + uint64(i+1)*0xa24baed4963ee407)
+		points[i] = stats.Mix64(seed + uint64(i+1)*0xa24baed4963ee407)
 	}
 	// All k probes with their best (owner, clockwise distance), sorted
 	// by distance: replica choices prefer the tightest probes, and ties
@@ -46,7 +48,7 @@ func MultiProbeAssign(v string, y, n int, seed uint64) []int {
 	}
 	probes := make([]probe, mpProbes)
 	for j := range probes {
-		p := mix64(base + uint64(j+1)*0x9e3779b97f4a7c15)
+		p := stats.Mix64(base + uint64(j+1)*0x9e3779b97f4a7c15)
 		best, bestDist := 0, points[0]-p
 		for i := 1; i < n; i++ {
 			if d := points[i] - p; d < bestDist {
@@ -87,13 +89,4 @@ func MultiProbeAssign(v string, y, n int, seed uint64) []int {
 		targets = append(targets, i)
 	}
 	return targets
-}
-
-// mix64 is the SplitMix64 finalizer used to derive hash-family values
-// (HashAssign) and ring points (MultiProbeAssign) from structured
-// inputs.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

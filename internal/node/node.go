@@ -82,6 +82,10 @@ type Node struct {
 	// "Zone-spread placement").
 	topol atomic.Pointer[topo.Topology]
 
+	// handled counts the messages Handle has run: the node's share of
+	// the paper's message meter (Sec. 6.4), whether a transport
+	// delivered them or the node sent them to itself.
+	handled atomic.Int64
 	// localDeliveries counts the peer messages this node addressed to
 	// itself and handled in process (see callReply).
 	localDeliveries atomic.Int64
@@ -163,11 +167,12 @@ func (n *Node) recordOp(msg wire.Message) {
 	}
 }
 
-// Handle implements transport.Handler, dispatching one protocol message.
-// Kinds outside wire.ServedInline detach first. Nested peer calls
-// (broadcasts, migrations) are issued with no key lock held, so
-// self-directed messages re-enter Handle safely.
+// Handle implements transport.Handler, dispatching one protocol message
+// and counting it in Handled. Kinds outside wire.ServedInline detach
+// first. Nested peer calls (broadcasts, migrations) are issued with no
+// key lock held, so self-directed messages re-enter Handle safely.
 func (n *Node) Handle(ctx context.Context, msg wire.Message) wire.Message {
+	n.handled.Add(1)
 	if !wire.ServedInline(msg.Kind()) {
 		transport.Detach(ctx)
 	}
@@ -448,12 +453,13 @@ func (n *Node) call(ctx context.Context, server int, msg wire.Message) error {
 // and transport.Detach finds the request already detached — and returns
 // the same reply, durability wait included. It is still a processed
 // message in the paper's cost model (Sec. 6.4 counts a broadcast's
-// message to the sender), counted in LocalDeliveries where no transport
-// sees it. id and peers are read together under the lock SetID and
-// Attach write them under. A host that compacts its slot view in place
-// (cluster.Drain, plsd's Compact) still does that and SetID in two
-// steps: an update overlapping them can address one message by the
-// wrong numbering, which is the repair sweep's to mend, as it was.
+// message to the sender): Handle counts it as it counts the others,
+// and LocalDeliveries too. id and peers are read together under the
+// lock SetID and Attach write them under. A host that compacts its slot
+// view in place (cluster.Drain, plsd's Compact) still does that and
+// SetID in two steps: an update overlapping them can address one
+// message by the wrong numbering, which is the repair sweep's to mend,
+// as it was.
 func (n *Node) callReply(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
 	n.peersMu.RLock()
 	self, peers := n.ID(), n.peers
@@ -475,10 +481,14 @@ func (n *Node) callReply(ctx context.Context, server int, msg wire.Message) (wir
 }
 
 // LocalDeliveries returns how many peer messages the node has handled
-// in process because it had addressed them to itself. A host that
-// meters processed messages at its transport (cluster.Cluster) adds
-// them in.
+// in process because it had addressed them to itself; Handled counts
+// them too.
 func (n *Node) LocalDeliveries() int64 { return n.localDeliveries.Load() }
+
+// Handled returns how many messages the node has handled: the paper's
+// per-server message count (Sec. 6.4), each message a transport
+// delivered and each the node delivered to itself.
+func (n *Node) Handled() int64 { return n.handled.Load() }
 
 // broadcast sends msg to every server, including this one (the paper's
 // cost model charges a broadcast n processed messages). Down servers

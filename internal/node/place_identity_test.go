@@ -227,7 +227,7 @@ func TestPlacedShareIsCopiedOutOfTheMessage(t *testing.T) {
 		}
 
 		nd := New(1, stats.NewRNG(1))
-		nd.Attach(transport.NewInproc(n))
+		nd.Attach(transport.NewChaos(n, stats.NewRNG(1)))
 		if ack := nd.Handle(context.Background(), msg).(wire.BatchAck); ack.Errs[0] != "" {
 			t.Fatalf("%v: %s", cfg, ack.Errs[0])
 		}

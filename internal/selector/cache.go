@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/bits"
 	"unsafe"
+
+	"repro/internal/stats"
 )
 
 // The routing cache's shape. Capacity is set in bytes, not keys: the
@@ -96,9 +98,7 @@ func keyHash(key string) uint64 {
 		h ^= uint64(key[i])
 		h *= prime64
 	}
-	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
-	h = (h ^ h>>27) * 0x94d049bb133111eb
-	return max(h^h>>31, 1)
+	return max(stats.Mix64(h), 1)
 }
 
 func (c *routeCache) len() int { return c.used }

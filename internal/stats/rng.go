@@ -23,16 +23,23 @@ func NewRNG(seed uint64) *RNG {
 	sm := seed
 	for i := range r.s {
 		sm += 0x9e3779b97f4a7c15
-		z := sm
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		r.s[i] = z ^ (z >> 31)
+		r.s[i] = Mix64(sm)
 	}
 	// xoshiro must not start from the all-zero state.
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 1
 	}
 	return r
+}
+
+// Mix64 is the SplitMix64 finalizer: a bijective bit mixer that turns
+// structured inputs (a counter, a hash plus an offset) into uniformly
+// spread 64-bit values. It seeds RNG, and the Hash-y, multi-probe and
+// zone-spread assignments and the selector's route cache hash with it.
+func Mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // Split derives an independent generator from r's stream, for use by a

@@ -19,6 +19,10 @@
 //   - every `make <target>` a Markdown file names, outside the same
 //     exempt files, is a target the root Makefile defines, so docs
 //     don't keep naming a target after it is deleted;
+//   - every `pkg.Ident` a Markdown file names in a code span, outside
+//     the same exempt files, with pkg a directory under internal/ and
+//     Ident exported, is declared by that package, so docs don't keep
+//     naming a type or function after it is renamed or deleted;
 //   - DESIGN.md is at most 600 lines, so a change that adds to it
 //     removes at least as much.
 //
@@ -29,6 +33,7 @@ package main
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -50,6 +55,7 @@ func main() {
 	problems = append(problems, checkMarkdownLinks(root)...)
 	problems = append(problems, checkStalePaths(root)...)
 	problems = append(problems, checkMakeTargets(root)...)
+	problems = append(problems, checkIdents(root)...)
 	problems = append(problems, checkDesignLength(root)...)
 	if len(problems) > 0 {
 		sort.Strings(problems)
@@ -216,6 +222,81 @@ func checkMakeTargets(root string) []string {
 		}
 	})
 	return problems
+}
+
+var (
+	// codeSpan matches a Markdown code span on one line.
+	codeSpan = regexp.MustCompile("`[^`\n]+`")
+	// identRef matches pkg.Ident, Ident exported, that does not continue
+	// a selector: x.node.Handle names no package node.
+	identRef = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+)
+
+// checkIdents reports every `pkg.Ident` a Markdown file names, pkg a
+// directory under internal/ and Ident exported, that no Go file in
+// that directory declares: a top-level func, type, var or const, or a
+// method. A pkg that is no such directory is not checked.
+func checkIdents(root string) []string {
+	decls := map[string]map[string]bool{} // by package; nil: not one
+	declared := func(pkg string) map[string]bool {
+		if names, ok := decls[pkg]; ok {
+			return names
+		}
+		files, _ := filepath.Glob(filepath.Join(root, "internal", pkg, "*.go"))
+		var names map[string]bool
+		if len(files) > 0 {
+			names = packageDecls(files)
+		}
+		decls[pkg] = names
+		return names
+	}
+	var problems []string
+	walkMarkdown(root, func(path string, data []byte) {
+		if rel, err := filepath.Rel(root, path); err == nil && pathExempt[filepath.ToSlash(rel)] {
+			return
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, span := range codeSpan.FindAllString(line, -1) {
+				for _, m := range identRef.FindAllStringSubmatch(span, -1) {
+					if names := declared(m[1]); names != nil && !names[m[2]] {
+						problems = append(problems, fmt.Sprintf("%s:%d: %s.%s: not declared in internal/%s", path, i+1, m[1], m[2], m[1]))
+					}
+				}
+			}
+		}
+	})
+	return problems
+}
+
+// packageDecls returns the names the Go files declare at top level,
+// methods included.
+func packageDecls(files []string) map[string]bool {
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			continue // the compiler reports real syntax errors
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				names[d.Name.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names[spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
 }
 
 // designMaxLines caps DESIGN.md's length (see the package doc).

@@ -67,3 +67,29 @@ func TestCheckDesignLength(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckIdents: a doc naming a declared type, function or method of
+// a package under internal/ passes, one naming an exported name the
+// package lacks is reported, names of other packages and unexported
+// names are not checked, and the exempt files may name anything.
+func TestCheckIdents(t *testing.T) {
+	root := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(root, "internal", "live"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	write := func(name, text string) {
+		if err := os.WriteFile(filepath.Join(root, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("internal/live/live.go", "package live\n\ntype Net struct{}\n\nfunc (Net) Call() {}\n\nfunc New() Net { return Net{} }\n\nconst (\n\tA, B = 1, 2\n)\n")
+	write("README.md", "Build `live.New()` and `live.Net`, then `live.Call`.\n"+
+		"`live.B` and `x.live.Gone` and `time.Duration` and `live.gone` pass.\n"+
+		"`live.Inner` is gone; so is live.Outer, outside a code span.\n")
+	write("CHANGES.md", "`live.Inner` folded into `live.Net`.\n")
+
+	problems := checkIdents(root)
+	if len(problems) != 1 || !strings.Contains(problems[0], "README.md:3: live.Inner") {
+		t.Fatalf("problems = %q, want one for live.Inner on README.md:3", problems)
+	}
+}

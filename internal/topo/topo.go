@@ -3,8 +3,9 @@
 // data centers in regions. The INRIA replica-placement papers
 // (PAPERS.md) show that placement in such a tree changes both lookup
 // cost and availability; this package is the shared substrate the
-// chaos layer (zone-correlated latency, whole-zone partitions), the
-// zone-spread placement mode, and the zone-aware selector consume.
+// in-process network (zone-correlated latency, whole-zone
+// partitions), the zone-spread placement mode, and the zone-aware
+// selector consume.
 //
 // A Topology is an assignment of server ids to leaf zones (racks)
 // plus a per-tier link latency profile. Zones are named by paths:
@@ -27,6 +28,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // Distance tiers between two servers, used to index a Profile.
@@ -489,7 +492,7 @@ func (t *Topology) SpreadAssign(v string, y int, seed uint64) []int {
 	h.Write([]byte(v))
 	base := h.Sum64() ^ seed
 	z := len(t.spreadOrder)
-	start := int(mix64(base+0x9e3779b97f4a7c15) % uint64(z))
+	start := int(stats.Mix64(base+0x9e3779b97f4a7c15) % uint64(z))
 	chosen := make([]int, 0, y)
 	taken := make(map[int]bool, y)
 	for c := 0; c < y; c++ {
@@ -513,7 +516,7 @@ func (t *Topology) pickLocked(base uint64, rackAt, c int, taken map[int]bool) in
 		if len(mem) == 0 {
 			continue
 		}
-		pick := int(mix64(base+uint64(c+2)*0x9e3779b97f4a7c15) % uint64(len(mem)))
+		pick := int(stats.Mix64(base+uint64(c+2)*0x9e3779b97f4a7c15) % uint64(len(mem)))
 		for j := 0; j < len(mem); j++ {
 			if s := mem[(pick+j)%len(mem)]; !taken[s] {
 				return s
@@ -595,12 +598,4 @@ func (t *Topology) Spec() string {
 // — so callers can relate a client's zone path to a partitioned zone.
 func Within(z, ancestor string) bool {
 	return z == ancestor || strings.HasPrefix(z, ancestor+"/")
-}
-
-// mix64 is the SplitMix64 finalizer, the same bit mixer the Hash-y
-// assignment uses, so spread picks are as uniform as the base scheme.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

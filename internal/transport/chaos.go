@@ -1,21 +1,10 @@
-// Chaos is a fault-injecting middleware over any Caller. It sits
-// between the strategy drivers (or server nodes issuing peer traffic)
-// and the real transport, so the same fault scenarios run unchanged
-// over the in-process simulator and the TCP client: per-server latency
-// distributions, probabilistic call drops, slow-start penalties after a
-// restart, pairwise network partitions, and — when a topo.Topology is
-// attached — zone-correlated latency and whole-zone partitions.
-//
-// All randomness comes from one seeded stats.RNG, so a fault schedule
-// is fully reproducible: two Chaos instances with equal seeds over
-// equal call sequences inject exactly the same faults. Latency is
-// virtual: a call advances the Chaos's Clock instead of sleeping.
 package transport
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -24,13 +13,13 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrInjected identifies failures manufactured by the chaos middleware.
+// ErrInjected identifies failures manufactured by fault injection.
 // Every injected failure also matches ErrServerDown (via errors.Is), so
 // strategy drivers fail over to the next server in their probe order
 // exactly as they would for a genuinely dead server.
 var ErrInjected = errors.New("transport: injected fault")
 
-// injectedError is the concrete error for chaos-injected failures; it
+// injectedError is the concrete error for injected failures; it
 // matches both ErrInjected and ErrServerDown.
 type injectedError struct {
 	server int
@@ -50,33 +39,46 @@ func (e *injectedError) Is(target error) bool {
 // ClientOrigin cut the client off from a server.
 const ClientOrigin = -1
 
-// Faults is the fault profile applied to calls targeting one server.
-// The zero value injects nothing.
-type Faults struct {
-	// Latency is a fixed delay added to every call.
-	Latency time.Duration
-	// Jitter adds a uniform random delay in [0, Jitter).
-	Jitter time.Duration
-	// DropRate is the probability a call is dropped before delivery
-	// (the server never sees it); dropped calls fail with an error
-	// matching ErrInjected and ErrServerDown.
-	DropRate float64
+// slot is one server's row of the network: its handler and the faults
+// calls to it suffer. The zero value is an unbound, fault-free slot.
+type slot struct {
+	h         Handler       // what calls are delivered to; nil until bound
+	down      bool          // failed: calls return ErrServerDown
+	latency   time.Duration // fixed delay added to every call
+	jitter    time.Duration // uniform random delay in [0, jitter) on top
+	dropRate  float64       // probability a call is dropped before delivery
+	slowLeft  int           // remaining slow-start calls
+	slowExtra time.Duration // slow-start latency penalty
 }
 
-// Chaos wraps an inner Caller with deterministic fault injection.
-// It implements Caller itself for client traffic (origin ClientOrigin);
-// use Origin to obtain per-server views for peer traffic so pairwise
-// partitions can tell callers apart.
+// Chaos is the in-process network. Each server is a slot holding the
+// handler a call is delivered to, by direct function call, and the
+// faults calls to it suffer: a down flag, per-server latency
+// distributions, probabilistic call drops, slow-start penalties after a
+// restart, pairwise network partitions, and — when a topo.Topology is
+// attached — zone-correlated latency and whole-zone partitions. A
+// wired cluster binds each slot to a forwarder onto a TCP client, so
+// the faults reach real sockets only that way.
+//
+// All randomness comes from one seeded stats.RNG, so a fault schedule
+// is fully reproducible: two Chaos instances with equal seeds over
+// equal call sequences inject exactly the same faults. Latency is
+// virtual: a call advances the Chaos's Clock instead of sleeping.
+//
+// Fixed-size clusters never resize it; dynamic membership grows and
+// compacts it via Add/Remove. It implements Caller itself for client
+// traffic (origin ClientOrigin); use Origin to obtain per-server views
+// for peer traffic so pairwise partitions can tell callers apart. It
+// is safe for concurrent use, and handlers may issue nested calls
+// (broadcasts, migrations) from within Handle: no lock is held while a
+// handler runs.
 type Chaos struct {
-	inner Caller
 	clock *Clock
 
-	mu        sync.Mutex
-	rng       *stats.RNG
-	faults    []Faults
-	slowLeft  []int           // remaining slow-start calls per server
-	slowExtra []time.Duration // slow-start latency penalty per server
-	cut       map[[2]int]bool // severed origin/target pairs, normalized
+	mu    sync.Mutex
+	rng   *stats.RNG
+	slots []slot
+	cut   map[[2]int]bool // severed origin/target pairs, normalized
 
 	// Zone state. With tp nil all of it is inert: no extra locking of
 	// note, no RNG draws, no counters — topology-free runs stay
@@ -92,30 +94,81 @@ type Chaos struct {
 
 var _ Caller = (*Chaos)(nil)
 
-// NewChaos wraps inner with fault injection driven by rng. With no
-// faults configured it is a transparent pass-through that consumes no
-// randomness, so wrapping never perturbs seeded simulations.
-func NewChaos(inner Caller, rng *stats.RNG) *Chaos {
-	if inner == nil {
-		panic("transport: NewChaos requires an inner Caller")
+// NewChaos returns a network of n servers with no handlers bound yet
+// (Bind each before the first call), its faults driven by rng. With no
+// faults configured it consumes no randomness, so it never perturbs
+// seeded simulations.
+func NewChaos(n int, rng *stats.RNG) *Chaos {
+	if n <= 0 {
+		panic("transport: NewChaos requires n > 0")
 	}
 	if rng == nil {
 		panic("transport: NewChaos requires an RNG")
 	}
 	return &Chaos{
-		inner:     inner,
-		clock:     NewClock(),
-		rng:       rng,
-		faults:    make([]Faults, inner.NumServers()),
-		slowLeft:  make([]int, inner.NumServers()),
-		slowExtra: make([]time.Duration, inner.NumServers()),
-		cut:       make(map[[2]int]bool),
-		zoneCut:   make(map[string]bool),
+		clock:   NewClock(),
+		rng:     rng,
+		slots:   make([]slot, n),
+		cut:     make(map[[2]int]bool),
+		zoneCut: make(map[string]bool),
 	}
 }
 
-// NumServers returns the inner transport's cluster size.
-func (c *Chaos) NumServers() int { return c.inner.NumServers() }
+// Bind attaches the handler for one server id.
+func (c *Chaos) Bind(server int, h Handler) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.slots[server].h = h
+}
+
+// Add appends a fault-free server slot delivering to h and returns its
+// id (dynamic membership: a joiner gets the next slot).
+func (c *Chaos) Add(h Handler) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.slots = append(c.slots, slot{h: h})
+	return len(c.slots) - 1
+}
+
+// Remove deletes one server slot, shifting higher ids down by one with
+// everything their slots hold (dynamic membership: a drained member's
+// slot is compacted away; the caller renumbers the surviving nodes to
+// match). Partitions involving the removed server are discarded;
+// surviving pairs are renumbered.
+func (c *Chaos) Remove(server int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if server < 0 || server >= len(c.slots) {
+		return
+	}
+	c.slots = slices.Delete(c.slots, server, server+1)
+	cut := make(map[[2]int]bool, len(c.cut))
+	shift := func(id int) (int, bool) {
+		switch {
+		case id == server:
+			return 0, false
+		case id > server:
+			return id - 1, true
+		default:
+			return id, true // ClientOrigin stays ClientOrigin
+		}
+	}
+	for pair := range c.cut {
+		a, okA := shift(pair[0])
+		b, okB := shift(pair[1])
+		if okA && okB {
+			cut[pairKey(a, b)] = true
+		}
+	}
+	c.cut = cut
+}
+
+// NumServers returns the cluster size.
+func (c *Chaos) NumServers() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.slots)
+}
 
 // Clock returns the virtual clock the injected latency advances.
 func (c *Chaos) Clock() *Clock { return c.clock }
@@ -141,21 +194,51 @@ func (o *originCaller) Call(ctx context.Context, server int, msg wire.Message) (
 	return o.chaos.call(ctx, o.origin, server, msg)
 }
 
+// SetDown marks a server as failed or recovered.
+func (c *Chaos) SetDown(server int, down bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if server >= 0 && server < len(c.slots) {
+		c.slots[server].down = down
+	}
+}
+
+// Down reports whether a server is failed.
+func (c *Chaos) Down(server int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return server >= 0 && server < len(c.slots) && c.slots[server].down
+}
+
+// DownCount returns the number of failed servers.
+func (c *Chaos) DownCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for i := range c.slots {
+		if c.slots[i].down {
+			n++
+		}
+	}
+	return n
+}
+
 // SetLatency sets the latency distribution for calls to one server:
 // a fixed base plus uniform jitter in [0, jitter).
 func (c *Chaos) SetLatency(server int, base, jitter time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.faults[server].Latency = base
-	c.faults[server].Jitter = jitter
+	c.slots[server].latency = base
+	c.slots[server].jitter = jitter
 }
 
 // SetDropRate sets the probability that a call to one server is dropped
-// before delivery.
+// before delivery (the server never sees it); dropped calls fail with
+// an error matching ErrInjected and ErrServerDown.
 func (c *Chaos) SetDropRate(server int, p float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.faults[server].DropRate = p
+	c.slots[server].dropRate = p
 }
 
 // SlowStart penalizes the next calls calls to a server with extra
@@ -164,8 +247,8 @@ func (c *Chaos) SetDropRate(server int, p float64) {
 func (c *Chaos) SlowStart(server, calls int, extra time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.slowLeft[server] = calls
-	c.slowExtra[server] = extra
+	c.slots[server].slowLeft = calls
+	c.slots[server].slowExtra = extra
 }
 
 // Partition severs the pair (a, b) in both directions; calls between
@@ -198,56 +281,9 @@ func (c *Chaos) Partitioned(a, b int) bool {
 	return c.cut[pairKey(a, b)]
 }
 
-// Grow extends the fault tables by k fault-free slots (dynamic
-// membership: joiners start with no injected faults). Without this,
-// calls to slots beyond the tables bypass injection entirely.
-func (c *Chaos) Grow(k int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := 0; i < k; i++ {
-		c.faults = append(c.faults, Faults{})
-		c.slowLeft = append(c.slowLeft, 0)
-		c.slowExtra = append(c.slowExtra, 0)
-	}
-}
-
-// Compact removes one server's fault state, shifting higher ids down
-// by one to match the inner transport's slot compaction after a drain.
-// Partitions involving the removed server are discarded; surviving
-// pairs are renumbered.
-func (c *Chaos) Compact(server int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if server < 0 || server >= len(c.faults) {
-		return
-	}
-	c.faults = append(c.faults[:server], c.faults[server+1:]...)
-	c.slowLeft = append(c.slowLeft[:server], c.slowLeft[server+1:]...)
-	c.slowExtra = append(c.slowExtra[:server], c.slowExtra[server+1:]...)
-	cut := make(map[[2]int]bool, len(c.cut))
-	shift := func(id int) (int, bool) {
-		switch {
-		case id == server:
-			return 0, false
-		case id > server:
-			return id - 1, true
-		default:
-			return id, true // ClientOrigin stays ClientOrigin
-		}
-	}
-	for pair := range c.cut {
-		a, okA := shift(pair[0])
-		b, okB := shift(pair[1])
-		if okA && okB {
-			cut[pairKey(a, b)] = true
-		}
-	}
-	c.cut = cut
-}
-
 // SetTopology attaches a zone topology: calls then pay the per-tier
 // link latency from the topology's profile (on top of any per-server
-// Faults) and are counted per distance tier. The topology must be the
+// faults) and are counted per distance tier. The topology must be the
 // same instance the cluster's nodes share, so zone partitions and
 // placement agree on who lives where. Pass nil to detach.
 func (c *Chaos) SetTopology(tp *topo.Topology) {
@@ -360,18 +396,19 @@ func pairKey(a, b int) [2]int {
 	return [2]int{a, b}
 }
 
-// call applies the configured faults, then delegates to the inner
-// transport. Fault decisions are drawn under the lock in call order, so
-// a single-goroutine simulation is bit-for-bit reproducible.
+// call applies the configured faults, then delivers msg to the
+// server's handler. Fault decisions are drawn under the lock in call
+// order — the slow-start and drop draws even when the server is down —
+// so a single-goroutine simulation is bit-for-bit reproducible.
 func (c *Chaos) call(ctx context.Context, origin, server int, msg wire.Message) (wire.Message, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if server < 0 || server >= len(c.faults) {
-		return c.inner.Call(ctx, server, msg) // inner reports the range error
-	}
-
 	c.mu.Lock()
+	if err := c.outOfRange(server); err != nil {
+		c.mu.Unlock()
+		return nil, err
+	}
 	if c.cut[pairKey(origin, server)] {
 		c.mu.Unlock()
 		return nil, &injectedError{server: server, reason: "partition"}
@@ -382,8 +419,8 @@ func (c *Chaos) call(ctx context.Context, origin, server int, msg wire.Message) 
 			return nil, &injectedError{server: server, reason: "zone partition " + z}
 		}
 	}
-	f := c.faults[server]
-	delay := f.Latency
+	s := &c.slots[server]
+	delay := s.latency
 	if c.tp != nil {
 		dist := c.zoneDist(origin, server)
 		c.zoneCalls[dist]++
@@ -393,14 +430,14 @@ func (c *Chaos) call(ctx context.Context, origin, server int, msg wire.Message) 
 			delay += time.Duration(c.rng.Uint64N(uint64(lp.Jitter)))
 		}
 	}
-	if f.Jitter > 0 {
-		delay += time.Duration(c.rng.Uint64N(uint64(f.Jitter)))
+	if s.jitter > 0 {
+		delay += time.Duration(c.rng.Uint64N(uint64(s.jitter)))
 	}
-	if c.slowLeft[server] > 0 {
-		c.slowLeft[server]--
-		delay += c.slowExtra[server]
+	if s.slowLeft > 0 {
+		s.slowLeft--
+		delay += s.slowExtra
 	}
-	dropped := f.DropRate > 0 && c.rng.Bool(f.DropRate)
+	dropped := s.dropRate > 0 && c.rng.Bool(s.dropRate)
 	c.mu.Unlock()
 
 	if delay > 0 {
@@ -411,5 +448,37 @@ func (c *Chaos) call(ctx context.Context, origin, server int, msg wire.Message) 
 	if dropped {
 		return nil, &injectedError{server: server, reason: "drop"}
 	}
-	return c.inner.Call(ctx, server, msg)
+	return c.deliver(ctx, server, msg)
+}
+
+// deliver hands msg to the server's handler, unless the request was
+// abandoned meanwhile, the slot is gone or down, or nothing is bound.
+// The handler runs with no lock held.
+func (c *Chaos) deliver(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	if err := c.outOfRange(server); err != nil {
+		c.mu.Unlock()
+		return nil, err
+	}
+	s := c.slots[server]
+	c.mu.Unlock()
+	if s.down {
+		return nil, fmt.Errorf("%w: server %d", ErrServerDown, server)
+	}
+	if s.h == nil {
+		return nil, fmt.Errorf("transport: server %d has no handler bound", server)
+	}
+	return s.h.Handle(ctx, msg), nil
+}
+
+// outOfRange returns the error for a server id outside the slots, or
+// nil. Caller holds c.mu.
+func (c *Chaos) outOfRange(server int) error {
+	if server < 0 || server >= len(c.slots) {
+		return fmt.Errorf("transport: server %d out of range [0,%d)", server, len(c.slots))
+	}
+	return nil
 }

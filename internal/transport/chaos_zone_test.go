@@ -10,12 +10,12 @@ import (
 	"repro/internal/wire"
 )
 
-// zoneChaosPair builds an 8-server chaos layer over a 2x2x2 topology
+// zoneChaosPair builds an 8-server network over a 2x2x2 topology
 // (one server per rack: server i lives in rack i, racks 0..3 under
 // region r0, racks 4..7 under r1).
 func zoneChaosPair(t *testing.T, seed uint64) (*Chaos, *topo.Topology) {
 	t.Helper()
-	ch, _ := newChaosPair(t, 8, seed)
+	ch, _ := newTestChaos(t, 8, seed)
 	tp, err := topo.Parse("2x2x2", 8)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestChaosZoneLatencyProfile(t *testing.T) {
 func TestChaosZoneZeroProfileConsumesNoRandomness(t *testing.T) {
 	const calls = 200
 	pattern := func(withTopo bool) []bool {
-		ch, _ := newChaosPair(t, 8, 77)
+		ch, _ := newTestChaos(t, 8, 77)
 		if withTopo {
 			tp, err := topo.Parse("2x2x2", 8)
 			if err != nil {

@@ -9,7 +9,7 @@ import (
 
 // Instrumented is a telemetry middleware over any Caller: it records
 // every call attempt, its latency, and its outcome into per-server
-// counters and histograms. It composes with Chaos (wrap the chaos layer
+// counters and histograms. It composes with Chaos (wrap the network
 // to count injected faults as the per-server errors they simulate) and
 // with Retry above it (each attempt or hedge Retry issues is a distinct
 // recorded call, because each costs the network and the server).

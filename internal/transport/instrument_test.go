@@ -17,7 +17,7 @@ func newTransportMetrics(n int) *telemetry.TransportMetrics {
 }
 
 func TestInstrumentRecordsCallsAndErrors(t *testing.T) {
-	tr := NewInproc(3)
+	tr := NewChaos(3, stats.NewRNG(1))
 	for i := 0; i < 3; i++ {
 		tr.Bind(i, lookupEcho{})
 	}
@@ -52,11 +52,10 @@ func TestInstrumentRecordsCallsAndErrors(t *testing.T) {
 // criterion: a chaos-injected drop is visible as an incremented
 // per-server error counter in the snapshot.
 func TestInstrumentOverChaosCountsInjectedFaults(t *testing.T) {
-	tr := NewInproc(2)
+	chaos := NewChaos(2, stats.NewRNG(7))
 	for i := 0; i < 2; i++ {
-		tr.Bind(i, lookupEcho{})
+		chaos.Bind(i, lookupEcho{})
 	}
-	chaos := NewChaos(tr, stats.NewRNG(7))
 	chaos.SetDropRate(0, 1)
 	tm := newTransportMetrics(2)
 	caller := Instrument(chaos, tm)
@@ -224,7 +223,7 @@ func TestInstrumentAndClientDoNotDoubleCount(t *testing.T) {
 }
 
 func TestInstrumentNilMetricsReturnsInner(t *testing.T) {
-	tr := NewInproc(1)
+	tr := NewChaos(1, stats.NewRNG(1))
 	if got := Instrument(tr, nil); got != Caller(tr) {
 		t.Fatalf("Instrument(inner, nil) = %T, want the inner caller", got)
 	}

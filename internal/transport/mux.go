@@ -411,7 +411,7 @@ func (c *Client) checkout(ctx context.Context, server int, maintenance bool) (*m
 // Call sends msg to server i over a multiplexed connection and waits
 // for the tagged reply. Connection failures are reported as
 // ErrServerDown so strategy drivers fail over exactly as they do under
-// the in-process transport; see the type comment for the full failure
+// the in-process network; see the type comment for the full failure
 // taxonomy.
 func (c *Client) Call(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
 	mc, err := c.checkout(ctx, server, wire.MaintenanceKind(msg.Kind()))

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
@@ -29,9 +31,11 @@ func (h *echoHandler) count() int {
 	return h.calls
 }
 
-func newTestInproc(t *testing.T, n int) (*Inproc, []*echoHandler) {
+// newTestNetwork returns an n-server in-process network, each slot
+// bound to an echoHandler.
+func newTestNetwork(t *testing.T, n int) (*Chaos, []*echoHandler) {
 	t.Helper()
-	tr := NewInproc(n)
+	tr := NewChaos(n, stats.NewRNG(1))
 	handlers := make([]*echoHandler, n)
 	for i := range handlers {
 		handlers[i] = &echoHandler{}
@@ -41,7 +45,7 @@ func newTestInproc(t *testing.T, n int) (*Inproc, []*echoHandler) {
 }
 
 func TestInprocDispatchAndCount(t *testing.T) {
-	tr, handlers := newTestInproc(t, 3)
+	tr, handlers := newTestNetwork(t, 3)
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		if _, err := tr.Call(ctx, 1, wire.Ping{}); err != nil {
@@ -54,20 +58,10 @@ func TestInprocDispatchAndCount(t *testing.T) {
 	if handlers[0].count() != 0 || handlers[1].count() != 5 || handlers[2].count() != 1 {
 		t.Fatalf("handler call counts = %d,%d,%d", handlers[0].count(), handlers[1].count(), handlers[2].count())
 	}
-	if tr.Processed(1) != 5 || tr.Processed(0) != 0 {
-		t.Fatalf("Processed = %d,%d", tr.Processed(1), tr.Processed(0))
-	}
-	if tr.TotalProcessed() != 6 {
-		t.Fatalf("TotalProcessed = %d, want 6", tr.TotalProcessed())
-	}
-	tr.ResetCounters()
-	if tr.TotalProcessed() != 0 {
-		t.Fatal("ResetCounters did not zero")
-	}
 }
 
 func TestInprocDownServer(t *testing.T) {
-	tr, handlers := newTestInproc(t, 2)
+	tr, handlers := newTestNetwork(t, 2)
 	ctx := context.Background()
 	tr.SetDown(0, true)
 	if !tr.Down(0) || tr.Down(1) {
@@ -80,8 +74,8 @@ func TestInprocDownServer(t *testing.T) {
 	if !errors.Is(err, ErrServerDown) {
 		t.Fatalf("Call to down server = %v, want ErrServerDown", err)
 	}
-	// A rejected call is not counted as processed.
-	if tr.Processed(0) != 0 || handlers[0].count() != 0 {
+	// A rejected call never reaches the handler.
+	if handlers[0].count() != 0 {
 		t.Fatal("down server processed a message")
 	}
 	tr.SetDown(0, false)
@@ -91,7 +85,7 @@ func TestInprocDownServer(t *testing.T) {
 }
 
 func TestInprocOutOfRange(t *testing.T) {
-	tr, _ := newTestInproc(t, 2)
+	tr, _ := newTestNetwork(t, 2)
 	ctx := context.Background()
 	if _, err := tr.Call(ctx, -1, wire.Ping{}); err == nil {
 		t.Fatal("negative server accepted")
@@ -102,14 +96,14 @@ func TestInprocOutOfRange(t *testing.T) {
 }
 
 func TestInprocUnboundHandler(t *testing.T) {
-	tr := NewInproc(1)
+	tr := NewChaos(1, stats.NewRNG(1))
 	if _, err := tr.Call(context.Background(), 0, wire.Ping{}); err == nil {
 		t.Fatal("unbound handler accepted")
 	}
 }
 
 func TestInprocNumServers(t *testing.T) {
-	tr := NewInproc(7)
+	tr := NewChaos(7, stats.NewRNG(1))
 	if tr.NumServers() != 7 {
 		t.Fatalf("NumServers = %d", tr.NumServers())
 	}
@@ -118,20 +112,22 @@ func TestInprocNumServers(t *testing.T) {
 func TestNewInprocPanicsOnZero(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewInproc(0) did not panic")
+			t.Fatal("NewChaos(0, rng) did not panic")
 		}
 	}()
-	NewInproc(0)
+	NewChaos(0, stats.NewRNG(1))
 }
 
-// reentrantHandler calls back into the transport from within Handle,
-// as nodes do when broadcasting.
+// reentrantHandler calls back into the network from within Handle,
+// as nodes do when broadcasting, and counts the messages it handles.
 type reentrantHandler struct {
-	tr   *Inproc
-	peer int
+	tr      *Chaos
+	peer    int
+	handled *atomic.Int64
 }
 
 func (h *reentrantHandler) Handle(ctx context.Context, msg wire.Message) wire.Message {
+	h.handled.Add(1)
 	if _, ok := msg.(wire.Ping); ok {
 		// Nested call, including self-call via the transport.
 		if _, err := h.tr.Call(ctx, h.peer, wire.Ack{}); err != nil {
@@ -142,9 +138,10 @@ func (h *reentrantHandler) Handle(ctx context.Context, msg wire.Message) wire.Me
 }
 
 func TestInprocNestedCalls(t *testing.T) {
-	tr := NewInproc(2)
-	tr.Bind(0, &reentrantHandler{tr: tr, peer: 0}) // self-call
-	tr.Bind(1, &reentrantHandler{tr: tr, peer: 0})
+	tr := NewChaos(2, stats.NewRNG(1))
+	var handled atomic.Int64
+	tr.Bind(0, &reentrantHandler{tr: tr, peer: 0, handled: &handled}) // self-call
+	tr.Bind(1, &reentrantHandler{tr: tr, peer: 0, handled: &handled})
 	reply, err := tr.Call(context.Background(), 1, wire.Ping{})
 	if err != nil {
 		t.Fatalf("Call: %v", err)
@@ -152,13 +149,13 @@ func TestInprocNestedCalls(t *testing.T) {
 	if ack := reply.(wire.Ack); ack.Err != "" {
 		t.Fatalf("nested call failed: %s", ack.Err)
 	}
-	if tr.TotalProcessed() != 2 {
-		t.Fatalf("TotalProcessed = %d, want 2 (outer + nested)", tr.TotalProcessed())
+	if got := handled.Load(); got != 2 {
+		t.Fatalf("handled = %d, want 2 (outer + nested)", got)
 	}
 }
 
 func TestInprocConcurrentCalls(t *testing.T) {
-	tr, handlers := newTestInproc(t, 4)
+	tr, handlers := newTestNetwork(t, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -177,7 +174,7 @@ func TestInprocConcurrentCalls(t *testing.T) {
 	for _, h := range handlers {
 		total += h.count()
 	}
-	if total != 800 || tr.TotalProcessed() != 800 {
-		t.Fatalf("total calls = %d, processed = %d, want 800", total, tr.TotalProcessed())
+	if total != 800 {
+		t.Fatalf("total calls = %d, want 800", total)
 	}
 }
