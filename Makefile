@@ -31,14 +31,16 @@ lint:
 # previous roadmap's "collapse the layers" tracked; the paper
 # reproduction toolchain (plsbench and the experiments it renders); the
 # four packages a request crosses client-side; then, each alone, the
-# store and its WAL, the telemetry layer, and the two membership hosts
-# (the simulator's cluster and the daemon); the whole repository; last
+# store and its WAL and the telemetry layer; the member assembly
+# (internal/cluster, whose NewMember builds every listening server) with
+# the daemon that runs it; the whole repository; last
 # the flags each binary defines, counted from its -h output so that the
 # flags it registers through internal/cliutil count too. Quote the
 # before/after in PRs that claim a reduction.
 LOC_PKGS = internal/node internal/strategy internal/wire internal/transport
 LOC_REPRO_PKGS = cmd/plsbench internal/experiments
 LOC_REQUEST_PKGS = internal/strategy internal/core internal/proxy internal/selector
+LOC_MEMBER_PKGS = internal/cluster cmd/plsd
 LOC_FLAG_CMDS = plsctl plsd plsproxy
 loc_lines = find $(1) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 loc_group = for p in $(1); do printf '%-20s %s\n' $$p $$($(call loc_lines,$$p)); done; \
@@ -48,9 +50,8 @@ loc:
 	@$(call loc_group,$(LOC_REPRO_PKGS))
 	@$(call loc_group,$(LOC_REQUEST_PKGS))
 	@printf '%-20s %s\n' internal/store $$($(call loc_lines,internal/store))
-	@printf '%-20s %s\n' internal/telemetry $$($(call loc_lines,internal/telemetry))
-	@printf '%-20s %s\n' internal/cluster $$($(call loc_lines,internal/cluster))
-	@printf '%-20s %s\n\n' cmd/plsd $$($(call loc_lines,cmd/plsd))
+	@printf '%-20s %s\n\n' internal/telemetry $$($(call loc_lines,internal/telemetry))
+	@$(call loc_group,$(LOC_MEMBER_PKGS))
 	@printf '%-20s %s\n\n' 'whole repo' $$($(call loc_lines,.))
 	@total=0; for c in $(LOC_FLAG_CMDS); do \
 		n=$$($(GO) run ./cmd/$$c -h 2>&1 | grep -c '^  -'); total=$$((total + n)); \

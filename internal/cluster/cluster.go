@@ -1,20 +1,16 @@
-// Package cluster assembles n lookup server nodes with failure
-// injection and metric snapshots: the substrate every simulation runs
-// on. New calls the nodes in process. NewWired puts each behind a
-// transport.Server on loopback, optionally with a WAL, and slot i of
-// the in-process network forwards over one mux client to server i.
-// Either way all traffic, client probes and peer messages alike, flows
-// through one transport.Chaos, so fault injection, the topology and
-// membership are one code path in both modes, and each node counts
-// the messages it handles: the paper's meter. With no faults
-// configured the network consumes no randomness, so seeded runs are
-// unchanged.
+// Package cluster assembles n lookup servers with failure injection and
+// metric snapshots. New calls the nodes in process; NewWired builds
+// each as plsd does (NewMember), listening on loopback. Either way all
+// traffic suffers the faults of one transport.Chaos, which consumes no
+// randomness while none are configured, and each node counts the
+// messages it handles: the paper's meter.
 package cluster
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,36 +28,26 @@ import (
 type Cluster struct {
 	chaos *transport.Chaos
 	nodes []*node.Node
-	// wired holds the servers and the mux client of a cluster NewWired
-	// built; nil in process.
-	wired *wired
+	wired *wired // the members of a cluster NewWired built; nil in process
 
-	// mu guards the member view the nodes read through host, from their
-	// servers' goroutines in a wired cluster: addrs, and what Grow
-	// appends.
-	mu    sync.Mutex
-	addrs []string // member addresses: sim://i in process, unique per member
+	mu    sync.Mutex // guards addrs and what host's Grow appends
+	addrs []string   // member addresses: sim://i in process
 
-	// caller is what clients probe through: the network, or — after
-	// EnableTelemetry — an instrumented wrapper over it.
-	caller transport.Caller
+	caller transport.Caller // what clients call: the network, instrumented by EnableTelemetry
 	tm     *telemetry.TransportMetrics
 	nm     *telemetry.NodeMetrics
 
-	// epoch counts failure-state transitions (Fail/Recover/Restart/
-	// Replace); Health exposes it so repair sweeps can skip converged
-	// clusters.
+	// epoch counts failure-state transitions, for Health: repair sweeps
+	// skip converged clusters.
 	epoch atomic.Uint64
 
-	// last is the membership update the last successful Join or Drain
-	// committed (zero before the first); Replace hands it to the fresh
-	// node.
+	// last is the membership update the last Join or Drain committed;
+	// Replace hands it to the fresh node.
 	last wire.MembershipUpdate
 	// joining is the node Join is admitting, until the first member's
 	// grow step binds it (see host).
 	joining atomic.Pointer[node.Node]
-	// nextAddr numbers synthetic joiner addresses; it never reuses a
-	// drained member's number, so double-join detection stays simple.
+	// nextAddr numbers synthetic joiner addresses, never reusing one.
 	nextAddr int
 
 	// base[i] is what slot i's share of the message meter differs by
@@ -70,79 +56,66 @@ type Cluster struct {
 	// last ResetMessages (see Messages).
 	base []int64
 
-	// topo, when set, is the zone topology shared by the network and
-	// every node. Membership operations keep it in step with the member
-	// count (Grow/Compact), and Replace re-attaches it to the fresh node
-	// so the replacement keeps the dead server's zone.
+	// topo, when set, is the zone topology the network and every node
+	// share, kept in step with the member count (fitTopology).
 	topo *topo.Topology
 }
 
 // New creates a cluster of n servers. Each node receives an independent
 // RNG split from rng, so a cluster is fully reproducible from one seed.
 func New(n int, rng *stats.RNG) *Cluster {
-	if n <= 0 {
-		panic("cluster: New requires n > 0")
-	}
-	c := &Cluster{
-		nodes:    make([]*node.Node, n),
-		addrs:    make([]string, n),
-		base:     make([]int64, n),
-		nextAddr: n,
-	}
+	c, rngs := newCluster(n, rng)
 	for i := 0; i < n; i++ {
-		c.nodes[i] = node.New(i, rng.Split())
-		c.nodes[i].SetHost(host{c})
-		c.addrs[i] = fmt.Sprintf("sim://%d", i)
-	}
-	// The chaos RNG splits after the node RNGs so node seeds (and every
-	// golden value derived from them) match the pre-chaos layout.
-	c.chaos = transport.NewChaos(n, rng.Split())
-	for i := 0; i < n; i++ {
-		c.nodes[i].Attach(c.chaos.Origin(i))
+		c.nodes[i] = c.newNode(i, rngs[i])
 		c.chaos.Bind(i, c.nodes[i])
+		c.addrs[i] = fmt.Sprintf("sim://%d", i)
 	}
 	c.caller = c.chaos
 	return c
 }
 
+// newCluster returns an n-slot cluster with no servers yet, and its
+// nodes' RNGs, split from rng before the network's (the pre-chaos
+// layout every golden value derives from).
+func newCluster(n int, rng *stats.RNG) (*Cluster, []*stats.RNG) {
+	if n <= 0 {
+		panic("cluster: New requires n > 0")
+	}
+	rngs := make([]*stats.RNG, n)
+	for i := range rngs {
+		rngs[i] = rng.Split()
+	}
+	return &Cluster{
+		chaos:    transport.NewChaos(n, rng.Split()),
+		nodes:    make([]*node.Node, n),
+		addrs:    make([]string, n),
+		base:     make([]int64, n),
+		nextAddr: n,
+	}, rngs
+}
+
 // N returns the number of servers.
 func (c *Cluster) N() int { return len(c.nodes) }
 
-// Caller returns the transport clients reach the servers through (the
-// in-process network, instrumented once EnableTelemetry has run);
-// strategy drivers consume it.
+// Caller returns what clients reach the servers through, instrumented
+// once EnableTelemetry has run; strategy drivers consume it.
 func (c *Cluster) Caller() transport.Caller { return c.caller }
 
-// EnableTelemetry instruments the cluster into reg: client traffic
-// through Caller records per-server calls, errors (including
-// chaos-injected faults), and latency histograms; each node counts its
-// per-op throughput; and per-server entry/key gauges expose live
-// storage and load skew (the runtime analogue of the paper's
-// unfairness input, Eq. 1). In a wired cluster reg also shows the
-// servers' counts under "server.", summed across them. Call it before
-// issuing traffic; it returns the transport metrics for white-box
-// assertions in tests.
+// EnableTelemetry instruments the cluster into reg: per-server calls,
+// errors (injected faults included) and latency of client traffic,
+// each node's per-op counts, and per-server entry/key gauges (the
+// runtime analogue of the paper's unfairness input, Eq. 1). Call it
+// before issuing traffic; it returns the transport metrics.
 func (c *Cluster) EnableTelemetry(reg *telemetry.Registry) *telemetry.TransportMetrics {
 	if c.tm != nil {
 		return c.tm // already instrumented
 	}
 	n := len(c.nodes)
 	c.tm = telemetry.NewTransportMetrics(reg, "transport", n)
-	c.caller = transport.Instrument(c.chaos, c.tm)
+	c.caller = transport.Instrument(c.caller, c.tm)
 	c.nm = telemetry.NewNodeMetrics(reg, n)
 	for _, nd := range c.nodes {
 		nd.Instrument(c.nm)
-	}
-	if w := c.wired; w != nil {
-		// A server takes its metrics before it listens, so the servers
-		// have counted into w.metrics from the start; reg reads them.
-		for name, n := range map[string]*telemetry.Counter{
-			"handled_inline": w.metrics.Inline, "handled_detached": w.metrics.Detached,
-			"frames_written": w.metrics.Frames, "writes": w.metrics.Writes,
-			"readers_started": w.metrics.ReadersStarted,
-		} {
-			reg.NewGaugeFunc("server."+name, n.Value)
-		}
 	}
 	// The gauge vectors cover the current members, joiners included.
 	perNode := func(f func(*node.Node) int) func() []int64 {
@@ -163,12 +136,10 @@ func (c *Cluster) EnableTelemetry(reg *telemetry.Registry) *telemetry.TransportM
 // drops and partitions are set there.
 func (c *Cluster) Chaos() *transport.Chaos { return c.chaos }
 
-// SetTopology attaches a zone topology to the whole cluster: the chaos
-// layer (zone latency, whole-zone partitions) and every node (spread
-// placement) share the same instance, the consistency the zone-spread
-// mode depends on. The topology must cover exactly the current member
-// count. Attaching one consumes no randomness — with a zero latency
-// profile, seeded runs are unchanged.
+// SetTopology attaches a zone topology, covering exactly the current
+// members, to the network (zone latency and partitions) and every node
+// (spread placement): one instance, as zone-spread placement needs. It
+// consumes no randomness.
 func (c *Cluster) SetTopology(tp *topo.Topology) error {
 	if tp != nil && tp.N() != len(c.nodes) {
 		return fmt.Errorf("cluster: topology covers %d servers, cluster has %d", tp.N(), len(c.nodes))
@@ -214,16 +185,19 @@ func (c *Cluster) Restart(i, slowCalls int, extra time.Duration) {
 // Replace tears server i down permanently and installs a fresh, empty
 // node in its place — the kill/replace churn of a real deployment,
 // where a dead machine is swapped for a blank one and everything it
-// stored is lost. In a wired cluster the new node serves at the dead
-// one's address, with a fresh data directory (a failure to open its log
-// is Close's error). The caller supplies the
-// new node's RNG so the cluster's own seed stream (split once per node
-// at New, then once for chaos) is never perturbed and golden seeds stay
-// valid. The new node is bound and marked up; anti-entropy repair is
-// what re-populates it. It takes the slot's committed membership epoch,
-// so it can coordinate the next change.
+// stored is lost; in a wired cluster a new member serves at the dead
+// one's address, with a fresh data directory. The caller supplies the
+// new node's RNG, so the cluster's seed stream is never perturbed. The
+// new node is up, repair re-populates it, and it takes the committed
+// membership epoch.
 func (c *Cluster) Replace(i int, rng *stats.RNG) *node.Node {
-	nd := c.newNode(i, rng)
+	var nd *node.Node
+	if c.wired != nil {
+		nd = c.replaceMember(i, rng)
+	} else {
+		nd = c.newNode(i, rng)
+		c.chaos.Bind(i, nd)
+	}
 	c.base[i] += c.nodes[i].Handled()
 	if c.last.Epoch > 0 {
 		nd.Handle(context.Background(), c.last) // an empty node has nothing to sweep
@@ -235,23 +209,17 @@ func (c *Cluster) Replace(i int, rng *stats.RNG) *node.Node {
 	// from the rest of the cluster (regression-tested in zone_test.go).
 	nd.SetTopology(c.topo)
 	c.nodes[i] = nd
-	if w := c.wired; w != nil {
-		w.err = errors.Join(w.err, w.open(w.members[i], nd)) // Close reports it
-	}
-	c.chaos.Bind(i, c.handler(i))
 	c.chaos.SetDown(i, false)
 	c.epoch.Add(1)
 	return nd
 }
 
-// Health is the cluster-driven analogue of the selector scoreboard for
-// the repair daemon: presumed-dead tracks injected failures directly
-// and the epoch advances on every failure-state transition. It
-// satisfies the node.RepairHealth contract.
+// Health is the node.RepairHealth the cluster's failure injection
+// drives: presumed-dead is failed, and the epoch advances on every
+// failure-state transition.
 type Health struct{ c *Cluster }
 
-// Health returns a repair health view backed by the cluster's failure
-// injection.
+// Health returns the cluster's repair health view.
 func (c *Cluster) Health() Health { return Health{c} }
 
 // PresumedDead reports, per server, whether it is currently failed.
@@ -338,34 +306,22 @@ func (c *Cluster) Join(ctx context.Context, rng *stats.RNG) (*node.Node, error) 
 	return c.JoinAddr(ctx, fmt.Sprintf("sim://%d", c.nextAddr), rng)
 }
 
-// JoinAddr admits a new server at addr into the running cluster: the
-// highest slot coordinates the join (see node.Host), the new node takes
-// the next slot, every member (new one included) commits the update in
-// ascending slot order, and each rebalances its share of every key
-// synchronously before acking — when JoinAddr returns, the cluster
-// satisfies every scheme's placement invariant at the new size. A down
-// member fails the join there; the node is returned if it was bound. The
-// caller supplies the joiner's RNG, as with Replace, so the cluster's
-// own seed stream is never perturbed.
-//
-// Membership operations are orchestration-plane: they must not run
-// concurrently with each other (they may run alongside lookups, which
-// never block on rebalance). In a wired cluster the joiner listens on an
-// address of its own, which it joins with instead of addr.
+// JoinAddr admits a new server at addr (in a wired cluster, at the
+// address it listens on) into the next slot: the highest slot
+// coordinates, every member commits the update in ascending slot order
+// and rebalances its share of every key before acking, so when JoinAddr
+// returns every scheme's placement invariant holds at the new size. A
+// down member fails the join there; the node is returned if it was
+// bound. The caller supplies the joiner's RNG, as with Replace.
+// Membership operations must not run concurrently with each other.
 func (c *Cluster) JoinAddr(ctx context.Context, addr string, rng *stats.RNG) (*node.Node, error) {
-	nd := c.newNode(len(c.nodes), rng)
 	if c.wired != nil {
-		var err error
-		if addr, err = c.wired.serve(nd); err != nil {
-			return nil, err
-		}
+		return c.joinMember(ctx, rng)
 	}
+	nd := c.newNode(len(c.nodes), rng)
 	c.joining.Store(nd)
 	err := c.change(ctx, len(c.nodes)-1, wire.Join{Addr: addr})
 	if c.joining.Swap(nil) != nil {
-		if c.wired != nil {
-			c.wired.remove(len(c.wired.members) - 1)
-		}
 		return nil, err
 	}
 	// New failure picture (one more member): epoch-gated repair must
@@ -380,10 +336,9 @@ func (c *Cluster) JoinAddr(ctx context.Context, addr string, rng *stats.RNG) (*n
 // survivor in ascending order, and only after every ack is the slot
 // physically compacted — higher ids shift down by one and the affected
 // nodes are renumbered. The drained node is returned still holding
-// whatever could not be safely handed off (its final snapshot is the
-// operator's escrow; see docs/OPERATIONS.md). A down leaver fails the
-// drain before anyone commits: a corpse cannot push its entries, that is
-// what Replace + repair are for.
+// whatever could not be safely handed off (the operator's escrow; see
+// docs/OPERATIONS.md). A down leaver fails the drain before anyone
+// commits: that is what Replace + repair are for.
 func (c *Cluster) Drain(ctx context.Context, i int) (*node.Node, error) {
 	coord := len(c.nodes) - 1
 	if coord == i && coord > 0 {
@@ -394,21 +349,23 @@ func (c *Cluster) Drain(ctx context.Context, i int) (*node.Node, error) {
 	}
 	leaver := c.nodes[i]
 	c.chaos.Remove(i)
-	if c.topo != nil {
-		c.topo.Compact(i)
-	}
-	if c.wired != nil {
-		c.wired.remove(i)
-	}
+	fitTopology(c.topo, c.last)
 	c.mu.Lock()
-	c.nodes = append(c.nodes[:i], c.nodes[i+1:]...)
-	c.addrs = append(c.addrs[:i], c.addrs[i+1:]...)
-	c.base = append(c.base[:i], c.base[i+1:]...)
+	c.nodes = slices.Delete(c.nodes, i, i+1)
+	c.addrs = slices.Delete(c.addrs, i, i+1)
+	c.base = slices.Delete(c.base, i, i+1)
 	c.mu.Unlock()
-	for s := i; s < len(c.nodes); s++ {
-		c.nodes[s].SetID(s)
-		c.nodes[s].Attach(c.chaos.Origin(s))
-		c.chaos.Bind(s, c.handler(s))
+	if w := c.wired; w != nil { // each member renumbered itself
+		m := w.members[i]
+		w.members = slices.Delete(w.members, i, i+1)
+		w.client.RemoveServer(i)
+		w.err = errors.Join(w.err, m.Close(ctx)) // its log keeps the escrow
+	} else {
+		for s := i; s < len(c.nodes); s++ {
+			c.nodes[s].SetID(s)
+			c.nodes[s].Attach(c.chaos.Origin(s))
+			c.chaos.Bind(s, c.nodes[s])
+		}
 	}
 	c.epoch.Add(1)
 	return leaver, nil
@@ -430,8 +387,8 @@ func (c *Cluster) change(ctx context.Context, coord int, msg wire.Message) error
 	return nil
 }
 
-// newNode returns a node for slot i that reaches its peers through the
-// network, as every member does.
+// newNode returns an in-process node for slot i that reaches its peers
+// through the network.
 func (c *Cluster) newNode(i int, rng *stats.RNG) *node.Node {
 	nd := node.New(i, rng)
 	nd.SetHost(host{c})
@@ -442,18 +399,10 @@ func (c *Cluster) newNode(i int, rng *stats.RNG) *node.Node {
 	return nd
 }
 
-// handler is what slot i of the in-process network delivers to: its
-// node, or in a wired cluster the forwarder to its server.
-func (c *Cluster) handler(i int) transport.Handler {
-	if c.wired != nil {
-		return forward{c.wired.client, i}
-	}
-	return c.nodes[i]
-}
-
-// host is every member's node.Host: the members share the cluster's
-// one view. Join and Leave reach a cluster through Join and Drain,
-// which stage the joiner and compact the view; one sent to a member
+// host is every in-process node's node.Host: the nodes share the
+// cluster's one view, as they share one process (a wired Member keeps
+// its own). Join and Leave reach a cluster through Join and Drain,
+// which stage the joiner and compact the view; one sent to a node
 // directly would leave that view behind.
 type host struct{ c *Cluster }
 
@@ -469,16 +418,10 @@ func (h host) Grow(m wire.MembershipUpdate) {
 	if nd == nil || len(c.nodes) >= m.NewN {
 		return
 	}
-	if c.topo != nil {
-		// Keep the topology in step with the member count: the joiner
-		// goes to the least-populated rack, and spread assignments stay
-		// suspended (base fallback) only for the instant the counts
-		// disagree.
-		c.topo.Grow(1)
-		nd.SetTopology(c.topo)
-	}
+	fitTopology(c.topo, m)
+	nd.SetTopology(c.topo)
 	c.nodes = append(c.nodes, nd)
-	c.chaos.Add(c.handler(len(c.nodes) - 1))
+	c.chaos.Add(nd)
 	c.addrs = append(c.addrs, m.Addrs[len(c.addrs)])
 	c.base = append(c.base, 0)
 	c.nextAddr++

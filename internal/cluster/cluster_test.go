@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/entry"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -103,6 +104,8 @@ func TestClusterMessageCounters(t *testing.T) {
 // with it when a lower slot is drained away.
 func TestMessageCountersFollowSlotsAcrossReplaceAndDrain(t *testing.T) {
 	cl := cluster.New(4, stats.NewRNG(3))
+	reg := telemetry.NewRegistry()
+	cl.EnableTelemetry(reg)
 	placeFull(t, cl, 3)
 	// Server 0 took the client's Place and its own share of the
 	// broadcast; servers 1..3 their shares.
@@ -116,7 +119,7 @@ func TestMessageCountersFollowSlotsAcrossReplaceAndDrain(t *testing.T) {
 	if got, want := perServer(), []int64{2, 1, 1, 1}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("ProcessedBy after place = %v, want %v", got, want)
 	}
-	if local := cl.Node(0).LocalDeliveries(); local != 1 {
+	if local := reg.Snapshot().PerServer["node.local_deliveries"][0]; local != 1 {
 		t.Fatalf("server 0 delivered %d messages to itself, want its share of the broadcast", local)
 	}
 
@@ -211,6 +214,8 @@ func TestMeterCountsWhatNodesHandle(t *testing.T) {
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			cl := mode.new(t)
+			reg := telemetry.NewRegistry()
+			cl.EnableTelemetry(reg)
 			ctx := context.Background()
 			perServer := func() []int64 {
 				out := make([]int64, cl.N())
@@ -225,7 +230,7 @@ func TestMeterCountsWhatNodesHandle(t *testing.T) {
 			if got, want := perServer(), []int64{2, 1, 1}; !reflect.DeepEqual(got, want) {
 				t.Fatalf("after place: ProcessedBy %v, want %v", got, want)
 			}
-			if local := cl.Node(0).LocalDeliveries(); local != 1 {
+			if local := reg.Snapshot().PerServer["node.local_deliveries"][0]; local != 1 {
 				t.Fatalf("server 0 delivered %d messages to itself, want 1", local)
 			}
 

@@ -1,0 +1,224 @@
+package cluster
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"os"
+	"sync"
+	"time"
+
+	"repro/internal/node"
+	"repro/internal/selector"
+	"repro/internal/stats"
+	"repro/internal/store"
+	"repro/internal/telemetry"
+	"repro/internal/topo"
+	"repro/internal/transport"
+	"repro/internal/wire"
+)
+
+// MemberOptions shape a member beyond its id, RNG, member list and data
+// directory; plsd's flags of the same names set them.
+type MemberOptions struct {
+	Listener         net.Listener  // served instead of listening on addrs[id]
+	PeerTimeout      time.Duration // per peer call; 0 is the client's 5 s
+	PeerRetries      int           // attempts per peer call, when > 1
+	Topology         *topo.Topology
+	RepairInterval   time.Duration // 0: no anti-entropy sweeps
+	Fsync            store.SyncPolicy
+	SnapshotInterval time.Duration
+	Chaos            *transport.Chaos // a wired cluster's faults, above the peer client
+}
+
+// Member is one listening lookup server as plsd runs it: its node with
+// the durable state recovered under its data dir, a server, a repairer,
+// and its own view of the cluster (peer client, observe-only selector),
+// which it resizes as the node's Host. Its telemetry goes to Registry.
+type Member struct {
+	Node       *node.Node
+	Durability *node.Durability // nil for a volatile member
+	Addr       string           // where the server listens
+	Registry   *telemetry.Registry
+	Client     *transport.Client
+	Selector   *selector.Selector
+
+	srv      *transport.Server
+	repairer *node.Repairer
+	drained  chan struct{}
+	once     sync.Once
+}
+
+// NewMember builds member id of the cluster at addrs and starts it
+// listening. With dataDir set it recovers the node from it first, so no
+// request is served from half-recovered state. Close shuts it down.
+func NewMember(id int, rng *stats.RNG, addrs []string, dataDir string, o MemberOptions) (*Member, error) {
+	if id < 0 || id >= len(addrs) {
+		return nil, fmt.Errorf("cluster: member %d out of range for %d addresses", id, len(addrs))
+	}
+	m := &Member{Node: node.New(id, rng), Registry: telemetry.NewRegistry(), drained: make(chan struct{})}
+	nd, reg := m.Node, m.Registry
+	fail := func(err error) (*Member, error) {
+		if o.Listener != nil {
+			o.Listener.Close()
+		}
+		return nil, errors.Join(err, m.Close(context.Background()))
+	}
+	nd.Instrument(telemetry.NewNodeMetrics(reg, len(addrs)))
+	nd.SetTopology(o.Topology)
+	reg.NewGaugeFunc("node.entries", func() int64 { return int64(nd.EntryCount()) })
+	reg.NewGaugeFunc("node.keys", func() int64 { return int64(nd.KeyCount()) })
+	if dataDir != "" {
+		err := os.MkdirAll(dataDir, 0o755)
+		if err == nil {
+			m.Durability, err = nd.OpenDurability(dataDir, o.Fsync, o.SnapshotInterval, telemetry.NewWALMetrics(reg))
+		}
+		if err != nil {
+			return fail(fmt.Errorf("recover %s: %w", dataDir, err))
+		}
+	}
+	nd.Attach(m.peers(addrs, o))
+	nd.SetHost(m)
+	if o.RepairInterval > 0 {
+		// Gated on the selector's failure epoch: a healthy cluster pays nothing.
+		m.repairer = node.NewRepairer(nd, node.RepairOptions{
+			Interval: o.RepairInterval, Health: m.Selector, Metrics: telemetry.NewRepairMetrics(reg),
+		})
+		m.repairer.Start()
+	}
+	m.srv = transport.NewServer(nd)
+	m.srv.Instrument(telemetry.NewServerMetrics(reg, "server"))
+	var err error
+	if o.Listener == nil {
+		m.Addr, err = m.srv.Listen(addrs[id])
+	} else {
+		m.Addr, err = m.srv.Serve(o.Listener)
+		o.Listener = nil // the server's, served or not
+	}
+	if err != nil {
+		return fail(err)
+	}
+	return m, nil
+}
+
+// peers builds the path the node's messages take to the other members,
+// bottom up: its own mux client, the network's faults if any, the peer.*
+// counters, the selector, retries. Below the retries, every attempt is
+// one call in peer.calls and one sample for the selector.
+func (m *Member) peers(addrs []string, o MemberOptions) transport.Caller {
+	tm := telemetry.NewTransportMetrics(m.Registry, "peer", len(addrs))
+	opts := []transport.ClientOption{transport.WithClientMetrics(tm)}
+	if o.PeerTimeout > 0 {
+		opts = append(opts, transport.WithTimeout(o.PeerTimeout))
+	}
+	m.Client = transport.NewClient(addrs, opts...)
+	var caller transport.Caller = m.Client
+	if o.Chaos != nil {
+		caller = o.Chaos.Over(caller, m.Node.ID)
+	}
+	// Fan-out is fixed by placement: the selector only observes.
+	m.Selector = selector.New(len(addrs), selector.Options{Metrics: telemetry.NewSelectorMetrics(m.Registry)})
+	caller = selector.Observe(transport.Instrument(caller, tm), m.Selector)
+	for name, f := range map[string]func(selector.ServerHealth) int64{
+		"selector.consec_failures": func(h selector.ServerHealth) int64 { return int64(h.ConsecFails) },
+		"selector.ewma_ns":         func(h selector.ServerHealth) int64 { return int64(h.EWMA) },
+		"selector.open": func(h selector.ServerHealth) (open int64) {
+			if h.Open {
+				open = 1
+			}
+			return open
+		},
+	} {
+		// Sized at each snapshot: membership resizes the selector.
+		m.Registry.NewGaugeVecFunc(name, func() []int64 {
+			h := m.Selector.Health()
+			out := make([]int64, len(h))
+			for i := range h {
+				out[i] = f(h[i])
+			}
+			return out
+		})
+	}
+	if o.PeerRetries > 1 { // no hedging: an update is no request to duplicate
+		caller = transport.NewRetry(caller, transport.RetryPolicy{Attempts: o.PeerRetries, Backoff: 25 * time.Millisecond},
+			stats.NewRNG(uint64(m.Node.ID())), nil)
+	}
+	return caller
+}
+
+// Close shuts the member down in the order an ack needs: in-flight
+// requests finish (until ctx ends), then any sweep, then the flush.
+func (m *Member) Close(ctx context.Context) error {
+	var err error
+	if m.srv != nil {
+		err = m.srv.Shutdown(ctx)
+	}
+	if m.repairer != nil {
+		m.repairer.Stop()
+	}
+	if m.Client != nil {
+		m.Client.Close()
+	}
+	if m.Durability != nil {
+		if ferr := m.Durability.Close(); ferr != nil {
+			err = errors.Join(err, fmt.Errorf("flush durable state: %w", ferr))
+		}
+	}
+	return err
+}
+
+// Drained is closed once the member has committed its own drain.
+func (m *Member) Drained() <-chan struct{} { return m.drained }
+
+// Members is the member's own client's address list (node.Host).
+func (m *Member) Members() []string { return m.Client.Addrs() }
+
+// Grow adds a join's new slot to the view before the sweep (node.Host).
+func (m *Member) Grow(u wire.MembershipUpdate) {
+	if u.Leaving >= 0 {
+		return
+	}
+	for m.Client.NumServers() < u.NewN && len(u.Addrs) == u.NewN {
+		m.Client.AddServer(u.Addrs[m.Client.NumServers()])
+	}
+	fitTopology(m.Node.Topology(), u)
+	m.Selector.Resize(u.NewN)
+}
+
+// Compact drops a drain's slot from the member's view after its sweep,
+// which addressed pre-drain slots, and renumbers the node — or, on the
+// leaver, closes Drained (node.Host). A view that already has NewN
+// members is left alone: a fresh member adopting the update has it.
+func (m *Member) Compact(u wire.MembershipUpdate) {
+	switch {
+	case u.Leaving < 0 || m.Client.NumServers() == u.NewN:
+	case m.Node.ID() == u.Leaving:
+		m.once.Do(func() { close(m.drained) })
+	default:
+		// The selector first: its route cache holds pre-drain ids, which
+		// a call after RemoveServer would send to the renumbered slot.
+		m.Selector.Resize(u.NewN)
+		fitTopology(m.Node.Topology(), u)
+		m.Client.RemoveServer(u.Leaving)
+		if id := m.Node.ID(); id > u.Leaving {
+			m.Node.SetID(id - 1)
+		}
+	}
+}
+
+// fitTopology is both hosts' topology step: a join grows tp before the
+// sweep, so spread homes use the new count; a drain compacts it after,
+// so meanwhile every member falls back to base assignment. A fitted
+// topology is left alone: members that share one apply a change once.
+func fitTopology(tp *topo.Topology, u wire.MembershipUpdate) {
+	switch {
+	case tp == nil:
+	case u.Leaving < 0:
+		for tp.N() < u.NewN {
+			tp.Grow(1)
+		}
+	case tp.N() > u.NewN:
+		tp.Compact(u.Leaving)
+	}
+}

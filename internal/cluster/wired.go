@@ -4,144 +4,152 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
+	"net"
 	"path/filepath"
-	"slices"
-	"sync/atomic"
 
 	"repro/internal/node"
 	"repro/internal/stats"
 	"repro/internal/store"
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// wired is what NewWired adds to a cluster: a server per slot, and the
-// one mux client the slots' forwarders call them through.
+// wired is what NewWired adds to a cluster: a member per slot, and the
+// mux client that client traffic reaches them over.
 type wired struct {
-	client  *transport.Client
-	members []*member                   // by slot, compacted with the slots
-	dataDir string                      // "" for volatile nodes
-	disks   int                         // data directories made so far
-	metrics *telemetry.TransportMetrics // the servers', which EnableTelemetry shows
-	err     error                       // what Replace could not report
+	members []*Member         // by slot, compacted with the slots
+	client  *transport.Client // what Caller calls over
+	dataDir string            // "" for volatile members
+	disks   int               // data directories made so far
+	err     error             // what Replace and Drain could not report
 }
 
-// member is the machine in one slot: a server at a fixed address, and
-// the node behind it, which Replace swaps for a blank one.
-type member struct {
-	nd  atomic.Pointer[node.Node]
-	srv *transport.Server
-	dur *node.Durability // nil for a volatile node
-}
-
-func (m *member) Handle(ctx context.Context, msg wire.Message) wire.Message {
-	return m.nd.Load().Handle(ctx, msg)
-}
-
-// forward is slot i's handler on a wired cluster's in-process network,
-// past its faults: it carries the call to server i, whose node counts
-// it, and a failed one back as an Ack (Handle returns no error).
-type forward struct {
-	client *transport.Client
-	slot   int
-}
-
-func (f forward) Handle(ctx context.Context, msg wire.Message) wire.Message {
-	reply, err := f.client.Call(ctx, f.slot, msg)
-	if err != nil {
-		return wire.Ack{Err: err.Error()}
-	}
-	return reply
-}
-
-// NewWired builds the cluster New(n, rng) builds and puts each node
-// behind a transport.Server on 127.0.0.1:0, so every call crosses a
-// socket unless a node addresses itself. With dataDir set, each node
-// logs to a directory of its own under it. Close releases the servers,
-// the sockets and the logs.
+// NewWired builds the cluster New(n, rng) builds, each server a Member
+// on 127.0.0.1:0, so every call crosses a socket unless a node
+// addresses itself. With dataDir set, each member logs to a directory
+// of its own under it. Close releases everything.
 func NewWired(n int, rng *stats.RNG, dataDir string) (*Cluster, error) {
-	c := New(n, rng)
-	c.wired = &wired{
-		client:  transport.NewClient(nil),
-		dataDir: dataDir,
-		metrics: telemetry.NewServerMetrics(telemetry.NewRegistry(), "server"),
+	c, rngs := newCluster(n, rng)
+	c.wired = &wired{client: transport.NewClient(nil), dataDir: dataDir}
+	c.caller = c.chaos.Over(c.wired.client, func() int { return transport.ClientOrigin })
+	lns := make([]net.Listener, n) // each a member's once it starts
+	defer func() {
+		for _, ln := range lns {
+			if ln != nil {
+				ln.Close()
+			}
+		}
+	}()
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		lns[i], c.addrs[i] = ln, ln.Addr().String()
+		c.wired.client.AddServer(c.addrs[i])
 	}
-	for i, nd := range c.nodes {
-		addr, err := c.wired.serve(nd)
+	for i, ln := range lns {
+		lns[i] = nil
+		m, err := c.startMember(i, rngs[i], c.addrs, ln)
 		if err != nil {
 			return nil, errors.Join(err, c.Close())
 		}
-		c.addrs[i] = addr
-		c.chaos.Bind(i, c.handler(i))
+		c.wired.members = append(c.wired.members, m)
+		c.nodes[i] = m.Node
 	}
 	return c, nil
 }
 
+// Member returns the member in slot i of a wired cluster; nil in
+// process.
+func (c *Cluster) Member(i int) *Member {
+	if c.wired == nil {
+		return nil
+	}
+	return c.wired.members[i]
+}
+
 // Close releases what NewWired holds; it does nothing in process.
 func (c *Cluster) Close() error {
-	var err error
-	if w := c.wired; w != nil {
-		err = w.err
-		w.client.Close()
-		for _, m := range w.members {
-			err = errors.Join(err, m.close())
-		}
+	w := c.wired
+	if w == nil {
+		return nil
+	}
+	err := w.err
+	w.client.Close()
+	for _, m := range w.members {
+		err = errors.Join(err, m.Close(context.Background()))
 	}
 	return err
 }
 
-// serve gives nd a log, if the cluster keeps them, and a server at a new
-// address, and adds it as the last member.
-func (w *wired) serve(nd *node.Node) (string, error) {
-	m := &member{}
-	if err := w.open(m, nd); err != nil {
-		return "", err
-	}
-	m.srv = transport.NewServer(m)
-	m.srv.Instrument(w.metrics)
-	addr, err := m.srv.Listen("127.0.0.1:0")
-	if err != nil {
-		return "", errors.Join(err, m.close())
-	}
-	w.members = append(w.members, m)
-	w.client.AddServer(addr)
-	return addr, nil
-}
-
-// open puts nd behind m, with a log in a fresh directory when the
-// cluster keeps them: a blank disk, whatever m's last node logged. A
-// record reaches the OS before its ack (store.SyncNever), which
-// survives the process crash a test can stage, without a disk's fsync.
-func (w *wired) open(m *member, nd *node.Node) (err error) {
-	if m.dur != nil {
-		m.dur.Close()
-	}
+// startMember starts a member for slot i serving on ln, with a log in a
+// fresh directory when the cluster keeps them. store.SyncNever survives
+// the process crash a test can stage, without a disk's fsync.
+func (c *Cluster) startMember(i int, rng *stats.RNG, addrs []string, ln net.Listener) (*Member, error) {
+	w, dir := c.wired, ""
 	if w.dataDir != "" {
-		dir := filepath.Join(w.dataDir, fmt.Sprintf("node-%d", w.disks))
+		dir = filepath.Join(w.dataDir, fmt.Sprintf("node-%d", w.disks))
 		w.disks++
-		if err = os.MkdirAll(dir, 0o755); err == nil {
-			m.dur, err = nd.OpenDurability(dir, store.SyncNever, 0, nil)
+	}
+	m, err := NewMember(i, rng, addrs, dir, MemberOptions{
+		Listener: ln, Fsync: store.SyncNever, Topology: c.topo, Chaos: c.chaos,
+	})
+	if err == nil && c.nm != nil {
+		m.Node.Instrument(c.nm)
+	}
+	return m, err
+}
+
+// replaceMember shuts slot i's member down and starts a fresh one at its
+// address (a failure to is Close's error). Every client then drops its
+// connections, so no call meets the dead server's socket; the dead node,
+// for whoever still holds it (a repairer), calls over the clients'.
+func (c *Cluster) replaceMember(i int, rng *stats.RNG) *node.Node {
+	w, dead := c.wired, c.wired.members[i]
+	err := dead.Close(context.Background())
+	dead.Node.Attach(c.chaos.Over(w.client, dead.Node.ID))
+	m, serr := c.startMember(i, rng, c.Addrs(), nil)
+	if w.err = errors.Join(w.err, err, serr); serr != nil {
+		m = &Member{Node: node.New(i, rng)} // no server reaches it, as a dead one
+	}
+	w.members[i] = m
+	w.client.Close()
+	for _, o := range w.members {
+		if o.Client != nil {
+			o.Client.Close()
 		}
 	}
-	m.nd.Store(nd)
-	return err
+	return m.Node
 }
 
-// remove takes slot i's member out of the client and shuts it down; a
-// drained node's log keeps its final snapshot.
-func (w *wired) remove(i int) {
-	w.client.RemoveServer(i)
-	m := w.members[i]
-	w.members = slices.Delete(w.members, i, i+1)
-	m.close()
-}
-
-func (m *member) close() error {
-	err := m.srv.Close()
-	if m.dur != nil {
-		err = errors.Join(err, m.dur.Close())
+// joinMember starts a member in the next slot, listening on an address
+// of its own, and has the highest slot admit it. Each member grows its
+// own view as it commits; the cluster's view follows once all have.
+func (c *Cluster) joinMember(ctx context.Context, rng *stats.RNG) (*node.Node, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
 	}
-	return err
+	i, addr := len(c.nodes), ln.Addr().String()
+	m, err := c.startMember(i, rng, append(c.Addrs(), addr), ln)
+	if err != nil {
+		return nil, err
+	}
+	c.chaos.Add(nil) // the sweeps reach the joiner through the network
+	if err := c.change(ctx, i-1, wire.Join{Addr: addr}); err != nil {
+		c.chaos.Remove(i)
+		return nil, errors.Join(err, m.Close(ctx))
+	}
+	w := c.wired
+	w.members = append(w.members, m)
+	c.mu.Lock()
+	c.nodes = append(c.nodes, m.Node)
+	c.addrs = append(c.addrs, addr)
+	c.base = append(c.base, 0)
+	c.mu.Unlock()
+	w.client.AddServer(addr)
+	fitTopology(c.topo, c.last)
+	c.epoch.Add(1)
+	return m.Node, nil
 }

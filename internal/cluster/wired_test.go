@@ -58,10 +58,12 @@ func TestWiredServersCountTheMeter(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", cfg, err)
 		}
-		snap := reg.Snapshot()
-		handled := snap.Gauges["server.handled_inline"] + snap.Gauges["server.handled_detached"]
-		var local int64
-		for _, n := range snap.PerServer["node.local_deliveries"] {
+		var handled, local int64
+		for i := 0; i < cl.N(); i++ { // each server counts into its member's registry
+			srv := cl.Member(i).Registry.Snapshot().Counters
+			handled += srv["server.handled_inline"] + srv["server.handled_detached"]
+		}
+		for _, n := range reg.Snapshot().PerServer["node.local_deliveries"] {
 			local += n
 		}
 		if handled == 0 || handled != cl.Messages()-local {

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -31,13 +33,15 @@ import (
 // justify the diff in the commit.
 func TestGoldenTablesByteIdentical(t *testing.T) {
 	fid := Fidelity{Runs: 4, Lookups: 100, Updates: 400}
+	inproc := make(map[string]string)
 	for _, id := range []string{
 		"table1", "fig4", "fig6", "fig7", "fig9", "fig12", "fig13", "fig14", "table2",
 		"ext-rsreplace", "ext-overlay", "ext-failures", "ext-optimaly", "ext-hotspot",
 		"ext-repair", "ext-membership", "ext-zone", "ext-select", "ext-availability",
 	} {
 		t.Run(id, func(t *testing.T) {
-			checkGolden(t, fmt.Sprintf("golden-%s.csv", id), render(t, id, fid))
+			inproc[id] = render(t, id, fid)
+			checkGolden(t, fmt.Sprintf("golden-%s.csv", id), inproc[id])
 		})
 	}
 	t.Run("ext-trace", func(t *testing.T) {
@@ -52,24 +56,22 @@ func TestGoldenTablesByteIdentical(t *testing.T) {
 	// tables, ext-membership's Join and Drain and ext-repair's Replace
 	// run again over wired clusters, where every message crosses a
 	// socket unless a node addresses itself, and table2 once more with
-	// a WAL per node. Each must render what the in-process run renders
-	// at the same seed. The WAL arm runs at golden fidelity; at it the
-	// volatile arm would add seconds, so that one runs the lower
-	// wiredFid, its experiments side by side.
-	wiredFid := Fidelity{Runs: 2, Lookups: 50, Updates: 200}
+	// a WAL per node. Each must render, at golden fidelity, what the
+	// in-process run rendered at the same seed; the volatile arm runs its
+	// experiments side by side.
 	for _, arm := range []struct {
 		name    string
 		durable bool
-		fid     Fidelity
 		ids     []string
 	}{
-		{"wired+WAL", true, fid, []string{"table2"}},
-		{"wired", false, wiredFid, []string{"table1", "fig4", "table2", "ext-membership", "ext-repair"}},
+		{"wired+WAL", true, []string{"table2"}},
+		{"wired", false, []string{"table1", "fig4", "table2", "ext-membership", "ext-repair"}},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
-			inproc := make(map[string]string)
 			for _, id := range arm.ids {
-				inproc[id] = render(t, id, arm.fid)
+				if _, ok := inproc[id]; !ok { // its golden subtest did not run
+					inproc[id] = render(t, id, fid)
+				}
 			}
 			wireClusters(t, arm.durable)
 			for _, id := range arm.ids {
@@ -77,7 +79,7 @@ func TestGoldenTablesByteIdentical(t *testing.T) {
 					if !arm.durable {
 						t.Parallel()
 					}
-					got, want := strings.Split(render(t, id, arm.fid), "\n"), strings.Split(inproc[id], "\n")
+					got, want := strings.Split(render(t, id, fid), "\n"), strings.Split(inproc[id], "\n")
 					row := func(rows []string, i int) string {
 						if i < len(rows) {
 							return rows[i]
@@ -135,31 +137,31 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // wireClusters has the experiments build wired clusters until t and
-// its subtests end, durable ones with a data directory each. A durable
-// node holds its log's segment open, so the durable arm runs one
-// experiment at a time and closes each cluster when that builds the
-// next; volatile ones are closed at the end.
+// its subtests end, durable ones with a data directory each. Each
+// experiment runs its clusters one after another on its own goroutine,
+// so it is done with one once it builds the next: that one is closed
+// then, and the last ones at the end.
 func wireClusters(t *testing.T, durable bool) {
 	root := ""
 	if durable {
 		root = walRoot(t)
 	}
 	var mu sync.Mutex
-	var open []*cluster.Cluster
-	closeOpen := func() {
-		for _, cl := range open {
-			if err := cl.Close(); err != nil {
-				t.Error(err)
-			}
+	open := make(map[string]*cluster.Cluster) // by goroutine
+	closeCluster := func(cl *cluster.Cluster) {
+		if err := cl.Close(); err != nil {
+			t.Error(err)
 		}
-		open = nil
 	}
 	newCluster = func(n int, rng *stats.RNG) *cluster.Cluster {
+		g := goroutine()
 		mu.Lock()
 		defer mu.Unlock()
+		if cl := open[g]; cl != nil {
+			closeCluster(cl)
+		}
 		dir := ""
 		if durable {
-			closeOpen()
 			var err error
 			if dir, err = os.MkdirTemp(root, "cluster-"); err != nil {
 				panic(err)
@@ -169,13 +171,21 @@ func wireClusters(t *testing.T, durable bool) {
 		if err != nil {
 			panic(err)
 		}
-		open = append(open, cl)
+		open[g] = cl
 		return cl
 	}
 	t.Cleanup(func() {
 		newCluster = cluster.New
-		closeOpen()
+		for _, cl := range open {
+			closeCluster(cl)
+		}
 	})
+}
+
+// goroutine returns the calling goroutine's id, from its stack header.
+func goroutine() string {
+	buf := make([]byte, 64)
+	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
 }
 
 // walRoot returns a directory for durable clusters' logs, removed once

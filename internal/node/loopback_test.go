@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/stats"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -78,14 +79,18 @@ type loopCluster struct {
 	durs   []*Durability
 	log    *callLog
 	client *transport.Client
+	// metrics is every node's; node.local_deliveries counts each
+	// message a node kept in process.
+	metrics *telemetry.NodeMetrics
 }
 
 func newLoopCluster(t *testing.T, n int, dirs []string, policy store.SyncPolicy) *loopCluster {
 	t.Helper()
-	lc := &loopCluster{t: t, log: &callLog{}}
+	lc := &loopCluster{t: t, log: &callLog{}, metrics: telemetry.NewNodeMetrics(telemetry.NewRegistry(), n)}
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
 		nd := New(i, stats.NewRNG(uint64(i)+1))
+		nd.Instrument(lc.metrics)
 		var d *Durability
 		if dirs != nil {
 			var err error

@@ -32,11 +32,11 @@ import (
 // otherwise; during a join ranks and slots coincide. memberChange
 // carries the mapping.
 
-// Host owns a node's view of the member list: cluster.Cluster in
-// simulations, the plsd daemon on TCP. A node that receives a wire.Join
-// or wire.Leave coordinates the change from its host's member list, and
-// every node calls its host around its own sweep of a committed update.
-// Install one with SetHost.
+// Host owns a node's view of the member list: the in-process cluster's
+// shared one, or a cluster.Member's own over TCP (plsd's, or a wired
+// cluster's). A node that receives a wire.Join or wire.Leave
+// coordinates the change from its host's member list, and every node
+// calls its host around its own sweep of a committed update.
 type Host interface {
 	// Members returns the current member addresses, in slot order.
 	Members() []string

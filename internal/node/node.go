@@ -86,9 +86,6 @@ type Node struct {
 	// the paper's message meter (Sec. 6.4), whether a transport
 	// delivered them or the node sent them to itself.
 	handled atomic.Int64
-	// localDeliveries counts the peer messages this node addressed to
-	// itself and handled in process (see callReply).
-	localDeliveries atomic.Int64
 
 	peersMu    sync.RWMutex
 	peers      transport.Caller
@@ -454,12 +451,12 @@ func (n *Node) call(ctx context.Context, server int, msg wire.Message) error {
 // the same reply, durability wait included. It is still a processed
 // message in the paper's cost model (Sec. 6.4 counts a broadcast's
 // message to the sender): Handle counts it as it counts the others,
-// and LocalDeliveries too. id and peers are read together under the
-// lock SetID and Attach write them under. A host that compacts its slot
-// view in place (cluster.Drain, plsd's Compact) still does that and
-// SetID in two steps: an update overlapping them can address one
-// message by the wrong numbering, which is the repair sweep's to mend,
-// as it was.
+// and the node.local_deliveries vector too. id and peers are read
+// together under the lock SetID and Attach write them under. A host
+// that compacts its slot view in place (cluster.Drain, a member's
+// Compact) still does that and SetID in two steps: an update
+// overlapping them can address one message by the wrong numbering,
+// which is the repair sweep's to mend, as it was.
 func (n *Node) callReply(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
 	n.peersMu.RLock()
 	self, peers := n.ID(), n.peers
@@ -473,17 +470,11 @@ func (n *Node) callReply(ctx context.Context, server int, msg wire.Message) (wir
 	if err := ctx.Err(); err != nil {
 		return nil, err // as every Caller abandons a cancelled request
 	}
-	n.localDeliveries.Add(1)
 	if m := n.metrics.Load(); m != nil {
 		m.LocalDeliveries.At(self).Inc()
 	}
 	return n.Handle(ctx, msg), nil
 }
-
-// LocalDeliveries returns how many peer messages the node has handled
-// in process because it had addressed them to itself; Handled counts
-// them too.
-func (n *Node) LocalDeliveries() int64 { return n.localDeliveries.Load() }
 
 // Handled returns how many messages the node has handled: the paper's
 // per-server message count (Sec. 6.4), each message a transport

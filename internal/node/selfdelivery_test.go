@@ -33,13 +33,9 @@ func (lc *loopCluster) wantPeerCalls(what string, want ...peerCall) {
 	}
 }
 
-// localDeliveries returns each node's LocalDeliveries count.
+// localDeliveries returns each node's node.local_deliveries count.
 func (lc *loopCluster) localDeliveries() []int64 {
-	out := make([]int64, len(lc.nodes))
-	for i, nd := range lc.nodes {
-		out[i] = nd.LocalDeliveries()
-	}
-	return out
+	return lc.metrics.LocalDeliveries.Values()
 }
 
 // TestSelfAddressedMessagesStayInProcess counts, over real sockets, the
@@ -344,14 +340,14 @@ func TestRenumberingUnderUpdates(t *testing.T) {
 		t.Fatalf("node renumbered to %d, want 1", nd.ID())
 	}
 	table.calls = make(map[[2]int]int)
-	local := nd.LocalDeliveries()
+	local := metrics.LocalDeliveries.At(1).Value()
 	if !add(nd, "after") {
 		t.Fatal("add after renumbering failed")
 	}
 	if want := map[[2]int]int{{2, 0}: 1, {2, 2}: 1}; !reflect.DeepEqual(table.calls, want) {
 		t.Errorf("deliveries {calling node, slot} after renumbering: %v, want %v", table.calls, want)
 	}
-	if got := nd.LocalDeliveries() - local; got != 1 {
+	if got := metrics.LocalDeliveries.At(1).Value() - local; got != 1 {
 		t.Errorf("%d local deliveries after renumbering, want 1", got)
 	}
 	for s, sv := range survivors {

@@ -24,7 +24,10 @@
 //     Ident exported, is declared by that package, so docs don't keep
 //     naming a type or function after it is renamed or deleted;
 //   - DESIGN.md is at most 600 lines, so a change that adds to it
-//     removes at least as much.
+//     removes at least as much;
+//   - a CHANGES.md entry ("- PR <n>" and its indented lines) for PR 46
+//     or later is at most 3 000 characters: it keeps what changed and
+//     why, and the narration goes to the commit message.
 //
 // Usage: go run ./internal/tools/repolint [root]
 //
@@ -41,8 +44,10 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 func main() {
@@ -57,6 +62,7 @@ func main() {
 	problems = append(problems, checkMakeTargets(root)...)
 	problems = append(problems, checkIdents(root)...)
 	problems = append(problems, checkDesignLength(root)...)
+	problems = append(problems, checkChangesEntries(root)...)
 	if len(problems) > 0 {
 		sort.Strings(problems)
 		for _, p := range problems {
@@ -299,20 +305,33 @@ func packageDecls(files []string) map[string]bool {
 	return names
 }
 
-// designMaxLines caps DESIGN.md's length (see the package doc).
-const designMaxLines = 600
-
-// checkDesignLength reports a DESIGN.md at root longer than
-// designMaxLines, counting lines as wc -l does.
+// checkDesignLength reports a DESIGN.md at root over 600 lines,
+// counting lines as wc -l does.
 func checkDesignLength(root string) []string {
 	data, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
 	if err != nil {
 		return nil
 	}
-	if n := strings.Count(string(data), "\n"); n > designMaxLines {
-		return []string{fmt.Sprintf("DESIGN.md: %d lines, over the %d-line cap", n, designMaxLines)}
+	if n := strings.Count(string(data), "\n"); n > 600 {
+		return []string{fmt.Sprintf("DESIGN.md: %d lines, over the 600-line cap", n)}
 	}
 	return nil
+}
+
+// changesEntry is a CHANGES.md entry: its PR number and its text.
+var changesEntry = regexp.MustCompile(`(?m)^- PR (\d+)[^\n]*(?:\n  [^\n]*)*`)
+
+// checkChangesEntries reports a CHANGES.md entry at root for PR 46 or
+// later that is longer than 3 000 characters.
+func checkChangesEntries(root string) []string {
+	data, _ := os.ReadFile(filepath.Join(root, "CHANGES.md"))
+	var problems []string
+	for _, e := range changesEntry.FindAllSubmatch(data, -1) {
+		if pr, _ := strconv.Atoi(string(e[1])); pr >= 46 && utf8.RuneCount(e[0]) > 3000 {
+			problems = append(problems, fmt.Sprintf("CHANGES.md: the PR %d entry has %d characters, over 3000", pr, utf8.RuneCount(e[0])))
+		}
+	}
+	return problems
 }
 
 // badLink resolves one link target relative to the Markdown file it

@@ -68,6 +68,25 @@ func TestCheckDesignLength(t *testing.T) {
 	}
 }
 
+// TestCheckChangesEntries: an entry, with its indented lines, of at
+// most 3 000 characters passes; a longer one for PR 46 or later is
+// reported, and one for an earlier PR is not.
+func TestCheckChangesEntries(t *testing.T) {
+	root := t.TempDir()
+	long := strings.Repeat("x", 1500)
+	text := "- PR 45 (old): " + long + long + "\n" + // history: not checked
+		"- PR 46 (fits): " + long + "\n  " + long[:1400] + "\n" +
+		"FOUND: " + long + long + "\n" + // not an entry
+		"- PR 47 (too long): " + long + "\n  " + long + "\n"
+	if err := os.WriteFile(filepath.Join(root, "CHANGES.md"), []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	problems := checkChangesEntries(root)
+	if len(problems) != 1 || !strings.Contains(problems[0], "PR 47 entry has 3023 characters") {
+		t.Fatalf("problems = %q, want one for PR 47's 3023 characters", problems)
+	}
+}
+
 // TestCheckIdents: a doc naming a declared type, function or method of
 // a package under internal/ passes, one naming an exported name the
 // package lacks is reported, names of other packages and unexported

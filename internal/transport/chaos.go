@@ -56,9 +56,8 @@ type slot struct {
 // faults calls to it suffer: a down flag, per-server latency
 // distributions, probabilistic call drops, slow-start penalties after a
 // restart, pairwise network partitions, and — when a topo.Topology is
-// attached — zone-correlated latency and whole-zone partitions. A
-// wired cluster binds each slot to a forwarder onto a TCP client, so
-// the faults reach real sockets only that way.
+// attached — zone-correlated latency and whole-zone partitions. A wired
+// cluster's calls suffer them on their way to real sockets (Over).
 //
 // All randomness comes from one seeded stats.RNG, so a fault schedule
 // is fully reproducible: two Chaos instances with equal seeds over
@@ -175,23 +174,40 @@ func (c *Chaos) Clock() *Clock { return c.clock }
 
 // Call delivers msg as client traffic (origin ClientOrigin).
 func (c *Chaos) Call(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
-	return c.call(ctx, ClientOrigin, server, msg)
+	return c.call(ctx, ClientOrigin, server, msg, nil)
 }
 
 // Origin returns a Caller view whose calls carry the given origin id,
 // for binding to server nodes: peer traffic from server i then respects
 // partitions between i and its targets.
-func (c *Chaos) Origin(id int) Caller { return &originCaller{chaos: c, origin: id} }
+func (c *Chaos) Origin(id int) Caller { return c.Over(nil, func() int { return id }) }
+
+// Over returns a Caller whose calls suffer the network's faults as calls
+// from origin() — read on each, so a member a drain renumbers is
+// faulted as its new slot — and then go to next, a wired member's own
+// client, whose NumServers it reports; with next nil, to the handlers.
+func (c *Chaos) Over(next Caller, origin func() int) Caller {
+	return &originCaller{chaos: c, origin: origin, next: next}
+}
 
 type originCaller struct {
 	chaos  *Chaos
-	origin int
+	origin func() int
+	next   Caller // nil: deliver to the slot's handler
 }
 
-func (o *originCaller) NumServers() int { return o.chaos.NumServers() }
+func (o *originCaller) NumServers() int {
+	if o.next != nil {
+		return o.next.NumServers()
+	}
+	return o.chaos.NumServers()
+}
+
+// Clock returns the virtual clock the network's latency advances.
+func (o *originCaller) Clock() *Clock { return o.chaos.clock }
 
 func (o *originCaller) Call(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
-	return o.chaos.call(ctx, o.origin, server, msg)
+	return o.chaos.call(ctx, o.origin(), server, msg, o.next)
 }
 
 // SetDown marks a server as failed or recovered.
@@ -396,11 +412,11 @@ func pairKey(a, b int) [2]int {
 	return [2]int{a, b}
 }
 
-// call applies the configured faults, then delivers msg to the
-// server's handler. Fault decisions are drawn under the lock in call
-// order — the slow-start and drop draws even when the server is down —
-// so a single-goroutine simulation is bit-for-bit reproducible.
-func (c *Chaos) call(ctx context.Context, origin, server int, msg wire.Message) (wire.Message, error) {
+// call applies the configured faults, then delivers msg (see deliver).
+// Fault decisions are drawn under the lock in call order — the
+// slow-start and drop draws even when the server is down — so a
+// single-goroutine simulation is bit-for-bit reproducible.
+func (c *Chaos) call(ctx context.Context, origin, server int, msg wire.Message, next Caller) (wire.Message, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -448,13 +464,13 @@ func (c *Chaos) call(ctx context.Context, origin, server int, msg wire.Message) 
 	if dropped {
 		return nil, &injectedError{server: server, reason: "drop"}
 	}
-	return c.deliver(ctx, server, msg)
+	return c.deliver(ctx, server, msg, next)
 }
 
-// deliver hands msg to the server's handler, unless the request was
-// abandoned meanwhile, the slot is gone or down, or nothing is bound.
-// The handler runs with no lock held.
-func (c *Chaos) deliver(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
+// deliver hands msg to the server's handler, or to next when it is set,
+// unless the request was abandoned meanwhile, the slot is gone or down,
+// or nothing is bound. The handler runs with no lock held.
+func (c *Chaos) deliver(ctx context.Context, server int, msg wire.Message, next Caller) (wire.Message, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -467,6 +483,9 @@ func (c *Chaos) deliver(ctx context.Context, server int, msg wire.Message) (wire
 	c.mu.Unlock()
 	if s.down {
 		return nil, fmt.Errorf("%w: server %d", ErrServerDown, server)
+	}
+	if next != nil {
+		return next.Call(ctx, server, msg)
 	}
 	if s.h == nil {
 		return nil, fmt.Errorf("transport: server %d has no handler bound", server)

@@ -158,13 +158,18 @@ func (s *Server) Instrument(m *telemetry.TransportMetrics) {
 	}
 }
 
-// Listen binds to addr (e.g. "127.0.0.1:0") and begins accepting
-// connections in a background goroutine, returning the bound address.
+// Listen binds to addr (e.g. "127.0.0.1:0") and serves on it (Serve).
 func (s *Server) Listen(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
+	return s.Serve(ln)
+}
+
+// Serve begins accepting connections on ln in a background goroutine
+// and returns its address; the server owns ln from then on.
+func (s *Server) Serve(ln net.Listener) (string, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
