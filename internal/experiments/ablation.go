@@ -48,6 +48,9 @@ func AblationGreedyVsExact(fid Fidelity, seed uint64) (GreedyExactGap, error) {
 				return gap, err
 			}
 			snap := inst.cluster.Snapshot(inst.key)
+			if err := inst.close(nil); err != nil {
+				return gap, err
+			}
 			for _, target := range []int{5, 10, 15} {
 				greedy := faultToleranceGreedy(snap, target)
 				exact := faultToleranceExact(snap, target)
@@ -102,7 +105,7 @@ func AblationCushionLifetime(fid Fidelity, seed uint64) (map[int][2]float64, err
 				if err != nil {
 					return nil, err
 				}
-				if err := dr.replayThin(target, &frac); err != nil {
+				if err := dr.close(dr.replayThin(target, &frac)); err != nil {
 					return nil, err
 				}
 			}

@@ -82,11 +82,12 @@ func ExtAvailability(fid Fidelity, seed uint64) (*Table, error) {
 // availabilityRun measures one instance's satisfied fraction over a
 // churning cluster: k servers are down at any time, and the failed set
 // rotates every churnEvery lookups.
-func availabilityRun(rng *stats.RNG, cfg wire.Config, policy core.LookupPolicy, target, k int, dropRate float64, lookups, churnEvery int) (float64, error) {
+func availabilityRun(rng *stats.RNG, cfg wire.Config, policy core.LookupPolicy, target, k int, dropRate float64, lookups, churnEvery int) (_ float64, err error) {
 	if cfg.Scheme == wire.Hash && cfg.Seed == 0 {
 		cfg.Seed = rng.Uint64()
 	}
 	cl := newCluster(canonicalN, rng.Split())
+	defer func() { err = closing(cl, err) }()
 	svc, err := core.NewService(cl.Caller(),
 		core.WithDefaultConfig(cfg),
 		core.WithSeed(rng.Uint64()),

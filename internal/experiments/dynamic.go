@@ -144,7 +144,7 @@ func Fig12Cushion(fid Fidelity, seed uint64) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				if err := dr.replayThin(target, frac); err != nil {
+				if err := dr.close(dr.replayThin(target, frac)); err != nil {
 					return nil, err
 				}
 			}
@@ -194,9 +194,10 @@ func Fig13Deterioration(fid Fidelity, seed uint64) (*Table, error) {
 		}
 		fixed, err := startDynamicRun(rng, wire.Config{Scheme: wire.Fixed, X: 20}, rs.stream)
 		if err != nil {
-			return nil, err
+			return nil, rs.close(err)
 		}
 		runs := []*dynamicRun{rs, fixed}
+		done := func(err error) error { return rs.close(fixed.close(err)) }
 		measure := func(checkpoint int) error {
 			for i, dr := range runs {
 				u, err := dr.unfairness(dr.live.Members(), target, fid.Lookups)
@@ -208,19 +209,22 @@ func Fig13Deterioration(fid Fidelity, seed uint64) (*Table, error) {
 			return nil
 		}
 		if err := measure(0); err != nil {
-			return nil, err
+			return nil, done(err)
 		}
 		for i, ev := range rs.stream.Events {
 			for _, dr := range runs {
 				if err := dr.apply(ev); err != nil {
-					return nil, err
+					return nil, done(err)
 				}
 			}
 			if (i+1)%step == 0 {
 				if err := measure((i + 1) / step); err != nil {
-					return nil, err
+					return nil, done(err)
 				}
 			}
+		}
+		if err := done(nil); err != nil {
+			return nil, err
 		}
 	}
 	for i := 0; i < numCheckpoints; i++ {
@@ -261,7 +265,7 @@ func Fig14UpdateOverhead(fid Fidelity, seed uint64) (*Table, error) {
 					return nil, err
 				}
 				m, err := dr.replay()
-				if err != nil {
+				if err = dr.close(err); err != nil {
 					return nil, err
 				}
 				msgs.Observe(float64(m))

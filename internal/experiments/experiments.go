@@ -14,6 +14,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -264,22 +265,35 @@ func newInstance(rng *stats.RNG, cfg wire.Config, h, n int) (*instance, error) {
 
 // newCluster builds every experiment's cluster. The goldens' wired arm
 // swaps in wired clusters (golden_test.go); nothing else changes it.
+// The experiment that builds a cluster closes it once it is done with
+// it, on its error paths too (closing), so that a wired arm holds one
+// cluster's sockets at a time per experiment.
 var newCluster = cluster.New
 
+// closing closes cl and returns err joined with what that returned.
+func closing(cl *cluster.Cluster, err error) error {
+	return errors.Join(err, cl.Close())
+}
+
 // place builds a cluster of n servers and a driver for cfg, each from a
-// fresh split of rng, and places entries under cfg.
+// fresh split of rng, and places entries under cfg. The caller closes
+// the instance.
 func place(rng *stats.RNG, cfg wire.Config, n int, entries []entry.Entry) (*instance, error) {
 	cl := newCluster(n, rng.Split())
 	drv, err := strategy.New(cfg, rng.Split())
 	if err != nil {
-		return nil, err
+		return nil, closing(cl, err)
 	}
 	inst := &instance{cluster: cl, driver: drv, entries: entries, key: "k"}
 	if err := drv.Place(ctxB(), cl.Caller(), inst.key, entries); err != nil {
-		return nil, fmt.Errorf("experiments: place %v: %w", cfg, err)
+		return nil, closing(cl, fmt.Errorf("experiments: place %v: %w", cfg, err))
 	}
 	return inst, nil
 }
+
+// close closes the instance's cluster and returns err joined with what
+// that returned: the caller passes the error of its last use, if any.
+func (in *instance) close(err error) error { return closing(in.cluster, err) }
 
 // lookup runs one partial lookup against the instance.
 func (in *instance) lookup(t int) (strategy.Result, error) {

@@ -60,12 +60,12 @@ func ExtRSReplacement(fid Fidelity, seed uint64) (*Table, error) {
 			}
 			m, err := dr.replay()
 			if err != nil {
-				return nil, err
+				return nil, dr.close(err)
 			}
 			msgs.Observe(float64(m) / float64(updates))
 			storage.Observe(float64(dr.cluster.TotalStorage(dr.key)))
 			u, err := dr.unfairness(dr.live.Members(), 1, fid.Lookups)
-			if err != nil {
+			if err = dr.close(err); err != nil {
 				return nil, err
 			}
 			unfair.Observe(u)

@@ -50,7 +50,7 @@ func ExtRandomFailures(fid Fidelity, seed uint64) (*Table, error) {
 					inst.cluster.Fail(s)
 				}
 				lc, err := inst.lookupCost(target, max(1, fid.Lookups/5))
-				if err != nil {
+				if err = inst.close(err); err != nil {
 					return nil, err
 				}
 				satS.Observe(lc.SatisfiedFraction * 100)
@@ -101,11 +101,11 @@ func ExtOptimalYPolicy(fid Fidelity, seed uint64) (*Table, error) {
 				}
 				m, err := dr.replay()
 				if err != nil {
-					return nil, err
+					return nil, dr.close(err)
 				}
 				msgsS.Observe(float64(m) / float64(fid.Updates))
 				lc, err := dr.lookupCost(target, max(1, fid.Lookups/5))
-				if err != nil {
+				if err = dr.close(err); err != nil {
 					return nil, err
 				}
 				costS.Observe(lc.MeanContacted)

@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -138,28 +135,13 @@ func checkGolden(t *testing.T, name, got string) {
 
 // wireClusters has the experiments build wired clusters until t and
 // its subtests end, durable ones with a data directory each. Each
-// experiment runs its clusters one after another on its own goroutine,
-// so it is done with one once it builds the next: that one is closed
-// then, and the last ones at the end.
+// experiment closes the clusters it builds.
 func wireClusters(t *testing.T, durable bool) {
 	root := ""
 	if durable {
 		root = walRoot(t)
 	}
-	var mu sync.Mutex
-	open := make(map[string]*cluster.Cluster) // by goroutine
-	closeCluster := func(cl *cluster.Cluster) {
-		if err := cl.Close(); err != nil {
-			t.Error(err)
-		}
-	}
 	newCluster = func(n int, rng *stats.RNG) *cluster.Cluster {
-		g := goroutine()
-		mu.Lock()
-		defer mu.Unlock()
-		if cl := open[g]; cl != nil {
-			closeCluster(cl)
-		}
 		dir := ""
 		if durable {
 			var err error
@@ -171,21 +153,9 @@ func wireClusters(t *testing.T, durable bool) {
 		if err != nil {
 			panic(err)
 		}
-		open[g] = cl
 		return cl
 	}
-	t.Cleanup(func() {
-		newCluster = cluster.New
-		for _, cl := range open {
-			closeCluster(cl)
-		}
-	})
-}
-
-// goroutine returns the calling goroutine's id, from its stack header.
-func goroutine() string {
-	buf := make([]byte, 64)
-	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
+	t.Cleanup(func() { newCluster = cluster.New })
 }
 
 // walRoot returns a directory for durable clusters' logs, removed once

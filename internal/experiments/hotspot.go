@@ -52,7 +52,7 @@ func ExtHotSpot(fid Fidelity, seed uint64) (*Table, error) {
 			cl := newCluster(canonicalN, rng.Split())
 			drv, err := strategy.New(runCfg, rng.Split())
 			if err != nil {
-				return nil, err
+				return nil, closing(cl, err)
 			}
 			ctx := context.Background()
 			keys := make([]string, numKeys)
@@ -63,7 +63,7 @@ func ExtHotSpot(fid Fidelity, seed uint64) (*Table, error) {
 					es[i] = fmt.Sprintf("%s/e%d", keys[k], i)
 				}
 				if err := drv.Place(ctx, cl.Caller(), keys[k], es); err != nil {
-					return nil, err
+					return nil, closing(cl, err)
 				}
 			}
 			pop := stats.NewZipf(numKeys, zipfS)
@@ -73,7 +73,7 @@ func ExtHotSpot(fid Fidelity, seed uint64) (*Table, error) {
 				key := keys[pop.Sample(rng)-1]
 				res, err := drv.PartialLookup(ctx, cl.Caller(), key, target)
 				if err != nil {
-					return nil, err
+					return nil, closing(cl, err)
 				}
 				contacted.Observe(float64(res.Contacted))
 			}
@@ -83,6 +83,9 @@ func ExtHotSpot(fid Fidelity, seed uint64) (*Table, error) {
 				if p := cl.ProcessedBy(s); p > hottest {
 					hottest = p
 				}
+			}
+			if err := cl.Close(); err != nil {
+				return nil, err
 			}
 			if total > 0 {
 				maxShare.Observe(100 * float64(hottest) / float64(total))

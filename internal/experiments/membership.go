@@ -68,11 +68,11 @@ func ExtMembership(_ Fidelity, seed uint64) (*Table, error) {
 			core.WithSeed(rng.Uint64()),
 			core.WithDefaultConfig(cfg))
 		if err != nil {
-			return nil, err
+			return nil, closing(cl, err)
 		}
 		for k := 0; k < keys; k++ {
 			if err := svc.Place(ctxB(), key(k), entries); err != nil {
-				return nil, fmt.Errorf("ext-membership: %s: place %s: %w", cfg, key(k), err)
+				return nil, closing(cl, fmt.Errorf("ext-membership: %s: place %s: %w", cfg, key(k), err))
 			}
 		}
 		// settle returns what the rebalance sweeps of the transition
@@ -100,22 +100,25 @@ func ExtMembership(_ Fidelity, seed uint64) (*Table, error) {
 		movedOnJoin, movedOnDrain := 0, 0
 		for r := 0; r < rounds; r++ {
 			if _, err := cl.Join(ctxB(), stats.NewRNG(uint64(9000+r))); err != nil {
-				return nil, fmt.Errorf("ext-membership: %s: join round %d: %w", cfg, r, err)
+				return nil, closing(cl, fmt.Errorf("ext-membership: %s: join round %d: %w", cfg, r, err))
 			}
 			moved, err := settle()
 			if err != nil {
-				return nil, fmt.Errorf("ext-membership: %s: after join round %d: %w", cfg, r, err)
+				return nil, closing(cl, fmt.Errorf("ext-membership: %s: after join round %d: %w", cfg, r, err))
 			}
 			movedOnJoin += moved
 			// Drain a rotating original member so slot renumbering — not
 			// just trimming the freshly appended joiner — is exercised.
 			if _, err := cl.Drain(ctxB(), 1+r%(servers-1)); err != nil {
-				return nil, fmt.Errorf("ext-membership: %s: drain round %d: %w", cfg, r, err)
+				return nil, closing(cl, fmt.Errorf("ext-membership: %s: drain round %d: %w", cfg, r, err))
 			}
 			if moved, err = settle(); err != nil {
-				return nil, fmt.Errorf("ext-membership: %s: after drain round %d: %w", cfg, r, err)
+				return nil, closing(cl, fmt.Errorf("ext-membership: %s: after drain round %d: %w", cfg, r, err))
 			}
 			movedOnDrain += moved
+		}
+		if err := cl.Close(); err != nil {
+			return nil, err
 		}
 		t.AddRow(cfg.String(), float64(movedOnJoin), float64(movedOnDrain), float64(lookups),
 			float64(achieved)/float64(lookups*target), math.NaN())

@@ -336,10 +336,10 @@ func ExtOverlayTradeoff(fid Fidelity, seed uint64) (*Table, error) {
 		// add+delete pair.
 		cl.ResetMessages()
 		if err := drv.Add(ctx, cl.Caller(), "k", "probe-entry"); err != nil {
-			return nil, err
+			return nil, inst.close(err)
 		}
 		if err := drv.Delete(ctx, cl.Caller(), "k", "probe-entry"); err != nil {
-			return nil, err
+			return nil, inst.close(err)
 		}
 		updateMsgs := float64(cl.Messages()) / 2
 
@@ -350,7 +350,7 @@ func ExtOverlayTradeoff(fid Fidelity, seed uint64) (*Table, error) {
 			client := rng.IntN(participants)
 			rc, err := restrict(cl.Caller(), g, client, serverNodes, d)
 			if err != nil {
-				return nil, err
+				return nil, inst.close(err)
 			}
 			res, err := drv.PartialLookup(ctx, rc, "k", target)
 			if err != nil {
@@ -361,6 +361,9 @@ func ExtOverlayTradeoff(fid Fidelity, seed uint64) (*Table, error) {
 			if res.Satisfied(target) {
 				satisfied++
 			}
+		}
+		if err := inst.close(nil); err != nil {
+			return nil, err
 		}
 		satPct, probeAvg := 0.0, 0.0
 		if lookups > 0 {

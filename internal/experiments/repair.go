@@ -51,11 +51,11 @@ func ExtRepair(_ Fidelity, seed uint64) (*Table, error) {
 				core.WithSeed(rng.Uint64()),
 				core.WithDefaultConfig(cfg))
 			if err != nil {
-				return nil, err
+				return nil, closing(cl, err)
 			}
 			for k := 0; k < keys; k++ {
 				if err := svc.Place(ctxB(), key(k), entries); err != nil {
-					return nil, fmt.Errorf("ext-repair: place %s: %w", key(k), err)
+					return nil, closing(cl, fmt.Errorf("ext-repair: place %s: %w", key(k), err))
 				}
 			}
 			label := cfg.String() + " off"
@@ -80,7 +80,7 @@ func ExtRepair(_ Fidelity, seed uint64) (*Table, error) {
 				for k := 0; k < keys; k++ {
 					got, err := achievedOf(svc, key(k), target)
 					if err != nil {
-						return nil, fmt.Errorf("ext-repair: round %d: %w", r, err)
+						return nil, closing(cl, fmt.Errorf("ext-repair: round %d: %w", r, err))
 					}
 					if got == target {
 						satisfied++
@@ -88,6 +88,9 @@ func ExtRepair(_ Fidelity, seed uint64) (*Table, error) {
 					last += got
 				}
 				achieved += last
+			}
+			if err := cl.Close(); err != nil {
+				return nil, err
 			}
 			t.AddRow(label,
 				float64(keys*rounds), float64(satisfied),

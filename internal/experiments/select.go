@@ -60,13 +60,13 @@ func ExtSelect(_ Fidelity, seed uint64) (*Table, error) {
 		}
 		svc, err := core.NewService(cl.Caller(), opts...)
 		if err != nil {
-			return nil, err
+			return nil, closing(cl, err)
 		}
 		// Working set first, faults second: placement traffic is clean,
 		// the measured lookups run entirely under chaos.
 		for k := 0; k < keys; k++ {
 			if err := svc.Place(ctxB(), key(k), entry.Synthetic(entries)); err != nil {
-				return nil, fmt.Errorf("ext-select: place %s: %w", key(k), err)
+				return nil, closing(cl, fmt.Errorf("ext-select: place %s: %w", key(k), err))
 			}
 		}
 		// The drop-prone servers also pay extra latency before failing —
@@ -90,7 +90,7 @@ func ExtSelect(_ Fidelity, seed uint64) (*Table, error) {
 				res, err := svc.PartialLookup(ctxB(), key(k), target)
 				d := clock.Now().Sub(start)
 				if err != nil {
-					return nil, fmt.Errorf("ext-select: lookup %s: %w", key(k), err)
+					return nil, closing(cl, fmt.Errorf("ext-select: lookup %s: %w", key(k), err))
 				}
 				lats = append(lats, d)
 				total += d
@@ -99,6 +99,9 @@ func ExtSelect(_ Fidelity, seed uint64) (*Table, error) {
 					satisfied++
 				}
 			}
+		}
+		if err := cl.Close(); err != nil {
+			return nil, err
 		}
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 		n := float64(len(lats))

@@ -47,6 +47,9 @@ func Table1Storage(fid Fidelity, seed uint64) (*Table, error) {
 				return nil, err
 			}
 			measured.Observe(float64(inst.cluster.TotalStorage(inst.key)))
+			if err := inst.close(nil); err != nil {
+				return nil, err
+			}
 		}
 		analytic := strategy.ExpectedStorage(cfg, canonicalH, canonicalN)
 		t.AddRow(cfg.String(), analytic, measured.Mean())
@@ -86,7 +89,7 @@ func Fig4LookupCost(fid Fidelity, seed uint64) (*Table, error) {
 					return nil, err
 				}
 				res, err := inst.lookupCost(target, fid.Lookups)
-				if err != nil {
+				if err = inst.close(err); err != nil {
 					return nil, err
 				}
 				cost.Observe(res.MeanContacted)
@@ -134,6 +137,9 @@ func Fig6Coverage(fid Fidelity, seed uint64) (*Table, error) {
 				return nil, err
 			}
 			rs.Observe(float64(entry.Union(inst.cluster.Snapshot(inst.key)...)))
+			if err := inst.close(nil); err != nil {
+				return nil, err
+			}
 		}
 		analytic := strategy.ExpectedCoverage(cfg, canonicalH, canonicalN)
 		t.AddRow(fmt.Sprintf("%d", budget), roundHash, fixed, rs.Mean(), analytic)
@@ -171,6 +177,9 @@ func Fig7FaultTolerance(fid Fidelity, seed uint64) (*Table, error) {
 					return nil, err
 				}
 				ft.Observe(float64(faultToleranceGreedy(inst.cluster.Snapshot(inst.key), target)))
+				if err := inst.close(nil); err != nil {
+					return nil, err
+				}
 			}
 			values = append(values, ft.Mean())
 		}
@@ -207,7 +216,7 @@ func Fig9Unfairness(fid Fidelity, seed uint64) (*Table, error) {
 					return nil, err
 				}
 				u, err := inst.unfairness(inst.entries, target, fid.Lookups)
-				if err != nil {
+				if err = inst.close(err); err != nil {
 					return nil, err
 				}
 				unfair.Observe(u)

@@ -51,6 +51,9 @@ func Table2Summary(fid Fidelity, seed uint64) (*Table, error) {
 					return nil, err
 				}
 				s.Observe(float64(inst.cluster.TotalStorage(inst.key)))
+				if err := inst.close(nil); err != nil {
+					return nil, err
+				}
 			}
 			raw[i][hi] = s.Mean()
 		}
@@ -70,11 +73,11 @@ func Table2Summary(fid Fidelity, seed uint64) (*Table, error) {
 			ft.Observe(float64(faultToleranceGreedy(snap, 20)))
 			lc, err := inst.lookupCost(20, fid.Lookups)
 			if err != nil {
-				return nil, err
+				return nil, inst.close(err)
 			}
 			cost.Observe(lc.MeanContacted)
 			u, err := inst.unfairness(inst.entries, 1, fid.Lookups)
-			if err != nil {
+			if err = inst.close(err); err != nil {
 				return nil, err
 			}
 			fair.Observe(u)
@@ -94,14 +97,14 @@ func Table2Summary(fid Fidelity, seed uint64) (*Table, error) {
 				return nil, err
 			}
 			if _, err := dr.replay(); err != nil {
-				return nil, err
+				return nil, dr.close(err)
 			}
 			// Sorted: the universe's order feeds a float sum, and the
 			// golden pins this table's values.
 			universe := dr.live.Members()
 			slices.Sort(universe)
 			u, err := dr.unfairness(universe, 1, fid.Lookups)
-			if err != nil {
+			if err = dr.close(err); err != nil {
 				return nil, err
 			}
 			fair.Observe(u)
@@ -120,7 +123,7 @@ func Table2Summary(fid Fidelity, seed uint64) (*Table, error) {
 					return nil, err
 				}
 				m, err := dr.replay()
-				if err != nil {
+				if err = dr.close(err); err != nil {
 					return nil, err
 				}
 				msgs.Observe(float64(m) / float64(len(dr.stream.Events)))

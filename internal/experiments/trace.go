@@ -156,7 +156,7 @@ func ExtTrace(_ Fidelity, seed uint64) (*Table, error) {
 	return traceAtScale.run(seed)
 }
 
-func (sc traceScenario) run(seed uint64) (*Table, error) {
+func (sc traceScenario) run(seed uint64) (_ *Table, err error) {
 	rng := stats.NewRNG(seed)
 	cfg := wire.Config{Scheme: wire.Hash, Y: traceY, Seed: rng.Uint64(), ZoneSpread: true}
 	tr, err := generateTrace(rng.Split(), traceConfig{
@@ -170,6 +170,7 @@ func (sc traceScenario) run(seed uint64) (*Table, error) {
 		return nil, err
 	}
 	cl := newCluster(sc.servers, rng.Split())
+	defer func() { err = closing(cl, err) }()
 	tp, err := topo.Parse(sc.topology, sc.servers)
 	if err != nil {
 		return nil, err

@@ -80,6 +80,7 @@ func ExtZone(_ Fidelity, seed uint64) (*Table, error) {
 func zoneArm(cfg wire.Config, seed uint64) (row []float64, zones string, err error) {
 	rng := stats.NewRNG(seed)
 	cl := newCluster(zoneServers, rng.Split())
+	defer func() { err = closing(cl, err) }()
 	tp, err := topo.Parse(zoneTopo, zoneServers)
 	if err != nil {
 		return nil, "", err

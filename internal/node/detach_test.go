@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/stats"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -41,72 +42,271 @@ func everyKind(t *testing.T) []wire.Message {
 	return msgs
 }
 
-// parkAfter runs the node's Handle and then, for anything but a Ping,
-// parks on the same goroutine until release closes: where the node has
-// detached, that goroutine is no longer the connection's reader.
-type parkAfter struct {
-	inner   transport.Handler
-	parked  chan struct{}
+// blockingPeers is the peer caller of server 0 in a view of two
+// servers, so every call it gets is to server 1: it reports itself on
+// called and waits for release, then fails as a down server would. A
+// handler that makes one is waiting on another server.
+type blockingPeers struct {
+	called  chan struct{}
 	release chan struct{}
 }
 
-func (h parkAfter) Handle(ctx context.Context, msg wire.Message) wire.Message {
-	reply := h.inner.Handle(ctx, msg)
-	if _, ping := msg.(wire.Ping); !ping {
-		h.parked <- struct{}{}
-		<-h.release
-	}
-	return reply
+func newBlockingPeers() *blockingPeers {
+	return &blockingPeers{called: make(chan struct{}, 1), release: make(chan struct{})}
 }
 
-// TestOnlyLocalKindsRunOnTheReader: for every wire kind outside the
-// allowlist wire.ServedInline, a handler parked inside that kind does
-// not delay a Ping sent behind it on the same connection — the
-// capability to detach reaching the node through a wrapper, as bench's
-// tracing handler wraps it. The allowlist itself is pinned, so that a
-// kind added later is detached unless someone decides otherwise here.
-func TestOnlyLocalKindsRunOnTheReader(t *testing.T) {
-	local := map[wire.Kind]bool{wire.KindLookup: true, wire.KindLookupBatch: true, wire.KindPing: true}
-	for k := 0; k < 256; k++ {
-		if got := wire.ServedInline(wire.Kind(k)); got != local[wire.Kind(k)] {
-			t.Errorf("wire.ServedInline(%d) = %v, want %v", k, got, local[wire.Kind(k)])
+func (p *blockingPeers) Call(ctx context.Context, _ int, _ wire.Message) (wire.Message, error) {
+	select {
+	case p.called <- struct{}{}:
+	default:
+	}
+	select {
+	case <-p.release:
+		return nil, transport.ErrServerDown
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+func (*blockingPeers) NumServers() int { return 2 }
+
+// twoMembers is a membership host for the two servers blockingPeers
+// stands for. Grow, when growing is set, reports itself there and waits
+// for release.
+type twoMembers struct {
+	growing chan struct{}
+	release chan struct{}
+}
+
+func (twoMembers) Members() []string { return []string{"a:1", "b:1"} }
+
+func (h twoMembers) Grow(wire.MembershipUpdate) {
+	if h.growing != nil {
+		h.growing <- struct{}{}
+		<-h.release
+	}
+}
+
+func (twoMembers) Compact(wire.MembershipUpdate) {}
+
+// serveNode serves h over loopback and returns a client of it, with a
+// short timeout, and the server's request counts.
+func serveNode(t *testing.T, h transport.Handler) (*transport.Client, *telemetry.TransportMetrics) {
+	t.Helper()
+	m := telemetry.NewServerMetrics(telemetry.NewRegistry(), "server")
+	srv := transport.NewServer(h)
+	srv.Instrument(m)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	client := transport.NewClient([]string{addr}, transport.WithTimeout(2*time.Second))
+	t.Cleanup(func() { client.Close() })
+	return client, m
+}
+
+// callAsync sends msg on its own goroutine; the channel gets the reply.
+func callAsync(client transport.Caller, msg wire.Message) chan wire.Message {
+	done := make(chan wire.Message, 1)
+	go func() {
+		reply, err := client.Call(context.Background(), 0, msg)
+		if err != nil {
+			reply = wire.Ack{Err: err.Error()}
+		}
+		done <- reply
+	}()
+	return done
+}
+
+// sendBehind sends msg through client once nd has begun to handle a
+// request more than the handled it had — the one sent before, whose
+// frame is then ahead of msg's on the connection — and returns the
+// call's error.
+func sendBehind(t *testing.T, client transport.Caller, nd *Node, handled int64, msg wire.Message) error {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); nd.Handled() <= handled; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first request never reached the node")
 		}
 	}
+	_, err := client.Call(context.Background(), 0, msg)
+	return err
+}
 
+// TestOnlyLocalKindsRunOnTheReader: a request runs on the goroutine
+// that read it until it is about to wait on a peer. For every wire kind,
+// sent to a node whose peer caller blocks, either the handler calls a
+// peer — and a Ping sent behind it on the same connection is answered
+// meanwhile, the request counting as detached — or it answers without
+// one and counts as inline. Updates that fan out and membership changes
+// call peers; a holder's StoreOne, RemoveOne and RemoveAt, and a
+// RoundRemove at a non-holder, are answered inline. A kind added to the
+// wire later is tested without anyone remembering to add it here.
+func TestOnlyLocalKindsRunOnTheReader(t *testing.T) {
+	fixed := wire.Config{Scheme: wire.Fixed, X: 2}
+	round := wire.Config{Scheme: wire.RoundRobin, Y: 2}
+	place := wire.Place{Key: "p", Config: fixed, Entries: []string{"a", "b"}}
+	add := wire.Add{Key: "a", Config: fixed, Entry: "x"}
+	samples := map[wire.Kind]wire.Message{
+		wire.KindPlace:       place,
+		wire.KindPlaceBatch:  wire.PlaceBatch{Items: []wire.Place{place}},
+		wire.KindAdd:         add,
+		wire.KindAddBatch:    wire.AddBatch{Items: []wire.Add{add}},
+		wire.KindDelete:      wire.Delete{Key: "k", Config: fixed, Entry: "v"},
+		wire.KindJoin:        wire.Join{Addr: "c:1"},
+		wire.KindLeave:       wire.Leave{Server: 1},
+		wire.KindStoreOne:    wire.StoreOne{Key: "k", Config: fixed, Entry: "y"},
+		wire.KindRemoveOne:   wire.RemoveOne{Key: "k", Config: fixed, Entry: "v"},
+		wire.KindRemoveAt:    wire.RemoveAt{Key: "rk", Entry: "r1", Pos: 1},
+		wire.KindRoundRemove: wire.RoundRemove{Key: "rk", Entry: "absent", HeadServer: 1},
+	}
+	callsPeer := map[wire.Kind]bool{
+		wire.KindPlace: true, wire.KindPlaceBatch: true, wire.KindAdd: true, wire.KindAddBatch: true,
+		wire.KindDelete: true, wire.KindJoin: true, wire.KindLeave: true,
+	}
 	for _, msg := range everyKind(t) {
-		if local[msg.Kind()] {
-			continue
+		if sample, ok := samples[msg.Kind()]; ok {
+			msg = sample
 		}
 		t.Run(fmt.Sprintf("%T", msg), func(t *testing.T) {
-			h := parkAfter{inner: New(0, stats.NewRNG(1)), parked: make(chan struct{}, 1), release: make(chan struct{})}
-			m := telemetry.NewServerMetrics(telemetry.NewRegistry(), "server")
-			srv := transport.NewServer(h)
-			srv.Instrument(m)
-			addr, err := srv.Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatalf("Listen: %v", err)
+			nd := New(0, stats.NewRNG(1))
+			peers := newBlockingPeers()
+			nd.Attach(peers)
+			nd.SetHost(twoMembers{})
+			// The node holds the entries the samples remove.
+			for _, held := range []wire.Message{
+				wire.StoreBatch{Key: "k", Config: fixed, Entries: []string{"v", "w"}},
+				wire.StoreBatch{Key: "rk", Config: round, Entries: []string{"r0", "r1", "r2"}},
+			} {
+				if ack := nd.Handle(context.Background(), held); ack != (wire.Ack{}) {
+					t.Fatalf("%T: %v", held, ack)
+				}
 			}
-			defer srv.Close()
-			client := transport.NewClient([]string{addr}, transport.WithTimeout(5*time.Second))
-			defer client.Close()
-
-			done := make(chan error, 1)
-			go func() {
-				_, err := client.Call(context.Background(), 0, msg)
-				done <- err
-			}()
-			<-h.parked
-			if _, err := client.Call(context.Background(), 0, wire.Ping{}); err != nil {
-				t.Errorf("Ping behind a parked %T: %v", msg, err)
-			}
-			close(h.release)
-			if err := <-done; err != nil {
-				t.Errorf("parked %T: %v", msg, err)
-			}
-			if m.Detached.Value() != 1 || m.Inline.Value() != 1 {
-				t.Errorf("detached %d inline %d, want the %T detached and the Ping inline", m.Detached.Value(), m.Inline.Value(), msg)
+			client, m := serveNode(t, nd)
+			done := callAsync(client, msg)
+			select {
+			case <-peers.called:
+				if !callsPeer[msg.Kind()] {
+					t.Errorf("%T called a peer", msg)
+				}
+				if _, err := client.Call(context.Background(), 0, wire.Ping{}); err != nil {
+					t.Errorf("Ping behind a %T waiting on a peer: %v", msg, err)
+				}
+				close(peers.release)
+				<-done
+				if m.Detached.Value() != 1 || m.Inline.Value() != 1 {
+					t.Errorf("detached %d inline %d, want the %T detached and the Ping inline",
+						m.Detached.Value(), m.Inline.Value(), msg)
+				}
+			case <-done:
+				close(peers.release)
+				if callsPeer[msg.Kind()] {
+					t.Errorf("%T answered without calling a peer", msg)
+				}
+				if m.Detached.Value() != 0 || m.Inline.Value() != 1 {
+					t.Errorf("detached %d inline %d, want the %T inline", m.Detached.Value(), m.Inline.Value(), msg)
+				}
 			}
 		})
+	}
+}
+
+// TestJoinWaitingToCoordinateLeavesTheReader: a Join to a node that is
+// coordinating another change waits for the node's coordinating lock,
+// held across peer calls, off the connection's reader: a Ping sent
+// behind it on the same connection is answered meanwhile.
+func TestJoinWaitingToCoordinateLeavesTheReader(t *testing.T) {
+	nd := New(0, stats.NewRNG(1))
+	peers := newBlockingPeers()
+	nd.Attach(peers)
+	nd.SetHost(twoMembers{})
+	client, _ := serveNode(t, nd)
+
+	first := make(chan wire.Message, 1)
+	go func() { first <- nd.Handle(context.Background(), wire.Join{Addr: "c:1"}) }()
+	<-peers.called // the first join holds the lock, committing to server 1
+	handled := nd.Handled()
+	second := callAsync(client, wire.Join{Addr: "d:1"})
+	if err := sendBehind(t, client, nd, handled, wire.Ping{}); err != nil {
+		t.Errorf("Ping behind a Join waiting to coordinate: %v", err)
+	}
+	close(peers.release)
+	<-first
+	<-second
+}
+
+// TestReplayedUpdateWaitsOffTheReader: a MembershipUpdate a node is
+// still committing, sent to it again, waits for that commit's sweep off
+// the connection's reader: a Ping sent behind it on the same connection
+// is answered meanwhile, and the replay acks once the sweep is done.
+func TestReplayedUpdateWaitsOffTheReader(t *testing.T) {
+	nd := New(0, stats.NewRNG(1))
+	nd.Attach(newBlockingPeers())
+	host := twoMembers{growing: make(chan struct{}), release: make(chan struct{})}
+	nd.SetHost(host)
+	client, _ := serveNode(t, nd)
+
+	u := wire.MembershipUpdate{Epoch: 1, OldN: 2, NewN: 3, Joined: []int{2}, Leaving: -1,
+		Addrs: []string{"a:1", "b:1", "c:1"}}
+	first := make(chan wire.Message, 1)
+	go func() { first <- nd.Handle(context.Background(), u) }()
+	<-host.growing // committed, its sweep not begun
+	handled := nd.Handled()
+	replay := callAsync(client, u)
+	if err := sendBehind(t, client, nd, handled, wire.Ping{}); err != nil {
+		t.Errorf("Ping behind a replayed update: %v", err)
+	}
+	close(host.release)
+	if ack := <-first; ack != (wire.Ack{}) {
+		t.Errorf("update: %v", ack)
+	}
+	if ack := <-replay; ack != (wire.Ack{}) {
+		t.Errorf("replayed update: %v", ack)
+	}
+}
+
+// TestLookupBehindADurableStoreOneWaitsForItsCommit: under SyncBatch a
+// StoreOne's handler runs the log's group commit itself, on the
+// connection's reader, since it waits on no peer. A Lookup pipelined
+// behind it on the same connection is read once that commit lands, and
+// sees the stored entry; both count as inline.
+func TestLookupBehindADurableStoreOneWaitsForItsCommit(t *testing.T) {
+	nd := New(0, stats.NewRNG(1))
+	nd.Attach(newBlockingPeers())
+	d, err := nd.OpenDurability(t.TempDir(), store.SyncBatch, 0, nil)
+	if err != nil {
+		t.Fatalf("OpenDurability: %v", err)
+	}
+	defer d.Close()
+	committing, gate := make(chan struct{}, 1), make(chan struct{})
+	d.WAL().SetCommitHook(func() {
+		select {
+		case committing <- struct{}{}:
+		default:
+		}
+		<-gate
+	})
+	client, m := serveNode(t, nd)
+
+	stored := callAsync(client, wire.StoreOne{Key: "k", Config: wire.Config{Scheme: wire.Fixed, X: 1}, Entry: "v"})
+	<-committing
+	looked := callAsync(client, wire.Lookup{Key: "k", T: 1})
+	select {
+	case reply := <-looked:
+		t.Errorf("Lookup answered while the StoreOne ahead of it was committing: %v", reply)
+		looked <- reply
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(gate)
+	if ack := <-stored; ack != (wire.Ack{}) {
+		t.Fatalf("StoreOne: %v", ack)
+	}
+	if reply, ok := (<-looked).(wire.LookupReply); !ok || len(reply.Entries) != 1 || reply.Entries[0] != "v" {
+		t.Fatalf("Lookup behind the StoreOne: %v, want [v]", reply)
+	}
+	if m.Detached.Value() != 0 || m.Inline.Value() != 2 {
+		t.Errorf("detached %d inline %d, want both inline", m.Detached.Value(), m.Inline.Value())
 	}
 }
 

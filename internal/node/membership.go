@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/store"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -186,6 +187,7 @@ func (n *Node) handleMembershipUpdate(ctx context.Context, m wire.MembershipUpda
 			return wire.Ack{Err: fmt.Sprintf("%v: committed epoch %d oldN=%d newN=%d leaving=%d joined=%v, refused epoch %d oldN=%d newN=%d leaving=%d joined=%v",
 				ErrMembershipConflict, c.Epoch, c.OldN, c.NewN, c.Leaving, c.Joined, m.Epoch, m.OldN, m.NewN, m.Leaving, m.Joined)}
 		}
+		transport.Detach(ctx)
 		select {
 		case <-cur.swept:
 			return wire.Ack{}
@@ -306,6 +308,7 @@ func (n *Node) coordinate(ctx context.Context, op string, build func(addrs []str
 	if host == nil {
 		return wire.Ack{Err: "node: no membership host installed"}
 	}
+	transport.Detach(ctx) // the lock is held across peer calls
 	n.coordinating.Lock()
 	defer n.coordinating.Unlock()
 	m, err := build(host.Members())

@@ -165,14 +165,15 @@ func (n *Node) recordOp(msg wire.Message) {
 }
 
 // Handle implements transport.Handler, dispatching one protocol message
-// and counting it in Handled. Kinds outside wire.ServedInline detach
-// first. Nested peer calls (broadcasts, migrations) are issued with no
-// key lock held, so self-directed messages re-enter Handle safely.
+// and counting it in Handled. It runs on the goroutine that read the
+// request until it is about to wait on another server or goroutine: a
+// remote peer call (callReply), the coordinating lock (coordinate) or
+// a replayed update's sweep (handleMembershipUpdate) detach there. A
+// WAL group commit is the request's own work and stays on the reader.
+// Nested peer calls (broadcasts, migrations) are issued with no key
+// lock held, so self-directed messages re-enter Handle safely.
 func (n *Node) Handle(ctx context.Context, msg wire.Message) wire.Message {
 	n.handled.Add(1)
-	if !wire.ServedInline(msg.Kind()) {
-		transport.Detach(ctx)
-	}
 	n.recordOp(msg)
 	switch m := msg.(type) {
 	case wire.Place:
@@ -444,11 +445,13 @@ func (n *Node) call(ctx context.Context, server int, msg wire.Message) error {
 	return nil
 }
 
-// callReply sends msg to one server and returns its reply. A message
-// the node addresses to itself does not leave the process: Handle runs
-// on the calling goroutine with the caller's ctx — cancellation carries,
-// and transport.Detach finds the request already detached — and returns
-// the same reply, durability wait included. It is still a processed
+// callReply sends msg to one server and returns its reply, detaching
+// the request from its connection's reader first when the server is
+// another one. A message the node addresses to itself does not leave
+// the process: Handle runs on the calling goroutine with the caller's
+// ctx — cancellation carries, and so does the reader, which the nested
+// handler detaches from if it calls a peer in turn — and returns the
+// same reply, durability wait included. It is still a processed
 // message in the paper's cost model (Sec. 6.4 counts a broadcast's
 // message to the sender): Handle counts it as it counts the others,
 // and the node.local_deliveries vector too. id and peers are read
@@ -465,6 +468,7 @@ func (n *Node) callReply(ctx context.Context, server int, msg wire.Message) (wir
 		return nil, fmt.Errorf("node %d: no peer caller attached", self)
 	}
 	if server != self {
+		transport.Detach(ctx)
 		return peers.Call(ctx, server, msg)
 	}
 	if err := ctx.Err(); err != nil {

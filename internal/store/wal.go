@@ -137,8 +137,8 @@ type WAL struct {
 	path  string
 	first uint64 // first sequence the active segment may hold
 	spare []byte // the buffer the last commit wrote, empty, for the next swap
-	// commitHook, when set (tests only), runs inside each commit after
-	// it took the buffer and before it writes.
+	// commitHook, when set (tests only, see SetCommitHook), runs inside
+	// each commit after it took the buffer and before it writes.
 	commitHook func()
 
 	// mu guards the fields below; nobody holds it across I/O.
@@ -410,6 +410,12 @@ func (w *WAL) Append(stripe int, recs ...wire.Message) (uint64, error) {
 	}
 	return seq, w.commitTo(seq)
 }
+
+// SetCommitHook has every later commit call f after it has taken the
+// buffered records and before it writes them, so that a test in another
+// package can hold a commit in flight. Call it before the log is
+// shared with other goroutines.
+func (w *WAL) SetCommitHook(f func()) { w.commitHook = f }
 
 // WaitDurable blocks until the record with the given sequence is
 // durable per the sync policy, returning any sticky write error. Under

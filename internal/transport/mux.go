@@ -24,11 +24,11 @@ import (
 // itself — its own frame and whatever was appended meanwhile — so there
 // is no writer goroutine to wake; the connection's one reader goroutine
 // routes each tagged reply straight to the call waiting for it. A
-// lookup's writer that finds callers woken by their replies and not yet
-// returned lets them join its write first (see muxConn.send). Nested
-// RPC chains — the Round-Robin delete protocol has a server call
-// itself — cannot deadlock, because a Server handler that waits on a
-// peer has detached from its connection's reader first (see Handler).
+// writer that finds callers woken by their replies and not yet returned
+// lets them join its write first (see muxConn.send). Nested RPC chains
+// — the Round-Robin delete protocol has a server call itself — cannot
+// deadlock, because a Server handler that waits on a peer has detached
+// from its connection's reader first (see Handler).
 //
 // Failure taxonomy, which the Retry middleware leans on:
 //
@@ -246,12 +246,13 @@ func (mc *muxConn) fail(err error) {
 // the write buffer. Unless another caller is flushing already (that one
 // will carry the frame), it then writes the buffer out until it is
 // empty: this caller's frame and every frame appended while it was in
-// write. A kind the server answers inline (wire.ServedInline) first
-// yields one scheduling round when the client has woken callers: they
-// are about to send again, and their frames join this write, which the
-// server then reads and answers in one go. Other kinds do not wait:
-// they are answered one write per reply, on peer and WAL chains where
-// the round is latency. Each write runs under a deadline of the
+// write. When the client has woken callers it first yields one
+// scheduling round, whatever the kind: they are about to send again,
+// and their frames join this write. The server reads them in one go
+// and answers on its reader, in one write, every request that waits on
+// no peer — a holder's store or remove as much as a lookup; one that
+// does wait detaches and is answered when it is done, so sharing the
+// write costs it nothing. Each write runs under a deadline of the
 // per-call timeout; a peer that does not drain the socket for that long
 // has failed, and so has the connection — part of a frame may be out.
 // That error matches os.ErrDeadlineExceeded. An id is never left
@@ -275,7 +276,7 @@ func (mc *muxConn) send(ch chan muxResult, msg wire.Message) (id uint64, err err
 		return id, nil
 	}
 	mc.flushing = true
-	if wire.ServedInline(msg.Kind()) && mc.woken.Load() > 0 {
+	if mc.woken.Load() > 0 {
 		mc.mu.Unlock()
 		runtime.Gosched()
 		mc.mu.Lock()

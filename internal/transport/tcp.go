@@ -126,13 +126,14 @@ const maxParkedPerConn = 8
 // to the connection's out-buffer; the buffer is written once no further
 // complete request is buffered behind it, and always before the reader
 // blocks in read, so k pipelined requests cost one write and no
-// goroutine start. A handler that has to wait detaches (see Handler);
-// replies carry the id of the request they answer, so they overtake
-// slow requests. A goroutine that has finished a detached request parks
-// on its connection, and the next Detach hands the reading to a parked
-// goroutine — whose stack has already grown to a request's depth —
-// before it would start a new one. A peer that sends a malformed frame
-// is cut off.
+// goroutine start. A handler stays on the reader until it is about to
+// wait on a peer or another goroutine, and detaches there (see
+// Handler); replies carry the id of the request they answer, so they
+// overtake slow requests. A goroutine that has finished a detached
+// request parks on its connection, and the next Detach hands the
+// reading to a parked goroutine — whose stack has already grown to a
+// request's depth — before it would start a new one. A peer that sends
+// a malformed frame is cut off.
 type Server struct {
 	handler Handler
 	metrics *telemetry.TransportMetrics

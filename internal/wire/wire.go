@@ -227,16 +227,6 @@ func MaintenanceKind(k Kind) bool {
 	return k >= KindRepairQuery && k <= KindMembershipUpdate
 }
 
-// ServedInline lists the kinds a server answers from memory alone — no
-// peer call, no WAL wait — so it reads and answers them on one
-// connection's reader goroutine, many per read and per write. The node
-// detaches every other kind, one added later included, and the mux
-// client lets only these share a write with the callers it has just
-// woken: for them a shared write pays on both ends.
-func ServedInline(k Kind) bool {
-	return k == KindLookup || k == KindLookupBatch || k == KindPing
-}
-
 // Message is implemented by every protocol message.
 type Message interface {
 	Kind() Kind
