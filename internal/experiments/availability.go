@@ -83,9 +83,7 @@ func ExtAvailability(fid Fidelity, seed uint64) (*Table, error) {
 // churning cluster: k servers are down at any time, and the failed set
 // rotates every churnEvery lookups.
 func availabilityRun(rng *stats.RNG, cfg wire.Config, policy core.LookupPolicy, target, k int, dropRate float64, lookups, churnEvery int) (_ float64, err error) {
-	if cfg.Scheme == wire.Hash && cfg.Seed == 0 {
-		cfg.Seed = rng.Uint64()
-	}
+	cfg = runConfig(rng, cfg)
 	cl := newCluster(canonicalN, rng.Split())
 	defer func() { err = closing(cl, err) }()
 	svc, err := core.NewService(cl.Caller(),

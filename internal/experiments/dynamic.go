@@ -39,12 +39,9 @@ func newChurnRun(rng *stats.RNG, cfg wire.Config, lifetime string, steady, updat
 }
 
 // newDynamicRun generates a stream from sc and places its initial
-// population under cfg on canonicalN servers. Like newInstance, a
-// Hash-y run draws a fresh hash family first.
+// population under runConfig(cfg) on canonicalN servers.
 func newDynamicRun(rng *stats.RNG, cfg wire.Config, sc StreamConfig) (*dynamicRun, error) {
-	if cfg.Scheme == wire.Hash && cfg.Seed == 0 {
-		cfg.Seed = rng.Uint64()
-	}
+	cfg = runConfig(rng, cfg)
 	stream, err := Generate(rng.Split(), sc)
 	if err != nil {
 		return nil, err

@@ -251,16 +251,21 @@ type instance struct {
 	key     string
 }
 
-// newInstance builds a cluster of n servers, places h synthetic entries
-// under cfg, and returns a driver for lookups. Each call uses fresh
-// randomness split from rng; Hash-y instances additionally draw a fresh
-// hash family so that run-averaging covers the family's randomness, as
-// the paper's simulations do.
-func newInstance(rng *stats.RNG, cfg wire.Config, h, n int) (*instance, error) {
+// runConfig returns cfg for one run: a Hash-y config without a seed
+// draws a fresh hash family from rng, so that run-averaging covers the
+// family's randomness, as the paper's simulations do.
+func runConfig(rng *stats.RNG, cfg wire.Config) wire.Config {
 	if cfg.Scheme == wire.Hash && cfg.Seed == 0 {
 		cfg.Seed = rng.Uint64()
 	}
-	return place(rng, cfg, n, entry.Synthetic(h))
+	return cfg
+}
+
+// newInstance builds a cluster of n servers, places h synthetic entries
+// under runConfig(cfg), and returns a driver for lookups. Each call
+// uses fresh randomness split from rng.
+func newInstance(rng *stats.RNG, cfg wire.Config, h, n int) (*instance, error) {
+	return place(rng, runConfig(rng, cfg), n, entry.Synthetic(h))
 }
 
 // newCluster builds every experiment's cluster. The goldens' wired arm

@@ -45,10 +45,7 @@ func ExtHotSpot(fid Fidelity, seed uint64) (*Table, error) {
 	for _, cfg := range configs {
 		var maxShare, cost stats.Summary
 		for run := 0; run < max(1, fid.Runs/4); run++ {
-			runCfg := cfg
-			if runCfg.Scheme == wire.Hash {
-				runCfg.Seed = rng.Uint64()
-			}
+			runCfg := runConfig(rng, cfg)
 			cl := newCluster(canonicalN, rng.Split())
 			drv, err := strategy.New(runCfg, rng.Split())
 			if err != nil {

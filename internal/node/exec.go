@@ -53,12 +53,13 @@ type executor interface {
 	// RandomServer-x) every peer, capped at x for the subset schemes.
 	// Targets are ranks under mv. drop lists the local entries for
 	// which this server is not a legal home under mv (every entry
-	// when mv.self < 0, the leaver); the repair sweep ignores it, the
-	// rebalance sweep releases them once a surviving copy is
-	// confirmed. plan runs with no key lock held, on a view copied out
-	// of the store, and must not consume RNG — sweeps move existing
-	// entries at existing positions, they never redraw, which is what
-	// keeps seeded lookups byte-identical across churn.
+	// when mv.self < 0, the leaver); a sweep releases them once a
+	// surviving copy is confirmed, and only when it carries a
+	// transition (a rebalance), never on repair. plan runs with no key
+	// lock held, on a view copied out of the store, and must not
+	// consume RNG — sweeps move existing entries at existing
+	// positions, they never redraw, which is what keeps seeded lookups
+	// byte-identical across churn.
 	plan(v repairView, mv memberView) (push []repairCandidate, drop []string)
 
 	// accept applies a push's entries under the scheme's rule

@@ -7,16 +7,15 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
 // Dynamic membership. A MembershipUpdate commits a one-node transition
 // (a join or a drain) cluster-wide; on receipt every member runs a
-// rebalance sweep — the anti-entropy machinery of repair.go pointed at
-// a planned topology change instead of a failure. The same disciplines
-// carry over verbatim:
+// rebalance: repair.go's sweep carrying the transition, so it plans
+// under the post-change view and releases what moved away. The same
+// disciplines carry over verbatim:
 //
 //   - No RNG. Plans move existing entries at existing positions, so a
 //     seeded lookup stream reads byte-identically before and after a
@@ -112,24 +111,6 @@ func validateMembershipUpdate(m wire.MembershipUpdate) error {
 	return nil
 }
 
-// RebalanceStats summarizes one member's rebalance sweep.
-type RebalanceStats struct {
-	// Epoch is the membership epoch the sweep committed.
-	Epoch uint64
-	// Keys is the number of keys examined; MovedKeys counts keys for
-	// which at least one entry moved or was dropped.
-	Keys      int
-	MovedKeys int
-	// Queries and Pushes count rebalance messages sent.
-	Queries int
-	Pushes  int
-	// Moved counts entries accepted by receivers; Dropped counts local
-	// copies released — always after a surviving copy was confirmed
-	// (seen on a target, or accepted by one).
-	Moved   int
-	Dropped int
-}
-
 // ErrMembershipConflict refuses a membership update that does not
 // follow this member's committed one: a different transition under the
 // committed epoch (two coordinators chose the same next epoch), or any
@@ -199,70 +180,13 @@ func (n *Node) handleMembershipUpdate(ctx context.Context, m wire.MembershipUpda
 	if host != nil {
 		host.Grow(m)
 	}
-	stats := n.Rebalance(ctx, m)
+	stats := n.sweep(ctx, &memberChange{epoch: m.Epoch, newN: m.NewN, leaving: m.Leaving}, nil)
 	n.lastRebalance.Store(&stats)
 	if host != nil {
 		host.Compact(m)
 	}
 	close(next.swept)
 	return wire.Ack{}
-}
-
-// Rebalance runs this member's share of a committed transition: every
-// key in sorted order (the same determinism contract as repair
-// sweeps), planned per scheme against the post-change membership.
-func (n *Node) Rebalance(ctx context.Context, m wire.MembershipUpdate) RebalanceStats {
-	stats := RebalanceStats{Epoch: m.Epoch}
-	mc := memberChange{epoch: m.Epoch, newN: m.NewN, leaving: m.Leaving}
-	for _, it := range n.sortedKeys() {
-		stats.Keys++
-		n.rebalanceKey(ctx, it.key, it.ks, mc, &stats)
-	}
-	return stats
-}
-
-// rebalanceKey moves one key's local share: the scheme's plan under
-// the post-change membership, pushed like a repair sweep, then local
-// copies the new placement no longer assigns here are released — but
-// only once a surviving copy is confirmed (seen on a target, or
-// accepted by one). Unconfirmed entries stay put: on a drain they ride
-// out in the leaver's final snapshot (the operator's escrow) rather
-// than be destroyed — a sole RandomServer-x copy on a leaver whose
-// peers are all at capacity is the concrete case.
-func (n *Node) rebalanceKey(ctx context.Context, key string, ks *store.KeyState, mc memberChange, stats *RebalanceStats) {
-	mv := memberView{self: mc.rankOf(n.ID()), n: mc.newN, tp: n.Topology()}
-	view := viewKey(key, ks)
-	push, drops := execFor(view.cfg.Scheme).plan(view, mv)
-
-	safe := make(map[string]bool)
-	x := n.transferKey(ctx, view, push, mv, mc.slotOf, wire.RepairPush{
-		Key: key, Config: view.cfg, HCount: view.hCount,
-		Epoch: mc.epoch, NewN: mc.newN, Leaving: mc.leaving,
-	}, safe)
-	stats.Queries += x.queries
-	stats.Pushes += x.pushes
-	stats.Moved += x.moved
-	moved := x.moved > 0
-
-	if len(drops) > 0 {
-		dropped := 0
-		ks.Update(func(st *store.State) {
-			for _, s := range drops {
-				if safe[s] && logRemove(st, s) {
-					dropped++
-				}
-			}
-		})
-		if dropped > 0 {
-			if err := ks.WaitDurable(); err == nil {
-				stats.Dropped += dropped
-				moved = true
-			}
-		}
-	}
-	if moved {
-		stats.MovedKeys++
-	}
 }
 
 // handleJoin coordinates admitting the server at m.Addr into the next
@@ -390,10 +314,10 @@ func (n *Node) MemberEpoch() uint64 {
 
 // LastRebalance returns the stats of the node's most recent rebalance
 // sweep, or false if it has never rebalanced.
-func (n *Node) LastRebalance() (RebalanceStats, bool) {
+func (n *Node) LastRebalance() (SweepStats, bool) {
 	p := n.lastRebalance.Load()
 	if p == nil {
-		return RebalanceStats{}, false
+		return SweepStats{}, false
 	}
 	return *p, true
 }

@@ -64,7 +64,7 @@ type Node struct {
 	// the first; its update's Epoch is the member epoch (see
 	// membership.go).
 	applied       atomic.Pointer[transition]
-	lastRebalance atomic.Pointer[RebalanceStats]
+	lastRebalance atomic.Pointer[SweepStats]
 	// compactedEpoch is the member epoch at this node's last SetID: its
 	// host has compacted that transition (the leaver removed, this node
 	// renumbered), so its id IS its post-change rank, and same-epoch

@@ -279,3 +279,34 @@ func TestRoundWindowWiderThanCluster(t *testing.T) {
 		}
 	}
 }
+
+// TestRepairSweepReleasesNothing pins the one rule that tells the two
+// uses of the sweep apart: a copy the plan drops (a Hash-2 entry on a
+// server that is not one of its homes) survives a repair sweep, even
+// though the query confirms its homes hold it. Only a sweep carrying a
+// transition releases.
+func TestRepairSweepReleasesNothing(t *testing.T) {
+	const n = 4
+	cfg := wire.Config{Scheme: wire.Hash, Y: 2, Seed: 7}
+	dc := placedCluster(t, n, cfg, false)
+	const stray = "v1"
+	self := 0
+	for containsServer(HomesFor(stray, cfg, n, nil), self) {
+		self++
+	}
+	nd := dc.nodes[self]
+	ks, _ := nd.store.Get("k")
+	ks.Update(func(st *store.State) { logAdd(st, stray) })
+	if _, drop := execFor(cfg.Scheme).plan(viewKey("k", ks), nd.view()); !reflect.DeepEqual(drop, []string{stray}) {
+		t.Fatalf("server %d plans drops %v, want [%s]; test proves nothing", self, drop, stray)
+	}
+
+	health := staticHealth{dead: make([]bool, n), epoch: 1}
+	st := NewRepairer(nd, RepairOptions{Health: health}).SweepOnce(context.Background())
+	if st.Skipped || st.Queries == 0 {
+		t.Fatalf("sweep did not query its homes: %+v", st)
+	}
+	if st.Dropped != 0 || !nd.LocalSet("k").Contains(stray) {
+		t.Fatalf("repair sweep released %s from server %d: %+v", stray, self, st)
+	}
+}

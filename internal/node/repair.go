@@ -64,23 +64,32 @@ type RepairOptions struct {
 	Metrics *telemetry.RepairMetrics
 }
 
-// RepairStats summarizes one sweep.
-type RepairStats struct {
-	// Skipped reports that the epoch gate short-circuited the sweep
-	// before any wire traffic.
+// SweepStats summarizes one sweep: a repair sweep's (SweepOnce) or a
+// rebalance's (LastRebalance).
+type SweepStats struct {
+	// Skipped reports that a repair sweep's epoch gate short-circuited
+	// it before any wire traffic.
 	Skipped bool
-	// Keys is the number of keys examined.
-	Keys int
-	// RepairedKeys counts keys for which at least one entry moved.
-	RepairedKeys int
-	// Queries and Pushes count repair messages sent.
-	Queries int
-	Pushes  int
-	// Moved counts entries accepted by receivers.
-	Moved int
-	// UnderReplicated counts (entry, server) pairs the scheme required
-	// but that were missing before this sweep pushed them.
+	// Epoch is the membership epoch a rebalance committed; 0 for repair.
+	Epoch uint64
+	// Keys is the number of keys examined; MovedKeys counts keys for
+	// which at least one entry moved or was released.
+	Keys      int
+	MovedKeys int
+	// Queries and Pushes count answered sweep messages; Unanswered
+	// counts the messages that got no answer at all.
+	Queries    int
+	Pushes     int
+	Unanswered int
+	// Moved counts entries accepted by receivers; UnderReplicated
+	// counts (entry, server) pairs the plan required but that were
+	// missing before this sweep pushed them.
+	Moved           int
 	UnderReplicated int
+	// Dropped counts local copies a rebalance released, always after a
+	// surviving copy was confirmed (seen on a target, or accepted by
+	// one). A repair sweep releases nothing.
+	Dropped int
 }
 
 // Repairer runs anti-entropy sweeps for one node.
@@ -144,33 +153,27 @@ func (r *Repairer) Stop() {
 	r.done = nil
 }
 
-// SweepOnce runs one full sweep: every key, in sorted order (the
-// store's shard iteration order is unspecified, and deterministic
-// sweeps are what make the churn soak tests reproducible). It returns
-// what happened; tests and the churn benchmark drive repair through it
-// directly.
-func (r *Repairer) SweepOnce(ctx context.Context) RepairStats {
+// SweepOnce runs one repair sweep (see sweep) unless the epoch gate
+// skips it, and returns what happened; tests and the churn benchmark
+// drive repair through it directly.
+func (r *Repairer) SweepOnce(ctx context.Context) SweepStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var stats RepairStats
 	m := r.opt.Metrics
 	m.Sweeps.Inc()
 	epoch := r.opt.Health.FailureEpoch()
 	if epoch == r.sweptEpoch {
-		stats.Skipped = true
 		m.SweepsSkipped.Inc()
-		return stats
+		return SweepStats{Skipped: true}
 	}
-	dead := r.opt.Health.PresumedDead()
-
-	for _, it := range r.n.sortedKeys() {
-		stats.Keys++
-		r.sweepKey(ctx, it.key, it.ks, dead, &stats)
+	stats := r.n.sweep(ctx, nil, r.opt.Health.PresumedDead())
+	// Converged at this epoch, unless a message went unanswered (the
+	// epoch need not move again when a partition heals or a drop
+	// passes): until the health picture changes, further sweeps are free.
+	if stats.Unanswered == 0 {
+		r.sweptEpoch = epoch
 	}
-	// Converged at this epoch: until the health picture changes again,
-	// further sweeps are free.
-	r.sweptEpoch = epoch
-	m.KeysRepaired.Add(int64(stats.RepairedKeys))
+	m.KeysRepaired.Add(int64(stats.MovedKeys))
 	m.EntriesMoved.Add(int64(stats.Moved))
 	m.Queries.Add(int64(stats.Queries))
 	m.Pushes.Add(int64(stats.Pushes))
@@ -178,23 +181,84 @@ func (r *Repairer) SweepOnce(ctx context.Context) RepairStats {
 	return stats
 }
 
-// keyRef is one store key with its state.
-type keyRef struct {
-	key string
-	ks  *store.KeyState
-}
-
-// sortedKeys lists the node's keys in sorted order: the store's shard
-// iteration order is unspecified, and both sweeps must walk keys
-// deterministically.
-func (n *Node) sortedKeys() []keyRef {
-	var items []keyRef
+// sweep is the one maintenance pass of repair and rebalance: every key
+// in sorted order (the store's shard iteration order is unspecified,
+// and deterministic sweeps are what make the churn soak tests
+// reproducible), each run through sweepKey. mc is the committed
+// transition a rebalance carries, nil for a repair sweep; dead marks
+// the slots a repair sweep presumes dead.
+func (n *Node) sweep(ctx context.Context, mc *memberChange, dead []bool) SweepStats {
+	type keyRef struct {
+		key string
+		ks  *store.KeyState
+	}
+	var keys []keyRef
 	n.store.Range(func(key string, ks *store.KeyState) bool {
-		items = append(items, keyRef{key, ks})
+		keys = append(keys, keyRef{key, ks})
 		return true
 	})
-	sort.Slice(items, func(i, j int) bool { return items[i].key < items[j].key })
-	return items
+	sort.Slice(keys, func(i, j int) bool { return keys[i].key < keys[j].key })
+	var stats SweepStats
+	if mc != nil {
+		stats.Epoch = mc.epoch
+	}
+	for _, k := range keys {
+		stats.Keys++
+		n.sweepKey(ctx, k.key, k.ks, mc, dead, &stats)
+	}
+	return stats
+}
+
+// sweepKey is the sweep's step for one key: copy it (viewKey), plan it
+// under a member view, push what targets miss (transferKey), then
+// release the copies the plan no longer assigns here whose survivor was
+// confirmed, but only when the sweep carries a transition. A repair
+// sweep plans under the live view with presumed-dead targets skipped:
+// it restores missing copies, it never releases one. A rebalance plans
+// under mc's post-change view and addresses ranks through mc.slotOf.
+// Unconfirmed entries stay put: on a drain they ride out in the
+// leaver's final snapshot (the operator's escrow) rather than be
+// destroyed; a sole RandomServer-x copy on a leaver whose peers are
+// all at capacity is the concrete case.
+func (n *Node) sweepKey(ctx context.Context, key string, ks *store.KeyState, mc *memberChange, dead []bool, stats *SweepStats) {
+	mv, slotOf := n.view(), func(rank int) int {
+		if rank < len(dead) && dead[rank] {
+			return -1
+		}
+		return rank
+	}
+	push := wire.RepairPush{Key: key}
+	var confirmed map[string]bool
+	if mc != nil {
+		mv = memberView{self: mc.rankOf(n.ID()), n: mc.newN, tp: n.Topology()}
+		slotOf = mc.slotOf
+		push.Epoch, push.NewN, push.Leaving = mc.epoch, mc.newN, mc.leaving
+		confirmed = make(map[string]bool)
+	}
+	v := viewKey(key, ks)
+	plan, drops := execFor(v.cfg.Scheme).plan(v, mv)
+	push.Config, push.HCount = v.cfg, v.hCount
+	before := stats.Moved
+	n.transferKey(ctx, v, plan, mv, slotOf, push, confirmed, stats)
+	moved := stats.Moved > before
+
+	if len(drops) > 0 && len(confirmed) > 0 {
+		dropped := 0
+		ks.Update(func(st *store.State) {
+			for _, s := range drops {
+				if confirmed[s] && logRemove(st, s) {
+					dropped++
+				}
+			}
+		})
+		if dropped > 0 && ks.WaitDurable() == nil {
+			stats.Dropped += dropped
+			moved = true
+		}
+	}
+	if moved {
+		stats.MovedKeys++
+	}
 }
 
 // repairView is a copy of one key's local state, taken under the key
@@ -331,29 +395,22 @@ func acceptMissing(st *store.State, entries []string, capX bool, admit func(i in
 	return accepted
 }
 
-// exchange tallies one key's query/push traffic.
-type exchange struct {
-	queries, pushes int
-	offered         int // entries found missing on a target and pushed
-	moved           int // entries receivers accepted
-}
-
-// transferKey runs the two-phase exchange both sweeps share for one
-// key: query each planned target for what it is missing, push only
-// that (subset schemes only top the receiver up to x), then, for
-// Round-y, re-mirror the coordinator counters over the view's
-// coordinator ranks (adopt-if-advance on receipt) so a replaced,
-// shifted or joined counter home relearns head/tail. Targets are ranks
-// under mv; slotOf maps a rank to the transport slot to call, or -1 to
-// skip it (presumed dead). push is the sweep's message with its key,
-// config, HCount and transition set; each target gets a copy carrying
-// the entries it is missing. When confirmed is non-nil it collects the
+// transferKey runs the sweep's two-phase exchange for one key: query
+// each planned target for what it is missing, push only that (subset
+// schemes only top the receiver up to x), then, for Round-y,
+// re-mirror the coordinator counters over the view's coordinator
+// ranks (adopt-if-advance on receipt) so a replaced, shifted or
+// joined counter home relearns head/tail. Targets are ranks under mv;
+// slotOf maps a rank to the transport slot to call, or -1 to skip it
+// (presumed dead). push is the sweep's message with its key, config,
+// HCount and transition set; each target gets a copy carrying the
+// entries it is missing. When confirmed is non-nil it collects the
 // entries known to have a copy on some target: seen there by the
-// query, or part of a push accepted in full (partial acceptance doesn't
-// say which ones landed, so none are marked).
+// query, or part of a push accepted in full (partial acceptance
+// doesn't say which ones landed, so none are marked). It tallies into
+// stats.
 func (n *Node) transferKey(ctx context.Context, v repairView, plan []repairCandidate, mv memberView,
-	slotOf func(rank int) int, push wire.RepairPush, confirmed map[string]bool) exchange {
-	var x exchange
+	slotOf func(rank int) int, push wire.RepairPush, confirmed map[string]bool, stats *SweepStats) {
 	for _, cand := range plan {
 		if cand.target < 0 || cand.target >= mv.n || cand.target == mv.self {
 			continue
@@ -364,13 +421,14 @@ func (n *Node) transferKey(ctx context.Context, v repairView, plan []repairCandi
 		}
 		reply, err := n.callReply(ctx, slot, wire.RepairQuery{Key: v.key, Entries: cand.entries})
 		if err != nil {
-			continue // unreachable now; a later sweep retries
+			stats.Unanswered++ // unreachable now; a later sweep retries
+			continue
 		}
 		qr, ok := reply.(wire.RepairQueryReply)
 		if !ok || qr.Err != "" || len(qr.Missing) != len(cand.entries) {
 			continue
 		}
-		x.queries++
+		stats.Queries++
 		budget := -1 // deterministic homes push every missing entry
 		if cand.fillToX {
 			budget = max(v.cfg.X-qr.Len, 0)
@@ -398,17 +456,18 @@ func (n *Node) transferKey(ctx context.Context, v repairView, plan []repairCandi
 		if len(p.Entries) == 0 {
 			continue
 		}
-		x.offered += len(p.Entries)
+		stats.UnderReplicated += len(p.Entries)
 		preply, err := n.callReply(ctx, slot, p)
 		if err != nil {
+			stats.Unanswered++
 			continue
 		}
 		pr, ok := preply.(wire.RepairPushReply)
 		if !ok || pr.Err != "" {
 			continue
 		}
-		x.pushes++
-		x.moved += pr.Accepted
+		stats.Pushes++
+		stats.Moved += pr.Accepted
 		if confirmed != nil && pr.Accepted == len(p.Entries) {
 			for _, s := range p.Entries {
 				confirmed[s] = true
@@ -418,15 +477,16 @@ func (n *Node) transferKey(ctx context.Context, v repairView, plan []repairCandi
 	if v.cfg.Scheme == wire.RoundRobin && (v.head > 0 || v.tail > 0) {
 		for c := 0; c < coordinators(v.cfg) && c < mv.n; c++ {
 			if slot := slotOf(c); c != mv.self && slot >= 0 {
-				// Best-effort, adopt-if-advance on the receiver.
-				_, _ = n.callReply(ctx, slot, wire.CounterSync{Key: v.key, Head: v.head, Tail: v.tail})
+				// Adopt-if-advance on the receiver.
+				if _, err := n.callReply(ctx, slot, wire.CounterSync{Key: v.key, Head: v.head, Tail: v.tail}); err != nil {
+					stats.Unanswered++
+				}
 			}
 		}
 	}
-	return x
 }
 
-// acceptPush applies phase two of either sweep under the key's stored
+// acceptPush applies phase two of a sweep under the key's stored
 // scheme (the receiver's config wins, as everywhere else): each entry
 // passes the scheme's acceptance rule evaluated at mv or is dropped.
 // Accepted entries are WAL-logged through the same helpers as the
@@ -453,34 +513,6 @@ func (n *Node) acceptPush(what string, m wire.RepairPush, mv memberView) wire.Me
 		return wire.RepairPushReply{Err: "node: wal: " + err.Error()}
 	}
 	return wire.RepairPushReply{Accepted: accepted}
-}
-
-// sweepKey repairs one key: the scheme's plan under the live
-// membership, with presumed-dead targets skipped and drops ignored —
-// repair restores missing copies, it never releases one.
-func (r *Repairer) sweepKey(ctx context.Context, key string, ks *store.KeyState, dead []bool, stats *RepairStats) {
-	n := r.n
-	mv := n.view()
-	if mv.n <= 1 {
-		return
-	}
-	view := viewKey(key, ks)
-	push, _ := execFor(view.cfg.Scheme).plan(view, mv)
-	x := n.transferKey(ctx, view, push, mv,
-		func(rank int) int {
-			if rank < len(dead) && dead[rank] {
-				return -1
-			}
-			return rank
-		},
-		wire.RepairPush{Key: key, Config: view.cfg, HCount: view.hCount}, nil)
-	stats.Queries += x.queries
-	stats.Pushes += x.pushes
-	stats.Moved += x.moved
-	stats.UnderReplicated += x.offered
-	if x.moved > 0 {
-		stats.RepairedKeys++
-	}
 }
 
 // handleRepairQuery answers phase one of a sweep: which of the listed

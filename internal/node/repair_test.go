@@ -16,13 +16,13 @@ import (
 
 // sweepAll runs one repair sweep on every node, in id order (the order
 // the soak tests rely on for determinism), and folds the stats.
-func sweepAll(c *cluster.Cluster) node.RepairStats {
-	var total node.RepairStats
+func sweepAll(c *cluster.Cluster) node.SweepStats {
+	var total node.SweepStats
 	for i := 0; i < c.N(); i++ {
 		r := node.NewRepairer(c.Node(i), node.RepairOptions{Health: c.Health()})
 		st := r.SweepOnce(context.Background())
 		total.Keys += st.Keys
-		total.RepairedKeys += st.RepairedKeys
+		total.MovedKeys += st.MovedKeys
 		total.Queries += st.Queries
 		total.Pushes += st.Pushes
 		total.Moved += st.Moved
@@ -129,6 +129,40 @@ func TestRepairEpochGateSkipsConvergedSweeps(t *testing.T) {
 	h.cl.Recover(3)
 	if st := r.SweepOnce(context.Background()); st.Skipped {
 		t.Fatal("sweep after new failure was skipped")
+	}
+}
+
+// A sweep whose query or push got no answer must not close its epoch
+// gate: the failure epoch moves only on Fail, Recover or Replace, so a
+// copy lost to a partition would otherwise never be restored.
+func TestRepairRetriesAfterLostTransfer(t *testing.T) {
+	const n = 4
+	ctx := context.Background()
+	entries := entry.Synthetic(12)
+	h := newHarness(t, n, 14)
+	h.place(1, wire.Config{Scheme: wire.FullReplication}, entries)
+	h.cl.Fail(3)
+	h.cl.Replace(3, stats.NewRNG(700))
+	for i := 0; i < 3; i++ {
+		h.cl.Chaos().Partition(i, 3)
+	}
+	repairers := make([]*node.Repairer, n)
+	for i := range repairers {
+		repairers[i] = node.NewRepairer(h.cl.Node(i), node.RepairOptions{Health: h.cl.Health()})
+		repairers[i].SweepOnce(ctx)
+	}
+	if got := h.cl.Node(3).LocalLen("k"); got != 0 {
+		t.Fatalf("partitioned replacement holds %d entries; test proves nothing", got)
+	}
+
+	h.cl.Chaos().HealAll()
+	for i, r := range repairers[:3] {
+		if st := r.SweepOnce(ctx); st.Skipped {
+			t.Errorf("server %d: sweep after a lost transfer was skipped", i)
+		}
+	}
+	if got := h.cl.Node(3).LocalLen("k"); got != len(entries) {
+		t.Fatalf("replacement holds %d of %d entries after the partition healed", got, len(entries))
 	}
 }
 

@@ -220,7 +220,7 @@ const (
 
 // MaintenanceKind reports whether k belongs to the background
 // maintenance protocols rather than the request path: the repair query
-// and push that both sweeps (anti-entropy repair and rebalance) send,
+// and push the node's maintenance sweep (repair or rebalance) sends,
 // and the membership kinds (join/leave/update). The transport uses it
 // to split connection-reuse telemetry by traffic class.
 func MaintenanceKind(k Kind) bool {
