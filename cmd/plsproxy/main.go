@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/cliutil"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/proxy"
 	"repro/internal/telemetry"
@@ -143,28 +144,21 @@ func newProxy(reg *telemetry.Registry, addrs []string, o frontOptions) (*proxy.P
 	if err != nil {
 		return nil, nil, err
 	}
-	client, sel := st.Client, st.Selector
+	view := cluster.NewView(st.Client, st.Selector, nil)
 	px := proxy.New(st.Service, proxy.Options{
 		CacheEntries: o.cacheEntries,
 		TTL:          o.cacheTTL,
 		Metrics:      telemetry.NewProxyMetrics(reg),
-		Maintenance:  client,
-		// A committed membership change renumbers the backend: track the
-		// new member list in the transport view and selector. The proxy
-		// flushed its cache before this fires.
+		Maintenance:  st.Client,
+		// A committed membership change renumbers the backend: the proxy
+		// flushed its cache before this applies it to the client's
+		// member list and selector, through the step a member takes.
 		OnMembership: func(m wire.MembershipUpdate) {
-			if m.Leaving >= 0 {
-				sel.Resize(m.NewN)
-				client.RemoveServer(m.Leaving)
-				return
-			}
-			for client.NumServers() < m.NewN && len(m.Addrs) == m.NewN {
-				client.AddServer(m.Addrs[client.NumServers()])
-			}
-			sel.Resize(m.NewN)
+			view.Grow(m)
+			view.Compact(m)
 		},
 	})
 	reg.NewGaugeFunc("proxy.cache_entries", func() int64 { return int64(px.CacheLen()) })
 	reg.NewGaugeFunc("proxy.member_epoch", func() int64 { return int64(px.MemberEpoch()) })
-	return px, client, nil
+	return px, st.Client, nil
 }

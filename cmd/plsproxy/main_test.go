@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -65,5 +66,55 @@ func TestAddThroughTheWiredProxyKeepsCachedAnswers(t *testing.T) {
 	if after.Gauges["proxy.cache_entries"] != 1 || after.Counters["proxy.answers_patched"] != 1 || after.Counters["proxy.invalidations"] != 0 {
 		t.Fatalf("after a delete: proxy.cache_entries %d, proxy.answers_patched %d, proxy.invalidations %d; want the answer patched",
 			after.Gauges["proxy.cache_entries"], after.Counters["proxy.answers_patched"], after.Counters["proxy.invalidations"])
+	}
+}
+
+// A committed join and drain reach the proxy's backend client through
+// the view step a member takes: the client follows the member list, and
+// lookups through the proxy keep reaching the renumbered servers.
+func TestProxyFollowsJoinAndDrain(t *testing.T) {
+	cl, err := cluster.NewWired(3, stats.NewRNG(2), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	px, client, err := newProxy(telemetry.NewRegistry(), cl.Addrs(), frontOptions{
+		cfg:     core.Config{Scheme: core.FullReplication},
+		seed:    1,
+		timeout: 5 * time.Second,
+		retries: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	ctx := context.Background()
+	if a, _ := px.Handle(ctx, wire.Place{Key: "k", Entries: []string{"a", "b"}}).(wire.Ack); a.Err != "" {
+		t.Fatalf("place: %s", a.Err)
+	}
+	for _, change := range []func() (wire.MembershipUpdate, error){
+		func() (wire.MembershipUpdate, error) {
+			_, err := cl.Join(ctx, stats.NewRNG(3))
+			return wire.MembershipUpdate{Epoch: 1, OldN: 3, NewN: 4, Joined: []int{3}, Leaving: -1, Addrs: cl.Addrs()}, err
+		},
+		func() (wire.MembershipUpdate, error) {
+			_, err := cl.Drain(ctx, 0)
+			return wire.MembershipUpdate{Epoch: 2, OldN: 4, NewN: 3, Leaving: 0, Addrs: cl.Addrs()}, err
+		},
+	} {
+		m, err := change()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, _ := px.Handle(ctx, m).(wire.Ack); a.Err != "" {
+			t.Fatalf("epoch %d: %s", m.Epoch, a.Err)
+		}
+		if got := client.Addrs(); !slices.Equal(got, cl.Addrs()) {
+			t.Fatalf("epoch %d: backend client at %v, want %v", m.Epoch, got, cl.Addrs())
+		}
+		got := px.Handle(ctx, wire.Lookup{Key: "k", T: 2}).(wire.LookupReply)
+		if got.Err != "" || len(got.Entries) != 2 {
+			t.Fatalf("epoch %d: lookup = %+v, want both entries", m.Epoch, got)
+		}
 	}
 }

@@ -2,22 +2,25 @@
 // metric snapshots. New calls the nodes in process; NewWired builds
 // each as plsd does (NewMember), listening on loopback. Either way all
 // traffic suffers the faults of one transport.Chaos, which consumes no
-// randomness while none are configured, and each node counts the
-// messages it handles: the paper's meter.
+// randomness while none are configured, each node keeps its own view
+// of the members, and each node counts the messages it handles: the
+// paper's meter.
 package cluster
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"path/filepath"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/entry"
 	"repro/internal/node"
 	"repro/internal/stats"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
 	"repro/internal/transport"
@@ -26,14 +29,12 @@ import (
 
 // Cluster is a set of n lookup servers.
 type Cluster struct {
-	chaos *transport.Chaos
-	nodes []*node.Node
-	wired *wired // the members of a cluster NewWired built; nil in process
+	chaos   *transport.Chaos
+	members []*Member // by slot
+	view    Peers     // the cluster's own member list: sim://i in process
+	wired   *wired    // what NewWired adds; nil in process
 
-	mu    sync.Mutex // guards addrs and what host's Grow appends
-	addrs []string   // member addresses: sim://i in process
-
-	caller transport.Caller // what clients call: the network, instrumented by EnableTelemetry
+	caller transport.Caller // what clients call: the view, instrumented by EnableTelemetry
 	tm     *telemetry.TransportMetrics
 	nm     *telemetry.NodeMetrics
 
@@ -44,9 +45,6 @@ type Cluster struct {
 	// last is the membership update the last Join or Drain committed;
 	// Replace hands it to the fresh node.
 	last wire.MembershipUpdate
-	// joining is the node Join is admitting, until the first member's
-	// grow step binds it (see host).
-	joining atomic.Pointer[node.Node]
 	// nextAddr numbers synthetic joiner addresses, never reusing one.
 	nextAddr int
 
@@ -56,28 +54,30 @@ type Cluster struct {
 	// last ResetMessages (see Messages).
 	base []int64
 
-	// topo, when set, is the zone topology the network and every node
-	// share, kept in step with the member count (fitTopology).
+	// topo, when set, is the zone topology the network places its slots
+	// by and each new node starts from, kept in step with the members.
 	topo *topo.Topology
+
+	err error // what Replace and Drain could not report; Close returns it
 }
 
 // New creates a cluster of n servers. Each node receives an independent
 // RNG split from rng, so a cluster is fully reproducible from one seed.
 func New(n int, rng *stats.RNG) *Cluster {
-	c, rngs := newCluster(n, rng)
-	for i := 0; i < n; i++ {
-		c.nodes[i] = c.newNode(i, rngs[i])
-		c.chaos.Bind(i, c.nodes[i])
-		c.addrs[i] = fmt.Sprintf("sim://%d", i)
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("sim://%d", i)
 	}
-	c.caller = c.chaos
+	c, _ := newCluster(addrs, nil, rng, nil) // cannot fail in process
 	return c
 }
 
-// newCluster returns an n-slot cluster with no servers yet, and its
-// nodes' RNGs, split from rng before the network's (the pre-chaos
-// layout every golden value derives from).
-func newCluster(n int, rng *stats.RNG) (*Cluster, []*stats.RNG) {
+// newCluster starts a cluster of servers at addrs, in process or, with
+// w set, members serving on lns. Its nodes' RNGs are split from rng
+// before the network's: the pre-chaos layout every golden value
+// derives from.
+func newCluster(addrs []string, lns []net.Listener, rng *stats.RNG, w *wired) (*Cluster, error) {
+	n := len(addrs)
 	if n <= 0 {
 		panic("cluster: New requires n > 0")
 	}
@@ -85,17 +85,33 @@ func newCluster(n int, rng *stats.RNG) (*Cluster, []*stats.RNG) {
 	for i := range rngs {
 		rngs[i] = rng.Split()
 	}
-	return &Cluster{
-		chaos:    transport.NewChaos(n, rng.Split()),
-		nodes:    make([]*node.Node, n),
-		addrs:    make([]string, n),
-		base:     make([]int64, n),
-		nextAddr: n,
-	}, rngs
+	c := &Cluster{chaos: transport.NewChaos(n, rng.Split()), wired: w, base: make([]int64, n), nextAddr: n}
+	for i, addr := range addrs {
+		c.chaos.SetAddr(i, addr)
+	}
+	if w == nil {
+		c.view = c.chaos.View("", addrs)
+		c.caller = c.view
+	} else {
+		client := transport.NewClient(addrs)
+		c.view, c.caller = client, c.chaos.Over(client, "")
+	}
+	for i := range addrs {
+		var ln net.Listener
+		if lns != nil {
+			ln, lns[i] = lns[i], nil // the member's once it starts
+		}
+		m, err := c.start(i, rngs[i], addrs, ln, nil)
+		c.members = append(c.members, m)
+		if err != nil {
+			return nil, errors.Join(err, c.Close())
+		}
+	}
+	return c, nil
 }
 
 // N returns the number of servers.
-func (c *Cluster) N() int { return len(c.nodes) }
+func (c *Cluster) N() int { return len(c.members) }
 
 // Caller returns what clients reach the servers through, instrumented
 // once EnableTelemetry has run; strategy drivers consume it.
@@ -110,19 +126,19 @@ func (c *Cluster) EnableTelemetry(reg *telemetry.Registry) *telemetry.TransportM
 	if c.tm != nil {
 		return c.tm // already instrumented
 	}
-	n := len(c.nodes)
+	n := len(c.members)
 	c.tm = telemetry.NewTransportMetrics(reg, "transport", n)
 	c.caller = transport.Instrument(c.caller, c.tm)
 	c.nm = telemetry.NewNodeMetrics(reg, n)
-	for _, nd := range c.nodes {
-		nd.Instrument(c.nm)
+	for _, m := range c.members {
+		m.Node.Instrument(c.nm)
 	}
 	// The gauge vectors cover the current members, joiners included.
 	perNode := func(f func(*node.Node) int) func() []int64 {
 		return func() []int64 {
-			out := make([]int64, len(c.nodes))
-			for i, nd := range c.nodes {
-				out[i] = int64(f(nd))
+			out := make([]int64, len(c.members))
+			for i, m := range c.members {
+				out[i] = int64(f(m.Node))
 			}
 			return out
 		}
@@ -138,16 +154,16 @@ func (c *Cluster) Chaos() *transport.Chaos { return c.chaos }
 
 // SetTopology attaches a zone topology, covering exactly the current
 // members, to the network (zone latency and partitions) and every node
-// (spread placement): one instance, as zone-spread placement needs. It
-// consumes no randomness.
+// (spread placement), which each fit it to membership changes as they
+// commit them. It consumes no randomness.
 func (c *Cluster) SetTopology(tp *topo.Topology) error {
-	if tp != nil && tp.N() != len(c.nodes) {
-		return fmt.Errorf("cluster: topology covers %d servers, cluster has %d", tp.N(), len(c.nodes))
+	if tp != nil && tp.N() != len(c.members) {
+		return fmt.Errorf("cluster: topology covers %d servers, cluster has %d", tp.N(), len(c.members))
 	}
 	c.topo = tp
 	c.chaos.SetTopology(tp)
-	for _, nd := range c.nodes {
-		nd.SetTopology(tp)
+	for _, m := range c.members {
+		m.Node.SetTopology(tp)
 	}
 	return nil
 }
@@ -156,7 +172,7 @@ func (c *Cluster) SetTopology(tp *topo.Topology) error {
 func (c *Cluster) Topology() *topo.Topology { return c.topo }
 
 // Node returns server i, for white-box inspection in tests and metrics.
-func (c *Cluster) Node(i int) *node.Node { return c.nodes[i] }
+func (c *Cluster) Node(i int) *node.Node { return c.members[i].Node }
 
 // Fail marks server i as failed: subsequent calls to it return
 // transport.ErrServerDown.
@@ -182,36 +198,36 @@ func (c *Cluster) Restart(i, slowCalls int, extra time.Duration) {
 	c.epoch.Add(1)
 }
 
-// Replace tears server i down permanently and installs a fresh, empty
-// node in its place — the kill/replace churn of a real deployment,
+// Replace tears server i down permanently and starts a fresh, empty
+// one at its address — the kill/replace churn of a real deployment,
 // where a dead machine is swapped for a blank one and everything it
-// stored is lost; in a wired cluster a new member serves at the dead
-// one's address, with a fresh data directory. The caller supplies the
-// new node's RNG, so the cluster's seed stream is never perturbed. The
-// new node is up, repair re-populates it, and it takes the committed
-// membership epoch.
+// stored is lost; a wired member gets a fresh data directory. The
+// caller supplies the new node's RNG, so the cluster's seed stream is
+// never perturbed. The new node is up, repair re-populates it, and it
+// takes the committed membership epoch and the cluster's topology (a
+// replacement inherits the dead server's zone). Every view then drops
+// its connections, so no call meets the dead server's socket; the dead
+// node, for whoever still holds it (a repairer), calls through the
+// network alone.
 func (c *Cluster) Replace(i int, rng *stats.RNG) *node.Node {
-	var nd *node.Node
-	if c.wired != nil {
-		nd = c.replaceMember(i, rng)
-	} else {
-		nd = c.newNode(i, rng)
-		c.chaos.Bind(i, nd)
-	}
-	c.base[i] += c.nodes[i].Handled()
+	dead, addrs := c.members[i], c.Addrs()
+	c.err = errors.Join(c.err, dead.Close(context.Background()))
+	dead.Node.Attach(c.chaos.View(dead.Addr, addrs))
+	m, err := c.start(i, rng, addrs, nil, c.topo)
+	c.err = errors.Join(c.err, err)
+	c.base[i] += dead.Node.Handled()
 	if c.last.Epoch > 0 {
-		nd.Handle(context.Background(), c.last) // an empty node has nothing to sweep
-		c.base[i]--                             // adopting the epoch is not traffic
+		m.Node.Handle(context.Background(), c.last) // an empty node has nothing to sweep
+		c.base[i]--                                 // adopting the epoch is not traffic
 	}
-	// The topology is keyed by server id, so the replacement inherits
-	// the dead server's zone — but the fresh node must re-learn the
-	// shared instance, or its spread-mode home computations diverge
-	// from the rest of the cluster (regression-tested in zone_test.go).
-	nd.SetTopology(c.topo)
-	c.nodes[i] = nd
+	c.members[i] = m
+	c.view.Close()
+	for _, o := range c.members {
+		o.Peers.Close()
+	}
 	c.chaos.SetDown(i, false)
 	c.epoch.Add(1)
-	return nd
+	return m.Node
 }
 
 // Health is the node.RepairHealth the cluster's failure injection
@@ -244,9 +260,9 @@ func (c *Cluster) AliveCount() int { return c.N() - c.chaos.DownCount() }
 // (including failed servers' frozen state). Snapshots bypass the
 // transport so they never perturb message counters.
 func (c *Cluster) Snapshot(key string) []*entry.Set {
-	out := make([]*entry.Set, len(c.nodes))
-	for i, nd := range c.nodes {
-		out[i] = nd.LocalSet(key)
+	out := make([]*entry.Set, len(c.members))
+	for i, m := range c.members {
+		out[i] = m.Node.LocalSet(key)
 	}
 	return out
 }
@@ -255,8 +271,8 @@ func (c *Cluster) Snapshot(key string) []*entry.Set {
 // servers for a key: the paper's storage-cost metric (Sec. 4.1).
 func (c *Cluster) TotalStorage(key string) int {
 	total := 0
-	for _, nd := range c.nodes {
-		total += nd.LocalSet(key).Len()
+	for _, m := range c.members {
+		total += m.Node.LocalSet(key).Len()
 	}
 	return total
 }
@@ -266,7 +282,7 @@ func (c *Cluster) TotalStorage(key string) int {
 // what each node handled, a message it sent itself included.
 func (c *Cluster) Messages() int64 {
 	var total int64
-	for i := range c.nodes {
+	for i := range c.members {
 		total += c.ProcessedBy(i)
 	}
 	return total
@@ -276,17 +292,17 @@ func (c *Cluster) Messages() int64 {
 // since the last reset, by its node and by those it replaced, for
 // per-server load analyses (hot-spot experiments).
 func (c *Cluster) ProcessedBy(server int) int64 {
-	if server < 0 || server >= len(c.nodes) {
+	if server < 0 || server >= len(c.members) {
 		return 0
 	}
-	return c.base[server] + c.nodes[server].Handled()
+	return c.base[server] + c.members[server].Node.Handled()
 }
 
 // ResetMessages zeroes the message counters (e.g. after placement, so
 // an experiment counts update traffic only).
 func (c *Cluster) ResetMessages() {
-	for i, nd := range c.nodes {
-		c.base[i] = -nd.Handled()
+	for i, m := range c.members {
+		c.base[i] = -m.Node.Handled()
 	}
 }
 
@@ -295,80 +311,89 @@ func (c *Cluster) MemberEpoch() uint64 { return c.last.Epoch }
 
 // Addrs returns a copy of the current member address list: in a wired
 // cluster the servers' real addresses.
-func (c *Cluster) Addrs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.addrs...)
-}
+func (c *Cluster) Addrs() []string { return c.view.Addrs() }
 
 // Join admits a new server with a synthesized address. See JoinAddr.
 func (c *Cluster) Join(ctx context.Context, rng *stats.RNG) (*node.Node, error) {
-	return c.JoinAddr(ctx, fmt.Sprintf("sim://%d", c.nextAddr), rng)
+	c.nextAddr++
+	return c.JoinAddr(ctx, fmt.Sprintf("sim://%d", c.nextAddr-1), rng)
 }
 
 // JoinAddr admits a new server at addr (in a wired cluster, at the
-// address it listens on) into the next slot: the highest slot
-// coordinates, every member commits the update in ascending slot order
-// and rebalances its share of every key before acking, so when JoinAddr
-// returns every scheme's placement invariant holds at the new size. A
-// down member fails the join there; the node is returned if it was
-// bound. The caller supplies the joiner's RNG, as with Replace.
-// Membership operations must not run concurrently with each other.
+// address it listens on) into the next slot. The joiner starts with the
+// post-join member list and topology; the highest slot coordinates,
+// every member commits the update in ascending slot order, growing its
+// own view, and rebalances its share of every key before acking, so
+// when JoinAddr returns every scheme's placement invariant holds at the
+// new size. A member that does not ack fails the join there, and the
+// joiner is shut down. The caller supplies the joiner's RNG, as with
+// Replace. Membership operations must not run concurrently with each
+// other.
 func (c *Cluster) JoinAddr(ctx context.Context, addr string, rng *stats.RNG) (*node.Node, error) {
+	var ln net.Listener
 	if c.wired != nil {
-		return c.joinMember(ctx, rng)
+		var err error
+		if ln, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+			return nil, err
+		}
+		addr = ln.Addr().String()
 	}
-	nd := c.newNode(len(c.nodes), rng)
-	c.joining.Store(nd)
-	err := c.change(ctx, len(c.nodes)-1, wire.Join{Addr: addr})
-	if c.joining.Swap(nil) != nil {
-		return nil, err
+	i, tp := len(c.members), c.topo
+	if tp != nil {
+		tp = tp.Grow(1)
 	}
+	c.chaos.Add(addr, nil) // the sweeps reach the joiner through the network
+	c.chaos.SetTopology(tp)
+	m, err := c.start(i, rng, append(c.Addrs(), addr), ln, tp)
+	if err == nil {
+		err = c.change(ctx, i-1, wire.Join{Addr: addr})
+	}
+	if err != nil {
+		c.chaos.Remove(i)
+		c.chaos.SetTopology(c.topo)
+		return nil, errors.Join(err, m.Close(ctx))
+	}
+	c.members = append(c.members, m)
+	c.view.AddServer(addr)
+	c.base = append(c.base, 0)
+	c.topo = tp
 	// New failure picture (one more member): epoch-gated repair must
 	// rescan.
 	c.epoch.Add(1)
-	return nd, err
+	return m.Node, nil
 }
 
 // Drain removes server i gracefully: the highest other slot coordinates,
 // the leaver rebalances first (handing its share to the surviving homes
 // and dropping only copies with a confirmed survivor), then every
-// survivor in ascending order, and only after every ack is the slot
-// physically compacted — higher ids shift down by one and the affected
-// nodes are renumbered. The drained node is returned still holding
-// whatever could not be safely handed off (the operator's escrow; see
+// survivor in ascending order, each compacting its own view and
+// renumbering itself after its sweep. Only after every ack is the
+// network's slot compacted — higher ids shift down by one — and the
+// leaver shut down. The drained node is returned still holding whatever
+// could not be safely handed off (the operator's escrow; see
 // docs/OPERATIONS.md). A down leaver fails the drain before anyone
-// commits: that is what Replace + repair are for.
+// commits: that is what Replace + repair are for; so does a leaver
+// whose handoff went unanswered, until a retry after the fault clears.
 func (c *Cluster) Drain(ctx context.Context, i int) (*node.Node, error) {
-	coord := len(c.nodes) - 1
+	coord := len(c.members) - 1
 	if coord == i && coord > 0 {
 		coord--
 	}
 	if err := c.change(ctx, coord, wire.Leave{Server: i}); err != nil {
 		return nil, err
 	}
-	leaver := c.nodes[i]
+	m := c.members[i]
 	c.chaos.Remove(i)
-	fitTopology(c.topo, c.last)
-	c.mu.Lock()
-	c.nodes = slices.Delete(c.nodes, i, i+1)
-	c.addrs = slices.Delete(c.addrs, i, i+1)
-	c.base = slices.Delete(c.base, i, i+1)
-	c.mu.Unlock()
-	if w := c.wired; w != nil { // each member renumbered itself
-		m := w.members[i]
-		w.members = slices.Delete(w.members, i, i+1)
-		w.client.RemoveServer(i)
-		w.err = errors.Join(w.err, m.Close(ctx)) // its log keeps the escrow
-	} else {
-		for s := i; s < len(c.nodes); s++ {
-			c.nodes[s].SetID(s)
-			c.nodes[s].Attach(c.chaos.Origin(s))
-			c.chaos.Bind(s, c.nodes[s])
-		}
+	if c.topo != nil {
+		c.topo = c.topo.Compact(i)
+		c.chaos.SetTopology(c.topo)
 	}
+	c.members = slices.Delete(c.members, i, i+1)
+	c.view.RemoveServer(i)
+	c.base = slices.Delete(c.base, i, i+1)
+	c.err = errors.Join(c.err, m.Close(ctx)) // a log keeps the escrow
 	c.epoch.Add(1)
-	return leaver, nil
+	return m.Node, nil
 }
 
 // change sends a Join or Leave through the cluster caller to member
@@ -387,48 +412,35 @@ func (c *Cluster) change(ctx context.Context, coord int, msg wire.Message) error
 	return nil
 }
 
-// newNode returns an in-process node for slot i that reaches its peers
-// through the network.
-func (c *Cluster) newNode(i int, rng *stats.RNG) *node.Node {
-	nd := node.New(i, rng)
-	nd.SetHost(host{c})
-	nd.Attach(c.chaos.Origin(i))
+// start builds the server for slot i of the members at addrs, with
+// topology tp, and puts it on the network: in a wired cluster a member
+// serving on ln (on addrs[i] when ln is nil), logging to a fresh
+// directory when the cluster keeps them (store.SyncNever survives the
+// process crash a test can stage, without a disk's fsync); in process,
+// or when the member fails to start (then no call reaches it, as a dead
+// one), a node with a view of the network of its own.
+func (c *Cluster) start(i int, rng *stats.RNG, addrs []string, ln net.Listener, tp *topo.Topology) (*Member, error) {
+	var m *Member
+	var err error
+	if w := c.wired; w != nil {
+		dir := ""
+		if w.dataDir != "" {
+			dir = filepath.Join(w.dataDir, fmt.Sprintf("node-%d", w.disks))
+			w.disks++
+		}
+		m, err = NewMember(i, rng, addrs, dir, MemberOptions{Listener: ln, Fsync: store.SyncNever, Topology: tp, Chaos: c.chaos})
+	}
+	if m == nil {
+		nd := node.New(i, rng)
+		peers := c.chaos.View(addrs[i], addrs)
+		nd.Attach(peers)
+		nd.SetTopology(tp)
+		m = &Member{View: NewView(peers, nil, nd), Addr: addrs[i]}
+		nd.SetHost(m.View)
+	}
+	c.chaos.Bind(i, m.Node)
 	if c.nm != nil {
-		nd.Instrument(c.nm)
+		m.Node.Instrument(c.nm)
 	}
-	return nd
+	return m, err
 }
-
-// host is every in-process node's node.Host: the nodes share the
-// cluster's one view, as they share one process (a wired Member keeps
-// its own). Join and Leave reach a cluster through Join and Drain,
-// which stage the joiner and compact the view; one sent to a node
-// directly would leave that view behind.
-type host struct{ c *Cluster }
-
-func (h host) Members() []string { return h.c.Addrs() }
-
-// Grow binds the joiner JoinAddr staged, in the first member's grow
-// step, so every member's sweep can address its slot.
-func (h host) Grow(m wire.MembershipUpdate) {
-	c := h.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	nd := c.joining.Load()
-	if nd == nil || len(c.nodes) >= m.NewN {
-		return
-	}
-	fitTopology(c.topo, m)
-	nd.SetTopology(c.topo)
-	c.nodes = append(c.nodes, nd)
-	c.chaos.Add(nd)
-	c.addrs = append(c.addrs, m.Addrs[len(c.addrs)])
-	c.base = append(c.base, 0)
-	c.nextAddr++
-	c.joining.Store(nil) // last, so the joiner's Swap sees the rest
-}
-
-// Compact does nothing: a member still sweeping addresses the shared
-// view in pre-change slots, so Drain compacts it once every member has
-// acked.
-func (host) Compact(wire.MembershipUpdate) {}

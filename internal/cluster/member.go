@@ -32,22 +32,49 @@ type MemberOptions struct {
 	Chaos            *transport.Chaos // a wired cluster's faults, above the peer client
 }
 
-// Member is one listening lookup server as plsd runs it: its node with
-// the durable state recovered under its data dir, a server, a repairer,
-// and its own view of the cluster (peer client, observe-only selector),
-// which it resizes as the node's Host. Its telemetry goes to Registry.
+// Member is one lookup server. As plsd runs it (NewMember) it listens:
+// its node with the durable state recovered under its data dir, a
+// server, a repairer, and its own view of the cluster (peer client,
+// observe-only selector) as the node's Host; its telemetry goes to
+// Registry. An in-process cluster's member is its node and its view
+// of the network alone.
 type Member struct {
-	Node       *node.Node
+	*View
 	Durability *node.Durability // nil for a volatile member
 	Addr       string           // where the server listens
 	Registry   *telemetry.Registry
-	Client     *transport.Client
-	Selector   *selector.Selector
 
 	srv      *transport.Server
 	repairer *node.Repairer
-	drained  chan struct{}
+}
+
+// Peers is the member list a View resizes: a member's mux client, or an
+// in-process member's view of the network (transport.Chaos.View).
+type Peers interface {
+	transport.Caller
+	Addrs() []string
+	AddServer(addr string) int
+	RemoveServer(server int)
+	Close() error
+}
+
+// View is a holder's view of the cluster: Peers, the member addresses
+// its calls go to in slot order, and optionally the Selector scoring
+// them and the Node they carry. Its Grow and Compact are the one step
+// through which every holder applies a committed membership update:
+// each node, in process or listening, as its node.Host, and plsproxy
+// on its backend.
+type View struct {
+	Peers    Peers
+	Selector *selector.Selector // nil: nothing to resize
+	Node     *node.Node         // nil: no id or topology to follow
+	left     chan struct{}      // closed once Node has committed its own drain
 	once     sync.Once
+}
+
+// NewView returns the view over peers; sel and nd may be nil.
+func NewView(peers Peers, sel *selector.Selector, nd *node.Node) *View {
+	return &View{Peers: peers, Selector: sel, Node: nd, left: make(chan struct{})}
 }
 
 // NewMember builds member id of the cluster at addrs and starts it
@@ -57,7 +84,7 @@ func NewMember(id int, rng *stats.RNG, addrs []string, dataDir string, o MemberO
 	if id < 0 || id >= len(addrs) {
 		return nil, fmt.Errorf("cluster: member %d out of range for %d addresses", id, len(addrs))
 	}
-	m := &Member{Node: node.New(id, rng), Registry: telemetry.NewRegistry(), drained: make(chan struct{})}
+	m := &Member{View: NewView(nil, nil, node.New(id, rng)), Registry: telemetry.NewRegistry()}
 	nd, reg := m.Node, m.Registry
 	fail := func(err error) (*Member, error) {
 		if o.Listener != nil {
@@ -79,7 +106,7 @@ func NewMember(id int, rng *stats.RNG, addrs []string, dataDir string, o MemberO
 		}
 	}
 	nd.Attach(m.peers(addrs, o))
-	nd.SetHost(m)
+	nd.SetHost(m.View)
 	if o.RepairInterval > 0 {
 		// Gated on the selector's failure epoch: a healthy cluster pays nothing.
 		m.repairer = node.NewRepairer(nd, node.RepairOptions{
@@ -112,10 +139,11 @@ func (m *Member) peers(addrs []string, o MemberOptions) transport.Caller {
 	if o.PeerTimeout > 0 {
 		opts = append(opts, transport.WithTimeout(o.PeerTimeout))
 	}
-	m.Client = transport.NewClient(addrs, opts...)
-	var caller transport.Caller = m.Client
+	client := transport.NewClient(addrs, opts...)
+	m.Peers = client
+	var caller transport.Caller = client
 	if o.Chaos != nil {
-		caller = o.Chaos.Over(caller, m.Node.ID)
+		caller = o.Chaos.Over(client, addrs[m.Node.ID()])
 	}
 	// Fan-out is fixed by placement: the selector only observes.
 	m.Selector = selector.New(len(addrs), selector.Options{Metrics: telemetry.NewSelectorMetrics(m.Registry)})
@@ -157,8 +185,8 @@ func (m *Member) Close(ctx context.Context) error {
 	if m.repairer != nil {
 		m.repairer.Stop()
 	}
-	if m.Client != nil {
-		m.Client.Close()
+	if m.Peers != nil {
+		m.Peers.Close()
 	}
 	if m.Durability != nil {
 		if ferr := m.Durability.Close(); ferr != nil {
@@ -169,56 +197,58 @@ func (m *Member) Close(ctx context.Context) error {
 }
 
 // Drained is closed once the member has committed its own drain.
-func (m *Member) Drained() <-chan struct{} { return m.drained }
+func (m *Member) Drained() <-chan struct{} { return m.left }
 
-// Members is the member's own client's address list (node.Host).
-func (m *Member) Members() []string { return m.Client.Addrs() }
+// Members returns the view's member addresses (node.Host).
+func (v *View) Members() []string { return v.Peers.Addrs() }
 
-// Grow adds a join's new slot to the view before the sweep (node.Host).
-func (m *Member) Grow(u wire.MembershipUpdate) {
-	if u.Leaving >= 0 {
+// Grow runs before the node's sweep (node.Host): the node's topology is
+// fitted to the change, so the sweep plans spread homes under the
+// post-change membership, and a join's new members join the view, so
+// the sweep can address them. A view that has the post-change members
+// already, a joiner's or a fresh member's adopting the update, is left
+// alone.
+func (v *View) Grow(u wire.MembershipUpdate) {
+	have := v.Peers.NumServers()
+	if have == u.NewN {
 		return
 	}
-	for m.Client.NumServers() < u.NewN && len(u.Addrs) == u.NewN {
-		m.Client.AddServer(u.Addrs[m.Client.NumServers()])
+	if v.Node != nil && v.Node.Topology() != nil {
+		tp := v.Node.Topology().Grow(len(u.Joined))
+		if u.Leaving >= 0 {
+			tp = tp.Compact(u.Leaving)
+		}
+		v.Node.SetTopology(tp)
 	}
-	fitTopology(m.Node.Topology(), u)
-	m.Selector.Resize(u.NewN)
+	if u.Leaving >= 0 || len(u.Addrs) != u.NewN {
+		return
+	}
+	for _, addr := range u.Addrs[have:] {
+		v.Peers.AddServer(addr)
+	}
+	if v.Selector != nil {
+		v.Selector.Resize(u.NewN)
+	}
 }
 
-// Compact drops a drain's slot from the member's view after its sweep,
+// Compact drops a drain's member from the view after the node's sweep,
 // which addressed pre-drain slots, and renumbers the node — or, on the
 // leaver, closes Drained (node.Host). A view that already has NewN
 // members is left alone: a fresh member adopting the update has it.
-func (m *Member) Compact(u wire.MembershipUpdate) {
+func (v *View) Compact(u wire.MembershipUpdate) {
 	switch {
-	case u.Leaving < 0 || m.Client.NumServers() == u.NewN:
-	case m.Node.ID() == u.Leaving:
-		m.once.Do(func() { close(m.drained) })
+	case u.Leaving < 0 || v.Peers.NumServers() == u.NewN:
+	case v.Node != nil && v.Node.ID() == u.Leaving:
+		v.once.Do(func() { close(v.left) })
 	default:
 		// The selector first: its route cache holds pre-drain ids, which
 		// a call after RemoveServer would send to the renumbered slot.
-		m.Selector.Resize(u.NewN)
-		fitTopology(m.Node.Topology(), u)
-		m.Client.RemoveServer(u.Leaving)
-		if id := m.Node.ID(); id > u.Leaving {
-			m.Node.SetID(id - 1)
+		if v.Selector != nil {
+			v.Selector.Resize(u.NewN)
 		}
-	}
-}
-
-// fitTopology is both hosts' topology step: a join grows tp before the
-// sweep, so spread homes use the new count; a drain compacts it after,
-// so meanwhile every member falls back to base assignment. A fitted
-// topology is left alone: members that share one apply a change once.
-func fitTopology(tp *topo.Topology, u wire.MembershipUpdate) {
-	switch {
-	case tp == nil:
-	case u.Leaving < 0:
-		for tp.N() < u.NewN {
-			tp.Grow(1)
+		v.Peers.RemoveServer(u.Leaving)
+		if v.Node != nil && v.Node.ID() > u.Leaving {
+			v.Node.SetID(v.Node.ID() - 1)
 		}
-	case tp.N() > u.NewN:
-		tp.Compact(u.Leaving)
 	}
 }

@@ -72,7 +72,7 @@ func TestSelectorHealthGaugesFollowMembership(t *testing.T) {
 	m := newMember(t, ln, addrs[:3], cluster.MemberOptions{})
 
 	m.Grow(wire.MembershipUpdate{Epoch: 1, OldN: 3, NewN: 4, Joined: []int{3}, Leaving: -1, Addrs: addrs})
-	if got := m.Client.Addrs(); !slices.Equal(got, addrs) {
+	if got := m.Peers.Addrs(); !slices.Equal(got, addrs) {
 		t.Errorf("after the join the member's client lists %v, want %v", got, addrs)
 	}
 	per := m.Registry.Snapshot().PerServer
@@ -100,7 +100,7 @@ func TestWiredMembersFollowMembership(t *testing.T) {
 	}
 	for i := 0; i < cl.N(); i++ {
 		m := cl.Member(i)
-		if got := m.Client.Addrs(); !slices.Equal(got, cl.Addrs()) {
+		if got := m.Peers.Addrs(); !slices.Equal(got, cl.Addrs()) {
 			t.Errorf("member %d's client lists %v, the cluster %v", i, got, cl.Addrs())
 		}
 		if got := len(m.Selector.Health()); got != cl.N() {

@@ -174,3 +174,77 @@ func TestZoneColdPathByteIdentical(t *testing.T) {
 		t.Fatal("seeded lookups diverged after attaching an inert topology")
 	}
 }
+
+// arms builds the same seeded cluster in process and wired, for tests
+// that must hold in both.
+func arms(t *testing.T, n int, seed uint64) map[string]*cluster.Cluster {
+	return map[string]*cluster.Cluster{
+		"inproc": cluster.New(n, stats.NewRNG(seed)),
+		"wired":  newWired(t, n, stats.NewRNG(seed)),
+	}
+}
+
+// TestZoneSpreadThroughJoinAndDrain runs zone-spread Hash-2 keys through
+// a join and a drain. Each member fits its own topology to a change as
+// it commits it, so no member changes the spread homes another is still
+// sweeping under: every entry sits on a home of its key after each
+// transition, and one repair sweep on every member restores full
+// coverage. A member that has committed and one that has not yet may
+// plan a key under different topologies (as daemons do); what the
+// rebalances leave behind is the repair sweep's, logged.
+func TestZoneSpreadThroughJoinAndDrain(t *testing.T) {
+	cfg := wire.Config{Scheme: wire.Hash, Y: 2, Seed: 11, ZoneSpread: true}
+	keys := []string{"a", "b", "c", "d"}
+	entries := entry.Synthetic(30)
+	live := entry.NewSet(len(entries))
+	for _, v := range entries {
+		live.Add(v)
+	}
+	for name, cl := range arms(t, 8, 320) {
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			tp, err := topo.Parse("2x2x2", 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.SetTopology(tp); err != nil {
+				t.Fatal(err)
+			}
+			drv := strategy.MustNew(cfg, stats.NewRNG(420))
+			for _, k := range keys {
+				if err := drv.Place(ctx, cl.Caller(), k, entries); err != nil {
+					t.Fatalf("place %s: %v", k, err)
+				}
+			}
+			check := func(stage string) {
+				t.Helper()
+				for _, k := range keys {
+					plstest.Assert(t, stage+", key "+k, plstest.Observe(cl, k, cfg).Check(live))
+				}
+			}
+			if _, err := cl.Join(ctx, stats.NewRNG(520)); err != nil {
+				t.Fatalf("join: %v", err)
+			}
+			check("after the join")
+			if _, err := cl.Drain(ctx, 2); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			check("after the drain")
+			if cl.Topology().N() != 8 {
+				t.Fatalf("cluster topology covers %d servers after join and drain, want 8", cl.Topology().N())
+			}
+			moved := 0
+			for i := 0; i < cl.N(); i++ {
+				if tp := cl.Node(i).Topology(); tp.Spec() != cl.Topology().Spec() {
+					t.Errorf("node %d fitted its topology to %s, want %s", i, tp.Spec(), cl.Topology().Spec())
+				}
+				moved += node.NewRepairer(cl.Node(i), node.RepairOptions{Health: cl.Health()}).SweepOnce(ctx).Moved
+			}
+			t.Logf("the rebalances left %d entries for repair", moved)
+			check("after repair")
+			for _, k := range keys {
+				plstest.Assert(t, "coverage after repair, key "+k, plstest.Observe(cl, k, cfg).CheckCoverage(live))
+			}
+		})
+	}
+}

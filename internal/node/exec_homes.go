@@ -29,10 +29,12 @@ type homesExec struct{}
 // at placement, add/delete, plan and accept (repair and rebalance
 // alike), and by the plstest invariant checker. HomesFor is that
 // single point of truth. Spread is active only when the topology
-// covers exactly the member count of the view — during a join/drain
-// window where it does not, every path falls back to the base
-// assignment together, and the next epoch-gated repair sweep re-homes
-// entries once the topology catches up.
+// covers exactly the member count of the view. A member fits its
+// topology to a transition before its rebalance sweep, so it plans
+// under the post-change topology; one that has not committed yet
+// evaluates a push under its pre-change topology, falls back to the
+// base assignment and refuses what that does not give it, and the
+// next epoch-gated repair sweep restores the copy.
 //
 // Only these two schemes spread, because they are the ones whose y
 // copies of an entry can collapse into one failure domain (mod-n
@@ -61,8 +63,8 @@ func HomesFor(v string, cfg wire.Config, n int, tp *topo.Topology) []int {
 
 // spreadActive reports whether the zone-spread assignment applies: the
 // config asks for it and the topology covers exactly n members
-// (mid-join/drain the counts disagree, and everyone must fall back to
-// base assignment together).
+// (mid-join/drain a member that has not fitted its topology yet sees
+// the counts disagree and falls back to base assignment).
 func spreadActive(cfg wire.Config, n int, tp *topo.Topology) bool {
 	return cfg.ZoneSpread && tp != nil && tp.N() == n
 }

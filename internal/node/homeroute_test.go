@@ -66,7 +66,7 @@ func TestUpdatesStartAtAHome(t *testing.T) {
 			defer cl.Close()
 			log := &kindLog{}
 			for i := 0; i < n; i++ {
-				cl.Node(i).Attach(kindLogger{Caller: cl.Member(i).Client, log: log})
+				cl.Node(i).Attach(kindLogger{Caller: cl.Member(i).Peers, log: log})
 			}
 			drv := strategy.MustNew(cfg, stats.NewRNG(3))
 			caller := cl.Caller()

@@ -32,16 +32,17 @@ import (
 // otherwise; during a join ranks and slots coincide. memberChange
 // carries the mapping.
 
-// Host owns a node's view of the member list: the in-process cluster's
-// shared one, or a cluster.Member's own over TCP (plsd's, or a wired
-// cluster's). A node that receives a wire.Join or wire.Leave
-// coordinates the change from its host's member list, and every node
-// calls its host around its own sweep of a committed update.
+// Host owns a node's own view of the member list (a cluster.View,
+// in process, in a wired cluster and in plsd alike). A node that
+// receives a wire.Join or wire.Leave coordinates the change from its
+// host's member list, and every node calls its host around its own
+// sweep of a committed update.
 type Host interface {
 	// Members returns the current member addresses, in slot order.
 	Members() []string
-	// Grow runs before this node's rebalance sweep for m: a join's new
-	// slots must be addressable by then.
+	// Grow runs once before this node's rebalance sweep for m: a join's
+	// new slots must be addressable by then, and the node's topology
+	// must describe the post-change membership the sweep plans under.
 	Grow(m wire.MembershipUpdate)
 	// Compact runs after this node's sweep for m, before it acks. The
 	// sweep addresses peers in pre-change slots, so a host with a
@@ -51,10 +52,12 @@ type Host interface {
 }
 
 // transition is the membership update a node committed last; swept
-// closes once its rebalance sweep has finished.
+// closes once its rebalance sweep has finished, with unfinished set if
+// that was a leaver's sweep some of whose messages went unanswered.
 type transition struct {
-	update wire.MembershipUpdate
-	swept  chan struct{}
+	update     wire.MembershipUpdate
+	swept      chan struct{}
+	unfinished bool
 }
 
 // memberChange is a committed transition in post-change rank space.
@@ -143,15 +146,19 @@ func MembershipAckErr(reply wire.Message) error {
 // handleMembershipUpdate commits a transition on this member: adopt
 // the epoch, let the host grow its transport view, sweep every key
 // synchronously, let the host compact — the Ack tells the coordinator
-// this member has finished moving its share. The committed transition
-// again (a coordinator's retry, a double join) acks once that first
-// sweep has finished; anything else at or below the committed epoch is
-// refused with ErrMembershipConflict.
+// this member has finished moving its share. A leaver whose sweep left
+// a message unanswered may hold the only copy of what it failed to hand
+// off: it replies with an error instead, compacting nothing. The
+// committed transition again (a coordinator's retry, a double join)
+// acks once that first sweep has finished, or re-runs an unfinished
+// one: plans push only what is missing. Anything else at or below the
+// committed epoch is refused with ErrMembershipConflict.
 func (n *Node) handleMembershipUpdate(ctx context.Context, m wire.MembershipUpdate) wire.Message {
 	if err := validateMembershipUpdate(m); err != nil {
 		return wire.Ack{Err: err.Error()}
 	}
 	next := &transition{update: m, swept: make(chan struct{})}
+	rerun := false
 	for {
 		cur := n.applied.Load()
 		if cur == nil && m.Epoch == 0 {
@@ -171,17 +178,27 @@ func (n *Node) handleMembershipUpdate(ctx context.Context, m wire.MembershipUpda
 		transport.Detach(ctx)
 		select {
 		case <-cur.swept:
-			return wire.Ack{}
 		case <-ctx.Done():
 			return wire.Ack{Err: "node: membership replay: " + ctx.Err().Error()}
 		}
+		if !cur.unfinished {
+			return wire.Ack{}
+		}
+		if rerun = n.applied.CompareAndSwap(cur, next); rerun {
+			break
+		}
 	}
 	host := n.host()
-	if host != nil {
+	if host != nil && !rerun { // a re-run's host has grown already
 		host.Grow(m)
 	}
-	stats := n.sweep(ctx, &memberChange{epoch: m.Epoch, newN: m.NewN, leaving: m.Leaving}, nil)
+	mc := &memberChange{epoch: m.Epoch, newN: m.NewN, leaving: m.Leaving}
+	stats := n.sweep(ctx, mc, nil)
 	n.lastRebalance.Store(&stats)
+	if next.unfinished = mc.rankOf(n.ID()) < 0 && stats.Unanswered > 0; next.unfinished {
+		close(next.swept)
+		return wire.Ack{Err: fmt.Sprintf("node: drain handoff: %d messages unanswered", stats.Unanswered)}
+	}
 	if host != nil {
 		host.Compact(m)
 	}

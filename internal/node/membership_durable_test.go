@@ -39,7 +39,7 @@ func TestRecoveryPreservesRebalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	joiner.Attach(dc.tr)
-	if got := dc.tr.Add(joiner); got != n {
+	if got := dc.tr.Add(fmt.Sprintf("sim://%d", n), joiner); got != n {
 		t.Fatalf("transport Add assigned slot %d, want %d", got, n)
 	}
 	dc.nodes = append(dc.nodes, joiner)

@@ -444,6 +444,51 @@ func TestDrainSoleHolderKeyPartition(t *testing.T) {
 	plstest.Assert(t, "post-drain coverage", v.CheckCoverage(live))
 }
 
+// A drain finishes only once the leaver's handoff was answered. The
+// sole holder of a KeyPartition key is cut off from the key's post-drain
+// home: its push goes unanswered, so it refuses to ack, the drain fails
+// with nothing compacted, and the leaver keeps the only copy. Once the
+// partition heals, the same drain retried re-runs the leaver's sweep
+// and completes with every entry at the new home.
+func TestDrainWaitsForTheLeaversHandoff(t *testing.T) {
+	ctx := context.Background()
+	cfg := wire.Config{Scheme: wire.KeyPartition}
+	const n, leaver, newHome = 5, 3, 1
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("k%d", i); node.PartitionServer(k, n) == leaver && node.PartitionServer(k, n-1) == newHome {
+			key = k
+		}
+	}
+	h := newHarness(t, n, 92)
+	h.mustAck(initialServer(cfg, key, n), wire.Place{Key: key, Config: cfg, Entries: []string{"a", "b", "c"}})
+	live := liveFrom([]entry.Entry{"a", "b", "c"})
+
+	h.cl.Chaos().Partition(leaver, newHome)
+	if _, err := h.cl.Drain(ctx, leaver); err == nil {
+		t.Fatal("the drain completed while the leaver's handoff went unanswered")
+	}
+	if h.cl.N() != n || h.cl.Node(leaver).LocalSet(key).Len() != 3 || h.cl.Node(newHome).LocalSet(key).Len() != 0 {
+		t.Fatalf("after the failed drain: %d members, leaver holds %d, new home %d; want %d, 3, 0",
+			h.cl.N(), h.cl.Node(leaver).LocalSet(key).Len(), h.cl.Node(newHome).LocalSet(key).Len(), n)
+	}
+
+	h.cl.Chaos().HealAll()
+	gone, err := h.cl.Drain(ctx, leaver)
+	if err != nil {
+		t.Fatalf("drain retried after the heal: %v", err)
+	}
+	if got := h.cl.Node(newHome).LocalSet(key).Len(); got != 3 {
+		t.Fatalf("new home holds %d of 3 entries", got)
+	}
+	if got := gone.LocalSet(key).Len(); got != 0 {
+		t.Errorf("the leaver left with %d entries aboard", got)
+	}
+	v := plstest.Observe(h.cl, key, cfg)
+	plstest.Assert(t, "post-drain structural", v.Check(live))
+	plstest.Assert(t, "post-drain coverage", v.CheckCoverage(live))
+}
+
 // Double admission of one address must be rejected without perturbing
 // the member list or the epoch — through the cluster API and through
 // the wire-level Join handler of any member alike. The wire path also

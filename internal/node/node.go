@@ -75,7 +75,8 @@ type Node struct {
 	// coordinates (see coordinate).
 	coordinating sync.Mutex
 
-	// topol, when set, is the cluster's shared zone topology; the
+	// topol, when set, is the node's copy of the cluster's zone
+	// topology, which its host fits to each membership change; the
 	// zone-spread placement mode (wire.Config.ZoneSpread) resolves
 	// entry homes through it. Like Config.Seed, every member must hold
 	// the same topology or spread assignments diverge (DESIGN.md §6,
@@ -122,10 +123,10 @@ func (n *Node) Attach(peers transport.Caller) {
 // ID returns the node's server id.
 func (n *Node) ID() int { return int(n.id.Load()) }
 
-// SetTopology attaches (or, with nil, detaches) the cluster's shared
-// zone topology. Safe to call on a serving node; spread-mode homes are
-// resolved against whatever topology is current when a message is
-// handled.
+// SetTopology attaches (or, with nil, detaches) the cluster's zone
+// topology, a value nobody modifies. Safe to call on a serving node;
+// spread-mode homes are resolved against whatever topology is current
+// when a message is handled.
 func (n *Node) SetTopology(tp *topo.Topology) { n.topol.Store(tp) }
 
 // Topology returns the attached zone topology, or nil.

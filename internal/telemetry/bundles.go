@@ -7,8 +7,7 @@ import (
 
 // TransportMetrics groups the per-server metrics recorded on the call
 // path: every call, its latency, and its outcome, plus the TCP client's
-// connection behavior (fresh dials vs. reuse of live multiplexed
-// connections, and dial failures).
+// connection behavior (fresh dials, and dial failures).
 type TransportMetrics struct {
 	// Calls counts attempts delivered to each server (retries and
 	// hedges each count: they cost the network and the server).
@@ -19,16 +18,10 @@ type TransportMetrics struct {
 	Errors *CounterVec
 	// Latency is the per-server call latency distribution.
 	Latency *HistogramVec
-	// Dials counts checkouts that had to dial a fresh connection.
-	// Reuses and MaintReuses count checkouts served by a live
-	// multiplexed connection, split by traffic class: lookup-path
-	// requests vs. background maintenance (anti-entropy repair and
-	// membership/rebalance pushes). The split shows whether maintenance
-	// traffic rides the warm request-path connections or keeps forcing
-	// its own dials.
-	Dials       *CounterVec
-	Reuses      *CounterVec
-	MaintReuses *CounterVec
+	// Dials counts checkouts that had to dial a fresh connection; every
+	// other call rode a live multiplexed one, so calls minus dials is
+	// the reuse count.
+	Dials *CounterVec
 	// DialErrors counts dials that failed per server. The call that
 	// needed the connection fails with it and is counted in Errors where
 	// calls are counted (transport.Instrument), once.
@@ -55,15 +48,13 @@ type TransportMetrics struct {
 // prefix (e.g. "transport" or "peer").
 func NewTransportMetrics(r *Registry, prefix string, n int) *TransportMetrics {
 	return &TransportMetrics{
-		Calls:       r.NewCounterVec(prefix+".calls", n),
-		Errors:      r.NewCounterVec(prefix+".errors", n),
-		Latency:     r.NewDurationHistogramVec(prefix+".latency", n, DefaultLatencyBuckets),
-		Dials:       r.NewCounterVec(prefix+".dials", n),
-		Reuses:      r.NewCounterVec(prefix+".conn_reuse.lookup", n),
-		MaintReuses: r.NewCounterVec(prefix+".conn_reuse.maintenance", n),
-		DialErrors:  r.NewCounterVec(prefix+".dial_errors", n),
-		Frames:      r.NewCounter(prefix + ".frames_written"),
-		Writes:      r.NewCounter(prefix + ".writes"),
+		Calls:      r.NewCounterVec(prefix+".calls", n),
+		Errors:     r.NewCounterVec(prefix+".errors", n),
+		Latency:    r.NewDurationHistogramVec(prefix+".latency", n, DefaultLatencyBuckets),
+		Dials:      r.NewCounterVec(prefix+".dials", n),
+		DialErrors: r.NewCounterVec(prefix+".dial_errors", n),
+		Frames:     r.NewCounter(prefix + ".frames_written"),
+		Writes:     r.NewCounter(prefix + ".writes"),
 	}
 }
 

@@ -179,7 +179,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 			b.tm.Calls.At(3).Inc()
 			b.tm.Latency.At(3).ObserveDuration(250 * time.Microsecond)
 			b.tm.Errors.At(3).Inc()
-			b.tm.Reuses.At(3).Inc()
+			b.tm.Dials.At(3).Inc()
 			b.tm.Frames.Add(2)
 			b.tm.Writes.Inc()
 		}); n != 0 {

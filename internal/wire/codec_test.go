@@ -137,9 +137,6 @@ func TestRetiredKindStaysUnknown(t *testing.T) {
 	if _, err := Decode(push); !errors.Is(err, ErrUnknown) {
 		t.Fatalf("Decode(retired kind) = %v, want ErrUnknown", err)
 	}
-	if MaintenanceKind(retired) {
-		t.Error("the retired kind still counts as maintenance")
-	}
 }
 
 func TestDecodeRejectsTrailingBytes(t *testing.T) {

@@ -99,7 +99,7 @@ type Config struct {
 	RSReplace bool
 	// ZoneSpread selects topology-aware placement: each key's entries
 	// are spread across failure domains (racks, DCs, regions) using
-	// the cluster's shared topo.Topology instead of the scheme's base
+	// the cluster's topo.Topology instead of the scheme's base
 	// assignment, so no single zone holds every copy of an entry.
 	// Servers without an attached topology ignore the flag and fall
 	// back to base placement; see DESIGN.md §6, "Zone-spread
@@ -217,15 +217,6 @@ const (
 	_ // retired: RebalancePush, now a RepairPush carrying its transition
 	KindStoreBatches
 )
-
-// MaintenanceKind reports whether k belongs to the background
-// maintenance protocols rather than the request path: the repair query
-// and push the node's maintenance sweep (repair or rebalance) sends,
-// and the membership kinds (join/leave/update). The transport uses it
-// to split connection-reuse telemetry by traffic class.
-func MaintenanceKind(k Kind) bool {
-	return k >= KindRepairQuery && k <= KindMembershipUpdate
-}
 
 // Message is implemented by every protocol message.
 type Message interface {
