@@ -12,14 +12,15 @@ import (
 // gates the codec: one Lookup answered with 12 entries over a mux conn
 // on an in-memory pipe, client and server halves both counted (the
 // server's reader and the client's demux reader run in this process).
-// Measured 9: the request and the reply boxed into wire.Message (2),
-// the server's decode of the one (2) and the client's of the other (3),
-// and 2 that are net.Pipe's own, for the timer behind each write
-// deadline — a TCP connection's deadline allocates nothing. The reply
-// channel and timeout timer, 3 allocations and ~290 bytes per call
-// before they were pooled, are not among them; the ceiling leaves slack
-// for compiler wobble and trips on anything per call beyond that.
-const callAllocCeiling = 11
+// Measured 7, with and without the race detector: the request and the
+// reply boxed into wire.Message (2), the server's decode of the one (2)
+// and the client's of the other (3). A call arms no timer and sets no
+// write deadline — the connection's one timer keeps every call's
+// deadline and the write's — so the 2 allocations net.Pipe made for
+// the timer behind each write deadline are gone, and the reply channel,
+// pooled, costs nothing. The ceiling leaves one for compiler wobble and
+// trips on anything per call beyond that.
+const callAllocCeiling = 8
 
 type fixedReply struct{ reply wire.LookupReply }
 

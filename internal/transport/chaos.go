@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/stats"
@@ -213,22 +214,22 @@ func (c *Chaos) Call(ctx context.Context, server int, msg wire.Message) (wire.Me
 // address, and delivered to that slot's handler. The view keeps addrs,
 // which views may share: nobody may modify it.
 func (c *Chaos) View(self string, addrs []string) *ChaosView {
-	return &ChaosView{chaos: c, self: self, addrs: addrs}
+	v := &ChaosView{chaos: c, self: self}
+	v.addrs.Store(&addrs)
+	return v
 }
 
 // ChaosView is an in-process member's view of the network (see View).
+// A call reads the member list without a lock; AddServer and
+// RemoveServer publish a replacement under mu.
 type ChaosView struct {
 	chaos *Chaos
 	self  string
 	mu    sync.Mutex
-	addrs []string // replaced, never modified: views may share one
+	addrs atomic.Pointer[[]string] // replaced, never modified: views may share one
 }
 
-func (v *ChaosView) list() []string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.addrs
-}
+func (v *ChaosView) list() []string { return *v.addrs.Load() }
 
 // NumServers returns the length of the member list.
 func (v *ChaosView) NumServers() int { return len(v.list()) }
@@ -240,16 +241,18 @@ func (v *ChaosView) Addrs() []string { return slices.Clone(v.list()) }
 func (v *ChaosView) AddServer(addr string) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.addrs = append(slices.Clip(v.addrs), addr)
-	return len(v.addrs) - 1
+	addrs := append(slices.Clip(v.list()), addr)
+	v.addrs.Store(&addrs)
+	return len(addrs) - 1
 }
 
 // RemoveServer drops one member, shifting higher ids down by one.
 func (v *ChaosView) RemoveServer(server int) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if server >= 0 && server < len(v.addrs) {
-		v.addrs = slices.Delete(slices.Clone(v.addrs), server, server+1)
+	if addrs := v.list(); server >= 0 && server < len(addrs) {
+		addrs = slices.Delete(slices.Clone(addrs), server, server+1)
+		v.addrs.Store(&addrs)
 	}
 }
 
@@ -493,11 +496,13 @@ func pairKey(a, b int) [2]int {
 }
 
 // call applies the faults between the slots at addresses from (""
-// for ClientOrigin) and to ("" for slot server), then delivers msg (see
-// deliver); errors name the server as its caller numbers it. Fault
-// decisions are drawn under the lock in call order — the slow-start
-// and drop draws even when the server is down — so a single-goroutine
-// simulation is bit-for-bit reproducible.
+// for ClientOrigin) and to ("" for slot server), then delivers msg: to
+// the slot it resolved when the call drew no delay, otherwise to the
+// one at to once the delay is over (see deliver). Errors name the
+// server as its caller numbers it. Fault decisions are drawn under the
+// lock in call order — the slow-start and drop draws even when the
+// server is down — so a single-goroutine simulation is bit-for-bit
+// reproducible.
 func (c *Chaos) call(ctx context.Context, from, to string, server int, msg wire.Message, next Caller) (wire.Message, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -541,6 +546,11 @@ func (c *Chaos) call(ctx context.Context, from, to string, server int, msg wire.
 		delay += s.slowExtra
 	}
 	dropped := s.dropRate > 0 && c.rng.Bool(s.dropRate)
+	if delay == 0 && !dropped {
+		at := *s
+		c.mu.Unlock()
+		return at.serve(ctx, server, msg, next)
+	}
 	c.mu.Unlock()
 
 	if delay > 0 {
@@ -554,10 +564,9 @@ func (c *Chaos) call(ctx context.Context, from, to string, server int, msg wire.
 	return c.deliver(ctx, to, server, msg, next)
 }
 
-// deliver hands msg to the handler at address to (slot server when to
-// is ""), or to next when it is set, unless the request was abandoned
-// meanwhile, the slot is gone or down, or nothing is bound. The handler
-// runs with no lock held.
+// deliver serves msg at the slot at address to (slot server when to is
+// ""), resolved afresh after a delay, unless the request was abandoned
+// meanwhile or the slot is gone.
 func (c *Chaos) deliver(ctx context.Context, to string, server int, msg wire.Message, next Caller) (wire.Message, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -570,6 +579,13 @@ func (c *Chaos) deliver(ctx context.Context, to string, server int, msg wire.Mes
 	}
 	s := c.slots[target]
 	c.mu.Unlock()
+	return s.serve(ctx, server, msg, next)
+}
+
+// serve hands msg to s's handler, or to next when it is set, unless s
+// is down or nothing is bound; server is the id the caller named it by.
+// The handler runs with no lock held.
+func (s *slot) serve(ctx context.Context, server int, msg wire.Message, next Caller) (wire.Message, error) {
 	if s.down {
 		return nil, fmt.Errorf("%w: server %d", ErrServerDown, server)
 	}

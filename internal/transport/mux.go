@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"runtime"
 	"slices"
 	"sync"
@@ -30,16 +29,21 @@ import (
 // deadlock, because a Server handler that waits on a peer has detached
 // from its connection's reader first (see Handler).
 //
+// Every call shares the client's one timeout, which a connection keeps
+// with a single timer (see muxConn.expire): calls register in id order,
+// so they fall due in that order, and no call arms a timer of its own.
+//
 // Failure taxonomy, which the Retry middleware leans on:
 //
 //   - Dial and connection-level failures (reset, EOF, write error, a
-//     write the peer does not drain within the per-call timeout) close
-//     the connection and report ErrServerDown; the next call dials
-//     afresh. The caller whose write timed out sees ErrRequestTimeout.
-//   - A request that exceeds the per-call timeout reports an error
+//     write the peer does not drain within the timeout) close the
+//     connection and report ErrServerDown; the next call dials afresh.
+//     The caller whose write stalled sees ErrRequestTimeout.
+//   - A request that gets no reply within the timeout reports an error
 //     matching both ErrRequestTimeout and ErrServerDown, but leaves
-//     the connection open: the reply may simply be slow, and a retry
-//     rides the same warm connection instead of re-dialing.
+//     the connection open: the connection's timer claims the call as
+//     the demux reader claims a reply, a late reply is dropped, and a
+//     retry rides the same warm connection instead of re-dialing.
 //   - Context cancellation reports ctx.Err() unwrapped; it is the
 //     caller's deadline, not the server's fault, and is never retried.
 type Client struct {
@@ -150,23 +154,31 @@ type muxResult struct {
 	err error
 }
 
-// waiter is what one call blocks on: the channel its reply arrives on
-// and its timeout timer. Only the call that received on ch recycles its
-// waiter — nothing can send to that channel again, its registration
-// having been removed before the one send. A call that timed out or was
-// cancelled may still get a late send, so its waiter is dropped.
-type waiter struct {
-	ch    chan muxResult
-	timer *time.Timer
+// errStalled fails a connection whose write the peer did not drain
+// within the timeout; the caller that was writing reports it as a
+// request timeout, every other pending call as ErrServerDown.
+var errStalled = errors.New("transport: write not drained within the timeout")
+
+// replyChans pools the channels calls receive their result on. Only a
+// call that received on its channel recycles it — nothing can send to
+// it again, its registration having been removed before the one send. A
+// call that was cancelled or whose write failed may still get a late
+// send, so its channel is dropped.
+var replyChans = sync.Pool{
+	New: func() any { return make(chan muxResult, 1) },
 }
 
-var waiterPool = sync.Pool{
-	New: func() any { return &waiter{ch: make(chan muxResult, 1)} },
+// pendingCall is a registered call: where its result goes and when it
+// falls due.
+type pendingCall struct {
+	ch       chan muxResult
+	deadline time.Time
 }
 
 // muxConn is one multiplexed connection: a write buffer its callers
-// flush themselves, and a reader goroutine that routes tagged replies
-// to the calls registered in pending.
+// flush themselves, a reader goroutine that routes tagged replies to
+// the calls registered in pending, and a timer that expires the calls,
+// and the write, that outlive the timeout.
 type muxConn struct {
 	conn    net.Conn
 	timeout time.Duration
@@ -177,21 +189,28 @@ type muxConn struct {
 	mu      sync.Mutex
 	deadErr error
 	nextID  uint64
-	pending map[uint64]chan muxResult
+	pending map[uint64]pendingCall
+	// timer runs expire. While armed is set it fires no later than the
+	// earliest deadline outstanding, a pending call's or the write's in
+	// progress; it is re-armed only when it fires (see expire).
+	timer *time.Timer
+	armed bool
 	// Callers append frames to wbuf; the one that finds no flush in
 	// progress writes wbuf out, and spare is the buffer it swaps in for
-	// callers arriving during that write.
+	// callers arriving during that write. The conn.Write in progress,
+	// if any, falls due at writeDue (zero otherwise).
 	wbuf     []byte
 	wframes  int
 	spare    []byte
 	flushing bool
+	writeDue time.Time
 }
 
 // newMuxConn wraps an established connection to one of c's servers and
 // starts its demux reader; tests drive one over an in-memory pipe.
 func (c *Client) newMuxConn(conn net.Conn) *muxConn {
 	mc := &muxConn{conn: conn, timeout: c.timeout, metrics: c.metrics, woken: &c.woken,
-		pending: make(map[uint64]chan muxResult)}
+		pending: make(map[uint64]pendingCall)}
 	go mc.readLoop()
 	return mc
 }
@@ -206,10 +225,63 @@ func deliver(ch chan muxResult, res muxResult) {
 	}
 }
 
-// abandon gives up on request id (timeout, cancellation, a failed
-// write). A reply arriving later finds no channel and is dropped by the
-// demux loop; a reply or error claimed already is nobody's to receive,
-// so its claim is settled here.
+// arm makes sure the timer fires by the deadline of a call or write
+// that starts now: an armed timer does, since every earlier start falls
+// due earlier. Caller holds mu.
+func (mc *muxConn) arm() {
+	if mc.armed {
+		return
+	}
+	mc.armed = true
+	if mc.timer == nil {
+		mc.timer = time.AfterFunc(mc.timeout, mc.expire)
+	} else {
+		mc.timer.Reset(mc.timeout)
+	}
+}
+
+// expire is the connection's timer. It fails the connection when the
+// write in progress is past its deadline, and otherwise claims every
+// pending call past its own, delivering ErrRequestTimeout as the demux
+// reader delivers a reply, so a reply arriving later is dropped and the
+// connection stays open. It then re-arms the timer for the earliest
+// deadline left, which is the oldest pending call's or the write's; a
+// call that returned meanwhile leaves the timer armed for its deadline,
+// and the firing finds the next one.
+func (mc *muxConn) expire() {
+	mc.mu.Lock()
+	mc.armed = false
+	if mc.dead.Load() {
+		mc.mu.Unlock()
+		return
+	}
+	now := time.Now()
+	if !mc.writeDue.IsZero() && !now.Before(mc.writeDue) {
+		mc.mu.Unlock()
+		mc.fail(errStalled)
+		return
+	}
+	next := mc.writeDue
+	for id, p := range mc.pending {
+		if !now.Before(p.deadline) {
+			delete(mc.pending, id)
+			mc.woken.Add(1)
+			deliver(p.ch, muxResult{err: ErrRequestTimeout})
+		} else if next.IsZero() || p.deadline.Before(next) {
+			next = p.deadline
+		}
+	}
+	if !next.IsZero() {
+		mc.armed = true
+		mc.timer.Reset(next.Sub(now))
+	}
+	mc.mu.Unlock()
+}
+
+// abandon gives up on request id (cancellation, a failed write). A
+// reply arriving later finds no channel and is dropped by the demux
+// loop; a reply or error claimed already is nobody's to receive, so its
+// claim is settled here.
 func (mc *muxConn) abandon(id uint64) {
 	mc.mu.Lock()
 	_, registered := mc.pending[id]
@@ -234,10 +306,14 @@ func (mc *muxConn) fail(err error) {
 	pending := mc.pending
 	mc.pending = nil
 	mc.woken.Add(int64(len(pending)))
+	if mc.timer != nil {
+		mc.timer.Stop()
+		mc.armed = false
+	}
 	mc.mu.Unlock()
 	mc.conn.Close()
-	for _, ch := range pending {
-		deliver(ch, muxResult{err: err})
+	for _, p := range pending {
+		deliver(p.ch, muxResult{err: err})
 	}
 }
 
@@ -251,11 +327,12 @@ func (mc *muxConn) fail(err error) {
 // and answers on its reader, in one write, every request that waits on
 // no peer — a holder's store or remove as much as a lookup; one that
 // does wait detaches and is answered when it is done, so sharing the
-// write costs it nothing. Each write runs under a deadline of the
-// per-call timeout; a peer that does not drain the socket for that long
-// has failed, and so has the connection — part of a frame may be out.
-// That error matches os.ErrDeadlineExceeded. An id is never left
-// registered on an error; a nonzero one was claimed by the failure.
+// write costs it nothing. A write falls due a timeout after it starts,
+// as a call does after it registers; a peer that does not drain the
+// socket for that long has failed, and so has the connection — part of
+// a frame may be out. The timer fails it with errStalled (expire), which
+// send then returns. An id is never left registered on an error; a
+// nonzero one was claimed by the failure.
 func (mc *muxConn) send(ch chan muxResult, msg wire.Message) (id uint64, err error) {
 	mc.mu.Lock()
 	if mc.dead.Load() {
@@ -268,7 +345,8 @@ func (mc *muxConn) send(ch chan muxResult, msg wire.Message) (id uint64, err err
 		mc.mu.Unlock()
 		return 0, err
 	}
-	mc.pending[id] = ch
+	mc.pending[id] = pendingCall{ch: ch, deadline: time.Now().Add(mc.timeout)}
+	mc.arm()
 	mc.wframes++
 	if mc.flushing {
 		mc.mu.Unlock()
@@ -283,23 +361,26 @@ func (mc *muxConn) send(ch chan muxResult, msg wire.Message) (id uint64, err err
 	for len(mc.wbuf) > 0 && err == nil {
 		buf, frames := mc.wbuf, mc.wframes
 		mc.wbuf, mc.wframes = mc.spare[:0], 0
+		mc.writeDue = time.Now().Add(mc.timeout)
+		mc.arm()
 		mc.mu.Unlock()
 		mc.metrics.Frames.Add(int64(frames))
 		mc.metrics.Writes.Inc()
-		if err = mc.conn.SetWriteDeadline(time.Now().Add(mc.timeout)); err == nil {
-			_, err = mc.conn.Write(buf)
-		}
+		_, err = mc.conn.Write(buf)
 		if cap(buf) > maxRetainedBuf {
 			buf = nil // grown for a large frame; regrown on demand
 		}
 		mc.mu.Lock()
+		mc.writeDue = time.Time{}
 		mc.spare = buf
 	}
 	mc.flushing = false
 	mc.mu.Unlock()
 	if err != nil {
-		err = fmt.Errorf("transport: write: %w", err)
-		mc.fail(err)
+		mc.fail(fmt.Errorf("transport: write: %w", err))
+		mc.mu.Lock()
+		err = mc.deadErr // errStalled if the timer failed the write
+		mc.mu.Unlock()
 	}
 	return id, err
 }
@@ -315,17 +396,17 @@ func (mc *muxConn) readLoop() {
 			return
 		}
 		mc.mu.Lock()
-		ch, ok := mc.pending[id]
+		p, ok := mc.pending[id]
 		if ok {
 			delete(mc.pending, id)
 			mc.woken.Add(1)
 		}
 		mc.mu.Unlock()
 		if ok {
-			deliver(ch, muxResult{msg: msg})
+			deliver(p.ch, muxResult{msg: msg})
 		}
-		// Unknown id: the call timed out or was cancelled and
-		// deregistered itself; the late reply is dropped.
+		// Unknown id: the call timed out or was cancelled, its
+		// registration is gone, and the late reply is dropped.
 	}
 }
 
@@ -413,15 +494,9 @@ func (c *Client) Call(ctx context.Context, server int, msg wire.Message) (wire.M
 	if err != nil {
 		return nil, err
 	}
-	w := waiterPool.Get().(*waiter)
-	if w.timer == nil {
-		w.timer = time.NewTimer(c.timeout)
-	} else {
-		w.timer.Reset(c.timeout) // stopped and drained when it was recycled
-	}
-	id, err := mc.send(w.ch, msg)
+	ch := replyChans.Get().(chan muxResult)
+	id, err := mc.send(ch, msg)
 	if err != nil {
-		w.timer.Stop()
 		if id != 0 {
 			mc.abandon(id) // claimed by the failure its write met
 		}
@@ -430,42 +505,37 @@ func (c *Client) Call(ctx context.Context, server int, msg wire.Message) (wire.M
 			// The message's fault, not the server's: reported as is, with
 			// the connection and the calls in flight on it left alone.
 			return nil, err
-		case errors.Is(err, os.ErrDeadlineExceeded):
+		case err == errStalled:
 			return nil, &requestTimeoutError{server: server, d: c.timeout}
 		default:
 			return nil, fmt.Errorf("%w: %v", ErrServerDown, err)
 		}
 	}
-	select {
-	case res := <-w.ch:
-		c.woken.Add(-1)
-		// Stop, and drain without blocking if it fired meanwhile: that
-		// leaves the timer's channel empty for the next Reset under the
-		// timer semantics before and after Go 1.23 alike.
-		if !w.timer.Stop() {
-			select {
-			case <-w.timer.C:
-			default:
-			}
+	var res muxResult
+	if done := ctx.Done(); done == nil {
+		res = <-ch
+	} else {
+		select {
+		case res = <-ch:
+		case <-done:
+			// The caller's deadline, not the server's fault: reported
+			// unwrapped so policy layers never retry it.
+			mc.abandon(id)
+			return nil, ctx.Err()
 		}
-		waiterPool.Put(w)
-		if res.err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrServerDown, res.err)
-		}
-		return res.msg, nil
-	case <-w.timer.C:
-		// Request-level timeout: abandon the id but keep the connection —
-		// a late reply is dropped by the demux loop, and a retry reuses
-		// the warm connection instead of dialing.
-		mc.abandon(id)
-		return nil, &requestTimeoutError{server: server, d: c.timeout}
-	case <-ctx.Done():
-		// The caller's deadline, not the server's fault: reported
-		// unwrapped so policy layers never retry it.
-		mc.abandon(id)
-		w.timer.Stop()
-		return nil, ctx.Err()
 	}
+	c.woken.Add(-1)
+	replyChans.Put(ch)
+	switch {
+	case res.err == ErrRequestTimeout:
+		// Request-level timeout: the timer claimed the id but kept the
+		// connection — a late reply is dropped by the demux loop, and a
+		// retry reuses the warm connection instead of dialing.
+		return nil, &requestTimeoutError{server: server, d: c.timeout}
+	case res.err != nil:
+		return nil, fmt.Errorf("%w: %v", ErrServerDown, res.err)
+	}
+	return res.msg, nil
 }
 
 // Close tears down every server's connection. The client stays usable: later

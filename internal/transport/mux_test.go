@@ -332,3 +332,122 @@ func TestEnqueueStallMapsToRequestTimeout(t *testing.T) {
 		t.Fatalf("%d pending registrations leaked after a stalled call", leaked)
 	}
 }
+
+// TestConnTimerExpiresEveryCall: one timer per connection keeps the
+// deadline of every call on it. Calls that register together fall due
+// together, each within a scheduling slack of its own deadline — a
+// slack shorter than the timeout, so a timer re-armed a whole timeout
+// late would show — and each is reported as a request timeout on a
+// connection that stays open: no re-dial, the late replies dropped, no
+// registration or woken count left behind, and the next call answered.
+func TestConnTimerExpiresEveryCall(t *testing.T) {
+	const (
+		k       = 64
+		timeout = 100 * time.Millisecond
+		slack   = 90 * time.Millisecond
+	)
+	tm := newTransportMetrics(1)
+	client, peer := newScriptedPeer(t, WithTimeout(timeout), WithClientMetrics(tm))
+	mc := client.servers()[0].mc
+	errs := make([]error, k)
+	took := make([]time.Duration, k)
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			start := time.Now()
+			_, errs[i] = client.Call(context.Background(), 0, wire.Lookup{Key: fmt.Sprintf("k%d", i), T: 1})
+			took[i] = time.Since(start)
+		}(i)
+	}
+	late := peer.read(k) // the stalling peer reads every request, answers none
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, ErrRequestTimeout) || !errors.Is(err, ErrServerDown) {
+			t.Fatalf("call %d = %v, want the request-timeout taxonomy", i, err)
+		}
+		if took[i] < timeout || took[i] > timeout+slack {
+			t.Errorf("call %d timed out after %v, want within [%v, %v]", i, took[i], timeout, timeout+slack)
+		}
+	}
+
+	peer.reply(late)
+	done := make(chan error, 1)
+	go func() {
+		reply, err := client.Call(context.Background(), 0, wire.Lookup{Key: "next", T: 1})
+		if _, ok := reply.(wire.Ack); err == nil && !ok {
+			err = fmt.Errorf("reply %#v, want the peer's Ack", reply)
+		}
+		done <- err
+	}()
+	peer.reply(peer.read(1)) // answered behind the late replies
+	if err := <-done; err != nil {
+		t.Fatalf("call after the timeouts: %v", err)
+	}
+	if dials := tm.Dials.At(0).Value(); dials != 1 {
+		t.Fatalf("dials = %d, want 1 (a request timeout keeps the connection)", dials)
+	}
+	if client.servers()[0].mc != mc {
+		t.Fatal("the call after the timeouts ran on a new connection")
+	}
+	mc.mu.Lock()
+	leaked := len(mc.pending)
+	mc.mu.Unlock()
+	if leaked != 0 {
+		t.Fatalf("%d registrations left after every call returned", leaked)
+	}
+	waitFor(t, "the woken count to settle at 0", func() bool { return client.woken.Load() == 0 })
+}
+
+// TestConnTimerLeavesCancellationToTheCaller: a call whose context is
+// cancelled returns ctx.Err() unwrapped at once, while the connection's
+// timer is still armed for the call's later deadline; that firing finds
+// nothing due and disarms, the reply that comes after is dropped, and
+// the connection serves the next call.
+func TestConnTimerLeavesCancellationToTheCaller(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	client, peer := newScriptedPeer(t, WithTimeout(timeout))
+	mc := client.servers()[0].mc
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := client.Call(ctx, 0, wire.Lookup{Key: "k", T: 1})
+		done <- err
+	}()
+	late := peer.read(1)
+	start := time.Now()
+	cancel()
+	if err := <-done; err != context.Canceled {
+		t.Fatalf("cancelled call = %v, want context.Canceled unwrapped", err)
+	}
+	if took := time.Since(start); took >= timeout {
+		t.Fatalf("cancelled call returned after %v, not before its deadline", took)
+	}
+	mc.mu.Lock()
+	armed, leaked := mc.armed, len(mc.pending)
+	mc.mu.Unlock()
+	if !armed || leaked != 0 {
+		t.Fatalf("after the cancellation: timer armed %v, %d registrations; want armed, 0", armed, leaked)
+	}
+	waitFor(t, "the timer to fire and disarm", func() bool {
+		mc.mu.Lock()
+		defer mc.mu.Unlock()
+		return !mc.armed
+	})
+
+	peer.reply(late)
+	next := make(chan error, 1)
+	go func() {
+		_, err := client.Call(context.Background(), 0, wire.Lookup{Key: "next", T: 1})
+		next <- err
+	}()
+	peer.reply(peer.read(1))
+	if err := <-next; err != nil {
+		t.Fatalf("call after the cancellation: %v", err)
+	}
+	if client.servers()[0].mc != mc {
+		t.Fatal("the call after the cancellation ran on a new connection")
+	}
+	waitFor(t, "the woken count to settle at 0", func() bool { return client.woken.Load() == 0 })
+}
