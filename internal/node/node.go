@@ -9,9 +9,10 @@
 //
 //   - Node (this file) is the transport-facing shell: message dispatch,
 //     peer calls, and telemetry. It owns no key state.
-//   - internal/store owns all per-key state, sharded under per-shard
-//     locks with copy-on-write snapshots, so traffic on different keys
-//     never serializes and partial_lookup reads never block writers.
+//   - internal/store owns all per-key state, one lock per key behind
+//     one sync.Map key index, with copy-on-write snapshots, so traffic
+//     on different keys never serializes and partial_lookup reads never
+//     block writers.
 //   - One executor per placement rule (exec_*.go; Hash-y and
 //     MultiProbe-y share one) implements the protocol of its Sec. 5
 //     subsection against that store.

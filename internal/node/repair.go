@@ -182,8 +182,8 @@ func (r *Repairer) SweepOnce(ctx context.Context) SweepStats {
 }
 
 // sweep is the one maintenance pass of repair and rebalance: every key
-// in sorted order (the store's shard iteration order is unspecified,
-// and deterministic sweeps are what make the churn soak tests
+// in sorted order (the store's Range order is unspecified, and
+// deterministic sweeps are what make the churn soak tests
 // reproducible), each run through sweepKey. mc is the committed
 // transition a rebalance carries, nil for a repair sweep; dead marks
 // the slots a repair sweep presumes dead.

@@ -54,3 +54,16 @@ func TestUnreadUpdateDoesNotClone(t *testing.T) {
 		t.Errorf("unread Update: %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TestGetZeroAllocs gates the read path's key lookup: Get takes its key
+// as a string and the index takes it as any, and neither a stored key
+// nor an absent one may cost an allocation for it.
+func TestGetZeroAllocs(t *testing.T) {
+	s := New()
+	s.GetOrCreate("stored", wire.Config{Scheme: wire.FullReplication})
+	for _, key := range []string{"stored", "absent"} {
+		if allocs := testing.AllocsPerRun(100, func() { s.Get(key) }); allocs > 0 {
+			t.Errorf("Get(%q): %.1f allocs/op, want 0", key, allocs)
+		}
+	}
+}

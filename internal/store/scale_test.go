@@ -46,13 +46,14 @@ func bytesPerNewKey(existing int, create func(*Store, string)) float64 {
 // TestNewKeyCostDoesNotGrowWithStore: creating a key — by GetOrCreate,
 // or by Install during snapshot recovery — allocates about the same
 // bytes whether the store holds 1 000 keys or 50 000. A store that
-// copied its shard's map per new key would allocate some fifty times
+// copied its key map per new key would allocate some fifty times
 // more at 50 000, which makes a bulk load or a recovery quadratic in
 // keys.
 func TestNewKeyCostDoesNotGrowWithStore(t *testing.T) {
 	// What one key costs whatever the store holds (the KeyState, its
-	// set, its share of the young map) is a few hundred bytes; the slack
-	// allows for the merges that land in one window and not the other.
+	// set, its entry in the key index) is a few hundred bytes; the slack
+	// allows for the index growth that lands in one window and not the
+	// other.
 	const slack = 512
 	ops := map[string]func(*Store, string){
 		"GetOrCreate": func(s *Store, k string) { s.GetOrCreate(k, scaleCfg) },
@@ -72,46 +73,10 @@ func TestNewKeyCostDoesNotGrowWithStore(t *testing.T) {
 	}
 }
 
-// TestCreatedKeysSettle: keys that lookups keep finding young are merged
-// into the settled map — a shard of m keys with any young key read each
-// round settles within m rounds — and every key stays visible to Get and
-// Range throughout.
-func TestCreatedKeysSettle(t *testing.T) {
-	keys := keyNames("k", 5000)
-	s := filledStore(keys)
-	young := func() (n int64) {
-		for i := range s.shards {
-			n += s.shards[i].nyoung.Load()
-		}
-		return n
-	}
-	if young() == 0 {
-		t.Fatal("no key is young after a bulk load: the test exercises nothing")
-	}
-	for round := 0; young() > 0; round++ {
-		if round == 200 {
-			t.Fatalf("%d keys still young after %d reads of every key", young(), round)
-		}
-		for _, k := range keys {
-			if _, ok := s.Get(k); !ok {
-				t.Fatalf("round %d: Get(%q) lost a created key", round, k)
-			}
-		}
-	}
-	seen := 0
-	s.Range(func(string, *KeyState) bool { seen++; return true })
-	if seen != len(keys) || s.Keys() != len(keys) {
-		t.Fatalf("Range saw %d keys, Keys() = %d, want %d", seen, s.Keys(), len(keys))
-	}
-	if _, ok := s.Get("never-created"); ok {
-		t.Fatal("Get found a key nobody created")
-	}
-}
-
 // TestConcurrentCreateGetRange: workers create keys while others look
-// up keys already created and Range runs, so lookups race creations,
-// merges and the young-key path. A key whose creation finished before
-// a Get began is always found.
+// up keys already created and Range runs, so lookups race creations
+// and the key index's growth. A key whose creation finished before a
+// Get began is always found.
 func TestConcurrentCreateGetRange(t *testing.T) {
 	const workers, per = 4, 3000
 	s := New()
@@ -168,12 +133,10 @@ func BenchmarkStoreGetOrCreate(b *testing.B) {
 }
 
 // BenchmarkStoreGet times the read path's key lookup over 6 000 keys,
-// read_direct_uniform's key count, once every key has settled (Range
-// merges each shard).
+// read_direct_uniform's key count.
 func BenchmarkStoreGet(b *testing.B) {
 	keys := keyNames("key", 6000)
 	s := filledStore(keys)
-	s.Range(func(string, *KeyState) bool { return true })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

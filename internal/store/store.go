@@ -1,18 +1,16 @@
-// Package store owns all per-key server state for a lookup node: a
-// sharded key→state map with copy-on-write entry-set snapshots for the
-// read path.
+// Package store owns all per-key server state for a lookup node: one
+// key index (key → state) with copy-on-write entry-set snapshots for
+// the read path.
 //
 // The paper's server is a per-key state machine (Secs. 5.2–5.5): no
-// operation ever touches two keys' state. The store exploits exactly
-// that independence, and its read path is epoch-based — a lookup takes
-// no lock at all:
+// operation ever touches two keys' state, and keys are never deleted.
+// The store exploits exactly that:
 //
-//   - Keys hash over a fixed array of shards. A shard publishes an
-//     immutable settled key→state map behind an atomic.Pointer and keeps
-//     the keys created since, under its mutex, in a young map it merges
-//     into the next settled map geometrically. Creating a key is one
-//     map insert whatever the store holds, and Get on a settled key is
-//     one atomic load plus a map lookup, never a lock.
+//   - The key index is one sync.Map, the map Go provides for entries
+//     written once and read many times. Creating a key is one
+//     amortized O(1) insert whatever the store holds. Get takes no
+//     lock on go1.24's hash-trie sync.Map; the older read/dirty one
+//     (go1.22, go1.23) locks for a new key until misses promote it.
 //   - Within a key, mutations run under the KeyState mutex, while
 //     partial_lookup reads sample an immutable entry-set snapshot
 //     published with one atomic load. Snapshots are cloned for
@@ -34,7 +32,6 @@ package store
 
 import (
 	"fmt"
-	"maps"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -42,12 +39,6 @@ import (
 	"repro/internal/entry"
 	"repro/internal/wire"
 )
-
-// numShards is the number of lock shards. A fixed power of two keeps
-// the shard index a mask operation; 64 shards keep the collision
-// probability negligible for any realistic GOMAXPROCS without bloating
-// an idle store (a shard is one mutex and two small maps).
-const numShards = 64
 
 // State is the mutable per-key view passed to Update and View
 // callbacks. Callbacks must not retain the *State or any interior
@@ -253,150 +244,31 @@ func (k *KeyState) Len() int {
 	return n
 }
 
-// shard holds one lock shard's key→state map in two parts. settled is
-// immutable once published: lookups load it with one atomic operation
-// and index it without locking. young holds the keys created since the
-// last merge, under mu, so creating a key is one map insert. A merge
-// publishes settled ∪ young as the next settled map; it runs once the
-// operations that had to take mu (creations, and lookups that found
-// their key young) reach the size of settled, so its copy costs O(1)
-// per such operation, and a young key that keeps being read settles.
-// Keys are never deleted (the paper has none), so maps only grow.
-type shard struct {
-	settled atomic.Pointer[map[string]*KeyState]
-	// nyoung is len(young), stored under mu, so a lookup that misses
-	// settled skips the lock while nothing is young.
-	nyoung atomic.Int64
-
-	mu        sync.Mutex
-	young     map[string]*KeyState
-	lockedOps int // operations that took mu since the last merge
-}
-
-// loadSettled looks key up in the settled map, without locking.
-func (sh *shard) loadSettled(key string) (*KeyState, bool) {
-	ks, ok := (*sh.settled.Load())[key]
-	return ks, ok
-}
-
-// getYoung is Get's path for a key that is not settled: it may be young.
-func (sh *shard) getYoung(key string) (*KeyState, bool) {
-	sh.mu.Lock()
-	ks, ok := sh.findLocked(key)
-	sh.tick()
-	sh.mu.Unlock()
-	return ks, ok
-}
-
-// findLocked looks key up in both maps. Callers hold sh.mu.
-func (sh *shard) findLocked(key string) (*KeyState, bool) {
-	if ks, ok := sh.young[key]; ok {
-		return ks, true
-	}
-	return sh.loadSettled(key)
-}
-
-// addLocked inserts a new key. Callers hold sh.mu and have checked the
-// key is absent.
-func (sh *shard) addLocked(key string, ks *KeyState) {
-	if sh.young == nil {
-		sh.young = make(map[string]*KeyState)
-	}
-	sh.young[key] = ks
-	sh.nyoung.Store(int64(len(sh.young)))
-	sh.tick()
-}
-
-// tick counts one operation that took mu and merges once they reach
-// the size of settled. Callers hold sh.mu.
-func (sh *shard) tick() {
-	sh.lockedOps++
-	if sh.lockedOps >= len(*sh.settled.Load()) {
-		sh.mergeLocked()
-	}
-}
-
-// mergeLocked publishes settled ∪ young as the next settled map.
-// Callers hold sh.mu.
-func (sh *shard) mergeLocked() {
-	sh.lockedOps = 0
-	if len(sh.young) == 0 {
-		return
-	}
-	cur := *sh.settled.Load()
-	next := make(map[string]*KeyState, len(cur)+len(sh.young))
-	maps.Copy(next, cur)
-	maps.Copy(next, sh.young)
-	sh.settled.Store(&next)
-	sh.nyoung.Store(0)
-	sh.young = nil
-}
-
-// all merges the shard and returns its whole key map, immutable, for
-// iteration without the lock.
-func (sh *shard) all() map[string]*KeyState {
-	sh.mu.Lock()
-	sh.mergeLocked()
-	m := *sh.settled.Load()
-	sh.mu.Unlock()
-	return m
-}
-
-// Store is a sharded per-key state store. The zero value is not usable;
-// call New.
+// Store is the per-key state store: one key index mapping each key to
+// its *KeyState.
 type Store struct {
-	shards [numShards]shard
+	// keys maps key → *KeyState. Keys are written once and never
+	// deleted (the paper has no key removal), the case sync.Map is
+	// built for.
+	keys sync.Map
 	// wal, when set via AttachWAL, makes every key durable: mutations
 	// logged through State.Log are appended to it.
 	wal *WAL
-	// keyCount tracks the total number of keys across shards, so the
-	// node.keys gauge needs no shard sweep.
+	// keyCount tracks the total number of keys, so the node.keys gauge
+	// needs no sweep.
 	keyCount atomic.Int64
 }
 
 // New returns an empty store.
-func New() *Store {
-	s := &Store{}
-	for i := range s.shards {
-		empty := make(map[string]*KeyState)
-		s.shards[i].settled.Store(&empty)
-	}
-	return s
-}
-
-// shardIndex hashes key to its shard with FNV-1a.
-func shardIndex(key string) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return int(h & (numShards - 1))
-}
-
-func (s *Store) shardFor(key string) *shard {
-	return &s.shards[shardIndex(key)]
-}
+func New() *Store { return &Store{} }
 
 // Get returns the state for key, or (nil, false) if the key is unknown.
-// For a settled key, and for an absent one while its shard has no young
-// keys, it is lock-free: atomic loads and a lookup in the published map.
 func (s *Store) Get(key string) (*KeyState, bool) {
-	sh := s.shardFor(key)
-	m := sh.settled.Load()
-	if ks, ok := (*m)[key]; ok {
-		return ks, true
-	}
-	// Absent, unless it is young or a merge settled it since m: a merge
-	// publishes settled before it zeroes nyoung.
-	if sh.nyoung.Load() == 0 && sh.settled.Load() == m {
+	v, ok := s.keys.Load(key)
+	if !ok {
 		return nil, false
 	}
-	return sh.getYoung(key)
+	return v.(*KeyState), true
 }
 
 // GetOrCreate returns the state for key, creating it on first sight
@@ -406,36 +278,29 @@ func (s *Store) Get(key string) (*KeyState, bool) {
 // not created here; executors initialize Ext lazily inside their Update
 // callbacks.
 func (s *Store) GetOrCreate(key string, cfg wire.Config) *KeyState {
-	sh := s.shardFor(key)
-	ks, ok := sh.loadSettled(key)
+	v, ok := s.keys.Load(key)
 	if !ok {
-		sh.mu.Lock()
-		if ks, ok = sh.findLocked(key); ok {
-			sh.tick()
-		} else {
-			// The key outlives the message that first named it, whose
-			// strings all view one decoded buffer (wire.Decode).
-			key = strings.Clone(key)
-			ks = &KeyState{
-				st:  State{Key: key, Cfg: cfg, Set: entry.NewSet(0), logging: s.wal != nil},
-				wal: s.wal,
-			}
-			sh.addLocked(key, ks)
-			s.keyCount.Add(1)
+		// The key outlives the message that first named it, whose
+		// strings all view one decoded buffer (wire.Decode).
+		key = strings.Clone(key)
+		fresh := &KeyState{
+			st:  State{Key: key, Cfg: cfg, Set: entry.NewSet(0), logging: s.wal != nil},
+			wal: s.wal,
 		}
-		sh.mu.Unlock()
-		if !ok {
+		if v, ok = s.keys.LoadOrStore(key, fresh); !ok {
+			s.keyCount.Add(1)
 			// A brand-new key's config would otherwise exist only in
 			// memory; log it so replay can rebuild keys whose later
 			// records (WalStore etc.) don't carry a config.
-			if ks.wal != nil && cfg.Scheme.Valid() {
-				ks.Update(func(st *State) {
+			if fresh.wal != nil && cfg.Scheme.Valid() {
+				fresh.Update(func(st *State) {
 					st.Log(wire.WalConfig{Key: key, Config: cfg})
 				})
 			}
-			return ks
+			return fresh
 		}
 	}
+	ks := v.(*KeyState)
 	// Adopt cfg only when the stored config is still schemeless, so the
 	// common path costs one short lock and never invalidates snapshots.
 	if cfg.Scheme.Valid() && !ks.Config().Scheme.Valid() {
@@ -455,18 +320,13 @@ func (s *Store) GetOrCreate(key string, cfg wire.Config) *KeyState {
 // — are rewired without locking out concurrent use).
 func (s *Store) AttachWAL(w *WAL) {
 	s.wal = w
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.mergeLocked()
-		for _, ks := range *sh.settled.Load() {
-			ks.mu.Lock()
-			ks.wal = w
-			ks.st.logging = true
-			ks.mu.Unlock()
-		}
-		sh.mu.Unlock()
-	}
+	s.Range(func(_ string, ks *KeyState) bool {
+		ks.mu.Lock()
+		ks.wal = w
+		ks.st.logging = true
+		ks.mu.Unlock()
+		return true
+	})
 }
 
 // Install creates a key with fully-formed state during recovery
@@ -474,18 +334,13 @@ func (s *Store) AttachWAL(w *WAL) {
 // key already exists — duplicate keys in a snapshot indicate
 // corruption the caller must surface, not merge.
 func (s *Store) Install(key string, st State, lsn uint64) (*KeyState, error) {
-	sh := s.shardFor(key)
 	st.Key = key
 	st.logging = s.wal != nil
 	ks := &KeyState{st: st, wal: s.wal, lastLSN: lsn}
-	sh.mu.Lock()
-	if _, dup := sh.findLocked(key); dup {
-		sh.mu.Unlock()
+	if _, dup := s.keys.LoadOrStore(key, ks); dup {
 		return nil, fmt.Errorf("store: install of existing key %q", key)
 	}
-	sh.addLocked(key, ks)
 	s.keyCount.Add(1)
-	sh.mu.Unlock()
 	return ks, nil
 }
 
@@ -500,25 +355,17 @@ func (s *Store) Keys() int { return int(s.keyCount.Load()) }
 // per-server storage gauge.
 func (s *Store) EntryCount() int {
 	total := 0
-	for i := range s.shards {
-		for _, ks := range s.shards[i].all() {
-			total += ks.Len()
-		}
-	}
+	s.Range(func(_ string, ks *KeyState) bool {
+		total += ks.Len()
+		return true
+	})
 	return total
 }
 
 // Range calls f for every key until f returns false. The iteration
-// order is unspecified. Range merges each shard and iterates the map it
-// publishes, which is immutable, so f runs with no lock held and may
-// call Update/View/Snapshot (or create keys) freely; keys created while
+// order is unspecified. f runs with no store lock held and may call
+// Update/View/Snapshot (or create keys) freely; keys created while
 // Range runs may or may not be visited.
 func (s *Store) Range(f func(key string, ks *KeyState) bool) {
-	for i := range s.shards {
-		for k, ks := range s.shards[i].all() {
-			if !f(k, ks) {
-				return
-			}
-		}
-	}
+	s.keys.Range(func(k, v any) bool { return f(k.(string), v.(*KeyState)) })
 }

@@ -98,39 +98,52 @@ func TestExtStateRoundTrips(t *testing.T) {
 	}
 }
 
+// TestCountsAndRange: after a small load and a bulk one, Get finds
+// every created key and no other, and Keys, EntryCount and Range count
+// them all.
 func TestCountsAndRange(t *testing.T) {
-	s := store.New()
-	for i := 0; i < 100; i++ {
-		ks := s.GetOrCreate(fmt.Sprintf("key-%d", i), wire.Config{Scheme: wire.FullReplication})
-		ks.Update(func(st *store.State) {
-			for j := 0; j <= i%3; j++ {
-				st.Set.Add(entry.Entry(fmt.Sprintf("v%d", j)))
+	for _, n := range []int{100, 5000} {
+		t.Run(fmt.Sprintf("keys=%d", n), func(t *testing.T) {
+			s := store.New()
+			for i := 0; i < n; i++ {
+				ks := s.GetOrCreate(fmt.Sprintf("key-%d", i), wire.Config{Scheme: wire.FullReplication})
+				ks.Update(func(st *store.State) {
+					for j := 0; j <= i%3; j++ {
+						st.Set.Add(entry.Entry(fmt.Sprintf("v%d", j)))
+					}
+				})
+			}
+			want := 0
+			for i := 0; i < n; i++ {
+				if _, ok := s.Get(fmt.Sprintf("key-%d", i)); !ok {
+					t.Fatalf("Get(key-%d) lost a created key", i)
+				}
+				want += i%3 + 1
+			}
+			if _, ok := s.Get("never-created"); ok {
+				t.Fatal("Get found a key nobody created")
+			}
+			if s.Keys() != n {
+				t.Fatalf("Keys = %d, want %d", s.Keys(), n)
+			}
+			if got := s.EntryCount(); got != want {
+				t.Fatalf("EntryCount = %d, want %d", got, want)
+			}
+			seen := 0
+			s.Range(func(key string, ks *store.KeyState) bool {
+				seen++
+				return true
+			})
+			if seen != n {
+				t.Fatalf("Range visited %d keys, want %d", seen, n)
+			}
+			// Early termination.
+			seen = 0
+			s.Range(func(string, *store.KeyState) bool { seen++; return seen < 10 })
+			if seen != 10 {
+				t.Fatalf("Range visited %d keys after stop, want 10", seen)
 			}
 		})
-	}
-	if s.Keys() != 100 {
-		t.Fatalf("Keys = %d, want 100", s.Keys())
-	}
-	want := 0
-	for i := 0; i < 100; i++ {
-		want += i%3 + 1
-	}
-	if got := s.EntryCount(); got != want {
-		t.Fatalf("EntryCount = %d, want %d", got, want)
-	}
-	seen := 0
-	s.Range(func(key string, ks *store.KeyState) bool {
-		seen++
-		return true
-	})
-	if seen != 100 {
-		t.Fatalf("Range visited %d keys, want 100", seen)
-	}
-	// Early termination.
-	seen = 0
-	s.Range(func(string, *store.KeyState) bool { seen++; return seen < 10 })
-	if seen != 10 {
-		t.Fatalf("Range visited %d keys after stop, want 10", seen)
 	}
 }
 
@@ -289,8 +302,8 @@ func TestEpochReadsAfterDemand(t *testing.T) {
 }
 
 // TestRangeDuringCreate pins that Range never blocks on (or crashes
-// under) concurrent key creation: the shard maps it iterates are
-// immutable published epochs.
+// under) concurrent key creation, and visits every key created before
+// it began.
 func TestRangeDuringCreate(t *testing.T) {
 	s := store.New()
 	for i := 0; i < 64; i++ {

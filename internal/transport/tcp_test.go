@@ -338,7 +338,8 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 
 func TestServerShutdownForcesHungConns(t *testing.T) {
 	started := make(chan struct{}, 1)
-	srv := NewServer(slowEcho{delay: 2 * time.Second, started: started})
+	// The handler outlives Shutdown's 100 ms deadline by 200 ms.
+	srv := NewServer(slowEcho{delay: 300 * time.Millisecond, started: started})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
