@@ -385,9 +385,9 @@ func runMembership(addrs []string, verb, arg string, viaProxy bool) error {
 	}
 	if m.Leaving >= 0 {
 		fmt.Printf("drained server %d: cluster now %d members at epoch %d (-servers %s)\n",
-			m.Leaving, m.NewN, m.Epoch, strings.Join(m.Addrs, ","))
+			m.Leaving, len(m.Addrs), m.Epoch, strings.Join(m.Addrs, ","))
 	} else {
-		fmt.Printf("joined %s as server %d: cluster now %d members at epoch %d\n", arg, m.OldN, m.NewN, m.Epoch)
+		fmt.Printf("joined %s as server %d: cluster now %d members at epoch %d\n", arg, len(m.Addrs)-1, len(m.Addrs), m.Epoch)
 	}
 	return nil
 }

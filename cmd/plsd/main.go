@@ -144,7 +144,7 @@ func serve(m *cluster.Member, joinVia, admin string, timeout time.Duration, drai
 		if err != nil {
 			return fmt.Errorf("join via %s: %w", joinVia, err)
 		}
-		fmt.Printf("plsd: joined as server %d/%d at epoch %d\n", m.Node.ID(), update.NewN, update.Epoch)
+		fmt.Printf("plsd: joined as server %d/%d at epoch %d\n", m.Node.ID(), len(update.Addrs), update.Epoch)
 	}
 	if admin != "" {
 		m.Registry.PublishExpvar("pls")

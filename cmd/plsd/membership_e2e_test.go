@@ -192,7 +192,7 @@ func TestMembershipScaleOutScaleInEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Leave(1): %v", err)
 	}
-	if up, ok := reply.(wire.MembershipUpdate); !ok || up.Leaving != 1 || up.NewN != 3 || up.Epoch != 2 {
+	if up, ok := reply.(wire.MembershipUpdate); !ok || up.Leaving != 1 || len(up.Addrs) != 3 || up.Epoch != 2 {
 		t.Fatalf("Leave(1) reply: %+v, want the committed update draining slot 1 at epoch 2", reply)
 	}
 

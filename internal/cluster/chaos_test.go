@@ -104,8 +104,7 @@ func TestDrainWindowPartitionFollowsAddresses(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			ctx := context.Background()
 			addrs := cl.Addrs()
-			u := wire.MembershipUpdate{Epoch: 1, OldN: n, NewN: n - 1, Leaving: leaving,
-				Addrs: slices.Delete(slices.Clone(addrs), leaving, leaving+1)}
+			u := wire.MembershipUpdate{Epoch: 1, Leaving: leaving, Addrs: slices.Delete(slices.Clone(addrs), leaving, leaving+1)}
 			for _, s := range []int{leaving, 0, 2, 3, 4} { // a coordinator's order
 				reply, err := cl.Caller().Call(ctx, s, u)
 				if err == nil {

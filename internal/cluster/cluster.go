@@ -338,10 +338,8 @@ func (c *Cluster) JoinAddr(ctx context.Context, addr string, rng *stats.RNG) (*n
 		}
 		addr = ln.Addr().String()
 	}
-	i, tp := len(c.members), c.topo
-	if tp != nil {
-		tp = tp.Grow(1)
-	}
+	i := len(c.members)
+	tp := c.topo.Resize(i+1, -1)
 	c.chaos.Add(addr, nil) // the sweeps reach the joiner through the network
 	c.chaos.SetTopology(tp)
 	m, err := c.start(i, rng, append(c.Addrs(), addr), ln, tp)
@@ -384,10 +382,8 @@ func (c *Cluster) Drain(ctx context.Context, i int) (*node.Node, error) {
 	}
 	m := c.members[i]
 	c.chaos.Remove(i)
-	if c.topo != nil {
-		c.topo = c.topo.Compact(i)
-		c.chaos.SetTopology(c.topo)
-	}
+	c.topo = c.topo.Resize(len(c.members)-1, i)
+	c.chaos.SetTopology(c.topo)
 	c.members = slices.Delete(c.members, i, i+1)
 	c.view.RemoveServer(i)
 	c.base = slices.Delete(c.base, i, i+1)

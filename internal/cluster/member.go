@@ -61,13 +61,14 @@ type Peers interface {
 // View is a holder's view of the cluster: Peers, the member addresses
 // its calls go to in slot order, and optionally the Selector scoring
 // them and the Node they carry. Its Grow and Compact are the one step
-// through which every holder applies a committed membership update:
-// each node, in process or listening, as its node.Host, and plsproxy
-// on its backend.
+// through which every holder applies a committed membership update to
+// its member list, selector and node id: each node, in process or
+// listening, as its node.Host, and plsproxy on its backend. A node
+// fits its own topology.
 type View struct {
 	Peers    Peers
 	Selector *selector.Selector // nil: nothing to resize
-	Node     *node.Node         // nil: no id or topology to follow
+	Node     *node.Node         // nil: no id to follow
 	left     chan struct{}      // closed once Node has committed its own drain
 	once     sync.Once
 }
@@ -202,49 +203,38 @@ func (m *Member) Drained() <-chan struct{} { return m.left }
 // Members returns the view's member addresses (node.Host).
 func (v *View) Members() []string { return v.Peers.Addrs() }
 
-// Grow runs before the node's sweep (node.Host): the node's topology is
-// fitted to the change, so the sweep plans spread homes under the
-// post-change membership, and a join's new members join the view, so
-// the sweep can address them. A view that has the post-change members
-// already, a joiner's or a fresh member's adopting the update, is left
-// alone.
+// Grow runs before the node's sweep (node.Host): a join's new members
+// join the view and the selector, so the sweep can address them. A
+// view that has the post-change members already, a joiner's or a
+// fresh member's adopting the update, is left alone.
 func (v *View) Grow(u wire.MembershipUpdate) {
 	have := v.Peers.NumServers()
-	if have == u.NewN {
-		return
-	}
-	if v.Node != nil && v.Node.Topology() != nil {
-		tp := v.Node.Topology().Grow(len(u.Joined))
-		if u.Leaving >= 0 {
-			tp = tp.Compact(u.Leaving)
-		}
-		v.Node.SetTopology(tp)
-	}
-	if u.Leaving >= 0 || len(u.Addrs) != u.NewN {
+	if u.Leaving >= 0 || have >= len(u.Addrs) {
 		return
 	}
 	for _, addr := range u.Addrs[have:] {
 		v.Peers.AddServer(addr)
 	}
 	if v.Selector != nil {
-		v.Selector.Resize(u.NewN)
+		v.Selector.Resize(len(u.Addrs))
 	}
 }
 
 // Compact drops a drain's member from the view after the node's sweep,
 // which addressed pre-drain slots, and renumbers the node — or, on the
-// leaver, closes Drained (node.Host). A view that already has NewN
-// members is left alone: a fresh member adopting the update has it.
+// leaver, closes Drained (node.Host). A view that already has the
+// post-change members is left alone: a fresh member adopting the
+// update has them.
 func (v *View) Compact(u wire.MembershipUpdate) {
 	switch {
-	case u.Leaving < 0 || v.Peers.NumServers() == u.NewN:
+	case u.Leaving < 0 || v.Peers.NumServers() == len(u.Addrs):
 	case v.Node != nil && v.Node.ID() == u.Leaving:
 		v.once.Do(func() { close(v.left) })
 	default:
 		// The selector first: its route cache holds pre-drain ids, which
 		// a call after RemoveServer would send to the renumbered slot.
 		if v.Selector != nil {
-			v.Selector.Resize(u.NewN)
+			v.Selector.Resize(len(u.Addrs))
 		}
 		v.Peers.RemoveServer(u.Leaving)
 		if v.Node != nil && v.Node.ID() > u.Leaving {

@@ -71,7 +71,7 @@ func TestSelectorHealthGaugesFollowMembership(t *testing.T) {
 	addrs := []string{ln.Addr().String(), "127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"}
 	m := newMember(t, ln, addrs[:3], cluster.MemberOptions{})
 
-	m.Grow(wire.MembershipUpdate{Epoch: 1, OldN: 3, NewN: 4, Joined: []int{3}, Leaving: -1, Addrs: addrs})
+	m.Grow(wire.MembershipUpdate{Epoch: 1, Leaving: -1, Addrs: addrs})
 	if got := m.Peers.Addrs(); !slices.Equal(got, addrs) {
 		t.Errorf("after the join the member's client lists %v, want %v", got, addrs)
 	}

@@ -247,8 +247,7 @@ func TestReplayedUpdateWaitsOffTheReader(t *testing.T) {
 	nd.SetHost(host)
 	client, _ := serveNode(t, nd)
 
-	u := wire.MembershipUpdate{Epoch: 1, OldN: 2, NewN: 3, Joined: []int{2}, Leaving: -1,
-		Addrs: []string{"a:1", "b:1", "c:1"}}
+	u := wire.MembershipUpdate{Epoch: 1, Leaving: -1, Addrs: []string{"a:1", "b:1", "c:1"}}
 	first := make(chan wire.Message, 1)
 	go func() { first <- nd.Handle(context.Background(), u) }()
 	<-host.growing // committed, its sweep not begun

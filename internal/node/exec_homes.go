@@ -30,11 +30,10 @@ type homesExec struct{}
 // alike), and by the plstest invariant checker. HomesFor is that
 // single point of truth. Spread is active only when the topology
 // covers exactly the member count of the view. A member fits its
-// topology to a transition before its rebalance sweep, so it plans
-// under the post-change topology; one that has not committed yet
-// evaluates a push under its pre-change topology, falls back to the
-// base assignment and refuses what that does not give it, and the
-// next epoch-gated repair sweep restores the copy.
+// topology to a transition when it commits it, before its rebalance
+// sweep, so it plans under the post-change topology; one that has not
+// committed yet judges a push under the topology the push's transition
+// fits (topo.Resize), so sender and receiver agree on the homes.
 //
 // Only these two schemes spread, because they are the ones whose y
 // copies of an entry can collapse into one failure domain (mod-n
@@ -63,8 +62,9 @@ func HomesFor(v string, cfg wire.Config, n int, tp *topo.Topology) []int {
 
 // spreadActive reports whether the zone-spread assignment applies: the
 // config asks for it and the topology covers exactly n members
-// (mid-join/drain a member that has not fitted its topology yet sees
-// the counts disagree and falls back to base assignment).
+// (mid-join/drain a member's live view and its topology are fitted at
+// different moments; while their counts disagree it falls back to base
+// assignment).
 func spreadActive(cfg wire.Config, n int, tp *topo.Topology) bool {
 	return cfg.ZoneSpread && tp != nil && tp.N() == n
 }

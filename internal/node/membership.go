@@ -25,91 +25,79 @@ import (
 //     entries are WAL-logged and a coordinator crash mid-rebalance
 //     recovers to a state the next sweep completes from.
 //
-// Rank space: plans are computed against the post-change membership.
-// During a drain the leaver is still physically attached (a member's
-// view drops its slot only after that member's own sweep), so a
-// post-change rank r maps to transport slot r when r < leaving and r+1
-// otherwise; during a join ranks and slots coincide. memberChange
-// carries the mapping.
+// Rank space: a node derives its post-change view from the update
+// alone. Its rank is its pre-change slot with the leaver's removed
+// (rankAfter), recorded at commit; the cluster size is len(Addrs); its
+// topology is fitted with topo.Resize. During a drain the leaver is
+// still physically attached (a member's view drops its slot only after
+// that member's own sweep), so a post-change rank r maps to transport
+// slot r when r < leaving and r+1 otherwise; during a join ranks and
+// slots coincide (transition.slotOf).
 
 // Host owns a node's own view of the member list (a cluster.View,
-// in process, in a wired cluster and in plsd alike). A node that
-// receives a wire.Join or wire.Leave coordinates the change from its
-// host's member list, and every node calls its host around its own
-// sweep of a committed update.
+// in process, in a wired cluster and in plsd alike): its transport
+// view and selector. A node that receives a wire.Join or wire.Leave
+// coordinates the change from its host's member list, and every node
+// calls its host around its own sweep of a committed update.
 type Host interface {
 	// Members returns the current member addresses, in slot order.
 	Members() []string
 	// Grow runs once before this node's rebalance sweep for m: a join's
-	// new slots must be addressable by then, and the node's topology
-	// must describe the post-change membership the sweep plans under.
+	// new slots must be addressable by then.
 	Grow(m wire.MembershipUpdate)
 	// Compact runs after this node's sweep for m, before it acks. The
-	// sweep addresses peers in pre-change slots, so a host with a
-	// transport view of its own drops a drain's slot, and renumbers the
-	// node with SetID, only here.
+	// sweep addresses peers in pre-change slots, so a host drops a
+	// drain's slot, and renumbers the node with SetID, only here.
 	Compact(m wire.MembershipUpdate)
 }
 
-// transition is the membership update a node committed last; swept
-// closes once its rebalance sweep has finished, with unfinished set if
-// that was a leaver's sweep some of whose messages went unanswered.
+// transition is the membership update a node committed last, with the
+// node's post-change rank, recorded at commit from its pre-change slot
+// (-1 on the leaver); swept closes once its rebalance sweep has
+// finished, with unfinished set if that was a leaver's sweep some of
+// whose messages went unanswered.
 type transition struct {
 	update     wire.MembershipUpdate
+	rank       int
 	swept      chan struct{}
 	unfinished bool
 }
 
-// memberChange is a committed transition in post-change rank space.
-type memberChange struct {
-	epoch   uint64
-	newN    int
-	leaving int // pre-change slot of the leaver, -1 for a join
-}
-
 // slotOf maps a post-change rank to the transport slot it occupies
 // while the transition is in flight (the leaver still attached).
-func (mc memberChange) slotOf(rank int) int {
-	if mc.leaving < 0 || rank < mc.leaving {
-		return rank
+func (t *transition) slotOf(rank int) int {
+	if l := t.update.Leaving; l >= 0 && rank >= l {
+		return rank + 1
 	}
-	return rank + 1
+	return rank
 }
 
-// rankOf maps a transport slot to its post-change rank; -1 for the
-// leaver, which has no place in the new membership.
-func (mc memberChange) rankOf(slot int) int {
-	if mc.leaving < 0 {
-		return slot
-	}
+// rankAfter maps pre-change slot id to its post-change rank under a
+// change whose leaver is leaving (-1 for a join): -1 for the leaver,
+// which has no place in the new membership, and higher slots shift
+// down by one.
+func rankAfter(id, leaving int) int {
 	switch {
-	case slot == mc.leaving:
+	case leaving < 0 || id < leaving:
+		return id
+	case id == leaving:
 		return -1
-	case slot < mc.leaving:
-		return slot
 	default:
-		return slot - 1
+		return id - 1
 	}
 }
 
+// validateMembershipUpdate refuses an update that names no member, an
+// empty address, or a leaver outside the pre-change slots
+// 0..len(Addrs).
 func validateMembershipUpdate(m wire.MembershipUpdate) error {
 	switch {
-	case m.OldN < 1 || m.NewN < 1:
-		return fmt.Errorf("node: membership update with empty cluster (oldN=%d newN=%d)", m.OldN, m.NewN)
-	case m.Leaving >= 0:
-		if m.Leaving >= m.OldN || m.NewN != m.OldN-1 || len(m.Joined) != 0 {
-			return fmt.Errorf("node: malformed leave update (oldN=%d newN=%d leaving=%d joined=%v)",
-				m.OldN, m.NewN, m.Leaving, m.Joined)
-		}
-	default:
-		if m.NewN != m.OldN+len(m.Joined) || len(m.Joined) == 0 {
-			return fmt.Errorf("node: malformed join update (oldN=%d newN=%d joined=%v)", m.OldN, m.NewN, m.Joined)
-		}
-		for i, s := range m.Joined {
-			if s != m.OldN+i {
-				return fmt.Errorf("node: join update with non-contiguous slots %v", m.Joined)
-			}
-		}
+	case len(m.Addrs) == 0:
+		return errors.New("node: membership update with no members")
+	case slices.Contains(m.Addrs, ""):
+		return fmt.Errorf("node: membership update with an empty address %q", m.Addrs)
+	case m.Leaving < -1 || m.Leaving > len(m.Addrs):
+		return fmt.Errorf("node: membership update leaving slot %d of %d", m.Leaving, len(m.Addrs)+1)
 	}
 	return nil
 }
@@ -125,8 +113,7 @@ var ErrMembershipConflict = errors.New("node: membership conflict")
 
 // sameTransition reports whether a and b commit the same change.
 func sameTransition(a, b wire.MembershipUpdate) bool {
-	return a.Epoch == b.Epoch && a.OldN == b.OldN && a.NewN == b.NewN && a.Leaving == b.Leaving &&
-		slices.Equal(a.Joined, b.Joined) && slices.Equal(a.Addrs, b.Addrs)
+	return a.Epoch == b.Epoch && a.Leaving == b.Leaving && slices.Equal(a.Addrs, b.Addrs)
 }
 
 // MembershipAckErr returns the error a member's reply to a
@@ -144,7 +131,8 @@ func MembershipAckErr(reply wire.Message) error {
 }
 
 // handleMembershipUpdate commits a transition on this member: adopt
-// the epoch, let the host grow its transport view, sweep every key
+// the epoch with its post-change rank, let the host grow its transport
+// view, fit the topology to the change, sweep every key
 // synchronously, let the host compact — the Ack tells the coordinator
 // this member has finished moving its share. A leaver whose sweep left
 // a message unanswered may hold the only copy of what it failed to hand
@@ -157,7 +145,7 @@ func (n *Node) handleMembershipUpdate(ctx context.Context, m wire.MembershipUpda
 	if err := validateMembershipUpdate(m); err != nil {
 		return wire.Ack{Err: err.Error()}
 	}
-	next := &transition{update: m, swept: make(chan struct{})}
+	next := &transition{update: m, rank: rankAfter(n.ID(), m.Leaving), swept: make(chan struct{})}
 	rerun := false
 	for {
 		cur := n.applied.Load()
@@ -172,8 +160,8 @@ func (n *Node) handleMembershipUpdate(ctx context.Context, m wire.MembershipUpda
 		}
 		c := cur.update
 		if !sameTransition(m, c) {
-			return wire.Ack{Err: fmt.Sprintf("%v: committed epoch %d oldN=%d newN=%d leaving=%d joined=%v, refused epoch %d oldN=%d newN=%d leaving=%d joined=%v",
-				ErrMembershipConflict, c.Epoch, c.OldN, c.NewN, c.Leaving, c.Joined, m.Epoch, m.OldN, m.NewN, m.Leaving, m.Joined)}
+			return wire.Ack{Err: fmt.Sprintf("%v: committed epoch %d leaving=%d addrs=%v, refused epoch %d leaving=%d addrs=%v",
+				ErrMembershipConflict, c.Epoch, c.Leaving, c.Addrs, m.Epoch, m.Leaving, m.Addrs)}
 		}
 		transport.Detach(ctx)
 		select {
@@ -192,10 +180,10 @@ func (n *Node) handleMembershipUpdate(ctx context.Context, m wire.MembershipUpda
 	if host != nil && !rerun { // a re-run's host has grown already
 		host.Grow(m)
 	}
-	mc := &memberChange{epoch: m.Epoch, newN: m.NewN, leaving: m.Leaving}
-	stats := n.sweep(ctx, mc, nil)
+	n.SetTopology(n.Topology().Resize(len(m.Addrs), m.Leaving))
+	stats := n.sweep(ctx, next, nil)
 	n.lastRebalance.Store(&stats)
-	if next.unfinished = mc.rankOf(n.ID()) < 0 && stats.Unanswered > 0; next.unfinished {
+	if next.unfinished = next.rank < 0 && stats.Unanswered > 0; next.unfinished {
 		close(next.swept)
 		return wire.Ack{Err: fmt.Sprintf("node: drain handoff: %d messages unanswered", stats.Unanswered)}
 	}
@@ -217,9 +205,7 @@ func (n *Node) handleJoin(ctx context.Context, m wire.Join) wire.Message {
 		case slices.Contains(addrs, m.Addr):
 			return wire.MembershipUpdate{}, fmt.Errorf("address %q is already a member", m.Addr)
 		}
-		oldN := len(addrs)
-		return wire.MembershipUpdate{OldN: oldN, NewN: oldN + 1, Joined: []int{oldN}, Leaving: -1,
-			Addrs: append(slices.Clip(addrs), m.Addr)}, nil
+		return wire.MembershipUpdate{Leaving: -1, Addrs: append(slices.Clip(addrs), m.Addr)}, nil
 	})
 }
 
@@ -234,8 +220,7 @@ func (n *Node) handleLeave(ctx context.Context, m wire.Leave) wire.Message {
 		case oldN == 1:
 			return wire.MembershipUpdate{}, errors.New("refusing to drain the last member")
 		}
-		return wire.MembershipUpdate{OldN: oldN, NewN: oldN - 1, Leaving: m.Server,
-			Addrs: slices.Delete(slices.Clone(addrs), m.Server, m.Server+1)}, nil
+		return wire.MembershipUpdate{Leaving: m.Server, Addrs: slices.Delete(slices.Clone(addrs), m.Server, m.Server+1)}, nil
 	})
 }
 
@@ -272,12 +257,15 @@ func (n *Node) coordinate(ctx context.Context, op string, build func(addrs []str
 // mis-address any slot contacted afterwards — and a joiner comes last:
 // this node's commit grows its view to address it.
 func (n *Node) commit(ctx context.Context, m wire.MembershipUpdate) error {
-	self := n.ID()
-	order := make([]int, 0, m.OldN+len(m.Joined))
+	self, oldN := n.ID(), len(m.Addrs)-1 // a join's joiner is the last address
+	if m.Leaving >= 0 {
+		oldN = len(m.Addrs) + 1
+	}
+	order := make([]int, 0, oldN+1)
 	if m.Leaving >= 0 {
 		order = append(order, m.Leaving)
 	}
-	for s := 0; s < m.OldN; s++ {
+	for s := 0; s < oldN; s++ {
 		if s != self && s != m.Leaving {
 			order = append(order, s)
 		}
@@ -285,7 +273,10 @@ func (n *Node) commit(ctx context.Context, m wire.MembershipUpdate) error {
 	if self != m.Leaving {
 		order = append(order, self)
 	}
-	for _, s := range append(order, m.Joined...) {
+	if m.Leaving < 0 {
+		order = append(order, oldN) // the joiner
+	}
+	for _, s := range order {
 		reply, err := n.callReply(ctx, s, m)
 		if err == nil {
 			err = MembershipAckErr(reply)
@@ -311,13 +302,12 @@ func (n *Node) host() Host {
 }
 
 // SetID renumbers the node after its host compacted a drain's slot away
-// (higher ids shift down by one). From then on, same-epoch rebalance
-// pushes still in flight from slower members treat this node's id as a
-// post-change rank (see handleRepairPush).
+// (higher ids shift down by one). Same-epoch rebalance pushes still in
+// flight from slower members are judged under the rank the node
+// recorded at commit, not this id (see handleRepairPush).
 func (n *Node) SetID(id int) {
 	n.peersMu.Lock()
 	n.id.Store(int64(id))
-	n.compactedEpoch.Store(n.MemberEpoch())
 	n.peersMu.Unlock()
 }
 

@@ -46,7 +46,11 @@ func TestRecoveryPreservesRebalance(t *testing.T) {
 	dc.durs = append(dc.durs, jd)
 	dirs = append(dirs, joinDir)
 
-	update := wire.MembershipUpdate{Epoch: 1, OldN: n, NewN: n + 1, Joined: []int{n}, Leaving: -1}
+	addrs := make([]string, n+1)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("sim://%d", i)
+	}
+	update := wire.MembershipUpdate{Epoch: 1, Leaving: -1, Addrs: addrs}
 	// Mid-rebalance crash window: the coordinator dies after only
 	// servers 0 and 1 committed the update. Their moves onto the joiner
 	// are acked, hence durable on both ends.

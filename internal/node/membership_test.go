@@ -557,9 +557,8 @@ func TestConflictingTransitionsUnderOneEpoch(t *testing.T) {
 	if _, err := h.cl.Drain(ctx, 4); err != nil {
 		t.Fatalf("Drain(4): %v", err)
 	}
-	won := wire.MembershipUpdate{Epoch: epoch + 1, OldN: 5, NewN: 4, Leaving: 4, Addrs: h.cl.Addrs()}
-	lost := wire.MembershipUpdate{Epoch: epoch + 1, OldN: 5, NewN: 4, Leaving: 2,
-		Addrs: append(append([]string(nil), addrs[:2]...), addrs[3:]...)}
+	won := wire.MembershipUpdate{Epoch: epoch + 1, Leaving: 4, Addrs: h.cl.Addrs()}
+	lost := wire.MembershipUpdate{Epoch: epoch + 1, Leaving: 2, Addrs: append(append([]string(nil), addrs[:2]...), addrs[3:]...)}
 	before := clusterSnapshot(h.cl, "k")
 
 	for s := 0; s < h.cl.N(); s++ {
@@ -695,9 +694,8 @@ func TestOlderEpochConflictRefused(t *testing.T) {
 		}
 	}
 	addrs := h.cl.Addrs()
-	stale := wire.MembershipUpdate{Epoch: 1, OldN: 6, NewN: 5, Leaving: 1,
-		Addrs: slices.Delete(slices.Clone(addrs), 1, 2)}
-	committed := wire.MembershipUpdate{Epoch: 2, OldN: 5, NewN: 6, Joined: []int{5}, Leaving: -1, Addrs: addrs}
+	stale := wire.MembershipUpdate{Epoch: 1, Leaving: 1, Addrs: slices.Delete(slices.Clone(addrs), 1, 2)}
+	committed := wire.MembershipUpdate{Epoch: 2, Leaving: -1, Addrs: addrs}
 	before := clusterSnapshot(h.cl, "k")
 	for s := 0; s < h.cl.N(); s++ {
 		if err := node.MembershipAckErr(h.call(s, stale)); !errors.Is(err, node.ErrMembershipConflict) {
@@ -734,7 +732,7 @@ func TestReplayAcksAfterSweep(t *testing.T) {
 	nd := node.New(0, stats.NewRNG(1))
 	host := blockingHost{entered: make(chan struct{}), release: make(chan struct{})}
 	nd.SetHost(host)
-	m := wire.MembershipUpdate{Epoch: 1, OldN: 1, NewN: 2, Joined: []int{1}, Leaving: -1}
+	m := wire.MembershipUpdate{Epoch: 1, Leaving: -1, Addrs: []string{"a:1", "b:1"}}
 	first, dup := make(chan wire.Message, 1), make(chan wire.Message, 1)
 	go func() { first <- nd.Handle(context.Background(), m) }()
 	<-host.entered

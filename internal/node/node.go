@@ -66,18 +66,12 @@ type Node struct {
 	// membership.go).
 	applied       atomic.Pointer[transition]
 	lastRebalance atomic.Pointer[SweepStats]
-	// compactedEpoch is the member epoch at this node's last SetID: its
-	// host has compacted that transition (the leaver removed, this node
-	// renumbered), so its id IS its post-change rank, and same-epoch
-	// rebalance pushes still in flight from slower members must not be
-	// mapped through rankOf again (see handleRepairPush).
-	compactedEpoch atomic.Uint64
 	// coordinating serializes the membership changes this node
 	// coordinates (see coordinate).
 	coordinating sync.Mutex
 
 	// topol, when set, is the node's copy of the cluster's zone
-	// topology, which its host fits to each membership change; the
+	// topology, which it fits to each membership change it commits; the
 	// zone-spread placement mode (wire.Config.ZoneSpread) resolves
 	// entry homes through it. Like Config.Seed, every member must hold
 	// the same topology or spread assignments diverge (DESIGN.md §6,

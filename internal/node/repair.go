@@ -184,10 +184,10 @@ func (r *Repairer) SweepOnce(ctx context.Context) SweepStats {
 // sweep is the one maintenance pass of repair and rebalance: every key
 // in sorted order (the store's Range order is unspecified, and
 // deterministic sweeps are what make the churn soak tests
-// reproducible), each run through sweepKey. mc is the committed
+// reproducible), each run through sweepKey. t is the committed
 // transition a rebalance carries, nil for a repair sweep; dead marks
 // the slots a repair sweep presumes dead.
-func (n *Node) sweep(ctx context.Context, mc *memberChange, dead []bool) SweepStats {
+func (n *Node) sweep(ctx context.Context, t *transition, dead []bool) SweepStats {
 	type keyRef struct {
 		key string
 		ks  *store.KeyState
@@ -199,12 +199,12 @@ func (n *Node) sweep(ctx context.Context, mc *memberChange, dead []bool) SweepSt
 	})
 	sort.Slice(keys, func(i, j int) bool { return keys[i].key < keys[j].key })
 	var stats SweepStats
-	if mc != nil {
-		stats.Epoch = mc.epoch
+	if t != nil {
+		stats.Epoch = t.update.Epoch
 	}
 	for _, k := range keys {
 		stats.Keys++
-		n.sweepKey(ctx, k.key, k.ks, mc, dead, &stats)
+		n.sweepKey(ctx, k.key, k.ks, t, dead, &stats)
 	}
 	return stats
 }
@@ -215,12 +215,13 @@ func (n *Node) sweep(ctx context.Context, mc *memberChange, dead []bool) SweepSt
 // confirmed, but only when the sweep carries a transition. A repair
 // sweep plans under the live view with presumed-dead targets skipped:
 // it restores missing copies, it never releases one. A rebalance plans
-// under mc's post-change view and addresses ranks through mc.slotOf.
+// under t's post-change view (the rank t recorded, len(Addrs) members,
+// the topology fitted at commit) and addresses ranks through t.slotOf.
 // Unconfirmed entries stay put: on a drain they ride out in the
 // leaver's final snapshot (the operator's escrow) rather than be
 // destroyed; a sole RandomServer-x copy on a leaver whose peers are
 // all at capacity is the concrete case.
-func (n *Node) sweepKey(ctx context.Context, key string, ks *store.KeyState, mc *memberChange, dead []bool, stats *SweepStats) {
+func (n *Node) sweepKey(ctx context.Context, key string, ks *store.KeyState, t *transition, dead []bool, stats *SweepStats) {
 	mv, slotOf := n.view(), func(rank int) int {
 		if rank < len(dead) && dead[rank] {
 			return -1
@@ -229,10 +230,10 @@ func (n *Node) sweepKey(ctx context.Context, key string, ks *store.KeyState, mc 
 	}
 	push := wire.RepairPush{Key: key}
 	var confirmed map[string]bool
-	if mc != nil {
-		mv = memberView{self: mc.rankOf(n.ID()), n: mc.newN, tp: n.Topology()}
-		slotOf = mc.slotOf
-		push.Epoch, push.NewN, push.Leaving = mc.epoch, mc.newN, mc.leaving
+	if t != nil {
+		mv = memberView{self: t.rank, n: len(t.update.Addrs), tp: n.Topology()}
+		slotOf = t.slotOf
+		push.Epoch, push.NewN, push.Leaving = t.update.Epoch, mv.n, t.update.Leaving
 		confirmed = make(map[string]bool)
 	}
 	v := viewKey(key, ks)
@@ -541,32 +542,32 @@ func (n *Node) handleRepairQuery(m wire.RepairQuery) wire.Message {
 
 // handleRepairPush applies one sweep's push. A repair push (NewN == 0)
 // is accepted under the live membership, a rebalance push under the
-// post-change view its transition self-describes. The epoch ordering is
-// deliberately loose in the forward direction: during a broadcast,
-// members that already swept push to members that have not yet seen
-// their own update, so a future epoch must be accepted; only pushes
-// from an epoch this member has already superseded are rejected.
+// post-change view of the transition it names, derived by one rule. A
+// push naming this member's committed epoch is judged under that
+// transition as committed: the rank recorded then, len(Addrs) members
+// and the topology fitted then, however far the host has renumbered
+// this member since. A push naming a later epoch comes from a member
+// that committed first: its NewN and Leaving apply to this member's
+// current id and topology, as its own commit will apply them. Pushes
+// from an epoch this member has superseded are refused, and so are
+// ones that leave it no rank or claim more than one new member (no
+// change this member can be part of).
 func (n *Node) handleRepairPush(m wire.RepairPush) wire.Message {
 	if m.NewN == 0 {
 		return n.acceptPush("repair", m, n.view())
 	}
-	if cur := n.MemberEpoch(); m.Epoch < cur {
-		return wire.RepairPushReply{Err: fmt.Sprintf("node: stale rebalance push (epoch %d < %d)", m.Epoch, cur)}
+	self, size, leaving := rankAfter(n.ID(), m.Leaving), m.NewN, m.Leaving
+	if cur := n.applied.Load(); cur != nil && m.Epoch <= cur.update.Epoch {
+		if m.Epoch < cur.update.Epoch {
+			return wire.RepairPushReply{Err: fmt.Sprintf("node: stale rebalance push (epoch %d < %d)", m.Epoch, cur.update.Epoch)}
+		}
+		self, size, leaving = cur.rank, len(cur.update.Addrs), cur.update.Leaving
 	}
-	// Once the host has compacted this epoch's transition, our id is
-	// already a post-change rank: mapping it through rankOf again would
-	// mis-rank us (or mistake us for the departed leaver) when a slower
-	// member's same-epoch push arrives after our renumbering.
-	compacted := m.Epoch > 0 && m.Epoch == n.compactedEpoch.Load()
-	if !compacted && m.Leaving >= 0 && n.ID() == m.Leaving {
+	switch {
+	case self < 0:
 		return wire.RepairPushReply{Err: "node: rebalance push addressed to the leaver"}
+	case self >= size || size > n.numServers()+1:
+		return wire.RepairPushReply{Err: fmt.Sprintf("node: rebalance push outside membership (rank %d of %d)", self, size)}
 	}
-	mv := memberView{self: n.ID(), n: m.NewN, tp: n.Topology()}
-	if !compacted {
-		mv.self = memberChange{leaving: m.Leaving}.rankOf(n.ID())
-	}
-	if mv.self < 0 || mv.self >= m.NewN {
-		return wire.RepairPushReply{Err: fmt.Sprintf("node: rebalance push outside membership (rank %d of %d)", mv.self, m.NewN)}
-	}
-	return n.acceptPush("rebalance", m, mv)
+	return n.acceptPush("rebalance", m, memberView{self: self, n: size, tp: n.Topology().Resize(size, leaving)})
 }

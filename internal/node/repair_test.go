@@ -268,9 +268,9 @@ func TestRepairPushAcceptanceRules(t *testing.T) {
 	})
 
 	// A push carrying a transition is refused when its epoch is stale,
-	// when it is addressed to the leaver, or when the receiver has no
-	// rank in it; one without a transition is repair, whatever the
-	// receiver's epoch.
+	// when it is addressed to the leaver, when the receiver has no rank
+	// in it, or when it claims more than one joiner; one without a
+	// transition is repair, whatever the receiver's epoch.
 	t.Run("rebalance-refusals", func(t *testing.T) {
 		h := newHarness(t, 4, 19)
 		cfg := wire.Config{Scheme: wire.FullReplication}
@@ -286,6 +286,7 @@ func TestRepairPushAcceptanceRules(t *testing.T) {
 			{"stale", "stale rebalance push", wire.RepairPush{Epoch: 0, NewN: 5, Leaving: -1}},
 			{"to-the-leaver", "rebalance push addressed to the leaver", wire.RepairPush{Epoch: 2, NewN: 4, Leaving: 3}},
 			{"outside-membership", "rebalance push outside membership", wire.RepairPush{Epoch: 2, NewN: 3, Leaving: -1}},
+			{"many-joiners", "rebalance push outside membership", wire.RepairPush{Epoch: 2, NewN: 1 << 40, Leaving: -1}},
 		} {
 			c.m.Key, c.m.Config, c.m.Entries = "k", cfg, []string{"w-" + c.name}
 			pr, ok := nd.Handle(ctx, c.m).(wire.RepairPushReply)

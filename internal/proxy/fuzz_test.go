@@ -28,7 +28,7 @@ func FuzzProxyFrame(f *testing.F) {
 		wire.Delete{Key: "k", Entry: "v"},
 		wire.PlaceBatch{Items: []wire.Place{{Key: "b", Entries: []string{"v", ""}}}},
 		wire.AddBatch{Items: []wire.Add{{Key: "b", Entry: "v"}}},
-		wire.MembershipUpdate{Epoch: 3, OldN: 4, NewN: 5, Joined: []int{4}, Leaving: -1, Addrs: []string{"h:1"}},
+		wire.MembershipUpdate{Epoch: 3, Leaving: -1, Addrs: []string{"h:1", "h:2", "h:3", "h:4", "h:5"}},
 		wire.Join{Addr: "h:1"},
 		wire.Leave{Server: 2},
 		wire.Dump{Key: "k"},

@@ -522,7 +522,7 @@ func TestMembershipEpochFlushesCache(t *testing.T) {
 		t.Fatalf("cache len = %d, want 2", rig.p.CacheLen())
 	}
 
-	up := wire.MembershipUpdate{Epoch: 1, OldN: 4, NewN: 4, Leaving: -1}
+	up := wire.MembershipUpdate{Epoch: 1, Leaving: -1, Addrs: []string{"h:1", "h:2", "h:3", "h:4"}}
 	if a := rig.p.Handle(context.Background(), up).(wire.Ack); a.Err != "" {
 		t.Fatal(a.Err)
 	}
@@ -579,13 +579,10 @@ func (f *fakeCoordinator) Call(_ context.Context, _ int, msg wire.Message) (wire
 	switch m := msg.(type) {
 	case wire.Join:
 		f.epoch++
-		return wire.MembershipUpdate{
-			Epoch: f.epoch, OldN: f.n, NewN: f.n + 1,
-			Joined: []int{f.n}, Leaving: -1,
-		}, nil
+		return wire.MembershipUpdate{Epoch: f.epoch, Leaving: -1, Addrs: make([]string, f.n+1)}, nil
 	case wire.Leave:
 		f.epoch++
-		return wire.MembershipUpdate{Epoch: f.epoch, OldN: f.n, NewN: f.n - 1, Leaving: m.Server}, nil
+		return wire.MembershipUpdate{Epoch: f.epoch, Leaving: m.Server, Addrs: make([]string, f.n-1)}, nil
 	}
 	return wire.Ack{Err: "fakeCoordinator: unexpected kind"}, nil
 }
@@ -604,7 +601,7 @@ func TestForwardedMaintenanceUpdatesProxyView(t *testing.T) {
 		Maintenance: coord,
 		OnMembership: func(m wire.MembershipUpdate) {
 			notified = append(notified, m)
-			coord.setN(m.NewN)
+			coord.setN(len(m.Addrs))
 		},
 	})
 	ctx := context.Background()
@@ -615,8 +612,8 @@ func TestForwardedMaintenanceUpdatesProxyView(t *testing.T) {
 	}
 
 	reply := rig.p.Handle(ctx, wire.Join{Addr: "127.0.0.1:7999"})
-	if up, ok := reply.(wire.MembershipUpdate); !ok || up.NewN != 5 {
-		t.Fatalf("join reply = %#v, want MembershipUpdate with NewN=5", reply)
+	if up, ok := reply.(wire.MembershipUpdate); !ok || len(up.Addrs) != 5 {
+		t.Fatalf("join reply = %#v, want MembershipUpdate with 5 members", reply)
 	}
 	if rig.p.CacheLen() != 0 {
 		t.Fatal("cache survived a forwarded join")
@@ -645,7 +642,7 @@ func TestForwardedMaintenanceUpdatesProxyView(t *testing.T) {
 	if rig.p.MemberEpoch() != 3 {
 		t.Fatalf("member epoch = %d, want the coordinator's 3", rig.p.MemberEpoch())
 	}
-	if len(notified) != 2 || notified[1].Leaving != 2 || notified[1].NewN != 4 {
+	if len(notified) != 2 || notified[1].Leaving != 2 || len(notified[1].Addrs) != 4 {
 		t.Fatalf("drain callback saw %v", notified)
 	}
 	if rig.m.EpochFlushes.Value() != 2 {

@@ -75,9 +75,9 @@ type rack struct {
 
 func (r rack) path() string { return r.region + "/" + r.dc + "/" + r.name }
 
-// Topology is a zone tree plus server assignment. It is a value: Grow
-// and Compact return a new topology for its holder to install, so one
-// shared between goroutines is never written and needs no lock.
+// Topology is a zone tree plus server assignment. It is a value: Resize
+// returns a new topology for its holder to install, so one shared
+// between goroutines is never written and needs no lock.
 type Topology struct {
 	racks   []rack
 	assign  []int   // server id -> rack index
@@ -414,32 +414,32 @@ func (t *Topology) Zones(depth int) []string {
 	return out
 }
 
-// Grow returns the topology with k new servers (taking the next ids)
-// assigned to the least-populated racks, lowest rack index first —
-// deterministic, so every member of a cluster that grows its own
-// topology computes the same assignment.
-func (t *Topology) Grow(k int) *Topology {
+// Resize returns the topology fitted to a cluster of n servers: without
+// server leaving's assignment, higher ids shifted down by one (slot
+// compaction after a drain), when leaving is one of its servers; then
+// with new servers taking the next ids, each assigned to the
+// least-populated rack, lowest rack index first, until it covers n. It
+// is deterministic, so every member of a cluster that fits its own
+// topology to a change computes the same one. A topology that covers n
+// servers already is returned as is, and nil stays nil.
+func (t *Topology) Resize(n, leaving int) *Topology {
+	if t == nil || len(t.assign) == n {
+		return t
+	}
 	g := *t
 	g.assign = slices.Clone(t.assign)
-	for i := 0; i < k; i++ {
-		best, bestLen := 0, -1
+	if leaving >= 0 && leaving < len(g.assign) {
+		g.assign = slices.Delete(g.assign, leaving, leaving+1)
+		g.rebuild()
+	}
+	for len(g.assign) < n {
+		best := 0
 		for ri := range g.racks {
-			if bestLen == -1 || len(g.members[ri]) < bestLen {
-				best, bestLen = ri, len(g.members[ri])
+			if len(g.members[ri]) < len(g.members[best]) {
+				best = ri
 			}
 		}
 		g.assign = append(g.assign, best)
-		g.rebuild()
-	}
-	return &g
-}
-
-// Compact returns the topology without one server's assignment, higher
-// ids shifted down by one, mirroring slot compaction after a drain.
-func (t *Topology) Compact(server int) *Topology {
-	g := *t
-	if server >= 0 && server < len(t.assign) {
-		g.assign = slices.Delete(slices.Clone(t.assign), server, server+1)
 		g.rebuild()
 	}
 	return &g

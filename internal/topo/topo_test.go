@@ -153,30 +153,46 @@ func TestSpreadAssignDeterministic(t *testing.T) {
 	}
 }
 
-func TestGrowCompact(t *testing.T) {
-	tp, err := Uniform(2, 1, 1, 4)
+// TestResize pins Resize to the assignments a join and a drain have
+// always produced: a joiner takes the least-populated rack, lowest rack
+// index first, and a leaver's higher ids shift down by one.
+func TestResize(t *testing.T) {
+	var none *Topology
+	if none.Resize(4, -1) != nil {
+		t.Fatal("Resize of a nil topology is not nil")
+	}
+	small, err := Uniform(2, 1, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grown := tp.Grow(2)
-	if grown.N() != 6 || tp.N() != 4 {
-		t.Fatalf("N=%d after Grow(2) and %d before, want 6 and 4: a topology is a value", grown.N(), tp.N())
+	tree, err := Parse("2x2x2", 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	tp = grown
-	// Growth balances: 6 servers over 2 racks -> 3 each.
-	for _, z := range tp.Zones(3) {
-		if got := len(tp.ZoneMembers(z)); got != 3 {
-			t.Fatalf("rack %s has %d members after grow, want 3", z, got)
+	if small.Resize(4, 2) != small {
+		t.Fatal("Resize to the size a topology covers already is not the identity")
+	}
+	for _, c := range []struct {
+		name       string
+		tp         *Topology
+		n, leaving int
+		want       string
+	}{
+		{"join two", small, 6, -1, "r0/d0/k0=0,2,4;r1/d0/k0=1,3,5"},
+		{"join then drain 0", small.Resize(6, -1), 5, 0, "r0/d0/k0=1,3;r1/d0/k0=0,2,4"},
+		{"join one", tree, 9, -1, "r0/d0/k0=0,8;r0/d0/k1=1;r0/d1/k0=2;r0/d1/k1=3;r1/d0/k0=4;r1/d0/k1=5;r1/d1/k0=6;r1/d1/k1=7"},
+		{"join three", tree, 11, -1, "r0/d0/k0=0,8;r0/d0/k1=1,9;r0/d1/k0=2,10;r0/d1/k1=3;r1/d0/k0=4;r1/d0/k1=5;r1/d1/k0=6;r1/d1/k1=7"},
+		{"drain 2", tree, 7, 2, "r0/d0/k0=0;r0/d0/k1=1;r0/d1/k1=2;r1/d0/k0=3;r1/d0/k1=4;r1/d1/k0=5;r1/d1/k1=6"},
+		{"join then drain 2", tree.Resize(9, -1), 8, 2, "r0/d0/k0=0,7;r0/d0/k1=1;r0/d1/k1=2;r1/d0/k0=3;r1/d0/k1=4;r1/d1/k0=5;r1/d1/k1=6"},
+	} {
+		before := c.tp.Spec()
+		got := c.tp.Resize(c.n, c.leaving)
+		if got.N() != c.n || got.Spec() != c.want {
+			t.Errorf("%s: Resize(%d, %d) = %d servers %q, want %d %q", c.name, c.n, c.leaving, got.N(), got.Spec(), c.n, c.want)
 		}
-	}
-	zoneOf5 := tp.ZoneOf(5)
-	tp = tp.Compact(0)
-	if tp.N() != 5 {
-		t.Fatalf("N=%d after Compact, want 5", tp.N())
-	}
-	// Higher ids shifted down: old server 5 is now 4, same zone.
-	if tp.ZoneOf(4) != zoneOf5 {
-		t.Fatalf("compaction broke renumbering: %q != %q", tp.ZoneOf(4), zoneOf5)
+		if c.tp.Spec() != before {
+			t.Errorf("%s: Resize modified its input: %q, was %q", c.name, c.tp.Spec(), before)
+		}
 	}
 }
 

@@ -198,9 +198,6 @@ func AppendEncode(dst []byte, msg Message) []byte {
 		e.uvarint(uint64(m.Server))
 	case MembershipUpdate:
 		e.uvarint(m.Epoch)
-		e.uvarint(uint64(m.OldN))
-		e.uvarint(uint64(m.NewN))
-		e.ints(m.Joined)
 		// Leaving is -1 when the change is a pure join; shift by one so
 		// the wire value stays a uvarint.
 		e.uvarint(uint64(m.Leaving + 1))
@@ -362,10 +359,7 @@ func decode(data []byte) (Message, error) {
 		msg = Leave{Server: d.intval()}
 	case KindMembershipUpdate:
 		// Leaving travels shifted by one (see AppendEncode).
-		msg = MembershipUpdate{
-			Epoch: d.uvarint(), OldN: d.intval(), NewN: d.intval(),
-			Joined: d.ints(), Leaving: d.intval() - 1, Addrs: d.strs(),
-		}
+		msg = MembershipUpdate{Epoch: d.uvarint(), Leaving: d.intval() - 1, Addrs: d.strs()}
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknown, kind)
 	}
@@ -419,13 +413,6 @@ func (e *encoder) uints(vs []uint64) {
 	e.uvarint(uint64(len(vs)))
 	for _, v := range vs {
 		e.uvarint(v)
-	}
-}
-
-func (e *encoder) ints(vs []int) {
-	e.uvarint(uint64(len(vs)))
-	for _, v := range vs {
-		e.uvarint(uint64(v))
 	}
 }
 
@@ -567,18 +554,6 @@ func (d *decoder) uints() []uint64 {
 	out := make([]uint64, 0, min(n, 1024))
 	for i := 0; i < n && d.err == nil; i++ {
 		out = append(out, d.uvarint())
-	}
-	return out
-}
-
-func (d *decoder) ints() []int {
-	n := d.listLen()
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, 0, min(n, 1024))
-	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, d.intval())
 	}
 	return out
 }

@@ -74,11 +74,8 @@ func allMessages() []Message {
 		RepairPushReply{Err: "not my partition"},
 		Join{Addr: "10.0.0.7:7421"},
 		Leave{Server: 3},
-		MembershipUpdate{
-			Epoch: 4, OldN: 5, NewN: 6, Joined: []int{5}, Leaving: -1,
-			Addrs: []string{"a:1", "b:2", "c:3", "d:4", "e:5", "f:6"},
-		},
-		MembershipUpdate{Epoch: 5, OldN: 6, NewN: 5, Leaving: 2},
+		MembershipUpdate{Epoch: 4, Leaving: -1, Addrs: []string{"a:1", "b:2", "c:3", "d:4", "e:5", "f:6"}},
+		MembershipUpdate{Epoch: 5, Leaving: 2, Addrs: []string{"a:1", "b:2", "d:4", "e:5", "f:6"}},
 		RepairPush{
 			Key: "k", Config: cfg, Entries: []string{"v1", "v2"},
 			Positions: []uint64{0, 3}, HasPos: true, HCount: 9,

@@ -582,8 +582,8 @@ type RepairPushReply struct {
 // Join announces a new server to any existing member, which acts as
 // the membership coordinator for this change: it assigns the next
 // slot and commits the matching MembershipUpdate on every member. The
-// reply is that MembershipUpdate (carrying the joiner's slot as the
-// sole Joined element and the full address list) or an Ack with Err.
+// reply is that MembershipUpdate (the full address list, the joiner's
+// last) or an Ack with Err.
 type Join struct {
 	Addr string
 }
@@ -601,15 +601,13 @@ type Leave struct {
 // MembershipUpdate is the coordinator's commit of one member-list
 // change, sent to every member. Epoch is the post-change version; a
 // receiver acks its committed update again as a replay and refuses any
-// other at or below its epoch. Joined lists slots added at this epoch;
-// Leaving is the slot draining out, -1 if none. Addrs is the
-// post-change member address list. Handling the update runs the
+// other at or below its epoch. Addrs is the post-change member address
+// list, so the new cluster size is len(Addrs). Leaving is the
+// pre-change slot draining out, or -1 for a join, whose joiner is the
+// last address (one change per epoch). Handling the update runs the
 // receiver's rebalance sweep; the Ack reply means the sweep finished.
 type MembershipUpdate struct {
 	Epoch   uint64
-	OldN    int
-	NewN    int
-	Joined  []int
 	Leaving int
 	Addrs   []string
 }
