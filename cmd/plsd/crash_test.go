@@ -97,7 +97,7 @@ func startCluster(t *testing.T, bin, fsync string, addrs, dirs []string) []*daem
 	ds := make([]*daemon, len(addrs))
 	for i := range addrs {
 		cmd := exec.Command(bin,
-			"-id", strconv.Itoa(i),
+			"-listen", addrs[i],
 			"-peers", peers,
 			"-seed", strconv.FormatUint(crashSeed+uint64(i), 10),
 			"-data-dir", dirs[i],

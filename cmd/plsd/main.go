@@ -1,12 +1,13 @@
 // Command plsd runs one partial-lookup server daemon over TCP.
 //
 // A cluster is a set of plsd processes sharing the same ordered peer
-// list; each daemon is told its own index. Example 3-server cluster on
-// one machine:
+// list; each daemon finds itself in it by its -listen address. Example
+// 3-server cluster on one machine:
 //
-//	plsd -id 0 -peers 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003 &
-//	plsd -id 1 -peers 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003 &
-//	plsd -id 2 -peers 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003 &
+//	P=127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003
+//	plsd -listen 127.0.0.1:7001 -peers $P &
+//	plsd -listen 127.0.0.1:7002 -peers $P &
+//	plsd -listen 127.0.0.1:7003 -peers $P &
 //
 // Clients (plsctl, or core.Service over transport.NewClient) then
 // place keys and perform partial lookups against any server.
@@ -17,9 +18,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
@@ -41,16 +42,15 @@ func main() {
 
 func run() error {
 	var (
-		id      = flag.Int("id", 0, "this server's index into the peer list")
 		peers   = flag.String("peers", "127.0.0.1:7001", "comma-separated ordered list of all server addresses (including this one)")
-		listen  = flag.String("listen", "", "listen address (default: the peer entry for -id)")
+		listen  = flag.String("listen", "", "this server's -peers entry, which it listens on (may be left out when -peers has one entry)")
 		admin   = flag.String("admin", "", "admin/debug HTTP listen address serving /metrics, /healthz, and /debug/pprof/ (empty = disabled)")
 		seed    = flag.Uint64("seed", 0, "RNG seed for answer sampling (0 = derived from time)")
 		timeout = flag.Duration("peer-timeout", 5*time.Second, "peer RPC timeout")
 		retries = flag.Int("peer-retries", 1, "attempts per peer RPC before reporting the peer down")
 
 		// Dynamic membership: joining at start, draining at shutdown.
-		joinVia         = flag.String("join", "", "existing member address to request admission from at startup (this daemon's -peers entry must be the last slot)")
+		joinVia         = flag.String("join", "", "existing member address to request admission from at startup (-listen must be the last -peers entry)")
 		drainOnShutdown = flag.Bool("drain-on-shutdown", false, "on shutdown, gracefully drain out of the cluster (rebalance entries to survivors) before exiting")
 
 		// Zone topology: the same spec on every daemon, like -peers. It
@@ -77,11 +77,9 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("-peers: %w", err)
 	}
-	if *id < 0 || *id >= len(addrs) {
-		return fmt.Errorf("-id %d out of range for %d peers", *id, len(addrs))
-	}
-	if *joinVia != "" && *id != len(addrs)-1 {
-		return fmt.Errorf("-join requires this daemon to be the last -peers entry (got -id %d of %d)", *id, len(addrs))
+	id, err := rank(*listen, addrs, *joinVia != "")
+	if err != nil {
+		return err
 	}
 	if *seed == 0 {
 		*seed = uint64(time.Now().UnixNano())
@@ -94,14 +92,9 @@ func run() error {
 		if o.Topology, err = topo.Parse(*topoSpec, len(addrs)); err != nil {
 			return fmt.Errorf("-topology: %w", err)
 		}
-		fmt.Printf("plsd: zone topology %d racks, this server in %s\n", o.Topology.NumRacks(), o.Topology.ZoneOf(*id))
+		fmt.Printf("plsd: zone topology %d racks, this server in %s\n", o.Topology.NumRacks(), o.Topology.ZoneOf(id))
 	}
-	if *listen != "" {
-		if o.Listener, err = net.Listen("tcp", *listen); err != nil {
-			return err
-		}
-	}
-	m, err := cluster.NewMember(*id, stats.NewRNG(*seed), addrs, *dataDir, o)
+	m, err := cluster.NewMember(id, stats.NewRNG(*seed), addrs, *dataDir, o)
 	if err != nil {
 		return err
 	}
@@ -113,7 +106,7 @@ func run() error {
 	if *repairInterval > 0 {
 		fmt.Printf("plsd: anti-entropy repair sweeping every %v\n", *repairInterval)
 	}
-	fmt.Printf("plsd: server %d/%d listening on %s\n", *id, len(addrs), m.Addr)
+	fmt.Printf("plsd: server %d/%d listening on %s\n", id, len(addrs), m.Addr)
 	err = serve(m, *joinVia, *admin, *timeout, *drainOnShutdown)
 	// Graceful shutdown: stop accepting and drain in-flight requests
 	// first — every ack we have sent must reach the log before the final
@@ -130,6 +123,30 @@ func run() error {
 	return err
 }
 
+// rank returns this daemon's index in addrs: its -listen address's
+// entry, which addrs must list once. With a single entry -listen may be
+// left out; a daemon that joins must be the last entry.
+func rank(listen string, addrs []string, join bool) (int, error) {
+	for i, a := range addrs {
+		if slices.Contains(addrs[i+1:], a) {
+			return 0, fmt.Errorf("-peers lists %s twice", a)
+		}
+	}
+	id := slices.Index(addrs, listen)
+	switch {
+	case listen == "" && len(addrs) == 1:
+		id = 0
+	case listen == "":
+		return 0, fmt.Errorf("-listen is required to find this daemon among %d -peers entries", len(addrs))
+	case id < 0:
+		return 0, fmt.Errorf("-listen %s is not a -peers entry", listen)
+	}
+	if join && id != len(addrs)-1 {
+		return 0, fmt.Errorf("-join requires -listen to be the last -peers entry (it is entry %d of %d)", id, len(addrs))
+	}
+	return id, nil
+}
+
 // serve runs the listening member m until a signal or its own drain:
 // it joins the cluster through joinVia if set, serves -admin, and on a
 // signal drains out first if drainOnShutdown.
@@ -139,7 +156,8 @@ func serve(m *cluster.Member, joinVia, admin string, timeout time.Duration, drai
 		// Scale-out: ask an existing member to admit us. We must be
 		// listening already — the coordinator's commit streams our share
 		// of every key at us before the reply arrives.
-		self := m.Members()[m.Node.ID()]
+		v := m.Node.View()
+		self := v.Addrs[v.Self]
 		update, err := cliutil.CommitMembership(context.Background(), joinVia, wire.Join{Addr: self}, timeout)
 		if err != nil {
 			return fmt.Errorf("join via %s: %w", joinVia, err)

@@ -33,7 +33,7 @@ func startJoiner(t *testing.T, bin string, allAddrs []string, dir, coordinator s
 	t.Helper()
 	id := len(allAddrs) - 1
 	cmd := exec.Command(bin,
-		"-id", strconv.Itoa(id),
+		"-listen", allAddrs[id],
 		"-peers", strings.Join(allAddrs, ","),
 		"-seed", strconv.FormatUint(crashSeed+uint64(id), 10),
 		"-data-dir", dir,

@@ -36,6 +36,7 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/node"
 	"repro/internal/proxy"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -144,7 +145,7 @@ func newProxy(reg *telemetry.Registry, addrs []string, o frontOptions) (*proxy.P
 	if err != nil {
 		return nil, nil, err
 	}
-	view := cluster.NewView(st.Client, st.Selector, nil)
+	view := cluster.NewView(st.Client, st.Selector)
 	px := proxy.New(st.Service, proxy.Options{
 		CacheEntries: o.cacheEntries,
 		TTL:          o.cacheTTL,
@@ -154,8 +155,7 @@ func newProxy(reg *telemetry.Registry, addrs []string, o frontOptions) (*proxy.P
 		// flushed its cache before this applies it to the client's
 		// member list and selector, through the step a member takes.
 		OnMembership: func(m wire.MembershipUpdate) {
-			view.Grow(m)
-			view.Compact(m)
+			view.Apply(node.View{Epoch: m.Epoch, Addrs: m.Addrs, Self: -1})
 		},
 	})
 	reg.NewGaugeFunc("proxy.cache_entries", func() int64 { return int64(px.CacheLen()) })

@@ -352,7 +352,7 @@ func (c *Cluster) JoinAddr(ctx context.Context, addr string, rng *stats.RNG) (*n
 		return nil, errors.Join(err, m.Close(ctx))
 	}
 	c.members = append(c.members, m)
-	c.view.AddServer(addr)
+	c.view.SetAddrs(append(c.Addrs(), addr))
 	c.base = append(c.base, 0)
 	c.topo = tp
 	// New failure picture (one more member): epoch-gated repair must
@@ -385,7 +385,7 @@ func (c *Cluster) Drain(ctx context.Context, i int) (*node.Node, error) {
 	c.topo = c.topo.Resize(len(c.members)-1, i)
 	c.chaos.SetTopology(c.topo)
 	c.members = slices.Delete(c.members, i, i+1)
-	c.view.RemoveServer(i)
+	c.view.SetAddrs(slices.Delete(c.Addrs(), i, i+1))
 	c.base = slices.Delete(c.base, i, i+1)
 	c.err = errors.Join(c.err, m.Close(ctx)) // a log keeps the escrow
 	c.epoch.Add(1)
@@ -427,12 +427,10 @@ func (c *Cluster) start(i int, rng *stats.RNG, addrs []string, ln net.Listener, 
 		m, err = NewMember(i, rng, addrs, dir, MemberOptions{Listener: ln, Fsync: store.SyncNever, Topology: tp, Chaos: c.chaos})
 	}
 	if m == nil {
-		nd := node.New(i, rng)
 		peers := c.chaos.View(addrs[i], addrs)
-		nd.Attach(peers)
-		nd.SetTopology(tp)
-		m = &Member{View: NewView(peers, nil, nd), Addr: addrs[i]}
-		nd.SetHost(m.View)
+		m = &Member{View: NewView(peers, nil), Node: node.New(i, rng), Addr: addrs[i]}
+		m.pin = func() transport.Caller { return peers.Pin() }
+		m.Node.SetHost(m.View, node.View{Addrs: addrs, Self: i, Topology: tp})
 	}
 	c.chaos.Bind(i, m.Node)
 	if c.nm != nil {

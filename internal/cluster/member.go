@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,7 +17,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/topo"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // MemberOptions shape a member beyond its id, RNG, member list and data
@@ -40,6 +40,7 @@ type MemberOptions struct {
 // of the network alone.
 type Member struct {
 	*View
+	Node       *node.Node
 	Durability *node.Durability // nil for a volatile member
 	Addr       string           // where the server listens
 	Registry   *telemetry.Registry
@@ -48,34 +49,34 @@ type Member struct {
 	repairer *node.Repairer
 }
 
-// Peers is the member list a View resizes: a member's mux client, or an
-// in-process member's view of the network (transport.Chaos.View).
+// Peers is the member list a View re-lists: a member's mux client, or
+// an in-process member's view of the network (transport.Chaos.View).
 type Peers interface {
 	transport.Caller
 	Addrs() []string
-	AddServer(addr string) int
-	RemoveServer(server int)
+	SetAddrs(addrs []string)
 	Close() error
 }
 
 // View is a holder's view of the cluster: Peers, the member addresses
-// its calls go to in slot order, and optionally the Selector scoring
-// them and the Node they carry. Its Grow and Compact are the one step
-// through which every holder applies a committed membership update to
-// its member list, selector and node id: each node, in process or
-// listening, as its node.Host, and plsproxy on its backend. A node
-// fits its own topology.
+// its calls go to in rank order, and optionally the Selector scoring
+// them. Its Apply is the one step through which every holder applies a
+// committed membership view to its member list and selector: each
+// node, in process or listening, as its node.Host, and plsproxy on its
+// backend. A node fits its own topology.
 type View struct {
 	Peers    Peers
 	Selector *selector.Selector // nil: nothing to resize
-	Node     *node.Node         // nil: no id to follow
-	left     chan struct{}      // closed once Node has committed its own drain
-	once     sync.Once
+	// pin, set for a node's view, returns the caller the node reaches
+	// Peers' current list through, numbered so for good (node.Host).
+	pin  func() transport.Caller
+	left chan struct{} // closed once the node has committed its own drain
+	once sync.Once
 }
 
-// NewView returns the view over peers; sel and nd may be nil.
-func NewView(peers Peers, sel *selector.Selector, nd *node.Node) *View {
-	return &View{Peers: peers, Selector: sel, Node: nd, left: make(chan struct{})}
+// NewView returns the view over peers; sel may be nil.
+func NewView(peers Peers, sel *selector.Selector) *View {
+	return &View{Peers: peers, Selector: sel, left: make(chan struct{})}
 }
 
 // NewMember builds member id of the cluster at addrs and starts it
@@ -85,8 +86,9 @@ func NewMember(id int, rng *stats.RNG, addrs []string, dataDir string, o MemberO
 	if id < 0 || id >= len(addrs) {
 		return nil, fmt.Errorf("cluster: member %d out of range for %d addresses", id, len(addrs))
 	}
-	m := &Member{View: NewView(nil, nil, node.New(id, rng)), Registry: telemetry.NewRegistry()}
+	m := &Member{Node: node.New(id, rng), Registry: telemetry.NewRegistry()}
 	nd, reg := m.Node, m.Registry
+	m.View = m.peers(id, addrs, o)
 	fail := func(err error) (*Member, error) {
 		if o.Listener != nil {
 			o.Listener.Close()
@@ -94,7 +96,6 @@ func NewMember(id int, rng *stats.RNG, addrs []string, dataDir string, o MemberO
 		return nil, errors.Join(err, m.Close(context.Background()))
 	}
 	nd.Instrument(telemetry.NewNodeMetrics(reg, len(addrs)))
-	nd.SetTopology(o.Topology)
 	reg.NewGaugeFunc("node.entries", func() int64 { return int64(nd.EntryCount()) })
 	reg.NewGaugeFunc("node.keys", func() int64 { return int64(nd.KeyCount()) })
 	if dataDir != "" {
@@ -106,8 +107,7 @@ func NewMember(id int, rng *stats.RNG, addrs []string, dataDir string, o MemberO
 			return fail(fmt.Errorf("recover %s: %w", dataDir, err))
 		}
 	}
-	nd.Attach(m.peers(addrs, o))
-	nd.SetHost(m.View)
+	nd.SetHost(m.View, node.View{Addrs: addrs, Self: id, Topology: o.Topology})
 	if o.RepairInterval > 0 {
 		// Gated on the selector's failure epoch: a healthy cluster pays nothing.
 		m.repairer = node.NewRepairer(nd, node.RepairOptions{
@@ -130,25 +130,33 @@ func NewMember(id int, rng *stats.RNG, addrs []string, dataDir string, o MemberO
 	return m, nil
 }
 
-// peers builds the path the node's messages take to the other members,
-// bottom up: its own mux client, the network's faults if any, the peer.*
-// counters, the selector, retries. Below the retries, every attempt is
-// one call in peer.calls and one sample for the selector.
-func (m *Member) peers(addrs []string, o MemberOptions) transport.Caller {
+// peers builds the member list and the path the node's messages take
+// to the other members over it, bottom up: a pin of its own mux
+// client's list, the network's faults if any, the peer.* counters, the
+// selector, retries. Below the retries, every attempt is one call in
+// peer.calls and one sample for the selector.
+func (m *Member) peers(id int, addrs []string, o MemberOptions) *View {
 	tm := telemetry.NewTransportMetrics(m.Registry, "peer", len(addrs))
 	opts := []transport.ClientOption{transport.WithClientMetrics(tm)}
 	if o.PeerTimeout > 0 {
 		opts = append(opts, transport.WithTimeout(o.PeerTimeout))
 	}
 	client := transport.NewClient(addrs, opts...)
-	m.Peers = client
-	var caller transport.Caller = client
-	if o.Chaos != nil {
-		caller = o.Chaos.Over(client, addrs[m.Node.ID()])
-	}
 	// Fan-out is fixed by placement: the selector only observes.
-	m.Selector = selector.New(len(addrs), selector.Options{Metrics: telemetry.NewSelectorMetrics(m.Registry)})
-	caller = selector.Observe(transport.Instrument(caller, tm), m.Selector)
+	v := NewView(client, selector.New(len(addrs), selector.Options{Metrics: telemetry.NewSelectorMetrics(m.Registry)}))
+	v.pin = func() transport.Caller {
+		pinned := client.Pin()
+		var caller transport.Caller = pinned
+		if o.Chaos != nil {
+			caller = o.Chaos.Over(pinned, addrs[id])
+		}
+		caller = selector.Observe(transport.Instrument(caller, tm), v.Selector)
+		if o.PeerRetries > 1 { // no hedging: an update is no request to duplicate
+			caller = transport.NewRetry(caller, transport.RetryPolicy{Attempts: o.PeerRetries, Backoff: 25 * time.Millisecond},
+				stats.NewRNG(uint64(id)), nil)
+		}
+		return caller
+	}
 	for name, f := range map[string]func(selector.ServerHealth) int64{
 		"selector.consec_failures": func(h selector.ServerHealth) int64 { return int64(h.ConsecFails) },
 		"selector.ewma_ns":         func(h selector.ServerHealth) int64 { return int64(h.EWMA) },
@@ -161,7 +169,7 @@ func (m *Member) peers(addrs []string, o MemberOptions) transport.Caller {
 	} {
 		// Sized at each snapshot: membership resizes the selector.
 		m.Registry.NewGaugeVecFunc(name, func() []int64 {
-			h := m.Selector.Health()
+			h := v.Selector.Health()
 			out := make([]int64, len(h))
 			for i := range h {
 				out[i] = f(h[i])
@@ -169,11 +177,7 @@ func (m *Member) peers(addrs []string, o MemberOptions) transport.Caller {
 			return out
 		})
 	}
-	if o.PeerRetries > 1 { // no hedging: an update is no request to duplicate
-		caller = transport.NewRetry(caller, transport.RetryPolicy{Attempts: o.PeerRetries, Backoff: 25 * time.Millisecond},
-			stats.NewRNG(uint64(m.Node.ID())), nil)
-	}
-	return caller
+	return v
 }
 
 // Close shuts the member down in the order an ack needs: in-flight
@@ -200,45 +204,25 @@ func (m *Member) Close(ctx context.Context) error {
 // Drained is closed once the member has committed its own drain.
 func (m *Member) Drained() <-chan struct{} { return m.left }
 
-// Members returns the view's member addresses (node.Host).
-func (v *View) Members() []string { return v.Peers.Addrs() }
-
-// Grow runs before the node's sweep (node.Host): a join's new members
-// join the view and the selector, so the sweep can address them. A
-// view that has the post-change members already, a joiner's or a
-// fresh member's adopting the update, is left alone.
-func (v *View) Grow(u wire.MembershipUpdate) {
-	have := v.Peers.NumServers()
-	if u.Leaving >= 0 || have >= len(u.Addrs) {
-		return
+// Apply adopts the committed view v (node.Host): when its members
+// differ from Peers', the selector is resized and Peers re-listed — the
+// selector first, as its route cache holds the old numbering, which a
+// call after the re-listing would send to the renumbered slot. A node's
+// view then gets the caller pinned to the new list; a node that has
+// drained, whose v has no rank, gets none, and Drained closes.
+func (h *View) Apply(v node.View) transport.Caller {
+	if h.pin != nil && v.Self < 0 {
+		h.once.Do(func() { close(h.left) })
+		return nil
 	}
-	for _, addr := range u.Addrs[have:] {
-		v.Peers.AddServer(addr)
-	}
-	if v.Selector != nil {
-		v.Selector.Resize(len(u.Addrs))
-	}
-}
-
-// Compact drops a drain's member from the view after the node's sweep,
-// which addressed pre-drain slots, and renumbers the node — or, on the
-// leaver, closes Drained (node.Host). A view that already has the
-// post-change members is left alone: a fresh member adopting the
-// update has them.
-func (v *View) Compact(u wire.MembershipUpdate) {
-	switch {
-	case u.Leaving < 0 || v.Peers.NumServers() == len(u.Addrs):
-	case v.Node != nil && v.Node.ID() == u.Leaving:
-		v.once.Do(func() { close(v.left) })
-	default:
-		// The selector first: its route cache holds pre-drain ids, which
-		// a call after RemoveServer would send to the renumbered slot.
-		if v.Selector != nil {
-			v.Selector.Resize(len(u.Addrs))
+	if !slices.Equal(h.Peers.Addrs(), v.Addrs) {
+		if h.Selector != nil {
+			h.Selector.Resize(len(v.Addrs))
 		}
-		v.Peers.RemoveServer(u.Leaving)
-		if v.Node != nil && v.Node.ID() > u.Leaving {
-			v.Node.SetID(v.Node.ID() - 1)
-		}
+		h.Peers.SetAddrs(v.Addrs)
 	}
+	if h.pin == nil {
+		return nil
+	}
+	return h.pin()
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/node"
 	"repro/internal/stats"
 	"repro/internal/wire"
 )
@@ -65,13 +66,13 @@ func TestPeerCountersRecordEveryAttempt(t *testing.T) {
 
 // TestSelectorHealthGaugesFollowMembership: the selector.* health
 // vectors take their length from the selector at each snapshot, so a
-// joiner shows once the member's host has grown its view.
+// joiner shows once the member's host has applied the view naming it.
 func TestSelectorHealthGaugesFollowMembership(t *testing.T) {
 	ln := listen(t)
 	addrs := []string{ln.Addr().String(), "127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"}
 	m := newMember(t, ln, addrs[:3], cluster.MemberOptions{})
 
-	m.Grow(wire.MembershipUpdate{Epoch: 1, Leaving: -1, Addrs: addrs})
+	m.Apply(node.View{Epoch: 1, Addrs: addrs})
 	if got := m.Peers.Addrs(); !slices.Equal(got, addrs) {
 		t.Errorf("after the join the member's client lists %v, want %v", got, addrs)
 	}

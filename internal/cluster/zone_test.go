@@ -107,7 +107,7 @@ func TestReplacePreservesZoneTopology(t *testing.T) {
 	}
 
 	nd := cl.Replace(3, stats.NewRNG(999))
-	if nd.Topology() != tp {
+	if nd.View().Topology != tp {
 		t.Fatal("Replace installed a node without the cluster's shared topology")
 	}
 
@@ -233,7 +233,7 @@ func TestZoneSpreadThroughJoinAndDrain(t *testing.T) {
 			}
 			moved := 0
 			for i := 0; i < cl.N(); i++ {
-				if tp := cl.Node(i).Topology(); tp.Spec() != cl.Topology().Spec() {
+				if tp := cl.Node(i).View().Topology; tp.Spec() != cl.Topology().Spec() {
 					t.Errorf("node %d fitted its topology to %s, want %s", i, tp.Spec(), cl.Topology().Spec())
 				}
 				moved += node.NewRepairer(cl.Node(i), node.RepairOptions{Health: cl.Health()}).SweepOnce(ctx).Moved

@@ -26,16 +26,16 @@ func batchAck[T any](items []T, handle func(T) wire.Message) wire.Message {
 	return wire.BatchAck{Errs: errs}
 }
 
-func (n *Node) handlePlaceBatch(ctx context.Context, m wire.PlaceBatch) wire.Message {
-	return wire.BatchAck{Errs: n.place(ctx, m.Items)}
+func (r req) handlePlaceBatch(ctx context.Context, m wire.PlaceBatch) wire.Message {
+	return wire.BatchAck{Errs: r.place(ctx, m.Items)}
 }
 
-func (n *Node) handleAddBatch(ctx context.Context, m wire.AddBatch) wire.Message {
-	return batchAck(m.Items, func(item wire.Add) wire.Message { return n.handleAdd(ctx, item) })
+func (r req) handleAddBatch(ctx context.Context, m wire.AddBatch) wire.Message {
+	return batchAck(m.Items, func(item wire.Add) wire.Message { return r.handleAdd(ctx, item) })
 }
 
-func (n *Node) handleStoreBatches(m wire.StoreBatches) wire.Message {
-	return batchAck(m.Items, n.handleStoreBatch)
+func (r req) handleStoreBatches(m wire.StoreBatches) wire.Message {
+	return batchAck(m.Items, r.handleStoreBatch)
 }
 
 // place runs the initial server S's role in place(v1..vh) for each
@@ -45,18 +45,17 @@ func (n *Node) handleStoreBatches(m wire.StoreBatches) wire.Message {
 // the items have for it at once, so a place costs one processed message
 // per server and a batch of places costs no more; what follows a key's
 // shares (Round-y's counters) runs per item once they are acked.
-func (n *Node) place(ctx context.Context, items []wire.Place) []string {
+func (r req) place(ctx context.Context, items []wire.Place) []string {
 	errs := make([]string, len(items))
 	plans := make([]placePlan, len(items))
-	numServers := n.numServers()
 	for i, m := range items {
 		var err error
-		if plans[i], err = n.planPlace(numServers, m); err != nil {
+		if plans[i], err = r.planPlace(m); err != nil {
 			errs[i] = err.Error()
 		}
 	}
-	for server := 0; server < numServers; server++ {
-		n.sendShares(ctx, server, plans, errs)
+	for server := range r.v.Addrs {
+		r.sendShares(ctx, server, plans, errs)
 	}
 	for i, p := range plans {
 		if errs[i] != "" || p.after == nil {
@@ -71,17 +70,17 @@ func (n *Node) place(ctx context.Context, items []wire.Place) []string {
 
 // planPlace validates one place and asks its scheme how it reaches the
 // cluster.
-func (n *Node) planPlace(numServers int, m wire.Place) (placePlan, error) {
-	if numServers == 0 {
+func (r req) planPlace(m wire.Place) (placePlan, error) {
+	if r.v.peers == nil {
 		return placePlan{}, errors.New("node: no peer caller attached")
 	}
-	if err := m.Config.Validate(numServers); err != nil {
+	if err := m.Config.Validate(len(r.v.Addrs)); err != nil {
 		return placePlan{}, err
 	}
 	if !allValid(m.Entries) {
 		return placePlan{}, errors.New(errEmptyPlaceEntry)
 	}
-	return execFor(m.Config.Scheme).place(n, m)
+	return execFor(m.Config.Scheme).place(r, m)
 }
 
 // sendShares delivers to one server the shares the plans still standing
@@ -89,7 +88,7 @@ func (n *Node) planPlace(numServers int, m wire.Place) (placePlan, error) {
 // StoreBatch — and files each item's outcome in errs. A down server
 // loses its share of a broadcast, per the paper's fault model (see
 // callBestEffort); a share addressed to that server alone fails.
-func (n *Node) sendShares(ctx context.Context, server int, plans []placePlan, errs []string) {
+func (r req) sendShares(ctx context.Context, server int, plans []placePlan, errs []string) {
 	var (
 		items  []int
 		shares []wire.StoreBatch
@@ -106,7 +105,7 @@ func (n *Node) sendShares(ctx context.Context, server int, plans []placePlan, er
 	if len(shares) == 1 {
 		msg = shares[0]
 	}
-	reply, err := n.callReply(ctx, server, msg)
+	reply, err := r.callReply(ctx, server, msg)
 	var acks []string
 	if err == nil {
 		switch r := reply.(type) {

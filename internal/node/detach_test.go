@@ -71,23 +71,24 @@ func (p *blockingPeers) Call(ctx context.Context, _ int, _ wire.Message) (wire.M
 func (*blockingPeers) NumServers() int { return 2 }
 
 // twoMembers is a membership host for the two servers blockingPeers
-// stands for. Grow, when growing is set, reports itself there and waits
-// for release.
+// stands for, a:1 and b:1 (twoAddrs): each view's caller is peers.
+// Apply, for a committed view when growing is set, reports itself there
+// and waits for release.
 type twoMembers struct {
+	peers   transport.Caller
 	growing chan struct{}
 	release chan struct{}
 }
 
-func (twoMembers) Members() []string { return []string{"a:1", "b:1"} }
+var twoAddrs = View{Addrs: []string{"a:1", "b:1"}}
 
-func (h twoMembers) Grow(wire.MembershipUpdate) {
-	if h.growing != nil {
+func (h twoMembers) Apply(v View) transport.Caller {
+	if h.growing != nil && v.Epoch > 0 {
 		h.growing <- struct{}{}
 		<-h.release
 	}
+	return h.peers
 }
-
-func (twoMembers) Compact(wire.MembershipUpdate) {}
 
 // serveNode serves h over loopback and returns a client of it, with a
 // short timeout, and the server's request counts.
@@ -172,8 +173,7 @@ func TestOnlyLocalKindsRunOnTheReader(t *testing.T) {
 		t.Run(fmt.Sprintf("%T", msg), func(t *testing.T) {
 			nd := New(0, stats.NewRNG(1))
 			peers := newBlockingPeers()
-			nd.Attach(peers)
-			nd.SetHost(twoMembers{})
+			nd.SetHost(twoMembers{peers: peers}, twoAddrs)
 			// The node holds the entries the samples remove.
 			for _, held := range []wire.Message{
 				wire.StoreBatch{Key: "k", Config: fixed, Entries: []string{"v", "w"}},
@@ -219,8 +219,7 @@ func TestOnlyLocalKindsRunOnTheReader(t *testing.T) {
 func TestJoinWaitingToCoordinateLeavesTheReader(t *testing.T) {
 	nd := New(0, stats.NewRNG(1))
 	peers := newBlockingPeers()
-	nd.Attach(peers)
-	nd.SetHost(twoMembers{})
+	nd.SetHost(twoMembers{peers: peers}, twoAddrs)
 	client, _ := serveNode(t, nd)
 
 	first := make(chan wire.Message, 1)
@@ -242,9 +241,8 @@ func TestJoinWaitingToCoordinateLeavesTheReader(t *testing.T) {
 // is answered meanwhile, and the replay acks once the sweep is done.
 func TestReplayedUpdateWaitsOffTheReader(t *testing.T) {
 	nd := New(0, stats.NewRNG(1))
-	nd.Attach(newBlockingPeers())
-	host := twoMembers{growing: make(chan struct{}), release: make(chan struct{})}
-	nd.SetHost(host)
+	host := twoMembers{peers: newBlockingPeers(), growing: make(chan struct{}), release: make(chan struct{})}
+	nd.SetHost(host, twoAddrs)
 	client, _ := serveNode(t, nd)
 
 	u := wire.MembershipUpdate{Epoch: 1, Leaving: -1, Addrs: []string{"a:1", "b:1", "c:1"}}

@@ -44,12 +44,29 @@ func newDurCluster(t *testing.T, n int, seed uint64, dirs []string, policy store
 				t.Fatalf("OpenDurability(node %d): %v", i, err)
 			}
 		}
-		nd.Attach(dc.tr)
-		dc.tr.Bind(i, nd)
+		dc.attach(i, nd)
 		dc.nodes = append(dc.nodes, nd)
 		dc.durs = append(dc.durs, d)
 	}
 	return dc
+}
+
+// chaosHost is the membership host of a node the test network reaches
+// by slot: every view's caller is the network itself, which numbers the
+// servers as the views do while slots are only appended.
+type chaosHost struct{ tr *transport.Chaos }
+
+func (h chaosHost) Apply(View) transport.Caller { return h.tr }
+
+// attach binds nd to slot i of the network, as the member of rank i in
+// a view of the slots' addresses (sim://0 ...), keeping its topology.
+func (dc *durCluster) attach(i int, nd *Node) {
+	addrs := make([]string, dc.tr.NumServers())
+	for s := range addrs {
+		addrs[s] = fmt.Sprintf("sim://%d", s)
+	}
+	nd.SetHost(chaosHost{dc.tr}, View{Addrs: addrs, Self: i, Topology: nd.View().Topology})
+	dc.tr.Bind(i, nd)
 }
 
 func (dc *durCluster) mustAck(server int, msg wire.Message) {

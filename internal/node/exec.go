@@ -2,9 +2,11 @@ package node
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/store"
 	"repro/internal/topo"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -16,7 +18,7 @@ import (
 //
 // Each scheme states its placement rule — who is a legal home for an
 // entry — once, as a function of a memberView. The update protocols
-// (place/add/del) evaluate it under the live membership; plan and
+// (place/add/del) evaluate it under the request's view; plan and
 // accept evaluate it under whichever view the caller hands them, which
 // is all that distinguishes an anti-entropy repair sweep (the current
 // membership) from a join/drain rebalance (the post-change one).
@@ -31,19 +33,19 @@ import (
 type executor interface {
 	// place says how place(k, {v1..vh}) reaches the cluster: always as
 	// one StoreBatch, whose receivers select (storeBatch).
-	place(n *Node, m wire.Place) (placePlan, error)
+	place(r req, m wire.Place) (placePlan, error)
 	// add runs the initial server's add(v) protocol for the key.
-	add(ctx context.Context, n *Node, ks *store.KeyState, cfg wire.Config, m wire.Add) wire.Message
+	add(ctx context.Context, r req, ks *store.KeyState, cfg wire.Config, m wire.Add) wire.Message
 	// del runs the initial server's delete(v) protocol for the key.
-	del(ctx context.Context, n *Node, ks *store.KeyState, cfg wire.Config, m wire.Delete) wire.Message
+	del(ctx context.Context, r req, ks *store.KeyState, cfg wire.Config, m wire.Delete) wire.Message
 	// storeBatch applies a place broadcast's local selection rule. The
 	// caller has already reset the key (set cleared, ext dropped).
-	storeBatch(n *Node, st *store.State, entries []string)
+	storeBatch(r req, st *store.State, entries []string)
 	// storeOne applies a single-entry store's local rule.
-	storeOne(n *Node, st *store.State, m wire.StoreOne)
+	storeOne(r req, st *store.State, m wire.StoreOne)
 	// removeOne deletes a local copy; a non-nil return value is invoked
 	// by the caller once the key lock is released.
-	removeOne(ctx context.Context, n *Node, st *store.State, m wire.RemoveOne) func()
+	removeOne(ctx context.Context, r req, st *store.State, m wire.RemoveOne) func()
 
 	// plan evaluates the placement rule over this node's local copy of
 	// a key under mv. push is what the rule says peers must hold:
@@ -87,9 +89,49 @@ type memberView struct {
 	tp   *topo.Topology // zone topology for spread-mode homes; nil without one
 }
 
-// view returns the live membership as this node sees it.
-func (n *Node) view() memberView {
-	return memberView{self: n.ID(), n: n.numServers(), tp: n.Topology()}
+// View is a node's committed picture of the cluster, one immutable
+// value that a committed MembershipUpdate replaces (next).
+type View struct {
+	Epoch    uint64         // the membership epoch that produced it
+	Addrs    []string       // the members' addresses, in rank order
+	Self     int            // the index of its own address in Addrs; -1 once drained
+	Topology *topo.Topology // fitted to Addrs; nil without one
+}
+
+// view is a View as the node publishes it: with the caller that reaches
+// Addrs by rank, numbered so for as long as anyone holds it.
+type view struct {
+	View
+	peers transport.Caller
+}
+
+// rule is the membership the placement rules see in v.
+func (v *view) rule() memberView {
+	return memberView{self: v.Self, n: len(v.Addrs), tp: v.Topology}
+}
+
+// rankIn returns the index of v's own address in addrs, -1 when it is
+// not there or v has none (a static node's).
+func (v *view) rankIn(addrs []string) int {
+	if v.Self < 0 || v.Self >= len(v.Addrs) || v.Addrs[v.Self] == "" {
+		return -1
+	}
+	return slices.Index(addrs, v.Addrs[v.Self])
+}
+
+// next returns the view the committed change m makes of v: m's epoch
+// and members, the node's rank found by its address among them, and
+// the topology fitted with topo.Resize. It has no caller yet.
+func (v *view) next(m wire.MembershipUpdate) *view {
+	return &view{View: View{Epoch: m.Epoch, Addrs: m.Addrs, Self: v.rankIn(m.Addrs),
+		Topology: v.Topology.Resize(len(m.Addrs), m.Leaving)}}
+}
+
+// req is one request as the node serves it: the node and the view the
+// request loaded once, whose numbering it addresses peers by.
+type req struct {
+	*Node
+	v *view
 }
 
 // execFor returns the executor for a scheme. Keys whose config is still

@@ -13,7 +13,7 @@ import (
 // cluster needs to hear about the update at all.
 type fixedExec struct{}
 
-func (fixedExec) place(_ *Node, m wire.Place) (placePlan, error) {
+func (fixedExec) place(_ req, m wire.Place) (placePlan, error) {
 	// Broadcast only the first x entries (Sec. 3.2).
 	if len(m.Entries) > m.Config.X {
 		m.Entries = m.Entries[:m.Config.X]
@@ -21,36 +21,36 @@ func (fixedExec) place(_ *Node, m wire.Place) (placePlan, error) {
 	return placePlan{share: wire.StoreBatch(m), target: everyServer}, nil
 }
 
-func (fixedExec) add(ctx context.Context, n *Node, ks *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {
+func (fixedExec) add(ctx context.Context, r req, ks *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {
 	// Selective broadcast: only when this server has room (Sec. 5.2).
 	if ks.Len() >= cfg.X {
 		return wire.Ack{}
 	}
-	return n.ackBroadcast(ctx, wire.StoreOne{Key: m.Key, Config: cfg, Entry: m.Entry})
+	return r.ackBroadcast(ctx, wire.StoreOne{Key: m.Key, Config: cfg, Entry: m.Entry})
 }
 
-func (fixedExec) del(ctx context.Context, n *Node, ks *store.KeyState, cfg wire.Config, m wire.Delete) wire.Message {
+func (fixedExec) del(ctx context.Context, r req, ks *store.KeyState, cfg wire.Config, m wire.Delete) wire.Message {
 	// Selective broadcast: only when v is stored locally (Sec. 5.2).
 	stored := false
 	ks.View(func(st *store.State) { stored = st.Set.Contains(m.Entry) })
 	if !stored {
 		return wire.Ack{}
 	}
-	return n.ackBroadcast(ctx, wire.RemoveOne{Key: m.Key, Config: cfg, Entry: m.Entry})
+	return r.ackBroadcast(ctx, wire.RemoveOne{Key: m.Key, Config: cfg, Entry: m.Entry})
 }
 
-func (fixedExec) storeBatch(_ *Node, st *store.State, entries []string) {
+func (fixedExec) storeBatch(_ req, st *store.State, entries []string) {
 	// The sender already truncated the batch to x.
 	logAddMany(st, entries)
 }
 
-func (fixedExec) storeOne(_ *Node, st *store.State, m wire.StoreOne) {
+func (fixedExec) storeOne(_ req, st *store.State, m wire.StoreOne) {
 	if st.Set.Len() < st.Cfg.X {
 		logAdd(st, m.Entry)
 	}
 }
 
-func (fixedExec) removeOne(_ context.Context, _ *Node, st *store.State, m wire.RemoveOne) func() {
+func (fixedExec) removeOne(_ context.Context, _ req, st *store.State, m wire.RemoveOne) func() {
 	logRemove(st, m.Entry)
 	return nil
 }

@@ -13,27 +13,27 @@ import (
 // executor for keys whose config is still schemeless.
 type fullExec struct{}
 
-func (fullExec) place(_ *Node, m wire.Place) (placePlan, error) {
+func (fullExec) place(_ req, m wire.Place) (placePlan, error) {
 	return placePlan{share: wire.StoreBatch(m), target: everyServer}, nil
 }
 
-func (fullExec) add(ctx context.Context, n *Node, _ *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {
-	return n.ackBroadcast(ctx, wire.StoreOne{Key: m.Key, Config: cfg, Entry: m.Entry})
+func (fullExec) add(ctx context.Context, r req, _ *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {
+	return r.ackBroadcast(ctx, wire.StoreOne{Key: m.Key, Config: cfg, Entry: m.Entry})
 }
 
-func (fullExec) del(ctx context.Context, n *Node, _ *store.KeyState, cfg wire.Config, m wire.Delete) wire.Message {
-	return n.ackBroadcast(ctx, wire.RemoveOne{Key: m.Key, Config: cfg, Entry: m.Entry})
+func (fullExec) del(ctx context.Context, r req, _ *store.KeyState, cfg wire.Config, m wire.Delete) wire.Message {
+	return r.ackBroadcast(ctx, wire.RemoveOne{Key: m.Key, Config: cfg, Entry: m.Entry})
 }
 
-func (fullExec) storeBatch(_ *Node, st *store.State, entries []string) {
+func (fullExec) storeBatch(_ req, st *store.State, entries []string) {
 	logAddMany(st, entries)
 }
 
-func (fullExec) storeOne(_ *Node, st *store.State, m wire.StoreOne) {
+func (fullExec) storeOne(_ req, st *store.State, m wire.StoreOne) {
 	logAdd(st, m.Entry)
 }
 
-func (fullExec) removeOne(_ context.Context, _ *Node, st *store.State, m wire.RemoveOne) func() {
+func (fullExec) removeOne(_ context.Context, _ req, st *store.State, m wire.RemoveOne) func() {
 	logRemove(st, m.Entry)
 	return nil
 }

@@ -86,24 +86,24 @@ func containsServer(homes []int, id int) bool {
 
 // place broadcasts the whole list; each server keeps the entries it is
 // a home of.
-func (homesExec) place(_ *Node, m wire.Place) (placePlan, error) {
+func (homesExec) place(_ req, m wire.Place) (placePlan, error) {
 	return placePlan{share: wire.StoreBatch(m), target: everyServer}, nil
 }
 
-func (homesExec) add(ctx context.Context, n *Node, _ *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {
-	mv := n.view()
+func (homesExec) add(ctx context.Context, r req, _ *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {
+	mv := r.v.rule()
 	for _, target := range HomesFor(m.Entry, cfg, mv.n, mv.tp) {
-		if err := n.callBestEffort(ctx, target, wire.StoreOne{Key: m.Key, Config: cfg, Entry: m.Entry}); err != nil {
+		if err := r.callBestEffort(ctx, target, wire.StoreOne{Key: m.Key, Config: cfg, Entry: m.Entry}); err != nil {
 			return wire.Ack{Err: err.Error()}
 		}
 	}
 	return wire.Ack{}
 }
 
-func (homesExec) del(ctx context.Context, n *Node, _ *store.KeyState, cfg wire.Config, m wire.Delete) wire.Message {
-	mv := n.view()
+func (homesExec) del(ctx context.Context, r req, _ *store.KeyState, cfg wire.Config, m wire.Delete) wire.Message {
+	mv := r.v.rule()
 	for _, target := range HomesFor(m.Entry, cfg, mv.n, mv.tp) {
-		if err := n.callBestEffort(ctx, target, wire.RemoveOne{Key: m.Key, Config: cfg, Entry: m.Entry}); err != nil {
+		if err := r.callBestEffort(ctx, target, wire.RemoveOne{Key: m.Key, Config: cfg, Entry: m.Entry}); err != nil {
 			return wire.Ack{Err: err.Error()}
 		}
 	}
@@ -112,8 +112,8 @@ func (homesExec) del(ctx context.Context, n *Node, _ *store.KeyState, cfg wire.C
 
 // storeBatch keeps this server's share of a placed list, by the rule
 // accept evaluates, copied out of the message as Round-y's is.
-func (homesExec) storeBatch(n *Node, st *store.State, entries []string) {
-	mv := n.view()
+func (homesExec) storeBatch(r req, st *store.State, entries []string) {
+	mv := r.v.rule()
 	for _, v := range entries {
 		if isHome(v, st.Cfg, mv.n, mv.self, mv.tp) {
 			logAdd(st, strings.Clone(v))
@@ -121,11 +121,11 @@ func (homesExec) storeBatch(n *Node, st *store.State, entries []string) {
 	}
 }
 
-func (homesExec) storeOne(_ *Node, st *store.State, m wire.StoreOne) {
+func (homesExec) storeOne(_ req, st *store.State, m wire.StoreOne) {
 	logAdd(st, m.Entry)
 }
 
-func (homesExec) removeOne(_ context.Context, _ *Node, st *store.State, m wire.RemoveOne) func() {
+func (homesExec) removeOne(_ context.Context, _ req, st *store.State, m wire.RemoveOne) func() {
 	logRemove(st, m.Entry)
 	return nil
 }

@@ -14,27 +14,27 @@ import (
 // paper's conclusion contrasts against exactly this design.
 type partExec struct{}
 
-func (partExec) place(n *Node, m wire.Place) (placePlan, error) {
-	return placePlan{share: wire.StoreBatch(m), target: PartitionServer(m.Key, n.numServers())}, nil
+func (partExec) place(r req, m wire.Place) (placePlan, error) {
+	return placePlan{share: wire.StoreBatch(m), target: PartitionServer(m.Key, len(r.v.Addrs))}, nil
 }
 
-func (partExec) add(ctx context.Context, n *Node, _ *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {
-	return n.ackCall(ctx, PartitionServer(m.Key, n.numServers()), wire.StoreOne{Key: m.Key, Config: cfg, Entry: m.Entry})
+func (partExec) add(ctx context.Context, r req, _ *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {
+	return r.ackCall(ctx, PartitionServer(m.Key, len(r.v.Addrs)), wire.StoreOne{Key: m.Key, Config: cfg, Entry: m.Entry})
 }
 
-func (partExec) del(ctx context.Context, n *Node, _ *store.KeyState, cfg wire.Config, m wire.Delete) wire.Message {
-	return n.ackCall(ctx, PartitionServer(m.Key, n.numServers()), wire.RemoveOne{Key: m.Key, Config: cfg, Entry: m.Entry})
+func (partExec) del(ctx context.Context, r req, _ *store.KeyState, cfg wire.Config, m wire.Delete) wire.Message {
+	return r.ackCall(ctx, PartitionServer(m.Key, len(r.v.Addrs)), wire.RemoveOne{Key: m.Key, Config: cfg, Entry: m.Entry})
 }
 
-func (partExec) storeBatch(_ *Node, st *store.State, entries []string) {
+func (partExec) storeBatch(_ req, st *store.State, entries []string) {
 	logAddMany(st, entries)
 }
 
-func (partExec) storeOne(_ *Node, st *store.State, m wire.StoreOne) {
+func (partExec) storeOne(_ req, st *store.State, m wire.StoreOne) {
 	logAdd(st, m.Entry)
 }
 
-func (partExec) removeOne(_ context.Context, _ *Node, st *store.State, m wire.RemoveOne) func() {
+func (partExec) removeOne(_ context.Context, _ req, st *store.State, m wire.RemoveOne) func() {
 	logRemove(st, m.Entry)
 	return nil
 }

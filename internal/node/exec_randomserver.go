@@ -31,20 +31,20 @@ func rsExtOf(st *store.State) *rsExt {
 	return ext
 }
 
-func (rsExec) place(_ *Node, m wire.Place) (placePlan, error) {
+func (rsExec) place(_ req, m wire.Place) (placePlan, error) {
 	// Broadcast the full list; receivers sample their local x-subset.
 	return placePlan{share: wire.StoreBatch(m), target: everyServer}, nil
 }
 
-func (rsExec) add(ctx context.Context, n *Node, _ *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {
-	return n.ackBroadcast(ctx, wire.StoreOne{Key: m.Key, Config: cfg, Entry: m.Entry})
+func (rsExec) add(ctx context.Context, r req, _ *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {
+	return r.ackBroadcast(ctx, wire.StoreOne{Key: m.Key, Config: cfg, Entry: m.Entry})
 }
 
-func (rsExec) del(ctx context.Context, n *Node, _ *store.KeyState, cfg wire.Config, m wire.Delete) wire.Message {
-	return n.ackBroadcast(ctx, wire.RemoveOne{Key: m.Key, Config: cfg, Entry: m.Entry})
+func (rsExec) del(ctx context.Context, r req, _ *store.KeyState, cfg wire.Config, m wire.Delete) wire.Message {
+	return r.ackBroadcast(ctx, wire.RemoveOne{Key: m.Key, Config: cfg, Entry: m.Entry})
 }
 
-func (rsExec) storeBatch(n *Node, st *store.State, entries []string) {
+func (rsExec) storeBatch(r req, st *store.State, entries []string) {
 	// Keep an independent uniform random x-subset (Sec. 3.3). The WAL
 	// record carries the chosen subset, not the offered batch: the
 	// sampling decision happened here, once, and replay must not ask
@@ -58,13 +58,13 @@ func (rsExec) storeBatch(n *Node, st *store.State, entries []string) {
 		return
 	}
 	chosen := make([]string, 0, x)
-	for _, i := range n.rng.SampleInts(len(entries), x) {
+	for _, i := range r.rng.SampleInts(len(entries), x) {
 		chosen = append(chosen, entries[i])
 	}
 	logAddMany(st, chosen)
 }
 
-func (rsExec) storeOne(n *Node, st *store.State, m wire.StoreOne) {
+func (rsExec) storeOne(r req, st *store.State, m wire.StoreOne) {
 	// Vitter reservoir sampling: with the counter incremented first,
 	// keeping v with probability x/hCount is exactly the x/(h+1) rule
 	// of [Vitter 85] cited in Sec. 5.3.
@@ -77,8 +77,8 @@ func (rsExec) storeOne(n *Node, st *store.State, m wire.StoreOne) {
 		// Duplicate add; nothing to do.
 	case st.Set.Len() < st.Cfg.X:
 		logAdd(st, v)
-	case n.rng.Bool(float64(st.Cfg.X) / float64(ext.hCount)):
-		evict := st.Set.At(n.rng.IntN(st.Set.Len()))
+	case r.rng.Bool(float64(st.Cfg.X) / float64(ext.hCount)):
+		evict := st.Set.At(r.rng.IntN(st.Set.Len()))
 		logRemove(st, evict)
 		logAdd(st, v)
 	}
@@ -88,7 +88,7 @@ func (rsExec) storeOne(n *Node, st *store.State, m wire.StoreOne) {
 // replacement alternative (Config.RSReplace), a server that lost a copy
 // actively contacts other servers to refill its subset instead of
 // waiting for future adds; the search runs after the key unlocks.
-func (rsExec) removeOne(ctx context.Context, n *Node, st *store.State, m wire.RemoveOne) func() {
+func (rsExec) removeOne(ctx context.Context, r req, st *store.State, m wire.RemoveOne) func() {
 	ext := rsExtOf(st)
 	if ext.hCount > 0 {
 		ext.hCount--
@@ -101,21 +101,19 @@ func (rsExec) removeOne(ctx context.Context, n *Node, st *store.State, m wire.Re
 	}
 	x := st.Cfg.X
 	key := m.Key
-	return func() { n.findReplacement(ctx, key, v, x) }
+	return func() { r.findReplacement(ctx, key, v, x) }
 }
 
 // findReplacement probes peers in random order for an entry this
 // server does not yet hold ("two servers are not likely to have the
 // same entries", Sec. 5.3). Failure to find one is not an error: the
 // set simply stays below x, like the cushion scheme.
-func (n *Node) findReplacement(ctx context.Context, key string, deleted entry.Entry, x int) {
-	numServers := n.numServers()
-	order := n.rng.Perm(numServers)
-	for _, peer := range order {
-		if peer == n.ID() {
+func (r req) findReplacement(ctx context.Context, key string, deleted entry.Entry, x int) {
+	for _, peer := range r.rng.Perm(len(r.v.Addrs)) {
+		if peer == r.v.Self {
 			continue
 		}
-		reply, err := n.callReply(ctx, peer, wire.Lookup{Key: key, T: x})
+		reply, err := r.callReply(ctx, peer, wire.Lookup{Key: key, T: x})
 		if err != nil {
 			continue // down peers are skipped, like a client would
 		}
@@ -123,7 +121,7 @@ func (n *Node) findReplacement(ctx context.Context, key string, deleted entry.En
 		if !ok || lr.Err != "" {
 			continue
 		}
-		ks, exists := n.store.Get(key)
+		ks, exists := r.store.Get(key)
 		if !exists {
 			return
 		}

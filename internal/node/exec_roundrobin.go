@@ -59,37 +59,37 @@ func roundExtOf(st *store.State) *roundExt {
 	return ext
 }
 
-func (roundExec) place(n *Node, m wire.Place) (placePlan, error) {
+func (roundExec) place(r req, m wire.Place) (placePlan, error) {
 	cfg := m.Config
 	// The coordinator counters (head/tail, Sec. 5.4) live on servers
 	// 0..Coordinators-1 (footnote 1 generalization; the paper's base
 	// scheme is Coordinators=1, i.e. "server 1"). The client driver
 	// routes Round-y placement to a live coordinator.
-	if n.ID() >= coordinators(cfg) {
+	if r.v.Self >= coordinators(cfg) {
 		return placePlan{}, errors.New("node: Round-y place must be sent to a coordinator")
 	}
 	// One broadcast resets the key everywhere and carries the whole
 	// list; each server keeps the positions whose window covers it.
 	// Positions [head, tail) are live once that is acked.
 	after := func(ctx context.Context) wire.Message {
-		ks := n.store.GetOrCreate(m.Key, cfg)
+		ks := r.store.GetOrCreate(m.Key, cfg)
 		ks.Update(func(st *store.State) {
 			ext := roundExtOf(st)
 			ext.head = 0
 			ext.tail = len(m.Entries)
 			logCounters(st, ext.head, ext.tail)
 		})
-		n.mirrorCounters(ctx, m.Key, cfg, 0, len(m.Entries))
-		return n.flushAck(ks)
+		r.mirrorCounters(ctx, m.Key, cfg, 0, len(m.Entries))
+		return r.flushAck(ks)
 	}
 	return placePlan{share: wire.StoreBatch(m), target: everyServer, after: after}, nil
 }
 
-func (roundExec) add(ctx context.Context, n *Node, ks *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {
-	if n.ID() >= coordinators(cfg) {
+func (roundExec) add(ctx context.Context, r req, ks *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {
+	if r.v.Self >= coordinators(cfg) {
 		return wire.Ack{Err: "node: Round-y add must be sent to a coordinator"}
 	}
-	numServers := n.numServers()
+	numServers := len(r.v.Addrs)
 	var pos, head int
 	ks.Update(func(st *store.State) {
 		ext := roundExtOf(st)
@@ -98,21 +98,21 @@ func (roundExec) add(ctx context.Context, n *Node, ks *store.KeyState, cfg wire.
 		head = ext.head
 		logCounters(st, ext.head, ext.tail)
 	})
-	n.mirrorCounters(ctx, m.Key, cfg, head, pos+1)
+	r.mirrorCounters(ctx, m.Key, cfg, head, pos+1)
 	for j := 0; j < cfg.Y; j++ {
 		target := (pos + j) % numServers
-		if err := n.callBestEffort(ctx, target, wire.StoreOne{Key: m.Key, Config: cfg, Entry: m.Entry, Pos: pos}); err != nil {
+		if err := r.callBestEffort(ctx, target, wire.StoreOne{Key: m.Key, Config: cfg, Entry: m.Entry, Pos: pos}); err != nil {
 			return wire.Ack{Err: err.Error()}
 		}
 	}
-	return n.flushAck(ks)
+	return r.flushAck(ks)
 }
 
-func (roundExec) del(ctx context.Context, n *Node, ks *store.KeyState, cfg wire.Config, m wire.Delete) wire.Message {
-	if n.ID() >= coordinators(cfg) {
+func (roundExec) del(ctx context.Context, r req, ks *store.KeyState, cfg wire.Config, m wire.Delete) wire.Message {
+	if r.v.Self >= coordinators(cfg) {
 		return wire.Ack{Err: "node: Round-y delete must be sent to a coordinator"}
 	}
-	numServers := n.numServers()
+	numServers := len(r.v.Addrs)
 	var headPos, tail int
 	ks.Update(func(st *store.State) {
 		ext := roundExtOf(st)
@@ -122,31 +122,31 @@ func (roundExec) del(ctx context.Context, n *Node, ks *store.KeyState, cfg wire.
 		logCounters(st, ext.head, ext.tail)
 	})
 	headServer := headPos % numServers
-	n.mirrorCounters(ctx, m.Key, cfg, headPos+1, tail)
+	r.mirrorCounters(ctx, m.Key, cfg, headPos+1, tail)
 	// Fig. 11: broadcast remove(v, head). The head server must
 	// initialize its migration state before any migrate request
 	// arrives, so it receives the broadcast first.
 	rm := wire.RoundRemove{Key: m.Key, Entry: m.Entry, HeadServer: headServer, HeadPos: headPos}
-	if err := n.callBestEffort(ctx, headServer, rm); err != nil {
+	if err := r.callBestEffort(ctx, headServer, rm); err != nil {
 		return wire.Ack{Err: err.Error()}
 	}
 	for target := 0; target < numServers; target++ {
 		if target == headServer {
 			continue
 		}
-		if err := n.callBestEffort(ctx, target, rm); err != nil {
+		if err := r.callBestEffort(ctx, target, rm); err != nil {
 			return wire.Ack{Err: err.Error()}
 		}
 	}
-	return n.flushAck(ks)
+	return r.flushAck(ks)
 }
 
 // storeBatch keeps this server's share of a placed list: entry v_i
 // lives on servers (i mod n)..(i+y-1 mod n), the rule accept evaluates.
 // The share is y/n of a list whose strings all view one decoded message
 // (wire.Decode), so what is kept is copied out of it.
-func (roundExec) storeBatch(n *Node, st *store.State, entries []string) {
-	mv := n.view()
+func (roundExec) storeBatch(r req, st *store.State, entries []string) {
+	mv := r.v.rule()
 	for i, v := range entries {
 		if inWindow(i, st.Cfg.Y, mv.n, mv.self) {
 			logAddAt(st, strings.Clone(v), i)
@@ -154,11 +154,11 @@ func (roundExec) storeBatch(n *Node, st *store.State, entries []string) {
 	}
 }
 
-func (roundExec) storeOne(_ *Node, st *store.State, m wire.StoreOne) {
+func (roundExec) storeOne(_ req, st *store.State, m wire.StoreOne) {
 	logAddAt(st, m.Entry, m.Pos)
 }
 
-func (roundExec) removeOne(_ context.Context, _ *Node, st *store.State, m wire.RemoveOne) func() {
+func (roundExec) removeOne(_ context.Context, _ req, st *store.State, m wire.RemoveOne) func() {
 	logRemove(st, m.Entry)
 	return nil
 }
@@ -175,9 +175,9 @@ func (roundExec) removeOne(_ context.Context, _ *Node, st *store.State, m wire.R
 // servers (p mod n)..(p+y-1 mod n) — without it, later deletions would
 // retire the wrong copies (the paper's pseudocode leaves this implicit
 // in its "plug the hole" picture, Fig. 10).
-func (n *Node) handleRoundRemove(ctx context.Context, m wire.RoundRemove) wire.Message {
+func (r req) handleRoundRemove(ctx context.Context, m wire.RoundRemove) wire.Message {
 	v := m.Entry
-	ks, ok := n.store.Get(m.Key)
+	ks, ok := r.store.Get(m.Key)
 	if !ok {
 		return wire.Ack{}
 	}
@@ -188,7 +188,7 @@ func (n *Node) handleRoundRemove(ctx context.Context, m wire.RoundRemove) wire.M
 	)
 	ks.Update(func(st *store.State) {
 		ext := roundExtOf(st)
-		if n.ID() == m.HeadServer {
+		if r.v.Self == m.HeadServer {
 			// Choose the replacement: the local entry at position head.
 			// If v itself sits at the head position, the hole is at the
 			// head and no migration is needed (found stays false).
@@ -212,7 +212,7 @@ func (n *Node) handleRoundRemove(ctx context.Context, m wire.RoundRemove) wire.M
 	if !had {
 		return wire.Ack{}
 	}
-	reply, err := n.callReply(ctx, m.HeadServer, wire.Migrate{Key: m.Key, Entry: m.Entry})
+	reply, err := r.callReply(ctx, m.HeadServer, wire.Migrate{Key: m.Key, Entry: m.Entry})
 	if errors.Is(err, transport.ErrServerDown) {
 		// The head server is gone: no replacement is available, so the
 		// hole stays unplugged (entries on the failed head are lost
@@ -238,7 +238,7 @@ func (n *Node) handleRoundRemove(ctx context.Context, m wire.RoundRemove) wire.M
 			}
 		})
 	}
-	return n.flushAck(ks)
+	return r.flushAck(ks)
 }
 
 // handleMigrate executes the head server's migrate(v) procedure of
@@ -246,9 +246,9 @@ func (n *Node) handleRoundRemove(ctx context.Context, m wire.RoundRemove) wire.M
 // the replacement entry's original copies — position-checked, so the
 // copies that just migrated into the hole survive even when the head
 // range overlaps the hole range.
-func (n *Node) handleMigrate(ctx context.Context, m wire.Migrate) wire.Message {
+func (r req) handleMigrate(ctx context.Context, m wire.Migrate) wire.Message {
 	v := m.Entry
-	ks, ok := n.store.Get(m.Key)
+	ks, ok := r.store.Get(m.Key)
 	if !ok {
 		return wire.MigrateReply{Err: "node: migrate for unknown key"}
 	}
@@ -282,10 +282,9 @@ func (n *Node) handleMigrate(ctx context.Context, m wire.Migrate) wire.Message {
 	if done && found {
 		// Remove R[v] from its original y consecutive homes
 		// (servers head .. head+y-1, i.e. this server onward).
-		numServers := n.numServers()
 		for i := 0; i < cfg.Y; i++ {
-			target := (n.ID() + i) % numServers
-			if err := n.callBestEffort(ctx, target, wire.RemoveAt{Key: m.Key, Entry: replacement, Pos: headPos}); err != nil {
+			target := (r.v.Self + i) % len(r.v.Addrs)
+			if err := r.callBestEffort(ctx, target, wire.RemoveAt{Key: m.Key, Entry: replacement, Pos: headPos}); err != nil {
 				return wire.MigrateReply{Err: err.Error()}
 			}
 		}
@@ -411,13 +410,13 @@ func coordinators(cfg wire.Config) int {
 // mirrorCounters best-effort syncs head/tail to the other coordinator
 // replicas; failed replicas are skipped (they re-learn on recovery
 // from the next successful sync they receive).
-func (n *Node) mirrorCounters(ctx context.Context, key string, cfg wire.Config, head, tail int) {
+func (r req) mirrorCounters(ctx context.Context, key string, cfg wire.Config, head, tail int) {
 	for c := 0; c < coordinators(cfg); c++ {
-		if c == n.ID() {
+		if c == r.v.Self {
 			continue
 		}
 		// Errors (including down replicas) are intentionally dropped.
-		_, _ = n.callReply(ctx, c, wire.CounterSync{Key: key, Head: head, Tail: tail})
+		_, _ = r.callReply(ctx, c, wire.CounterSync{Key: key, Head: head, Tail: tail})
 	}
 }
 

@@ -25,66 +25,33 @@ import (
 //     entries are WAL-logged and a coordinator crash mid-rebalance
 //     recovers to a state the next sweep completes from.
 //
-// Rank space: a node derives its post-change view from the update
-// alone. Its rank is its pre-change slot with the leaver's removed
-// (rankAfter), recorded at commit; the cluster size is len(Addrs); its
-// topology is fitted with topo.Resize. During a drain the leaver is
-// still physically attached (a member's view drops its slot only after
-// that member's own sweep), so a post-change rank r maps to transport
-// slot r when r < leaving and r+1 otherwise; during a join ranks and
-// slots coincide (transition.slotOf).
+// Views: a node derives its post-change view from its pre-change one
+// and the update alone (view.next), its rank found by its address. A
+// member publishes it as it commits, before its sweep; a leaver serves
+// under its pre-change view until its handoff is done. The sweep plans
+// under the post-change view and calls through the view that names
+// every member it must reach: a drain's pre-change one, or a join's
+// post-change one.
 
-// Host owns a node's own view of the member list (a cluster.View,
-// in process, in a wired cluster and in plsd alike): its transport
-// view and selector. A node that receives a wire.Join or wire.Leave
-// coordinates the change from its host's member list, and every node
-// calls its host around its own sweep of a committed update.
+// Host gives a node the caller each of its views addresses peers
+// through: a cluster.View, in process, in a wired cluster and in plsd
+// alike, which keeps the member list and selector the callers are over.
 type Host interface {
-	// Members returns the current member addresses, in slot order.
-	Members() []string
-	// Grow runs once before this node's rebalance sweep for m: a join's
-	// new slots must be addressable by then.
-	Grow(m wire.MembershipUpdate)
-	// Compact runs after this node's sweep for m, before it acks. The
-	// sweep addresses peers in pre-change slots, so a host drops a
-	// drain's slot, and renumbers the node with SetID, only here.
-	Compact(m wire.MembershipUpdate)
+	// Apply adopts v and returns the caller that reaches v.Addrs by
+	// rank, numbered so for as long as anyone holds it. A drained
+	// node's v, which has no rank, gets none.
+	Apply(v View) transport.Caller
 }
 
 // transition is the membership update a node committed last, with the
-// node's post-change rank, recorded at commit from its pre-change slot
-// (-1 on the leaver); swept closes once its rebalance sweep has
+// view it makes (to); swept closes once its rebalance sweep has
 // finished, with unfinished set if that was a leaver's sweep some of
 // whose messages went unanswered.
 type transition struct {
 	update     wire.MembershipUpdate
-	rank       int
+	to         *view
 	swept      chan struct{}
 	unfinished bool
-}
-
-// slotOf maps a post-change rank to the transport slot it occupies
-// while the transition is in flight (the leaver still attached).
-func (t *transition) slotOf(rank int) int {
-	if l := t.update.Leaving; l >= 0 && rank >= l {
-		return rank + 1
-	}
-	return rank
-}
-
-// rankAfter maps pre-change slot id to its post-change rank under a
-// change whose leaver is leaving (-1 for a join): -1 for the leaver,
-// which has no place in the new membership, and higher slots shift
-// down by one.
-func rankAfter(id, leaving int) int {
-	switch {
-	case leaving < 0 || id < leaving:
-		return id
-	case id == leaving:
-		return -1
-	default:
-		return id - 1
-	}
 }
 
 // validateMembershipUpdate refuses an update that names no member, an
@@ -131,22 +98,29 @@ func MembershipAckErr(reply wire.Message) error {
 }
 
 // handleMembershipUpdate commits a transition on this member: adopt
-// the epoch with its post-change rank, let the host grow its transport
-// view, fit the topology to the change, sweep every key
-// synchronously, let the host compact — the Ack tells the coordinator
-// this member has finished moving its share. A leaver whose sweep left
-// a message unanswered may hold the only copy of what it failed to hand
-// off: it replies with an error instead, compacting nothing. The
-// committed transition again (a coordinator's retry, a double join)
-// acks once that first sweep has finished, or re-runs an unfinished
-// one: plans push only what is missing. Anything else at or below the
-// committed epoch is refused with ErrMembershipConflict.
+// the epoch, publish the post-change view (see Views above), sweep
+// every key synchronously — the Ack tells the coordinator this member
+// has finished moving its share. A leaver publishes its view, which has
+// no rank, only after its sweep; one whose sweep left a message
+// unanswered may hold the only copy of what it failed to hand off: it
+// replies with an error instead and stays as it was. The committed
+// transition again (a coordinator's retry, a double join) acks once
+// that first sweep has finished, or re-runs an unfinished one: plans
+// push only what is missing. Anything else at or below the committed
+// epoch is refused with ErrMembershipConflict, and so is an update that
+// neither names this member nor drains it.
 func (n *Node) handleMembershipUpdate(ctx context.Context, m wire.MembershipUpdate) wire.Message {
 	if err := validateMembershipUpdate(m); err != nil {
 		return wire.Ack{Err: err.Error()}
 	}
-	next := &transition{update: m, rank: rankAfter(n.ID(), m.Leaving), swept: make(chan struct{})}
-	rerun := false
+	if n.host == nil {
+		return wire.Ack{Err: "node: no membership host installed"}
+	}
+	from := n.cur.Load()
+	next := &transition{update: m, to: from.next(m), swept: make(chan struct{})}
+	if next.to.Self < 0 && m.Leaving != from.Self {
+		return wire.Ack{Err: fmt.Sprintf("node: membership update epoch %d names no rank for member %d", m.Epoch, from.Self)}
+	}
 	for {
 		cur := n.applied.Load()
 		if cur == nil && m.Epoch == 0 {
@@ -172,26 +146,35 @@ func (n *Node) handleMembershipUpdate(ctx context.Context, m wire.MembershipUpda
 		if !cur.unfinished {
 			return wire.Ack{}
 		}
-		if rerun = n.applied.CompareAndSwap(cur, next); rerun {
+		if n.applied.CompareAndSwap(cur, next) {
 			break
 		}
 	}
-	host := n.host()
-	if host != nil && !rerun { // a re-run's host has grown already
-		host.Grow(m)
+	via := from
+	if next.to.Self >= 0 {
+		if to := n.adopt(next.to); len(to.Addrs) > len(from.Addrs) {
+			via = to
+		}
 	}
-	n.SetTopology(n.Topology().Resize(len(m.Addrs), m.Leaving))
-	stats := n.sweep(ctx, next, nil)
+	stats := n.sweep(ctx, next, via, nil)
 	n.lastRebalance.Store(&stats)
-	if next.unfinished = next.rank < 0 && stats.Unanswered > 0; next.unfinished {
-		close(next.swept)
-		return wire.Ack{Err: fmt.Sprintf("node: drain handoff: %d messages unanswered", stats.Unanswered)}
-	}
-	if host != nil {
-		host.Compact(m)
+	if next.to.Self < 0 {
+		if next.unfinished = stats.Unanswered > 0; next.unfinished {
+			close(next.swept)
+			return wire.Ack{Err: fmt.Sprintf("node: drain handoff: %d messages unanswered", stats.Unanswered)}
+		}
+		n.adopt(next.to)
 	}
 	close(next.swept)
 	return wire.Ack{}
+}
+
+// adopt publishes a copy of v as the node's view, with the caller its
+// host gives for it, and returns the copy.
+func (n *Node) adopt(v *view) *view {
+	pub := &view{View: v.View, peers: n.host.Apply(v.View)}
+	n.cur.Store(pub)
+	return pub
 }
 
 // handleJoin coordinates admitting the server at m.Addr into the next
@@ -224,23 +207,23 @@ func (n *Node) handleLeave(ctx context.Context, m wire.Leave) wire.Message {
 	})
 }
 
-// coordinate builds a transition from the host's member list under this
-// node's committed epoch + 1, commits it, and replies with it — or with
-// an error Ack. One change at a time is coordinated per node; a second
+// coordinate builds a transition from this node's member list under
+// its committed epoch + 1, commits it, and replies with it — or with an
+// error Ack. One change at a time is coordinated per node; a second
 // coordinator that picks the same epoch is refused by every member that
 // committed the first (ErrMembershipConflict).
 func (n *Node) coordinate(ctx context.Context, op string, build func(addrs []string) (wire.MembershipUpdate, error)) wire.Message {
-	host := n.host()
-	if host == nil {
+	if n.host == nil {
 		return wire.Ack{Err: "node: no membership host installed"}
 	}
 	transport.Detach(ctx) // the lock is held across peer calls
 	n.coordinating.Lock()
 	defer n.coordinating.Unlock()
-	m, err := build(host.Members())
+	r := req{n, n.cur.Load()}
+	m, err := build(r.v.Addrs)
 	if err == nil {
 		m.Epoch = n.MemberEpoch() + 1
-		err = n.commit(ctx, m)
+		err = r.commit(ctx, m)
 	}
 	if err != nil {
 		return wire.Ack{Err: "node: " + op + ": " + err.Error()}
@@ -249,23 +232,18 @@ func (n *Node) coordinate(ctx context.Context, op string, build func(addrs []str
 }
 
 // commit delivers m to every member in one order and stops at the first
-// that does not ack. The leaver goes first: its handoff must land while
-// every view still addresses its slot, and a leaver that cannot sweep
-// stops the change before anyone else commits. The other pre-change
-// members follow in ascending slot order, this node last among them —
-// on a drain its own commit may compact its view, which would
-// mis-address any slot contacted afterwards — and a joiner comes last:
-// this node's commit grows its view to address it.
-func (n *Node) commit(ctx context.Context, m wire.MembershipUpdate) error {
-	self, oldN := n.ID(), len(m.Addrs)-1 // a join's joiner is the last address
-	if m.Leaving >= 0 {
-		oldN = len(m.Addrs) + 1
-	}
-	order := make([]int, 0, oldN+1)
+// that does not ack. The leaver goes first: its handoff must land before
+// anyone else commits, and a leaver that cannot sweep stops the change
+// there. The other pre-change members follow in ascending rank order,
+// this node last among them, and a joiner comes last, through the view
+// this node's own commit published, which names it.
+func (r req) commit(ctx context.Context, m wire.MembershipUpdate) error {
+	self, joiner := r.v.Self, len(r.v.Addrs)
+	order := make([]int, 0, joiner+1)
 	if m.Leaving >= 0 {
 		order = append(order, m.Leaving)
 	}
-	for s := 0; s < oldN; s++ {
+	for s := range r.v.Addrs {
 		if s != self && s != m.Leaving {
 			order = append(order, s)
 		}
@@ -274,10 +252,13 @@ func (n *Node) commit(ctx context.Context, m wire.MembershipUpdate) error {
 		order = append(order, self)
 	}
 	if m.Leaving < 0 {
-		order = append(order, oldN) // the joiner
+		order = append(order, joiner)
 	}
 	for _, s := range order {
-		reply, err := n.callReply(ctx, s, m)
+		if s == joiner {
+			r.v = r.cur.Load()
+		}
+		reply, err := r.callReply(ctx, s, m)
 		if err == nil {
 			err = MembershipAckErr(reply)
 		}
@@ -288,27 +269,12 @@ func (n *Node) commit(ctx context.Context, m wire.MembershipUpdate) error {
 	return nil
 }
 
-// SetHost installs the node's membership host (see Host).
-func (n *Node) SetHost(h Host) {
-	n.peersMu.Lock()
-	n.memberHost = h
-	n.peersMu.Unlock()
-}
-
-func (n *Node) host() Host {
-	n.peersMu.RLock()
-	defer n.peersMu.RUnlock()
-	return n.memberHost
-}
-
-// SetID renumbers the node after its host compacted a drain's slot away
-// (higher ids shift down by one). Same-epoch rebalance pushes still in
-// flight from slower members are judged under the rank the node
-// recorded at commit, not this id (see handleRepairPush).
-func (n *Node) SetID(id int) {
-	n.peersMu.Lock()
-	n.id.Store(int64(id))
-	n.peersMu.Unlock()
+// SetHost installs the node's membership host and publishes v, the
+// view the node starts with, with the caller h gives for it (see
+// Host). It must be called before the node serves traffic.
+func (n *Node) SetHost(h Host, v View) {
+	n.host = h
+	n.adopt(&view{View: v})
 }
 
 // MemberEpoch returns the last membership epoch this node committed.

@@ -38,10 +38,10 @@ func TestRecoveryPreservesRebalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joiner.Attach(dc.tr)
 	if got := dc.tr.Add(fmt.Sprintf("sim://%d", n), joiner); got != n {
 		t.Fatalf("transport Add assigned slot %d, want %d", got, n)
 	}
+	dc.attach(n, joiner)
 	dc.nodes = append(dc.nodes, joiner)
 	dc.durs = append(dc.durs, jd)
 	dirs = append(dirs, joinDir)

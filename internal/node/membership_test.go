@@ -20,6 +20,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/plstest"
 	"repro/internal/stats"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -714,15 +715,17 @@ func TestOlderEpochConflictRefused(t *testing.T) {
 	plstest.Assert(t, "after the refused transition, coverage", v.CheckCoverage(live))
 }
 
-// blockingHost holds its node's sweep in Grow until release closes.
+// blockingHost holds its node's first commit, before its sweep, in
+// Apply until release closes.
 type blockingHost struct{ entered, release chan struct{} }
 
-func (blockingHost) Members() []string { return nil }
-func (h blockingHost) Grow(wire.MembershipUpdate) {
-	close(h.entered)
-	<-h.release
+func (h blockingHost) Apply(v node.View) transport.Caller {
+	if v.Epoch > 0 {
+		close(h.entered)
+		<-h.release
+	}
+	return nil
 }
-func (blockingHost) Compact(wire.MembershipUpdate) {}
 
 // A coordinator's retry can deliver the update a member is still
 // sweeping. The duplicate acks only once that sweep has finished, so a
@@ -731,7 +734,7 @@ func (blockingHost) Compact(wire.MembershipUpdate) {}
 func TestReplayAcksAfterSweep(t *testing.T) {
 	nd := node.New(0, stats.NewRNG(1))
 	host := blockingHost{entered: make(chan struct{}), release: make(chan struct{})}
-	nd.SetHost(host)
+	nd.SetHost(host, node.View{Addrs: []string{"a:1"}})
 	m := wire.MembershipUpdate{Epoch: 1, Leaving: -1, Addrs: []string{"a:1", "b:1"}}
 	first, dup := make(chan wire.Message, 1), make(chan wire.Message, 1)
 	go func() { first <- nd.Handle(context.Background(), m) }()

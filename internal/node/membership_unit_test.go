@@ -3,33 +3,37 @@ package node
 import (
 	"testing"
 
+	"repro/internal/topo"
 	"repro/internal/wire"
 )
 
-// The rank/slot mapping is the heart of drain correctness: plans are
-// computed in post-change rank space while the leaver still occupies a
-// transport slot. Every rank must round-trip through its slot, and the
-// leaver must map to no rank at all.
-func TestTransitionRankMapping(t *testing.T) {
-	join := &transition{update: wire.MembershipUpdate{Leaving: -1}}
-	for r := 0; r < 6; r++ {
-		if join.slotOf(r) != r || rankAfter(r, -1) != r {
-			t.Errorf("join: rank %d maps slot %d rank %d, want identity", r, join.slotOf(r), rankAfter(r, -1))
+// A node's post-change view comes from its pre-change one and the
+// update alone: its rank is its own address's index among the update's
+// members — unchanged by a join, shifted down past a drained slot, none
+// on the leaver — and its topology is fitted to the change.
+func TestNextViewRanksByAddress(t *testing.T) {
+	five := []string{"a:1", "b:1", "c:1", "d:1", "e:1"}
+	tp, err := topo.Uniform(1, 1, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for self := 0; self < 4; self++ {
+		join := (&view{View: View{Addrs: five[:4], Self: self, Topology: tp}}).next(
+			wire.MembershipUpdate{Epoch: 1, Leaving: -1, Addrs: five})
+		if join.Self != self || join.Epoch != 1 || join.Topology.N() != 5 {
+			t.Errorf("join: rank %d becomes %+v, want rank %d of 5 at epoch 1", self, join.View, self)
 		}
 	}
-
-	leave := &transition{update: wire.MembershipUpdate{Leaving: 2}}
-	wantSlots := []int{0, 1, 3, 4}
-	for r, want := range wantSlots {
-		if got := leave.slotOf(r); got != want {
-			t.Errorf("leave: slotOf(%d) = %d, want %d", r, got, want)
-		}
-		if got := rankAfter(want, 2); got != r {
-			t.Errorf("leave: rankAfter(%d, 2) = %d, want %d", want, got, r)
+	drained := []string{"a:1", "b:1", "d:1", "e:1"}
+	for self, want := range []int{0, 1, -1, 2, 3} {
+		leave := (&view{View: View{Addrs: five, Self: self}}).next(
+			wire.MembershipUpdate{Epoch: 2, Leaving: 2, Addrs: drained})
+		if leave.Self != want {
+			t.Errorf("drain of slot 2: rank %d becomes %d, want %d", self, leave.Self, want)
 		}
 	}
-	if got := rankAfter(2, 2); got != -1 {
-		t.Errorf("leave: leaver rank = %d, want -1", got)
+	if got := (&view{View: View{Addrs: make([]string, 3), Self: 1}}).rankIn(five); got != -1 {
+		t.Errorf("a static node, which has no address, ranks %d among %v, want -1", got, five)
 	}
 }
 

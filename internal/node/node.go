@@ -40,12 +40,13 @@ import (
 )
 
 // Node is one lookup server. Create it with New, then Attach the peer
-// caller before serving traffic.
+// caller, or SetHost, before serving traffic.
 type Node struct {
-	// id is the server's slot. SetID rewrites it, under peersMu, when a
-	// drain compacts the slots; request paths load it on its own, and
-	// callReply together with peers under that lock.
-	id atomic.Int64
+	// cur is the node's committed view of the cluster, replaced whole;
+	// each request loads it once. host, when set, gives each view its
+	// caller (see Host); a node without one takes no membership change.
+	cur  atomic.Pointer[view]
+	host Host
 
 	// metrics, when set via Instrument, records per-op throughput.
 	// Atomic so instrumentation can be attached to a serving node.
@@ -70,39 +71,29 @@ type Node struct {
 	// coordinates (see coordinate).
 	coordinating sync.Mutex
 
-	// topol, when set, is the node's copy of the cluster's zone
-	// topology, which it fits to each membership change it commits; the
-	// zone-spread placement mode (wire.Config.ZoneSpread) resolves
-	// entry homes through it. Like Config.Seed, every member must hold
-	// the same topology or spread assignments diverge (DESIGN.md §6,
-	// "Zone-spread placement").
-	topol atomic.Pointer[topo.Topology]
-
 	// handled counts the messages Handle has run: the node's share of
 	// the paper's message meter (Sec. 6.4), whether a transport
 	// delivered them or the node sent them to itself.
 	handled atomic.Int64
-
-	peersMu    sync.RWMutex
-	peers      transport.Caller
-	memberHost Host
 }
 
 var _ transport.Handler = (*Node)(nil)
 
-// New returns a node with the given id, seeded deterministically from
-// seed (each node should get a distinct seed; see stats.RNG.Split).
+// New returns a node of rank id, seeded deterministically from seed
+// (each node should get a distinct seed; see stats.RNG.Split).
 func New(id int, rng *stats.RNG) *Node {
 	n := &Node{
 		rng:   lockedRNG{rng: rng},
 		store: store.New(),
 	}
-	n.id.Store(int64(id))
+	n.cur.Store(&view{View: View{Self: id}})
 	return n
 }
 
 // Attach wires the peer caller the node uses for broadcasts and
-// migrations. It must be called before the node serves traffic.
+// migrations, keeping its view's numbering; a node without one becomes
+// a static node of its id's rank among the caller's servers, with no
+// addresses. It must be called before the node serves traffic.
 //
 // The caller carries the messages addressed to other servers only: one
 // the node addresses to itself is handled in process (see callReply)
@@ -110,22 +101,28 @@ func New(id int, rng *stats.RNG) *Node {
 // hop counters, the peer.* metrics, a selector's latency scoreboard, a
 // retry layer — does not see or touch this server's messages to itself.
 func (n *Node) Attach(peers transport.Caller) {
-	n.peersMu.Lock()
-	defer n.peersMu.Unlock()
-	n.peers = peers
+	v := *n.cur.Load()
+	if v.Addrs == nil {
+		v.Addrs = make([]string, peers.NumServers())
+	}
+	v.peers = peers
+	n.cur.Store(&v)
 }
 
-// ID returns the node's server id.
-func (n *Node) ID() int { return int(n.id.Load()) }
+// ID returns the node's rank in its view, -1 once it has drained.
+func (n *Node) ID() int { return n.cur.Load().Self }
+
+// View returns the node's committed view of the cluster.
+func (n *Node) View() View { return n.cur.Load().View }
 
 // SetTopology attaches (or, with nil, detaches) the cluster's zone
-// topology, a value nobody modifies. Safe to call on a serving node;
-// spread-mode homes are resolved against whatever topology is current
-// when a message is handled.
-func (n *Node) SetTopology(tp *topo.Topology) { n.topol.Store(tp) }
-
-// Topology returns the attached zone topology, or nil.
-func (n *Node) Topology() *topo.Topology { return n.topol.Load() }
+// topology, which every member must hold alike (DESIGN.md §6,
+// "Zone-spread placement"), before the node serves traffic.
+func (n *Node) SetTopology(tp *topo.Topology) {
+	v := *n.cur.Load()
+	v.Topology = tp
+	n.cur.Store(&v)
+}
 
 // Instrument attaches per-op telemetry: the node counts the Place /
 // Add / Delete / Lookup requests it handles against its server id. The
@@ -133,15 +130,14 @@ func (n *Node) Topology() *topo.Topology { return n.topol.Load() }
 // per-server throughput vectors a snapshot exposes.
 func (n *Node) Instrument(m *telemetry.NodeMetrics) { n.metrics.Store(m) }
 
-// recordOp counts one handled client-facing operation; batch envelopes
-// count one op per item, so throughput vectors measure keys served, not
-// envelopes.
-func (n *Node) recordOp(msg wire.Message) {
+// recordOp counts one handled client-facing operation against rank
+// id; batch envelopes count one op per item, so throughput vectors
+// measure keys served, not envelopes.
+func (n *Node) recordOp(id int, msg wire.Message) {
 	m := n.metrics.Load()
 	if m == nil {
 		return
 	}
-	id := n.ID()
 	switch mm := msg.(type) {
 	case wire.Place:
 		m.Places.At(id).Inc()
@@ -161,53 +157,55 @@ func (n *Node) recordOp(msg wire.Message) {
 }
 
 // Handle implements transport.Handler, dispatching one protocol message
-// and counting it in Handled. It runs on the goroutine that read the
-// request until it is about to wait on another server or goroutine: a
-// remote peer call (callReply), the coordinating lock (coordinate) or
-// a replayed update's sweep (handleMembershipUpdate) detach there. A
-// WAL group commit is the request's own work and stays on the reader.
+// under the view it loads once here, and counting it in Handled. It
+// runs on the goroutine that read the request until it is about to
+// wait on another server or goroutine: a remote peer call (callReply),
+// the coordinating lock (coordinate) or a replayed update's sweep
+// (handleMembershipUpdate) detach there. A WAL group commit is the
+// request's own work and stays on the reader.
 // Nested peer calls (broadcasts, migrations) are issued with no key
 // lock held, so self-directed messages re-enter Handle safely.
 func (n *Node) Handle(ctx context.Context, msg wire.Message) wire.Message {
+	r := req{n, n.cur.Load()}
 	n.handled.Add(1)
-	n.recordOp(msg)
+	n.recordOp(r.v.Self, msg)
 	switch m := msg.(type) {
 	case wire.Place:
-		return n.handlePlace(ctx, m)
+		return r.handlePlace(ctx, m)
 	case wire.Add:
-		return n.handleAdd(ctx, m)
+		return r.handleAdd(ctx, m)
 	case wire.Delete:
-		return n.handleDelete(ctx, m)
+		return r.handleDelete(ctx, m)
 	case wire.Lookup:
 		return n.handleLookup(m)
 	case wire.PlaceBatch:
-		return n.handlePlaceBatch(ctx, m)
+		return r.handlePlaceBatch(ctx, m)
 	case wire.AddBatch:
-		return n.handleAddBatch(ctx, m)
+		return r.handleAddBatch(ctx, m)
 	case wire.LookupBatch:
 		return n.handleLookupBatch(m)
 	case wire.StoreBatch:
-		return n.handleStoreBatch(m)
+		return r.handleStoreBatch(m)
 	case wire.StoreBatches:
-		return n.handleStoreBatches(m)
+		return r.handleStoreBatches(m)
 	case wire.StoreOne:
-		return n.handleStoreOne(m)
+		return r.handleStoreOne(m)
 	case wire.RemoveOne:
-		return n.handleRemoveOne(ctx, m)
+		return r.handleRemoveOne(ctx, m)
 	case wire.RoundRemove:
-		return n.handleRoundRemove(ctx, m)
+		return r.handleRoundRemove(ctx, m)
 	case wire.RemoveAt:
 		return n.handleRemoveAt(m)
 	case wire.CounterSync:
 		return n.handleCounterSync(m)
 	case wire.Migrate:
-		return n.handleMigrate(ctx, m)
+		return r.handleMigrate(ctx, m)
 	case wire.Dump:
 		return n.handleDump(m)
 	case wire.RepairQuery:
 		return n.handleRepairQuery(m)
 	case wire.RepairPush:
-		return n.handleRepairPush(m)
+		return r.handleRepairPush(m)
 	case wire.Join:
 		return n.handleJoin(ctx, m)
 	case wire.Leave:
@@ -217,42 +215,42 @@ func (n *Node) Handle(ctx context.Context, msg wire.Message) wire.Message {
 	case wire.Ping:
 		return wire.Ack{}
 	default:
-		return wire.Ack{Err: fmt.Sprintf("node %d: unexpected message kind %d", n.ID(), msg.Kind())}
+		return wire.Ack{Err: fmt.Sprintf("node %d: unexpected message kind %d", r.v.Self, msg.Kind())}
 	}
 }
 
 // handlePlace implements the initial server S's role in
 // place(v1..vh): a PlaceBatch of one (see place).
-func (n *Node) handlePlace(ctx context.Context, m wire.Place) wire.Message {
-	return wire.Ack{Err: n.place(ctx, []wire.Place{m})[0]}
+func (r req) handlePlace(ctx context.Context, m wire.Place) wire.Message {
+	return wire.Ack{Err: r.place(ctx, []wire.Place{m})[0]}
 }
 
 // handleAdd implements the initial server S's role in add(v) (Sec. 5).
 // The stored config (installed by the key's placement) wins over the
 // one riding on the message, so a client with a stale config cannot
 // fork the key's strategy.
-func (n *Node) handleAdd(ctx context.Context, m wire.Add) wire.Message {
+func (r req) handleAdd(ctx context.Context, m wire.Add) wire.Message {
 	if !entry.Valid(m.Entry) {
 		return wire.Ack{Err: "node: add with empty entry"}
 	}
-	if n.numServers() == 0 {
+	if r.v.peers == nil {
 		return wire.Ack{Err: "node: no peer caller attached"}
 	}
-	ks := n.store.GetOrCreate(m.Key, m.Config)
+	ks := r.store.GetOrCreate(m.Key, m.Config)
 	cfg := ks.Config()
-	reply := execFor(cfg.Scheme).add(ctx, n, ks, cfg, m)
-	return n.flushReply(ks, reply)
+	reply := execFor(cfg.Scheme).add(ctx, r, ks, cfg, m)
+	return r.flushReply(ks, reply)
 }
 
 // handleDelete implements the initial server S's role in delete(v).
-func (n *Node) handleDelete(ctx context.Context, m wire.Delete) wire.Message {
-	if n.numServers() == 0 {
+func (r req) handleDelete(ctx context.Context, m wire.Delete) wire.Message {
+	if r.v.peers == nil {
 		return wire.Ack{Err: "node: no peer caller attached"}
 	}
-	ks := n.store.GetOrCreate(m.Key, m.Config)
+	ks := r.store.GetOrCreate(m.Key, m.Config)
 	cfg := ks.Config()
-	reply := execFor(cfg.Scheme).del(ctx, n, ks, cfg, m)
-	return n.flushReply(ks, reply)
+	reply := execFor(cfg.Scheme).del(ctx, r, ks, cfg, m)
+	return r.flushReply(ks, reply)
 }
 
 // sampleScratchPool recycles the index/output buffers a lookup samples
@@ -298,11 +296,11 @@ func allValid(entries []string) bool {
 // handleStoreBatch applies a place broadcast: the receiver resets the
 // key (config, entry set, strategy state) and stores the
 // scheme-dependent local selection of the batch.
-func (n *Node) handleStoreBatch(m wire.StoreBatch) wire.Message {
+func (r req) handleStoreBatch(m wire.StoreBatch) wire.Message {
 	if !allValid(m.Entries) {
 		return wire.Ack{Err: errEmptyPlaceEntry}
 	}
-	ks := n.store.GetOrCreate(m.Key, m.Config)
+	ks := r.store.GetOrCreate(m.Key, m.Config)
 	ks.Update(func(st *store.State) {
 		// The reset record precedes the executor's own records in the
 		// log, so replay clears the key before re-applying the batch's
@@ -313,37 +311,37 @@ func (n *Node) handleStoreBatch(m wire.StoreBatch) wire.Message {
 		st.Cfg = m.Config
 		st.Set.Clear()
 		st.Ext = nil
-		execFor(st.Cfg.Scheme).storeBatch(n, st, m.Entries)
+		execFor(st.Cfg.Scheme).storeBatch(r, st, m.Entries)
 	})
-	return n.flushAck(ks)
+	return r.flushAck(ks)
 }
 
 // handleStoreOne applies a single-entry store under the key's
 // scheme-specific local rule.
-func (n *Node) handleStoreOne(m wire.StoreOne) wire.Message {
+func (r req) handleStoreOne(m wire.StoreOne) wire.Message {
 	if !entry.Valid(m.Entry) {
 		return wire.Ack{Err: "node: store with empty entry"}
 	}
-	ks := n.store.GetOrCreate(m.Key, m.Config)
+	ks := r.store.GetOrCreate(m.Key, m.Config)
 	ks.Update(func(st *store.State) {
-		execFor(st.Cfg.Scheme).storeOne(n, st, m)
+		execFor(st.Cfg.Scheme).storeOne(r, st, m)
 	})
-	return n.flushAck(ks)
+	return r.flushAck(ks)
 }
 
 // handleRemoveOne deletes a local copy under the key's scheme-specific
 // rule; RandomServer-x may follow up with a replacement search (see
 // exec_randomserver.go).
-func (n *Node) handleRemoveOne(ctx context.Context, m wire.RemoveOne) wire.Message {
-	ks := n.store.GetOrCreate(m.Key, m.Config)
+func (r req) handleRemoveOne(ctx context.Context, m wire.RemoveOne) wire.Message {
+	ks := r.store.GetOrCreate(m.Key, m.Config)
 	var after func()
 	ks.Update(func(st *store.State) {
-		after = execFor(st.Cfg.Scheme).removeOne(ctx, n, st, m)
+		after = execFor(st.Cfg.Scheme).removeOne(ctx, r, st, m)
 	})
 	if after != nil {
 		after()
 	}
-	return n.flushAck(ks)
+	return r.flushAck(ks)
 }
 
 // handleDump returns the full local set for a key.
@@ -405,23 +403,13 @@ func (n *Node) EntryCount() int { return n.store.EntryCount() }
 // KeyCount returns the number of keys the node holds state for.
 func (n *Node) KeyCount() int { return n.store.Keys() }
 
-// numServers reads the cluster size from the peer caller.
-func (n *Node) numServers() int {
-	n.peersMu.RLock()
-	defer n.peersMu.RUnlock()
-	if n.peers == nil {
-		return 0
-	}
-	return n.peers.NumServers()
-}
-
 // callBestEffort sends msg to one peer, treating an unreachable peer
 // as a skipped delivery rather than a failure: in the paper's fault
 // model a failed server simply loses the entries it would have stored
 // ("if a server goes down, we may lose some entries permanently",
 // Sec. 4.4), so updates proceed past down replicas.
-func (n *Node) callBestEffort(ctx context.Context, server int, msg wire.Message) error {
-	err := n.call(ctx, server, msg)
+func (r req) callBestEffort(ctx context.Context, server int, msg wire.Message) error {
+	err := r.call(ctx, server, msg)
 	if errors.Is(err, transport.ErrServerDown) {
 		return nil
 	}
@@ -430,8 +418,8 @@ func (n *Node) callBestEffort(ctx context.Context, server int, msg wire.Message)
 
 // call sends msg to one peer and surfaces any application-level error
 // carried in the Ack.
-func (n *Node) call(ctx context.Context, server int, msg wire.Message) error {
-	reply, err := n.callReply(ctx, server, msg)
+func (r req) call(ctx context.Context, server int, msg wire.Message) error {
+	reply, err := r.callReply(ctx, server, msg)
 	if err != nil {
 		return err
 	}
@@ -441,25 +429,21 @@ func (n *Node) call(ctx context.Context, server int, msg wire.Message) error {
 	return nil
 }
 
-// callReply sends msg to one server and returns its reply, detaching
-// the request from its connection's reader first when the server is
-// another one. A message the node addresses to itself does not leave
-// the process: Handle runs on the calling goroutine with the caller's
-// ctx — cancellation carries, and so does the reader, which the nested
-// handler detaches from if it calls a peer in turn — and returns the
-// same reply, durability wait included. It is still a processed
-// message in the paper's cost model (Sec. 6.4 counts a broadcast's
-// message to the sender): Handle counts it as it counts the others,
-// and the node.local_deliveries vector too. id and peers are read
-// together under the lock SetID and Attach write them under. A host
-// that compacts its slot view in place (cluster.Drain, a member's
-// Compact) still does that and SetID in two steps: an update
-// overlapping them can address one message by the wrong numbering,
-// which is the repair sweep's to mend, as it was.
-func (n *Node) callReply(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
-	n.peersMu.RLock()
-	self, peers := n.ID(), n.peers
-	n.peersMu.RUnlock()
+// callReply sends msg to the server of rank server in the request's
+// view and returns its reply, detaching the request from its
+// connection's reader first when the server is another one. The view's
+// caller numbers the servers as the view does for as long as the
+// request holds it, so a membership change committed meanwhile cannot
+// re-address the call. A message the node addresses to itself does not
+// leave the process: Handle runs on the calling goroutine with the
+// caller's ctx — cancellation carries, and so does the reader, which
+// the nested handler detaches from if it calls a peer in turn — and
+// returns the same reply, durability wait included. It is still a
+// processed message in the paper's cost model (Sec. 6.4 counts a
+// broadcast's message to the sender): Handle counts it as it counts the
+// others, and the node.local_deliveries vector too.
+func (r req) callReply(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
+	self, peers := r.v.Self, r.v.peers
 	if peers == nil {
 		return nil, fmt.Errorf("node %d: no peer caller attached", self)
 	}
@@ -470,10 +454,10 @@ func (n *Node) callReply(ctx context.Context, server int, msg wire.Message) (wir
 	if err := ctx.Err(); err != nil {
 		return nil, err // as every Caller abandons a cancelled request
 	}
-	if m := n.metrics.Load(); m != nil {
+	if m := r.metrics.Load(); m != nil {
 		m.LocalDeliveries.At(self).Inc()
 	}
-	return n.Handle(ctx, msg), nil
+	return r.Handle(ctx, msg), nil
 }
 
 // Handled returns how many messages the node has handled: the paper's
@@ -481,13 +465,13 @@ func (n *Node) callReply(ctx context.Context, server int, msg wire.Message) (wir
 // delivered and each the node delivered to itself.
 func (n *Node) Handled() int64 { return n.handled.Load() }
 
-// broadcast sends msg to every server, including this one (the paper's
-// cost model charges a broadcast n processed messages). Down servers
-// are skipped: they lose the update, per the paper's fault model.
-func (n *Node) broadcast(ctx context.Context, msg wire.Message) error {
-	numServers := n.numServers()
-	for target := 0; target < numServers; target++ {
-		if err := n.callBestEffort(ctx, target, msg); err != nil {
+// broadcast sends msg to every server of the view, including this one
+// (the paper's cost model charges a broadcast n processed messages).
+// Down servers are skipped: they lose the update, per the paper's fault
+// model.
+func (r req) broadcast(ctx context.Context, msg wire.Message) error {
+	for target := range r.v.Addrs {
+		if err := r.callBestEffort(ctx, target, msg); err != nil {
 			return err
 		}
 	}
@@ -517,16 +501,16 @@ func (n *Node) flushReply(ks *store.KeyState, reply wire.Message) wire.Message {
 }
 
 // ackCall wraps a single peer call for handlers that reply with an Ack.
-func (n *Node) ackCall(ctx context.Context, server int, msg wire.Message) wire.Message {
-	if err := n.call(ctx, server, msg); err != nil {
+func (r req) ackCall(ctx context.Context, server int, msg wire.Message) wire.Message {
+	if err := r.call(ctx, server, msg); err != nil {
 		return wire.Ack{Err: err.Error()}
 	}
 	return wire.Ack{}
 }
 
 // ackBroadcast wraps broadcast for handlers that reply with an Ack.
-func (n *Node) ackBroadcast(ctx context.Context, msg wire.Message) wire.Message {
-	if err := n.broadcast(ctx, msg); err != nil {
+func (r req) ackBroadcast(ctx context.Context, msg wire.Message) wire.Message {
+	if err := r.broadcast(ctx, msg); err != nil {
 		return wire.Ack{Err: err.Error()}
 	}
 	return wire.Ack{}

@@ -62,9 +62,8 @@ func placedCluster(t *testing.T, n int, cfg wire.Config, withTopo bool) *durClus
 // replacement would.
 func (dc *durCluster) blank(slot int) *Node {
 	nd := New(slot, stats.NewRNG(900))
-	nd.SetTopology(dc.nodes[slot].Topology())
-	nd.Attach(dc.tr)
-	dc.tr.Bind(slot, nd)
+	nd.SetTopology(dc.nodes[slot].View().Topology)
+	dc.attach(slot, nd)
 	dc.nodes[slot] = nd
 	return nd
 }
@@ -141,11 +140,11 @@ func TestPlanAcceptUnderUnchangedView(t *testing.T) {
 					continue
 				}
 				view := viewKey("k", ks)
-				push, drop := exec.plan(view, nd.view())
+				push, drop := exec.plan(view, nd.cur.Load().rule())
 				if len(drop) != 0 {
 					t.Errorf("node %d drops %v under its own membership", nd.ID(), drop)
 				}
-				if got, want := offers(push), wantOffers(nd.ID(), n, view, nd.Topology()); !reflect.DeepEqual(got, want) {
+				if got, want := offers(push), wantOffers(nd.ID(), n, view, nd.View().Topology); !reflect.DeepEqual(got, want) {
 					t.Errorf("node %d plan\n got %v\nwant %v", nd.ID(), got, want)
 				}
 			}
@@ -164,7 +163,7 @@ func TestPlanAcceptUnderUnchangedView(t *testing.T) {
 					continue
 				}
 				view := viewKey("k", ks)
-				push, _ := exec.plan(view, nd.view())
+				push, _ := exec.plan(view, nd.cur.Load().rule())
 				for _, c := range push {
 					if c.target != victim {
 						continue
@@ -297,7 +296,7 @@ func TestRepairSweepReleasesNothing(t *testing.T) {
 	nd := dc.nodes[self]
 	ks, _ := nd.store.Get("k")
 	ks.Update(func(st *store.State) { logAdd(st, stray) })
-	if _, drop := execFor(cfg.Scheme).plan(viewKey("k", ks), nd.view()); !reflect.DeepEqual(drop, []string{stray}) {
+	if _, drop := execFor(cfg.Scheme).plan(viewKey("k", ks), nd.cur.Load().rule()); !reflect.DeepEqual(drop, []string{stray}) {
 		t.Fatalf("server %d plans drops %v, want [%s]; test proves nothing", self, drop, stray)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -166,7 +167,7 @@ func (r *Repairer) SweepOnce(ctx context.Context) SweepStats {
 		m.SweepsSkipped.Inc()
 		return SweepStats{Skipped: true}
 	}
-	stats := r.n.sweep(ctx, nil, r.opt.Health.PresumedDead())
+	stats := r.n.sweep(ctx, nil, r.n.cur.Load(), r.opt.Health.PresumedDead())
 	// Converged at this epoch, unless a message went unanswered (the
 	// epoch need not move again when a partition heals or a drop
 	// passes): until the health picture changes, further sweeps are free.
@@ -185,9 +186,10 @@ func (r *Repairer) SweepOnce(ctx context.Context) SweepStats {
 // in sorted order (the store's Range order is unspecified, and
 // deterministic sweeps are what make the churn soak tests
 // reproducible), each run through sweepKey. t is the committed
-// transition a rebalance carries, nil for a repair sweep; dead marks
-// the slots a repair sweep presumes dead.
-func (n *Node) sweep(ctx context.Context, t *transition, dead []bool) SweepStats {
+// transition a rebalance carries, nil for a repair sweep; via is the
+// view whose caller the sweep addresses peers through; dead marks the
+// ranks a repair sweep presumes dead.
+func (n *Node) sweep(ctx context.Context, t *transition, via *view, dead []bool) SweepStats {
 	type keyRef struct {
 		key string
 		ks  *store.KeyState
@@ -204,7 +206,7 @@ func (n *Node) sweep(ctx context.Context, t *transition, dead []bool) SweepStats
 	}
 	for _, k := range keys {
 		stats.Keys++
-		n.sweepKey(ctx, k.key, k.ks, t, dead, &stats)
+		req{n, via}.sweepKey(ctx, k.key, k.ks, t, dead, &stats)
 	}
 	return stats
 }
@@ -213,16 +215,16 @@ func (n *Node) sweep(ctx context.Context, t *transition, dead []bool) SweepStats
 // under a member view, push what targets miss (transferKey), then
 // release the copies the plan no longer assigns here whose survivor was
 // confirmed, but only when the sweep carries a transition. A repair
-// sweep plans under the live view with presumed-dead targets skipped:
-// it restores missing copies, it never releases one. A rebalance plans
-// under t's post-change view (the rank t recorded, len(Addrs) members,
-// the topology fitted at commit) and addresses ranks through t.slotOf.
-// Unconfirmed entries stay put: on a drain they ride out in the
-// leaver's final snapshot (the operator's escrow) rather than be
-// destroyed; a sole RandomServer-x copy on a leaver whose peers are
-// all at capacity is the concrete case.
-func (n *Node) sweepKey(ctx context.Context, key string, ks *store.KeyState, t *transition, dead []bool, stats *SweepStats) {
-	mv, slotOf := n.view(), func(rank int) int {
+// sweep plans under the request's view with presumed-dead targets
+// skipped: it restores missing copies, it never releases one. A
+// rebalance plans under t's post-change view and addresses each rank
+// at its address's slot in the request's view. Unconfirmed entries
+// stay put: on a drain they ride out in the leaver's final snapshot
+// (the operator's escrow) rather than be destroyed; a sole
+// RandomServer-x copy on a leaver whose peers are all at capacity is
+// the concrete case.
+func (r req) sweepKey(ctx context.Context, key string, ks *store.KeyState, t *transition, dead []bool, stats *SweepStats) {
+	mv, slotOf := r.v.rule(), func(rank int) int {
 		if rank < len(dead) && dead[rank] {
 			return -1
 		}
@@ -231,8 +233,8 @@ func (n *Node) sweepKey(ctx context.Context, key string, ks *store.KeyState, t *
 	push := wire.RepairPush{Key: key}
 	var confirmed map[string]bool
 	if t != nil {
-		mv = memberView{self: t.rank, n: len(t.update.Addrs), tp: n.Topology()}
-		slotOf = t.slotOf
+		mv = t.to.rule()
+		slotOf = func(rank int) int { return slices.Index(r.v.Addrs, t.to.Addrs[rank]) }
 		push.Epoch, push.NewN, push.Leaving = t.update.Epoch, mv.n, t.update.Leaving
 		confirmed = make(map[string]bool)
 	}
@@ -240,7 +242,7 @@ func (n *Node) sweepKey(ctx context.Context, key string, ks *store.KeyState, t *
 	plan, drops := execFor(v.cfg.Scheme).plan(v, mv)
 	push.Config, push.HCount = v.cfg, v.hCount
 	before := stats.Moved
-	n.transferKey(ctx, v, plan, mv, slotOf, push, confirmed, stats)
+	r.transferKey(ctx, v, plan, mv, slotOf, push, confirmed, stats)
 	moved := stats.Moved > before
 
 	if len(drops) > 0 && len(confirmed) > 0 {
@@ -402,15 +404,15 @@ func acceptMissing(st *store.State, entries []string, capX bool, admit func(i in
 // re-mirror the coordinator counters over the view's coordinator
 // ranks (adopt-if-advance on receipt) so a replaced, shifted or
 // joined counter home relearns head/tail. Targets are ranks under mv;
-// slotOf maps a rank to the transport slot to call, or -1 to skip it
-// (presumed dead). push is the sweep's message with its key, config,
-// HCount and transition set; each target gets a copy carrying the
-// entries it is missing. When confirmed is non-nil it collects the
+// slotOf maps one to the slot to call in the request's view, or -1 to
+// skip it (presumed dead). push is the sweep's message with its key,
+// config, HCount and transition set; each target gets a copy carrying
+// the entries it is missing. When confirmed is non-nil it collects the
 // entries known to have a copy on some target: seen there by the
 // query, or part of a push accepted in full (partial acceptance
 // doesn't say which ones landed, so none are marked). It tallies into
 // stats.
-func (n *Node) transferKey(ctx context.Context, v repairView, plan []repairCandidate, mv memberView,
+func (r req) transferKey(ctx context.Context, v repairView, plan []repairCandidate, mv memberView,
 	slotOf func(rank int) int, push wire.RepairPush, confirmed map[string]bool, stats *SweepStats) {
 	for _, cand := range plan {
 		if cand.target < 0 || cand.target >= mv.n || cand.target == mv.self {
@@ -420,7 +422,7 @@ func (n *Node) transferKey(ctx context.Context, v repairView, plan []repairCandi
 		if slot < 0 {
 			continue
 		}
-		reply, err := n.callReply(ctx, slot, wire.RepairQuery{Key: v.key, Entries: cand.entries})
+		reply, err := r.callReply(ctx, slot, wire.RepairQuery{Key: v.key, Entries: cand.entries})
 		if err != nil {
 			stats.Unanswered++ // unreachable now; a later sweep retries
 			continue
@@ -458,7 +460,7 @@ func (n *Node) transferKey(ctx context.Context, v repairView, plan []repairCandi
 			continue
 		}
 		stats.UnderReplicated += len(p.Entries)
-		preply, err := n.callReply(ctx, slot, p)
+		preply, err := r.callReply(ctx, slot, p)
 		if err != nil {
 			stats.Unanswered++
 			continue
@@ -479,7 +481,7 @@ func (n *Node) transferKey(ctx context.Context, v repairView, plan []repairCandi
 		for c := 0; c < coordinators(v.cfg) && c < mv.n; c++ {
 			if slot := slotOf(c); c != mv.self && slot >= 0 {
 				// Adopt-if-advance on the receiver.
-				if _, err := n.callReply(ctx, slot, wire.CounterSync{Key: v.key, Head: v.head, Tail: v.tail}); err != nil {
+				if _, err := r.callReply(ctx, slot, wire.CounterSync{Key: v.key, Head: v.head, Tail: v.tail}); err != nil {
 					stats.Unanswered++
 				}
 			}
@@ -541,33 +543,36 @@ func (n *Node) handleRepairQuery(m wire.RepairQuery) wire.Message {
 }
 
 // handleRepairPush applies one sweep's push. A repair push (NewN == 0)
-// is accepted under the live membership, a rebalance push under the
+// is accepted under the request's view, a rebalance push under the
 // post-change view of the transition it names, derived by one rule. A
 // push naming this member's committed epoch is judged under that
-// transition as committed: the rank recorded then, len(Addrs) members
-// and the topology fitted then, however far the host has renumbered
-// this member since. A push naming a later epoch comes from a member
-// that committed first: its NewN and Leaving apply to this member's
-// current id and topology, as its own commit will apply them. Pushes
-// from an epoch this member has superseded are refused, and so are
-// ones that leave it no rank or claim more than one new member (no
-// change this member can be part of).
-func (n *Node) handleRepairPush(m wire.RepairPush) wire.Message {
+// transition's post-change view. A push naming a later epoch comes from
+// a member that committed first: its NewN and Leaving apply to this
+// member's view, as its own commit will apply them — the rank is its
+// address's index once the leaver is dropped. Pushes from an epoch this
+// member has superseded are refused, and so are ones that leave it no
+// rank or claim more than one new member (no change this member can be
+// part of).
+func (r req) handleRepairPush(m wire.RepairPush) wire.Message {
 	if m.NewN == 0 {
-		return n.acceptPush("repair", m, n.view())
+		return r.acceptPush("repair", m, r.v.rule())
 	}
-	self, size, leaving := rankAfter(n.ID(), m.Leaving), m.NewN, m.Leaving
-	if cur := n.applied.Load(); cur != nil && m.Epoch <= cur.update.Epoch {
+	addrs := r.v.Addrs
+	if l := m.Leaving; l >= 0 && l < len(addrs) {
+		addrs = slices.Delete(slices.Clone(addrs), l, l+1)
+	}
+	mv := memberView{self: r.v.rankIn(addrs), n: m.NewN, tp: r.v.Topology.Resize(m.NewN, m.Leaving)}
+	if cur := r.applied.Load(); cur != nil && m.Epoch <= cur.update.Epoch {
 		if m.Epoch < cur.update.Epoch {
 			return wire.RepairPushReply{Err: fmt.Sprintf("node: stale rebalance push (epoch %d < %d)", m.Epoch, cur.update.Epoch)}
 		}
-		self, size, leaving = cur.rank, len(cur.update.Addrs), cur.update.Leaving
+		mv = cur.to.rule()
 	}
 	switch {
-	case self < 0:
+	case mv.self < 0:
 		return wire.RepairPushReply{Err: "node: rebalance push addressed to the leaver"}
-	case self >= size || size > n.numServers()+1:
-		return wire.RepairPushReply{Err: fmt.Sprintf("node: rebalance push outside membership (rank %d of %d)", self, size)}
+	case mv.self >= mv.n || mv.n > len(r.v.Addrs)+1:
+		return wire.RepairPushReply{Err: fmt.Sprintf("node: rebalance push outside membership (rank %d of %d)", mv.self, mv.n)}
 	}
-	return n.acceptPush("rebalance", m, memberView{self: self, n: size, tp: n.Topology().Resize(size, leaving)})
+	return r.acceptPush("rebalance", m, mv)
 }

@@ -57,8 +57,7 @@ func TestRecoveryPreservesRepairs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nd.Attach(dc.tr)
-			dc.tr.Bind(victim, nd)
+			dc.attach(victim, nd)
 			dc.nodes[victim] = nd
 			dc.durs[victim] = d
 

@@ -6,15 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/entry"
 	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -203,156 +202,127 @@ func TestSelfStoredEntryIsDurableBeforeTheAck(t *testing.T) {
 	}
 }
 
-// slotTable is a peer transport whose slots can be compacted while
-// calls run: it delivers to whichever node holds a slot when the call
-// arrives, and counts deliveries by (calling node, slot).
-type slotTable struct {
-	mu    sync.Mutex
-	nodes []*Node
-	calls map[[2]int]int // {the calling node's first id, slot} -> deliveries
+// hookHost is a node's membership host over the in-process network,
+// as a cluster's is: it re-lists the node's view of the network as each
+// view arrives and hands out a caller pinned to the new list. hook, when
+// set, runs between the two: while the host compacts.
+type hookHost struct {
+	peers *transport.ChaosView
+	hook  func(View)
 }
 
-type slotOrigin struct {
-	t    *slotTable
-	from int
-}
-
-func (o slotOrigin) NumServers() int {
-	o.t.mu.Lock()
-	defer o.t.mu.Unlock()
-	return len(o.t.nodes)
-}
-
-func (o slotOrigin) Call(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
-	o.t.mu.Lock()
-	if server < 0 || server >= len(o.t.nodes) {
-		o.t.mu.Unlock()
-		return nil, fmt.Errorf("slot %d out of range", server)
+func (h *hookHost) Apply(v View) transport.Caller {
+	h.peers.SetAddrs(v.Addrs)
+	if h.hook != nil {
+		h.hook(v)
 	}
-	nd := o.t.nodes[server]
-	o.t.calls[[2]int{o.from, server}]++
-	o.t.mu.Unlock()
-	return nd.Handle(ctx, msg), nil
+	return h.peers.Pin()
 }
 
-// compact removes slot leaving and then renumbers the nodes above it,
-// in the two steps a host takes after a drain (cluster.Drain, plsd's
-// host Compact).
-func (t *slotTable) compact(leaving int) {
-	t.mu.Lock()
-	t.nodes = append(t.nodes[:leaving:leaving], t.nodes[leaving+1:]...)
-	renumber := append([]*Node(nil), t.nodes[leaving:]...)
-	t.mu.Unlock()
-	for i, nd := range renumber {
-		nd.SetID(leaving + i)
-	}
+// storeCounter counts the StoreOne messages the network delivers to a
+// node, and holds the first one, once hold is set, until release closes.
+type storeCounter struct {
+	*Node
+	stores  atomic.Int64
+	hold    chan struct{} // receives once the held StoreOne has arrived
+	release chan struct{}
 }
 
-// TestRenumberingUnderUpdates renumbers nodes (slot 0 compacted away,
-// as after its drain) while Full-replication adds, whose broadcast
-// reaches every server, the coordinator included, run at each of the
-// three surviving nodes, every request counted against the node's id as
-// under plsd. Run under -race it checks that the id has one discipline.
-// Adds that overlap the compaction see slots and ids that disagree, as
-// they do on a real host, and are not judged; every add that finished
-// before it or began after it is acked and held by every survivor, and
-// afterwards self-delivery follows the new ids exactly: one message kept
-// in process, none sent to the slot the node has left.
-func TestRenumberingUnderUpdates(t *testing.T) {
-	const n, perPhase = 4, 100
-	table := &slotTable{calls: make(map[[2]int]int)}
-	nodes := make([]*Node, n)
-	metrics := telemetry.NewNodeMetrics(telemetry.NewRegistry(), n)
-	for i := range nodes {
-		nodes[i] = New(i, stats.NewRNG(uint64(i)+1))
-		nodes[i].Instrument(metrics)
-		nodes[i].Attach(slotOrigin{t: table, from: i})
+func (c *storeCounter) Handle(ctx context.Context, msg wire.Message) wire.Message {
+	if _, ok := msg.(wire.StoreOne); ok {
+		if c.stores.Add(1) == 1 && c.hold != nil { // the first, once hold is set
+			c.hold <- struct{}{}
+			<-c.release
+		}
 	}
-	table.nodes = append([]*Node(nil), nodes...)
+	return c.Node.Handle(ctx, msg)
+}
+
+// TestPeerCallPlannedBeforeADrainReachesItsServer: node 3 broadcasts a
+// Full-replication add under the four-member view, and its first
+// message, to server 0, is held there while slot 1 drains. Node 3's
+// host compacts its member list as node 3 commits the drain, and the
+// rest of the broadcast is delivered right then, between the host's
+// re-listing and its handing out the post-drain caller. Each message
+// still reaches the server the add planned it for: the leaver, server
+// 2 and node 3 itself, which keeps its own in process, once. Afterwards
+// node 3 is server 2, and its next add follows the new numbering: one
+// message kept, one each to servers 0 and 1, none sent to itself.
+func TestPeerCallPlannedBeforeADrainReachesItsServer(t *testing.T) {
+	const n = 4
 	ctx := context.Background()
+	chaos := transport.NewChaos(n, stats.NewRNG(1))
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("sim://%d", i)
+	}
+	metrics := telemetry.NewNodeMetrics(telemetry.NewRegistry(), n)
+	nodes := make([]*storeCounter, n)
+	hosts := make([]*hookHost, n)
+	for i := range nodes {
+		nodes[i] = &storeCounter{Node: New(i, stats.NewRNG(uint64(i)+1))}
+		nodes[i].Instrument(metrics)
+		hosts[i] = &hookHost{peers: chaos.View(addrs[i], addrs)}
+		nodes[i].SetHost(hosts[i], View{Addrs: addrs, Self: i})
+		chaos.Bind(i, nodes[i])
+	}
 	cfg := wire.Config{Scheme: wire.FullReplication}
-	add := func(nd *Node, v string) bool {
-		return nd.Handle(ctx, wire.Add{Key: "k", Config: cfg, Entry: v}).(wire.Ack).Err == ""
+	if ack := nodes[3].Handle(ctx, wire.Place{Key: "k", Config: cfg, Entries: []string{"base"}}); ack != (wire.Ack{}) {
+		t.Fatalf("place: %v", ack)
 	}
-	if ack := nodes[1].Handle(ctx, wire.Place{Key: "k", Config: cfg, Entries: []string{"base"}}).(wire.Ack); ack.Err != "" {
-		t.Fatalf("place: %s", ack.Err)
-	}
-
-	survivors := nodes[1:]
-	acked := make([][]bool, len(survivors)) // by add number
-	done := make([]atomic.Int64, len(survivors))
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for c, nd := range survivors {
-		wg.Add(1)
-		go func(c int, nd *Node) {
-			defer wg.Done()
-			for i := 0; !stop.Load(); i++ {
-				acked[c] = append(acked[c], add(nd, fmt.Sprintf("n%d-v%d", c, i)))
-				done[c].Add(1)
-			}
-		}(c, nd)
-	}
-	// Every node adds before the compaction, across it and after it.
-	progress := func(more int64) []int64 {
-		at := make([]int64, len(done))
-		for c := range done {
-			for target := done[c].Load() + more; done[c].Load() < target; {
-				time.Sleep(50 * time.Microsecond)
-			}
-			at[c] = done[c].Load()
+	// stores returns each node's StoreOne deliveries since the last call.
+	var last [n]int64
+	stores := func() (got [n]int64) {
+		for i, c := range nodes {
+			now := c.stores.Load()
+			got[i], last[i] = now-last[i], now
 		}
-		return at
+		return got
 	}
-	before := progress(perPhase) // adds below before[c] had finished
-	table.compact(0)
-	after := progress(0) // adds above after[c] had not begun
-	progress(perPhase)
-	stop.Store(true)
-	wg.Wait()
 
-	held := make([]*entry.Set, len(survivors))
-	for s, nd := range survivors {
-		held[s] = nd.LocalSet("k")
-	}
-	for c := range survivors {
-		for i, ok := range acked[c] {
-			if int64(i) >= before[c] && int64(i) <= after[c] {
-				continue
-			}
-			v := entry.Entry(fmt.Sprintf("n%d-v%d", c, i))
-			if !ok {
-				t.Fatalf("add %s, clear of the compaction (adds %d to %d overlap it), failed", v, before[c], after[c])
-			}
-			for s := range survivors {
-				if !held[s].Contains(v) {
-					t.Fatalf("acked %s is missing on the node now in slot %d", v, s)
-				}
+	held := nodes[0]
+	held.hold, held.release = make(chan struct{}), make(chan struct{})
+	added := make(chan wire.Message, 1)
+	go func() { added <- nodes[3].Handle(ctx, wire.Add{Key: "k", Config: cfg, Entry: "v"}) }()
+	<-held.hold
+	local := metrics.LocalDeliveries.At(3).Value()
+	hosts[3].hook = func(v View) {
+		if v.Epoch == 1 {
+			close(held.release)
+			if ack := <-added; ack != (wire.Ack{}) {
+				t.Errorf("add across the drain: %v", ack)
 			}
 		}
 	}
+	drain := wire.MembershipUpdate{Epoch: 1, Leaving: 1, Addrs: []string{addrs[0], addrs[2], addrs[3]}}
+	for _, s := range []int{1, 0, 2, 3} { // the leaver first, the coordinator last
+		if ack := nodes[s].Handle(ctx, drain); ack != (wire.Ack{}) {
+			t.Fatalf("member %d: drain: %v", s, ack)
+		}
+	}
+	if got, want := stores(), [n]int64{1, 1, 1, 0}; got != want {
+		t.Errorf("the add's messages over the network, by node: %v, want %v", got, want)
+	}
+	if got := metrics.LocalDeliveries.At(3).Value() - local; got != 1 {
+		t.Errorf("node 3 kept %d of the add's messages in process, want 1", got)
+	}
 
-	// The node that was server 2 is server 1 now: of an add's three
-	// messages it keeps the one for slot 1 and sends one each to slots 0
-	// and 2.
-	nd := nodes[2]
-	if nd.ID() != 1 {
-		t.Fatalf("node renumbered to %d, want 1", nd.ID())
+	if got := nodes[3].ID(); got != 2 {
+		t.Fatalf("node 3 ranks %d after the drain, want 2", got)
 	}
-	table.calls = make(map[[2]int]int)
-	local := metrics.LocalDeliveries.At(1).Value()
-	if !add(nd, "after") {
-		t.Fatal("add after renumbering failed")
+	local = metrics.LocalDeliveries.At(2).Value()
+	if ack := nodes[3].Handle(ctx, wire.Add{Key: "k", Config: cfg, Entry: "after"}); ack != (wire.Ack{}) {
+		t.Fatalf("add after the drain: %v", ack)
 	}
-	if want := map[[2]int]int{{2, 0}: 1, {2, 2}: 1}; !reflect.DeepEqual(table.calls, want) {
-		t.Errorf("deliveries {calling node, slot} after renumbering: %v, want %v", table.calls, want)
+	if got, want := stores(), [n]int64{1, 0, 1, 0}; got != want {
+		t.Errorf("after the drain, the add's messages over the network, by node: %v, want %v", got, want)
 	}
-	if got := metrics.LocalDeliveries.At(1).Value() - local; got != 1 {
-		t.Errorf("%d local deliveries after renumbering, want 1", got)
+	if got := metrics.LocalDeliveries.At(2).Value() - local; got != 1 {
+		t.Errorf("%d local deliveries at rank 2 after the drain, want 1", got)
 	}
-	for s, sv := range survivors {
-		if !sv.LocalSet("k").Contains("after") {
-			t.Errorf("slot %d misses the add made after renumbering", s)
+	for _, s := range []int{0, 2, 3} {
+		if set := nodes[s].LocalSet("k"); !set.Contains("v") || !set.Contains("after") {
+			t.Errorf("node %d holds %v, want v and after", s, set.Members())
 		}
 	}
 }

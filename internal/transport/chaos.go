@@ -208,8 +208,8 @@ func (c *Chaos) Call(ctx context.Context, server int, msg wire.Message) (wire.Me
 }
 
 // View returns the network as the member at address self sees it: a
-// list of member addresses of its own, addrs to begin with, that the
-// member resizes as membership changes commit. A call to server i is
+// list of member addresses of its own, addrs to begin with, that
+// SetAddrs replaces as membership changes commit. A call to server i is
 // faulted as one from self's slot to the slot at the list's i-th
 // address, and delivered to that slot's handler. The view keeps addrs,
 // which views may share: nobody may modify it.
@@ -220,12 +220,10 @@ func (c *Chaos) View(self string, addrs []string) *ChaosView {
 }
 
 // ChaosView is an in-process member's view of the network (see View).
-// A call reads the member list without a lock; AddServer and
-// RemoveServer publish a replacement under mu.
+// A call reads the member list without a lock.
 type ChaosView struct {
 	chaos *Chaos
 	self  string
-	mu    sync.Mutex
 	addrs atomic.Pointer[[]string] // replaced, never modified: views may share one
 }
 
@@ -237,24 +235,15 @@ func (v *ChaosView) NumServers() int { return len(v.list()) }
 // Addrs returns a copy of the member list.
 func (v *ChaosView) Addrs() []string { return slices.Clone(v.list()) }
 
-// AddServer appends addr to the member list and returns its id.
-func (v *ChaosView) AddServer(addr string) int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	addrs := append(slices.Clip(v.list()), addr)
+// SetAddrs replaces the member list with addrs.
+func (v *ChaosView) SetAddrs(addrs []string) {
+	addrs = slices.Clone(addrs)
 	v.addrs.Store(&addrs)
-	return len(addrs) - 1
 }
 
-// RemoveServer drops one member, shifting higher ids down by one.
-func (v *ChaosView) RemoveServer(server int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if addrs := v.list(); server >= 0 && server < len(addrs) {
-		addrs = slices.Delete(slices.Clone(addrs), server, server+1)
-		v.addrs.Store(&addrs)
-	}
-}
+// Pin returns a view of the network from the same member that numbers
+// the servers as v's list does now, whatever SetAddrs does to v later.
+func (v *ChaosView) Pin() *ChaosView { return v.chaos.View(v.self, v.list()) }
 
 // Clock returns the virtual clock the network's latency advances.
 func (v *ChaosView) Clock() *Clock { return v.chaos.clock }

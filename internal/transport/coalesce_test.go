@@ -275,11 +275,14 @@ func TestWokenCountSettles(t *testing.T) {
 }
 
 // TestCallRacesMembershipChanges: calls read the published server list
-// while AddServer and RemoveServer replace it, and NumServers and Addrs
-// read it too. Run under -race.
+// while SetAddrs replaces it, and NumServers and Addrs read it too; a
+// client pinned before a change keeps its numbering, and a call it
+// makes to a server the change dropped fails instead of dialing. Run
+// under -race.
 func TestCallRacesMembershipChanges(t *testing.T) {
 	addr, _ := startServer(t)
-	client := NewClient([]string{addr, addr})
+	two, three := []string{addr, addr}, []string{addr, addr, addr}
+	client := NewClient(two)
 	defer client.Close()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -303,13 +306,18 @@ func TestCallRacesMembershipChanges(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 200; i++ {
-		if id := client.AddServer(addr); id != 2 {
-			t.Fatalf("AddServer = %d, want 2", id)
-		}
+		client.SetAddrs(three)
 		if n, addrs := client.NumServers(), client.Addrs(); n != 3 || len(addrs) != 3 {
 			t.Fatalf("NumServers %d, Addrs %v after an add", n, addrs)
 		}
-		client.RemoveServer(2)
+		pinned := client.Pin()
+		client.SetAddrs(two)
+		if n := pinned.NumServers(); n != 3 {
+			t.Fatalf("pinned client lists %d servers after the list shrank, want its 3", n)
+		}
+		if _, err := pinned.Call(context.Background(), 2, wire.Lookup{Key: "k", T: 1}); !errors.Is(err, ErrServerDown) {
+			t.Fatalf("pinned call to the dropped server: %v, want ErrServerDown", err)
+		}
 	}
 	close(stop)
 	wg.Wait()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,7 +50,7 @@ type Client struct {
 	metrics *telemetry.TransportMetrics
 
 	// peers is an immutable server list that calls load without a lock;
-	// AddServer and RemoveServer publish a replacement under mu.
+	// SetAddrs publishes a replacement under mu.
 	mu    sync.Mutex
 	peers atomic.Pointer[[]*peer]
 
@@ -122,9 +121,7 @@ func NewClient(addrs []string, opts ...ClientOption) *Client {
 	for _, opt := range opts {
 		opt(c)
 	}
-	for _, addr := range addrs {
-		c.AddServer(addr)
-	}
+	c.SetAddrs(addrs)
 	return c
 }
 
@@ -135,13 +132,18 @@ type peer struct {
 	addr string
 	mu   sync.Mutex
 	mc   *muxConn
+	gone bool // dropped from the member list: calls fail, nothing dials
 }
 
-// close tears down the peer's connection, if it has one.
-func (p *peer) close() {
+// close tears down the peer's connection, if it has one; with drop set
+// the peer is gone for good, so a caller still holding a list that
+// names it (see Pin) gets ErrServerDown instead of a fresh dial nobody
+// would close.
+func (p *peer) close(drop bool) {
 	p.mu.Lock()
 	mc := p.mc
 	p.mc = nil
+	p.gone = p.gone || drop
 	p.mu.Unlock()
 	if mc != nil {
 		mc.fail(errors.New("transport: client closed"))
@@ -431,30 +433,40 @@ func (c *Client) Addrs() []string {
 	return addrs
 }
 
-// AddServer appends a server address and returns its id (dynamic
-// membership: the daemon re-points its peer client when a
-// MembershipUpdate commits).
-func (c *Client) AddServer(addr string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	peers := append(slices.Clip(c.servers()), &peer{addr: addr})
-	c.peers.Store(&peers)
-	return len(peers) - 1
-}
-
-// RemoveServer deletes one server's address and connection, shifting
-// higher ids down by one.
-func (c *Client) RemoveServer(server int) {
+// SetAddrs replaces the server list with addrs (dynamic membership: a
+// committed MembershipUpdate re-lists the members). A server named
+// before and after keeps its connection; the others' are closed.
+func (c *Client) SetAddrs(addrs []string) {
 	c.mu.Lock()
 	old := c.servers()
-	if server < 0 || server >= len(old) {
-		c.mu.Unlock()
-		return
+	free := make(map[string][]*peer, len(old))
+	for _, p := range old {
+		free[p.addr] = append(free[p.addr], p)
 	}
-	peers := slices.Delete(slices.Clone(old), server, server+1)
+	peers := make([]*peer, len(addrs))
+	for i, addr := range addrs {
+		if kept := free[addr]; len(kept) > 0 {
+			peers[i], free[addr] = kept[0], kept[1:]
+		} else {
+			peers[i] = &peer{addr: addr}
+		}
+	}
 	c.peers.Store(&peers)
 	c.mu.Unlock()
-	old[server].close()
+	for _, left := range free {
+		for _, p := range left {
+			p.close(true)
+		}
+	}
+}
+
+// Pin returns a client that numbers the servers as c's list does now,
+// whatever SetAddrs does to c later, and shares c's connections: what a
+// member's node calls its peers through under one committed view.
+func (c *Client) Pin() *Client {
+	pinned := &Client{timeout: c.timeout, metrics: c.metrics}
+	pinned.peers.Store(c.peers.Load())
+	return pinned
 }
 
 // checkout returns the server's connection, dialing one when it has
@@ -468,6 +480,9 @@ func (c *Client) checkout(ctx context.Context, server int) (*muxConn, error) {
 	p := peers[server]
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.gone {
+		return nil, fmt.Errorf("%w: server %d has left the member list", ErrServerDown, server)
+	}
 	if p.mc != nil && !p.mc.dead.Load() {
 		return p.mc, nil
 	}
@@ -543,7 +558,7 @@ func (c *Client) Call(ctx context.Context, server int, msg wire.Message) (wire.M
 // on.
 func (c *Client) Close() error {
 	for _, p := range c.servers() {
-		p.close()
+		p.close(false)
 	}
 	return nil
 }
