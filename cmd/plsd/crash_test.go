@@ -144,8 +144,14 @@ func waitReady(t *testing.T, client *transport.Client, server int, d *daemon) {
 	t.Fatalf("plsd %d never became ready; output:\n%s", server, d.out.String())
 }
 
+// batchKeys are the keys crashWorkload places and adds to in batch
+// envelopes, one per strategy: a PlaceBatch and an AddBatch are each
+// one request, acked once for all of their items.
+var batchKeys = []string{"crash-batch-full", "crash-batch-round", "crash-batch-hash"}
+
 // crashWorkload drives placements, adds, deletes, and interleaved
-// lookups over three keys with three different strategies, returning
+// lookups over three keys with three different strategies, then places
+// and adds to batchKeys in one PlaceBatch and one AddBatch, returning
 // the entries each key must hold after every acked mutation applied.
 func crashWorkload(t *testing.T, client *transport.Client) map[string]map[string]bool {
 	t.Helper()
@@ -178,7 +184,42 @@ func crashWorkload(t *testing.T, client *transport.Client) map[string]map[string
 		delete(want, entries[0])
 		expect[key] = want
 	}
+
+	batchConfigs := []wire.Config{
+		{Scheme: wire.FullReplication},
+		{Scheme: wire.RoundRobin, Y: 2},
+		{Scheme: wire.Hash, Y: 2, Seed: 11},
+	}
+	var places []wire.Place
+	var adds []wire.Add
+	for i, key := range batchKeys {
+		entries := []string{key + "-v1", key + "-v2", key + "-v3"}
+		places = append(places, wire.Place{Key: key, Config: batchConfigs[i], Entries: entries})
+		adds = append(adds, wire.Add{Key: key, Config: batchConfigs[i], Entry: key + "-add"})
+		expect[key] = map[string]bool{entries[0]: true, entries[1]: true, entries[2]: true, key + "-add": true}
+	}
+	mustBatchAck(t, client, wire.PlaceBatch{Items: places}, len(places))
+	mustBatchAck(t, client, wire.AddBatch{Items: adds}, len(adds))
 	return expect
+}
+
+// mustBatchAck sends a batch envelope of n items to server 0, the
+// Round-y coordinator, and fails unless every item is acked.
+func mustBatchAck(t *testing.T, client *transport.Client, msg wire.Message, n int) {
+	t.Helper()
+	reply, err := client.Call(context.Background(), 0, msg)
+	if err != nil {
+		t.Fatalf("Call(0, %T): %v", msg, err)
+	}
+	ack, ok := reply.(wire.BatchAck)
+	if !ok || ack.Err != "" || len(ack.Errs) != n {
+		t.Fatalf("Call(0, %T) reply: %+v", msg, reply)
+	}
+	for i, e := range ack.Errs {
+		if e != "" {
+			t.Fatalf("Call(0, %T) item %d: %s", msg, i, e)
+		}
+	}
 }
 
 func mustAck(t *testing.T, client *transport.Client, server int, msg wire.Message) {
@@ -198,7 +239,7 @@ func mustAck(t *testing.T, client *transport.Client, server int, msg wire.Messag
 func collectLookups(t *testing.T, client *transport.Client) [][]string {
 	t.Helper()
 	var out [][]string
-	for _, key := range []string{"crash-full", "crash-rs", "crash-round"} {
+	for _, key := range append([]string{"crash-full", "crash-rs", "crash-round"}, batchKeys...) {
 		for s := 0; s < crashNodes; s++ {
 			for _, probe := range []int{2, 4} {
 				reply, err := client.Call(context.Background(), s, wire.Lookup{Key: key, T: probe})
@@ -298,12 +339,13 @@ func crashRecovery(t *testing.T, bin, fsync string) {
 	clientB := transport.NewClient(addrsB, transport.WithTimeout(2*time.Second))
 	defer clientB.Close()
 
-	// 1. Every acked write survived the SIGKILL. For the non-evicting
-	// schemes the union across servers must be exactly the acked set;
-	// RandomServer's reservoir replacement may legitimately evict older
-	// entries on adds, so there the bar is recovery fidelity: the killed
-	// arm holds exactly what the graceful arm holds.
-	for _, key := range []string{"crash-full", "crash-round"} {
+	// 1. Every acked write survived the SIGKILL, the batched items
+	// included. For the non-evicting schemes the union across servers
+	// must be exactly the acked set; RandomServer's reservoir
+	// replacement may legitimately evict older entries on adds, so
+	// there the bar is recovery fidelity: the killed arm holds exactly
+	// what the graceful arm holds.
+	for _, key := range append([]string{"crash-full", "crash-round"}, batchKeys...) {
 		got := unionDump(t, clientA, key)
 		if want := expectA[key]; !reflect.DeepEqual(got, want) {
 			t.Errorf("killed arm, key %q: entries after restart = %v, want %v", key, got, want)

@@ -58,11 +58,8 @@ func (r req) place(ctx context.Context, items []wire.Place) []string {
 		r.sendShares(ctx, server, plans, errs)
 	}
 	for i, p := range plans {
-		if errs[i] != "" || p.after == nil {
-			continue
-		}
-		if ack, ok := p.after(ctx).(wire.Ack); ok {
-			errs[i] = ack.Err
+		if errs[i] == "" && p.after != nil {
+			p.after(ctx)
 		}
 	}
 	return errs

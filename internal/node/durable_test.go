@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/stats"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -39,7 +40,7 @@ func newDurCluster(t *testing.T, n int, seed uint64, dirs []string, policy store
 		var d *Durability
 		if i < len(dirs) && dirs[i] != "" {
 			var err error
-			d, err = nd.OpenDurability(dirs[i], policy, 0, nil)
+			d, err = nd.OpenDurability(dirs[i], policy, 0, telemetry.NewWALMetrics(telemetry.NewRegistry()))
 			if err != nil {
 				t.Fatalf("OpenDurability(node %d): %v", i, err)
 			}

@@ -73,11 +73,11 @@ type executor interface {
 
 // placePlan is an executor's answer to one place: share goes to server
 // target, or to every server, and once those have acked the shell runs
-// after, if there is one, for the operation's reply.
+// after, if there is one.
 type placePlan struct {
 	share  wire.StoreBatch
 	target int // a server id, or everyServer
-	after  func(ctx context.Context) wire.Message
+	after  func(ctx context.Context)
 }
 
 const everyServer = -1

@@ -71,16 +71,14 @@ func (roundExec) place(r req, m wire.Place) (placePlan, error) {
 	// One broadcast resets the key everywhere and carries the whole
 	// list; each server keeps the positions whose window covers it.
 	// Positions [head, tail) are live once that is acked.
-	after := func(ctx context.Context) wire.Message {
-		ks := r.store.GetOrCreate(m.Key, cfg)
-		ks.Update(func(st *store.State) {
+	after := func(ctx context.Context) {
+		r.store.GetOrCreate(m.Key, cfg).Update(func(st *store.State) {
 			ext := roundExtOf(st)
 			ext.head = 0
 			ext.tail = len(m.Entries)
 			logCounters(st, ext.head, ext.tail)
 		})
 		r.mirrorCounters(ctx, m.Key, cfg, 0, len(m.Entries))
-		return r.flushAck(ks)
 	}
 	return placePlan{share: wire.StoreBatch(m), target: everyServer, after: after}, nil
 }
@@ -105,7 +103,7 @@ func (roundExec) add(ctx context.Context, r req, ks *store.KeyState, cfg wire.Co
 			return wire.Ack{Err: err.Error()}
 		}
 	}
-	return r.flushAck(ks)
+	return wire.Ack{}
 }
 
 func (roundExec) del(ctx context.Context, r req, ks *store.KeyState, cfg wire.Config, m wire.Delete) wire.Message {
@@ -138,7 +136,7 @@ func (roundExec) del(ctx context.Context, r req, ks *store.KeyState, cfg wire.Co
 			return wire.Ack{Err: err.Error()}
 		}
 	}
-	return r.flushAck(ks)
+	return wire.Ack{}
 }
 
 // storeBatch keeps this server's share of a placed list: entry v_i
@@ -238,7 +236,7 @@ func (r req) handleRoundRemove(ctx context.Context, m wire.RoundRemove) wire.Mes
 			}
 		})
 	}
-	return r.flushAck(ks)
+	return wire.Ack{}
 }
 
 // handleMigrate executes the head server's migrate(v) procedure of
@@ -307,15 +305,14 @@ func (n *Node) handleRemoveAt(m wire.RemoveAt) wire.Message {
 			logRemove(st, v)
 		}
 	})
-	return n.flushAck(ks)
+	return wire.Ack{}
 }
 
 // handleCounterSync adopts mirrored Round-y coordinator counters
 // (footnote 1 generalization). Values are taken only if they advance
 // the local view, so replays and reordering are harmless.
 func (n *Node) handleCounterSync(m wire.CounterSync) wire.Message {
-	ks := n.store.GetOrCreate(m.Key, wire.Config{})
-	ks.Update(func(st *store.State) {
+	n.store.GetOrCreate(m.Key, wire.Config{}).Update(func(st *store.State) {
 		ext := roundExtOf(st)
 		changed := false
 		if m.Head > ext.head {
@@ -330,7 +327,7 @@ func (n *Node) handleCounterSync(m wire.CounterSync) wire.Message {
 			logCounters(st, ext.head, ext.tail)
 		}
 	})
-	return n.flushAck(ks)
+	return wire.Ack{}
 }
 
 // window returns the servers holding round-robin position pos in a

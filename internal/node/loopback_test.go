@@ -94,7 +94,7 @@ func newLoopCluster(t *testing.T, n int, dirs []string, policy store.SyncPolicy)
 		var d *Durability
 		if dirs != nil {
 			var err error
-			if d, err = nd.OpenDurability(dirs[i], policy, 0, nil); err != nil {
+			if d, err = nd.OpenDurability(dirs[i], policy, 0, telemetry.NewWALMetrics(telemetry.NewRegistry())); err != nil {
 				t.Fatalf("OpenDurability(node %d): %v", i, err)
 			}
 			t.Cleanup(func() { _ = d.WAL().Close() }) // a test may have closed it to read it

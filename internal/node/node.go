@@ -23,6 +23,7 @@
 package node
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -156,16 +157,50 @@ func (n *Node) recordOp(id int, msg wire.Message) {
 	}
 }
 
-// Handle implements transport.Handler, dispatching one protocol message
-// under the view it loads once here, and counting it in Handled. It
-// runs on the goroutine that read the request until it is about to
-// wait on another server or goroutine: a remote peer call (callReply),
-// the coordinating lock (coordinate) or a replayed update's sweep
-// (handleMembershipUpdate) detach there. A WAL group commit is the
-// request's own work and stays on the reader.
-// Nested peer calls (broadcasts, migrations) are issued with no key
-// lock held, so self-directed messages re-enter Handle safely.
+// Handle implements transport.Handler: it dispatches one message and,
+// unless the kind only reads, waits once for the node's log as it
+// stands, so the reply covers every record the request logged here,
+// through messages the node sent itself too; a failed wait is the
+// reply's own error. That commit stays on the goroutine that read the
+// request; a remote peer call (callReply), the coordinating lock
+// (coordinate) and a replayed update's sweep (handleMembershipUpdate)
+// detach from it.
 func (n *Node) Handle(ctx context.Context, msg wire.Message) wire.Message {
+	reply := n.dispatch(ctx, msg)
+	switch msg.(type) {
+	case wire.Lookup, wire.LookupBatch, wire.Dump, wire.RepairQuery, wire.Ping:
+		return reply
+	}
+	if err := n.store.WaitDurable(); err != nil {
+		return walFailed(reply, err)
+	}
+	return reply
+}
+
+// walFailed returns reply failing with the log's error err, unless it
+// already fails for its own reason.
+func walFailed(reply wire.Message, err error) wire.Message {
+	errMsg := "node: wal: " + err.Error()
+	switch r := reply.(type) {
+	case wire.Ack:
+		return wire.Ack{Err: cmp.Or(r.Err, errMsg)}
+	case wire.BatchAck:
+		return wire.BatchAck{Errs: r.Errs, Err: cmp.Or(r.Err, errMsg)}
+	case wire.MigrateReply:
+		r.Err = cmp.Or(r.Err, errMsg)
+		return r
+	case wire.RepairPushReply:
+		r.Err = cmp.Or(r.Err, errMsg)
+		return r
+	}
+	return reply
+}
+
+// dispatch runs one protocol message under the view it loads once
+// here, counting it in Handled; it does not wait for the log. Nested
+// peer calls (broadcasts, migrations) are issued with no key lock
+// held, so self-directed messages re-enter dispatch safely.
+func (n *Node) dispatch(ctx context.Context, msg wire.Message) wire.Message {
 	r := req{n, n.cur.Load()}
 	n.handled.Add(1)
 	n.recordOp(r.v.Self, msg)
@@ -238,8 +273,7 @@ func (r req) handleAdd(ctx context.Context, m wire.Add) wire.Message {
 	}
 	ks := r.store.GetOrCreate(m.Key, m.Config)
 	cfg := ks.Config()
-	reply := execFor(cfg.Scheme).add(ctx, r, ks, cfg, m)
-	return r.flushReply(ks, reply)
+	return execFor(cfg.Scheme).add(ctx, r, ks, cfg, m)
 }
 
 // handleDelete implements the initial server S's role in delete(v).
@@ -249,8 +283,7 @@ func (r req) handleDelete(ctx context.Context, m wire.Delete) wire.Message {
 	}
 	ks := r.store.GetOrCreate(m.Key, m.Config)
 	cfg := ks.Config()
-	reply := execFor(cfg.Scheme).del(ctx, r, ks, cfg, m)
-	return r.flushReply(ks, reply)
+	return execFor(cfg.Scheme).del(ctx, r, ks, cfg, m)
 }
 
 // sampleScratchPool recycles the index/output buffers a lookup samples
@@ -300,8 +333,7 @@ func (r req) handleStoreBatch(m wire.StoreBatch) wire.Message {
 	if !allValid(m.Entries) {
 		return wire.Ack{Err: errEmptyPlaceEntry}
 	}
-	ks := r.store.GetOrCreate(m.Key, m.Config)
-	ks.Update(func(st *store.State) {
+	r.store.GetOrCreate(m.Key, m.Config).Update(func(st *store.State) {
 		// The reset record precedes the executor's own records in the
 		// log, so replay clears the key before re-applying the batch's
 		// adds — the same order the live path runs in.
@@ -313,7 +345,7 @@ func (r req) handleStoreBatch(m wire.StoreBatch) wire.Message {
 		st.Ext = nil
 		execFor(st.Cfg.Scheme).storeBatch(r, st, m.Entries)
 	})
-	return r.flushAck(ks)
+	return wire.Ack{}
 }
 
 // handleStoreOne applies a single-entry store under the key's
@@ -322,26 +354,24 @@ func (r req) handleStoreOne(m wire.StoreOne) wire.Message {
 	if !entry.Valid(m.Entry) {
 		return wire.Ack{Err: "node: store with empty entry"}
 	}
-	ks := r.store.GetOrCreate(m.Key, m.Config)
-	ks.Update(func(st *store.State) {
+	r.store.GetOrCreate(m.Key, m.Config).Update(func(st *store.State) {
 		execFor(st.Cfg.Scheme).storeOne(r, st, m)
 	})
-	return r.flushAck(ks)
+	return wire.Ack{}
 }
 
 // handleRemoveOne deletes a local copy under the key's scheme-specific
 // rule; RandomServer-x may follow up with a replacement search (see
 // exec_randomserver.go).
 func (r req) handleRemoveOne(ctx context.Context, m wire.RemoveOne) wire.Message {
-	ks := r.store.GetOrCreate(m.Key, m.Config)
 	var after func()
-	ks.Update(func(st *store.State) {
+	r.store.GetOrCreate(m.Key, m.Config).Update(func(st *store.State) {
 		after = execFor(st.Cfg.Scheme).removeOne(ctx, r, st, m)
 	})
 	if after != nil {
 		after()
 	}
-	return r.flushAck(ks)
+	return wire.Ack{}
 }
 
 // handleDump returns the full local set for a key.
@@ -435,13 +465,14 @@ func (r req) call(ctx context.Context, server int, msg wire.Message) error {
 // caller numbers the servers as the view does for as long as the
 // request holds it, so a membership change committed meanwhile cannot
 // re-address the call. A message the node addresses to itself does not
-// leave the process: Handle runs on the calling goroutine with the
+// leave the process: dispatch runs it on the calling goroutine with the
 // caller's ctx — cancellation carries, and so does the reader, which
 // the nested handler detaches from if it calls a peer in turn — and
-// returns the same reply, durability wait included. It is still a
-// processed message in the paper's cost model (Sec. 6.4 counts a
-// broadcast's message to the sender): Handle counts it as it counts the
-// others, and the node.local_deliveries vector too.
+// returns the same reply, except that it does not wait for the log:
+// the request that sent it waits once, in Handle, for every record.
+// It is still a processed message in the paper's cost model (Sec. 6.4
+// counts a broadcast's message to the sender): dispatch counts it as it
+// counts the others, and the node.local_deliveries vector too.
 func (r req) callReply(ctx context.Context, server int, msg wire.Message) (wire.Message, error) {
 	self, peers := r.v.Self, r.v.peers
 	if peers == nil {
@@ -457,7 +488,7 @@ func (r req) callReply(ctx context.Context, server int, msg wire.Message) (wire.
 	if m := r.metrics.Load(); m != nil {
 		m.LocalDeliveries.At(self).Inc()
 	}
-	return r.Handle(ctx, msg), nil
+	return r.dispatch(ctx, msg), nil
 }
 
 // Handled returns how many messages the node has handled: the paper's
@@ -476,28 +507,6 @@ func (r req) broadcast(ctx context.Context, msg wire.Message) error {
 		}
 	}
 	return nil
-}
-
-// flushAck blocks until the key's logged mutations are durable (per
-// the WAL's sync policy), then acknowledges. A write or fsync failure
-// surfaces as an error ack — a node with a failing disk must not
-// report writes as durable. On a volatile node this is Ack{} directly.
-func (n *Node) flushAck(ks *store.KeyState) wire.Message {
-	if err := ks.WaitDurable(); err != nil {
-		return wire.Ack{Err: "node: wal: " + err.Error()}
-	}
-	return wire.Ack{}
-}
-
-// flushReply upgrades a successful reply with local durability: even a
-// coordinator that only forwarded the operation may have logged records
-// for its own key state (config adoption on first sight), and the ack
-// must cover those too. Error replies pass through untouched.
-func (n *Node) flushReply(ks *store.KeyState, reply wire.Message) wire.Message {
-	if ack, ok := reply.(wire.Ack); ok && ack.Err == "" {
-		return n.flushAck(ks)
-	}
-	return reply
 }
 
 // ackCall wraps a single peer call for handlers that reply with an Ack.

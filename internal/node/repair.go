@@ -254,7 +254,7 @@ func (r req) sweepKey(ctx context.Context, key string, ks *store.KeyState, t *tr
 				}
 			}
 		})
-		if dropped > 0 && ks.WaitDurable() == nil {
+		if dropped > 0 && r.store.WaitDurable() == nil {
 			stats.Dropped += dropped
 			moved = true
 		}
@@ -493,8 +493,8 @@ func (r req) transferKey(ctx context.Context, v repairView, plan []repairCandida
 // scheme (the receiver's config wins, as everywhere else): each entry
 // passes the scheme's acceptance rule evaluated at mv or is dropped.
 // Accepted entries are WAL-logged through the same helpers as the
-// update protocols, and the reply waits for durability like any other
-// mutation ack. what names the sweep in error replies.
+// update protocols, and Handle's wait covers them before the reply.
+// what names the sweep in error replies.
 func (n *Node) acceptPush(what string, m wire.RepairPush, mv memberView) wire.Message {
 	if m.HasPos && len(m.Positions) != len(m.Entries) {
 		return wire.RepairPushReply{Err: "node: " + what + " push positions/entries length mismatch"}
@@ -507,14 +507,10 @@ func (n *Node) acceptPush(what string, m wire.RepairPush, mv memberView) wire.Me
 			return wire.RepairPushReply{Err: "node: " + what + " push: " + err.Error()}
 		}
 	}
-	ks := n.store.GetOrCreate(m.Key, m.Config)
 	accepted := 0
-	ks.Update(func(st *store.State) {
+	n.store.GetOrCreate(m.Key, m.Config).Update(func(st *store.State) {
 		accepted = execFor(st.Cfg.Scheme).accept(st, m, mv)
 	})
-	if err := ks.WaitDurable(); err != nil {
-		return wire.RepairPushReply{Err: "node: wal: " + err.Error()}
-	}
 	return wire.RepairPushReply{Accepted: accepted}
 }
 

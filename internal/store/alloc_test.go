@@ -11,24 +11,37 @@ import (
 // the way wire's and transport's alloc tests gate theirs: a warm
 // Append frames the record straight into one of the log's two retained
 // buffers and the waiter commits it on its own stack, so the pair
-// allocates nothing once the record is boxed.
+// allocates nothing once the record is boxed. A request's wait on a
+// log a commit already covered allocates nothing either.
 func TestAppendWaitDurableZeroAllocs(t *testing.T) {
 	w := mustOpen(t, t.TempDir(), SyncBatch)
 	mustStart(t, w)
 	defer w.Close()
+	s := New()
+	s.AttachWAL(w)
 	recs := []wire.Message{wire.WalStore{Key: "hot-key", Entry: "entry-0001", Pos: 7, HasPos: true}}
-	commit := func() {
-		seq, err := w.Append(0, recs...)
-		if err == nil {
-			err = w.WaitDurable(0, seq)
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Append+WaitDurable", func() error {
+			seq, err := w.Append(0, recs...)
+			if err == nil {
+				err = w.WaitDurable(0, seq)
+			}
+			return err
+		}},
+		{"covered Store.WaitDurable", s.WaitDurable},
+	} {
+		run := func() {
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err != nil {
-			t.Fatal(err)
+		run() // grow one buffer; AllocsPerRun's warm-up run grows the other
+		if allocs := testing.AllocsPerRun(100, run); allocs > 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", c.name, allocs)
 		}
-	}
-	commit() // grow one buffer; AllocsPerRun's warm-up run grows the other
-	if allocs := testing.AllocsPerRun(100, commit); allocs > 0 {
-		t.Errorf("Append+WaitDurable: %.1f allocs/op, want 0", allocs)
 	}
 }
 

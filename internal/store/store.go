@@ -99,12 +99,9 @@ type KeyState struct {
 
 	// Durability plumbing, nil/zero on volatile stores. lastLSN (under
 	// mu) is the WAL sequence of the key's most recent logged record;
-	// snapshots save it and replay skips records at or below it. walErr
-	// (under mu) is the first Append failure: the key's state has then
-	// moved past the log, so WaitDurable returns it from there on.
+	// snapshots save it and replay skips records at or below it.
 	wal     *WAL
 	lastLSN uint64
-	walErr  error
 }
 
 // maxKeptRecs bounds the record slice a key keeps between updates: an
@@ -124,12 +121,10 @@ func (k *KeyState) Update(f func(*State)) {
 	f(&k.st)
 	if len(k.st.recs) > 0 {
 		if k.wal != nil {
-			// WaitDurable surfaces a failed append before any ack, so
-			// neither a failing disk nor a closed log acks writes.
+			// An append fails only on a closed or failed log, which
+			// fails every later Store.WaitDurable: no reply acks it.
 			if seq, err := k.wal.Append(0, k.st.recs...); err == nil {
 				k.lastLSN = seq
-			} else if k.walErr == nil {
-				k.walErr = err
 			}
 		}
 		// Keep the array for the next update, but not the records in
@@ -185,24 +180,6 @@ func (k *KeyState) SetLSN(lsn uint64) {
 		k.lastLSN = lsn
 	}
 	k.mu.Unlock()
-}
-
-// WaitDurable blocks until the key's last logged mutation is durable
-// per the WAL's sync policy (under SyncBatch the caller itself commits
-// the log if no commit has covered it yet), or returns why a mutation
-// of the key could not be logged. Handlers call it between applying a mutation
-// and acknowledging it; on a volatile store it returns nil immediately.
-func (k *KeyState) WaitDurable() error {
-	if k.wal == nil {
-		return nil
-	}
-	k.mu.Lock()
-	lsn, err := k.lastLSN, k.walErr
-	k.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return k.wal.WaitDurable(0, lsn)
 }
 
 // Snapshot returns an immutable view of the key's entry set, building
@@ -342,6 +319,20 @@ func (s *Store) Install(key string, st State, lsn uint64) (*KeyState, error) {
 	}
 	s.keyCount.Add(1)
 	return ks, nil
+}
+
+// WaitDurable blocks until every record appended to the store's log
+// so far is durable per its sync policy (under SyncBatch the caller
+// commits the log itself if no commit has covered it yet), or returns
+// why not: the log's sticky write error, or ErrWALClosed once Close
+// has begun. A covered wait is three atomic loads. A node's request
+// calls it once, after its last mutation and before its reply; on a
+// volatile store it returns nil at once.
+func (s *Store) WaitDurable() error {
+	if s.wal == nil {
+		return nil
+	}
+	return s.wal.WaitDurable(0, s.wal.seq.Load())
 }
 
 // Stripes returns 1, all OpenWAL's stripes accepts. It and the stripe

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/entry"
@@ -240,8 +241,8 @@ func TestSnapshotAfterUnreadUpdates(t *testing.T) {
 }
 
 // TestUpdateAfterWALCloseIsNotAcked: a mutation the closed log refused
-// must fail the key's durability wait, not ride on the sequence of the
-// key's last logged record.
+// must fail the store's durability wait, not ride on the records the
+// log committed before it closed.
 func TestUpdateAfterWALCloseIsNotAcked(t *testing.T) {
 	w, err := store.OpenWAL(t.TempDir(), 1, store.SyncBatch, nil)
 	if err != nil {
@@ -260,15 +261,101 @@ func TestUpdateAfterWALCloseIsNotAcked(t *testing.T) {
 		})
 	}
 	add("logged")
-	if err := ks.WaitDurable(); err != nil {
+	if err := s.WaitDurable(); err != nil {
 		t.Fatalf("WaitDurable before Close: %v", err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	add("never logged")
-	if err := ks.WaitDurable(); !errors.Is(err, store.ErrWALClosed) {
+	if err := s.WaitDurable(); !errors.Is(err, store.ErrWALClosed) {
 		t.Fatalf("WaitDurable after an update on a closed log = %v, want ErrWALClosed", err)
+	}
+}
+
+// TestStoreWaitDurableRacingClose: writers update their keys of one
+// durable store and wait after each update while the log closes under
+// them. No wait begun after Close returned answers nil, and every
+// update whose wait answered nil is replayed from the reopened log.
+func TestStoreWaitDurableRacingClose(t *testing.T) {
+	const writers = 8
+	dir := t.TempDir()
+	w, err := store.OpenWAL(dir, 1, store.SyncBatch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	s := store.New()
+	s.AttachWAL(w)
+	var (
+		closed  atomic.Bool
+		mu      sync.Mutex
+		acked   = make(map[string]bool)
+		started sync.WaitGroup // each writer has waited once
+		wg      sync.WaitGroup
+	)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		started.Add(1)
+		go func(key string) {
+			defer wg.Done()
+			ks := s.GetOrCreate(key, wire.Config{Scheme: wire.FullReplication})
+			for i := 0; ; i++ {
+				e := fmt.Sprintf("%s-%d", key, i)
+				ks.Update(func(st *store.State) {
+					st.Set.Add(entry.Entry(e))
+					st.Log(wire.WalStore{Key: key, Entry: e})
+				})
+				late := closed.Load()
+				err := s.WaitDurable()
+				if i == 0 {
+					started.Done()
+				}
+				switch {
+				case err != nil:
+					if !errors.Is(err, store.ErrWALClosed) {
+						t.Errorf("%s: wait failed with %v, want ErrWALClosed", e, err)
+					}
+					return
+				case late:
+					t.Errorf("%s: a wait begun after Close returned nil", e)
+					return
+				}
+				mu.Lock()
+				acked[e] = true
+				mu.Unlock()
+			}
+		}(fmt.Sprintf("k%d", g))
+	}
+	started.Wait()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed.Store(true)
+	wg.Wait()
+
+	reopened, err := store.OpenWAL(dir, 1, store.SyncBatch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := make(map[string]bool)
+	if _, err := reopened.Replay(0, func(_ uint64, msg wire.Message) error {
+		if rec, ok := msg.(wire.WalStore); ok {
+			replayed[rec.Entry] = true
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(acked) == 0 {
+		t.Fatal("no update was acked before Close")
+	}
+	for e := range acked {
+		if !replayed[e] {
+			t.Errorf("acked update %s is not in the reopened log", e)
+		}
 	}
 }
 

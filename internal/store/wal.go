@@ -128,7 +128,7 @@ type WAL struct {
 	metrics *telemetry.WALMetrics
 	seq     atomic.Uint64         // last assigned sequence; 0 = none
 	durable atomic.Uint64         // last sequence a successful commit covered
-	sticky  atomic.Pointer[error] // first write/sync failure; poisons the log
+	sticky  atomic.Pointer[error] // first write/sync failure, or ErrWALClosed; poisons the log
 
 	// The commit token (committing, below) admits one commit at a
 	// time; Start, Rotate and Close take it too, so none of them swaps
@@ -418,7 +418,7 @@ func (w *WAL) Append(stripe int, recs ...wire.Message) (uint64, error) {
 func (w *WAL) SetCommitHook(f func()) { w.commitHook = f }
 
 // WaitDurable blocks until the record with the given sequence is
-// durable per the sync policy, returning any sticky write error. Under
+// durable per the sync policy, returning the sticky error (see Err). Under
 // SyncBatch the caller commits: if no earlier commit covered seq, it
 // waits out the commit in flight, if any, and then writes and fsyncs
 // everything buffered. Under SyncAlways and SyncNever Append already
@@ -471,13 +471,15 @@ func (w *WAL) releaseToken() {
 	w.mu.Unlock()
 }
 
-// poison records the first write failure; later WaitDurable calls
-// return it, so no ack can claim durability past a failing disk.
+// poison records the first write failure, or the log's closing; later
+// WaitDurable calls return it, so no ack can claim durability past a
+// failing disk or a closed log.
 func (w *WAL) poison(err error) {
 	w.sticky.CompareAndSwap(nil, &err)
 }
 
-// Err returns the sticky write error, if any.
+// Err returns the sticky write error, if any, or ErrWALClosed once
+// Close has begun.
 func (w *WAL) Err() error {
 	if p := w.sticky.Load(); p != nil {
 		return *p
@@ -568,10 +570,13 @@ func (w *WAL) PruneSealed() error {
 
 // Close waits out any commit in flight, commits every pending record
 // and closes the active segment: a record is either covered by Close or
-// its Append fails with ErrWALClosed. Safe to call twice.
+// its Append fails with ErrWALClosed. From the start of Close every
+// wait returns ErrWALClosed (unless the log failed before), so none
+// acks a record Close refused. Safe to call twice.
 func (w *WAL) Close() error {
 	w.takeToken(0)
 	defer w.releaseToken()
+	w.poison(ErrWALClosed)
 	w.mu.Lock()
 	w.open = false
 	w.mu.Unlock()

@@ -817,7 +817,7 @@ const walCommitPer = 100
 // BenchmarkWALCommit measures group commit on the disk under
 // b.TempDir(): writers goroutines each apply and await walCommitPer
 // logged updates on their own keys, the way a durable node's handlers
-// do (Update logs, WaitDurable acks). records/fsync is how many records
+// do (Update logs, Store.WaitDurable acks). records/fsync is how many records
 // one fsync covered; on a real disk 8 writers should reach 3 or more.
 // The benchmark reports the figure and does not gate on it.
 func BenchmarkWALCommit(b *testing.B) {
@@ -845,7 +845,7 @@ func BenchmarkWALCommit(b *testing.B) {
 						defer wg.Done()
 						for _, ks := range mine {
 							ks.Update(func(st *State) { st.Log(wire.WalStore{Key: st.Key, Entry: "v"}) })
-							if err := ks.WaitDurable(); err != nil {
+							if err := s.WaitDurable(); err != nil {
 								b.Error(err)
 								return
 							}

@@ -44,18 +44,18 @@ type Caller interface {
 // Behind a Server, Handle runs on the goroutine that read the request,
 // and nothing else on that connection is read or answered until it
 // returns. The rule is the same for every kind: a handler stays on that
-// goroutine for its own work — memory, its store, its own log's group
-// commit, the one in flight it may wait out first included — and calls
-// Detach(ctx) at the point where it is about to wait on another server
-// or goroutine: a peer call, a lock held across peer calls, another
-// request's progress. Detach writes the replies queued
-// so far, hands the reading to another goroutine — one parked on the
+// goroutine for its own work — memory, its store, the group commit of
+// its own log that a request's reply waits for, the one in flight it
+// may wait out first included — and calls Detach(ctx) at the point
+// where it is about to wait on another server or goroutine: a peer
+// call, a lock held across peer calls, another request's progress.
+// Detach writes the replies queued so far, hands the reading to another goroutine — one parked on the
 // connection since it finished an earlier request, or else a new one —
 // and the caller carries on as this request's own goroutine, its reply
 // written when Handle returns. A request that never waits that way is
 // answered in order with the ones around it, many per read and per
-// write; the price is that a slow one of its own (a durable write's
-// commit) holds the connection while it runs. At most
+// write; the price is that a slow one of its own (the commit a durable
+// request's reply waits for) holds the connection while it runs. At most
 // maxInflightPerConn handlers per connection are detached at once;
 // Detach blocks for a slot beyond that, and does nothing when repeated.
 // The capability rides ctx, so it reaches a handler through wrappers

@@ -399,7 +399,8 @@ type DumpReply struct {
 
 // BatchAck is the reply to PlaceBatch, AddBatch and StoreBatches: Errs[i] is the
 // per-item outcome ("" on success), always len(Items) long. Err reports
-// an envelope-level failure (e.g. a malformed batch) instead.
+// an envelope-level failure (e.g. a malformed batch, or a log that could
+// not commit the items), which fails every item.
 type BatchAck struct {
 	Errs []string
 	Err  string
