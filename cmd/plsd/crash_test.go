@@ -11,8 +11,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
@@ -289,9 +291,29 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPlsdRefusesSnapshotFiles: a data dir that still holds a snapshot
+// file of an earlier version makes plsd exit non-zero, naming the file,
+// before it serves anything.
+func TestPlsdRefusesSnapshotFiles(t *testing.T) {
+	bin := buildPlsd(t)
+	dir := t.TempDir()
+	old := filepath.Join(dir, "snap-0000000000000001.snap")
+	if err := os.WriteFile(old, []byte("plssnp01"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	addr := freeAddrs(t, 1)[0]
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, "-listen", addr, "-peers", addr, "-data-dir", dir).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), old) {
+		t.Fatalf("plsd over a snapshot file: %v, output:\n%s\nwant exit status 1 naming %s", err, out, old)
+	}
+}
+
 func crashRecovery(t *testing.T, bin, fsync string) {
 	// Two independent arms with identical seeds and workloads. Arm A is
-	// SIGKILLed mid-stream (no flush, no final snapshot: the WAL tail is
+	// SIGKILLed mid-stream (no flush, no final checkpoint: the WAL tail is
 	// all recovery has); arm B shuts down gracefully.
 	runArm := func(name string, stop func(*daemon)) (map[string]map[string]bool, [][]string, []string, []*daemon) {
 		addrs := freeAddrs(t, crashNodes)
@@ -360,10 +382,10 @@ func crashRecovery(t *testing.T, bin, fsync string) {
 	}
 
 	// 2. The killed arm actually exercised WAL replay, the graceful arm
-	// recovered purely from its shutdown snapshot.
+	// recovered purely from its shutdown checkpoint.
 	replayedSomething := false
 	for _, d := range armA {
-		if !strings.Contains(d.out.String(), "replayed 0 wal records") {
+		if !strings.Contains(d.out.String(), "replayed 0 records") {
 			replayedSomething = true
 		}
 	}
@@ -371,7 +393,7 @@ func crashRecovery(t *testing.T, bin, fsync string) {
 		t.Error("no killed-arm node replayed any WAL records — harness not testing replay")
 	}
 	for i, d := range armB {
-		if !strings.Contains(d.out.String(), "replayed 0 wal records") {
+		if !strings.Contains(d.out.String(), "replayed 0 records") {
 			t.Errorf("graceful arm node %d replayed WAL records after a clean shutdown:\n%s", i, d.out.String())
 		}
 	}

@@ -63,9 +63,9 @@ func run() error {
 		repairInterval = flag.Duration("repair-interval", 30*time.Second, "interval between anti-entropy repair sweeps (0 = no repair)")
 
 		// Durability; with -data-dir unset the node is volatile.
-		dataDir      = flag.String("data-dir", "", "directory for the WAL and snapshots (empty = volatile, state dies with the process)")
+		dataDir      = flag.String("data-dir", "", "directory for the WAL, the only file kind on disk (empty = volatile, state dies with the process)")
 		fsyncPolicy  = flag.String("fsync", "batch", "WAL sync policy: always (fsync per mutation), batch (group commit), never (OS flush only)")
-		snapInterval = flag.Duration("snapshot-interval", 5*time.Minute, "interval between compacting snapshots (0 = only at startup and shutdown)")
+		snapInterval = flag.Duration("snapshot-interval", 5*time.Minute, "interval between compacting checkpoints written into the WAL (0 = only at startup and shutdown)")
 		drainWait    = flag.Duration("drain-timeout", 10*time.Second, "max time to let in-flight requests finish at shutdown")
 	)
 	flag.Parse()
@@ -100,8 +100,8 @@ func run() error {
 	}
 	if m.Durability != nil {
 		rs := m.Durability.Stats()
-		fmt.Printf("plsd: recovered %s: snapshot gen %d (%d keys), replayed %d wal records (%d skipped, %d torn bytes truncated)\n",
-			*dataDir, rs.SnapshotGen, rs.SnapshotKeys, rs.Replayed, rs.Skipped, rs.WAL.TruncatedBytes)
+		fmt.Printf("plsd: recovered %s: replayed %d records after a checkpoint of %d keys (%d torn bytes truncated)\n",
+			*dataDir, rs.Replayed, rs.CheckpointKeys, rs.WAL.TruncatedBytes)
 	}
 	if *repairInterval > 0 {
 		fmt.Printf("plsd: anti-entropy repair sweeping every %v\n", *repairInterval)
@@ -110,7 +110,7 @@ func run() error {
 	err = serve(m, *joinVia, *admin, *timeout, *drainOnShutdown)
 	// Graceful shutdown: stop accepting and drain in-flight requests
 	// first — every ack we have sent must reach the log before the final
-	// snapshot — then flush and close the durable state.
+	// checkpoint — then flush and close the durable state.
 	fmt.Println("plsd: shutting down")
 	ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
@@ -178,9 +178,9 @@ func serve(m *cluster.Member, joinVia, admin string, timeout time.Duration, drai
 	case <-sig:
 	case <-m.Drained():
 		// A drain coordinated elsewhere (plsctl drain) already moved our
-		// entries: the final snapshot doubles as the escrow of anything
+		// entries: the final checkpoint doubles as the escrow of anything
 		// no survivor could safely accept.
-		fmt.Println("plsd: drained out of the cluster; shutting down (data dir is the escrow snapshot)")
+		fmt.Println("plsd: drained out of the cluster; shutting down (data dir is the escrow checkpoint)")
 		return nil
 	}
 	if drainOnShutdown {

@@ -8,7 +8,7 @@
 //   - draining a non-tail member renumbers the survivors and loses no
 //     acked entry (union across survivors is exactly the acked set);
 //   - the drained daemon shuts itself down gracefully, leaving its data
-//     dir behind as the escrow snapshot.
+//     dir behind as the escrow checkpoint.
 package main
 
 import (
@@ -212,7 +212,7 @@ func TestMembershipScaleOutScaleInEndToEnd(t *testing.T) {
 		t.Errorf("drained daemon did not report the drain; output:\n%s", out)
 	}
 	if !strings.Contains(out, "durable state flushed") {
-		t.Errorf("drained daemon did not flush its escrow snapshot; output:\n%s", out)
+		t.Errorf("drained daemon did not flush its escrow checkpoint; output:\n%s", out)
 	}
 
 	survivors := []string{addrs[0], addrs[2], addrs[3]}

@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -13,8 +14,10 @@ import (
 )
 
 // Durability wires a node's store to on-disk state: one WAL for every
-// acknowledged mutation plus periodic compacting snapshots.
-// Open it with OpenDurability before the node serves traffic.
+// acknowledged mutation, into which periodic checkpoints log each key's
+// whole state so the segments before them can be deleted. The log is
+// the only thing on disk. Open it with OpenDurability before the node
+// serves traffic.
 //
 // Recovery invariant: WAL records describe mutation outcomes (see
 // wal_log.go), so replay rebuilds the exact pre-crash state — entry-set
@@ -28,7 +31,6 @@ import (
 // server are lost anyway, Sec. 4.4).
 type Durability struct {
 	n       *Node
-	dataDir string
 	wal     *store.WAL
 	metrics *telemetry.WALMetrics
 	stats   RecoveryStats
@@ -41,14 +43,10 @@ type Durability struct {
 
 // RecoveryStats describes what OpenDurability found on disk.
 type RecoveryStats struct {
-	// SnapshotGen is the generation loaded (0 = none found).
-	SnapshotGen uint64
-	// SnapshotKeys is how many keys the snapshot installed.
-	SnapshotKeys int
-	// Replayed and Skipped count WAL records applied vs. dropped
-	// because the snapshot already covered them.
-	Replayed int
-	Skipped  int
+	// Replayed counts the mutation records replayed and CheckpointKeys
+	// the key states (wire.SnapKey records) checkpoints logged.
+	Replayed       int
+	CheckpointKeys int
 	// WAL carries the low-level segment scan results, including torn
 	// bytes truncated from segment tails.
 	WAL store.ReplayStats
@@ -56,62 +54,39 @@ type RecoveryStats struct {
 
 // OpenDurability recovers the node's state from dataDir and attaches a
 // WAL so every subsequent acknowledged mutation is durable. Recovery
-// loads the newest valid snapshot, replays the WAL tail past each
-// key's snapshot cutoff (truncating any torn final record), takes a
-// fresh compacting snapshot, and prunes now-covered log segments.
-// snapInterval > 0 starts a background snapshotter; metrics may be nil.
+// replays every segment in order (truncating the log at its first bad
+// record), then checkpoints what it recovered, which prunes the
+// replayed segments. A data dir holding the snapshot files of an
+// earlier version is refused. snapInterval > 0 starts a background
+// checkpointer; metrics may be nil.
 func (n *Node) OpenDurability(dataDir string, policy store.SyncPolicy, snapInterval time.Duration, metrics *telemetry.WALMetrics) (*Durability, error) {
 	if metrics == nil {
 		metrics = &telemetry.WALMetrics{}
 	}
-	d := &Durability{n: n, dataDir: dataDir, metrics: metrics, stop: make(chan struct{})}
-
-	// 1. Newest valid snapshot → full key states with replay cutoffs.
-	gen, keys, err := store.LoadNewestSnapshot(dataDir)
-	if err != nil {
-		return nil, err
+	if old, _ := filepath.Glob(filepath.Join(dataDir, "snap-*.snap")); len(old) > 0 {
+		return nil, fmt.Errorf("node: %s is a snapshot file of an earlier version (its data dir must be retired first: see docs/OPERATIONS.md)", old[0])
 	}
-	d.stats.SnapshotGen = gen
-	d.stats.SnapshotKeys = len(keys)
-	var lsn uint64 // the newest sequence the snapshot holds
-	for _, sk := range keys {
-		lsn = max(lsn, sk.LSN)
-		st, err := stateFromSnapKey(sk)
-		if err != nil {
-			return nil, fmt.Errorf("node: snapshot gen %d: %w", gen, err)
-		}
-		if _, err := n.store.Install(sk.Key, st, sk.LSN); err != nil {
-			return nil, err
-		}
-	}
-
-	// 2. WAL tail. The store has no WAL attached yet, so replayed
-	// mutations are not re-logged. New records number past the
-	// snapshot's even when the segments it covered are gone.
+	d := &Durability{n: n, metrics: metrics, stop: make(chan struct{})}
 	wal, err := store.OpenWAL(dataDir, 1, policy, metrics)
 	if err != nil {
 		return nil, err
 	}
 	d.wal = wal
-	d.stats.WAL, err = wal.Replay(lsn, func(seq uint64, msg wire.Message) error {
-		applied, err := n.applyWALRecord(seq, msg)
-		if err != nil {
-			return err
-		}
-		if applied {
-			d.stats.Replayed++
+	// The store has no WAL attached yet, so replay re-logs nothing.
+	d.stats.WAL, err = wal.Replay(func(_ uint64, msg wire.Message) error {
+		if _, ok := msg.(wire.SnapKey); ok {
+			d.stats.CheckpointKeys++
 		} else {
-			d.stats.Skipped++
+			d.stats.Replayed++
 		}
-		return nil
+		return n.applyWALRecord(msg)
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// 3. Go live: log future mutations, then collapse what we just
-	// recovered into one fresh generation so the next restart skips the
-	// replay work and old segments can be deleted.
+	// Go live: log future mutations, then checkpoint what we just
+	// recovered so the next restart replays less and old segments go.
 	n.store.AttachWAL(wal)
 	if err := wal.Start(); err != nil {
 		return nil, err
@@ -140,7 +115,7 @@ func (d *Durability) snapshotLoop(interval time.Duration) {
 	for {
 		select {
 		case <-t.C:
-			// A failed periodic snapshot is not fatal: the WAL still
+			// A failed periodic checkpoint is not fatal: the WAL still
 			// holds everything. The next tick retries.
 			_ = d.SnapshotNow()
 		case <-d.stop:
@@ -149,12 +124,14 @@ func (d *Durability) snapshotLoop(interval time.Duration) {
 	}
 }
 
-// SnapshotNow writes a compacting snapshot: rotate the WAL so sealed
-// segments cover everything below the snapshot's view, persist every
-// key's state, then prune sealed segments and stale generations.
-// Concurrent mutations during the write are safe — they land in the
-// active segment with sequences above the per-key cutoffs, so replay
-// applies them on top of the snapshot.
+// SnapshotNow checkpoints the log: it rotates the WAL, logs each key's
+// whole state as a wire.SnapKey under that key's lock, fsyncs the
+// checkpoint whatever the sync policy, and prunes the sealed segments.
+// Each SnapKey follows every earlier record of its key, which it
+// reflects, and precedes every later one, so mutations racing the
+// checkpoint need no cutoff: replay applies them after it. A
+// checkpoint cut short prunes nothing, and replay of its partial
+// records is exact all the same.
 func (d *Durability) SnapshotNow() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -162,21 +139,13 @@ func (d *Durability) SnapshotNow() error {
 	if err := d.wal.Rotate(); err != nil {
 		return err
 	}
-	gen, err := store.NextSnapshotGen(d.dataDir)
-	if err != nil {
-		return err
-	}
-	_, size, err := store.WriteSnapshot(d.dataDir, gen, func(write func(wire.SnapKey) error) error {
-		var werr error
+	size, err := d.wal.Checkpoint(func(log func(wire.Message) error) error {
+		var err error
 		d.n.store.Range(func(key string, ks *store.KeyState) bool {
-			var sk wire.SnapKey
-			ks.SnapshotView(func(st *store.State, lsn uint64) {
-				sk = snapKeyOf(key, st, lsn)
-			})
-			werr = write(sk)
-			return werr == nil
+			ks.View(func(st *store.State) { err = log(snapKeyOf(key, st)) })
+			return err == nil
 		})
-		return werr
+		return err
 	})
 	if err != nil {
 		return err
@@ -186,13 +155,10 @@ func (d *Durability) SnapshotNow() error {
 	d.metrics.SnapshotDuration.ObserveDuration(end.Sub(start))
 	d.metrics.SnapshotBytes.Set(size)
 	d.metrics.LastSnapshot.Set(end.UnixNano())
-	if err := d.wal.PruneSealed(); err != nil {
-		return err
-	}
-	return store.PruneSnapshots(d.dataDir, 2)
+	return d.wal.PruneSealed()
 }
 
-// Close takes a final snapshot, flushes the WAL, and closes it. Part
+// Close takes a final checkpoint, flushes the WAL, and closes it. Part
 // of the daemon's graceful shutdown; safe to call more than once.
 func (d *Durability) Close() error {
 	var err error
@@ -207,15 +173,22 @@ func (d *Durability) Close() error {
 	return err
 }
 
-// applyWALRecord applies one replayed record to the store, reporting
-// whether it was applied (false = at or below the key's snapshot
-// cutoff). An entry record goes through the helper that logged it
-// (wal_log.go): no WAL is attached during replay, so the helper only
-// mutates, and the live and the recovered state cannot drift apart.
-func (n *Node) applyWALRecord(seq uint64, msg wire.Message) (bool, error) {
+// applyWALRecord applies one replayed record to the store. A SnapKey
+// replaces its key's state; an entry record goes through the helper
+// that logged it (wal_log.go): no WAL is attached during replay, so the
+// helper only mutates, and the live and the recovered state cannot
+// drift apart.
+func (n *Node) applyWALRecord(msg wire.Message) error {
 	var key string
 	var cfg wire.Config
+	var snap store.State
 	switch m := msg.(type) {
+	case wire.SnapKey:
+		var err error
+		if snap, err = stateFromSnapKey(m); err != nil {
+			return fmt.Errorf("node: checkpoint: %w", err)
+		}
+		key, cfg = m.Key, m.Config
 	case wire.WalConfig:
 		key, cfg = m.Key, m.Config
 	case wire.WalReset:
@@ -231,14 +204,12 @@ func (n *Node) applyWALRecord(seq uint64, msg wire.Message) (bool, error) {
 	case wire.WalHCount:
 		key = m.Key
 	default:
-		return false, fmt.Errorf("node: unexpected %T in WAL", msg)
+		return fmt.Errorf("node: unexpected %T in WAL", msg)
 	}
-	ks := n.store.GetOrCreate(key, cfg)
-	if seq <= ks.LSN() {
-		return false, nil
-	}
-	ks.Update(func(st *store.State) {
+	n.store.GetOrCreate(key, cfg).Update(func(st *store.State) {
 		switch m := msg.(type) {
+		case wire.SnapKey:
+			st.Cfg, st.Set, st.Ext = snap.Cfg, snap.Set, snap.Ext
 		case wire.WalConfig:
 			if !st.Cfg.Scheme.Valid() {
 				st.Cfg = m.Config
@@ -264,20 +235,18 @@ func (n *Node) applyWALRecord(seq uint64, msg wire.Message) (bool, error) {
 			rsExtOf(st).hCount = m.HCount
 		}
 	})
-	ks.SetLSN(seq)
-	return true, nil
+	return nil
 }
 
 // snapKeyOf serializes one key's full state. Round-Robin positions are
-// emitted sorted by entry so snapshot files are deterministic for a
+// emitted sorted by entry so a checkpoint record is deterministic for a
 // given state (loading order is irrelevant — it rebuilds a map — but
-// stable files diff cleanly).
-func snapKeyOf(key string, st *store.State, lsn uint64) wire.SnapKey {
+// stable records diff cleanly).
+func snapKeyOf(key string, st *store.State) wire.SnapKey {
 	members, seqs, next := st.Set.Export()
 	sk := wire.SnapKey{
 		Key:     key,
 		Config:  st.Cfg,
-		LSN:     lsn,
 		Entries: members,
 		Seqs:    seqs,
 		NextSeq: next,
@@ -304,8 +273,8 @@ func snapKeyOf(key string, st *store.State, lsn uint64) wire.SnapKey {
 }
 
 // stateFromSnapKey rebuilds a key's state, validating structural
-// invariants so a corrupt-but-CRC-clean snapshot cannot install
-// inconsistent state.
+// invariants so a corrupt-but-CRC-clean checkpoint record cannot
+// install inconsistent state.
 func stateFromSnapKey(sk wire.SnapKey) (store.State, error) {
 	set, err := entry.RestoreSet(sk.Entries, sk.Seqs, sk.NextSeq)
 	if err != nil {

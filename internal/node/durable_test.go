@@ -8,7 +8,9 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -95,16 +97,11 @@ func (dc *durCluster) lookup(server int, key string, tt int) []string {
 }
 
 // captureState serializes a node's full per-key state through the same
-// path snapshots use, with the LSN zeroed (recovery re-logs nothing,
-// but its snapshot-on-open assigns fresh sequences).
+// path checkpoints use.
 func captureState(n *Node) map[string]wire.SnapKey {
 	out := make(map[string]wire.SnapKey)
 	n.store.Range(func(key string, ks *store.KeyState) bool {
-		ks.SnapshotView(func(st *store.State, lsn uint64) {
-			sk := snapKeyOf(key, st, lsn)
-			sk.LSN = 0
-			out[key] = sk
-		})
+		ks.View(func(st *store.State) { out[key] = snapKeyOf(key, st) })
 		return true
 	})
 	return out
@@ -158,8 +155,8 @@ func nodeDirs(t *testing.T, n int) []string {
 }
 
 // TestRecoveryEquivalence is the core durability property: after a
-// crash (no graceful shutdown, no final snapshot — the WAL tail is all
-// there is), a restarted cluster holds state identical to the moment of
+// crash (no graceful shutdown, no final checkpoint — the WAL tail is
+// all there is), a restarted cluster holds state identical to the moment of
 // the crash, for every placement strategy. Identical state plus a
 // freshly seeded RNG is what makes post-restart lookups byte-identical,
 // which the cmd/plsd crash harness verifies end to end.
@@ -194,8 +191,8 @@ func TestRecoveryEquivalence(t *testing.T) {
 }
 
 // TestRecoverySnapshotPlusTail covers the mixed path: a mid-workload
-// snapshot, more traffic, then a crash. Replay must skip records the
-// snapshot already covers and apply only the tail.
+// checkpoint, more traffic, then a crash. Replay replaces each key's
+// state at its checkpoint record and applies the tail on top.
 func TestRecoverySnapshotPlusTail(t *testing.T) {
 	const n = 4
 	dirs := nodeDirs(t, n)
@@ -221,9 +218,9 @@ func TestRecoverySnapshotPlusTail(t *testing.T) {
 	}
 }
 
-// TestRecoveryGracefulCloseLeavesNoTail: after Close (final snapshot +
-// WAL flush), reopening replays nothing — the snapshot covers it all.
-// This is the "empty WAL with valid snapshot" recovery edge case.
+// TestRecoveryGracefulCloseLeavesNoTail: after Close (final checkpoint
+// + WAL flush), reopening replays no mutation record — the log holds
+// the checkpoint alone, and recovery rebuilds every key from it.
 func TestRecoveryGracefulCloseLeavesNoTail(t *testing.T) {
 	const n = 2
 	dirs := nodeDirs(t, n)
@@ -249,8 +246,8 @@ func TestRecoveryGracefulCloseLeavesNoTail(t *testing.T) {
 		if st.Replayed != 0 {
 			t.Errorf("node %d replayed %d records after graceful close, want 0", i, st.Replayed)
 		}
-		if st.SnapshotKeys == 0 && len(want[i]) > 0 {
-			t.Errorf("node %d loaded no snapshot keys", i)
+		if st.CheckpointKeys != len(want[i]) {
+			t.Errorf("node %d replayed a checkpoint of %d keys, want %d", i, st.CheckpointKeys, len(want[i]))
 		}
 	}
 	rc.rerunThenCrash(11, dirs, "k", cfg)
@@ -258,9 +255,8 @@ func TestRecoveryGracefulCloseLeavesNoTail(t *testing.T) {
 
 // rerunThenCrash drives the workload on key once more, abandons the
 // cluster as a crash would, and checks that a restart recovers every
-// node's state. After a restart whose log held no record, new records
-// must still number past the snapshot's cutoffs, or replay would skip
-// them as already covered.
+// node's state: the records written after a restart must replay after
+// the checkpoint the restart logged.
 func (dc *durCluster) rerunThenCrash(seed uint64, dirs []string, key string, cfg wire.Config) {
 	dc.t.Helper()
 	dc.runWorkload(key, cfg)
@@ -274,37 +270,6 @@ func (dc *durCluster) rerunThenCrash(seed uint64, dirs []string, key string, cfg
 			dc.t.Errorf("node %d lost writes acked after a restart:\n got %#v\nwant %#v", i, got, want[i])
 		}
 	}
-}
-
-// TestRecoverySnapshotWithoutWAL: a data dir holding only a snapshot
-// (the WAL directory was lost) still recovers the snapshot state.
-func TestRecoverySnapshotWithoutWAL(t *testing.T) {
-	dirs := nodeDirs(t, 2)
-	cfg := wire.Config{Scheme: wire.FullReplication}
-	dc := newDurCluster(t, 2, 13, dirs, store.SyncBatch)
-	dc.runWorkload("k", cfg)
-	want := make([]map[string]wire.SnapKey, 2)
-	for i, nd := range dc.nodes {
-		want[i] = captureState(nd)
-	}
-	for _, d := range dc.durs {
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, dir := range dirs {
-		if err := os.RemoveAll(filepath.Join(dir, "wal")); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	rc := newDurCluster(t, 2, 13, dirs, store.SyncBatch)
-	for i, nd := range rc.nodes {
-		if got := captureState(nd); !reflect.DeepEqual(got, want[i]) {
-			t.Errorf("node %d state diverged recovering from snapshot alone", i)
-		}
-	}
-	rc.rerunThenCrash(13, dirs, "k", cfg)
 }
 
 // TestDurableMatchesVolatile pins the no-perturbation property: a
@@ -337,8 +302,9 @@ func TestDurableMatchesVolatile(t *testing.T) {
 	}
 }
 
-// TestSnapshotPrunesSegments: segments sealed before a snapshot are
-// deleted by it, bounding disk growth.
+// TestSnapshotPrunesSegments: segments sealed before a checkpoint are
+// deleted by it, bounding disk growth, and the log is all the data dir
+// holds.
 func TestSnapshotPrunesSegments(t *testing.T) {
 	dirs := nodeDirs(t, 2)
 	cfg := wire.Config{Scheme: wire.FullReplication}
@@ -357,14 +323,10 @@ func TestSnapshotPrunesSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(segs) != 1 {
-			t.Errorf("node %d has %d segments after snapshots, want 1 (the active one)", i, len(segs))
+			t.Errorf("node %d has %d segments after checkpoints, want 1 (the active one)", i, len(segs))
 		}
-		snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(snaps) > 2 {
-			t.Errorf("node %d has %d snapshots, want <= 2", i, len(snaps))
+		if all, _ := filepath.Glob(filepath.Join(dir, "*")); len(all) != 1 || filepath.Base(all[0]) != "wal" {
+			t.Errorf("node %d data dir holds %v, want wal/ alone", i, all)
 		}
 	}
 }
@@ -443,4 +405,172 @@ func TestOpenDurabilityRefusesOldLog(t *testing.T) {
 	if rn.store.Keys() != 0 {
 		t.Fatalf("the refused open replayed %d keys", rn.store.Keys())
 	}
+}
+
+// TestOpenDurabilityRefusesSnapshotFiles: a data dir holding the
+// snapshot files an earlier version wrote beside its log is refused
+// with an error naming one of them, before anything is replayed.
+func TestOpenDurabilityRefusesSnapshotFiles(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "snap-0000000000000042.snap")
+	if err := os.WriteFile(old, []byte("plssnp01"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(0, stats.NewRNG(1)).OpenDurability(dir, store.SyncBatch, 0, nil); err == nil || !strings.Contains(err.Error(), old) {
+		t.Fatalf("OpenDurability beside a snapshot file: %v, want an error naming %s", err, old)
+	}
+}
+
+// TestRecoveryReportsADamagedCheckpoint: a byte flipped inside the
+// newest checkpoint loses nothing silently. The log ends at the damaged
+// record, so recovery either holds every acked entry or reports the
+// bytes it dropped.
+func TestRecoveryReportsADamagedCheckpoint(t *testing.T) {
+	dirs := nodeDirs(t, 1)
+	cfg := wire.Config{Scheme: wire.FullReplication}
+	dc := newDurCluster(t, 1, 3, dirs, store.SyncBatch)
+	dc.mustAck(0, wire.Place{Key: "k", Config: cfg, Entries: []string{"a"}})
+	for _, e := range []string{"b", "c"} {
+		if err := dc.durs[0].SnapshotNow(); err != nil {
+			t.Fatal(err)
+		}
+		dc.mustAck(0, wire.Add{Key: "k", Config: cfg, Entry: e})
+	}
+	if err := dc.durs[0].WAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The newest checkpoint is the first record of the newest segment:
+	// flip a byte of its payload, past the segment and frame headers.
+	segs, err := filepath.Glob(filepath.Join(dirs[0], "wal", "*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments %v (%v)", segs, err)
+	}
+	newest := segs[len(segs)-1]
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const payload = 16 + 16
+	if len(data) <= payload+1 || data[payload] != byte(wire.KindSnapKey) {
+		t.Fatalf("%s does not start with a checkpoint record", newest)
+	}
+	data[payload+1] ^= 0x40
+	if err := os.WriteFile(newest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rc := newDurCluster(t, 1, 3, dirs, store.SyncBatch)
+	st := rc.durs[0].Stats()
+	set := rc.nodes[0].LocalSet("k")
+	t.Logf("recovered %v with %+v", set.Members(), st)
+	for _, e := range []string{"a", "b", "c"} {
+		if !set.Contains(e) && st.WAL.TruncatedBytes == 0 {
+			t.Errorf("acked %q lost with no truncation reported: %+v", e, st)
+		}
+	}
+}
+
+// TestDurableCheckpointRacingUpdates: checkpoints taken while writers
+// mutate Round-Robin positions and counters, RandomServer-x system
+// counts and Hash-y sets lose nothing — each key's checkpoint record is
+// logged under the key lock, between the records it reflects and the
+// ones it does not. A crash after the racing (the WAL closed without a
+// final checkpoint) recovers the live state exactly. Two restarts with
+// no writes, then more writes and a crash, recover it too: new records
+// number past the checkpoints the restarts logged.
+func TestDurableCheckpointRacingUpdates(t *testing.T) {
+	// Holders (below) keep each key's lock for longer than the 1 ms
+	// after which a waiting writer turns the mutex to FIFO handoff, so
+	// whoever unlocks a key — a checkpoint too — passes it to a waiting
+	// writer and yields to it. With one P the unlocker then waits until
+	// that writer blocks, after its update has been logged: a checkpoint
+	// record logged outside the key lock would land after a mutation it
+	// does not reflect.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n, seed = 4, 21
+	dirs := nodeDirs(t, n)
+	// SyncNever keeps the writers' acks cheap; checkpoints fsync anyway.
+	dc := newDurCluster(t, n, seed, dirs, store.SyncNever)
+	cfgs := []wire.Config{
+		{Scheme: wire.RoundRobin, Y: 2},
+		{Scheme: wire.RandomServer, X: 3},
+		{Scheme: wire.Hash, Y: 2, Seed: 9},
+	}
+	for k, cfg := range cfgs {
+		dc.mustAck(0, wire.Place{Key: fmt.Sprint("racing-", k), Config: cfg, Entries: []string{"p0", "p1", "p2", "p3"}})
+	}
+	stop := make(chan struct{})
+	var writers sync.WaitGroup
+	run := func(op func(i int) bool) {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if !op(i) {
+					return
+				}
+			}
+		}()
+	}
+	// Round-y runs one update of a key at a time (concurrent deletes of
+	// one key fail), so its key has one writer.
+	for g, k := range []int{0, 1, 1, 1, 2, 2, 2} {
+		key, cfg := fmt.Sprint("racing-", k), cfgs[k]
+		run(func(i int) bool {
+			// Add a fresh entry, then delete the one added before it.
+			var msg wire.Message = wire.Add{Key: key, Config: cfg, Entry: fmt.Sprint("e", g, "-", i/2)}
+			if i%2 == 1 {
+				if i < 3 {
+					return true
+				}
+				msg = wire.Delete{Key: key, Config: cfg, Entry: fmt.Sprint("e", g, "-", i/2-1)}
+			}
+			if reply, err := dc.tr.Call(context.Background(), 0, msg); err != nil || reply != (wire.Ack{}) {
+				t.Errorf("%T on %s: %+v, %v", msg, key, reply, err)
+				return false
+			}
+			return true
+		})
+	}
+	for _, nd := range dc.nodes {
+		for k := range cfgs {
+			ks := nd.store.GetOrCreate(fmt.Sprint("racing-", k), cfgs[k])
+			run(func(int) bool {
+				ks.View(func(*store.State) { time.Sleep(2 * time.Millisecond) })
+				return true
+			})
+		}
+	}
+	for range 30 {
+		for i, d := range dc.durs {
+			if err := d.SnapshotNow(); err != nil {
+				t.Errorf("checkpoint of node %d: %v", i, err)
+			}
+		}
+	}
+	close(stop)
+	writers.Wait()
+	want := make([]map[string]wire.SnapKey, n)
+	for i, nd := range dc.nodes {
+		want[i] = captureState(nd)
+		if err := dc.durs[i].WAL().Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rc := newDurCluster(t, n, seed, dirs, store.SyncBatch)
+	for i, nd := range rc.nodes {
+		if got := captureState(nd); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("node %d diverged after checkpoints raced updates:\n got %#v\nwant %#v", i, got, want[i])
+		}
+	}
+	// Two restarts with no writes in between, each a crash.
+	for range 2 {
+		rc = newDurCluster(t, n, seed, dirs, store.SyncBatch)
+	}
+	rc.rerunThenCrash(seed, dirs, "racing-0", cfgs[0])
 }

@@ -153,7 +153,7 @@ func (r req) findReplacement(ctx context.Context, key string, deleted entry.Entr
 // trade the Sec. 5.3 replacement alternative makes. A leaver drops
 // only what a survivor confirms holding or accepts: subsets are
 // independent draws, so a sole copy whose peers are all at capacity
-// has no safe home — it rides out in the leaver's escrow snapshot
+// has no safe home — it rides out in the leaver's escrow checkpoint
 // instead of being lost.
 func (rsExec) plan(v repairView, mv memberView) ([]repairCandidate, []string) {
 	return everyPeerPlan(v, mv, true)

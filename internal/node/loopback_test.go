@@ -193,7 +193,7 @@ func (lc *loopCluster) dumpState(dirs []string) string {
 		if err != nil {
 			lc.t.Fatalf("reopen WAL %d: %v", i, err)
 		}
-		if _, err := wal.Replay(0, func(seq uint64, msg wire.Message) error {
+		if _, err := wal.Replay(func(seq uint64, msg wire.Message) error {
 			fmt.Fprintf(&b, "node %d wal seq %d %T%+v\n", i, seq, msg, msg)
 			return nil
 		}); err != nil {

@@ -98,7 +98,7 @@ func (lc *loopCluster) dumpPlaced(dirs []string) string {
 			text string
 		}
 		byKey := make(map[string][]record)
-		if _, err := wal.Replay(0, func(seq uint64, msg wire.Message) error {
+		if _, err := wal.Replay(func(seq uint64, msg wire.Message) error {
 			key := reflect.ValueOf(msg).FieldByName("Key").String()
 			byKey[key] = append(byKey[key], record{seq, fmt.Sprintf("%T%+v", msg, msg)})
 			return nil

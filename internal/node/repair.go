@@ -219,7 +219,7 @@ func (n *Node) sweep(ctx context.Context, t *transition, via *view, dead []bool)
 // skipped: it restores missing copies, it never releases one. A
 // rebalance plans under t's post-change view and addresses each rank
 // at its address's slot in the request's view. Unconfirmed entries
-// stay put: on a drain they ride out in the leaver's final snapshot
+// stay put: on a drain they ride out in the leaver's final checkpoint
 // (the operator's escrow) rather than be destroyed; a sole
 // RandomServer-x copy on a leaver whose peers are all at capacity is
 // the concrete case.

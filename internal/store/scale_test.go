@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/entry"
 	"repro/internal/wire"
 )
 
@@ -43,8 +42,8 @@ func bytesPerNewKey(existing int, create func(*Store, string)) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(fresh))
 }
 
-// TestNewKeyCostDoesNotGrowWithStore: creating a key — by GetOrCreate,
-// or by Install during snapshot recovery — allocates about the same
+// TestNewKeyCostDoesNotGrowWithStore: creating a key by GetOrCreate —
+// as traffic and recovery's replay both do — allocates about the same
 // bytes whether the store holds 1 000 keys or 50 000. A store that
 // copied its key map per new key would allocate some fifty times
 // more at 50 000, which makes a bulk load or a recovery quadratic in
@@ -55,21 +54,12 @@ func TestNewKeyCostDoesNotGrowWithStore(t *testing.T) {
 	// allows for the index growth that lands in one window and not the
 	// other.
 	const slack = 512
-	ops := map[string]func(*Store, string){
-		"GetOrCreate": func(s *Store, k string) { s.GetOrCreate(k, scaleCfg) },
-		"Install": func(s *Store, k string) {
-			if _, err := s.Install(k, State{Cfg: scaleCfg, Set: entry.NewSet(0)}, 1); err != nil {
-				t.Fatal(err)
-			}
-		},
-	}
-	for name, create := range ops {
-		small := bytesPerNewKey(1000, create)
-		large := bytesPerNewKey(50000, create)
-		t.Logf("%s: %.0f B/key at 1 000 keys, %.0f B/key at 50 000", name, small, large)
-		if large > small+slack {
-			t.Errorf("%s: a new key costs %.0f B at 50 000 keys against %.0f B at 1 000", name, large, small)
-		}
+	create := func(s *Store, k string) { s.GetOrCreate(k, scaleCfg) }
+	small := bytesPerNewKey(1000, create)
+	large := bytesPerNewKey(50000, create)
+	t.Logf("%.0f B/key at 1 000 keys, %.0f B/key at 50 000", small, large)
+	if large > small+slack {
+		t.Errorf("a new key costs %.0f B at 50 000 keys against %.0f B at 1 000", large, small)
 	}
 }
 

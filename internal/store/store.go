@@ -31,7 +31,6 @@
 package store
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -97,11 +96,7 @@ type KeyState struct {
 	// it only when it is clear, so the hot read path stays loads.
 	snapRead atomic.Bool
 
-	// Durability plumbing, nil/zero on volatile stores. lastLSN (under
-	// mu) is the WAL sequence of the key's most recent logged record;
-	// snapshots save it and replay skips records at or below it.
-	wal     *WAL
-	lastLSN uint64
+	wal *WAL // the store's log; nil on volatile stores
 }
 
 // maxKeptRecs bounds the record slice a key keeps between updates: an
@@ -123,9 +118,7 @@ func (k *KeyState) Update(f func(*State)) {
 		if k.wal != nil {
 			// An append fails only on a closed or failed log, which
 			// fails every later Store.WaitDurable: no reply acks it.
-			if seq, err := k.wal.Append(0, k.st.recs...); err == nil {
-				k.lastLSN = seq
-			}
+			_, _ = k.wal.Append(0, k.st.recs...)
 		}
 		// Keep the array for the next update, but not the records in
 		// it, and not the array a place grew to a record per entry.
@@ -150,35 +143,6 @@ func (k *KeyState) Update(f func(*State)) {
 func (k *KeyState) View(f func(*State)) {
 	k.mu.Lock()
 	f(&k.st)
-	k.mu.Unlock()
-}
-
-// SnapshotView runs f with the key locked, passing the state together
-// with the WAL sequence of its last logged mutation. The snapshotter
-// needs the pair observed atomically: a view newer than its recorded
-// sequence would make replay re-apply mutations the snapshot already
-// holds.
-func (k *KeyState) SnapshotView(f func(st *State, lsn uint64)) {
-	k.mu.Lock()
-	f(&k.st, k.lastLSN)
-	k.mu.Unlock()
-}
-
-// LSN returns the WAL sequence of the key's last logged mutation.
-func (k *KeyState) LSN() uint64 {
-	k.mu.Lock()
-	lsn := k.lastLSN
-	k.mu.Unlock()
-	return lsn
-}
-
-// SetLSN records the WAL sequence of a replayed mutation during
-// recovery, so post-recovery snapshots carry the right cutoff.
-func (k *KeyState) SetLSN(lsn uint64) {
-	k.mu.Lock()
-	if lsn > k.lastLSN {
-		k.lastLSN = lsn
-	}
 	k.mu.Unlock()
 }
 
@@ -293,8 +257,8 @@ func (s *Store) GetOrCreate(key string, cfg wire.Config) *KeyState {
 
 // AttachWAL makes the store durable: every subsequent mutation logged
 // via State.Log is appended to w. It must be called before the store
-// serves traffic (existing keys — e.g. ones installed from a snapshot
-// — are rewired without locking out concurrent use).
+// serves traffic (existing keys — e.g. ones replayed from the log —
+// are rewired without locking out concurrent use).
 func (s *Store) AttachWAL(w *WAL) {
 	s.wal = w
 	s.Range(func(_ string, ks *KeyState) bool {
@@ -304,21 +268,6 @@ func (s *Store) AttachWAL(w *WAL) {
 		ks.mu.Unlock()
 		return true
 	})
-}
-
-// Install creates a key with fully-formed state during recovery
-// (snapshot load), recording lsn as its replay cutoff. It fails if the
-// key already exists — duplicate keys in a snapshot indicate
-// corruption the caller must surface, not merge.
-func (s *Store) Install(key string, st State, lsn uint64) (*KeyState, error) {
-	st.Key = key
-	st.logging = s.wal != nil
-	ks := &KeyState{st: st, wal: s.wal, lastLSN: lsn}
-	if _, dup := s.keys.LoadOrStore(key, ks); dup {
-		return nil, fmt.Errorf("store: install of existing key %q", key)
-	}
-	s.keyCount.Add(1)
-	return ks, nil
 }
 
 // WaitDurable blocks until every record appended to the store's log

@@ -341,7 +341,7 @@ func TestStoreWaitDurableRacingClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	replayed := make(map[string]bool)
-	if _, err := reopened.Replay(0, func(_ uint64, msg wire.Message) error {
+	if _, err := reopened.Replay(func(_ uint64, msg wire.Message) error {
 		if rec, ok := msg.(wire.WalStore); ok {
 			replayed[rec.Entry] = true
 		}

@@ -46,9 +46,6 @@ import (
 // lock shard).
 const walMagic = "plswal02"
 
-// snapMagic identifies snapshot files (see snapshot.go).
-const snapMagic = "plssnp01"
-
 const (
 	walDirName      = "wal"
 	walHeaderSize   = 8 + 8
@@ -120,7 +117,7 @@ func (p SyncPolicy) String() string {
 // appending. All methods are safe for concurrent use once started.
 //
 // Under SyncBatch a record nobody waits for becomes durable at the next
-// commit, at rotation (every snapshot) or at Close; a record whose
+// commit, at rotation (every checkpoint) or at Close; a record whose
 // WaitDurable returned nil is durable, always.
 type WAL struct {
 	dir     string // the wal/ subdirectory
@@ -192,18 +189,20 @@ type ReplayStats struct {
 // Replay reads the log in one ordered pass and calls fn for each
 // record. The first torn or CRC-failed record ends the log: its segment
 // is truncated before it and later segments are removed. Sequence
-// numbering resumes past the highest of floor and every replayed
-// record; the caller passes as floor the newest sequence it already
-// holds state for (a snapshot's), since pruned segments no longer say.
+// numbering resumes past every replayed record and every segment's
+// first sequence, so the next segment sorts after all of them.
 // Replay must run before Start.
-func (w *WAL) Replay(floor uint64, fn func(seq uint64, msg wire.Message) error) (ReplayStats, error) {
+func (w *WAL) Replay(fn func(seq uint64, msg wire.Message) error) (ReplayStats, error) {
 	var stats ReplayStats
 	segs, err := w.listSegments()
 	if err != nil {
 		return stats, err
 	}
-	maxSeq := max(w.seq.Load(), floor)
+	maxSeq := w.seq.Load()
 	for i, path := range segs {
+		if first, _ := strconv.ParseUint(strings.TrimSuffix(filepath.Base(path), ".wal"), 10, 64); first > 0 {
+			maxSeq = max(maxSeq, first-1)
+		}
 		valid, bad, err := replaySegmentFile(path, func(seq uint64, msg wire.Message) error {
 			maxSeq = max(maxSeq, seq)
 			stats.Records++
@@ -387,6 +386,16 @@ func (w *WAL) openSegment(first uint64) error {
 // Append order. The stripe argument is ignored; it remains for the
 // benchmark harness, as Stripes does.
 func (w *WAL) Append(stripe int, recs ...wire.Message) (uint64, error) {
+	seq, err := w.buffer(recs)
+	if err != nil || seq == 0 || w.policy == SyncBatch {
+		return seq, err
+	}
+	return seq, w.commitTo(seq)
+}
+
+// buffer frames recs into the buffer under the buffer lock and returns
+// the sequence of the last one (0 for none).
+func (w *WAL) buffer(recs []wire.Message) (uint64, error) {
 	if len(recs) == 0 {
 		return 0, nil
 	}
@@ -405,10 +414,7 @@ func (w *WAL) Append(stripe int, recs ...wire.Message) (uint64, error) {
 	w.mu.Unlock()
 	w.metrics.Records.Add(int64(len(recs)))
 	w.metrics.Bytes.Add(int64(payload))
-	if w.policy == SyncBatch {
-		return seq, nil
-	}
-	return seq, w.commitTo(seq)
+	return seq, nil
 }
 
 // SetCommitHook has every later commit call f after it has taken the
@@ -523,9 +529,9 @@ func (w *WAL) commitLocked(fsync bool) (uint64, error) {
 }
 
 // Rotate seals the active segment (committing it first) and opens a
-// fresh one, after any commit in flight. The snapshotter rotates before
-// observing state, so everything the sealed segments hold is covered by
-// the snapshot and PruneSealed may delete them once it is durable.
+// fresh one, after any commit in flight. A checkpoint rotates before it
+// logs any key's state, so PruneSealed may delete the sealed segments
+// once Checkpoint has made that state durable.
 func (w *WAL) Rotate() error {
 	w.takeToken(0)
 	defer w.releaseToken()
@@ -547,8 +553,35 @@ func (w *WAL) Rotate() error {
 	return syncDir(w.dir)
 }
 
+// Checkpoint runs emit with a log function that appends one record as
+// Append does but never commits; then it commits and fsyncs everything
+// appended, whatever the policy: one fsync for the whole checkpoint. It
+// returns the active segment's size. emit may log with a key locked.
+func (w *WAL) Checkpoint(emit func(log func(wire.Message) error) error) (int64, error) {
+	err := emit(func(rec wire.Message) error {
+		_, err := w.buffer([]wire.Message{rec})
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	w.takeToken(0)
+	defer w.releaseToken()
+	if err := w.Err(); err != nil {
+		return 0, err
+	}
+	if _, err := w.commitLocked(true); err != nil {
+		return 0, err
+	}
+	fi, err := w.f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("store: stat WAL segment: %w", err)
+	}
+	return fi.Size(), nil
+}
+
 // PruneSealed deletes every segment file but the active one. Call only
-// after a snapshot covering the sealed segments is durable.
+// after a checkpoint logged past the sealed segments is durable.
 func (w *WAL) PruneSealed() error {
 	w.takeToken(0)
 	active := w.path

@@ -24,7 +24,7 @@ type replayed struct {
 func replayAll(t *testing.T, w *WAL) ([]replayed, ReplayStats) {
 	t.Helper()
 	var out []replayed
-	stats, err := w.Replay(0, func(seq uint64, msg wire.Message) error {
+	stats, err := w.Replay(func(seq uint64, msg wire.Message) error {
 		out = append(out, replayed{seq, msg})
 		return nil
 	})
@@ -47,7 +47,7 @@ func mustOpen(tb testing.TB, dir string, policy SyncPolicy) *WAL {
 
 func mustStart(t *testing.T, w *WAL) {
 	t.Helper()
-	if _, err := w.Replay(0, func(uint64, wire.Message) error { return nil }); err != nil {
+	if _, err := w.Replay(func(uint64, wire.Message) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Start(); err != nil {
@@ -576,6 +576,76 @@ func TestWALPruneSealedKeepsActive(t *testing.T) {
 	}
 }
 
+// TestWALCheckpointFsyncsOnce: under every policy, a checkpoint's
+// records are durable when Checkpoint returns, after one fsync however
+// many records it logged (SyncAlways would fsync each Append), and the
+// size it reports is the active segment's.
+func TestWALCheckpointFsyncsOnce(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncAlways, SyncBatch, SyncNever} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			w := mustOpen(t, dir, policy)
+			mustStart(t, w)
+			defer w.Close()
+			fsyncs := w.metrics.Fsyncs.Value()
+			size, err := w.Checkpoint(func(log func(wire.Message) error) error {
+				for i := 0; i < 3; i++ {
+					if err := log(wire.SnapKey{Key: fmt.Sprint("k", i)}); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := w.metrics.Fsyncs.Value() - fsyncs; got != 1 || w.durable.Load() != 3 {
+				t.Fatalf("Checkpoint: %d fsyncs, durable %d; want 1 fsync, durable 3", got, w.durable.Load())
+			}
+			fi, err := os.Stat(onlySegment(t, dir))
+			if err != nil || fi.Size() != size {
+				t.Fatalf("Checkpoint reported %d bytes, the segment holds %v (%v)", size, fi.Size(), err)
+			}
+		})
+	}
+}
+
+// TestWALReplayResumesPastEmptySegment: a log whose only segment holds
+// no record still numbers new records from that segment's start, so
+// the next segment sorts after it.
+func TestWALReplayResumesPastEmptySegment(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, dir, SyncNever)
+	mustStart(t, w)
+	for i := 0; i < 3; i++ {
+		if _, err := w.Append(0, wire.WalStore{Key: "k", Entry: fmt.Sprint(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.PruneSealed(); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+
+	w2 := mustOpen(t, dir, SyncNever)
+	if got, _ := replayAll(t, w2); len(got) != 0 {
+		t.Fatalf("replayed %d records from an empty segment", len(got))
+	}
+	if err := w2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if seq, err := w2.Append(0, wire.WalStore{Key: "k", Entry: "after"}); err != nil || seq != 4 {
+		t.Fatalf("first Append after the restart = %d,%v, want 4,nil", seq, err)
+	}
+	w2.Close()
+	if segs := segments(t, dir); len(segs) != 1 {
+		t.Fatalf("segments %v, want the one reopened", segs)
+	}
+}
+
 func TestWALAppendAfterCloseFails(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, SyncBatch)
@@ -623,163 +693,6 @@ func segments(t *testing.T, dir string) []string {
 		t.Fatal(err)
 	}
 	return segs
-}
-
-func TestSnapshotWriteLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	keys := []wire.SnapKey{
-		{Key: "a", Config: wire.Config{Scheme: wire.RandomServer, X: 2, Y: 5}, LSN: 10,
-			Entries: []string{"v1", "v2"}, Seqs: []uint64{0, 1}, NextSeq: 2,
-			ExtKind: wire.SnapExtRS, HCount: 4},
-		{Key: "b", Config: wire.Config{Scheme: wire.RoundRobin, X: 1, Y: 3}, LSN: 12,
-			Entries: []string{"w"}, Seqs: []uint64{5}, NextSeq: 6,
-			ExtKind: wire.SnapExtRound, Head: 2, Tail: 7,
-			PosEntries: []string{"w"}, Positions: []uint64{4}},
-	}
-	path, size, err := WriteSnapshot(dir, 1, func(write func(wire.SnapKey) error) error {
-		for _, k := range keys {
-			if err := write(k); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if size <= 0 {
-		t.Fatalf("snapshot size = %d", size)
-	}
-	if filepath.Ext(path) != ".snap" {
-		t.Fatalf("snapshot path = %q", path)
-	}
-	gen, got, err := LoadNewestSnapshot(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen != 1 || !reflect.DeepEqual(got, keys) {
-		t.Fatalf("loaded gen %d keys %#v, want gen 1 %#v", gen, got, keys)
-	}
-}
-
-func TestSnapshotEmptyIsValid(t *testing.T) {
-	dir := t.TempDir()
-	if _, _, err := WriteSnapshot(dir, 3, func(func(wire.SnapKey) error) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	gen, keys, err := LoadNewestSnapshot(dir)
-	if err != nil || gen != 3 || len(keys) != 0 {
-		t.Fatalf("empty snapshot load = gen %d, %d keys, err %v", gen, len(keys), err)
-	}
-}
-
-func TestSnapshotNoneOnDisk(t *testing.T) {
-	gen, keys, err := LoadNewestSnapshot(t.TempDir())
-	if err != nil || gen != 0 || keys != nil {
-		t.Fatalf("LoadNewestSnapshot(empty dir) = %d,%v,%v; want 0,nil,nil", gen, keys, err)
-	}
-}
-
-// TestSnapshotCorruptFallsBackToOlder: a damaged newest snapshot is
-// skipped in favor of the previous generation.
-func TestSnapshotCorruptFallsBackToOlder(t *testing.T) {
-	dir := t.TempDir()
-	old := wire.SnapKey{Key: "old", NextSeq: 0}
-	if _, _, err := WriteSnapshot(dir, 1, func(w func(wire.SnapKey) error) error { return w(old) }); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := WriteSnapshot(dir, 2, func(w func(wire.SnapKey) error) error {
-		return w(wire.SnapKey{Key: "new"})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt generation 2.
-	path := snapPath(dir, 2)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	gen, keys, err := LoadNewestSnapshot(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen != 1 || len(keys) != 1 || keys[0].Key != "old" {
-		t.Fatalf("fallback load = gen %d keys %v", gen, keys)
-	}
-}
-
-// TestSnapshotMissingFooterRejected: a snapshot without its footer
-// frame (incomplete write) must not load.
-func TestSnapshotMissingFooterRejected(t *testing.T) {
-	dir := t.TempDir()
-	if _, _, err := WriteSnapshot(dir, 1, func(w func(wire.SnapKey) error) error {
-		return w(wire.SnapKey{Key: "k"})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	path := snapPath(dir, 1)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Strip the footer frame: find its start by re-parsing.
-	rest := data[snapHeaderSize:]
-	var lastFrame int
-	off := snapHeaderSize
-	for len(rest) > 0 {
-		_, _, n, ok := parseFrame(rest)
-		if !ok {
-			t.Fatal("snapshot failed to parse during test setup")
-		}
-		lastFrame = off
-		off += n
-		rest = rest[n:]
-	}
-	if err := os.WriteFile(path, data[:lastFrame], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	gen, keys, _ := LoadNewestSnapshot(dir)
-	if gen != 0 || keys != nil {
-		t.Fatalf("footerless snapshot loaded: gen %d keys %v", gen, keys)
-	}
-}
-
-func TestSnapshotPruneKeepsNewest(t *testing.T) {
-	dir := t.TempDir()
-	for gen := uint64(1); gen <= 4; gen++ {
-		if _, _, err := WriteSnapshot(dir, gen, func(func(wire.SnapKey) error) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := PruneSnapshots(dir, 2); err != nil {
-		t.Fatal(err)
-	}
-	gens, err := listSnapshots(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gens, []uint64{3, 4}) {
-		t.Fatalf("generations after prune = %v, want [3 4]", gens)
-	}
-}
-
-func TestNextSnapshotGen(t *testing.T) {
-	dir := t.TempDir()
-	gen, err := NextSnapshotGen(dir)
-	if err != nil || gen != 1 {
-		t.Fatalf("NextSnapshotGen(empty) = %d,%v, want 1,nil", gen, err)
-	}
-	if _, _, err := WriteSnapshot(dir, 7, func(func(wire.SnapKey) error) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	gen, err = NextSnapshotGen(dir)
-	if err != nil || gen != 8 {
-		t.Fatalf("NextSnapshotGen = %d,%v, want 8,nil", gen, err)
-	}
 }
 
 // TestFrameRoundTrip exercises the frame codec directly, including the

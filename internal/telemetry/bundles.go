@@ -173,9 +173,9 @@ func NewNodeMetrics(r *Registry, n int) *NodeMetrics {
 }
 
 // WALMetrics groups the durability-layer metrics recorded by the
-// write-ahead log and snapshotter (internal/store, node recovery): the
-// fsync latency distribution, bytes and records appended, and snapshot
-// cadence.
+// write-ahead log and its checkpoints (internal/store, node recovery):
+// the fsync latency distribution, bytes and records appended
+// (checkpoint records included), and checkpoint cadence.
 type WALMetrics struct {
 	// FsyncLatency is the distribution of fsync(2) calls on WAL
 	// segments; under the batch policy one observation covers a whole
@@ -187,13 +187,13 @@ type WALMetrics struct {
 	// Fsyncs counts fsync calls; Records/Fsyncs is the group-commit
 	// amortization factor.
 	Fsyncs *Counter
-	// SnapshotDuration tracks full snapshot passes; Snapshots counts
-	// them. SnapshotBytes is the size of the last snapshot written.
+	// SnapshotDuration tracks checkpoints; Snapshots counts them.
+	// SnapshotBytes is the active segment's size after the last one.
 	SnapshotDuration *Histogram
 	Snapshots        *Counter
 	SnapshotBytes    *Gauge
 	// LastSnapshot holds the unix-nano completion time of the newest
-	// snapshot, feeding the wal.snapshot_age_ns gauge.
+	// checkpoint, feeding the wal.snapshot_age_ns gauge.
 	LastSnapshot *Gauge
 }
 

@@ -157,7 +157,6 @@ func AppendEncode(dst []byte, msg Message) []byte {
 	case SnapKey:
 		e.str(m.Key)
 		e.config(m.Config)
-		e.uvarint(m.LSN)
 		e.strs(m.Entries)
 		e.uints(m.Seqs)
 		e.uvarint(m.NextSeq)
@@ -167,8 +166,6 @@ func AppendEncode(dst []byte, msg Message) []byte {
 		e.strs(m.PosEntries)
 		e.uints(m.Positions)
 		e.uvarint(uint64(m.HCount))
-	case SnapFooter:
-		e.uvarint(m.Keys)
 	case RepairQuery:
 		e.str(m.Key)
 		e.strs(m.Entries)
@@ -334,13 +331,11 @@ func decode(data []byte) (Message, error) {
 		msg = WalHCount{Key: d.str(), HCount: d.intval()}
 	case KindSnapKey:
 		msg = SnapKey{
-			Key: d.str(), Config: d.config(), LSN: d.uvarint(),
+			Key: d.str(), Config: d.config(),
 			Entries: d.strs(), Seqs: d.uints(), NextSeq: d.uvarint(),
 			ExtKind: d.byteval(), Head: d.intval(), Tail: d.intval(),
 			PosEntries: d.strs(), Positions: d.uints(), HCount: d.intval(),
 		}
-	case KindSnapFooter:
-		msg = SnapFooter{Keys: d.uvarint()}
 	case KindRepairQuery:
 		msg = RepairQuery{Key: d.str(), Entries: d.strs()}
 	case KindRepairQueryReply:

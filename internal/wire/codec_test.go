@@ -53,14 +53,14 @@ func allMessages() []Message {
 		WalCounters{Key: "k", Head: 3, Tail: 9},
 		WalHCount{Key: "k", HCount: 42},
 		SnapKey{
-			Key: "k", Config: cfg, LSN: 99,
+			Key: "k", Config: cfg,
 			Entries: []string{"v1", "v2"}, Seqs: []uint64{4, 7}, NextSeq: 8,
 			ExtKind: SnapExtRound, Head: 1, Tail: 5,
 			PosEntries: []string{"v1", "v2"}, Positions: []uint64{1, 4},
 		},
 		SnapKey{Key: "k", Config: cfg, ExtKind: SnapExtRS, HCount: 17},
 		SnapKey{Key: "k"},
-		SnapFooter{Keys: 12},
+		SnapKey{Key: "k", Config: cfg, Entries: []string{"v"}, Seqs: []uint64{0}, NextSeq: 1, ExtKind: SnapExtRS, HCount: 3},
 		RepairQuery{Key: "k", Entries: []string{"v1", "v2"}},
 		RepairQuery{Key: "k"},
 		RepairQueryReply{Missing: []bool{true, false}, Len: 3, HCount: 9},

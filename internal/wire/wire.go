@@ -206,7 +206,7 @@ const (
 	KindWalCounters
 	KindWalHCount
 	KindSnapKey
-	KindSnapFooter
+	_ // retired: SnapFooter, which ended the snapshot files of earlier versions
 	KindRepairQuery
 	KindRepairQueryReply
 	KindRepairPush
@@ -476,16 +476,14 @@ type WalHCount struct {
 	HCount int
 }
 
-// SnapKey is one key's complete durable state in a snapshot file:
+// SnapKey is one key's complete durable state, logged by a checkpoint:
 // config, the entry set with its insertion sequences (order matters —
 // lookup sampling indexes the internal member order), and the
-// scheme-private extension state. LSN is the WAL sequence number of the
-// last record applied to the key when the snapshot observed it; replay
-// skips records at or below it.
+// scheme-private extension state. Replay replaces the key's state with
+// it: the record reflects every earlier record of its key.
 type SnapKey struct {
 	Key    string
 	Config Config
-	LSN    uint64
 	// Entries in internal set order with their parallel insertion
 	// sequences; NextSeq is the set's next sequence counter.
 	Entries []string
@@ -509,13 +507,6 @@ const (
 	SnapExtRound uint8 = 1
 	SnapExtRS    uint8 = 2
 )
-
-// SnapFooter terminates a snapshot file and carries the number of
-// SnapKey frames written; a snapshot without a matching footer is
-// truncated and invalid.
-type SnapFooter struct {
-	Keys uint64
-}
 
 // RepairQuery is phase one of an anti-entropy sweep: the sweeper asks a
 // peer which of the listed candidate entries for a key it is missing.
@@ -645,7 +636,6 @@ func (WalRemove) Kind() Kind        { return KindWalRemove }
 func (WalCounters) Kind() Kind      { return KindWalCounters }
 func (WalHCount) Kind() Kind        { return KindWalHCount }
 func (SnapKey) Kind() Kind          { return KindSnapKey }
-func (SnapFooter) Kind() Kind       { return KindSnapFooter }
 func (RepairQuery) Kind() Kind      { return KindRepairQuery }
 func (RepairQueryReply) Kind() Kind { return KindRepairQueryReply }
 func (RepairPush) Kind() Kind       { return KindRepairPush }
