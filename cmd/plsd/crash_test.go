@@ -381,20 +381,21 @@ func crashRecovery(t *testing.T, bin, fsync string) {
 		}
 	}
 
-	// 2. The killed arm actually exercised WAL replay, the graceful arm
-	// recovered purely from its shutdown checkpoint.
+	// 2. The killed arm actually exercised WAL replay: its nodes applied
+	// outcome records on top of the key states. The graceful arm
+	// recovered purely from its shutdown checkpoint's key states.
 	replayedSomething := false
 	for _, d := range armA {
-		if !strings.Contains(d.out.String(), "replayed 0 records") {
+		if !strings.Contains(d.out.String(), " and 0 outcome records") {
 			replayedSomething = true
 		}
 	}
 	if !replayedSomething {
-		t.Error("no killed-arm node replayed any WAL records — harness not testing replay")
+		t.Error("no killed-arm node replayed any outcome record — harness not testing replay")
 	}
 	for i, d := range armB {
-		if !strings.Contains(d.out.String(), "replayed 0 records") {
-			t.Errorf("graceful arm node %d replayed WAL records after a clean shutdown:\n%s", i, d.out.String())
+		if !strings.Contains(d.out.String(), " and 0 outcome records") {
+			t.Errorf("graceful arm node %d replayed outcome records after a clean shutdown:\n%s", i, d.out.String())
 		}
 	}
 

@@ -100,8 +100,8 @@ func run() error {
 	}
 	if m.Durability != nil {
 		rs := m.Durability.Stats()
-		fmt.Printf("plsd: recovered %s: replayed %d records after a checkpoint of %d keys (%d torn bytes truncated)\n",
-			*dataDir, rs.Replayed, rs.CheckpointKeys, rs.WAL.TruncatedBytes)
+		fmt.Printf("plsd: recovered %s: replayed %d key states and %d outcome records (%d torn bytes truncated)\n",
+			*dataDir, rs.KeyStates, rs.Outcomes, rs.WAL.TruncatedBytes)
 	}
 	if *repairInterval > 0 {
 		fmt.Printf("plsd: anti-entropy repair sweeping every %v\n", *repairInterval)

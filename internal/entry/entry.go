@@ -270,12 +270,9 @@ func RestoreSet(members []Entry, seqs []uint64, nextSeq uint64) (*Set, error) {
 	return s, nil
 }
 
-// Clear removes all members but keeps allocated capacity.
-func (s *Set) Clear() {
-	s.members = s.members[:0]
-	s.seqs = s.seqs[:0]
-	clear(s.index)
-}
+// Fresh returns an empty set whose insertion sequences continue s's,
+// for an entry list replaced whole (a place). s is left as it is.
+func (s *Set) Fresh() *Set { return &Set{nextSeq: s.nextSeq} }
 
 // String renders the set sorted, for test failure messages.
 func (s *Set) String() string {

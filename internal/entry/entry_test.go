@@ -225,17 +225,20 @@ func TestSetClone(t *testing.T) {
 	}
 }
 
-func TestSetClear(t *testing.T) {
+func TestSetFresh(t *testing.T) {
 	s := NewSet(3)
 	s.Add("a")
 	s.Add("b")
-	s.Clear()
-	if s.Len() != 0 || s.Contains("a") {
-		t.Fatal("Clear left members behind")
+	f := s.Fresh()
+	if f.Len() != 0 || f.Contains("a") {
+		t.Fatal("Fresh kept members")
 	}
-	s.Add("c")
-	if !s.Contains("c") || s.Len() != 1 {
-		t.Fatal("set unusable after Clear")
+	if s.Len() != 2 || !s.Contains("a") {
+		t.Fatal("Fresh changed the set it continues")
+	}
+	f.Add("c")
+	if members, seqs, next := f.Export(); len(members) != 1 || seqs[0] != 2 || next != 3 {
+		t.Fatalf("after Fresh and Add: %v %v next %d, want c numbered 2 after a and b", members, seqs, next)
 	}
 }
 

@@ -194,7 +194,7 @@ func FuzzSetOps(f *testing.F) {
 					t.Fatalf("step %d: SampleInto(t=%d) = %v, model %v", step, n, got, want)
 				}
 			case 10:
-				s.Clear()
+				s = s.Fresh()
 				ref.members, ref.seqs = ref.members[:0], ref.seqs[:0]
 				clear(ref.index)
 			}

@@ -3,10 +3,14 @@ package node_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/entry"
+	"repro/internal/plstest"
 	"repro/internal/stats"
 	"repro/internal/strategy"
 	"repro/internal/transport"
@@ -120,4 +124,63 @@ func TestCoordinatorsValidation(t *testing.T) {
 	if err := cfg.Validate(4); err != nil {
 		t.Fatalf("coordinators == n rejected: %v", err)
 	}
+}
+
+// TestRoundConcurrentDeletesOfOneKey: deletes of one Round-y key that
+// reach its coordinator together run one at a time there, so each
+// one's Fig. 11 migration is set up at its head server before any
+// holder asks for it. Three writers each add a fresh entry and delete
+// the one they added before, through server 0; every reply succeeds
+// and the key keeps its placement invariants.
+func TestRoundConcurrentDeletesOfOneKey(t *testing.T) {
+	const n, writers, ops = 4, 3, 2000
+	cl := cluster.New(n, stats.NewRNG(60))
+	cfg := wire.Config{Scheme: wire.RoundRobin, Y: 2}
+	ctx := context.Background()
+	placed := entry.Synthetic(8)
+	call := func(msg wire.Message) error {
+		reply, err := cl.Caller().Call(ctx, 0, msg)
+		if err != nil {
+			return err
+		}
+		if ack, ok := reply.(wire.Ack); !ok || ack.Err != "" {
+			return fmt.Errorf("%T: %+v", msg, reply)
+		}
+		return nil
+	}
+	if err := call(wire.Place{Key: "k", Config: cfg, Entries: placed}); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var failed atomic.Int64
+	last := make([]string, writers)
+	for g := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range ops {
+				v := fmt.Sprint("w", g, "-", i)
+				if err := call(wire.Add{Key: "k", Config: cfg, Entry: v}); err != nil {
+					failed.Add(1)
+					t.Log(err)
+				}
+				if i > 0 {
+					if err := call(wire.Delete{Key: "k", Config: cfg, Entry: last[g]}); err != nil {
+						failed.Add(1)
+						t.Log(err)
+					}
+				}
+				last[g] = v
+			}
+		}()
+	}
+	wg.Wait()
+	if f := failed.Load(); f > 0 {
+		t.Fatalf("%d of %d updates failed", f, writers*(2*ops-1))
+	}
+	live := entry.NewSet(0)
+	for _, v := range append(placed, last...) {
+		live.Add(v)
+	}
+	plstest.Assert(t, "after concurrent deletes", plstest.Observe(cl, "k", cfg).Check(live))
 }

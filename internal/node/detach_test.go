@@ -35,9 +35,9 @@ func everyKind(t *testing.T) []wire.Message {
 		}
 		msgs = append(msgs, msg)
 	}
-	// Two kind numbers below KindStoreBatches are retired (reserved).
-	if len(msgs) < int(wire.KindStoreBatches)-2 {
-		t.Fatalf("found %d kinds, the wire has at least %d", len(msgs), wire.KindStoreBatches-2)
+	// Four kind numbers below KindStoreBatches are retired (reserved).
+	if len(msgs) < int(wire.KindStoreBatches)-4 {
+		t.Fatalf("found %d kinds, the wire has at least %d", len(msgs), wire.KindStoreBatches-4)
 	}
 	return msgs
 }
@@ -229,6 +229,33 @@ func TestJoinWaitingToCoordinateLeavesTheReader(t *testing.T) {
 	second := callAsync(client, wire.Join{Addr: "d:1"})
 	if err := sendBehind(t, client, nd, handled, wire.Ping{}); err != nil {
 		t.Errorf("Ping behind a Join waiting to coordinate: %v", err)
+	}
+	close(peers.release)
+	<-first
+	<-second
+}
+
+// TestRoundUpdateWaitingForItsKeyLeavesTheReader: a Round-y update that
+// reaches its coordinator while another update of the key holds the
+// key's update lock across a peer call waits for that lock off the
+// connection's reader: a Ping sent behind it is answered meanwhile.
+func TestRoundUpdateWaitingForItsKeyLeavesTheReader(t *testing.T) {
+	nd := New(0, stats.NewRNG(1))
+	peers := newBlockingPeers()
+	nd.SetHost(twoMembers{peers: peers}, twoAddrs)
+	round := wire.Config{Scheme: wire.RoundRobin, Y: 2}
+	if ack := nd.Handle(context.Background(), wire.StoreBatch{Key: "rk", Config: round, Entries: []string{"r0", "r1"}}); ack != (wire.Ack{}) {
+		t.Fatalf("StoreBatch: %v", ack)
+	}
+	client, _ := serveNode(t, nd)
+
+	first := make(chan wire.Message, 1)
+	go func() { first <- nd.Handle(context.Background(), wire.Add{Key: "rk", Config: round, Entry: "a"}) }()
+	<-peers.called // the add holds the key's update lock, storing at server 1
+	handled := nd.Handled()
+	second := callAsync(client, wire.Delete{Key: "rk", Config: round, Entry: "r0"})
+	if err := sendBehind(t, client, nd, handled, wire.Ping{}); err != nil {
+		t.Errorf("Ping behind a Delete waiting for its key: %v", err)
 	}
 	close(peers.release)
 	<-first

@@ -43,10 +43,10 @@ type Durability struct {
 
 // RecoveryStats describes what OpenDurability found on disk.
 type RecoveryStats struct {
-	// Replayed counts the mutation records replayed and CheckpointKeys
-	// the key states (wire.SnapKey records) checkpoints logged.
-	Replayed       int
-	CheckpointKeys int
+	// KeyStates counts the wire.SnapKey records replayed (checkpoints'
+	// and place shares') and Outcomes the outcome records on top.
+	KeyStates int
+	Outcomes  int
 	// WAL carries the low-level segment scan results, including torn
 	// bytes truncated from segment tails.
 	WAL store.ReplayStats
@@ -75,9 +75,9 @@ func (n *Node) OpenDurability(dataDir string, policy store.SyncPolicy, snapInter
 	// The store has no WAL attached yet, so replay re-logs nothing.
 	d.stats.WAL, err = wal.Replay(func(_ uint64, msg wire.Message) error {
 		if _, ok := msg.(wire.SnapKey); ok {
-			d.stats.CheckpointKeys++
+			d.stats.KeyStates++
 		} else {
-			d.stats.Replayed++
+			d.stats.Outcomes++
 		}
 		return n.applyWALRecord(msg)
 	})
@@ -191,11 +191,7 @@ func (n *Node) applyWALRecord(msg wire.Message) error {
 		key, cfg = m.Key, m.Config
 	case wire.WalConfig:
 		key, cfg = m.Key, m.Config
-	case wire.WalReset:
-		key, cfg = m.Key, m.Config
 	case wire.WalStore:
-		key = m.Key
-	case wire.WalStoreMany:
 		key = m.Key
 	case wire.WalRemove:
 		key = m.Key
@@ -214,18 +210,12 @@ func (n *Node) applyWALRecord(msg wire.Message) error {
 			if !st.Cfg.Scheme.Valid() {
 				st.Cfg = m.Config
 			}
-		case wire.WalReset:
-			st.Cfg = m.Config
-			st.Set.Clear()
-			st.Ext = nil
 		case wire.WalStore:
 			if m.HasPos {
 				logAddAt(st, m.Entry, m.Pos)
 			} else {
 				logAdd(st, m.Entry)
 			}
-		case wire.WalStoreMany:
-			logAddMany(st, m.Entries)
 		case wire.WalRemove:
 			logRemove(st, m.Entry)
 		case wire.WalCounters:

@@ -1,8 +1,11 @@
 package node
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -182,8 +185,8 @@ func TestRecoveryEquivalence(t *testing.T) {
 					t.Errorf("node %d state diverged after recovery:\n got %#v\nwant %#v", i, got, want[i])
 				}
 				st := rc.durs[i].Stats()
-				if st.Replayed == 0 && len(want[i]) > 0 {
-					t.Errorf("node %d replayed no records despite %d keys", i, len(want[i]))
+				if st.Outcomes == 0 && len(want[i]) > 0 {
+					t.Errorf("node %d replayed no outcome records despite %d keys", i, len(want[i]))
 				}
 			}
 		})
@@ -219,8 +222,9 @@ func TestRecoverySnapshotPlusTail(t *testing.T) {
 }
 
 // TestRecoveryGracefulCloseLeavesNoTail: after Close (final checkpoint
-// + WAL flush), reopening replays no mutation record — the log holds
-// the checkpoint alone, and recovery rebuilds every key from it.
+// + WAL flush), reopening replays no outcome record — the log holds
+// the checkpoint's key states alone, and recovery rebuilds every key
+// from them.
 func TestRecoveryGracefulCloseLeavesNoTail(t *testing.T) {
 	const n = 2
 	dirs := nodeDirs(t, n)
@@ -243,11 +247,11 @@ func TestRecoveryGracefulCloseLeavesNoTail(t *testing.T) {
 			t.Errorf("node %d state diverged after graceful cycle", i)
 		}
 		st := rc.durs[i].Stats()
-		if st.Replayed != 0 {
-			t.Errorf("node %d replayed %d records after graceful close, want 0", i, st.Replayed)
+		if st.Outcomes != 0 {
+			t.Errorf("node %d replayed %d outcome records after graceful close, want 0", i, st.Outcomes)
 		}
-		if st.CheckpointKeys != len(want[i]) {
-			t.Errorf("node %d replayed a checkpoint of %d keys, want %d", i, st.CheckpointKeys, len(want[i]))
+		if st.KeyStates != len(want[i]) {
+			t.Errorf("node %d replayed %d key states, want %d", i, st.KeyStates, len(want[i]))
 		}
 	}
 	rc.rerunThenCrash(11, dirs, "k", cfg)
@@ -407,6 +411,160 @@ func TestOpenDurabilityRefusesOldLog(t *testing.T) {
 	}
 }
 
+// TestRecoveryRefusesAPlswal02Log: a segment an earlier version wrote
+// under the plswal02 magic, whose places are a reset and one record per
+// kept entry, is refused with an error naming it, and left as it was.
+func TestRecoveryRefusesAPlswal02Log(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "wal", "00000000000000000001.wal")
+	seg := append([]byte("plswal02"), 0, 0, 0, 0, 0, 0, 0, 1)
+	seg = appendTestFrame(seg, 1, wire.Encode(wire.WalConfig{Key: "k", Config: wire.Config{Scheme: wire.FullReplication}}))
+	if err := os.MkdirAll(filepath.Dir(old), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(old, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rn := New(0, stats.NewRNG(1))
+	if _, err := rn.OpenDurability(dir, store.SyncBatch, 0, nil); err == nil || !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "plswal02") {
+		t.Fatalf("OpenDurability over a plswal02 log: %v, want an error naming %s and its format", err, old)
+	}
+	if rn.store.Keys() != 0 {
+		t.Fatalf("the refused open replayed %d keys", rn.store.Keys())
+	}
+	if got, err := os.ReadFile(old); err != nil || !bytes.Equal(got, seg) {
+		t.Fatalf("the refused segment changed (%v)", err)
+	}
+}
+
+// appendTestFrame appends one WAL frame holding payload, as the log
+// writes it: length, CRC-32C over sequence and payload, sequence,
+// payload.
+func appendTestFrame(buf []byte, seq uint64, payload []byte) []byte {
+	var hdr [16]byte
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint64(hdr[8:16], seq)
+	buf = append(append(buf, hdr[:]...), payload...)
+	frame := buf[len(buf)-len(payload)-16:]
+	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(frame[8:], crc32.MakeTable(crc32.Castagnoli)))
+	return buf
+}
+
+// walFrames returns the offset and the decoded record of every frame
+// in a segment image, failing the test on a frame that does not parse.
+func walFrames(t *testing.T, seg []byte) (offs []int, recs []wire.Message) {
+	t.Helper()
+	for off := 16; off < len(seg); {
+		n := 16 + int(binary.BigEndian.Uint32(seg[off:]))
+		msg, err := wire.Decode(seg[off+16 : off+n])
+		if err != nil {
+			t.Fatalf("frame at %d: %v", off, err)
+		}
+		offs, recs = append(offs, off), append(recs, msg)
+		off += n
+	}
+	return offs, recs
+}
+
+// newestSegment returns the path and the bytes of a data dir's newest
+// WAL segment.
+func newestSegment(t *testing.T, dir string) (string, []byte) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal", "*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments %v (%v)", segs, err)
+	}
+	data, err := os.ReadFile(segs[len(segs)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs[len(segs)-1], data
+}
+
+// TestRecoveryRefusesAnUndecodableRecord: a record that passes its CRC
+// but does not decode was written whole — by another version, or
+// through a codec bug — so it is no torn tail. Recovery fails naming
+// its segment and offset, and truncates nothing: the acked records
+// behind it stay on disk.
+func TestRecoveryRefusesAnUndecodableRecord(t *testing.T) {
+	dirs := nodeDirs(t, 1)
+	cfg := wire.Config{Scheme: wire.FullReplication}
+	dc := newDurCluster(t, 1, 3, dirs, store.SyncBatch)
+	dc.mustAck(0, wire.Place{Key: "k", Config: cfg, Entries: []string{"a"}})
+	dc.mustAck(0, wire.Add{Key: "k", Config: cfg, Entry: "b"})
+	dc.mustAck(0, wire.Add{Key: "k", Config: cfg, Entry: "c"})
+	if err := dc.durs[0].WAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+	path, seg := newestSegment(t, dirs[0])
+	offs, recs := walFrames(t, seg)
+	bad := -1
+	for i, rec := range recs {
+		if rec == (wire.WalStore{Key: "k", Entry: "b"}) {
+			bad = offs[i]
+		}
+	}
+	if bad < 0 {
+		t.Fatalf("no record stores b in %v", recs)
+	}
+	// Give b's record a kind this version does not know, CRC intact.
+	n := 16 + int(binary.BigEndian.Uint32(seg[bad:]))
+	payload := append([]byte{0xff}, seg[bad+17:bad+n]...)
+	seg = append(appendTestFrame(bytes.Clone(seg[:bad]), binary.BigEndian.Uint64(seg[bad+8:]), payload), seg[bad+n:]...)
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rn := New(0, stats.NewRNG(3))
+	d, err := rn.OpenDurability(dirs[0], store.SyncBatch, 0, nil)
+	if err == nil {
+		t.Fatalf("recovered %v with %+v, want an error naming %s at offset %d", rn.LocalSet("k"), d.Stats(), path, bad)
+	}
+	if want := fmt.Sprintf("%s: the record at offset %d ", path, bad); !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenDurability: %v, want it to name %q", err, want)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, seg) {
+		t.Fatalf("the refused segment changed (%v)", err)
+	}
+}
+
+// TestRecoveryOfATornPlaceIsAtomic: a place replaces a key's whole
+// entry list, and a log torn anywhere inside the second of two places
+// recovers the key exactly as the first or the second left it, never
+// part of the second's share.
+func TestRecoveryOfATornPlaceIsAtomic(t *testing.T) {
+	dirs := nodeDirs(t, 1)
+	cfg := wire.Config{Scheme: wire.Hash, Y: 1, Seed: 11}
+	dc := newDurCluster(t, 1, 5, dirs, store.SyncBatch)
+	dc.mustAck(0, wire.Place{Key: "k", Config: cfg, Entries: []string{"a1", "a2", "a3"}})
+	_, seg := newestSegment(t, dirs[0])
+	afterA := len(seg)
+	wantA := captureState(dc.nodes[0])["k"]
+	dc.mustAck(0, wire.Place{Key: "k", Config: cfg, Entries: []string{"b1", "b2", "b3", "b4"}})
+	wantB := captureState(dc.nodes[0])["k"]
+	path, seg := newestSegment(t, dirs[0])
+	if len(seg) <= afterA {
+		t.Fatalf("the second place logged nothing past offset %d", afterA)
+	}
+	for cut := afterA; cut <= len(seg); cut++ {
+		dir := filepath.Join(t.TempDir(), "wal")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(path)), seg[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rn := New(0, stats.NewRNG(5))
+		if _, err := rn.OpenDurability(filepath.Dir(dir), store.SyncNever, 0, nil); err != nil {
+			t.Fatalf("log cut at %d of %d: %v", cut, len(seg), err)
+		}
+		got := captureState(rn)["k"]
+		if !reflect.DeepEqual(got, wantA) && !reflect.DeepEqual(got, wantB) {
+			t.Fatalf("log cut at %d of %d (the second place from %d) recovered %+v,\nwant the first place's %+v\nor the second's %+v", cut, len(seg), afterA, got, wantA, wantB)
+		}
+	}
+}
+
 // TestOpenDurabilityRefusesSnapshotFiles: a data dir holding the
 // snapshot files an earlier version wrote beside its log is refused
 // with an error naming one of them, before anything is replayed.
@@ -441,15 +599,7 @@ func TestRecoveryReportsADamagedCheckpoint(t *testing.T) {
 	}
 	// The newest checkpoint is the first record of the newest segment:
 	// flip a byte of its payload, past the segment and frame headers.
-	segs, err := filepath.Glob(filepath.Join(dirs[0], "wal", "*.wal"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("segments %v (%v)", segs, err)
-	}
-	newest := segs[len(segs)-1]
-	data, err := os.ReadFile(newest)
-	if err != nil {
-		t.Fatal(err)
-	}
+	newest, data := newestSegment(t, dirs[0])
 	const payload = 16 + 16
 	if len(data) <= payload+1 || data[payload] != byte(wire.KindSnapKey) {
 		t.Fatalf("%s does not start with a checkpoint record", newest)
@@ -517,9 +667,7 @@ func TestDurableCheckpointRacingUpdates(t *testing.T) {
 			}
 		}()
 	}
-	// Round-y runs one update of a key at a time (concurrent deletes of
-	// one key fail), so its key has one writer.
-	for g, k := range []int{0, 1, 1, 1, 2, 2, 2} {
+	for g, k := range []int{0, 0, 0, 1, 1, 1, 2, 2, 2} {
 		key, cfg := fmt.Sprint("racing-", k), cfgs[k]
 		run(func(i int) bool {
 			// Add a fresh entry, then delete the one added before it.

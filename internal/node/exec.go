@@ -38,8 +38,8 @@ type executor interface {
 	add(ctx context.Context, r req, ks *store.KeyState, cfg wire.Config, m wire.Add) wire.Message
 	// del runs the initial server's delete(v) protocol for the key.
 	del(ctx context.Context, r req, ks *store.KeyState, cfg wire.Config, m wire.Delete) wire.Message
-	// storeBatch applies a place broadcast's local selection rule. The
-	// caller has already reset the key (set cleared, ext dropped).
+	// storeBatch builds a place's local selection into st, an empty
+	// state that logs nothing, which handleStoreBatch then installs.
 	storeBatch(r req, st *store.State, entries []string)
 	// storeOne applies a single-entry store's local rule.
 	storeOne(r req, st *store.State, m wire.StoreOne)

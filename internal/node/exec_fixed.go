@@ -41,7 +41,7 @@ func (fixedExec) del(ctx context.Context, r req, ks *store.KeyState, cfg wire.Co
 
 func (fixedExec) storeBatch(_ req, st *store.State, entries []string) {
 	// The sender already truncated the batch to x.
-	logAddMany(st, entries)
+	addAll(st, entries)
 }
 
 func (fixedExec) storeOne(_ req, st *store.State, m wire.StoreOne) {

@@ -26,7 +26,14 @@ func (fullExec) del(ctx context.Context, r req, _ *store.KeyState, cfg wire.Conf
 }
 
 func (fullExec) storeBatch(_ req, st *store.State, entries []string) {
-	logAddMany(st, entries)
+	addAll(st, entries)
+}
+
+// addAll stores entries in order: a place share that keeps them all.
+func addAll(st *store.State, entries []string) {
+	for _, v := range entries {
+		st.Set.Add(v)
+	}
 }
 
 func (fullExec) storeOne(_ req, st *store.State, m wire.StoreOne) {

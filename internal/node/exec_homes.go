@@ -116,7 +116,7 @@ func (homesExec) storeBatch(r req, st *store.State, entries []string) {
 	mv := r.v.rule()
 	for _, v := range entries {
 		if isHome(v, st.Cfg, mv.n, mv.self, mv.tp) {
-			logAdd(st, strings.Clone(v))
+			st.Set.Add(strings.Clone(v))
 		}
 	}
 }

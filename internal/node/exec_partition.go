@@ -27,7 +27,7 @@ func (partExec) del(ctx context.Context, r req, _ *store.KeyState, cfg wire.Conf
 }
 
 func (partExec) storeBatch(_ req, st *store.State, entries []string) {
-	logAddMany(st, entries)
+	addAll(st, entries)
 }
 
 func (partExec) storeOne(_ req, st *store.State, m wire.StoreOne) {

@@ -45,23 +45,18 @@ func (rsExec) del(ctx context.Context, r req, _ *store.KeyState, cfg wire.Config
 }
 
 func (rsExec) storeBatch(r req, st *store.State, entries []string) {
-	// Keep an independent uniform random x-subset (Sec. 3.3). The WAL
-	// record carries the chosen subset, not the offered batch: the
+	// Keep an independent uniform random x-subset (Sec. 3.3). The key
+	// state logged is the chosen subset, not the offered batch: the
 	// sampling decision happened here, once, and replay must not ask
 	// the RNG again.
-	ext := rsExtOf(st)
-	ext.hCount = len(entries)
-	logHCount(st, ext.hCount)
-	x := st.Cfg.X
-	if x >= len(entries) {
-		logAddMany(st, entries)
+	rsExtOf(st).hCount = len(entries)
+	if st.Cfg.X >= len(entries) {
+		addAll(st, entries)
 		return
 	}
-	chosen := make([]string, 0, x)
-	for _, i := range r.rng.SampleInts(len(entries), x) {
-		chosen = append(chosen, entries[i])
+	for _, i := range r.rng.SampleInts(len(entries), st.Cfg.X) {
+		st.Set.Add(entries[i])
 	}
-	logAddMany(st, chosen)
 }
 
 func (rsExec) storeOne(r req, st *store.State, m wire.StoreOne) {

@@ -87,6 +87,7 @@ func (roundExec) add(ctx context.Context, r req, ks *store.KeyState, cfg wire.Co
 	if r.v.Self >= coordinators(cfg) {
 		return wire.Ack{Err: "node: Round-y add must be sent to a coordinator"}
 	}
+	defer lockUpdates(ctx, ks)()
 	numServers := len(r.v.Addrs)
 	var pos, head int
 	ks.Update(func(st *store.State) {
@@ -110,6 +111,7 @@ func (roundExec) del(ctx context.Context, r req, ks *store.KeyState, cfg wire.Co
 	if r.v.Self >= coordinators(cfg) {
 		return wire.Ack{Err: "node: Round-y delete must be sent to a coordinator"}
 	}
+	defer lockUpdates(ctx, ks)()
 	numServers := len(r.v.Addrs)
 	var headPos, tail int
 	ks.Update(func(st *store.State) {
@@ -139,6 +141,20 @@ func (roundExec) del(ctx context.Context, r req, ks *store.KeyState, cfg wire.Co
 	return wire.Ack{}
 }
 
+// lockUpdates waits, off the connection's reader, until no other add
+// or delete of the key runs at this coordinator, and returns the
+// unlock. A delete's Fig. 11 migration moves the entry at the head
+// position into the hole: an add still storing that entry's copies, or
+// a delete moving or deleting it, would leave copies outside its window
+// or holders asking for a migration no longer pending.
+func lockUpdates(ctx context.Context, ks *store.KeyState) (unlock func()) {
+	if !ks.Serial.TryLock() {
+		transport.Detach(ctx) // the lock is held across peer calls
+		ks.Serial.Lock()
+	}
+	return ks.Serial.Unlock
+}
+
 // storeBatch keeps this server's share of a placed list: entry v_i
 // lives on servers (i mod n)..(i+y-1 mod n), the rule accept evaluates.
 // The share is y/n of a list whose strings all view one decoded message
@@ -147,7 +163,9 @@ func (roundExec) storeBatch(r req, st *store.State, entries []string) {
 	mv := r.v.rule()
 	for i, v := range entries {
 		if inWindow(i, st.Cfg.Y, mv.n, mv.self) {
-			logAddAt(st, strings.Clone(v), i)
+			v = strings.Clone(v)
+			st.Set.Add(v)
+			roundExtOf(st).positions[v] = i
 		}
 	}
 }

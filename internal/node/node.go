@@ -326,24 +326,22 @@ func allValid(entries []string) bool {
 	return true
 }
 
-// handleStoreBatch applies a place broadcast: the receiver resets the
-// key (config, entry set, strategy state) and stores the
-// scheme-dependent local selection of the batch.
+// handleStoreBatch applies a place broadcast: the executor builds the
+// receiver's share of the batch apart, numbering on from the key's set,
+// and the share replaces the key's whole state (config, entry set,
+// strategy state) as one logged SnapKey: a torn log holds all of it or
+// none.
 func (r req) handleStoreBatch(m wire.StoreBatch) wire.Message {
 	if !allValid(m.Entries) {
 		return wire.Ack{Err: errEmptyPlaceEntry}
 	}
 	r.store.GetOrCreate(m.Key, m.Config).Update(func(st *store.State) {
-		// The reset record precedes the executor's own records in the
-		// log, so replay clears the key before re-applying the batch's
-		// adds — the same order the live path runs in.
+		share := store.State{Key: st.Key, Cfg: m.Config, Set: st.Set.Fresh()}
+		execFor(share.Cfg.Scheme).storeBatch(r, &share, m.Entries)
+		st.Cfg, st.Set, st.Ext = share.Cfg, share.Set, share.Ext
 		if st.Logging() {
-			st.Log(wire.WalReset{Key: m.Key, Config: m.Config})
+			st.Log(snapKeyOf(st.Key, st))
 		}
-		st.Cfg = m.Config
-		st.Set.Clear()
-		st.Ext = nil
-		execFor(st.Cfg.Scheme).storeBatch(r, st, m.Entries)
 	})
 	return wire.Ack{}
 }

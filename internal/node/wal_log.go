@@ -57,16 +57,6 @@ func logRemove(st *store.State, v entry.Entry) bool {
 	return true
 }
 
-// logAddMany inserts a batch in order, logging it as one record.
-func logAddMany(st *store.State, entries []string) {
-	for _, v := range entries {
-		st.Set.Add(v)
-	}
-	if st.Logging() && len(entries) > 0 {
-		st.Log(wire.WalStoreMany{Key: st.Key, Entries: append([]string(nil), entries...)})
-	}
-}
-
 // logCounters records the Round-Robin coordinator counters' new
 // absolute values (absolute, not deltas, so replay is idempotent
 // against a snapshot cut anywhere in the stream).

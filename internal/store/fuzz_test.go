@@ -48,11 +48,29 @@ func checkpointSegment(n int) []byte {
 	return buf
 }
 
+// placeSegment builds a segment holding a key's creation, a place
+// share (one SnapKey for the whole kept list) and an add on top.
+func placeSegment() []byte {
+	buf := make([]byte, walHeaderSize)
+	copy(buf[:8], walMagic)
+	binary.BigEndian.PutUint64(buf[8:16], 1)
+	cfg := wire.Config{Scheme: wire.Hash, Y: 2, Seed: 7}
+	for i, rec := range []wire.Message{
+		wire.WalConfig{Key: "k", Config: cfg},
+		wire.SnapKey{Key: "k", Config: cfg, Entries: []string{"v2", "v5", "v7"}, Seqs: []uint64{0, 1, 2}, NextSeq: 3},
+		wire.WalStore{Key: "k", Entry: "v9"},
+	} {
+		buf = appendFrame(buf, uint64(i+1), rec)
+	}
+	return buf
+}
+
 // FuzzWALReplay feeds arbitrary bytes to the segment replay path: it
 // must never panic, and whatever records it yields must decode cleanly.
 // The seed corpus covers a clean segment, a torn tail, a mid-file
-// corruption, bad magic, an empty file, and a checkpoint: a segment of
-// SnapKey records.
+// corruption, bad magic, an empty file, a checkpoint (a segment of
+// SnapKey records) and a place share, whose SnapKey follows its key's
+// creation and precedes an add.
 func FuzzWALReplay(f *testing.F) {
 	clean := walSeedSegment(6)
 	f.Add(clean)
@@ -64,6 +82,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})                              // empty file
 	f.Add(walSeedSegment(0))                     // header only
 	f.Add(checkpointSegment(3))
+	f.Add(placeSegment())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -78,7 +78,9 @@ func (st *State) Log(rec wire.Message) {
 }
 
 // Logging reports whether mutations on this key are being logged.
-// Executors use it to skip building records on volatile stores.
+// Executors use it to skip building records on volatile stores. A
+// State built outside the store, such as a place share under
+// construction, logs nothing.
 func (st *State) Logging() bool { return st.logging }
 
 // KeyState is one key's slot in the store: the live state under a
@@ -97,6 +99,10 @@ type KeyState struct {
 	snapRead atomic.Bool
 
 	wal *WAL // the store's log; nil on volatile stores
+
+	// Serial orders those of the key's operations that a strategy must
+	// not overlap across peer calls; the store never takes it.
+	Serial sync.Mutex
 }
 
 // maxKeptRecs bounds the record slice a key keeps between updates: an
@@ -121,7 +127,8 @@ func (k *KeyState) Update(f func(*State)) {
 			_, _ = k.wal.Append(0, k.st.recs...)
 		}
 		// Keep the array for the next update, but not the records in
-		// it, and not the array a place grew to a record per entry.
+		// it, and not the array a repair push grew to a record per
+		// entry.
 		clear(k.st.recs)
 		k.st.recs = k.st.recs[:0]
 		if cap(k.st.recs) > maxKeptRecs {

@@ -30,21 +30,23 @@ import (
 //
 //	<firstseq>.wal
 //
-// Each segment starts with a 16-byte header (8-byte magic "plswal02",
+// Each segment starts with a 16-byte header (8-byte magic "plswal03",
 // 8-byte big-endian first sequence number) followed by frames:
 //
 //	[4-byte payload length][4-byte CRC32-C][8-byte sequence][payload]
 //
 // The CRC covers the sequence and the payload, so a torn or corrupted
 // record is detected whichever bytes were lost. Payloads are
-// wire-encoded Wal* messages (see internal/wire), sharing the protocol
-// codec's bounds checks and fuzz coverage. Sequence numbers strictly
-// increase through the segments, which replay reads in order.
+// wire-encoded Wal* and SnapKey messages (see internal/wire), sharing
+// the protocol codec's bounds checks and fuzz coverage. Sequence
+// numbers strictly increase through the segments, which replay reads
+// in order.
 
 // walMagic identifies WAL segment files; the trailing digits version
-// the format (earlier versions wrote "plswal01" segments, a set per
-// lock shard).
-const walMagic = "plswal02"
+// the format. Earlier versions wrote "plswal01" segments, a set per
+// lock shard, and "plswal02" segments, which log a place share as a
+// reset and one record per kept entry.
+const walMagic = "plswal03"
 
 const (
 	walDirName      = "wal"
@@ -188,7 +190,10 @@ type ReplayStats struct {
 
 // Replay reads the log in one ordered pass and calls fn for each
 // record. The first torn or CRC-failed record ends the log: its segment
-// is truncated before it and later segments are removed. Sequence
+// is truncated before it and later segments are removed. A record that
+// passes its CRC but does not decode was written whole, by another
+// version or through a codec bug, so it is no torn tail: Replay fails,
+// naming its segment and offset, and truncates nothing. Sequence
 // numbering resumes past every replayed record and every segment's
 // first sequence, so the next segment sorts after all of them.
 // Replay must run before Start.
@@ -238,15 +243,20 @@ func (w *WAL) Replay(fn func(seq uint64, msg wire.Message) error) (ReplayStats, 
 // replaySegmentFile scans one segment, invoking fn per valid frame. It
 // returns the byte offset of the valid prefix and how many trailing
 // bytes are invalid (0 when the whole file parses). An unreadable or
-// header-less file is reported as an error; malformed frames are data
-// loss, not I/O errors, and are reported via the invalid-suffix length.
+// header-less file, one of another format version and a CRC-clean
+// record that does not decode are reported as errors; torn and
+// CRC-failed frames are data loss, not I/O errors, and are reported
+// via the invalid-suffix length.
 func replaySegmentFile(path string, fn func(seq uint64, msg wire.Message) error) (validEnd int64, invalid int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("store: read WAL segment: %w", err)
 	}
-	if len(data) < walHeaderSize || string(data[:8]) != walMagic {
+	if len(data) < walHeaderSize {
 		return 0, 0, fmt.Errorf("store: %s: not a WAL segment", path)
+	}
+	if magic := string(data[:8]); magic != walMagic {
+		return 0, 0, fmt.Errorf("store: %s has magic %q, this version reads %s (an older version's log must be retired first: see docs/OPERATIONS.md)", path, magic, walMagic)
 	}
 	off := int64(walHeaderSize)
 	rest := data[walHeaderSize:]
@@ -255,9 +265,9 @@ func replaySegmentFile(path string, fn func(seq uint64, msg wire.Message) error)
 		if !ok {
 			return off, int64(len(rest)), nil
 		}
-		msg, decErr := wire.Decode(payload)
-		if decErr != nil {
-			return off, int64(len(rest)), nil
+		msg, err := wire.Decode(payload)
+		if err != nil {
+			return off, 0, fmt.Errorf("store: %s: the record at offset %d passes its CRC but does not decode (%w); nothing was truncated: see docs/OPERATIONS.md", path, off, err)
 		}
 		if err := fn(seq, msg); err != nil {
 			return off, 0, err

@@ -63,7 +63,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 			mustStart(t, w)
 			recs := []wire.Message{
 				wire.WalConfig{Key: "a", Config: wire.Config{Scheme: wire.RandomServer, X: 2, Y: 5}},
-				wire.WalStoreMany{Key: "a", Entries: []string{"v1", "v2"}},
+				wire.SnapKey{Key: "a", Config: wire.Config{Scheme: wire.Hash, Y: 2}, Entries: []string{"v1", "v2"}, Seqs: []uint64{0, 1}, NextSeq: 2},
 				wire.WalStore{Key: "a", Entry: "v3", Pos: 7, HasPos: true},
 				wire.WalRemove{Key: "a", Entry: "v1"},
 				wire.WalCounters{Key: "a", Head: 1, Tail: 8},

@@ -130,9 +130,6 @@ func AppendEncode(dst []byte, msg Message) []byte {
 			e.str(r.Err)
 		}
 		e.str(m.Err)
-	case WalReset:
-		e.str(m.Key)
-		e.config(m.Config)
 	case WalConfig:
 		e.str(m.Key)
 		e.config(m.Config)
@@ -141,9 +138,6 @@ func AppendEncode(dst []byte, msg Message) []byte {
 		e.str(m.Entry)
 		e.uvarint(uint64(m.Pos))
 		e.bool(m.HasPos)
-	case WalStoreMany:
-		e.str(m.Key)
-		e.strs(m.Entries)
 	case WalRemove:
 		e.str(m.Key)
 		e.str(m.Entry)
@@ -315,14 +309,10 @@ func decode(data []byte) (Message, error) {
 		}
 		m.Err = d.str()
 		msg = m
-	case KindWalReset:
-		msg = WalReset{Key: d.str(), Config: d.config()}
 	case KindWalConfig:
 		msg = WalConfig{Key: d.str(), Config: d.config()}
 	case KindWalStore:
 		msg = WalStore{Key: d.str(), Entry: d.str(), Pos: d.intval(), HasPos: d.boolval()}
-	case KindWalStoreMany:
-		msg = WalStoreMany{Key: d.str(), Entries: d.strs()}
 	case KindWalRemove:
 		msg = WalRemove{Key: d.str(), Entry: d.str()}
 	case KindWalCounters:

@@ -135,6 +135,11 @@ func FuzzMuxFrame(f *testing.F) {
 	for _, s := range append(acceptedFrameSeeds(), rejectedFrameSeeds()...) {
 		f.Add(s.body)
 	}
+	for _, b := range retiredRecords() {
+		f.Add(b) // retired v1 layout
+		f.Add(append(binary.BigEndian.AppendUint64([]byte{FrameV2Marker}, 7), b...))
+		f.Add(append(binary.BigEndian.AppendUint64([]byte{FrameV2Marker}, ^uint64(0)), b...))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fb, msg, err := parseAndDecode(body)
 		if err != nil {

@@ -198,10 +198,10 @@ const (
 	KindLookupBatch
 	KindBatchAck
 	KindLookupBatchReply
-	KindWalReset
+	_ // retired: WalReset, which opened a place share; a SnapKey holds one now
 	KindWalConfig
 	KindWalStore
-	KindWalStoreMany
+	_ // retired: WalStoreMany, a place share's kept entries
 	KindWalRemove
 	KindWalCounters
 	KindWalHCount
@@ -419,16 +419,9 @@ type LookupBatchReply struct {
 //
 // Records describe the *outcome* of a mutation, not its input: a
 // RandomServer-x reservoir decision is logged as the store/remove pair
-// it produced, so replay never consults the RNG and recovery is
+// it produced, and a place as the key state its share left (SnapKey),
+// so replay never consults the RNG and recovery is
 // placement-identical.
-
-// WalReset records a key reset by a place broadcast: install Config,
-// clear the entry set, drop strategy extension state. The entries the
-// receiver selected follow as WalStoreMany/WalStore records.
-type WalReset struct {
-	Key    string
-	Config Config
-}
 
 // WalConfig records a key's creation or lazy config adoption without
 // touching entries.
@@ -444,13 +437,6 @@ type WalStore struct {
 	Entry  string
 	Pos    int
 	HasPos bool
-}
-
-// WalStoreMany records a run of position-less local stores in
-// application order (the selection a place broadcast left behind).
-type WalStoreMany struct {
-	Key     string
-	Entries []string
 }
 
 // WalRemove records one entry removed locally (and its round-robin
@@ -476,11 +462,13 @@ type WalHCount struct {
 	HCount int
 }
 
-// SnapKey is one key's complete durable state, logged by a checkpoint:
-// config, the entry set with its insertion sequences (order matters —
-// lookup sampling indexes the internal member order), and the
-// scheme-private extension state. Replay replaces the key's state with
-// it: the record reflects every earlier record of its key.
+// SnapKey is one key's complete durable state, logged by a checkpoint
+// and by a place share: config, the entry set with its insertion
+// sequences (order matters — lookup sampling indexes the internal
+// member order), and the scheme-private extension state. Replay
+// replaces the key's state with it: the record reflects every earlier
+// record of its key, and a place is one record, so a torn log holds it
+// whole or not at all.
 type SnapKey struct {
 	Key    string
 	Config Config
@@ -628,10 +616,8 @@ func (AddBatch) Kind() Kind         { return KindAddBatch }
 func (LookupBatch) Kind() Kind      { return KindLookupBatch }
 func (BatchAck) Kind() Kind         { return KindBatchAck }
 func (LookupBatchReply) Kind() Kind { return KindLookupBatchReply }
-func (WalReset) Kind() Kind         { return KindWalReset }
 func (WalConfig) Kind() Kind        { return KindWalConfig }
 func (WalStore) Kind() Kind         { return KindWalStore }
-func (WalStoreMany) Kind() Kind     { return KindWalStoreMany }
 func (WalRemove) Kind() Kind        { return KindWalRemove }
 func (WalCounters) Kind() Kind      { return KindWalCounters }
 func (WalHCount) Kind() Kind        { return KindWalHCount }
