@@ -56,7 +56,7 @@ func ExtMembership(_ Fidelity, seed uint64) (*Table, error) {
 		{Scheme: core.FullReplication},
 		{Scheme: core.Fixed, X: 12},
 		{Scheme: core.RandomServer, X: 12},
-		{Scheme: core.RoundRobin, Y: 3, Coordinators: 2},
+		{Scheme: core.RoundRobin, Y: 3},
 		{Scheme: core.Hash, Y: 3, Seed: 2},
 		{Scheme: core.MultiProbe, Y: 3, Seed: 2},
 		{Scheme: core.KeyPartition},

@@ -59,7 +59,7 @@ func (r req) place(ctx context.Context, items []wire.Place) []string {
 	}
 	for i, p := range plans {
 		if errs[i] == "" && p.after != nil {
-			p.after(ctx)
+			p.after()
 		}
 	}
 	return errs

@@ -32,16 +32,11 @@ func TestChurnInvariantsAllSchemes(t *testing.T) {
 		{Scheme: wire.RandomServer, X: 12},
 		{Scheme: wire.RandomServer, X: 12, RSReplace: true},
 		{Scheme: wire.RoundRobin, Y: 3},
-		{Scheme: wire.RoundRobin, Y: 3, Coordinators: 2},
 		{Scheme: wire.Hash, Y: 3, Seed: 11},
 		{Scheme: wire.KeyPartition},
 	}
 	for ci, cfg := range configs {
-		name := cfg.String()
-		if cfg.Coordinators > 1 {
-			name += "+coords"
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(cfg.String(), func(t *testing.T) {
 			h := newHarness(t, n, uint64(90+ci))
 			rng := stats.NewRNG(uint64(1000 + ci))
 			live := entry.NewSet(64)

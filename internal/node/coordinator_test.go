@@ -17,70 +17,117 @@ import (
 	"repro/internal/wire"
 )
 
-// TestCoordinatorReplicationFailover exercises the footnote 1
-// generalization: with Coordinators=3, Round-y updates survive the
-// loss of server 0 because servers 1 and 2 mirror the head/tail
-// counters.
+// TestCoordinatorReplicationFailover: Round-y updates resume once a
+// blank replacement takes the slot of server 0, the key's only
+// sequencer, and repair refills it: the replacement rebuilds the
+// counters from the positions the members hold before it assigns one.
 func TestCoordinatorReplicationFailover(t *testing.T) {
 	rng := stats.NewRNG(50)
 	cl := cluster.New(6, rng.Split())
-	cfg := wire.Config{Scheme: wire.RoundRobin, Y: 2, Coordinators: 3}
+	cfg := wire.Config{Scheme: wire.RoundRobin, Y: 2}
 	drv := strategy.MustNew(cfg, rng.Split())
 	ctx := context.Background()
 
-	if err := drv.Place(ctx, cl.Caller(), "k", entry.Synthetic(12)); err != nil {
+	placed := entry.Synthetic(12)
+	if err := drv.Place(ctx, cl.Caller(), "k", placed); err != nil {
 		t.Fatalf("Place: %v", err)
 	}
-	// All coordinator replicas hold the counters after place.
-	for c := 0; c < 3; c++ {
-		head, tail := cl.Node(c).Counters("k")
-		if head != 0 || tail != 12 {
-			t.Fatalf("coordinator %d counters = (%d,%d), want (0,12)", c, head, tail)
-		}
+	// Only the sequencer holds counters.
+	if head, tail := cl.Node(0).Counters("k"); head != 0 || tail != 12 {
+		t.Fatalf("sequencer counters = (%d,%d), want (0,12)", head, tail)
 	}
-	// Non-coordinators do not.
-	if _, tail := cl.Node(4).Counters("k"); tail != 0 {
-		t.Fatal("non-coordinator acquired counters")
+	if _, tail := cl.Node(1).Counters("k"); tail != 0 {
+		t.Fatal("server 1 acquired counters")
 	}
 
-	// Kill the primary coordinator; updates continue through server 1.
 	cl.Fail(0)
-	if err := drv.Add(ctx, cl.Caller(), "k", "after-failover"); err != nil {
-		t.Fatalf("Add after coordinator failure: %v", err)
+	cl.Replace(0, rng.Split())
+	sweepAll(cl)
+	if err := drv.Add(ctx, cl.Caller(), "k", "after-replace"); err != nil {
+		t.Fatalf("Add after replace: %v", err)
 	}
 	if err := drv.Delete(ctx, cl.Caller(), "k", "v5"); err != nil {
-		t.Fatalf("Delete after coordinator failure: %v", err)
+		t.Fatalf("Delete after replace: %v", err)
 	}
-	head, tail := cl.Node(1).Counters("k")
-	if head != 1 || tail != 13 {
-		t.Fatalf("failover coordinator counters = (%d,%d), want (1,13)", head, tail)
+	if head, tail := cl.Node(0).Counters("k"); head != 1 || tail != 13 {
+		t.Fatalf("replacement counters = (%d,%d), want (1,13)", head, tail)
 	}
-	// The mirrored replica 2 also advanced.
-	head2, tail2 := cl.Node(2).Counters("k")
-	if head2 != 1 || tail2 != 13 {
-		t.Fatalf("standby counters = (%d,%d), want (1,13)", head2, tail2)
-	}
-
-	// The placement invariants hold across failover: the add landed at
-	// position 12 -> servers 0,1 (server 0 is down and missed it; its
-	// copy is lost, the other survives), and v5 was removed from live
-	// servers.
+	live := liveFrom(placed)
+	live.Add("after-replace")
+	live.Remove("v5")
+	v := plstest.Observe(cl, "k", cfg)
+	plstest.Assert(t, "after replace", v.Check(live))
+	plstest.Assert(t, "after replace coverage", v.CheckCoverage(live))
 	res, err := drv.PartialLookup(ctx, cl.Caller(), "k", 8)
-	if err != nil {
-		t.Fatalf("lookup after failover: %v", err)
-	}
-	if !res.Satisfied(8) {
-		t.Fatalf("lookup got %d entries", len(res.Entries))
-	}
-	for s := 1; s < 6; s++ {
-		if cl.Node(s).LocalSet("k").Contains("v5") {
-			t.Fatalf("live server %d still holds deleted v5", s)
-		}
+	if err != nil || !res.Satisfied(8) {
+		t.Fatalf("lookup after replace: %d entries, %v", len(res.Entries), err)
 	}
 }
 
-// TestCoordinatorBaseSchemeUnchanged pins the default: with
-// Coordinators unset, only server 0 accepts Round-y updates.
+// TestRoundSequencerReplacedBlank: a blank replacement of server 0
+// holds no counters, and sweeps do not restore them, since no peer
+// holds any. Its first add and deletes rebuild them from the positions
+// the members hold, so the key keeps its invariants.
+func TestRoundSequencerReplacedBlank(t *testing.T) {
+	h := newHarness(t, 4, 61)
+	cfg := wire.Config{Scheme: wire.RoundRobin, Y: 2}
+	placed := entry.Synthetic(8)
+	h.place(0, cfg, placed)
+	live := liveFrom(placed)
+
+	h.cl.Fail(0)
+	h.cl.Replace(0, stats.NewRNG(610))
+	for range 3 {
+		sweepAll(h.cl)
+	}
+	h.mustAck(0, wire.Add{Key: "k", Config: cfg, Entry: "x"})
+	live.Add("x")
+	for _, v := range placed[:2] {
+		h.mustAck(0, wire.Delete{Key: "k", Config: cfg, Entry: string(v)})
+		live.Remove(v)
+	}
+	plstest.Assert(t, "after updates", plstest.Observe(h.cl, "k", cfg).Check(live))
+	if head, tail := h.cl.Node(0).Counters("k"); head != 2 || tail != 9 {
+		t.Errorf("counters = (%d,%d), want (2,9)", head, tail)
+	}
+	sweepAll(h.cl)
+	plstest.Assert(t, "after a sweep", plstest.Observe(h.cl, "k", cfg).CheckCoverage(live))
+}
+
+// TestRoundRebuildNeedsEveryMember: a sequencer rebuilding its counters
+// while a member is down fails the update and assigns nothing, because
+// the silent member may hold the highest position. Once the member is
+// back, the update goes through.
+func TestRoundRebuildNeedsEveryMember(t *testing.T) {
+	h := newHarness(t, 4, 62)
+	cfg := wire.Config{Scheme: wire.RoundRobin, Y: 2}
+	h.place(0, cfg, entry.Synthetic(8))
+	h.cl.Fail(0)
+	h.cl.Replace(0, stats.NewRNG(620))
+	h.cl.Fail(2)
+
+	add := wire.Add{Key: "k", Config: cfg, Entry: "x"}
+	if ack, ok := h.call(0, add).(wire.Ack); !ok || ack.Err == "" {
+		t.Fatalf("add with a member down = %+v, want an error", ack)
+	}
+	if head, tail := h.cl.Node(0).Counters("k"); head != 0 || tail != 0 {
+		t.Fatalf("counters after the failed rebuild = (%d,%d), want (0,0)", head, tail)
+	}
+	for s := range h.cl.N() {
+		if h.cl.Node(s).LocalSet("k").Contains("x") {
+			t.Fatalf("server %d stores the refused add", s)
+		}
+	}
+
+	h.cl.Recover(2)
+	h.mustAck(0, add)
+	if head, tail := h.cl.Node(0).Counters("k"); head != 0 || tail != 9 {
+		t.Fatalf("counters = (%d,%d), want (0,9)", head, tail)
+	}
+}
+
+// TestCoordinatorBaseSchemeUnchanged pins the paper's base scheme:
+// only server 0 accepts Round-y updates.
 func TestCoordinatorBaseSchemeUnchanged(t *testing.T) {
 	rng := stats.NewRNG(51)
 	cl := cluster.New(4, rng.Split())
@@ -94,35 +141,6 @@ func TestCoordinatorBaseSchemeUnchanged(t *testing.T) {
 	err := drv.Add(ctx, cl.Caller(), "k", "x")
 	if !errors.Is(err, transport.ErrServerDown) && !errors.Is(err, strategy.ErrNoLiveServers) {
 		t.Fatalf("base scheme add with coordinator down = %v, want down error", err)
-	}
-}
-
-// TestCounterSyncMonotonic pins that stale syncs never roll counters
-// back.
-func TestCounterSyncMonotonic(t *testing.T) {
-	h := newHarness(t, 3, 52)
-	cfg := wire.Config{Scheme: wire.RoundRobin, Y: 1, Coordinators: 2}
-	h.place(0, cfg, entry.Synthetic(5))
-	// Fresh sync advances replica 1.
-	h.mustAck(1, wire.CounterSync{Key: "k", Head: 2, Tail: 9})
-	if head, tail := h.cl.Node(1).Counters("k"); head != 2 || tail != 9 {
-		t.Fatalf("counters = (%d,%d), want (2,9)", head, tail)
-	}
-	// A stale replayed sync is ignored.
-	h.mustAck(1, wire.CounterSync{Key: "k", Head: 1, Tail: 4})
-	if head, tail := h.cl.Node(1).Counters("k"); head != 2 || tail != 9 {
-		t.Fatalf("stale sync rolled back counters to (%d,%d)", head, tail)
-	}
-}
-
-func TestCoordinatorsValidation(t *testing.T) {
-	cfg := wire.Config{Scheme: wire.RoundRobin, Y: 2, Coordinators: 9}
-	if err := cfg.Validate(4); err == nil {
-		t.Fatal("coordinators > n accepted")
-	}
-	cfg.Coordinators = 4
-	if err := cfg.Validate(4); err != nil {
-		t.Fatalf("coordinators == n rejected: %v", err)
 	}
 }
 

@@ -35,9 +35,9 @@ func everyKind(t *testing.T) []wire.Message {
 		}
 		msgs = append(msgs, msg)
 	}
-	// Four kind numbers below KindStoreBatches are retired (reserved).
-	if len(msgs) < int(wire.KindStoreBatches)-4 {
-		t.Fatalf("found %d kinds, the wire has at least %d", len(msgs), wire.KindStoreBatches-4)
+	// Five kind numbers below KindStoreBatches are retired (reserved).
+	if len(msgs) < int(wire.KindStoreBatches)-5 {
+		t.Fatalf("found %d kinds, the wire has at least %d", len(msgs), wire.KindStoreBatches-5)
 	}
 	return msgs
 }

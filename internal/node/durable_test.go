@@ -119,7 +119,7 @@ func schemeConfigs() map[string]wire.Config {
 		"fixed":      {Scheme: wire.Fixed, X: 5},
 		"rs":         {Scheme: wire.RandomServer, X: 4},
 		"rs-replace": {Scheme: wire.RandomServer, X: 4, RSReplace: true},
-		"round":      {Scheme: wire.RoundRobin, Y: 2, Coordinators: 2},
+		"round":      {Scheme: wire.RoundRobin, Y: 2},
 		"hash":       {Scheme: wire.Hash, Y: 2, Seed: 0x5eed},
 		"partition":  {Scheme: wire.KeyPartition},
 	}
@@ -415,10 +415,30 @@ func TestOpenDurabilityRefusesOldLog(t *testing.T) {
 // under the plswal02 magic, whose places are a reset and one record per
 // kept entry, is refused with an error naming it, and left as it was.
 func TestRecoveryRefusesAPlswal02Log(t *testing.T) {
+	refusesOldLog(t, "plswal02", wire.Encode(wire.WalConfig{Key: "k", Config: wire.Config{Scheme: wire.FullReplication}}))
+}
+
+// TestRecoveryRefusesAPlswal03Log: a segment an earlier version wrote
+// under the plswal03 magic, whose key configs carry a Round-y
+// coordinator count, is refused with an error naming it, and left as
+// it was.
+func TestRecoveryRefusesAPlswal03Log(t *testing.T) {
+	// A Round-2 WalConfig in that layout: a coordinator count of 1
+	// before the config's last field, ZoneSpread.
+	rec := wire.Encode(wire.WalConfig{Key: "k", Config: wire.Config{Scheme: wire.RoundRobin, Y: 2}})
+	rec = append(rec[:len(rec)-1:len(rec)-1], 1, rec[len(rec)-1])
+	refusesOldLog(t, "plswal03", rec)
+}
+
+// refusesOldLog writes one segment under magic holding record and
+// checks that opening the node's durability refuses it by name and
+// format, replaying nothing and leaving the segment as it was.
+func refusesOldLog(t *testing.T, magic string, record []byte) {
+	t.Helper()
 	dir := t.TempDir()
 	old := filepath.Join(dir, "wal", "00000000000000000001.wal")
-	seg := append([]byte("plswal02"), 0, 0, 0, 0, 0, 0, 0, 1)
-	seg = appendTestFrame(seg, 1, wire.Encode(wire.WalConfig{Key: "k", Config: wire.Config{Scheme: wire.FullReplication}}))
+	seg := append([]byte(magic), 0, 0, 0, 0, 0, 0, 0, 1)
+	seg = appendTestFrame(seg, 1, record)
 	if err := os.MkdirAll(filepath.Dir(old), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -426,8 +446,8 @@ func TestRecoveryRefusesAPlswal02Log(t *testing.T) {
 		t.Fatal(err)
 	}
 	rn := New(0, stats.NewRNG(1))
-	if _, err := rn.OpenDurability(dir, store.SyncBatch, 0, nil); err == nil || !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "plswal02") {
-		t.Fatalf("OpenDurability over a plswal02 log: %v, want an error naming %s and its format", err, old)
+	if _, err := rn.OpenDurability(dir, store.SyncBatch, 0, nil); err == nil || !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), magic) {
+		t.Fatalf("OpenDurability over a %s log: %v, want an error naming %s and its format", magic, err, old)
 	}
 	if rn.store.Keys() != 0 {
 		t.Fatalf("the refused open replayed %d keys", rn.store.Keys())
@@ -561,6 +581,39 @@ func TestRecoveryOfATornPlaceIsAtomic(t *testing.T) {
 		got := captureState(rn)["k"]
 		if !reflect.DeepEqual(got, wantA) && !reflect.DeepEqual(got, wantB) {
 			t.Fatalf("log cut at %d of %d (the second place from %d) recovered %+v,\nwant the first place's %+v\nor the second's %+v", cut, len(seg), afterA, got, wantA, wantB)
+		}
+	}
+}
+
+// TestRecoveryOfATornRoundPlaceKeepsPositionsApart: a Round-y place
+// logs the sequencer's share, then its counters. A log torn between the
+// two recovers the new list with no counters, and the next add rebuilds
+// them from the positions held instead of reusing position 0.
+func TestRecoveryOfATornRoundPlaceKeepsPositionsApart(t *testing.T) {
+	dirs := nodeDirs(t, 1)
+	cfg := wire.Config{Scheme: wire.RoundRobin, Y: 1}
+	dc := newDurCluster(t, 1, 5, dirs, store.SyncBatch)
+	dc.mustAck(0, wire.Place{Key: "k", Config: cfg, Entries: []string{"a1", "a2", "a3"}})
+	_, seg := newestSegment(t, dirs[0])
+	afterA := len(seg)
+	dc.mustAck(0, wire.Place{Key: "k", Config: cfg, Entries: []string{"b1", "b2", "b3", "b4"}})
+	path, seg := newestSegment(t, dirs[0])
+	for cut := afterA; cut <= len(seg); cut++ {
+		dir := filepath.Join(t.TempDir(), "wal")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(path)), seg[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rc := newDurCluster(t, 1, 5, []string{filepath.Dir(dir)}, store.SyncNever)
+		rc.mustAck(0, wire.Add{Key: "k", Config: cfg, Entry: "c"})
+		at := make(map[int]string)
+		for v, p := range rc.nodes[0].Positions("k") {
+			if at[p] != "" {
+				t.Fatalf("log cut at %d of %d: %s and %s share position %d", cut, len(seg), at[p], v, p)
+			}
+			at[p] = v
 		}
 	}
 }

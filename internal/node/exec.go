@@ -77,7 +77,7 @@ type executor interface {
 type placePlan struct {
 	share  wire.StoreBatch
 	target int // a server id, or everyServer
-	after  func(ctx context.Context)
+	after  func()
 }
 
 const everyServer = -1
@@ -135,9 +135,9 @@ type req struct {
 }
 
 // execFor returns the executor for a scheme. Keys whose config is still
-// schemeless (created by a bare CounterSync, or an add that raced ahead
-// of its place) fall back to the replicated executor, whose
-// unconditional broadcasts match the monolith's default branches.
+// schemeless (created by an add or delete whose config is unset) fall
+// back to the replicated executor, whose unconditional broadcasts match
+// the monolith's default branches.
 func execFor(s wire.Scheme) executor {
 	switch s {
 	case wire.Fixed:

@@ -16,14 +16,14 @@ import (
 // on servers (i mod n)..(i+y-1 mod n), coordinated by head/tail
 // position counters, with the Fig. 11 hole-plugging migration on
 // deletes. The scheme-specific server messages (RoundRemove, Migrate,
-// RemoveAt, CounterSync) are handled here too.
+// RemoveAt) are handled here too.
 type roundExec struct{}
 
 // roundExt is the Round-Robin strategy state carried in store.State.Ext.
 type roundExt struct {
-	// head and tail are the coordinator's global position counters into
-	// the round-robin sequence (Sec. 5.4), meaningful on servers
-	// 0..Coordinators-1 (the paper's base scheme is server 0 only).
+	// head and tail are the sequencer's global position counters into
+	// the round-robin sequence (Sec. 5.4), set on rank 0 of the view
+	// alone: positions [head, tail) are live.
 	head int
 	tail int
 
@@ -60,44 +60,40 @@ func roundExtOf(st *store.State) *roundExt {
 }
 
 func (roundExec) place(r req, m wire.Place) (placePlan, error) {
-	cfg := m.Config
-	// The coordinator counters (head/tail, Sec. 5.4) live on servers
-	// 0..Coordinators-1 (footnote 1 generalization; the paper's base
-	// scheme is Coordinators=1, i.e. "server 1"). The client driver
-	// routes Round-y placement to a live coordinator.
-	if r.v.Self >= coordinators(cfg) {
-		return placePlan{}, errors.New("node: Round-y place must be sent to a coordinator")
+	if r.v.Self != 0 {
+		return placePlan{}, errNotSequencer
 	}
 	// One broadcast resets the key everywhere and carries the whole
 	// list; each server keeps the positions whose window covers it.
-	// Positions [head, tail) are live once that is acked.
-	after := func(ctx context.Context) {
-		r.store.GetOrCreate(m.Key, cfg).Update(func(st *store.State) {
+	// Positions [0, h) are live once that is acked.
+	after := func() {
+		r.store.GetOrCreate(m.Key, m.Config).Update(func(st *store.State) {
 			ext := roundExtOf(st)
-			ext.head = 0
-			ext.tail = len(m.Entries)
+			ext.head, ext.tail = 0, len(m.Entries)
 			logCounters(st, ext.head, ext.tail)
 		})
-		r.mirrorCounters(ctx, m.Key, cfg, 0, len(m.Entries))
 	}
 	return placePlan{share: wire.StoreBatch(m), target: everyServer, after: after}, nil
 }
 
+// errNotSequencer refuses a Round-y update at a rank but 0, the key's
+// sequencer (Sec. 5.4's "server 1").
+var errNotSequencer = errors.New("node: Round-y update must be sent to a coordinator, rank 0")
+
 func (roundExec) add(ctx context.Context, r req, ks *store.KeyState, cfg wire.Config, m wire.Add) wire.Message {
-	if r.v.Self >= coordinators(cfg) {
-		return wire.Ack{Err: "node: Round-y add must be sent to a coordinator"}
+	unlock, err := r.lockUpdates(ctx, m.Key, ks)
+	if err != nil {
+		return wire.Ack{Err: err.Error()}
 	}
-	defer lockUpdates(ctx, ks)()
+	defer unlock()
 	numServers := len(r.v.Addrs)
-	var pos, head int
+	var pos int
 	ks.Update(func(st *store.State) {
 		ext := roundExtOf(st)
 		pos = ext.tail
 		ext.tail++
-		head = ext.head
 		logCounters(st, ext.head, ext.tail)
 	})
-	r.mirrorCounters(ctx, m.Key, cfg, head, pos+1)
 	for j := 0; j < cfg.Y; j++ {
 		target := (pos + j) % numServers
 		if err := r.callBestEffort(ctx, target, wire.StoreOne{Key: m.Key, Config: cfg, Entry: m.Entry, Pos: pos}); err != nil {
@@ -108,21 +104,20 @@ func (roundExec) add(ctx context.Context, r req, ks *store.KeyState, cfg wire.Co
 }
 
 func (roundExec) del(ctx context.Context, r req, ks *store.KeyState, cfg wire.Config, m wire.Delete) wire.Message {
-	if r.v.Self >= coordinators(cfg) {
-		return wire.Ack{Err: "node: Round-y delete must be sent to a coordinator"}
+	unlock, err := r.lockUpdates(ctx, m.Key, ks)
+	if err != nil {
+		return wire.Ack{Err: err.Error()}
 	}
-	defer lockUpdates(ctx, ks)()
+	defer unlock()
 	numServers := len(r.v.Addrs)
-	var headPos, tail int
+	var headPos int
 	ks.Update(func(st *store.State) {
 		ext := roundExtOf(st)
 		headPos = ext.head
 		ext.head++
-		tail = ext.tail
 		logCounters(st, ext.head, ext.tail)
 	})
 	headServer := headPos % numServers
-	r.mirrorCounters(ctx, m.Key, cfg, headPos+1, tail)
 	// Fig. 11: broadcast remove(v, head). The head server must
 	// initialize its migration state before any migrate request
 	// arrives, so it receives the broadcast first.
@@ -141,18 +136,74 @@ func (roundExec) del(ctx context.Context, r req, ks *store.KeyState, cfg wire.Co
 	return wire.Ack{}
 }
 
-// lockUpdates waits, off the connection's reader, until no other add
-// or delete of the key runs at this coordinator, and returns the
-// unlock. A delete's Fig. 11 migration moves the entry at the head
-// position into the hole: an add still storing that entry's copies, or
-// a delete moving or deleting it, would leave copies outside its window
-// or holders asking for a migration no longer pending.
-func lockUpdates(ctx context.Context, ks *store.KeyState) (unlock func()) {
+// lockUpdates refuses unless this server is the key's sequencer, then
+// waits, off the connection's reader, until no other add or delete of
+// the key runs here, and returns the unlock. A delete's Fig. 11
+// migration moves the entry at the head position into the hole: an add
+// still storing that entry's copies, or a delete moving or deleting it,
+// would leave copies outside its window or holders asking for a
+// migration no longer pending. Lost counters are rebuilt first.
+func (r req) lockUpdates(ctx context.Context, key string, ks *store.KeyState) (unlock func(), err error) {
+	if r.v.Self != 0 {
+		return nil, errNotSequencer
+	}
 	if !ks.Serial.TryLock() {
 		transport.Detach(ctx) // the lock is held across peer calls
 		ks.Serial.Lock()
 	}
-	return ks.Serial.Unlock
+	if err := r.rebuildCounters(ctx, key, ks); err != nil {
+		ks.Serial.Unlock()
+		return nil, err
+	}
+	return ks.Serial.Unlock, nil
+}
+
+// rebuildCounters derives head/tail when the sequencer has none: only
+// it sets them, and its tail stays 0 until it places or assigns (a
+// blank replacement, or the rank a drain made 0). After Fig. 11's
+// migration the live positions are exactly [head, tail), so head is the
+// lowest position any member holds and tail one past the highest. Every
+// member must answer, or a position a silent one holds could be handed
+// out twice. The assignment that follows logs the counters.
+func (r req) rebuildCounters(ctx context.Context, key string, ks *store.KeyState) error {
+	if _, tail := r.Counters(key); tail > 0 {
+		return nil
+	}
+	var low, end int
+	for server := range r.v.Addrs {
+		reply, err := r.callReply(ctx, server, wire.RepairQuery{Key: key})
+		qr, ok := reply.(wire.RepairQueryReply)
+		if err == nil && (!ok || qr.Err != "") {
+			err = fmt.Errorf("reply %+v", reply)
+		}
+		if err != nil {
+			return fmt.Errorf("node: rebuilding Round-y counters: server %d: %w", server, err)
+		}
+		if qr.EndPos > 0 {
+			if end == 0 || qr.LowPos < low {
+				low = qr.LowPos
+			}
+			end = max(end, qr.EndPos)
+		}
+	}
+	ks.Update(func(st *store.State) {
+		if ext := roundExtOf(st); ext.tail == 0 { // unless a place set them meanwhile
+			ext.head, ext.tail = low, end
+		}
+	})
+	return nil
+}
+
+// span returns the lowest position held and one past the highest, both
+// 0 when none is.
+func (ext *roundExt) span() (low, end int) {
+	for _, p := range ext.positions {
+		if end == 0 || p < low {
+			low = p
+		}
+		end = max(end, p+1)
+	}
+	return low, end
 }
 
 // storeBatch keeps this server's share of a placed list: entry v_i
@@ -326,28 +377,6 @@ func (n *Node) handleRemoveAt(m wire.RemoveAt) wire.Message {
 	return wire.Ack{}
 }
 
-// handleCounterSync adopts mirrored Round-y coordinator counters
-// (footnote 1 generalization). Values are taken only if they advance
-// the local view, so replays and reordering are harmless.
-func (n *Node) handleCounterSync(m wire.CounterSync) wire.Message {
-	n.store.GetOrCreate(m.Key, wire.Config{}).Update(func(st *store.State) {
-		ext := roundExtOf(st)
-		changed := false
-		if m.Head > ext.head {
-			ext.head = m.Head
-			changed = true
-		}
-		if m.Tail > ext.tail {
-			ext.tail = m.Tail
-			changed = true
-		}
-		if changed {
-			logCounters(st, ext.head, ext.tail)
-		}
-	})
-	return wire.Ack{}
-}
-
 // window returns the servers holding round-robin position pos in a
 // cluster of n: (pos mod n)..(pos+y-1 mod n). A window wider than the
 // cluster (y > n, reachable only by draining below y) is
@@ -376,10 +405,9 @@ func inWindow(pos, y, n, self int) bool {
 // servers of its window under mv, position attached — sweeps plug the
 // hole at the entry's existing position, exactly like the Fig. 11
 // migration, never redrawing it — and dropped when the window no
-// longer covers this server. Unpositioned stragglers stay. The
-// coordinator counters are re-mirrored by the sweep itself, not by the
-// plan, which may not call peers. When y > mv.n no window exists:
-// keep everything, offer nothing (accept likewise takes nothing).
+// longer covers this server. Unpositioned stragglers stay. When y >
+// mv.n no window exists: keep everything, offer nothing (accept
+// likewise takes nothing).
 func (roundExec) plan(v repairView, mv memberView) ([]repairCandidate, []string) {
 	y := v.cfg.Y
 	if y <= 0 || y > mv.n {
@@ -414,28 +442,8 @@ func (roundExec) accept(st *store.State, p wire.RepairPush, mv memberView) int {
 	})
 }
 
-// coordinators returns how many servers mirror the Round-y counters.
-func coordinators(cfg wire.Config) int {
-	if cfg.Coordinators > 1 {
-		return cfg.Coordinators
-	}
-	return 1
-}
-
-// mirrorCounters best-effort syncs head/tail to the other coordinator
-// replicas; failed replicas are skipped (they re-learn on recovery
-// from the next successful sync they receive).
-func (r req) mirrorCounters(ctx context.Context, key string, cfg wire.Config, head, tail int) {
-	for c := 0; c < coordinators(cfg); c++ {
-		if c == r.v.Self {
-			continue
-		}
-		// Errors (including down replicas) are intentionally dropped.
-		_, _ = r.callReply(ctx, c, wire.CounterSync{Key: key, Head: head, Tail: tail})
-	}
-}
-
-// Counters returns the Round-Robin coordinator's (head, tail) for a key.
+// Counters returns the node's Round-Robin (head, tail) for a key: the
+// sequencer's counters on rank 0, (0, 0) elsewhere.
 func (n *Node) Counters(key string) (head, tail int) {
 	ks, ok := n.store.Get(key)
 	if !ok {

@@ -31,20 +31,20 @@ import (
 //     claimed transition are themselves re-homed or safely dropped by
 //     the real one, never stranded somewhere the scheme forbids.
 func FuzzRebalanceAccept(f *testing.F) {
-	f.Add(uint8(0), uint8(2), uint8(2), uint8(1), uint8(1), uint64(7), "a,b,c", []byte{1, 2, 3}, true, uint16(9), uint8(5), int8(-1), uint64(1), false)
-	f.Add(uint8(4), uint8(1), uint8(9), uint8(0), uint8(2), uint64(0), "", []byte(nil), false, uint16(0), uint8(0), int8(2), uint64(0), false)
-	f.Add(uint8(6), uint8(0), uint8(3), uint8(3), uint8(7), ^uint64(0), "v1,,v2", []byte{255, 0, 31}, true, uint16(65535), uint8(9), int8(-5), ^uint64(0), false)
-	f.Add(uint8(3), uint8(8), uint8(0), uint8(2), uint8(3), uint64(42), "zzzz", []byte{7}, false, uint16(1), uint8(4), int8(3), uint64(2), false)
+	f.Add(uint8(0), uint8(2), uint8(2), uint8(1), uint64(7), "a,b,c", []byte{1, 2, 3}, true, uint16(9), uint8(5), int8(-1), uint64(1), false)
+	f.Add(uint8(4), uint8(1), uint8(9), uint8(2), uint64(0), "", []byte(nil), false, uint16(0), uint8(0), int8(2), uint64(0), false)
+	f.Add(uint8(6), uint8(0), uint8(3), uint8(7), ^uint64(0), "v1,,v2", []byte{255, 0, 31}, true, uint16(65535), uint8(9), int8(-5), ^uint64(0), false)
+	f.Add(uint8(3), uint8(8), uint8(0), uint8(3), uint64(42), "zzzz", []byte{7}, false, uint16(1), uint8(4), int8(3), uint64(2), false)
 	// Epoch 1 after a drain, to a renumbered survivor (old slot 3, now
 	// 2): the push's own leaver claim, slot 2, is this member's current
 	// id, and the committed transition says it is no leaver.
-	f.Add(uint8(4), uint8(0), uint8(1), uint8(0), uint8(2), uint64(5), "a,b", []byte(nil), false, uint16(0), uint8(5), int8(2), uint64(1), true)
+	f.Add(uint8(4), uint8(0), uint8(1), uint8(2), uint64(5), "a,b", []byte(nil), false, uint16(0), uint8(5), int8(2), uint64(1), true)
 
 	schemes := []wire.Scheme{
 		wire.FullReplication, wire.Fixed, wire.RandomServer,
 		wire.RoundRobin, wire.Hash, wire.KeyPartition, wire.MultiProbe,
 	}
-	f.Fuzz(func(t *testing.T, schemeByte, rx, ry, coords, target uint8,
+	f.Fuzz(func(t *testing.T, schemeByte, rx, ry, target uint8,
 		seed uint64, blob string, posBlob []byte, hasPos bool, hcount uint16,
 		newN8 uint8, leaving8 int8, epoch uint64, drained bool) {
 		const n = 4 // members when the rogue frames land
@@ -55,7 +55,6 @@ func FuzzRebalanceAccept(f *testing.F) {
 			cfg.X = 1 + int(rx)%8
 		case wire.RoundRobin:
 			cfg.Y = 1 + int(ry)%n
-			cfg.Coordinators = int(coords) % 3
 		case wire.Hash, wire.MultiProbe:
 			cfg.Y = 1 + int(ry)%n
 			cfg.Seed = seed
@@ -117,8 +116,7 @@ func FuzzRebalanceAccept(f *testing.F) {
 		h.cl.Node(tgt).Handle(ctx, wire.RepairPush{
 			Key: "k2",
 			Config: wire.Config{
-				Scheme: wire.Scheme(schemeByte), X: int(rx) - 4, Y: int(ry) - 4,
-				Coordinators: int(coords), Seed: seed,
+				Scheme: wire.Scheme(schemeByte), X: int(rx) - 4, Y: int(ry) - 4, Seed: seed,
 			},
 			Entries: entries, Positions: positions, HasPos: hasPos,
 			HCount: int(hcount), Epoch: epoch, NewN: int(newN8) % 7, Leaving: int(leaving8),

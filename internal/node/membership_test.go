@@ -34,7 +34,7 @@ func membershipConfigs() map[string]wire.Config {
 		"full":       {Scheme: wire.FullReplication},
 		"fixed":      {Scheme: wire.Fixed, X: 12},
 		"rs":         {Scheme: wire.RandomServer, X: 12},
-		"round":      {Scheme: wire.RoundRobin, Y: 3, Coordinators: 2},
+		"round":      {Scheme: wire.RoundRobin, Y: 3},
 		"hash":       {Scheme: wire.Hash, Y: 3, Seed: 2},
 		"multiprobe": {Scheme: wire.MultiProbe, Y: 3, Seed: 2},
 		"partition":  {Scheme: wire.KeyPartition},
@@ -382,7 +382,7 @@ func TestJoinDuringRepairSweep(t *testing.T) {
 	}{
 		{"full", wire.Config{Scheme: wire.FullReplication}},
 		{"fixed", wire.Config{Scheme: wire.Fixed, X: 12}},
-		{"round", wire.Config{Scheme: wire.RoundRobin, Y: 3, Coordinators: 2}},
+		{"round", wire.Config{Scheme: wire.RoundRobin, Y: 3}},
 		{"hash", wire.Config{Scheme: wire.Hash, Y: 3, Seed: 2}},
 		{"multiprobe", wire.Config{Scheme: wire.MultiProbe, Y: 3, Seed: 2}},
 	} {
@@ -606,23 +606,29 @@ func TestDrainRefusals(t *testing.T) {
 	}
 }
 
-// Draining a Round-y coordinator: head/tail counters must re-home onto
-// the surviving coordinator ranks during the drain itself, so adds keep
-// assigning fresh positions without a repair pass in between.
+// Draining the Round-y sequencer: old server 1 becomes rank 0, the
+// sequencer, holding no counters. Its first update rebuilds them from
+// the positions the members hold, so adds and deletes keep assigning
+// fresh positions without a repair pass in between.
 func TestDrainCoordinatorRoundRobin(t *testing.T) {
 	ctx := context.Background()
-	cfg := wire.Config{Scheme: wire.RoundRobin, Y: 2, Coordinators: 2}
+	cfg := wire.Config{Scheme: wire.RoundRobin, Y: 2}
 	h := newHarness(t, 5, 97)
 	live := h.workload(cfg, 12)
 
 	if _, err := h.cl.Drain(ctx, 0); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	// Old server 1 — the surviving coordinator — is the new rank 0.
 	for i := 0; i < 4; i++ {
 		v := entry.Entry(fmt.Sprintf("post%d", i))
 		h.mustAck(0, wire.Add{Key: "k", Config: cfg, Entry: string(v)})
 		live.Add(v)
+	}
+	h.mustAck(0, wire.Delete{Key: "k", Config: cfg, Entry: "v3"})
+	live.Remove("v3")
+	// 12 placed and 4 added before the drain, 4 added and 1 deleted after.
+	if head, tail := h.cl.Node(0).Counters("k"); head != 1 || tail != 20 {
+		t.Fatalf("counters after the drain = (%d,%d), want (1,20)", head, tail)
 	}
 	v := plstest.Observe(h.cl, "k", cfg)
 	plstest.Assert(t, "post-drain structural", v.Check(live))

@@ -231,8 +231,6 @@ func (n *Node) dispatch(ctx context.Context, msg wire.Message) wire.Message {
 		return r.handleRoundRemove(ctx, m)
 	case wire.RemoveAt:
 		return n.handleRemoveAt(m)
-	case wire.CounterSync:
-		return n.handleCounterSync(m)
 	case wire.Migrate:
 		return r.handleMigrate(ctx, m)
 	case wire.Dump:

@@ -3,6 +3,7 @@ package node_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -159,15 +160,25 @@ func TestPlaceRoundRobinAssignment(t *testing.T) {
 	}
 }
 
+// TestPlaceRoundRobinRejectsNonCoordinator: a Round-y place, add or
+// delete at any server but 0, the key's sequencer, is refused, and
+// nothing is stored.
 func TestPlaceRoundRobinRejectsNonCoordinator(t *testing.T) {
 	h := newHarness(t, 4, 6)
-	reply := h.call(2, wire.Place{
-		Key:     "k",
-		Config:  wire.Config{Scheme: wire.RoundRobin, Y: 2},
-		Entries: []string{"v1"},
-	})
-	if ack := reply.(wire.Ack); ack.Err == "" {
-		t.Fatal("Round-y place on server 2 accepted")
+	cfg := wire.Config{Scheme: wire.RoundRobin, Y: 2}
+	for _, msg := range []wire.Message{
+		wire.Place{Key: "k", Config: cfg, Entries: []string{"v1"}},
+		wire.Add{Key: "k", Config: cfg, Entry: "v2"},
+		wire.Delete{Key: "k", Config: cfg, Entry: "v1"},
+	} {
+		for s := 1; s < h.cl.N(); s++ {
+			if ack := h.call(s, msg).(wire.Ack); !strings.Contains(ack.Err, "must be sent to a coordinator") {
+				t.Errorf("Round-y %T on server %d = %+v, want a refusal", msg, s, ack)
+			}
+		}
+	}
+	if got := h.cl.TotalStorage("k"); got != 0 {
+		t.Errorf("cluster stores %d copies, want 0", got)
 	}
 }
 

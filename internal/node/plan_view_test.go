@@ -27,7 +27,7 @@ func viewCases() []viewCase {
 		{"full", wire.Config{Scheme: wire.FullReplication}, false},
 		{"fixed", wire.Config{Scheme: wire.Fixed, X: 5}, false},
 		{"rs", wire.Config{Scheme: wire.RandomServer, X: 4}, false},
-		{"round", wire.Config{Scheme: wire.RoundRobin, Y: 2, Coordinators: 2}, false},
+		{"round", wire.Config{Scheme: wire.RoundRobin, Y: 2}, false},
 		{"hash", wire.Config{Scheme: wire.Hash, Y: 2, Seed: 0x5eed}, false},
 		{"hash-spread", wire.Config{Scheme: wire.Hash, Y: 2, Seed: 0x5eed, ZoneSpread: true}, true},
 		{"multiprobe", wire.Config{Scheme: wire.MultiProbe, Y: 2, Seed: 0x5eed}, false},

@@ -272,8 +272,6 @@ type repairView struct {
 	entries   []string       // local set, internal order
 	positions map[string]int // Round-y positions
 	hCount    int            // RandomServer-x system size
-	head      int            // Round-y coordinator counters
-	tail      int
 }
 
 // repairCandidate is one peer's share of a key's repair plan: the
@@ -297,7 +295,6 @@ func viewKey(key string, ks *store.KeyState) repairView {
 		switch ext := st.Ext.(type) {
 		case *roundExt:
 			v.positions = maps.Clone(ext.positions)
-			v.head, v.tail = ext.head, ext.tail
 		case *rsExt:
 			v.hCount = ext.hCount
 		}
@@ -400,10 +397,7 @@ func acceptMissing(st *store.State, entries []string, capX bool, admit func(i in
 
 // transferKey runs the sweep's two-phase exchange for one key: query
 // each planned target for what it is missing, push only that (subset
-// schemes only top the receiver up to x), then, for Round-y,
-// re-mirror the coordinator counters over the view's coordinator
-// ranks (adopt-if-advance on receipt) so a replaced, shifted or
-// joined counter home relearns head/tail. Targets are ranks under mv;
+// schemes only top the receiver up to x). Targets are ranks under mv;
 // slotOf maps one to the slot to call in the request's view, or -1 to
 // skip it (presumed dead). push is the sweep's message with its key,
 // config, HCount and transition set; each target gets a copy carrying
@@ -477,16 +471,6 @@ func (r req) transferKey(ctx context.Context, v repairView, plan []repairCandida
 			}
 		}
 	}
-	if v.cfg.Scheme == wire.RoundRobin && (v.head > 0 || v.tail > 0) {
-		for c := 0; c < coordinators(v.cfg) && c < mv.n; c++ {
-			if slot := slotOf(c); c != mv.self && slot >= 0 {
-				// Adopt-if-advance on the receiver.
-				if _, err := r.callReply(ctx, slot, wire.CounterSync{Key: v.key, Head: v.head, Tail: v.tail}); err != nil {
-					stats.Unanswered++
-				}
-			}
-		}
-	}
 }
 
 // acceptPush applies phase two of a sweep under the key's stored
@@ -516,7 +500,9 @@ func (n *Node) acceptPush(what string, m wire.RepairPush, mv memberView) wire.Me
 
 // handleRepairQuery answers phase one of a sweep: which of the listed
 // candidates this server is missing, plus its local set size and
-// RandomServer system count (so the sweeper can cap fill-to-x pushes).
+// RandomServer system count (so the sweeper can cap fill-to-x pushes),
+// and the span of Round-y positions it holds (so a sequencer can
+// rebuild lost counters).
 func (n *Node) handleRepairQuery(m wire.RepairQuery) wire.Message {
 	reply := wire.RepairQueryReply{Missing: make([]bool, len(m.Entries))}
 	ks, ok := n.store.Get(m.Key)
@@ -531,8 +517,11 @@ func (n *Node) handleRepairQuery(m wire.RepairQuery) wire.Message {
 			reply.Missing[i] = !st.Set.Contains(s)
 		}
 		reply.Len = st.Set.Len()
-		if ext, ok := st.Ext.(*rsExt); ok {
+		switch ext := st.Ext.(type) {
+		case *rsExt:
 			reply.HCount = ext.hCount
+		case *roundExt:
+			reply.LowPos, reply.EndPos = ext.span()
 		}
 	})
 	return reply

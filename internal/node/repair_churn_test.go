@@ -33,14 +33,14 @@ func TestRepairChurnSoak(t *testing.T) {
 		rounds       = 5
 		addsPerRound = 6
 	)
-	// Victims avoid servers 0..1 so Round-y coordinators (Coordinators:
-	// 2) survive; Fail+Replace needs someone left to coordinate adds.
+	// Victims avoid server 0, the Round-y sequencer, so the soak's adds
+	// always have it (TestCoordinatorReplicationFailover replaces it).
 	victims := [rounds]int{3, 5, 2, 6, 4}
 	for _, cfg := range []wire.Config{
 		{Scheme: wire.FullReplication},
 		{Scheme: wire.Fixed, X: 12},
 		{Scheme: wire.RandomServer, X: 12},
-		{Scheme: wire.RoundRobin, Y: 3, Coordinators: 2},
+		{Scheme: wire.RoundRobin, Y: 3},
 		// Seed 2: every soak entry (v1..v30, c0..c29) keeps >=2 distinct
 		// homes at n=8, so one lost server always leaves a donor.
 		{Scheme: wire.Hash, Y: 3, Seed: 2},

@@ -33,7 +33,7 @@ func TestRecoveryPreservesRepairs(t *testing.T) {
 		"full":  {Scheme: wire.FullReplication},
 		"fixed": {Scheme: wire.Fixed, X: 5},
 		"rs":    {Scheme: wire.RandomServer, X: 4},
-		"round": {Scheme: wire.RoundRobin, Y: 2, Coordinators: 2},
+		"round": {Scheme: wire.RoundRobin, Y: 2},
 		"hash":  {Scheme: wire.Hash, Y: 2, Seed: 0x5eed},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -88,5 +88,46 @@ func TestRecoveryPreservesRepairs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDurableRoundSequencerRebuildsCounters: a blank durable
+// replacement of server 0 rebuilds the Round-y counters on its first
+// add, and logs them with the position it assigns, so recovering its
+// log yields the rebuilt counters, not (0, 0).
+func TestDurableRoundSequencerRebuildsCounters(t *testing.T) {
+	const n = 4
+	cfg := wire.Config{Scheme: wire.RoundRobin, Y: 2}
+	dirs := nodeDirs(t, n)
+	dc := newDurCluster(t, n, 43, dirs, store.SyncBatch)
+	placed := make([]string, 8)
+	for i := range placed {
+		placed[i] = fmt.Sprintf("v%d", i+1)
+	}
+	dc.mustAck(0, wire.Place{Key: "k", Config: cfg, Entries: placed})
+
+	dirs[0] = filepath.Join(t.TempDir(), "replacement")
+	nd := New(0, stats.NewRNG(601))
+	if _, err := nd.OpenDurability(dirs[0], store.SyncBatch, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	dc.attach(0, nd)
+	dc.nodes[0] = nd
+	health := staticHealth{dead: make([]bool, n), epoch: 1}
+	for _, sweeper := range dc.nodes {
+		NewRepairer(sweeper, RepairOptions{Health: health}).SweepOnce(context.Background())
+	}
+
+	dc.mustAck(0, wire.Add{Key: "k", Config: cfg, Entry: "x"})
+	if head, tail := nd.Counters("k"); head != 0 || tail != 9 {
+		t.Fatalf("counters = (%d,%d), want (0,9)", head, tail)
+	}
+	// Crash: abandon the replacement and recover a node from its log.
+	rn := New(0, stats.NewRNG(602))
+	if _, err := rn.OpenDurability(dirs[0], store.SyncBatch, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if head, tail := rn.Counters("k"); head != 0 || tail != 9 {
+		t.Fatalf("recovered counters = (%d,%d), want (0,9)", head, tail)
 	}
 }

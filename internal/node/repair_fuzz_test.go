@@ -22,17 +22,17 @@ import (
 //     corrupt payload can be dropped, but never stored somewhere its
 //     key's scheme forbids.
 func FuzzRepairPlan(f *testing.F) {
-	f.Add(uint8(0), uint8(2), uint8(2), uint8(1), uint8(1), uint64(7), "a,b,c", []byte{1, 2, 3}, true, uint16(9))
-	f.Add(uint8(3), uint8(1), uint8(9), uint8(0), uint8(2), uint64(0), "", []byte(nil), false, uint16(0))
-	f.Add(uint8(4), uint8(0), uint8(3), uint8(3), uint8(7), ^uint64(0), "v1,,v2", []byte{255, 0, 31}, true, uint16(65535))
-	f.Add(uint8(9), uint8(8), uint8(0), uint8(2), uint8(3), uint64(42), "zzzz", []byte{7}, false, uint16(1))
-	f.Add(uint8(6), uint8(3), uint8(1), uint8(0), uint8(0), uint64(0x5eed), "m1,m2", []byte{4, 4}, true, uint16(12))
+	f.Add(uint8(0), uint8(2), uint8(2), uint8(1), uint64(7), "a,b,c", []byte{1, 2, 3}, true, uint16(9))
+	f.Add(uint8(3), uint8(1), uint8(9), uint8(2), uint64(0), "", []byte(nil), false, uint16(0))
+	f.Add(uint8(4), uint8(0), uint8(3), uint8(7), ^uint64(0), "v1,,v2", []byte{255, 0, 31}, true, uint16(65535))
+	f.Add(uint8(9), uint8(8), uint8(0), uint8(3), uint64(42), "zzzz", []byte{7}, false, uint16(1))
+	f.Add(uint8(6), uint8(3), uint8(1), uint8(0), uint64(0x5eed), "m1,m2", []byte{4, 4}, true, uint16(12))
 
 	schemes := []wire.Scheme{
 		wire.FullReplication, wire.Fixed, wire.RandomServer,
 		wire.RoundRobin, wire.Hash, wire.KeyPartition, wire.MultiProbe,
 	}
-	f.Fuzz(func(t *testing.T, schemeByte, rx, ry, coords, target uint8,
+	f.Fuzz(func(t *testing.T, schemeByte, rx, ry, target uint8,
 		seed uint64, blob string, posBlob []byte, hasPos bool, hcount uint16) {
 		const n = 4
 		ctx := context.Background()
@@ -42,7 +42,6 @@ func FuzzRepairPlan(f *testing.F) {
 			cfg.X = 1 + int(rx)%8
 		case wire.RoundRobin:
 			cfg.Y = 1 + int(ry)%n
-			cfg.Coordinators = int(coords) % 3
 		case wire.Hash, wire.MultiProbe:
 			cfg.Y = 1 + int(ry)%n
 			cfg.Seed = seed
@@ -86,8 +85,7 @@ func FuzzRepairPlan(f *testing.F) {
 		h.cl.Node(tgt).Handle(ctx, wire.RepairPush{
 			Key: "k2",
 			Config: wire.Config{
-				Scheme: wire.Scheme(schemeByte), X: int(rx) - 4, Y: int(ry) - 4,
-				Coordinators: int(coords), Seed: seed,
+				Scheme: wire.Scheme(schemeByte), X: int(rx) - 4, Y: int(ry) - 4, Seed: seed,
 			},
 			Entries: entries, Positions: positions, HasPos: hasPos, HCount: int(hcount),
 		})

@@ -53,7 +53,7 @@ func TestRepairRestoresInvariantsAfterReplace(t *testing.T) {
 		{wire.Config{Scheme: wire.FullReplication}, 3},
 		{wire.Config{Scheme: wire.Fixed, X: 10}, 3},
 		{wire.Config{Scheme: wire.RandomServer, X: 10}, 3},
-		{wire.Config{Scheme: wire.RoundRobin, Y: 3, Coordinators: 2}, 3},
+		{wire.Config{Scheme: wire.RoundRobin, Y: 3}, 3},
 		{wire.Config{Scheme: wire.Hash, Y: 2, Seed: 390}, 3}, // seed 390: all 30 entries get 2 distinct homes at n=6
 	} {
 		t.Run(tc.cfg.Scheme.String(), func(t *testing.T) {

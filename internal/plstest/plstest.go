@@ -17,6 +17,7 @@ package plstest
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -37,7 +38,8 @@ type ServerState struct {
 	Positions map[entry.Entry]int
 	// HCount is the RandomServer-x system-size counter.
 	HCount int
-	// Head and Tail are the Round-y coordinator counters.
+	// Head and Tail are the Round-y counters, set on the sequencer
+	// (server 0) alone.
 	Head, Tail int
 }
 
@@ -72,14 +74,6 @@ func Observe(c *cluster.Cluster, key string, cfg wire.Config) View {
 	return v
 }
 
-// coordinators mirrors the executor's rule: at least one.
-func coordinators(cfg wire.Config) int {
-	if cfg.Coordinators > 1 {
-		return cfg.Coordinators
-	}
-	return 1
-}
-
 // inWindow reports whether server id is one of the y consecutive homes
 // of Round-y position pos in a cluster of n.
 func inWindow(id, pos, y, n int) bool {
@@ -95,9 +89,10 @@ func inWindow(id, pos, y, n int) bool {
 // instant: no server stores an entry outside live (no resurrection —
 // pass nil to skip when recovered-stale servers are in play), subset
 // schemes respect their x bound, every Round-y entry sits inside its
-// position's server window with positions agreeing across servers, and
-// Hash-y / KeyPartition entries sit only on their assigned servers. It
-// returns one error per violation, in deterministic order.
+// position's server window with positions agreeing across servers and
+// no two live entries sharing one, and Hash-y / KeyPartition entries
+// sit only on their assigned servers. It returns one error per
+// violation, in deterministic order.
 func (v View) Check(live *entry.Set) []error {
 	var errs []error
 	n := len(v.Servers)
@@ -139,8 +134,8 @@ func (v View) Check(live *entry.Set) []error {
 					agreedBy[m] = i
 				}
 			}
-			if i < coordinators(cfg) && sv.Head > sv.Tail {
-				errs = append(errs, fmt.Errorf("key %q: coordinator %d has head %d > tail %d", v.Key, i, sv.Head, sv.Tail))
+			if i == 0 && sv.Head > sv.Tail {
+				errs = append(errs, fmt.Errorf("key %q: sequencer %d has head %d > tail %d", v.Key, i, sv.Head, sv.Tail))
 			}
 		case wire.Hash, wire.MultiProbe:
 			for _, m := range sv.Set.Members() {
@@ -160,6 +155,33 @@ func (v View) Check(live *entry.Set) []error {
 				errs = append(errs, fmt.Errorf("key %q: server %d stores %d entries but the partition home is server %d", v.Key, i, sv.Set.Len(), node.PartitionServer(v.Key, n)))
 			}
 		}
+	}
+	if cfg.Scheme == wire.RoundRobin && live != nil {
+		errs = append(errs, sharedPositions(v.Key, agreed, live)...)
+	}
+	return errs
+}
+
+// sharedPositions reports every Round-y position that two live entries
+// hold (each at the first position a server reported for it, agreed):
+// the sequencer handed one position out twice. A stale copy may share
+// its old position with the entry that plugged its hole, so only live
+// entries count.
+func sharedPositions(key string, agreed map[entry.Entry]int, live *entry.Set) []error {
+	byPos := make(map[int][]entry.Entry)
+	var shared []int
+	for m, p := range agreed {
+		if live.Contains(m) {
+			if byPos[p] = append(byPos[p], m); len(byPos[p]) == 2 {
+				shared = append(shared, p)
+			}
+		}
+	}
+	slices.Sort(shared)
+	var errs []error
+	for _, p := range shared {
+		slices.Sort(byPos[p])
+		errs = append(errs, fmt.Errorf("key %q: live entries %q share Round-y position %d", key, byPos[p], p))
 	}
 	return errs
 }

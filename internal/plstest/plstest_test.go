@@ -46,7 +46,7 @@ func TestChecksPassOnHealthyCluster(t *testing.T) {
 		{Scheme: wire.FullReplication},
 		{Scheme: wire.Fixed, X: 10},
 		{Scheme: wire.RandomServer, X: 10},
-		{Scheme: wire.RoundRobin, Y: 3, Coordinators: 2},
+		{Scheme: wire.RoundRobin, Y: 3},
 		{Scheme: wire.Hash, Y: 2, Seed: 99},
 		{Scheme: wire.KeyPartition},
 	} {
@@ -110,6 +110,22 @@ func TestCheckDetectsViolations(t *testing.T) {
 		v = View{Key: "k", Config: cfg, Servers: []ServerState{nopos}}
 		if !hasErr(v.Check(live), "without a position") {
 			t.Fatal("missing position not detected")
+		}
+	})
+
+	t.Run("round-shared-position", func(t *testing.T) {
+		// v1 and v2 both at position 1 (y=1, n=2: server 1's window),
+		// and a stale v3 there too, which only a live set may excuse.
+		cfg := wire.Config{Scheme: wire.RoundRobin, Y: 1}
+		s1 := server(true, "v1", "v2", "v3")
+		s1.Positions = map[entry.Entry]int{"v1": 1, "v2": 1, "v3": 1}
+		v := View{Key: "k", Config: cfg, Servers: []ServerState{server(true), s1}}
+		errs := v.Check(live)
+		if !hasErr(errs, `live entries ["v1" "v2"] share Round-y position 1`) {
+			t.Fatalf("shared position not detected: %v", errs)
+		}
+		if hasErr(v.Check(nil), "share Round-y position") {
+			t.Fatal("shared position flagged without a live set")
 		}
 	})
 

@@ -221,10 +221,10 @@ func (s *Store) Get(key string) (*KeyState, bool) {
 
 // GetOrCreate returns the state for key, creating it on first sight
 // with cfg. An existing key whose config was installed without a valid
-// scheme (e.g. by a bare CounterSync) adopts cfg — the same lazy config
-// adoption the monolithic node performed. Strategy extension state is
-// not created here; executors initialize Ext lazily inside their Update
-// callbacks.
+// scheme (by an add or delete whose config is unset) adopts cfg — the
+// same lazy config adoption the monolithic node performed. Strategy
+// extension state is not created here; executors initialize Ext lazily
+// inside their Update callbacks.
 func (s *Store) GetOrCreate(key string, cfg wire.Config) *KeyState {
 	v, ok := s.keys.Load(key)
 	if !ok {

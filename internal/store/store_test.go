@@ -43,8 +43,8 @@ func TestGetOrCreateInstallsConfig(t *testing.T) {
 }
 
 func TestSchemelessConfigAdoption(t *testing.T) {
-	// A key created by a config-less message (e.g. CounterSync) adopts
-	// the first valid config it sees.
+	// A key created by a config-less message (an add or delete whose
+	// config is unset) adopts the first valid config it sees.
 	s := store.New()
 	ks := s.GetOrCreate("k", wire.Config{})
 	if ks.Config().Scheme.Valid() {

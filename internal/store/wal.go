@@ -30,7 +30,7 @@ import (
 //
 //	<firstseq>.wal
 //
-// Each segment starts with a 16-byte header (8-byte magic "plswal03",
+// Each segment starts with a 16-byte header (8-byte magic "plswal04",
 // 8-byte big-endian first sequence number) followed by frames:
 //
 //	[4-byte payload length][4-byte CRC32-C][8-byte sequence][payload]
@@ -44,9 +44,10 @@ import (
 
 // walMagic identifies WAL segment files; the trailing digits version
 // the format. Earlier versions wrote "plswal01" segments, a set per
-// lock shard, and "plswal02" segments, which log a place share as a
-// reset and one record per kept entry.
-const walMagic = "plswal03"
+// lock shard, "plswal02" segments, which log a place share as a reset
+// and one record per kept entry, and "plswal03" segments, whose key
+// configs carry a Round-y coordinator count.
+const walMagic = "plswal04"
 
 const (
 	walDirName      = "wal"

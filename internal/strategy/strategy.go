@@ -170,9 +170,8 @@ func (d *Driver) AddBatch(ctx context.Context, c transport.Caller, items []AddIt
 //
 //   - KeyPartition: each key's responsible server, contacted directly
 //     (no other server can help), so the items fan out per distinct home.
-//   - Round-y: a coordinator (server 0 in the paper's base scheme,
-//     Sec. 5.4; with replicated coordinators — footnote 1 — the
-//     lowest-numbered live one).
+//   - Round-y: the key's sequencer, server 0 (Sec. 5.4), the only
+//     server that assigns positions.
 //   - Hash-y/MultiProbe-y add or delete of one item: a home of the
 //     entry, which stores its own copy without a peer round trip; then a
 //     random live server. A ZoneSpread config starts at a random one: its
@@ -195,11 +194,8 @@ func update[T wire.Message](ctx context.Context, d *Driver, c transport.Caller, 
 			deliver(ctx, c, []int{g.server}, msgs, g.idxs, wrap, errs)
 		}
 	case wire.RoundRobin:
-		coords := make([]int, min(max(d.cfg.Coordinators, 1), n))
-		for i := range coords {
-			coords[i] = i
-		}
-		deliver(ctx, c, coords, msgs, allIndexes(len(msgs)), wrap, errs)
+		// Server 0 sequences the key; with no server there is no route.
+		deliver(ctx, c, []int{0}[:min(n, 1)], msgs, allIndexes(len(msgs)), wrap, errs)
 	default:
 		deliver(ctx, c, d.sel.OrderGlobal(d.perm(n), prefer), msgs, allIndexes(len(msgs)), wrap, errs)
 	}

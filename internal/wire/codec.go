@@ -80,10 +80,6 @@ func AppendEncode(dst []byte, msg Message) []byte {
 		e.str(m.Key)
 		e.str(m.Entry)
 		e.uvarint(uint64(m.Pos))
-	case CounterSync:
-		e.str(m.Key)
-		e.uvarint(uint64(m.Head))
-		e.uvarint(uint64(m.Tail))
 	case Migrate:
 		e.str(m.Key)
 		e.str(m.Entry)
@@ -167,6 +163,8 @@ func AppendEncode(dst []byte, msg Message) []byte {
 		e.bools(m.Missing)
 		e.uvarint(uint64(m.Len))
 		e.uvarint(uint64(m.HCount))
+		e.uvarint(uint64(m.LowPos))
+		e.uvarint(uint64(m.EndPos))
 		e.str(m.Err)
 	case RepairPush:
 		e.str(m.Key)
@@ -245,8 +243,6 @@ func decode(data []byte) (Message, error) {
 		msg = RoundRemove{Key: d.str(), Entry: d.str(), HeadServer: d.intval(), HeadPos: d.intval()}
 	case KindRemoveAt:
 		msg = RemoveAt{Key: d.str(), Entry: d.str(), Pos: d.intval()}
-	case KindCounterSync:
-		msg = CounterSync{Key: d.str(), Head: d.intval(), Tail: d.intval()}
 	case KindMigrate:
 		msg = Migrate{Key: d.str(), Entry: d.str()}
 	case KindDump:
@@ -329,7 +325,7 @@ func decode(data []byte) (Message, error) {
 	case KindRepairQuery:
 		msg = RepairQuery{Key: d.str(), Entries: d.strs()}
 	case KindRepairQueryReply:
-		msg = RepairQueryReply{Missing: d.bools(), Len: d.intval(), HCount: d.intval(), Err: d.str()}
+		msg = RepairQueryReply{Missing: d.bools(), Len: d.intval(), HCount: d.intval(), LowPos: d.intval(), EndPos: d.intval(), Err: d.str()}
 	case KindRepairPush:
 		msg = RepairPush{
 			Key: d.str(), Config: d.config(), Entries: d.strs(),
@@ -407,7 +403,6 @@ func (e *encoder) config(c Config) {
 	e.uvarint(uint64(c.Y))
 	e.uvarint(c.Seed)
 	e.bool(c.RSReplace)
-	e.uvarint(uint64(c.Coordinators))
 	e.bool(c.ZoneSpread)
 }
 
@@ -558,7 +553,7 @@ func (d *decoder) strs() []string {
 func (d *decoder) config() Config {
 	return Config{
 		Scheme: Scheme(d.byteval()), X: d.intval(), Y: d.intval(), Seed: d.uvarint(),
-		RSReplace: d.boolval(), Coordinators: d.intval(), ZoneSpread: d.boolval(),
+		RSReplace: d.boolval(), ZoneSpread: d.boolval(),
 	}
 }
 

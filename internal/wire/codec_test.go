@@ -7,12 +7,14 @@ import (
 	"testing/quick"
 )
 
-// retiredRecords are WAL records of the two kinds earlier versions
-// logged a place share with, byte for byte as they wrote them: WalReset
-// (a key and its config, WalConfig's layout) and WalStoreMany (a key
-// and entries, RepairQuery's layout). Their kind numbers stay reserved,
-// so Decode refuses each as unknown and recovery stops at one rather
-// than misread it.
+// retiredRecords are messages of retired kinds, byte for byte as
+// earlier versions wrote them: the two WAL records a place share was
+// logged with, WalReset (a key and its config, WalConfig's layout) and
+// WalStoreMany (a key and entries, RepairQuery's layout), and the
+// CounterSync that mirrored Round-y counters to standby coordinators (a
+// key, head and tail, WalCounters' layout). Their kind numbers stay
+// reserved, so Decode refuses each as unknown, and recovery stops at
+// one rather than misread it.
 func retiredRecords() [][]byte {
 	cfg := Config{Scheme: Hash, X: 3, Y: 7, Seed: 0xdeadbeef, RSReplace: true}
 	retired := func(kind Kind, like Message) []byte {
@@ -24,6 +26,7 @@ func retiredRecords() [][]byte {
 		retired(KindWalConfig-1, WalConfig{Key: "k", Config: cfg}),
 		retired(KindWalStore+1, RepairQuery{Key: "k", Entries: []string{"v1", "v2"}}),
 		retired(KindWalStore+1, RepairQuery{Key: "k"}),
+		retired(KindRemoveAt+1, WalCounters{Key: "k", Head: 3, Tail: 9}),
 	}
 }
 
@@ -88,7 +91,7 @@ func allMessages() []Message {
 		SnapKey{Key: "k", Config: cfg, Entries: []string{"v"}, Seqs: []uint64{0}, NextSeq: 1, ExtKind: SnapExtRS, HCount: 3},
 		RepairQuery{Key: "k", Entries: []string{"v1", "v2"}},
 		RepairQuery{Key: "k"},
-		RepairQueryReply{Missing: []bool{true, false}, Len: 3, HCount: 9},
+		RepairQueryReply{Missing: []bool{true, false}, Len: 3, HCount: 9, LowPos: 4, EndPos: 11},
 		RepairQueryReply{Err: "boom"},
 		RepairPush{
 			Key: "k", Config: cfg, Entries: []string{"v1", "v2"},

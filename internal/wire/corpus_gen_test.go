@@ -68,7 +68,7 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		{Scheme: FullReplication},
 		{Scheme: Fixed, X: 20},
 		{Scheme: RandomServer, X: 20, RSReplace: true},
-		{Scheme: RoundRobin, Y: 3, Coordinators: 2},
+		{Scheme: RoundRobin, Y: 3},
 		{Scheme: Hash, Y: 2, Seed: 1 << 60},
 		{Scheme: MultiProbe, Y: 3, Seed: 0xfeed},
 		{Scheme: Hash, Y: 3, Seed: 7, ZoneSpread: true},
@@ -79,7 +79,6 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 			fmt.Sprintf("int(%d)", cfg.Y),
 			fmt.Sprintf("uint64(%d)", cfg.Seed),
 			fmt.Sprintf("bool(%v)", cfg.RSReplace),
-			fmt.Sprintf("int(%d)", cfg.Coordinators),
 			fmt.Sprintf("bool(%v)", cfg.ZoneSpread))
 	}
 }

@@ -35,16 +35,16 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzConfigRoundTrip fuzzes the config sub-codec through Place.
 func FuzzConfigRoundTrip(f *testing.F) {
-	f.Add(uint8(1), 0, 0, uint64(0), false, 0, false)
-	f.Add(uint8(5), 3, 7, uint64(1<<60), true, 4, true)
-	f.Fuzz(func(t *testing.T, scheme uint8, x, y int, seed uint64, rsReplace bool, coords int, zoneSpread bool) {
+	f.Add(uint8(1), 0, 0, uint64(0), false, false)
+	f.Add(uint8(5), 3, 7, uint64(1<<60), true, true)
+	f.Fuzz(func(t *testing.T, scheme uint8, x, y int, seed uint64, rsReplace bool, zoneSpread bool) {
 		// The codec deliberately rejects counts above MaxInt32
 		// (ErrOversized), so keep fuzz inputs inside the valid domain.
 		const maxInt32 = 1<<31 - 1
-		if x < 0 || y < 0 || coords < 0 || x > maxInt32 || y > maxInt32 || coords > maxInt32 {
+		if x < 0 || y < 0 || x > maxInt32 || y > maxInt32 {
 			return
 		}
-		cfg := Config{Scheme: Scheme(scheme), X: x, Y: y, Seed: seed, RSReplace: rsReplace, Coordinators: coords, ZoneSpread: zoneSpread}
+		cfg := Config{Scheme: Scheme(scheme), X: x, Y: y, Seed: seed, RSReplace: rsReplace, ZoneSpread: zoneSpread}
 		msg := Place{Key: "k", Config: cfg}
 		got, err := Decode(Encode(msg))
 		if err != nil {

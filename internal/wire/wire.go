@@ -82,14 +82,6 @@ type Config struct {
 	// experiments draw a fresh seed per run to average over families,
 	// as the paper's simulations do.
 	Seed uint64
-	// Coordinators is the number of servers mirroring the Round-y
-	// head/tail counters (servers 0..Coordinators-1). The paper's
-	// footnote 1 suggests this generalization of the centralized
-	// scheme "to improve reliability": updates go to the lowest-id
-	// live coordinator, and counter changes are mirrored to the rest,
-	// so Round-y updates survive coordinator failures. Zero or one
-	// means the paper's base scheme (server 0 only).
-	Coordinators int
 	// RSReplace selects the Sec. 5.3 alternative delete handling for
 	// RandomServer-x: instead of tolerating a below-x set until new
 	// adds arrive (the cushion scheme), a server that deletes a local
@@ -124,9 +116,6 @@ func (c Config) Validate(n int) error {
 		}
 		if c.Scheme == RoundRobin && c.Y > n && n > 0 {
 			return fmt.Errorf("wire: Round-y requires y <= n, got y=%d n=%d", c.Y, n)
-		}
-		if c.Scheme == RoundRobin && c.Coordinators > n && n > 0 {
-			return fmt.Errorf("wire: Round-y requires coordinators <= n, got %d of %d", c.Coordinators, n)
 		}
 	}
 	return nil
@@ -185,7 +174,7 @@ const (
 	KindRemoveOne
 	KindRoundRemove
 	KindRemoveAt
-	KindCounterSync
+	_ // retired: CounterSync, which mirrored Round-y counters to standby coordinators
 	KindMigrate
 	KindDump
 	KindPing
@@ -321,16 +310,6 @@ type RemoveAt struct {
 	Pos   int
 }
 
-// CounterSync mirrors the Round-y coordinator counters to a standby
-// coordinator (footnote 1 generalization). Receivers adopt the values
-// only if they advance their local view, so replayed or reordered
-// syncs are harmless.
-type CounterSync struct {
-	Key  string
-	Head int
-	Tail int
-}
-
 // Migrate is the Fig. 11 "migrate(v)" request sent to the head server by
 // each server that stored the deleted entry v.
 type Migrate struct {
@@ -446,9 +425,8 @@ type WalRemove struct {
 	Entry string
 }
 
-// WalCounters records the absolute Round-y coordinator counters after a
-// mutation. Absolute values make replay order-insensitive to the
-// adopt-if-advance rule of CounterSync.
+// WalCounters records the absolute Round-y sequencer counters after a
+// mutation, so replay installs the last record's values.
 type WalCounters struct {
 	Key  string
 	Head int
@@ -510,11 +488,16 @@ type RepairQuery struct {
 // query's Entries (true = the peer does not hold that entry). Len is
 // the peer's current local set size for the key and HCount its
 // RandomServer-x system-size counter, letting the sweeper cap
-// fill-to-x pushes without a second round trip.
+// fill-to-x pushes without a second round trip. LowPos is the lowest
+// Round-y position the peer holds for the key and EndPos one past its
+// highest, both 0 when it holds none: a Round-y sequencer that lost
+// its counters rebuilds them from these.
 type RepairQueryReply struct {
 	Missing []bool
 	Len     int
 	HCount  int
+	LowPos  int
+	EndPos  int
 	Err     string
 }
 
@@ -603,7 +586,6 @@ func (StoreOne) Kind() Kind         { return KindStoreOne }
 func (RemoveOne) Kind() Kind        { return KindRemoveOne }
 func (RoundRemove) Kind() Kind      { return KindRoundRemove }
 func (RemoveAt) Kind() Kind         { return KindRemoveAt }
-func (CounterSync) Kind() Kind      { return KindCounterSync }
 func (Migrate) Kind() Kind          { return KindMigrate }
 func (Dump) Kind() Kind             { return KindDump }
 func (Ping) Kind() Kind             { return KindPing }
